@@ -7,10 +7,12 @@
 //! then runs the banded out-of-core similarity kernel over the file in
 //! both encodings and records peak heap growth (counting allocator),
 //! peak RSS (`VmHWM`, the paper's `free -m` analog), and streaming
-//! throughput. Points small enough to materialize are verified
+//! throughput. Points small enough to score all pairs are verified
 //! bit-identical against the in-memory tiled kernel; larger points run
 //! a spread query sample through [`top_k_oooc_queries`] so one
-//! streaming pass over the file answers every query.
+//! streaming pass over the file answers every query, and those whose
+//! matrix still fits in a gibibyte are verified per query against the
+//! in-memory [`top_k_query`].
 //!
 //! The 1M-consumer point uses a tenth of a year per row: a full raw
 //! year at that width is a 70 GB file, which outgrows the working
@@ -24,8 +26,8 @@ use smda_core::SIMILARITY_TOP_K;
 use smda_engines::{top_k_source_with, SmcSource, DEFAULT_CACHE_BYTES};
 use smda_obs::MetricsSink;
 use smda_stats::{
-    top_k_oooc_queries, top_k_tiled, OoocStats, SeriesMatrix, SimilarityMatch, TileConfig,
-    DEFAULT_BAND_ROWS,
+    top_k_oooc_queries, top_k_query, top_k_tiled, OoocStats, SeriesMatrix, SimilarityMatch,
+    TileConfig, DEFAULT_BAND_ROWS,
 };
 use smda_storage::{BinaryEncoding, BinaryStore, BinaryWriter};
 use smda_types::{ConsumerId, HOURS_PER_YEAR};
@@ -48,6 +50,10 @@ const ALL_PAIRS_MAX: usize = 2_048;
 
 /// Query-sample width for the large points.
 const QUERY_SAMPLE: usize = 256;
+
+/// A query-sample point whose logical matrix is at most this large is
+/// materialized once to verify the sampled answers bitwise.
+const VERIFY_MAX_BYTES: u64 = 1 << 30;
 
 /// Worker-pool width for the all-pairs runs.
 const THREADS: usize = 8;
@@ -142,16 +148,24 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let band_rows = DEFAULT_BAND_ROWS.min(n.max(1));
         let logical_bytes = (n * hours * std::mem::size_of::<f64>()) as u64;
         let all_pairs = n <= ALL_PAIRS_MAX;
+        let q = QUERY_SAMPLE.min(n);
+        let queries: Vec<usize> = (0..q).map(|i| i * n / q).collect();
 
         // The bitwise expectation for small points, dropped before the
         // measured region so it never inflates the peak readings.
-        let want_bits = all_pairs.then(|| {
+        let want_bits = (all_pairs || logical_bytes <= VERIFY_MAX_BYTES).then(|| {
             let mut rows = vec![Vec::new(); n];
             for (i, row) in rows.iter_mut().enumerate() {
                 synth_row(i as u64 + 1, hours, row);
             }
             let matrix = SeriesMatrix::from_rows_normalized(&rows);
-            let (want, _) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &TileConfig::current());
+            drop(rows);
+            let want = if all_pairs {
+                top_k_tiled(&matrix, SIMILARITY_TOP_K, &TileConfig::current()).0
+            } else {
+                let one = |&q: &usize| top_k_query(&matrix, q, SIMILARITY_TOP_K);
+                queries.iter().map(one).collect()
+            };
             match_bits(&want)
         });
 
@@ -168,8 +182,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 if all_pairs {
                     top_k_source_with(&source, None, SIMILARITY_TOP_K, band_rows, THREADS, &sink)
                 } else {
-                    let q = QUERY_SAMPLE.min(n);
-                    let queries: Vec<usize> = (0..q).map(|i| i * n / q).collect();
                     top_k_oooc_queries(&source, &queries, SIMILARITY_TOP_K, band_rows)
                 }
             });
@@ -199,7 +211,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 if all_pairs {
                     "all_pairs".into()
                 } else {
-                    format!("queries_{}", QUERY_SAMPLE.min(n))
+                    format!("queries_{q}")
                 },
                 band_rows.to_string(),
                 mib(logical_bytes),

@@ -560,7 +560,10 @@ pub fn check_format(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::{Task, SIMILARITY_TOP_K};
     use smda_engines::parallel::{execute_task, ConsumerSource};
     use smda_engines::BinarySource;
+    use smda_format::digest::Digest;
+    use smda_format::layout::{Footer, FOOTER_BYTES};
     use smda_storage::{BinaryEncoding, BinaryStore};
+    use smda_types::FormatDefect;
 
     // At least 8 households so the 4-way reshard has real shards.
     let n = scale.consumers_for_households(6_400).max(8);
@@ -657,12 +660,47 @@ pub fn check_format(scale: Scale) -> std::result::Result<String, String> {
                 "{tag}: 4-way cut+merge did not reproduce the file byte for byte"
             ));
         }
+
+        // (5) The whole-file digest streamed in odd-sized pieces (every
+        // stripe phase) equals the one-shot digest and the footer's.
+        let covered = &original[..original.len() - 12];
+        let mut streamed = Digest::default();
+        covered
+            .chunks(4093)
+            .for_each(|piece| streamed.update(piece));
+        let footer = Footer::decode(&original[original.len() - FOOTER_BYTES..], &tag)
+            .map_err(|e| format!("{tag}: footer unreadable: {e}"))?;
+        if streamed.finish() != Digest::of(covered) || streamed.finish() != footer.file_check {
+            return Err(format!(
+                "{tag}: streamed, one-shot and stored file digests disagree"
+            ));
+        }
+
+        // (6) The same bytes labelled version 1 are refused by version,
+        // not by whichever checksum would trip first.
+        let mut v1 = original;
+        v1[4] = 1;
+        let v1_path = scratch.path(&format!("{tag}-v1.smc"));
+        std::fs::write(&v1_path, &v1).map_err(|e| format!("{tag}: v1 copy failed: {e}"))?;
+        match smda_format::SmcFile::open(&v1_path) {
+            Err(smda_types::Error::BadFormat {
+                defect: FormatDefect::UnsupportedVersion { found: 1, .. },
+                ..
+            }) => {}
+            other => {
+                return Err(format!(
+                    "{tag}: a version-1 file was not refused as such: {:?}",
+                    other.map(|f| f.n())
+                ))
+            }
+        }
     }
 
     Ok(format!(
         "format equivalence OK: n={n}, raw+packed read-back bit-identical, {zero_copy}, \
          {tasks_checked} task runs off the file bitwise equal to the reference, \
-         4-way cut+merge byte-identical for both encodings"
+         4-way cut+merge byte-identical for both encodings, streamed digest == one-shot == \
+         footer, version-1 copy refused"
     ))
 }
 

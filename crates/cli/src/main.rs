@@ -55,6 +55,16 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
+            if let smda_types::Error::BadFormat {
+                defect: smda_types::FormatDefect::UnsupportedVersion { supported, .. },
+                ..
+            } = e
+            {
+                eprintln!(
+                    "hint: this build reads .smc version {supported} only; re-create the file \
+                     with `smda convert` (or `smda generate --smc`)"
+                );
+            }
             ExitCode::FAILURE
         }
     }

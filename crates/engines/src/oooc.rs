@@ -200,6 +200,8 @@ fn record_oooc_counters(
 pub fn record_format_counters(metrics: &MetricsSink, delta: &FormatCounters) {
     metrics.incr(counters::FORMAT_ZERO_COPY_HITS, delta.zero_copy_hits);
     metrics.incr(counters::FORMAT_BLOCKS_DECODED, delta.blocks_decoded);
+    metrics.incr(counters::FORMAT_BYTES_CHECKSUMMED, delta.bytes_checksummed);
+    metrics.incr(counters::FORMAT_BYTES_DECODED, delta.bytes_decoded);
     metrics.incr(counters::FORMAT_CACHE_HITS, delta.cache_hits);
     metrics.incr(counters::FORMAT_CACHE_MISSES, delta.cache_misses);
     metrics.incr(counters::FORMAT_CACHE_EVICTIONS, delta.cache_evictions);
@@ -385,7 +387,20 @@ mod tests {
         assert!(report.counter(counters::OOOC_BANDS_LOADED).unwrap_or(0) > 0);
         assert!(report.counter(counters::OOOC_BAND_PAIRS).unwrap_or(0) > 0);
         assert!(report.counter(counters::OOOC_BYTES_STREAMED).unwrap_or(0) > 0);
-        assert!(report.counter(counters::FORMAT_BLOCKS_DECODED).unwrap_or(0) > 0);
+        let blocks = report.counter(counters::FORMAT_BLOCKS_DECODED).unwrap_or(0);
+        assert!(blocks > 0);
+        // Every decoded block yields one year of f64s and was
+        // checksummed first (packed: fewer stored bytes than decoded).
+        assert_eq!(
+            report.counter(counters::FORMAT_BYTES_DECODED),
+            Some(blocks * HOURS_PER_YEAR as u64 * 8)
+        );
+        assert!(
+            report
+                .counter(counters::FORMAT_BYTES_CHECKSUMMED)
+                .unwrap_or(0)
+                > 0
+        );
         assert!(report.counter(counters::PAIRS_SCORED).unwrap_or(0) > 0);
         std::fs::remove_file(&path).unwrap();
     }

@@ -26,16 +26,17 @@
 
 use smda_types::{Error, FormatDefect};
 
-use crate::layout::bad;
+use crate::layout::{bad, le_u64};
 
 /// Deltas per miniblock (one `width` byte amortized over up to 64).
 pub const MINIBLOCK: usize = 64;
 
 /// Append `values` as raw little-endian `f64` bytes.
 pub fn encode_raw(values: &[f64], out: &mut Vec<u8>) {
-    out.reserve(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    let start = out.len();
+    out.resize(start + values.len() * 8, 0);
+    for (word, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        word.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -50,12 +51,11 @@ pub fn decode_raw(bytes: &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), 
             },
         ));
     }
-    out.reserve(count);
-    for chunk in bytes.chunks_exact(8) {
-        out.push(f64::from_bits(u64::from_le_bytes(
-            chunk.try_into().expect("8 bytes"),
-        )));
-    }
+    out.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|word| f64::from_bits(le_u64(word, 0))),
+    );
     Ok(())
 }
 
@@ -91,22 +91,46 @@ fn pack_miniblock(deltas: &[u64], out: &mut Vec<u8>) {
     let width = 64 - (or_all >> shift).leading_zeros();
     out.push(width as u8);
     out.push(shift as u8);
-    // LSB-first bitstream; the accumulator never exceeds 7 carried bits
-    // plus one 64-bit delta, so u128 always has room.
-    let mut acc: u128 = 0;
-    let mut nbits: u32 = 0;
+    // LSB-first bitstream, one whole word out at a time: `acc` holds
+    // the `nbits < 64` bits not yet written.
+    let mut acc = 0u64;
+    let mut nbits = 0u32;
     for &d in deltas {
-        acc |= u128::from(d >> shift) << nbits;
+        let stored = d >> shift;
+        acc |= stored << nbits;
         nbits += width;
-        while nbits >= 8 {
-            out.push((acc & 0xff) as u8);
-            acc >>= 8;
-            nbits -= 8;
+        if nbits >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            nbits -= 64;
+            // The high bits of `stored` that did not fit (none when it
+            // ended exactly on the word boundary).
+            acc = if nbits == 0 {
+                0
+            } else {
+                stored >> (width - nbits)
+            };
         }
     }
-    if nbits > 0 {
-        out.push((acc & 0xff) as u8);
-    }
+    out.extend_from_slice(&acc.to_le_bytes()[..nbits.div_ceil(8) as usize]);
+}
+
+/// The 64 stream bits starting at bit `bit` of `packed`, LSB-first,
+/// zero-extended past its end: one unaligned `u64` window plus the
+/// ninth byte a window that starts mid-byte spills into.
+#[inline(always)]
+fn window(packed: &[u8], bit: usize) -> u64 {
+    let (byte, sub) = (bit >> 3, (bit & 7) as u32);
+    let (low, ninth) = match packed.get(byte..byte + 9) {
+        Some(nine) => (le_u64(nine, 0), nine[8]),
+        None => {
+            let mut nine = [0u8; 9];
+            let rest = &packed[byte..];
+            nine[..rest.len()].copy_from_slice(rest);
+            (le_u64(&nine, 0), nine[8])
+        }
+    };
+    // Two shifts so that `sub == 0` contributes nothing from `ninth`.
+    (low >> sub) | ((u64::from(ninth) << (63 - sub)) << 1)
 }
 
 /// Decode a packed block of exactly `count` values into `out`.
@@ -138,7 +162,7 @@ pub fn decode_packed(bytes: &[u8], count: usize, out: &mut Vec<f64>) -> Result<(
             },
         ));
     }
-    let mut prev = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+    let mut prev = le_u64(bytes, 0);
     out.reserve(count);
     out.push(f64::from_bits(prev));
     let mut pos = 8usize;
@@ -167,30 +191,18 @@ pub fn decode_packed(bytes: &[u8], count: usize, out: &mut Vec<f64>) -> Result<(
             continue;
         }
         let nbytes = (in_block * width as usize).div_ceil(8);
-        let packed = bytes
-            .get(pos..pos + nbytes)
-            .ok_or_else(|| corrupt("packed miniblock shorter than its width declares"))?;
-        pos += nbytes;
-        let mask = if width == 64 {
-            u128::from(u64::MAX)
-        } else {
-            (1u128 << width) - 1
-        };
-        let mut acc: u128 = 0;
-        let mut nbits: u32 = 0;
-        let mut cursor = 0usize;
-        for _ in 0..in_block {
-            while nbits < width {
-                acc |= u128::from(packed[cursor]) << nbits;
-                cursor += 1;
-                nbits += 8;
-            }
-            let delta = ((acc & mask) as u64) << shift;
-            acc >>= width;
-            nbits -= width;
-            prev ^= delta;
-            out.push(f64::from_bits(prev));
+        if bytes.len() - pos < nbytes {
+            return Err(corrupt("packed miniblock shorter than its width declares"));
         }
+        // Windows may run past this miniblock into the next one (or
+        // the zero extension); the mask drops what is not ours.
+        let packed = &bytes[pos..];
+        pos += nbytes;
+        let mask = u64::MAX >> (64 - width);
+        out.extend((0..in_block).map(|i| {
+            prev ^= (window(packed, i * width as usize) & mask) << shift;
+            f64::from_bits(prev)
+        }));
         remaining -= in_block;
     }
     if pos != bytes.len() {
@@ -299,5 +311,208 @@ mod tests {
         // Raw block with wrong length.
         let mut out = Vec::new();
         assert!(decode_raw(&[0u8; 12], 2, &mut out).is_err());
+    }
+
+    // ---- Oracles: the byte-at-a-time packer and decoder the word-wise
+    // ---- ones replaced. The packed stream is defined by these; the
+    // ---- tests below hold new ≡ old on bytes out and on bits back.
+
+    fn pack_miniblock_bytewise(deltas: &[u64], out: &mut Vec<u8>) {
+        let or_all = deltas.iter().fold(0u64, |a, &d| a | d);
+        if or_all == 0 {
+            out.extend_from_slice(&[0, 0]);
+            return;
+        }
+        let shift = or_all.trailing_zeros();
+        let width = 64 - (or_all >> shift).leading_zeros();
+        out.push(width as u8);
+        out.push(shift as u8);
+        let mut acc: u128 = 0;
+        let mut nbits: u32 = 0;
+        for &d in deltas {
+            acc |= u128::from(d >> shift) << nbits;
+            nbits += width;
+            while nbits >= 8 {
+                out.push((acc & 0xff) as u8);
+                acc >>= 8;
+                nbits -= 8;
+            }
+        }
+        if nbits > 0 {
+            out.push((acc & 0xff) as u8);
+        }
+    }
+
+    fn encode_packed_bytewise(values: &[f64], out: &mut Vec<u8>) {
+        out.extend_from_slice(&values[0].to_bits().to_le_bytes());
+        let deltas: Vec<u64> = values
+            .windows(2)
+            .map(|w| w[0].to_bits() ^ w[1].to_bits())
+            .collect();
+        for miniblock in deltas.chunks(MINIBLOCK) {
+            pack_miniblock_bytewise(miniblock, out);
+        }
+    }
+
+    /// `None` wherever the word-wise decoder must return an error.
+    fn decode_packed_bytewise(bytes: &[u8], count: usize) -> Option<Vec<u64>> {
+        if count == 0 {
+            return bytes.is_empty().then(Vec::new);
+        }
+        let mut prev = u64::from_le_bytes(bytes.get(..8)?.try_into().unwrap());
+        let mut out = vec![prev];
+        let mut pos = 8usize;
+        let mut remaining = count - 1;
+        while remaining > 0 {
+            let in_block = remaining.min(MINIBLOCK);
+            let width = u32::from(*bytes.get(pos)?);
+            let shift = u32::from(*bytes.get(pos + 1)?);
+            pos += 2;
+            if width > 64 || shift > 63 || width + shift > 64 {
+                return None;
+            }
+            let nbytes = (in_block * width as usize).div_ceil(8);
+            let packed = bytes.get(pos..pos + nbytes)?;
+            pos += nbytes;
+            let mask = (1u128 << width) - 1;
+            let mut acc: u128 = 0;
+            let mut nbits: u32 = 0;
+            let mut cursor = 0usize;
+            for _ in 0..in_block {
+                while nbits < width {
+                    acc |= u128::from(packed[cursor]) << nbits;
+                    cursor += 1;
+                    nbits += 8;
+                }
+                prev ^= ((acc & mask) as u64) << shift;
+                acc >>= width;
+                nbits -= width;
+                out.push(prev);
+            }
+            remaining -= in_block;
+        }
+        (pos == bytes.len()).then_some(out)
+    }
+
+    fn decode_packed_bits(bytes: &[u8], count: usize) -> Option<Vec<u64>> {
+        let mut out = Vec::new();
+        decode_packed(bytes, count, &mut out).ok()?;
+        Some(out.iter().map(|v| v.to_bits()).collect())
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `fill` deltas whose shared geometry is exactly `width`/`shift`.
+    fn deltas_of(width: u32, shift: u32, fill: usize, rng: &mut u64) -> Vec<u64> {
+        if width == 0 {
+            return vec![0; fill];
+        }
+        let mask = u64::MAX >> (64 - width);
+        let mut deltas: Vec<u64> = (0..fill).map(|_| (splitmix(rng) & mask) << shift).collect();
+        deltas[0] |= (1 | 1 << (width - 1)) << shift;
+        deltas
+    }
+
+    fn values_of(first: u64, deltas: &[u64]) -> Vec<f64> {
+        let mut bits = first;
+        std::iter::once(first)
+            .chain(deltas.iter().map(|d| {
+                bits ^= d;
+                bits
+            }))
+            .map(f64::from_bits)
+            .collect()
+    }
+
+    #[test]
+    fn word_wise_equals_byte_wise_on_every_width_shift_and_fill() {
+        let mut rng = 0x5eed;
+        for width in 0..=64u32 {
+            for shift in 0..=(64 - width).min(63) {
+                for fill in 1..=MINIBLOCK {
+                    let deltas = deltas_of(width, shift, fill, &mut rng);
+                    let (mut new, mut old) = (Vec::new(), Vec::new());
+                    pack_miniblock(&deltas, &mut new);
+                    pack_miniblock_bytewise(&deltas, &mut old);
+                    assert_eq!(new, old, "pack w={width} s={shift} fill={fill}");
+
+                    let values = values_of(splitmix(&mut rng), &deltas);
+                    let mut block = Vec::new();
+                    encode_packed(&values, &mut block);
+                    let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+                    let got = decode_packed_bits(&block, values.len());
+                    assert_eq!(got.as_ref(), Some(&want), "w={width} s={shift} fill={fill}");
+                    assert_eq!(got, decode_packed_bytewise(&block, values.len()));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn word_wise_equals_byte_wise_on_ragged_blocks(
+            pick in 0usize..6,
+            seed in proptest::any::<u64>(),
+        ) {
+            let len = [1usize, 2, 63, 64, 65, 8760][pick];
+            // Every miniblock draws its own geometry, so neighbours of
+            // different widths sit back to back in one stream.
+            let mut rng = seed;
+            let mut deltas = Vec::with_capacity(len);
+            while deltas.len() < len - 1 {
+                let width = (splitmix(&mut rng) % 65) as u32;
+                let shift = (splitmix(&mut rng) % u64::from(65 - width)).min(63) as u32;
+                let fill = (len - 1 - deltas.len()).min(MINIBLOCK);
+                deltas.extend(deltas_of(width, shift, fill, &mut rng));
+            }
+            let values = values_of(splitmix(&mut rng), &deltas);
+            let (mut new, mut old) = (Vec::new(), Vec::new());
+            encode_packed(&values, &mut new);
+            encode_packed_bytewise(&values, &mut old);
+            proptest::prop_assert_eq!(&new, &old);
+            let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+            proptest::prop_assert_eq!(decode_packed_bits(&new, len), Some(want));
+            proptest::prop_assert_eq!(
+                decode_packed_bits(&new, len),
+                decode_packed_bytewise(&new, len)
+            );
+        }
+
+        #[test]
+        fn word_wise_is_as_strict_as_byte_wise_on_damaged_streams(
+            seed in proptest::any::<u64>(),
+            len in 2usize..100,
+        ) {
+            let mut rng = seed;
+            let width = 1 + (splitmix(&mut rng) % 64) as u32;
+            let deltas = deltas_of(width, 0, len - 1, &mut rng);
+            let values = values_of(splitmix(&mut rng), &deltas);
+            let mut block = Vec::new();
+            encode_packed(&values, &mut block);
+            // Every truncation, then a damaged byte anywhere (headers
+            // included): same verdict, and the same bits when accepted.
+            for cut in 0..block.len() {
+                proptest::prop_assert_eq!(
+                    decode_packed_bits(&block[..cut], len),
+                    decode_packed_bytewise(&block[..cut], len)
+                );
+            }
+            for at in 0..block.len() {
+                let mut damaged = block.clone();
+                damaged[at] = splitmix(&mut rng) as u8;
+                proptest::prop_assert_eq!(
+                    decode_packed_bits(&damaged, len),
+                    decode_packed_bytewise(&damaged, len)
+                );
+                damaged.push(0);
+                proptest::prop_assert_eq!(decode_packed_bits(&damaged, len), None);
+            }
+        }
     }
 }

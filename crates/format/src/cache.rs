@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use smda_types::Result;
+use smda_types::{Error, Result};
 
 use crate::metrics;
 use crate::reader::SmcFile;
@@ -139,7 +139,12 @@ impl<'a> RowGroupCache<'a> {
     /// `group_bounds(g).len() × hours`), from cache or a verified
     /// decode.
     pub fn group(&self, g: usize) -> Result<Arc<Vec<f64>>> {
-        assert!(g < self.group_count(), "group {g} out of range");
+        if g >= self.group_count() {
+            return Err(Error::Invalid(format!(
+                "row group {g} out of range (file has {})",
+                self.group_count()
+            )));
+        }
         {
             let mut inner = self.inner.lock().expect("cache lock");
             inner.tick += 1;
@@ -191,11 +196,12 @@ impl<'a> RowGroupCache<'a> {
     /// kernels consume.
     pub fn load_rows(&self, rows: Range<usize>, out: &mut Vec<f64>) -> Result<()> {
         let hours = self.file.hours();
-        assert!(
-            rows.start <= rows.end && rows.end <= self.file.n(),
-            "row range {rows:?} out of bounds ({})",
-            self.file.n()
-        );
+        if rows.end > self.file.n() || rows.start > rows.end {
+            return Err(Error::Invalid(format!(
+                "row range {rows:?} out of bounds (file has {})",
+                self.file.n()
+            )));
+        }
         out.clear();
         out.reserve(rows.len() * hours);
         let mut r = rows.start;
@@ -334,6 +340,15 @@ mod tests {
                 .zip(&direct)
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
+        // Out-of-range spans are the caller's typed error, as on the
+        // file itself — not a panic.
+        #[allow(clippy::reversed_empty_ranges)]
+        for range in [0..8usize, 5..4] {
+            let cached = cache.load_rows(range.clone(), &mut via_cache);
+            assert!(matches!(cached, Err(Error::Invalid(_))), "{range:?}");
+            assert!(file.read_rows_into(range, &mut direct).is_err());
+        }
+        assert!(matches!(cache.group(3), Err(Error::Invalid(_))));
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,12 +1,13 @@
-//! The `SMC1` on-disk layout: constants, checksums, and the fixed-size
-//! header / index-entry / footer records.
+//! The `SMC1` on-disk layout: constants and the fixed-size header /
+//! index-entry / footer records. Every checksum field holds the
+//! word-wise [`Digest`](crate::digest::Digest) of the bytes it covers.
 //!
 //! ```text
 //! file  := header | block* | temperature | index | footer
 //!
 //! header (24 bytes)
 //!   0   magic     [u8;4] = "SMC1"
-//!   4   version   u16 LE = 1
+//!   4   version   u16 LE = 2
 //!   6   flags     u16 LE          bit 0: RAW_CONTIGUOUS
 //!   8   n         u32 LE          consumer count
 //!   12  hours     u32 LE          readings per consumer
@@ -24,21 +25,26 @@
 //!   4   encoding  u32 LE          0 raw, 1 xor-delta bit-packed
 //!   8   offset    u64 LE          absolute, 8-byte aligned
 //!   16  length    u64 LE          block bytes (padding excluded)
-//!   24  checksum  u64 LE          FNV-1a of the block bytes
+//!   24  checksum  u64 LE          digest of the block bytes
 //!
 //! footer (52 bytes)
 //!   0   index_off   u64 LE
 //!   8   index_len   u64 LE        n × 32
 //!   16  temp_off    u64 LE
-//!   24  temp_check  u64 LE        FNV-1a of the temperature bytes
-//!   32  index_check u64 LE        FNV-1a of the index bytes
-//!   40  file_check  u64 LE        FNV-1a of bytes [0, file_len − 12)
+//!   24  temp_check  u64 LE        digest of the temperature bytes
+//!   32  index_check u64 LE        digest of the index bytes
+//!   40  file_check  u64 LE        digest of bytes [0, file_len − 12)
 //!   48  magic       [u8;4] = "SMCE"
 //! ```
 //!
 //! The whole-file checksum covers everything written before its own
 //! field (that is, all but the final 12 bytes), so the writer computes
 //! it in one streaming pass and never seeks back.
+//!
+//! Version 1 used a byte-serial FNV-1a in every checksum field; the
+//! layout is otherwise unchanged. A v1 file is refused at open with
+//! `UnsupportedVersion` (before any checksum is looked at) and is
+//! re-created with `smda convert` or `smda generate`.
 
 use smda_types::{Error, FormatDefect};
 
@@ -48,8 +54,8 @@ pub const SMC_MAGIC: [u8; 4] = *b"SMC1";
 /// Footer magic, last four bytes of every file.
 pub const SMC_FOOTER_MAGIC: [u8; 4] = *b"SMCE";
 
-/// Newest format version this crate reads and writes.
-pub const SMC_VERSION: u16 = 1;
+/// The format version this crate reads and writes.
+pub const SMC_VERSION: u16 = 2;
 
 /// Fixed header size in bytes; the first block starts here (8-aligned).
 pub const HEADER_BYTES: usize = 24;
@@ -72,33 +78,19 @@ pub const ENC_RAW: u32 = 0;
 /// Block encoding tag: xor-delta bit-packed (see `block.rs`).
 pub const ENC_PACKED: u32 = 1;
 
-/// 64-bit FNV-1a — the same digest the cluster transport and the ingest
-/// WAL use, so every layer of the system shares one corruption check.
-/// Each step `state ← (state ⊕ byte) × prime` is a bijection of the
-/// state, so a single corrupted byte always changes the digest.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// The little-endian `u64` at `bytes[at..at + 8]`.
+#[inline(always)]
+pub(crate) fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(word)
 }
 
-/// FNV-1a offset basis — the initial state of a streaming digest.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold more bytes into a streaming FNV-1a state (the writer digests
-/// the file as it goes; seeded with [`FNV_OFFSET`]).
-pub fn fnv1a64_update(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
+/// The little-endian `u32` at `bytes[at..at + 4]`.
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    let mut word = [0u8; 4];
+    word.copy_from_slice(&bytes[at..at + 4]);
+    u32::from_le_bytes(word)
 }
 
 /// Round `pos` up to the next multiple of 8 (block alignment).
@@ -117,7 +109,7 @@ pub fn bad(context: impl Into<String>, defect: FormatDefect) -> Error {
 /// The decoded fixed header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
-    /// Format version (currently always 1).
+    /// Format version (always [`SMC_VERSION`] once decoded).
     pub version: u16,
     /// Layout flags ([`FLAG_RAW_CONTIGUOUS`]).
     pub flags: u16,
@@ -155,6 +147,8 @@ impl Header {
             return Err(bad(context, FormatDefect::BadMagic));
         }
         let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+        // Checked before anything else is read: the checksum fields of
+        // another version hold another digest.
         if version != SMC_VERSION {
             return Err(bad(
                 context,
@@ -167,8 +161,8 @@ impl Header {
         Ok(Header {
             version,
             flags: u16::from_le_bytes([bytes[6], bytes[7]]),
-            n: u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
-            hours: u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]),
+            n: le_u32(bytes, 8),
+            hours: le_u32(bytes, 12),
         })
     }
 }
@@ -184,7 +178,7 @@ pub struct IndexEntry {
     pub offset: u64,
     /// Block length in bytes (inter-block padding excluded).
     pub length: u64,
-    /// FNV-1a of the block bytes.
+    /// Digest of the block bytes.
     pub checksum: u64,
 }
 
@@ -202,14 +196,12 @@ impl IndexEntry {
 
     /// Decode one entry from exactly [`INDEX_ENTRY_BYTES`] bytes.
     pub fn decode(bytes: &[u8]) -> IndexEntry {
-        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
         IndexEntry {
-            id: u32_at(0),
-            encoding: u32_at(4),
-            offset: u64_at(8),
-            length: u64_at(16),
-            checksum: u64_at(24),
+            id: le_u32(bytes, 0),
+            encoding: le_u32(bytes, 4),
+            offset: le_u64(bytes, 8),
+            length: le_u64(bytes, 16),
+            checksum: le_u64(bytes, 24),
         }
     }
 }
@@ -223,11 +215,11 @@ pub struct Footer {
     pub index_len: u64,
     /// Absolute offset of the temperature block.
     pub temp_off: u64,
-    /// FNV-1a of the temperature block bytes.
+    /// Digest of the temperature block bytes.
     pub temp_check: u64,
-    /// FNV-1a of the index region bytes.
+    /// Digest of the index region bytes.
     pub index_check: u64,
-    /// FNV-1a of every byte before this field (`[0, file_len − 12)`).
+    /// Digest of every byte before this field (`[0, file_len − 12)`).
     pub file_check: u64,
 }
 
@@ -260,14 +252,13 @@ impl Footer {
         if tail[48..52] != SMC_FOOTER_MAGIC {
             return Err(bad(context, FormatDefect::BadFooterMagic));
         }
-        let u64_at = |at: usize| u64::from_le_bytes(tail[at..at + 8].try_into().expect("8 bytes"));
         Ok(Footer {
-            index_off: u64_at(0),
-            index_len: u64_at(8),
-            temp_off: u64_at(16),
-            temp_check: u64_at(24),
-            index_check: u64_at(32),
-            file_check: u64_at(40),
+            index_off: le_u64(tail, 0),
+            index_len: le_u64(tail, 8),
+            temp_off: le_u64(tail, 16),
+            temp_check: le_u64(tail, 24),
+            index_check: le_u64(tail, 32),
+            file_check: le_u64(tail, 40),
         })
     }
 }
@@ -275,28 +266,6 @@ impl Footer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_the_transport_digest() {
-        // The cluster transport hashes b"0123456789" with the same
-        // parameters; pin both implementations to one another via a
-        // fixed vector.
-        assert_eq!(fnv1a64(b""), FNV_OFFSET);
-        assert_eq!(fnv1a64(b"a"), fnv1a64_update(FNV_OFFSET, b"a"));
-        let whole = fnv1a64(b"0123456789");
-        let split = fnv1a64_update(fnv1a64_update(FNV_OFFSET, b"01234"), b"56789");
-        assert_eq!(whole, split);
-    }
-
-    #[test]
-    fn fnv_detects_single_byte_changes() {
-        let base = fnv1a64(b"0123456789");
-        for i in 0..10 {
-            let mut data = *b"0123456789";
-            data[i] ^= 0x01;
-            assert_ne!(fnv1a64(&data), base, "flip at {i} undetected");
-        }
-    }
 
     #[test]
     fn header_round_trips() {

@@ -6,7 +6,8 @@
 //! blocks → shared temperature block → index → footer:
 //!
 //! * every structure the reader needs up front (header, index, footer,
-//!   temperature) carries an FNV-1a checksum and is validated at
+//!   temperature) carries a checksum — the word-wise multiply–fold
+//!   [`digest`] that defines format version 2 — and is validated at
 //!   [`SmcFile::open`] without touching the consumer blocks;
 //! * reading blocks are xor-delta bit-packed with a per-block raw
 //!   fallback — decoded values are `to_bits`-identical to the source,
@@ -30,6 +31,7 @@
 
 mod block;
 pub mod cache;
+pub mod digest;
 pub mod layout;
 pub mod metrics;
 pub mod ops;

@@ -5,13 +5,17 @@
 //! counters; engine layers snapshot them around a run and publish the
 //! deltas under the `format.*` metric names. The counters answer the
 //! out-of-core tuning questions: how often reads were served zero-copy
-//! straight from the mapping, how many blocks had to be decoded, and
-//! how the row-group cache behaved (hits / misses / evictions).
+//! straight from the mapping, how many blocks had to be decoded (and
+//! how many bytes were checksummed and produced doing so — divide by
+//! the run's time for checksum and decode throughput), and how the
+//! row-group cache behaved (hits / misses / evictions).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ZERO_COPY_HITS: AtomicU64 = AtomicU64::new(0);
 static BLOCKS_DECODED: AtomicU64 = AtomicU64::new(0);
+static BYTES_CHECKSUMMED: AtomicU64 = AtomicU64::new(0);
+static BYTES_DECODED: AtomicU64 = AtomicU64::new(0);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
@@ -24,6 +28,11 @@ pub struct FormatCounters {
     pub zero_copy_hits: u64,
     /// Consumer blocks decoded (checksummed raw or packed decode).
     pub blocks_decoded: u64,
+    /// Stored bytes run through the digest on the read side (every
+    /// block checksum verified, plus `verify`'s whole-file pass).
+    pub bytes_checksummed: u64,
+    /// `f64` bytes produced by block decodes.
+    pub bytes_decoded: u64,
     /// Row-group cache lookups answered from a resident group.
     pub cache_hits: u64,
     /// Row-group cache lookups that had to decode a group.
@@ -39,6 +48,10 @@ impl FormatCounters {
         FormatCounters {
             zero_copy_hits: self.zero_copy_hits.saturating_sub(earlier.zero_copy_hits),
             blocks_decoded: self.blocks_decoded.saturating_sub(earlier.blocks_decoded),
+            bytes_checksummed: self
+                .bytes_checksummed
+                .saturating_sub(earlier.bytes_checksummed),
+            bytes_decoded: self.bytes_decoded.saturating_sub(earlier.bytes_decoded),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
@@ -51,6 +64,8 @@ pub fn snapshot() -> FormatCounters {
     FormatCounters {
         zero_copy_hits: ZERO_COPY_HITS.load(Ordering::Relaxed),
         blocks_decoded: BLOCKS_DECODED.load(Ordering::Relaxed),
+        bytes_checksummed: BYTES_CHECKSUMMED.load(Ordering::Relaxed),
+        bytes_decoded: BYTES_DECODED.load(Ordering::Relaxed),
         cache_hits: CACHE_HITS.load(Ordering::Relaxed),
         cache_misses: CACHE_MISSES.load(Ordering::Relaxed),
         cache_evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
@@ -61,8 +76,13 @@ pub(crate) fn record_zero_copy_hit() {
     ZERO_COPY_HITS.fetch_add(1, Ordering::Relaxed);
 }
 
-pub(crate) fn record_blocks_decoded(n: u64) {
-    BLOCKS_DECODED.fetch_add(n, Ordering::Relaxed);
+pub(crate) fn record_blocks_decoded(blocks: u64, bytes: u64) {
+    BLOCKS_DECODED.fetch_add(blocks, Ordering::Relaxed);
+    BYTES_DECODED.fetch_add(bytes, Ordering::Relaxed);
+}
+
+pub(crate) fn record_bytes_checksummed(n: u64) {
+    BYTES_CHECKSUMMED.fetch_add(n, Ordering::Relaxed);
 }
 
 pub(crate) fn record_cache_hit() {
@@ -85,7 +105,8 @@ mod tests {
     fn deltas_never_underflow_and_counters_are_monotonic() {
         let before = snapshot();
         record_zero_copy_hit();
-        record_blocks_decoded(3);
+        record_blocks_decoded(3, 24);
+        record_bytes_checksummed(17);
         record_cache_hit();
         record_cache_miss();
         record_cache_evictions(2);
@@ -95,6 +116,8 @@ mod tests {
         // lower-bounded by this test's own increments.
         assert!(d.zero_copy_hits >= 1);
         assert!(d.blocks_decoded >= 3);
+        assert!(d.bytes_decoded >= 24);
+        assert!(d.bytes_checksummed >= 17);
         assert!(d.cache_hits >= 1);
         assert!(d.cache_misses >= 1);
         assert!(d.cache_evictions >= 2);

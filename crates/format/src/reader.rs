@@ -25,9 +25,10 @@ use smda_types::{
 
 use crate::block;
 use crate::cache::RowGroupCache;
+use crate::digest::Digest;
 use crate::layout::{
-    bad, fnv1a64, Footer, Header, IndexEntry, ENC_PACKED, ENC_RAW, FLAG_RAW_CONTIGUOUS,
-    FOOTER_BYTES, HEADER_BYTES, INDEX_ENTRY_BYTES,
+    bad, Footer, Header, IndexEntry, ENC_PACKED, ENC_RAW, FLAG_RAW_CONTIGUOUS, FOOTER_BYTES,
+    HEADER_BYTES, INDEX_ENTRY_BYTES,
 };
 use crate::writer::SmcSummary;
 
@@ -98,11 +99,11 @@ impl SmcFile {
 
         let index_bytes =
             &map[footer.index_off as usize..(footer.index_off + footer.index_len) as usize];
-        if fnv1a64(index_bytes) != footer.index_check {
+        if Digest::of(index_bytes) != footer.index_check {
             return Err(bad(&context, FormatDefect::IndexChecksumMismatch));
         }
         let temp_bytes = &map[footer.temp_off as usize..(footer.temp_off + temp_len) as usize];
-        if fnv1a64(temp_bytes) != footer.temp_check {
+        if Digest::of(temp_bytes) != footer.temp_check {
             return Err(bad(&context, FormatDefect::TemperatureChecksumMismatch));
         }
 
@@ -218,7 +219,8 @@ impl SmcFile {
 
     fn checked_block(&self, entry: &IndexEntry) -> Result<&[u8]> {
         let bytes = self.block_bytes(entry);
-        if fnv1a64(bytes) != entry.checksum {
+        crate::metrics::record_bytes_checksummed(bytes.len() as u64);
+        if Digest::of(bytes) != entry.checksum {
             return Err(bad(
                 format!("reading {}", self.path.display()),
                 FormatDefect::BlockChecksumMismatch { consumer: entry.id },
@@ -237,7 +239,7 @@ impl SmcFile {
             ENC_RAW => block::decode_raw(bytes, self.hours(), out)?,
             _ => block::decode_packed(bytes, self.hours(), out)?,
         }
-        crate::metrics::record_blocks_decoded(1);
+        crate::metrics::record_blocks_decoded(1, out.len() as u64 * 8);
         Ok(ConsumerId(entry.id))
     }
 
@@ -263,7 +265,7 @@ impl SmcFile {
                 _ => block::decode_packed(bytes, self.hours(), out)?,
             }
         }
-        crate::metrics::record_blocks_decoded(count);
+        crate::metrics::record_blocks_decoded(count, out.len() as u64 * 8);
         Ok(())
     }
 
@@ -350,7 +352,8 @@ impl SmcFile {
     /// summary shape the writer reports.
     pub fn verify(&self) -> Result<SmcSummary> {
         let check_until = self.map.len() - 12;
-        if fnv1a64(&self.map[..check_until]) != self.footer.file_check {
+        crate::metrics::record_bytes_checksummed(check_until as u64);
+        if Digest::of(&self.map[..check_until]) != self.footer.file_check {
             return Err(bad(
                 format!("verifying {}", self.path.display()),
                 FormatDefect::FileChecksumMismatch,

@@ -13,9 +13,10 @@ use std::path::{Path, PathBuf};
 use smda_types::{ConsumerId, Error, Result};
 
 use crate::block;
+use crate::digest::Digest;
 use crate::layout::{
-    align8, fnv1a64, fnv1a64_update, Footer, Header, IndexEntry, ENC_PACKED, ENC_RAW,
-    FLAG_RAW_CONTIGUOUS, FNV_OFFSET, HEADER_BYTES, SMC_VERSION,
+    align8, Footer, Header, IndexEntry, ENC_PACKED, ENC_RAW, FLAG_RAW_CONTIGUOUS, HEADER_BYTES,
+    SMC_VERSION,
 };
 
 /// Block encoding policy for a file being written.
@@ -65,7 +66,7 @@ pub struct SmcWriter {
     encoding: Encoding,
     entries: Vec<IndexEntry>,
     pos: u64,
-    digest: u64,
+    digest: Digest,
     temp: Option<(u64, u64)>,
     scratch: Vec<u8>,
 }
@@ -110,7 +111,7 @@ impl SmcWriter {
             encoding,
             entries: Vec::with_capacity(n),
             pos: 0,
-            digest: FNV_OFFSET,
+            digest: Digest::default(),
             temp: None,
             scratch: Vec::new(),
         };
@@ -132,7 +133,7 @@ impl SmcWriter {
     }
 
     fn write(&mut self, bytes: &[u8]) -> Result<()> {
-        self.digest = fnv1a64_update(self.digest, bytes);
+        self.digest.update(bytes);
         self.out
             .write_all(bytes)
             .map_err(|e| Error::io(format!("write {:?}", self.path), e))?;
@@ -141,11 +142,8 @@ impl SmcWriter {
     }
 
     fn pad_to_8(&mut self) -> Result<()> {
-        let target = align8(self.pos);
-        while self.pos < target {
-            self.write(&[0u8])?;
-        }
-        Ok(())
+        let pad = (align8(self.pos) - self.pos) as usize;
+        self.write(&[0u8; 8][..pad])
     }
 
     /// Append one consumer's readings. Ids must be strictly ascending
@@ -202,7 +200,7 @@ impl SmcWriter {
             encoding,
             offset: self.pos,
             length: buf.len() as u64,
-            checksum: fnv1a64(&buf),
+            checksum: Digest::of(&buf),
         };
         let res = self.write(&buf);
         self.scratch = buf;
@@ -272,7 +270,7 @@ impl SmcWriter {
         buf.clear();
         block::encode_raw(values, &mut buf);
         let off = self.pos;
-        let check = fnv1a64(&buf);
+        let check = Digest::of(&buf);
         let res = self.write(&buf);
         self.scratch = buf;
         res?;
@@ -286,11 +284,11 @@ impl SmcWriter {
             Error::Invalid("SMC1 writer: finish() before the temperature block".into())
         })?;
         let index_off = self.pos;
-        let mut index_digest = FNV_OFFSET;
+        let mut index_digest = Digest::default();
         let entries = std::mem::take(&mut self.entries);
         for entry in &entries {
             let bytes = entry.encode();
-            index_digest = fnv1a64_update(index_digest, &bytes);
+            index_digest.update(&bytes);
             self.write(&bytes)?;
         }
         let mut footer = Footer {
@@ -298,14 +296,14 @@ impl SmcWriter {
             index_len: (entries.len() * crate::layout::INDEX_ENTRY_BYTES) as u64,
             temp_off,
             temp_check,
-            index_check: index_digest,
+            index_check: index_digest.finish(),
             file_check: 0,
         };
         // Stream the checksummed prefix of the footer, then read off
         // the digest: file_check covers [0, file_len − 12).
         let encoded = footer.encode();
         self.write(&encoded[..40])?;
-        footer.file_check = self.digest;
+        footer.file_check = self.digest.finish();
         let encoded = footer.encode();
         self.out
             .write_all(&encoded[40..])

@@ -174,13 +174,35 @@ fn header_magic_flip_names_bad_magic() {
 #[test]
 fn version_bump_names_unsupported_version() {
     let (path, mut bytes) = built("version", true);
-    bytes[4] = 2;
+    bytes[4] = 3;
     std::fs::write(&path, &bytes).unwrap();
     assert_eq!(
         defect_of(&path),
         FormatDefect::UnsupportedVersion {
-            found: 2,
-            supported: 1
+            found: 3,
+            supported: 2
+        }
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn v1_file_is_refused_before_any_checksum() {
+    // A version-1 file has this layout with FNV-1a in every checksum
+    // field, so under the v2 digest all of them mismatch. The version
+    // is what must be reported, not the first checksum that trips.
+    let (path, mut bytes) = built("v1", true);
+    bytes[4] = 1;
+    let footer = bytes.len() - 52;
+    for field in [24, 32, 40] {
+        bytes[footer + field] ^= 0xa5; // temp_check, index_check, file_check
+    }
+    std::fs::write(&path, &bytes).unwrap();
+    assert_eq!(
+        defect_of(&path),
+        FormatDefect::UnsupportedVersion {
+            found: 1,
+            supported: 2
         }
     );
     std::fs::remove_file(&path).unwrap();

@@ -179,6 +179,10 @@ pub mod counters {
     /// `SMC1` consumer blocks decoded (checksum-verified raw or
     /// packed decode).
     pub const FORMAT_BLOCKS_DECODED: &str = "format.blocks_decoded";
+    /// Stored `SMC1` bytes run through the digest on the read side.
+    pub const FORMAT_BYTES_CHECKSUMMED: &str = "format.bytes_checksummed";
+    /// `f64` bytes produced by `SMC1` block decodes.
+    pub const FORMAT_BYTES_DECODED: &str = "format.bytes_decoded";
     /// Row-group cache lookups answered from a resident group.
     pub const FORMAT_CACHE_HITS: &str = "format.cache_hits";
     /// Row-group cache lookups that had to decode a group.

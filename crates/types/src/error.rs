@@ -57,11 +57,12 @@ pub enum FormatDefect {
     /// The trailing footer magic is not `SMCE`: the file was truncated
     /// or the tail was overwritten.
     BadFooterMagic,
-    /// The header version is newer than this reader understands.
+    /// The header version is not the one this reader understands
+    /// (older versions checksum with a different digest).
     UnsupportedVersion {
         /// Version found in the header.
         found: u16,
-        /// Newest version this reader supports.
+        /// The version this reader supports.
         supported: u16,
     },
     /// The file ended before a region the metadata promises.
@@ -96,7 +97,7 @@ impl fmt::Display for FormatDefect {
             FormatDefect::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported SMC1 version {found} (newest supported: {supported})"
+                    "unsupported SMC1 version {found} (supported: {supported})"
                 )
             }
             FormatDefect::Truncated { expected, actual } => {

@@ -27,6 +27,12 @@ cargo test --workspace -q
 echo "== test (integration) =="
 (cd tests && cargo test -q)
 
+# benchmark/ is a workspace of its own that the driver builds against
+# the crates' public API; compile and test it here (editing nothing
+# under it) so API drift in crates/ fails tier-1, not the driver.
+echo "== test (benchmark package) =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 if [ "$fast" -eq 0 ]; then
     echo "== release build =="
     cargo build --release --workspace

@@ -224,3 +224,45 @@ fn four_way_reshard_round_trips_byte_identically() {
         );
     }
 }
+
+#[test]
+fn version_1_file_is_refused_by_every_entry_point() {
+    // Format v2 changed the digest in every checksum field; the layout
+    // did not move. A file labelled version 1 must be turned away by
+    // its version — by the store, by cut and by merge — not by whatever
+    // checksum would happen to trip first.
+    use smda_types::{Error, FormatDefect};
+    let ds = fixture_dataset(4);
+    let dir = TempDir::new("format-v1");
+    let src = dir.path("year.smc");
+    let ids = BinaryStore::create(&src, &ds, BinaryEncoding::Packed)
+        .expect("source writes")
+        .consumer_ids()
+        .expect("ids readable");
+    let mut bytes = std::fs::read(&src).expect("source rereads");
+    assert_eq!(bytes[4..6], 2u16.to_le_bytes(), "writer stamps version 2");
+    bytes[4] = 1;
+    let old = dir.path("old.smc");
+    std::fs::write(&old, &bytes).expect("v1 copy writes");
+
+    let refused = |what: &str, err: Error| match err {
+        Error::BadFormat {
+            defect:
+                FormatDefect::UnsupportedVersion {
+                    found: 1,
+                    supported: 2,
+                },
+            ..
+        } => {}
+        other => panic!("{what}: expected the version to be refused, got {other}"),
+    };
+    refused("open", BinaryStore::open(&old).map(|_| ()).unwrap_err());
+    refused(
+        "cut",
+        smda_format::ops::cut(&old, dir.path("cut.smc"), &ids[..1]).unwrap_err(),
+    );
+    refused(
+        "merge",
+        smda_format::ops::merge(&[&old], dir.path("merged.smc")).unwrap_err(),
+    );
+}
