@@ -31,7 +31,7 @@ pub const CONSUMERS: [usize; 3] = [50, 200, 1000];
 pub const VARIANTS: usize = 2;
 
 /// Bitwise (`f64::to_bits`) equality of two 3-line models — the
-/// comparison `--check-fits` and this sweep pin the arena with.
+/// comparison `--check fits` and this sweep pin the arena with.
 pub(crate) fn three_line_bits_eq(a: &ThreeLineModel, b: &ThreeLineModel) -> bool {
     let piece = |x: &smda_core::PiecewiseFit, y: &smda_core::PiecewiseFit| {
         x.segments.iter().zip(&y.segments).all(|(s, t)| {

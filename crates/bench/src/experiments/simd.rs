@@ -2,21 +2,21 @@
 //!
 //! Runs the tiled symmetric top-k kernel over the same seeded data three
 //! ways — scalar reference (SIMD tier forced off), lane-preserving AVX2
-//! dispatch, and the opt-in fused normalize+score kernel over raw rows —
-//! and reports wall time, effective MFLOP/s, and the worst relative
-//! score error against the scalar run. The first two are asserted
-//! bit-identical (lane tier); the fused variant is asserted within
-//! `FUSED_REL_TOL` with the same top-k indices (tolerance tier).
-//! On machines without AVX2 the dispatch rows measure the same scalar
-//! kernel — the table then shows the dispatch overhead is nil.
+//! dispatch, and the fused normalize+score kernel over raw rows (the
+//! kernel's `scaling` argument) — and reports wall time, effective
+//! MFLOP/s, and the worst relative score error against the scalar run.
+//! The first two are asserted bit-identical (lane tier); the fused
+//! variant is asserted within `FUSED_REL_TOL` with the same top-k
+//! indices (tolerance tier). On machines without AVX2 the dispatch rows
+//! measure the same scalar kernel — the table then shows the dispatch
+//! overhead is nil.
 
 use std::time::Instant;
 
 use smda_core::SIMILARITY_TOP_K;
-use smda_stats::{
-    top_k_tiled, top_k_tiled_scaled, SeriesMatrix, SimdTier, SimilarityMatch, TileConfig,
-    FUSED_REL_TOL,
-};
+use smda_engines::parallel::top_k_matrix_with;
+use smda_obs::MetricsSink;
+use smda_stats::{top_k_tiled, SeriesMatrix, SimdTier, SimilarityMatch, TileConfig, FUSED_REL_TOL};
 
 use crate::data::seed_dataset;
 use crate::report::Table;
@@ -96,7 +96,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let raw = SeriesMatrix::from_rows_raw(&series);
         let inv = raw.inverse_norms();
         let start = Instant::now();
-        let (fused, fstats) = top_k_tiled_scaled(&raw, &inv, SIMILARITY_TOP_K, &cfg);
+        let (fused, fstats) = top_k_matrix_with(
+            &raw,
+            Some(&inv),
+            SIMILARITY_TOP_K,
+            1,
+            &MetricsSink::disabled(),
+        );
         let fused_secs = start.elapsed().as_secs_f64();
         smda_stats::force_tier(prev);
         let err = max_rel_err(&scalar, &fused);

@@ -18,7 +18,6 @@ pub mod jsonbench;
 pub mod report;
 pub mod runner;
 pub mod scale;
-pub mod tilecache;
 
 pub use history::{
     append_history, check_history, check_history_entries, entry_from_export, load_history,
@@ -27,11 +26,5 @@ pub use history::{
 };
 pub use jsonbench::{run_json_bench, run_json_bench_with};
 pub use report::Table;
-pub use runner::{
-    check_fits, check_format, check_kernels, check_oooc, check_real, check_serve, check_simd,
-    run_all, run_experiment, EXPERIMENT_IDS,
-};
+pub use runner::{run_all, run_experiment, Gate, EXPERIMENT_IDS, GATES};
 pub use scale::Scale;
-pub use tilecache::{
-    apply_tile_cache, load_tile_cache, run_autotune, save_tile_cache, DEFAULT_TILE_CACHE_PATH,
-};

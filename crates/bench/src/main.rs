@@ -7,6 +7,8 @@
 //! smda-bench --full fig4     # the paper's true sizes (hours!)
 //! smda-bench --json out.json --small   # instrumented matrix -> JSON export
 //! smda-bench --json out.json --faults seed=7,task_fail=0.1,crash=0@0.001
+//! smda-bench --smoke --check all       # every equivalence gate (ci.sh)
+//! smda-bench --smoke --check simd,oooc # just the named ones
 //! ```
 //!
 //! CSVs land in `results/`; tables are printed as markdown. With
@@ -19,9 +21,8 @@
 use std::path::{Path, PathBuf};
 
 use smda_bench::{
-    check_fits, check_format, check_kernels, check_oooc, check_real, check_serve, check_simd,
-    run_all, run_experiment, run_json_bench_with, Scale, DEFAULT_HISTORY_PATH,
-    DEFAULT_TILE_CACHE_PATH, EXPERIMENT_IDS, REGRESSION_THRESHOLD,
+    run_all, run_experiment, run_json_bench_with, Gate, Scale, DEFAULT_HISTORY_PATH,
+    EXPERIMENT_IDS, GATES, REGRESSION_THRESHOLD,
 };
 use smda_cluster::FaultPlan;
 
@@ -65,19 +66,34 @@ fn backfill_history(file: &Path) -> Result<usize, String> {
     smda_bench::append_history(Path::new(DEFAULT_HISTORY_PATH), entry)
 }
 
+fn gate_names() -> String {
+    let names: Vec<&str> = GATES.iter().map(|(name, _)| *name).collect();
+    names.join(" ")
+}
+
+/// Resolve a `--check` argument (`all` or comma-separated gate names)
+/// against the registry, or name the first unknown entry.
+fn parse_gates(spec: &str) -> Result<Vec<(&'static str, Gate)>, String> {
+    if spec == "all" {
+        return Ok(GATES.to_vec());
+    }
+    spec.split(',')
+        .map(|name| {
+            GATES
+                .iter()
+                .find(|(known, _)| *known == name)
+                .copied()
+                .ok_or_else(|| format!("unknown gate `{name}`; known: all {}", gate_names()))
+        })
+        .collect()
+}
+
 fn main() {
     let mut scale = Scale::default();
     let mut ids: Vec<String> = Vec::new();
     let mut json_out: Option<PathBuf> = None;
     let mut faults: Option<FaultPlan> = None;
-    let mut kernels_check = false;
-    let mut fits_check = false;
-    let mut serve_check = false;
-    let mut real_check = false;
-    let mut simd_check = false;
-    let mut format_check = false;
-    let mut oooc_check = false;
-    let mut autotune = false;
+    let mut gates: Vec<(&str, Gate)> = Vec::new();
     let mut history_check: Option<PathBuf> = None;
     let mut backfills: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -85,14 +101,17 @@ fn main() {
         match arg.as_str() {
             "--smoke" | "--small" => scale = Scale::smoke(),
             "--full" => scale = Scale::full(),
-            "--check-kernels" => kernels_check = true,
-            "--check-fits" => fits_check = true,
-            "--check-serve" => serve_check = true,
-            "--check-real" => real_check = true,
-            "--check-simd" => simd_check = true,
-            "--check-format" => format_check = true,
-            "--check-oooc" => oooc_check = true,
-            "--autotune" => autotune = true,
+            "--check" => match args.next().as_deref().map(parse_gates) {
+                Some(Ok(requested)) => gates.extend(requested),
+                Some(Err(msg)) => {
+                    eprintln!("{msg}");
+                    std::process::exit(2);
+                }
+                None => {
+                    eprintln!("--check needs a gate: all {}", gate_names());
+                    std::process::exit(2);
+                }
+            },
             "--check-history" => match args.next() {
                 Some(path) => history_check = Some(PathBuf::from(path)),
                 None => history_check = Some(PathBuf::from(DEFAULT_HISTORY_PATH)),
@@ -127,11 +146,11 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: smda-bench [--smoke|--small|--full] [--json PATH] [--faults SPEC] \
-                     [--check-kernels] [--check-fits] [--check-serve] [--check-real] \
-                     [--check-simd] [--check-format] [--check-oooc] [--check-history PATH] \
-                     [--backfill-history FILE] \
-                     [--autotune] [EXPERIMENT...]\n\
+                     [--check NAME[,NAME...]|all] [--check-history PATH] \
+                     [--backfill-history FILE] [EXPERIMENT...]\n\
+                     gates: {}\n\
                      experiments: {}",
+                    gate_names(),
                     EXPERIMENT_IDS.join(" ")
                 );
                 return;
@@ -143,23 +162,6 @@ fn main() {
     if faults.is_some() && json_out.is_none() {
         eprintln!("--faults only applies to the instrumented --json matrix");
         std::process::exit(2);
-    }
-
-    // A cached autotune winner applies to every tiled sweep below;
-    // --autotune refreshes the cache first.
-    if autotune {
-        match smda_bench::run_autotune(Path::new(DEFAULT_TILE_CACHE_PATH)) {
-            Ok(msg) => eprintln!("{msg}"),
-            Err(e) => {
-                eprintln!("autotune failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else if let Some(cfg) = smda_bench::apply_tile_cache(Path::new(DEFAULT_TILE_CACHE_PATH)) {
-        eprintln!(
-            "tile cache: using autotuned {}x{} from {}",
-            cfg.query_block, cfg.candidate_block, DEFAULT_TILE_CACHE_PATH
-        );
     }
 
     for file in &backfills {
@@ -175,17 +177,10 @@ fn main() {
             }
         }
     }
-    let checks_requested = kernels_check
-        || fits_check
-        || serve_check
-        || real_check
-        || simd_check
-        || format_check
-        || oooc_check;
-    if (!backfills.is_empty() || autotune)
+    if !backfills.is_empty()
         && json_out.is_none()
         && ids.is_empty()
-        && !checks_requested
+        && gates.is_empty()
         && history_check.is_none()
     {
         return;
@@ -204,95 +199,22 @@ fn main() {
         }
     }
 
-    if kernels_check {
-        match check_kernels(scale) {
-            Ok(msg) => {
-                eprintln!("{msg}");
-                return;
-            }
-            Err(msg) => {
-                eprintln!("kernel check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if fits_check {
-        match check_fits(scale) {
-            Ok(msg) => {
-                eprintln!("{msg}");
-                return;
-            }
-            Err(msg) => {
-                eprintln!("fit check FAILED: {msg}");
-                std::process::exit(1);
+    if !gates.is_empty() {
+        let mut failed = Vec::new();
+        for (name, gate) in gates {
+            match gate(scale) {
+                Ok(msg) => eprintln!("{msg}"),
+                Err(msg) => {
+                    eprintln!("{name} check FAILED: {msg}");
+                    failed.push(name);
+                }
             }
         }
-    }
-
-    if serve_check {
-        match check_serve(scale) {
-            Ok(msg) => {
-                eprintln!("{msg}");
-                return;
-            }
-            Err(msg) => {
-                eprintln!("serve check FAILED: {msg}");
-                std::process::exit(1);
-            }
+        if failed.is_empty() {
+            return;
         }
-    }
-
-    if real_check {
-        match check_real(scale) {
-            Ok(msg) => {
-                eprintln!("{msg}");
-                return;
-            }
-            Err(msg) => {
-                eprintln!("real-transport check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if simd_check {
-        match check_simd(scale) {
-            Ok(msg) => {
-                eprintln!("{msg}");
-                return;
-            }
-            Err(msg) => {
-                eprintln!("simd check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if format_check {
-        match check_format(scale) {
-            Ok(msg) => {
-                eprintln!("{msg}");
-                return;
-            }
-            Err(msg) => {
-                eprintln!("format check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if oooc_check {
-        match check_oooc(scale) {
-            Ok(msg) => {
-                eprintln!("{msg}");
-                return;
-            }
-            Err(msg) => {
-                eprintln!("oooc check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+        eprintln!("gates failed: {}", failed.join(" "));
+        std::process::exit(1);
     }
 
     if let Some(path) = json_out {

@@ -63,11 +63,27 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
     Some(tables)
 }
 
-/// Kernel-equivalence smoke check (`smda-bench --check-kernels`): run
+/// An equivalence gate: `Ok` carries the one-line summary, `Err` what
+/// diverged.
+pub type Gate = fn(Scale) -> std::result::Result<String, String>;
+
+/// Every gate `smda-bench --check NAME[,NAME...]|all` can run, in the
+/// order `all` runs them. Adding a gate is adding a row.
+pub const GATES: [(&str, Gate); 7] = [
+    ("kernels", check_kernels),
+    ("fits", check_fits),
+    ("serve", check_serve),
+    ("real", check_real),
+    ("simd", check_simd),
+    ("format", check_format),
+    ("oooc", check_oooc),
+];
+
+/// Kernel-equivalence smoke check (`smda-bench --check kernels`): run
 /// the naive per-query scan and the tiled symmetric kernel — serial and
 /// pooled at several widths — over one seeded dataset and require exact
 /// equality of every match list.
-pub fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
+fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
     use smda_stats::{top_k_cosine, top_k_tiled, SeriesMatrix, TileConfig};
 
@@ -100,7 +116,7 @@ pub fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     ))
 }
 
-/// SIMD equivalence gate (`smda-bench --check-simd`).
+/// SIMD equivalence gate (`smda-bench --check simd`).
 ///
 /// Two tiers (DESIGN.md §14):
 ///
@@ -109,14 +125,15 @@ pub fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
 ///    lengths 0..=67 and a full 8760-hour year. Skipped with a logged
 ///    note on hardware without AVX2 (the dispatch then provably runs the
 ///    scalar reference, which is identity by definition).
-/// 2. **Fused, tolerance-gated.** With the fused tier opted in, the raw
+/// 2. **Fused, tolerance-gated.** Given a `scaling` vector, the raw
 ///    matrix + `dot_scaled` kernel over one seeded dataset must pick the
 ///    same top-k indices as the exact pre-normalized kernel with every
-///    score within `FUSED_REL_TOL` (relative error ≤ 1e-12), serial and
-///    through the pooled engine path.
-pub fn check_simd(scale: Scale) -> std::result::Result<String, String> {
+///    score within `FUSED_REL_TOL` (relative error ≤ 1e-12), on one
+///    worker and through the pool.
+fn check_simd(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
-    use smda_stats::{top_k_tiled, top_k_tiled_scaled, SeriesMatrix, TileConfig, FUSED_REL_TOL};
+    use smda_engines::parallel::top_k_matrix_with;
+    use smda_stats::{top_k_tiled, SeriesMatrix, TileConfig, FUSED_REL_TOL};
 
     // Tier 1: lane-preserving kernels are bit-exact.
     let mut lane_note = "AVX2 lane kernels bit-identical to scalar";
@@ -165,16 +182,12 @@ pub fn check_simd(scale: Scale) -> std::result::Result<String, String> {
         .collect();
     let n = series.len();
     let exact_m = SeriesMatrix::from_rows_normalized(&series);
-    let cfg = TileConfig::current();
-    let (exact, _) = top_k_tiled(&exact_m, SIMILARITY_TOP_K, &cfg);
+    let (exact, _) = top_k_tiled(&exact_m, SIMILARITY_TOP_K, &TileConfig::current());
     let raw = SeriesMatrix::from_rows_raw(&series);
     let inv = raw.inverse_norms();
-    let was_fused = smda_stats::set_fused(true);
-    let serial = top_k_tiled_scaled(&raw, &inv, SIMILARITY_TOP_K, &cfg);
     let sink = smda_obs::MetricsSink::disabled();
-    let pooled =
-        smda_engines::parallel::top_k_matrix_with(&raw, Some(&inv), SIMILARITY_TOP_K, 4, &sink);
-    smda_stats::set_fused(was_fused);
+    let serial = top_k_matrix_with(&raw, Some(&inv), SIMILARITY_TOP_K, 1, &sink);
+    let pooled = top_k_matrix_with(&raw, Some(&inv), SIMILARITY_TOP_K, 4, &sink);
     let mut max_rel = 0.0f64;
     for (label, (fused, _)) in [("serial", serial), ("pooled", pooled)] {
         for (q, (e_hits, f_hits)) in exact.iter().zip(&fused).enumerate() {
@@ -212,7 +225,7 @@ pub fn check_simd(scale: Scale) -> std::result::Result<String, String> {
 /// still catching any return of per-fit buffer churn.
 const FITS_PEAK_CEILING_BYTES: usize = 8 * 1024 * 1024;
 
-/// Fit-equivalence gate (`smda-bench --check-fits`).
+/// Fit-equivalence gate (`smda-bench --check fits`).
 ///
 /// Over one seeded dataset: (1) every consumer's 3-line and PAR fit
 /// through a single, deliberately dirty [`FitScratch`] must be
@@ -223,7 +236,7 @@ const FITS_PEAK_CEILING_BYTES: usize = 8 * 1024 * 1024;
 /// `FITS_PEAK_CEILING_BYTES` of peak growth.
 ///
 /// [`FitScratch`]: smda_stats::FitScratch
-pub fn check_fits(scale: Scale) -> std::result::Result<String, String> {
+fn check_fits(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::{
         fit_par_baseline, fit_par_scratch, fit_three_line_baseline, fit_three_line_scratch,
         DataGenerator, GeneratorConfig, ThreeLineConfig,
@@ -338,7 +351,7 @@ pub fn check_fits(scale: Scale) -> std::result::Result<String, String> {
     ))
 }
 
-/// Serving bit-identity gate (`smda-bench --check-serve`).
+/// Serving bit-identity gate (`smda-bench --check serve`).
 ///
 /// Seals one seeded year, publishes it, and serves every query kind for
 /// every household. Each served answer must be bit-identical
@@ -346,7 +359,7 @@ pub fn check_fits(scale: Scale) -> std::result::Result<String, String> {
 /// `run_reference` for the four analytics, the alert-log conversion for
 /// anomaly status — and admission control must reject with a typed
 /// error at queue depth zero.
-pub fn check_serve(scale: Scale) -> std::result::Result<String, String> {
+fn check_serve(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::queries::{anomaly_result, lookup};
     use smda_core::tasks::run_reference;
     use smda_core::Task;
@@ -420,7 +433,7 @@ pub fn check_serve(scale: Scale) -> std::result::Result<String, String> {
     ))
 }
 
-/// Real-transport gate (`smda-bench --check-real`).
+/// Real-transport gate (`smda-bench --check real`).
 ///
 /// Forks a 2-worker real cluster (live `smda worker` processes, socket
 /// shuffle through the checksummed frame codec) and runs every task,
@@ -430,7 +443,7 @@ pub fn check_serve(scale: Scale) -> std::result::Result<String, String> {
 /// corpse's tasks rescheduled, and every WAL-spilled shuffle partition
 /// replayed exactly once — zero lost, zero duplicated — with the
 /// recovery visible in the fault and transport counters.
-pub fn check_real(scale: Scale) -> std::result::Result<String, String> {
+fn check_real(scale: Scale) -> std::result::Result<String, String> {
     use std::time::Duration;
 
     use smda_cluster::{
@@ -540,7 +553,7 @@ pub fn check_real(scale: Scale) -> std::result::Result<String, String> {
     ))
 }
 
-/// Binary-format equivalence gate (`smda-bench --check-format`).
+/// Binary-format equivalence gate (`smda-bench --check format`).
 ///
 /// Over one seeded dataset, for both block encodings: write an `SMC1`
 /// file, memory-map it back, and require (1) the full dataset read-back
@@ -552,7 +565,7 @@ pub fn check_real(scale: Scale) -> std::result::Result<String, String> {
 /// round trip to reproduce the source file byte for byte.
 ///
 /// [`BinarySource`]: smda_engines::BinarySource
-pub fn check_format(scale: Scale) -> std::result::Result<String, String> {
+fn check_format(scale: Scale) -> std::result::Result<String, String> {
     use std::sync::Arc;
 
     use smda_cluster::task_output_bits_eq;
@@ -568,7 +581,7 @@ pub fn check_format(scale: Scale) -> std::result::Result<String, String> {
     // At least 8 households so the 4-way reshard has real shards.
     let n = scale.consumers_for_households(6_400).max(8);
     let ds = crate::data::seed_dataset(n);
-    let scratch = crate::data::Scratch::new("check-format");
+    let scratch = crate::data::Scratch::new("check_format");
     let bits_eq = |a: &[f64], b: &[f64]| {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     };
@@ -709,7 +722,7 @@ pub fn check_format(scale: Scale) -> std::result::Result<String, String> {
 /// in-memory kernel would materialize.
 const OOOC_PEAK_DIVISOR: usize = 4;
 
-/// Out-of-core similarity gate (`smda-bench --check-oooc`).
+/// Out-of-core similarity gate (`smda-bench --check oooc`).
 ///
 /// Over one seeded dataset written to `SMC1` in both encodings: the
 /// banded out-of-core kernel must reproduce the in-memory tiled
@@ -720,7 +733,7 @@ const OOOC_PEAK_DIVISOR: usize = 4;
 /// band turn, and when the counting allocator is installed the
 /// sequential run's peak heap growth must stay under a quarter of the
 /// logical matrix bytes — the bounded-resident-memory contract.
-pub fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
+fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
     use smda_engines::{top_k_source_with, SmcSource};
     use smda_stats::{top_k_tiled, SeriesMatrix, SimilarityMatch, TileConfig};
@@ -730,7 +743,7 @@ pub fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     // to stay a smoke check.
     let n = scale.consumers_for_households(6_400).clamp(256, 1_024);
     let ds = crate::data::seed_dataset(n);
-    let scratch = crate::data::Scratch::new("check-oooc");
+    let scratch = crate::data::Scratch::new("check_oooc");
     let series: Vec<Vec<f64>> = ds
         .consumers()
         .iter()

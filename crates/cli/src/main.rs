@@ -104,10 +104,8 @@ fn usage() {
            worker --bind ADDR                              serve map/shuffle/reduce RPCs for a\n\
                                                            real-transport coordinator (prints the\n\
                                                            bound address, runs until Shutdown)\n\
-           bench [--smoke|--small|--full] [--json PATH] [--faults SPEC] [--autotune]\n\
-                 [EXPERIMENT...]                           regenerate tables/figures ({})\n\
-                                                           (--autotune re-sweeps tile shapes and\n\
-                                                           caches the winner for later runs)",
+           bench [--smoke|--small|--full] [--json PATH] [--faults SPEC]\n\
+                 [EXPERIMENT...]                           regenerate tables/figures ({})",
         EXPERIMENT_IDS.join(" ")
     );
 }
@@ -683,13 +681,11 @@ fn bench(args: &[String]) -> Result<()> {
     let mut ids = Vec::new();
     let mut json_out: Option<PathBuf> = None;
     let mut faults = None;
-    let mut autotune = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" | "--small" => scale = Scale::smoke(),
             "--full" => scale = Scale::full(),
-            "--autotune" => autotune = true,
             "--json" => {
                 let path = it.next().ok_or_else(|| {
                     smda_types::Error::Invalid("--json needs an output path".into())
@@ -711,21 +707,6 @@ fn bench(args: &[String]) -> Result<()> {
         return Err(smda_types::Error::Invalid(
             "--faults only applies to the instrumented --json matrix".into(),
         ));
-    }
-    let cache = PathBuf::from(smda_bench::DEFAULT_TILE_CACHE_PATH);
-    if autotune {
-        let msg = smda_bench::run_autotune(&cache).map_err(smda_types::Error::Invalid)?;
-        println!("{msg}");
-        if ids.is_empty() && json_out.is_none() {
-            return Ok(());
-        }
-    } else if let Some(cfg) = smda_bench::apply_tile_cache(&cache) {
-        eprintln!(
-            "tile cache: using autotuned {}x{} from {}",
-            cfg.query_block,
-            cfg.candidate_block,
-            cache.display()
-        );
     }
     if let Some(path) = json_out {
         let export = smda_bench::run_json_bench_with(scale, faults);

@@ -168,7 +168,7 @@ pub fn fit_par_scratch(
 }
 
 /// Fit the PAR model with the pre-arena allocating implementation — kept
-/// as the reference that `--check-fits`, the proptests, and
+/// as the reference that `--check fits`, the proptests, and
 /// `tests/tests/fits.rs` pin the scratch path against.
 pub fn fit_par_baseline(series: &ConsumerSeries, temperature: &TemperatureSeries) -> ParModel {
     let readings = series.readings();

@@ -189,7 +189,7 @@ pub struct PercentilePoints {
 ///
 /// This is the allocating *baseline* implementation; the production path
 /// runs the same extraction through [`FitScratch`]'s dense grouper (see
-/// [`fit_three_line_scratch`]), and `smda-bench --check-fits` pins the
+/// [`fit_three_line_scratch`]), and `smda-bench --check fits` pins the
 /// two bit-identical.
 pub fn percentile_points(
     readings: &[f64],
@@ -622,7 +622,7 @@ pub fn fit_three_line_scratch(
 }
 
 /// Fit the 3-line model with the pre-arena allocating implementation —
-/// kept verbatim as the reference that `--check-fits`, the proptests, and
+/// kept verbatim as the reference that `--check fits`, the proptests, and
 /// `tests/tests/fits.rs` pin the scratch path against.
 pub fn fit_three_line_baseline(
     series: &ConsumerSeries,

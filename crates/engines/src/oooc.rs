@@ -16,29 +16,25 @@
 //!   [`RowGroupCache`] — checksum-verified
 //!   decode on miss, LRU eviction, sequential prefetch.
 //!
-//! Scheduling mirrors [`top_k_matrix_with`](crate::parallel::top_k_matrix_with):
-//! band pairs are claimed dynamically by pool workers and per-worker
-//! partials merged, which keeps the output `to_bits`-identical to the
-//! in-memory tiled kernel (and to the naive scan) at every thread
-//! count, band size, and encoding.
+//! Scheduling is the same pool driver as
+//! [`top_k_matrix_with`](crate::parallel::top_k_matrix_with): band pairs
+//! are claimed dynamically by pool workers and per-worker partials
+//! merged, which keeps the output `to_bits`-identical to the in-memory
+//! tiled kernel (and to the naive scan) at every thread count, band
+//! size, and encoding.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 use smda_core::{ConsumerMatches, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
-    band_count, band_pair_count, merge_partials, oooc_inverse_norms, top_k_oooc,
-    top_k_oooc_partial, top_k_oooc_scaled, top_k_oooc_scaled_partial, OoocStats, SeriesSource,
-    SimilarityMatch, TileConfig, DEFAULT_BAND_ROWS,
+    band_count, band_pair_count, top_k_oooc_partial, OoocStats, SeriesSource, SimilarityMatch,
+    TileConfig, DEFAULT_BAND_ROWS,
 };
 use smda_storage::{format_metrics, BinaryStore, FormatCounters, RowGroupCache};
 use smda_types::{Error, Result};
 
-use crate::parallel::{record_dispatch_counters, record_kernel_counters};
-use crate::pool::WorkerPool;
+use crate::parallel::pooled_top_k;
 
 /// Cold binary similarity runs switch to the out-of-core tier at this
 /// many consumers (≈2.3 GB of normalized matrix at 8760 hours — the
@@ -118,10 +114,10 @@ impl SeriesSource for SmcSource<'_> {
 
 /// All-pairs top-k over any [`SeriesSource`], band pairs claimed
 /// dynamically by up to `threads` pool workers and per-worker partials
-/// merged — the out-of-core twin of
-/// [`top_k_matrix_with`](crate::parallel::top_k_matrix_with), with the
-/// same bit-identity guarantee and the same counters, plus the
-/// `oooc.*` streaming counters.
+/// merged — [`top_k_matrix_with`](crate::parallel::top_k_matrix_with)
+/// with band pairs for tile rows: the same driver, the same
+/// bit-identity guarantee and counters, plus the `oooc.*` streaming
+/// counters.
 pub fn top_k_source_with(
     src: &dyn SeriesSource,
     scaling: Option<&[f64]>,
@@ -132,66 +128,17 @@ pub fn top_k_source_with(
 ) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
     let cfg = TileConfig::current();
     let band_rows = band_rows.max(1);
+    let shape = (src.rows(), src.stride());
     let pairs = band_pair_count(band_count(src.rows(), band_rows));
-    let parallelism = threads.min(pairs).max(1);
-    let start = Instant::now();
-    let (matches, stats) = if parallelism <= 1 {
-        let _t = metrics.scope("tile");
-        match scaling {
-            Some(inv) => top_k_oooc_scaled(src, inv, k, band_rows, &cfg)?,
-            None => top_k_oooc(src, k, band_rows, &cfg)?,
-        }
-    } else {
-        let partials = {
-            let _t = metrics.scope("tile");
-            metrics.incr(counters::WORKERS_SPAWNED, parallelism as u64);
-            let next = AtomicUsize::new(0);
-            let claim = || {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                (t < pairs).then_some(t)
-            };
-            let collected: Mutex<Vec<Result<(Vec<Vec<SimilarityMatch>>, OoocStats)>>> =
-                Mutex::new(Vec::new());
-            WorkerPool::global().broadcast(parallelism, &|_slot| {
-                let part = match scaling {
-                    Some(inv) => top_k_oooc_scaled_partial(src, inv, k, band_rows, &cfg, &claim),
-                    None => top_k_oooc_partial(src, k, band_rows, &cfg, &claim),
-                };
-                collected.lock().expect("oooc partials poisoned").push(part);
-            });
-            collected.into_inner().expect("oooc partials poisoned")
-        };
-        let tile_elapsed = start.elapsed();
-        let _t = metrics.scope("merge");
-        let mut stats = OoocStats::default();
-        let mut parts = Vec::with_capacity(partials.len());
-        for part in partials {
-            let (p, s) = part?;
-            stats.merge(&s);
-            parts.push(p);
-        }
-        let merged = merge_partials(src.rows(), parts, k);
-        record_oooc_counters(metrics, &stats, src.stride(), pairs, tile_elapsed);
-        record_dispatch_counters(metrics, scaling.is_some());
-        return Ok((merged, stats));
-    };
-    record_oooc_counters(metrics, &stats, src.stride(), pairs, start.elapsed());
-    record_dispatch_counters(metrics, scaling.is_some());
-    Ok((matches, stats))
-}
-
-fn record_oooc_counters(
-    metrics: &MetricsSink,
-    stats: &OoocStats,
-    stride: usize,
-    pairs: usize,
-    tile_elapsed: std::time::Duration,
-) {
-    record_kernel_counters(metrics, &stats.kernel, stride, tile_elapsed);
+    let fused = scaling.is_some();
+    let (matches, stats) = pooled_top_k(shape, pairs, k, threads, fused, metrics, |claim| {
+        top_k_oooc_partial(src, scaling, k, band_rows, &cfg, claim)
+    })?;
     metrics.incr(counters::OOOC_RUNS, 1);
     metrics.incr(counters::OOOC_BANDS_LOADED, stats.bands_loaded);
     metrics.incr(counters::OOOC_BAND_PAIRS, pairs as u64);
     metrics.incr(counters::OOOC_BYTES_STREAMED, stats.bytes_streamed);
+    Ok((matches, stats))
 }
 
 /// Record a format-counter delta (`snapshot` before the work,
@@ -209,9 +156,7 @@ pub fn record_format_counters(metrics: &MetricsSink, delta: &FormatCounters) {
 
 /// The full out-of-core similarity task over an open store: stream the
 /// file band-by-band (never materializing the matrix), score all pairs,
-/// and shape the result exactly like the in-memory path. Routed through
-/// the fused scaled twin when `smda_stats::fused_enabled()`, just like
-/// the in-memory dispatch, so engine-level parity holds in both tiers.
+/// and shape the result exactly like the in-memory path.
 pub fn run_similarity_oooc(
     store: &BinaryStore,
     k: usize,
@@ -229,18 +174,9 @@ pub fn run_similarity_oooc(
         return Err(Error::Invalid("store has zero-length series".into()));
     }
     let source = SmcSource::over(store, band_rows, cache_bytes);
-    let fused = smda_stats::fused_enabled();
-    let scaling = if fused {
-        let _t = metrics.scope("norms");
-        Some(oooc_inverse_norms(&source, band_rows)?)
-    } else {
-        None
-    };
     let matches = {
         let _t = metrics.scope("score");
-        let (matches, _stats) =
-            top_k_source_with(&source, scaling.as_deref(), k, band_rows, threads, metrics)?;
-        matches
+        top_k_source_with(&source, None, k, band_rows, threads, metrics)?.0
     };
     record_format_counters(metrics, &format_metrics::snapshot().since(&before));
     Ok(TaskOutput::Similarity(
@@ -276,9 +212,13 @@ pub fn run_similarity_oooc_default(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::top_k_matrix_with;
+    use crate::parallel::{top_k_matrix, top_k_matrix_with};
+    use proptest::prelude::*;
     use smda_obs::MetricsSink;
-    use smda_stats::SeriesMatrixBuilder;
+    use smda_stats::{
+        merge_partials, oooc_inverse_norms, top_k_cosine, top_k_oooc, top_k_tiled,
+        top_k_tiled_partial, SeriesMatrix, SeriesMatrixBuilder, SliceSource, FUSED_REL_TOL,
+    };
     use smda_storage::BinaryEncoding;
     use smda_types::{ConsumerId, ConsumerSeries, Dataset, TemperatureSeries, HOURS_PER_YEAR};
     use std::path::PathBuf;
@@ -316,7 +256,7 @@ mod tests {
     #[test]
     fn smc_source_matches_in_memory_on_both_encodings() {
         let ds = pseudo_dataset(23, HOURS_PER_YEAR);
-        let mut builder = SeriesMatrixBuilder::new(23, HOURS_PER_YEAR);
+        let builder = SeriesMatrixBuilder::new(23, HOURS_PER_YEAR);
         for (i, c) in ds.consumers().iter().enumerate() {
             builder.set_row_normalized(i, c.readings());
         }
@@ -351,7 +291,7 @@ mod tests {
         let ds = pseudo_dataset(17, HOURS_PER_YEAR);
         let path = tmp("scaled");
         let store = BinaryStore::create(&path, &ds, BinaryEncoding::Packed).unwrap();
-        let mut builder = SeriesMatrixBuilder::new(17, HOURS_PER_YEAR);
+        let builder = SeriesMatrixBuilder::new(17, HOURS_PER_YEAR);
         for (i, c) in ds.consumers().iter().enumerate() {
             builder.set_row(i, c.readings());
         }
@@ -403,5 +343,82 @@ mod tests {
         );
         assert!(report.counter(counters::PAIRS_SCORED).unwrap_or(0) > 0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A claim closure several sequentially-run "workers" can share.
+    fn counter(total: usize) -> impl Fn() -> Option<usize> {
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        move || {
+            let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            (t < total).then_some(t)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every similarity entry point over one generated matrix —
+        /// sequential, three workers' partials merged, banded at the
+        /// degenerate and a random band height, pooled at 1/2/4 threads
+        /// — is `to_bits`-equal to the naive scan and scores each
+        /// unordered pair once. The scaled argument is bitwise the same
+        /// resident and banded, and within tolerance of exact.
+        #[test]
+        fn prop_every_entry_point_matches_the_naive_scan(
+            rows in prop::collection::vec(prop::collection::vec(0.0f64..4.0, 12), 0..28),
+            k in 0usize..6,
+            band in 1usize..40,
+        ) {
+            let n = rows.len();
+            let want = top_k_cosine(&rows, k);
+            let pairs = (n * n.saturating_sub(1) / 2) as u64;
+            let check = |label: &str, got: &[Vec<SimilarityMatch>], scored: u64| {
+                assert_eq!(matches_bits(got), matches_bits(&want), "{label}");
+                assert_eq!(scored, pairs, "{label}");
+            };
+            let matrix = SeriesMatrix::from_rows_normalized(&rows);
+            let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+            let src = SliceSource::new(&flat, n, 12);
+            let sink = MetricsSink::disabled();
+            // Three-row query blocks straddle every n drawn here.
+            let cfg = TileConfig { query_block: 3 };
+
+            let (got, stats) = top_k_tiled(&matrix, k, &cfg);
+            check("tiled", &got, stats.pairs_scored);
+            let claim = counter(cfg.tile_rows(n));
+            let (parts, scored): (Vec<_>, Vec<_>) = (0..3)
+                .map(|_| top_k_tiled_partial(&matrix, k, &cfg, &claim))
+                .map(|(p, s)| (p, s.pairs_scored))
+                .unzip();
+            check("tiled partials", &merge_partials(n, parts, k), scored.iter().sum());
+
+            for band_rows in [1, band, n + band] {
+                let (got, stats) = top_k_oooc(&src, k, band_rows, &cfg).unwrap();
+                check("banded", &got, stats.kernel.pairs_scored);
+                let claim = counter(band_pair_count(band_count(n, band_rows)));
+                let (parts, scored): (Vec<_>, Vec<_>) = (0..3)
+                    .map(|_| top_k_oooc_partial(&src, None, k, band_rows, &cfg, &claim).unwrap())
+                    .map(|(p, s)| (p, s.kernel.pairs_scored))
+                    .unzip();
+                check("banded partials", &merge_partials(n, parts, k), scored.iter().sum());
+            }
+
+            for threads in [1usize, 2, 4] {
+                let (got, stats) = top_k_matrix(&matrix, k, threads, &sink);
+                check("pooled resident", &got, stats.pairs_scored);
+                let (got, stats) = top_k_source_with(&src, None, k, band, threads, &sink).unwrap();
+                check("pooled banded", &got, stats.kernel.pairs_scored);
+            }
+
+            let raw = SeriesMatrix::from_rows_raw(&rows);
+            let (scaled, _) = top_k_matrix_with(&raw, Some(&raw.inverse_norms()), k, 2, &sink);
+            let inv = oooc_inverse_norms(&src, band).unwrap();
+            let (banded, _) = top_k_source_with(&src, Some(&inv), k, band, 2, &sink).unwrap();
+            assert_eq!(matches_bits(&banded), matches_bits(&scaled), "scaled tiers");
+            for (exact, scaled) in want.iter().flatten().zip(scaled.iter().flatten()) {
+                let tol = FUSED_REL_TOL * exact.score.abs().max(1.0);
+                assert!((exact.score - scaled.score).abs() <= tol, "scaled drifted");
+            }
+        }
     }
 }

@@ -28,9 +28,8 @@ use smda_core::{
 };
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
-    merge_partials, top_k_tiled, top_k_tiled_partial, top_k_tiled_scaled,
-    top_k_tiled_scaled_partial, with_fit_scratch, KernelStats, SeriesMatrixBuilder,
-    SimilarityMatch, TileConfig,
+    merge_partials, top_k_tiled_with, with_fit_scratch, KernelStats, OoocStats,
+    SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
 use smda_types::{ConsumerId, ConsumerSeries, Error, Result, TemperatureSeries, HOURS_PER_YEAR};
 
@@ -245,11 +244,8 @@ pub fn execute_task(
         Task::Similarity => {
             // Phase 1: stream every consumer's year straight into the
             // contiguous matrix (parallel over id chunks; each row is
-            // written exactly once at its id's position, so the matrix
-            // is identical for any schedule). The exact path normalizes
-            // rows in place; the opt-in fused path keeps rows raw and
-            // folds inverse norms into the scoring kernel instead.
-            let fused = smda_stats::fused_enabled();
+            // written exactly once at its id's position, normalized in
+            // place, so the matrix is identical for any schedule).
             let builder = SeriesMatrixBuilder::new(ids.len(), HOURS_PER_YEAR);
             {
                 let _t = metrics.scope("extract");
@@ -257,11 +253,7 @@ pub fn execute_task(
                     for (j, &id) in ids.iter().enumerate() {
                         let kwh = src.consumer_kwh(id)?;
                         metrics.incr(counters::ROWS_SCANNED, kwh.len() as u64);
-                        if fused {
-                            builder.set_row(offset + j, kwh);
-                        } else {
-                            builder.set_row_normalized(offset + j, kwh);
-                        }
+                        builder.set_row_normalized(offset + j, kwh);
                     }
                     Ok(())
                 })?;
@@ -269,9 +261,7 @@ pub fn execute_task(
             let matrix = builder.finish();
             // Phase 2: tiled symmetric all-pairs scoring.
             let _t = metrics.scope("score");
-            let scaling = fused.then(|| matrix.inverse_norms());
-            let (matches, _stats) =
-                top_k_matrix_with(&matrix, scaling.as_deref(), k, threads, metrics);
+            let (matches, _stats) = top_k_matrix(&matrix, k, threads, metrics);
             Ok(TaskOutput::Similarity(
                 matches
                     .into_iter()
@@ -300,12 +290,10 @@ pub fn top_k_matrix(
     top_k_matrix_with(matrix, None, k, threads, metrics)
 }
 
-/// [`top_k_matrix`] with an optional fused-tier scaling vector: when
-/// `scaling` is `Some`, `matrix` rows are **raw** and each pair's cosine
-/// is `dot * scaling[i] * scaling[j]` (tolerance tier, opt-in via
-/// `smda_stats::set_fused`); when `None`, rows are pre-normalized and
-/// scoring is the exact kernel. Tile geometry comes from
-/// [`TileConfig::current`] so an autotuned shape applies everywhere.
+/// [`top_k_matrix`] with an optional tolerance-tier scaling vector:
+/// when `scaling` is `Some`, `matrix` rows are **raw** and each pair's
+/// cosine is `dot * scaling[i] * scaling[j]`; when `None`, rows are
+/// pre-normalized and scoring is the exact kernel.
 pub fn top_k_matrix_with(
     matrix: &smda_stats::SeriesMatrix,
     scaling: Option<&[f64]>,
@@ -314,31 +302,61 @@ pub fn top_k_matrix_with(
     metrics: &MetricsSink,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
     let cfg = TileConfig::current();
+    let shape = (matrix.rows(), matrix.stride());
     let tiles = cfg.tile_rows(matrix.rows());
-    let parallelism = threads.min(tiles).max(1);
+    let fused = scaling.is_some();
+    let Ok((matches, stats)) = pooled_top_k(shape, tiles, k, threads, fused, metrics, |claim| {
+        let (partial, kernel) = top_k_tiled_with(matrix, scaling, k, &cfg, claim);
+        let stats = OoocStats {
+            kernel,
+            ..OoocStats::default()
+        };
+        Ok::<_, std::convert::Infallible>((partial, stats))
+    });
+    (matches, stats.kernel)
+}
+
+/// One worker's partial top-k lists with what it did to get them.
+type Partial = (Vec<Vec<SimilarityMatch>>, OoocStats);
+
+/// The similarity pool driver, shared by the resident and out-of-core
+/// tiers: up to `threads` pool workers each run `partial` against one
+/// shared counter handing out `units` work units (tile rows or band
+/// pairs), and the per-worker partials are merged exactly. A single
+/// worker runs on the calling thread and its partial is the answer.
+/// Records the `tile`/`merge` phases, `pairs_scored`, effective MFLOP/s
+/// over the `tile` phase, and which kernel implementation scored.
+pub(crate) fn pooled_top_k<E, F>(
+    (rows, stride): (usize, usize),
+    units: usize,
+    k: usize,
+    threads: usize,
+    fused: bool,
+    metrics: &MetricsSink,
+    partial: F,
+) -> std::result::Result<Partial, E>
+where
+    E: Send,
+    F: Fn(&dyn Fn() -> Option<usize>) -> std::result::Result<Partial, E> + Sync,
+{
+    let parallelism = threads.min(units).max(1);
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let t = next.fetch_add(1, Ordering::Relaxed);
+        (t < units).then_some(t)
+    };
     let tile_start = Instant::now();
-    let (matches, stats) = if parallelism <= 1 {
+    let (matches, stats, tile_elapsed) = if parallelism == 1 {
         let _t = metrics.scope("tile");
-        match scaling {
-            Some(inv) => top_k_tiled_scaled(matrix, inv, k, &cfg),
-            None => top_k_tiled(matrix, k, &cfg),
-        }
+        let (matches, stats) = partial(&claim)?;
+        (matches, stats, tile_start.elapsed())
     } else {
         let partials = {
             let _t = metrics.scope("tile");
             metrics.incr(counters::WORKERS_SPAWNED, parallelism as u64);
-            let next = AtomicUsize::new(0);
-            let claim = || {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                (t < tiles).then_some(t)
-            };
-            let collected: Mutex<Vec<(Vec<Vec<SimilarityMatch>>, KernelStats)>> =
-                Mutex::new(Vec::new());
+            let collected = Mutex::new(Vec::with_capacity(parallelism));
             WorkerPool::global().broadcast(parallelism, &|_slot| {
-                let part = match scaling {
-                    Some(inv) => top_k_tiled_scaled_partial(matrix, inv, k, &cfg, &claim),
-                    None => top_k_tiled_partial(matrix, k, &cfg, &claim),
-                };
+                let part = partial(&claim);
                 collected
                     .lock()
                     .expect("kernel partials poisoned")
@@ -348,44 +366,28 @@ pub fn top_k_matrix_with(
         };
         let tile_elapsed = tile_start.elapsed();
         let _t = metrics.scope("merge");
-        let mut stats = KernelStats::default();
+        let mut stats = OoocStats::default();
         let mut parts = Vec::with_capacity(partials.len());
-        for (p, s) in partials {
-            stats.pairs_scored += s.pairs_scored;
+        for part in partials {
+            let (p, s) = part?;
+            stats.merge(&s);
             parts.push(p);
         }
-        let merged = merge_partials(matrix.rows(), parts, k);
-        record_kernel_counters(metrics, &stats, matrix.stride(), tile_elapsed);
-        record_dispatch_counters(metrics, scaling.is_some());
-        return (merged, stats);
+        (merge_partials(rows, parts, k), stats, tile_elapsed)
     };
-    record_kernel_counters(metrics, &stats, matrix.stride(), tile_start.elapsed());
-    record_dispatch_counters(metrics, scaling.is_some());
-    (matches, stats)
-}
-
-pub(crate) fn record_kernel_counters(
-    metrics: &MetricsSink,
-    stats: &KernelStats,
-    stride: usize,
-    tile_elapsed: std::time::Duration,
-) {
-    metrics.incr(counters::PAIRS_SCORED, stats.pairs_scored);
+    metrics.incr(counters::PAIRS_SCORED, stats.kernel.pairs_scored);
     let ns = (tile_elapsed.as_nanos() as u64).max(1);
     metrics.incr(
         counters::SIMILARITY_MFLOPS,
-        stats.flops(stride).saturating_mul(1000) / ns,
+        stats.kernel.flops(stride).saturating_mul(1000) / ns,
     );
-}
-
-/// Record which kernel implementation actually scored the run.
-pub(crate) fn record_dispatch_counters(metrics: &MetricsSink, fused: bool) {
     if smda_stats::simd::active_tier() == smda_stats::SimdTier::Avx2 {
         metrics.incr(counters::SIMD_AVX2_ACTIVE, 1);
     }
     if fused {
         metrics.incr(counters::SIMD_FUSED_ACTIVE, 1);
     }
+    Ok((matches, stats))
 }
 
 /// A [`ConsumerSource`] over an in-memory dataset — the "warm" workspace

@@ -70,7 +70,7 @@ pub mod counters {
     /// run's similarity scoring, 0 when the scalar reference ran.
     pub const SIMD_AVX2_ACTIVE: &str = "simd.avx2_active";
     /// 1 when the tolerance-tier fused normalize+score kernel scored
-    /// the run (opt-in; see `--check-simd`).
+    /// the run (a caller passed a `scaling` vector; see `--check simd`).
     pub const SIMD_FUSED_ACTIVE: &str = "simd.fused_active";
     /// Logical tasks placed by a cluster scheduler.
     pub const TASKS_SCHEDULED: &str = "tasks_scheduled";

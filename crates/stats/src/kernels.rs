@@ -12,26 +12,33 @@
 //!   write disjoint rows through a shared reference, with a per-row
 //!   atomic write-once flag making double writes a panic instead of a
 //!   data race.
-//! * [`top_k_tiled`] — the exact, cache-tiled, symmetry-halved all-pairs
-//!   kernel. Each `(i, j)` dot product is computed **once** and credited
-//!   to both query `i` and query `j`'s top-k buffers; tiles keep a block
-//!   of query rows hot in cache while candidate rows stream through; the
-//!   inner loop is the canonical 4-wide [`dot`]. Scores and top-k output
-//!   are **bit-identical** to the naive per-query scan
-//!   ([`crate::top_k_cosine`]) because both use the same `dot` and the
-//!   same total order (score desc, index asc) via [`select_top_k`].
-//! * [`top_k_tiled_partial`] / [`merge_partials`] — the same kernel split
-//!   for work-stealing executors: each worker claims tile rows off a
-//!   caller-supplied counter and returns per-query partial top-k buffers;
-//!   merging the partials reproduces the sequential result exactly,
-//!   because the global k best of a query appear in every subset that
-//!   contains them.
+//! * `PairScorer` — the one pair-scoring loop nest under every
+//!   similarity entry point. It is lent row blocks (the whole resident
+//!   matrix here; band buffers in [`crate::oooc`]), keeps a block of
+//!   query rows hot in cache while candidate rows stream through,
+//!   computes each `(i, j)` score **once** — the canonical 4-wide
+//!   [`dot`] on unit rows, or [`crate::simd::dot_scaled`] on raw rows
+//!   when a `scaling` vector is given — and credits it to both rows'
+//!   bounded top-k buffers.
+//! * [`top_k_tiled_with`] / [`merge_partials`] — the in-memory kernel,
+//!   as the one primitive there is: a worker claims tile rows off a
+//!   caller-supplied counter and returns per-query partial top-k lists;
+//!   merging the partials of workers that together claimed every tile
+//!   row gives the answer. [`top_k_tiled`] is one worker claiming them
+//!   all.
 //!
-//! The exactness argument, layout, and tiling scheme are documented in
-//! DESIGN.md §9.
+//! **Exactness**, for every tier and schedule (DESIGN.md §9): the same
+//! row bits go through the same `dot`, so each pair's score is the
+//! naive scan's ([`crate::top_k_cosine`]) bit for bit; a top-k buffer
+//! keeps a function of the *set* of hits pushed, not their order,
+//! under the total order (score desc, index asc) of [`select_top_k`];
+//! and the k best of a query are among the k best of any subset that
+//! contains them, so merging partials over any partition of the pairs
+//! reproduces the sequential result.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::{RefCell, UnsafeCell};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::similarity::{dot, norm2, select_top_k, SimilarityMatch};
 
@@ -118,16 +125,7 @@ impl SeriesMatrix {
     /// pre-normalized path scores zero. Norms come from the wide
     /// [`crate::simd::sumsq4`] — this accessor belongs to the fused tier.
     pub fn inverse_norms(&self) -> Vec<f64> {
-        (0..self.rows)
-            .map(|i| {
-                let n = crate::simd::sumsq4(self.row(i)).sqrt();
-                if n == 0.0 {
-                    0.0
-                } else {
-                    1.0 / n
-                }
-            })
-            .collect()
+        (0..self.rows).map(|i| inverse_norm(self.row(i))).collect()
     }
 
     /// One series as a slice.
@@ -136,6 +134,16 @@ impl SeriesMatrix {
     /// Panics if `i >= rows`.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+/// `1/‖row‖` by the wide [`crate::simd::sumsq4`], `0.0` for a zero row.
+pub(crate) fn inverse_norm(row: &[f64]) -> f64 {
+    let n = crate::simd::sumsq4(row).sqrt();
+    if n == 0.0 {
+        0.0
+    } else {
+        1.0 / n
     }
 }
 
@@ -263,10 +271,8 @@ pub struct TileConfig {
     /// Query rows per tile: this many rows (× stride × 8 bytes) are kept
     /// hot in cache while candidate rows stream through, so every
     /// candidate load is amortized over `query_block` dot products.
+    /// Zero is read as one. Any value yields bit-identical output.
     pub query_block: usize,
-    /// Candidate rows per tile — bounds the scheduling granularity of
-    /// the inner sweep.
-    pub candidate_block: usize,
 }
 
 impl Default for TileConfig {
@@ -274,147 +280,26 @@ impl Default for TileConfig {
     /// typical per-core L2 while leaving room for the streaming
     /// candidate row.
     fn default() -> TileConfig {
-        TileConfig {
-            query_block: 8,
-            candidate_block: 64,
-        }
+        TileConfig { query_block: 8 }
     }
 }
 
-/// Process-wide tile override set by [`TileConfig::make_current`]:
-/// `(query_block << 32) | candidate_block`, `0` meaning "unset, use the
-/// default". Autotuning writes it once at startup; every engine reads it
-/// through [`TileConfig::current`].
-static CURRENT_TILE: AtomicU64 = AtomicU64::new(0);
-
 impl TileConfig {
+    /// Rows per query block as the kernel uses it: never zero.
+    fn block(&self) -> usize {
+        self.query_block.max(1)
+    }
+
     /// How many tile rows (query blocks) an `n`-row matrix splits into —
     /// the unit of work a parallel executor claims.
     pub fn tile_rows(&self, n: usize) -> usize {
-        n.div_ceil(self.query_block.max(1))
+        n.div_ceil(self.block())
     }
 
-    /// The process-wide tile geometry: whatever the last
-    /// [`TileConfig::make_current`] installed (e.g. from the autotune
-    /// cache), or the default. Tile shape affects only performance —
-    /// every shape yields bit-identical output — so this global is safe
-    /// to flip at any time.
+    /// The tile geometry every engine runs: the default.
     pub fn current() -> TileConfig {
-        let packed = CURRENT_TILE.load(Ordering::Relaxed);
-        if packed == 0 {
-            return TileConfig::default();
-        }
-        TileConfig {
-            query_block: (packed >> 32) as usize,
-            candidate_block: (packed & 0xffff_ffff) as usize,
-        }
+        TileConfig::default()
     }
-
-    /// Install this geometry as the process-wide [`TileConfig::current`].
-    ///
-    /// # Panics
-    /// Panics if either block is zero or ≥ 2³².
-    pub fn make_current(self) {
-        assert!(
-            self.query_block > 0 && self.candidate_block > 0,
-            "tile blocks must be nonzero"
-        );
-        assert!(
-            self.query_block < (1 << 32) && self.candidate_block < (1 << 32),
-            "tile blocks must fit in 32 bits"
-        );
-        let packed = ((self.query_block as u64) << 32) | self.candidate_block as u64;
-        CURRENT_TILE.store(packed, Ordering::Relaxed);
-    }
-
-    /// The tile shapes [`TileConfig::autotune`] sweeps.
-    pub fn autotune_candidates() -> Vec<TileConfig> {
-        let mut out = Vec::new();
-        for q in [4usize, 8, 16, 32] {
-            for c in [32usize, 64, 128] {
-                out.push(TileConfig {
-                    query_block: q,
-                    candidate_block: c,
-                });
-            }
-        }
-        out
-    }
-
-    /// Sweep candidate tile shapes over a synthetic `rows × stride`
-    /// matrix (deterministic xorshift fill, normalized) and return the
-    /// fastest, best-of-two timings per shape. Tile geometry only moves
-    /// data through caches differently — all shapes are bit-identical —
-    /// so the winner can be installed with [`TileConfig::make_current`]
-    /// and cached across runs (`results/tile_autotune.json`).
-    pub fn autotune(rows: usize, stride: usize, k: usize) -> AutotuneOutcome {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let series: Vec<Vec<f64>> = (0..rows)
-            .map(|_| {
-                (0..stride)
-                    .map(|_| {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        (state % 4000) as f64 / 1000.0
-                    })
-                    .collect()
-            })
-            .collect();
-        let m = SeriesMatrix::from_rows_normalized(&series);
-        let mut samples = Vec::new();
-        for cfg in TileConfig::autotune_candidates() {
-            let mut best_ns = u64::MAX;
-            let mut pairs = 0u64;
-            for _ in 0..2 {
-                let start = std::time::Instant::now();
-                let (out, stats) = top_k_tiled(&m, k, &cfg);
-                let ns = start.elapsed().as_nanos() as u64;
-                std::hint::black_box(&out);
-                best_ns = best_ns.min(ns.max(1));
-                pairs = stats.pairs_scored;
-            }
-            let flops = KernelStats {
-                pairs_scored: pairs,
-            }
-            .flops(stride);
-            samples.push(AutotuneSample {
-                config: cfg,
-                elapsed_ms: best_ns as f64 / 1e6,
-                mflops: flops as f64 * 1e3 / best_ns as f64,
-            });
-        }
-        let best = samples
-            .iter()
-            .min_by(|a, b| {
-                a.elapsed_ms
-                    .partial_cmp(&b.elapsed_ms)
-                    .expect("timings are finite")
-            })
-            .map(|s| s.config)
-            .unwrap_or_default();
-        AutotuneOutcome { best, samples }
-    }
-}
-
-/// One timed shape from [`TileConfig::autotune`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutotuneSample {
-    /// The tile geometry measured.
-    pub config: TileConfig,
-    /// Best-of-two wall time for the sweep, milliseconds.
-    pub elapsed_ms: f64,
-    /// Effective throughput at that time (2 flops per element per pair).
-    pub mflops: f64,
-}
-
-/// Result of a [`TileConfig::autotune`] sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AutotuneOutcome {
-    /// The fastest shape (install with [`TileConfig::make_current`]).
-    pub best: TileConfig,
-    /// Every shape measured, in sweep order.
-    pub samples: Vec<AutotuneSample>,
 }
 
 /// What the kernel did, for observability.
@@ -474,121 +359,173 @@ impl TopKBuffer {
     }
 }
 
-/// Process one tile row (query block `qb`) of the symmetric kernel:
-/// score every pair `(i, j)` with `i` in the block, `j > i`, crediting
-/// both endpoints' buffers. Generic over the pair scorer so the exact
-/// path (`dot` on pre-normalized rows) and the fused path
-/// (`dot_scaled` on raw rows) monomorphize to separate loops with no
-/// indirect call in the inner sweep.
-fn process_tile_row<F: FnMut(usize, usize) -> f64>(
-    n: usize,
-    cfg: &TileConfig,
-    qb: usize,
-    bufs: &mut [TopKBuffer],
-    stats: &mut KernelStats,
-    score: &mut F,
-) {
-    let q0 = qb * cfg.query_block;
-    let q1 = (q0 + cfg.query_block).min(n);
-    // Diagonal triangle: pairs inside the query block.
-    for i in q0..q1 {
-        for j in (i + 1)..q1 {
-            let score = score(i, j);
-            stats.pairs_scored += 1;
-            bufs[i].push(SimilarityMatch { index: j, score });
-            bufs[j].push(SimilarityMatch { index: i, score });
+/// Rows `start..start + rows` of the full matrix, lent row-major: the
+/// whole resident [`SeriesMatrix`] for the in-memory kernel, one band
+/// buffer for the out-of-core one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowBlock<'a> {
+    pub(crate) data: &'a [f64],
+    pub(crate) start: usize,
+    pub(crate) rows: usize,
+    pub(crate) stride: usize,
+}
+
+impl RowBlock<'_> {
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.stride..(r + 1) * self.stride]
+    }
+}
+
+/// One worker's pair-scoring state: a bounded top-k buffer per query
+/// row of the full matrix, fed by [`PairScorer::score`] over whichever
+/// row blocks the caller has resident. Every tier of the similarity
+/// task — tiled in memory, banded out of core, sequential or one of
+/// many workers — is this struct plus a schedule of `score` calls that
+/// visits each unordered row pair exactly once.
+pub(crate) struct PairScorer<'a> {
+    bufs: Vec<TopKBuffer>,
+    scaling: Option<&'a [f64]>,
+    query_block: usize,
+    pairs_scored: u64,
+}
+
+impl<'a> PairScorer<'a> {
+    /// Empty buffers for an `n`-row matrix. With `scaling` the lent rows
+    /// are raw and a pair scores `dot_scaled(a, b, scaling[i] *
+    /// scaling[j])`; without, rows are unit vectors and it scores `dot`.
+    ///
+    /// # Panics
+    /// Panics if `scaling` does not hold one inverse norm per row.
+    pub(crate) fn new(
+        n: usize,
+        k: usize,
+        cfg: &TileConfig,
+        scaling: Option<&'a [f64]>,
+    ) -> PairScorer<'a> {
+        if let Some(inv) = scaling {
+            assert_eq!(inv.len(), n, "one inverse norm per row");
+        }
+        PairScorer {
+            bufs: (0..n).map(|_| TopKBuffer::new(k)).collect(),
+            scaling,
+            query_block: cfg.block(),
+            pairs_scored: 0,
         }
     }
-    // Off-diagonal tiles: candidates stream, query rows stay hot.
-    let mut c0 = q1;
-    while c0 < n {
-        let c1 = (c0 + cfg.candidate_block).min(n);
-        for j in c0..c1 {
-            for i in q0..q1 {
-                let score = score(i, j);
-                stats.pairs_scored += 1;
-                bufs[i].push(SimilarityMatch { index: j, score });
-                bufs[j].push(SimilarityMatch { index: i, score });
+
+    /// Score query rows `q` of block `a`, one query block at a time so
+    /// those rows stay hot in cache while the candidates stream past,
+    /// crediting each pair to both endpoints' buffers. Against
+    /// `Some(b)`, a block disjoint from `a`, the candidates are all of
+    /// `b`. Against `None` they are `a`'s own later rows: the pairs
+    /// inside each query block first, then every row of `a` past it, so
+    /// that `q = 0..a.rows` scores each unordered pair of `a` once.
+    pub(crate) fn score(&mut self, a: RowBlock<'_>, q: Range<usize>, b: Option<RowBlock<'_>>) {
+        let mut q0 = q.start;
+        while q0 < q.end {
+            let q1 = (q0 + self.query_block).min(q.end);
+            let (candidates, first) = match b {
+                Some(b) => (b, 0),
+                None => {
+                    for i in q0..q1 {
+                        for j in (i + 1)..q1 {
+                            self.pair(a, i, a, j);
+                        }
+                    }
+                    (a, q1)
+                }
+            };
+            for j in first..candidates.rows {
+                for i in q0..q1 {
+                    self.pair(a, i, candidates, j);
+                }
             }
+            q0 = q1;
         }
-        c0 = c1;
+    }
+
+    #[inline]
+    fn pair(&mut self, a: RowBlock<'_>, i: usize, b: RowBlock<'_>, j: usize) {
+        let (gi, gj) = (a.start + i, b.start + j);
+        let score = match self.scaling {
+            None => dot(a.row(i), b.row(j)),
+            Some(inv) => crate::simd::dot_scaled(a.row(i), b.row(j), inv[gi] * inv[gj]),
+        };
+        self.pairs_scored += 1;
+        self.bufs[gi].push(SimilarityMatch { index: gj, score });
+        self.bufs[gj].push(SimilarityMatch { index: gi, score });
+    }
+
+    /// Per-query lists of the k best pairs scored, best first.
+    pub(crate) fn finish(self) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
+        let stats = KernelStats {
+            pairs_scored: self.pairs_scored,
+        };
+        let matches = self.bufs.into_iter().map(TopKBuffer::finish).collect();
+        (matches, stats)
     }
 }
 
-/// Shared driver for the partial (work-claiming) kernels.
-fn top_k_partial_with<F: FnMut(usize, usize) -> f64>(
-    n: usize,
-    k: usize,
-    cfg: &TileConfig,
-    claim: &dyn Fn() -> Option<usize>,
-    mut score: F,
-) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    let mut stats = KernelStats::default();
-    let mut bufs: Vec<TopKBuffer> = (0..n).map(|_| TopKBuffer::new(k)).collect();
-    let mut touched = false;
-    while let Some(qb) = claim() {
-        touched = true;
-        process_tile_row(n, cfg, qb, &mut bufs, &mut stats, &mut score);
-    }
-    if !touched {
-        // Claimed nothing: empty partial, so merges stay cheap.
-        return (vec![Vec::new(); n], stats);
-    }
-    (bufs.into_iter().map(TopKBuffer::finish).collect(), stats)
+/// A claim closure handing out every unit `0..total` in order: the
+/// sequential kernels are one worker claiming everything.
+pub(crate) fn claim_all(total: usize) -> impl Fn() -> Option<usize> {
+    let units = RefCell::new(0..total);
+    move || units.borrow_mut().next()
 }
 
-/// Shared driver for the sequential tiled kernels.
-fn top_k_tiled_with<F: FnMut(usize, usize) -> f64>(
-    n: usize,
-    k: usize,
-    cfg: &TileConfig,
-    mut score: F,
-) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    let tiles = cfg.tile_rows(n);
-    let mut stats = KernelStats::default();
-    let mut bufs: Vec<TopKBuffer> = (0..n).map(|_| TopKBuffer::new(k)).collect();
-    for qb in 0..tiles {
-        process_tile_row(n, cfg, qb, &mut bufs, &mut stats, &mut score);
-    }
-    (bufs.into_iter().map(TopKBuffer::finish).collect(), stats)
-}
-
-/// One worker's share of the tiled kernel: repeatedly claim a tile row
-/// from `claim` (e.g. an atomic counter shared across workers) and score
-/// it, returning per-query partial top-k lists (each the exact k best of
-/// the pairs this worker scored) plus scoring stats.
+/// One worker's share of the tiled kernel, and the in-memory form every
+/// other entry point reduces to: repeatedly claim a tile row from
+/// `claim` (e.g. an atomic counter shared across workers) and score it
+/// with the whole matrix lent as the one resident block, returning
+/// per-query partial top-k lists (each the exact k best of the pairs
+/// this worker scored) plus scoring stats.
+///
+/// Without `scaling`, rows of `m` are unit vectors and the output is
+/// bit-identical to [`crate::top_k_cosine`]. With it, rows are **raw**
+/// (see [`SeriesMatrix::from_rows_raw`]) and `scaling` holds
+/// [`SeriesMatrix::inverse_norms`]: the tolerance tier, within
+/// [`crate::simd::FUSED_REL_TOL`] of the exact scores.
 ///
 /// Feed the partials of all workers to [`merge_partials`] to obtain the
 /// final answer; the claimed tile rows must partition `0..cfg.tile_rows(n)`
 /// across workers or pairs will be double-counted.
+///
+/// # Panics
+/// Panics on a claimed tile row out of range, or if `scaling` does not
+/// hold one inverse norm per row.
+pub fn top_k_tiled_with(
+    m: &SeriesMatrix,
+    scaling: Option<&[f64]>,
+    k: usize,
+    cfg: &TileConfig,
+    claim: &dyn Fn() -> Option<usize>,
+) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
+    let n = m.rows();
+    let all = RowBlock {
+        data: &m.data,
+        start: 0,
+        rows: n,
+        stride: m.stride,
+    };
+    let tiles = cfg.tile_rows(n);
+    let mut scorer = PairScorer::new(n, k, cfg, scaling);
+    while let Some(t) = claim() {
+        assert!(t < tiles, "tile row {t} out of range ({tiles})");
+        let q0 = t * cfg.block();
+        scorer.score(all, q0..(q0 + cfg.block()).min(n), None);
+    }
+    scorer.finish()
+}
+
+/// [`top_k_tiled_with`] over unit rows: one worker's exact partial.
 pub fn top_k_tiled_partial(
     m: &SeriesMatrix,
     k: usize,
     cfg: &TileConfig,
     claim: &dyn Fn() -> Option<usize>,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    top_k_partial_with(m.rows(), k, cfg, claim, |i, j| dot(m.row(i), m.row(j)))
-}
-
-/// Fused (tolerance-tier) twin of [`top_k_tiled_partial`]: rows of `m`
-/// are **raw** (see [`SeriesMatrix::from_rows_raw`]) and each pair's
-/// cosine is `dot(a, b) * inv_norms[i] * inv_norms[j]` via
-/// [`crate::simd::dot_scaled`]. Within [`crate::simd::FUSED_REL_TOL`]
-/// of the exact pre-normalized kernel; gated by `--check-simd`.
-///
-/// # Panics
-/// Panics if `inv_norms.len() != m.rows()`.
-pub fn top_k_tiled_scaled_partial(
-    m: &SeriesMatrix,
-    inv_norms: &[f64],
-    k: usize,
-    cfg: &TileConfig,
-    claim: &dyn Fn() -> Option<usize>,
-) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    assert_eq!(inv_norms.len(), m.rows(), "one inverse norm per row");
-    top_k_partial_with(m.rows(), k, cfg, claim, |i, j| {
-        crate::simd::dot_scaled(m.row(i), m.row(j), inv_norms[i] * inv_norms[j])
-    })
+    top_k_tiled_with(m, None, k, cfg, claim)
 }
 
 /// Merge per-worker partial top-k lists (from [`top_k_tiled_partial`])
@@ -615,33 +552,16 @@ pub fn merge_partials(
     out
 }
 
-/// The sequential tiled symmetric kernel: for every row of `m` (unit
-/// vectors), the `k` most cosine-similar other rows, best first.
-/// Bit-identical to [`crate::top_k_cosine`] over the same normalized
-/// input.
+/// The sequential tiled symmetric kernel — one worker claiming every
+/// tile row: for every row of `m` (unit vectors), the `k` most
+/// cosine-similar other rows, best first. Bit-identical to
+/// [`crate::top_k_cosine`] over the same normalized input.
 pub fn top_k_tiled(
     m: &SeriesMatrix,
     k: usize,
     cfg: &TileConfig,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    top_k_tiled_with(m.rows(), k, cfg, |i, j| dot(m.row(i), m.row(j)))
-}
-
-/// Fused (tolerance-tier) twin of [`top_k_tiled`] over raw rows plus
-/// [`SeriesMatrix::inverse_norms`]; see [`top_k_tiled_scaled_partial`].
-///
-/// # Panics
-/// Panics if `inv_norms.len() != m.rows()`.
-pub fn top_k_tiled_scaled(
-    m: &SeriesMatrix,
-    inv_norms: &[f64],
-    k: usize,
-    cfg: &TileConfig,
-) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    assert_eq!(inv_norms.len(), m.rows(), "one inverse norm per row");
-    top_k_tiled_with(m.rows(), k, cfg, |i, j| {
-        crate::simd::dot_scaled(m.row(i), m.row(j), inv_norms[i] * inv_norms[j])
-    })
+    top_k_tiled_partial(m, k, cfg, &claim_all(cfg.tile_rows(m.rows())))
 }
 
 /// Score query row `q` against every other row of `m` — the one-query
@@ -667,28 +587,7 @@ pub fn top_k_query(m: &SeriesMatrix, q: usize, k: usize) -> Vec<SimilarityMatch>
 mod tests {
     use super::*;
     use crate::similarity::top_k_cosine;
-
-    fn pseudo_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1000) as f64 / 250.0
-        };
-        (0..n).map(|_| (0..len).map(|_| next()).collect()).collect()
-    }
-
-    fn assert_bit_identical(a: &[Vec<SimilarityMatch>], b: &[Vec<SimilarityMatch>]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.len(), y.len());
-            for (h, g) in x.iter().zip(y) {
-                assert_eq!(h.index, g.index);
-                assert_eq!(h.score.to_bits(), g.score.to_bits(), "score bits differ");
-            }
-        }
-    }
+    use crate::testutil::{assert_bit_identical, pseudo_series};
 
     #[test]
     fn matrix_round_trips_rows() {
@@ -762,12 +661,29 @@ mod tests {
         let rows = pseudo_series(13, 19, 99);
         let naive = top_k_cosine(&rows, 4);
         let m = SeriesMatrix::from_rows_normalized(&rows);
-        let cfg = TileConfig {
-            query_block: 3,
-            candidate_block: 2,
-        };
-        let (tiled, _) = top_k_tiled(&m, 4, &cfg);
+        let (tiled, _) = top_k_tiled(&m, 4, &TileConfig { query_block: 3 });
         assert_bit_identical(&naive, &tiled);
+    }
+
+    #[test]
+    fn zero_query_block_is_read_as_one() {
+        // Regression: a zero block used to report n tile rows yet score
+        // none of them, returning all-empty lists.
+        let rows = pseudo_series(11, 13, 5);
+        let naive = top_k_cosine(&rows, 3);
+        let m = SeriesMatrix::from_rows_normalized(&rows);
+        let (data, stride) = crate::testutil::flat(&rows);
+        let src = crate::SliceSource::new(&data, rows.len(), stride);
+        for query_block in [0usize, 1] {
+            let cfg = TileConfig { query_block };
+            assert_eq!(cfg.tile_rows(11), 11);
+            let (tiled, stats) = top_k_tiled(&m, 3, &cfg);
+            assert_bit_identical(&naive, &tiled);
+            assert_eq!(stats.pairs_scored, 55);
+            let (banded, stats) = crate::top_k_oooc(&src, 3, 4, &cfg).unwrap();
+            assert_bit_identical(&naive, &banded);
+            assert_eq!(stats.kernel.pairs_scored, 55);
+        }
     }
 
     #[test]
@@ -775,10 +691,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let rows = pseudo_series(21, 23, 3);
         let m = SeriesMatrix::from_rows_normalized(&rows);
-        let cfg = TileConfig {
-            query_block: 4,
-            candidate_block: 8,
-        };
+        let cfg = TileConfig { query_block: 4 };
         let (seq, seq_stats) = top_k_tiled(&m, 3, &cfg);
         // Emulate 3 workers claiming tile rows off one atomic counter.
         let tiles = cfg.tile_rows(m.rows());
@@ -838,7 +751,8 @@ mod tests {
         let (exact, exact_stats) = top_k_tiled(&exact_m, 5, &cfg);
         let raw = SeriesMatrix::from_rows_raw(&rows);
         let inv = raw.inverse_norms();
-        let (fused, fused_stats) = top_k_tiled_scaled(&raw, &inv, 5, &cfg);
+        let tiles = claim_all(cfg.tile_rows(raw.rows()));
+        let (fused, fused_stats) = top_k_tiled_with(&raw, Some(&inv), 5, &cfg, &tiles);
         assert_eq!(exact_stats.pairs_scored, fused_stats.pairs_scored);
         assert_eq!(exact.len(), fused.len());
         for (a, b) in exact.iter().zip(&fused) {
@@ -857,33 +771,9 @@ mod tests {
         let raw = SeriesMatrix::from_rows_raw(&rows);
         let inv = raw.inverse_norms();
         assert_eq!(inv[0], 0.0);
-        let (fused, _) = top_k_tiled_scaled(&raw, &inv, 2, &TileConfig::default());
+        let cfg = TileConfig::default();
+        let (fused, _) = top_k_tiled_with(&raw, Some(&inv), 2, &cfg, &claim_all(1));
         assert!(fused[1].iter().all(|h| h.index != 0 || h.score == 0.0));
         assert!(fused[0].iter().all(|h| h.score == 0.0));
-    }
-
-    #[test]
-    fn current_tile_round_trips_and_defaults() {
-        // Runs in one test to avoid ordering races on the global.
-        assert_eq!(TileConfig::current(), TileConfig::default());
-        let cfg = TileConfig {
-            query_block: 16,
-            candidate_block: 96,
-        };
-        cfg.make_current();
-        assert_eq!(TileConfig::current(), cfg);
-        TileConfig::default().make_current();
-        assert_eq!(TileConfig::current(), TileConfig::default());
-    }
-
-    #[test]
-    fn autotune_returns_a_candidate_shape() {
-        let outcome = TileConfig::autotune(24, 32, 3);
-        assert_eq!(
-            outcome.samples.len(),
-            TileConfig::autotune_candidates().len()
-        );
-        assert!(TileConfig::autotune_candidates().contains(&outcome.best));
-        assert!(outcome.samples.iter().all(|s| s.elapsed_ms > 0.0));
     }
 }

@@ -27,21 +27,21 @@ pub mod sax;
 pub mod scratch;
 pub mod simd;
 pub mod similarity;
+#[cfg(test)]
+mod testutil;
 
 pub use descriptive::{covariance, mean, pearson, population_variance, sample_variance, stddev};
 pub use histogram::{EquiWidthHistogram, HistogramSpec};
 pub use kernels::{
-    merge_partials, top_k_query, top_k_tiled, top_k_tiled_partial, top_k_tiled_scaled,
-    top_k_tiled_scaled_partial, AutotuneOutcome, AutotuneSample, KernelStats, SeriesMatrix,
-    SeriesMatrixBuilder, TileConfig,
+    merge_partials, top_k_query, top_k_tiled, top_k_tiled_partial, top_k_tiled_with, KernelStats,
+    SeriesMatrix, SeriesMatrixBuilder, TileConfig,
 };
 pub use kmeans::{KMeans, KMeansConfig};
 pub use linalg::Matrix;
 pub use online::OnlineStats;
 pub use oooc::{
     band_count, band_pair_count, oooc_inverse_norms, top_k_oooc, top_k_oooc_partial,
-    top_k_oooc_queries, top_k_oooc_scaled, top_k_oooc_scaled_partial, OoocStats, SeriesSource,
-    SliceSource, DEFAULT_BAND_ROWS,
+    top_k_oooc_queries, OoocStats, SeriesSource, SliceSource, DEFAULT_BAND_ROWS,
 };
 pub use quantile::{quantile, quantile_sorted, quantiles_sorted};
 pub use regression::{ols_multiple, ols_simple, MultipleFit, SimpleFit};
@@ -52,8 +52,8 @@ pub use scratch::{
     SCRATCH_MAX_COLS,
 };
 pub use simd::{
-    avx2_supported, axpy, dot_avx2, dot_scaled, force_tier, fused_enabled, set_fused, sumsq4,
-    KernelDispatch, SimdTier, FUSED_REL_TOL,
+    avx2_supported, axpy, dot_avx2, dot_scaled, force_tier, sumsq4, KernelDispatch, SimdTier,
+    FUSED_REL_TOL,
 };
 pub use similarity::{
     cosine_similarity, dot, dot_scalar, norm2, normalize_all, select_top_k, sumsq, top_k_cosine,

@@ -1,56 +1,54 @@
-//! Out-of-core band-streaming twins of the tiled similarity kernels.
+//! The similarity kernel streamed band by band, out of core.
 //!
 //! The tiled kernel ([`crate::top_k_tiled`]) assumes the whole
 //! `n × stride` matrix is resident. At AMI scale that is the binding
 //! constraint — a million-consumer year is ~70 GB of `f64` — so this
-//! module re-expresses the same computation over a [`SeriesSource`]:
-//! anything that can materialize a contiguous *band* of raw rows on
-//! demand (an in-memory slice, a mapped raw-contiguous `.smc` region,
-//! or a decode-on-demand packed file behind a bounded cache).
+//! module runs the same scorer over a [`SeriesSource`]: anything that
+//! can materialize a contiguous *band* of raw rows on demand (an
+//! in-memory slice, a mapped raw-contiguous `.smc` region, or a
+//! decode-on-demand packed file behind a bounded cache). The in-memory
+//! kernel is the case of one band that is already resident.
 //!
 //! The schedule is band-pair driven. Split the `n` rows into
 //! `B = ⌈n / band_rows⌉` bands; the unordered row pairs `{i, j}` are
 //! partitioned exactly by the `B(B+1)/2` band pairs `(bi, bj)`,
-//! `bi ≤ bj`: a *diagonal* pair scores the triangle inside one band, an
-//! *off-diagonal* pair scores the full `band × band` cross product.
-//! Workers claim band pairs off a shared counter (bi-major order, so a
-//! worker's outer band stays memoized across consecutive claims), hold
-//! at most **two** band buffers, and fold scores into the same bounded
-//! per-query `TopKBuffer`s the in-memory kernel uses. Resident memory
-//! is `O(2 · band_rows · stride + k · n)` per worker instead of
+//! `bi ≤ bj`: a *diagonal* pair scores the triangle inside one band
+//! (the in-memory tile sweep, inside the band buffer), an
+//! *off-diagonal* pair the full `band × band` cross product. Workers
+//! claim band pairs off a shared counter (bi-major order, so a worker's
+//! outer band stays memoized across consecutive claims), hold at most
+//! **two** band buffers, and lend them to the same `PairScorer` the
+//! in-memory kernel lends its matrix to. Resident memory is
+//! `O(2 · band_rows · stride + k · n)` per worker instead of
 //! `O(n · stride)`.
 //!
-//! **Bit-identity** with [`crate::top_k_tiled`] is by construction, not
-//! by tolerance:
+//! **Bit-identity** with [`crate::top_k_tiled`] is the one exactness
+//! argument of [`crate::kernels`], given the same row bits: sources
+//! hand back the file's raw row bits, and the band loader normalizes
+//! with the exact arithmetic of
+//! [`crate::SeriesMatrixBuilder::set_row_normalized`] (`n = norm2`, zero
+//! rows verbatim, else `v / n` per element), so every band row equals
+//! the in-memory matrix row bit for bit. The rest — same `dot`,
+//! order-free top-k buffers, exact merge — is shared code, so any
+//! band-pair schedule that scores each unordered pair exactly once
+//! reproduces the sequential tiled result.
 //!
-//! 1. sources hand back the file's raw row bits; the band loader
-//!    normalizes with the exact arithmetic of
-//!    [`crate::SeriesMatrixBuilder::set_row_normalized`] (`n = norm2`,
-//!    zero rows verbatim, else `v / n` per element), so every row's
-//!    normalized bits equal the in-memory matrix row bits;
-//! 2. every pair score goes through the one canonical [`dot`] (or
-//!    [`crate::simd::dot_scaled`] for the fused twin), so pair scores
-//!    are bitwise equal;
-//! 3. the `TopKBuffer` kept set is a function of the pushed *set*, not
-//!    the push order, and [`merge_partials`](crate::merge_partials) is
-//!    exact over any partition of the scored pairs — so any band-pair
-//!    schedule that scores each unordered pair exactly once reproduces
-//!    the sequential tiled result bit for bit.
-//!
-//! The scaled (fused-tier) twin mirrors [`crate::top_k_tiled_scaled`]
-//! instead: bands stay raw, per-row inverse norms come from the same
-//! [`crate::simd::sumsq4`] pass, and it is bit-identical to the
-//! in-memory *scaled* kernel (which itself tracks the exact kernel
-//! within [`crate::simd::FUSED_REL_TOL`]).
+//! With a `scaling` vector bands stay raw, per-row inverse norms come
+//! from [`oooc_inverse_norms`] (the same [`crate::simd::sumsq4`] pass as
+//! [`crate::SeriesMatrix::inverse_norms`]), and the result is
+//! bit-identical to the in-memory kernel given the same vector (which
+//! itself tracks the exact kernel within
+//! [`crate::simd::FUSED_REL_TOL`]).
 //!
 //! Memory model, scheduler diagram, and cache policy: DESIGN.md §16.
 
-use std::cell::Cell;
 use std::ops::Range;
 
 use smda_types::{Error, Result};
 
-use crate::kernels::{KernelStats, TileConfig, TopKBuffer};
+use crate::kernels::{
+    claim_all, inverse_norm, KernelStats, PairScorer, RowBlock, TileConfig, TopKBuffer,
+};
 use crate::similarity::{dot, norm2, SimilarityMatch};
 
 /// Band height the engines use by default: 256 rows × 8760 h × 8 B
@@ -58,7 +56,7 @@ use crate::similarity::{dot, norm2, SimilarityMatch};
 pub const DEFAULT_BAND_ROWS: usize = 256;
 
 /// Anything that can materialize contiguous bands of **raw** rows on
-/// demand: the out-of-core kernels' view of a dataset. Implementations
+/// demand: the out-of-core kernel's view of a dataset. Implementations
 /// must hand back exactly the bits the in-memory path would have been
 /// built from — normalization happens inside the kernel so that the
 /// arithmetic (and therefore every output bit) is shared.
@@ -139,8 +137,8 @@ pub fn band_count(rows: usize, band_rows: usize) -> usize {
 }
 
 /// Number of band pairs (`bi ≤ bj`) — the unit of work a parallel
-/// executor claims; pass indices `0..band_pair_count` to the partial
-/// kernels' `claim` closures.
+/// executor claims; hand indices `0..band_pair_count` to
+/// [`top_k_oooc_partial`]'s `claim` closure.
 pub fn band_pair_count(bands: usize) -> usize {
     bands * (bands + 1) / 2
 }
@@ -166,7 +164,8 @@ fn band_pair_at(bands: usize, t: usize) -> (usize, usize) {
     (lo, lo + (t - offset(lo)))
 }
 
-/// One memoized band buffer: raw (or prepared) rows `start..start+rows`.
+/// One memoized band buffer: rows `start..start + rows`, unit-normalized
+/// for the exact tier, raw for the scaled one.
 #[derive(Default)]
 struct Band {
     idx: Option<usize>,
@@ -175,15 +174,25 @@ struct Band {
     data: Vec<f64>,
 }
 
-/// Load band `bi` into `band` unless it is already resident, then run
-/// `prepare` (normalization for the exact tier, nothing for the scaled
-/// tier) over the fresh rows.
-fn ensure_band<P: Fn(&mut [f64], usize, usize)>(
+impl Band {
+    fn block(&self, stride: usize) -> RowBlock<'_> {
+        RowBlock {
+            data: &self.data,
+            start: self.start,
+            rows: self.rows,
+            stride,
+        }
+    }
+}
+
+/// Load band `bi` into `band` unless it is already resident,
+/// unit-normalizing the fresh rows when `normalize`.
+fn ensure_band(
     band: &mut Band,
     src: &dyn SeriesSource,
     band_rows: usize,
     bi: usize,
-    prepare: &P,
+    normalize: bool,
     stats: &mut OoocStats,
 ) -> Result<()> {
     if band.idx == Some(bi) {
@@ -201,7 +210,9 @@ fn ensure_band<P: Fn(&mut [f64], usize, usize)>(
             rows * stride
         )));
     }
-    prepare(&mut band.data, stride, rows);
+    if normalize {
+        normalize_band(&mut band.data, stride, rows);
+    }
     band.idx = Some(bi);
     band.start = start;
     band.rows = rows;
@@ -225,241 +236,69 @@ fn normalize_band(data: &mut [f64], stride: usize, rows: usize) {
     }
 }
 
-/// Score the triangle inside one band (diagonal band pair), tiled the
-/// same way as the in-memory kernel's tile row: a query block stays
-/// hot while the band's remaining rows stream through.
-fn score_diagonal<S: Fn(usize, usize, &[f64], &[f64]) -> f64>(
-    band: &Band,
-    stride: usize,
-    cfg: &TileConfig,
-    bufs: &mut [TopKBuffer],
-    stats: &mut OoocStats,
-    score: &S,
-) {
-    let qb = cfg.query_block.max(1);
-    let cb = cfg.candidate_block.max(1);
-    let data = &band.data;
-    let mut q0 = 0;
-    while q0 < band.rows {
-        let q1 = (q0 + qb).min(band.rows);
-        for ii in q0..q1 {
-            for jj in (ii + 1)..q1 {
-                push_pair(
-                    band.start + ii,
-                    band.start + jj,
-                    data,
-                    data,
-                    ii,
-                    jj,
-                    stride,
-                    bufs,
-                    stats,
-                    score,
-                );
-            }
-        }
-        let mut c0 = q1;
-        while c0 < band.rows {
-            let c1 = (c0 + cb).min(band.rows);
-            for jj in c0..c1 {
-                for ii in q0..q1 {
-                    push_pair(
-                        band.start + ii,
-                        band.start + jj,
-                        data,
-                        data,
-                        ii,
-                        jj,
-                        stride,
-                        bufs,
-                        stats,
-                        score,
-                    );
-                }
-            }
-            c0 = c1;
-        }
-        q0 = q1;
-    }
-}
-
-/// Score the full cross product of two distinct bands (off-diagonal
-/// band pair): query blocks of band `a` stay hot while band `b`'s rows
-/// stream through.
-fn score_cross<S: Fn(usize, usize, &[f64], &[f64]) -> f64>(
-    a: &Band,
-    b: &Band,
-    stride: usize,
-    cfg: &TileConfig,
-    bufs: &mut [TopKBuffer],
-    stats: &mut OoocStats,
-    score: &S,
-) {
-    let qb = cfg.query_block.max(1);
-    let mut q0 = 0;
-    while q0 < a.rows {
-        let q1 = (q0 + qb).min(a.rows);
-        for jj in 0..b.rows {
-            for ii in q0..q1 {
-                push_pair(
-                    a.start + ii,
-                    b.start + jj,
-                    &a.data,
-                    &b.data,
-                    ii,
-                    jj,
-                    stride,
-                    bufs,
-                    stats,
-                    score,
-                );
-            }
-        }
-        q0 = q1;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn push_pair<S: Fn(usize, usize, &[f64], &[f64]) -> f64>(
-    i: usize,
-    j: usize,
-    a: &[f64],
-    b: &[f64],
-    ii: usize,
-    jj: usize,
-    stride: usize,
-    bufs: &mut [TopKBuffer],
-    stats: &mut OoocStats,
-    score: &S,
-) {
-    let ra = &a[ii * stride..(ii + 1) * stride];
-    let rb = &b[jj * stride..(jj + 1) * stride];
-    let s = score(i, j, ra, rb);
-    stats.kernel.pairs_scored += 1;
-    bufs[i].push(SimilarityMatch { index: j, score: s });
-    bufs[j].push(SimilarityMatch { index: i, score: s });
-}
-
-/// Shared driver for the partial (work-claiming) out-of-core kernels.
-fn oooc_partial_with<P, S>(
+/// One worker's share of the out-of-core kernel: repeatedly claim a
+/// band pair index in `0..band_pair_count(band_count(n, band_rows))`
+/// from `claim` and score it — a diagonal pair is the in-memory tile
+/// sweep inside one band buffer, an off-diagonal pair the cross product
+/// of two — returning per-query partial top-k lists plus streaming
+/// stats. Feed all workers' partials to
+/// [`merge_partials`](crate::merge_partials); the claimed indices must
+/// partition the band-pair range or pairs will be double-counted.
+///
+/// Without `scaling`, bands are unit-normalized on load and the output
+/// is bit-identical to [`crate::top_k_tiled`] over the matrix the source
+/// describes (see the module docs for the argument). With it, bands
+/// stay **raw** and the output is bit-identical to
+/// [`crate::top_k_tiled_with`] over the same raw rows and inverse norms
+/// (compute them with [`oooc_inverse_norms`]).
+///
+/// # Panics
+/// Panics on a claimed band pair out of range, or if `scaling` does not
+/// hold one inverse norm per row.
+pub fn top_k_oooc_partial(
     src: &dyn SeriesSource,
+    scaling: Option<&[f64]>,
     k: usize,
     band_rows: usize,
     cfg: &TileConfig,
     claim: &dyn Fn() -> Option<usize>,
-    prepare: P,
-    score: S,
-) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)>
-where
-    P: Fn(&mut [f64], usize, usize),
-    S: Fn(usize, usize, &[f64], &[f64]) -> f64,
-{
-    let n = src.rows();
+) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
     let stride = src.stride();
     let band_rows = band_rows.max(1);
-    let bands = band_count(n, band_rows);
+    let bands = band_count(src.rows(), band_rows);
     let total = band_pair_count(bands);
+    let normalize = scaling.is_none();
     let mut stats = OoocStats::default();
-    let mut bufs: Vec<TopKBuffer> = (0..n).map(|_| TopKBuffer::new(k)).collect();
+    let mut scorer = PairScorer::new(src.rows(), k, cfg, scaling);
     let mut a = Band::default();
     let mut b = Band::default();
-    let mut touched = false;
     while let Some(t) = claim() {
         assert!(t < total, "band pair {t} out of range ({total})");
-        touched = true;
         let (bi, bj) = band_pair_at(bands, t);
         // Keep the outer band hot: bi-major claims mostly repeat bi, and
         // when roles flip the other buffer may already hold it.
         if a.idx != Some(bi) && b.idx == Some(bi) {
             std::mem::swap(&mut a, &mut b);
         }
-        ensure_band(&mut a, src, band_rows, bi, &prepare, &mut stats)?;
-        if bi == bj {
-            score_diagonal(&a, stride, cfg, &mut bufs, &mut stats, &score);
+        ensure_band(&mut a, src, band_rows, bi, normalize, &mut stats)?;
+        let other = if bi == bj {
+            None
         } else {
-            ensure_band(&mut b, src, band_rows, bj, &prepare, &mut stats)?;
-            score_cross(&a, &b, stride, cfg, &mut bufs, &mut stats, &score);
-        }
+            ensure_band(&mut b, src, band_rows, bj, normalize, &mut stats)?;
+            Some(b.block(stride))
+        };
+        scorer.score(a.block(stride), 0..a.rows, other);
     }
-    if !touched {
-        // Claimed nothing: empty partial, so merges stay cheap.
-        return Ok((vec![Vec::new(); n], stats));
-    }
-    Ok((bufs.into_iter().map(TopKBuffer::finish).collect(), stats))
+    let (matches, kernel) = scorer.finish();
+    stats.kernel = kernel;
+    Ok((matches, stats))
 }
 
-/// One worker's share of the out-of-core kernel: repeatedly claim a
-/// band pair index in `0..band_pair_count(band_count(n, band_rows))`
-/// from `claim` and score it, returning per-query partial top-k lists
-/// plus streaming stats. Feed all workers' partials to
-/// [`merge_partials`](crate::merge_partials); the claimed indices must
-/// partition the band-pair range or pairs will be double-counted.
-///
-/// Bit-identical to [`crate::top_k_tiled`] over the matrix the source
-/// describes (see the module docs for the argument).
-pub fn top_k_oooc_partial(
-    src: &dyn SeriesSource,
-    k: usize,
-    band_rows: usize,
-    cfg: &TileConfig,
-    claim: &dyn Fn() -> Option<usize>,
-) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
-    oooc_partial_with(
-        src,
-        k,
-        band_rows,
-        cfg,
-        claim,
-        normalize_band,
-        |_, _, ra, rb| dot(ra, rb),
-    )
-}
-
-/// Fused (tolerance-tier) twin of [`top_k_oooc_partial`]: bands stay
-/// **raw** and each pair scores
-/// `dot_scaled(a, b, inv_norms[i] * inv_norms[j])` — bit-identical to
-/// [`crate::top_k_tiled_scaled`] over the same rows and inverse norms
-/// (compute them with [`oooc_inverse_norms`]).
-///
-/// # Panics
-/// Panics if `inv_norms.len() != src.rows()`.
-pub fn top_k_oooc_scaled_partial(
-    src: &dyn SeriesSource,
-    inv_norms: &[f64],
-    k: usize,
-    band_rows: usize,
-    cfg: &TileConfig,
-    claim: &dyn Fn() -> Option<usize>,
-) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
-    assert_eq!(inv_norms.len(), src.rows(), "one inverse norm per row");
-    oooc_partial_with(
-        src,
-        k,
-        band_rows,
-        cfg,
-        claim,
-        |_, _, _| {},
-        |i, j, ra, rb| crate::simd::dot_scaled(ra, rb, inv_norms[i] * inv_norms[j]),
-    )
-}
-
-/// Sequential wrapper over a claim counter covering every band pair.
-fn sequential_claim(total: usize) -> impl Fn() -> Option<usize> {
-    let next = Cell::new(0usize);
-    move || {
-        let t = next.get();
-        (t < total).then(|| {
-            next.set(t + 1);
-            t
-        })
-    }
-}
-
-/// The sequential out-of-core kernel: for every row of the source, the
-/// `k` most cosine-similar other rows, best first — bit-identical to
-/// [`crate::top_k_tiled`] over the same matrix, with resident memory
-/// bounded by two band buffers plus the top-k state.
+/// The sequential out-of-core kernel — one worker claiming every band
+/// pair: for every row of the source, the `k` most cosine-similar other
+/// rows, best first — bit-identical to [`crate::top_k_tiled`] over the
+/// same matrix, with resident memory bounded by two band buffers plus
+/// the top-k state.
 pub fn top_k_oooc(
     src: &dyn SeriesSource,
     k: usize,
@@ -467,43 +306,21 @@ pub fn top_k_oooc(
     cfg: &TileConfig,
 ) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
     let total = band_pair_count(band_count(src.rows(), band_rows));
-    top_k_oooc_partial(src, k, band_rows, cfg, &sequential_claim(total))
-}
-
-/// Sequential fused twin of [`top_k_oooc`]; see
-/// [`top_k_oooc_scaled_partial`].
-///
-/// # Panics
-/// Panics if `inv_norms.len() != src.rows()`.
-pub fn top_k_oooc_scaled(
-    src: &dyn SeriesSource,
-    inv_norms: &[f64],
-    k: usize,
-    band_rows: usize,
-    cfg: &TileConfig,
-) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
-    let total = band_pair_count(band_count(src.rows(), band_rows));
-    top_k_oooc_scaled_partial(src, inv_norms, k, band_rows, cfg, &sequential_claim(total))
+    top_k_oooc_partial(src, None, k, band_rows, cfg, &claim_all(total))
 }
 
 /// Per-row `1/‖row‖` computed in one streaming pass — bit-identical to
 /// [`crate::SeriesMatrix::inverse_norms`] over the same raw rows (the
 /// same [`crate::simd::sumsq4`] reduction, `0.0` for zero rows).
 pub fn oooc_inverse_norms(src: &dyn SeriesSource, band_rows: usize) -> Result<Vec<f64>> {
-    let n = src.rows();
-    let stride = src.stride();
     let band_rows = band_rows.max(1);
-    let mut out = Vec::with_capacity(n);
-    let mut buf = Vec::new();
-    let mut start = 0;
-    while start < n {
-        let end = (start + band_rows).min(n);
-        src.load_band(start..end, &mut buf)?;
-        for r in 0..end - start {
-            let s = crate::simd::sumsq4(&buf[r * stride..(r + 1) * stride]).sqrt();
-            out.push(if s == 0.0 { 0.0 } else { 1.0 / s });
-        }
-        start = end;
+    let mut band = Band::default();
+    let mut out = Vec::with_capacity(src.rows());
+    let mut unused = OoocStats::default();
+    for bi in 0..band_count(src.rows(), band_rows) {
+        ensure_band(&mut band, src, band_rows, bi, false, &mut unused)?;
+        let block = band.block(src.stride());
+        out.extend((0..block.rows).map(|r| inverse_norm(block.row(r))));
     }
     Ok(out)
 }
@@ -513,9 +330,7 @@ pub fn oooc_inverse_norms(src: &dyn SeriesSource, band_rows: usize) -> Result<Ve
 /// out-of-core analogue of [`crate::top_k_query`], bit-identical to it
 /// per query over the same matrix. This is the query-workload tier the
 /// sweep uses where all-pairs would be quadratic in a million rows.
-///
-/// # Panics
-/// Panics if any query index is out of range.
+/// A query index past the last row is an [`Error::Invalid`].
 pub fn top_k_oooc_queries(
     src: &dyn SeriesSource,
     queries: &[usize],
@@ -526,28 +341,23 @@ pub fn top_k_oooc_queries(
     let stride = src.stride();
     let band_rows = band_rows.max(1);
     let mut stats = OoocStats::default();
-    let mut buf = Vec::new();
+    let mut band = Band::default();
     let mut qrows: Vec<f64> = Vec::with_capacity(queries.len() * stride);
     for &q in queries {
-        assert!(q < n, "query row {q} out of range ({n})");
-        src.load_band(q..q + 1, &mut buf)?;
-        normalize_band(&mut buf, stride, 1);
-        qrows.extend_from_slice(&buf);
-        stats.bands_loaded += 1;
-        stats.bytes_streamed += (stride * 8) as u64;
+        if q >= n {
+            return Err(Error::Invalid(format!("query row {q} out of range ({n})")));
+        }
+        ensure_band(&mut band, src, 1, q, true, &mut stats)?;
+        qrows.extend_from_slice(&band.data);
     }
     let mut bufs: Vec<TopKBuffer> = queries.iter().map(|_| TopKBuffer::new(k)).collect();
-    let mut start = 0;
-    while start < n {
-        let end = (start + band_rows).min(n);
-        src.load_band(start..end, &mut buf)?;
-        let rows = end - start;
-        normalize_band(&mut buf, stride, rows);
-        stats.bands_loaded += 1;
-        stats.bytes_streamed += (rows * stride * 8) as u64;
-        for jj in 0..rows {
-            let row = &buf[jj * stride..(jj + 1) * stride];
-            let j = start + jj;
+    // A fresh buffer: the memo above is keyed by one-row bands.
+    let mut band = Band::default();
+    for bi in 0..band_count(n, band_rows) {
+        ensure_band(&mut band, src, band_rows, bi, true, &mut stats)?;
+        let block = band.block(stride);
+        for jj in 0..block.rows {
+            let j = block.start + jj;
             for (slot, &q) in queries.iter().enumerate() {
                 if j == q {
                     continue;
@@ -555,12 +365,11 @@ pub fn top_k_oooc_queries(
                 let query = &qrows[slot * stride..(slot + 1) * stride];
                 bufs[slot].push(SimilarityMatch {
                     index: j,
-                    score: dot(query, row),
+                    score: dot(query, block.row(jj)),
                 });
                 stats.kernel.pairs_scored += 1;
             }
         }
-        start = end;
     }
     Ok((bufs.into_iter().map(TopKBuffer::finish).collect(), stats))
 }
@@ -568,41 +377,11 @@ pub fn top_k_oooc_queries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{top_k_query, top_k_tiled, top_k_tiled_scaled, SeriesMatrix};
+    use crate::kernels::{top_k_query, top_k_tiled, top_k_tiled_with, SeriesMatrix};
     use crate::merge_partials;
+    use crate::testutil::{assert_bit_identical, flat, pseudo_series};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn pseudo_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1000) as f64 / 250.0
-        };
-        (0..n).map(|_| (0..len).map(|_| next()).collect()).collect()
-    }
-
-    fn flat(rows: &[Vec<f64>]) -> (Vec<f64>, usize) {
-        let stride = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(rows.len() * stride);
-        for r in rows {
-            data.extend_from_slice(r);
-        }
-        (data, stride)
-    }
-
-    fn assert_bit_identical(a: &[Vec<SimilarityMatch>], b: &[Vec<SimilarityMatch>]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.len(), y.len());
-            for (h, g) in x.iter().zip(y) {
-                assert_eq!(h.index, g.index);
-                assert_eq!(h.score.to_bits(), g.score.to_bits(), "score bits differ");
-            }
-        }
-    }
 
     #[test]
     fn band_pair_enumeration_is_a_bijection() {
@@ -649,7 +428,8 @@ mod tests {
         let rows = pseudo_series(29, 23, 77);
         let raw = SeriesMatrix::from_rows_raw(&rows);
         let inv = raw.inverse_norms();
-        let (expect, _) = top_k_tiled_scaled(&raw, &inv, 4, &cfg);
+        let tiles = claim_all(cfg.tile_rows(29));
+        let (expect, _) = top_k_tiled_with(&raw, Some(&inv), 4, &cfg, &tiles);
         let (data, stride) = flat(&rows);
         let src = SliceSource::new(&data, 29, stride);
         let inv_oooc = oooc_inverse_norms(&src, 7).unwrap();
@@ -658,7 +438,9 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for band_rows in [1usize, 5, 64] {
-            let (got, _) = top_k_oooc_scaled(&src, &inv_oooc, 4, band_rows, &cfg).unwrap();
+            let pairs = claim_all(band_pair_count(band_count(29, band_rows)));
+            let (got, _) =
+                top_k_oooc_partial(&src, Some(&inv_oooc), 4, band_rows, &cfg, &pairs).unwrap();
             assert_bit_identical(&expect, &got);
         }
     }
@@ -679,7 +461,7 @@ mod tests {
         let mut partials = Vec::new();
         let mut merged_stats = OoocStats::default();
         for _ in 0..3 {
-            let (p, s) = top_k_oooc_partial(&src, 3, 4, &cfg, &claim).unwrap();
+            let (p, s) = top_k_oooc_partial(&src, None, 3, 4, &cfg, &claim).unwrap();
             merged_stats.merge(&s);
             partials.push(p);
         }
@@ -707,6 +489,14 @@ mod tests {
             );
         }
         assert!(stats.bands_loaded > 0);
+    }
+
+    #[test]
+    fn out_of_range_query_is_an_error_not_a_panic() {
+        let (data, stride) = flat(&pseudo_series(5, 7, 1));
+        let src = SliceSource::new(&data, 5, stride);
+        let err = top_k_oooc_queries(&src, &[0, 5], 2, 3).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
     }
 
     #[test]
@@ -742,6 +532,11 @@ mod tests {
         }
         let err = top_k_oooc(&Short, 2, 2, &TileConfig::default()).unwrap_err();
         assert!(matches!(err, Error::Invalid(_)));
+        // The query and norm passes load through the same checked path.
+        let err = top_k_oooc_queries(&Short, &[1], 2, 2).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)));
+        let err = oooc_inverse_norms(&Short, 2).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)));
     }
 
     proptest! {
@@ -759,7 +554,7 @@ mod tests {
         ) {
             let rows = pseudo_series(n, stride, seed);
             let m = SeriesMatrix::from_rows_normalized(&rows);
-            let cfg = TileConfig { query_block: 3, candidate_block: 5 };
+            let cfg = TileConfig { query_block: 3 };
             let (expect, _) = top_k_tiled(&m, k, &cfg);
             let (data, _) = flat(&rows);
             let src = SliceSource::new(&data, n, stride);
@@ -779,11 +574,14 @@ mod tests {
             let raw = SeriesMatrix::from_rows_raw(&rows);
             let inv = raw.inverse_norms();
             let cfg = TileConfig::default();
-            let (expect, _) = top_k_tiled_scaled(&raw, &inv, k, &cfg);
+            let tiles = claim_all(cfg.tile_rows(n));
+            let (expect, _) = top_k_tiled_with(&raw, Some(&inv), k, &cfg, &tiles);
             let (data, _) = flat(&rows);
             let src = SliceSource::new(&data, n, stride);
             let inv2 = oooc_inverse_norms(&src, band_rows).unwrap();
-            let (got, _) = top_k_oooc_scaled(&src, &inv2, k, band_rows, &cfg).unwrap();
+            let pairs = claim_all(band_pair_count(band_count(n, band_rows)));
+            let (got, _) =
+                top_k_oooc_partial(&src, Some(&inv2), k, band_rows, &cfg, &pairs).unwrap();
             assert_bit_identical(&expect, &got);
         }
     }

@@ -36,7 +36,7 @@
 //!
 //! The contract is enforced by proptests in this crate (dirty scratch ≡
 //! fresh scratch ≡ allocating reference) and by `smda-bench
-//! --check-fits` end to end.
+//! --check fits` end to end.
 
 // Triangular factorizations index several buffers with mutually offset
 // ranges; explicit indices mirror `linalg` and read better here.

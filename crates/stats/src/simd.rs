@@ -18,20 +18,21 @@
 //!   (`((a0+a1)+(a2+a3)) + tail`). No FMA — a fused multiply-add rounds
 //!   once where the reference rounds twice. These kernels are
 //!   **bit-identical** to their scalar references on every input and are
-//!   pinned by proptests and `smda-bench --check-kernels`.
+//!   pinned by proptests and `smda-bench --check kernels`.
 //! * **Fused (tolerance-gated).** [`sumsq4`] *as a replacement for* the
 //!   canonical single-chain [`sumsq`](crate::similarity::sumsq), and
 //!   [`dot_scaled`] (score raw rows and fold the two inverse norms into
 //!   one post-multiply instead of pre-normalizing the matrix) change
-//!   summation order or rounding-step count. They are **opt-in** via
-//!   [`KernelDispatch::fused`], never run on a default path, and are
-//!   gated by `smda-bench --check-simd` against the scalar reference at
-//!   relative error ≤ [`FUSED_REL_TOL`].
+//!   summation order or rounding-step count. They run only where a
+//!   caller passes a `scaling` vector to the similarity kernels
+//!   ([`crate::top_k_tiled_with`], [`crate::top_k_oooc_partial`]) — no
+//!   engine does — and are gated by `smda-bench --check simd` against
+//!   the scalar reference at relative error ≤ [`FUSED_REL_TOL`].
 //!
 //! # Dispatch
 //!
-//! One process-global [`KernelDispatch`] decides what runs. The SIMD
-//! tier is detected once (`is_x86_feature_detected!("avx2")`) and every
+//! One process-global tier ([`KernelDispatch`] snapshots it) decides
+//! what runs. It is detected once (`is_x86_feature_detected!("avx2")`) and every
 //! hot entry point — [`crate::dot`], [`axpy`], [`sumsq4`] — consults the
 //! cached tier with a single relaxed atomic load before a year-long
 //! loop. All five platforms share these entry points (the naive scan,
@@ -42,7 +43,7 @@
 //! [`force_tier`]; forcing [`SimdTier::Avx2`] on hardware without AVX2
 //! clamps back to scalar rather than faulting.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::similarity::dot_scalar;
 
@@ -77,9 +78,6 @@ impl SimdTier {
 pub struct KernelDispatch {
     /// Active implementation tier for the lane-preserving kernels.
     pub tier: SimdTier,
-    /// Whether tolerance-gated fused variants may run (off by default;
-    /// enabling changes float results within [`FUSED_REL_TOL`]).
-    pub fused: bool,
 }
 
 impl KernelDispatch {
@@ -87,14 +85,12 @@ impl KernelDispatch {
     pub fn current() -> KernelDispatch {
         KernelDispatch {
             tier: active_tier(),
-            fused: FUSED.load(Ordering::Relaxed),
         }
     }
 }
 
 /// 0 = undetected, 1 = scalar, 2 = AVX2.
 static TIER: AtomicU8 = AtomicU8::new(0);
-static FUSED: AtomicBool = AtomicBool::new(false);
 
 /// Whether this CPU supports the AVX2 kernels (cached after first call).
 pub fn avx2_supported() -> bool {
@@ -143,17 +139,6 @@ pub fn force_tier(tier: SimdTier) -> SimdTier {
         Ordering::Relaxed,
     );
     previous
-}
-
-/// Enable or disable the tolerance-gated fused kernels, returning the
-/// previous setting.
-pub fn set_fused(enabled: bool) -> bool {
-    FUSED.swap(enabled, Ordering::Relaxed)
-}
-
-/// Whether fused (tolerance-tier) kernels are currently opted in.
-pub fn fused_enabled() -> bool {
-    FUSED.load(Ordering::Relaxed)
 }
 
 /// Dispatched dot product: AVX2 lane-preserving kernel when active,
@@ -264,8 +249,8 @@ unsafe fn axpy_avx2_impl(acc: &mut [f64], a: f64, x: &[f64]) {
 /// Four-accumulator sum of squares — the *wide* variant of the canonical
 /// single-chain [`sumsq`](crate::similarity::sumsq). Deterministic on
 /// every machine (the scalar body and the AVX2 body are lane-identical),
-/// but **not** bit-equal to the canonical chain, so it only runs where
-/// the fused tier was opted in; callers on the exact path must use
+/// but **not** bit-equal to the canonical chain, so it only serves the
+/// tolerance tier; callers on the exact path must use
 /// [`sumsq`](crate::similarity::sumsq).
 ///
 /// Used by the fused scoring path to fold row norms without a
@@ -404,18 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_flag_round_trips() {
-        let was = set_fused(true);
-        assert!(fused_enabled());
-        assert!(set_fused(was));
-        assert_eq!(fused_enabled(), was);
-    }
-
-    #[test]
     fn dispatch_snapshot_reflects_globals() {
         let d = KernelDispatch::current();
         assert_eq!(d.tier, active_tier());
-        assert_eq!(d.fused, fused_enabled());
         assert!(!d.tier.label().is_empty());
     }
 }

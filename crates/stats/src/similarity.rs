@@ -22,7 +22,7 @@ pub fn norm2(v: &[f64]) -> f64 {
 /// bit**. Dispatches to the lane-preserving AVX2 kernel when the CPU has
 /// it; that kernel maps [`dot_scalar`]'s 4 accumulators onto 4 vector
 /// lanes with the same reduction tree, so the dispatch is invisible at
-/// the bit level (pinned by `--check-kernels` and proptests).
+/// the bit level (pinned by `--check kernels` and proptests).
 /// `dot(a, b) == dot(b, a)` exactly because per-element products commute
 /// bitwise.
 ///

@@ -37,26 +37,8 @@ if [ "$fast" -eq 0 ]; then
     echo "== release build =="
     cargo build --release --workspace
 
-    echo "== kernel equivalence =="
-    cargo run --release -q -p smda-bench -- --smoke --check-kernels
-
-    echo "== fit equivalence + allocation gate =="
-    cargo run --release -q -p smda-bench -- --smoke --check-fits
-
-    echo "== serve bit-identity =="
-    cargo run --release -q -p smda-bench -- --smoke --check-serve
-
-    echo "== real transport bit-identity + one-kill chaos =="
-    cargo run --release -q -p smda-bench -- --smoke --check-real
-
-    echo "== simd equivalence (lane bit-exact + fused tolerance) =="
-    cargo run --release -q -p smda-bench -- --smoke --check-simd
-
-    echo "== format equivalence (SMC1 write -> mmap read -> bit-compare) =="
-    cargo run --release -q -p smda-bench -- --smoke --check-format
-
-    echo "== out-of-core equivalence (banded SMC1 streaming, bounded heap) =="
-    cargo run --release -q -p smda-bench -- --smoke --check-oooc
+    echo "== equivalence gates (kernels fits serve real simd format oooc) =="
+    cargo run --release -q -p smda-bench -- --smoke --check all
 
     echo "== bench history regression gate =="
     scripts/benchgate.sh
