@@ -116,17 +116,32 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     ))
 }
 
+/// Whether the dispatched `dot_block::<R, C>` over the first `R + C` of
+/// `rows` equals `dot_scalar` pair by pair, bit for bit.
+fn block_matches_scalar<const R: usize, const C: usize>(rows: &[Vec<f64>]) -> bool {
+    let queries: [&[f64]; R] = std::array::from_fn(|r| &rows[r][..]);
+    let candidates: [&[f64]; C] = std::array::from_fn(|c| &rows[R + c][..]);
+    let got = smda_stats::dot_block(queries, candidates);
+    got.iter().zip(queries).all(|(scores, q)| {
+        scores
+            .iter()
+            .zip(candidates)
+            .all(|(s, c)| s.to_bits() == smda_stats::dot_scalar(q, c).to_bits())
+    })
+}
+
 /// SIMD equivalence gate (`smda-bench --check simd`).
 ///
 /// Two tiers (DESIGN.md §14):
 ///
-/// 1. **Lane-preserving, bit-exact.** The AVX2 `dot` and `axpy` kernels
+/// 1. **Lane-preserving, bit-exact.** The AVX2 `dot`, `dot_block` (every
+///    shape the kernels instantiate) and `axpy` kernels
 ///    must be `to_bits`-identical to the scalar references across ragged
 ///    lengths 0..=67 and a full 8760-hour year. Skipped with a logged
 ///    note on hardware without AVX2 (the dispatch then provably runs the
 ///    scalar reference, which is identity by definition).
 /// 2. **Fused, tolerance-gated.** Given a `scaling` vector, the raw
-///    matrix + `dot_scaled` kernel over one seeded dataset must pick the
+///    matrix + post-multiplied kernel over one seeded dataset must pick the
 ///    same top-k indices as the exact pre-normalized kernel with every
 ///    score within `FUSED_REL_TOL` (relative error ≤ 1e-12), on one
 ///    worker and through the pool.
@@ -167,6 +182,21 @@ fn check_simd(scale: Scale) -> std::result::Result<String, String> {
                 .any(|(x, y)| x.to_bits() != y.to_bits())
             {
                 return Err(format!("axpy diverged from scalar at len={len}"));
+            }
+            // Every block shape the similarity kernels instantiate: the
+            // 4 × 2 pair block, the one-row scan and its remainders.
+            let rows: Vec<Vec<f64>> = (0..6).map(|_| (0..len).map(|_| next()).collect()).collect();
+            let shapes = [
+                ("4x2", block_matches_scalar::<4, 2>(&rows)),
+                ("1x4", block_matches_scalar::<1, 4>(&rows)),
+                ("1x3", block_matches_scalar::<1, 3>(&rows)),
+                ("1x2", block_matches_scalar::<1, 2>(&rows)),
+                ("1x1", block_matches_scalar::<1, 1>(&rows)),
+            ];
+            if let Some((shape, _)) = shapes.iter().find(|(_, same)| !same) {
+                return Err(format!(
+                    "{shape} block kernel diverged from scalar at len={len}"
+                ));
             }
         }
     } else {

@@ -354,6 +354,10 @@ mod tests {
         }
     }
 
+    /// Row length of the generated matrices: a one-element ragged tail
+    /// past the last four-wide chunk.
+    const STRIDE: usize = 13;
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -365,9 +369,10 @@ mod tests {
         /// resident and banded, and within tolerance of exact.
         #[test]
         fn prop_every_entry_point_matches_the_naive_scan(
-            rows in prop::collection::vec(prop::collection::vec(0.0f64..4.0, 12), 0..28),
+            rows in prop::collection::vec(prop::collection::vec(0.0f64..4.0, STRIDE), 0..28),
             k in 0usize..6,
             band in 1usize..40,
+            query_block in 0usize..=9,
         ) {
             let n = rows.len();
             let want = top_k_cosine(&rows, k);
@@ -378,10 +383,12 @@ mod tests {
             };
             let matrix = SeriesMatrix::from_rows_normalized(&rows);
             let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-            let src = SliceSource::new(&flat, n, 12);
+            let src = SliceSource::new(&flat, n, STRIDE);
             let sink = MetricsSink::disabled();
-            // Three-row query blocks straddle every n drawn here.
-            let cfg = TileConfig { query_block: 3 };
+            // With n and the band height, the query block (zero is read
+            // as one) makes every shape of the block walk occur: one to
+            // three query rows past a group of four, an odd candidate.
+            let cfg = TileConfig { query_block };
 
             let (got, stats) = top_k_tiled(&matrix, k, &cfg);
             check("tiled", &got, stats.pairs_scored);

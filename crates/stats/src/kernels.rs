@@ -16,10 +16,11 @@
 //!   similarity entry point. It is lent row blocks (the whole resident
 //!   matrix here; band buffers in [`crate::oooc`]), keeps a block of
 //!   query rows hot in cache while candidate rows stream through,
-//!   computes each `(i, j)` score **once** — the canonical 4-wide
-//!   [`dot`] on unit rows, or [`crate::simd::dot_scaled`] on raw rows
-//!   when a `scaling` vector is given — and credits it to both rows'
-//!   bounded top-k buffers.
+//!   computes each `(i, j)` score **once** — in register blocks of
+//!   four query rows by two candidate rows ([`dot_block`]), each pair
+//!   the canonical [`dot`](crate::dot) bit for bit, times the two
+//!   inverse norms on raw rows when a `scaling` vector is given — and
+//!   credits it to both rows' bounded top-k buffers.
 //! * [`top_k_tiled_with`] / [`merge_partials`] — the in-memory kernel,
 //!   as the one primitive there is: a worker claims tile rows off a
 //!   caller-supplied counter and returns per-query partial top-k lists;
@@ -28,38 +29,66 @@
 //!   all.
 //!
 //! **Exactness**, for every tier and schedule (DESIGN.md §9): the same
-//! row bits go through the same `dot`, so each pair's score is the
-//! naive scan's ([`crate::top_k_cosine`]) bit for bit; a top-k buffer
-//! keeps a function of the *set* of hits pushed, not their order,
-//! under the total order (score desc, index asc) of [`select_top_k`];
-//! and the k best of a query are among the k best of any subset that
-//! contains them, so merging partials over any partition of the pairs
-//! reproduces the sequential result.
+//! row bits go through `dot`'s own operations in `dot`'s order (a
+//! block keeps one accumulator per pair, DESIGN.md §14), so each pair's
+//! score is the naive scan's ([`crate::top_k_cosine`]) bit for bit; a
+//! top-k buffer keeps a function of the *set* of hits pushed, not their
+//! order, under the total order (score desc, index asc) of
+//! [`select_top_k`]; and the k best of a query are among the k best of
+//! any subset that contains them, so merging partials over any
+//! partition of the pairs reproduces the sequential result.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::similarity::{dot, norm2, select_top_k, SimilarityMatch};
+use crate::simd::dot_block;
+use crate::similarity::{norm2, select_top_k, SimilarityMatch};
 
-/// One contiguous row-major `rows × stride` matrix of `f64` series.
-#[derive(Debug, Clone, PartialEq)]
+/// Every matrix starts on this byte boundary: a cache line, and a
+/// multiple of the 32-byte vector loads the kernels issue, so with a
+/// stride that is a multiple of 8 no load ever straddles two lines.
+/// `malloc` alone gives 16, and the tile kernel ran 28 % slower on the
+/// placements that landed at 16 mod 32.
+const MATRIX_ALIGN: usize = 64;
+
+/// Spare `f64`s allocated so the first row can be shifted onto a
+/// [`MATRIX_ALIGN`] boundary from any 8-byte-aligned allocation.
+const MATRIX_PAD: usize = MATRIX_ALIGN / 8 - 1;
+
+/// One contiguous row-major `rows × stride` matrix of `f64` series,
+/// its first row on a 64-byte boundary.
+#[derive(Debug)]
 pub struct SeriesMatrix {
+    /// `offset` unused values, the `rows × stride` matrix, then the
+    /// rest of the [`MATRIX_PAD`] spare values.
     data: Vec<f64>,
+    offset: usize,
     rows: usize,
     stride: usize,
 }
 
-impl SeriesMatrix {
-    /// An all-zero matrix (useful as a base for sequential fills).
-    pub fn zeroed(rows: usize, stride: usize) -> SeriesMatrix {
-        SeriesMatrix {
-            data: vec![0.0; rows * stride],
-            rows,
-            stride,
+impl Clone for SeriesMatrix {
+    /// A fresh allocation lands elsewhere, so the copy is re-aligned
+    /// row by row rather than cloned byte for byte.
+    fn clone(&self) -> SeriesMatrix {
+        let builder = SeriesMatrixBuilder::new(self.rows, self.stride);
+        for i in 0..self.rows {
+            builder.set_row(i, self.row(i));
         }
+        builder.finish()
     }
+}
 
+impl PartialEq for SeriesMatrix {
+    /// Shape and row values; where the rows sit in the allocation is
+    /// not part of a matrix's value.
+    fn eq(&self, other: &SeriesMatrix) -> bool {
+        (self.rows, self.stride) == (other.rows, other.stride) && self.values() == other.values()
+    }
+}
+
+impl SeriesMatrix {
     /// Build from row vectors, unit-normalizing each row (zero rows stay
     /// zero) — the sequential convenience path. All rows must share one
     /// length.
@@ -133,7 +162,22 @@ impl SeriesMatrix {
     /// # Panics
     /// Panics if `i >= rows`.
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.stride..(i + 1) * self.stride]
+        &self.values()[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// All rows, row-major.
+    fn values(&self) -> &[f64] {
+        &self.data[self.offset..self.offset + self.rows * self.stride]
+    }
+
+    /// The whole matrix as the one resident block the kernels are lent.
+    fn block(&self) -> RowBlock<'_> {
+        RowBlock {
+            data: self.values(),
+            start: 0,
+            rows: self.rows,
+            stride: self.stride,
+        }
     }
 }
 
@@ -165,6 +209,8 @@ unsafe impl Sync for SyncCell {}
 /// unsafe interior never races.
 pub struct SeriesMatrixBuilder {
     cells: Box<[SyncCell]>,
+    /// Cells skipped so row 0 starts on a [`MATRIX_ALIGN`] boundary.
+    offset: usize,
     written: Vec<AtomicBool>,
     rows: usize,
     stride: usize,
@@ -174,11 +220,15 @@ impl SeriesMatrixBuilder {
     /// A builder for a `rows × stride` matrix; every row must be set
     /// exactly once before [`SeriesMatrixBuilder::finish`].
     pub fn new(rows: usize, stride: usize) -> SeriesMatrixBuilder {
-        let cells: Box<[SyncCell]> = (0..rows * stride)
+        let cells: Box<[SyncCell]> = (0..rows * stride + MATRIX_PAD)
             .map(|_| SyncCell(UnsafeCell::new(0.0)))
             .collect();
+        // Bytes up to the next boundary; the allocation is 8-aligned,
+        // so that is a whole number of cells, at most `MATRIX_PAD`.
+        let offset = (cells.as_ptr() as usize).wrapping_neg() % MATRIX_ALIGN / 8;
         SeriesMatrixBuilder {
             cells,
+            offset,
             written: (0..rows).map(|_| AtomicBool::new(false)).collect(),
             rows,
             stride,
@@ -211,7 +261,7 @@ impl SeriesMatrixBuilder {
     /// write to the same row.
     pub fn set_row(&self, row: usize, values: &[f64]) {
         self.claim_row(row, values.len());
-        let base = self.cells[row * self.stride].0.get();
+        let base = self.cells[self.offset + row * self.stride].0.get();
         // SAFETY: `claim_row` guarantees exclusive, first-time access to
         // this row; the row's `stride` cells are contiguous in `cells`.
         unsafe { std::ptr::copy_nonoverlapping(values.as_ptr(), base, self.stride) }
@@ -226,7 +276,7 @@ impl SeriesMatrixBuilder {
     pub fn set_row_normalized(&self, row: usize, values: &[f64]) {
         self.claim_row(row, values.len());
         let n = norm2(values);
-        let base = self.cells[row * self.stride].0.get();
+        let base = self.cells[self.offset + row * self.stride].0.get();
         // SAFETY: as in `set_row` — exclusive first-time row access.
         unsafe {
             if n == 0.0 {
@@ -259,6 +309,7 @@ impl SeriesMatrixBuilder {
         debug_assert_eq!(data.len(), len);
         SeriesMatrix {
             data,
+            offset: self.offset,
             rows: self.rows,
             stride: self.stride,
         }
@@ -370,10 +421,54 @@ pub(crate) struct RowBlock<'a> {
     pub(crate) stride: usize,
 }
 
-impl RowBlock<'_> {
+impl<'a> RowBlock<'a> {
     #[inline]
-    pub(crate) fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &'a [f64] {
         &self.data[r * self.stride..(r + 1) * self.stride]
+    }
+}
+
+/// Query rows per register block of the pair sweep.
+const BLOCK_ROWS: usize = 4;
+/// Candidate rows per register block of the pair sweep: 4 × 2 is eight
+/// accumulator vectors and three row vectors live, inside AVX2's
+/// sixteen registers, and six loads per eight multiply–adds.
+const BLOCK_COLS: usize = 2;
+
+/// `dot(query, block.row(j))` for every `j` in `rows`, handed to `sink`
+/// as `(j, dot)` — the one-row scan: four candidate rows per
+/// [`dot_block`] call, the last one to three in one smaller call.
+#[inline]
+pub(crate) fn scan_rows(
+    query: &[f64],
+    block: RowBlock<'_>,
+    rows: Range<usize>,
+    mut sink: impl FnMut(usize, f64),
+) {
+    fn step<const C: usize>(
+        query: &[f64],
+        block: RowBlock<'_>,
+        j: usize,
+        sink: &mut impl FnMut(usize, f64),
+    ) {
+        let [dots] = dot_block(
+            [query],
+            std::array::from_fn::<_, C, _>(|c| block.row(j + c)),
+        );
+        for (c, dot) in dots.into_iter().enumerate() {
+            sink(j + c, dot);
+        }
+    }
+    let mut j = rows.start;
+    while rows.end.saturating_sub(j) >= 4 {
+        step::<4>(query, block, j, &mut sink);
+        j += 4;
+    }
+    match rows.end.saturating_sub(j) {
+        3 => step::<3>(query, block, j, &mut sink),
+        2 => step::<2>(query, block, j, &mut sink),
+        1 => step::<1>(query, block, j, &mut sink),
+        _ => {}
     }
 }
 
@@ -392,7 +487,7 @@ pub(crate) struct PairScorer<'a> {
 
 impl<'a> PairScorer<'a> {
     /// Empty buffers for an `n`-row matrix. With `scaling` the lent rows
-    /// are raw and a pair scores `dot_scaled(a, b, scaling[i] *
+    /// are raw and a pair scores `dot(a, b) * (scaling[i] *
     /// scaling[j])`; without, rows are unit vectors and it scores `dot`.
     ///
     /// # Panics
@@ -421,6 +516,14 @@ impl<'a> PairScorer<'a> {
     /// `b`. Against `None` they are `a`'s own later rows: the pairs
     /// inside each query block first, then every row of `a` past it, so
     /// that `q = 0..a.rows` scores each unordered pair of `a` once.
+    ///
+    /// Pairs are scored in register blocks ([`dot_block`]): four query
+    /// rows against two candidate rows wherever that many are left,
+    /// one row against up to four ([`scan_rows`]) for the pairs inside a
+    /// query block, for query rows past the last group of four, and for
+    /// an odd last candidate. Each pair's score is `dot`'s bit for bit
+    /// whichever shape computes it, and the order pairs reach the
+    /// buffers in is free (module docs).
     pub(crate) fn score(&mut self, a: RowBlock<'_>, q: Range<usize>, b: Option<RowBlock<'_>>) {
         let mut q0 = q.start;
         while q0 < q.end {
@@ -429,28 +532,59 @@ impl<'a> PairScorer<'a> {
                 Some(b) => (b, 0),
                 None => {
                     for i in q0..q1 {
-                        for j in (i + 1)..q1 {
-                            self.pair(a, i, a, j);
-                        }
+                        self.scan(a, i, a, i + 1..q1);
                     }
                     (a, q1)
                 }
             };
-            for j in first..candidates.rows {
-                for i in q0..q1 {
-                    self.pair(a, i, candidates, j);
+            let grouped = q0 + (q1 - q0) / BLOCK_ROWS * BLOCK_ROWS;
+            let paired = first + (candidates.rows - first) / BLOCK_COLS * BLOCK_COLS;
+            for j in (first..paired).step_by(BLOCK_COLS) {
+                for i in (q0..grouped).step_by(BLOCK_ROWS) {
+                    self.block(a, i, candidates, j);
                 }
+            }
+            for i in grouped..q1 {
+                self.scan(a, i, candidates, first..candidates.rows);
+            }
+            // `dot` commutes bitwise, so the candidate can be the one row.
+            for j in paired..candidates.rows {
+                self.scan(candidates, j, a, q0..grouped);
             }
             q0 = q1;
         }
     }
 
+    /// Rows `i..i + BLOCK_ROWS` of `a` against rows `j..j + BLOCK_COLS`
+    /// of `b`, as one register block.
     #[inline]
-    fn pair(&mut self, a: RowBlock<'_>, i: usize, b: RowBlock<'_>, j: usize) {
-        let (gi, gj) = (a.start + i, b.start + j);
+    fn block(&mut self, a: RowBlock<'_>, i: usize, b: RowBlock<'_>, j: usize) {
+        let scores = dot_block::<BLOCK_ROWS, BLOCK_COLS>(
+            std::array::from_fn(|r| a.row(i + r)),
+            std::array::from_fn(|c| b.row(j + c)),
+        );
+        for (r, row) in scores.into_iter().enumerate() {
+            for (c, dot) in row.into_iter().enumerate() {
+                self.credit(a.start + i + r, b.start + j + c, dot);
+            }
+        }
+    }
+
+    /// Row `i` of `a` against rows `rows` of `b`.
+    #[inline]
+    fn scan(&mut self, a: RowBlock<'_>, i: usize, b: RowBlock<'_>, rows: Range<usize>) {
+        scan_rows(a.row(i), b, rows, |j, dot| {
+            self.credit(a.start + i, b.start + j, dot)
+        });
+    }
+
+    /// Push the pair of rows `gi`, `gj` of the full matrix, whose rows
+    /// as lent have dot product `dot`, to both endpoints' buffers.
+    #[inline]
+    fn credit(&mut self, gi: usize, gj: usize, dot: f64) {
         let score = match self.scaling {
-            None => dot(a.row(i), b.row(j)),
-            Some(inv) => crate::simd::dot_scaled(a.row(i), b.row(j), inv[gi] * inv[gj]),
+            None => dot,
+            Some(inv) => dot * (inv[gi] * inv[gj]),
         };
         self.pairs_scored += 1;
         self.bufs[gi].push(SimilarityMatch { index: gj, score });
@@ -502,12 +636,7 @@ pub fn top_k_tiled_with(
     claim: &dyn Fn() -> Option<usize>,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
     let n = m.rows();
-    let all = RowBlock {
-        data: &m.data,
-        start: 0,
-        rows: n,
-        stride: m.stride,
-    };
+    let all = m.block();
     let tiles = cfg.tile_rows(n);
     let mut scorer = PairScorer::new(n, k, cfg, scaling);
     while let Some(t) = claim() {
@@ -570,13 +699,9 @@ pub fn top_k_tiled(
 pub fn top_k_query(m: &SeriesMatrix, q: usize, k: usize) -> Vec<SimilarityMatch> {
     let mut hits: Vec<SimilarityMatch> = Vec::with_capacity(m.rows().saturating_sub(1));
     let query = m.row(q);
-    for i in 0..m.rows() {
-        if i == q {
-            continue;
-        }
-        hits.push(SimilarityMatch {
-            index: i,
-            score: dot(query, m.row(i)),
+    for others in [0..q, q + 1..m.rows()] {
+        scan_rows(query, m.block(), others, |index, score| {
+            hits.push(SimilarityMatch { index, score })
         });
     }
     select_top_k(&mut hits, k);
@@ -601,6 +726,40 @@ mod tests {
                 assert_eq!(a.to_bits(), (b / n).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn rows_start_on_cache_lines() {
+        // Several sizes, so the allocator hands back differently placed
+        // blocks; a stride of whole cache lines keeps every row aligned.
+        for (n, stride) in [(1usize, 8usize), (5, 16), (7, 24), (3, 8760)] {
+            let m = SeriesMatrix::from_rows_raw(&pseudo_series(n, stride, 3));
+            for copy in [&m, &m.clone()] {
+                for i in 0..n {
+                    assert_eq!(copy.row(i).as_ptr() as usize % MATRIX_ALIGN, 0, "row {i}");
+                }
+            }
+        }
+        // Any other stride still starts the matrix on the boundary.
+        let m = SeriesMatrix::from_rows_raw(&pseudo_series(4, 13, 3));
+        assert_eq!(m.row(0).as_ptr() as usize % MATRIX_ALIGN, 0);
+    }
+
+    #[test]
+    fn equality_compares_rows_not_placement() {
+        let rows = pseudo_series(6, 11, 9);
+        let m = SeriesMatrix::from_rows_raw(&rows);
+        // Stale values in the spare cells around the rows are not part
+        // of the matrix.
+        let mut shifted = m.clone();
+        shifted.data[..shifted.offset].fill(7.0);
+        let end = shifted.offset + shifted.rows * shifted.stride;
+        shifted.data[end..].fill(7.0);
+        assert_eq!(m, shifted);
+        let mut other = rows.clone();
+        other[5][10] += 1.0;
+        assert_ne!(m, SeriesMatrix::from_rows_raw(&other));
+        assert_ne!(m, SeriesMatrix::from_rows_raw(&pseudo_series(11, 6, 9)));
     }
 
     #[test]
@@ -653,6 +812,33 @@ mod tests {
             assert_bit_identical(&naive, &tiled);
             let expect_pairs = (n * n.saturating_sub(1) / 2) as u64;
             assert_eq!(stats.pairs_scored, expect_pairs, "n={n}");
+        }
+    }
+
+    #[test]
+    fn every_shape_of_the_block_walk_is_exact() {
+        // Exhaustive over small n × query block × band height: query
+        // groups of four with one to three rows left over, odd and even
+        // candidate counts, resident and banded, on a ragged stride.
+        for n in 0usize..=13 {
+            let rows = pseudo_series(n, 11, 31 + n as u64);
+            // k = n keeps every hit, so a pair scored twice would show.
+            let naive = top_k_cosine(&rows, n);
+            let m = SeriesMatrix::from_rows_normalized(&rows);
+            let (data, stride) = crate::testutil::flat(&rows);
+            let src = crate::SliceSource::new(&data, n, stride);
+            let pairs = (n * n.saturating_sub(1) / 2) as u64;
+            for query_block in 0usize..=9 {
+                let cfg = TileConfig { query_block };
+                let (tiled, stats) = top_k_tiled(&m, n, &cfg);
+                assert_bit_identical(&naive, &tiled);
+                assert_eq!(stats.pairs_scored, pairs, "n={n} block={query_block}");
+                for band_rows in [1usize, 3, 5, 6] {
+                    let (banded, stats) = crate::top_k_oooc(&src, n, band_rows, &cfg).unwrap();
+                    assert_bit_identical(&naive, &banded);
+                    assert_eq!(stats.kernel.pairs_scored, pairs, "n={n} band={band_rows}");
+                }
+            }
         }
     }
 

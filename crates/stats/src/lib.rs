@@ -52,7 +52,7 @@ pub use scratch::{
     SCRATCH_MAX_COLS,
 };
 pub use simd::{
-    avx2_supported, axpy, dot_avx2, dot_scaled, force_tier, sumsq4, KernelDispatch, SimdTier,
+    avx2_supported, axpy, dot_avx2, dot_block, force_tier, sumsq4, KernelDispatch, SimdTier,
     FUSED_REL_TOL,
 };
 pub use similarity::{

@@ -47,9 +47,9 @@ use std::ops::Range;
 use smda_types::{Error, Result};
 
 use crate::kernels::{
-    claim_all, inverse_norm, KernelStats, PairScorer, RowBlock, TileConfig, TopKBuffer,
+    claim_all, inverse_norm, scan_rows, KernelStats, PairScorer, RowBlock, TileConfig, TopKBuffer,
 };
-use crate::similarity::{dot, norm2, SimilarityMatch};
+use crate::similarity::{norm2, SimilarityMatch};
 
 /// Band height the engines use by default: 256 rows × 8760 h × 8 B
 /// ≈ 18 MB per band buffer, two buffers per worker.
@@ -356,18 +356,27 @@ pub fn top_k_oooc_queries(
     for bi in 0..band_count(n, band_rows) {
         ensure_band(&mut band, src, band_rows, bi, true, &mut stats)?;
         let block = band.block(stride);
-        for jj in 0..block.rows {
-            let j = block.start + jj;
+        // Four candidate rows stay hot while every query passes over
+        // them; a query skips its own row by scanning around it.
+        for j in (0..block.rows).step_by(4) {
+            let group = j..(j + 4).min(block.rows);
             for (slot, &q) in queries.iter().enumerate() {
-                if j == q {
-                    continue;
-                }
                 let query = &qrows[slot * stride..(slot + 1) * stride];
-                bufs[slot].push(SimilarityMatch {
-                    index: j,
-                    score: dot(query, block.row(jj)),
-                });
-                stats.kernel.pairs_scored += 1;
+                let own = q.wrapping_sub(block.start);
+                let parts = if group.contains(&own) {
+                    [group.start..own, own + 1..group.end]
+                } else {
+                    [group.clone(), group.end..group.end]
+                };
+                for part in parts {
+                    scan_rows(query, block, part, |jj, score| {
+                        bufs[slot].push(SimilarityMatch {
+                            index: block.start + jj,
+                            score,
+                        });
+                        stats.kernel.pairs_scored += 1;
+                    });
+                }
             }
         }
     }

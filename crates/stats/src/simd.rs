@@ -10,19 +10,20 @@
 //! cross-platform story is built on `f64::to_bits` equality. The module
 //! therefore splits its kernels into two tiers (DESIGN.md §14):
 //!
-//! * **Lane-preserving (bit-exact).** [`dot_avx2`], [`axpy`], and
-//!   [`sumsq4`]'s AVX2 body map the reference kernel's independent
-//!   accumulators onto vector lanes one-for-one: lane *j* sees exactly
-//!   the additions scalar accumulator *j* saw, in the same order, and
-//!   the final reduction reuses the scalar tree
+//! * **Lane-preserving (bit-exact).** [`dot_avx2`], [`dot_block`],
+//!   [`axpy`], and [`sumsq4`]'s AVX2 body map the reference kernel's
+//!   independent accumulators onto vector lanes one-for-one: lane *j*
+//!   sees exactly the additions scalar accumulator *j* saw, in the same
+//!   order, and the final reduction reuses the scalar tree
 //!   (`((a0+a1)+(a2+a3)) + tail`). No FMA — a fused multiply-add rounds
 //!   once where the reference rounds twice. These kernels are
 //!   **bit-identical** to their scalar references on every input and are
-//!   pinned by proptests and `smda-bench --check kernels`.
+//!   pinned by proptests and `smda-bench --check kernels,simd`.
 //! * **Fused (tolerance-gated).** [`sumsq4`] *as a replacement for* the
 //!   canonical single-chain [`sumsq`](crate::similarity::sumsq), and
-//!   [`dot_scaled`] (score raw rows and fold the two inverse norms into
-//!   one post-multiply instead of pre-normalizing the matrix) change
+//!   scaled scoring (score raw rows and fold the two inverse norms into
+//!   one post-multiply, `dot · (inv‖a‖ · inv‖b‖)`, instead of the
+//!   2 × 8760 per-element divisions of pre-normalizing the matrix) change
 //!   summation order or rounding-step count. They run only where a
 //!   caller passes a `scaling` vector to the similarity kernels
 //!   ([`crate::top_k_tiled_with`], [`crate::top_k_oooc_partial`]) — no
@@ -33,7 +34,7 @@
 //!
 //! One process-global tier ([`KernelDispatch`] snapshots it) decides
 //! what runs. It is detected once (`is_x86_feature_detected!("avx2")`) and every
-//! hot entry point — [`crate::dot`], [`axpy`], [`sumsq4`] — consults the
+//! hot entry point — [`crate::dot`], [`dot_block`], [`axpy`], [`sumsq4`] — consults the
 //! cached tier with a single relaxed atomic load before a year-long
 //! loop. All five platforms share these entry points (the naive scan,
 //! the tiled kernel, Hive's reduce-side join and Spark's broadcast join
@@ -200,6 +201,90 @@ unsafe fn dot_avx2_impl(a: &[f64], b: &[f64]) -> f64 {
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
 }
 
+/// `R × C` dot products at once — `out[r][c]` is bit-identical to
+/// `dot(queries[r], candidates[c])` — the register-blocked form the
+/// similarity sweep runs on. A single [`dot`](crate::dot) is one chain
+/// of dependent vector adds (2190 for a year-long row), so it runs at
+/// one add *latency* per step however many ports are free; a block
+/// keeps `R · C` independent chains in flight and loads each of its
+/// `R + C` row vectors once per step instead of twice per pair.
+///
+/// Bit-identity is the lane argument of [`dot_avx2`] applied per pair:
+/// every pair owns its accumulator vector, lane *j* of it is added the
+/// products of elements `4k + j` in increasing `k` with a separate
+/// multiply and add (no FMA), and each pair finishes with the scalar
+/// tree `((l0+l1)+(l2+l3)) + tail`. The scalar tier is [`dot_scalar`]
+/// per pair.
+///
+/// # Panics
+/// Panics unless all `R + C` rows share one length.
+#[inline]
+pub fn dot_block<const R: usize, const C: usize>(
+    queries: [&[f64]; R],
+    candidates: [&[f64]; C],
+) -> [[f64; C]; R] {
+    let len = queries
+        .first()
+        .or(candidates.first())
+        .map_or(0, |row| row.len());
+    assert!(
+        queries.iter().chain(&candidates).all(|r| r.len() == len),
+        "dot block requires equal lengths"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == SimdTier::Avx2 {
+        // SAFETY: the tier implies AVX2 (see `dot_dispatch`), and every
+        // row was just checked to hold exactly `len` elements.
+        return unsafe { dot_block_avx2_impl(queries, candidates, len) };
+    }
+    queries.map(|q| candidates.map(|c| dot_scalar(q, c)))
+}
+
+/// # Safety
+/// The CPU must support AVX2 and every row must hold `len` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_block_avx2_impl<const R: usize, const C: usize>(
+    queries: [&[f64]; R],
+    candidates: [&[f64]; C],
+    len: usize,
+) -> [[f64; C]; R] {
+    use std::arch::x86_64::*;
+    let chunks = len / 4;
+    let mut acc = [[_mm256_setzero_pd(); C]; R];
+    for k in 0..chunks {
+        let mut vc = [_mm256_setzero_pd(); C];
+        for (v, row) in vc.iter_mut().zip(&candidates) {
+            // SAFETY: `4 * k + 3 < len`, each row's length; unaligned load.
+            *v = _mm256_loadu_pd(row.as_ptr().add(4 * k));
+        }
+        for (pairs, row) in acc.iter_mut().zip(&queries) {
+            // SAFETY: as above.
+            let vq = _mm256_loadu_pd(row.as_ptr().add(4 * k));
+            for (pair, v) in pairs.iter_mut().zip(&vc) {
+                // mul then add, NOT fma, and one accumulator per pair:
+                // each pair replays `dot_avx2_impl`'s operations exactly.
+                *pair = _mm256_add_pd(*pair, _mm256_mul_pd(vq, *v));
+            }
+        }
+    }
+    let done = chunks * 4;
+    let mut out = [[0.0f64; C]; R];
+    for ((scores, pairs), q) in out.iter_mut().zip(&acc).zip(&queries) {
+        for ((score, pair), c) in scores.iter_mut().zip(pairs).zip(&candidates) {
+            let mut lanes = [0.0f64; 4];
+            // SAFETY: `lanes` is the four `f64` one vector stores.
+            _mm256_storeu_pd(lanes.as_mut_ptr(), *pair);
+            let mut tail = 0.0;
+            for (x, y) in q[done..].iter().zip(&c[done..]) {
+                tail += x * y;
+            }
+            *score = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail;
+        }
+    }
+    out
+}
+
 /// `acc[j] += a * x[j]` for every `j` — the gram/`Xᵀy` update of
 /// [`NormalEq`](crate::NormalEq). Dispatched, and bit-identical at every
 /// tier because each `acc[j]` is an independent accumulator: vector
@@ -299,16 +384,6 @@ unsafe fn sumsq4_avx2_impl(v: &[f64]) -> f64 {
         tail += v[i] * v[i];
     }
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
-}
-
-/// The fused normalize+score microkernel: `dot(a, b) * scale`, where
-/// `scale` is the product of the two rows' inverse norms. One rounding
-/// step replaces the 2 × 8760 per-element divisions of the
-/// pre-normalized path, which is why the result differs from the exact
-/// path within [`FUSED_REL_TOL`] — tolerance tier only.
-#[inline]
-pub fn dot_scaled(a: &[f64], b: &[f64], scale: f64) -> f64 {
-    dot_dispatch(a, b) * scale
 }
 
 #[cfg(test)]

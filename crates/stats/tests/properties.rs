@@ -1,15 +1,139 @@
 //! Property-based tests for the statistics substrate.
 
+use std::ops::Range;
+use std::sync::Mutex;
+
 use proptest::prelude::*;
 use smda_stats::linalg::Matrix;
 use smda_stats::{
-    cosine_similarity, mean, ols_multiple, ols_simple, quantile_sorted, sample_variance,
-    top_k_cosine, top_k_tiled, EquiWidthHistogram, FitScratch, KMeans, KMeansConfig, OnlineStats,
-    SeriesMatrix, TileConfig,
+    cosine_similarity, dot_block, dot_scalar, mean, ols_multiple, ols_simple, quantile_sorted,
+    sample_variance, top_k_cosine, top_k_tiled, EquiWidthHistogram, FitScratch, KMeans,
+    KMeansConfig, OnlineStats, SeriesMatrix, SimdTier, TileConfig,
 };
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..max_len)
+}
+
+/// Serializes the tests that pin the process-wide SIMD tier, so each
+/// runs the tier it asked for. (Tests that merely dispatch may see
+/// either tier; the tiers are bit-identical, which is what is tested.)
+static TIER: Mutex<()> = Mutex::new(());
+
+/// Run `body` once with the scalar tier forced and once with AVX2
+/// (which clamps to scalar on hardware without it).
+fn under_both_tiers(mut body: impl FnMut(SimdTier)) {
+    let _pinned = TIER.lock().unwrap_or_else(|e| e.into_inner());
+    for tier in [SimdTier::Scalar, SimdTier::Avx2] {
+        let previous = smda_stats::force_tier(tier);
+        body(tier);
+        smda_stats::force_tier(previous);
+    }
+}
+
+/// Values the block kernel must not treat specially: signed zeros,
+/// subnormals, and ordinary magnitudes of both signs.
+fn awkward_f64() -> impl Strategy<Value = f64> {
+    (0u8..8, -1e6f64..1e6, 1u64..1 << 52).prop_map(|(kind, ordinary, mantissa)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from_bits(mantissa),
+        3 => -f64::from_bits(mantissa),
+        _ => ordinary,
+    })
+}
+
+/// `values` copied so the returned slice starts `skew` elements
+/// (8 · `skew` bytes) past a 32-byte boundary.
+fn skewed(values: &[f64], skew: usize, store: &mut Vec<f64>) -> Range<usize> {
+    store.clear();
+    store.resize(values.len() + 8, 0.0);
+    let to_boundary = (store.as_ptr() as usize).wrapping_neg() % 32 / 8;
+    let start = to_boundary + skew % 4;
+    store[start..start + values.len()].copy_from_slice(values);
+    start..start + values.len()
+}
+
+/// Whether `dot_block::<R, C>` over the first `R + C` of `rows` equals
+/// `dot_scalar` pair by pair, bit for bit.
+fn block_matches_scalar<const R: usize, const C: usize>(rows: &[&[f64]]) -> bool {
+    let queries: [&[f64]; R] = std::array::from_fn(|r| rows[r]);
+    let candidates: [&[f64]; C] = std::array::from_fn(|c| rows[R + c]);
+    let got = dot_block(queries, candidates);
+    (0..R).all(|r| {
+        (0..C).all(|c| got[r][c].to_bits() == dot_scalar(queries[r], candidates[c]).to_bits())
+    })
+}
+
+/// Every shape the kernels instantiate — the 4 × 2 pair block and the
+/// one-row scan's 1 × 4 with its 1 × 3 / 2 / 1 remainders — over six
+/// equal-length rows.
+fn every_block_shape_matches_scalar(rows: &[&[f64]]) -> bool {
+    block_matches_scalar::<4, 2>(rows)
+        && block_matches_scalar::<1, 4>(rows)
+        && block_matches_scalar::<1, 3>(rows)
+        && block_matches_scalar::<1, 2>(rows)
+        && block_matches_scalar::<1, 1>(rows)
+}
+
+/// Six rows of `len` awkward values, row `r` skewed `skews[r]` elements
+/// off a 32-byte boundary, checked under both tiers.
+fn check_block_shapes(values: &[Vec<f64>], skews: &[usize]) {
+    let mut stores: Vec<Vec<f64>> = vec![Vec::new(); values.len()];
+    let spans: Vec<Range<usize>> = values
+        .iter()
+        .zip(skews)
+        .zip(&mut stores)
+        .map(|((v, &skew), store)| skewed(v, skew, store))
+        .collect();
+    let rows: Vec<&[f64]> = stores
+        .iter()
+        .zip(&spans)
+        .map(|(store, span)| &store[span.clone()])
+        .collect();
+    under_both_tiers(|tier| {
+        assert!(
+            every_block_shape_matches_scalar(&rows),
+            "a block shape diverged from dot_scalar: tier {tier:?}, len {}, skews {skews:?}",
+            values[0].len()
+        );
+    });
+}
+
+#[test]
+fn block_kernel_matches_scalar_over_lengths_and_alignments() {
+    // Deterministic sweep: every ragged tail, the empty product and a
+    // full year; rows on every 8-byte phase of a 32-byte vector load;
+    // signed zeros and subnormals sprinkled through ordinary values.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        match state % 16 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(state >> 12 | 1),
+            3 => -f64::from_bits(state >> 12 | 1),
+            _ => (state % 4000) as f64 / 1000.0 - 2.0,
+        }
+    };
+    for len in (0..=67).chain([8760]) {
+        let values: Vec<Vec<f64>> = (0..6).map(|_| (0..len).map(|_| next()).collect()).collect();
+        for skew in 0..4 {
+            // One shared phase, then a different phase per row.
+            check_block_shapes(&values, &[skew; 6]);
+            let mixed: Vec<usize> = (0..6).map(|r| r + skew).collect();
+            check_block_shapes(&values, &mixed);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "equal lengths")]
+fn block_kernel_rejects_unequal_rows() {
+    let (long, short) = ([1.0f64; 8], [1.0f64; 7]);
+    let _ = dot_block([&long[..], &long[..]], [&long[..], &short[..]]);
 }
 
 proptest! {
@@ -164,14 +288,16 @@ proptest! {
 
     #[test]
     fn tiled_kernel_matches_naive_bit_exactly(
-        // n spans empty, singleton, and odd tile remainders relative to
-        // the query block sizes drawn below (zero is read as one).
+        // n and the query block (zero is read as one) between them make
+        // every shape of the block walk occur: query rows mod 4 in
+        // {0, 1, 2, 3}, odd and even candidate counts, empty and
+        // singleton matrices; 23 values leave a 3-element ragged tail.
         series in prop::collection::vec(
-            prop::collection::vec(0.0f64..1e4, 24),
+            prop::collection::vec(0.0f64..1e4, 23),
             0..20
         ),
         k in 0usize..6,
-        query_block in 0usize..5
+        query_block in 0usize..=9
     ) {
         let naive = top_k_cosine(&series, k);
         let m = SeriesMatrix::from_rows_normalized(&series);
@@ -307,6 +433,16 @@ proptest! {
     }
 
     #[test]
+    fn block_kernel_is_bit_identical_to_scalar(
+        len in 0usize..=67,
+        pool in prop::collection::vec(awkward_f64(), 6 * 67),
+        skews in prop::collection::vec(0usize..4, 6)
+    ) {
+        let values: Vec<Vec<f64>> = pool.chunks(67).map(|row| row[..len].to_vec()).collect();
+        check_block_shapes(&values, &skews);
+    }
+
+    #[test]
     fn simd_axpy_is_bit_identical_to_scalar(
         x in prop::collection::vec(-1e6f64..1e6, 0..40),
         acc0 in prop::collection::vec(-1e6f64..1e6, 0..40),
@@ -341,6 +477,7 @@ proptest! {
         };
         let mut solver_a = smda_stats::NormalEq::default();
         let mut solver_b = smda_stats::NormalEq::default();
+        let _pinned = TIER.lock().unwrap_or_else(|e| e.into_inner());
         let prev = smda_stats::force_tier(smda_stats::SimdTier::Scalar);
         let scalar_fit = solver_a.solve(rows.len(), cols, &mut fill, &y);
         smda_stats::force_tier(smda_stats::SimdTier::Avx2); // clamps if absent

@@ -37,6 +37,12 @@ if [ "$fast" -eq 0 ]; then
     echo "== release build =="
     cargo build --release --workspace
 
+    # The SIMD kernels at the optimisation level that ships: a debug
+    # build spills the block kernel's accumulators to the stack and never
+    # runs the register-resident form.
+    echo "== test (smda-stats, release) =="
+    cargo test --release -q -p smda-stats
+
     echo "== equivalence gates (kernels fits serve real simd format oooc) =="
     cargo run --release -q -p smda-bench -- --smoke --check all
 

@@ -100,10 +100,19 @@ fn spark_degrades_with_many_files_hive_does_not() {
         slots_per_worker: 2,
         cost,
     };
+    // Virtual time folds in *measured* task compute, and a neighbour on
+    // the machine only ever slows a run down: the fastest of three is
+    // the undisturbed one (a single run of the 4-file case failed the
+    // ratio below about one time in ten on a busy 2-vCPU host).
     let run_spark = |files: usize| {
-        let mut spark = SparkEngine::new(small_topo(CostModel::spark()), BLOCK);
-        spark.load(&ds, DataFormat::ManyFiles { files }).unwrap();
-        spark.run_task(Task::Histogram).unwrap().virtual_elapsed
+        (0..3)
+            .map(|_| {
+                let mut spark = SparkEngine::new(small_topo(CostModel::spark()), BLOCK);
+                spark.load(&ds, DataFormat::ManyFiles { files }).unwrap();
+                spark.run_task(Task::Histogram).unwrap().virtual_elapsed
+            })
+            .min()
+            .expect("three runs")
     };
     let run_hive = |files: usize| {
         let mut hive = HiveEngine::new(small_topo(CostModel::mapreduce()), BLOCK);
