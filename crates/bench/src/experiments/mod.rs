@@ -1,5 +1,6 @@
 //! One module per figure/table of the paper's evaluation.
 
+pub mod ablations;
 pub mod chaos;
 pub mod cluster_real;
 pub mod cluster_vs_c;

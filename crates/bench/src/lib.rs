@@ -11,20 +11,16 @@
 //! experiment with `cargo run --release -p smda-bench -- fig7`.
 
 pub mod alloc;
+pub mod cli;
 pub mod data;
 pub mod experiments;
-pub mod history;
 pub mod jsonbench;
 pub mod report;
 pub mod runner;
 pub mod scale;
 
-pub use history::{
-    append_history, check_history, check_history_entries, entry_from_export, load_history,
-    machine_fingerprint, CommitInfo, HistoryBench, HistoryEntry, DEFAULT_HISTORY_PATH,
-    REGRESSION_THRESHOLD,
-};
+pub use cli::BenchArgs;
 pub use jsonbench::{run_json_bench, run_json_bench_with};
 pub use report::Table;
-pub use runner::{run_all, run_experiment, Gate, EXPERIMENT_IDS, GATES};
+pub use runner::{run_experiment, Gate, EXPERIMENT_IDS, GATES};
 pub use scale::Scale;

@@ -1,13 +1,11 @@
-//! Experiment registry and suite runner.
-
-use std::path::Path;
+//! Experiment registry and equivalence gates.
 
 use crate::experiments;
 use crate::report::Table;
 use crate::scale::Scale;
 
 /// All experiment ids, in the paper's presentation order.
-pub const EXPERIMENT_IDS: [&str; 22] = [
+pub const EXPERIMENT_IDS: [&str; 23] = [
     "table1",
     "fig4",
     "fig5",
@@ -30,37 +28,44 @@ pub const EXPERIMENT_IDS: [&str; 22] = [
     "cluster_real",
     "format",
     "oooc",
+    "ablations",
 ];
 
-/// Run one experiment by id (composite figures run together: `fig11`
-/// also produces `fig12`, `fig13` also produces `fig14`/`fig15`, etc.).
-pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
-    let tables = match id {
-        "table1" => experiments::table1::run(scale),
-        "fig4" => experiments::loading::run(scale),
-        "fig5" => experiments::partitioning::run(scale),
-        "fig6" => experiments::coldwarm::run(scale),
-        "fig7" => experiments::single_thread::run(scale),
-        "fig8" => experiments::memory::run(scale),
-        "fig9" => experiments::layouts::run(scale),
-        "fig10" => experiments::speedup::run(scale),
-        "fig11" | "fig12" => experiments::cluster_vs_c::run(scale),
-        "fig13" | "fig14" | "fig15" => experiments::format1::run(scale),
-        "fig16" | "fig17" => experiments::format2::run(scale),
-        "fig18" | "fig19" => experiments::format3::run(scale),
-        "ext_updates" => experiments::updates::run(scale),
-        "chaos" => experiments::chaos::run(scale),
-        "kernels" => experiments::kernels::run(scale),
-        "fits" => experiments::fits::run(scale),
-        "simd" => experiments::simd::run(scale),
-        "ingest" => experiments::ingest::run(scale),
-        "serve" => experiments::serve::run(scale),
-        "cluster_real" => experiments::cluster_real::run(scale),
-        "format" => experiments::format::run(scale),
-        "oooc" => experiments::oooc::run(scale),
+/// The experiment registered under `id` (composite figures share one:
+/// `fig11` also produces `fig12`, `fig13` also produces `fig14`/`fig15`,
+/// etc.).
+pub(crate) fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Table>> {
+    Some(match id {
+        "table1" => experiments::table1::run,
+        "fig4" => experiments::loading::run,
+        "fig5" => experiments::partitioning::run,
+        "fig6" => experiments::coldwarm::run,
+        "fig7" => experiments::single_thread::run,
+        "fig8" => experiments::memory::run,
+        "fig9" => experiments::layouts::run,
+        "fig10" => experiments::speedup::run,
+        "fig11" | "fig12" => experiments::cluster_vs_c::run,
+        "fig13" | "fig14" | "fig15" => experiments::format1::run,
+        "fig16" | "fig17" => experiments::format2::run,
+        "fig18" | "fig19" => experiments::format3::run,
+        "ext_updates" => experiments::updates::run,
+        "chaos" => experiments::chaos::run,
+        "kernels" => experiments::kernels::run,
+        "fits" => experiments::fits::run,
+        "simd" => experiments::simd::run,
+        "ingest" => experiments::ingest::run,
+        "serve" => experiments::serve::run,
+        "cluster_real" => experiments::cluster_real::run,
+        "format" => experiments::format::run,
+        "oooc" => experiments::oooc::run,
+        "ablations" => experiments::ablations::run,
         _ => return None,
-    };
-    Some(tables)
+    })
+}
+
+/// Run one experiment by id.
+pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
+    experiment(id).map(|run| run(scale))
 }
 
 /// An equivalence gate: `Ok` carries the one-line summary, `Err` what
@@ -883,21 +888,6 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
          kernel (sequential and pooled 2/4/8), {tier_note}, eviction under a sub-band cache \
          budget exercised{peak_note}"
     ))
-}
-
-/// Run the whole suite, writing one CSV per table under `out_dir` and
-/// returning every table.
-pub fn run_all(scale: Scale, out_dir: &Path) -> Vec<Table> {
-    let mut all = Vec::new();
-    for id in EXPERIMENT_IDS {
-        eprintln!("== running {id} ==");
-        let tables = run_experiment(id, scale).expect("registered id resolves");
-        for t in &tables {
-            t.write_csv(out_dir).expect("results directory is writable");
-        }
-        all.extend(tables);
-    }
-    all
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// A faster scale for smoke tests and criterion benches.
+    /// A faster scale for smoke tests.
     pub fn smoke() -> Self {
         Scale {
             divisor: 1_000.0,

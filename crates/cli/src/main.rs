@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use std::sync::Arc;
 
-use smda_bench::{run_experiment, Scale, EXPERIMENT_IDS};
+use smda_bench::EXPERIMENT_IDS;
 use smda_core::queries::task_output_results;
 use smda_core::tasks::run_reference;
 use smda_core::{DataGenerator, GeneratorConfig, SeedConfig, Task, TaskOutput};
@@ -677,64 +677,13 @@ fn worker(args: &[String]) -> Result<()> {
 }
 
 fn bench(args: &[String]) -> Result<()> {
-    let mut scale = Scale::default();
-    let mut ids = Vec::new();
-    let mut json_out: Option<PathBuf> = None;
-    let mut faults = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" | "--small" => scale = Scale::smoke(),
-            "--full" => scale = Scale::full(),
-            "--json" => {
-                let path = it.next().ok_or_else(|| {
-                    smda_types::Error::Invalid("--json needs an output path".into())
-                })?;
-                json_out = Some(PathBuf::from(path));
-            }
-            "--faults" => {
-                let spec = it.next().ok_or_else(|| {
-                    smda_types::Error::Invalid(
-                        "--faults needs a spec, e.g. seed=7,task_fail=0.1,crash=0@0.001".into(),
-                    )
-                })?;
-                faults = Some(smda_cluster::FaultPlan::parse(spec)?);
-            }
-            id => ids.push(id.to_string()),
-        }
-    }
-    if faults.is_some() && json_out.is_none() {
+    let args = smda_bench::BenchArgs::parse(args.iter().cloned())?;
+    if !args.gates.is_empty() {
         return Err(smda_types::Error::Invalid(
-            "--faults only applies to the instrumented --json matrix".into(),
+            "--check runs in the `smda-bench` binary: its allocation gates read that binary's \
+             counting allocator"
+                .into(),
         ));
     }
-    if let Some(path) = json_out {
-        let export = smda_bench::run_json_bench_with(scale, faults);
-        std::fs::write(&path, export.to_json_pretty())
-            .map_err(|e| smda_types::Error::io(format!("writing {}", path.display()), e))?;
-        println!(
-            "wrote {} bench entries ({} runs) to {}",
-            export.benches.len(),
-            export.runs.len(),
-            path.display()
-        );
-        return Ok(());
-    }
-    if ids.is_empty() {
-        ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
-    }
-    let out = PathBuf::from("results");
-    for id in &ids {
-        let Some(tables) = run_experiment(id, scale) else {
-            return Err(smda_types::Error::Invalid(format!(
-                "unknown experiment `{id}`; known: {}",
-                EXPERIMENT_IDS.join(" ")
-            )));
-        };
-        for t in &tables {
-            t.write_csv(&out)?;
-            println!("{}", t.to_markdown());
-        }
-    }
-    Ok(())
+    args.run()
 }

@@ -220,140 +220,6 @@ pub fn percentile_points(
     (low, high)
 }
 
-/// Prefix sums enabling O(1) least-squares fits over any point range.
-struct FitSums {
-    sx: Vec<f64>,
-    sy: Vec<f64>,
-    sxx: Vec<f64>,
-    sxy: Vec<f64>,
-    syy: Vec<f64>,
-}
-
-impl FitSums {
-    fn build(x: &[f64], y: &[f64]) -> Self {
-        let n = x.len();
-        let mut s = FitSums {
-            sx: vec![0.0; n + 1],
-            sy: vec![0.0; n + 1],
-            sxx: vec![0.0; n + 1],
-            sxy: vec![0.0; n + 1],
-            syy: vec![0.0; n + 1],
-        };
-        for i in 0..n {
-            s.sx[i + 1] = s.sx[i] + x[i];
-            s.sy[i + 1] = s.sy[i] + y[i];
-            s.sxx[i + 1] = s.sxx[i] + x[i] * x[i];
-            s.sxy[i + 1] = s.sxy[i] + x[i] * y[i];
-            s.syy[i + 1] = s.syy[i] + y[i] * y[i];
-        }
-        s
-    }
-
-    /// OLS over points `lo..hi`; returns `(intercept, slope, sse)`.
-    /// Falls back to a horizontal line through the mean when the range is
-    /// degenerate (a single distinct x).
-    fn fit(&self, lo: usize, hi: usize) -> (f64, f64, f64) {
-        let n = (hi - lo) as f64;
-        let sx = self.sx[hi] - self.sx[lo];
-        let sy = self.sy[hi] - self.sy[lo];
-        let sxx = self.sxx[hi] - self.sxx[lo];
-        let sxy = self.sxy[hi] - self.sxy[lo];
-        let syy = self.syy[hi] - self.syy[lo];
-        let den = n * sxx - sx * sx;
-        if den.abs() < 1e-9 {
-            let mean = sy / n;
-            let sse = syy - 2.0 * mean * sy + n * mean * mean;
-            return (mean, 0.0, sse.max(0.0));
-        }
-        let slope = (n * sxy - sx * sy) / den;
-        let intercept = (sy - slope * sx) / n;
-        // SSE from moments: Σ(y − a − bx)² expanded.
-        let sse = syy + n * intercept * intercept + slope * slope * sxx
-            - 2.0 * intercept * sy
-            - 2.0 * slope * sxy
-            + 2.0 * intercept * slope * sx;
-        (intercept, slope, sse.max(0.0))
-    }
-}
-
-/// Phase T2: exhaustive breakpoint search for the best free 3-segment fit.
-fn free_fit(points: &PercentilePoints, config: &ThreeLineConfig) -> PiecewiseFit {
-    let x = &points.temps;
-    let y = &points.values;
-    let n = x.len();
-    // Each segment must cover a meaningful share of the temperature
-    // range, not just `min_segment_points` raw points — otherwise a
-    // handful of noisy percentile estimates at the extreme-cold tail
-    // forms its own "segment" and hijacks the heating gradient.
-    let m = config.min_segment_points.max(n / 8);
-    let sums = FitSums::build(x, y);
-
-    if n < 3 * m {
-        // Too few percentile points for three segments: fit one line and
-        // present it as three collinear segments at range thirds.
-        let (a, b, sse) = sums.fit(0, n);
-        let (lo, hi) = (x[0], x[n - 1]);
-        let k1 = lo + (hi - lo) / 3.0;
-        let k2 = lo + 2.0 * (hi - lo) / 3.0;
-        let seg = |l: f64, h: f64| LineSegment {
-            lo: l,
-            hi: h,
-            intercept: a,
-            slope: b,
-        };
-        return PiecewiseFit {
-            segments: [seg(lo, k1), seg(k1, k2), seg(k2, hi)],
-            knots: [k1, k2],
-            sse,
-            adjusted: false,
-        };
-    }
-
-    let mut best = (f64::INFINITY, m, 2 * m);
-    for i in m..=(n - 2 * m) {
-        let (_, _, sse1) = sums.fit(0, i);
-        for j in (i + m)..=(n - m) {
-            let (_, _, sse2) = sums.fit(i, j);
-            let (_, _, sse3) = sums.fit(j, n);
-            let total = sse1 + sse2 + sse3;
-            if total < best.0 {
-                best = (total, i, j);
-            }
-        }
-    }
-    let (sse, i, j) = best;
-    let (a1, b1, _) = sums.fit(0, i);
-    let (a2, b2, _) = sums.fit(i, j);
-    let (a3, b3, _) = sums.fit(j, n);
-    let k1 = (x[i - 1] + x[i]) / 2.0;
-    let k2 = (x[j - 1] + x[j]) / 2.0;
-    PiecewiseFit {
-        segments: [
-            LineSegment {
-                lo: x[0],
-                hi: k1,
-                intercept: a1,
-                slope: b1,
-            },
-            LineSegment {
-                lo: k1,
-                hi: k2,
-                intercept: a2,
-                slope: b2,
-            },
-            LineSegment {
-                lo: k2,
-                hi: x[n - 1],
-                intercept: a3,
-                slope: b3,
-            },
-        ],
-        knots: [k1, k2],
-        sse,
-        adjusted: false,
-    }
-}
-
 /// Phase T3: re-fit a continuous hinge-basis model at the chosen knots if
 /// the free fit is discontinuous beyond tolerance.
 fn adjust_continuity(
@@ -412,9 +278,10 @@ fn adjust_continuity(
     }
 }
 
-/// Phase T2 on borrowed point slices, prefix sums living in the arena.
-/// Same search, same arithmetic as [`free_fit`] — only the buffer
-/// ownership differs.
+/// Phase T2: exhaustive breakpoint search for the best free 3-segment
+/// fit, on borrowed point slices with the prefix sums rebuilt into
+/// `sums` — the arena's retained buffers on the production path, a fresh
+/// `SegmentSums` on the baseline's.
 fn free_fit_scratch(
     x: &[f64],
     y: &[f64],
@@ -422,10 +289,16 @@ fn free_fit_scratch(
     sums: &mut SegmentSums,
 ) -> PiecewiseFit {
     let n = x.len();
+    // Each segment must cover a meaningful share of the temperature
+    // range, not just `min_segment_points` raw points — otherwise a
+    // handful of noisy percentile estimates at the extreme-cold tail
+    // forms its own "segment" and hijacks the heating gradient.
     let m = config.min_segment_points.max(n / 8);
     sums.build(x, y);
 
     if n < 3 * m {
+        // Too few percentile points for three segments: fit one line and
+        // present it as three collinear segments at range thirds.
         let (a, b, sse) = sums.fit(0, n);
         let (lo, hi) = (x[0], x[n - 1]);
         let k1 = lo + (hi - lo) / 3.0;
@@ -622,8 +495,10 @@ pub fn fit_three_line_scratch(
 }
 
 /// Fit the 3-line model with the pre-arena allocating implementation —
-/// kept verbatim as the reference that `--check fits`, the proptests, and
-/// `tests/tests/fits.rs` pin the scratch path against.
+/// the reference that `--check fits`, the proptests, and
+/// `tests/tests/fits.rs` pin the scratch path against. T1 (`BTreeMap`
+/// grouping) and T3 (`Matrix` + `ols_multiple`) are independent code; T2
+/// is the one breakpoint search run over fresh buffers.
 pub fn fit_three_line_baseline(
     series: &ConsumerSeries,
     temperature: &TemperatureSeries,
@@ -639,8 +514,12 @@ pub fn fit_three_line_baseline(
     }
 
     let t = Instant::now();
-    let high_free = free_fit(&high_pts, config);
-    let low_free = free_fit(&low_pts, config);
+    // The one T2 search, each over fresh prefix-sum buffers where the
+    // scratch path reuses dirty ones.
+    let (x, y) = (&high_pts.temps, &high_pts.values);
+    let high_free = free_fit_scratch(x, y, config, &mut SegmentSums::default());
+    let (x, y) = (&low_pts.temps, &low_pts.values);
+    let low_free = free_fit_scratch(x, y, config, &mut SegmentSums::default());
     phases.t2 = t.elapsed();
 
     let t = Instant::now();

@@ -20,8 +20,9 @@
 //!   input left to right, so values land in each bin in input order —
 //!   exactly the order `Vec::push` produced under the map — and bins are
 //!   visited in ascending key order, exactly the map's iteration order.
-//! * [`SegmentSums`] rebuilds the same prefix sums as the 3-line fitter's
-//!   internal `FitSums`, in the same order, into retained buffers.
+//! * [`SegmentSums`] rebuilds the 3-line fitter's prefix sums into
+//!   retained buffers, every slot overwritten, so a dirty instance and a
+//!   fresh one (what the baseline fit passes) hold the same values.
 //! * [`NormalEq::solve`] reproduces [`ols_multiple`](crate::regression::ols_multiple): the gram and
 //!   `Xᵀy` accumulations copy [`Matrix::gram`] / [`Matrix::t_vec`]
 //!   element-for-element (including the `a == 0.0` skip), the Cholesky
@@ -215,9 +216,7 @@ impl CurveBuffer {
 }
 
 /// Prefix sums enabling O(1) least-squares line fits over any point
-/// range, with retained buffers. The arithmetic — both the build loop and
-/// the closed-form fit — mirrors the 3-line fitter's original internal
-/// `FitSums` exactly.
+/// range, with retained buffers.
 #[derive(Debug, Default)]
 pub struct SegmentSums {
     sx: Vec<f64>,

@@ -15,6 +15,21 @@ fast=0
 echo "== fmt =="
 cargo fmt --all --check
 
+# A results/…, scripts/… or crates/…/*.rs path named in the docs is a
+# tracked file (globs resolve as git pathspecs), unless the doc says
+# "(not tracked)" right after it.
+echo "== docs name tracked files =="
+cited=$(grep -ohE '((results|scripts)/[A-Za-z0-9_.*/-]+|crates/[A-Za-z0-9_.*/-]+\.rs)`?( \(not tracked\))?' \
+        README.md EXPERIMENTS.md DESIGN.md |
+    grep -v 'not tracked)$' | tr -d '`' | sed 's/\.$//' | sort -u)
+stale=0
+while read -r path; do
+    git ls-files --error-unmatch -- "$path" >/dev/null 2>&1 && continue
+    echo "docs name $path, which is not a tracked file" >&2
+    stale=1
+done <<<"$cited"
+[ "$stale" -eq 0 ]
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets
 
@@ -46,8 +61,11 @@ if [ "$fast" -eq 0 ]; then
     echo "== equivalence gates (kernels fits serve real simd format oooc) =="
     cargo run --release -q -p smda-bench -- --smoke --check all
 
-    echo "== bench history regression gate =="
-    scripts/benchgate.sh
+    # The figure-shape tests behind EXPERIMENTS.md's ✅ column are ignored
+    # in debug builds. After the release build, not before: the
+    # cluster_real one forks the `smda` worker binary.
+    echo "== test (smda-bench, release: figure shapes) =="
+    cargo test --release -q -p smda-bench
 fi
 
 echo "ci: all green"
