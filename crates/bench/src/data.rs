@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use smda_core::{DataGenerator, GeneratorConfig, SeedConfig};
-use smda_types::Dataset;
+use smda_types::{ConsumerId, ConsumerSeries, Dataset, HOURS_PER_DAY, HOURS_PER_YEAR};
 
 /// Deterministic master seed for all experiment data.
 pub const BENCH_SEED: u64 = 20150323; // EDBT 2015, March 23
@@ -42,6 +42,44 @@ pub fn seed_dataset(consumers: usize) -> Arc<Dataset> {
         .expect("cache lock")
         .insert(("seed", consumers), ds.clone());
     ds
+}
+
+/// One synthetic consumer per edge class of the model fits, which no
+/// generator household falls in: an all-zero year and a constant year
+/// (every PAR hour rank deficient, one 3-line point per temperature), the
+/// first household of `ds` with zeros of both signs scattered through it
+/// (the gram's zero skip, tied zeros in every percentile bin), and a
+/// near-unit-root year where each day repeats the one before up to a
+/// jitter (PAR's steady-state guard, near-collinear lag columns).
+pub fn edge_consumers(ds: &Dataset) -> Vec<ConsumerSeries> {
+    let normal = ds.consumers()[0].readings();
+    let scattered = normal
+        .iter()
+        .enumerate()
+        .map(|(h, &kwh)| match (h * 7) % 11 {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            _ => kwh,
+        })
+        .collect();
+    let mut unit_root = normal.to_vec();
+    for h in HOURS_PER_DAY..HOURS_PER_YEAR {
+        let jitter = ((h * 37) % 101) as f64 / 1e4 - 0.005;
+        unit_root[h] = (unit_root[h - HOURS_PER_DAY] + jitter).max(0.0);
+    }
+    [
+        vec![0.0; HOURS_PER_YEAR],
+        vec![0.7; HOURS_PER_YEAR],
+        scattered,
+        unit_root,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(class, readings)| {
+        ConsumerSeries::new(ConsumerId(9_000_000 + class as u32), readings)
+            .expect("edge years are finite and non-negative")
+    })
+    .collect()
 }
 
 /// A large synthetic dataset of `consumers` households, produced by the

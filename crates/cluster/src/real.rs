@@ -55,7 +55,10 @@ pub struct RealClusterConfig {
     /// Socket timeouts, retry budget, heartbeat cadence.
     pub transport: TransportConfig,
     /// Crash schedule: each [`crate::faults::NodeCrash`] is delivered
-    /// as an actual SIGKILL to the worker process.
+    /// as an actual SIGKILL to the worker process, at the first task
+    /// handed to the victim after the job clock passes `at` and the
+    /// victim has completed at least one task — so the kill lands
+    /// mid-phase with that task in flight, however short tasks are.
     pub fault_plan: Option<FaultPlan>,
     /// Directory for shuffle-partition WALs; a per-run temp directory
     /// (removed on drop) when `None`.
@@ -137,6 +140,9 @@ struct WorkerHandle {
     alive: AtomicBool,
     /// Tasks this worker has completed (the crash trigger watches it).
     completed: AtomicU64,
+    /// Set by the crash trigger once its conditions hold; the dispatcher
+    /// that next hands this worker a task delivers the SIGKILL.
+    kill_armed: AtomicBool,
 }
 
 impl WorkerHandle {
@@ -270,6 +276,7 @@ impl RealCluster {
                 child: Mutex::new(child),
                 alive: AtomicBool::new(true),
                 completed: AtomicU64::new(0),
+                kill_armed: AtomicBool::new(false),
             }));
         }
         let cluster = RealCluster {
@@ -349,24 +356,21 @@ impl RealCluster {
                 continue; // the plan names a node this cluster doesn't have
             };
             let stop = Arc::clone(&self.stop);
-            let live = Arc::clone(&self.live);
-            let metrics = self.metrics.clone();
             let started = self.started;
             let at = crash.at;
             let handle = std::thread::spawn(move || {
-                // Deliver the SIGKILL once the job clock passes `at`
-                // AND the victim has completed at least one task — so a
-                // seeded one-kill plan always strikes mid-phase, with
-                // work still in flight, deterministically.
+                // Arm the SIGKILL once the job clock passes `at` AND the
+                // victim has completed at least one task; `run_queue`
+                // delivers it with the victim's next task in hand. A kill
+                // fired from here, on wall time, can land between two
+                // tasks — the shorter the tasks, the likelier — and then
+                // nothing is in flight to recover.
                 loop {
                     if stop.load(Ordering::SeqCst) || !worker.alive() {
                         return;
                     }
                     if started.elapsed() >= at && worker.completed.load(Ordering::SeqCst) > 0 {
-                        if worker.declare_dead() {
-                            live.fetch_sub(1, Ordering::SeqCst);
-                            metrics.incr(counters::FAULTS_INJECTED_NODE_CRASH, 1);
-                        }
+                        worker.kill_armed.store(true, Ordering::SeqCst);
                         return;
                     }
                     std::thread::sleep(Duration::from_micros(200));
@@ -431,6 +435,13 @@ impl RealCluster {
                         return;
                     };
                     self.metrics.incr(counters::TASKS_SCHEDULED, 1);
+                    if worker.kill_armed.swap(false, Ordering::SeqCst) {
+                        // The scheduled crash strikes now, this task in
+                        // the victim's hands: the call below finds the
+                        // process gone and the task is recovered on a
+                        // survivor.
+                        self.mark_dead(worker, Some(counters::FAULTS_INJECTED_NODE_CRASH));
+                    }
                     let request = make_request(&items[index]).encode();
                     match worker
                         .endpoint

@@ -75,23 +75,31 @@ impl ParModel {
         self.profile.iter().sum()
     }
 
-    /// Hour of day with the highest activity load.
+    /// Hour of day with the highest activity load (the latest such hour
+    /// on a tie). Ordered by [`f64::total_cmp`], so a profile a caller
+    /// filled with NaN still names an hour instead of panicking.
     pub fn peak_hour(&self) -> usize {
         self.profile
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("profile values are finite"))
-            .map(|(h, _)| h)
-            .unwrap_or(0)
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map_or(0, |(h, _)| h)
     }
 }
 
+// The lane kernel in `smda-stats` is written for this model's shape.
+const _: () = assert!(PAR_ORDER == smda_stats::simd::LANE_LAGS);
+
 /// Fit the PAR model for one consumer through a caller-provided
-/// [`FitScratch`]: the 24 hourly systems are solved in place on the
-/// arena's fixed `(PAR_ORDER + 2)²` normal-equation arrays, with design
-/// rows regenerated from the series instead of materialized — the
-/// allocation-free production path. Bit-identical to
-/// [`fit_par_baseline`], dirty arena or fresh.
+/// [`FitScratch`]: the 24 hourly systems are accumulated side by side in
+/// SIMD lanes straight off the day-major year
+/// ([`NormalEq::fit_hourly_ar`](smda_stats::NormalEq::fit_hourly_ar)) —
+/// no design row is ever formed — and solved in place on the arena's
+/// fixed normal-equation arrays: the allocation-free production path.
+/// Bit-identical to [`fit_par_baseline`], dirty arena or fresh.
+///
+/// # Panics
+/// Panics if `readings` or `temps` holds less than a year.
 pub fn fit_par_scratch(
     consumer: ConsumerId,
     readings: &[f64],
@@ -99,6 +107,7 @@ pub fn fit_par_scratch(
     scratch: &mut FitScratch,
 ) -> ParModel {
     scratch.note_fit();
+    let fits = scratch.solver.fit_hourly_ar(readings, temps, DAYS_PER_YEAR);
     let mut hourly = [HourModel {
         intercept: 0.0,
         ar: [0.0; PAR_ORDER],
@@ -106,32 +115,9 @@ pub fn fit_par_scratch(
         r2: 0.0,
     }; HOURS_PER_DAY];
     let mut profile = [0.0; HOURS_PER_DAY];
-
-    let n_obs = DAYS_PER_YEAR - PAR_ORDER;
-    let FitScratch { solver, y, .. } = scratch;
-
-    for hour in 0..HOURS_PER_DAY {
-        y.clear();
-        for day in PAR_ORDER..DAYS_PER_YEAR {
-            y.push(readings[day * HOURS_PER_DAY + hour]);
-        }
-        // Fallback profile value: mean residual after removing the
-        // temperature effect — always well-defined.
-        let mean_y = y.iter().sum::<f64>() / y.len() as f64;
-        let fit = solver.solve(
-            n_obs,
-            PAR_ORDER + 2,
-            &mut |r, row| {
-                let day = PAR_ORDER + r;
-                row[0] = 1.0;
-                for lag in 1..=PAR_ORDER {
-                    row[lag] = readings[(day - lag) * HOURS_PER_DAY + hour];
-                }
-                row[PAR_ORDER + 1] = temps[day * HOURS_PER_DAY + hour];
-            },
-            y,
-        );
-        match fit {
+    for (hour, hour_fit) in fits.iter().enumerate() {
+        let mean_y = hour_fit.mean_y;
+        match hour_fit.fit {
             Some(fit) => {
                 let m = HourModel {
                     intercept: fit.beta[0],
@@ -139,11 +125,9 @@ pub fn fit_par_scratch(
                     temp_coef: fit.beta[4],
                     r2: if fit.r2.is_nan() { 0.0 } else { fit.r2 },
                 };
-                let mean_t = (PAR_ORDER..DAYS_PER_YEAR)
-                    .map(|d| temps[d * HOURS_PER_DAY + hour])
-                    .sum::<f64>()
-                    / n_obs as f64;
-                let fallback = mean_y - m.temp_coef * mean_t;
+                // Fallback profile value: mean residual after removing the
+                // temperature effect — always well-defined.
+                let fallback = mean_y - m.temp_coef * hour_fit.mean_x;
                 hourly[hour] = m;
                 profile[hour] = m.steady_state(fallback);
             }
@@ -416,6 +400,24 @@ mod tests {
         }
     }
 
+    fn assert_models_bit_identical(arena: &ParModel, base: &ParModel) {
+        assert_eq!(arena.consumer, base.consumer);
+        for h in 0..HOURS_PER_DAY {
+            let (a, b) = (&arena.hourly[h], &base.hourly[h]);
+            assert_eq!(a.intercept.to_bits(), b.intercept.to_bits(), "hour {h}");
+            for lag in 0..PAR_ORDER {
+                assert_eq!(a.ar[lag].to_bits(), b.ar[lag].to_bits(), "hour {h}");
+            }
+            assert_eq!(a.temp_coef.to_bits(), b.temp_coef.to_bits(), "hour {h}");
+            assert_eq!(a.r2.to_bits(), b.r2.to_bits(), "hour {h}");
+            assert_eq!(
+                arena.profile[h].to_bits(),
+                base.profile[h].to_bits(),
+                "hour {h}"
+            );
+        }
+    }
+
     #[test]
     fn scratch_fit_is_bit_identical_to_baseline_even_when_dirty() {
         let (series, temps) = patterned();
@@ -426,22 +428,65 @@ mod tests {
         for s in [&constant, &series] {
             let base = fit_par_baseline(s, &temps);
             let arena = fit_par_scratch(s.id, s.readings(), temps.values(), &mut scratch);
-            assert_eq!(arena.consumer, base.consumer);
-            for h in 0..HOURS_PER_DAY {
-                let (a, b) = (&arena.hourly[h], &base.hourly[h]);
-                assert_eq!(a.intercept.to_bits(), b.intercept.to_bits(), "hour {h}");
-                for lag in 0..PAR_ORDER {
-                    assert_eq!(a.ar[lag].to_bits(), b.ar[lag].to_bits(), "hour {h}");
-                }
-                assert_eq!(a.temp_coef.to_bits(), b.temp_coef.to_bits(), "hour {h}");
-                assert_eq!(a.r2.to_bits(), b.r2.to_bits(), "hour {h}");
-                assert_eq!(
-                    arena.profile[h].to_bits(),
-                    base.profile[h].to_bits(),
-                    "hour {h}"
-                );
-            }
+            assert_models_bit_identical(&arena, &base);
         }
+    }
+
+    #[test]
+    fn zero_readings_of_either_sign_fit_as_the_baseline_fits_them() {
+        // `Matrix::gram` skips a zero column entry; the lane kernel masks
+        // the product instead. Zeros of both signs, scattered and solid.
+        let (patterned, temps) = patterned();
+        let scattered: Vec<f64> = patterned
+            .readings()
+            .iter()
+            .enumerate()
+            .map(|(h, &r)| match (h * 7) % 11 {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                _ => r,
+            })
+            .collect();
+        // Whole hours of the day at zero: rank-deficient lanes beside
+        // ordinary ones in the same lane block.
+        let dead_hours: Vec<f64> = patterned
+            .readings()
+            .iter()
+            .enumerate()
+            .map(|(h, &r)| match h % 24 {
+                2 => 0.0,
+                3 => -0.0,
+                _ => r,
+            })
+            .collect();
+        let mut scratch = smda_stats::FitScratch::new();
+        for readings in [
+            scattered,
+            dead_hours,
+            vec![0.0; HOURS_PER_YEAR],
+            vec![-0.0; HOURS_PER_YEAR],
+        ] {
+            let s = ConsumerSeries::new(ConsumerId(21), readings).unwrap();
+            let base = fit_par_baseline(&s, &temps);
+            let arena = fit_par_scratch(s.id, s.readings(), temps.values(), &mut scratch);
+            assert_models_bit_identical(&arena, &base);
+        }
+    }
+
+    #[test]
+    fn peak_hour_is_total_over_any_profile() {
+        let (series, temps) = patterned();
+        let mut model = fit_par(&series, &temps);
+        let honest = model.peak_hour();
+        // A caller-built profile may hold anything; NaN sorts above every
+        // number under `total_cmp`, so it is named rather than fatal.
+        model.profile[3] = f64::NAN;
+        assert_eq!(model.peak_hour(), 3);
+        model.profile[3] = f64::NEG_INFINITY;
+        assert_eq!(model.peak_hour(), honest);
+        // Ties go to the latest hour, as they always did.
+        model.profile = [1.0; HOURS_PER_DAY];
+        assert_eq!(model.peak_hour(), HOURS_PER_DAY - 1);
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //!   disagree at a breakpoint, re-fit a *continuous* piecewise model with
 //!   hinge basis `[1, t, (t−k₁)⁺, (t−k₂)⁺]` at the chosen knots.
 
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 use smda_stats::linalg::Matrix;
 use smda_stats::scratch::{FitScratch, NormalEq, SegmentSums};
-use smda_stats::{ols_multiple, quantile_sorted, with_fit_scratch};
+use smda_stats::{ols_multiple, quantile_sorted, quantiles_by_selection, with_fit_scratch};
 use smda_types::{ConsumerId, ConsumerSeries, Dataset, TemperatureSeries};
 
 /// Tuning knobs; the defaults reproduce the paper's setup.
@@ -184,6 +185,30 @@ pub struct PercentilePoints {
     pub values: Vec<f64>,
 }
 
+/// Whether every value is finite. Folded with `&`, not short-circuited, so
+/// the year-long scan vectorizes.
+fn all_finite(values: &[f64]) -> bool {
+    values.iter().fold(true, |ok, v| ok & v.is_finite())
+}
+
+/// `t.round() as i32` — half away from zero, saturating, NaN to 0 —
+/// without the libm call `f64::round` is on baseline x86-64. The
+/// truncating cast gives the integer part; `t` minus it is the fractional
+/// part, exact in `f64` whenever the cast did not saturate; and when it
+/// did, the saturating step leaves the saturated value `round` would cast
+/// to as well.
+fn round_to_i32(t: f64) -> i32 {
+    let whole = t as i32;
+    let fraction = t - whole as f64;
+    if fraction >= 0.5 {
+        whole.saturating_add(1)
+    } else if fraction <= -0.5 {
+        whole.saturating_sub(1)
+    } else {
+        whole
+    }
+}
+
 /// Phase T1: group by rounded temperature and extract the two percentile
 /// point sets. Exposed so the platform engines can reuse it.
 ///
@@ -191,11 +216,18 @@ pub struct PercentilePoints {
 /// runs the same extraction through [`FitScratch`]'s dense grouper (see
 /// [`fit_three_line_scratch`]), and `smda-bench --check fits` pins the
 /// two bit-identical.
+///
+/// A non-finite reading or temperature yields no points at all: a NaN
+/// has no rank and no temperature bin.
 pub fn percentile_points(
     readings: &[f64],
     temperature: &TemperatureSeries,
     config: &ThreeLineConfig,
 ) -> (PercentilePoints, PercentilePoints) {
+    let n = readings.len().min(temperature.values().len());
+    if !all_finite(&readings[..n]) || !all_finite(&temperature.values()[..n]) {
+        return Default::default();
+    }
     // Group consumption values by integer temperature. Temperatures span
     // a modest physical range, so a BTreeMap keeps them ordered cheaply.
     use std::collections::BTreeMap;
@@ -209,7 +241,8 @@ pub fn percentile_points(
         if values.len() < config.min_points_per_temp {
             continue;
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("readings are finite"));
+        // Finite values (checked above) always compare.
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
         low.temps.push(t as f64);
         low.values
             .push(quantile_sorted(&values, config.low_percentile));
@@ -318,11 +351,14 @@ fn free_fit_scratch(
     }
 
     let mut best = (f64::INFINITY, m, 2 * m);
+    // The right segment's SSE depends on `j` alone: fit each once, not
+    // once per `i`.
+    sums.cache_tail_sse(2 * m, n - m);
     for i in m..=(n - 2 * m) {
         let (_, _, sse1) = sums.fit(0, i);
         for j in (i + m)..=(n - m) {
             let (_, _, sse2) = sums.fit(i, j);
-            let (_, _, sse3) = sums.fit(j, n);
+            let sse3 = sums.tail_sse(j);
             let total = sse1 + sse2 + sse3;
             if total < best.0 {
                 best = (total, i, j);
@@ -429,7 +465,8 @@ fn adjust_continuity_scratch(
 /// [`fit_three_line_baseline`] on the same inputs, dirty arena or fresh.
 ///
 /// Returns `None` when the series yields fewer than two percentile points
-/// (e.g. a constant temperature year), which cannot support any line.
+/// (e.g. a constant temperature year, or any non-finite reading or
+/// temperature), which cannot support any line.
 pub fn fit_three_line_scratch(
     consumer: ConsumerId,
     readings: &[f64],
@@ -447,19 +484,26 @@ pub fn fit_three_line_scratch(
         low.clear();
         high.clear();
         let n = readings.len().min(temps.len());
-        groups.for_each_group(
-            n,
-            |i| temps[i].round() as i32,
-            |i| readings[i],
-            |key, values| {
-                if values.len() < config.min_points_per_temp {
-                    return;
-                }
-                values.sort_by(|a, b| a.partial_cmp(b).expect("readings are finite"));
-                low.push(key as f64, quantile_sorted(values, config.low_percentile));
-                high.push(key as f64, quantile_sorted(values, config.high_percentile));
-            },
-        );
+        if all_finite(&readings[..n]) && all_finite(&temps[..n]) {
+            groups.for_each_group(
+                n,
+                |i| round_to_i32(temps[i]),
+                |i| readings[i],
+                |key, values| {
+                    if values.len() < config.min_points_per_temp {
+                        return;
+                    }
+                    // The (at most four) ranks the two percentiles read,
+                    // selected instead of sorting the whole bin.
+                    let [p_low, p_high] = quantiles_by_selection(
+                        values,
+                        [config.low_percentile, config.high_percentile],
+                    );
+                    low.push(key as f64, p_low);
+                    high.push(key as f64, p_high);
+                },
+            );
+        }
     }
     phases.t1 = t.elapsed();
     if scratch.curves[0].len() < 2 {
@@ -789,6 +833,128 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_non_finite_reading_or_temperature_yields_none_not_a_panic() {
+        let config = ThreeLineConfig::default();
+        let (series, temps) = v_shaped();
+        let mut scratch = smda_stats::FitScratch::new();
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // A poisoned reading, through the scratch path and through the
+            // baseline's T1 (its only door for raw readings: the series
+            // types refuse non-finite values).
+            let mut readings = series.readings().to_vec();
+            readings[4321] = poison;
+            let fit =
+                fit_three_line_scratch(series.id, &readings, temps.values(), &config, &mut scratch);
+            assert!(fit.is_none(), "reading {poison}");
+            let (low, high) = percentile_points(&readings, &temps, &config);
+            assert!(
+                low.temps.is_empty() && high.temps.is_empty(),
+                "reading {poison}"
+            );
+
+            // A poisoned temperature, which only a raw-slice caller can
+            // deliver.
+            let mut bad_temps = temps.values().to_vec();
+            bad_temps[17] = poison;
+            let fit = fit_three_line_scratch(
+                series.id,
+                series.readings(),
+                &bad_temps,
+                &config,
+                &mut scratch,
+            );
+            assert!(fit.is_none(), "temperature {poison}");
+        }
+        // The arena is not left poisoned.
+        let clean = fit_three_line_scratch(
+            series.id,
+            series.readings(),
+            temps.values(),
+            &config,
+            &mut scratch,
+        );
+        assert_eq!(
+            clean.map(|(m, _)| m),
+            fit_three_line_baseline(&series, &temps, &config).map(|(m, _)| m)
+        );
+    }
+
+    #[test]
+    fn integer_rounding_is_round_half_away_then_saturate() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            17.499999999999996,
+            -17.500000000000004,
+            2147483646.5,
+            2147483647.4,
+            2147483647.5,
+            -2147483648.5,
+            4294967296.25,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            4503599627370497.0,
+        ];
+        for t in edges {
+            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t:e}");
+        }
+        for i in -4000..4000 {
+            let t = i as f64 / 8.0 + 1e-9;
+            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t}");
+            let t = i as f64 / 8.0;
+            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t}");
+        }
+    }
+
+    #[test]
+    fn zero_heavy_bins_select_the_same_percentiles_the_sort_did() {
+        // A meter that reads zero — both signs of it — most of the time:
+        // every temperature bin is mostly tied zeros, the case where
+        // selection and the stable sort may order elements differently.
+        let config = ThreeLineConfig::default();
+        let (v, temps) = v_shaped();
+        let kwh: Vec<f64> = v
+            .readings()
+            .iter()
+            .enumerate()
+            .map(|(h, &r)| match h % 5 {
+                0 => r + ((h * 37) % 101) as f64 / 1010.0,
+                1 | 2 => 0.0,
+                _ => -0.0,
+            })
+            .collect();
+        let series = ConsumerSeries::new(ConsumerId(12), kwh).unwrap();
+        let (base_low, base_high) = percentile_points(series.readings(), &temps, &config);
+        let mut scratch = smda_stats::FitScratch::new();
+        let arena = fit_three_line_scratch(
+            series.id,
+            series.readings(),
+            temps.values(),
+            &config,
+            &mut scratch,
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scratch.curves[0].y), bits(&base_low.values));
+        assert_eq!(bits(&scratch.curves[1].y), bits(&base_high.values));
+        assert_eq!(bits(&scratch.curves[0].x), bits(&base_low.temps));
+        assert_eq!(
+            arena.map(|(m, _)| m),
+            fit_three_line_baseline(&series, &temps, &config).map(|(m, _)| m)
+        );
     }
 
     #[test]

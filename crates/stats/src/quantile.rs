@@ -17,13 +17,74 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
         0 => f64::NAN,
         1 => sorted[0],
         n => {
-            let h = (n - 1) as f64 * q;
-            let lo = h.floor() as usize;
-            let hi = h.ceil() as usize;
-            let frac = h - lo as f64;
+            let (lo, hi, frac) = type7_ranks(n, q);
             sorted[lo] + (sorted[hi] - sorted[lo]) * frac
         }
     }
+}
+
+/// The two ranks type-7 interpolation reads for quantile `q` of `n ≥ 2`
+/// values, and the weight of the upper one.
+fn type7_ranks(n: usize, q: f64) -> (usize, usize, f64) {
+    let h = (n - 1) as f64 * q;
+    let lo = h.floor() as usize;
+    (lo, h.ceil() as usize, h - lo as f64)
+}
+
+/// [`quantile_sorted`] for each of `qs` over an **unsorted** slice,
+/// without sorting it: only the at most `2 · N` ranks the interpolations
+/// read are put in place (`select_nth_unstable_by`, each selection
+/// confined to the part right of the previous rank), which is linear in
+/// the slice where a sort is `n log n`. `values` is left partially
+/// ordered.
+///
+/// The result is bit-identical to stably sorting by `partial_cmp` and
+/// calling [`quantile_sorted`], for every input without NaN. A rank's
+/// order statistic is a single real number whichever algorithm finds it,
+/// and one real number is one bit pattern — except zero, where the stable
+/// sort keeps tied `+0.0` and `−0.0` in input order and selection (which
+/// orders them by [`f64::total_cmp`], `−0.0` first) may put the other sign
+/// on the rank. That sign cannot reach `lo + (hi − lo) · frac`:
+/// `frac ∈ [0, 1)` is non-negative, and
+///
+/// * `lo` and `hi` both zero: `hi − lo` is `±0.0`, times `frac` still
+///   `±0.0`, and a zero plus a zero is `−0.0` only when both are `−0.0` —
+///   which needs `lo = −0.0` and `hi − lo = −0.0`, but `hi − (−0.0)` is
+///   `hi + 0.0`, never `−0.0`. The sum is `+0.0` for all four sign pairs;
+/// * `lo` zero, `hi > 0`: `hi − (±0.0)` is `hi` exactly, `hi · frac` is
+///   positive or `+0.0`, and `±0.0` plus either does not depend on the
+///   zero's sign;
+/// * `lo < 0`, `hi` zero: `±0.0 − lo` is `−lo` exactly;
+/// * a single value (`n = 1`) has no tie to reorder.
+///
+/// With NaN present the values returned are unspecified (as they are for
+/// a `partial_cmp` sort), but the call does not panic: `total_cmp` is a
+/// total order over every bit pattern.
+///
+/// # Panics
+/// Panics if any `q` is outside `[0, 1]`.
+pub fn quantiles_by_selection<const N: usize>(values: &mut [f64], qs: [f64; N]) -> [f64; N] {
+    for q in qs {
+        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0,1]");
+    }
+    let n = values.len();
+    if n < 2 {
+        return [values.first().copied().unwrap_or(f64::NAN); N];
+    }
+    let ranks = qs.map(|q| type7_ranks(n, q));
+    // Ascending through the wanted ranks: everything left of `placed` is
+    // final and no greater than anything right of it.
+    let mut placed = 0;
+    while let Some(next) = ranks
+        .iter()
+        .flat_map(|&(lo, hi, _)| [lo, hi])
+        .filter(|&rank| rank >= placed)
+        .min()
+    {
+        values[placed..].select_nth_unstable_by(next - placed, f64::total_cmp);
+        placed = next + 1;
+    }
+    ranks.map(|(lo, hi, frac)| values[lo] + (values[hi] - values[lo]) * frac)
 }
 
 /// Quantile of an unsorted slice; sorts a copy.
@@ -74,6 +135,49 @@ mod tests {
     fn unsorted_wrapper_sorts() {
         assert_eq!(quantile(&[9.0, 1.0, 5.0, 3.0], 0.0), 1.0);
         assert_eq!(quantile(&[9.0, 1.0, 5.0, 3.0], 1.0), 9.0);
+    }
+
+    /// The path selection replaces: stable `partial_cmp` sort, then read.
+    fn by_sorting<const N: usize>(values: &[f64], qs: [f64; N]) -> [f64; N] {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in the fixtures"));
+        qs.map(|q| quantile_sorted(&sorted, q))
+    }
+
+    #[test]
+    fn selection_matches_sorting_bitwise_through_ties_and_signed_zeros() {
+        let fixtures: [&[f64]; 7] = [
+            &[7.0],
+            &[2.0, 1.0],
+            &[-0.0, 0.0, -0.0, 0.0, 0.0, -0.0],
+            &[0.0, -0.0, -3.0, -0.0, 5.0, 0.0, -3.0],
+            &[1.0, 1.0, 1.0, 1.0, 1.0],
+            // (n − 1)·q integral for q = 0.1 and 0.9: n = 11.
+            &[5.0, 3.0, 9.0, 1.0, 7.0, 0.0, -0.0, 8.0, 2.0, 6.0, 4.0],
+            &[-0.0, 2.0, 0.0, 1.0],
+        ];
+        for values in fixtures {
+            for qs in [[0.1, 0.9], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5]] {
+                let want = by_sorting(values, qs);
+                let got = quantiles_by_selection(&mut values.to_vec(), qs);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{values:?} at {qs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selection_of_nothing_is_nan_and_nan_input_does_not_panic() {
+        assert!(quantiles_by_selection(&mut [], [0.5])[0].is_nan());
+        let mut poisoned = [1.0, f64::NAN, 0.5, f64::NAN, 2.0, -1.0];
+        let _ = quantiles_by_selection(&mut poisoned, [0.1, 0.9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn selection_rejects_an_out_of_range_q() {
+        quantiles_by_selection(&mut [1.0, 2.0], [0.5, -0.1]);
     }
 
     #[test]

@@ -34,10 +34,30 @@
 //!   in a single pass over rows here where the originals used two; each
 //!   accumulator is independent, so every individual sum still sees the
 //!   same addends in the same order.
+//! * [`NormalEq::fit_hourly_ar`] reproduces 24 such fits — one per hour
+//!   of day, design `[1, y[d−1], y[d−2], y[d−3], x[d]]` — without ever
+//!   forming a design row. The hours are accumulated *side by side*: in
+//!   the day-major year the four hours of a lane block are adjacent, so
+//!   hour *h*'s 15 gram sums, 5 `Xᵀy` sums, `Σy` and `Σx` are lane
+//!   `h % 4` of 22 accumulator vectors
+//!   ([`lagged_moments`], which carries the
+//!   per-lane argument: same addends, same day order, product rounded
+//!   before the add, the zero skip reproduced by masking the product to
+//!   `+0.0`). Each hour's moments then go through the same scalar
+//!   moments-in → β-out step as [`NormalEq::solve`] (Cholesky, else QR on
+//!   that hour's materialized design), and the residual pass is lane-wise
+//!   again ([`lagged_residuals`]). The
+//!   response mean is summed once and serves both the fit's `r²` and the
+//!   caller's fallback — it was the same `Iterator::sum` twice.
+//! * [`quantiles_by_selection`](crate::quantile::quantiles_by_selection)
+//!   replaces "sort the bin, read two quantiles" in 3-line T1 with
+//!   selection of the at most four ranks the interpolation reads; its
+//!   docs show why the one thing selection may change — which of several
+//!   tied `±0.0` lands on a rank — cannot reach the interpolated value.
 //!
 //! The contract is enforced by proptests in this crate (dirty scratch ≡
-//! fresh scratch ≡ allocating reference) and by `smda-bench
-//! --check fits` end to end.
+//! fresh scratch ≡ allocating reference, scalar tier ≡ AVX2 tier) and by
+//! `smda-bench --check fits` end to end.
 
 // Triangular factorizations index several buffers with mutually offset
 // ranges; explicit indices mirror `linalg` and read better here.
@@ -45,7 +65,10 @@
 
 use std::cell::RefCell;
 
+use smda_types::HOURS_PER_DAY;
+
 use crate::linalg::{qr_least_squares, Matrix};
+use crate::simd::{lagged_moments, lagged_residuals, LANE_COLS, LANE_LAGS, LANE_WIDTH};
 
 /// Widest design matrix the in-place solver accepts (columns). The 3-line
 /// hinge basis uses 4, PAR uses `PAR_ORDER + 2 = 5`; 6 leaves headroom.
@@ -66,8 +89,6 @@ pub struct FitScratch {
     pub segments: SegmentSums,
     /// In-place normal-equation solver (3-line T3 hinge, PAR hours).
     pub solver: NormalEq,
-    /// Response-vector buffer (PAR's per-hour `y`).
-    pub y: Vec<f64>,
     used: bool,
     pending_reuses: u64,
 }
@@ -117,6 +138,7 @@ pub fn with_fit_scratch<R>(f: impl FnOnce(&mut FitScratch) -> R) -> R {
 /// iterating it, bit-identical in both value order and key order.
 #[derive(Debug, Default)]
 pub struct DenseGroups {
+    keys: Vec<i32>,
     counts: Vec<usize>,
     starts: Vec<usize>,
     cursors: Vec<usize>,
@@ -126,11 +148,14 @@ pub struct DenseGroups {
 impl DenseGroups {
     /// Group `value_of(i)` by `key_of(i)` for `i in 0..n` and visit each
     /// non-empty group in ascending key order as `(key, &mut values)`.
+    /// `key_of` runs once per `i`; the keys wait in a retained buffer for
+    /// the count and scatter passes.
     ///
     /// Values within a group appear in input order (the scatter pass is
     /// a stable counting sort), so `visit` sees exactly the slice the
     /// map-based grouper would have built; it may reorder the slice in
-    /// place (e.g. sort it) — the buffer is rebuilt on the next call.
+    /// place (e.g. select within it) — the buffer is rebuilt on the next
+    /// call.
     pub fn for_each_group(
         &mut self,
         n: usize,
@@ -141,19 +166,20 @@ impl DenseGroups {
         if n == 0 {
             return;
         }
-        let mut min_key = i32::MAX;
-        let mut max_key = i32::MIN;
-        for i in 0..n {
-            let k = key_of(i);
+        self.keys.clear();
+        self.keys.extend((0..n).map(key_of));
+        let (mut min_key, mut max_key) = (i32::MAX, i32::MIN);
+        for &k in &self.keys {
             min_key = min_key.min(k);
             max_key = max_key.max(k);
         }
-        let bins = (max_key - min_key) as usize + 1;
+        let bin_of = |k: i32| (k - min_key) as usize;
+        let bins = bin_of(max_key) + 1;
 
         self.counts.clear();
         self.counts.resize(bins, 0);
-        for i in 0..n {
-            self.counts[(key_of(i) - min_key) as usize] += 1;
+        for &k in &self.keys {
+            self.counts[bin_of(k)] += 1;
         }
 
         self.starts.clear();
@@ -166,8 +192,8 @@ impl DenseGroups {
         self.cursors.extend_from_slice(&self.starts[..bins]);
         self.grouped.clear();
         self.grouped.resize(n, 0.0);
-        for i in 0..n {
-            let b = (key_of(i) - min_key) as usize;
+        for (i, &k) in self.keys.iter().enumerate() {
+            let b = bin_of(k);
             self.grouped[self.cursors[b]] = value_of(i);
             self.cursors[b] += 1;
         }
@@ -224,6 +250,7 @@ pub struct SegmentSums {
     sxx: Vec<f64>,
     sxy: Vec<f64>,
     syy: Vec<f64>,
+    tail_sse: Vec<f64>,
 }
 
 impl SegmentSums {
@@ -251,6 +278,25 @@ impl SegmentSums {
             self.sxy[i + 1] = self.sxy[i] + x[i] * y[i];
             self.syy[i + 1] = self.syy[i] + y[i] * y[i];
         }
+    }
+
+    /// Cache the SSE of the line through points `j..n` for every `j` in
+    /// `from..=to`, for [`tail_sse`](Self::tail_sse): a breakpoint search
+    /// asks for each of them once per *first* breakpoint, and the answer
+    /// never depends on that one.
+    pub fn cache_tail_sse(&mut self, from: usize, to: usize) {
+        let n = self.sx.len() - 1;
+        self.tail_sse.clear();
+        self.tail_sse.resize(to + 1, 0.0);
+        for j in from..=to {
+            self.tail_sse[j] = self.fit(j, n).2;
+        }
+    }
+
+    /// `self.fit(j, n).2` as cached by the last
+    /// [`cache_tail_sse`](Self::cache_tail_sse) over a range holding `j`.
+    pub fn tail_sse(&self, j: usize) -> f64 {
+        self.tail_sse[j]
     }
 
     /// OLS over points `lo..hi`; returns `(intercept, slope, sse)`.
@@ -295,10 +341,34 @@ pub struct ScratchFit {
     pub n: usize,
 }
 
+/// One hour of [`NormalEq::fit_hourly_ar`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HourlyFit {
+    /// The hour's regression; `None` exactly where
+    /// [`ols_multiple`](crate::regression::ols_multiple) returns `None`
+    /// (fewer days than columns, rank-deficient design).
+    pub fit: Option<ScratchFit>,
+    /// Mean response over the fitted days.
+    pub mean_y: f64,
+    /// Mean exogenous value over the fitted days.
+    pub mean_x: f64,
+}
+
+/// Package coefficients and the two residual sums as `ols_multiple` does.
+fn scratch_fit(coefficients: &[f64], rows: usize, sse: f64, syy: f64) -> ScratchFit {
+    let mut beta = [0.0; SCRATCH_MAX_COLS];
+    beta[..coefficients.len()].copy_from_slice(coefficients);
+    ScratchFit {
+        beta,
+        sse,
+        r2: if syy > 0.0 { 1.0 - sse / syy } else { f64::NAN },
+        n: rows,
+    }
+}
+
 /// Fixed-capacity normal-equation solver: gram matrix, Cholesky factor,
 /// and solution vectors live in `SCRATCH_MAX_COLS`-sized arrays; the
-/// design matrix is never materialized on the fast path (rows are
-/// regenerated by a caller closure).
+/// design matrix is never materialized on the fast path.
 #[derive(Debug)]
 pub struct NormalEq {
     gram: [f64; SCRATCH_MAX_COLS * SCRATCH_MAX_COLS],
@@ -306,9 +376,9 @@ pub struct NormalEq {
     xty: [f64; SCRATCH_MAX_COLS],
     z: [f64; SCRATCH_MAX_COLS],
     beta: [f64; SCRATCH_MAX_COLS],
-    row: [f64; SCRATCH_MAX_COLS],
-    /// Retained design buffer for the rare QR fallback.
+    /// Retained design and response buffers for the rare QR fallback.
     design: Vec<f64>,
+    response: Vec<f64>,
 }
 
 impl Default for NormalEq {
@@ -319,8 +389,8 @@ impl Default for NormalEq {
             xty: [0.0; SCRATCH_MAX_COLS],
             z: [0.0; SCRATCH_MAX_COLS],
             beta: [0.0; SCRATCH_MAX_COLS],
-            row: [0.0; SCRATCH_MAX_COLS],
             design: Vec::new(),
+            response: Vec::new(),
         }
     }
 }
@@ -358,62 +428,149 @@ impl NormalEq {
         // (`Matrix::t_vec` order) in one pass over regenerated rows.
         self.gram[..cols * cols].fill(0.0);
         self.xty[..cols].fill(0.0);
-        {
-            // Each gram/xty entry is an independent accumulator updated by
-            // one `+= a * x` per row, so the dispatched `axpy` (scalar or
-            // AVX2 lanes) is bit-identical to the original scalar loop.
-            let NormalEq { gram, xty, row, .. } = self;
-            for r in 0..rows {
-                fill_row(r, &mut row[..cols]);
-                for i in 0..cols {
-                    let a = row[i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    crate::simd::axpy(&mut gram[i * cols + i..i * cols + cols], a, &row[i..cols]);
+        let mut row = [0.0; SCRATCH_MAX_COLS];
+        let row = &mut row[..cols];
+        // Each gram/xty entry is an independent accumulator updated by
+        // one `+= a * x` per row, so the dispatched `axpy` (scalar or
+        // AVX2 lanes) is bit-identical to the original scalar loop.
+        for r in 0..rows {
+            fill_row(r, row);
+            for i in 0..cols {
+                let a = row[i];
+                if a == 0.0 {
+                    continue;
                 }
-                crate::simd::axpy(&mut xty[..cols], y[r], &row[..cols]);
+                crate::simd::axpy(&mut self.gram[i * cols + i..i * cols + cols], a, &row[i..]);
             }
-        }
-        // Mirror to the lower triangle — the Cholesky loop reads it.
-        for i in 0..cols {
-            for j in 0..i {
-                self.gram[i * cols + j] = self.gram[j * cols + i];
-            }
+            crate::simd::axpy(&mut self.xty[..cols], y[r], row);
         }
 
-        if !self.cholesky(cols) {
-            self.qr_fallback(rows, cols, fill_row, y)?;
-        }
+        self.beta_from_moments(rows, cols, &mut |design, response| {
+            for r in 0..rows {
+                fill_row(r, row);
+                design.extend_from_slice(row);
+            }
+            response.extend_from_slice(y);
+        })?;
 
         // Residuals: regenerate rows once more, predicting via the same
         // left-to-right zip-sum as `ols_multiple`.
         let my = y.iter().sum::<f64>() / rows as f64;
         let mut sse = 0.0;
         let mut syy = 0.0;
-        let NormalEq { row, beta, .. } = self;
         for (r, &yr) in y.iter().enumerate() {
-            fill_row(r, &mut row[..cols]);
-            let pred: f64 = row[..cols]
-                .iter()
-                .zip(&beta[..cols])
-                .map(|(a, b)| a * b)
-                .sum();
+            fill_row(r, row);
+            let pred: f64 = row.iter().zip(&self.beta).map(|(a, b)| a * b).sum();
             let e = yr - pred;
             sse += e * e;
             let d = yr - my;
             syy += d * d;
         }
-        let r2 = if syy > 0.0 { 1.0 - sse / syy } else { f64::NAN };
+        Some(scratch_fit(&self.beta[..cols], rows, sse, syy))
+    }
 
-        let mut out = [0.0; SCRATCH_MAX_COLS];
-        out[..cols].copy_from_slice(&self.beta[..cols]);
-        Some(ScratchFit {
-            beta: out,
-            sse,
-            r2,
-            n: rows,
-        })
+    /// Fit, for each hour of day, `y[d] = β·[1, y[d−1], y[d−2], y[d−3],
+    /// x[d]]` over days `3..days` of two day-major series (24 values per
+    /// day) — 24 regressions, each bit-identical to
+    /// [`ols_multiple`](crate::regression::ols_multiple) on that hour's
+    /// materialized design, and to `Iterator::sum` for the two means.
+    ///
+    /// The hours are accumulated four at a time in SIMD lanes (see the
+    /// module docs); only the 24 tiny solves run one after another.
+    ///
+    /// # Panics
+    /// Panics if either series holds fewer than `days` whole days.
+    pub fn fit_hourly_ar(
+        &mut self,
+        y: &[f64],
+        x: &[f64],
+        days: usize,
+    ) -> [HourlyFit; HOURS_PER_DAY] {
+        let rows = days.saturating_sub(LANE_LAGS);
+        let mut out = [HourlyFit {
+            fit: None,
+            mean_y: 0.0,
+            mean_x: 0.0,
+        }; HOURS_PER_DAY];
+        for (block, fits) in out.chunks_exact_mut(LANE_WIDTH).enumerate() {
+            let hour = block * LANE_WIDTH;
+            let moments = lagged_moments(y, x, days, hour);
+            let mean_y = moments.sum_y.map(|s| s / rows as f64);
+            let mut beta = [[0.0; LANE_WIDTH]; LANE_COLS];
+            let mut solved = [false; LANE_WIDTH];
+            for lane in 0..LANE_WIDTH {
+                fits[lane].mean_y = mean_y[lane];
+                fits[lane].mean_x = moments.sum_x[lane] / rows as f64;
+                if rows < LANE_COLS {
+                    continue;
+                }
+                let mut entry = 0;
+                for i in 0..LANE_COLS {
+                    for j in i..LANE_COLS {
+                        self.gram[i * LANE_COLS + j] = moments.gram[entry][lane];
+                        entry += 1;
+                    }
+                    self.xty[i] = moments.xty[i][lane];
+                }
+                let h = hour + lane;
+                let found = self.beta_from_moments(rows, LANE_COLS, &mut |design, response| {
+                    for day in LANE_LAGS..days {
+                        design.push(1.0);
+                        for lag in 1..=LANE_LAGS {
+                            design.push(y[(day - lag) * HOURS_PER_DAY + h]);
+                        }
+                        design.push(x[day * HOURS_PER_DAY + h]);
+                        response.push(y[day * HOURS_PER_DAY + h]);
+                    }
+                });
+                if found.is_some() {
+                    solved[lane] = true;
+                    for i in 0..LANE_COLS {
+                        beta[i][lane] = self.beta[i];
+                    }
+                }
+            }
+            let (sse, syy) = lagged_residuals(y, x, days, hour, &beta, mean_y);
+            for lane in (0..LANE_WIDTH).filter(|&l| solved[l]) {
+                let beta = beta.map(|coefficient| coefficient[lane]);
+                fits[lane].fit = Some(scratch_fit(&beta, rows, sse[lane], syy[lane]));
+            }
+        }
+        out
+    }
+
+    /// Moments in → β out, the step every fit shares: mirror the upper
+    /// triangle of `self.gram`, Cholesky-solve against `self.xty` into
+    /// `self.beta`, and where the gram is not numerically positive
+    /// definite fall back to the shared Householder QR on the design
+    /// `materialize` writes (row-major, then the responses) into the
+    /// retained buffers. Allocation there is amortized — the buffers
+    /// survive in the arena — and the path only triggers on
+    /// rank-deficient-near designs, exactly when `ols_multiple` pays for
+    /// it too. `None` when QR finds the design rank deficient.
+    fn beta_from_moments(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        materialize: &mut dyn FnMut(&mut Vec<f64>, &mut Vec<f64>),
+    ) -> Option<()> {
+        // The Cholesky loop reads the lower triangle.
+        for i in 0..cols {
+            for j in 0..i {
+                self.gram[i * cols + j] = self.gram[j * cols + i];
+            }
+        }
+        if self.cholesky(cols) {
+            return Some(());
+        }
+        self.design.clear();
+        self.response.clear();
+        materialize(&mut self.design, &mut self.response);
+        let x = Matrix::from_vec(rows, cols, std::mem::take(&mut self.design));
+        let solved = qr_least_squares(&x, &self.response);
+        self.design = x.into_vec();
+        self.beta[..cols].copy_from_slice(&solved?);
+        Some(())
     }
 
     /// Cholesky-factor the gram matrix and solve into `self.beta`,
@@ -454,32 +611,6 @@ impl NormalEq {
             self.beta[i] = s / self.factor[i * n + i];
         }
         true
-    }
-
-    /// Ill-conditioned fallback: materialize the design into the retained
-    /// buffer and run the shared Householder QR. Allocation here is
-    /// amortized — the buffer survives in the arena — and the path only
-    /// triggers on rank-deficient-near designs, exactly when
-    /// `ols_multiple` pays for it too.
-    fn qr_fallback(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        fill_row: &mut dyn FnMut(usize, &mut [f64]),
-        y: &[f64],
-    ) -> Option<()> {
-        self.design.clear();
-        self.design.reserve(rows * cols);
-        for r in 0..rows {
-            fill_row(r, &mut self.row[..cols]);
-            self.design.extend_from_slice(&self.row[..cols]);
-        }
-        let x = Matrix::from_vec(rows, cols, std::mem::take(&mut self.design));
-        let solved = qr_least_squares(&x, y);
-        self.design = x.into_vec();
-        let beta = solved?;
-        self.beta[..cols].copy_from_slice(&beta);
-        Some(())
     }
 }
 
@@ -614,6 +745,136 @@ mod tests {
             }
             (None, None) => {}
             (want, got) => panic!("divergent outcomes: reference {want:?} vs scratch {got:?}"),
+        }
+    }
+
+    /// Hour `hour` of `got` against what the lane fit replaces: that
+    /// hour's materialized design through `ols_multiple`, and the two
+    /// `Iterator::sum` means.
+    fn assert_hour_matches_reference(
+        got: &HourlyFit,
+        y: &[f64],
+        x: &[f64],
+        days: usize,
+        hour: usize,
+    ) {
+        let (design, response) = crate::testutil::hour_design(y, x, days, hour);
+        let rows = response.len();
+        let want = ols_multiple(&design, &response);
+        match (&want, &got.fit) {
+            (None, None) => {}
+            (Some(want), Some(got)) => {
+                for c in 0..LANE_COLS {
+                    assert_eq!(
+                        got.beta[c].to_bits(),
+                        want.beta[c].to_bits(),
+                        "hour {hour} beta[{c}]"
+                    );
+                }
+                assert_eq!(got.sse.to_bits(), want.sse.to_bits(), "hour {hour} sse");
+                assert_eq!(got.r2.to_bits(), want.r2.to_bits(), "hour {hour} r2");
+                assert_eq!(got.n, want.n);
+            }
+            _ => panic!("hour {hour}: reference {want:?} vs lane fit {:?}", got.fit),
+        }
+        let mean_y = response.iter().sum::<f64>() / rows as f64;
+        let mean_x = (LANE_LAGS..days)
+            .map(|day| x[day * HOURS_PER_DAY + hour])
+            .sum::<f64>()
+            / rows as f64;
+        assert_eq!(got.mean_y.to_bits(), mean_y.to_bits(), "hour {hour} mean_y");
+        assert_eq!(got.mean_x.to_bits(), mean_x.to_bits(), "hour {hour} mean_x");
+    }
+
+    #[test]
+    fn hourly_ar_matches_ols_multiple_hour_by_hour_even_when_dirty() {
+        let days = 60;
+        let (y, x) = crate::testutil::awkward_year(days, 17);
+        let mut dirty = NormalEq::default();
+        let junk = crate::testutil::awkward_year(9, 5);
+        let _ = dirty.fit_hourly_ar(&junk.0, &junk.1, 9);
+        let mut fresh = NormalEq::default();
+        for solver in [&mut dirty, &mut fresh] {
+            let fits = solver.fit_hourly_ar(&y, &x, days);
+            for (hour, fit) in fits.iter().enumerate() {
+                assert_hour_matches_reference(fit, &y, &x, days, hour);
+            }
+            // The fixture's two special hours took their special paths.
+            assert!(
+                fits[5].fit.is_none(),
+                "constant hour must be rank deficient"
+            );
+            assert!(fits[9].fit.is_some(), "near-collinear hour must still fit");
+            assert_eq!(
+                solver.design.len(),
+                (days - LANE_LAGS) * LANE_COLS,
+                "the near-collinear hour must have gone through the QR fallback"
+            );
+        }
+    }
+
+    #[test]
+    fn hourly_ar_handles_zero_years_and_years_too_short_to_fit() {
+        let mut solver = NormalEq::default();
+        for fill in [0.0, -0.0] {
+            let days = 20;
+            let (y, x) = (
+                vec![fill; days * HOURS_PER_DAY],
+                vec![3.5; days * HOURS_PER_DAY],
+            );
+            for (hour, fit) in solver.fit_hourly_ar(&y, &x, days).iter().enumerate() {
+                assert!(fit.fit.is_none());
+                assert_hour_matches_reference(fit, &y, &x, days, hour);
+            }
+        }
+        // 7 days leave 4 rows for 5 columns: under-determined, as in
+        // `ols_multiple`.
+        let (y, x) = crate::testutil::awkward_year(7, 3);
+        assert!(solver
+            .fit_hourly_ar(&y, &x, 7)
+            .iter()
+            .all(|f| f.fit.is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than")]
+    fn hourly_ar_rejects_a_short_series() {
+        let (y, x) = crate::testutil::awkward_year(10, 3);
+        let _ = NormalEq::default().fit_hourly_ar(&y[..200], &x, 10);
+    }
+
+    #[test]
+    fn dense_groups_ask_for_each_key_once() {
+        let calls = std::cell::Cell::new(0);
+        let mut groups = DenseGroups::default();
+        groups.for_each_group(
+            50,
+            |i| {
+                calls.set(calls.get() + 1);
+                (i % 7) as i32
+            },
+            |i| i as f64,
+            |_, _| {},
+        );
+        assert_eq!(calls.get(), 50);
+    }
+
+    #[test]
+    fn cached_tail_sse_is_the_fit_it_caches() {
+        let x: Vec<f64> = (0..30).map(|i| i as f64).collect();
+        let y: Vec<f64> = x.iter().map(|&v| (v * 0.7).sin() + 0.1 * v).collect();
+        let mut sums = SegmentSums::default();
+        // Dirty the cache with a longer curve first.
+        sums.build(&[0.0; 40], &[1.0; 40]);
+        sums.cache_tail_sse(0, 40);
+        sums.build(&x, &y);
+        sums.cache_tail_sse(6, 27);
+        for j in 6..=27 {
+            assert_eq!(
+                sums.tail_sse(j).to_bits(),
+                sums.fit(j, 30).2.to_bits(),
+                "j={j}"
+            );
         }
     }
 

@@ -16,9 +16,12 @@
 //!   sees exactly the additions scalar accumulator *j* saw, in the same
 //!   order, and the final reduction reuses the scalar tree
 //!   (`((a0+a1)+(a2+a3)) + tail`). No FMA — a fused multiply-add rounds
-//!   once where the reference rounds twice. These kernels are
-//!   **bit-identical** to their scalar references on every input and are
-//!   pinned by proptests and `smda-bench --check kernels,simd`.
+//!   once where the reference rounds twice. [`lagged_moments`] and
+//!   [`lagged_residuals`] — the PAR fit's two passes — are the same idea
+//!   with nothing to reduce: a lane *is* one hour's scalar accumulator.
+//!   These kernels are **bit-identical** to their scalar references on
+//!   every input and are pinned by proptests and `smda-bench --check
+//!   kernels,simd,fits`.
 //! * **Fused (tolerance-gated).** [`sumsq4`] *as a replacement for* the
 //!   canonical single-chain [`sumsq`](crate::similarity::sumsq), and
 //!   scaled scoring (score raw rows and fold the two inverse norms into
@@ -34,17 +37,20 @@
 //!
 //! One process-global tier ([`KernelDispatch`] snapshots it) decides
 //! what runs. It is detected once (`is_x86_feature_detected!("avx2")`) and every
-//! hot entry point — [`crate::dot`], [`dot_block`], [`axpy`], [`sumsq4`] — consults the
+//! hot entry point — [`crate::dot`], [`dot_block`], [`axpy`], [`sumsq4`],
+//! [`lagged_moments`], [`lagged_residuals`] — consults the
 //! cached tier with a single relaxed atomic load before a year-long
 //! loop. All five platforms share these entry points (the naive scan,
 //! the tiled kernel, Hive's reduce-side join and Spark's broadcast join
-//! all call [`crate::dot`]; the fitting engines call [`axpy`] through
-//! [`NormalEq`](crate::NormalEq)), so there is exactly one place where
-//! scalar-vs-SIMD is decided. Tests can pin the tier with
+//! all call [`crate::dot`]; the fitting engines reach [`axpy`] and the
+//! lagged kernels through [`NormalEq`](crate::NormalEq)), so there is
+//! exactly one place where scalar-vs-SIMD is decided. Tests can pin the tier with
 //! [`force_tier`]; forcing [`SimdTier::Avx2`] on hardware without AVX2
 //! clamps back to scalar rather than faulting.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use smda_types::HOURS_PER_DAY;
 
 use crate::similarity::dot_scalar;
 
@@ -331,6 +337,331 @@ unsafe fn axpy_avx2_impl(acc: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
+/// Autoregressive lags of the hourly lane kernel ([`lagged_moments`]):
+/// each hour's design is `[1, y[d−1], y[d−2], y[d−3], x[d]]`.
+pub const LANE_LAGS: usize = 3;
+
+/// Columns of that design.
+pub const LANE_COLS: usize = LANE_LAGS + 2;
+
+/// Entries in the upper triangle of its `LANE_COLS × LANE_COLS` gram.
+const LANE_TRI: usize = LANE_COLS * (LANE_COLS + 1) / 2;
+
+/// Hours the lane kernels advance per step: one `f64x4`.
+pub const LANE_WIDTH: usize = 4;
+
+/// Four `f64` lanes with IEEE element-wise arithmetic — the one vector
+/// vocabulary [`lagged_moments`] and [`lagged_residuals`] are written
+/// in, so the scalar and the AVX2 tier are two instantiations of the
+/// *same* loop nest. `[f64; 4]` is the portable tier, `__m256d` the AVX2
+/// one; both round every operation separately (no FMA), so a lane holds
+/// the same bits whichever type carries it.
+///
+/// # Safety
+/// Every method requires the instruction set its lane type needs: none
+/// for `[f64; 4]`, AVX2 for `__m256d` — whose methods must therefore only
+/// be reached from a `#[target_feature(enable = "avx2")]` frame that a
+/// tier check guards. Memory safety needs nothing more: loads and stores
+/// go through `[f64; 4]` references.
+trait Lanes: Copy {
+    unsafe fn load(src: &[f64; LANE_WIDTH]) -> Self;
+    unsafe fn splat(x: f64) -> Self;
+    unsafe fn add(self, rhs: Self) -> Self;
+    unsafe fn sub(self, rhs: Self) -> Self;
+    unsafe fn mul(self, rhs: Self) -> Self;
+    /// `self` in the lanes where `gate != 0.0` (a NaN gate counts as
+    /// non-zero, as `gate == 0.0` is false for it), `+0.0` in the rest.
+    unsafe fn zeroed_where_zero(self, gate: Self) -> Self;
+    unsafe fn store(self) -> [f64; LANE_WIDTH];
+}
+
+impl Lanes for [f64; LANE_WIDTH] {
+    #[inline(always)]
+    unsafe fn load(src: &[f64; LANE_WIDTH]) -> Self {
+        *src
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        [x; LANE_WIDTH]
+    }
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        std::array::from_fn(|l| self[l] + rhs[l])
+    }
+    #[inline(always)]
+    unsafe fn sub(self, rhs: Self) -> Self {
+        std::array::from_fn(|l| self[l] - rhs[l])
+    }
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        std::array::from_fn(|l| self[l] * rhs[l])
+    }
+    #[inline(always)]
+    unsafe fn zeroed_where_zero(self, gate: Self) -> Self {
+        std::array::from_fn(|l| if gate[l] == 0.0 { 0.0 } else { self[l] })
+    }
+    #[inline(always)]
+    unsafe fn store(self) -> [f64; LANE_WIDTH] {
+        self
+    }
+}
+
+// SAFETY (every method): the trait's contract puts the caller inside an
+// AVX2 frame, which is all these register-to-register intrinsics need;
+// the load reads exactly the four `f64` its reference covers, the store
+// writes exactly the four of its local array.
+#[cfg(target_arch = "x86_64")]
+impl Lanes for std::arch::x86_64::__m256d {
+    #[inline(always)]
+    unsafe fn load(src: &[f64; LANE_WIDTH]) -> Self {
+        std::arch::x86_64::_mm256_loadu_pd(src.as_ptr())
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        std::arch::x86_64::_mm256_set1_pd(x)
+    }
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        std::arch::x86_64::_mm256_add_pd(self, rhs)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, rhs: Self) -> Self {
+        std::arch::x86_64::_mm256_sub_pd(self, rhs)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        std::arch::x86_64::_mm256_mul_pd(self, rhs)
+    }
+    #[inline(always)]
+    unsafe fn zeroed_where_zero(self, gate: Self) -> Self {
+        use std::arch::x86_64::*;
+        // NEQ_UQ is all-ones for `gate != 0.0` *or unordered*: the exact
+        // complement of the scalar `gate == 0.0`.
+        let keep = _mm256_cmp_pd::<_CMP_NEQ_UQ>(gate, _mm256_setzero_pd());
+        _mm256_and_pd(self, keep)
+    }
+    #[inline(always)]
+    unsafe fn store(self) -> [f64; LANE_WIDTH] {
+        let mut out = [0.0f64; LANE_WIDTH];
+        std::arch::x86_64::_mm256_storeu_pd(out.as_mut_ptr(), self);
+        out
+    }
+}
+
+/// The four hours `hour..hour + 4` of day `day` in a day-major series.
+#[inline(always)]
+fn lane_block(series: &[f64], day: usize, hour: usize) -> &[f64; LANE_WIDTH] {
+    let at = day * HOURS_PER_DAY + hour;
+    series[at..at + LANE_WIDTH]
+        .try_into()
+        .expect("a four-element slice is a four-element array")
+}
+
+/// Normal-equation sums of four adjacent hours' lagged regressions, one
+/// lane per hour (see [`lagged_moments`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneMoments {
+    /// Upper triangle of `XᵀX`, row-major: `(0,0), (0,1), … (4,4)`.
+    pub gram: [[f64; LANE_WIDTH]; LANE_TRI],
+    /// `Xᵀy`.
+    pub xty: [[f64; LANE_WIDTH]; LANE_COLS],
+    /// `Σ y` over the fitted days, folded as `Iterator::sum` folds.
+    pub sum_y: [f64; LANE_WIDTH],
+    /// `Σ x` over the fitted days, folded the same way.
+    pub sum_x: [f64; LANE_WIDTH],
+}
+
+/// Accumulate, for the four hours `hour..hour + 4` side by side, the
+/// moments of the per-hour regression of `y[d]` on
+/// `[1, y[d−1], y[d−2], y[d−3], x[d]]` over days `LANE_LAGS..days` of two
+/// day-major series (24 values per day).
+///
+/// In that layout the four hours of a day are adjacent, so every design
+/// column and the response are one unaligned four-lane load, and the 22
+/// sums of an hour live in lane `hour % 4` of 22 accumulator vectors. Lane
+/// *l* is bit-identical to what [`Matrix::gram`](crate::Matrix::gram),
+/// [`Matrix::t_vec`](crate::Matrix::t_vec) and `Iterator::sum` produce
+/// for hour `hour + l` alone:
+///
+/// * each accumulator is fed one addend per day in ascending day order —
+///   the reference's row order — with the product rounded before the add
+///   (separate multiply and add, never an FMA);
+/// * `Matrix::gram` skips a row's column *i* when `row[i] == 0.0`. Here
+///   the skipped product is masked to `+0.0` and added. An accumulator
+///   that starts at `+0.0` is never `−0.0` (round-to-nearest yields
+///   `−0.0` only from `−0.0 + −0.0`), and `s + (+0.0)` is `s` bit for bit
+///   for every other `s`, NaN included — so adding the masked product is
+///   the skip. The mask, not the bare product, is what keeps a zero
+///   reading beside an infinite one from turning `0 · ∞` into a NaN the
+///   reference never formed;
+/// * the two plain sums start from the value `Iterator::sum` starts from,
+///   taken from std itself rather than assumed.
+///
+/// # Panics
+/// Panics unless `hour + 4 <= 24` and both series hold `days` whole days.
+pub fn lagged_moments(y: &[f64], x: &[f64], days: usize, hour: usize) -> LaneMoments {
+    check_lane_args(y, x, days, hour);
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == SimdTier::Avx2 {
+        // SAFETY: the tier implies AVX2 (see `dot_dispatch`).
+        return unsafe { lagged_moments_avx2(y, x, days, hour) };
+    }
+    // SAFETY: the `[f64; 4]` lanes need no instruction-set extension.
+    unsafe { lagged_moments_lanes::<[f64; LANE_WIDTH]>(y, x, days, hour) }
+}
+
+fn check_lane_args(y: &[f64], x: &[f64], days: usize, hour: usize) {
+    assert!(
+        hour + LANE_WIDTH <= HOURS_PER_DAY,
+        "lane block {hour}..{} leaves the day",
+        hour + LANE_WIDTH
+    );
+    assert!(
+        y.len() >= days * HOURS_PER_DAY && x.len() >= days * HOURS_PER_DAY,
+        "series shorter than {days} days"
+    );
+}
+
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lagged_moments_avx2(y: &[f64], x: &[f64], days: usize, hour: usize) -> LaneMoments {
+    lagged_moments_lanes::<std::arch::x86_64::__m256d>(y, x, days, hour)
+}
+
+/// # Safety
+/// As [`Lanes`]: the instruction set `V` needs.
+#[inline(always)]
+unsafe fn lagged_moments_lanes<V: Lanes>(
+    y: &[f64],
+    x: &[f64],
+    days: usize,
+    hour: usize,
+) -> LaneMoments {
+    let sum_start: f64 = std::iter::empty::<f64>().sum();
+    let mut gram = [V::splat(0.0); LANE_TRI];
+    let mut xty = [V::splat(0.0); LANE_COLS];
+    let mut sum_y = V::splat(sum_start);
+    let mut sum_x = V::splat(sum_start);
+    if days > LANE_LAGS {
+        // Yesterday's response is today's first lag: each day loads two
+        // new vectors and shifts the lag window.
+        let mut lags: [V; LANE_LAGS] =
+            std::array::from_fn(|lag| V::load(lane_block(y, LANE_LAGS - 1 - lag, hour)));
+        for day in LANE_LAGS..days {
+            let response = V::load(lane_block(y, day, hour));
+            let exogenous = V::load(lane_block(x, day, hour));
+            let cols = [V::splat(1.0), lags[0], lags[1], lags[2], exogenous];
+            let mut entry = 0;
+            for i in 0..LANE_COLS {
+                for j in i..LANE_COLS {
+                    let mut product = cols[i].mul(cols[j]);
+                    // Column 0 is the constant 1: never zero, never masked.
+                    if i > 0 {
+                        product = product.zeroed_where_zero(cols[i]);
+                    }
+                    gram[entry] = gram[entry].add(product);
+                    entry += 1;
+                }
+            }
+            for (acc, col) in xty.iter_mut().zip(cols) {
+                *acc = acc.add(response.mul(col));
+            }
+            sum_y = sum_y.add(response);
+            sum_x = sum_x.add(exogenous);
+            lags = [response, lags[0], lags[1]];
+        }
+    }
+    LaneMoments {
+        gram: gram.map(|v| v.store()),
+        xty: xty.map(|v| v.store()),
+        sum_y: sum_y.store(),
+        sum_x: sum_x.store(),
+    }
+}
+
+/// Residual and total sums of squares of four adjacent hours' fitted
+/// lagged regressions — the second pass of
+/// [`ols_multiple`](crate::ols_multiple), one lane per hour: per day the
+/// prediction is `Iterator::sum` over `row[i] · beta[i]` left to right
+/// from std's own start value, then `sse += e·e` and `syy += d·d` from
+/// `0.0`, each product rounded before its add. `beta[i]` holds
+/// coefficient *i* of the four hours, `mean_y` their response means.
+/// Returns `(sse, syy)`.
+///
+/// # Panics
+/// As [`lagged_moments`].
+pub fn lagged_residuals(
+    y: &[f64],
+    x: &[f64],
+    days: usize,
+    hour: usize,
+    beta: &[[f64; LANE_WIDTH]; LANE_COLS],
+    mean_y: [f64; LANE_WIDTH],
+) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
+    check_lane_args(y, x, days, hour);
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == SimdTier::Avx2 {
+        // SAFETY: the tier implies AVX2 (see `dot_dispatch`).
+        return unsafe { lagged_residuals_avx2(y, x, days, hour, beta, mean_y) };
+    }
+    // SAFETY: the `[f64; 4]` lanes need no instruction-set extension.
+    unsafe { lagged_residuals_lanes::<[f64; LANE_WIDTH]>(y, x, days, hour, beta, mean_y) }
+}
+
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lagged_residuals_avx2(
+    y: &[f64],
+    x: &[f64],
+    days: usize,
+    hour: usize,
+    beta: &[[f64; LANE_WIDTH]; LANE_COLS],
+    mean_y: [f64; LANE_WIDTH],
+) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
+    lagged_residuals_lanes::<std::arch::x86_64::__m256d>(y, x, days, hour, beta, mean_y)
+}
+
+/// # Safety
+/// As [`Lanes`]: the instruction set `V` needs.
+#[inline(always)]
+unsafe fn lagged_residuals_lanes<V: Lanes>(
+    y: &[f64],
+    x: &[f64],
+    days: usize,
+    hour: usize,
+    beta: &[[f64; LANE_WIDTH]; LANE_COLS],
+    mean_y: [f64; LANE_WIDTH],
+) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
+    let sum_start: f64 = std::iter::empty::<f64>().sum();
+    let beta: [V; LANE_COLS] = std::array::from_fn(|i| V::load(&beta[i]));
+    let mean_y = V::load(&mean_y);
+    let mut sse = V::splat(0.0);
+    let mut syy = V::splat(0.0);
+    if days > LANE_LAGS {
+        let mut lags: [V; LANE_LAGS] =
+            std::array::from_fn(|lag| V::load(lane_block(y, LANE_LAGS - 1 - lag, hour)));
+        for day in LANE_LAGS..days {
+            let response = V::load(lane_block(y, day, hour));
+            let exogenous = V::load(lane_block(x, day, hour));
+            let cols = [V::splat(1.0), lags[0], lags[1], lags[2], exogenous];
+            let mut predicted = V::splat(sum_start);
+            for (col, b) in cols.into_iter().zip(beta) {
+                predicted = predicted.add(col.mul(b));
+            }
+            let error = response.sub(predicted);
+            sse = sse.add(error.mul(error));
+            let centred = response.sub(mean_y);
+            syy = syy.add(centred.mul(centred));
+            lags = [response, lags[0], lags[1]];
+        }
+    }
+    (sse.store(), syy.store())
+}
+
 /// Four-accumulator sum of squares — the *wide* variant of the canonical
 /// single-chain [`sumsq`](crate::similarity::sumsq). Deterministic on
 /// every machine (the scalar body and the AVX2 body are lane-identical),
@@ -430,6 +761,113 @@ mod tests {
             axpy(&mut dispatched, 1.75, &x);
             for (a, b) in scalar.iter().zip(&dispatched) {
                 assert_eq!(a.to_bits(), b.to_bits(), "axpy diverged at len={len}");
+            }
+        }
+    }
+
+    /// Every lane of every block of `lagged_moments` against
+    /// `Matrix::gram`, `Matrix::t_vec` and `Iterator::sum` on that hour's
+    /// materialized design.
+    fn assert_moments_match_matrix(y: &[f64], x: &[f64], days: usize) {
+        for hour in 0..HOURS_PER_DAY {
+            let (block, lane) = (hour / LANE_WIDTH * LANE_WIDTH, hour % LANE_WIDTH);
+            let got = lagged_moments(y, x, days, block);
+            let (design, response) = crate::testutil::hour_design(y, x, days, hour);
+            let (gram, xty) = (design.gram(), design.t_vec(&response));
+            let mut entry = 0;
+            for (i, (got_xty, want_xty)) in got.xty.iter().zip(&xty).enumerate() {
+                for j in i..LANE_COLS {
+                    assert_eq!(
+                        got.gram[entry][lane].to_bits(),
+                        gram.get(i, j).to_bits(),
+                        "hour {hour} gram({i},{j})"
+                    );
+                    entry += 1;
+                }
+                assert_eq!(
+                    got_xty[lane].to_bits(),
+                    want_xty.to_bits(),
+                    "hour {hour} xty[{i}]"
+                );
+            }
+            let sum_y: f64 = response.iter().sum();
+            let sum_x: f64 = (LANE_LAGS..days).map(|d| x[d * HOURS_PER_DAY + hour]).sum();
+            assert_eq!(got.sum_y[lane].to_bits(), sum_y.to_bits(), "hour {hour} Σy");
+            assert_eq!(got.sum_x[lane].to_bits(), sum_x.to_bits(), "hour {hour} Σx");
+        }
+    }
+
+    #[test]
+    fn lane_moments_are_the_matrix_moments_of_each_hour() {
+        let (y, x) = crate::testutil::awkward_year(40, 29);
+        assert_moments_match_matrix(&y, &x, 40);
+        // All `-0.0`: every sum that `Iterator::sum` starts at `-0.0` must
+        // end there too, every skipped gram entry at `+0.0`.
+        let zeros = vec![-0.0; 12 * HOURS_PER_DAY];
+        assert_moments_match_matrix(&zeros, &zeros, 12);
+    }
+
+    #[test]
+    fn a_zero_reading_beside_an_infinite_one_stays_skipped() {
+        // `Matrix::gram` never multiplies a zero column entry; the lane
+        // kernel multiplies and masks. Only a non-finite partner tells the
+        // two apart: 0 · ∞ is NaN, a skipped product is nothing.
+        let days = 12;
+        let (mut y, mut x) = crate::testutil::awkward_year(days, 31);
+        for hour in 0..HOURS_PER_DAY {
+            y[6 * HOURS_PER_DAY + hour] = if hour % 2 == 0 { 0.0 } else { -0.0 };
+            // Day 7's design row: lag 1 is the zero, the exogenous column
+            // and (for day 8) lag 1 are infinite.
+            x[7 * HOURS_PER_DAY + hour] = f64::INFINITY;
+            y[7 * HOURS_PER_DAY + hour] = f64::NEG_INFINITY;
+        }
+        assert_moments_match_matrix(&y, &x, days);
+        let got = lagged_moments(&y, &x, days, 0);
+        // gram(1,4) = Σ y[d−1]·x[d] met 0 · ∞ on day 7 and must not be NaN
+        // for it (entry 8 of the row-major upper triangle).
+        assert!(!got.gram[8][0].is_nan(), "masked product leaked a NaN");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_kernels_agree_across_tiers_bitwise() {
+        if !avx2_supported() {
+            eprintln!("no AVX2 on this machine; lane test skipped");
+            return;
+        }
+        let days = 40;
+        let (y, x) = crate::testutil::awkward_year(days, 23);
+        let beta: [[f64; LANE_WIDTH]; LANE_COLS] =
+            std::array::from_fn(|i| std::array::from_fn(|l| 0.3 * i as f64 - 0.2 * l as f64));
+        let mean_y = [0.5, -0.0, 2.0, 0.0];
+        for hour in (0..HOURS_PER_DAY).step_by(LANE_WIDTH) {
+            // SAFETY: the portable lanes need nothing; AVX2 was just checked.
+            let (scalar, avx2) = unsafe {
+                (
+                    lagged_moments_lanes::<[f64; LANE_WIDTH]>(&y, &x, days, hour),
+                    lagged_moments_avx2(&y, &x, days, hour),
+                )
+            };
+            let bits = |m: &LaneMoments| -> Vec<u64> {
+                m.gram
+                    .iter()
+                    .chain(&m.xty)
+                    .chain([&m.sum_y, &m.sum_x])
+                    .flatten()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&scalar), bits(&avx2), "moments, block at hour {hour}");
+            // SAFETY: as above.
+            let (scalar, avx2) = unsafe {
+                (
+                    lagged_residuals_lanes::<[f64; LANE_WIDTH]>(&y, &x, days, hour, &beta, mean_y),
+                    lagged_residuals_avx2(&y, &x, days, hour, &beta, mean_y),
+                )
+            };
+            for lane in 0..LANE_WIDTH {
+                assert_eq!(scalar.0[lane].to_bits(), avx2.0[lane].to_bits(), "sse");
+                assert_eq!(scalar.1[lane].to_bits(), avx2.1[lane].to_bits(), "syy");
             }
         }
     }

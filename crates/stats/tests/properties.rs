@@ -5,10 +5,11 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use smda_stats::linalg::Matrix;
+use smda_stats::simd::{LANE_COLS, LANE_LAGS};
 use smda_stats::{
     cosine_similarity, dot_block, dot_scalar, mean, ols_multiple, ols_simple, quantile_sorted,
-    sample_variance, top_k_cosine, top_k_tiled, EquiWidthHistogram, FitScratch, KMeans,
-    KMeansConfig, OnlineStats, SeriesMatrix, SimdTier, TileConfig,
+    quantiles_by_selection, sample_variance, top_k_cosine, top_k_tiled, EquiWidthHistogram,
+    FitScratch, HourlyFit, KMeans, KMeansConfig, OnlineStats, SeriesMatrix, SimdTier, TileConfig,
 };
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -127,6 +128,52 @@ fn block_kernel_matches_scalar_over_lengths_and_alignments() {
             check_block_shapes(&values, &mixed);
         }
     }
+}
+
+/// Readings as a meter reports them, zeros of both signs included.
+fn reading() -> impl Strategy<Value = f64> {
+    (0u8..10, 0.0f64..5.0).prop_map(|(kind, kwh)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        _ => kwh,
+    })
+}
+
+/// Why `got` is not, bit for bit, what `ols_multiple` and `Iterator::sum`
+/// make of hour `hour`'s materialized design
+/// `[1, y[d−1], y[d−2], y[d−3], x[d]]`; `None` when it is.
+fn hour_mismatch(
+    got: &HourlyFit,
+    y: &[f64],
+    x: &[f64],
+    days: usize,
+    hour: usize,
+) -> Option<String> {
+    let at = |day: usize| day * 24 + hour;
+    let mut design = Vec::new();
+    let mut response = Vec::new();
+    for day in LANE_LAGS..days {
+        design.push(1.0);
+        design.extend((1..=LANE_LAGS).map(|lag| y[at(day - lag)]));
+        design.push(x[at(day)]);
+        response.push(y[at(day)]);
+    }
+    let rows = response.len();
+    let want = ols_multiple(&Matrix::from_vec(rows, LANE_COLS, design), &response);
+    let same = match (&want, &got.fit) {
+        (None, None) => true,
+        (Some(w), Some(g)) => {
+            w.n == g.n
+                && w.sse.to_bits() == g.sse.to_bits()
+                && w.r2.to_bits() == g.r2.to_bits()
+                && (0..LANE_COLS).all(|c| w.beta[c].to_bits() == g.beta[c].to_bits())
+        }
+        _ => false,
+    };
+    let mean_y = response.iter().sum::<f64>() / rows as f64;
+    let mean_x = (LANE_LAGS..days).map(|day| x[at(day)]).sum::<f64>() / rows as f64;
+    (!same || mean_y.to_bits() != got.mean_y.to_bits() || mean_x.to_bits() != got.mean_x.to_bits())
+        .then(|| format!("hour {hour}: reference {want:?} / {mean_y} / {mean_x}, lane fit {got:?}"))
 }
 
 #[test]
@@ -410,6 +457,90 @@ proptest! {
                     prop_assert_eq!(b.r2.to_bits(), f.r2.to_bits(), "r2 {}", label);
                 }
                 _ => prop_assert!(false, "fit presence diverged ({})", label),
+            }
+        }
+    }
+
+    #[test]
+    fn lane_fit_matches_ols_multiple_hour_by_hour_on_both_tiers(
+        days in 8usize..=36,
+        readings in prop::collection::vec(reading(), 36 * 24),
+        weather in prop::collection::vec(-25.0f64..35.0, 36 * 24),
+        constant_hour in 0usize..24,
+        dead in any::<bool>(),
+        collinear_hour in 0usize..24
+    ) {
+        // A year-shaped input with every path in it: scattered zeros of
+        // both signs (the gram's zero skip), one hour constant all year
+        // (rank deficient: the `None` → trivial-model path, certain when
+        // the constant is zero, up to the pivot's rounding otherwise) and
+        // one whose temperature all but repeats its first lag (Cholesky
+        // gives up: the QR fallback).
+        let mut y = readings[..days * 24].to_vec();
+        let mut x = weather[..days * 24].to_vec();
+        for day in 0..days {
+            y[day * 24 + constant_hour] = if dead { 0.0 } else { 0.75 };
+            if day > 0 && collinear_hour != constant_hour {
+                x[day * 24 + collinear_hour] =
+                    2.0 * y[(day - 1) * 24 + collinear_hour] + 1e-9 * (day % 3) as f64;
+            }
+        }
+        let mut per_tier: Vec<[HourlyFit; 24]> = Vec::new();
+        let mut failure = None;
+        under_both_tiers(|tier| {
+            let mut dirty = FitScratch::new();
+            let _ = dirty.solver.fit_hourly_ar(&weather, &readings, 36);
+            let mut fresh = FitScratch::new();
+            for (scratch, label) in [(&mut dirty, "dirty"), (&mut fresh, "fresh")] {
+                let fits = scratch.solver.fit_hourly_ar(&y, &x, days);
+                for (hour, fit) in fits.iter().enumerate() {
+                    if let Some(why) = hour_mismatch(fit, &y, &x, days, hour) {
+                        failure.get_or_insert(format!("{tier:?} {label} arena, {why}"));
+                    }
+                }
+                per_tier.push(fits);
+            }
+        });
+        prop_assert!(failure.is_none(), "{}", failure.unwrap_or_default());
+        prop_assert!(!dead || per_tier[0][constant_hour].fit.is_none(), "dead hour fitted");
+        // Scalar ≡ AVX2 and dirty ≡ fresh follow from each ≡ reference;
+        // stated directly as well, on bits (an r² may be NaN).
+        let bits = |fits: &[HourlyFit; 24]| -> Vec<Option<Vec<u64>>> {
+            let of = |f: &HourlyFit| {
+                let s = f.fit?;
+                Some(s.beta.iter().chain([&s.sse, &s.r2]).map(|v| v.to_bits()).collect())
+            };
+            fits.iter().map(of).collect()
+        };
+        prop_assert!(per_tier.windows(2).all(|w| bits(&w[0]) == bits(&w[1])));
+    }
+
+    #[test]
+    fn selected_percentiles_match_sorted_percentiles_bitwise(
+        // Few distinct values, zeros of both signs among them: heavy ties.
+        raw in prop::collection::vec((0u8..6, 0.0f64..3.0), 1..400),
+        distinct in prop::collection::vec(-2.0f64..2.0, 4),
+        tenths in 0u8..=10
+    ) {
+        let values: Vec<f64> = raw
+            .iter()
+            .map(|&(kind, free)| match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => free,
+                k => distinct[k as usize - 2],
+            })
+            .collect();
+        let mut sorted = values.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        // 0.1/0.9 as 3-line asks, a `tenths` pair, and a pair that makes
+        // `(n − 1)·q` integral whenever `n − 1` divides by four.
+        let q = tenths as f64 / 10.0;
+        for qs in [[0.1, 0.9], [q, 1.0 - q], [0.25, 0.75], [0.0, 1.0]] {
+            let got = quantiles_by_selection(&mut values.clone(), qs);
+            for (g, q) in got.iter().zip(qs) {
+                let want = quantile_sorted(&sorted, q);
+                prop_assert_eq!(g.to_bits(), want.to_bits(), "n={} q={}", values.len(), q);
             }
         }
     }

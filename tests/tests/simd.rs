@@ -3,20 +3,45 @@
 //! similarity output, because the lane-preserving AVX2 kernel performs
 //! the identical IEEE operation sequence as the scalar reference.
 //!
+//! The same holds for the hourly lane kernel under `fit_par_scratch`:
+//! both tiers instantiate one loop nest, and both must reproduce
+//! `fit_par_baseline`.
+//!
 //! One test function on purpose: the dispatch tier is process-global,
 //! and sibling tests in this binary would race a forced tier.
 
 use smda_cluster::{ClusterTopology, CostModel};
-use smda_core::{Task, TaskOutput};
+use smda_core::{fit_par_baseline, fit_par_scratch, ParModel, Task, TaskOutput};
 use smda_engines::{
     ColumnarEngine, NumericEngine, Platform, RelationalEngine, RelationalLayout, RunSpec,
 };
 use smda_hive::HiveEngine;
 use smda_integration::{fixture_dataset, TempDir};
 use smda_spark::SparkEngine;
-use smda_stats::{KernelDispatch, SimdTier};
+use smda_stats::{FitScratch, KernelDispatch, SimdTier};
 use smda_storage::FileLayout;
 use smda_types::DataFormat;
+
+/// A PAR model reduced to raw bits, so equality is exact.
+fn par_bits(m: &ParModel) -> Vec<u64> {
+    m.hourly
+        .iter()
+        .flat_map(|h| [h.intercept, h.ar[0], h.ar[1], h.ar[2], h.temp_coef, h.r2])
+        .chain(m.profile)
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// Every fixture consumer's PAR fit under the tier now in force, through
+/// one (soon dirty) arena.
+fn par_fits(ds: &smda_types::Dataset) -> Vec<Vec<u64>> {
+    let mut scratch = FitScratch::new();
+    let temps = ds.temperature().values();
+    ds.consumers()
+        .iter()
+        .map(|c| par_bits(&fit_par_scratch(c.id, c.readings(), temps, &mut scratch)))
+        .collect()
+}
 
 /// Similarity output reduced to raw bits, so equality is exact.
 fn bits(out: &TaskOutput) -> Vec<(u32, Vec<(u32, u64)>)> {
@@ -89,6 +114,7 @@ fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
     // Baseline: whatever the machine dispatches (AVX2 where detected).
     let prev = smda_stats::force_tier(smda_stats::SimdTier::Avx2);
     let dispatched = run_all(&mut single, &mut hive, &mut spark);
+    let par_dispatched = par_fits(&ds);
 
     // Forced fallback: the dispatch must select the scalar path...
     smda_stats::force_tier(SimdTier::Scalar);
@@ -98,6 +124,7 @@ fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
         "forcing the scalar tier did not take effect"
     );
     let scalar = run_all(&mut single, &mut hive, &mut spark);
+    let par_scalar = par_fits(&ds);
     smda_stats::force_tier(prev);
 
     // ...and every platform's bits must be unchanged by the switch.
@@ -109,4 +136,19 @@ fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
             "{name_d} similarity bits changed between dispatched and forced-scalar runs"
         );
     }
+
+    // The PAR lane kernel: both tiers give the baseline's bits.
+    let par_baseline: Vec<Vec<u64>> = ds
+        .consumers()
+        .iter()
+        .map(|c| par_bits(&fit_par_baseline(c, ds.temperature())))
+        .collect();
+    assert_eq!(
+        par_dispatched, par_baseline,
+        "dispatched PAR fit left the baseline"
+    );
+    assert_eq!(
+        par_scalar, par_baseline,
+        "forced-scalar PAR fit left the baseline"
+    );
 }
