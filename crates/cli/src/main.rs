@@ -611,8 +611,10 @@ fn ingest(args: &[String]) -> Result<()> {
         out.dead_letters.len()
     );
     println!(
-        "  watermark lag {} h | backpressure stalls {} | alerts {}",
+        "  watermark lag {} h | chunks routed {} | backpressure stalls {} (hand-offs that \
+         blocked) | alerts {}",
         r.watermark_lag_hours,
+        r.chunks_routed,
         r.backpressure_stalls,
         out.alerts.len()
     );

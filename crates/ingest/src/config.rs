@@ -34,7 +34,9 @@ pub const DEFAULT_ALLOWED_LATENESS: u32 = 24;
 pub struct IngestConfig {
     /// Number of shard workers readings are hash-routed across.
     pub shards: usize,
-    /// Bounded queue capacity per shard; a full queue blocks the router.
+    /// Bounded queue capacity per shard, in readings; a full queue
+    /// blocks the router. Readings are handed over in chunks of up to
+    /// 256, never longer than this capacity.
     pub queue_capacity: usize,
     /// Allowed lateness in event-time hours: the per-shard watermark
     /// trails the newest hour seen by this much.

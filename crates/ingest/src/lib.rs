@@ -13,8 +13,11 @@
 //! [`run_pipeline`] accepts out-of-order hourly [`Reading`](smda_types::Reading)s and:
 //!
 //! 1. **routes** each one by consumer-id hash to one of N shards over a
-//!    bounded queue — a full queue blocks the router (backpressure,
-//!    counted as `ingest.backpressure_stalls`);
+//!    bounded queue, a chunk at a time (a chunk is handed over when it
+//!    holds 256 readings, when the routed event hour advances, and at
+//!    end of stream — `ingest.chunks_routed`) — a full queue blocks the
+//!    router (backpressure; hand-offs that blocked are counted as
+//!    `ingest.backpressure_stalls`);
 //! 2. **advances** a per-shard event-time watermark (`max event hour −
 //!    allowed lateness`); readings behind the watermark are counted and
 //!    routed to a dead-letter sink per

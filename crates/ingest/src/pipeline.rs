@@ -1,15 +1,23 @@
 //! The sharded pipeline: router, bounded queues, shard workers, seal.
 //!
 //! One router (the calling thread) validates and hash-routes readings
-//! into per-shard bounded queues; shard workers drawn from the process
-//! [`WorkerPool`] drain those queues in FIFO
-//! batches and drive their [`ShardState`]. A full queue blocks the
-//! router — backpressure, counted per stalled push — and a closed, empty
-//! queue retires its shard.
+//! into one pending chunk per shard and hands each chunk to that shard's
+//! bounded queue whole — one lock, at most one wake and one
+//! `routed_hour` update per chunk, not per reading. A chunk goes out
+//! when it holds `DRAIN_BATCH` (256) readings, when a reading with a
+//! newer event hour than any before it arrives (every pending chunk
+//! first, so a paced stream is never held back by more than one event
+//! hour), and at end of stream. Shard workers drawn from the process [`WorkerPool`]
+//! pop one chunk at a time, drive their [`ShardState`] with it and hand
+//! the emptied buffer back. The queue bounds *readings*: a hand-off that
+//! would overshoot blocks the router — backpressure, counted per
+//! stalled hand-off — and a closed, empty queue retires its shard.
 //!
 //! # Why results don't depend on scheduling
 //!
-//! Each queue is FIFO and a shard's state is only mutated under its
+//! Where the chunks are cut is a function of the stream, the shard count
+//! and the chunk length alone. Each queue is a FIFO of chunks, a chunk
+//! keeps router order, and a shard's state is only mutated under its
 //! state lock by whichever worker holds the *lease* (a `try_lock` on the
 //! state mutex), so every shard applies its readings in exactly the
 //! order the router sent them — which is itself a pure function of the
@@ -32,7 +40,8 @@ use crate::shard::ShardState;
 use crate::snapshot::Snapshot;
 use crate::splitmix64;
 
-/// Readings a worker drains from a queue per state-lock acquisition.
+/// Readings in a full chunk — what the router hands over, and a worker
+/// applies, per queue-lock acquisition.
 const DRAIN_BATCH: usize = 256;
 
 /// How long blocked threads nap between re-checks of shared flags.
@@ -61,7 +70,12 @@ pub struct IngestReport {
     pub readings_missing: u64,
     /// Readings rejected by the router (bad hour, non-finite values).
     pub readings_dirty: u64,
-    /// Router pushes that blocked on a full shard queue.
+    /// Chunks the router handed to shard queues — a function of the
+    /// stream, the shard count and the queue capacity alone, never of
+    /// scheduling. Per-reading hand-off would make it `readings_in`.
+    pub chunks_routed: u64,
+    /// Hand-offs that blocked on a full shard queue (at most one per
+    /// hand-off, however long it waited).
     pub backpressure_stalls: u64,
     /// Worst observed router-to-watermark lag, in event hours.
     pub watermark_lag_hours: u64,
@@ -99,7 +113,12 @@ pub struct IngestOutcome {
 }
 
 struct Queue {
-    buf: VecDeque<Reading>,
+    /// Chunks in router order; a worker pops one whole chunk at a time.
+    chunks: VecDeque<Vec<Reading>>,
+    /// Readings across `chunks` — what `queue_capacity` bounds.
+    readings: usize,
+    /// Emptied chunk buffers on their way back to the router.
+    spare: Vec<Vec<Reading>>,
     closed: bool,
 }
 
@@ -111,14 +130,50 @@ struct ShardCell {
     done: AtomicBool,
 }
 
+impl ShardCell {
+    fn new(shard: usize, cfg: &IngestConfig) -> Result<ShardCell> {
+        Ok(ShardCell {
+            queue: Mutex::new(Queue {
+                chunks: VecDeque::new(),
+                readings: 0,
+                spare: Vec::new(),
+                closed: false,
+            }),
+            space: Condvar::new(),
+            state: Mutex::new(ShardState::new(
+                shard,
+                cfg.allowed_lateness,
+                cfg.policy,
+                cfg.faults.clone(),
+                cfg.detectors.clone(),
+                cfg.wal_dir.as_deref(),
+            )?),
+            done: AtomicBool::new(false),
+        })
+    }
+}
+
 struct Control {
     aborted: AtomicBool,
-    /// Newest event hour the router has emitted (watermark-lag gauge).
+    /// Newest event hour the router has handed to a shard
+    /// (watermark-lag gauge).
     routed_hour: AtomicU32,
     /// Workers nap here when every queue they can lease is empty.
     idle: Mutex<()>,
     wake: Condvar,
     errors: Mutex<Vec<(usize, Error)>>,
+}
+
+impl Control {
+    fn new() -> Control {
+        Control {
+            aborted: AtomicBool::new(false),
+            routed_hour: AtomicU32::new(0),
+            idle: Mutex::new(()),
+            wake: Condvar::new(),
+            errors: Mutex::new(Vec::new()),
+        }
+    }
 }
 
 /// Shrug off mutex poisoning: a panicking worker is surfaced through the
@@ -128,21 +183,25 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Push one reading into a shard queue, blocking while the queue is at
-/// `capacity`. Returns `false` when the pipeline aborted mid-wait.
-/// Counts at most one backpressure stall per push.
-fn push_reading(
+/// Hand one chunk to a shard queue — one lock, at most one wake —
+/// blocking while it would take the queue past `capacity` readings. An
+/// empty queue admits any chunk, so a chunk longer than the space a
+/// drained queue can ever offer cannot wait forever. Returns the buffer
+/// to fill next (one a worker has emptied, when there is one), or `None`
+/// when the pipeline aborted mid-wait. Counts at most one backpressure
+/// stall per hand-off.
+fn hand_off(
     cell: &ShardCell,
     control: &Control,
-    r: Reading,
+    chunk: Vec<Reading>,
     capacity: usize,
     stalls: &mut u64,
-) -> bool {
+) -> Option<Vec<Reading>> {
     let mut q = lock(&cell.queue);
     let mut stalled = false;
-    while q.buf.len() >= capacity {
+    while q.readings > 0 && q.readings + chunk.len() > capacity {
         if control.aborted.load(Ordering::Acquire) {
-            return false;
+            return None;
         }
         if !stalled {
             stalled = true;
@@ -154,17 +213,93 @@ fn push_reading(
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         q = guard;
     }
-    let was_empty = q.buf.is_empty();
-    q.buf.push_back(r);
+    let was_empty = q.chunks.is_empty();
+    q.readings += chunk.len();
+    q.chunks.push_back(chunk);
+    let next = q.spare.pop().unwrap_or_default();
     drop(q);
     if was_empty {
         control.wake.notify_all();
     }
-    true
+    Some(next)
+}
+
+/// The router's side of the hand-off: one pending chunk per shard,
+/// handed over when it is full, when the routed event hour advances (so
+/// a paced stream is never held back by more than one event hour), and
+/// at end of stream. Which readings share a chunk is a function of the
+/// stream, the shard count and the chunk length alone.
+struct Router<'a> {
+    cells: &'a [ShardCell],
+    control: &'a Control,
+    capacity: usize,
+    /// Readings per full chunk: [`DRAIN_BATCH`], or the whole queue when
+    /// that is smaller, so the capacity bound holds exactly.
+    chunk_len: usize,
+    pending: Vec<Vec<Reading>>,
+    /// Newest event hour routed, pending readings included.
+    newest_hour: u32,
+    stalls: u64,
+    chunks: u64,
+}
+
+impl<'a> Router<'a> {
+    fn new(cells: &'a [ShardCell], control: &'a Control, capacity: usize) -> Router<'a> {
+        Router {
+            cells,
+            control,
+            capacity,
+            chunk_len: DRAIN_BATCH.min(capacity),
+            pending: cells.iter().map(|_| Vec::new()).collect(),
+            newest_hour: 0,
+            stalls: 0,
+            chunks: 0,
+        }
+    }
+
+    /// Route one validated reading. `false` when the pipeline aborted.
+    fn route(&mut self, r: Reading) -> bool {
+        if r.hour > self.newest_hour {
+            if !self.flush_all() {
+                return false;
+            }
+            self.newest_hour = r.hour;
+        }
+        let shard = shard_of(r.consumer, self.cells.len());
+        let pending = &mut self.pending[shard];
+        pending.push(r);
+        pending.len() < self.chunk_len || self.flush(shard)
+    }
+
+    /// Hand over every shard's pending chunk, in shard order.
+    fn flush_all(&mut self) -> bool {
+        (0..self.cells.len()).all(|shard| self.flush(shard))
+    }
+
+    fn flush(&mut self, shard: usize) -> bool {
+        if self.pending[shard].is_empty() {
+            return true;
+        }
+        // Ahead of the hand-off: the worker that pops this chunk must
+        // not read a routed hour older than the chunk's own readings,
+        // or the lag gauge would under-report.
+        self.control
+            .routed_hour
+            .fetch_max(self.newest_hour, Ordering::Release);
+        let chunk = std::mem::take(&mut self.pending[shard]);
+        self.chunks += 1;
+        let cell = &self.cells[shard];
+        let Some(next) = hand_off(cell, self.control, chunk, self.capacity, &mut self.stalls)
+        else {
+            return false;
+        };
+        self.pending[shard] = next;
+        true
+    }
 }
 
 /// One worker slot: sweep all shards, leasing any state lock that is
-/// free, draining that shard's queue in FIFO batches. Returns when every
+/// free, draining that shard's queue chunk by chunk. Returns when every
 /// shard is done or the pipeline aborted.
 fn consume_loop(cells: &[ShardCell], control: &Control) {
     loop {
@@ -179,25 +314,29 @@ fn consume_loop(cells: &[ShardCell], control: &Control) {
             }
             all_done = false;
             // The lease: only the state-lock holder pops this queue, so
-            // batches apply in router order.
+            // chunks apply in router order.
             let Ok(mut state) = cell.state.try_lock() else {
                 continue;
             };
+            // The buffer of the chunk just applied, returned to the
+            // router under the same lock that pops the next one.
+            let mut emptied: Option<Vec<Reading>> = None;
             loop {
-                let batch: Vec<Reading> = {
+                let mut chunk = {
                     let mut q = lock(&cell.queue);
-                    if q.buf.is_empty() {
+                    q.spare.extend(emptied.take());
+                    let Some(chunk) = q.chunks.pop_front() else {
                         if q.closed {
                             cell.done.store(true, Ordering::Release);
                         }
                         break;
-                    }
-                    let n = q.buf.len().min(DRAIN_BATCH);
-                    q.buf.drain(..n).collect()
+                    };
+                    q.readings -= chunk.len();
+                    chunk
                 };
                 cell.space.notify_all();
                 let routed = control.routed_hour.load(Ordering::Acquire);
-                if let Err(e) = state.process_batch(&batch, routed) {
+                if let Err(e) = state.process_batch(&chunk, routed) {
                     lock(&control.errors).push((shard, e));
                     control.aborted.store(true, Ordering::Release);
                     control.wake.notify_all();
@@ -207,6 +346,8 @@ fn consume_loop(cells: &[ShardCell], control: &Control) {
                 if control.aborted.load(Ordering::Acquire) {
                     return;
                 }
+                chunk.clear();
+                emptied = Some(chunk);
             }
         }
         if all_done {
@@ -239,36 +380,13 @@ where
     cfg.validate()?;
     let run_started = Instant::now();
     let cells: Vec<ShardCell> = (0..cfg.shards)
-        .map(|shard| {
-            Ok(ShardCell {
-                queue: Mutex::new(Queue {
-                    buf: VecDeque::with_capacity(cfg.queue_capacity),
-                    closed: false,
-                }),
-                space: Condvar::new(),
-                state: Mutex::new(ShardState::new(
-                    shard,
-                    cfg.allowed_lateness,
-                    cfg.policy,
-                    cfg.faults.clone(),
-                    cfg.detectors.clone(),
-                    cfg.wal_dir.as_deref(),
-                )?),
-                done: AtomicBool::new(false),
-            })
-        })
+        .map(|shard| ShardCell::new(shard, cfg))
         .collect::<Result<_>>()?;
-    let control = Control {
-        aborted: AtomicBool::new(false),
-        routed_hour: AtomicU32::new(0),
-        idle: Mutex::new(()),
-        wake: Condvar::new(),
-        errors: Mutex::new(Vec::new()),
-    };
+    let control = Control::new();
+    let mut router = Router::new(&cells, &control, cfg.queue_capacity);
 
     let mut temps = vec![0.0f64; HOURS_PER_YEAR];
     let mut temp_seen = vec![false; HOURS_PER_YEAR];
-    let mut stalls = 0u64;
     let mut dirty = 0u64;
     let mut router_dead: Vec<Reading> = Vec::new();
     let mut router_error: Option<Error> = None;
@@ -303,12 +421,13 @@ where
                 temp_seen[h] = true;
                 temps[h] = r.temperature;
             }
-            control.routed_hour.fetch_max(r.hour, Ordering::Release);
-            let cell = &cells[shard_of(r.consumer, cfg.shards)];
-            if !push_reading(cell, &control, r, cfg.queue_capacity, &mut stalls) {
+            if !router.route(r) {
                 break;
             }
         }
+        // End of stream: whatever is still pending goes out before the
+        // queues close. (After an abort this returns without waiting.)
+        router.flush_all();
         route_time = route_started.elapsed();
         for cell in &cells {
             lock(&cell.queue).closed = true;
@@ -335,7 +454,8 @@ where
     let mut report = IngestReport {
         shards: cfg.shards as u64,
         readings_dirty: dirty,
-        backpressure_stalls: stalls,
+        backpressure_stalls: router.stalls,
+        chunks_routed: router.chunks,
         ..IngestReport::default()
     };
     let mut sealed = Vec::new();
@@ -401,6 +521,7 @@ where
     );
     m.incr(counters::INGEST_READINGS_MISSING, report.readings_missing);
     m.incr(counters::INGEST_READINGS_DIRTY, report.readings_dirty);
+    m.incr(counters::INGEST_CHUNKS_ROUTED, report.chunks_routed);
     m.incr(
         counters::INGEST_BACKPRESSURE_STALLS,
         report.backpressure_stalls,
@@ -521,64 +642,130 @@ mod tests {
         assert_eq!(out.report.consumers_sealed, 2);
     }
 
+    fn reading(consumer: u32, hour: u32) -> Reading {
+        Reading {
+            consumer: ConsumerId(consumer),
+            hour,
+            temperature: 0.0,
+            kwh: consumer as f64,
+        }
+    }
+
+    fn queued(cell: &ShardCell) -> Vec<Reading> {
+        let q = lock(&cell.queue);
+        let flat: Vec<Reading> = q.chunks.iter().flatten().copied().collect();
+        assert_eq!(
+            flat.len(),
+            q.readings,
+            "the running count tracks the chunks"
+        );
+        flat
+    }
+
     #[test]
     fn full_queue_counts_a_stall_then_delivers() {
-        let cell = ShardCell {
-            queue: Mutex::new(Queue {
-                buf: VecDeque::from(vec![Reading {
-                    consumer: ConsumerId(1),
-                    hour: 0,
-                    temperature: 0.0,
-                    kwh: 0.0,
-                }]),
-                closed: false,
-            }),
-            space: Condvar::new(),
-            state: Mutex::new(
-                ShardState::new(
-                    0,
-                    24,
-                    DirtyDataPolicy::FailFast,
-                    smda_cluster::FaultPlan::default(),
-                    None,
-                    None,
-                )
-                .unwrap(),
-            ),
-            done: AtomicBool::new(false),
-        };
-        let control = Control {
-            aborted: AtomicBool::new(false),
-            routed_hour: AtomicU32::new(0),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            errors: Mutex::new(Vec::new()),
-        };
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(Duration::from_millis(10));
-                lock(&cell.queue).buf.pop_front();
-                cell.space.notify_all();
+        // (capacity, readings already queued, chunk handed off): capacity
+        // 1, and a capacity below the chunk length that the chunk would
+        // overshoot. Either way the hand-off must stall exactly once,
+        // then be admitted by the drained — empty — queue.
+        for (capacity, held, chunk) in [(1usize, 1u32, 1u32), (7, 5, 3)] {
+            let cell = ShardCell::new(0, &IngestConfig::new()).unwrap();
+            let control = Control::new();
+            {
+                let mut q = lock(&cell.queue);
+                q.chunks
+                    .push_back((0..held).map(|h| reading(1, h)).collect());
+                q.readings = held as usize;
+            }
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    let mut q = lock(&cell.queue);
+                    let popped = q.chunks.pop_front().unwrap();
+                    q.readings -= popped.len();
+                    drop(q);
+                    cell.space.notify_all();
+                });
+                let mut stalls = 0;
+                let next = hand_off(
+                    &cell,
+                    &control,
+                    (0..chunk).map(|h| reading(2, h)).collect(),
+                    capacity,
+                    &mut stalls,
+                );
+                assert!(next.is_some(), "capacity {capacity}: delivered");
+                assert_eq!(stalls, 1, "capacity {capacity}");
             });
-            let mut stalls = 0;
-            // Capacity 1 and one queued reading: the push must stall
-            // exactly once, then succeed after the drain.
-            let delivered = push_reading(
-                &cell,
-                &control,
-                Reading {
-                    consumer: ConsumerId(2),
-                    hour: 1,
-                    temperature: 0.0,
-                    kwh: 0.0,
-                },
-                1,
-                &mut stalls,
-            );
-            assert!(delivered);
-            assert_eq!(stalls, 1);
-        });
-        assert_eq!(lock(&cell.queue).buf.len(), 1);
+            let left = queued(&cell);
+            assert_eq!(left.len(), chunk as usize, "capacity {capacity}");
+            assert!(left.iter().all(|r| r.consumer == ConsumerId(2)));
+        }
+    }
+
+    #[test]
+    fn an_empty_queue_admits_a_chunk_longer_than_its_capacity() {
+        // Not a state the router produces (its chunks are capped at the
+        // capacity), but the rule that makes capacity 1 deadlock-free.
+        let cell = ShardCell::new(0, &IngestConfig::new()).unwrap();
+        let mut stalls = 0;
+        let chunk = (0..5).map(|h| reading(1, h)).collect();
+        assert!(hand_off(&cell, &Control::new(), chunk, 1, &mut stalls).is_some());
+        assert_eq!(stalls, 0);
+        assert_eq!(queued(&cell).len(), 5);
+    }
+
+    #[test]
+    fn a_newer_hour_hands_over_every_earlier_reading() {
+        let cfg = IngestConfig::new().with_shards(3);
+        let cells: Vec<ShardCell> = (0..3).map(|s| ShardCell::new(s, &cfg).unwrap()).collect();
+        let control = Control::new();
+        let mut router = Router::new(&cells, &control, cfg.queue_capacity);
+        let hour4: Vec<Reading> = (1..=10).map(|c| reading(c, 4)).collect();
+        for r in &hour4 {
+            assert!(router.route(*r));
+        }
+        // Fewer than a chunk per shard and no newer hour yet: held.
+        assert!(cells.iter().all(|cell| queued(cell).is_empty()));
+        assert_eq!(router.chunks, 0);
+
+        // The first reading of a newer hour — what a paced stream
+        // delivers after its sleep — pushes everything before it out.
+        assert!(router.route(reading(1, 5)));
+        for (shard, cell) in cells.iter().enumerate() {
+            let want: Vec<Reading> = hour4
+                .iter()
+                .copied()
+                .filter(|r| shard_of(r.consumer, 3) == shard)
+                .collect();
+            assert_eq!(queued(cell), want, "shard {shard}: router order kept");
+        }
+        let pending: Vec<Reading> = router.pending.iter().flatten().copied().collect();
+        assert_eq!(pending, [reading(1, 5)], "only the newer reading is held");
+        // The gauge covers what was handed over, not what is still held.
+        assert_eq!(control.routed_hour.load(Ordering::Acquire), 4);
+        let occupied = cells.iter().filter(|c| !queued(c).is_empty()).count();
+        assert_eq!(router.chunks, occupied as u64);
+    }
+
+    #[test]
+    fn a_stream_that_ends_mid_chunk_seals_complete() {
+        // One hour, so only full chunks and the end-of-stream flush hand
+        // anything over; four consumers, so all but four readings are
+        // duplicates and the run stays cheap.
+        let n = DRAIN_BATCH as u32 + 4;
+        let events: Vec<Reading> = (0..n).map(|i| reading(i % 4 + 1, 0)).collect();
+        for (capacity, chunks) in [(4096usize, 2u64), (7, 38), (1, n as u64)] {
+            let cfg = IngestConfig::new()
+                .with_shards(1)
+                .with_queue_capacity(capacity)
+                .with_policy(DirtyDataPolicy::SkipAndCount);
+            let out = run_pipeline(events.clone(), &cfg).unwrap();
+            assert_eq!(out.report.readings_in, n as u64, "capacity {capacity}");
+            assert_eq!(out.report.readings_duplicate, n as u64 - 4);
+            assert_eq!(out.dead_letters, events[4..], "capacity {capacity}");
+            assert_eq!(out.report.chunks_routed, chunks, "capacity {capacity}");
+        }
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! [`slow_factor`](FaultPlan::slow_factor). `crash=0@5` therefore fires
 //! after shard 0's 5000th reading — same instant on every run.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,10 +38,50 @@ use smda_core::{Alert, AnomalyDetector};
 use smda_storage::wal::{replay, WriteAheadLog};
 use smda_types::{ConsumerId, DirtyDataPolicy, Error, Reading, Result, HOURS_PER_YEAR};
 
+use crate::splitmix64;
 use crate::state::{Admit, ConsumerAccumulator, SealedConsumer};
 
 /// Virtual nanoseconds charged per processed reading (1 ms).
 const VIRT_NS_PER_READING: u64 = 1_000_000;
+
+/// Hash state of a shard's accumulator map: one seeded SplitMix64 round
+/// per [`ConsumerId`] instead of SipHash. The map is probed once per
+/// reading, and its keys are `u32`s the mixer already spreads over all
+/// 64 bits; the seed is drawn per map from [`RandomState`], so which ids
+/// collide still cannot be chosen from outside the process.
+struct IdHashState(u64);
+
+impl Default for IdHashState {
+    fn default() -> IdHashState {
+        IdHashState(RandomState::new().hash_one(0u8))
+    }
+}
+
+impl BuildHasher for IdHashState {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(self.0)
+    }
+}
+
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = splitmix64(self.0 ^ id as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Counters rebuilt from the WAL on crash recovery.
 #[derive(Debug, Default, Clone, Copy)]
@@ -65,19 +107,21 @@ pub struct ShardState {
     lateness: u32,
     policy: DirtyDataPolicy,
     faults: FaultPlan,
-    slow_factor: f64,
     detectors: Option<Arc<HashMap<ConsumerId, AnomalyDetector>>>,
 
     wal: Option<WriteAheadLog>,
     wal_path: Option<PathBuf>,
 
-    consumers: HashMap<ConsumerId, ConsumerAccumulator>,
+    consumers: HashMap<ConsumerId, ConsumerAccumulator, IdHashState>,
     max_hour: Option<u32>,
     tallies: DataTallies,
     alerts: Vec<Alert>,
     dead: Vec<Reading>,
 
     virtual_ns: u128,
+    /// Virtual nanoseconds one reading costs on this shard:
+    /// [`VIRT_NS_PER_READING`] stretched by the shard's slow factor.
+    virt_ns_per_reading: u128,
     /// Scheduled crashes for this shard, soonest first.
     crashes: Vec<Duration>,
     next_crash: usize,
@@ -110,22 +154,22 @@ impl ShardState {
             .map(|c| c.at)
             .collect();
         crashes.sort();
-        let slow_factor = faults.slow_factor(shard);
+        let virt_ns_per_reading = (VIRT_NS_PER_READING as f64 * faults.slow_factor(shard)) as u128;
         Ok(ShardState {
             shard,
             lateness,
             policy,
             faults,
-            slow_factor,
             detectors,
             wal,
             wal_path,
-            consumers: HashMap::new(),
+            consumers: HashMap::default(),
             max_hour: None,
             tallies: DataTallies::default(),
             alerts: Vec::new(),
             dead: Vec::new(),
             virtual_ns: 0,
+            virt_ns_per_reading,
             crashes,
             next_crash: 0,
             fault_tallies: FaultTallies::default(),
@@ -182,7 +226,7 @@ impl ShardState {
         if let Some(wal) = &mut self.wal {
             wal.append(r)?;
         }
-        self.virtual_ns += (VIRT_NS_PER_READING as f64 * self.slow_factor) as u128;
+        self.virtual_ns += self.virt_ns_per_reading;
         if self.next_crash < self.crashes.len()
             && self.virtual_ns >= self.crashes[self.next_crash].as_nanos()
         {
@@ -213,15 +257,20 @@ impl ShardState {
                 r.consumer, r.hour, self.shard, self.lateness
             )));
         }
-        let detector = self
-            .detectors
-            .as_ref()
-            .and_then(|d| d.get(&r.consumer))
-            .cloned();
-        let acc = self
-            .consumers
-            .entry(r.consumer)
-            .or_insert_with(|| ConsumerAccumulator::new(r.consumer, detector));
+        // The one probe of the accumulator map this reading pays; the
+        // detector (~1.2 KB) is looked up and copied only for a consumer
+        // seen for the first time.
+        let acc = match self.consumers.entry(r.consumer) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                let detector = self
+                    .detectors
+                    .as_ref()
+                    .and_then(|d| d.get(&r.consumer))
+                    .cloned();
+                slot.insert(ConsumerAccumulator::new(r.consumer, detector))
+            }
+        };
         if acc.admit(r) == Admit::Duplicate {
             self.tallies.readings_duplicate += 1;
             if self.policy.skips() {
@@ -233,20 +282,17 @@ impl ShardState {
                 r.consumer, r.hour
             )));
         }
-        let prev = self.max_hour;
-        self.max_hour = Some(prev.map_or(r.hour, |m| m.max(r.hour)));
-        if self.max_hour != prev {
-            let bound = self.watermark().unwrap_or(0);
-            for acc in self.consumers.values_mut() {
-                acc.advance(bound, &mut self.alerts);
+        match self.max_hour {
+            Some(newest) if r.hour <= newest => acc.advance(watermark, &mut self.alerts),
+            _ => {
+                // The watermark moved: every consumer of the shard may
+                // have hours to finalize, not only this reading's.
+                self.max_hour = Some(r.hour);
+                let bound = r.hour.saturating_sub(self.lateness);
+                for acc in self.consumers.values_mut() {
+                    acc.advance(bound, &mut self.alerts);
+                }
             }
-        } else {
-            let bound = self.watermark().unwrap_or(0);
-            let acc = self
-                .consumers
-                .get_mut(&r.consumer)
-                .expect("accumulator inserted above");
-            acc.advance(bound, &mut self.alerts);
         }
         Ok(())
     }
@@ -370,6 +416,15 @@ mod tests {
 
     fn plain_shard(lateness: u32, policy: DirtyDataPolicy) -> ShardState {
         ShardState::new(0, lateness, policy, FaultPlan::default(), None, None).unwrap()
+    }
+
+    #[test]
+    fn id_hash_is_stable_within_a_map_and_seeded_per_map() {
+        let (a, b) = (IdHashState::default(), IdHashState::default());
+        assert_eq!(a.hash_one(ConsumerId(7)), a.hash_one(ConsumerId(7)));
+        assert_ne!(a.hash_one(ConsumerId(7)), a.hash_one(ConsumerId(8)));
+        assert_ne!(a.0, b.0, "each map draws its own seed");
+        assert_ne!(a.hash_one(ConsumerId(7)), b.hash_one(ConsumerId(7)));
     }
 
     #[test]

@@ -38,6 +38,9 @@ use smda_types::{
 pub struct RunningHistogram {
     buckets: usize,
     spec: Option<HistogramSpec>,
+    /// `spec`'s bucket width, divided once per re-bucketing instead of
+    /// once per value.
+    width: f64,
     counts: Vec<u64>,
 }
 
@@ -47,6 +50,7 @@ impl RunningHistogram {
         RunningHistogram {
             buckets,
             spec: None,
+            width: 0.0,
             counts: vec![0; buckets],
         }
     }
@@ -54,25 +58,22 @@ impl RunningHistogram {
     /// Fold in `v`; `prefix` is every previously folded value, in case
     /// the range extension forces a re-bucketing pass.
     pub fn push(&mut self, v: f64, prefix: &[f64]) {
-        let fits = self.spec.is_some_and(|s| v >= s.min && v <= s.max);
-        if fits {
-            let spec = self.spec.expect("spec present when value fits");
-            let b = spec.bucket_of(v).expect("value within spec range");
-            self.counts[b] += 1;
+        if let Some(spec) = self.spec.filter(|s| v >= s.min && v <= s.max) {
+            self.counts[bucket_in(&spec, self.width, v)] += 1;
             return;
         }
-        let (old_min, old_max) = self.spec.map_or((v, v), |s| (s.min.min(v), s.max.max(v)));
         let spec = HistogramSpec {
-            min: old_min,
-            max: old_max,
+            min: self.spec.map_or(v, |s| s.min.min(v)),
+            max: self.spec.map_or(v, |s| s.max.max(v)),
             buckets: self.buckets,
         };
-        self.counts = vec![0; self.buckets];
+        let width = (spec.max - spec.min) / spec.buckets as f64;
+        self.counts.fill(0);
         for &x in prefix.iter().chain(std::iter::once(&v)) {
-            let b = spec.bucket_of(x).expect("prefix values within new range");
-            self.counts[b] += 1;
+            self.counts[bucket_in(&spec, width, x)] += 1;
         }
         self.spec = Some(spec);
+        self.width = width;
     }
 
     /// The histogram so far; `None` before the first value.
@@ -82,6 +83,17 @@ impl RunningHistogram {
             counts: self.counts.clone(),
         })
     }
+}
+
+/// [`HistogramSpec::bucket_of`] for a value inside the spec's range, with
+/// the bucket width handed in instead of re-divided per value: the same
+/// operations on the same operands, so the same bucket. A value outside
+/// the range would land in an end bucket.
+fn bucket_in(spec: &HistogramSpec, width: f64, v: f64) -> usize {
+    if spec.min == spec.max {
+        return 0;
+    }
+    (((v - spec.min) / width) as usize).min(spec.buckets - 1)
 }
 
 /// What admitting one reading did.

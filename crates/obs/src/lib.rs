@@ -110,7 +110,11 @@ pub mod counters {
     pub const INGEST_READINGS_MISSING: &str = "ingest.readings_missing";
     /// Malformed readings dropped by the ingest router.
     pub const INGEST_READINGS_DIRTY: &str = "ingest.readings_dirty";
-    /// Times the ingest router blocked on a full shard queue.
+    /// Chunks of readings the ingest router handed to shard queues;
+    /// depends on the stream, shard count and queue capacity only.
+    pub const INGEST_CHUNKS_ROUTED: &str = "ingest.chunks_routed";
+    /// Ingest hand-offs that blocked on a full shard queue (at most one
+    /// per hand-off).
     pub const INGEST_BACKPRESSURE_STALLS: &str = "ingest.backpressure_stalls";
     /// Worst observed event-time gap (hours) between the router's
     /// progress and a shard's watermark.

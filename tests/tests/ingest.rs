@@ -4,7 +4,9 @@
 //! output *bit-identical* to the offline `MemorySource` path for all
 //! four benchmark tasks at every shard count; an injected shard crash
 //! must recover from the WAL with no lost or duplicated readings; late
-//! and dirty readings must follow the configured policy.
+//! and dirty readings must follow the configured policy; and where the
+//! router cuts its per-shard chunks must change nothing a run decides
+//! from its data.
 
 use std::sync::Arc;
 
@@ -17,7 +19,7 @@ use smda_integration::{fixture_dataset, TempDir};
 use smda_obs::{counters, BenchExport, MetricsSink, RunManifest};
 use smda_stats::SeriesMatrix;
 use smda_types::{
-    ConsumerSeries, Dataset, DirtyDataPolicy, Error, TemperatureSeries, HOURS_PER_YEAR,
+    ConsumerSeries, Dataset, DirtyDataPolicy, Error, Reading, TemperatureSeries, HOURS_PER_YEAR,
 };
 
 fn offline(ds: &Arc<Dataset>, task: Task) -> TaskOutput {
@@ -163,8 +165,41 @@ fn injected_shard_crash_recovers_from_the_wal_with_nothing_lost() {
         entry(counters::INGEST_WAL_RECORDS_REPLAYED) >= 1000,
         "the crash fired after 1000 readings, all of which must replay"
     );
+    assert_eq!(entry(counters::INGEST_WAL_RECORDS_REPLAYED), 1000);
 
     // And the recovered data is still exactly the input.
+    assert_eq!(out.snapshot.dataset().consumers(), ds.consumers());
+}
+
+#[test]
+fn a_crash_in_the_middle_of_a_chunk_replays_exactly_the_logged_readings() {
+    let ds = Arc::new(fixture_dataset(8));
+    // Hour-major, one shard: every chunk is one hour's eight readings
+    // (handed over when the next hour starts), so the 1003rd reading is
+    // the third of its chunk — the crash falls inside a hand-off, not
+    // between two.
+    let events = replay_events(
+        &ds,
+        &ReplayConfig {
+            jitter_hours: 0,
+            seed: 1,
+        },
+    );
+    let dir = TempDir::new("ingest-wal-midchunk");
+    let faults = smda_cluster::FaultPlan::parse("crash=0@1.003").expect("spec parses");
+    let cfg = IngestConfig::new()
+        .with_shards(1)
+        .with_wal_dir(dir.path("wal"))
+        .with_faults(faults);
+    let out = run_pipeline(events, &cfg).expect("pipeline recovers and completes");
+    let r = &out.report;
+    assert_eq!(r.chunks_routed, HOURS_PER_YEAR as u64, "one chunk per hour");
+    assert_eq!((r.crashes_injected, r.crashes_recovered), (1, 1));
+    // The WAL is appended per reading, ahead of the crash check: the
+    // replay sees the chunk's first three readings and no more.
+    assert_eq!(r.wal_records_replayed, 1003);
+    assert_eq!(r.readings_in, 8 * HOURS_PER_YEAR as u64);
+    assert_eq!(r.readings_duplicate + r.readings_late, 0);
     assert_eq!(out.snapshot.dataset().consumers(), ds.consumers());
 }
 
@@ -239,4 +274,205 @@ fn detectors_raise_alerts_behind_the_watermark() {
         "the +15 kWh spike at hour {spike_hour} must alert; got {} alerts",
         alerts.len()
     );
+}
+
+/// Everything a run decides from its data, floats as bits: the sealed
+/// year and its normalized rows, the alerts, the dead letters in sink
+/// order, and the data counts of the report.
+#[derive(Debug, PartialEq)]
+struct Decided {
+    dataset: Vec<(u32, Vec<u64>)>,
+    temperature: Vec<u64>,
+    matrix: Vec<Vec<u64>>,
+    alerts: Vec<(u32, usize, u64, u64, u64, AlertKind)>,
+    dead_letters: Vec<(u32, u32, u64, u64)>,
+    counts: [u64; 6],
+}
+
+fn decided(out: &IngestOutcome) -> Decided {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let ds = out.snapshot.dataset();
+    let r = &out.report;
+    Decided {
+        dataset: ds
+            .consumers()
+            .iter()
+            .map(|c| (c.id.raw(), bits(c.readings())))
+            .collect(),
+        temperature: bits(ds.temperature().values()),
+        matrix: (0..ds.len())
+            .map(|i| bits(out.snapshot.matrix().row(i)))
+            .collect(),
+        alerts: out
+            .alerts
+            .iter()
+            .map(|a| {
+                (
+                    a.consumer.raw(),
+                    a.hour,
+                    a.actual.to_bits(),
+                    a.expected.to_bits(),
+                    a.sigmas.to_bits(),
+                    a.kind,
+                )
+            })
+            .collect(),
+        dead_letters: out
+            .dead_letters
+            .iter()
+            .map(|d| {
+                (
+                    d.consumer.raw(),
+                    d.hour,
+                    d.temperature.to_bits(),
+                    d.kwh.to_bits(),
+                )
+            })
+            .collect(),
+        counts: [
+            r.readings_in,
+            r.readings_late,
+            r.readings_duplicate,
+            r.readings_missing,
+            r.readings_dirty,
+            r.consumers_sealed,
+        ],
+    }
+}
+
+#[test]
+fn chunk_boundaries_change_nothing_a_run_decides() {
+    let clean = fixture_dataset(8);
+    let detectors = Arc::new(fit_detectors(&clean));
+    let spiked = with_spike(&clean, 2, 5000, 15.0);
+    let mut events = replay_events(
+        &spiked,
+        &ReplayConfig {
+            jitter_hours: 12,
+            seed: 9,
+        },
+    );
+    // 40 injections spread over the year, 14 / 13 / 13 of each kind.
+    for k in 0..40 {
+        let at = 2_000 + k * 1_500;
+        let original = events[at];
+        match k % 3 {
+            // Late beyond doubt: delivered 2400 readings — 300 event
+            // hours at 8 consumers — after its place in the stream.
+            0 => {
+                events.remove(at);
+                events.insert(at + 2_400, original);
+            }
+            // A duplicate five deliveries on, with a different value:
+            // the first write must win.
+            1 => events.insert(
+                at + 5,
+                Reading {
+                    kwh: original.kwh + 1.0,
+                    ..original
+                },
+            ),
+            // Dirty: stopped by the router.
+            _ => events.insert(
+                at,
+                Reading {
+                    kwh: f64::NAN,
+                    ..original
+                },
+            ),
+        }
+    }
+
+    let mut by_shard_count = Vec::new();
+    for shards in [1usize, 3] {
+        let run = |capacity: usize| {
+            let cfg = IngestConfig::new()
+                .with_shards(shards)
+                .with_queue_capacity(capacity)
+                .with_policy(DirtyDataPolicy::SkipAndCount)
+                .with_detectors(detectors.clone());
+            run_pipeline(events.iter().copied(), &cfg).expect("skip-and-count completes")
+        };
+        let reference = run(4096);
+        let want = decided(&reference);
+        assert_eq!(want.counts[1..5], [14, 13, 14, 13], "{shards} shards");
+        assert_eq!(want.dead_letters.len(), 40);
+        assert!(
+            want.alerts.iter().any(|a| (a.0, a.1) == (6, 5000)),
+            "the spike alerts"
+        );
+        for capacity in [1usize, 7, 256] {
+            let out = run(capacity);
+            assert!(
+                decided(&out) == want,
+                "{shards} shards, queue capacity {capacity}: outcome differs from capacity 4096"
+            );
+            match capacity {
+                // The chunk is the whole queue: one reading a hand-off.
+                1 => assert_eq!(out.report.chunks_routed, out.report.readings_in),
+                7 => assert!(out.report.chunks_routed * 7 >= out.report.readings_in),
+                // Same chunk length as 4096; only the waits differ.
+                _ => assert_eq!(out.report.chunks_routed, reference.report.chunks_routed),
+            }
+        }
+        by_shard_count.push(want);
+    }
+    // Across shard counts the dead-letter sink is grouped by shard, so
+    // its order is the one thing that may differ.
+    let [mut one, mut three] = <[Decided; 2]>::try_from(by_shard_count).expect("two shard counts");
+    one.dead_letters.sort_unstable();
+    three.dead_letters.sort_unstable();
+    assert!(one == three, "1 shard and 3 shards decide differently");
+}
+
+#[test]
+fn chunks_routed_depends_on_the_stream_not_the_schedule() {
+    let ds = fixture_dataset(40);
+    let events = replay_events(
+        &ds,
+        &ReplayConfig {
+            jitter_hours: 12,
+            seed: 77,
+        },
+    );
+    for shards in [1usize, 2] {
+        let sink = MetricsSink::recording();
+        let run = |capacity: usize, metrics: MetricsSink| {
+            let cfg = IngestConfig::new()
+                .with_shards(shards)
+                .with_queue_capacity(capacity)
+                .with_metrics(metrics);
+            run_pipeline(events.iter().copied(), &cfg)
+                .expect("pipeline completes")
+                .report
+        };
+        let first = run(4096, sink.clone());
+        assert_eq!(first.readings_in, 40 * HOURS_PER_YEAR as u64);
+        // A chunk carries many readings: per-reading hand-off would make
+        // the two counts equal. No clock involved.
+        assert!(
+            first.chunks_routed * 16 <= first.readings_in,
+            "{shards} shards: {} chunks for {} readings",
+            first.chunks_routed,
+            first.readings_in
+        );
+        assert_eq!(
+            sink.finish(RunManifest::new("ingest", "streaming"))
+                .counter(counters::INGEST_CHUNKS_ROUTED),
+            Some(first.chunks_routed)
+        );
+        // Again; with a queue one chunk deep, so the router waits on
+        // the worker at every hand-off; and with two pipelines at once
+        // competing for the process-wide pool's workers.
+        let off = MetricsSink::disabled;
+        assert_eq!(run(4096, off()).chunks_routed, first.chunks_routed);
+        assert_eq!(run(256, off()).chunks_routed, first.chunks_routed);
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| run(4096, off()));
+            let b = scope.spawn(|| run(4096, off()));
+            (a.join().expect("joins"), b.join().expect("joins"))
+        });
+        assert_eq!(a.chunks_routed, first.chunks_routed);
+        assert_eq!(b.chunks_routed, first.chunks_routed);
+    }
 }
