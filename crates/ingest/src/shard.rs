@@ -143,10 +143,7 @@ impl ShardState {
         wal_dir: Option<&std::path::Path>,
     ) -> Result<ShardState> {
         let wal_path = wal_dir.map(|d| d.join(format!("shard-{shard}.wal")));
-        let wal = wal_path
-            .as_ref()
-            .map(|p| WriteAheadLog::create(p))
-            .transpose()?;
+        let wal = wal_path.as_ref().map(WriteAheadLog::create).transpose()?;
         let mut crashes: Vec<Duration> = faults
             .crashes
             .iter()

@@ -136,14 +136,16 @@ pub mod counters {
     /// Model fits served by an already-warm `FitScratch` arena (every
     /// fit on a worker's arena after its first).
     pub const FITS_SCRATCH_REUSES: &str = "fits.scratch_reuses";
-    /// Queries admitted into the serving layer's in-flight queue.
+    /// Queries admitted by the serving layer: counted in flight until
+    /// their ticket is waited or dropped.
     pub const SERVE_ADMITTED: &str = "serve.admitted";
-    /// Queries rejected at admission because the queue was full.
+    /// Queries rejected at admission because `queue_depth` were already
+    /// in flight.
     pub const SERVE_REJECTED_OVERLOAD: &str = "serve.rejected.overload";
     /// Queries answered from the per-epoch result cache.
     pub const SERVE_CACHE_HITS: &str = "serve.cache_hits";
-    /// Queries that missed their deadline (expired in the queue or
-    /// finished past the deadline).
+    /// Queries that missed their deadline (expired on arrival or
+    /// waiting for a permit, or finished past the deadline).
     pub const SERVE_DEADLINE_MISSES: &str = "serve.deadline_misses";
     /// Per-epoch cache generations discarded on a snapshot swap.
     pub const SERVE_CACHE_INVALIDATIONS: &str = "serve.cache_invalidations";
@@ -154,6 +156,18 @@ pub mod counters {
     /// Queries answered successfully, per query type (suffixed
     /// `serve.answered.<kind>`).
     pub const SERVE_ANSWERED: &str = "serve.answered";
+    /// Cache misses executed against the pinned snapshot, per query
+    /// type (suffixed `serve.executed.<kind>`), answered or typed-failed.
+    pub const SERVE_EXECUTED: &str = "serve.executed";
+    /// Cumulative execution time of those misses in nanoseconds
+    /// (suffixed `serve.execute_ns.<kind>`); divide by the matching
+    /// `serve.executed.<kind>` counter for the mean.
+    pub const SERVE_EXECUTE_NS: &str = "serve.execute_ns";
+    /// Cache misses that found every `workers` permit taken and blocked.
+    pub const SERVE_PERMIT_WAITS: &str = "serve.permit_waits";
+    /// Cumulative time those misses blocked, in nanoseconds — until a
+    /// permit or their deadline, whichever came first.
+    pub const SERVE_PERMIT_WAIT_NS: &str = "serve.permit_wait_ns";
     /// Frames written to a transport socket (requests + heartbeats).
     pub const TRANSPORT_FRAMES_SENT: &str = "transport.frames_sent";
     /// Frames read back from a transport socket.

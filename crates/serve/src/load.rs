@@ -1,11 +1,13 @@
-//! Open-loop load generation for the `serve` bench experiment.
+//! Closed-loop load generation for the `serve` bench experiment.
 //!
 //! A sweep point runs `concurrency` client threads against a live
-//! [`Server`]; each client submits its share of the query mix on a
-//! fixed pacing interval — arrivals do not wait for completions beyond
-//! the pacing gap, so rising load shows up as queueing delay and,
-//! past saturation, typed `Overloaded` rejections rather than as a
-//! silently slower arrival rate.
+//! [`Server`]; each client submits its share of the query mix and
+//! blocks on [`Ticket::wait`](super::Ticket::wait) before its next
+//! submission, with an optional pacing gap after each reply. A closed
+//! loop: the offered load is whatever the clients' round trips allow,
+//! so a slower server receives fewer requests — it shows as lower QPS
+//! and longer latencies, and as typed `Overloaded` rejections only
+//! when `concurrency` exceeds the server's `queue_depth`.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -23,7 +25,7 @@ pub struct LoadConfig {
     pub per_client: usize,
     /// Deadline attached to every query.
     pub deadline: Duration,
-    /// Gap between a client's consecutive submissions (zero =
+    /// Gap between a client's reply and its next submission (zero =
     /// back-to-back).
     pub pacing: Duration,
 }
@@ -48,7 +50,7 @@ pub struct SweepPoint {
     pub submitted: usize,
     /// Queries answered successfully.
     pub answered: usize,
-    /// Queries rejected at admission (queue full).
+    /// Queries rejected at admission (`queue_depth` already in flight).
     pub rejected: usize,
     /// Queries that missed their deadline.
     pub deadline_missed: usize,

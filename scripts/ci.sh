@@ -45,8 +45,10 @@ echo "== test (integration) =="
 # benchmark/ is a workspace of its own that the driver builds against
 # the crates' public API; compile and test it here (editing nothing
 # under it) so API drift in crates/ fails tier-1, not the driver.
+# --locked: a changed dependency edge of crates/ fails here instead of
+# cargo quietly rewriting benchmark/Cargo.lock.
 echo "== test (benchmark package) =="
-cargo test --offline -q --manifest-path benchmark/Cargo.toml
+cargo test --offline --locked -q --manifest-path benchmark/Cargo.toml
 
 if [ "$fast" -eq 0 ]; then
     echo "== release build =="

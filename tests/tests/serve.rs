@@ -434,3 +434,114 @@ fn load_sweep_reports_latencies_and_counters_flow_to_the_export() {
         "per-kind answered counters sum to the sweep's answered total"
     );
 }
+
+#[test]
+fn queue_depth_bounds_tickets_admitted_but_not_yet_answered() {
+    let ds = fixture_dataset(3);
+    let (snapshot, alerts) = seal(&ds);
+    let handle = Arc::new(SnapshotHandle::new());
+    handle.publish(snapshot, HOURS_PER_YEAR as u32, alerts);
+    let depth = 3;
+    let sink = MetricsSink::recording();
+    let server = Server::start(
+        handle,
+        ServeConfig {
+            queue_depth: depth,
+            metrics: sink.clone(),
+            ..ServeConfig::default()
+        },
+    );
+    let q = Query::Histogram {
+        consumer: ConsumerId(0),
+    };
+
+    // Held, un-waited tickets are in flight — resolved or not.
+    let mut held: Vec<_> = (0..depth)
+        .map(|i| {
+            server
+                .submit(q)
+                .unwrap_or_else(|e| panic!("ticket {i} of {depth} is admitted: {e}"))
+        })
+        .collect();
+    let bounces =
+        || matches!(server.submit(q), Err(ServeError::Overloaded { depth: d }) if d == depth);
+    assert!(
+        bounces(),
+        "submission {} must bounce off the depth",
+        depth + 1
+    );
+
+    // Dropping one un-waited ticket gives its place back...
+    drop(held.pop());
+    held.push(server.submit(q).expect("a dropped ticket admits the next"));
+    assert!(bounces(), "the depth is full again");
+    // ...and so does waiting one.
+    held.pop()
+        .expect("depth tickets held")
+        .wait()
+        .expect("a held ticket still resolves");
+    server.query(q).expect("a waited ticket admits the next");
+    drop(held);
+
+    drop(server);
+    let report = sink.finish(RunManifest::new("serve", "test"));
+    assert_eq!(report.counter(counters::SERVE_ADMITTED), Some(5));
+    assert_eq!(report.counter(counters::SERVE_REJECTED_OVERLOAD), Some(2));
+}
+
+#[test]
+fn one_worker_executes_a_query_asked_eight_times_at_once_exactly_once() {
+    let ds = fixture_dataset(4);
+    let (snapshot, alerts) = seal(&ds);
+    let handle = Arc::new(SnapshotHandle::new());
+    handle.publish(snapshot, HOURS_PER_YEAR as u32, alerts);
+    let sink = MetricsSink::recording();
+    let server = Server::start(
+        handle,
+        ServeConfig {
+            workers: 1,
+            metrics: sink.clone(),
+            ..ServeConfig::default()
+        },
+    );
+    let q = Query::ParCoefficients {
+        consumer: ConsumerId(3),
+    };
+    let batch = lookup(&run_reference(Task::Par, &ds), &q).expect("batch has the PAR model");
+
+    const CLIENTS: usize = 8;
+    let together = std::sync::Barrier::new(CLIENTS);
+    let answers: Vec<Arc<QueryResult>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    together.wait();
+                    server.query(q).expect("an uncached query serves")
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    for (i, answer) in answers.iter().enumerate() {
+        assert_bits_eq(answer, &batch, &format!("client {i}"));
+    }
+
+    drop(server);
+    let report = sink.finish(RunManifest::new("serve", "test"));
+    // Whoever held the permit first computed it; the other seven found
+    // it in the cache, at submit or under the permit.
+    assert_eq!(
+        report.counter(&format!("{}.par", counters::SERVE_EXECUTED)),
+        Some(1),
+        "{:?}",
+        report.counters
+    );
+    assert_eq!(report.counter(counters::SERVE_CACHE_HITS), Some(7));
+    assert_eq!(
+        report.counter(&format!("{}.par", counters::SERVE_ANSWERED)),
+        Some(8)
+    );
+}
