@@ -10,7 +10,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use smda_core::{DataGenerator, GeneratorConfig, SeedConfig};
-use smda_types::{ConsumerId, ConsumerSeries, Dataset, HOURS_PER_DAY, HOURS_PER_YEAR};
+use smda_types::{
+    ConsumerId, ConsumerSeries, Dataset, TemperatureSeries, HOURS_PER_DAY, HOURS_PER_YEAR,
+};
 
 /// Deterministic master seed for all experiment data.
 pub const BENCH_SEED: u64 = 20150323; // EDBT 2015, March 23
@@ -80,6 +82,19 @@ pub fn edge_consumers(ds: &Dataset) -> Vec<ConsumerSeries> {
             .expect("edge years are finite and non-negative")
     })
     .collect()
+}
+
+/// The first household of `ds` under weather of its own — the dataset's
+/// year run backwards and a quarter of a degree warmer, so no hour keeps
+/// its temperature and `.5` boundaries fall elsewhere. Fitting it on an
+/// arena that has been fitting `ds` crosses a temperature-plan rebuild,
+/// and fitting `ds` again after it crosses another.
+pub fn edge_weather(ds: &Dataset) -> smda_types::Result<(ConsumerSeries, TemperatureSeries)> {
+    let backwards = ds.temperature().values().iter().rev();
+    let weather = TemperatureSeries::new(backwards.map(|t| t + 0.25).collect())?;
+    let mut consumer = ds.consumers()[0].clone();
+    consumer.id = ConsumerId(9_000_100);
+    Ok((consumer, weather))
 }
 
 /// A large synthetic dataset of `consumers` households, produced by the

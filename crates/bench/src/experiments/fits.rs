@@ -9,13 +9,14 @@
 //! columns are exact when the `smda-bench` binary's counting allocator
 //! is installed and zero otherwise (e.g. under `cargo test`).
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use smda_core::{
     fit_par_baseline, fit_par_scratch, fit_three_line_baseline, fit_three_line_scratch, ParModel,
     ThreeLineConfig, ThreeLineModel,
 };
-use smda_stats::FitScratch;
+use smda_stats::{quantiles_by_selection, FitScratch};
 
 use crate::alloc;
 use crate::data::seed_dataset;
@@ -82,6 +83,41 @@ fn push(
         bytes.to_string(),
         peak.to_string(),
     ]);
+}
+
+/// Print where 3-line T1 spends a consumer on a warm arena: the content
+/// compare of the temperature year against the plan, the gather of the
+/// readings into bin order as integer keys, and the rank selection — the
+/// three calls `fit_three_line_scratch` makes, timed one by one.
+fn report_t1_split(ds: &smda_types::Dataset, config: &ThreeLineConfig, scratch: &mut FitScratch) {
+    let temps = ds.temperature().values();
+    let quantiles = [config.low_percentile, config.high_percentile];
+    let [mut check, mut gather, mut select] = [Duration::ZERO; 3];
+    for c in ds.consumers() {
+        let t = Instant::now();
+        scratch.plan.prepare(temps);
+        check += t.elapsed();
+        let t = Instant::now();
+        let bins = scratch.plan.gather(c.readings());
+        gather += t.elapsed();
+        let t = Instant::now();
+        if let Some(bins) = bins {
+            bins.for_each(|_, keys| {
+                if keys.len() >= config.min_points_per_temp {
+                    black_box(quantiles_by_selection(keys, quantiles));
+                }
+            });
+        }
+        select += t.elapsed();
+    }
+    let per_consumer = |d: Duration| d.as_secs_f64() * 1e6 / ds.len() as f64;
+    eprintln!(
+        "3-line T1 per consumer at n={}: plan check {:.1} us, gather {:.1} us, select {:.1} us",
+        ds.len(),
+        per_consumer(check),
+        per_consumer(gather),
+        per_consumer(select),
+    );
 }
 
 /// Sweep baseline vs arena fitting over seed datasets of growing size.
@@ -156,6 +192,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 _ => panic!("3-line fit presence diverged at n={n}"),
             }
         }
+
+        report_t1_split(&ds, &config, &mut scratch);
 
         let start = Instant::now();
         let (base_par, bytes, peak) = alloc::measure_alloc(|| {

@@ -262,15 +262,20 @@ const FITS_PEAK_CEILING_BYTES: usize = 8 * 1024 * 1024;
 
 /// Fit-equivalence gate (`smda-bench --check fits`).
 ///
-/// Over one seeded dataset plus one synthetic consumer per edge class
-/// ([`crate::data::edge_consumers`]): (1) every consumer's 3-line and PAR
-/// fit through a single, deliberately dirty [`FitScratch`] must be
-/// bit-identical (`f64::to_bits`) to the retained allocating baselines;
-/// (2) generator training must be deterministic per seed; (3) when the
-/// counting allocator is installed, the warm arena sweep must allocate
-/// at least 5× fewer heap bytes than the baseline sweep and stay under
-/// `FITS_PEAK_CEILING_BYTES` of peak growth (over the dataset's consumers;
-/// the edge years are compared, not weighed).
+/// Over one seeded dataset, one synthetic consumer per edge class
+/// ([`crate::data::edge_consumers`]) and one household under weather of
+/// its own ([`crate::data::edge_weather`], then the dataset's again, so
+/// the arena's temperature plan is rebuilt twice inside the gate):
+/// (1) every consumer's 3-line and PAR fit through a single, deliberately
+/// dirty [`FitScratch`] must be bit-identical (`f64::to_bits`) to the
+/// retained allocating baselines; (2) generator training must be
+/// deterministic per seed; (3) when the counting allocator is installed,
+/// the arena sweep — measured on an arena one fit has already warmed,
+/// its buffers and its temperature plan in place: the steady state, not
+/// the one-time build a handful of `--smoke` consumers cannot amortize —
+/// must allocate at least 5× fewer heap bytes than the baseline sweep and
+/// stay under `FITS_PEAK_CEILING_BYTES` of peak growth (over the
+/// dataset's consumers; the edge years are compared, not weighed).
 ///
 /// [`FitScratch`]: smda_stats::FitScratch
 fn check_fits(scale: Scale) -> std::result::Result<String, String> {
@@ -279,21 +284,23 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
         DataGenerator, GeneratorConfig, ThreeLineConfig,
     };
     use smda_stats::FitScratch;
+    use smda_types::{ConsumerSeries, TemperatureSeries};
 
     let ds = crate::data::seed_dataset(scale.consumers_for_households(6_400));
     let temps = ds.temperature();
     let config = ThreeLineConfig::default();
     let n = ds.len();
     let edges = crate::data::edge_consumers(&ds);
+    let (stranger, weather) = crate::data::edge_weather(&ds).map_err(|e| e.to_string())?;
 
     let bits = |x: f64| x.to_bits();
-    let fit_baseline = |c: &smda_types::ConsumerSeries| {
+    let fit_baseline = |c: &ConsumerSeries, temps: &TemperatureSeries| {
         (
             fit_three_line_baseline(c, temps, &config),
             fit_par_baseline(c, temps),
         )
     };
-    let fit_arena = |c: &smda_types::ConsumerSeries, scratch: &mut FitScratch| {
+    let fit_arena = |c: &ConsumerSeries, temps: &TemperatureSeries, scratch: &mut FitScratch| {
         (
             fit_three_line_scratch(c.id, c.readings(), temps.values(), &config, scratch),
             fit_par_scratch(c.id, c.readings(), temps.values(), scratch),
@@ -305,17 +312,35 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
     // sweeps: their rank-deficient hours take the QR fallback, which
     // allocates in the arena path exactly as in the baseline and would
     // drown the steady state the byte ceilings are about.
-    let (mut baselines, baseline_bytes, _) =
-        crate::alloc::measure_alloc(|| ds.consumers().iter().map(fit_baseline).collect::<Vec<_>>());
+    let (mut baselines, baseline_bytes, _) = crate::alloc::measure_alloc(|| {
+        ds.consumers()
+            .iter()
+            .map(|c| fit_baseline(c, temps))
+            .collect::<Vec<_>>()
+    });
     let mut scratch = FitScratch::new();
+    fit_arena(&ds.consumers()[0], temps, &mut scratch);
     let (mut arena, arena_bytes, arena_peak) = crate::alloc::measure_alloc(|| {
         ds.consumers()
             .iter()
-            .map(|c| fit_arena(c, &mut scratch))
+            .map(|c| fit_arena(c, temps, &mut scratch))
             .collect::<Vec<_>>()
     });
-    baselines.extend(edges.iter().map(fit_baseline));
-    arena.extend(edges.iter().map(|c| fit_arena(c, &mut scratch)));
+    let after_sweeps = edges
+        .iter()
+        .map(|c| (c, temps))
+        .chain([(&stranger, &weather), (&ds.consumers()[0], temps)]);
+    for (c, temps) in after_sweeps {
+        baselines.push(fit_baseline(c, temps));
+        arena.push(fit_arena(c, temps, &mut scratch));
+    }
+    let plan_builds = scratch.take_plan_builds();
+    if plan_builds != 3 {
+        return Err(format!(
+            "{plan_builds} temperature plans built where the dataset's year, a stranger's and \
+             the dataset's again make 3"
+        ));
+    }
     for ((base_tl, base_par), (arena_tl, arena_par)) in baselines.iter().zip(&arena) {
         let id = base_par.consumer;
         match (base_tl, arena_tl) {
@@ -381,9 +406,10 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
     };
     Ok(format!(
         "fit equivalence OK: n={n} + {} edge years, 3-line + PAR bit-identical through a dirty \
-         arena, generator deterministic; bytes baseline={baseline_bytes} arena={arena_bytes} \
-         ({ratio:.1}x), arena peak={arena_peak}",
-        edges.len()
+         arena across {plan_builds} temperature plans, generator deterministic; bytes \
+         baseline={baseline_bytes} warm arena={arena_bytes} ({ratio:.1}x), arena \
+         peak={arena_peak}",
+        edges.len() + 2
     ))
 }
 

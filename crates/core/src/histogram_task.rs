@@ -5,8 +5,8 @@
 //! own consumption range split into ten buckets, the y-axis counts the
 //! hours of the year falling in each bucket.
 
-use smda_stats::EquiWidthHistogram;
-use smda_types::{ConsumerId, ConsumerSeries, Dataset};
+use smda_stats::{EquiWidthHistogram, HistogramSpec};
+use smda_types::{ConsumerId, ConsumerSeries, Dataset, Result};
 
 /// The benchmark fixes histograms to ten equi-width buckets.
 pub const HISTOGRAM_BUCKETS: usize = 10;
@@ -26,18 +26,27 @@ impl ConsumerHistogram {
     /// Every valid series yields a histogram (8760 readings is never
     /// empty), so this is total over the crate's data model.
     pub fn build(series: &ConsumerSeries) -> Self {
-        ConsumerHistogram::from_readings(series.id, series.readings())
+        ConsumerHistogram::of_valid_year(series.id, series.readings())
     }
 
-    /// Build from a lent readings slice that has already passed
-    /// [`ConsumerSeries::validate`] — avoids collecting the year into an
-    /// owned series on the hot path.
-    pub fn from_readings(consumer: ConsumerId, readings: &[f64]) -> Self {
-        let histogram = EquiWidthHistogram::build(readings, HISTOGRAM_BUCKETS)
-            .expect("a ConsumerSeries always holds 8760 finite readings");
+    /// Build from a lent readings slice, which is held to
+    /// [`ConsumerSeries::validate`] first — avoids collecting the year
+    /// into an owned series on the hot path.
+    ///
+    /// # Errors
+    /// Whatever [`ConsumerSeries::validate`] finds wrong with `readings`.
+    pub fn from_readings(consumer: ConsumerId, readings: &[f64]) -> Result<Self> {
+        ConsumerSeries::validate(consumer, readings)?;
+        Ok(ConsumerHistogram::of_valid_year(consumer, readings))
+    }
+
+    /// A valid year is 8760 finite readings: it has a range, and
+    /// [`HistogramSpec::spanning`] need not ask.
+    fn of_valid_year(consumer: ConsumerId, readings: &[f64]) -> Self {
+        let spec = HistogramSpec::spanning(readings, HISTOGRAM_BUCKETS);
         ConsumerHistogram {
             consumer,
-            histogram,
+            histogram: EquiWidthHistogram::build_with_spec(readings, spec),
         }
     }
 

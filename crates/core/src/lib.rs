@@ -19,10 +19,8 @@
 //!   synthetic **seed** generator standing in for the paper's private
 //!   utility data set.
 //!
-//! Two extensions from the paper's related/future work are included:
-//! [`quality`] (missing-data repair, after Jeng et al. \[18\]) and
-//! [`streaming`] (real-time anomaly alerts, the Section 6 future-work
-//! direction).
+//! One extension from the paper's future work is included: [`streaming`]
+//! (real-time anomaly alerts, the Section 6 direction).
 //!
 //! The algorithms are pure functions over [`smda_types::Dataset`]; the
 //! platform crates (`smda-engines`, `smda-hive`, `smda-spark`) re-express
@@ -32,7 +30,6 @@
 pub mod generator;
 pub mod histogram_task;
 pub mod par;
-pub mod quality;
 pub mod queries;
 pub mod similarity;
 pub mod streaming;
@@ -44,7 +41,6 @@ pub use histogram_task::{consumer_histograms, ConsumerHistogram, HISTOGRAM_BUCKE
 pub use par::{
     fit_par, fit_par_baseline, fit_par_scratch, par_profiles, HourModel, ParModel, PAR_ORDER,
 };
-pub use quality::{imputed_fraction, repair_year, scrub_readings, FillMethod, GapReport};
 pub use queries::task_output_results;
 pub use similarity::{similarity_search, ConsumerMatches, SIMILARITY_TOP_K};
 pub use streaming::{Alert, AlertKind, AnomalyDetector};

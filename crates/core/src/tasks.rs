@@ -152,10 +152,10 @@ pub fn run_consumer_task_on(
     if !task.per_consumer() {
         return Err(smda_types::Error::NotPerConsumer(task.name().to_owned()));
     }
-    ConsumerSeries::validate(id, kwh)?;
     Ok(match task {
-        Task::Histogram => ConsumerResult::Histogram(ConsumerHistogram::from_readings(id, kwh)),
+        Task::Histogram => ConsumerResult::Histogram(ConsumerHistogram::from_readings(id, kwh)?),
         Task::ThreeLine => {
+            ConsumerSeries::validate(id, kwh)?;
             TemperatureSeries::validate(temps)?;
             let fitted = with_fit_scratch(|scratch| {
                 fit_three_line_scratch(id, kwh, temps, &ThreeLineConfig::default(), scratch)
@@ -166,6 +166,7 @@ pub fn run_consumer_task_on(
             }
         }
         Task::Par => {
+            ConsumerSeries::validate(id, kwh)?;
             TemperatureSeries::validate(temps)?;
             ConsumerResult::Par(Box::new(with_fit_scratch(|scratch| {
                 crate::par::fit_par_scratch(id, kwh, temps, scratch)

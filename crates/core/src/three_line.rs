@@ -191,31 +191,13 @@ fn all_finite(values: &[f64]) -> bool {
     values.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 
-/// `t.round() as i32` — half away from zero, saturating, NaN to 0 —
-/// without the libm call `f64::round` is on baseline x86-64. The
-/// truncating cast gives the integer part; `t` minus it is the fractional
-/// part, exact in `f64` whenever the cast did not saturate; and when it
-/// did, the saturating step leaves the saturated value `round` would cast
-/// to as well.
-fn round_to_i32(t: f64) -> i32 {
-    let whole = t as i32;
-    let fraction = t - whole as f64;
-    if fraction >= 0.5 {
-        whole.saturating_add(1)
-    } else if fraction <= -0.5 {
-        whole.saturating_sub(1)
-    } else {
-        whole
-    }
-}
-
 /// Phase T1: group by rounded temperature and extract the two percentile
 /// point sets. Exposed so the platform engines can reuse it.
 ///
 /// This is the allocating *baseline* implementation; the production path
-/// runs the same extraction through [`FitScratch`]'s dense grouper (see
-/// [`fit_three_line_scratch`]), and `smda-bench --check fits` pins the
-/// two bit-identical.
+/// runs the same extraction through [`FitScratch`]'s temperature plan
+/// (see [`fit_three_line_scratch`]), and `smda-bench --check fits` pins
+/// the two bit-identical.
 ///
 /// A non-finite reading or temperature yields no points at all: a NaN
 /// has no rank and no temperature bin.
@@ -479,30 +461,28 @@ pub fn fit_three_line_scratch(
 
     let t = Instant::now();
     {
-        let FitScratch { groups, curves, .. } = scratch;
+        let FitScratch { plan, curves, .. } = scratch;
         let [low, high] = curves;
         low.clear();
         high.clear();
         let n = readings.len().min(temps.len());
-        if all_finite(&readings[..n]) && all_finite(&temps[..n]) {
-            groups.for_each_group(
-                n,
-                |i| round_to_i32(temps[i]),
-                |i| readings[i],
-                |key, values| {
-                    if values.len() < config.min_points_per_temp {
-                        return;
-                    }
-                    // The (at most four) ranks the two percentiles read,
-                    // selected instead of sorting the whole bin.
-                    let [p_low, p_high] = quantiles_by_selection(
-                        values,
-                        [config.low_percentile, config.high_percentile],
-                    );
-                    low.push(key as f64, p_low);
-                    high.push(key as f64, p_high);
-                },
-            );
+        // Which hours share a temperature bin is the same for every
+        // consumer of a dataset: planned once per temperature year, the
+        // year compared by content on every fit. A non-finite temperature
+        // year has no bins, a non-finite reading gathers to `None`.
+        plan.prepare(&temps[..n]);
+        if let Some(bins) = plan.gather(&readings[..n]) {
+            bins.for_each(|key, keys| {
+                if keys.len() < config.min_points_per_temp {
+                    return;
+                }
+                // The (at most four) ranks the two percentiles read,
+                // selected instead of sorting the whole bin.
+                let [p_low, p_high] =
+                    quantiles_by_selection(keys, [config.low_percentile, config.high_percentile]);
+                low.push(key as f64, p_low);
+                high.push(key as f64, p_high);
+            });
         }
     }
     phases.t1 = t.elapsed();
@@ -630,6 +610,7 @@ pub fn three_line_models(ds: &Dataset) -> (Vec<ThreeLineModel>, ThreeLinePhases)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smda_stats::scratch::round_to_i32;
     use smda_types::HOURS_PER_YEAR;
 
     /// A synthetic year whose consumption is an exact V: heating below

@@ -159,14 +159,17 @@ pub fn execute_task(
         let mut source = make_source()?;
         let ids = source.consumer_ids()?;
         // The temperature year is dataset-wide: fetch and validate it
-        // once here, then share it with every worker by reference.
-        let temps = if needs_temps && !ids.is_empty() {
-            Some(TemperatureSeries::new(source.temperature_year()?.to_vec())?)
-        } else {
-            None
-        };
+        // once here, then share it with every worker by reference. With
+        // no consumers there is no one to read it, and it stays empty.
+        let mut temps = Vec::new();
+        if needs_temps && !ids.is_empty() {
+            let year = source.temperature_year()?;
+            TemperatureSeries::validate(year)?;
+            temps.extend_from_slice(year);
+        }
         (ids, temps)
     };
+    let temps = temps.as_slice();
     match task {
         Task::Histogram => {
             let _t = metrics.scope("fan_out");
@@ -175,8 +178,7 @@ pub fn execute_task(
                     .map(|&id| {
                         let kwh = src.consumer_kwh(id)?;
                         metrics.incr(counters::ROWS_SCANNED, kwh.len() as u64);
-                        ConsumerSeries::validate(id, kwh)?;
-                        Ok(ConsumerHistogram::from_readings(id, kwh))
+                        ConsumerHistogram::from_readings(id, kwh)
                     })
                     .collect::<Result<Vec<_>>>()
             })?;
@@ -187,9 +189,7 @@ pub fn execute_task(
         Task::ThreeLine => {
             let _t = metrics.scope("fan_out");
             let config = ThreeLineConfig::default();
-            let temps = temps.as_ref();
             let parts = fan_out(&ids, threads, make_source, metrics, &|src, _offset, ids| {
-                let temps = temps.expect("temperature loaded during plan");
                 // One arena per pool worker, warm across chunks and runs.
                 with_fit_scratch(|scratch| {
                     let mut models = Vec::with_capacity(ids.len());
@@ -199,13 +199,14 @@ pub fn execute_task(
                         metrics.incr(counters::ROWS_SCANNED, kwh.len() as u64);
                         ConsumerSeries::validate(id, kwh)?;
                         if let Some((m, p)) =
-                            fit_three_line_scratch(id, kwh, temps.values(), &config, scratch)
+                            fit_three_line_scratch(id, kwh, temps, &config, scratch)
                         {
                             models.push(m);
                             phases.add(p);
                         }
                     }
                     metrics.incr(counters::FITS_SCRATCH_REUSES, scratch.take_reuses());
+                    metrics.incr(counters::FITS_PLAN_BUILDS, scratch.take_plan_builds());
                     Ok((models, phases))
                 })
             })?;
@@ -224,16 +225,14 @@ pub fn execute_task(
         }
         Task::Par => {
             let _t = metrics.scope("fan_out");
-            let temps = temps.as_ref();
             let parts = fan_out(&ids, threads, make_source, metrics, &|src, _offset, ids| {
-                let temps = temps.expect("temperature loaded during plan");
                 with_fit_scratch(|scratch| {
                     let mut models = Vec::with_capacity(ids.len());
                     for &id in ids {
                         let kwh = src.consumer_kwh(id)?;
                         metrics.incr(counters::ROWS_SCANNED, kwh.len() as u64);
                         ConsumerSeries::validate(id, kwh)?;
-                        models.push(fit_par_scratch(id, kwh, temps.values(), scratch));
+                        models.push(fit_par_scratch(id, kwh, temps, scratch));
                     }
                     metrics.incr(counters::FITS_SCRATCH_REUSES, scratch.take_reuses());
                     Ok(models)
@@ -524,6 +523,115 @@ mod tests {
         assert!(report
             .counter(smda_obs::counters::SIMILARITY_MFLOPS)
             .is_some());
+    }
+
+    /// `tiny`'s consumers under a temperature year of their own, in
+    /// which every 20th hour sits `far` above or below zero.
+    fn under_far_weather(n: u32, far: f64) -> Arc<Dataset> {
+        let temp = TemperatureSeries::new(
+            (0..HOURS_PER_YEAR)
+                .map(|h| match h % 40 {
+                    0 => far,
+                    20 => -far,
+                    _ => (h % 37) as f64 - 11.25,
+                })
+                .collect(),
+        )
+        .unwrap();
+        Arc::new(Dataset::new(tiny(n).consumers().to_vec(), temp).unwrap())
+    }
+
+    #[test]
+    fn three_line_plans_its_bins_once_per_worker_not_once_per_consumer() {
+        // A year no other test fits against, so no pool worker's arena
+        // holds its plan yet; 24 consumers, so per-consumer grouping
+        // would build 24 times at any width.
+        let data = under_far_weather(24, 50.0);
+        let make = memory_factory(&data);
+        for threads in [1usize, 2, 4] {
+            let sink = MetricsSink::recording();
+            let out = execute_task(make.as_ref(), Task::ThreeLine, threads, 3, &sink).unwrap();
+            assert_eq!(out.len(), 24);
+            let report = sink.finish(smda_obs::RunManifest::new("three_line", "memory"));
+            let builds = report.counter(counters::FITS_PLAN_BUILDS).unwrap();
+            assert!(
+                builds <= threads as u64,
+                "{builds} builds, {threads} threads"
+            );
+            if threads == 1 {
+                // This test's own thread ran every chunk on a fresh arena.
+                assert_eq!(builds, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn temperatures_beyond_the_i32_key_fit_like_the_baseline_instead_of_panicking() {
+        // 3e9 and -3e9 pass `TemperatureSeries::validate` and saturate the
+        // integer key at both ends, so the key span overflows an `i32`;
+        // ±4e8 asks a counting table for gigabytes.
+        for far in [3e9, 4e8] {
+            let data = under_far_weather(3, far);
+            let make = memory_factory(&data);
+            let out = execute_task(
+                make.as_ref(),
+                Task::ThreeLine,
+                2,
+                3,
+                &MetricsSink::disabled(),
+            )
+            .unwrap();
+            let TaskOutput::ThreeLine(models, _) = out else {
+                panic!("wrong output variant");
+            };
+            let config = ThreeLineConfig::default();
+            let baseline: Vec<ThreeLineModel> = data
+                .consumers()
+                .iter()
+                .filter_map(|c| smda_core::fit_three_line_baseline(c, data.temperature(), &config))
+                .map(|(model, _)| model)
+                .collect();
+            assert_eq!(baseline.len(), 3, "±{far:e}");
+            assert_eq!(models, baseline, "±{far:e}");
+            // The far hours are percentile points like any other.
+            let (low, _) = smda_core::three_line::percentile_points(
+                data.consumers()[0].readings(),
+                data.temperature(),
+                &config,
+            );
+            assert_eq!(low.temps.len(), 39);
+            assert_eq!(low.temps[0], (-far).max(i32::MIN as f64));
+        }
+    }
+
+    #[test]
+    fn a_lent_year_that_fails_validation_is_a_typed_error_from_every_task() {
+        struct Negative(MemorySource);
+        impl ConsumerSource for Negative {
+            fn consumer_ids(&mut self) -> Result<Vec<ConsumerId>> {
+                self.0.consumer_ids()
+            }
+            fn consumer_kwh(&mut self, _id: ConsumerId) -> Result<&[f64]> {
+                static YEAR: [f64; HOURS_PER_YEAR] = {
+                    let mut year = [0.5; HOURS_PER_YEAR];
+                    year[77] = -0.25;
+                    year
+                };
+                Ok(&YEAR)
+            }
+            fn temperature_year(&mut self) -> Result<&[f64]> {
+                self.0.temperature_year()
+            }
+        }
+        let data = tiny(2);
+        let make = move || Ok(Box::new(Negative(MemorySource::new(data.clone()))) as Box<_>);
+        for task in [Task::Histogram, Task::ThreeLine, Task::Par] {
+            let err = execute_task(&make, task, 1, 3, &MetricsSink::disabled()).unwrap_err();
+            assert!(
+                err.to_string().contains("reading at hour 77 is -0.25"),
+                "{task}: {err}"
+            );
+        }
     }
 
     #[test]

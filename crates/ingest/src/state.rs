@@ -22,18 +22,20 @@ use std::collections::HashMap;
 use smda_core::{
     fit_par_scratch, fit_three_line_scratch, Alert, AnomalyDetector, ConsumerHistogram,
 };
-use smda_stats::{EquiWidthHistogram, HistogramSpec, OnlineStats};
+use smda_stats::{count_buckets, EquiWidthHistogram, HistogramSpec, OnlineStats};
 use smda_types::{
     ConsumerId, ConsumerSeries, Dataset, DirtyDataPolicy, Error, Reading, Result, HOURS_PER_YEAR,
 };
 
 /// Exact equi-width histogram over a growing sample.
 ///
-/// Mirrors [`EquiWidthHistogram::build`]: the spec spans the observed
+/// Follows [`EquiWidthHistogram::build`]: the spec spans the observed
 /// `[min, max]`; when a new value lands outside, the spec widens and the
-/// counts are rebuilt from the finalized prefix handed by the caller.
-/// Counts are integers, so the rebuild is exact — after the last value
-/// the histogram equals the batch one on the same data.
+/// counts are rebuilt from the finalized prefix handed by the caller, by
+/// the batch build's own counting pass ([`count_buckets`]; a single value
+/// goes through [`HistogramSpec::bucket_in`], the per-value form of the
+/// same rule). Counts are integers, so the rebuild is exact — after the
+/// last value the histogram equals the batch one on the same data.
 #[derive(Debug, Clone)]
 pub struct RunningHistogram {
     buckets: usize,
@@ -59,7 +61,7 @@ impl RunningHistogram {
     /// the range extension forces a re-bucketing pass.
     pub fn push(&mut self, v: f64, prefix: &[f64]) {
         if let Some(spec) = self.spec.filter(|s| v >= s.min && v <= s.max) {
-            self.counts[bucket_in(&spec, self.width, v)] += 1;
+            self.counts[spec.bucket_in(self.width, v)] += 1;
             return;
         }
         let spec = HistogramSpec {
@@ -67,11 +69,10 @@ impl RunningHistogram {
             max: self.spec.map_or(v, |s| s.max.max(v)),
             buckets: self.buckets,
         };
-        let width = (spec.max - spec.min) / spec.buckets as f64;
+        let width = spec.width();
         self.counts.fill(0);
-        for &x in prefix.iter().chain(std::iter::once(&v)) {
-            self.counts[bucket_in(&spec, width, x)] += 1;
-        }
+        count_buckets(prefix, &spec, &mut self.counts);
+        self.counts[spec.bucket_in(width, v)] += 1;
         self.spec = Some(spec);
         self.width = width;
     }
@@ -83,17 +84,6 @@ impl RunningHistogram {
             counts: self.counts.clone(),
         })
     }
-}
-
-/// [`HistogramSpec::bucket_of`] for a value inside the spec's range, with
-/// the bucket width handed in instead of re-divided per value: the same
-/// operations on the same operands, so the same bucket. A value outside
-/// the range would land in an end bucket.
-fn bucket_in(spec: &HistogramSpec, width: f64, v: f64) -> usize {
-    if spec.min == spec.max {
-        return 0;
-    }
-    (((v - spec.min) / width) as usize).min(spec.buckets - 1)
 }
 
 /// What admitting one reading did.

@@ -136,6 +136,11 @@ pub mod counters {
     /// Model fits served by an already-warm `FitScratch` arena (every
     /// fit on a worker's arena after its first).
     pub const FITS_SCRATCH_REUSES: &str = "fits.scratch_reuses";
+    /// Temperature plans built for 3-line T1 (`BinPlan` rebuilds): one per
+    /// worker arena per temperature year, however many consumers are
+    /// fitted — a count that grows with the consumers means the grouping
+    /// is being redone for each.
+    pub const FITS_PLAN_BUILDS: &str = "fits.plan_builds";
     /// Queries admitted by the serving layer: counted in flight until
     /// their ticket is waited or dropped.
     pub const SERVE_ADMITTED: &str = "serve.admitted";

@@ -12,6 +12,88 @@ pub struct HistogramSpec {
     pub buckets: usize,
 }
 
+/// Independent `min`/`max` chains in [`HistogramSpec::covering`]'s scan:
+/// one chain moves at a compare's latency per value, eight at its
+/// throughput (and two to a vector register).
+const RANGE_LANES: usize = 8;
+
+/// Values whose buckets [`count_buckets`] computes together — subtract,
+/// divide, clamp and truncate as straight-line vector arithmetic — before
+/// any count moves.
+const COUNT_BLOCK: usize = 64;
+
+/// Count tables a block's values are dealt across, so that a run of
+/// values in one bucket is not a chain of increments through one memory
+/// cell.
+const COUNT_TABLES: usize = 4;
+
+/// `2^52`: added to `0 ≤ c < 2^52` it leaves `c`, rounded to an integer,
+/// in the sum's low 52 mantissa bits.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// `min`, `max` and finiteness of the values a lane has seen. `<` and `>`
+/// rather than `f64::min`/`max`, so that what a lane keeps is defined: the
+/// first of its smallest (largest) values, and never a NaN.
+#[derive(Clone, Copy)]
+struct LaneRange {
+    min: f64,
+    max: f64,
+    finite: bool,
+}
+
+impl LaneRange {
+    fn take(&mut self, v: f64) {
+        self.finite &= v.is_finite();
+        self.widen(v, v);
+    }
+
+    /// Stretch the range to `low` and `high`, keeping what it holds on a
+    /// tie (and whenever the newcomer is a NaN).
+    fn widen(&mut self, low: f64, high: f64) {
+        self.min = if low < self.min { low } else { self.min };
+        self.max = if high > self.max { high } else { self.max };
+    }
+
+    /// The range of `values`: what one left-to-right `min`/`max` chain
+    /// finds, to the bit, found by [`RANGE_LANES`] chains side by side.
+    /// The smallest value is one real number whichever chain meets it —
+    /// except zero, where the single chain keeps the *first* zero of
+    /// either sign it meets and the lanes may merge to the other one, so a
+    /// zero extreme is looked up in scan order.
+    fn of(values: &[f64]) -> LaneRange {
+        let mut lanes = [LaneRange {
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            finite: true,
+        }; RANGE_LANES];
+        let mut blocks = values.chunks_exact(RANGE_LANES);
+        for block in &mut blocks {
+            for (lane, &v) in lanes.iter_mut().zip(block) {
+                lane.take(v);
+            }
+        }
+        for (lane, &v) in lanes.iter_mut().zip(blocks.remainder()) {
+            lane.take(v);
+        }
+        let mut range = lanes[0];
+        for lane in &lanes[1..] {
+            range.finite &= lane.finite;
+            range.widen(lane.min, lane.max);
+        }
+        if range.min == 0.0 || range.max == 0.0 {
+            if let Some(first_zero) = values.iter().copied().find(|&v| v == 0.0) {
+                if range.min == 0.0 {
+                    range.min = first_zero;
+                }
+                if range.max == 0.0 {
+                    range.max = first_zero;
+                }
+            }
+        }
+        range
+    }
+}
+
 impl HistogramSpec {
     /// A spec spanning the observed range of `values` with `buckets` bins.
     /// Returns `None` on empty input or non-finite extremes.
@@ -19,38 +101,130 @@ impl HistogramSpec {
         if values.is_empty() || buckets == 0 {
             return None;
         }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &v in values {
-            if !v.is_finite() {
-                return None;
-            }
-            min = min.min(v);
-            max = max.max(v);
+        let range = LaneRange::of(values);
+        range.finite.then_some(HistogramSpec {
+            min: range.min,
+            max: range.max,
+            buckets,
+        })
+    }
+
+    /// The spec [`covering`](Self::covering) returns, for values already
+    /// known to be finite and at least one (a validated year) — without
+    /// the verdict `covering` exists to give. On anything else the range
+    /// is whatever the comparisons leave; nothing here panics.
+    pub fn spanning(values: &[f64], buckets: usize) -> Self {
+        let range = LaneRange::of(values);
+        HistogramSpec {
+            min: range.min,
+            max: range.max,
+            buckets,
         }
-        Some(HistogramSpec { min, max, buckets })
+    }
+
+    /// The width of one bucket.
+    pub fn width(&self) -> f64 {
+        (self.max - self.min) / self.buckets as f64
     }
 
     /// Which bucket a value falls in; `None` when outside `[min, max]`.
+    /// This is the definition: [`bucket_in`](Self::bucket_in) is its second
+    /// half and [`count_buckets`] must count as if it had asked here once
+    /// per value.
     pub fn bucket_of(&self, v: f64) -> Option<usize> {
         if v < self.min || v > self.max {
             return None;
         }
+        Some(self.bucket_in(self.width(), v))
+    }
+
+    /// [`bucket_of`](Self::bucket_of) for a value known to be inside the
+    /// spec's range, with the bucket [`width`](Self::width) handed in
+    /// instead of re-divided per value: the same operations on the same
+    /// operands, so the same bucket. A value outside the range would land
+    /// in an end bucket.
+    pub fn bucket_in(&self, width: f64, v: f64) -> usize {
         if self.min == self.max {
-            return Some(0);
+            return 0;
         }
-        let width = (self.max - self.min) / self.buckets as f64;
         // `max` belongs to the last bucket (right-closed final bin).
-        Some((((v - self.min) / width) as usize).min(self.buckets - 1))
+        (((v - self.min) / width) as usize).min(self.buckets - 1)
     }
 
     /// The `[lo, hi)` edges of bucket `i`.
     pub fn edges(&self, i: usize) -> (f64, f64) {
-        let width = (self.max - self.min) / self.buckets as f64;
+        let width = self.width();
         (
             self.min + width * i as f64,
             self.min + width * (i + 1) as f64,
         )
+    }
+}
+
+/// Add to `counts[b]` the number of `values` that
+/// [`HistogramSpec::bucket_of`] puts in bucket `b`; values outside the
+/// spec's range are dropped. The one counting pass, shared by the batch
+/// build and by the streaming histogram's re-bucketing.
+///
+/// Equal to asking `bucket_of` once per value, count for count. A block's
+/// quotients `(v − min) / width` are computed together; each is clamped
+/// into `[0, buckets − 1]` while still a float (NaN — `∞/∞` on a spec as
+/// wide as `f64` — to `0.0`, as the saturating cast would take it) and
+/// truncated by rounding to an integer at the `2^52` binade and stepping
+/// back where that rounded up, which for a non-negative value is the cast
+/// `bucket_of` applies; clamping before truncating or after gives the
+/// same bucket because `buckets − 1` is a whole number. Counts go to
+/// `COUNT_TABLES` tables in turn, summed at the end — integer adds in
+/// another order.
+///
+/// # Panics
+/// Panics if `counts` is not `spec.buckets` long, or if that is `2^52` or
+/// more.
+pub fn count_buckets(values: &[f64], spec: &HistogramSpec, counts: &mut [u64]) {
+    let buckets = spec.buckets;
+    assert_eq!(counts.len(), buckets, "one count per bucket");
+    assert!(
+        (buckets as u64) < 1 << 52,
+        "bucket indices must be exact in f64"
+    );
+    if buckets == 0 {
+        return;
+    }
+    // `bucket_of`'s own test, NaN included (it is not outside).
+    let inside = |v: f64| !(v < spec.min || v > spec.max);
+    if spec.min == spec.max {
+        counts[0] += values.iter().filter(|&&v| inside(v)).count() as u64;
+        return;
+    }
+    let width = spec.width();
+    let last = (buckets - 1) as f64;
+    // One slot past the buckets in each table takes what is outside.
+    let stride = buckets + 1;
+    let mut tables = vec![0u64; COUNT_TABLES * stride];
+    let mut slots = [0usize; COUNT_BLOCK];
+    for block in values.chunks(COUNT_BLOCK) {
+        for (slot, &v) in slots.iter_mut().zip(block) {
+            let q = (v - spec.min) / width;
+            let clamped = if q >= last {
+                last
+            } else if q >= 0.0 {
+                q
+            } else {
+                0.0
+            };
+            let rounded = clamped + TWO_POW_52;
+            let nearest = (rounded.to_bits() & ((1 << 52) - 1)) as usize;
+            let floor = nearest - usize::from(rounded - TWO_POW_52 > clamped);
+            *slot = if inside(v) { floor } else { buckets };
+        }
+        for (i, &slot) in slots[..block.len()].iter().enumerate() {
+            tables[(i % COUNT_TABLES) * stride + slot] += 1;
+        }
+    }
+    for table in tables.chunks_exact(stride) {
+        for (count, add) in counts.iter_mut().zip(table) {
+            *count += add;
+        }
     }
 }
 
@@ -75,11 +249,7 @@ impl EquiWidthHistogram {
     /// are dropped — used when comparing consumers on a common axis).
     pub fn build_with_spec(values: &[f64], spec: HistogramSpec) -> Self {
         let mut counts = vec![0u64; spec.buckets];
-        for &v in values {
-            if let Some(b) = spec.bucket_of(v) {
-                counts[b] += 1;
-            }
-        }
+        count_buckets(values, &spec, &mut counts);
         EquiWidthHistogram { spec, counts }
     }
 
@@ -141,6 +311,181 @@ mod tests {
         };
         let h = EquiWidthHistogram::build_with_spec(&[-1.0, 0.1, 0.6, 2.0], spec);
         assert_eq!(h.total(), 2);
+    }
+
+    /// What the lane kernels replace: one left-to-right chain per extreme
+    /// that keeps the first of equal values, then `bucket_of` once per
+    /// value. (The chain is spelled with `<` / `>`: which zero
+    /// `f64::min(0.0, -0.0)` returns is unspecified, and an optimized
+    /// build of a fold over it answers differently from the early-exit
+    /// loop this kernel used to be, which kept the first.)
+    fn serial_build(values: &[f64], buckets: usize) -> Option<EquiWidthHistogram> {
+        if values.is_empty() || buckets == 0 || values.iter().any(|v| !v.is_finite()) {
+            return None;
+        }
+        let spec = HistogramSpec {
+            min: values
+                .iter()
+                .fold(f64::INFINITY, |m, &v| if v < m { v } else { m }),
+            max: values
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &v| if v > m { v } else { m }),
+            buckets,
+        };
+        Some(serial_build_with_spec(values, spec))
+    }
+
+    fn serial_build_with_spec(values: &[f64], spec: HistogramSpec) -> EquiWidthHistogram {
+        let mut counts = vec![0u64; spec.buckets];
+        for b in values.iter().filter_map(|&v| spec.bucket_of(v)) {
+            counts[b] += 1;
+        }
+        EquiWidthHistogram { spec, counts }
+    }
+
+    fn assert_same(got: Option<EquiWidthHistogram>, want: Option<EquiWidthHistogram>, what: &str) {
+        let bits = |h: &EquiWidthHistogram| (h.spec.min.to_bits(), h.spec.max.to_bits());
+        assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits), "{what}");
+        assert_eq!(got, want, "{what}");
+    }
+
+    /// A deterministic value soup: ties, both zeros, negatives, a wide
+    /// spread of magnitudes.
+    fn soup(len: usize, salt: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| match (i * 7 + salt * 13) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => -1.5,
+                3 => 1e-300,
+                k => ((i * 37 + salt) % 101) as f64 * 0.173 - k as f64,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_kernels_match_the_serial_definition_over_lengths_and_bucket_counts() {
+        for len in (1..=17).chain([63, 64, 65, 8760]) {
+            for salt in 0..4 {
+                let values = soup(len, salt);
+                for buckets in [1, 10, 64] {
+                    let what = format!("len {len} salt {salt} buckets {buckets}");
+                    assert_same(
+                        EquiWidthHistogram::build(&values, buckets),
+                        serial_build(&values, buckets),
+                        &what,
+                    );
+                }
+                // The extreme sits in each lane — and each remainder
+                // position — in turn.
+                for at in 0..len.min(17) {
+                    for extreme in [-7e3, 7e3] {
+                        let mut values = values.clone();
+                        values[len - 1 - at] = extreme;
+                        assert_same(
+                            EquiWidthHistogram::build(&values, 10),
+                            serial_build(&values, 10),
+                            &format!("len {len} salt {salt} extreme {extreme} at -{at}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_extreme_keeps_the_sign_of_the_first_zero_in_scan_order() {
+        for len in [2, 9, 16, 17, 8760] {
+            for (first, second) in [(0.0, -0.0), (-0.0, 0.0)] {
+                for at in 0..len.min(12) {
+                    // Zero as the minimum (readings) and as the maximum.
+                    for fill in [1.0, -1.0] {
+                        let mut values = vec![fill; len];
+                        values[at] = first;
+                        for later in (at + 1..len).step_by(3) {
+                            values[later] = if later % 2 == 0 { first } else { second };
+                        }
+                        let got = EquiWidthHistogram::build(&values, 10);
+                        let zero = if fill > 0.0 {
+                            got.as_ref().map(|h| h.spec.min)
+                        } else {
+                            got.as_ref().map(|h| h.spec.max)
+                        };
+                        assert_eq!(zero.map(f64::to_bits), Some(first.to_bits()));
+                        assert_same(got, serial_build(&values, 10), "zero extreme");
+                    }
+                }
+            }
+        }
+        // All zeros: both extremes are the first zero, one bucket.
+        let values = [-0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0];
+        assert_same(
+            EquiWidthHistogram::build(&values, 10),
+            serial_build(&values, 10),
+            "all zeros",
+        );
+    }
+
+    #[test]
+    fn constant_and_non_finite_series_match_the_serial_definition() {
+        for len in [1, 7, 8, 9, 8760] {
+            assert_same(
+                EquiWidthHistogram::build(&vec![0.7; len], 10),
+                serial_build(&vec![0.7; len], 10),
+                "constant",
+            );
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in [0, len / 2, len - 1] {
+                    let mut values = soup(len, 1);
+                    values[at] = poison;
+                    assert!(EquiWidthHistogram::build(&values, 10).is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_pass_matches_bucket_of_on_fixed_and_degenerate_specs() {
+        let mut values = soup(1000, 2);
+        values.extend([
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+        ]);
+        let specs = [
+            // Narrower than the data: values fall outside on both sides.
+            (-3.0, 4.0),
+            // Bucket edges the values sit on exactly.
+            (-11.0, 9.0),
+            // A width that underflows to zero, and one that overflows.
+            (0.0, 5e-324),
+            (f64::MIN, f64::MAX),
+            // Flat, empty (inverted) and unbounded specs.
+            (0.0, 0.0),
+            (1.0, -1.0),
+            (f64::NEG_INFINITY, f64::INFINITY),
+        ];
+        for (min, max) in specs {
+            for buckets in [1, 3, 10, 64] {
+                let spec = HistogramSpec { min, max, buckets };
+                assert_eq!(
+                    EquiWidthHistogram::build_with_spec(&values, spec),
+                    serial_build_with_spec(&values, spec),
+                    "{spec:?}"
+                );
+            }
+        }
+        // Counts are added to what the table already holds.
+        let spec = HistogramSpec {
+            min: 0.0,
+            max: 1.0,
+            buckets: 2,
+        };
+        let mut counts = [5, 7];
+        count_buckets(&[0.1, 0.9, 0.95, 3.0], &spec, &mut counts);
+        assert_eq!(counts, [6, 9]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod similarity;
 mod testutil;
 
 pub use descriptive::{covariance, mean, pearson, population_variance, sample_variance, stddev};
-pub use histogram::{EquiWidthHistogram, HistogramSpec};
+pub use histogram::{count_buckets, EquiWidthHistogram, HistogramSpec};
 pub use kernels::{
     merge_partials, top_k_query, top_k_tiled, top_k_tiled_partial, top_k_tiled_with, KernelStats,
     SeriesMatrix, SeriesMatrixBuilder, TileConfig,
@@ -43,13 +43,16 @@ pub use oooc::{
     band_count, band_pair_count, oooc_inverse_norms, top_k_oooc, top_k_oooc_partial,
     top_k_oooc_queries, OoocStats, SeriesSource, SliceSource, DEFAULT_BAND_ROWS,
 };
-pub use quantile::{quantile, quantile_sorted, quantiles_by_selection, quantiles_sorted};
+pub use quantile::{
+    from_ordered_key, ordered_key, quantile, quantile_sorted, quantiles_by_selection,
+    quantiles_sorted,
+};
 pub use regression::{ols_multiple, ols_simple, MultipleFit, SimpleFit};
 pub use rng::{GaussianNoise, Picker};
 pub use sax::{mindist, sax, SaxConfig, SaxWord};
 pub use scratch::{
-    with_fit_scratch, CurveBuffer, DenseGroups, FitScratch, HourlyFit, NormalEq, ScratchFit,
-    SegmentSums, SCRATCH_MAX_COLS,
+    with_fit_scratch, BinPlan, CurveBuffer, FitScratch, GatheredBins, HourlyFit, NormalEq,
+    ScratchFit, SegmentSums, SCRATCH_MAX_COLS,
 };
 pub use simd::{
     avx2_supported, axpy, dot_avx2, dot_block, force_tier, sumsq4, KernelDispatch, SimdTier,

@@ -15,11 +15,22 @@
 //! values are added in the same order with the same tie-breaking. The
 //! obligations, per component:
 //!
-//! * [`DenseGroups`] replaces `BTreeMap<i32, Vec<f64>>` grouping with a
-//!   counting sort over dense integer keys. The scatter pass walks the
-//!   input left to right, so values land in each bin in input order —
-//!   exactly the order `Vec::push` produced under the map — and bins are
-//!   visited in ascending key order, exactly the map's iteration order.
+//! * [`BinPlan`] replaces `BTreeMap<i32, Vec<f64>>` grouping of one
+//!   series' values by the integer key of *another* series (3-line T1:
+//!   readings by rounded temperature). Which hours share a bin, and the
+//!   ascending order of the bins, are functions of the key series alone
+//!   — the same `round` per hour, the same `i32` order the map iterated
+//!   in — so they are planned once per key series and reused for every
+//!   consumer measured against it. The plan is a cache checked **by
+//!   content** on every use (bit-equal to the copy it was built from, or
+//!   rebuilt; never by address), so a reused plan is the plan a fresh
+//!   arena would build. Within a bin the plan lists hours ascending, the
+//!   order `Vec::push` produced under the map — but nothing reads it any
+//!   more: a bin's values are only *selected* from, and a rank's order
+//!   statistic does not depend on the order the values arrive in.
+//!   Whether the hours were ordered by counting (dense keys) or by
+//!   sorting `(key, hour)` (keys spread wider than the series is long) is
+//!   invisible for the same reason twice over.
 //! * [`SegmentSums`] rebuilds the 3-line fitter's prefix sums into
 //!   retained buffers, every slot overwritten, so a dirty instance and a
 //!   fresh one (what the baseline fit passes) hold the same values.
@@ -51,9 +62,15 @@
 //!   caller's fallback — it was the same `Iterator::sum` twice.
 //! * [`quantiles_by_selection`](crate::quantile::quantiles_by_selection)
 //!   replaces "sort the bin, read two quantiles" in 3-line T1 with
-//!   selection of the at most four ranks the interpolation reads; its
-//!   docs show why the one thing selection may change — which of several
-//!   tied `±0.0` lands on a rank — cannot reach the interpolated value.
+//!   selection of the at most four ranks the interpolation reads, over
+//!   the readings mapped once to [`ordered_key`] integers: `i64` order on
+//!   the keys *is* [`f64::total_cmp`] on the values (it is the map
+//!   `total_cmp` applies before its own integer compare), and on finite
+//!   values `total_cmp` differs from the baseline's `partial_cmp` only in
+//!   ordering `−0.0` before `+0.0`. Its docs show why that one difference
+//!   — which of several tied `±0.0` lands on a rank — cannot reach the
+//!   interpolated value. The readings' finiteness verdict is taken in the
+//!   gather that maps them, the key series' when its plan is built.
 //!
 //! The contract is enforced by proptests in this crate (dirty scratch ≡
 //! fresh scratch ≡ allocating reference, scalar tier ≡ AVX2 tier) and by
@@ -68,6 +85,7 @@ use std::cell::RefCell;
 use smda_types::HOURS_PER_DAY;
 
 use crate::linalg::{qr_least_squares, Matrix};
+use crate::quantile::ordered_key;
 use crate::simd::{lagged_moments, lagged_residuals, LANE_COLS, LANE_LAGS, LANE_WIDTH};
 
 /// Widest design matrix the in-place solver accepts (columns). The 3-line
@@ -77,12 +95,12 @@ pub const SCRATCH_MAX_COLS: usize = 6;
 /// Per-worker scratch arena for model fitting, reused across consumers.
 ///
 /// The sub-buffers are independent public fields so a caller can borrow
-/// them disjointly (e.g. fill [`FitScratch::curves`] from inside a
-/// [`DenseGroups::for_each_group`] callback).
+/// them disjointly (e.g. fill [`FitScratch::curves`] while visiting
+/// [`FitScratch::plan`]'s bins).
 #[derive(Debug, Default)]
 pub struct FitScratch {
-    /// Dense integer-key grouper (3-line T1 percentile extraction).
-    pub groups: DenseGroups,
+    /// Bins of the shared key series (3-line T1 percentile extraction).
+    pub plan: BinPlan,
     /// Two (x, y) point buffers: `curves[0]` low, `curves[1]` high.
     pub curves: [CurveBuffer; 2],
     /// Prefix sums for O(1) segment fits (3-line T2).
@@ -113,6 +131,15 @@ impl FitScratch {
     pub fn take_reuses(&mut self) -> u64 {
         std::mem::take(&mut self.pending_reuses)
     }
+
+    /// Drain the count of [`BinPlan`] builds since the last call — feeds
+    /// the `fits.plan_builds` counter. Consumers fitted against one key
+    /// series through one arena cost one build between them, so a count
+    /// that grows with the consumers means grouping is being redone per
+    /// consumer.
+    pub fn take_plan_builds(&mut self) -> u64 {
+        std::mem::take(&mut self.plan.pending_builds)
+    }
 }
 
 thread_local! {
@@ -133,77 +160,178 @@ pub fn with_fit_scratch<R>(f: impl FnOnce(&mut FitScratch) -> R) -> R {
     })
 }
 
-/// Groups `f64` values by a dense integer key without allocating per
-/// group — a drop-in for building a `BTreeMap<i32, Vec<f64>>` and
-/// iterating it, bit-identical in both value order and key order.
-#[derive(Debug, Default)]
-pub struct DenseGroups {
-    keys: Vec<i32>,
-    counts: Vec<usize>,
-    starts: Vec<usize>,
-    cursors: Vec<usize>,
-    grouped: Vec<f64>,
+/// `t.round() as i32` — half away from zero, saturating, NaN to 0 —
+/// without the libm call `f64::round` is on baseline x86-64. The
+/// truncating cast gives the integer part; `t` minus it is the fractional
+/// part, exact in `f64` whenever the cast did not saturate; and when it
+/// did, the saturating step leaves the saturated value `round` would cast
+/// to as well.
+pub fn round_to_i32(t: f64) -> i32 {
+    let whole = t as i32;
+    let fraction = t - whole as f64;
+    if fraction >= 0.5 {
+        whole.saturating_add(1)
+    } else if fraction <= -0.5 {
+        whole.saturating_sub(1)
+    } else {
+        whole
+    }
 }
 
-impl DenseGroups {
-    /// Group `value_of(i)` by `key_of(i)` for `i in 0..n` and visit each
-    /// non-empty group in ascending key order as `(key, &mut values)`.
-    /// `key_of` runs once per `i`; the keys wait in a retained buffer for
-    /// the count and scatter passes.
-    ///
-    /// Values within a group appear in input order (the scatter pass is
-    /// a stable counting sort), so `visit` sees exactly the slice the
-    /// map-based grouper would have built; it may reorder the slice in
-    /// place (e.g. select within it) — the buffer is rebuilt on the next
-    /// call.
-    pub fn for_each_group(
-        &mut self,
-        n: usize,
-        key_of: impl Fn(usize) -> i32,
-        value_of: impl Fn(usize) -> f64,
-        mut visit: impl FnMut(i32, &mut [f64]),
-    ) {
-        if n == 0 {
+/// Hours `start..end` of a [`BinPlan`]'s order share the integer `key`.
+#[derive(Debug, Clone, Copy)]
+struct Bin {
+    key: i32,
+    start: usize,
+    end: usize,
+}
+
+/// Groups one series' values by the [`round_to_i32`] key of another —
+/// a drop-in for building a `BTreeMap<i32, Vec<f64>>` per consumer and
+/// iterating it — with everything that depends on the key series alone
+/// (which hours share a bin, the bins' ascending order) planned once and
+/// kept until a different key series is handed in.
+///
+/// The plan holds a copy of the key series it was built from and
+/// [`prepare`](Self::prepare) compares it bit for bit on every use, so
+/// reuse never depends on where a slice lives or on who held the arena
+/// before. One plan holds one key series: a caller alternating two on one
+/// arena rebuilds each time.
+#[derive(Debug, Default)]
+pub struct BinPlan {
+    /// Bit patterns of the key series the plan was built from.
+    built_from: Vec<u64>,
+    /// Hour indices in bin order: ascending key, ascending hour within.
+    /// Empty when the key series holds a non-finite value — such a series
+    /// has no bins.
+    order: Vec<usize>,
+    /// The non-empty bins, ascending by key.
+    bins: Vec<Bin>,
+    /// One consumer's values as [`ordered_key`]s, in `order`.
+    gathered: Vec<i64>,
+    /// Build-time tables: each hour's key, and the counting sort's
+    /// per-key cursors (never longer than the series, see `build`).
+    hour_keys: Vec<i32>,
+    cursors: Vec<usize>,
+    pending_builds: u64,
+}
+
+impl BinPlan {
+    /// Make this the plan of `key_series`: a content compare against the
+    /// series the plan already describes, and a rebuild only if they
+    /// differ in any bit of any hour (or in length).
+    pub fn prepare(&mut self, key_series: &[f64]) {
+        let same = self.built_from.len() == key_series.len()
+            && self
+                .built_from
+                .iter()
+                .zip(key_series)
+                .fold(0, |differing, (&built, x)| {
+                    differing | (built ^ x.to_bits())
+                })
+                == 0;
+        if !same {
+            self.build(key_series);
+        }
+    }
+
+    fn build(&mut self, key_series: &[f64]) {
+        self.pending_builds += 1;
+        self.built_from.clear();
+        self.built_from
+            .extend(key_series.iter().map(|x| x.to_bits()));
+        self.order.clear();
+        self.bins.clear();
+        // A NaN has no bin, and one poisons the year (as in the baseline).
+        if !key_series.iter().fold(true, |ok, x| ok & x.is_finite()) {
             return;
         }
-        self.keys.clear();
-        self.keys.extend((0..n).map(key_of));
-        let (mut min_key, mut max_key) = (i32::MAX, i32::MIN);
-        for &k in &self.keys {
-            min_key = min_key.min(k);
-            max_key = max_key.max(k);
-        }
-        let bin_of = |k: i32| (k - min_key) as usize;
-        let bins = bin_of(max_key) + 1;
-
-        self.counts.clear();
-        self.counts.resize(bins, 0);
-        for &k in &self.keys {
-            self.counts[bin_of(k)] += 1;
-        }
-
-        self.starts.clear();
-        self.starts.resize(bins + 1, 0);
-        for b in 0..bins {
-            self.starts[b + 1] = self.starts[b] + self.counts[b];
-        }
-
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.starts[..bins]);
-        self.grouped.clear();
-        self.grouped.resize(n, 0.0);
-        for (i, &k) in self.keys.iter().enumerate() {
-            let b = bin_of(k);
-            self.grouped[self.cursors[b]] = value_of(i);
-            self.cursors[b] += 1;
-        }
-
-        for b in 0..bins {
-            let (lo, hi) = (self.starts[b], self.starts[b + 1]);
-            if lo == hi {
-                continue;
+        self.hour_keys.clear();
+        self.hour_keys
+            .extend(key_series.iter().map(|&x| round_to_i32(x)));
+        let (Some(&min), Some(&max)) = (self.hour_keys.iter().min(), self.hour_keys.iter().max())
+        else {
+            return;
+        };
+        let n = key_series.len();
+        // In `i64`: the span of two saturated keys does not fit an `i32`.
+        let span = max as i64 - min as i64 + 1;
+        if span <= n as i64 {
+            // Dense keys: a stable counting sort of the hours.
+            let slot = |key: i32| (key as i64 - min as i64) as usize;
+            self.cursors.clear();
+            self.cursors.resize(span as usize + 1, 0);
+            for &key in &self.hour_keys {
+                self.cursors[slot(key) + 1] += 1;
             }
-            visit(min_key + b as i32, &mut self.grouped[lo..hi]);
+            for s in 0..span as usize {
+                self.cursors[s + 1] += self.cursors[s];
+            }
+            self.order.resize(n, 0);
+            for (hour, &key) in self.hour_keys.iter().enumerate() {
+                let cursor = &mut self.cursors[slot(key)];
+                self.order[*cursor] = hour;
+                *cursor += 1;
+            }
+        } else {
+            // Keys spread wider than the series is long (a year holding
+            // ±3e9 spans all of `i32`): no table per key, sort the hours.
+            let hour_keys = &self.hour_keys;
+            self.order.extend(0..n);
+            self.order
+                .sort_unstable_by_key(|&hour| (hour_keys[hour], hour));
+        }
+        let mut start = 0;
+        while start < n {
+            let key = self.hour_keys[self.order[start]];
+            let len = self.order[start..]
+                .iter()
+                .take_while(|&&hour| self.hour_keys[hour] == key)
+                .count();
+            self.bins.push(Bin {
+                key,
+                start,
+                end: start + len,
+            });
+            start += len;
+        }
+    }
+
+    /// Bring `values` — one value per hour of the prepared key series —
+    /// into bin order as [`ordered_key`]s. `None` if any of them is not
+    /// finite: a NaN has no rank.
+    ///
+    /// # Panics
+    /// Panics if `values` is shorter than the prepared key series.
+    pub fn gather(&mut self, values: &[f64]) -> Option<GatheredBins<'_>> {
+        let mut finite = true;
+        self.gathered.clear();
+        self.gathered.extend(self.order.iter().map(|&hour| {
+            let v = values[hour];
+            finite &= v.is_finite();
+            ordered_key(v)
+        }));
+        finite.then_some(GatheredBins {
+            bins: &self.bins,
+            gathered: &mut self.gathered,
+        })
+    }
+}
+
+/// One consumer's values sitting in a [`BinPlan`]'s bins.
+#[derive(Debug)]
+pub struct GatheredBins<'a> {
+    bins: &'a [Bin],
+    gathered: &'a mut [i64],
+}
+
+impl GatheredBins<'_> {
+    /// Visit each non-empty bin in ascending key order as
+    /// `(key, &mut keys)` — the bin's values as [`ordered_key`]s, which
+    /// `visit` may reorder in place (e.g. select within).
+    pub fn for_each(self, mut visit: impl FnMut(i32, &mut [i64])) {
+        for bin in self.bins {
+            visit(bin.key, &mut self.gathered[bin.start..bin.end]);
         }
     }
 }
@@ -617,49 +745,120 @@ impl NormalEq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantile::from_ordered_key;
     use crate::regression::ols_multiple;
     use std::collections::BTreeMap;
 
+    /// The grouping the plan replaces: values pushed under their hour's
+    /// key in hour order, bins iterated in ascending key order.
+    fn by_btreemap(key_series: &[f64], values: &[f64]) -> Vec<(i32, Vec<u64>)> {
+        let mut map: BTreeMap<i32, Vec<u64>> = BTreeMap::new();
+        for (x, v) in key_series.iter().zip(values) {
+            map.entry(x.round() as i32).or_default().push(v.to_bits());
+        }
+        map.into_iter().collect()
+    }
+
+    fn planned(plan: &mut BinPlan, key_series: &[f64], values: &[f64]) -> Vec<(i32, Vec<u64>)> {
+        let mut got = Vec::new();
+        plan.prepare(key_series);
+        plan.gather(values)
+            .expect("finite fixture")
+            .for_each(|key, keys| {
+                let bits = keys.iter().map(|&k| from_ordered_key(k).to_bits());
+                got.push((key, bits.collect()));
+            });
+        got
+    }
+
     #[test]
     fn dense_groups_match_btreemap() {
-        let keys = [3, -2, 3, 0, -2, 7, 0, 0];
-        let vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        let mut map: BTreeMap<i32, Vec<f64>> = BTreeMap::new();
-        for (k, v) in keys.iter().zip(&vals) {
-            map.entry(*k).or_default().push(*v);
-        }
-        let mut got: Vec<(i32, Vec<f64>)> = Vec::new();
-        let mut groups = DenseGroups::default();
-        groups.for_each_group(
-            keys.len(),
-            |i| keys[i],
-            |i| vals[i],
-            |k, v| got.push((k, v.to_vec())),
+        let key_series = [3.2, -2.0, 2.5, 0.4, -1.5, 7.0, -0.4, 0.0];
+        let values = [1.0, -2.0, 3.0, -0.0, 5.0, 0.0, 7.0, 8.0];
+        let mut plan = BinPlan::default();
+        assert_eq!(
+            planned(&mut plan, &key_series, &values),
+            by_btreemap(&key_series, &values)
         );
-        let want: Vec<(i32, Vec<f64>)> = map.into_iter().collect();
-        assert_eq!(got, want);
     }
 
     #[test]
     fn dense_groups_empty_input_visits_nothing() {
-        let mut groups = DenseGroups::default();
-        groups.for_each_group(0, |_| 0, |_| 0.0, |_, _| panic!("no groups expected"));
+        let mut plan = BinPlan::default();
+        assert_eq!(planned(&mut plan, &[], &[]), vec![]);
+        assert_eq!(plan.pending_builds, 0, "nothing to build for no hours");
     }
 
     #[test]
     fn dense_groups_reuse_is_clean() {
-        let mut groups = DenseGroups::default();
+        let mut plan = BinPlan::default();
         // First use: wide key range, many values.
-        groups.for_each_group(100, |i| (i % 17) as i32 - 8, |i| i as f64, |_, _| {});
+        let wide: Vec<f64> = (0..100).map(|i| (i % 17) as f64 - 8.0).collect();
+        let _ = planned(&mut plan, &wide, &wide);
         // Second use must not see leftovers from the first.
-        let mut seen = Vec::new();
-        groups.for_each_group(
-            3,
-            |i| [5, 5, 9][i],
-            |i| [1.0, 2.0, 3.0][i],
-            |k, v| seen.push((k, v.to_vec())),
+        let key_series = [5.0, 5.2, 9.0];
+        let values = [1.0, 2.0, 3.0];
+        assert_eq!(
+            planned(&mut plan, &key_series, &values),
+            by_btreemap(&key_series, &values)
         );
-        assert_eq!(seen, vec![(5, vec![1.0, 2.0]), (9, vec![3.0])]);
+    }
+
+    #[test]
+    fn plan_is_built_once_per_key_series_and_compared_by_content() {
+        let a: Vec<f64> = (0..500).map(|i| ((i * 7) % 23) as f64 * 0.5).collect();
+        // One mantissa bit of one hour: the same bins, another series.
+        let mut b = a.clone();
+        b[123] = f64::from_bits(b[123].to_bits() ^ 1);
+        let values: Vec<f64> = (0..500).map(|i| (i % 11) as f64).collect();
+        let mut scratch = FitScratch::new();
+        for _ in 0..5 {
+            // A copy at another address is the same series.
+            let _ = planned(&mut scratch.plan, &a.clone(), &values);
+        }
+        assert_eq!(scratch.take_plan_builds(), 1);
+        for key_series in [&b, &a, &a] {
+            let got = planned(&mut scratch.plan, key_series, &values);
+            assert_eq!(got, by_btreemap(key_series, &values));
+        }
+        assert_eq!(scratch.take_plan_builds(), 2);
+        assert_eq!(scratch.take_plan_builds(), 0);
+    }
+
+    #[test]
+    fn plan_sorts_where_counting_would_need_a_table_wider_than_the_series() {
+        // ±3e9 saturate `round_to_i32`: the key span overflows an `i32`.
+        // ±4e8 do not, but a counting table over them is gigabytes.
+        for far in [3e9, 4e8] {
+            let key_series = [1.0, far, -far, 1.4, far, 0.6, -2.0];
+            let values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+            let mut plan = BinPlan::default();
+            assert_eq!(
+                planned(&mut plan, &key_series, &values),
+                by_btreemap(&key_series, &values)
+            );
+            assert!(plan.cursors.len() <= key_series.len() + 1);
+        }
+    }
+
+    #[test]
+    fn non_finite_series_have_no_bins_and_no_ranks() {
+        let mut plan = BinPlan::default();
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            plan.prepare(&[1.0, poison, 2.0]);
+            let mut bins = 0;
+            plan.gather(&[1.0, 2.0, 3.0])
+                .expect("the values are finite")
+                .for_each(|_, _| bins += 1);
+            assert_eq!(bins, 0, "key series holding {poison}");
+            plan.prepare(&[1.0, 1.2, 2.0]);
+            assert!(plan.gather(&[1.0, poison, 3.0]).is_none());
+        }
+        // Neither verdict outlives the series it was about.
+        assert_eq!(
+            planned(&mut plan, &[1.0, 1.2, 2.0], &[1.0, 2.0, 3.0]),
+            by_btreemap(&[1.0, 1.2, 2.0], &[1.0, 2.0, 3.0])
+        );
     }
 
     #[test]
@@ -841,22 +1040,6 @@ mod tests {
     fn hourly_ar_rejects_a_short_series() {
         let (y, x) = crate::testutil::awkward_year(10, 3);
         let _ = NormalEq::default().fit_hourly_ar(&y[..200], &x, 10);
-    }
-
-    #[test]
-    fn dense_groups_ask_for_each_key_once() {
-        let calls = std::cell::Cell::new(0);
-        let mut groups = DenseGroups::default();
-        groups.for_each_group(
-            50,
-            |i| {
-                calls.set(calls.get() + 1);
-                (i % 7) as i32
-            },
-            |i| i as f64,
-            |_, _| {},
-        );
-        assert_eq!(calls.get(), 50);
     }
 
     #[test]

@@ -7,9 +7,10 @@ use proptest::prelude::*;
 use smda_stats::linalg::Matrix;
 use smda_stats::simd::{LANE_COLS, LANE_LAGS};
 use smda_stats::{
-    cosine_similarity, dot_block, dot_scalar, mean, ols_multiple, ols_simple, quantile_sorted,
-    quantiles_by_selection, sample_variance, top_k_cosine, top_k_tiled, EquiWidthHistogram,
-    FitScratch, HourlyFit, KMeans, KMeansConfig, OnlineStats, SeriesMatrix, SimdTier, TileConfig,
+    cosine_similarity, dot_block, dot_scalar, from_ordered_key, mean, ols_multiple, ols_simple,
+    ordered_key, quantile_sorted, quantiles_by_selection, sample_variance, top_k_cosine,
+    top_k_tiled, EquiWidthHistogram, FitScratch, HourlyFit, KMeans, KMeansConfig, OnlineStats,
+    SeriesMatrix, SimdTier, TileConfig,
 };
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -364,30 +365,34 @@ proptest! {
 
     #[test]
     fn dense_grouping_matches_btreemap_even_when_dirty(
-        raw in prop::collection::vec((0u32..80, -1e3f64..1e3), 1..300)
+        raw in prop::collection::vec((0u32..320, -1e3f64..1e3), 1..300),
+        other in prop::collection::vec(0u32..320, 1..300)
     ) {
         use std::collections::BTreeMap;
-        // Keys span negative and positive °C (the shim has no signed
-        // integer ranges, so shift an unsigned draw).
-        let pairs: Vec<(i32, f64)> = raw.iter().map(|(k, v)| (*k as i32 - 40, *v)).collect();
+        // Key series in quarter degrees across negative and positive °C,
+        // so `.5` boundaries are common (the shim has no signed integer
+        // ranges, so shift an unsigned draw).
+        let quarter = |k: u32| (k as f64 - 160.0) / 4.0;
+        let key_series: Vec<f64> = raw.iter().map(|(k, _)| quarter(*k)).collect();
+        let values: Vec<f64> = raw.iter().map(|(_, v)| *v).collect();
         // The allocating reference: push order within each key, keys
         // visited ascending — exactly what the 3-line T1 phase did
         // before the arena.
         let mut map: BTreeMap<i32, Vec<f64>> = BTreeMap::new();
-        for (k, v) in &pairs {
-            map.entry(*k).or_default().push(*v);
+        for (x, v) in key_series.iter().zip(&values) {
+            map.entry(x.round() as i32).or_default().push(*v);
         }
         let expected: Vec<(i32, Vec<f64>)> = map.into_iter().collect();
         let mut scratch = FitScratch::new();
-        // Two passes through the same arena: the second runs dirty.
+        // Two passes through the same arena, another key series planned
+        // in between: the second pass rebuilds over a dirty plan.
         for pass in 0..2 {
             let mut seen: Vec<(i32, Vec<f64>)> = Vec::new();
-            scratch.groups.for_each_group(
-                pairs.len(),
-                |i| pairs[i].0,
-                |i| pairs[i].1,
-                |key, vals| seen.push((key, vals.to_vec())),
-            );
+            scratch.plan.prepare(&key_series);
+            let bins = scratch.plan.gather(&values).expect("finite values");
+            bins.for_each(|key, keys| {
+                seen.push((key, keys.iter().map(|&k| from_ordered_key(k)).collect()))
+            });
             prop_assert_eq!(seen.len(), expected.len(), "pass {}", pass);
             for ((ka, va), (kb, vb)) in seen.iter().zip(&expected) {
                 prop_assert_eq!(ka, kb, "pass {}", pass);
@@ -396,6 +401,8 @@ proptest! {
                     prop_assert_eq!(x.to_bits(), y.to_bits(), "pass {}", pass);
                 }
             }
+            let between: Vec<f64> = other.iter().map(|k| quarter(*k)).collect();
+            scratch.plan.prepare(&between);
         }
     }
 
@@ -518,7 +525,7 @@ proptest! {
     #[test]
     fn selected_percentiles_match_sorted_percentiles_bitwise(
         // Few distinct values, zeros of both signs among them: heavy ties.
-        raw in prop::collection::vec((0u8..6, 0.0f64..3.0), 1..400),
+        raw in prop::collection::vec((0u8..6, -1.0f64..3.0), 1..400),
         distinct in prop::collection::vec(-2.0f64..2.0, 4),
         tenths in 0u8..=10
     ) {
@@ -537,7 +544,8 @@ proptest! {
         // `(n − 1)·q` integral whenever `n − 1` divides by four.
         let q = tenths as f64 / 10.0;
         for qs in [[0.1, 0.9], [q, 1.0 - q], [0.25, 0.75], [0.0, 1.0]] {
-            let got = quantiles_by_selection(&mut values.clone(), qs);
+            let mut keys: Vec<i64> = values.iter().map(|&v| ordered_key(v)).collect();
+            let got = quantiles_by_selection(&mut keys, qs);
             for (g, q) in got.iter().zip(qs) {
                 let want = quantile_sorted(&sorted, q);
                 prop_assert_eq!(g.to_bits(), want.to_bits(), "n={} q={}", values.len(), q);

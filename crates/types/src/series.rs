@@ -45,11 +45,18 @@ impl ConsumerSeries {
                 readings.len()
             )));
         }
-        if let Some(pos) = readings.iter().position(|r| !r.is_finite() || *r < 0.0) {
-            return Err(Error::Schema(format!(
-                "consumer {id}: reading at hour {pos} is {} (must be finite and non-negative)",
-                readings[pos]
-            )));
+        // The verdict is a branch-free fold — an early-exit search does not
+        // vectorize, and a valid year is the case that pays. `r >= 0.0`
+        // admits both zeros and refuses NaN; `r <= f64::MAX` refuses +∞.
+        // The offending hour is looked for only once the fold has failed.
+        let valid = |r: f64| (r >= 0.0) & (r <= f64::MAX);
+        if !readings.iter().fold(true, |ok, &r| ok & valid(r)) {
+            if let Some(pos) = readings.iter().position(|&r| !valid(r)) {
+                return Err(Error::Schema(format!(
+                    "consumer {id}: reading at hour {pos} is {} (must be finite and non-negative)",
+                    readings[pos]
+                )));
+            }
         }
         Ok(())
     }
@@ -111,10 +118,13 @@ impl TemperatureSeries {
                 values.len()
             )));
         }
-        if let Some(pos) = values.iter().position(|v| !v.is_finite()) {
-            return Err(Error::Schema(format!(
-                "temperature at hour {pos} is not finite"
-            )));
+        // Verdict first, as a fold that vectorizes; position only on failure.
+        if !values.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            if let Some(pos) = values.iter().position(|v| !v.is_finite()) {
+                return Err(Error::Schema(format!(
+                    "temperature at hour {pos} is not finite"
+                )));
+            }
         }
         Ok(())
     }
@@ -174,6 +184,77 @@ mod tests {
         let mut r = year_of(1.0);
         r[8] = -0.5;
         assert!(ConsumerSeries::new(ConsumerId(1), r).is_err());
+    }
+
+    #[test]
+    fn validation_names_the_first_offending_hour_in_the_same_words() {
+        for hour in [0, 4321, HOURS_PER_YEAR - 1] {
+            for (bad, shown) in [
+                (f64::NAN, "NaN"),
+                (f64::INFINITY, "inf"),
+                (f64::NEG_INFINITY, "-inf"),
+                (-1.0, "-1"),
+                (-0.5, "-0.5"),
+            ] {
+                let mut r = year_of(1.0);
+                r[hour] = bad;
+                // A later offender must not be the one reported.
+                r[HOURS_PER_YEAR - 1] = if hour == HOURS_PER_YEAR - 1 {
+                    bad
+                } else {
+                    -2.0
+                };
+                let err = ConsumerSeries::validate(ConsumerId(7), &r).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    Error::Schema(format!(
+                        "consumer H000007: reading at hour {hour} is {shown} \
+                         (must be finite and non-negative)"
+                    ))
+                    .to_string()
+                );
+                let through_new = ConsumerSeries::new(ConsumerId(7), r).unwrap_err();
+                assert_eq!(through_new.to_string(), err.to_string());
+            }
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut t = year_of(-3.5);
+                t[hour] = bad;
+                t[HOURS_PER_YEAR - 1] = if hour == HOURS_PER_YEAR - 1 {
+                    bad
+                } else {
+                    f64::NAN
+                };
+                let err = TemperatureSeries::validate(&t).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    Error::Schema(format!("temperature at hour {hour} is not finite")).to_string()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_smallest_negative_reading_is_refused() {
+        let mut r = year_of(0.0);
+        r[8000] = -5e-324;
+        let err = ConsumerSeries::validate(ConsumerId(1), &r).unwrap_err();
+        assert!(err.to_string().contains("reading at hour 8000 is -0.0000"));
+    }
+
+    #[test]
+    fn validation_admits_both_zeros_and_the_finite_extremes() {
+        let mut r = year_of(1.0);
+        for (hour, ok) in [0.0, -0.0, f64::MAX, f64::MIN_POSITIVE, 5e-324]
+            .into_iter()
+            .enumerate()
+        {
+            r[hour * 2000] = ok;
+        }
+        assert!(ConsumerSeries::validate(ConsumerId(1), &r).is_ok());
+        assert!(ConsumerSeries::validate(ConsumerId(1), &year_of(0.0)).is_ok());
+        let mut t = year_of(0.0);
+        (t[0], t[1], t[2]) = (f64::MIN, f64::MAX, -0.0);
+        assert!(TemperatureSeries::validate(&t).is_ok());
     }
 
     #[test]

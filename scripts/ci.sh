@@ -30,6 +30,18 @@ while read -r path; do
 done <<<"$cited"
 [ "$stale" -eq 0 ]
 
+# ROADMAP 6(c)'s burn-down, ratcheted: `.unwrap()` / `.expect(` in non-test
+# source — each tracked crates/*/src file up to its first `#[cfg(test)]`,
+# comment lines dropped — may not exceed the count below. A PR that removes
+# some lowers the number; none raises it.
+echo "== unwrap budget =="
+unwrap_budget=139
+unwraps=$(git ls-files 'crates/*/src/*.rs' | while read -r file; do
+    awk '/#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -vE '^[[:space:]]*//'
+done | grep -cE '\.unwrap\(\)|\.expect\(' || true)
+echo "$unwraps non-test unwrap/expect calls (budget $unwrap_budget)"
+[ "$unwraps" -le "$unwrap_budget" ]
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets
 
