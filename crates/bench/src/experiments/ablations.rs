@@ -17,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use smda_cluster::{ClusterTopology, CostModel, SimTask, VirtualScheduler};
-use smda_core::three_line::{fit_three_line_timed, ThreeLineConfig};
+use smda_core::three_line::{fit_three_line_baseline, ThreeLineConfig};
 use smda_storage::{BufferPool, HeapFile, ReadingTable, TupleId};
 
 use crate::data::{seed_dataset, Scratch};
@@ -123,7 +123,9 @@ fn knot_search(t: &mut Table) {
             ..Default::default()
         };
         let start = Instant::now();
-        let (model, _) = fit_three_line_timed(series, ds.temperature(), &config)
+        // The kernel fixes the paper's configuration; the baseline is the
+        // fit that takes one, and the T2 search under it is the same code.
+        let model = fit_three_line_baseline(series, ds.temperature(), &config)
             .expect("a seeded year yields percentile points");
         push(
             t,

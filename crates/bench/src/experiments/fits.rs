@@ -13,8 +13,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use smda_core::{
-    fit_par_baseline, fit_par_scratch, fit_three_line_baseline, fit_three_line_scratch, ParModel,
-    ThreeLineConfig, ThreeLineModel,
+    fit_par_baseline, fit_par_scratch, fit_three_line_baseline, fit_three_line_scratch,
+    ThreeLineConfig,
 };
 use smda_stats::{quantiles_by_selection, FitScratch};
 
@@ -30,41 +30,6 @@ pub const CONSUMERS: [usize; 3] = [50, 200, 1000];
 
 /// Variants measured per (size, task).
 pub const VARIANTS: usize = 2;
-
-/// Bitwise (`f64::to_bits`) equality of two 3-line models — the
-/// comparison `--check fits` and this sweep pin the arena with.
-pub(crate) fn three_line_bits_eq(a: &ThreeLineModel, b: &ThreeLineModel) -> bool {
-    let piece = |x: &smda_core::PiecewiseFit, y: &smda_core::PiecewiseFit| {
-        x.segments.iter().zip(&y.segments).all(|(s, t)| {
-            s.lo.to_bits() == t.lo.to_bits()
-                && s.hi.to_bits() == t.hi.to_bits()
-                && s.intercept.to_bits() == t.intercept.to_bits()
-                && s.slope.to_bits() == t.slope.to_bits()
-        }) && x.knots[0].to_bits() == y.knots[0].to_bits()
-            && x.knots[1].to_bits() == y.knots[1].to_bits()
-            && x.sse.to_bits() == y.sse.to_bits()
-            && x.adjusted == y.adjusted
-    };
-    a.consumer == b.consumer && piece(&a.high, &b.high) && piece(&a.low, &b.low)
-}
-
-/// Bitwise (`f64::to_bits`) equality of two PAR models.
-pub(crate) fn par_bits_eq(a: &ParModel, b: &ParModel) -> bool {
-    a.consumer == b.consumer
-        && a.hourly.iter().zip(&b.hourly).all(|(x, y)| {
-            x.intercept.to_bits() == y.intercept.to_bits()
-                && x.ar
-                    .iter()
-                    .zip(&y.ar)
-                    .all(|(p, q)| p.to_bits() == q.to_bits())
-                && x.temp_coef.to_bits() == y.temp_coef.to_bits()
-                && x.r2.to_bits() == y.r2.to_bits()
-        })
-        && a.profile
-            .iter()
-            .zip(&b.profile)
-            .all(|(p, q)| p.to_bits() == q.to_bits())
-}
 
 fn push(
     t: &mut Table,
@@ -186,9 +151,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         for (b, a) in base_tl.iter().zip(&arena_tl) {
             match (b, a) {
                 (None, None) => {}
-                (Some((b, _)), Some((a, _))) => {
-                    assert!(three_line_bits_eq(b, a), "3-line diverged at n={n}")
-                }
+                (Some(b), Some(a)) => assert!(b.bits_eq(a), "3-line diverged at n={n}"),
                 _ => panic!("3-line fit presence diverged at n={n}"),
             }
         }
@@ -229,7 +192,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             peak,
         );
         for (b, a) in base_par.iter().zip(&arena_par) {
-            assert!(par_bits_eq(b, a), "PAR diverged at n={n}");
+            assert!(b.bits_eq(a), "PAR diverged at n={n}");
         }
     }
     vec![t]

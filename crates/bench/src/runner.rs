@@ -345,10 +345,10 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
         let id = base_par.consumer;
         match (base_tl, arena_tl) {
             (None, None) => {}
-            (Some((b, _)), Some((a, _))) if experiments::fits::three_line_bits_eq(b, a) => {}
+            (Some(b), Some(a)) if b.bits_eq(a) => {}
             _ => return Err(format!("3-line fit diverged from baseline for {id}")),
         }
-        if !experiments::fits::par_bits_eq(base_par, arena_par) {
+        if !base_par.bits_eq(arena_par) {
             return Err(format!("PAR fit diverged from baseline for {id}"));
         }
     }

@@ -27,27 +27,30 @@ use smda_types::{
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        usage();
+        eprintln!("{}", usage());
         return ExitCode::from(2);
     };
+    let checked = |run: fn(&[String]) -> Result<()>| {
+        check_flags(command, &args[1..]).and_then(|()| run(&args[1..]))
+    };
     let result = match command.as_str() {
-        "generate" => generate(&args[1..]),
-        "amplify" => amplify(&args[1..]),
-        "run" => run_task_cmd(&args[1..]),
-        "convert" => convert(&args[1..]),
-        "cut" => cut(&args[1..]),
-        "merge" => merge(&args[1..]),
-        "ingest" => ingest(&args[1..]),
-        "serve" => serve(&args[1..]),
-        "worker" => worker(&args[1..]),
+        "generate" => checked(generate),
+        "amplify" => checked(amplify),
+        "run" => checked(run_task_cmd),
+        "convert" => checked(convert),
+        "cut" => checked(cut),
+        "merge" => checked(merge),
+        "ingest" => checked(ingest),
+        "serve" => checked(serve),
+        "worker" => checked(worker),
         "bench" => bench(&args[1..]),
         "--help" | "-h" | "help" => {
-            usage();
+            eprintln!("{}", usage());
             Ok(())
         }
         other => {
             eprintln!("unknown command `{other}`");
-            usage();
+            eprintln!("{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -70,44 +73,98 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() {
-    eprintln!(
-        "smda — smart meter data analytics benchmark (EDBT 2015 reproduction)\n\
-         \n\
-         commands:\n\
-           generate --consumers N [--seed S] [--out DIR]   synthesize a seed dataset\n\
-                    [--smc FILE.smc [--encoding raw|packed]]\n\
-                                                           (--smc streams rows straight into an\n\
-                                                           SMC1 file: no CSV, O(1) memory in N)\n\
-           amplify  --seed N --consumers M [--out DIR]     amplify via the paper's generator\n\
-           run TASK --data DIR [--format f1|f2]            run histogram|three-line|par|similarity\n\
-                                                           (--data also accepts an .smc file)\n\
-           convert --in SRC --out DST [--encoding raw|packed] [--format f1|f2] [--verify]\n\
-                                                           CSV dir -> .smc file or .smc -> CSV dir\n\
-                                                           (--verify re-reads and bit-compares)\n\
-           cut --in FILE.smc (--shards N | --consumers IDS) [--out PREFIX]\n\
-                                                           re-shard: round-robin into N files, or\n\
-                                                           extract the comma-separated ids\n\
-           merge --out FILE.smc SHARD.smc...               join disjoint shards into one file\n\
-           ingest [--consumers N] [--shards N] [--lateness H] [--jitter H] [--seed S]\n\
-                  [--speedup X] [--wal DIR] [--faults SPEC] [--skip-dirty] [--serve]\n\
-                  [--smc PATH]                             (--smc seals the snapshot to an SMC1\n\
-                                                           binary file after the replay)\n\
-                                                           replay a generated year through the\n\
-                                                           streaming pipeline, then run all tasks\n\
-                                                           (--serve answers live queries from the\n\
-                                                           published snapshot afterwards)\n\
-           serve [--consumers N] [--seed S | --data DIR [--format f1|f2]] [--json]\n\
-                 [--query KIND:CONSUMER[:K]]...            seal a year, publish it, and answer\n\
-                                                           typed queries (top_k_similar|histogram|\n\
-                                                           three_line|par|anomaly)\n\
-           worker --bind ADDR                              serve map/shuffle/reduce RPCs for a\n\
-                                                           real-transport coordinator (prints the\n\
-                                                           bound address, runs until Shutdown)\n\
-           bench [--smoke|--small|--full] [--json PATH] [--faults SPEC]\n\
-                 [EXPERIMENT...]                           regenerate tables/figures ({})",
+/// The flags each subcommand reads — those that take a value, then the
+/// bare switches. [`check_flags`] refuses any other `--flag`: a misspelled
+/// flag is an error, not a default. (`bench` is not here: `BenchArgs` parses
+/// it, under the same rule.)
+const FLAGS: &[(&str, &str, &str)] = &[
+    ("generate", "--consumers --seed --out --smc --encoding", ""),
+    ("amplify", "--seed --consumers --out", ""),
+    ("run", "--data --format", ""),
+    ("convert", "--in --out --encoding --format", "--verify"),
+    ("cut", "--in --shards --consumers --out", ""),
+    ("merge", "--out", ""),
+    (
+        "ingest",
+        "--consumers --shards --lateness --jitter --seed --speedup --wal --faults --smc --encoding",
+        "--skip-dirty --serve",
+    ),
+    (
+        "serve",
+        "--consumers --seed --data --format --query",
+        "--json",
+    ),
+    ("worker", "--bind", ""),
+];
+
+fn invalid(msg: String) -> smda_types::Error {
+    smda_types::Error::Invalid(msg)
+}
+
+/// Every `--flag` among `args` is one `command` reads, and has its value
+/// if it takes one.
+fn check_flags(command: &str, args: &[String]) -> Result<()> {
+    let Some(&(_, valued, switches)) = FLAGS.iter().find(|(name, ..)| *name == command) else {
+        return Err(invalid(format!("`smda {command}` has no flag table")));
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        if valued.split(' ').any(|flag| flag == arg) {
+            if args.next().is_none() {
+                return Err(invalid(format!("`{arg}` needs a value")));
+            }
+        } else if !switches.split(' ').any(|flag| flag == arg) {
+            let known = format!("{valued} {switches}");
+            return Err(invalid(format!(
+                "unknown flag `{arg}` for `smda {command}`; it reads: {}",
+                known.trim_end()
+            )));
+        }
+    }
+    Ok(())
+}
+
+fn usage() -> String {
+    format!(
+        "smda — smart meter data analytics benchmark (EDBT 2015 reproduction)
+
+commands:
+  generate [--consumers N] [--seed S] [--out DIR]  synthesize a seed dataset
+           [--smc FILE.smc [--encoding raw|packed]]
+                                                   (--smc streams rows straight into an
+                                                   SMC1 file: no CSV, O(1) memory in N)
+  amplify [--seed N] [--consumers M] [--out DIR]   amplify via the paper's generator
+  run TASK [--data DIR] [--format f1|f2]           run histogram|three-line|par|similarity
+                                                   (--data also accepts an .smc file)
+  convert --in SRC --out DST [--encoding raw|packed] [--format f1|f2] [--verify]
+                                                   CSV dir -> .smc file or .smc -> CSV dir
+                                                   (--verify re-reads and bit-compares)
+  cut --in FILE.smc (--shards N | --consumers IDS) [--out PREFIX]
+                                                   re-shard: round-robin into N files, or
+                                                   extract the comma-separated ids
+  merge --out FILE.smc SHARD.smc...                join disjoint shards into one file
+  ingest [--consumers N] [--shards N] [--lateness H] [--jitter H] [--seed S]
+         [--speedup X] [--wal DIR] [--faults SPEC] [--skip-dirty] [--serve]
+         [--smc PATH [--encoding raw|packed]]      replay a generated year through the
+                                                   streaming pipeline, then run all tasks
+                                                   (--smc seals the snapshot to an SMC1
+                                                   binary file after the replay; --serve
+                                                   answers live queries from the published
+                                                   snapshot afterwards)
+  serve [--consumers N] [--seed S | --data DIR [--format f1|f2]] [--json]
+        [--query KIND:CONSUMER[:K]]...             seal a year, publish it, and answer
+                                                   typed queries (top_k_similar|histogram|
+                                                   three_line|par|anomaly)
+  worker [--bind ADDR]                             serve map/shuffle/reduce RPCs for a
+                                                   real-transport coordinator (prints the
+                                                   bound address, runs until Shutdown)
+  bench [--smoke|--small|--full] [--json PATH] [--faults SPEC]
+        [EXPERIMENT...]                            regenerate tables/figures ({})",
         EXPERIMENT_IDS.join(" ")
-    );
+    )
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -116,10 +173,14 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn parse_usize(args: &[String], name: &str, default: usize) -> usize {
-    flag(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value of flag `name`, or `default` when the flag is absent. A value
+/// that does not parse is an error naming the flag and the text — never
+/// the default.
+fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T> {
+    flag(args, name).map_or(Ok(default), |text| {
+        let refused = |_| invalid(format!("`{name} {text}`: `{text}` is not a valid number"));
+        text.parse().map_err(refused)
+    })
 }
 
 fn out_dir(args: &[String]) -> PathBuf {
@@ -129,8 +190,8 @@ fn out_dir(args: &[String]) -> PathBuf {
 }
 
 fn generate(args: &[String]) -> Result<()> {
-    let consumers = parse_usize(args, "--consumers", 100);
-    let seed = parse_usize(args, "--seed", 2014) as u64;
+    let consumers = parse_flag(args, "--consumers", 100usize)?;
+    let seed = parse_flag(args, "--seed", 2014u64)?;
     let config = SeedConfig {
         consumers,
         seed,
@@ -178,8 +239,8 @@ fn generate(args: &[String]) -> Result<()> {
 }
 
 fn amplify(args: &[String]) -> Result<()> {
-    let seed_consumers = parse_usize(args, "--seed", 50);
-    let consumers = parse_usize(args, "--consumers", 1000);
+    let seed_consumers = parse_flag(args, "--seed", 50usize)?;
+    let consumers = parse_flag(args, "--consumers", 1000usize)?;
     let dir = out_dir(args);
     let seed = smda_core::generator::generate_seed(&SeedConfig {
         consumers: seed_consumers,
@@ -413,12 +474,15 @@ fn summarize(output: &TaskOutput) {
     for result in task_output_results(output).iter().take(3) {
         println!("  {result}");
     }
-    if let TaskOutput::ThreeLine(_, phases) = output {
+    if let TaskOutput::ThreeLine(_) = output {
+        // `run_reference` fitted on this thread's arena, which kept the
+        // time: what a fit cost is no part of what it returns.
+        let [t1, t2, t3] = smda_core::with_fit_scratch(|scratch| scratch.take_phase_times());
         println!(
             "  phases: T1 {:.3}s T2 {:.3}s T3 {:.3}s",
-            phases.t1.as_secs_f64(),
-            phases.t2.as_secs_f64(),
-            phases.t3.as_secs_f64()
+            t1.as_secs_f64(),
+            t2.as_secs_f64(),
+            t3.as_secs_f64()
         );
     }
     println!("  ... {} results total", output.len());
@@ -470,11 +534,11 @@ fn answer_queries(server: &Server, queries: &[Query], json: bool) {
 }
 
 fn serve(args: &[String]) -> Result<()> {
-    let seed = parse_usize(args, "--seed", 2014) as u64;
+    let seed = parse_flag(args, "--seed", 2014u64)?;
     let ds = if args.iter().any(|a| a == "--data") {
         load_dataset(args)?
     } else {
-        let consumers = parse_usize(args, "--consumers", 100);
+        let consumers = parse_flag(args, "--consumers", 100usize)?;
         smda_core::generator::generate_seed(&SeedConfig {
             consumers,
             seed,
@@ -529,18 +593,16 @@ fn serve(args: &[String]) -> Result<()> {
 }
 
 fn ingest(args: &[String]) -> Result<()> {
-    let consumers = parse_usize(args, "--consumers", 100);
-    let seed = parse_usize(args, "--seed", 2014) as u64;
-    let shards = parse_usize(args, "--shards", smda_ingest::config::DEFAULT_SHARDS);
-    let lateness = parse_usize(
+    let consumers = parse_flag(args, "--consumers", 100usize)?;
+    let seed = parse_flag(args, "--seed", 2014u64)?;
+    let shards = parse_flag(args, "--shards", smda_ingest::config::DEFAULT_SHARDS)?;
+    let lateness = parse_flag(
         args,
         "--lateness",
-        smda_ingest::config::DEFAULT_ALLOWED_LATENESS as usize,
-    ) as u32;
-    let jitter = parse_usize(args, "--jitter", 12) as u32;
-    let speedup: f64 = flag(args, "--speedup")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
+        smda_ingest::config::DEFAULT_ALLOWED_LATENESS,
+    )?;
+    let jitter = parse_flag(args, "--jitter", 12u32)?;
+    let speedup = parse_flag(args, "--speedup", 0.0f64)?;
 
     let ds = smda_core::generator::generate_seed(&SeedConfig {
         consumers,
@@ -688,4 +750,99 @@ fn bench(args: &[String]) -> Result<()> {
         ));
     }
     args.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn message(result: Result<()>) -> String {
+        match result {
+            Err(smda_types::Error::Invalid(msg)) => msg,
+            other => panic!("must be refused as invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_an_error_naming_flag_and_text() {
+        // Each of these once ran with the default and exited 0.
+        type Run = fn(&[String]) -> Result<()>;
+        for (run, flag, text) in [
+            (generate as Run, "--consumers", "abc"),
+            (generate, "--seed", "-1"),
+            (ingest, "--shards", "four"),
+            (ingest, "--speedup", "fast"),
+            (ingest, "--jitter", "4294967296"),
+            (serve, "--consumers", "1e2"),
+            (serve, "--seed", ""),
+        ] {
+            let msg = message(run(&args(&[flag, text])));
+            assert!(
+                msg.contains(flag) && msg.contains(&format!("`{text}`")),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_read_is_an_error_listing_the_ones_it_does() {
+        for (command, flag) in [
+            ("generate", "--consumer"),
+            ("ingest", "--shard"),
+            ("ingest", "--json"),
+            ("serve", "--queries"),
+            ("serve", "--shards"),
+        ] {
+            let msg = message(check_flags(command, &args(&[flag, "3"])));
+            assert!(msg.contains(&format!("unknown flag `{flag}`")), "{msg}");
+            let (_, valued, switches) = FLAGS.iter().find(|(name, ..)| *name == command).unwrap();
+            for known in valued.split(' ').chain(switches.split(' ')) {
+                assert!(msg.contains(known), "{msg} does not list {known}");
+            }
+        }
+        // A flag that takes a value and has none is refused too; a value
+        // may look like a flag.
+        let msg = message(check_flags("generate", &args(&["--consumers"])));
+        assert!(msg.contains("needs a value"), "{msg}");
+        let msg = message(check_flags("serve", &args(&["--json", "--query"])));
+        assert!(msg.contains("needs a value"), "{msg}");
+        assert!(check_flags("generate", &args(&["--out", "--odd-dir", "--seed", "7"])).is_ok());
+        assert!(check_flags("merge", &args(&["a.smc", "--out", "b.smc", "c.smc"])).is_ok());
+        let msg = message(check_flags("run", &args(&["par", "--dta", "data/"])));
+        assert!(msg.contains("unknown flag `--dta`"), "{msg}");
+    }
+
+    #[test]
+    fn every_flag_the_usage_names_is_one_its_subcommand_reads_and_the_reverse() {
+        let usage = usage();
+        // A subcommand's block: from the line that leads with its name to
+        // the next line indented as little.
+        let block = |name: &str| -> String {
+            let lead = format!("  {name} ");
+            let lines = usage.lines().skip_while(|l| !l.starts_with(&lead));
+            let mut lines = lines.peekable();
+            let first = lines
+                .next()
+                .unwrap_or_else(|| panic!("usage omits `{name}`"));
+            let rest = lines.take_while(|l| l.starts_with("   "));
+            std::iter::once(first)
+                .chain(rest)
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for (name, valued, switches) in FLAGS {
+            let text = block(name);
+            let named: std::collections::BTreeSet<&str> = text
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            let read = valued.split(' ').chain(switches.split(' '));
+            let read: std::collections::BTreeSet<&str> = read.filter(|f| !f.is_empty()).collect();
+            assert_eq!(named, read, "smda {name}");
+        }
+    }
 }

@@ -878,73 +878,11 @@ pub fn run_virtual_twin(
     }
 }
 
-fn f64_bits_eq(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
-}
-
-/// Exact comparison of two task outputs, `f64`s by bit pattern.
-///
-/// 3-line *phase times* are measured wall-clock — nondeterministic by
-/// nature — so they are excluded; models, histograms, PAR fits, and
-/// similarity matches are all compared exactly.
+/// Exact comparison of two task outputs, `f64`s by bit pattern:
+/// [`TaskOutput::bits_eq`], where the result types define their own
+/// bits. Kept at this path for the callers that learned it here.
 pub fn task_output_bits_eq(a: &TaskOutput, b: &TaskOutput) -> bool {
-    match (a, b) {
-        (TaskOutput::Histograms(x), TaskOutput::Histograms(y)) => {
-            x.len() == y.len()
-                && x.iter().zip(y).all(|(h, g)| {
-                    h.consumer == g.consumer
-                        && f64_bits_eq(h.histogram.spec.min, g.histogram.spec.min)
-                        && f64_bits_eq(h.histogram.spec.max, g.histogram.spec.max)
-                        && h.histogram.spec.buckets == g.histogram.spec.buckets
-                        && h.histogram.counts == g.histogram.counts
-                })
-        }
-        (TaskOutput::ThreeLine(x, _), TaskOutput::ThreeLine(y, _)) => {
-            let fit_eq = |p: &smda_core::PiecewiseFit, q: &smda_core::PiecewiseFit| {
-                p.segments.iter().zip(&q.segments).all(|(s, t)| {
-                    f64_bits_eq(s.lo, t.lo)
-                        && f64_bits_eq(s.hi, t.hi)
-                        && f64_bits_eq(s.intercept, t.intercept)
-                        && f64_bits_eq(s.slope, t.slope)
-                }) && f64_bits_eq(p.knots[0], q.knots[0])
-                    && f64_bits_eq(p.knots[1], q.knots[1])
-                    && f64_bits_eq(p.sse, q.sse)
-                    && p.adjusted == q.adjusted
-            };
-            x.len() == y.len()
-                && x.iter().zip(y).all(|(m, n)| {
-                    m.consumer == n.consumer && fit_eq(&m.high, &n.high) && fit_eq(&m.low, &n.low)
-                })
-        }
-        (TaskOutput::Par(x), TaskOutput::Par(y)) => {
-            x.len() == y.len()
-                && x.iter().zip(y).all(|(p, q)| {
-                    p.consumer == q.consumer
-                        && p.hourly.iter().zip(&q.hourly).all(|(h, g)| {
-                            f64_bits_eq(h.intercept, g.intercept)
-                                && h.ar.iter().zip(&g.ar).all(|(&a, &b)| f64_bits_eq(a, b))
-                                && f64_bits_eq(h.temp_coef, g.temp_coef)
-                                && f64_bits_eq(h.r2, g.r2)
-                        })
-                        && p.profile
-                            .iter()
-                            .zip(&q.profile)
-                            .all(|(&a, &b)| f64_bits_eq(a, b))
-                })
-        }
-        (TaskOutput::Similarity(x), TaskOutput::Similarity(y)) => {
-            x.len() == y.len()
-                && x.iter().zip(y).all(|(m, n)| {
-                    m.consumer == n.consumer
-                        && m.matches.len() == n.matches.len()
-                        && m.matches
-                            .iter()
-                            .zip(&n.matches)
-                            .all(|((ci, si), (cj, sj))| ci == cj && f64_bits_eq(*si, *sj))
-                })
-        }
-        _ => false,
-    }
+    a.bits_eq(b)
 }
 
 #[cfg(test)]
@@ -991,16 +929,13 @@ mod tests {
     }
 
     #[test]
-    fn bits_eq_rejects_differences_and_ignores_phases() {
+    fn bits_eq_rejects_differences() {
         let ds = dataset(4);
         let a = run_reference(Task::Histogram, &ds);
         let b = run_reference(Task::Histogram, &dataset(5));
         assert!(task_output_bits_eq(&a, &a));
         assert!(!task_output_bits_eq(&a, &b));
-        // Phases are wall-clock: two measured runs still compare equal.
         let x = run_reference(Task::ThreeLine, &ds);
-        let y = run_reference(Task::ThreeLine, &ds);
-        assert!(task_output_bits_eq(&x, &y));
         assert!(!task_output_bits_eq(&a, &x), "different variants differ");
     }
 

@@ -17,14 +17,14 @@
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 
-use smda_core::tasks::{run_consumer_task_on, ConsumerResult};
+use smda_core::tasks::ConsumerResult;
 use smda_core::{
-    ConsumerHistogram, HourModel, LineSegment, ParModel, PiecewiseFit, Task, ThreeLineModel,
-    ThreeLinePhases,
+    ConsumerHistogram, ConsumerTask, HourModel, LineSegment, ParModel, PiecewiseFit, Task,
+    ThreeLineModel,
 };
 use smda_stats::{
-    top_k_tiled_partial, EquiWidthHistogram, HistogramSpec, SeriesMatrixBuilder, SimilarityMatch,
-    TileConfig,
+    top_k_tiled_partial, with_fit_scratch, EquiWidthHistogram, HistogramSpec, SeriesMatrixBuilder,
+    SimilarityMatch, TileConfig,
 };
 use smda_types::{ConsumerId, Error, Result, HOURS_PER_DAY, HOURS_PER_YEAR};
 
@@ -75,7 +75,10 @@ fn task_from_tag(tag: u8) -> Result<Task> {
 }
 
 /// A request the coordinator sends to a worker. Every variant is a pure
-/// function of its payload — duplicate delivery after a retry is safe.
+/// function of its payload — the response bytes included: no clock, no
+/// arena state and no thread count reaches them — so duplicate delivery
+/// after a retry is safe, and a map task re-run after a crash spills the
+/// bytes the lost run would have.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness probe.
@@ -360,7 +363,9 @@ fn read_fit(c: &mut WireCursor<'_>) -> Result<PiecewiseFit> {
 }
 
 /// Encode a [`ConsumerResult`] list — the unit that travels through the
-/// shuffle and the WAL. Lossless: every `f64` goes by bit pattern.
+/// shuffle and the WAL. Lossless: every `f64` goes by bit pattern, and
+/// nothing but the results goes at all, so
+/// `encode_results(decode_results(b)) == b`.
 pub fn encode_results(results: &[ConsumerResult]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u32(&mut buf, results.len() as u32);
@@ -377,20 +382,11 @@ pub fn encode_results(results: &[ConsumerResult]) -> Vec<u8> {
                     put_u64(&mut buf, count);
                 }
             }
-            ConsumerResult::ThreeLine(model, phases) => {
+            ConsumerResult::ThreeLine(m) => {
                 put_u8(&mut buf, RESULT_THREE_LINE);
-                match model {
-                    Some(m) => {
-                        put_u8(&mut buf, 1);
-                        put_u32(&mut buf, m.consumer.raw());
-                        put_fit(&mut buf, &m.high);
-                        put_fit(&mut buf, &m.low);
-                    }
-                    None => put_u8(&mut buf, 0),
-                }
-                put_u64(&mut buf, phases.t1.as_nanos() as u64);
-                put_u64(&mut buf, phases.t2.as_nanos() as u64);
-                put_u64(&mut buf, phases.t3.as_nanos() as u64);
+                put_u32(&mut buf, m.consumer.raw());
+                put_fit(&mut buf, &m.high);
+                put_fit(&mut buf, &m.low);
             }
             ConsumerResult::Par(p) => {
                 put_u8(&mut buf, RESULT_PAR);
@@ -437,26 +433,11 @@ pub fn decode_results(buf: &[u8]) -> Result<Vec<ConsumerResult>> {
                     },
                 })
             }
-            RESULT_THREE_LINE => {
-                let model = if c.u8("has model")? != 0 {
-                    let consumer = ConsumerId(c.u32("consumer")?);
-                    let high = read_fit(&mut c)?;
-                    let low = read_fit(&mut c)?;
-                    Some(ThreeLineModel {
-                        consumer,
-                        high,
-                        low,
-                    })
-                } else {
-                    None
-                };
-                let phases = ThreeLinePhases {
-                    t1: std::time::Duration::from_nanos(c.u64("t1")?),
-                    t2: std::time::Duration::from_nanos(c.u64("t2")?),
-                    t3: std::time::Duration::from_nanos(c.u64("t3")?),
-                };
-                ConsumerResult::ThreeLine(model, phases)
-            }
+            RESULT_THREE_LINE => ConsumerResult::ThreeLine(ThreeLineModel {
+                consumer: ConsumerId(c.u32("consumer")?),
+                high: read_fit(&mut c)?,
+                low: read_fit(&mut c)?,
+            }),
             RESULT_PAR => {
                 let consumer = ConsumerId(c.u32("consumer")?);
                 let mut hourly = [HourModel {
@@ -540,9 +521,11 @@ pub fn decode_partial(buf: &[u8]) -> Result<(Vec<Vec<SimilarityMatch>>, u64)> {
 // Pure executors — shared by the worker server and the virtual twin
 // ---------------------------------------------------------------------------
 
-/// Run a per-consumer task over a chunk and bucket the encoded results
-/// into shuffle partitions by `consumer % reduce_parts`. Partitions
-/// come back ascending, empty ones omitted.
+/// Run a per-consumer task over a chunk — one [`ConsumerTask`] for the
+/// request, so the temperature year is validated once, not per household
+/// — and bucket the encoded results into shuffle partitions by
+/// `consumer % reduce_parts`. Partitions come back ascending, empty ones
+/// omitted; a household too degenerate for a 3-line model is absent.
 pub fn execute_map(
     task: Task,
     reduce_parts: u32,
@@ -552,11 +535,15 @@ pub fn execute_map(
     if reduce_parts == 0 {
         return Err(Error::Invalid("reduce_parts must be at least 1".into()));
     }
+    let kernel = ConsumerTask::new(task, temps)?;
     let mut buckets: Vec<Vec<ConsumerResult>> = vec![Vec::new(); reduce_parts as usize];
-    for (id, kwh) in chunk {
-        let result = run_consumer_task_on(task, ConsumerId(*id), kwh, temps)?;
-        buckets[(*id % reduce_parts) as usize].push(result);
-    }
+    with_fit_scratch(|scratch| {
+        for (id, kwh) in chunk {
+            let result = kernel.run(ConsumerId(*id), kwh, scratch)?;
+            buckets[(*id % reduce_parts) as usize].extend(result);
+        }
+        Ok::<_, Error>(())
+    })?;
     Ok(buckets
         .iter()
         .enumerate()
@@ -566,9 +553,10 @@ pub fn execute_map(
 }
 
 /// Merge shuffle-partition payloads: decode each, concatenate in
-/// payload order, sort by consumer, re-encode. Sorting makes the merge
-/// insensitive to map completion order, which is what lets a re-run
-/// after a crash land on identical bytes.
+/// payload order, sort by consumer, re-encode. Map output bytes are a
+/// function of the map request and sorting makes the merge insensitive
+/// to map completion order, so a re-run after a crash lands on identical
+/// bytes.
 pub fn execute_merge(payloads: &[Vec<u8>]) -> Result<Vec<u8>> {
     let mut all = Vec::new();
     for p in payloads {
@@ -763,18 +751,59 @@ mod tests {
         let temps = year(|h| -5.0 + (h % 48) as f64 * 0.5);
         let chunk = sample_chunk(3);
         for task in [Task::Histogram, Task::ThreeLine, Task::Par] {
+            let kernel = ConsumerTask::new(task, &temps).unwrap();
+            let mut scratch = smda_stats::FitScratch::new();
             let results: Vec<ConsumerResult> = chunk
                 .iter()
-                .map(|(id, kwh)| run_consumer_task_on(task, ConsumerId(*id), kwh, &temps).unwrap())
+                .filter_map(|(id, kwh)| kernel.run(ConsumerId(*id), kwh, &mut scratch).unwrap())
                 .collect();
-            let back = decode_results(&encode_results(&results)).unwrap();
+            assert_eq!(results.len(), chunk.len());
+            let bytes = encode_results(&results);
+            let back = decode_results(&bytes).unwrap();
+            assert_eq!(encode_results(&back), bytes, "{task:?}");
             let a = collect_consumer_results(task, results);
             let b = collect_consumer_results(task, back);
-            assert!(
-                crate::real::task_output_bits_eq(&a, &b),
-                "codec must be lossless for {task:?}"
+            assert!(a.bits_eq(&b), "codec must be lossless for {task:?}");
+        }
+    }
+
+    #[test]
+    fn map_output_bytes_are_a_function_of_the_request() {
+        let temps = year(|h| -5.0 + (h % 48) as f64 * 0.5);
+        let chunk = sample_chunk(5);
+        for task in [Task::Histogram, Task::ThreeLine, Task::Par] {
+            let first = execute_map(task, 2, &temps, &chunk).unwrap();
+            // The second run meets a warm arena and another moment of the
+            // clock; neither is part of a result.
+            let second = execute_map(task, 2, &temps, &chunk).unwrap();
+            assert_eq!(first, second, "{task:?}");
+            assert_eq!(first.len(), 2, "{task:?}");
+            for (_, payload) in &first {
+                let decoded = decode_results(payload).unwrap();
+                assert_eq!(&encode_results(&decoded), payload, "{task:?}");
+            }
+            let payloads: Vec<Vec<u8>> = first.into_iter().map(|(_, p)| p).collect();
+            assert_eq!(
+                execute_merge(&payloads).unwrap(),
+                execute_merge(&payloads).unwrap(),
+                "{task:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_household_with_no_model_is_absent_from_the_wire_not_present_and_empty() {
+        // A constant temperature year supports no 3-line model.
+        let flat = year(|_| 10.0);
+        let chunk = sample_chunk(4);
+        let out = execute_map(Task::ThreeLine, 3, &flat, &chunk).unwrap();
+        assert!(out.is_empty(), "no result, so no partition holds one");
+        assert_eq!(encode_results(&[]), 0u32.to_le_bytes());
+        // One byte of tag, four of id, two fits: nothing rides along.
+        let temps = year(|h| -5.0 + (h % 48) as f64 * 0.5);
+        let out = execute_map(Task::ThreeLine, 1, &temps, &chunk[..1]).unwrap();
+        let fit_bytes = 3 * 4 * 8 + 2 * 8 + 8 + 1;
+        assert_eq!(out[0].1.len(), 4 + 1 + 4 + 2 * fit_bytes);
     }
 
     #[test]
@@ -790,7 +819,7 @@ mod tests {
         assert_eq!(total, 7);
         for (partition, payload) in &out {
             for r in decode_results(payload).unwrap() {
-                assert_eq!(r.consumer().unwrap().raw() % 3, *partition);
+                assert_eq!(r.consumer().raw() % 3, *partition);
             }
         }
     }

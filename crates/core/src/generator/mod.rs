@@ -118,7 +118,7 @@ impl DataGenerator {
         with_fit_scratch(|scratch| {
             for c in seed_data.consumers() {
                 let par = fit_par_scratch(c.id, c.readings(), temperature.values(), scratch);
-                let Some((tl, _)) = fit_three_line_scratch(
+                let Some(tl) = fit_three_line_scratch(
                     c.id,
                     c.readings(),
                     temperature.values(),

@@ -6,7 +6,7 @@
 //! hours of the year falling in each bucket.
 
 use smda_stats::{EquiWidthHistogram, HistogramSpec};
-use smda_types::{ConsumerId, ConsumerSeries, Dataset, Result};
+use smda_types::{ConsumerId, ConsumerSeries, Dataset};
 
 /// The benchmark fixes histograms to ten equi-width buckets.
 pub const HISTOGRAM_BUCKETS: usize = 10;
@@ -29,20 +29,11 @@ impl ConsumerHistogram {
         ConsumerHistogram::of_valid_year(series.id, series.readings())
     }
 
-    /// Build from a lent readings slice, which is held to
-    /// [`ConsumerSeries::validate`] first — avoids collecting the year
-    /// into an owned series on the hot path.
-    ///
-    /// # Errors
-    /// Whatever [`ConsumerSeries::validate`] finds wrong with `readings`.
-    pub fn from_readings(consumer: ConsumerId, readings: &[f64]) -> Result<Self> {
-        ConsumerSeries::validate(consumer, readings)?;
-        Ok(ConsumerHistogram::of_valid_year(consumer, readings))
-    }
-
     /// A valid year is 8760 finite readings: it has a range, and
-    /// [`HistogramSpec::spanning`] need not ask.
-    fn of_valid_year(consumer: ConsumerId, readings: &[f64]) -> Self {
+    /// [`HistogramSpec::spanning`] need not ask. Lent slices reach this
+    /// through [`ConsumerTask::run`](crate::tasks::ConsumerTask::run),
+    /// which holds them to [`ConsumerSeries::validate`] first.
+    pub(crate) fn of_valid_year(consumer: ConsumerId, readings: &[f64]) -> Self {
         let spec = HistogramSpec::spanning(readings, HISTOGRAM_BUCKETS);
         ConsumerHistogram {
             consumer,
@@ -58,6 +49,17 @@ impl ConsumerHistogram {
             return 0.0;
         }
         self.histogram.counts[self.histogram.mode_bucket()] as f64 / total as f64
+    }
+
+    /// Every field equal, the range's `f64`s by bit pattern (what
+    /// [`TaskOutput::bits_eq`](crate::TaskOutput::bits_eq) compares).
+    pub fn bits_eq(&self, other: &ConsumerHistogram) -> bool {
+        let (a, b) = (&self.histogram, &other.histogram);
+        self.consumer == other.consumer
+            && a.spec.min.to_bits() == b.spec.min.to_bits()
+            && a.spec.max.to_bits() == b.spec.max.to_bits()
+            && a.spec.buckets == b.spec.buckets
+            && a.counts == b.counts
     }
 }
 

@@ -38,14 +38,15 @@ pub mod three_line;
 
 pub use generator::{DataGenerator, GeneratorConfig, SeedConfig, WeatherConfig};
 pub use histogram_task::{consumer_histograms, ConsumerHistogram, HISTOGRAM_BUCKETS};
-pub use par::{
-    fit_par, fit_par_baseline, fit_par_scratch, par_profiles, HourModel, ParModel, PAR_ORDER,
-};
+pub use par::{fit_par, fit_par_baseline, fit_par_scratch, HourModel, ParModel, PAR_ORDER};
 pub use queries::task_output_results;
 pub use similarity::{similarity_search, ConsumerMatches, SIMILARITY_TOP_K};
+/// The fitting arena the kernel runs through — named in this crate's
+/// signatures, so a caller need not depend on `smda-stats` to hold one.
+pub use smda_stats::scratch::{with_fit_scratch, FitScratch};
 pub use streaming::{Alert, AlertKind, AnomalyDetector};
-pub use tasks::{Task, TaskOutput};
+pub use tasks::{ConsumerTask, Task, TaskOutput};
 pub use three_line::{
-    fit_three_line, fit_three_line_baseline, fit_three_line_scratch, three_line_models,
-    LineSegment, PiecewiseFit, ThreeLineConfig, ThreeLineModel, ThreeLinePhases,
+    fit_three_line, fit_three_line_baseline, fit_three_line_scratch, LineSegment, PiecewiseFit,
+    ThreeLineConfig, ThreeLineModel,
 };

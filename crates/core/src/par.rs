@@ -18,9 +18,7 @@
 use smda_stats::linalg::Matrix;
 use smda_stats::scratch::FitScratch;
 use smda_stats::{ols_multiple, with_fit_scratch};
-use smda_types::{
-    ConsumerId, ConsumerSeries, Dataset, TemperatureSeries, DAYS_PER_YEAR, HOURS_PER_DAY,
-};
+use smda_types::{ConsumerId, ConsumerSeries, TemperatureSeries, DAYS_PER_YEAR, HOURS_PER_DAY};
 
 /// Autoregressive order: the paper uses the previous `p = 3` days.
 pub const PAR_ORDER: usize = 3;
@@ -84,6 +82,24 @@ impl ParModel {
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map_or(0, |(h, _)| h)
+    }
+
+    /// Every field equal, `f64`s by bit pattern (what
+    /// [`TaskOutput::bits_eq`](crate::TaskOutput::bits_eq) compares).
+    pub fn bits_eq(&self, other: &ParModel) -> bool {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        self.consumer == other.consumer
+            && self.hourly.iter().zip(&other.hourly).all(|(h, g)| {
+                same(h.intercept, g.intercept)
+                    && h.ar.iter().zip(&g.ar).all(|(&a, &b)| same(a, b))
+                    && same(h.temp_coef, g.temp_coef)
+                    && same(h.r2, g.r2)
+            })
+            && self
+                .profile
+                .iter()
+                .zip(&other.profile)
+                .all(|(&a, &b)| same(a, b))
     }
 }
 
@@ -239,15 +255,6 @@ pub fn fit_par(series: &ConsumerSeries, temperature: &TemperatureSeries) -> ParM
     })
 }
 
-/// Run task 3 over a whole dataset — the single-threaded reference
-/// implementation.
-pub fn par_profiles(ds: &Dataset) -> Vec<ParModel> {
-    ds.consumers()
-        .iter()
-        .map(|c| fit_par(c, ds.temperature()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,21 +408,7 @@ mod tests {
     }
 
     fn assert_models_bit_identical(arena: &ParModel, base: &ParModel) {
-        assert_eq!(arena.consumer, base.consumer);
-        for h in 0..HOURS_PER_DAY {
-            let (a, b) = (&arena.hourly[h], &base.hourly[h]);
-            assert_eq!(a.intercept.to_bits(), b.intercept.to_bits(), "hour {h}");
-            for lag in 0..PAR_ORDER {
-                assert_eq!(a.ar[lag].to_bits(), b.ar[lag].to_bits(), "hour {h}");
-            }
-            assert_eq!(a.temp_coef.to_bits(), b.temp_coef.to_bits(), "hour {h}");
-            assert_eq!(a.r2.to_bits(), b.r2.to_bits(), "hour {h}");
-            assert_eq!(
-                arena.profile[h].to_bits(),
-                base.profile[h].to_bits(),
-                "hour {h}"
-            );
-        }
+        assert!(arena.bits_eq(base), "{arena:?}\nvs {base:?}");
     }
 
     #[test]
@@ -492,8 +485,8 @@ mod tests {
     #[test]
     fn dataset_reference_runs() {
         let (series, temps) = patterned();
-        let ds = Dataset::new(vec![series], temps).unwrap();
-        let models = par_profiles(&ds);
-        assert_eq!(models.len(), 1);
+        let ds = smda_types::Dataset::new(vec![series], temps).unwrap();
+        let out = crate::tasks::run_reference(crate::Task::Par, &ds);
+        assert_eq!(out.len(), 1);
     }
 }

@@ -79,7 +79,7 @@ pub fn anomaly_result(consumer: ConsumerId, alerts: &[Alert]) -> QueryResult {
 pub fn task_output_results(out: &TaskOutput) -> Vec<QueryResult> {
     match out {
         TaskOutput::Histograms(hs) => hs.iter().map(histogram_result).collect(),
-        TaskOutput::ThreeLine(models, _) => models.iter().map(three_line_result).collect(),
+        TaskOutput::ThreeLine(models) => models.iter().map(three_line_result).collect(),
         TaskOutput::Par(models) => models.iter().map(par_result).collect(),
         TaskOutput::Similarity(matches) => matches.iter().map(similarity_result).collect(),
     }
@@ -96,7 +96,7 @@ pub fn lookup(out: &TaskOutput, query: &Query) -> Option<QueryResult> {
             .iter()
             .find(|h| h.consumer == consumer)
             .map(histogram_result),
-        (TaskOutput::ThreeLine(models, _), Query::ThreeLineFeatures { consumer }) => models
+        (TaskOutput::ThreeLine(models), Query::ThreeLineFeatures { consumer }) => models
             .iter()
             .find(|m| m.consumer == consumer)
             .map(three_line_result),
@@ -149,7 +149,7 @@ mod tests {
     fn conversions_preserve_bits() {
         let ds = dataset();
         let out = run_reference(Task::ThreeLine, &ds);
-        let TaskOutput::ThreeLine(models, _) = &out else {
+        let TaskOutput::ThreeLine(models) = &out else {
             unreachable!()
         };
         let results = task_output_results(&out);

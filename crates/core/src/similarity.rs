@@ -20,6 +20,20 @@ pub struct ConsumerMatches {
     pub matches: Vec<(ConsumerId, f64)>,
 }
 
+impl ConsumerMatches {
+    /// Every field equal, scores by bit pattern (what
+    /// [`TaskOutput::bits_eq`](crate::TaskOutput::bits_eq) compares).
+    pub fn bits_eq(&self, other: &ConsumerMatches) -> bool {
+        self.consumer == other.consumer
+            && self.matches.len() == other.matches.len()
+            && self
+                .matches
+                .iter()
+                .zip(&other.matches)
+                .all(|((a, x), (b, y))| a == b && x.to_bits() == y.to_bits())
+    }
+}
+
 /// Run task 4 over a whole dataset — the single-threaded reference
 /// implementation (the engines parallelize their own variants).
 ///

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use smda_stats::linalg::Matrix;
 use smda_stats::scratch::{FitScratch, NormalEq, SegmentSums};
 use smda_stats::{ols_multiple, quantile_sorted, quantiles_by_selection, with_fit_scratch};
-use smda_types::{ConsumerId, ConsumerSeries, Dataset, TemperatureSeries};
+use smda_types::{ConsumerId, ConsumerSeries, TemperatureSeries};
 
 /// Tuning knobs; the defaults reproduce the paper's setup.
 #[derive(Debug, Clone, Copy)]
@@ -109,6 +109,21 @@ impl PiecewiseFit {
             (self.segments[1].eval(self.knots[1]) - self.segments[2].eval(self.knots[1])).abs();
         d0.max(d1)
     }
+
+    /// Every field equal, `f64`s by bit pattern (what
+    /// [`TaskOutput::bits_eq`](crate::TaskOutput::bits_eq) compares).
+    pub fn bits_eq(&self, other: &PiecewiseFit) -> bool {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        self.segments.iter().zip(&other.segments).all(|(s, t)| {
+            same(s.lo, t.lo)
+                && same(s.hi, t.hi)
+                && same(s.intercept, t.intercept)
+                && same(s.slope, t.slope)
+        }) && same(self.knots[0], other.knots[0])
+            && same(self.knots[1], other.knots[1])
+            && same(self.sse, other.sse)
+            && self.adjusted == other.adjusted
+    }
 }
 
 /// The fitted 3-line model for one consumer.
@@ -149,30 +164,12 @@ impl ThreeLineModel {
             .map(|&t| self.low.eval(t))
             .fold(f64::INFINITY, f64::min)
     }
-}
 
-/// Wall-clock spent in each phase of the algorithm (Figure 6's T1/T2/T3).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreeLinePhases {
-    /// Percentile extraction.
-    pub t1: Duration,
-    /// Free per-segment regression with breakpoint search.
-    pub t2: Duration,
-    /// Continuity adjustment.
-    pub t3: Duration,
-}
-
-impl ThreeLinePhases {
-    /// Accumulate another consumer's phase times.
-    pub fn add(&mut self, other: ThreeLinePhases) {
-        self.t1 += other.t1;
-        self.t2 += other.t2;
-        self.t3 += other.t3;
-    }
-
-    /// Total across phases.
-    pub fn total(&self) -> Duration {
-        self.t1 + self.t2 + self.t3
+    /// The household and both curves, by [`PiecewiseFit::bits_eq`].
+    pub fn bits_eq(&self, other: &ThreeLineModel) -> bool {
+        self.consumer == other.consumer
+            && self.high.bits_eq(&other.high)
+            && self.low.bits_eq(&other.low)
     }
 }
 
@@ -235,6 +232,39 @@ pub fn percentile_points(
     (low, high)
 }
 
+/// Whether the free fit's lines meet at both knots to within
+/// `continuity_tolerance` of the consumption range `y` spans — T3's
+/// verdict, the same on both paths.
+fn continuous_enough(fit: &PiecewiseFit, y: &[f64], config: &ThreeLineConfig) -> bool {
+    let range = y.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+        - y.iter().cloned().fold(f64::INFINITY, f64::min);
+    fit.max_discontinuity() <= config.continuity_tolerance * range.max(1e-9)
+}
+
+/// The continuous model `y = a + b t + c (t−k1)⁺ + d (t−k2)⁺` with
+/// coefficients `beta` at `free`'s knots, read off as three segments —
+/// what T3 returns on both paths once its solver has found `beta`.
+fn hinge_model(free: &PiecewiseFit, beta: &[f64], sse: f64) -> PiecewiseFit {
+    let [k1, k2] = free.knots;
+    let (a, b, c, d) = (beta[0], beta[1], beta[2], beta[3]);
+    let segment = |lo, hi, intercept, slope| LineSegment {
+        lo,
+        hi,
+        intercept,
+        slope,
+    };
+    PiecewiseFit {
+        segments: [
+            segment(free.segments[0].lo, k1, a, b),
+            segment(k1, k2, a - c * k1, b + c),
+            segment(k2, free.segments[2].hi, a - c * k1 - d * k2, b + c + d),
+        ],
+        knots: [k1, k2],
+        sse,
+        adjusted: true,
+    }
+}
+
 /// Phase T3: re-fit a continuous hinge-basis model at the chosen knots if
 /// the free fit is discontinuous beyond tolerance.
 fn adjust_continuity(
@@ -242,18 +272,10 @@ fn adjust_continuity(
     points: &PercentilePoints,
     config: &ThreeLineConfig,
 ) -> PiecewiseFit {
-    let range = points
-        .values
-        .iter()
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max)
-        - points.values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let tol = config.continuity_tolerance * range.max(1e-9);
-    if fit.max_discontinuity() <= tol {
+    if continuous_enough(&fit, &points.values, config) {
         return fit;
     }
     let [k1, k2] = fit.knots;
-    // Continuous piecewise-linear: y = a + b t + c (t−k1)⁺ + d (t−k2)⁺.
     let rows: Vec<Vec<f64>> = points
         .temps
         .iter()
@@ -261,35 +283,11 @@ fn adjust_continuity(
         .collect();
     let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
     let design = Matrix::from_rows(&refs);
-    let Some(hinge) = ols_multiple(&design, &points.values) else {
+    match ols_multiple(&design, &points.values) {
+        Some(hinge) => hinge_model(&fit, &hinge.beta, hinge.sse),
         // Rank-deficient hinge design (e.g. no points beyond a knot):
         // keep the free fit rather than inventing coefficients.
-        return fit;
-    };
-    let (a, b, c, d) = (hinge.beta[0], hinge.beta[1], hinge.beta[2], hinge.beta[3]);
-    let seg1 = LineSegment {
-        lo: fit.segments[0].lo,
-        hi: k1,
-        intercept: a,
-        slope: b,
-    };
-    let seg2 = LineSegment {
-        lo: k1,
-        hi: k2,
-        intercept: a - c * k1,
-        slope: b + c,
-    };
-    let seg3 = LineSegment {
-        lo: k2,
-        hi: fit.segments[2].hi,
-        intercept: a - c * k1 - d * k2,
-        slope: b + c + d,
-    };
-    PiecewiseFit {
-        segments: [seg1, seg2, seg3],
-        knots: [k1, k2],
-        sse: hinge.sse,
-        adjusted: true,
+        None => fit,
     }
 }
 
@@ -391,15 +389,11 @@ fn adjust_continuity_scratch(
     config: &ThreeLineConfig,
     solver: &mut NormalEq,
 ) -> PiecewiseFit {
-    let range = y.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        - y.iter().cloned().fold(f64::INFINITY, f64::min);
-    let tol = config.continuity_tolerance * range.max(1e-9);
-    if fit.max_discontinuity() <= tol {
+    if continuous_enough(&fit, y, config) {
         return fit;
     }
     let [k1, k2] = fit.knots;
-    // Continuous piecewise-linear: y = a + b t + c (t−k1)⁺ + d (t−k2)⁺.
-    let Some(hinge) = solver.solve(
+    let hinge = solver.solve(
         x.len(),
         4,
         &mut |r, row| {
@@ -410,35 +404,11 @@ fn adjust_continuity_scratch(
             row[3] = (t - k2).max(0.0);
         },
         y,
-    ) else {
-        // Rank-deficient hinge design (e.g. no points beyond a knot):
-        // keep the free fit rather than inventing coefficients.
-        return fit;
-    };
-    let (a, b, c, d) = (hinge.beta[0], hinge.beta[1], hinge.beta[2], hinge.beta[3]);
-    let seg1 = LineSegment {
-        lo: fit.segments[0].lo,
-        hi: k1,
-        intercept: a,
-        slope: b,
-    };
-    let seg2 = LineSegment {
-        lo: k1,
-        hi: k2,
-        intercept: a - c * k1,
-        slope: b + c,
-    };
-    let seg3 = LineSegment {
-        lo: k2,
-        hi: fit.segments[2].hi,
-        intercept: a - c * k1 - d * k2,
-        slope: b + c + d,
-    };
-    PiecewiseFit {
-        segments: [seg1, seg2, seg3],
-        knots: [k1, k2],
-        sse: hinge.sse,
-        adjusted: true,
+    );
+    match hinge {
+        Some(hinge) => hinge_model(&fit, &hinge.beta, hinge.sse),
+        // Rank-deficient hinge design, as in `adjust_continuity`.
+        None => fit,
     }
 }
 
@@ -449,17 +419,20 @@ fn adjust_continuity_scratch(
 /// Returns `None` when the series yields fewer than two percentile points
 /// (e.g. a constant temperature year, or any non-finite reading or
 /// temperature), which cannot support any line.
+///
+/// The model is a function of the inputs alone. What the fit *cost* —
+/// Figure 6's T1/T2/T3 split — is charged to the arena
+/// ([`FitScratch::take_phase_times`]), as its reuse and plan counts are.
 pub fn fit_three_line_scratch(
     consumer: ConsumerId,
     readings: &[f64],
     temps: &[f64],
     config: &ThreeLineConfig,
     scratch: &mut FitScratch,
-) -> Option<(ThreeLineModel, ThreeLinePhases)> {
+) -> Option<ThreeLineModel> {
     scratch.note_fit();
-    let mut phases = ThreeLinePhases::default();
 
-    let t = Instant::now();
+    let started = Instant::now();
     {
         let FitScratch { plan, curves, .. } = scratch;
         let [low, high] = curves;
@@ -485,8 +458,9 @@ pub fn fit_three_line_scratch(
             });
         }
     }
-    phases.t1 = t.elapsed();
+    let t1_done = Instant::now();
     if scratch.curves[0].len() < 2 {
+        scratch.note_phase_times([t1_done - started, Duration::ZERO, Duration::ZERO]);
         return None;
     }
 
@@ -498,113 +472,68 @@ pub fn fit_three_line_scratch(
     } = scratch;
     let [low_pts, high_pts] = curves;
 
-    let t = Instant::now();
     let high_free = free_fit_scratch(&high_pts.x, &high_pts.y, config, segments);
     let low_free = free_fit_scratch(&low_pts.x, &low_pts.y, config, segments);
-    phases.t2 = t.elapsed();
+    let t2_done = Instant::now();
 
-    let t = Instant::now();
     let high = adjust_continuity_scratch(high_free, &high_pts.x, &high_pts.y, config, solver);
     let low = adjust_continuity_scratch(low_free, &low_pts.x, &low_pts.y, config, solver);
-    phases.t3 = t.elapsed();
+    let t3_done = Instant::now();
 
-    Some((
-        ThreeLineModel {
-            consumer,
-            high,
-            low,
-        },
-        phases,
-    ))
+    scratch.note_phase_times([t1_done - started, t2_done - t1_done, t3_done - t2_done]);
+    Some(ThreeLineModel {
+        consumer,
+        high,
+        low,
+    })
 }
 
 /// Fit the 3-line model with the pre-arena allocating implementation —
 /// the reference that `--check fits`, the proptests, and
 /// `tests/tests/fits.rs` pin the scratch path against. T1 (`BTreeMap`
-/// grouping) and T3 (`Matrix` + `ols_multiple`) are independent code; T2
-/// is the one breakpoint search run over fresh buffers.
+/// grouping) and T3's solve (`Matrix` + `ols_multiple`) are independent
+/// code; T2 is the one breakpoint search run over fresh buffers, and
+/// T3's frame (the tolerance verdict, the segments read off the hinge
+/// coefficients) is shared too.
 pub fn fit_three_line_baseline(
     series: &ConsumerSeries,
     temperature: &TemperatureSeries,
     config: &ThreeLineConfig,
-) -> Option<(ThreeLineModel, ThreeLinePhases)> {
-    let mut phases = ThreeLinePhases::default();
-
-    let t = Instant::now();
+) -> Option<ThreeLineModel> {
     let (low_pts, high_pts) = percentile_points(series.readings(), temperature, config);
-    phases.t1 = t.elapsed();
     if low_pts.temps.len() < 2 {
         return None;
     }
 
-    let t = Instant::now();
     // The one T2 search, each over fresh prefix-sum buffers where the
     // scratch path reuses dirty ones.
     let (x, y) = (&high_pts.temps, &high_pts.values);
     let high_free = free_fit_scratch(x, y, config, &mut SegmentSums::default());
     let (x, y) = (&low_pts.temps, &low_pts.values);
     let low_free = free_fit_scratch(x, y, config, &mut SegmentSums::default());
-    phases.t2 = t.elapsed();
 
-    let t = Instant::now();
-    let high = adjust_continuity(high_free, &high_pts, config);
-    let low = adjust_continuity(low_free, &low_pts, config);
-    phases.t3 = t.elapsed();
-
-    Some((
-        ThreeLineModel {
-            consumer: series.id,
-            high,
-            low,
-        },
-        phases,
-    ))
+    Some(ThreeLineModel {
+        consumer: series.id,
+        high: adjust_continuity(high_free, &high_pts, config),
+        low: adjust_continuity(low_free, &low_pts, config),
+    })
 }
 
-/// Fit the 3-line model for one consumer, reporting per-phase wall time.
-///
-/// Runs through the calling thread's [`FitScratch`] arena; output is
-/// bit-identical to [`fit_three_line_baseline`].
-///
-/// Returns `None` when the series yields fewer than two percentile points
-/// (e.g. a constant temperature year), which cannot support any line.
-pub fn fit_three_line_timed(
+/// Fit the 3-line model for one consumer with default configuration,
+/// through the calling thread's [`FitScratch`] arena.
+pub fn fit_three_line(
     series: &ConsumerSeries,
     temperature: &TemperatureSeries,
-    config: &ThreeLineConfig,
-) -> Option<(ThreeLineModel, ThreeLinePhases)> {
+) -> Option<ThreeLineModel> {
     with_fit_scratch(|scratch| {
         fit_three_line_scratch(
             series.id,
             series.readings(),
             temperature.values(),
-            config,
+            &ThreeLineConfig::default(),
             scratch,
         )
     })
-}
-
-/// Fit the 3-line model for one consumer with default configuration.
-pub fn fit_three_line(
-    series: &ConsumerSeries,
-    temperature: &TemperatureSeries,
-) -> Option<ThreeLineModel> {
-    fit_three_line_timed(series, temperature, &ThreeLineConfig::default()).map(|(m, _)| m)
-}
-
-/// Run task 2 over a whole dataset, accumulating phase times — the
-/// single-threaded reference implementation.
-pub fn three_line_models(ds: &Dataset) -> (Vec<ThreeLineModel>, ThreeLinePhases) {
-    let config = ThreeLineConfig::default();
-    let mut phases = ThreeLinePhases::default();
-    let mut models = Vec::with_capacity(ds.len());
-    for c in ds.consumers() {
-        if let Some((m, p)) = fit_three_line_timed(c, ds.temperature(), &config) {
-            models.push(m);
-            phases.add(p);
-        }
-    }
-    (models, phases)
 }
 
 #[cfg(test)]
@@ -753,20 +682,38 @@ mod tests {
     #[test]
     fn phase_times_are_recorded() {
         let (series, temps) = v_shaped();
-        let (_, phases) =
-            fit_three_line_timed(&series, &temps, &ThreeLineConfig::default()).unwrap();
-        assert!(phases.t1 > Duration::ZERO);
-        assert!(phases.t2 > Duration::ZERO);
-        assert_eq!(phases.total(), phases.t1 + phases.t2 + phases.t3);
+        let mut scratch = smda_stats::FitScratch::new();
+        let config = ThreeLineConfig::default();
+        fit_three_line_scratch(
+            series.id,
+            series.readings(),
+            temps.values(),
+            &config,
+            &mut scratch,
+        )
+        .unwrap();
+        // The clock is the arena's to report, not the model's to carry.
+        let [t1, t2, _t3] = scratch.take_phase_times();
+        assert!(t1 > Duration::ZERO);
+        assert!(t2 > Duration::ZERO);
+        assert_eq!(scratch.take_phase_times(), [Duration::ZERO; 3]);
+
+        // A degenerate year stops after T1, and T1 is still charged.
+        let flat = vec![5.0; HOURS_PER_YEAR];
+        let fit =
+            fit_three_line_scratch(series.id, series.readings(), &flat, &config, &mut scratch);
+        assert!(fit.is_none());
+        let [t1, t2, t3] = scratch.take_phase_times();
+        assert!(t1 > Duration::ZERO);
+        assert_eq!([t2, t3], [Duration::ZERO; 2]);
     }
 
     #[test]
     fn whole_dataset_reference_runs() {
         let (series, temps) = v_shaped();
-        let ds = Dataset::new(vec![series], temps).unwrap();
-        let (models, phases) = three_line_models(&ds);
-        assert_eq!(models.len(), 1);
-        assert!(phases.total() > Duration::ZERO);
+        let ds = smda_types::Dataset::new(vec![series], temps).unwrap();
+        let out = crate::tasks::run_reference(crate::Task::ThreeLine, &ds);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
@@ -786,9 +733,9 @@ mod tests {
 
         let mut scratch = smda_stats::FitScratch::new();
         for (series, temps) in [(&v_series, &v_temps), (&step_series, &step_temp)] {
-            let (base, _) = fit_three_line_baseline(series, temps, &config).unwrap();
+            let base = fit_three_line_baseline(series, temps, &config).unwrap();
             // The scratch is dirty from the previous iteration on purpose.
-            let (arena, _) = fit_three_line_scratch(
+            let arena = fit_three_line_scratch(
                 series.id,
                 series.readings(),
                 temps.values(),
@@ -796,23 +743,7 @@ mod tests {
                 &mut scratch,
             )
             .unwrap();
-            assert_eq!(arena.consumer, base.consumer);
-            for (a, b) in [(&arena.high, &base.high), (&arena.low, &base.low)] {
-                assert_eq!(a.adjusted, b.adjusted);
-                assert_eq!(a.sse.to_bits(), b.sse.to_bits());
-                for k in 0..2 {
-                    assert_eq!(a.knots[k].to_bits(), b.knots[k].to_bits());
-                }
-                for s in 0..3 {
-                    assert_eq!(a.segments[s].lo.to_bits(), b.segments[s].lo.to_bits());
-                    assert_eq!(a.segments[s].hi.to_bits(), b.segments[s].hi.to_bits());
-                    assert_eq!(
-                        a.segments[s].intercept.to_bits(),
-                        b.segments[s].intercept.to_bits()
-                    );
-                    assert_eq!(a.segments[s].slope.to_bits(), b.segments[s].slope.to_bits());
-                }
-            }
+            assert!(arena.bits_eq(&base), "{arena:?}\nvs {base:?}");
         }
     }
 
@@ -857,10 +788,7 @@ mod tests {
             &config,
             &mut scratch,
         );
-        assert_eq!(
-            clean.map(|(m, _)| m),
-            fit_three_line_baseline(&series, &temps, &config).map(|(m, _)| m)
-        );
+        assert_eq!(clean, fit_three_line_baseline(&series, &temps, &config));
     }
 
     #[test]
@@ -932,10 +860,7 @@ mod tests {
         assert_eq!(bits(&scratch.curves[0].y), bits(&base_low.values));
         assert_eq!(bits(&scratch.curves[1].y), bits(&base_high.values));
         assert_eq!(bits(&scratch.curves[0].x), bits(&base_low.temps));
-        assert_eq!(
-            arena.map(|(m, _)| m),
-            fit_three_line_baseline(&series, &temps, &config).map(|(m, _)| m)
-        );
+        assert_eq!(arena, fit_three_line_baseline(&series, &temps, &config));
     }
 
     #[test]

@@ -184,7 +184,6 @@ fn bins_of_59_60_and_61_hours_fall_on_either_side_of_the_threshold() {
 fn fresh_fit(kwh: &[f64], temps: &[f64]) -> Option<ThreeLineModel> {
     let config = ThreeLineConfig::default();
     fit_three_line_scratch(ConsumerId(1), kwh, temps, &config, &mut FitScratch::new())
-        .map(|(model, _)| model)
 }
 
 #[test]
@@ -206,8 +205,7 @@ fn a_plan_is_reused_only_for_the_year_it_was_built_from() {
     let mut builds = 0;
     for (year, name) in [(&a, "A"), (&b, "B"), (&a, "A again")] {
         let through_shared =
-            fit_three_line_scratch(ConsumerId(1), &kwh, year, &config, &mut scratch)
-                .map(|(model, _)| model);
+            fit_three_line_scratch(ConsumerId(1), &kwh, year, &config, &mut scratch);
         assert!(through_shared.is_some(), "{name}");
         assert_eq!(through_shared, fresh_fit(&kwh, year), "{name}");
         builds += scratch.take_plan_builds();
@@ -238,8 +236,7 @@ fn a_non_finite_temperature_year_yields_none_and_does_not_poison_the_next() {
             let fit = fit_three_line_scratch(ConsumerId(1), &kwh, &bad, &config, &mut scratch);
             assert!(fit.is_none(), "temperature {poison}");
         }
-        let fit = fit_three_line_scratch(ConsumerId(1), &kwh, &year, &config, &mut scratch)
-            .map(|(model, _)| model);
+        let fit = fit_three_line_scratch(ConsumerId(1), &kwh, &year, &config, &mut scratch);
         assert!(fit.is_some());
         assert_eq!(fit, fresh_fit(&kwh, &year), "after temperature {poison}");
     }
@@ -288,9 +285,8 @@ fn temperatures_that_saturate_or_scatter_the_key_fit_like_the_baseline() {
             temps.values(),
             &config,
             &mut scratch,
-        )
-        .map(|(model, _)| model);
-        let baseline = fit_three_line_baseline(&series, &temps, &config).map(|(model, _)| model);
+        );
+        let baseline = fit_three_line_baseline(&series, &temps, &config);
         assert!(arena.is_some());
         assert_eq!(arena, baseline, "±{far:e}");
     }

@@ -226,7 +226,7 @@ mod tests {
             match (&got.output, &want) {
                 (TaskOutput::Histograms(a), TaskOutput::Histograms(b)) => assert_eq!(a, b),
                 (TaskOutput::Similarity(a), TaskOutput::Similarity(b)) => assert_eq!(a, b),
-                (TaskOutput::ThreeLine(a, _), TaskOutput::ThreeLine(b, _)) => assert_eq!(a, b),
+                (TaskOutput::ThreeLine(a), TaskOutput::ThreeLine(b)) => assert_eq!(a, b),
                 (TaskOutput::Par(a), TaskOutput::Par(b)) => assert_eq!(a, b),
                 _ => panic!("unexpected outputs"),
             }

@@ -21,17 +21,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use smda_core::three_line::{fit_three_line_scratch, ThreeLineConfig};
-use smda_core::{
-    fit_par_scratch, ConsumerHistogram, ConsumerMatches, Task, TaskOutput, ThreeLineModel,
-    ThreeLinePhases,
-};
+use smda_core::{ConsumerMatches, ConsumerTask, Task, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
     merge_partials, top_k_tiled_with, with_fit_scratch, KernelStats, OoocStats,
     SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
-use smda_types::{ConsumerId, ConsumerSeries, Error, Result, TemperatureSeries, HOURS_PER_YEAR};
+use smda_types::{ConsumerId, Error, Result, HOURS_PER_YEAR};
 
 use crate::pool::WorkerPool;
 
@@ -153,92 +149,60 @@ pub fn execute_task(
     k: usize,
     metrics: &MetricsSink,
 ) -> Result<TaskOutput> {
-    let needs_temps = matches!(task, Task::ThreeLine | Task::Par);
     let (ids, temps) = {
         let _plan = metrics.scope("plan");
         let mut source = make_source()?;
         let ids = source.consumer_ids()?;
-        // The temperature year is dataset-wide: fetch and validate it
-        // once here, then share it with every worker by reference. With
-        // no consumers there is no one to read it, and it stays empty.
+        // The temperature year is dataset-wide: fetched once here, then
+        // shared with every worker by reference. With no consumers there
+        // is no one to read it, and it stays empty.
         let mut temps = Vec::new();
-        if needs_temps && !ids.is_empty() {
-            let year = source.temperature_year()?;
-            TemperatureSeries::validate(year)?;
-            temps.extend_from_slice(year);
+        if task.reads_temperature() && !ids.is_empty() {
+            temps.extend_from_slice(source.temperature_year()?);
         }
         (ids, temps)
     };
-    let temps = temps.as_slice();
     match task {
-        Task::Histogram => {
+        Task::Histogram | Task::ThreeLine | Task::Par => {
+            if ids.is_empty() {
+                return Ok(TaskOutput::from_results(task, []));
+            }
+            // One kernel per run: the temperature year is validated here
+            // and only here.
+            let kernel = ConsumerTask::new(task, &temps)?;
             let _t = metrics.scope("fan_out");
-            let parts = fan_out(&ids, threads, make_source, metrics, &|src, _offset, ids| {
-                ids.iter()
-                    .map(|&id| {
-                        let kwh = src.consumer_kwh(id)?;
-                        metrics.incr(counters::ROWS_SCANNED, kwh.len() as u64);
-                        ConsumerHistogram::from_readings(id, kwh)
-                    })
-                    .collect::<Result<Vec<_>>>()
-            })?;
-            Ok(TaskOutput::Histograms(
-                parts.into_iter().flatten().collect(),
-            ))
-        }
-        Task::ThreeLine => {
-            let _t = metrics.scope("fan_out");
-            let config = ThreeLineConfig::default();
             let parts = fan_out(&ids, threads, make_source, metrics, &|src, _offset, ids| {
                 // One arena per pool worker, warm across chunks and runs.
                 with_fit_scratch(|scratch| {
-                    let mut models = Vec::with_capacity(ids.len());
-                    let mut phases = ThreeLinePhases::default();
+                    // Only this run's fits are this run's cost: drop the
+                    // time that fits no driver reported (a served miss, a
+                    // detector fit) left on this thread's arena.
+                    scratch.take_phase_times();
+                    let mut results = Vec::with_capacity(ids.len());
                     for &id in ids {
                         let kwh = src.consumer_kwh(id)?;
                         metrics.incr(counters::ROWS_SCANNED, kwh.len() as u64);
-                        ConsumerSeries::validate(id, kwh)?;
-                        if let Some((m, p)) =
-                            fit_three_line_scratch(id, kwh, temps, &config, scratch)
-                        {
-                            models.push(m);
-                            phases.add(p);
-                        }
+                        results.extend(kernel.run(id, kwh, scratch)?);
                     }
-                    metrics.incr(counters::FITS_SCRATCH_REUSES, scratch.take_reuses());
-                    metrics.incr(counters::FITS_PLAN_BUILDS, scratch.take_plan_builds());
-                    Ok((models, phases))
+                    // What the fits cost, as the arena counted it. The
+                    // T1/T2/T3 split is CPU time summed across workers,
+                    // nested under the open scope (so `run/fan_out/t1`..
+                    // when driven through a Platform).
+                    if task.reads_temperature() {
+                        metrics.incr(counters::FITS_SCRATCH_REUSES, scratch.take_reuses());
+                    }
+                    if task == Task::ThreeLine {
+                        metrics.incr(counters::FITS_PLAN_BUILDS, scratch.take_plan_builds());
+                        let [t1, t2, t3] = scratch.take_phase_times();
+                        metrics.add_phase_nested(&["t1"], t1);
+                        metrics.add_phase_nested(&["t2"], t2);
+                        metrics.add_phase_nested(&["t3"], t3);
+                    }
+                    Ok(results)
                 })
             })?;
-            let mut models: Vec<ThreeLineModel> = Vec::with_capacity(ids.len());
-            let mut phases = ThreeLinePhases::default();
-            for (m, p) in parts {
-                models.extend(m);
-                phases.add(p);
-            }
-            // CPU-time split across workers, nested under the open scope
-            // (so `run/fan_out/t1`.. when driven through a Platform).
-            metrics.add_phase_nested(&["t1"], phases.t1);
-            metrics.add_phase_nested(&["t2"], phases.t2);
-            metrics.add_phase_nested(&["t3"], phases.t3);
-            Ok(TaskOutput::ThreeLine(models, phases))
-        }
-        Task::Par => {
-            let _t = metrics.scope("fan_out");
-            let parts = fan_out(&ids, threads, make_source, metrics, &|src, _offset, ids| {
-                with_fit_scratch(|scratch| {
-                    let mut models = Vec::with_capacity(ids.len());
-                    for &id in ids {
-                        let kwh = src.consumer_kwh(id)?;
-                        metrics.incr(counters::ROWS_SCANNED, kwh.len() as u64);
-                        ConsumerSeries::validate(id, kwh)?;
-                        models.push(fit_par_scratch(id, kwh, temps, scratch));
-                    }
-                    metrics.incr(counters::FITS_SCRATCH_REUSES, scratch.take_reuses());
-                    Ok(models)
-                })
-            })?;
-            Ok(TaskOutput::Par(parts.into_iter().flatten().collect()))
+            // Chunks come back in id order, and ids ascend within one.
+            Ok(TaskOutput::from_results(task, parts.into_iter().flatten()))
         }
         Task::Similarity => {
             // Phase 1: stream every consumer's year straight into the
@@ -435,7 +399,8 @@ impl ConsumerSource for MemorySource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smda_types::{Dataset, HOURS_PER_YEAR};
+    use smda_core::{ThreeLineConfig, ThreeLineModel};
+    use smda_types::{ConsumerSeries, Dataset, TemperatureSeries, HOURS_PER_YEAR};
     use std::sync::Arc;
 
     fn tiny(n: u32) -> Arc<Dataset> {
@@ -493,7 +458,7 @@ mod tests {
             match (&single, &multi) {
                 (TaskOutput::Histograms(a), TaskOutput::Histograms(b)) => assert_eq!(a, b),
                 (TaskOutput::Par(a), TaskOutput::Par(b)) => assert_eq!(a, b),
-                (TaskOutput::ThreeLine(a, _), TaskOutput::ThreeLine(b, _)) => assert_eq!(a, b),
+                (TaskOutput::ThreeLine(a), TaskOutput::ThreeLine(b)) => assert_eq!(a, b),
                 (TaskOutput::Similarity(a), TaskOutput::Similarity(b)) => assert_eq!(a, b),
                 _ => panic!("mismatched task outputs"),
             }
@@ -566,6 +531,32 @@ mod tests {
     }
 
     #[test]
+    fn the_t1_t2_t3_split_is_this_runs_fits_drained_from_the_arena() {
+        use std::time::Duration;
+        let data = tiny(4);
+        let make = memory_factory(&data);
+        let hour = Duration::from_secs(3600);
+        for task in [Task::Histogram, Task::ThreeLine, Task::Par] {
+            // Time some unreported fit left on this thread's arena.
+            with_fit_scratch(|scratch| scratch.note_phase_times([hour; 3]));
+            let sink = MetricsSink::recording();
+            execute_task(make.as_ref(), task, 1, 3, &sink).unwrap();
+            let report = sink.finish(smda_obs::RunManifest::new(task.name(), "memory"));
+            let t1 = report.phase_ns(&["fan_out", "t1"]);
+            if task == Task::ThreeLine {
+                let t1 = Duration::from_nanos(t1.expect("3-line reports its split"));
+                assert!(t1 > Duration::ZERO && t1 < hour, "{t1:?}");
+                assert!(report.phase_ns(&["fan_out", "t2"]).unwrap() > 0);
+                assert!(report.phase_ns(&["fan_out", "t3"]).is_some());
+            } else {
+                assert_eq!(t1, None, "{task} has no T1");
+            }
+            let left = with_fit_scratch(|scratch| scratch.take_phase_times());
+            assert_eq!(left, [Duration::ZERO; 3], "{task}");
+        }
+    }
+
+    #[test]
     fn temperatures_beyond_the_i32_key_fit_like_the_baseline_instead_of_panicking() {
         // 3e9 and -3e9 pass `TemperatureSeries::validate` and saturate the
         // integer key at both ends, so the key span overflows an `i32`;
@@ -581,7 +572,7 @@ mod tests {
                 &MetricsSink::disabled(),
             )
             .unwrap();
-            let TaskOutput::ThreeLine(models, _) = out else {
+            let TaskOutput::ThreeLine(models) = out else {
                 panic!("wrong output variant");
             };
             let config = ThreeLineConfig::default();
@@ -589,7 +580,6 @@ mod tests {
                 .consumers()
                 .iter()
                 .filter_map(|c| smda_core::fit_three_line_baseline(c, data.temperature(), &config))
-                .map(|(model, _)| model)
                 .collect();
             assert_eq!(baseline.len(), 3, "±{far:e}");
             assert_eq!(models, baseline, "±{far:e}");

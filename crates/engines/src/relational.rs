@@ -303,7 +303,7 @@ mod tests {
             .run(&RunSpec::builder(Task::ThreeLine).build())
             .unwrap();
         match (&cold.output, &warm.output) {
-            (TaskOutput::ThreeLine(a, _), TaskOutput::ThreeLine(b, _)) => assert_eq!(a, b),
+            (TaskOutput::ThreeLine(a), TaskOutput::ThreeLine(b)) => assert_eq!(a, b),
             _ => panic!("unexpected outputs"),
         }
         std::fs::remove_dir_all(&engine.dir).unwrap();

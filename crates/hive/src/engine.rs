@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use smda_cluster::{ClusterTopology, DfsConfig, SimDfs, TextTable, VirtualScheduler, WorkerPool};
 use smda_core::tasks::{collect_consumer_results, ConsumerResult};
-use smda_core::{ConsumerMatches, Task, TaskOutput, SIMILARITY_TOP_K};
+use smda_core::{ConsumerMatches, ConsumerTask, Task, TaskOutput, SIMILARITY_TOP_K};
 use smda_engines::{Capabilities, Platform, RunResult, RunSpec};
 use smda_obs::counters;
 use smda_stats::{dot, normalize_all, select_top_k, SimilarityMatch};
@@ -261,7 +261,7 @@ impl HiveEngine {
                     udaf.iterate(&mut partial, row);
                 }
                 match udaf.terminate(ConsumerId(*key), partial) {
-                    Ok(r) => vec![r],
+                    Ok(r) => r.into_iter().collect(),
                     Err(e) => {
                         error.lock().get_or_insert(e);
                         vec![]
@@ -285,9 +285,9 @@ impl HiveEngine {
     /// Format 2: map-only with the generic UDF.
     fn run_udf_plan(&mut self, task: Task, spec: &RunSpec) -> Result<HiveRunResult> {
         let inputs = self.inputs()?;
+        let temperature = self.table()?.temperature.clone();
         let udf = TaskUdf {
-            task,
-            temperature: self.table()?.temperature.clone(),
+            kernel: ConsumerTask::new(task, &temperature)?,
         };
         let policy = spec.dirty_policy;
         let metrics = spec.metrics.clone();
@@ -696,7 +696,7 @@ mod tests {
                     }
                 }
             }
-            (TaskOutput::ThreeLine(a, _), TaskOutput::ThreeLine(b, _)) => {
+            (TaskOutput::ThreeLine(a), TaskOutput::ThreeLine(b)) => {
                 assert_eq!(a.len(), b.len());
                 for (x, y) in a.iter().zip(b) {
                     assert_eq!(x.consumer, y.consumer);
@@ -889,5 +889,47 @@ mod tests {
         hive.load(&ds, DataFormat::ManyFiles { files: 2 }).unwrap();
         let r = hive.run_task(Task::ThreeLine).unwrap();
         assert_matches_reference(&ds, &r.output, Task::ThreeLine);
+    }
+
+    #[test]
+    fn a_damaged_reading_is_a_schema_error_naming_its_household_not_a_panic() {
+        let ds = tiny(2);
+        for format in [
+            DataFormat::ReadingPerLine,
+            DataFormat::ManyFiles { files: 2 },
+        ] {
+            for task in [Task::Histogram, Task::ThreeLine, Task::Par] {
+                let mut hive = engine(2);
+                hive.load(&ds, format).unwrap();
+                // Overwrite one real reading line: its household is left
+                // with 8759 hours once the policy drops the garbage.
+                let split = &mut hive.table.as_mut().unwrap().splits[0];
+                let mut lines = (*split.lines).clone();
+                let id: u32 = lines[1234].split(',').next().unwrap().parse().unwrap();
+                let victim = ConsumerId(id).to_string();
+                lines[1234] = "not,a,valid,row".into();
+                split.lines = Arc::new(lines);
+
+                match hive.run_task(task) {
+                    Err(Error::Parse { .. }) => {}
+                    other => {
+                        panic!("{format:?}/{task}: fail-fast wants the parse error, got {other:?}")
+                    }
+                }
+                let sink = MetricsSink::recording();
+                let spec = RunSpec::builder(task)
+                    .metrics(sink.clone())
+                    .dirty_policy(DirtyDataPolicy::SkipAndCount)
+                    .build();
+                match hive.run_with(&spec) {
+                    Err(Error::Schema(msg)) => {
+                        assert!(msg.contains(&victim), "{format:?}/{task}: {msg}")
+                    }
+                    other => panic!("{format:?}/{task}: want a schema error, got {other:?}"),
+                }
+                let report = sink.finish(smda_obs::RunManifest::new(task.name(), "hive"));
+                assert_eq!(report.counter(counters::ROWS_SKIPPED_DIRTY), Some(1));
+            }
+        }
     }
 }

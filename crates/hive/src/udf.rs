@@ -5,10 +5,9 @@
 //! generic UDF for map-only scalar work (format 2), and a UDTF that
 //! aggregates map-side over whole files (format 3).
 
-use std::sync::Arc;
-
-use smda_core::tasks::{run_consumer_task, ConsumerResult};
-use smda_core::Task;
+use smda_core::tasks::ConsumerResult;
+use smda_core::{ConsumerTask, Task};
+use smda_stats::with_fit_scratch;
 use smda_types::{ConsumerId, Error, Result, HOURS_PER_YEAR};
 
 use crate::parse::ReadingRow;
@@ -79,7 +78,7 @@ pub struct TaskUdaf {
 impl Udaf for TaskUdaf {
     type Row = (u32, f64, f64); // (hour, temperature, kwh)
     type Partial = Vec<(u32, f64, f64)>;
-    type Output = ConsumerResult;
+    type Output = Option<ConsumerResult>;
 
     fn init(&self) -> Self::Partial {
         Vec::new()
@@ -93,7 +92,7 @@ impl Udaf for TaskUdaf {
         into.append(&mut from);
     }
 
-    fn terminate(&self, key: ConsumerId, mut partial: Self::Partial) -> Result<ConsumerResult> {
+    fn terminate(&self, key: ConsumerId, mut partial: Self::Partial) -> Result<Self::Output> {
         partial.sort_by_key(|(h, _, _)| *h);
         if partial.len() != HOURS_PER_YEAR {
             return Err(Error::Schema(format!(
@@ -112,29 +111,24 @@ impl Udaf for TaskUdaf {
             temps.push(t);
             kwh.push(v);
         }
-        run_consumer_task(self.task, key, kwh, &temps)
+        ConsumerTask::run_assembled(self.task, key, &kwh, &temps)
     }
 }
 
 /// Run one benchmark algorithm on a whole Format-2 row — the generic UDF
 /// behind format 2's map-only plan. Temperature comes from the shared
-/// sidecar, as the readings line carries none.
-#[derive(Debug, Clone)]
-pub struct TaskUdf {
-    /// Which benchmark task to run.
-    pub task: Task,
-    /// The shared hourly temperature series.
-    pub temperature: Arc<Vec<f64>>,
+/// sidecar, as the readings line carries none: the kernel is bound to it
+/// once per plan.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskUdf<'t> {
+    /// The benchmark task, bound to the shared hourly temperature series.
+    pub kernel: ConsumerTask<'t>,
 }
 
-impl GenericUdf<(ConsumerId, Vec<f64>), ConsumerResult> for TaskUdf {
+impl GenericUdf<(ConsumerId, Vec<f64>), ConsumerResult> for TaskUdf<'_> {
     fn evaluate(&self, (id, kwh): (ConsumerId, Vec<f64>)) -> Result<Vec<ConsumerResult>> {
-        Ok(vec![run_consumer_task(
-            self.task,
-            id,
-            kwh,
-            &self.temperature,
-        )?])
+        let result = with_fit_scratch(|scratch| self.kernel.run(id, &kwh, scratch))?;
+        Ok(result.into_iter().collect())
     }
 }
 
@@ -177,7 +171,9 @@ impl Udtf<ReadingRow, ConsumerResult> for TaskUdtf {
                     kwh.len()
                 )));
             }
-            emit(run_consumer_task(self.task, id, kwh, &temps)?);
+            if let Some(result) = ConsumerTask::run_assembled(self.task, id, &kwh, &temps)? {
+                emit(result);
+            }
         }
         Ok(())
     }
@@ -217,7 +213,7 @@ mod tests {
         udaf.merge(&mut partial, partial2);
         let out = udaf.terminate(ConsumerId(3), partial).unwrap();
         match out {
-            ConsumerResult::Histogram(h) => {
+            Some(ConsumerResult::Histogram(h)) => {
                 assert_eq!(h.consumer, ConsumerId(3));
                 assert_eq!(h.histogram.total(), HOURS_PER_YEAR as u64);
             }
@@ -237,10 +233,9 @@ mod tests {
 
     #[test]
     fn udf_runs_on_consumer_row() {
-        let temps = Arc::new(vec![5.0; HOURS_PER_YEAR]);
+        let temps = vec![5.0; HOURS_PER_YEAR];
         let udf = TaskUdf {
-            task: Task::Par,
-            temperature: temps,
+            kernel: ConsumerTask::new(Task::Par, &temps).unwrap(),
         };
         let out = udf
             .evaluate((ConsumerId(9), vec![0.7; HOURS_PER_YEAR]))

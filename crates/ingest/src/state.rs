@@ -275,7 +275,7 @@ pub fn fit_detectors(ds: &Dataset) -> HashMap<ConsumerId, AnomalyDetector> {
             .iter()
             .filter_map(|c| {
                 let par = fit_par_scratch(c.id, c.readings(), temps, scratch);
-                let (tl, _) = fit_three_line_scratch(c.id, c.readings(), temps, &config, scratch)?;
+                let tl = fit_three_line_scratch(c.id, c.readings(), temps, &config, scratch)?;
                 Some((c.id, AnomalyDetector::new(&par, &tl)))
             })
             .collect()

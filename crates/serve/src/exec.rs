@@ -3,17 +3,17 @@
 //! Each function here answers one query from the sealed data alone — no
 //! locks, no shared mutable state — so any number of workers can execute
 //! against the same pinned snapshot concurrently. Results are built
-//! through the same kernels ([`top_k_query`]) and per-consumer fits
-//! ([`run_consumer_task_on`]) as the offline batch path, and the typed
+//! through the same kernels ([`top_k_query`]) and the same per-consumer
+//! kernel ([`ConsumerTask`]) as the offline batch path, and the typed
 //! conversions in `smda_core::queries` carry every float verbatim:
 //! a served answer is `to_bits`-identical to the batch answer for the
 //! same data.
 
 use smda_core::queries::{anomaly_result, histogram_result, par_result, three_line_result};
-use smda_core::tasks::{run_consumer_task_on, ConsumerResult};
-use smda_core::Task;
+use smda_core::tasks::ConsumerResult;
+use smda_core::{ConsumerTask, Task};
 use smda_ingest::{LiveSnapshot, Snapshot};
-use smda_stats::top_k_query;
+use smda_stats::{top_k_query, with_fit_scratch};
 use smda_types::{ConsumerId, Query, QueryResult};
 
 use crate::server::ServeError;
@@ -60,7 +60,8 @@ fn row_of(snap: &Snapshot, consumer: ConsumerId) -> Result<usize, ServeError> {
 }
 
 /// Run one per-consumer fit on the sealed series, exactly as a batch
-/// worker would.
+/// worker would — minus the doors: a sealed series and its temperature
+/// year are valid by construction, and their types say so.
 fn per_consumer(
     snap: &Snapshot,
     consumer: ConsumerId,
@@ -68,15 +69,11 @@ fn per_consumer(
 ) -> Result<QueryResult, ServeError> {
     let row = row_of(snap, consumer)?;
     let series = &snap.dataset().consumers()[row];
-    let temps = snap.dataset().temperature().values();
-    // Sealed series are already validated, so the fit cannot reject
-    // them; a failure here would be a snapshot-construction bug.
-    let result = run_consumer_task_on(task, consumer, series.readings(), temps)
-        .map_err(|_| ServeError::UnknownConsumer(consumer))?;
-    match result {
-        ConsumerResult::Histogram(h) => Ok(histogram_result(&h)),
-        ConsumerResult::ThreeLine(Some(m), _) => Ok(three_line_result(&m)),
-        ConsumerResult::ThreeLine(None, _) => Err(ServeError::NoModel(consumer)),
-        ConsumerResult::Par(m) => Ok(par_result(&m)),
+    let kernel = ConsumerTask::over(task, snap.dataset().temperature());
+    match with_fit_scratch(|scratch| kernel.run_series(series, scratch)) {
+        Some(ConsumerResult::Histogram(h)) => Ok(histogram_result(&h)),
+        Some(ConsumerResult::ThreeLine(m)) => Ok(three_line_result(&m)),
+        Some(ConsumerResult::Par(m)) => Ok(par_result(&m)),
+        None => Err(ServeError::NoModel(consumer)),
     }
 }

@@ -6,11 +6,13 @@ use std::time::Duration;
 
 use smda_cluster::textdata::{parse_consumer, parse_reading_policed};
 use smda_cluster::{ClusterTopology, DfsConfig, SimDfs, TextTable};
-use smda_core::tasks::{collect_consumer_results, run_consumer_task, ConsumerResult};
-use smda_core::{ConsumerMatches, Task, TaskOutput, SIMILARITY_TOP_K};
+use smda_core::tasks::{collect_consumer_results, ConsumerResult};
+use smda_core::{ConsumerMatches, ConsumerTask, Task, TaskOutput, SIMILARITY_TOP_K};
 use smda_engines::{Capabilities, Platform, RunResult, RunSpec};
-use smda_stats::{top_k_query, SeriesMatrix};
-use smda_types::{ConsumerId, DataFormat, Dataset, Error, Result, HOURS_PER_YEAR};
+use smda_stats::{top_k_query, with_fit_scratch, SeriesMatrix};
+use smda_types::{
+    ConsumerId, DataFormat, Dataset, Error, Result, TemperatureSeries, HOURS_PER_YEAR,
+};
 
 use smda_obs::counters;
 
@@ -297,7 +299,7 @@ impl SparkEngine {
             _ => {
                 let results: Vec<ConsumerResult> = match format {
                     DataFormat::ReadingPerLine => {
-                        let sc2 = sc.clone();
+                        let (sc2, sc3) = (sc.clone(), sc.clone());
                         let m = spec.metrics.clone();
                         lines
                             .flat_map(move |l| match parse_reading_policed(&l, policy, &m) {
@@ -311,7 +313,7 @@ impl SparkEngine {
                                 }
                             })
                             .group_by_key(self.shuffle_partitions)
-                            .map(move |(id, mut rows)| {
+                            .flat_map(move |(id, mut rows)| {
                                 rows.sort_by_key(|(h, _, _)| *h);
                                 let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
                                 let mut temps = Vec::with_capacity(HOURS_PER_YEAR);
@@ -319,20 +321,26 @@ impl SparkEngine {
                                     temps.push(t);
                                     kwh.push(v);
                                 }
-                                run_consumer_task(task, ConsumerId(id), kwh, &temps)
-                                    .expect("assembled year is valid")
+                                let id = ConsumerId(id);
+                                sc3.collect_or_defer(ConsumerTask::run_assembled(
+                                    task, id, &kwh, &temps,
+                                ))
                             })
                             .collect()
                     }
                     DataFormat::ConsumerPerLine => {
-                        let temps = temperature.clone();
+                        // The sidecar year is checked once, here; its type
+                        // carries the verdict into the per-line closure.
+                        let temps = Arc::new(TemperatureSeries::new(temperature.to_vec())?);
                         let sc2 = sc.clone();
                         let m = spec.metrics.clone();
                         lines
                             .flat_map(move |l| match parse_consumer(&l) {
                                 Ok((id, kwh)) => {
-                                    vec![run_consumer_task(task, id, kwh, &temps)
-                                        .expect("rendered year is valid")]
+                                    let kernel = ConsumerTask::over(task, &temps);
+                                    sc2.collect_or_defer(with_fit_scratch(|scratch| {
+                                        kernel.run(id, &kwh, scratch)
+                                    }))
                                 }
                                 Err(_) if policy.skips() => {
                                     m.incr(counters::ROWS_SKIPPED_DIRTY, 1);
@@ -370,10 +378,9 @@ impl SparkEngine {
                                         temps.push(rows[i].temperature);
                                         i += 1;
                                     }
-                                    out.push(
-                                        run_consumer_task(task, id, kwh, &temps)
-                                            .expect("file-local year is valid"),
-                                    );
+                                    out.extend(sc2.collect_or_defer(ConsumerTask::run_assembled(
+                                        task, id, &kwh, &temps,
+                                    )));
                                 }
                                 out
                             })
@@ -483,7 +490,7 @@ mod tests {
                     }
                 }
             }
-            (TaskOutput::ThreeLine(a, _), TaskOutput::ThreeLine(b, _)) => {
+            (TaskOutput::ThreeLine(a), TaskOutput::ThreeLine(b)) => {
                 for (x, y) in a.iter().zip(b) {
                     assert_eq!(x.consumer, y.consumer);
                     assert!((x.cooling_gradient() - y.cooling_gradient()).abs() < 1e-2);
@@ -628,5 +635,47 @@ mod tests {
             .build();
         let r = spark.run_with(&spec).unwrap();
         check(&ds, &r.output, Task::Histogram);
+    }
+
+    #[test]
+    fn a_damaged_reading_is_a_schema_error_naming_its_household_not_a_panic() {
+        let ds = tiny(2);
+        for format in [
+            DataFormat::ReadingPerLine,
+            DataFormat::ManyFiles { files: 2 },
+        ] {
+            for task in [Task::Histogram, Task::ThreeLine, Task::Par] {
+                let mut spark = engine(2);
+                spark.load(&ds, format).unwrap();
+                // Overwrite one real reading line: its household is left
+                // with 8759 hours once the policy drops the garbage.
+                let split = &mut spark.table.as_mut().unwrap().splits[0];
+                let mut lines = (*split.lines).clone();
+                let id: u32 = lines[1234].split(',').next().unwrap().parse().unwrap();
+                let victim = ConsumerId(id).to_string();
+                lines[1234] = "not,a,valid,row".into();
+                split.lines = Arc::new(lines);
+
+                match spark.run_task(task) {
+                    Err(Error::Parse { .. }) => {}
+                    other => {
+                        panic!("{format:?}/{task}: fail-fast wants the parse error, got {other:?}")
+                    }
+                }
+                let sink = smda_obs::MetricsSink::recording();
+                let spec = RunSpec::builder(task)
+                    .metrics(sink.clone())
+                    .dirty_policy(DirtyDataPolicy::SkipAndCount)
+                    .build();
+                match spark.run_with(&spec) {
+                    Err(Error::Schema(msg)) => {
+                        assert!(msg.contains(&victim), "{format:?}/{task}: {msg}")
+                    }
+                    other => panic!("{format:?}/{task}: want a schema error, got {other:?}"),
+                }
+                let report = sink.finish(smda_obs::RunManifest::new(task.name(), "spark"));
+                assert_eq!(report.counter(counters::ROWS_SKIPPED_DIRTY), Some(1));
+            }
+        }
     }
 }

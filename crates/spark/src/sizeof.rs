@@ -91,7 +91,7 @@ impl SizeOf for smda_core::tasks::ConsumerResult {
         // A compact row: id + a few model coefficients / bucket counts.
         match self {
             smda_core::tasks::ConsumerResult::Histogram(_) => 4 + 10 * 8,
-            smda_core::tasks::ConsumerResult::ThreeLine(..) => 4 + 6 * 16,
+            smda_core::tasks::ConsumerResult::ThreeLine(_) => 4 + 6 * 16,
             smda_core::tasks::ConsumerResult::Par(_) => 4 + 24 * (8 + 5 * 8),
         }
     }

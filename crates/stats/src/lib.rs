@@ -23,7 +23,6 @@ pub mod oooc;
 pub mod quantile;
 pub mod regression;
 pub mod rng;
-pub mod sax;
 pub mod scratch;
 pub mod simd;
 pub mod similarity;
@@ -49,7 +48,6 @@ pub use quantile::{
 };
 pub use regression::{ols_multiple, ols_simple, MultipleFit, SimpleFit};
 pub use rng::{GaussianNoise, Picker};
-pub use sax::{mindist, sax, SaxConfig, SaxWord};
 pub use scratch::{
     with_fit_scratch, BinPlan, CurveBuffer, FitScratch, GatheredBins, HourlyFit, NormalEq,
     ScratchFit, SegmentSums, SCRATCH_MAX_COLS,

@@ -81,6 +81,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use std::cell::RefCell;
+use std::time::Duration;
 
 use smda_types::HOURS_PER_DAY;
 
@@ -109,6 +110,7 @@ pub struct FitScratch {
     pub solver: NormalEq,
     used: bool,
     pending_reuses: u64,
+    pending_phase_times: [Duration; 3],
 }
 
 impl FitScratch {
@@ -139,6 +141,22 @@ impl FitScratch {
     /// consumer.
     pub fn take_plan_builds(&mut self) -> u64 {
         std::mem::take(&mut self.plan.pending_builds)
+    }
+
+    /// Add the wall-clock one fit spent in each of its phases — the
+    /// 3-line fit's T1 (percentiles), T2 (regression), T3 (adjustment).
+    /// A measurement of the fit, kept here and not in its result, so what
+    /// a fit returns is a function of its inputs alone.
+    pub fn note_phase_times(&mut self, times: [Duration; 3]) {
+        for (pending, spent) in self.pending_phase_times.iter_mut().zip(times) {
+            *pending += spent;
+        }
+    }
+
+    /// Drain the per-phase wall-clock accumulated since the last call —
+    /// feeds the `fan_out/t1..t3` phases (Figure 6's split).
+    pub fn take_phase_times(&mut self) -> [Duration; 3] {
+        std::mem::take(&mut self.pending_phase_times)
     }
 }
 
@@ -1082,6 +1100,16 @@ mod tests {
         s.note_fit();
         assert_eq!(s.take_reuses(), 2);
         assert_eq!(s.take_reuses(), 0);
+    }
+
+    #[test]
+    fn phase_times_accumulate_until_taken() {
+        let mut s = FitScratch::new();
+        let ms = Duration::from_millis;
+        s.note_phase_times([ms(3), ms(2), ms(1)]);
+        s.note_phase_times([ms(30), ms(20), Duration::ZERO]);
+        assert_eq!(s.take_phase_times(), [ms(33), ms(22), ms(1)]);
+        assert_eq!(s.take_phase_times(), [Duration::ZERO; 3]);
     }
 
     #[test]

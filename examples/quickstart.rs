@@ -29,7 +29,7 @@ fn main() {
                     h.modal_fraction() * 100.0
                 );
             }
-            TaskOutput::ThreeLine(models, _) => {
+            TaskOutput::ThreeLine(models) => {
                 let m = &models[0];
                 println!(
                     "  e.g. {}: heating {:.3} kWh/°C, cooling {:.3} kWh/°C, base {:.2} kWh",

@@ -5,7 +5,8 @@
 //! households per segment for a targeted engagement campaign. Run with
 //! `cargo run --release -p smda-examples --bin utility_segmentation`.
 
-use smda_core::{par_profiles, similarity_search};
+use smda_core::tasks::run_reference;
+use smda_core::{similarity_search, Task, TaskOutput};
 use smda_examples::{demo_dataset, sparkline};
 use smda_stats::{KMeans, KMeansConfig};
 
@@ -13,7 +14,9 @@ fn main() {
     let ds = demo_dataset(30);
 
     // 1. Daily activity profiles, one 24-vector per household.
-    let models = par_profiles(&ds);
+    let TaskOutput::Par(models) = run_reference(Task::Par, &ds) else {
+        unreachable!("PAR yields PAR models");
+    };
     let profiles: Vec<Vec<f64>> = models.iter().map(|m| m.profile.to_vec()).collect();
 
     // 2. Segment into k clusters.

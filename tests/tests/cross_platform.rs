@@ -26,7 +26,7 @@ fn assert_equivalent(ds: &Dataset, got: &TaskOutput, task: Task, platform: &str)
                 assert_eq!(x.histogram.counts, y.histogram.counts, "{platform}/{task}");
             }
         }
-        (TaskOutput::ThreeLine(a, _), TaskOutput::ThreeLine(b, _)) => {
+        (TaskOutput::ThreeLine(a), TaskOutput::ThreeLine(b)) => {
             for (x, y) in a.iter().zip(b) {
                 assert_eq!(x.consumer, y.consumer, "{platform}/{task}");
                 assert!(

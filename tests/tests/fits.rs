@@ -6,8 +6,8 @@
 
 use smda_cluster::{ClusterTopology, CostModel};
 use smda_core::{
-    fit_par_baseline, fit_three_line_baseline, DataGenerator, GeneratorConfig, ParModel, Task,
-    TaskOutput, ThreeLineConfig, ThreeLineModel,
+    fit_par_baseline, fit_three_line_baseline, DataGenerator, GeneratorConfig, Task, TaskOutput,
+    ThreeLineConfig,
 };
 use smda_engines::{
     ColumnarEngine, NumericEngine, Platform, RelationalEngine, RelationalLayout, RunSpec,
@@ -18,80 +18,22 @@ use smda_spark::SparkEngine;
 use smda_storage::FileLayout;
 use smda_types::{DataFormat, Dataset};
 
-/// 3-line models reduced to raw bits, so equality is exact.
-fn tl_bits(models: &[ThreeLineModel]) -> Vec<(u32, Vec<u64>)> {
-    models
-        .iter()
-        .map(|m| {
-            let mut v = Vec::new();
-            for fit in [&m.high, &m.low] {
-                for s in &fit.segments {
-                    v.extend([
-                        s.lo.to_bits(),
-                        s.hi.to_bits(),
-                        s.intercept.to_bits(),
-                        s.slope.to_bits(),
-                    ]);
-                }
-                v.extend([
-                    fit.knots[0].to_bits(),
-                    fit.knots[1].to_bits(),
-                    fit.sse.to_bits(),
-                    u64::from(fit.adjusted),
-                ]);
-            }
-            (m.consumer.raw(), v)
-        })
-        .collect()
-}
-
-/// PAR models reduced to raw bits.
-fn par_bits(models: &[ParModel]) -> Vec<(u32, Vec<u64>)> {
-    models
-        .iter()
-        .map(|m| {
-            let mut v = Vec::new();
-            for h in &m.hourly {
-                v.push(h.intercept.to_bits());
-                v.extend(h.ar.iter().map(|x| x.to_bits()));
-                v.push(h.temp_coef.to_bits());
-                v.push(h.r2.to_bits());
-            }
-            v.extend(m.profile.iter().map(|x| x.to_bits()));
-            (m.consumer.raw(), v)
-        })
-        .collect()
-}
-
-fn tl_of(out: &TaskOutput) -> &[ThreeLineModel] {
-    match out {
-        TaskOutput::ThreeLine(m, _) => m,
-        other => panic!("expected 3-line output, got {} rows", other.len()),
-    }
-}
-
-fn par_of(out: &TaskOutput) -> &[ParModel] {
-    match out {
-        TaskOutput::Par(m) => m,
-        other => panic!("expected PAR output, got {} rows", other.len()),
-    }
-}
-
 /// The pre-arena reference: the retained allocating baselines, run
-/// single-threaded over the dataset.
-fn reference(ds: &Dataset) -> (Vec<ThreeLineModel>, Vec<ParModel>) {
+/// single-threaded over the dataset. Compared with
+/// [`TaskOutput::bits_eq`], so equality is exact.
+fn reference(ds: &Dataset) -> (TaskOutput, TaskOutput) {
     let config = ThreeLineConfig::default();
     let tl = ds
         .consumers()
         .iter()
-        .filter_map(|c| fit_three_line_baseline(c, ds.temperature(), &config).map(|(m, _)| m))
+        .filter_map(|c| fit_three_line_baseline(c, ds.temperature(), &config))
         .collect();
     let par = ds
         .consumers()
         .iter()
         .map(|c| fit_par_baseline(c, ds.temperature()))
         .collect();
-    (tl, par)
+    (TaskOutput::ThreeLine(tl), TaskOutput::Par(par))
 }
 
 #[test]
@@ -116,18 +58,16 @@ fn single_server_engines_match_prearena_baseline_bitwise_at_every_width() {
             let tl = engine
                 .run(&RunSpec::builder(Task::ThreeLine).threads(threads).build())
                 .expect("3-line run succeeds");
-            assert_eq!(
-                tl_bits(tl_of(&tl.output)),
-                tl_bits(&want_tl),
+            assert!(
+                tl.output.bits_eq(&want_tl),
                 "{} 3-line diverged from the baseline at {threads} threads",
                 engine.name()
             );
             let par = engine
                 .run(&RunSpec::builder(Task::Par).threads(threads).build())
                 .expect("PAR run succeeds");
-            assert_eq!(
-                par_bits(par_of(&par.output)),
-                par_bits(&want_par),
+            assert!(
+                par.output.bits_eq(&want_par),
                 "{} PAR diverged from the baseline at {threads} threads",
                 engine.name()
             );
@@ -176,14 +116,12 @@ fn cluster_engines_match_prearena_baseline_bitwise_at_every_width() {
                 spark.run_task(Task::Par).expect("spark PAR").output,
             ),
         ] {
-            assert_eq!(
-                tl_bits(tl_of(&out_tl)),
-                tl_bits(&want_tl),
+            assert!(
+                out_tl.bits_eq(&want_tl),
                 "{name} 3-line diverged from the baseline at {workers} workers"
             );
-            assert_eq!(
-                par_bits(par_of(&out_par)),
-                par_bits(&want_par),
+            assert!(
+                out_par.bits_eq(&want_par),
                 "{name} PAR diverged from the baseline at {workers} workers"
             );
         }

@@ -36,25 +36,7 @@ fn offline(ds: &Arc<Dataset>, task: Task) -> TaskOutput {
 
 /// Strict equality, down to the bits of every floating-point value.
 fn assert_bit_identical(streamed: &TaskOutput, batch: &TaskOutput, context: &str) {
-    match (streamed, batch) {
-        (TaskOutput::Histograms(a), TaskOutput::Histograms(b)) => assert_eq!(a, b, "{context}"),
-        (TaskOutput::ThreeLine(a, _), TaskOutput::ThreeLine(b, _)) => {
-            assert_eq!(a, b, "{context}")
-        }
-        (TaskOutput::Par(a), TaskOutput::Par(b)) => assert_eq!(a, b, "{context}"),
-        (TaskOutput::Similarity(a), TaskOutput::Similarity(b)) => {
-            assert_eq!(a.len(), b.len(), "{context}");
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.consumer, y.consumer, "{context}");
-                assert_eq!(x.matches.len(), y.matches.len(), "{context}");
-                for ((xi, xs), (yi, ys)) in x.matches.iter().zip(&y.matches) {
-                    assert_eq!(xi, yi, "{context}: ranking");
-                    assert_eq!(xs.to_bits(), ys.to_bits(), "{context}: score bits for {xi}");
-                }
-            }
-        }
-        _ => panic!("{context}: mismatched output variants"),
-    }
+    assert!(streamed.bits_eq(batch), "{context}");
 }
 
 #[test]

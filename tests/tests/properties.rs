@@ -84,7 +84,7 @@ proptest! {
 
     #[test]
     fn three_line_segments_are_ordered(ds in dataset_strategy(2)) {
-        let TaskOutput::ThreeLine(models, _) = run_reference(Task::ThreeLine, &ds) else {
+        let TaskOutput::ThreeLine(models) = run_reference(Task::ThreeLine, &ds) else {
             unreachable!()
         };
         for m in models {

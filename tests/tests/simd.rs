@@ -11,7 +11,7 @@
 //! and sibling tests in this binary would race a forced tier.
 
 use smda_cluster::{ClusterTopology, CostModel};
-use smda_core::{fit_par_baseline, fit_par_scratch, ParModel, Task, TaskOutput};
+use smda_core::{fit_par_baseline, fit_par_scratch, Task, TaskOutput};
 use smda_engines::{
     ColumnarEngine, NumericEngine, Platform, RelationalEngine, RelationalLayout, RunSpec,
 };
@@ -22,25 +22,17 @@ use smda_stats::{FitScratch, KernelDispatch, SimdTier};
 use smda_storage::FileLayout;
 use smda_types::DataFormat;
 
-/// A PAR model reduced to raw bits, so equality is exact.
-fn par_bits(m: &ParModel) -> Vec<u64> {
-    m.hourly
-        .iter()
-        .flat_map(|h| [h.intercept, h.ar[0], h.ar[1], h.ar[2], h.temp_coef, h.r2])
-        .chain(m.profile)
-        .map(f64::to_bits)
-        .collect()
-}
-
 /// Every fixture consumer's PAR fit under the tier now in force, through
-/// one (soon dirty) arena.
-fn par_fits(ds: &smda_types::Dataset) -> Vec<Vec<u64>> {
+/// one (soon dirty) arena. Compared with [`TaskOutput::bits_eq`], so
+/// equality is exact.
+fn par_fits(ds: &smda_types::Dataset) -> TaskOutput {
     let mut scratch = FitScratch::new();
     let temps = ds.temperature().values();
-    ds.consumers()
-        .iter()
-        .map(|c| par_bits(&fit_par_scratch(c.id, c.readings(), temps, &mut scratch)))
-        .collect()
+    let fits = ds.consumers().iter();
+    TaskOutput::Par(
+        fits.map(|c| fit_par_scratch(c.id, c.readings(), temps, &mut scratch))
+            .collect(),
+    )
 }
 
 /// Similarity output reduced to raw bits, so equality is exact.
@@ -138,17 +130,18 @@ fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
     }
 
     // The PAR lane kernel: both tiers give the baseline's bits.
-    let par_baseline: Vec<Vec<u64>> = ds
-        .consumers()
-        .iter()
-        .map(|c| par_bits(&fit_par_baseline(c, ds.temperature())))
-        .collect();
-    assert_eq!(
-        par_dispatched, par_baseline,
+    let baseline = ds.consumers().iter();
+    let par_baseline = TaskOutput::Par(
+        baseline
+            .map(|c| fit_par_baseline(c, ds.temperature()))
+            .collect(),
+    );
+    assert!(
+        par_dispatched.bits_eq(&par_baseline),
         "dispatched PAR fit left the baseline"
     );
-    assert_eq!(
-        par_scalar, par_baseline,
+    assert!(
+        par_scalar.bits_eq(&par_baseline),
         "forced-scalar PAR fit left the baseline"
     );
 }
