@@ -11,8 +11,8 @@
 //! The plan only *describes* faults. The machinery that injects and
 //! recovers from them lives in [`crate::scheduler::VirtualScheduler`]
 //! (retry, rescheduling, speculation), [`crate::dfs::SimDfs`] (replica
-//! loss and re-replication) and [`crate::exec::WorkerPool`] (panic
-//! containment and retry).
+//! loss and re-replication) and `smda_engines::WorkerPool::run_contained`
+//! (panic containment and retry, spending [`FaultPlan::max_attempts`]).
 
 use std::time::Duration;
 

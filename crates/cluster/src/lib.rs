@@ -4,8 +4,11 @@
 //! Hadoop cluster. This crate substitutes that hardware with a hybrid
 //! measured/modeled simulator (see DESIGN.md):
 //!
-//! * tasks execute **really** on a local thread pool ([`exec`]), so every
-//!   result is exact and per-task *compute* time is measured;
+//! * tasks execute **really**, so every result is exact and per-task
+//!   *compute* time is measured. This crate takes the measurement in
+//!   ([`SimTask::compute`]); the engines above it run their tasks on the
+//!   process's one persistent pool
+//!   (`smda_engines::WorkerPool::run_contained`);
 //! * data placement is modeled by a block-based DFS with replication and
 //!   locality ([`dfs`]);
 //! * I/O, network and startup costs come from an explicit cost model
@@ -34,7 +37,6 @@
 
 pub mod cost;
 pub mod dfs;
-pub mod exec;
 pub mod faults;
 pub mod real;
 pub mod scheduler;
@@ -44,7 +46,6 @@ pub mod worker;
 
 pub use cost::CostModel;
 pub use dfs::{DfsConfig, DfsFile, InputSplit, SimDfs};
-pub use exec::{measured_run, WorkerPool};
 pub use faults::{FaultPlan, NodeCrash, SlowNode};
 pub use real::{
     run_real, run_virtual_twin, task_output_bits_eq, RealCluster, RealClusterConfig, RealRunReport,

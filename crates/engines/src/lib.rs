@@ -21,6 +21,7 @@
 pub mod binary;
 pub mod capabilities;
 pub mod columnar;
+pub mod exec;
 pub mod numeric;
 pub mod oooc;
 pub mod parallel;

@@ -29,7 +29,7 @@ use smda_stats::{
 };
 use smda_types::{ConsumerId, Error, Result, HOURS_PER_YEAR};
 
-use crate::pool::WorkerPool;
+use crate::pool::{recover, WorkerPool};
 
 /// A per-worker handle that can enumerate households and fetch one
 /// household's data. Implemented by every engine's storage.
@@ -96,43 +96,26 @@ fn fan_out<T: Send>(
     }
     let parallelism = threads.min(chunks.len());
     metrics.incr(counters::WORKERS_SPAWNED, parallelism as u64);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<T>>>> =
-        Mutex::new((0..chunks.len()).map(|_| None).collect());
-    WorkerPool::global().broadcast(parallelism, &|_slot| {
-        let mut source: Option<Box<dyn ConsumerSource>> = None;
-        loop {
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            let Some(range) = chunks.get(c) else {
-                break;
+    let gathered = WorkerPool::global().gather(
+        parallelism,
+        chunks.len(),
+        &|source: &mut Option<Box<dyn ConsumerSource>>, c| {
+            let src = match source {
+                Some(src) => src,
+                None => source.insert(make_source()?),
             };
-            let result = (|| {
-                if source.is_none() {
-                    source = Some(make_source()?);
-                }
-                let src = source.as_mut().expect("source just opened");
-                work(src.as_mut(), range.start, &ids[range.clone()])
-            })();
-            let failed = result.is_err();
-            slots.lock().expect("fan_out slots poisoned")[c] = Some(result);
-            if failed {
-                // Stop claiming; other workers drain what remains.
-                break;
-            }
-        }
-    });
-    let gathered = slots.into_inner().expect("fan_out slots poisoned");
-    let mut out = Vec::with_capacity(gathered.len());
-    for slot in gathered {
-        match slot {
-            Some(Ok(t)) => out.push(t),
-            Some(Err(e)) => return Err(e),
-            // Claims are monotonic, so an unclaimed chunk implies every
-            // participant bailed on an error stored at a lower index.
-            None => return Err(Error::Invalid("fan_out chunk never executed".into())),
-        }
-    }
-    Ok(out)
+            let range = &chunks[c];
+            work(src.as_mut(), range.start, &ids[range.clone()])
+        },
+    );
+    // The first `Err` in chunk order; a failed chunk stops no other, so
+    // that is the lowest failing chunk's on every schedule.
+    gathered
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| Err(Error::Invalid("fan_out chunk never executed".into())))
+        })
+        .collect()
 }
 
 /// Execute one benchmark task with `threads` shared-nothing workers.
@@ -320,12 +303,9 @@ where
             let collected = Mutex::new(Vec::with_capacity(parallelism));
             WorkerPool::global().broadcast(parallelism, &|_slot| {
                 let part = partial(&claim);
-                collected
-                    .lock()
-                    .expect("kernel partials poisoned")
-                    .push(part);
+                recover(collected.lock()).push(part);
             });
-            collected.into_inner().expect("kernel partials poisoned")
+            recover(collected.into_inner())
         };
         let tile_elapsed = tile_start.elapsed();
         let _t = metrics.scope("merge");

@@ -12,11 +12,17 @@
 //!
 //! Exactness is the caller's concern and is easy to keep: claim indices
 //! are handed out monotonically and results are gathered by chunk index,
-//! so output never depends on which thread ran which chunk.
+//! so output never depends on which thread ran which chunk. That loop is
+//! written once, as `WorkerPool::gather`.
+//!
+//! The cluster twins run on the same threads: a Hive map or reduce phase
+//! and a Spark stage are [`WorkerPool::run_contained`], in [`crate::exec`]
+//! — this module knows threads and depends on nothing but `std`.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
 /// The caller's job closure with its lifetime erased. The erasure is
@@ -62,9 +68,17 @@ thread_local! {
 /// Shrug off lock poisoning: every critical section restores the pool's
 /// invariants before any unwind can drop its guard (`broadcast` re-raises
 /// a job panic only after seating is closed and `active == 0`), so a
-/// poisoned mutex still holds consistent state.
-fn recover<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
+/// poisoned mutex still holds consistent state. The same holds for a
+/// mutex whose every critical section is one store or one push.
+pub(crate) fn recover<T>(r: LockResult<T>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// How many threads this host runs at once — what a platform twin asks
+/// of the pool by default. Not the pool's size: that is at least 8, and
+/// eight participants on two cores would stretch every measured task.
+pub fn host_parallelism() -> usize {
+    thread::available_parallelism().map_or(4, |n| n.get())
 }
 
 impl WorkerPool {
@@ -73,13 +87,7 @@ impl WorkerPool {
     /// even on smaller machines.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let size = thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(8)
-                .max(8);
-            WorkerPool::with_size(size)
-        })
+        GLOBAL.get_or_init(|| WorkerPool::with_size(host_parallelism().max(8)))
     }
 
     /// A pool with exactly `size` worker threads, spawned lazily on the
@@ -202,6 +210,41 @@ impl WorkerPool {
             Ok(()) if worker_panicked => panic!("pool worker panicked during broadcast"),
             Ok(()) => participants,
         }
+    }
+
+    /// The claim-and-gather loop every indexed fan-out runs: up to
+    /// `parallelism` participants, each on an `S::default()` of its own,
+    /// claim the indices `0..n` off one counter and `run` them. Slot `i`
+    /// of the answer holds what `run(_, i)` returned, whichever
+    /// participant ran it. Claims ascend and every claimed index is run,
+    /// so "the lowest index that failed" is one index on every schedule.
+    /// A slot is `None` only if its index never ran, which a `broadcast`
+    /// that returned rules out.
+    ///
+    /// # Panics
+    /// Re-raises a panic from `run`, as [`WorkerPool::broadcast`] does.
+    pub(crate) fn gather<S: Default, R: Send>(
+        &'static self,
+        parallelism: usize,
+        n: usize,
+        run: &(dyn Fn(&mut S, usize) -> R + Sync),
+    ) -> Vec<Option<R>> {
+        // Relaxed: the counter hands out indices and publishes nothing;
+        // results travel through the slots' mutex.
+        let next = AtomicUsize::new(0);
+        let slots = Mutex::new((0..n).map(|_| None).collect::<Vec<_>>());
+        self.broadcast(parallelism.min(n), &|_slot| {
+            let mut state = S::default();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let result = run(&mut state, i);
+                recover(slots.lock())[i] = Some(result);
+            }
+        });
+        recover(slots.into_inner())
     }
 }
 

@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 
-use smda_cluster::{ClusterTopology, DfsConfig, SimDfs, TextTable, VirtualScheduler, WorkerPool};
+use smda_cluster::{ClusterTopology, DfsConfig, SimDfs, TextTable, VirtualScheduler};
 use smda_core::tasks::{collect_consumer_results, ConsumerResult};
 use smda_core::{ConsumerMatches, ConsumerTask, Task, TaskOutput, SIMILARITY_TOP_K};
+use smda_engines::pool::host_parallelism;
 use smda_engines::{Capabilities, Platform, RunResult, RunSpec};
 use smda_obs::counters;
 use smda_stats::{dot, normalize_all, select_top_k, SimilarityMatch};
@@ -36,7 +37,8 @@ pub struct HiveRunResult {
 /// replica-loss faults, to [`HiveEngine::load_observed`].
 pub struct HiveEngine {
     topology: ClusterTopology,
-    pool: WorkerPool,
+    /// Tasks of one phase in flight at once on the process's worker pool.
+    parallelism: usize,
     reduce_tasks: usize,
     dfs: SimDfs,
     table: Option<TextTable>,
@@ -78,7 +80,7 @@ impl HiveEngine {
         let reduce_tasks = (topology.workers * topology.slots_per_worker / 2).max(1);
         HiveEngine {
             topology,
-            pool: WorkerPool::default(),
+            parallelism: host_parallelism(),
             reduce_tasks,
             dfs,
             table: None,
@@ -238,43 +240,31 @@ impl HiveEngine {
         let policy = spec.dirty_policy;
         let metrics = spec.metrics.clone();
         let mut scheduler = self.scheduler(spec);
-        let error = parking_lot::Mutex::new(None);
         let (results, stats) = run_map_reduce(
             inputs,
-            &|lines: Arc<Vec<String>>, emit: &mut Vec<(u32, (u32, f64, f64))>| {
+            &|lines: &Arc<Vec<String>>, emit: &mut Vec<(u32, (u32, f64, f64))>| {
                 for line in lines.iter() {
-                    match parse_reading_policed(line, policy, &metrics) {
-                        Ok(Some(r)) => {
-                            emit.push((r.consumer.raw(), (r.hour, r.temperature, r.kwh)));
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                        }
+                    if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
+                        emit.push((r.consumer.raw(), (r.hour, r.temperature, r.kwh)));
                     }
                 }
+                Ok(())
             },
             &|_, _| READING_PAIR_BYTES,
             &|key, rows| {
                 let mut partial = udaf.init();
-                for row in rows {
+                for &row in rows {
                     udaf.iterate(&mut partial, row);
                 }
-                match udaf.terminate(ConsumerId(*key), partial) {
-                    Ok(r) => r.into_iter().collect(),
-                    Err(e) => {
-                        error.lock().get_or_insert(e);
-                        vec![]
-                    }
-                }
+                Ok(udaf
+                    .terminate(ConsumerId(*key), partial)?
+                    .into_iter()
+                    .collect())
             },
             self.reduce_tasks,
             &mut scheduler,
-            &self.pool,
+            self.parallelism,
         )?;
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
         Ok(HiveRunResult {
             output: collect_consumer_results(task, results),
             stats,
@@ -292,34 +282,24 @@ impl HiveEngine {
         let policy = spec.dirty_policy;
         let metrics = spec.metrics.clone();
         let mut scheduler = self.scheduler(spec);
-        let error = parking_lot::Mutex::new(None);
         let (results, stats) = run_map_only(
             inputs,
-            &|lines: Arc<Vec<String>>, emit: &mut Vec<ConsumerResult>| {
+            &|lines: &Arc<Vec<String>>, emit: &mut Vec<ConsumerResult>| {
                 for line in lines.iter() {
                     match parse_consumer(line) {
-                        Ok(row) => match udf.evaluate(row) {
-                            Ok(out) => emit.extend(out),
-                            Err(e) => {
-                                error.lock().get_or_insert(e);
-                            }
-                        },
+                        Ok(row) => emit.extend(udf.evaluate(row)?),
                         Err(_) if policy.skips() => {
                             metrics.incr(counters::ROWS_SKIPPED_DIRTY, 1);
                         }
-                        Err(e) => {
-                            error.lock().get_or_insert(e);
-                        }
+                        Err(e) => return Err(e),
                     }
                 }
+                Ok(())
             },
             64,
             &mut scheduler,
-            &self.pool,
+            self.parallelism,
         )?;
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
         Ok(HiveRunResult {
             output: collect_consumer_results(task, results),
             stats,
@@ -334,30 +314,21 @@ impl HiveEngine {
         let policy = spec.dirty_policy;
         let metrics = spec.metrics.clone();
         let mut scheduler = self.scheduler(spec);
-        let error = parking_lot::Mutex::new(None);
         let (results, stats) = run_map_only(
             inputs,
-            &|lines: Arc<Vec<String>>, emit: &mut Vec<ConsumerResult>| {
-                let run = (|| -> Result<()> {
-                    let mut rows = Vec::with_capacity(lines.len());
-                    for line in lines.iter() {
-                        if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
-                            rows.push(r);
-                        }
+            &|lines: &Arc<Vec<String>>, emit: &mut Vec<ConsumerResult>| {
+                let mut rows = Vec::with_capacity(lines.len());
+                for line in lines.iter() {
+                    if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
+                        rows.push(r);
                     }
-                    udtf.process(rows, &mut |r| emit.push(r))
-                })();
-                if let Err(e) = run {
-                    error.lock().get_or_insert(e);
                 }
+                udtf.process(rows, &mut |r| emit.push(r))
             },
             64,
             &mut scheduler,
-            &self.pool,
+            self.parallelism,
         )?;
-        if let Some(e) = error.into_inner() {
-            return Err(e);
-        }
         Ok(HiveRunResult {
             output: collect_consumer_results(task, results),
             stats,
@@ -415,32 +386,40 @@ impl HiveEngine {
             inputs,
             // Map: replicate every series to every reduce partition (the
             // reduce-side join's data explosion).
-            &move |chunk: Vec<(usize, Arc<Vec<f64>>)>,
+            &move |chunk: &Vec<(usize, Arc<Vec<f64>>)>,
                    emit: &mut Vec<(u64, (usize, Arc<Vec<f64>>))>| {
                 for (i, v) in chunk {
                     for r in 0..reduce_tasks as u64 {
-                        emit.push((r, (i, v.clone())));
+                        emit.push((r, (*i, v.clone())));
                     }
                 }
+                Ok(())
             },
             &|_, _| SERIES_BYTES,
             // Reduce: partition r owns queries with index ≡ r (mod R) and
             // scores them against everything it received (= everything).
-            &move |r: &u64, received: Vec<(usize, Arc<Vec<f64>>)>| {
-                let mut by_index: Vec<Option<Arc<Vec<f64>>>> = vec![None; n];
+            &move |r: &u64, received: &[(usize, Arc<Vec<f64>>)]| {
+                let mut by_index: Vec<Option<&[f64]>> = vec![None; n];
                 for (i, v) in received {
-                    by_index[i] = Some(v);
+                    by_index[*i] = Some(v);
                 }
+                let by_index = by_index
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| {
+                        v.ok_or_else(|| {
+                            Error::Invalid(format!("series {i} never reached reducer {r}"))
+                        })
+                    })
+                    .collect::<Result<Vec<&[f64]>>>()?;
                 let mut out = Vec::new();
                 for q in (*r as usize..n).step_by(reduce_tasks) {
-                    let query = by_index[q].as_ref().expect("all series replicated");
                     let mut hits: Vec<SimilarityMatch> = Vec::with_capacity(n - 1);
                     for (i, v) in by_index.iter().enumerate() {
                         if i == q {
                             continue;
                         }
-                        let v = v.as_ref().expect("all series replicated");
-                        let score = dot(query, v);
+                        let score = dot(by_index[q], v);
                         hits.push(SimilarityMatch { index: i, score });
                     }
                     select_top_k(&mut hits, SIMILARITY_TOP_K);
@@ -452,12 +431,12 @@ impl HiveEngine {
                             .collect(),
                     });
                 }
-                out
+                Ok(out)
             },
             reduce_tasks,
             &|key, parts| (*key as usize) % parts,
             &mut scheduler,
-            &self.pool,
+            self.parallelism,
         )?;
         let _ = normalized_ref;
         matches.sort_by_key(|m| m.consumer);
@@ -485,98 +464,81 @@ impl HiveEngine {
         let policy = spec.dirty_policy;
         let metrics = spec.metrics.clone();
         let mut scheduler = self.scheduler(spec);
-        let error = parking_lot::Mutex::new(None);
         match format {
             DataFormat::ReadingPerLine => {
                 let (mut series, stats) = run_map_reduce(
                     inputs,
-                    &|lines: Arc<Vec<String>>, emit: &mut Vec<(u32, (u32, f64))>| {
+                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<(u32, (u32, f64))>| {
                         for line in lines.iter() {
-                            match parse_reading_policed(line, policy, &metrics) {
-                                Ok(Some(r)) => emit.push((r.consumer.raw(), (r.hour, r.kwh))),
-                                Ok(None) => {}
-                                Err(e) => {
-                                    error.lock().get_or_insert(e);
-                                }
+                            if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
+                                emit.push((r.consumer.raw(), (r.hour, r.kwh)));
                             }
                         }
+                        Ok(())
                     },
                     &|_, _| 16,
-                    &|key, mut rows| {
+                    &|key, rows| {
+                        let mut rows = rows.to_vec();
                         rows.sort_by_key(|(h, _)| *h);
-                        vec![(ConsumerId(*key), rows.into_iter().map(|(_, v)| v).collect())]
+                        let kwh = rows.into_iter().map(|(_, v)| v).collect();
+                        Ok(vec![(ConsumerId(*key), kwh)])
                     },
                     self.reduce_tasks,
                     &mut scheduler,
-                    &self.pool,
+                    self.parallelism,
                 )?;
-                if let Some(e) = error.into_inner() {
-                    return Err(e);
-                }
                 series.sort_by_key(|(id, _)| *id);
                 Ok((series, stats, HiveOperator::Udaf))
             }
             DataFormat::ConsumerPerLine => {
                 let (mut series, stats) = run_map_only(
                     inputs,
-                    &|lines: Arc<Vec<String>>, emit: &mut Vec<(ConsumerId, Vec<f64>)>| {
+                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<(ConsumerId, Vec<f64>)>| {
                         for line in lines.iter() {
                             match parse_consumer(line) {
                                 Ok(row) => emit.push(row),
                                 Err(_) if policy.skips() => {
                                     metrics.incr(counters::ROWS_SKIPPED_DIRTY, 1);
                                 }
-                                Err(e) => {
-                                    error.lock().get_or_insert(e);
-                                }
+                                Err(e) => return Err(e),
                             }
                         }
+                        Ok(())
                     },
                     SERIES_BYTES,
                     &mut scheduler,
-                    &self.pool,
+                    self.parallelism,
                 )?;
-                if let Some(e) = error.into_inner() {
-                    return Err(e);
-                }
                 series.sort_by_key(|(id, _)| *id);
                 Ok((series, stats, HiveOperator::GenericUdf))
             }
             DataFormat::ManyFiles { .. } => {
                 let (mut series, stats) = run_map_only(
                     inputs,
-                    &|lines: Arc<Vec<String>>, emit: &mut Vec<(ConsumerId, Vec<f64>)>| {
-                        let run = (|| -> Result<()> {
-                            let mut rows = Vec::with_capacity(lines.len());
-                            for line in lines.iter() {
-                                if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
-                                    rows.push(r);
-                                }
+                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<(ConsumerId, Vec<f64>)>| {
+                        let mut rows = Vec::with_capacity(lines.len());
+                        for line in lines.iter() {
+                            if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
+                                rows.push(r);
                             }
-                            rows.sort_by_key(|r| (r.consumer, r.hour));
-                            let mut i = 0;
-                            while i < rows.len() {
-                                let id = rows[i].consumer;
-                                let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
-                                while i < rows.len() && rows[i].consumer == id {
-                                    kwh.push(rows[i].kwh);
-                                    i += 1;
-                                }
-                                emit.push((id, kwh));
-                            }
-                            Ok(())
-                        })();
-                        if let Err(e) = run {
-                            error.lock().get_or_insert(e);
                         }
+                        rows.sort_by_key(|r| (r.consumer, r.hour));
+                        let mut i = 0;
+                        while i < rows.len() {
+                            let id = rows[i].consumer;
+                            let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
+                            while i < rows.len() && rows[i].consumer == id {
+                                kwh.push(rows[i].kwh);
+                                i += 1;
+                            }
+                            emit.push((id, kwh));
+                        }
+                        Ok(())
                     },
                     SERIES_BYTES,
                     &mut scheduler,
-                    &self.pool,
+                    self.parallelism,
                 )?;
-                if let Some(e) = error.into_inner() {
-                    return Err(e);
-                }
                 series.sort_by_key(|(id, _)| *id);
                 Ok((series, stats, HiveOperator::Udtf))
             }
@@ -859,6 +821,41 @@ mod tests {
         assert_matches_reference(&ds, &r.output, Task::Histogram);
         let report = sink.finish(smda_obs::RunManifest::new("histogram", "hive"));
         assert!(report.counter(counters::ROWS_SKIPPED_DIRTY).unwrap_or(0) >= 1);
+    }
+
+    #[test]
+    fn two_dirty_splits_report_the_lower_splits_line_on_every_run() {
+        // The last line of the first split and the first line of the last
+        // split: whichever thread gets there first, the job's error is
+        // its lowest-indexed task's.
+        for (format, task) in [
+            (DataFormat::ReadingPerLine, Task::Histogram),
+            (DataFormat::ReadingPerLine, Task::Similarity),
+            (DataFormat::ConsumerPerLine, Task::Par),
+            (DataFormat::ConsumerPerLine, Task::Similarity),
+            (DataFormat::ManyFiles { files: 2 }, Task::ThreeLine),
+            (DataFormat::ManyFiles { files: 2 }, Task::Similarity),
+        ] {
+            let mut hive = HiveEngine::new(engine(2).topology(), 48 * 1024);
+            hive.load(&tiny(2), format).unwrap();
+            let splits = &mut hive.table.as_mut().unwrap().splits;
+            assert!(splits.len() >= 2, "{format:?}: {} split", splits.len());
+            let (first, last) = (0, splits.len() - 1);
+            let mut lines = (*splits[first].lines).clone();
+            *lines.last_mut().unwrap() = "0,lower,split".into();
+            splits[first].lines = Arc::new(lines);
+            let mut lines = (*splits[last].lines).clone();
+            lines[0] = "0,higher,split".into();
+            splits[last].lines = Arc::new(lines);
+
+            for run in 0..20 {
+                let message = hive.run_task(task).unwrap_err().to_string();
+                assert!(
+                    message.contains("lower,split"),
+                    "{format:?}/{task} run {run}: {message}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A generic MapReduce runner on the cluster simulator.
 //!
-//! Mappers and reducers execute **really** on the worker pool; the
-//! virtual scheduler turns measured compute plus modeled I/O into the
-//! job's virtual makespan. Map output is spilled to disk (write cost),
-//! shuffled (network cost) and re-read by reducers (read cost), the
-//! Hadoop way.
+//! Mappers and reducers execute **really** on the process's persistent
+//! worker pool; the virtual scheduler turns measured compute plus modeled
+//! I/O into the job's virtual makespan. Map output is spilled to disk
+//! (write cost), shuffled (network cost) and re-read by reducers (read
+//! cost), the Hadoop way.
 //!
 //! Execution is fault-tolerant end to end: pool tasks run under panic
 //! containment with a retry budget (taken from the scheduler's
@@ -12,12 +12,18 @@
 //! phases go through [`VirtualScheduler::try_run_phase`], so injected
 //! task failures, node crashes and stragglers surface as typed errors or
 //! longer — but finite — makespans instead of panics.
+//!
+//! Mappers and reducers borrow their input and return `Result`. A task
+//! that panics is re-run on the same input; one that returns `Err` is
+//! not — bad input stays bad — and the job fails with the error of its
+//! lowest-indexed failing task, whichever thread ran what.
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Duration;
 
-use smda_cluster::{SimTask, VirtualScheduler, WorkerPool};
+use smda_cluster::{SimTask, VirtualScheduler};
+use smda_engines::WorkerPool;
 use smda_types::Result;
 
 /// One map input: real data plus modeled size and placement.
@@ -54,6 +60,13 @@ pub struct JobStats {
     pub speculative: u64,
 }
 
+/// A map task: one split in, records out (`(K, V)` pairs ahead of a
+/// shuffle, output rows in a map-only job).
+pub type Mapper<'a, I, P> = dyn Fn(&I, &mut Vec<P>) -> Result<()> + Sync + 'a;
+
+/// A reduce task's inner step: one key group in, output rows out.
+pub type Reducer<'a, K, V, O> = dyn Fn(&K, &[V]) -> Result<Vec<O>> + Sync + 'a;
+
 fn partition_of<K: Hash>(key: &K, parts: usize) -> usize {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
@@ -71,27 +84,29 @@ fn pool_attempts(scheduler: &VirtualScheduler) -> usize {
 /// * `pair_bytes` — modeled serialized size of one pair (drives spill and
 ///   shuffle volume);
 /// * `reducer` — consumes one key group, emitting output records;
-/// * `reduce_tasks` — number of reduce partitions (≥ 1).
+/// * `reduce_tasks` — number of reduce partitions (≥ 1);
+/// * `parallelism` — how many tasks run at once on the pool.
 ///
 /// Outputs are returned partition-by-partition, keys ascending within
 /// each partition — deterministic for a fixed `reduce_tasks`.
 ///
 /// # Errors
-/// Typed failures from the pool (a task panicking past its retry
-/// budget) or the scheduler (retry exhaustion, cluster-wide outage).
+/// The lowest-indexed failing task's own error, or typed failures from
+/// the pool (a task panicking past its retry budget) or the scheduler
+/// (retry exhaustion, cluster-wide outage).
 pub fn run_map_reduce<I, K, V, O>(
     inputs: Vec<JobInput<I>>,
-    mapper: &(dyn Fn(I, &mut Vec<(K, V)>) + Sync),
+    mapper: &Mapper<I, (K, V)>,
     pair_bytes: &(dyn Fn(&K, &V) -> u64 + Sync),
-    reducer: &(dyn Fn(&K, Vec<V>) -> Vec<O> + Sync),
+    reducer: &Reducer<K, V, O>,
     reduce_tasks: usize,
     scheduler: &mut VirtualScheduler,
-    pool: &WorkerPool,
+    parallelism: usize,
 ) -> Result<(Vec<O>, JobStats)>
 where
-    I: Send + Clone,
-    K: Ord + Hash + Send + Clone,
-    V: Send + Clone,
+    I: Sync,
+    K: Ord + Hash + Send + Sync,
+    V: Send + Sync,
     O: Send,
 {
     run_map_reduce_partitioned(
@@ -102,7 +117,7 @@ where
         reduce_tasks,
         &partition_of::<K>,
         scheduler,
-        pool,
+        parallelism,
     )
 }
 
@@ -110,23 +125,22 @@ where
 /// partition`) — the similarity self-join needs round-robin partitions.
 ///
 /// # Errors
-/// Typed failures from the pool (a task panicking past its retry
-/// budget) or the scheduler (retry exhaustion, cluster-wide outage).
+/// As [`run_map_reduce`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_map_reduce_partitioned<I, K, V, O>(
     inputs: Vec<JobInput<I>>,
-    mapper: &(dyn Fn(I, &mut Vec<(K, V)>) + Sync),
+    mapper: &Mapper<I, (K, V)>,
     pair_bytes: &(dyn Fn(&K, &V) -> u64 + Sync),
-    reducer: &(dyn Fn(&K, Vec<V>) -> Vec<O> + Sync),
+    reducer: &Reducer<K, V, O>,
     reduce_tasks: usize,
     partitioner: &(dyn Fn(&K, usize) -> usize + Sync),
     scheduler: &mut VirtualScheduler,
-    pool: &WorkerPool,
+    parallelism: usize,
 ) -> Result<(Vec<O>, JobStats)>
 where
-    I: Send + Clone,
-    K: Ord + Hash + Send + Clone,
-    V: Send + Clone,
+    I: Sync,
+    K: Ord + Hash + Send + Sync,
+    V: Send + Sync,
     O: Send,
 {
     assert!(
@@ -134,25 +148,20 @@ where
         "a map/reduce job needs at least one reducer"
     );
     scheduler.reset();
+    let pool = WorkerPool::global();
     let attempts = pool_attempts(scheduler);
     let map_tasks = inputs.len();
 
     // ---- map phase (real execution, measured) --------------------------
-    let mut sim_inputs = Vec::with_capacity(map_tasks);
-    let mut payloads = Vec::with_capacity(map_tasks);
-    for input in inputs {
-        sim_inputs.push((input.bytes, input.hosts));
-        payloads.push(input.data);
-    }
-    let map_results = pool.run_retrying(
-        payloads,
-        |data| {
-            let mut pairs = Vec::new();
-            mapper(data, &mut pairs);
-            pairs
-        },
+    let map_results = pool.run_contained(
+        parallelism,
+        map_tasks,
         attempts,
         scheduler.metrics(),
+        &|i| {
+            let mut pairs = Vec::new();
+            mapper(&inputs[i].data, &mut pairs).map(|()| pairs)
+        },
     )?;
 
     let mut map_sim = Vec::with_capacity(map_tasks);
@@ -160,7 +169,8 @@ where
         (0..reduce_tasks).map(|_| BTreeMap::new()).collect();
     let mut partition_bytes = vec![0u64; reduce_tasks];
     let mut map_output_records = 0usize;
-    for ((pairs, compute), (bytes, hosts)) in map_results.into_iter().zip(sim_inputs) {
+    for ((pairs, compute), input) in map_results.into_iter().zip(inputs) {
+        let pairs = pairs?;
         let mut spill = 0u64;
         map_output_records += pairs.len();
         for (k, v) in pairs {
@@ -171,8 +181,8 @@ where
             partitions[p].entry(k).or_default().push(v);
         }
         map_sim.push(SimTask {
-            input_bytes: bytes,
-            locality: hosts,
+            input_bytes: input.bytes,
+            locality: input.hosts,
             compute,
             output_bytes: spill,
             shuffle_bytes: 0,
@@ -182,17 +192,18 @@ where
     let shuffle_bytes: u64 = partition_bytes.iter().sum();
 
     // ---- reduce phase --------------------------------------------------
-    let reduce_results = pool.run_retrying(
-        partitions,
-        |groups| {
-            let mut out = Vec::new();
-            for (k, vs) in groups {
-                out.extend(reducer(&k, vs));
-            }
-            out
-        },
+    let reduce_results = pool.run_contained(
+        parallelism,
+        reduce_tasks,
         attempts,
         scheduler.metrics(),
+        &|p| {
+            let mut out = Vec::new();
+            for (k, vs) in &partitions[p] {
+                out.extend(reducer(k, vs)?);
+            }
+            Ok(out)
+        },
     )?;
     let mut reduce_sim = Vec::with_capacity(reduce_tasks);
     let mut outputs = Vec::new();
@@ -206,7 +217,7 @@ where
             // ...after pulling it across the network.
             shuffle_bytes: *bytes,
         });
-        outputs.extend(out);
+        outputs.extend(out?);
     }
     let reduce_phase = scheduler.try_run_phase(&reduce_sim, map_phase.end)?;
 
@@ -227,45 +238,38 @@ where
 /// Run a map-only job (formats 2 and 3: no shuffle, no reduce).
 ///
 /// # Errors
-/// Typed failures from the pool (a task panicking past its retry
-/// budget) or the scheduler (retry exhaustion, cluster-wide outage).
+/// As [`run_map_reduce`].
 pub fn run_map_only<I, O>(
     inputs: Vec<JobInput<I>>,
-    mapper: &(dyn Fn(I, &mut Vec<O>) + Sync),
+    mapper: &Mapper<I, O>,
     output_bytes_per_record: u64,
     scheduler: &mut VirtualScheduler,
-    pool: &WorkerPool,
+    parallelism: usize,
 ) -> Result<(Vec<O>, JobStats)>
 where
-    I: Send + Clone,
+    I: Sync,
     O: Send,
 {
     scheduler.reset();
-    let attempts = pool_attempts(scheduler);
     let map_tasks = inputs.len();
-    let mut sim_inputs = Vec::with_capacity(map_tasks);
-    let mut payloads = Vec::with_capacity(map_tasks);
-    for input in inputs {
-        sim_inputs.push((input.bytes, input.hosts));
-        payloads.push(input.data);
-    }
-    let results = pool.run_retrying(
-        payloads,
-        |data| {
-            let mut out = Vec::new();
-            mapper(data, &mut out);
-            out
-        },
-        attempts,
+    let results = WorkerPool::global().run_contained(
+        parallelism,
+        map_tasks,
+        pool_attempts(scheduler),
         scheduler.metrics(),
+        &|i| {
+            let mut out = Vec::new();
+            mapper(&inputs[i].data, &mut out).map(|()| out)
+        },
     )?;
     let mut sim = Vec::with_capacity(map_tasks);
     let mut outputs = Vec::new();
     let mut map_output_records = 0usize;
-    for ((out, compute), (bytes, hosts)) in results.into_iter().zip(sim_inputs) {
+    for ((out, compute), input) in results.into_iter().zip(inputs) {
+        let out = out?;
         sim.push(SimTask {
-            input_bytes: bytes,
-            locality: hosts,
+            input_bytes: input.bytes,
+            locality: input.hosts,
             compute,
             output_bytes: out.len() as u64 * output_bytes_per_record,
             shuffle_bytes: 0,
@@ -317,21 +321,21 @@ mod tests {
     }
 
     fn word_count(scheduler: &mut VirtualScheduler) -> (Vec<(String, u64)>, JobStats) {
-        let pool = WorkerPool::new(2);
         run_map_reduce(
             word_count_inputs(),
-            &|lines: Vec<String>, emit: &mut Vec<(String, u64)>| {
+            &|lines: &Vec<String>, emit: &mut Vec<(String, u64)>| {
                 for line in lines {
                     for w in line.split_whitespace() {
                         emit.push((w.to_string(), 1));
                     }
                 }
+                Ok(())
             },
             &|k, _| k.len() as u64 + 8,
-            &|k, vs| vec![(k.clone(), vs.into_iter().sum::<u64>())],
+            &|k, vs| Ok(vec![(k.clone(), vs.iter().sum::<u64>())]),
             2,
             scheduler,
-            &pool,
+            2,
         )
         .unwrap()
     }
@@ -383,7 +387,6 @@ mod tests {
     #[test]
     fn map_only_has_no_shuffle() {
         let mut scheduler = sched(2);
-        let pool = WorkerPool::new(2);
         let inputs = vec![
             JobInput {
                 data: vec![1u64, 2, 3],
@@ -398,10 +401,13 @@ mod tests {
         ];
         let (mut out, stats) = run_map_only(
             inputs,
-            &|xs: Vec<u64>, emit: &mut Vec<u64>| emit.extend(xs.iter().map(|x| x * 10)),
+            &|xs: &Vec<u64>, emit: &mut Vec<u64>| {
+                emit.extend(xs.iter().map(|x| x * 10));
+                Ok(())
+            },
             8,
             &mut scheduler,
-            &pool,
+            2,
         )
         .unwrap();
         out.sort();
@@ -414,7 +420,6 @@ mod tests {
     #[test]
     fn map_only_is_faster_than_map_reduce_for_same_work() {
         // The Figure 16-vs-13 effect: skipping the shuffle wins.
-        let pool = WorkerPool::new(2);
         let inputs: Vec<JobInput<Vec<u64>>> = (0..8)
             .map(|i| JobInput {
                 data: vec![i; 1000],
@@ -425,33 +430,33 @@ mod tests {
         let mut s1 = sched(4);
         let (_, mr) = run_map_reduce(
             inputs.clone(),
-            &|xs: Vec<u64>, emit: &mut Vec<(u64, u64)>| {
-                for x in xs {
-                    emit.push((x, 1));
-                }
+            &|xs: &Vec<u64>, emit: &mut Vec<(u64, u64)>| {
+                emit.extend(xs.iter().map(|&x| (x, 1)));
+                Ok(())
             },
             &|_, _| 16,
-            &|k, vs| vec![(*k, vs.len() as u64)],
+            &|k, vs| Ok(vec![(*k, vs.len() as u64)]),
             4,
             &mut s1,
-            &pool,
+            2,
         )
         .unwrap();
         let mut s2 = sched(4);
         let (_, mo) = run_map_only(
             inputs,
-            &|xs: Vec<u64>, emit: &mut Vec<(u64, u64)>| {
+            &|xs: &Vec<u64>, emit: &mut Vec<(u64, u64)>| {
                 let mut count = 0;
                 let mut key = 0;
-                for x in xs {
+                for &x in xs {
                     key = x;
                     count += 1;
                 }
                 emit.push((key, count));
+                Ok(())
             },
             16,
             &mut s2,
-            &pool,
+            2,
         )
         .unwrap();
         assert!(
@@ -475,15 +480,14 @@ mod tests {
     #[should_panic(expected = "at least one reducer")]
     fn zero_reducers_panics() {
         let mut scheduler = sched(1);
-        let pool = WorkerPool::new(1);
         let _ = run_map_reduce::<Vec<String>, String, u64, ()>(
             vec![],
-            &|_, _| {},
+            &|_, _| Ok(()),
             &|_, _| 0,
-            &|_, _| vec![],
+            &|_, _| Ok(vec![]),
             0,
             &mut scheduler,
-            &pool,
+            1,
         );
     }
 }

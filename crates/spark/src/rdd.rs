@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use smda_cluster::{ClusterTopology, FaultPlan, SimTask, TextTable, VirtualScheduler, WorkerPool};
+use smda_cluster::{ClusterTopology, FaultPlan, SimTask, TextTable, VirtualScheduler};
+use smda_engines::pool::host_parallelism;
+use smda_engines::WorkerPool;
 use smda_obs::MetricsSink;
 use smda_types::{Error, Result};
 
@@ -52,7 +54,8 @@ struct CtxState {
 
 struct CtxInner {
     topology: ClusterTopology,
-    pool: WorkerPool,
+    /// Tasks of one stage in flight at once on the process's worker pool.
+    parallelism: usize,
     state: Mutex<CtxState>,
 }
 
@@ -107,7 +110,7 @@ impl SparkContext {
         SparkContext {
             inner: Arc::new(CtxInner {
                 topology,
-                pool: WorkerPool::default(),
+                parallelism: host_parallelism(),
                 state: Mutex::new(CtxState {
                     scheduler,
                     virtual_time: Duration::ZERO,
@@ -355,17 +358,18 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     }
 
     /// Execute the stage ending at this RDD; returns per-partition data
-    /// and advances the virtual clock.
-    fn run_stage(&self, extra_output_bytes: &[u64]) -> Vec<Vec<T>> {
+    /// and advances the virtual clock. `output_bytes` sizes what a task
+    /// writes from the partition it computed: shuffle files on the map
+    /// side of a wide transformation, nothing for an action.
+    fn run_stage(&self, output_bytes: impl Fn(&[T]) -> u64) -> Vec<Vec<T>> {
         let n = self.inner.partitions;
-        let this = self.clone();
         let metrics = self.ctx.inner.state.lock().scheduler.metrics().clone();
-        let attempts = self.ctx.pool_attempts();
-        let results = match self.ctx.inner.pool.run_retrying(
-            (0..n).collect::<Vec<usize>>(),
-            move |i| this.compute_partition(i),
-            attempts,
+        let results = match WorkerPool::global().run_contained(
+            self.ctx.inner.parallelism,
+            n,
+            self.ctx.pool_attempts(),
             &metrics,
+            &|i| self.compute_partition(i),
         ) {
             Ok(r) => r,
             Err(e) => {
@@ -374,14 +378,16 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
             }
         };
         let mut sim = Vec::with_capacity(n);
-        for (i, (_, compute)) in results.iter().enumerate() {
+        let mut data = Vec::with_capacity(n);
+        for (i, (part, compute)) in results.into_iter().enumerate() {
             sim.push(SimTask {
                 input_bytes: self.inner.input_bytes[i],
                 locality: self.inner.locality[i].clone(),
-                compute: *compute,
-                output_bytes: extra_output_bytes.get(i).copied().unwrap_or(0),
+                compute,
+                output_bytes: output_bytes(&part),
                 shuffle_bytes: self.inner.shuffle_read[i],
             });
+            data.push(part);
         }
         let mut state = self.ctx.inner.state.lock();
         let barrier = state.virtual_time;
@@ -398,18 +404,17 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         state.stats.network_bytes += phase.network_bytes;
         state.stats.retries += phase.retries;
         state.stats.speculative += phase.speculative;
-        drop(state);
-        results.into_iter().map(|(data, _)| data).collect()
+        data
     }
 
     /// Materialize the RDD on the driver (an action).
     pub fn collect(&self) -> Vec<T> {
-        self.run_stage(&[]).into_iter().flatten().collect()
+        self.run_stage(|_| 0).into_iter().flatten().collect()
     }
 
     /// Count elements (an action).
     pub fn count(&self) -> usize {
-        self.run_stage(&[]).iter().map(Vec::len).sum()
+        self.run_stage(|_| 0).iter().map(Vec::len).sum()
     }
 
     /// Concatenate two RDDs (narrow: the union's partitions are both
@@ -484,8 +489,10 @@ where
     pub fn group_by_key(&self, parts: usize) -> Rdd<(K, Vec<V>)> {
         let parts = parts.max(1);
         // Map side of the shuffle: run the parent stage, writing shuffle
-        // files (output bytes = serialized pairs).
-        let partitions = self.run_stage_with_shuffle_write();
+        // files (output bytes = serialized pairs; real Spark pipelines the
+        // write, the data volume is the same).
+        let partitions =
+            self.run_stage(|part| part.iter().map(|(k, v)| k.size_of() + v.size_of()).sum());
         // Hash-partition.
         let mut buckets: Vec<BTreeMap<K, Vec<V>>> = (0..parts).map(|_| BTreeMap::new()).collect();
         let mut bucket_bytes = vec![0u64; parts];
@@ -532,57 +539,6 @@ where
             let first = it.next().expect("groups are non-empty");
             (k, it.fold(first, &f))
         })
-    }
-
-    fn run_stage_with_shuffle_write(&self) -> Vec<Vec<(K, V)>> {
-        // Pre-compute shuffle write sizes per partition by running the
-        // stage once (real Spark pipelines this; the data volume is the
-        // same).
-        let n = self.inner.partitions;
-        let this = self.clone();
-        let metrics = self.ctx.inner.state.lock().scheduler.metrics().clone();
-        let attempts = self.ctx.pool_attempts();
-        let results = match self.ctx.inner.pool.run_retrying(
-            (0..n).collect::<Vec<usize>>(),
-            move |i| this.compute_partition(i),
-            attempts,
-            &metrics,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                self.ctx.defer_error(e);
-                return vec![Vec::new(); n];
-            }
-        };
-        let mut sim = Vec::with_capacity(n);
-        let mut data = Vec::with_capacity(n);
-        for (i, (part, compute)) in results.into_iter().enumerate() {
-            let write: u64 = part.iter().map(|(k, v)| k.size_of() + v.size_of()).sum();
-            sim.push(SimTask {
-                input_bytes: self.inner.input_bytes[i],
-                locality: self.inner.locality[i].clone(),
-                compute,
-                output_bytes: write,
-                shuffle_bytes: self.inner.shuffle_read[i],
-            });
-            data.push(part);
-        }
-        let mut state = self.ctx.inner.state.lock();
-        let barrier = state.virtual_time;
-        let phase = match state.scheduler.try_run_phase(&sim, barrier) {
-            Ok(p) => p,
-            Err(e) => {
-                state.error.get_or_insert(e);
-                return vec![Vec::new(); n];
-            }
-        };
-        state.virtual_time = phase.end;
-        state.stats.stages += 1;
-        state.stats.tasks += n as u64;
-        state.stats.network_bytes += phase.network_bytes;
-        state.stats.retries += phase.retries;
-        state.stats.speculative += phase.speculative;
-        data
     }
 }
 

@@ -35,12 +35,24 @@ done <<<"$cited"
 # comment lines dropped — may not exceed the count below. A PR that removes
 # some lowers the number; none raises it.
 echo "== unwrap budget =="
-unwrap_budget=136
+unwrap_budget=129
 unwraps=$(git ls-files 'crates/*/src/*.rs' | while read -r file; do
     awk '/#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -vE '^[[:space:]]*//'
 done | grep -cE '\.unwrap\(\)|\.expect\(' || true)
 echo "$unwraps non-test unwrap/expect calls (budget $unwrap_budget)"
 [ "$unwraps" -le "$unwrap_budget" ]
+
+# ROADMAP 6(b), done and kept done: every fan-out, the cluster twins'
+# phases included, runs on the one persistent pool in crates/engines, and
+# nothing under crates/ calls the vendored crossbeam shim.
+echo "== one worker pool =="
+pools=$(git grep -lE '^(pub )?struct WorkerPool\b' -- 'crates/*/src/*.rs' || true)
+echo "struct WorkerPool: ${pools:-nowhere}"
+[ "$pools" = "crates/engines/src/pool.rs" ]
+if git grep -n 'crossbeam::' -- 'crates/*/src/*.rs'; then
+    echo "crates/ calls crossbeam again" >&2
+    exit 1
+fi
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets

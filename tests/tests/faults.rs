@@ -5,9 +5,9 @@
 
 use std::time::Duration;
 
-use smda_cluster::{ClusterTopology, CostModel, FaultPlan, NodeCrash, WorkerPool};
+use smda_cluster::{ClusterTopology, CostModel, FaultPlan, NodeCrash};
 use smda_core::Task;
-use smda_engines::RunSpec;
+use smda_engines::{RunSpec, WorkerPool};
 use smda_hive::HiveEngine;
 use smda_integration::fixture_dataset;
 use smda_obs::{counters, BenchExport, MetricsSink, RunManifest};
@@ -111,23 +111,17 @@ fn panicking_pool_tasks_are_retried_then_surface_typed_errors() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    let pool = WorkerPool::new(2);
+    let pool = WorkerPool::global();
     let sink = MetricsSink::recording();
-    // Item 3 panics on its first attempt only (attempt parity via a
-    // per-item atomic — the item payload itself must stay identical
-    // across attempts).
+    // Task 3 panics on its first attempt only (attempt parity via an
+    // atomic — what the task reads stays identical across attempts).
     let first = std::sync::atomic::AtomicBool::new(true);
-    let result = pool.run_retrying(
-        (0..8).collect::<Vec<u64>>(),
-        |i| {
-            if i == 3 && first.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                panic!("transient");
-            }
-            i * 2
-        },
-        3,
-        &sink,
-    );
+    let result = pool.run_contained(2, 8, 3, &sink, &|i| {
+        if i == 3 && first.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            panic!("transient");
+        }
+        i as u64 * 2
+    });
     let values: Vec<u64> = result.unwrap().into_iter().map(|(v, _)| v).collect();
     assert_eq!(values, (0..8).map(|i| i * 2).collect::<Vec<u64>>());
     let report = sink.finish(RunManifest::new("pool", "test"));
@@ -139,12 +133,9 @@ fn panicking_pool_tasks_are_retried_then_surface_typed_errors() {
 
     // Unrecoverable: the budget runs out and the error names the task.
     let err = pool
-        .run_retrying(
-            vec![7u64],
-            |_| -> u64 { panic!("always") },
-            2,
-            &MetricsSink::disabled(),
-        )
+        .run_contained(2, 1, 2, &MetricsSink::disabled(), &|_| -> u64 {
+            panic!("always")
+        })
         .unwrap_err();
     match err {
         Error::TaskFailed { task, attempts } => {
