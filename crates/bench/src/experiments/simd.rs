@@ -1,22 +1,25 @@
 //! PR 8 extension: the SIMD dispatch sweep.
 //!
-//! Runs the tiled symmetric top-k kernel over the same seeded data three
-//! ways — scalar reference (SIMD tier forced off), lane-preserving AVX2
-//! dispatch, and the fused normalize+score kernel over raw rows (the
-//! kernel's `scaling` argument) — and reports wall time, effective
-//! MFLOP/s, and the worst relative score error against the scalar run.
-//! The first two are asserted bit-identical (lane tier); the fused
-//! variant is asserted within `FUSED_REL_TOL` with the same top-k
-//! indices (tolerance tier). On machines without AVX2 the dispatch rows
-//! measure the same scalar kernel — the table then shows the dispatch
-//! overhead is nil.
+//! Runs the tiled symmetric top-k kernel over the same seeded data once
+//! under every dispatch tier this machine runs — the scalar reference
+//! first, then AVX2, then AVX-512 with its 8 × 4 `zmm` register blocks
+//! (a tier the hardware lacks is skipped, not measured twice) — and once
+//! more as the fused normalize+score kernel over raw rows (the kernel's
+//! `scaling` argument) under the dispatched tier, and reports wall time,
+//! effective MFLOP/s, and the worst relative score error against the
+//! scalar run. The tier rows are asserted bit-identical (lane tier); the
+//! fused variant is asserted within `FUSED_REL_TOL` with the same top-k
+//! indices (tolerance tier).
 
 use std::time::Instant;
 
 use smda_core::SIMILARITY_TOP_K;
 use smda_engines::parallel::top_k_matrix_with;
 use smda_obs::MetricsSink;
-use smda_stats::{top_k_tiled, SeriesMatrix, SimdTier, SimilarityMatch, TileConfig, FUSED_REL_TOL};
+use smda_stats::{
+    top_k_tiled, under_every_tier, KernelDispatch, SeriesMatrix, SimilarityMatch, TileConfig,
+    FUSED_REL_TOL,
+};
 
 use crate::data::seed_dataset;
 use crate::report::Table;
@@ -24,9 +27,6 @@ use crate::scale::Scale;
 
 /// Nominal household counts swept (scaled down by `Scale::divisor`).
 pub const HOUSEHOLDS: [usize; 3] = [1_600, 3_200, 6_400];
-
-/// Variants measured per size.
-pub const VARIANTS: usize = 3;
 
 fn max_rel_err(reference: &[Vec<SimilarityMatch>], other: &[Vec<SimilarityMatch>]) -> f64 {
     let mut worst = 0.0f64;
@@ -39,11 +39,11 @@ fn max_rel_err(reference: &[Vec<SimilarityMatch>], other: &[Vec<SimilarityMatch>
     worst
 }
 
-/// Sweep the three dispatch variants over seed datasets of growing size.
+/// Sweep the dispatch variants over seed datasets of growing size.
 pub fn run(scale: Scale) -> Vec<Table> {
     let mut t = Table::new(
         "simd_sweep",
-        "Similarity kernel dispatch: scalar reference vs lane-preserving AVX2 vs fused",
+        "Similarity kernel dispatch: scalar reference vs every lane-preserving tier vs fused",
         &["households", "variant", "time_ms", "mflops", "max_rel_err"],
     );
     let cfg = TileConfig::current();
@@ -68,31 +68,25 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let stride = series.first().map(Vec::len).unwrap_or(0);
         let matrix = SeriesMatrix::from_rows_normalized(&series);
 
-        // Scalar reference: the fixed-order kernels, dispatch forced off.
-        let prev = smda_stats::force_tier(SimdTier::Scalar);
-        let start = Instant::now();
-        let (scalar, stats) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &cfg);
-        let scalar_secs = start.elapsed().as_secs_f64();
-        smda_stats::force_tier(prev);
-        push(
-            nominal,
-            "scalar",
-            scalar_secs,
-            stats.pairs_scored,
-            stride,
-            0.0,
-        );
+        // One row per tier, the scalar reference — the fixed-order
+        // kernels, dispatch forced off — first; the rest bit-identical.
+        let mut scalar: Option<Vec<Vec<SimilarityMatch>>> = None;
+        under_every_tier(|tier| {
+            let start = Instant::now();
+            let (matches, stats) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &cfg);
+            let secs = start.elapsed().as_secs_f64();
+            push(nominal, tier.label(), secs, stats.pairs_scored, stride, 0.0);
+            match &scalar {
+                Some(scalar) => assert_eq!(*scalar, matches, "the {tier:?} tier changed bits"),
+                None => scalar = Some(matches),
+            }
+        });
+        // The scalar tier runs on every machine.
+        let scalar = scalar.unwrap_or_default();
 
-        // Lane-preserving dispatch (AVX2 where detected): bit-identical.
-        smda_stats::force_tier(SimdTier::Avx2); // clamps to scalar sans AVX2
-        let start = Instant::now();
-        let (lanes, lstats) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &cfg);
-        let lane_secs = start.elapsed().as_secs_f64();
-        let label = smda_stats::KernelDispatch::current().tier.label();
-        assert_eq!(scalar, lanes, "lane-preserving dispatch changed bits");
-        push(nominal, label, lane_secs, lstats.pairs_scored, stride, 0.0);
-
-        // Fused normalize+score over raw rows: tolerance tier.
+        // Fused normalize+score over raw rows, under the dispatched
+        // tier: tolerance tier.
+        let label = KernelDispatch::current().tier.label();
         let raw = SeriesMatrix::from_rows_raw(&series);
         let inv = raw.inverse_norms();
         let start = Instant::now();
@@ -104,7 +98,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
             &MetricsSink::disabled(),
         );
         let fused_secs = start.elapsed().as_secs_f64();
-        smda_stats::force_tier(prev);
         let err = max_rel_err(&scalar, &fused);
         assert!(
             err <= FUSED_REL_TOL,
@@ -131,15 +124,22 @@ mod tests {
         let tables = run(Scale::smoke());
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
-        assert_eq!(t.rows.len(), HOUSEHOLDS.len() * VARIANTS);
-        for rows in t.rows.chunks(VARIANTS) {
-            // Scalar and lane rows are exact; the fused row stays inside
-            // the documented tolerance.
-            assert_eq!(rows[0][1], "scalar");
-            assert_eq!(rows[0][4].parse::<f64>().unwrap(), 0.0);
-            assert_eq!(rows[1][4].parse::<f64>().unwrap(), 0.0);
-            let fused_err: f64 = rows[2][4].parse().unwrap();
-            assert!(fused_err <= FUSED_REL_TOL);
+        // One row per tier this machine runs, then the fused one.
+        let mut tiers = Vec::new();
+        under_every_tier(|tier| tiers.push(tier.label()));
+        assert_eq!(tiers[0], "scalar");
+        let variants = tiers.len() + 1;
+        assert_eq!(t.rows.len(), HOUSEHOLDS.len() * variants);
+        for rows in t.rows.chunks(variants) {
+            let (fused, exact) = rows.split_last().expect("a fused row per size");
+            // The tier rows are exact; the fused row stays inside the
+            // documented tolerance.
+            for (row, tier) in exact.iter().zip(&tiers) {
+                assert_eq!(row[1], *tier);
+                assert_eq!(row[4].parse::<f64>().unwrap(), 0.0);
+            }
+            assert!(fused[1].ends_with("+fused"));
+            assert!(fused[4].parse::<f64>().unwrap() <= FUSED_REL_TOL);
             for row in rows {
                 assert!(row[2].parse::<f64>().unwrap() >= 0.0);
                 assert!(row[3].parse::<f64>().unwrap() >= 0.0);

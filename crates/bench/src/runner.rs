@@ -92,7 +92,10 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
     use smda_stats::{top_k_cosine, top_k_tiled, SeriesMatrix, TileConfig};
 
-    let ds = crate::data::seed_dataset(scale.consumers_for_households(6_400));
+    // Never fewer than three query blocks of rows, `--smoke` included:
+    // the AVX-512 tier's 8 × 4 register block needs eight query rows with
+    // four candidates past them, and six rows would gate only the scan.
+    let ds = crate::data::seed_dataset(scale.consumers_for_households(6_400).max(24));
     let series: Vec<Vec<f64>> = ds
         .consumers()
         .iter()
@@ -135,16 +138,67 @@ fn block_matches_scalar<const R: usize, const C: usize>(rows: &[Vec<f64>]) -> bo
     })
 }
 
+/// The first lane-preserving kernel the active tier runs differently
+/// from its scalar reference, over ragged lengths 0..=67 and a full
+/// 8760-hour year: `dot`, `axpy`, and every `dot_block` shape the
+/// similarity kernels instantiate.
+fn lane_kernel_divergence() -> Option<String> {
+    let mut state = 0xdead_beefu64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 4000) as f64 / 1000.0 - 2.0
+    };
+    for len in (0..=67).chain([8760]) {
+        let a: Vec<f64> = (0..len).map(|_| next()).collect();
+        let b: Vec<f64> = (0..len).map(|_| next()).collect();
+        let scalar = smda_stats::dot_scalar(&a, &b);
+        let simd = smda_stats::dot(&a, &b);
+        if simd.to_bits() != scalar.to_bits() {
+            return Some(format!("dot at len={len}: {simd:e} vs {scalar:e}"));
+        }
+        let mut acc_scalar: Vec<f64> = (0..len).map(|_| next()).collect();
+        let mut acc_simd = acc_scalar.clone();
+        smda_stats::simd::axpy_scalar(&mut acc_scalar, 1.3125, &a);
+        smda_stats::axpy(&mut acc_simd, 1.3125, &a);
+        if acc_scalar
+            .iter()
+            .zip(&acc_simd)
+            .any(|(x, y)| x.to_bits() != y.to_bits())
+        {
+            return Some(format!("axpy at len={len}"));
+        }
+        // The AVX-512 tier's 8 × 4 pair block (twelve rows), the 4 × 2
+        // one, the one-row scan and its remainders.
+        let rows: Vec<Vec<f64>> = (0..12)
+            .map(|_| (0..len).map(|_| next()).collect())
+            .collect();
+        let shapes = [
+            ("8x4", block_matches_scalar::<8, 4>(&rows)),
+            ("4x2", block_matches_scalar::<4, 2>(&rows)),
+            ("1x4", block_matches_scalar::<1, 4>(&rows)),
+            ("1x3", block_matches_scalar::<1, 3>(&rows)),
+            ("1x2", block_matches_scalar::<1, 2>(&rows)),
+            ("1x1", block_matches_scalar::<1, 1>(&rows)),
+        ];
+        if let Some((shape, _)) = shapes.iter().find(|(_, same)| !same) {
+            return Some(format!("{shape} block kernel at len={len}"));
+        }
+    }
+    None
+}
+
 /// SIMD equivalence gate (`smda-bench --check simd`).
 ///
 /// Two tiers (DESIGN.md §14):
 ///
-/// 1. **Lane-preserving, bit-exact.** The AVX2 `dot`, `dot_block` (every
-///    shape the kernels instantiate) and `axpy` kernels
-///    must be `to_bits`-identical to the scalar references across ragged
-///    lengths 0..=67 and a full 8760-hour year. Skipped with a logged
-///    note on hardware without AVX2 (the dispatch then provably runs the
-///    scalar reference, which is identity by definition).
+/// 1. **Lane-preserving, bit-exact.** Under every dispatch tier this
+///    machine runs (scalar, AVX2, AVX-512 — a tier the hardware lacks is
+///    skipped; the note lists the ones that ran), `dot`, `dot_block`
+///    (every shape the kernels instantiate) and `axpy` must be
+///    `to_bits`-identical to the scalar references
+///    ([`lane_kernel_divergence`]).
 /// 2. **Fused, tolerance-gated.** Given a `scaling` vector, the raw
 ///    matrix + post-multiplied kernel over one seeded dataset must pick the
 ///    same top-k indices as the exact pre-normalized kernel with every
@@ -156,57 +210,22 @@ fn check_simd(scale: Scale) -> std::result::Result<String, String> {
     use smda_stats::{top_k_tiled, SeriesMatrix, TileConfig, FUSED_REL_TOL};
 
     // Tier 1: lane-preserving kernels are bit-exact.
-    let mut lane_note = "AVX2 lane kernels bit-identical to scalar";
-    if smda_stats::avx2_supported() {
-        let mut state = 0xdead_beefu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 4000) as f64 / 1000.0 - 2.0
-        };
-        let lens: Vec<usize> = (0..=67).chain([8760]).collect();
-        for len in lens {
-            let a: Vec<f64> = (0..len).map(|_| next()).collect();
-            let b: Vec<f64> = (0..len).map(|_| next()).collect();
-            let scalar = smda_stats::dot_scalar(&a, &b);
-            let simd = smda_stats::dot_avx2(&a, &b).expect("AVX2 detected above");
-            if simd.to_bits() != scalar.to_bits() {
-                return Err(format!(
-                    "lane-preserving dot diverged from scalar at len={len}: \
-                     {simd:e} vs {scalar:e}"
-                ));
-            }
-            let mut acc_scalar: Vec<f64> = (0..len).map(|_| next()).collect();
-            let mut acc_simd = acc_scalar.clone();
-            smda_stats::simd::axpy_scalar(&mut acc_scalar, 1.3125, &a);
-            smda_stats::axpy(&mut acc_simd, 1.3125, &a);
-            if acc_scalar
-                .iter()
-                .zip(&acc_simd)
-                .any(|(x, y)| x.to_bits() != y.to_bits())
-            {
-                return Err(format!("axpy diverged from scalar at len={len}"));
-            }
-            // Every block shape the similarity kernels instantiate: the
-            // 4 × 2 pair block, the one-row scan and its remainders.
-            let rows: Vec<Vec<f64>> = (0..6).map(|_| (0..len).map(|_| next()).collect()).collect();
-            let shapes = [
-                ("4x2", block_matches_scalar::<4, 2>(&rows)),
-                ("1x4", block_matches_scalar::<1, 4>(&rows)),
-                ("1x3", block_matches_scalar::<1, 3>(&rows)),
-                ("1x2", block_matches_scalar::<1, 2>(&rows)),
-                ("1x1", block_matches_scalar::<1, 1>(&rows)),
-            ];
-            if let Some((shape, _)) = shapes.iter().find(|(_, same)| !same) {
-                return Err(format!(
-                    "{shape} block kernel diverged from scalar at len={len}"
-                ));
-            }
+    let mut tiers = Vec::new();
+    let mut diverged = None;
+    smda_stats::under_every_tier(|tier| {
+        tiers.push(tier.label());
+        if diverged.is_none() {
+            diverged = lane_kernel_divergence()
+                .map(|what| format!("{} tier diverged from scalar: {what}", tier.label()));
         }
-    } else {
-        lane_note = "no AVX2 on this machine: scalar dispatch is the identity";
+    });
+    if let Some(what) = diverged {
+        return Err(what);
     }
+    let lane_note = format!(
+        "lane kernels bit-identical to scalar under the {} tiers",
+        tiers.join(", ")
+    );
 
     // Tier 2: the fused normalize+score path stays within tolerance.
     let ds = crate::data::seed_dataset(scale.consumers_for_households(6_400));

@@ -324,8 +324,11 @@ where
         counters::SIMILARITY_MFLOPS,
         stats.kernel.flops(stride).saturating_mul(1000) / ns,
     );
-    if smda_stats::simd::active_tier() == smda_stats::SimdTier::Avx2 {
+    if smda_stats::simd::avx2_active() {
         metrics.incr(counters::SIMD_AVX2_ACTIVE, 1);
+    }
+    if smda_stats::simd::active_tier() == smda_stats::SimdTier::Avx512 {
+        metrics.incr(counters::SIMD_AVX512_ACTIVE, 1);
     }
     if fused {
         metrics.incr(counters::SIMD_FUSED_ACTIVE, 1);

@@ -66,9 +66,14 @@ pub mod counters {
     /// Effective similarity-kernel throughput in MFLOP/s (2 flops per
     /// element per pair over the tile phase's wall time).
     pub const SIMILARITY_MFLOPS: &str = "similarity.effective_mflops";
-    /// 1 when the lane-preserving AVX2 kernels were dispatched for the
-    /// run's similarity scoring, 0 when the scalar reference ran.
+    /// 1 when the run's similarity scoring dispatched *at least* the
+    /// lane-preserving AVX2 kernels (so also 1 on an AVX-512 host), 0
+    /// when the scalar reference ran.
     pub const SIMD_AVX2_ACTIVE: &str = "simd.avx2_active";
+    /// 1 when the run's pair sweep ran the AVX-512 tier's 8 × 4 `zmm`
+    /// register blocks (`simd.avx2_active` is 1 beside it: every other
+    /// kernel of that tier is the AVX2 one), absent otherwise.
+    pub const SIMD_AVX512_ACTIVE: &str = "simd.avx512_active";
     /// 1 when the tolerance-tier fused normalize+score kernel scored
     /// the run (a caller passed a `scaling` vector; see `--check simd`).
     pub const SIMD_FUSED_ACTIVE: &str = "simd.fused_active";

@@ -16,11 +16,12 @@
 //!   similarity entry point. It is lent row blocks (the whole resident
 //!   matrix here; band buffers in [`crate::oooc`]), keeps a block of
 //!   query rows hot in cache while candidate rows stream through,
-//!   computes each `(i, j)` score **once** — in register blocks of
-//!   four query rows by two candidate rows ([`dot_block`]), each pair
-//!   the canonical [`dot`](crate::dot) bit for bit, times the two
-//!   inverse norms on raw rows when a `scaling` vector is given — and
-//!   credits it to both rows' bounded top-k buffers.
+//!   computes each `(i, j)` score **once** — in register blocks
+//!   ([`dot_block`]) of four query rows by two candidate rows on `ymm`,
+//!   eight by four on `zmm` under the AVX-512 tier, each pair the
+//!   canonical [`dot`](crate::dot) bit for bit, times the two inverse
+//!   norms on raw rows when a `scaling` vector is given — and credits it
+//!   to both rows' bounded top-k buffers.
 //! * [`top_k_tiled_with`] / [`merge_partials`] — the in-memory kernel,
 //!   as the one primitive there is: a worker claims tile rows off a
 //!   caller-supplied counter and returns per-query partial top-k lists;
@@ -30,10 +31,10 @@
 //!
 //! **Exactness**, for every tier and schedule (DESIGN.md §9): the same
 //! row bits go through `dot`'s own operations in `dot`'s order (a
-//! block keeps one accumulator per pair, DESIGN.md §14), so each pair's
-//! score is the naive scan's ([`crate::top_k_cosine`]) bit for bit; a
-//! top-k buffer keeps a function of the *set* of hits pushed, not their
-//! order, under the total order (score desc, index asc) of
+//! block keeps four accumulator lanes per pair, DESIGN.md §14), so each
+//! pair's score is the naive scan's ([`crate::top_k_cosine`]) bit for
+//! bit; a top-k buffer keeps a function of the *set* of hits pushed, not
+//! their order, under the total order (score desc, index asc) of
 //! [`select_top_k`]; and the k best of a query are among the k best of
 //! any subset that contains them, so merging partials over any
 //! partition of the pairs reproduces the sequential result.
@@ -42,7 +43,7 @@ use std::cell::{RefCell, UnsafeCell};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::simd::dot_block;
+use crate::simd::{active_tier, dot_block, SimdTier, WIDE_COLS, WIDE_ROWS};
 use crate::similarity::{norm2, select_top_k, SimilarityMatch};
 
 /// Every matrix starts on this byte boundary: a cache line, and a
@@ -322,14 +323,17 @@ pub struct TileConfig {
     /// Query rows per tile: this many rows (× stride × 8 bytes) are kept
     /// hot in cache while candidate rows stream through, so every
     /// candidate load is amortized over `query_block` dot products.
-    /// Zero is read as one. Any value yields bit-identical output.
+    /// Zero is read as one. Any value yields bit-identical output. The
+    /// register-block shape inside a tile is not part of this: it
+    /// follows the SIMD tier ([`crate::simd::WIDE_ROWS`]).
     pub query_block: usize,
 }
 
 impl Default for TileConfig {
     /// 8 query rows × 8760 f64 ≈ 560 KB resident per tile — sized for a
     /// typical per-core L2 while leaving room for the streaming
-    /// candidate row.
+    /// candidate rows — and one whole group of eight for the AVX-512
+    /// tier's 8 × 4 register block.
     fn default() -> TileConfig {
         TileConfig { query_block: 8 }
     }
@@ -428,11 +432,13 @@ impl<'a> RowBlock<'a> {
     }
 }
 
-/// Query rows per register block of the pair sweep.
+/// Query rows per register block of the pair sweep on `ymm` (and of
+/// what the 8 × 4 `zmm` blocks of the AVX-512 tier leave over).
 const BLOCK_ROWS: usize = 4;
-/// Candidate rows per register block of the pair sweep: 4 × 2 is eight
-/// accumulator vectors and three row vectors live, inside AVX2's
-/// sixteen registers, and six loads per eight multiply–adds.
+/// Candidate rows per such block: 4 × 2 is eight accumulator vectors and
+/// three row vectors live, inside AVX2's sixteen registers, and six
+/// loads per eight multiply–adds. The AVX-512 tier's shape is
+/// [`WIDE_ROWS`] × [`WIDE_COLS`], sized where its kernel lives.
 const BLOCK_COLS: usize = 2;
 
 /// `dot(query, block.row(j))` for every `j` in `rows`, handed to `sink`
@@ -517,14 +523,17 @@ impl<'a> PairScorer<'a> {
     /// inside each query block first, then every row of `a` past it, so
     /// that `q = 0..a.rows` scores each unordered pair of `a` once.
     ///
-    /// Pairs are scored in register blocks ([`dot_block`]): four query
-    /// rows against two candidate rows wherever that many are left,
-    /// one row against up to four ([`scan_rows`]) for the pairs inside a
-    /// query block, for query rows past the last group of four, and for
-    /// an odd last candidate. Each pair's score is `dot`'s bit for bit
-    /// whichever shape computes it, and the order pairs reach the
-    /// buffers in is free (module docs).
+    /// Pairs are scored in register blocks ([`dot_block`]) whose shape
+    /// follows the SIMD tier, read once per call: under AVX-512, eight
+    /// query rows against four candidate rows wherever that many are
+    /// left, and the narrower walk over what those blocks leave — one to
+    /// three candidates, query rows past the last group of eight; under
+    /// every other tier the narrower walk alone ([`PairScorer::sweep`]).
+    /// Each pair's score is `dot`'s bit for bit whichever shape computes
+    /// it, and the order pairs reach the buffers in is free (module
+    /// docs).
     pub(crate) fn score(&mut self, a: RowBlock<'_>, q: Range<usize>, b: Option<RowBlock<'_>>) {
+        let wide = active_tier() == SimdTier::Avx512;
         let mut q0 = q.start;
         while q0 < q.end {
             let q1 = (q0 + self.query_block).min(q.end);
@@ -537,37 +546,61 @@ impl<'a> PairScorer<'a> {
                     (a, q1)
                 }
             };
-            let grouped = q0 + (q1 - q0) / BLOCK_ROWS * BLOCK_ROWS;
-            let paired = first + (candidates.rows - first) / BLOCK_COLS * BLOCK_COLS;
-            for j in (first..paired).step_by(BLOCK_COLS) {
-                for i in (q0..grouped).step_by(BLOCK_ROWS) {
-                    self.block(a, i, candidates, j);
-                }
-            }
-            for i in grouped..q1 {
-                self.scan(a, i, candidates, first..candidates.rows);
-            }
-            // `dot` commutes bitwise, so the candidate can be the one row.
-            for j in paired..candidates.rows {
-                self.scan(candidates, j, a, q0..grouped);
+            let (rows, cols) = (q0..q1, first..candidates.rows);
+            if wide {
+                let (eights, fours) =
+                    self.blocks::<WIDE_ROWS, WIDE_COLS>(a, rows.clone(), candidates, cols.clone());
+                self.sweep(a, q0..eights, candidates, fours..cols.end);
+                self.sweep(a, eights..q1, candidates, cols);
+            } else {
+                self.sweep(a, rows, candidates, cols);
             }
             q0 = q1;
         }
     }
 
-    /// Rows `i..i + BLOCK_ROWS` of `a` against rows `j..j + BLOCK_COLS`
-    /// of `b`, as one register block.
-    #[inline]
-    fn block(&mut self, a: RowBlock<'_>, i: usize, b: RowBlock<'_>, j: usize) {
-        let scores = dot_block::<BLOCK_ROWS, BLOCK_COLS>(
-            std::array::from_fn(|r| a.row(i + r)),
-            std::array::from_fn(|c| b.row(j + c)),
-        );
-        for (r, row) in scores.into_iter().enumerate() {
-            for (c, dot) in row.into_iter().enumerate() {
-                self.credit(a.start + i + r, b.start + j + c, dot);
+    /// `rows` of `a` against `cols` of `b` on the `ymm` shapes: four
+    /// query rows against two candidate rows wherever that many are
+    /// left, one row against up to four ([`scan_rows`]) for query rows
+    /// past the last group of four and for an odd last candidate.
+    fn sweep(&mut self, a: RowBlock<'_>, rows: Range<usize>, b: RowBlock<'_>, cols: Range<usize>) {
+        let (grouped, paired) =
+            self.blocks::<BLOCK_ROWS, BLOCK_COLS>(a, rows.clone(), b, cols.clone());
+        for i in grouped..rows.end {
+            self.scan(a, i, b, cols.clone());
+        }
+        // `dot` commutes bitwise, so the candidate can be the one row.
+        for j in paired..cols.end {
+            self.scan(b, j, a, rows.start..grouped);
+        }
+    }
+
+    /// The part of `rows` × `cols` that whole `R × C` register blocks
+    /// cover, candidates outermost; returns the row and the column where
+    /// that part ends.
+    fn blocks<const R: usize, const C: usize>(
+        &mut self,
+        a: RowBlock<'_>,
+        rows: Range<usize>,
+        b: RowBlock<'_>,
+        cols: Range<usize>,
+    ) -> (usize, usize) {
+        let row_end = rows.start + rows.len() / R * R;
+        let col_end = cols.start + cols.len() / C * C;
+        for j in (cols.start..col_end).step_by(C) {
+            for i in (rows.start..row_end).step_by(R) {
+                let scores = dot_block::<R, C>(
+                    std::array::from_fn(|r| a.row(i + r)),
+                    std::array::from_fn(|c| b.row(j + c)),
+                );
+                for (r, row) in scores.into_iter().enumerate() {
+                    for (c, dot) in row.into_iter().enumerate() {
+                        self.credit(a.start + i + r, b.start + j + c, dot);
+                    }
+                }
             }
         }
+        (row_end, col_end)
     }
 
     /// Row `i` of `a` against rows `rows` of `b`.
@@ -817,29 +850,35 @@ mod tests {
 
     #[test]
     fn every_shape_of_the_block_walk_is_exact() {
-        // Exhaustive over small n × query block × band height: query
-        // groups of four with one to three rows left over, odd and even
-        // candidate counts, resident and banded, on a ragged stride.
-        for n in 0usize..=13 {
-            let rows = pseudo_series(n, 11, 31 + n as u64);
-            // k = n keeps every hit, so a pair scored twice would show.
-            let naive = top_k_cosine(&rows, n);
-            let m = SeriesMatrix::from_rows_normalized(&rows);
-            let (data, stride) = crate::testutil::flat(&rows);
-            let src = crate::SliceSource::new(&data, n, stride);
-            let pairs = (n * n.saturating_sub(1) / 2) as u64;
-            for query_block in 0usize..=9 {
-                let cfg = TileConfig { query_block };
-                let (tiled, stats) = top_k_tiled(&m, n, &cfg);
-                assert_bit_identical(&naive, &tiled);
-                assert_eq!(stats.pairs_scored, pairs, "n={n} block={query_block}");
-                for band_rows in [1usize, 3, 5, 6] {
-                    let (banded, stats) = crate::top_k_oooc(&src, n, band_rows, &cfg).unwrap();
-                    assert_bit_identical(&naive, &banded);
-                    assert_eq!(stats.kernel.pairs_scored, pairs, "n={n} band={band_rows}");
+        // Exhaustive over small n × query block × band height, under
+        // every tier: query groups of eight and of four with one to
+        // three rows left over, candidate counts on every residue of
+        // four, two groups of eight in one query block (16, 17),
+        // resident and banded — a nine-row band is the banded walk's
+        // 8 × 4 — on a ragged stride.
+        crate::simd::under_every_tier(|tier| {
+            for n in 0usize..=19 {
+                let rows = pseudo_series(n, 11, 31 + n as u64);
+                // k = n keeps every hit, so a pair scored twice would show.
+                let naive = top_k_cosine(&rows, n);
+                let m = SeriesMatrix::from_rows_normalized(&rows);
+                let (data, stride) = crate::testutil::flat(&rows);
+                let src = crate::SliceSource::new(&data, n, stride);
+                let pairs = (n * n.saturating_sub(1) / 2) as u64;
+                for query_block in (0usize..=9).chain([16, 17]) {
+                    let cfg = TileConfig { query_block };
+                    let (tiled, stats) = top_k_tiled(&m, n, &cfg);
+                    assert_bit_identical(&naive, &tiled);
+                    let shape = format!("{tier:?} n={n} block={query_block}");
+                    assert_eq!(stats.pairs_scored, pairs, "{shape}");
+                    for band_rows in [1usize, 3, 5, 6, 9] {
+                        let (banded, stats) = crate::top_k_oooc(&src, n, band_rows, &cfg).unwrap();
+                        assert_bit_identical(&naive, &banded);
+                        assert_eq!(stats.kernel.pairs_scored, pairs, "{shape} band={band_rows}");
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]

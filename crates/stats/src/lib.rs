@@ -53,8 +53,8 @@ pub use scratch::{
     ScratchFit, SegmentSums, SCRATCH_MAX_COLS,
 };
 pub use simd::{
-    avx2_supported, axpy, dot_avx2, dot_block, force_tier, sumsq4, KernelDispatch, SimdTier,
-    FUSED_REL_TOL,
+    avx2_supported, axpy, dot_avx2, dot_block, force_tier, sumsq4, under_every_tier,
+    KernelDispatch, SimdTier, FUSED_REL_TOL,
 };
 pub use similarity::{
     cosine_similarity, dot, dot_scalar, norm2, normalize_all, select_top_k, sumsq, top_k_cosine,

@@ -10,13 +10,15 @@
 //! cross-platform story is built on `f64::to_bits` equality. The module
 //! therefore splits its kernels into two tiers (DESIGN.md §14):
 //!
-//! * **Lane-preserving (bit-exact).** [`dot_avx2`], [`dot_block`],
-//!   [`axpy`], and [`sumsq4`]'s AVX2 body map the reference kernel's
-//!   independent accumulators onto vector lanes one-for-one: lane *j*
-//!   sees exactly the additions scalar accumulator *j* saw, in the same
-//!   order, and the final reduction reuses the scalar tree
-//!   (`((a0+a1)+(a2+a3)) + tail`). No FMA — a fused multiply-add rounds
-//!   once where the reference rounds twice. [`lagged_moments`] and
+//! * **Lane-preserving (bit-exact).** [`dot_avx2`], [`dot_block`] and
+//!   [`axpy`] map the reference kernel's independent accumulators onto
+//!   vector lanes one-for-one: lane *j* sees exactly the additions
+//!   scalar accumulator *j* saw, in the same order, and the final
+//!   reduction reuses the scalar tree (`((a0+a1)+(a2+a3)) + tail`). No
+//!   FMA — a fused multiply-add rounds once where the reference rounds
+//!   twice. Width is free where fusion is not: the AVX-512 block keeps
+//!   *two pairs'* four lanes in one `zmm`, and each half still performs
+//!   its pair's operations and nothing else. [`lagged_moments`] and
 //!   [`lagged_residuals`] — the PAR fit's two passes — are the same idea
 //!   with nothing to reduce: a lane *is* one hour's scalar accumulator.
 //!   These kernels are **bit-identical** to their scalar references on
@@ -36,19 +38,25 @@
 //! # Dispatch
 //!
 //! One process-global tier ([`KernelDispatch`] snapshots it) decides
-//! what runs. It is detected once (`is_x86_feature_detected!("avx2")`) and every
-//! hot entry point — [`crate::dot`], [`dot_block`], [`axpy`], [`sumsq4`],
-//! [`lagged_moments`], [`lagged_residuals`] — consults the
-//! cached tier with a single relaxed atomic load before a year-long
-//! loop. All five platforms share these entry points (the naive scan,
-//! the tiled kernel, Hive's reduce-side join and Spark's broadcast join
-//! all call [`crate::dot`]; the fitting engines reach [`axpy`] and the
-//! lagged kernels through [`NormalEq`](crate::NormalEq)), so there is
-//! exactly one place where scalar-vs-SIMD is decided. Tests can pin the tier with
-//! [`force_tier`]; forcing [`SimdTier::Avx2`] on hardware without AVX2
-//! clamps back to scalar rather than faulting.
+//! what runs: scalar, AVX2, or AVX-512 — which is the AVX2 tier with the
+//! pair sweep's register block widened ([`WIDE_ROWS`] × [`WIDE_COLS`] on
+//! `zmm`); every other kernel asks only [`avx2_active`]. It is detected
+//! once (`is_x86_feature_detected!`, which for `avx512f` also checks
+//! that the OS saves `zmm` state) and every hot entry point —
+//! [`crate::dot`], [`dot_block`], [`axpy`], [`sumsq4`],
+//! [`lagged_moments`], [`lagged_residuals`] — consults the cached tier
+//! with a single relaxed atomic load before a year-long loop. All five
+//! platforms share these entry points (the naive scan, the tiled kernel,
+//! Hive's reduce-side join and Spark's broadcast join all call
+//! [`crate::dot`]; the fitting engines reach [`axpy`] and the lagged
+//! kernels through [`NormalEq`](crate::NormalEq)), so there is exactly
+//! one place where scalar-vs-SIMD is decided. Tests pin the tier with
+//! [`force_tier`] or walk every tier with [`under_every_tier`]; forcing
+//! a tier the hardware lacks clamps to the widest one it has rather than
+//! faulting.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use smda_types::HOURS_PER_DAY;
 
@@ -61,21 +69,33 @@ use crate::similarity::dot_scalar;
 /// headroom while still catching any real kernel defect.
 pub const FUSED_REL_TOL: f64 = 1e-12;
 
-/// Which implementation family the dispatched kernels run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which implementation family the dispatched kernels run. Ordered by
+/// width: a tier runs every kernel of the tiers below it that it does
+/// not widen, so dispatch sites ask "at least" ([`avx2_active`]), never
+/// "exactly".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// The fixed-order scalar reference kernels.
     Scalar,
     /// Lane-preserving AVX2 `f64x4` kernels (bit-identical to scalar).
     Avx2,
+    /// The AVX2 kernels, except that the pair sweep's register block is
+    /// [`WIDE_ROWS`] × [`WIDE_COLS`] with two pairs' four-lane
+    /// accumulators side by side in each `zmm` (bit-identical to scalar).
+    Avx512,
 }
 
 impl SimdTier {
-    /// Stable lowercase label (`scalar` / `avx2`) for exports and logs.
+    /// Every tier, narrowest first.
+    pub const ALL: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512];
+
+    /// Stable lowercase label (`scalar` / `avx2` / `avx512`) for exports
+    /// and logs.
     pub fn label(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
             SimdTier::Avx2 => "avx2",
+            SimdTier::Avx512 => "avx512",
         }
     }
 }
@@ -96,31 +116,35 @@ impl KernelDispatch {
     }
 }
 
-/// 0 = undetected, 1 = scalar, 2 = AVX2.
+/// 0 = undetected, 1 = scalar, 2 = AVX2, 3 = AVX-512.
 static TIER: AtomicU8 = AtomicU8::new(0);
 
-/// Whether this CPU supports the AVX2 kernels (cached after first call).
+/// Whether this CPU supports the AVX2 kernels.
 pub fn avx2_supported() -> bool {
-    detect() == 2
+    detect() >= SimdTier::Avx2
 }
 
-fn detect() -> u8 {
+/// The widest tier this CPU (and, for `zmm` state, this OS) runs. The
+/// AVX-512 tier also runs the AVX2 kernels, so it asks for both.
+fn detect() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return 2;
+    if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return SimdTier::Avx512;
         }
+        return SimdTier::Avx2;
     }
-    1
+    SimdTier::Scalar
 }
 
 /// The active lane-preserving tier, detecting on first use.
 pub fn active_tier() -> SimdTier {
     match TIER.load(Ordering::Relaxed) {
+        3 => SimdTier::Avx512,
         2 => SimdTier::Avx2,
         1 => SimdTier::Scalar,
         _ => {
-            let detected = detect();
+            let detected = detect() as u8 + 1;
             // A concurrent `force_tier` may land first; keep whatever won.
             let _ = TIER.compare_exchange(0, detected, Ordering::Relaxed, Ordering::Relaxed);
             active_tier()
@@ -128,24 +152,48 @@ pub fn active_tier() -> SimdTier {
     }
 }
 
+/// Whether the active tier runs the `ymm` kernels — the one question
+/// every kernel but the pair sweep's wide block asks of the tier.
+#[inline]
+pub fn avx2_active() -> bool {
+    active_tier() >= SimdTier::Avx2
+}
+
 /// Force the lane-preserving tier (tests, experiments, the forced
 /// fallback path), returning the previous tier so callers can restore
-/// it. Requesting [`SimdTier::Avx2`] on hardware without AVX2 clamps to
-/// scalar — the setting can never make a dispatched kernel fault.
+/// it. A tier this hardware lacks clamps to the widest one it has —
+/// [`SimdTier::Avx512`] to AVX2, AVX2 to scalar — so the setting can
+/// never make a dispatched kernel fault.
 pub fn force_tier(tier: SimdTier) -> SimdTier {
-    let clamped = match tier {
-        SimdTier::Avx2 if !avx2_supported() => SimdTier::Scalar,
-        t => t,
-    };
     let previous = active_tier();
-    TIER.store(
-        match clamped {
-            SimdTier::Scalar => 1,
-            SimdTier::Avx2 => 2,
-        },
-        Ordering::Relaxed,
-    );
+    TIER.store(tier.min(detect()) as u8 + 1, Ordering::Relaxed);
     previous
+}
+
+/// Held by whoever pins the tier and relies on it staying pinned. A
+/// panicking holder leaves nothing half-done behind the lock, so a
+/// poisoned lock is taken as is.
+fn pin_lock() -> MutexGuard<'static, ()> {
+    static PINNED: Mutex<()> = Mutex::new(());
+    PINNED.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `body` once under every tier this hardware runs, narrowest
+/// first, then restore the tier in force before — how tests, gates and
+/// the `simd` experiment compare the tiers. A tier that would clamp is
+/// skipped, not run twice. Calls are serialized on a process-wide lock,
+/// so each body runs the tier it is handed even beside other callers
+/// (code that merely dispatches meanwhile may see any tier, which the
+/// tiers' bit-identity makes harmless); `body` must not call this again.
+pub fn under_every_tier(mut body: impl FnMut(SimdTier)) {
+    let _pinned = pin_lock();
+    let widest = detect();
+    let previous = active_tier();
+    for tier in SimdTier::ALL.into_iter().filter(|&t| t <= widest) {
+        force_tier(tier);
+        body(tier);
+    }
+    force_tier(previous);
 }
 
 /// Dispatched dot product: AVX2 lane-preserving kernel when active,
@@ -153,11 +201,14 @@ pub fn force_tier(tier: SimdTier) -> SimdTier {
 /// body of the canonical [`crate::dot`].
 #[inline]
 pub(crate) fn dot_dispatch(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == SimdTier::Avx2 {
-        // SAFETY: `active_tier` only reports Avx2 when the CPU has it
-        // (detection, and `force_tier` clamps).
-        return unsafe { dot_avx2_impl(a, b) };
+    if avx2_active() {
+        // SAFETY: `active_tier` only reports AVX2 or wider when the CPU
+        // has it (detection, and `force_tier` clamps); the caller checked
+        // that both rows hold `a.len()` elements.
+        let [[dot]] = unsafe { dot_block_avx2([a], [b], a.len()) };
+        return dot;
     }
     dot_scalar(a, b)
 }
@@ -174,37 +225,27 @@ pub fn dot_avx2(a: &[f64], b: &[f64]) -> Option<f64> {
     assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
     #[cfg(target_arch = "x86_64")]
     if avx2_supported() {
-        // SAFETY: AVX2 presence just checked.
-        return Some(unsafe { dot_avx2_impl(a, b) });
+        // SAFETY: AVX2 presence and the equal lengths just checked.
+        let [[dot]] = unsafe { dot_block_avx2([a], [b], a.len()) };
+        return Some(dot);
     }
-    let _ = (a, b);
     None
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2_impl(a: &[f64], b: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 4;
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut acc = _mm256_setzero_pd();
-    for c in 0..chunks {
-        // SAFETY: `4 * c + 3 < a.len()` for every chunk; unaligned loads.
-        let va = _mm256_loadu_pd(pa.add(4 * c));
-        let vb = _mm256_loadu_pd(pb.add(4 * c));
-        // mul then add, NOT fma: the scalar reference rounds the product
-        // before the sum, and bit-exactness requires the same here.
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    let mut tail = 0.0;
-    for i in chunks * 4..a.len() {
-        tail += a[i] * b[i];
-    }
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
+/// Query rows of the one [`dot_block`] shape that runs on `zmm` under
+/// [`SimdTier::Avx512`] — the register block the pair sweep walks there.
+pub const WIDE_ROWS: usize = 8;
+/// Candidate rows of that shape: 8 × 4 is sixteen accumulator vectors,
+/// two candidate vectors and one query vector of the 32 `zmm`, and two
+/// inserts per 32 multiplies and adds. The insert is an ALU µop on the
+/// two 512-bit ports the arithmetic needs, so a block must be this large
+/// to amortise it: 4 × 2 in four `zmm` measured no faster than 4 × 2 in
+/// eight `ymm` (DESIGN.md §14 has the table).
+pub const WIDE_COLS: usize = 4;
+
+/// Whether [`dot_block`] runs a `rows × cols` block on `zmm` under `tier`.
+fn runs_wide(tier: SimdTier, rows: usize, cols: usize) -> bool {
+    tier == SimdTier::Avx512 && (rows, cols) == (WIDE_ROWS, WIDE_COLS)
 }
 
 /// `R × C` dot products at once — `out[r][c]` is bit-identical to
@@ -216,11 +257,15 @@ unsafe fn dot_avx2_impl(a: &[f64], b: &[f64]) -> f64 {
 /// `R + C` row vectors once per step instead of twice per pair.
 ///
 /// Bit-identity is the lane argument of [`dot_avx2`] applied per pair:
-/// every pair owns its accumulator vector, lane *j* of it is added the
+/// every pair owns four accumulator lanes, lane *j* of them is added the
 /// products of elements `4k + j` in increasing `k` with a separate
 /// multiply and add (no FMA), and each pair finishes with the scalar
-/// tree `((l0+l1)+(l2+l3)) + tail`. The scalar tier is [`dot_scalar`]
-/// per pair.
+/// tree `((l0+l1)+(l2+l3)) + tail`. Under AVX2 a pair's four lanes are
+/// one `ymm`; under AVX-512 the [`WIDE_ROWS`] × [`WIDE_COLS`] block
+/// keeps two pairs' lanes in the two halves of one `zmm` (every other
+/// shape stays on `ymm`: it has nothing to amortise the insert over).
+/// Which register a lane lives in changes nothing it computes. The
+/// scalar tier is [`dot_scalar`] per pair.
 ///
 /// # Panics
 /// Panics unless all `R + C` rows share one length.
@@ -238,10 +283,25 @@ pub fn dot_block<const R: usize, const C: usize>(
         "dot block requires equal lengths"
     );
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == SimdTier::Avx2 {
-        // SAFETY: the tier implies AVX2 (see `dot_dispatch`), and every
-        // row was just checked to hold exactly `len` elements.
-        return unsafe { dot_block_avx2_impl(queries, candidates, len) };
+    {
+        let tier = active_tier();
+        if runs_wide(tier, R, C) {
+            // SAFETY: the tier implies AVX-512F (see `dot_dispatch`), and
+            // every row was just checked to hold exactly `len` elements.
+            // The arrays are re-typed to the shape `R` and `C` equal.
+            let wide = unsafe {
+                dot_block_avx512(
+                    std::array::from_fn(|r| queries[r]),
+                    std::array::from_fn(|c| candidates[c]),
+                    len,
+                )
+            };
+            return std::array::from_fn(|r| std::array::from_fn(|c| wide[r][c]));
+        }
+        if tier >= SimdTier::Avx2 {
+            // SAFETY: as above, for AVX2.
+            return unsafe { dot_block_avx2(queries, candidates, len) };
+        }
     }
     queries.map(|q| candidates.map(|c| dot_scalar(q, c)))
 }
@@ -250,42 +310,189 @@ pub fn dot_block<const R: usize, const C: usize>(
 /// The CPU must support AVX2 and every row must hold `len` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_block_avx2_impl<const R: usize, const C: usize>(
+unsafe fn dot_block_avx2<const R: usize, const C: usize>(
     queries: [&[f64]; R],
     candidates: [&[f64]; C],
     len: usize,
 ) -> [[f64; C]; R] {
-    use std::arch::x86_64::*;
+    dot_block_lanes::<std::arch::x86_64::__m256d, R, C, C>(queries, candidates, len)
+}
+
+/// # Safety
+/// The CPU must support AVX-512F and every row must hold `len` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dot_block_avx512(
+    queries: [&[f64]; WIDE_ROWS],
+    candidates: [&[f64]; WIDE_COLS],
+    len: usize,
+) -> [[f64; WIDE_COLS]; WIDE_ROWS] {
+    const VECTORS: usize = WIDE_COLS / 2;
+    dot_block_lanes::<std::arch::x86_64::__m512d, WIDE_ROWS, WIDE_COLS, VECTORS>(
+        queries, candidates, len,
+    )
+}
+
+/// One accumulator vector of the block kernel: the four-lane partial
+/// sums of [`PAIRS`](PairLanes::PAIRS) pairs that share a query row,
+/// side by side — one pair in a `__m256d`, two in a `__m512d`. A pair's
+/// four lanes see the same products in the same order, each rounded
+/// twice (multiply, then add — never an FMA), whichever type holds them.
+/// (Not [`Lanes`]: that vocabulary's vector is four hours, never split
+/// or reduced; what this one is for — a query chunk in every pair's
+/// lanes, a candidate chunk per pair, a per-pair store — has no meaning
+/// there.)
+///
+/// # Safety
+/// As [`Lanes`]: every method requires the instruction set its type
+/// needs (AVX2, AVX-512F), so it must only be reached from a
+/// `#[target_feature]` frame that a tier check guards. Memory safety
+/// needs nothing more: loads go through `[f64; 4]` references — every
+/// access is 32 bytes wide at either width — and stores through a slice.
+#[cfg(target_arch = "x86_64")]
+trait PairLanes: Copy {
+    /// Pairs per vector: candidate rows one vector takes a chunk of.
+    const PAIRS: usize;
+    unsafe fn zero() -> Self;
+    /// The query row's chunk, once per pair.
+    unsafe fn query(chunk: &[f64; 4]) -> Self;
+    /// Candidate row `p`'s chunk, `chunk_of(p)`, in pair `p`'s lanes.
+    unsafe fn candidates<'a>(chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> Self;
+    unsafe fn add(self, rhs: Self) -> Self;
+    unsafe fn mul(self, rhs: Self) -> Self;
+    /// Pair `p`'s four lanes into `lanes[p]`.
+    unsafe fn store(self, lanes: &mut [[f64; 4]]);
+}
+
+// SAFETY (every method): the trait's contract puts the caller inside an
+// AVX2 frame; the loads read exactly the four `f64` their references
+// cover, the store writes exactly the four of `lanes[0]`.
+#[cfg(target_arch = "x86_64")]
+impl PairLanes for std::arch::x86_64::__m256d {
+    const PAIRS: usize = 1;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        std::arch::x86_64::_mm256_setzero_pd()
+    }
+    #[inline(always)]
+    unsafe fn query(chunk: &[f64; 4]) -> Self {
+        std::arch::x86_64::_mm256_loadu_pd(chunk.as_ptr())
+    }
+    #[inline(always)]
+    unsafe fn candidates<'a>(chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> Self {
+        std::arch::x86_64::_mm256_loadu_pd(chunk_of(0).as_ptr())
+    }
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        std::arch::x86_64::_mm256_add_pd(self, rhs)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        std::arch::x86_64::_mm256_mul_pd(self, rhs)
+    }
+    #[inline(always)]
+    unsafe fn store(self, lanes: &mut [[f64; 4]]) {
+        std::arch::x86_64::_mm256_storeu_pd(lanes[0].as_mut_ptr(), self)
+    }
+}
+
+// SAFETY (every method): the trait's contract puts the caller inside an
+// AVX-512F frame (which implies AVX for the 256-bit loads); each load
+// reads exactly the four `f64` its reference covers, the store writes
+// exactly the eight of a local array.
+#[cfg(target_arch = "x86_64")]
+impl PairLanes for std::arch::x86_64::__m512d {
+    const PAIRS: usize = 2;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        std::arch::x86_64::_mm512_setzero_pd()
+    }
+    #[inline(always)]
+    unsafe fn query(chunk: &[f64; 4]) -> Self {
+        use std::arch::x86_64::*;
+        // Both pairs of a vector share the query row: a broadcast from
+        // memory, which the load ports do alone.
+        _mm512_broadcast_f64x4(_mm256_loadu_pd(chunk.as_ptr()))
+    }
+    #[inline(always)]
+    unsafe fn candidates<'a>(chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> Self {
+        use std::arch::x86_64::*;
+        let low = _mm256_loadu_pd(chunk_of(0).as_ptr());
+        let high = _mm256_loadu_pd(chunk_of(1).as_ptr());
+        _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(low), high)
+    }
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        std::arch::x86_64::_mm512_add_pd(self, rhs)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        std::arch::x86_64::_mm512_mul_pd(self, rhs)
+    }
+    #[inline(always)]
+    unsafe fn store(self, lanes: &mut [[f64; 4]]) {
+        let mut both = [0.0f64; 8];
+        std::arch::x86_64::_mm512_storeu_pd(both.as_mut_ptr(), self);
+        lanes[0].copy_from_slice(&both[..4]);
+        lanes[1].copy_from_slice(&both[4..]);
+    }
+}
+
+/// The block kernel's one loop nest: `R` query rows against `C`
+/// candidate rows held as `P = C / V::PAIRS` vectors per query row.
+/// (`P` is its own parameter because stable Rust cannot spell
+/// `C / V::PAIRS` in an array length.)
+///
+/// # Safety
+/// As [`PairLanes`], the instruction set `V` needs; and every row must
+/// hold `len` elements.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn dot_block_lanes<V: PairLanes, const R: usize, const C: usize, const P: usize>(
+    queries: [&[f64]; R],
+    candidates: [&[f64]; C],
+    len: usize,
+) -> [[f64; C]; R] {
+    const {
+        assert!(
+            P * V::PAIRS == C,
+            "P vectors of V::PAIRS pairs cover C candidates"
+        )
+    };
+    // SAFETY (callers pass `4 * k + 3 < len`, each row's length): the
+    // four elements are inside the row.
+    let chunk = |row: &[f64], k: usize| unsafe { &*row.as_ptr().add(4 * k).cast::<[f64; 4]>() };
     let chunks = len / 4;
-    let mut acc = [[_mm256_setzero_pd(); C]; R];
+    let mut acc = [[V::zero(); P]; R];
     for k in 0..chunks {
-        let mut vc = [_mm256_setzero_pd(); C];
-        for (v, row) in vc.iter_mut().zip(&candidates) {
-            // SAFETY: `4 * k + 3 < len`, each row's length; unaligned load.
-            *v = _mm256_loadu_pd(row.as_ptr().add(4 * k));
+        let mut vc = [V::zero(); P];
+        for (v, rows) in vc.iter_mut().zip(candidates.chunks_exact(V::PAIRS)) {
+            *v = V::candidates(|p| chunk(rows[p], k));
         }
         for (pairs, row) in acc.iter_mut().zip(&queries) {
-            // SAFETY: as above.
-            let vq = _mm256_loadu_pd(row.as_ptr().add(4 * k));
+            let vq = V::query(chunk(row, k));
             for (pair, v) in pairs.iter_mut().zip(&vc) {
-                // mul then add, NOT fma, and one accumulator per pair:
-                // each pair replays `dot_avx2_impl`'s operations exactly.
-                *pair = _mm256_add_pd(*pair, _mm256_mul_pd(vq, *v));
+                // mul then add, NOT fma: the scalar reference rounds the
+                // product before the sum, and bit-exactness requires the
+                // same here. One set of four lanes per pair: each pair
+                // replays `dot_scalar`'s operations exactly.
+                *pair = pair.add(vq.mul(*v));
             }
         }
     }
     let done = chunks * 4;
     let mut out = [[0.0f64; C]; R];
-    for ((scores, pairs), q) in out.iter_mut().zip(&acc).zip(&queries) {
-        for ((score, pair), c) in scores.iter_mut().zip(pairs).zip(&candidates) {
-            let mut lanes = [0.0f64; 4];
-            // SAFETY: `lanes` is the four `f64` one vector stores.
-            _mm256_storeu_pd(lanes.as_mut_ptr(), *pair);
+    for ((scores, vectors), q) in out.iter_mut().zip(&acc).zip(&queries) {
+        let mut lanes = [[0.0f64; 4]; C];
+        for (v, pairs) in vectors.iter().zip(lanes.chunks_exact_mut(V::PAIRS)) {
+            v.store(pairs);
+        }
+        for ((score, l), c) in scores.iter_mut().zip(&lanes).zip(&candidates) {
             let mut tail = 0.0;
             for (x, y) in q[done..].iter().zip(&c[done..]) {
                 tail += x * y;
             }
-            *score = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail;
+            *score = ((l[0] + l[1]) + (l[2] + l[3])) + tail;
         }
     }
     out
@@ -302,7 +509,7 @@ unsafe fn dot_block_avx2_impl<const R: usize, const C: usize>(
 pub fn axpy(acc: &mut [f64], a: f64, x: &[f64]) {
     assert_eq!(acc.len(), x.len(), "axpy requires equal lengths");
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == SimdTier::Avx2 {
+    if avx2_active() {
         // SAFETY: tier implies AVX2 (see `dot_dispatch`).
         unsafe { axpy_avx2_impl(acc, a, x) };
         return;
@@ -502,7 +709,7 @@ pub struct LaneMoments {
 pub fn lagged_moments(y: &[f64], x: &[f64], days: usize, hour: usize) -> LaneMoments {
     check_lane_args(y, x, days, hour);
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == SimdTier::Avx2 {
+    if avx2_active() {
         // SAFETY: the tier implies AVX2 (see `dot_dispatch`).
         return unsafe { lagged_moments_avx2(y, x, days, hour) };
     }
@@ -602,7 +809,7 @@ pub fn lagged_residuals(
 ) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
     check_lane_args(y, x, days, hour);
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == SimdTier::Avx2 {
+    if avx2_active() {
         // SAFETY: the tier implies AVX2 (see `dot_dispatch`).
         return unsafe { lagged_residuals_avx2(y, x, days, hour, beta, mean_y) };
     }
@@ -663,58 +870,16 @@ unsafe fn lagged_residuals_lanes<V: Lanes>(
 }
 
 /// Four-accumulator sum of squares — the *wide* variant of the canonical
-/// single-chain [`sumsq`](crate::similarity::sumsq). Deterministic on
-/// every machine (the scalar body and the AVX2 body are lane-identical),
-/// but **not** bit-equal to the canonical chain, so it only serves the
-/// tolerance tier; callers on the exact path must use
+/// single-chain [`sumsq`](crate::similarity::sumsq): `dot(v, v)`, lane
+/// for lane. Deterministic on every machine (every tier's `dot` is
+/// bit-identical), but **not** bit-equal to the canonical chain, so it
+/// only serves the tolerance tier; callers on the exact path must use
 /// [`sumsq`](crate::similarity::sumsq).
 ///
 /// Used by the fused scoring path to fold row norms without a
 /// pre-normalization pass.
 pub fn sumsq4(v: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if active_tier() == SimdTier::Avx2 {
-        // SAFETY: tier implies AVX2.
-        return unsafe { sumsq4_avx2_impl(v) };
-    }
-    sumsq4_scalar(v)
-}
-
-/// The scalar reference for [`sumsq4`] (bit-identical to its AVX2 body).
-pub fn sumsq4_scalar(v: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    for chunk in v.chunks_exact(4) {
-        acc[0] += chunk[0] * chunk[0];
-        acc[1] += chunk[1] * chunk[1];
-        acc[2] += chunk[2] * chunk[2];
-        acc[3] += chunk[3] * chunk[3];
-    }
-    let mut tail = 0.0;
-    for &x in &v[v.len() / 4 * 4..] {
-        tail += x * x;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sumsq4_avx2_impl(v: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let chunks = v.len() / 4;
-    let pv = v.as_ptr();
-    let mut acc = _mm256_setzero_pd();
-    for c in 0..chunks {
-        // SAFETY: `4 * c + 3 < v.len()` for every chunk.
-        let x = _mm256_loadu_pd(pv.add(4 * c));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(x, x));
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    let mut tail = 0.0;
-    for i in chunks * 4..v.len() {
-        tail += v[i] * v[i];
-    }
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
+    dot_dispatch(v, v)
 }
 
 #[cfg(test)]
@@ -753,14 +918,103 @@ mod tests {
 
     #[test]
     fn axpy_paths_are_bit_identical() {
-        for len in [0usize, 1, 3, 4, 6, 9, 33] {
-            let x = series(len, 5);
-            let mut scalar = series(len, 9);
-            let mut dispatched = scalar.clone();
-            axpy_scalar(&mut scalar, 1.75, &x);
-            axpy(&mut dispatched, 1.75, &x);
-            for (a, b) in scalar.iter().zip(&dispatched) {
-                assert_eq!(a.to_bits(), b.to_bits(), "axpy diverged at len={len}");
+        under_every_tier(|tier| {
+            for len in [0usize, 1, 3, 4, 6, 9, 33] {
+                let x = series(len, 5);
+                let mut scalar = series(len, 9);
+                let mut dispatched = scalar.clone();
+                axpy_scalar(&mut scalar, 1.75, &x);
+                axpy(&mut dispatched, 1.75, &x);
+                for (a, b) in scalar.iter().zip(&dispatched) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{tier:?} axpy, len={len}");
+                }
+            }
+        });
+    }
+
+    /// `dot_block::<R, C>` over the first `R + C` of `rows` against
+    /// `dot_scalar`, pair by pair.
+    fn assert_block_matches_scalar<const R: usize, const C: usize>(rows: &[Vec<f64>], why: &str) {
+        let queries: [&[f64]; R] = std::array::from_fn(|r| &rows[r][..]);
+        let candidates: [&[f64]; C] = std::array::from_fn(|c| &rows[R + c][..]);
+        let got = dot_block(queries, candidates);
+        for (r, q) in queries.iter().enumerate() {
+            for (c, cand) in candidates.iter().enumerate() {
+                assert_eq!(
+                    got[r][c].to_bits(),
+                    dot_scalar(q, cand).to_bits(),
+                    "{R}x{C} block, pair ({r}, {c}): {why}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_block_shape_is_dot_scalar_pair_by_pair_on_every_tier() {
+        // Twelve distinct rows (`series` sets its seed's low bit, so the
+        // seeds differ above it): a half fed the wrong candidate, halves
+        // swapped at the store, or a query chunk that is not the same in
+        // both halves each land some pair on another pair's score.
+        under_every_tier(|tier| {
+            for len in [0usize, 1, 3, 4, 5, 8, 11, 12, 67, 8760] {
+                let rows: Vec<Vec<f64>> = (0..12).map(|r| series(len, 40 + 2 * r)).collect();
+                let distinct = |r: usize| rows[..r].iter().all(|row| *row != rows[r]);
+                assert!(len == 0 || (0..12).all(distinct), "len={len}");
+                let why = format!("{tier:?}, len={len}");
+                assert_block_matches_scalar::<WIDE_ROWS, WIDE_COLS>(&rows, &why);
+                assert_block_matches_scalar::<4, 2>(&rows, &why);
+                assert_block_matches_scalar::<1, 4>(&rows, &why);
+                assert_block_matches_scalar::<1, 3>(&rows, &why);
+                assert_block_matches_scalar::<1, 2>(&rows, &why);
+                assert_block_matches_scalar::<1, 1>(&rows, &why);
+            }
+        });
+    }
+
+    #[test]
+    fn the_product_is_rounded_before_the_sum_on_every_tier() {
+        // (1 + 2⁻²⁷)² = 1 + 2⁻²⁶ + 2⁻⁵⁴ rounds to 1 + 2⁻²⁶, so adding −1
+        // leaves exactly 2⁻²⁶; a fused multiply-add keeps the 2⁻⁵⁴. The
+        // −1 is its own product, one chunk earlier in the same lane.
+        let x = 1.0 + (-27f64).exp2();
+        let mut q = vec![0.0; 8];
+        let mut c = vec![0.0; 8];
+        (q[0], c[0]) = (-1.0, 1.0);
+        (q[4], c[4]) = (x, x);
+        assert_eq!(dot_scalar(&q, &c), (-26f64).exp2());
+        let rows: Vec<Vec<f64>> = (0..12)
+            .map(|r| if r < WIDE_ROWS { q.clone() } else { c.clone() })
+            .collect();
+        under_every_tier(|tier| {
+            let why = format!("{tier:?} fused a multiply into an add");
+            assert_eq!(crate::dot(&q, &c), (-26f64).exp2(), "{why}");
+            assert_block_matches_scalar::<WIDE_ROWS, WIDE_COLS>(&rows, &why);
+            assert_block_matches_scalar::<4, 2>(&rows, &why);
+            assert_block_matches_scalar::<1, 4>(&rows, &why);
+        });
+    }
+
+    #[test]
+    fn each_kernel_family_runs_the_body_its_tier_names() {
+        // The tier is an order. Every kernel but the pair sweep's wide
+        // block asks "at least AVX2" — an equality there would drop an
+        // AVX-512 host to the scalar instantiations — and only the wide
+        // shape, only under AVX-512, leaves `ymm`.
+        assert!(SimdTier::ALL.windows(2).all(|w| w[0] < w[1]));
+        under_every_tier(|tier| {
+            assert_eq!(active_tier(), tier);
+            assert_eq!(KernelDispatch::current().tier, tier);
+            // dot, axpy, sumsq4, lagged_moments, lagged_residuals, and
+            // every dot_block that is not wide.
+            assert_eq!(avx2_active(), tier != SimdTier::Scalar, "{tier:?}");
+        });
+        for tier in SimdTier::ALL {
+            let wide = tier == SimdTier::Avx512;
+            assert_eq!(runs_wide(tier, WIDE_ROWS, WIDE_COLS), wide, "{tier:?}");
+            // The 4 × 2 block, the one-row scan and its remainders, the
+            // single dot: `ymm` (or scalar) on every tier.
+            for (rows, cols) in [(4, 2), (1, 4), (1, 3), (1, 2), (1, 1), (4, 8), (8, 2)] {
+                assert!(!runs_wide(tier, rows, cols), "{tier:?} {rows}x{cols}");
             }
         }
     }
@@ -874,31 +1128,37 @@ mod tests {
 
     #[test]
     fn sumsq4_bodies_agree_bitwise() {
-        for len in [0usize, 1, 4, 7, 63, 8760] {
-            let v = series(len, 21);
-            let wide = sumsq4(&v);
-            assert_eq!(
-                wide.to_bits(),
-                sumsq4_scalar(&v).to_bits(),
-                "sumsq4 AVX2 body diverged from its scalar body at len={len}"
-            );
-            // Wide vs canonical chain: equal in value terms, not bits.
-            let canon = crate::similarity::sumsq(&v);
-            let tol = FUSED_REL_TOL * canon.abs().max(1.0);
-            assert!((wide - canon).abs() <= tol, "len={len}");
-        }
+        under_every_tier(|tier| {
+            for len in [0usize, 1, 4, 7, 63, 8760] {
+                let v = series(len, 21);
+                let wide = sumsq4(&v);
+                assert_eq!(
+                    wide.to_bits(),
+                    dot_scalar(&v, &v).to_bits(),
+                    "{tier:?} sumsq4 left the scalar four-lane sum at len={len}"
+                );
+                // Wide vs canonical chain: equal in value terms, not bits.
+                let canon = crate::similarity::sumsq(&v);
+                let tol = FUSED_REL_TOL * canon.abs().max(1.0);
+                assert!((wide - canon).abs() <= tol, "len={len}");
+            }
+        });
     }
 
     #[test]
     fn forcing_an_unsupported_tier_clamps_to_scalar() {
+        // Avx512 → Avx2 → Scalar: a forced tier lands on the widest one
+        // the hardware has that is no wider than asked, whatever this
+        // machine is.
+        let _pinned = pin_lock();
         let restore = active_tier();
-        let _ = force_tier(SimdTier::Avx2);
-        if avx2_supported() {
-            assert_eq!(active_tier(), SimdTier::Avx2);
-        } else {
-            assert_eq!(active_tier(), SimdTier::Scalar);
+        let widest = detect();
+        assert_eq!(avx2_supported(), widest >= SimdTier::Avx2);
+        for asked in SimdTier::ALL {
+            let _ = force_tier(asked);
+            assert_eq!(active_tier(), asked.min(widest), "asked for {asked:?}");
         }
-        let _ = force_tier(restore);
+        assert_eq!(force_tier(restore), SimdTier::Avx512.min(widest));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests for the statistics substrate.
 
 use std::ops::Range;
-use std::sync::Mutex;
 
 use proptest::prelude::*;
 use smda_stats::linalg::Matrix;
@@ -9,28 +8,12 @@ use smda_stats::simd::{LANE_COLS, LANE_LAGS};
 use smda_stats::{
     cosine_similarity, dot_block, dot_scalar, from_ordered_key, mean, ols_multiple, ols_simple,
     ordered_key, quantile_sorted, quantiles_by_selection, sample_variance, top_k_cosine,
-    top_k_tiled, EquiWidthHistogram, FitScratch, HourlyFit, KMeans, KMeansConfig, OnlineStats,
-    SeriesMatrix, SimdTier, TileConfig,
+    top_k_tiled, under_every_tier, EquiWidthHistogram, FitScratch, HourlyFit, KMeans, KMeansConfig,
+    OnlineStats, SeriesMatrix, TileConfig,
 };
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..max_len)
-}
-
-/// Serializes the tests that pin the process-wide SIMD tier, so each
-/// runs the tier it asked for. (Tests that merely dispatch may see
-/// either tier; the tiers are bit-identical, which is what is tested.)
-static TIER: Mutex<()> = Mutex::new(());
-
-/// Run `body` once with the scalar tier forced and once with AVX2
-/// (which clamps to scalar on hardware without it).
-fn under_both_tiers(mut body: impl FnMut(SimdTier)) {
-    let _pinned = TIER.lock().unwrap_or_else(|e| e.into_inner());
-    for tier in [SimdTier::Scalar, SimdTier::Avx2] {
-        let previous = smda_stats::force_tier(tier);
-        body(tier);
-        smda_stats::force_tier(previous);
-    }
 }
 
 /// Values the block kernel must not treat specially: signed zeros,
@@ -67,19 +50,25 @@ fn block_matches_scalar<const R: usize, const C: usize>(rows: &[&[f64]]) -> bool
     })
 }
 
-/// Every shape the kernels instantiate — the 4 × 2 pair block and the
-/// one-row scan's 1 × 4 with its 1 × 3 / 2 / 1 remainders — over six
-/// equal-length rows.
+/// Rows [`every_block_shape_matches_scalar`] reads: the widest shape's
+/// eight queries and four candidates.
+const SHAPE_ROWS: usize = 12;
+
+/// Every shape the kernels instantiate — the AVX-512 tier's 8 × 4 pair
+/// block, the 4 × 2 one (all of the AVX2 sweep, and what 8 × 4 blocks
+/// leave over), and the one-row scan's 1 × 4 with its 1 × 3 / 2 / 1
+/// remainders — over [`SHAPE_ROWS`] equal-length rows.
 fn every_block_shape_matches_scalar(rows: &[&[f64]]) -> bool {
-    block_matches_scalar::<4, 2>(rows)
+    block_matches_scalar::<8, 4>(rows)
+        && block_matches_scalar::<4, 2>(rows)
         && block_matches_scalar::<1, 4>(rows)
         && block_matches_scalar::<1, 3>(rows)
         && block_matches_scalar::<1, 2>(rows)
         && block_matches_scalar::<1, 1>(rows)
 }
 
-/// Six rows of `len` awkward values, row `r` skewed `skews[r]` elements
-/// off a 32-byte boundary, checked under both tiers.
+/// Rows of `len` awkward values, row `r` skewed `skews[r]` elements off
+/// a 32-byte boundary, checked under every tier.
 fn check_block_shapes(values: &[Vec<f64>], skews: &[usize]) {
     let mut stores: Vec<Vec<f64>> = vec![Vec::new(); values.len()];
     let spans: Vec<Range<usize>> = values
@@ -93,7 +82,7 @@ fn check_block_shapes(values: &[Vec<f64>], skews: &[usize]) {
         .zip(&spans)
         .map(|(store, span)| &store[span.clone()])
         .collect();
-    under_both_tiers(|tier| {
+    under_every_tier(|tier| {
         assert!(
             every_block_shape_matches_scalar(&rows),
             "a block shape diverged from dot_scalar: tier {tier:?}, len {}, skews {skews:?}",
@@ -121,11 +110,13 @@ fn block_kernel_matches_scalar_over_lengths_and_alignments() {
         }
     };
     for len in (0..=67).chain([8760]) {
-        let values: Vec<Vec<f64>> = (0..6).map(|_| (0..len).map(|_| next()).collect()).collect();
+        let values: Vec<Vec<f64>> = (0..SHAPE_ROWS)
+            .map(|_| (0..len).map(|_| next()).collect())
+            .collect();
         for skew in 0..4 {
             // One shared phase, then a different phase per row.
-            check_block_shapes(&values, &[skew; 6]);
-            let mixed: Vec<usize> = (0..6).map(|r| r + skew).collect();
+            check_block_shapes(&values, &[skew; SHAPE_ROWS]);
+            let mixed: Vec<usize> = (0..SHAPE_ROWS).map(|r| r + skew).collect();
             check_block_shapes(&values, &mixed);
         }
     }
@@ -469,7 +460,7 @@ proptest! {
     }
 
     #[test]
-    fn lane_fit_matches_ols_multiple_hour_by_hour_on_both_tiers(
+    fn lane_fit_matches_ols_multiple_hour_by_hour_on_every_tier(
         days in 8usize..=36,
         readings in prop::collection::vec(reading(), 36 * 24),
         weather in prop::collection::vec(-25.0f64..35.0, 36 * 24),
@@ -494,7 +485,9 @@ proptest! {
         }
         let mut per_tier: Vec<[HourlyFit; 24]> = Vec::new();
         let mut failure = None;
-        under_both_tiers(|tier| {
+        // Every tier, for the lane kernel's two bodies: the AVX-512 tier
+        // must still run the `ymm` one, not fall to the scalar.
+        under_every_tier(|tier| {
             let mut dirty = FitScratch::new();
             let _ = dirty.solver.fit_hourly_ar(&weather, &readings, 36);
             let mut fresh = FitScratch::new();
@@ -510,7 +503,7 @@ proptest! {
         });
         prop_assert!(failure.is_none(), "{}", failure.unwrap_or_default());
         prop_assert!(!dead || per_tier[0][constant_hour].fit.is_none(), "dead hour fitted");
-        // Scalar ≡ AVX2 and dirty ≡ fresh follow from each ≡ reference;
+        // Tier ≡ tier and dirty ≡ fresh follow from each ≡ reference;
         // stated directly as well, on bits (an r² may be NaN).
         let bits = |fits: &[HourlyFit; 24]| -> Vec<Option<Vec<u64>>> {
             let of = |f: &HourlyFit| {
@@ -574,8 +567,8 @@ proptest! {
     #[test]
     fn block_kernel_is_bit_identical_to_scalar(
         len in 0usize..=67,
-        pool in prop::collection::vec(awkward_f64(), 6 * 67),
-        skews in prop::collection::vec(0usize..4, 6)
+        pool in prop::collection::vec(awkward_f64(), SHAPE_ROWS * 67),
+        skews in prop::collection::vec(0usize..4, SHAPE_ROWS)
     ) {
         let values: Vec<Vec<f64>> = pool.chunks(67).map(|row| row[..len].to_vec()).collect();
         check_block_shapes(&values, &skews);
@@ -603,10 +596,7 @@ proptest! {
         cols in 1usize..6
     ) {
         // The dispatched axpy feeding NormalEq's gram/Xᵀy must give the
-        // same bits whether the scalar or the detected (possibly AVX2)
-        // tier runs. Safe even under parallel tests: both tiers are
-        // bit-identical by construction, so a concurrent force elsewhere
-        // cannot change any dispatched result.
+        // same bits whichever tier runs.
         let y: Vec<f64> = rows.iter().map(|(_, b)| *b).collect();
         let mut fill = |r: usize, row: &mut [f64]| {
             for (j, slot) in row.iter_mut().enumerate() {
@@ -614,24 +604,15 @@ proptest! {
                 *slot = match j { 0 => 1.0, 1 => x, _ => x.powi(j as i32) };
             }
         };
-        let mut solver_a = smda_stats::NormalEq::default();
-        let mut solver_b = smda_stats::NormalEq::default();
-        let _pinned = TIER.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = smda_stats::force_tier(smda_stats::SimdTier::Scalar);
-        let scalar_fit = solver_a.solve(rows.len(), cols, &mut fill, &y);
-        smda_stats::force_tier(smda_stats::SimdTier::Avx2); // clamps if absent
-        let simd_fit = solver_b.solve(rows.len(), cols, &mut fill, &y);
-        smda_stats::force_tier(prev);
-        match (scalar_fit, simd_fit) {
-            (None, None) => {}
-            (Some(s), Some(v)) => {
-                for j in 0..cols {
-                    prop_assert_eq!(s.beta[j].to_bits(), v.beta[j].to_bits(), "beta[{}]", j);
-                }
-                prop_assert_eq!(s.sse.to_bits(), v.sse.to_bits());
-            }
-            _ => prop_assert!(false, "fit presence diverged across tiers"),
-        }
+        let mut fits = Vec::new();
+        under_every_tier(|_| {
+            let fit = smda_stats::NormalEq::default().solve(rows.len(), cols, &mut fill, &y);
+            fits.push(fit.map(|f| {
+                let bits = f.beta[..cols].iter().chain([&f.sse]);
+                bits.map(|v| v.to_bits()).collect::<Vec<u64>>()
+            }));
+        });
+        prop_assert!(fits.windows(2).all(|w| w[0] == w[1]), "fit diverged across tiers: {:?}", fits);
     }
 
     #[test]

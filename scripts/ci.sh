@@ -78,6 +78,24 @@ if [ "$fast" -eq 0 ]; then
     echo "== release build =="
     cargo build --release --workspace
 
+    # DESIGN §14: a fused multiply-add rounds once where the scalar
+    # reference rounds twice, so no bit-exact kernel may issue one at any
+    # width. Pinned in the source — no `#[target_feature]` frame enables
+    # `fma`, no fused intrinsic is called — and in the instructions that
+    # ship.
+    echo "== no FMA (source, then the release disassembly) =="
+    if git grep -nE 'target_feature\(enable = "[^"]*fma|_fn?m(add|sub)[a-z]*_' -- 'crates/*.rs'; then
+        echo "crates/ enables or calls a fused multiply-add" >&2
+        exit 1
+    fi
+    if command -v objdump >/dev/null; then
+        fused=$(objdump -d --no-show-raw-insn target/release/smda | grep -cE 'vfn?m(add|sub)' || true)
+        echo "$fused fused multiply-add instructions in target/release/smda"
+        [ "$fused" -eq 0 ]
+    else
+        echo "no objdump on this machine: the disassembly check is skipped"
+    fi
+
     # The SIMD kernels at the optimisation level that ships: a debug
     # build spills the block kernel's accumulators to the stack and never
     # runs the register-resident form.

@@ -1,10 +1,11 @@
-//! SIMD dispatch contract: forcing the scalar tier (the non-AVX2
-//! fallback path) must not change a single bit of any platform's
-//! similarity output, because the lane-preserving AVX2 kernel performs
-//! the identical IEEE operation sequence as the scalar reference.
+//! SIMD dispatch contract: forcing any tier — the scalar fallback, AVX2,
+//! or AVX-512 with its two-pairs-per-`zmm` register block — must not
+//! change a single bit of any platform's similarity output, because
+//! every lane-preserving kernel performs the identical IEEE operation
+//! sequence as the scalar reference.
 //!
 //! The same holds for the hourly lane kernel under `fit_par_scratch`:
-//! both tiers instantiate one loop nest, and both must reproduce
+//! the tiers instantiate one loop nest, and each must reproduce
 //! `fit_par_baseline`.
 //!
 //! One test function on purpose: the dispatch tier is process-global,
@@ -18,7 +19,7 @@ use smda_engines::{
 use smda_hive::HiveEngine;
 use smda_integration::{fixture_dataset, TempDir};
 use smda_spark::SparkEngine;
-use smda_stats::{FitScratch, KernelDispatch, SimdTier};
+use smda_stats::{under_every_tier, FitScratch, KernelDispatch, SimdTier};
 use smda_storage::FileLayout;
 use smda_types::DataFormat;
 
@@ -56,7 +57,10 @@ fn bits(out: &TaskOutput) -> Vec<(u32, Vec<(u32, u64)>)> {
 
 #[test]
 fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
-    let ds = fixture_dataset(8);
+    // Fourteen rows: the first query block of eight has six candidates
+    // past it — one 8 × 4 block under AVX-512 and two columns over — and
+    // the second is a 4 × 2 group with two scan rows.
+    let ds = fixture_dataset(14);
     let dir = TempDir::new("simd-fallback");
 
     let mut single: Vec<Box<dyn Platform>> = vec![
@@ -103,45 +107,40 @@ fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
             outs
         };
 
-    // Baseline: whatever the machine dispatches (AVX2 where detected).
-    let prev = smda_stats::force_tier(smda_stats::SimdTier::Avx2);
-    let dispatched = run_all(&mut single, &mut hive, &mut spark);
-    let par_dispatched = par_fits(&ds);
-
-    // Forced fallback: the dispatch must select the scalar path...
-    smda_stats::force_tier(SimdTier::Scalar);
-    assert_eq!(
-        KernelDispatch::current().tier,
-        SimdTier::Scalar,
-        "forcing the scalar tier did not take effect"
-    );
-    let scalar = run_all(&mut single, &mut hive, &mut spark);
-    let par_scalar = par_fits(&ds);
-    smda_stats::force_tier(prev);
-
-    // ...and every platform's bits must be unchanged by the switch.
-    assert_eq!(dispatched.len(), 5, "expected all five platforms");
-    for ((name_d, bits_d), (name_s, bits_s)) in dispatched.iter().zip(&scalar) {
-        assert_eq!(name_d, name_s);
+    // Every tier this machine runs (clamped ones skipped), scalar first.
+    let mut per_tier = Vec::new();
+    under_every_tier(|tier| {
         assert_eq!(
-            bits_d, bits_s,
-            "{name_d} similarity bits changed between dispatched and forced-scalar runs"
+            KernelDispatch::current().tier,
+            tier,
+            "forcing the {tier:?} tier did not take effect"
         );
-    }
+        let similarity = run_all(&mut single, &mut hive, &mut spark);
+        per_tier.push((tier, similarity, par_fits(&ds)));
+    });
+    assert_eq!(per_tier[0].0, SimdTier::Scalar);
 
-    // The PAR lane kernel: both tiers give the baseline's bits.
+    // Every platform's bits must be unchanged by the switch...
     let baseline = ds.consumers().iter();
     let par_baseline = TaskOutput::Par(
         baseline
             .map(|c| fit_par_baseline(c, ds.temperature()))
             .collect(),
     );
-    assert!(
-        par_dispatched.bits_eq(&par_baseline),
-        "dispatched PAR fit left the baseline"
-    );
-    assert!(
-        par_scalar.bits_eq(&par_baseline),
-        "forced-scalar PAR fit left the baseline"
-    );
+    let (_, scalar, _) = &per_tier[0];
+    assert_eq!(scalar.len(), 5, "expected all five platforms");
+    for (tier, similarity, par) in &per_tier {
+        for ((name, bits), (name_s, bits_s)) in similarity.iter().zip(scalar) {
+            assert_eq!(name, name_s);
+            assert_eq!(
+                bits, bits_s,
+                "{name} similarity bits changed between the scalar and {tier:?} tiers"
+            );
+        }
+        // ...and the PAR lane kernel gives the baseline's under each.
+        assert!(
+            par.bits_eq(&par_baseline),
+            "{tier:?} PAR fit left the baseline"
+        );
+    }
 }
