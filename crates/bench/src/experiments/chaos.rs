@@ -18,12 +18,12 @@ use std::time::Duration;
 
 use smda_cluster::{FaultPlan, NodeCrash, SlowNode};
 use smda_core::Task;
-use smda_engines::RunSpec;
+use smda_engines::{ClusterTwin, RunSpec};
 use smda_obs::{counters, MetricsReport, MetricsSink, RunManifest};
 use smda_types::DataFormat;
 
 use crate::data::seed_dataset;
-use crate::experiments::{hive, spark};
+use crate::experiments::{hive, spark, twin_run};
 use crate::report::{secs, Table};
 use crate::scale::Scale;
 
@@ -40,14 +40,29 @@ const SEED: u64 = 2015;
 /// exhaustion, so no plan here should ever run out of attempts.
 const ATTEMPTS: usize = 64;
 
-/// One fully observed faulty run: build an engine, apply the plan
-/// *before* load (so replica losses land and their counters are seen),
-/// run `task`, and return the makespan plus the metrics report.
+/// The two twins the sweep breaks, in its row order.
+fn twins(scale: Scale) -> [(&'static str, Box<dyn ClusterTwin>); 2] {
+    let mut hive = hive(WORKERS, scale);
+    // Spread the reduce wave over 3 of the 4 nodes: a single slow node is
+    // then a minority of the phase, so the median finish stays healthy
+    // and speculation can identify its tasks as stragglers (with a 50/50
+    // split the median itself is slowed and nothing looks slow by
+    // comparison).
+    hive.set_reduce_tasks(36);
+    [
+        ("Hive", Box::new(hive)),
+        ("Spark", Box::new(spark(WORKERS, scale))),
+    ]
+}
+
+/// One fully observed faulty run: apply the plan *before* load (so
+/// replica losses land and their counters are seen), run `task`, and
+/// return the makespan plus the metrics report.
 fn faulty_run(
     platform: &str,
+    twin: &mut dyn ClusterTwin,
     plan: &FaultPlan,
     task: Task,
-    scale: Scale,
     consumers: usize,
 ) -> (Duration, MetricsReport) {
     let ds = seed_dataset(consumers);
@@ -56,35 +71,9 @@ fn faulty_run(
         .metrics(sink.clone())
         .fault_plan(plan.clone())
         .build();
-    let (elapsed, name) = match platform {
-        "Hive" => {
-            let mut engine = hive(WORKERS, scale);
-            // Spread the reduce wave over 3 of the 4 nodes: a single
-            // slow node is then a minority of the phase, so the median
-            // finish stays healthy and speculation can identify its
-            // tasks as stragglers (with a 50/50 split the median itself
-            // is slowed and nothing looks slow by comparison).
-            engine.set_reduce_tasks(36);
-            engine
-                .load_observed(&ds, DataFormat::ReadingPerLine, &spec)
-                .expect("chaos load survives the plan");
-            let result = engine
-                .run_with(&spec)
-                .expect("retry budget covers the chaos plan");
-            (result.stats.virtual_elapsed, "Hive")
-        }
-        _ => {
-            let mut engine = spark(WORKERS, scale);
-            engine
-                .load_observed(&ds, DataFormat::ReadingPerLine, &spec)
-                .expect("chaos load survives the plan");
-            let result = engine
-                .run_with(&spec)
-                .expect("retry budget covers the chaos plan");
-            (result.virtual_elapsed, "Spark")
-        }
-    };
-    let manifest = RunManifest::new(task.name(), name)
+    let elapsed = twin_run(twin, &ds, DataFormat::ReadingPerLine, &spec)
+        .expect("load survives the plan and the retry budget covers it");
+    let manifest = RunManifest::new(task.name(), platform)
         .threads(WORKERS)
         .consumers(consumers);
     (elapsed, sink.finish(manifest))
@@ -174,8 +163,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             max_attempts: ATTEMPTS,
             ..FaultPlan::seeded(SEED)
         };
-        for platform in ["Hive", "Spark"] {
-            let (elapsed, report) = faulty_run(platform, &plan, Task::Histogram, scale, consumers);
+        for (platform, mut twin) in twins(scale) {
+            let (elapsed, report) =
+                faulty_run(platform, twin.as_mut(), &plan, Task::Histogram, consumers);
             rates.row(vec![
                 format!("{rate}"),
                 platform.to_string(),
@@ -201,8 +191,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for (name, plan) in scenarios() {
-        for platform in ["Hive", "Spark"] {
-            let (elapsed, report) = faulty_run(platform, &plan, Task::Histogram, scale, consumers);
+        for (platform, mut twin) in twins(scale) {
+            let (elapsed, report) =
+                faulty_run(platform, twin.as_mut(), &plan, Task::Histogram, consumers);
             scen.row(vec![
                 name.to_string(),
                 platform.to_string(),

@@ -9,11 +9,11 @@
 use std::time::Duration;
 
 use smda_core::Task;
-use smda_engines::{ColumnarEngine, Platform};
+use smda_engines::{ColumnarEngine, Platform, RunSpec};
 use smda_types::DataFormat;
 
 use crate::data::{synthetic_dataset, Scratch};
-use crate::experiments::{cold_run, hive, spark};
+use crate::experiments::{cold_run, twin_run, twins};
 use crate::report::{secs, Table};
 use crate::scale::Scale;
 
@@ -43,25 +43,15 @@ fn measure_all(scale: Scale, consumers: usize, task: Task) -> Vec<Measured> {
         servers: 1,
     });
 
-    let mut sp = spark(WORKERS, scale);
-    sp.load(&ds, DataFormat::ConsumerPerLine)
-        .expect("spark load succeeds");
-    let r = sp.run_task(task).expect("spark run succeeds");
-    out.push(Measured {
-        platform: "Spark",
-        elapsed: r.virtual_elapsed,
-        servers: WORKERS,
-    });
-
-    let mut hv = hive(WORKERS, scale);
-    hv.load(&ds, DataFormat::ConsumerPerLine)
-        .expect("hive load succeeds");
-    let r = hv.run_task(task).expect("hive run succeeds");
-    out.push(Measured {
-        platform: "Hive",
-        elapsed: r.stats.virtual_elapsed,
-        servers: WORKERS,
-    });
+    let spec = RunSpec::builder(task).build();
+    for (platform, mut twin) in twins(WORKERS, scale) {
+        out.push(Measured {
+            platform,
+            elapsed: twin_run(twin.as_mut(), &ds, DataFormat::ConsumerPerLine, &spec)
+                .expect("twin run succeeds"),
+            servers: WORKERS,
+        });
+    }
     out
 }
 
@@ -157,13 +147,7 @@ mod tests {
         // per-server throughput exceeds the cluster platforms'.
         let tables = run(Scale::smoke());
         let t12a = &tables[4];
-        let rate = |platform: &str| -> f64 {
-            t12a.rows
-                .iter()
-                .find(|r| r[0] == "Histogram" && r[1] == platform)
-                .map(|r| r[2].parse().unwrap())
-                .expect("row present")
-        };
+        let rate = |platform: &str| t12a.value(&["Histogram", platform]);
         assert!(rate("System C") > rate("Hive"));
     }
 }

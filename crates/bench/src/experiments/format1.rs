@@ -3,11 +3,12 @@
 //! worker nodes, and memory consumption.
 
 use smda_core::Task;
+use smda_engines::RunSpec;
 use smda_types::DataFormat;
 
 use crate::alloc::measure_peak;
 use crate::data::synthetic_dataset;
-use crate::experiments::{hive, spark};
+use crate::experiments::{twin_run, twins};
 use crate::report::{mib, secs, Table};
 use crate::scale::Scale;
 
@@ -53,30 +54,17 @@ pub(crate) fn format_sweep(
                 &["nominal_gb", "platform", "peak_mib"],
             )
         });
+        let spec = RunSpec::builder(task).build();
         for gb in SIZES_GB {
             let ds = synthetic_dataset(scale.cluster_consumers_for_gb(gb));
-            let mut sp = spark(16, scale);
-            sp.load(&ds, format).expect("spark load succeeds");
-            let (r, peak) = measure_peak(|| sp.run_task(task).expect("spark run succeeds"));
-            t.row(vec![
-                format!("{gb}"),
-                "Spark".into(),
-                secs(r.virtual_elapsed),
-            ]);
-            if let Some(m) = m.as_mut() {
-                m.row(vec![format!("{gb}"), "Spark".into(), mib(peak as u64)]);
-            }
-
-            let mut hv = hive(16, scale);
-            hv.load(&ds, format).expect("hive load succeeds");
-            let (r, peak) = measure_peak(|| hv.run_task(task).expect("hive run succeeds"));
-            t.row(vec![
-                format!("{gb}"),
-                "Hive".into(),
-                secs(r.stats.virtual_elapsed),
-            ]);
-            if let Some(m) = m.as_mut() {
-                m.row(vec![format!("{gb}"), "Hive".into(), mib(peak as u64)]);
+            for (platform, mut twin) in twins(16, scale) {
+                twin.load_observed(&ds, format, &spec)
+                    .expect("twin load succeeds");
+                let (r, peak) = measure_peak(|| twin.run(&spec).expect("twin run succeeds"));
+                t.row(vec![format!("{gb}"), platform.into(), secs(r.elapsed)]);
+                if let Some(m) = m.as_mut() {
+                    m.row(vec![format!("{gb}"), platform.into(), mib(peak as u64)]);
+                }
             }
         }
         tables.push(t);
@@ -102,34 +90,22 @@ pub(crate) fn format_sweep(
             scale.cluster_consumers_for_gb(1000.0)
         };
         let ds = synthetic_dataset(consumers);
-        let mut base_spark = 0.0;
-        let mut base_hive = 0.0;
+        let spec = RunSpec::builder(task).build();
+        let mut bases = [0.0; 2];
         for workers in NODES {
-            let mut sp = spark(workers, scale);
-            sp.load(&ds, format).expect("spark load succeeds");
-            let r = sp.run_task(task).expect("spark run succeeds");
-            let secs_sp = r.virtual_elapsed.as_secs_f64().max(1e-9);
-            if workers == NODES[0] {
-                base_spark = secs_sp;
+            for (base, (platform, mut twin)) in bases.iter_mut().zip(twins(workers, scale)) {
+                let elapsed =
+                    twin_run(twin.as_mut(), &ds, format, &spec).expect("twin run succeeds");
+                let s = elapsed.as_secs_f64().max(1e-9);
+                if workers == NODES[0] {
+                    *base = s;
+                }
+                t.row(vec![
+                    workers.to_string(),
+                    platform.into(),
+                    format!("{:.2}", *base / s),
+                ]);
             }
-            t.row(vec![
-                workers.to_string(),
-                "Spark".into(),
-                format!("{:.2}", base_spark / secs_sp),
-            ]);
-
-            let mut hv = hive(workers, scale);
-            hv.load(&ds, format).expect("hive load succeeds");
-            let r = hv.run_task(task).expect("hive run succeeds");
-            let secs_hv = r.stats.virtual_elapsed.as_secs_f64().max(1e-9);
-            if workers == NODES[0] {
-                base_hive = secs_hv;
-            }
-            t.row(vec![
-                workers.to_string(),
-                "Hive".into(),
-                format!("{:.2}", base_hive / secs_hv),
-            ]);
         }
         tables.push(t);
     }
@@ -169,15 +145,8 @@ mod tests {
     fn speedup_improves_with_workers() {
         let tables = run(Scale::smoke());
         let t = tables.iter().find(|t| t.id == "fig14c").unwrap();
-        let at = |workers: &str, platform: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0] == workers && r[1] == platform)
-                .map(|r| r[2].parse().unwrap())
-                .expect("row present")
-        };
-        assert!(at("16", "Hive") > at("4", "Hive"));
-        assert!(at("16", "Spark") > at("4", "Spark"));
+        assert!(t.value(&["16", "Hive"]) > t.value(&["4", "Hive"]));
+        assert!(t.value(&["16", "Spark"]) > t.value(&["4", "Spark"]));
     }
 
     #[cfg_attr(debug_assertions, ignore = "full-sweep shape test; run with --release")]
@@ -187,13 +156,7 @@ mod tests {
         let tables = run(Scale::smoke());
         let t = tables.iter().find(|t| t.id == "fig13d").unwrap();
         let gb = format!("{}", SIZES_GB[SIZES_GB.len() - 1]);
-        let at = |platform: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0] == gb && r[1] == platform)
-                .map(|r| r[2].parse().unwrap())
-                .expect("row present")
-        };
+        let at = |platform: &str| t.value(&[&gb, platform]);
         assert!(
             at("Spark") < at("Hive"),
             "spark {} vs hive {}",

@@ -8,10 +8,11 @@
 //! and eventually fails with "too many open files".
 
 use smda_core::Task;
+use smda_engines::{ClusterTwin, RunSpec};
 use smda_types::DataFormat;
 
 use crate::data::synthetic_dataset;
-use crate::experiments::{hive, spark};
+use crate::experiments::{hive, spark, twin_run};
 use crate::report::{secs, Table};
 use crate::scale::Scale;
 
@@ -28,10 +29,23 @@ pub const TASKS: [(char, Task); 3] = [
     ('c', Task::Histogram),
 ];
 
+/// Figure 18's three variants on `workers` nodes, in its row order.
+/// Figure 19 plots the two map-only ones.
+fn variants(workers: usize, scale: Scale) -> [(&'static str, Box<dyn ClusterTwin>); 3] {
+    let mut udaf = hive(workers, scale);
+    udaf.force_udaf = true;
+    [
+        ("Hive-UDTF", Box::new(hive(workers, scale))),
+        ("Hive-UDAF", Box::new(udaf)),
+        ("Spark", Box::new(spark(workers, scale))),
+    ]
+}
+
 /// Regenerate Figure 18 (times vs file count) and Figure 19 (speedup at
 /// 100 files).
 pub fn run(scale: Scale) -> Vec<Table> {
     let consumers = scale.cluster_consumers_for_gb(100.0);
+    let ds = synthetic_dataset(consumers);
     let mut tables = Vec::new();
 
     for (letter, task) in TASKS {
@@ -40,91 +54,52 @@ pub fn run(scale: Scale) -> Vec<Table> {
             format!("{task} on format 3, 100 GB (nominal), varying file count"),
             &["files", "variant", "seconds"],
         );
+        let spec = RunSpec::builder(task).build();
         for files in FILE_COUNTS {
             // A household cannot span files; cap at one household/file.
             let files = files.min(consumers);
-            let ds = synthetic_dataset(consumers);
-
-            let mut hv = hive(16, scale);
-            hv.load(&ds, DataFormat::ManyFiles { files })
-                .expect("hive load succeeds");
-            let r = hv.run_task(task).expect("hive UDTF run succeeds");
-            t.row(vec![
-                files.to_string(),
-                "Hive-UDTF".into(),
-                secs(r.stats.virtual_elapsed),
-            ]);
-            hv.force_udaf = true;
-            let r = hv.run_task(task).expect("hive UDAF run succeeds");
-            t.row(vec![
-                files.to_string(),
-                "Hive-UDAF".into(),
-                secs(r.stats.virtual_elapsed),
-            ]);
-
-            let mut sp = spark(16, scale);
-            sp.load(&ds, DataFormat::ManyFiles { files })
-                .expect("spark load succeeds");
-            match sp.run_task(task) {
-                Ok(r) => {
-                    t.row(vec![
-                        files.to_string(),
-                        "Spark".into(),
-                        secs(r.virtual_elapsed),
-                    ]);
-                }
-                Err(e) => {
-                    // "too many open files" — reported, not fatal.
-                    t.row(vec![
-                        files.to_string(),
-                        "Spark".into(),
-                        format!("failed: {e}"),
-                    ]);
-                }
+            for (variant, mut twin) in variants(16, scale) {
+                let format = DataFormat::ManyFiles { files };
+                // Spark's "too many open files" is reported, not fatal.
+                let cell = match twin_run(twin.as_mut(), &ds, format, &spec) {
+                    Ok(elapsed) => secs(elapsed),
+                    Err(e) => format!("failed: {e}"),
+                };
+                t.row(vec![files.to_string(), variant.into(), cell]);
             }
         }
         tables.push(t);
     }
 
     // Figure 19: speedup at 100 files.
-    let files = 100.min(consumers);
-    let ds = synthetic_dataset(consumers);
+    let format = DataFormat::ManyFiles {
+        files: 100.min(consumers),
+    };
     for (letter, task) in TASKS {
         let mut t = Table::new(
             format!("fig19{letter}"),
             format!("{task} speedup on format 3, 100 files (relative to 4 nodes)"),
             &["workers", "variant", "speedup"],
         );
-        let mut base_udtf = 0.0;
-        let mut base_spark = 0.0;
+        let spec = RunSpec::builder(task).build();
+        let mut bases = [0.0; 2];
         for workers in NODES {
-            let mut hv = hive(workers, scale);
-            hv.load(&ds, DataFormat::ManyFiles { files })
-                .expect("hive load succeeds");
-            let r = hv.run_task(task).expect("hive run succeeds");
-            let s = r.stats.virtual_elapsed.as_secs_f64().max(1e-9);
-            if workers == NODES[0] {
-                base_udtf = s;
+            let map_only = variants(workers, scale)
+                .into_iter()
+                .filter(|(variant, _)| *variant != "Hive-UDAF");
+            for (base, (variant, mut twin)) in bases.iter_mut().zip(map_only) {
+                let elapsed =
+                    twin_run(twin.as_mut(), &ds, format, &spec).expect("twin run succeeds");
+                let s = elapsed.as_secs_f64().max(1e-9);
+                if workers == NODES[0] {
+                    *base = s;
+                }
+                t.row(vec![
+                    workers.to_string(),
+                    variant.into(),
+                    format!("{:.2}", *base / s),
+                ]);
             }
-            t.row(vec![
-                workers.to_string(),
-                "Hive-UDTF".into(),
-                format!("{:.2}", base_udtf / s),
-            ]);
-
-            let mut sp = spark(workers, scale);
-            sp.load(&ds, DataFormat::ManyFiles { files })
-                .expect("spark load succeeds");
-            let r = sp.run_task(task).expect("spark run succeeds");
-            let s = r.virtual_elapsed.as_secs_f64().max(1e-9);
-            if workers == NODES[0] {
-                base_spark = s;
-            }
-            t.row(vec![
-                workers.to_string(),
-                "Spark".into(),
-                format!("{:.2}", base_spark / s),
-            ]);
         }
         tables.push(t);
     }
@@ -152,13 +127,7 @@ mod tests {
         let tables = run(Scale::smoke());
         let t = tables.iter().find(|t| t.id == "fig18c").unwrap();
         let first_files = t.rows[0][0].clone();
-        let at = |variant: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0] == first_files && r[1] == variant)
-                .map(|r| r[2].parse().unwrap())
-                .expect("row present")
-        };
+        let at = |variant: &str| t.value(&[&first_files, variant]);
         assert!(at("Hive-UDTF") < at("Hive-UDAF"));
     }
 }

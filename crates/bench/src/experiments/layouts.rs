@@ -57,13 +57,7 @@ mod tests {
         let tables = run(Scale::smoke());
         let t = &tables[0];
         assert_eq!(t.rows.len(), 4 * 3);
-        let at = |task: &str, layout: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0] == task && r[1] == layout)
-                .map(|r| r[2].parse().unwrap())
-                .expect("row present")
-        };
+        let at = |task: &str, layout: &str| t.value(&[task, layout]);
         // The Figure 9 headline: arrays are faster than per-reading rows.
         assert!(
             at("3-line", "array") < at("3-line", "row"),

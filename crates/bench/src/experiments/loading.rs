@@ -96,13 +96,7 @@ mod tests {
         // three (tuple construction + index build).
         let tables = run(Scale::smoke());
         let t = &tables[0];
-        let time = |platform: &str, layout: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0] == platform && r[1] == layout)
-                .map(|r| r[2].parse().unwrap())
-                .expect("row present")
-        };
+        let time = |platform: &str, layout: &str| t.value(&[platform, layout]);
         assert!(time("MADLib", "un-part.") > time("System C", "un-part."));
     }
 }

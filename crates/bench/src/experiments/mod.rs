@@ -29,12 +29,13 @@ use std::time::Duration;
 use smda_cluster::{ClusterTopology, CostModel};
 use smda_core::Task;
 use smda_engines::{
-    ColumnarEngine, NumericEngine, Platform, RelationalEngine, RelationalLayout, RunSpec,
+    ClusterTwin, ColumnarEngine, NumericEngine, Platform, RelationalEngine, RelationalLayout,
+    RunSpec,
 };
 use smda_hive::HiveEngine;
 use smda_spark::SparkEngine;
 use smda_storage::FileLayout;
-use smda_types::Dataset;
+use smda_types::{DataFormat, Dataset, Result};
 
 use crate::data::Scratch;
 use crate::scale::Scale;
@@ -84,4 +85,25 @@ pub(crate) fn hive(workers: usize, scale: Scale) -> HiveEngine {
 /// A Spark engine on `workers` nodes at `scale`.
 pub(crate) fn spark(workers: usize, scale: Scale) -> SparkEngine {
     SparkEngine::new(topology(workers, CostModel::spark()), scale.block_bytes)
+}
+
+/// The two cluster twins on `workers` nodes at `scale`, under the names
+/// and in the row order of the paper's figures.
+pub(crate) fn twins(workers: usize, scale: Scale) -> [(&'static str, Box<dyn ClusterTwin>); 2] {
+    [
+        ("Spark", Box::new(spark(workers, scale))),
+        ("Hive", Box::new(hive(workers, scale))),
+    ]
+}
+
+/// Load `ds` in `format` into `twin` under `spec` and run `spec.task`:
+/// the modeled cluster's virtual elapsed.
+pub(crate) fn twin_run(
+    twin: &mut dyn ClusterTwin,
+    ds: &Dataset,
+    format: DataFormat,
+    spec: &RunSpec,
+) -> Result<Duration> {
+    twin.load_observed(ds, format, spec)?;
+    Ok(twin.run(spec)?.elapsed)
 }

@@ -46,13 +46,7 @@ mod tests {
         let tables = run(Scale::smoke());
         let t = &tables[0];
         assert_eq!(t.rows.len(), SIZES_GB.len() * 2);
-        let at = |gb: &str, layout: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0] == gb && r[1] == layout)
-                .map(|r| r[2].parse().unwrap())
-                .expect("row present")
-        };
+        let at = |gb: &str, layout: &str| t.value(&[gb, layout]);
         // The Figure 5 shape: un-partitioned grows faster with size.
         assert!(at("2", "un-part.") >= at("2", "part."));
     }

@@ -90,13 +90,7 @@ mod tests {
     fn runtime_grows_with_size_for_system_c() {
         let tables = run(Scale::smoke());
         let t = &tables[0]; // 3-line
-        let at = |gb: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0] == gb && r[1] == "System C")
-                .map(|r| r[2].parse().unwrap())
-                .expect("row present")
-        };
+        let at = |gb: &str| t.value(&[gb, "System C"]);
         assert!(
             at("10") > at("2") * 0.8,
             "10GB {} vs 2GB {}",

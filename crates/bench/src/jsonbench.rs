@@ -9,7 +9,7 @@
 use smda_cluster::FaultPlan;
 use smda_core::Task;
 use smda_engines::{
-    ColumnarEngine, NumericEngine, Platform, RelationalEngine, RelationalLayout, RunSpec,
+    ColumnarEngine, NumericEngine, Platform, RelationalEngine, RelationalLayout, RunResult, RunSpec,
 };
 use smda_obs::{counters, BenchExport, MetricsReport, MetricsSink, RunManifest};
 use smda_storage::FileLayout;
@@ -17,7 +17,7 @@ use smda_types::{DataFormat, Dataset};
 
 use crate::alloc;
 use crate::data::{seed_dataset, Scratch};
-use crate::experiments::{hive, spark};
+use crate::experiments::twins;
 use crate::scale::Scale;
 
 /// Record one phase's heap counters (`heap.bytes_allocated.<phase>` /
@@ -48,12 +48,7 @@ fn observe_heap_session(
     let (warm, allocated, peak) = alloc::measure_alloc(|| engine.warm());
     spec.metrics.add_phase(&["warm"], warm?);
     record_heap(&spec.metrics, "warm", allocated, peak);
-    let (result, allocated, peak) = alloc::measure_alloc(|| {
-        let _run = spec.metrics.scope("run");
-        engine.run(spec)
-    });
-    result?;
-    record_heap(&spec.metrics, "run", allocated, peak);
+    observe_run(engine, spec);
     let manifest = RunManifest::new(spec.task.name(), engine.name())
         .threads(spec.threads)
         .consumers(ds.len());
@@ -65,6 +60,30 @@ const THREADS: usize = 2;
 
 /// Workers on the modeled cluster for the instrumented cluster jobs.
 const CLUSTER_WORKERS: usize = 4;
+
+/// A spec for `task` with a recording sink of its own, and `faults` if
+/// there is a plan.
+fn recording_spec(task: Task, threads: usize, faults: Option<&FaultPlan>) -> RunSpec {
+    let spec = RunSpec::builder(task)
+        .threads(threads)
+        .metrics(MetricsSink::recording());
+    match faults {
+        Some(plan) => spec.fault_plan(plan.clone()).build(),
+        None => spec.build(),
+    }
+}
+
+/// One `run` on a loaded engine, recorded into `spec`'s sink with the
+/// allocator sampled around it — a cold run if the caller just dropped
+/// the caches.
+fn observe_run(engine: &mut dyn Platform, spec: &RunSpec) -> RunResult {
+    let (result, allocated, peak) = alloc::measure_alloc(|| {
+        let _run = spec.metrics.scope("run");
+        engine.run(spec)
+    });
+    record_heap(&spec.metrics, "run", allocated, peak);
+    result.expect("run succeeds on loaded data")
+}
 
 /// Run the instrumented matrix at `scale` and collect the export.
 pub fn run_json_bench(scale: Scale) -> BenchExport {
@@ -81,6 +100,12 @@ pub fn run_json_bench_with(scale: Scale, faults: Option<FaultPlan>) -> BenchExpo
     let ds = seed_dataset(scale.consumers_for_gb(1.0));
     let scratch = Scratch::new("jsonbench");
     let mut runs = Vec::new();
+    let cold = |task: Task, platform: &str| {
+        RunManifest::new(task.name(), platform)
+            .threads(THREADS)
+            .consumers(ds.len())
+            .cold(true)
+    };
 
     let mut platforms: Vec<Box<dyn Platform>> = vec![
         Box::new(NumericEngine::new(
@@ -96,177 +121,73 @@ pub fn run_json_bench_with(scale: Scale, faults: Option<FaultPlan>) -> BenchExpo
     for engine in &mut platforms {
         for task in Task::ALL {
             // Warm session: load, warm, run, fully observed.
-            let spec = RunSpec::builder(task)
-                .threads(THREADS)
-                .metrics(MetricsSink::recording())
-                .build();
+            let spec = recording_spec(task, THREADS, None);
             let report = observe_heap_session(engine.as_mut(), &ds, &spec)
                 .expect("instrumented session succeeds on valid data");
             runs.push(report);
 
             // Cold run: caches dropped, only the run phase.
             engine.make_cold();
-            let sink = MetricsSink::recording();
-            let spec = RunSpec::builder(task)
-                .threads(THREADS)
-                .metrics(sink.clone())
-                .build();
-            let (cold, allocated, peak) = alloc::measure_alloc(|| {
-                let _run = sink.scope("run");
-                engine.run(&spec)
-            });
-            cold.expect("cold run succeeds on loaded data");
-            record_heap(&sink, "run", allocated, peak);
-            let manifest = RunManifest::new(task.name(), engine.name())
-                .threads(THREADS)
-                .consumers(ds.len())
-                .cold(true);
-            runs.push(sink.finish(manifest));
+            let spec = recording_spec(task, THREADS, None);
+            observe_run(engine.as_mut(), &spec);
+            runs.push(spec.metrics.finish(cold(task, engine.name())));
         }
     }
 
     // The binary-backed numeric twin: the same dataset sealed to one
-    // `SMC1` file, cold runs served off the memory mapping. Tracked
-    // under its own platform label (`Matlab-smc/{task}/cold/run`) so
-    // the history gate guards binary cold-start latency separately
-    // from the CSV path.
-    let mut binary = NumericEngine::binary(scratch.path("matlab.smc"));
-    binary
-        .load(&ds)
-        .expect("binary store materializes from valid data");
-    for task in Task::ALL {
-        binary.make_cold();
-        let sink = MetricsSink::recording();
-        let spec = RunSpec::builder(task)
-            .threads(THREADS)
-            .metrics(sink.clone())
-            .build();
-        let (cold, allocated, peak) = alloc::measure_alloc(|| {
-            let _run = sink.scope("run");
-            binary.run(&spec)
-        });
-        cold.expect("binary cold run succeeds on the sealed file");
-        record_heap(&sink, "run", allocated, peak);
-        let manifest = RunManifest::new(task.name(), "Matlab-smc")
-            .threads(THREADS)
-            .consumers(ds.len())
-            .cold(true);
-        runs.push(sink.finish(manifest));
-    }
-
-    // The out-of-core twin: the same sealed file, with cold similarity
-    // forced through the banded streaming kernel regardless of size
-    // (`binary_oooc`). Its reports carry the `oooc.*` streaming
-    // counters and the `format.*` zero-copy/cache counters, under the
-    // `Matlab-oooc` label so bounded-memory cold starts are tracked
-    // separately in the history.
-    let mut oooc = NumericEngine::binary_oooc(scratch.path("matlab-oooc.smc"));
-    oooc.load(&ds)
-        .expect("binary store materializes from valid data");
-    for task in Task::ALL {
-        oooc.make_cold();
-        let sink = MetricsSink::recording();
-        let spec = RunSpec::builder(task)
-            .threads(THREADS)
-            .metrics(sink.clone())
-            .build();
-        let (cold, allocated, peak) = alloc::measure_alloc(|| {
-            let _run = sink.scope("run");
-            oooc.run(&spec)
-        });
-        cold.expect("out-of-core cold run succeeds on the sealed file");
-        record_heap(&sink, "run", allocated, peak);
-        let manifest = RunManifest::new(task.name(), "Matlab-oooc")
-            .threads(THREADS)
-            .consumers(ds.len())
-            .cold(true);
-        runs.push(sink.finish(manifest));
+    // `SMC1` file, cold runs served off the memory mapping, under its own
+    // platform label (`Matlab-smc/{task}/cold/run`). Then the out-of-core
+    // twin: the same sealed file, with cold similarity forced through the
+    // banded streaming kernel regardless of size; its reports carry the
+    // `oooc.*` streaming counters and the `format.*` zero-copy/cache
+    // counters, under the `Matlab-oooc` label.
+    for (platform, mut engine) in [
+        (
+            "Matlab-smc",
+            NumericEngine::binary(scratch.path("matlab.smc")),
+        ),
+        (
+            "Matlab-oooc",
+            NumericEngine::binary_oooc(scratch.path("matlab-oooc.smc")),
+        ),
+    ] {
+        engine
+            .load(&ds)
+            .expect("binary store materializes from valid data");
+        for task in Task::ALL {
+            engine.make_cold();
+            let spec = recording_spec(task, THREADS, None);
+            observe_run(&mut engine, &spec);
+            runs.push(spec.metrics.finish(cold(task, platform)));
+        }
     }
 
     // Cluster engines: counters (tasks scheduled, bytes shuffled, workers
     // spawned) flow in from the scheduler and worker pool; the virtual
     // makespan is recorded as an explicit sub-phase.
-    let mut hive = hive(CLUSTER_WORKERS, scale);
-    if let Some(plan) = &faults {
-        let sink = MetricsSink::recording();
-        let spec = RunSpec::builder(Task::Histogram)
-            .metrics(sink.clone())
-            .fault_plan(plan.clone())
-            .build();
+    for (platform, mut twin) in twins(CLUSTER_WORKERS, scale).into_iter().rev() {
+        let manifest = |task: &str| {
+            RunManifest::new(task, platform)
+                .threads(CLUSTER_WORKERS)
+                .consumers(ds.len())
+        };
+        let spec = recording_spec(Task::Histogram, 1, faults.as_ref());
         {
-            let _load = sink.scope("load");
-            hive.load_observed(&ds, DataFormat::ReadingPerLine, &spec)
-                .expect("hive load survives the fault plan");
+            let _load = spec.metrics.scope("load");
+            twin.load_observed(&ds, DataFormat::ReadingPerLine, &spec)
+                .expect("twin load survives the fault plan");
         }
-        let manifest = RunManifest::new("load", "Hive")
-            .threads(CLUSTER_WORKERS)
-            .consumers(ds.len());
-        runs.push(sink.finish(manifest));
-    } else {
-        hive.load(&ds, DataFormat::ReadingPerLine)
-            .expect("hive table builds from valid data");
-    }
-    for task in Task::ALL {
-        let sink = MetricsSink::recording();
-        let mut spec = RunSpec::builder(task).metrics(sink.clone());
-        if let Some(plan) = &faults {
-            spec = spec.fault_plan(plan.clone());
+        // Under a plan the observed load is a run of its own: it carries
+        // the replica-loss counters.
+        if faults.is_some() {
+            runs.push(spec.metrics.finish(manifest("load")));
         }
-        let spec = spec.build();
-        let (result, allocated, peak) = alloc::measure_alloc(|| {
-            let _run = sink.scope("run");
-            hive.run_with(&spec)
-                .expect("hive job succeeds on loaded table")
-        });
-        record_heap(&sink, "run", allocated, peak);
-        sink.add_phase(&["run", "virtual"], result.stats.virtual_elapsed);
-        let manifest = RunManifest::new(task.name(), "Hive")
-            .threads(CLUSTER_WORKERS)
-            .consumers(ds.len());
-        runs.push(sink.finish(manifest));
-    }
-
-    let mut spark = spark(CLUSTER_WORKERS, scale);
-    if let Some(plan) = &faults {
-        let sink = MetricsSink::recording();
-        let spec = RunSpec::builder(Task::Histogram)
-            .metrics(sink.clone())
-            .fault_plan(plan.clone())
-            .build();
-        {
-            let _load = sink.scope("load");
-            spark
-                .load_observed(&ds, DataFormat::ReadingPerLine, &spec)
-                .expect("spark load survives the fault plan");
+        for task in Task::ALL {
+            let spec = recording_spec(task, 1, faults.as_ref());
+            let result = observe_run(twin.as_mut(), &spec);
+            spec.metrics.add_phase(&["run", "virtual"], result.elapsed);
+            runs.push(spec.metrics.finish(manifest(task.name())));
         }
-        let manifest = RunManifest::new("load", "Spark")
-            .threads(CLUSTER_WORKERS)
-            .consumers(ds.len());
-        runs.push(sink.finish(manifest));
-    } else {
-        spark
-            .load(&ds, DataFormat::ReadingPerLine)
-            .expect("spark input builds from valid data");
-    }
-    for task in Task::ALL {
-        let sink = MetricsSink::recording();
-        let mut spec = RunSpec::builder(task).metrics(sink.clone());
-        if let Some(plan) = &faults {
-            spec = spec.fault_plan(plan.clone());
-        }
-        let spec = spec.build();
-        let (result, allocated, peak) = alloc::measure_alloc(|| {
-            let _run = sink.scope("run");
-            spark
-                .run_with(&spec)
-                .expect("spark job succeeds on loaded input")
-        });
-        record_heap(&sink, "run", allocated, peak);
-        sink.add_phase(&["run", "virtual"], result.virtual_elapsed);
-        let manifest = RunManifest::new(task.name(), "Spark")
-            .threads(CLUSTER_WORKERS)
-            .consumers(ds.len());
-        runs.push(sink.finish(manifest));
     }
 
     BenchExport::from_runs(runs)

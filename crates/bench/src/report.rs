@@ -102,6 +102,20 @@ pub fn rate(count: usize, d: Duration) -> String {
 }
 
 #[cfg(test)]
+impl Table {
+    /// The number in the cell after `key`, in the first row whose leading
+    /// cells are `key` — how the figure-shape tests read a table.
+    pub(crate) fn value(&self, key: &[&str]) -> f64 {
+        let row = self
+            .rows
+            .iter()
+            .find(|r| r.iter().zip(key).all(|(c, k)| c == k));
+        let row = row.unwrap_or_else(|| panic!("{}: no row {key:?}", self.id));
+        row[key.len()].parse().expect("a numeric cell")
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

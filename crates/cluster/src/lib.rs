@@ -42,6 +42,7 @@ pub mod real;
 pub mod scheduler;
 pub mod textdata;
 pub mod transport;
+pub mod twin;
 pub mod worker;
 
 pub use cost::CostModel;
@@ -51,5 +52,6 @@ pub use real::{
     run_real, run_virtual_twin, task_output_bits_eq, RealCluster, RealClusterConfig, RealRunReport,
 };
 pub use scheduler::{ClusterTopology, PhaseResult, SimTask, VirtualScheduler};
-pub use textdata::{parse_consumer, parse_reading, ReadingRow, TextSplit, TextTable};
+pub use textdata::{parse_consumer_policed, parse_reading_policed, TextSplit, TextTable};
 pub use transport::{Endpoint, TransportConfig};
+pub use twin::TwinShell;

@@ -9,59 +9,27 @@
 use std::sync::Arc;
 
 use smda_obs::{counters, MetricsSink};
-use smda_types::{ConsumerId, DataFormat, Dataset, DirtyDataPolicy, Error, Result, HOURS_PER_YEAR};
+use smda_types::{
+    csv, ConsumerSeries, DataFormat, Dataset, DirtyDataPolicy, Error, Reading, Result,
+    HOURS_PER_YEAR,
+};
 
 use crate::dfs::SimDfs;
 
-/// One parsed Format-1/Format-3 row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadingRow {
-    /// Household id.
-    pub consumer: ConsumerId,
-    /// Hour of year.
-    pub hour: u32,
-    /// Outdoor temperature, °C.
-    pub temperature: f64,
-    /// Consumption, kWh.
-    pub kwh: f64,
-}
-
-/// Parse a `consumer,hour,temp,kwh` line (the engines' map-side cost).
-pub fn parse_reading(line: &str) -> Result<ReadingRow> {
-    let mut it = line.split(',');
-    let consumer = next_field(&mut it, line)?
-        .parse::<u32>()
-        .map_err(bad(line))?;
-    let hour = next_field(&mut it, line)?
-        .parse::<u32>()
-        .map_err(bad(line))?;
-    let temperature = next_field(&mut it, line)?
-        .parse::<f64>()
-        .map_err(bad(line))?;
-    let kwh = next_field(&mut it, line)?
-        .parse::<f64>()
-        .map_err(bad(line))?;
-    Ok(ReadingRow {
-        consumer: ConsumerId(consumer),
-        hour,
-        temperature,
-        kwh,
-    })
-}
-
-/// Parse a reading line under a dirty-data policy. `Ok(Some)` for a
-/// clean row; a malformed or out-of-range line either fails the load
-/// (fail-fast, the default) or is dropped as `Ok(None)` with
-/// [`counters::ROWS_SKIPPED_DIRTY`] bumped (skip-and-count). Dirtiness
-/// covers unparsable text, non-finite values, and hours past the year.
-pub fn parse_reading_policed(
-    line: &str,
+/// A parsed line under a dirty-data policy: a line the codec refuses
+/// either fails the load (fail-fast, the default) or is dropped as
+/// `Ok(None)` with [`counters::ROWS_SKIPPED_DIRTY`] bumped
+/// (skip-and-count). Only *lines* are ever skipped: what the surviving
+/// lines say about a household is a schema question, refused under
+/// either policy.
+fn policed<T>(
+    parsed: Result<T>,
     policy: DirtyDataPolicy,
     metrics: &MetricsSink,
-) -> Result<Option<ReadingRow>> {
-    match parse_reading(line).and_then(validate_row) {
+) -> Result<Option<T>> {
+    match parsed {
         Ok(row) => Ok(Some(row)),
-        Err(_) if policy.skips() => {
+        Err(Error::Parse { .. }) if policy.skips() => {
             metrics.incr(counters::ROWS_SKIPPED_DIRTY, 1);
             Ok(None)
         }
@@ -69,55 +37,37 @@ pub fn parse_reading_policed(
     }
 }
 
-fn validate_row(row: ReadingRow) -> Result<ReadingRow> {
-    if !row.kwh.is_finite() || !row.temperature.is_finite() {
-        return Err(Error::parse("reading line", None, "non-finite value"));
-    }
-    if row.hour as usize >= HOURS_PER_YEAR {
-        return Err(Error::parse(
-            "reading line",
-            None,
-            format!("hour {} beyond the benchmark year", row.hour),
-        ));
-    }
-    Ok(row)
+/// Parse a `consumer,hour,temp,kwh` line (the engines' map-side cost)
+/// under a dirty-data policy. Dirtiness covers unparsable text,
+/// non-finite values, and hours past the year.
+pub fn parse_reading_policed(
+    line: &str,
+    policy: DirtyDataPolicy,
+    metrics: &MetricsSink,
+) -> Result<Option<Reading>> {
+    let parsed = csv::parse_reading_line(line, "reading line", None).and_then(|row| {
+        if !row.kwh.is_finite() || !row.temperature.is_finite() {
+            return Err(Error::parse("reading line", None, "non-finite value"));
+        }
+        if row.hour as usize >= HOURS_PER_YEAR {
+            let what = format!("hour {} beyond the benchmark year", row.hour);
+            return Err(Error::parse("reading line", None, what));
+        }
+        Ok(row)
+    });
+    policed(parsed, policy, metrics)
 }
 
-/// Parse a Format-2 `consumer,kwh0,...,kwh8759` line.
-pub fn parse_consumer(line: &str) -> Result<(ConsumerId, Vec<f64>)> {
-    let (id, rest) = line
-        .split_once(',')
-        .ok_or_else(|| Error::parse("consumer line", None, "missing readings"))?;
-    let id = id.parse::<u32>().map_err(bad(line))?;
-    let readings = rest
-        .split(',')
-        .map(|f| f.parse::<f64>().map_err(bad(line)))
-        .collect::<Result<Vec<f64>>>()?;
-    Ok((ConsumerId(id), readings))
-}
-
-fn next_field<'a>(it: &mut impl Iterator<Item = &'a str>, line: &str) -> Result<&'a str> {
-    it.next().ok_or_else(|| {
-        Error::parse(
-            "reading line",
-            None,
-            format!("too few fields in `{}`", truncate_line(line)),
-        )
-    })
-}
-
-fn bad<E>(line: &str) -> impl FnOnce(E) -> Error + '_ {
-    move |_| {
-        Error::parse(
-            "text line",
-            None,
-            format!("unparsable number in `{}`", truncate_line(line)),
-        )
-    }
-}
-
-fn truncate_line(line: &str) -> &str {
-    &line[..line.len().min(60)]
+/// Parse a Format-2 `consumer,kwh0,...,kwh8759` line under a dirty-data
+/// policy. A line that parses but is not a valid year is refused under
+/// either policy.
+pub fn parse_consumer_policed(
+    line: &str,
+    policy: DirtyDataPolicy,
+    metrics: &MetricsSink,
+) -> Result<Option<ConsumerSeries>> {
+    let parsed = csv::parse_consumer_line(line, "consumer line", None);
+    policed(parsed, policy, metrics)
 }
 
 /// One input split: real lines plus modeled placement.
@@ -152,23 +102,6 @@ fn line_bytes(lines: &[String]) -> u64 {
     lines.iter().map(|l| l.len() as u64 + 1).sum()
 }
 
-/// Render one reading as a Format-1/Format-3 line. Floats use shortest
-/// round-trip formatting so parsed values match the source bit-exactly.
-fn reading_line(consumer: u32, hour: usize, temperature: f64, kwh: f64) -> String {
-    format!("{consumer},{hour},{temperature},{kwh}")
-}
-
-/// Render one consumer as a Format-2 line.
-fn consumer_line(consumer: u32, readings: &[f64]) -> String {
-    let mut s = String::with_capacity(8 + readings.len() * 7);
-    s.push_str(&consumer.to_string());
-    for v in readings {
-        s.push(',');
-        s.push_str(&format!("{v}"));
-    }
-    s
-}
-
 impl TextTable {
     /// Render `ds` in `format`, register it in `dfs`, and cut splits.
     ///
@@ -194,29 +127,21 @@ impl TextTable {
         let mut total_bytes = 0u64;
 
         match format {
-            DataFormat::ReadingPerLine => {
-                let temps = ds.temperature().values();
-                let mut lines = Vec::with_capacity(ds.reading_count());
-                for c in ds.consumers() {
-                    for (h, kwh) in c.readings().iter().enumerate() {
-                        lines.push(reading_line(c.id.raw(), h, temps[h], *kwh));
+            DataFormat::ReadingPerLine | DataFormat::ConsumerPerLine => {
+                let lines: Vec<String> = match format {
+                    DataFormat::ConsumerPerLine => ds
+                        .consumers()
+                        .iter()
+                        .map(|c| csv::consumer_line(c.id, c.readings()))
+                        .collect(),
+                    _ => {
+                        let mut lines = Vec::with_capacity(ds.reading_count());
+                        lines.extend(ds.readings().map(|r| csv::reading_line(&r)));
+                        lines
                     }
-                }
+                };
                 total_bytes = line_bytes(&lines);
                 // Attach hosts straight from the returned placement.
-                let file = dfs.ingest(&name, total_bytes, true)?;
-                splits = cut_line_splits(lines, file.blocks.len(), block);
-                for (s, b) in splits.iter_mut().zip(&file.blocks) {
-                    s.hosts = b.replicas.clone();
-                }
-            }
-            DataFormat::ConsumerPerLine => {
-                let lines: Vec<String> = ds
-                    .consumers()
-                    .iter()
-                    .map(|c| consumer_line(c.id.raw(), c.readings()))
-                    .collect();
-                total_bytes = line_bytes(&lines);
                 let file = dfs.ingest(&name, total_bytes, true)?;
                 splits = cut_line_splits(lines, file.blocks.len(), block);
                 for (s, b) in splits.iter_mut().zip(&file.blocks) {
@@ -227,15 +152,13 @@ impl TextTable {
                 if files == 0 {
                     return Err(Error::Invalid("format 3 requires at least one file".into()));
                 }
-                let temps = ds.temperature().values();
                 let per_file = ds.len().div_ceil(files);
                 for (fi, chunk) in ds.consumers().chunks(per_file.max(1)).enumerate() {
-                    let mut lines = Vec::with_capacity(chunk.len() * temps.len());
-                    for c in chunk {
-                        for (h, kwh) in c.readings().iter().enumerate() {
-                            lines.push(reading_line(c.id.raw(), h, temps[h], *kwh));
-                        }
-                    }
+                    let lines: Vec<String> = chunk
+                        .iter()
+                        .flat_map(|c| ds.readings_of(c))
+                        .map(|r| csv::reading_line(&r))
+                        .collect();
                     let bytes = line_bytes(&lines);
                     total_bytes += bytes;
                     let file_name = format!("{name}/part-{fi:05}");

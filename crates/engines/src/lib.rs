@@ -37,6 +37,6 @@ pub use oooc::{
     record_format_counters, run_similarity_oooc, run_similarity_oooc_default, top_k_source_with,
     SmcSource, DEFAULT_CACHE_BYTES, OOOC_ROW_THRESHOLD,
 };
-pub use platform::{observe_session, Platform, RunResult, RunSpec, RunSpecBuilder};
+pub use platform::{observe_session, ClusterTwin, Platform, RunResult, RunSpec, RunSpecBuilder};
 pub use pool::WorkerPool;
 pub use relational::{RelationalEngine, RelationalLayout};

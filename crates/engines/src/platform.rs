@@ -6,7 +6,7 @@ use std::time::Duration;
 use smda_cluster::{FaultPlan, RealClusterConfig};
 use smda_core::{Task, TaskOutput};
 use smda_obs::{MetricsReport, MetricsSink, RunManifest};
-use smda_types::{Dataset, DirtyDataPolicy, Result};
+use smda_types::{DataFormat, Dataset, DirtyDataPolicy, Result};
 
 use crate::capabilities::Capabilities;
 
@@ -156,6 +156,18 @@ pub trait Platform {
     /// Which statistical functions the platform ships versus what had to
     /// be hand-written (Table 1).
     fn capabilities(&self) -> Capabilities;
+}
+
+/// A modeled-cluster platform — the Hive and Spark twins — whose input is
+/// the dataset rendered as text in one of the paper's three formats.
+/// [`Platform::run`] on one reports the modeled cluster's virtual
+/// wall-clock as the elapsed time.
+pub trait ClusterTwin: Platform {
+    /// Render `ds` in `format` and register it in the twin's DFS under
+    /// `spec`: its replica-loss faults are applied to the fresh placement
+    /// and their counters flow into its sink. (The spec's task is
+    /// irrelevant here.)
+    fn load_observed(&mut self, ds: &Dataset, format: DataFormat, spec: &RunSpec) -> Result<()>;
 }
 
 /// Drive one fully-observed session — load, warm, run — against `engine`,

@@ -3,20 +3,24 @@
 
 use std::sync::Arc;
 
-use smda_cluster::{ClusterTopology, DfsConfig, SimDfs, TextTable, VirtualScheduler};
-use smda_core::tasks::{collect_consumer_results, ConsumerResult};
+use smda_cluster::{
+    parse_consumer_policed, parse_reading_policed, ClusterTopology, TextSplit, TextTable,
+    TwinShell, VirtualScheduler,
+};
+use smda_core::tasks::collect_consumer_results;
 use smda_core::{ConsumerMatches, ConsumerTask, Task, TaskOutput, SIMILARITY_TOP_K};
 use smda_engines::pool::host_parallelism;
-use smda_engines::{Capabilities, Platform, RunResult, RunSpec};
+use smda_engines::{Capabilities, ClusterTwin, Platform, RunResult, RunSpec};
 use smda_obs::counters;
-use smda_stats::{dot, normalize_all, select_top_k, SimilarityMatch};
+use smda_stats::{dot, normalize_all, select_top_k, with_fit_scratch, SimilarityMatch};
 use smda_types::{ConsumerId, DataFormat, Dataset, Error, Result, HOURS_PER_YEAR};
 
 use crate::mapreduce::{
     run_map_only, run_map_reduce, run_map_reduce_partitioned, JobInput, JobStats,
 };
-use crate::parse::{parse_consumer, parse_reading_policed};
-use crate::udf::{GenericUdf, HiveOperator, TaskUdaf, TaskUdf, TaskUdtf, Udaf, Udtf};
+use crate::udf::{
+    GenericUdf, HiveOperator, OnSeries, OnYear, SeriesUdf, Udaf, Udtf, YearUdaf, YearUdtf,
+};
 
 /// Result of one Hive job (or job chain).
 #[derive(Debug)]
@@ -34,17 +38,14 @@ pub struct HiveRunResult {
 /// All run-scoped configuration — metrics sink, fault plan, dirty-row
 /// policy — arrives through the [`RunSpec`]: pass it to
 /// [`HiveEngine::run_with`] (or [`Platform::run`]) and, for load-time
-/// replica-loss faults, to [`HiveEngine::load_observed`].
+/// replica-loss faults, to [`ClusterTwin::load_observed`].
 pub struct HiveEngine {
     topology: ClusterTopology,
     /// Tasks of one phase in flight at once on the process's worker pool.
     parallelism: usize,
     reduce_tasks: usize,
-    dfs: SimDfs,
-    table: Option<TextTable>,
-    /// The dataset as loaded — real-transport runs ship series to live
-    /// worker processes rather than re-parsing the text rendition.
-    dataset: Option<Dataset>,
+    /// The DFS and the external table loaded into it.
+    pub shell: TwinShell,
     /// Text format [`Platform::load`] renders the dataset in.
     pub format: DataFormat,
     /// For format 3: run the UDAF (reduce-full) plan instead of the UDTF
@@ -63,17 +64,39 @@ impl std::fmt::Debug for HiveEngine {
 
 /// Modeled bytes of one shuffled `(household, (hour, temp, kwh))` pair.
 const READING_PAIR_BYTES: u64 = 24;
+/// Modeled bytes of one shuffled `(household, (hour, kwh))` pair.
+const KWH_PAIR_BYTES: u64 = 16;
+/// Modeled bytes of one per-consumer result row.
+const RESULT_BYTES: u64 = 64;
 /// Modeled bytes of one assembled series (id + 8760 doubles).
 const SERIES_BYTES: u64 = 8 + HOURS_PER_YEAR as u64 * 8;
+
+/// One per-household job: what to do with a household's year (a parsed
+/// row under format 2), and the modeled sizes of what it moves.
+struct HouseholdJob<'a, O> {
+    on_year: &'a OnYear<'a, O>,
+    on_series: &'a OnSeries<'a, O>,
+    /// One shuffled pair, where the format forces a reduce.
+    pair_bytes: u64,
+    /// One output record.
+    out_bytes: u64,
+    /// Format 3 through the UDAF instead of the UDTF.
+    force_udaf: bool,
+}
+
+/// The table's splits as map inputs.
+fn inputs(table: &TextTable) -> Vec<JobInput<Arc<Vec<String>>>> {
+    let input = |s: &TextSplit| JobInput {
+        data: s.lines.clone(),
+        bytes: s.bytes,
+        hosts: s.hosts.clone(),
+    };
+    table.splits.iter().map(input).collect()
+}
 
 impl HiveEngine {
     /// An engine on `topology`, with `block_bytes`-sized DFS blocks.
     pub fn new(topology: ClusterTopology, block_bytes: u64) -> Self {
-        let dfs = SimDfs::new(DfsConfig {
-            block_bytes,
-            replication: 3,
-            nodes: topology.workers,
-        });
         // The paper found Hive "generally performed better with more
         // MapReduce tasks up to a certain point": default to one reducer
         // per worker core-pair.
@@ -82,9 +105,7 @@ impl HiveEngine {
             topology,
             parallelism: host_parallelism(),
             reduce_tasks,
-            dfs,
-            table: None,
-            dataset: None,
+            shell: TwinShell::new(topology.workers, block_bytes),
             format: DataFormat::ReadingPerLine,
             force_udaf: false,
         }
@@ -116,64 +137,6 @@ impl HiveEngine {
         self.load_observed(ds, format, &RunSpec::builder(Task::Histogram).build())
     }
 
-    /// [`HiveEngine::load`] under a [`RunSpec`]: the spec's replica-loss
-    /// faults are applied to the fresh DFS placement and its counters
-    /// flow into the spec's sink. (The spec's task is irrelevant here.)
-    pub fn load_observed(
-        &mut self,
-        ds: &Dataset,
-        format: DataFormat,
-        spec: &RunSpec,
-    ) -> Result<()> {
-        if self.table.is_some() {
-            // Replace: drop old placement for determinism.
-            self.dfs = SimDfs::new(self.dfs.config());
-        }
-        let mut table = TextTable::build("meter_data", ds, format, &mut self.dfs)?;
-        if let Some(plan) = spec.fault_plan.clone() {
-            if plan.replica_losses > 0 {
-                let lost = self.dfs.drop_replicas(plan.replica_losses);
-                if lost > 0 {
-                    spec.metrics
-                        .incr(counters::FAULTS_INJECTED_REPLICA_LOSS, lost as u64);
-                }
-                if plan.re_replicate {
-                    let restored = self.dfs.re_replicate();
-                    if restored > 0 {
-                        spec.metrics
-                            .incr(counters::FAULTS_RECOVERED_REPLICA_LOSS, restored as u64);
-                    }
-                }
-                // Surfaces `BlockUnavailable` here if a block lost every
-                // replica and re-replication could not bring it back.
-                table.refresh_hosts(&self.dfs)?;
-            }
-        }
-        self.format = format;
-        self.table = Some(table);
-        self.dataset = Some(ds.clone());
-        Ok(())
-    }
-
-    fn table(&self) -> Result<&TextTable> {
-        self.table
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("no external table loaded".into()))
-    }
-
-    fn inputs(&self) -> Result<Vec<JobInput<Arc<Vec<String>>>>> {
-        Ok(self
-            .table()?
-            .splits
-            .iter()
-            .map(|s| JobInput {
-                data: s.lines.clone(),
-                bytes: s.bytes,
-                hosts: s.hosts.clone(),
-            })
-            .collect())
-    }
-
     /// Run one benchmark task with default run-scoped configuration
     /// (no metrics, no faults, fail-fast dirty handling).
     pub fn run_task(&mut self, task: Task) -> Result<HiveRunResult> {
@@ -185,162 +148,136 @@ impl HiveEngine {
     /// faults and the dirty-row policy all come from the spec.
     pub fn run_with(&mut self, spec: &RunSpec) -> Result<HiveRunResult> {
         if let Some(config) = &spec.real_transport {
-            return self.run_real_transport(config, spec);
+            let (faults, metrics) = (spec.fault_plan.as_ref(), &spec.metrics);
+            let report = self.shell.run_real(spec.task, config, faults, metrics)?;
+            return Ok(HiveRunResult {
+                output: report.output,
+                stats: JobStats {
+                    virtual_elapsed: report.elapsed,
+                    map_tasks: report.map_tasks,
+                    reduce_tasks: report.reduce_tasks,
+                    ..JobStats::default()
+                },
+                operator: HiveOperator::Udaf,
+            });
         }
-        let format = self.table()?.format;
-        match spec.task {
-            Task::Similarity => self.run_similarity(spec),
-            task => match format {
-                DataFormat::ReadingPerLine => self.run_udaf_plan(task, spec),
-                DataFormat::ConsumerPerLine => self.run_udf_plan(task, spec),
-                DataFormat::ManyFiles { .. } => {
-                    if self.force_udaf {
-                        self.run_udaf_plan(task, spec)
-                    } else {
-                        self.run_udtf_plan(task, spec)
-                    }
-                }
+        let task = spec.task;
+        if task == Task::Similarity {
+            return self.run_similarity(spec);
+        }
+        // Format 2 reads the shared sidecar year: the kernel is bound to
+        // it once per plan.
+        let temperature = self.shell.table()?.temperature.clone();
+        let kernel = ConsumerTask::new(task, &temperature)?;
+        let (results, stats, operator) = self.run_per_household(
+            spec,
+            HouseholdJob {
+                on_year: &|y| ConsumerTask::run_assembled(task, y.consumer, &y.kwh, &y.temperature),
+                on_series: &|s| Ok(with_fit_scratch(|scratch| kernel.run_series(&s, scratch))),
+                pair_bytes: READING_PAIR_BYTES,
+                out_bytes: RESULT_BYTES,
+                force_udaf: self.force_udaf,
             },
-        }
+        )?;
+        Ok(HiveRunResult {
+            output: collect_consumer_results(task, results),
+            stats,
+            operator,
+        })
     }
 
-    /// Real-transport backend: the same map/shuffle/reduce decomposition
-    /// executed by forked worker processes over local TCP, with WAL-backed
-    /// shuffle recovery. The spec's fault plan becomes real SIGKILLs.
-    fn run_real_transport(
-        &mut self,
-        config: &smda_cluster::RealClusterConfig,
+    /// Plan `job` by the mechanism the table's format allows: a full
+    /// map/shuffle/reduce with the UDAF (format 1, or forced), map-only
+    /// with the generic UDF (format 2), map-only with the UDTF over
+    /// non-split files (format 3).
+    fn run_per_household<O: Send>(
+        &self,
         spec: &RunSpec,
-    ) -> Result<HiveRunResult> {
-        let ds = self
-            .dataset
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("no external table loaded".into()))?;
-        let mut config = config.clone();
-        if config.fault_plan.is_none() {
-            config.fault_plan = spec.fault_plan.clone();
-        }
-        let report = smda_cluster::run_real(spec.task, ds, &config, &spec.metrics)?;
-        Ok(HiveRunResult {
-            output: report.output,
-            stats: JobStats {
-                virtual_elapsed: report.elapsed,
-                map_tasks: report.map_tasks,
-                reduce_tasks: report.reduce_tasks,
-                ..JobStats::default()
-            },
-            operator: HiveOperator::Udaf,
-        })
-    }
-
-    /// Format 1 (or forced): full map/shuffle/reduce with the task UDAF.
-    fn run_udaf_plan(&mut self, task: Task, spec: &RunSpec) -> Result<HiveRunResult> {
-        let inputs = self.inputs()?;
-        let udaf = TaskUdaf { task };
-        let policy = spec.dirty_policy;
-        let metrics = spec.metrics.clone();
+        job: HouseholdJob<'_, O>,
+    ) -> Result<(Vec<O>, JobStats, HiveOperator)> {
+        let table = self.shell.table()?;
+        let (policy, metrics) = (spec.dirty_policy, &spec.metrics);
         let mut scheduler = self.scheduler(spec);
-        let (results, stats) = run_map_reduce(
-            inputs,
-            &|lines: &Arc<Vec<String>>, emit: &mut Vec<(u32, (u32, f64, f64))>| {
-                for line in lines.iter() {
-                    if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
-                        emit.push((r.consumer.raw(), (r.hour, r.temperature, r.kwh)));
-                    }
-                }
-                Ok(())
-            },
-            &|_, _| READING_PAIR_BYTES,
-            &|key, rows| {
-                let mut partial = udaf.init();
-                for &row in rows {
-                    udaf.iterate(&mut partial, row);
-                }
-                Ok(udaf
-                    .terminate(ConsumerId(*key), partial)?
-                    .into_iter()
-                    .collect())
-            },
-            self.reduce_tasks,
-            &mut scheduler,
-            self.parallelism,
-        )?;
-        Ok(HiveRunResult {
-            output: collect_consumer_results(task, results),
-            stats,
-            operator: HiveOperator::Udaf,
-        })
-    }
-
-    /// Format 2: map-only with the generic UDF.
-    fn run_udf_plan(&mut self, task: Task, spec: &RunSpec) -> Result<HiveRunResult> {
-        let inputs = self.inputs()?;
-        let temperature = self.table()?.temperature.clone();
-        let udf = TaskUdf {
-            kernel: ConsumerTask::new(task, &temperature)?,
-        };
-        let policy = spec.dirty_policy;
-        let metrics = spec.metrics.clone();
-        let mut scheduler = self.scheduler(spec);
-        let (results, stats) = run_map_only(
-            inputs,
-            &|lines: &Arc<Vec<String>>, emit: &mut Vec<ConsumerResult>| {
-                for line in lines.iter() {
-                    match parse_consumer(line) {
-                        Ok(row) => emit.extend(udf.evaluate(row)?),
-                        Err(_) if policy.skips() => {
-                            metrics.incr(counters::ROWS_SKIPPED_DIRTY, 1);
+        match table.format {
+            DataFormat::ConsumerPerLine => {
+                let udf = SeriesUdf(job.on_series);
+                let (out, stats) = run_map_only(
+                    inputs(table),
+                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<O>| {
+                        for line in lines.iter() {
+                            if let Some(row) = parse_consumer_policed(line, policy, metrics)? {
+                                emit.extend(udf.evaluate(row)?);
+                            }
                         }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
-            },
-            64,
-            &mut scheduler,
-            self.parallelism,
-        )?;
-        Ok(HiveRunResult {
-            output: collect_consumer_results(task, results),
-            stats,
-            operator: HiveOperator::GenericUdf,
-        })
-    }
-
-    /// Format 3: map-only with the UDTF over non-split files.
-    fn run_udtf_plan(&mut self, task: Task, spec: &RunSpec) -> Result<HiveRunResult> {
-        let inputs = self.inputs()?;
-        let udtf = TaskUdtf { task };
-        let policy = spec.dirty_policy;
-        let metrics = spec.metrics.clone();
-        let mut scheduler = self.scheduler(spec);
-        let (results, stats) = run_map_only(
-            inputs,
-            &|lines: &Arc<Vec<String>>, emit: &mut Vec<ConsumerResult>| {
-                let mut rows = Vec::with_capacity(lines.len());
-                for line in lines.iter() {
-                    if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
-                        rows.push(r);
-                    }
-                }
-                udtf.process(rows, &mut |r| emit.push(r))
-            },
-            64,
-            &mut scheduler,
-            self.parallelism,
-        )?;
-        Ok(HiveRunResult {
-            output: collect_consumer_results(task, results),
-            stats,
-            operator: HiveOperator::Udtf,
-        })
+                        Ok(())
+                    },
+                    job.out_bytes,
+                    &mut scheduler,
+                    self.parallelism,
+                )?;
+                Ok((out, stats, HiveOperator::GenericUdf))
+            }
+            DataFormat::ManyFiles { .. } if !job.force_udaf => {
+                let udtf = YearUdtf(job.on_year);
+                let (out, stats) = run_map_only(
+                    inputs(table),
+                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<O>| {
+                        let mut rows = Vec::with_capacity(lines.len());
+                        for line in lines.iter() {
+                            rows.extend(parse_reading_policed(line, policy, metrics)?);
+                        }
+                        udtf.process(rows, &mut |o| emit.push(o))
+                    },
+                    job.out_bytes,
+                    &mut scheduler,
+                    self.parallelism,
+                )?;
+                Ok((out, stats, HiveOperator::Udtf))
+            }
+            _ => {
+                let udaf = YearUdaf(job.on_year);
+                let (out, stats) = run_map_reduce(
+                    inputs(table),
+                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<_>| {
+                        for line in lines.iter() {
+                            let row = parse_reading_policed(line, policy, metrics)?;
+                            emit.extend(row.map(|r| (r.consumer, r)));
+                        }
+                        Ok(())
+                    },
+                    &|_, _| job.pair_bytes,
+                    &|key, rows| {
+                        let mut partial = udaf.init();
+                        for &row in rows {
+                            udaf.iterate(&mut partial, row);
+                        }
+                        Ok(udaf.terminate(*key, partial)?.into_iter().collect())
+                    },
+                    self.reduce_tasks,
+                    &mut scheduler,
+                    self.parallelism,
+                )?;
+                Ok((out, stats, HiveOperator::Udaf))
+            }
+        }
     }
 
     /// Similarity as a self-join: assemble series (job 1, format-
     /// dependent), then shuffle **every** series to **every** reducer
     /// (job 2) — the plan Hive produces without map-side joins.
     fn run_similarity(&mut self, spec: &RunSpec) -> Result<HiveRunResult> {
-        let (series, mut stats, operator) = self.assemble_series(spec)?;
+        // Job 1: `(id, readings)` per household, each a whole year.
+        let (mut series, mut stats, operator) = self.run_per_household(
+            spec,
+            HouseholdJob {
+                on_year: &|y| Ok(Some((y.consumer, y.kwh))),
+                on_series: &|s| Ok(Some((s.id, s.into_readings()))),
+                pair_bytes: KWH_PAIR_BYTES,
+                out_bytes: SERIES_BYTES,
+                force_udaf: false,
+            },
+        )?;
+        series.sort_by_key(|(id, _)| *id);
         let n = series.len();
         if n == 0 {
             return Ok(HiveRunResult {
@@ -349,16 +286,9 @@ impl HiveEngine {
                 operator,
             });
         }
-        // Normalize once (id order), then self-join. Dirty-row drops can
-        // leave ragged years, so pad with zeros first: every pair then
-        // goes through the canonical fixed-order `dot` (the zeros add
-        // nothing to a norm or a score).
-        let ids: Vec<ConsumerId> = series.iter().map(|(id, _)| *id).collect();
-        let mut vectors: Vec<Vec<f64>> = series.into_iter().map(|(_, v)| v).collect();
-        let stride = vectors.iter().map(Vec::len).max().unwrap_or(0);
-        for v in &mut vectors {
-            v.resize(stride, 0.0);
-        }
+        // Normalize once (id order), then self-join: every pair goes
+        // through the canonical fixed-order `dot`.
+        let (ids, vectors): (Vec<ConsumerId>, Vec<Vec<f64>>) = series.into_iter().unzip();
         let normalized: Vec<Arc<Vec<f64>>> =
             normalize_all(&vectors).into_iter().map(Arc::new).collect();
         let reduce_tasks = self.reduce_tasks.min(n).max(1);
@@ -366,12 +296,11 @@ impl HiveEngine {
         // Job 2 inputs: chunks of the assembled series.
         let chunk = n.div_ceil(reduce_tasks);
         let mut inputs = Vec::new();
-        for (ci, idx_chunk) in (0..n).collect::<Vec<_>>().chunks(chunk).enumerate() {
+        for idx_chunk in (0..n).collect::<Vec<_>>().chunks(chunk) {
             let data: Vec<(usize, Arc<Vec<f64>>)> = idx_chunk
                 .iter()
                 .map(|&i| (i, normalized[i].clone()))
                 .collect();
-            let _ = ci;
             inputs.push(JobInput {
                 data,
                 bytes: idx_chunk.len() as u64 * SERIES_BYTES,
@@ -380,7 +309,6 @@ impl HiveEngine {
         }
 
         let ids_ref = &ids;
-        let normalized_ref = &normalized;
         let mut scheduler = self.scheduler(spec);
         let (mut matches, join_stats) = run_map_reduce_partitioned(
             inputs,
@@ -438,7 +366,6 @@ impl HiveEngine {
             &mut scheduler,
             self.parallelism,
         )?;
-        let _ = normalized_ref;
         matches.sort_by_key(|m| m.consumer);
         // The reduce-side join scores every ordered pair — no symmetric
         // halving; that cost is exactly what this plan models.
@@ -452,97 +379,14 @@ impl HiveEngine {
             operator,
         })
     }
+}
 
-    /// Job 1 of similarity: produce `(id, readings)` per household.
-    #[allow(clippy::type_complexity)]
-    fn assemble_series(
-        &mut self,
-        spec: &RunSpec,
-    ) -> Result<(Vec<(ConsumerId, Vec<f64>)>, JobStats, HiveOperator)> {
-        let format = self.table()?.format;
-        let inputs = self.inputs()?;
-        let policy = spec.dirty_policy;
-        let metrics = spec.metrics.clone();
-        let mut scheduler = self.scheduler(spec);
-        match format {
-            DataFormat::ReadingPerLine => {
-                let (mut series, stats) = run_map_reduce(
-                    inputs,
-                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<(u32, (u32, f64))>| {
-                        for line in lines.iter() {
-                            if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
-                                emit.push((r.consumer.raw(), (r.hour, r.kwh)));
-                            }
-                        }
-                        Ok(())
-                    },
-                    &|_, _| 16,
-                    &|key, rows| {
-                        let mut rows = rows.to_vec();
-                        rows.sort_by_key(|(h, _)| *h);
-                        let kwh = rows.into_iter().map(|(_, v)| v).collect();
-                        Ok(vec![(ConsumerId(*key), kwh)])
-                    },
-                    self.reduce_tasks,
-                    &mut scheduler,
-                    self.parallelism,
-                )?;
-                series.sort_by_key(|(id, _)| *id);
-                Ok((series, stats, HiveOperator::Udaf))
-            }
-            DataFormat::ConsumerPerLine => {
-                let (mut series, stats) = run_map_only(
-                    inputs,
-                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<(ConsumerId, Vec<f64>)>| {
-                        for line in lines.iter() {
-                            match parse_consumer(line) {
-                                Ok(row) => emit.push(row),
-                                Err(_) if policy.skips() => {
-                                    metrics.incr(counters::ROWS_SKIPPED_DIRTY, 1);
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        Ok(())
-                    },
-                    SERIES_BYTES,
-                    &mut scheduler,
-                    self.parallelism,
-                )?;
-                series.sort_by_key(|(id, _)| *id);
-                Ok((series, stats, HiveOperator::GenericUdf))
-            }
-            DataFormat::ManyFiles { .. } => {
-                let (mut series, stats) = run_map_only(
-                    inputs,
-                    &|lines: &Arc<Vec<String>>, emit: &mut Vec<(ConsumerId, Vec<f64>)>| {
-                        let mut rows = Vec::with_capacity(lines.len());
-                        for line in lines.iter() {
-                            if let Some(r) = parse_reading_policed(line, policy, &metrics)? {
-                                rows.push(r);
-                            }
-                        }
-                        rows.sort_by_key(|r| (r.consumer, r.hour));
-                        let mut i = 0;
-                        while i < rows.len() {
-                            let id = rows[i].consumer;
-                            let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
-                            while i < rows.len() && rows[i].consumer == id {
-                                kwh.push(rows[i].kwh);
-                                i += 1;
-                            }
-                            emit.push((id, kwh));
-                        }
-                        Ok(())
-                    },
-                    SERIES_BYTES,
-                    &mut scheduler,
-                    self.parallelism,
-                )?;
-                series.sort_by_key(|(id, _)| *id);
-                Ok((series, stats, HiveOperator::Udtf))
-            }
-        }
+impl ClusterTwin for HiveEngine {
+    fn load_observed(&mut self, ds: &Dataset, format: DataFormat, spec: &RunSpec) -> Result<()> {
+        let (faults, metrics) = (spec.fault_plan.as_ref(), &spec.metrics);
+        self.shell.load(ds, format, faults, metrics)?;
+        self.format = format;
+        Ok(())
     }
 }
 
@@ -804,7 +648,7 @@ mod tests {
         hive.load(&ds, DataFormat::ReadingPerLine).unwrap();
         {
             // Append one malformed line to the first split.
-            let split = &mut hive.table.as_mut().unwrap().splits[0];
+            let split = &mut hive.shell.table_mut().unwrap().splits[0];
             let mut lines = (*split.lines).clone();
             lines.push("not,a,valid,row".into());
             split.lines = Arc::new(lines);
@@ -838,7 +682,7 @@ mod tests {
         ] {
             let mut hive = HiveEngine::new(engine(2).topology(), 48 * 1024);
             hive.load(&tiny(2), format).unwrap();
-            let splits = &mut hive.table.as_mut().unwrap().splits;
+            let splits = &mut hive.shell.table_mut().unwrap().splits;
             assert!(splits.len() >= 2, "{format:?}: {} split", splits.len());
             let (first, last) = (0, splits.len() - 1);
             let mut lines = (*splits[first].lines).clone();
@@ -900,7 +744,7 @@ mod tests {
                 hive.load(&ds, format).unwrap();
                 // Overwrite one real reading line: its household is left
                 // with 8759 hours once the policy drops the garbage.
-                let split = &mut hive.table.as_mut().unwrap().splits[0];
+                let split = &mut hive.shell.table_mut().unwrap().splits[0];
                 let mut lines = (*split.lines).clone();
                 let id: u32 = lines[1234].split(',').next().unwrap().parse().unwrap();
                 let victim = ConsumerId(id).to_string();

@@ -19,7 +19,6 @@
 pub mod engine;
 pub mod hiveql;
 pub mod mapreduce;
-pub mod parse;
 pub mod udf;
 
 pub use engine::{HiveEngine, HiveRunResult};

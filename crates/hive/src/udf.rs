@@ -5,12 +5,8 @@
 //! generic UDF for map-only scalar work (format 2), and a UDTF that
 //! aggregates map-side over whole files (format 3).
 
-use smda_core::tasks::ConsumerResult;
-use smda_core::{ConsumerTask, Task};
-use smda_stats::with_fit_scratch;
-use smda_types::{ConsumerId, Error, Result, HOURS_PER_YEAR};
-
-use crate::parse::ReadingRow;
+use smda_types::formats::{assemble_households, assemble_year, HouseholdYear};
+use smda_types::{ConsumerId, ConsumerSeries, Reading, Result};
 
 /// Which Hive mechanism executed a job (reported in experiment output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,19 +62,27 @@ pub trait Udtf<I, O>: Sync {
 }
 
 // ------------------------------------------------------- implementations
+//
+// One implementation per extension point, each over "what to do with a
+// household's year": a per-consumer benchmark task (→ its result) or
+// job 1 of the similarity self-join (→ the series). Years are put
+// together by the one assembler in `smda_types::formats`, so all three
+// refuse an incomplete household the same way.
 
-/// Assemble a household's year and run one benchmark algorithm — the
-/// UDAF behind format 1 (and format 3's UDAF variant).
-#[derive(Debug, Clone, Copy)]
-pub struct TaskUdaf {
-    /// Which benchmark task to run at terminate time.
-    pub task: Task,
-}
+/// What a plan does with one household's assembled year (formats 1/3).
+pub type OnYear<'a, O> = dyn Fn(HouseholdYear) -> Result<Option<O>> + Sync + 'a;
+/// What a plan does with one household's Format-2 row. Temperature comes
+/// from the shared sidecar, as the readings line carries none.
+pub type OnSeries<'a, O> = dyn Fn(ConsumerSeries) -> Result<Option<O>> + Sync + 'a;
 
-impl Udaf for TaskUdaf {
-    type Row = (u32, f64, f64); // (hour, temperature, kwh)
-    type Partial = Vec<(u32, f64, f64)>;
-    type Output = Option<ConsumerResult>;
+/// Assemble a household's year reduce-side and hand it on — the UDAF
+/// behind format 1 (and format 3's UDAF variant).
+pub struct YearUdaf<'a, O>(pub &'a OnYear<'a, O>);
+
+impl<O> Udaf for YearUdaf<'_, O> {
+    type Row = Reading;
+    type Partial = Vec<Reading>;
+    type Output = Option<O>;
 
     fn init(&self) -> Self::Partial {
         Vec::new()
@@ -92,87 +96,31 @@ impl Udaf for TaskUdaf {
         into.append(&mut from);
     }
 
-    fn terminate(&self, key: ConsumerId, mut partial: Self::Partial) -> Result<Self::Output> {
-        partial.sort_by_key(|(h, _, _)| *h);
-        if partial.len() != HOURS_PER_YEAR {
-            return Err(Error::Schema(format!(
-                "consumer {key}: {} readings reached the reducer, expected {HOURS_PER_YEAR}",
-                partial.len()
-            )));
-        }
-        let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
-        let mut temps = Vec::with_capacity(HOURS_PER_YEAR);
-        for (i, (h, t, v)) in partial.into_iter().enumerate() {
-            if h as usize != i {
-                return Err(Error::Schema(format!(
-                    "consumer {key}: duplicate or missing hour {h}"
-                )));
-            }
-            temps.push(t);
-            kwh.push(v);
-        }
-        ConsumerTask::run_assembled(self.task, key, &kwh, &temps)
+    fn terminate(&self, key: ConsumerId, partial: Self::Partial) -> Result<Self::Output> {
+        (self.0)(assemble_year(key, partial)?)
     }
 }
 
-/// Run one benchmark algorithm on a whole Format-2 row — the generic UDF
-/// behind format 2's map-only plan. Temperature comes from the shared
-/// sidecar, as the readings line carries none: the kernel is bound to it
-/// once per plan.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskUdf<'t> {
-    /// The benchmark task, bound to the shared hourly temperature series.
-    pub kernel: ConsumerTask<'t>,
-}
+/// Hand on a whole Format-2 row — the generic UDF behind format 2's
+/// map-only plan.
+pub struct SeriesUdf<'a, O>(pub &'a OnSeries<'a, O>);
 
-impl GenericUdf<(ConsumerId, Vec<f64>), ConsumerResult> for TaskUdf<'_> {
-    fn evaluate(&self, (id, kwh): (ConsumerId, Vec<f64>)) -> Result<Vec<ConsumerResult>> {
-        let result = with_fit_scratch(|scratch| self.kernel.run(id, &kwh, scratch))?;
-        Ok(result.into_iter().collect())
+impl<O> GenericUdf<ConsumerSeries, O> for SeriesUdf<'_, O> {
+    fn evaluate(&self, series: ConsumerSeries) -> Result<Vec<O>> {
+        Ok((self.0)(series)?.into_iter().collect())
     }
 }
 
-/// Group parsed rows by household map-side and run one benchmark
-/// algorithm per household — the UDTF behind format 3 (whole households
-/// per file, so no reduce is needed).
-#[derive(Debug, Clone, Copy)]
-pub struct TaskUdtf {
-    /// Which benchmark task to run.
-    pub task: Task,
-}
+/// Group parsed rows by household map-side and hand each year on — the
+/// UDTF behind format 3 (whole households per file, so no reduce is
+/// needed).
+pub struct YearUdtf<'a, O>(pub &'a OnYear<'a, O>);
 
-impl Udtf<ReadingRow, ConsumerResult> for TaskUdtf {
-    fn process(
-        &self,
-        mut rows: Vec<ReadingRow>,
-        emit: &mut dyn FnMut(ConsumerResult),
-    ) -> Result<()> {
-        rows.sort_by_key(|r| (r.consumer, r.hour));
-        let mut i = 0;
-        while i < rows.len() {
-            let id = rows[i].consumer;
-            let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
-            let mut temps = Vec::with_capacity(HOURS_PER_YEAR);
-            while i < rows.len() && rows[i].consumer == id {
-                if rows[i].hour as usize != kwh.len() {
-                    return Err(Error::Schema(format!(
-                        "consumer {id}: hour {} out of sequence in file fragment",
-                        rows[i].hour
-                    )));
-                }
-                kwh.push(rows[i].kwh);
-                temps.push(rows[i].temperature);
-                i += 1;
-            }
-            if kwh.len() != HOURS_PER_YEAR {
-                return Err(Error::Schema(format!(
-                    "consumer {id}: file fragment holds {} readings, expected {HOURS_PER_YEAR} \
-                     (is the input truly non-split?)",
-                    kwh.len()
-                )));
-            }
-            if let Some(result) = ConsumerTask::run_assembled(self.task, id, &kwh, &temps)? {
-                emit(result);
+impl<O> Udtf<Reading, O> for YearUdtf<'_, O> {
+    fn process(&self, rows: Vec<Reading>, emit: &mut dyn FnMut(O)) -> Result<()> {
+        for year in assemble_households(rows) {
+            if let Some(out) = (self.0)(year?)? {
+                emit(out);
             }
         }
         Ok(())
@@ -182,10 +130,14 @@ impl Udtf<ReadingRow, ConsumerResult> for TaskUdtf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smda_core::tasks::ConsumerResult;
+    use smda_core::{ConsumerTask, Task};
+    use smda_stats::with_fit_scratch;
+    use smda_types::HOURS_PER_YEAR;
 
-    fn year_rows(id: u32) -> Vec<ReadingRow> {
+    fn year_rows(id: u32) -> Vec<Reading> {
         (0..HOURS_PER_YEAR)
-            .map(|h| ReadingRow {
+            .map(|h| Reading {
                 consumer: ConsumerId(id),
                 hour: h as u32,
                 temperature: (h % 40) as f64 - 10.0,
@@ -194,21 +146,23 @@ mod tests {
             .collect()
     }
 
+    fn histogram(y: HouseholdYear) -> Result<Option<ConsumerResult>> {
+        ConsumerTask::run_assembled(Task::Histogram, y.consumer, &y.kwh, &y.temperature)
+    }
+
     #[test]
     fn udaf_assembles_and_runs() {
-        let udaf = TaskUdaf {
-            task: Task::Histogram,
-        };
+        let udaf = YearUdaf(&histogram);
         let mut partial = udaf.init();
         // Feed rows out of order and via a merge to exercise all phases.
         let rows = year_rows(3);
         let (left, right) = rows.split_at(4000);
         for r in right.iter().rev() {
-            udaf.iterate(&mut partial, (r.hour, r.temperature, r.kwh));
+            udaf.iterate(&mut partial, *r);
         }
         let mut partial2 = udaf.init();
         for r in left {
-            udaf.iterate(&mut partial2, (r.hour, r.temperature, r.kwh));
+            udaf.iterate(&mut partial2, *r);
         }
         udaf.merge(&mut partial, partial2);
         let out = udaf.terminate(ConsumerId(3), partial).unwrap();
@@ -223,22 +177,20 @@ mod tests {
 
     #[test]
     fn udaf_rejects_incomplete_years() {
-        let udaf = TaskUdaf {
-            task: Task::Histogram,
-        };
+        let udaf = YearUdaf(&histogram);
         let mut partial = udaf.init();
-        udaf.iterate(&mut partial, (0, 5.0, 1.0));
+        udaf.iterate(&mut partial, year_rows(1)[0]);
         assert!(udaf.terminate(ConsumerId(1), partial).is_err());
     }
 
     #[test]
     fn udf_runs_on_consumer_row() {
         let temps = vec![5.0; HOURS_PER_YEAR];
-        let udf = TaskUdf {
-            kernel: ConsumerTask::new(Task::Par, &temps).unwrap(),
-        };
-        let out = udf
-            .evaluate((ConsumerId(9), vec![0.7; HOURS_PER_YEAR]))
+        let kernel = ConsumerTask::new(Task::Par, &temps).unwrap();
+        let par =
+            |s: ConsumerSeries| Ok(with_fit_scratch(|scratch| kernel.run_series(&s, scratch)));
+        let out = SeriesUdf(&par)
+            .evaluate(ConsumerSeries::new(ConsumerId(9), vec![0.7; HOURS_PER_YEAR]).unwrap())
             .unwrap();
         assert_eq!(out.len(), 1);
         match &out[0] {
@@ -249,24 +201,22 @@ mod tests {
 
     #[test]
     fn udtf_processes_multiple_households() {
-        let udtf = TaskUdtf {
-            task: Task::Histogram,
-        };
         let mut rows = year_rows(1);
         rows.extend(year_rows(2));
         let mut out = Vec::new();
-        udtf.process(rows, &mut |r| out.push(r)).unwrap();
+        YearUdtf(&histogram)
+            .process(rows, &mut |r| out.push(r))
+            .unwrap();
         assert_eq!(out.len(), 2);
     }
 
     #[test]
     fn udtf_rejects_partial_household() {
-        let udtf = TaskUdtf {
-            task: Task::Histogram,
-        };
-        let rows: Vec<ReadingRow> = year_rows(1).into_iter().take(100).collect();
+        let rows: Vec<Reading> = year_rows(1).into_iter().take(100).collect();
         let mut out = Vec::new();
-        assert!(udtf.process(rows, &mut |r| out.push(r)).is_err());
+        assert!(YearUdtf(&histogram)
+            .process(rows, &mut |r| out.push(r))
+            .is_err());
     }
 
     #[test]

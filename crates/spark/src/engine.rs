@@ -4,19 +4,21 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use smda_cluster::textdata::{parse_consumer, parse_reading_policed};
-use smda_cluster::{ClusterTopology, DfsConfig, SimDfs, TextTable};
-use smda_core::tasks::{collect_consumer_results, ConsumerResult};
+use smda_cluster::{
+    parse_consumer_policed, parse_reading_policed, ClusterTopology, TextTable, TwinShell,
+};
+use smda_core::tasks::collect_consumer_results;
 use smda_core::{ConsumerMatches, ConsumerTask, Task, TaskOutput, SIMILARITY_TOP_K};
-use smda_engines::{Capabilities, Platform, RunResult, RunSpec};
+use smda_engines::{Capabilities, ClusterTwin, Platform, RunResult, RunSpec};
+use smda_obs::counters;
 use smda_stats::{top_k_query, with_fit_scratch, SeriesMatrix};
+use smda_types::formats::{assemble_households, assemble_year, HouseholdYear};
 use smda_types::{
-    ConsumerId, DataFormat, Dataset, Error, Result, TemperatureSeries, HOURS_PER_YEAR,
+    ConsumerId, ConsumerSeries, DataFormat, Dataset, Reading, Result, TemperatureSeries,
 };
 
-use smda_obs::counters;
-
-use crate::rdd::{SparkContext, SparkStats};
+use crate::rdd::{Rdd, SparkContext, SparkStats};
+use crate::sizeof::SizeOf;
 
 /// Result of one Spark job chain.
 #[derive(Debug)]
@@ -34,14 +36,11 @@ pub struct SparkRunResult {
 /// All run-scoped configuration — metrics sink, fault plan, dirty-row
 /// policy — arrives through the [`RunSpec`]: pass it to
 /// [`SparkEngine::run_with`] (or [`Platform::run`]) and, for load-time
-/// replica-loss faults, to [`SparkEngine::load_observed`].
+/// replica-loss faults, to [`ClusterTwin::load_observed`].
 pub struct SparkEngine {
     topology: ClusterTopology,
-    dfs: SimDfs,
-    table: Option<TextTable>,
-    /// The dataset as loaded — real-transport runs ship series to live
-    /// worker processes rather than re-parsing the text rendition.
-    dataset: Option<Dataset>,
+    /// The DFS and the text input loaded into it.
+    pub shell: TwinShell,
     /// Text format [`Platform::load`] renders the dataset in.
     pub format: DataFormat,
     /// Shuffle partitions for wide operations (default: 2 × workers).
@@ -56,19 +55,41 @@ impl std::fmt::Debug for SparkEngine {
     }
 }
 
+/// How format 1 moves a reading through the shuffle, keyed by its
+/// household: what of it is packed map-side, and how the reduce side
+/// reads that back.
+struct Shuffled<V> {
+    pack: fn(&Reading) -> V,
+    unpack: fn(ConsumerId, V) -> Reading,
+}
+
+const WITH_TEMPERATURE: Shuffled<(u32, f64, f64)> = Shuffled {
+    pack: |r| (r.hour, r.temperature, r.kwh),
+    unpack: |consumer, (hour, temperature, kwh)| Reading {
+        consumer,
+        hour,
+        temperature,
+        kwh,
+    },
+};
+
+/// Similarity reads no temperature, so none is shuffled.
+const KWH_ONLY: Shuffled<(u32, f64)> = Shuffled {
+    pack: |r| (r.hour, r.kwh),
+    unpack: |consumer, (hour, kwh)| Reading {
+        consumer,
+        hour,
+        temperature: 0.0,
+        kwh,
+    },
+};
+
 impl SparkEngine {
     /// An engine on `topology` with `block_bytes`-sized DFS blocks.
     pub fn new(topology: ClusterTopology, block_bytes: u64) -> Self {
-        let dfs = SimDfs::new(DfsConfig {
-            block_bytes,
-            replication: 3,
-            nodes: topology.workers,
-        });
         SparkEngine {
             topology,
-            dfs,
-            table: None,
-            dataset: None,
+            shell: TwinShell::new(topology.workers, block_bytes),
             format: DataFormat::ReadingPerLine,
             shuffle_partitions: topology.workers * 2,
         }
@@ -85,78 +106,6 @@ impl SparkEngine {
         self.load_observed(ds, format, &RunSpec::builder(Task::Histogram).build())
     }
 
-    /// [`SparkEngine::load`] under a [`RunSpec`]: the spec's
-    /// replica-loss faults are applied to the fresh DFS placement and
-    /// its counters flow into the spec's sink. (The spec's task is
-    /// irrelevant here.)
-    pub fn load_observed(
-        &mut self,
-        ds: &Dataset,
-        format: DataFormat,
-        spec: &RunSpec,
-    ) -> Result<()> {
-        if self.table.is_some() {
-            self.dfs = SimDfs::new(self.dfs.config());
-        }
-        let mut table = TextTable::build("meter_data", ds, format, &mut self.dfs)?;
-        if let Some(plan) = spec.fault_plan.clone() {
-            if plan.replica_losses > 0 {
-                let lost = self.dfs.drop_replicas(plan.replica_losses);
-                if lost > 0 {
-                    spec.metrics
-                        .incr(counters::FAULTS_INJECTED_REPLICA_LOSS, lost as u64);
-                }
-                if plan.re_replicate {
-                    let restored = self.dfs.re_replicate();
-                    if restored > 0 {
-                        spec.metrics
-                            .incr(counters::FAULTS_RECOVERED_REPLICA_LOSS, restored as u64);
-                    }
-                }
-                // Surfaces `BlockUnavailable` here if a block lost every
-                // replica and re-replication could not bring it back.
-                table.refresh_hosts(&self.dfs)?;
-            }
-        }
-        self.format = format;
-        self.table = Some(table);
-        self.dataset = Some(ds.clone());
-        Ok(())
-    }
-
-    /// Real-transport backend: forked worker processes, socket shuffle,
-    /// WAL-backed recovery. The spec's fault plan becomes real SIGKILLs.
-    fn run_real_transport(
-        &mut self,
-        config: &smda_cluster::RealClusterConfig,
-        spec: &RunSpec,
-    ) -> Result<SparkRunResult> {
-        let ds = self
-            .dataset
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("no RDD input loaded".into()))?;
-        let mut config = config.clone();
-        if config.fault_plan.is_none() {
-            config.fault_plan = spec.fault_plan.clone();
-        }
-        let report = smda_cluster::run_real(spec.task, ds, &config, &spec.metrics)?;
-        Ok(SparkRunResult {
-            output: report.output,
-            virtual_elapsed: report.elapsed,
-            stats: SparkStats {
-                stages: if report.map_tasks > 0 { 2 } else { 1 },
-                tasks: (report.map_tasks + report.reduce_tasks) as u64,
-                ..SparkStats::default()
-            },
-        })
-    }
-
-    fn table(&self) -> Result<&TextTable> {
-        self.table
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("no RDD input loaded".into()))
-    }
-
     /// Run one benchmark task with default run-scoped configuration
     /// (no metrics, no faults, fail-fast dirty handling).
     pub fn run_task(&mut self, task: Task) -> Result<SparkRunResult> {
@@ -164,128 +113,109 @@ impl SparkEngine {
         self.run_with(&spec)
     }
 
+    /// Every household of `table` through `on_year` (formats 1 and 3: its
+    /// year put together from its rows by the one assembler) or
+    /// `on_series` (format 2: the row is the year). Format 1 shuffles
+    /// readings by household first; 2 and 3 stay narrow. A refused line
+    /// or household yields nothing and defers its error to the job's end.
+    fn per_household<V, O>(
+        &self,
+        sc: &SparkContext,
+        table: &TextTable,
+        spec: &RunSpec,
+        shuffled: Shuffled<V>,
+        on_year: impl Fn(HouseholdYear) -> Result<Option<O>> + Send + Sync + 'static,
+        on_series: impl Fn(ConsumerSeries) -> Result<Option<O>> + Send + Sync + 'static,
+    ) -> Result<Rdd<O>>
+    where
+        V: SizeOf + Clone + Send + Sync + 'static,
+        O: Clone + Send + Sync + 'static,
+    {
+        let lines = sc.text_table(table)?;
+        let (policy, m) = (spec.dirty_policy, spec.metrics.clone());
+        let (sc2, sc3) = (sc.clone(), sc.clone());
+        Ok(match table.format {
+            DataFormat::ReadingPerLine => lines
+                .flat_map(move |l| {
+                    let row = parse_reading_policed(&l, policy, &m);
+                    let pair = |r: Reading| (r.consumer, (shuffled.pack)(&r));
+                    sc2.collect_or_defer(row.map(|row| row.map(pair)))
+                })
+                .group_by_key(self.shuffle_partitions)
+                .flat_map(move |(id, rows)| {
+                    let rows = rows.into_iter().map(|v| (shuffled.unpack)(id, v));
+                    sc3.collect_or_defer(assemble_year(id, rows.collect()).and_then(&on_year))
+                }),
+            DataFormat::ConsumerPerLine => lines.flat_map(move |l| {
+                let row = parse_consumer_policed(&l, policy, &m);
+                sc2.collect_or_defer(row.and_then(|row| row.map_or(Ok(None), &on_series)))
+            }),
+            DataFormat::ManyFiles { .. } => lines.map_partitions(move |part| {
+                let rows = part
+                    .iter()
+                    .flat_map(|l| sc2.ok_or_defer(parse_reading_policed(l, policy, &m)));
+                assemble_households(rows.collect())
+                    .flat_map(|year| sc2.ok_or_defer(year.and_then(&on_year)))
+                    .collect()
+            }),
+        })
+    }
+
     /// Run `spec.task`, returning output + virtual-time stats. Metrics,
     /// faults and the dirty-row policy all come from the spec.
     ///
     /// # Errors
     /// Typed failures deferred from any stage — retry exhaustion, a
-    /// cluster-wide outage, or a malformed row under the fail-fast
-    /// dirty-data policy.
+    /// cluster-wide outage, a malformed row under the fail-fast
+    /// dirty-data policy, or a household whose rows are not a whole year.
     pub fn run_with(&mut self, spec: &RunSpec) -> Result<SparkRunResult> {
         if let Some(config) = &spec.real_transport {
-            return self.run_real_transport(config, spec);
+            let (faults, metrics) = (spec.fault_plan.as_ref(), &spec.metrics);
+            let report = self.shell.run_real(spec.task, config, faults, metrics)?;
+            return Ok(SparkRunResult {
+                output: report.output,
+                virtual_elapsed: report.elapsed,
+                stats: SparkStats {
+                    stages: if report.map_tasks > 0 { 2 } else { 1 },
+                    tasks: (report.map_tasks + report.reduce_tasks) as u64,
+                    ..SparkStats::default()
+                },
+            });
         }
         let task = spec.task;
         let sc =
             SparkContext::configured(self.topology, spec.metrics.clone(), spec.fault_plan.clone());
-        let policy = spec.dirty_policy;
-        let table = self.table()?;
-        let lines = sc.text_table(table)?;
-        let format = table.format;
-        let temperature = table.temperature.clone();
+        let table = self.shell.table()?;
 
         let output = match task {
             Task::Similarity => {
-                let series = match format {
-                    DataFormat::ReadingPerLine => {
-                        // Shuffle readings by household, then assemble.
-                        let sc2 = sc.clone();
-                        let m = spec.metrics.clone();
-                        lines
-                            .flat_map(move |l| match parse_reading_policed(&l, policy, &m) {
-                                Ok(Some(r)) => vec![(r.consumer.raw(), (r.hour, r.kwh))],
-                                Ok(None) => vec![],
-                                Err(e) => {
-                                    sc2.defer_error(e);
-                                    vec![]
-                                }
-                            })
-                            .group_by_key(self.shuffle_partitions)
-                            .map(|(id, mut rows)| {
-                                rows.sort_by_key(|(h, _)| *h);
-                                (
-                                    ConsumerId(id),
-                                    rows.into_iter().map(|(_, v)| v).collect::<Vec<f64>>(),
-                                )
-                            })
-                            .collect()
-                    }
-                    DataFormat::ConsumerPerLine => {
-                        let sc2 = sc.clone();
-                        let m = spec.metrics.clone();
-                        lines
-                            .flat_map(move |l| match parse_consumer(&l) {
-                                Ok(row) => vec![row],
-                                Err(_) if policy.skips() => {
-                                    m.incr(counters::ROWS_SKIPPED_DIRTY, 1);
-                                    vec![]
-                                }
-                                Err(e) => {
-                                    sc2.defer_error(e);
-                                    vec![]
-                                }
-                            })
-                            .collect()
-                    }
-                    DataFormat::ManyFiles { .. } => {
-                        let sc2 = sc.clone();
-                        let m = spec.metrics.clone();
-                        lines
-                            .map_partitions(move |part| {
-                                let mut rows = Vec::with_capacity(part.len());
-                                for l in &part {
-                                    match parse_reading_policed(l, policy, &m) {
-                                        Ok(Some(r)) => rows.push(r),
-                                        Ok(None) => {}
-                                        Err(e) => sc2.defer_error(e),
-                                    }
-                                }
-                                rows.sort_by_key(|r| (r.consumer, r.hour));
-                                let mut out = Vec::new();
-                                let mut i = 0;
-                                while i < rows.len() {
-                                    let id = rows[i].consumer;
-                                    let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
-                                    while i < rows.len() && rows[i].consumer == id {
-                                        kwh.push(rows[i].kwh);
-                                        i += 1;
-                                    }
-                                    out.push((id, kwh));
-                                }
-                                out
-                            })
-                            .collect()
-                    }
-                };
+                let series = self.per_household(
+                    &sc,
+                    table,
+                    spec,
+                    KWH_ONLY,
+                    |y| Ok(Some((y.consumer, y.kwh))),
+                    |s| Ok(Some((s.id, s.into_readings()))),
+                )?;
                 // Driver-side normalize into one contiguous matrix,
                 // broadcast, map-side join: the plan the paper's Spark
                 // implementation used, on the shared similarity kernel.
-                // Ragged years (dirty-row drops) are zero-padded by the
-                // matrix builder, which changes no norm or score.
-                let mut series = series;
+                let mut series = series.collect();
                 series.sort_by_key(|(id, _)| *id);
-                let ids: Vec<ConsumerId> = series.iter().map(|(id, _)| *id).collect();
-                let vectors: Vec<Vec<f64>> = series.into_iter().map(|(_, v)| v).collect();
+                let (ids, vectors): (Vec<ConsumerId>, Vec<Vec<f64>>) = series.into_iter().unzip();
                 let n = vectors.len();
-                let matrix = SeriesMatrix::from_ragged_rows_normalized(&vectors);
+                let matrix = SeriesMatrix::from_rows_normalized(&vectors);
                 drop(vectors);
                 let broadcast = sc.broadcast(matrix);
-                let ids_arc = Arc::new(ids);
-                let ids_for_map = ids_arc.clone();
-                let queries = sc.parallelize(
-                    (0..ids_arc.len()).collect::<Vec<usize>>(),
-                    self.shuffle_partitions,
-                );
-                let bval = broadcast.clone();
+                let ids = Arc::new(ids);
+                let queries =
+                    sc.parallelize((0..n).collect::<Vec<usize>>(), self.shuffle_partitions);
                 let mut matches: Vec<ConsumerMatches> = queries
                     .map(move |q| {
-                        let hits = top_k_query(bval.value(), q, SIMILARITY_TOP_K);
+                        let hits = top_k_query(broadcast.value(), q, SIMILARITY_TOP_K);
                         ConsumerMatches {
-                            consumer: ids_for_map[q],
-                            matches: hits
-                                .into_iter()
-                                .map(|h| (ids_for_map[h.index], h.score))
-                                .collect(),
+                            consumer: ids[q],
+                            matches: hits.into_iter().map(|h| (ids[h.index], h.score)).collect(),
                         }
                     })
                     .collect();
@@ -297,97 +227,21 @@ impl SparkEngine {
                 TaskOutput::Similarity(matches)
             }
             _ => {
-                let results: Vec<ConsumerResult> = match format {
-                    DataFormat::ReadingPerLine => {
-                        let (sc2, sc3) = (sc.clone(), sc.clone());
-                        let m = spec.metrics.clone();
-                        lines
-                            .flat_map(move |l| match parse_reading_policed(&l, policy, &m) {
-                                Ok(Some(r)) => {
-                                    vec![(r.consumer.raw(), (r.hour, r.temperature, r.kwh))]
-                                }
-                                Ok(None) => vec![],
-                                Err(e) => {
-                                    sc2.defer_error(e);
-                                    vec![]
-                                }
-                            })
-                            .group_by_key(self.shuffle_partitions)
-                            .flat_map(move |(id, mut rows)| {
-                                rows.sort_by_key(|(h, _, _)| *h);
-                                let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
-                                let mut temps = Vec::with_capacity(HOURS_PER_YEAR);
-                                for (_, t, v) in rows {
-                                    temps.push(t);
-                                    kwh.push(v);
-                                }
-                                let id = ConsumerId(id);
-                                sc3.collect_or_defer(ConsumerTask::run_assembled(
-                                    task, id, &kwh, &temps,
-                                ))
-                            })
-                            .collect()
-                    }
-                    DataFormat::ConsumerPerLine => {
-                        // The sidecar year is checked once, here; its type
-                        // carries the verdict into the per-line closure.
-                        let temps = Arc::new(TemperatureSeries::new(temperature.to_vec())?);
-                        let sc2 = sc.clone();
-                        let m = spec.metrics.clone();
-                        lines
-                            .flat_map(move |l| match parse_consumer(&l) {
-                                Ok((id, kwh)) => {
-                                    let kernel = ConsumerTask::over(task, &temps);
-                                    sc2.collect_or_defer(with_fit_scratch(|scratch| {
-                                        kernel.run(id, &kwh, scratch)
-                                    }))
-                                }
-                                Err(_) if policy.skips() => {
-                                    m.incr(counters::ROWS_SKIPPED_DIRTY, 1);
-                                    vec![]
-                                }
-                                Err(e) => {
-                                    sc2.defer_error(e);
-                                    vec![]
-                                }
-                            })
-                            .collect()
-                    }
-                    DataFormat::ManyFiles { .. } => {
-                        let sc2 = sc.clone();
-                        let m = spec.metrics.clone();
-                        lines
-                            .map_partitions(move |part| {
-                                let mut rows = Vec::with_capacity(part.len());
-                                for l in &part {
-                                    match parse_reading_policed(l, policy, &m) {
-                                        Ok(Some(r)) => rows.push(r),
-                                        Ok(None) => {}
-                                        Err(e) => sc2.defer_error(e),
-                                    }
-                                }
-                                rows.sort_by_key(|r| (r.consumer, r.hour));
-                                let mut out = Vec::new();
-                                let mut i = 0;
-                                while i < rows.len() {
-                                    let id = rows[i].consumer;
-                                    let mut kwh = Vec::with_capacity(HOURS_PER_YEAR);
-                                    let mut temps = Vec::with_capacity(HOURS_PER_YEAR);
-                                    while i < rows.len() && rows[i].consumer == id {
-                                        kwh.push(rows[i].kwh);
-                                        temps.push(rows[i].temperature);
-                                        i += 1;
-                                    }
-                                    out.extend(sc2.collect_or_defer(ConsumerTask::run_assembled(
-                                        task, id, &kwh, &temps,
-                                    )));
-                                }
-                                out
-                            })
-                            .collect()
-                    }
-                };
-                collect_consumer_results(task, results)
+                // The sidecar year is checked once, here; its type carries
+                // the verdict into the per-line closure.
+                let temps = Arc::new(TemperatureSeries::new(table.temperature.to_vec())?);
+                let results = self.per_household(
+                    &sc,
+                    table,
+                    spec,
+                    WITH_TEMPERATURE,
+                    move |y| ConsumerTask::run_assembled(task, y.consumer, &y.kwh, &y.temperature),
+                    move |s| {
+                        let kernel = ConsumerTask::over(task, &temps);
+                        Ok(with_fit_scratch(|scratch| kernel.run_series(&s, scratch)))
+                    },
+                )?;
+                collect_consumer_results(task, results.collect())
             }
         };
 
@@ -399,6 +253,15 @@ impl SparkEngine {
             virtual_elapsed: sc.virtual_time(),
             stats: sc.stats(),
         })
+    }
+}
+
+impl ClusterTwin for SparkEngine {
+    fn load_observed(&mut self, ds: &Dataset, format: DataFormat, spec: &RunSpec) -> Result<()> {
+        let (faults, metrics) = (spec.fault_plan.as_ref(), &spec.metrics);
+        self.shell.load(ds, format, faults, metrics)?;
+        self.format = format;
+        Ok(())
     }
 }
 
@@ -438,7 +301,7 @@ mod tests {
     use super::*;
     use smda_cluster::{CostModel, FaultPlan};
     use smda_core::tasks::run_reference;
-    use smda_types::{ConsumerSeries, DirtyDataPolicy, TemperatureSeries};
+    use smda_types::{DirtyDataPolicy, Error, HOURS_PER_YEAR};
 
     fn tiny(n: u32) -> Dataset {
         let temp = TemperatureSeries::new(
@@ -624,7 +487,7 @@ mod tests {
         let mut spark = engine(2);
         spark.load(&ds, DataFormat::ReadingPerLine).unwrap();
         {
-            let split = &mut spark.table.as_mut().unwrap().splits[0];
+            let split = &mut spark.shell.table_mut().unwrap().splits[0];
             let mut lines = (*split.lines).clone();
             lines.push("not,a,valid,row".into());
             split.lines = Arc::new(lines);
@@ -649,7 +512,7 @@ mod tests {
                 spark.load(&ds, format).unwrap();
                 // Overwrite one real reading line: its household is left
                 // with 8759 hours once the policy drops the garbage.
-                let split = &mut spark.table.as_mut().unwrap().splits[0];
+                let split = &mut spark.shell.table_mut().unwrap().splits[0];
                 let mut lines = (*split.lines).clone();
                 let id: u32 = lines[1234].split(',').next().unwrap().parse().unwrap();
                 let victim = ConsumerId(id).to_string();

@@ -150,16 +150,19 @@ impl SparkContext {
         self.inner.state.lock().error.get_or_insert(e);
     }
 
-    /// What a fallible per-element step yields, as the elements a
-    /// `flat_map` emits: the value if there is one, nothing — and the
-    /// error deferred to the end of the job — if the step failed.
-    pub(crate) fn collect_or_defer<T>(&self, step: Result<Option<T>>) -> Vec<T> {
+    /// What a fallible per-element step yields: the value if there is
+    /// one, nothing — and the error deferred to the end of the job — if
+    /// the step failed.
+    pub(crate) fn ok_or_defer<T>(&self, step: Result<Option<T>>) -> Option<T> {
         step.unwrap_or_else(|e| {
             self.defer_error(e);
             None
         })
-        .into_iter()
-        .collect()
+    }
+
+    /// [`SparkContext::ok_or_defer`] as the elements a `flat_map` emits.
+    pub(crate) fn collect_or_defer<T>(&self, step: Result<Option<T>>) -> Vec<T> {
+        self.ok_or_defer(step).into_iter().collect()
     }
 
     fn pool_attempts(&self) -> usize {

@@ -105,26 +105,6 @@ impl SeriesMatrix {
         builder.finish()
     }
 
-    /// Build from row vectors of possibly unequal length (dirty-data
-    /// drops can leave ragged years): rows are zero-padded to the
-    /// longest length, then unit-normalized. The padding zeros change
-    /// neither a row's norm nor any dot product's value.
-    pub fn from_ragged_rows_normalized(rows: &[Vec<f64>]) -> SeriesMatrix {
-        let stride = rows.iter().map(Vec::len).max().unwrap_or(0);
-        let builder = SeriesMatrixBuilder::new(rows.len(), stride);
-        let mut padded = vec![0.0; stride];
-        for (i, r) in rows.iter().enumerate() {
-            if r.len() == stride {
-                builder.set_row_normalized(i, r);
-            } else {
-                padded[..r.len()].copy_from_slice(r);
-                padded[r.len()..].fill(0.0);
-                builder.set_row_normalized(i, &padded);
-            }
-        }
-        builder.finish()
-    }
-
     /// Number of series (rows).
     pub fn rows(&self) -> usize {
         self.rows
@@ -811,19 +791,6 @@ mod tests {
         let b = SeriesMatrixBuilder::new(2, 3);
         b.set_row(1, &[1.0, 2.0, 3.0]);
         let _ = b.finish();
-    }
-
-    #[test]
-    fn ragged_rows_are_zero_padded() {
-        let m = SeriesMatrix::from_ragged_rows_normalized(&[vec![3.0, 4.0], vec![5.0], Vec::new()]);
-        assert_eq!(m.stride(), 2);
-        assert_eq!(m.row(1), &[1.0, 0.0]);
-        assert_eq!(m.row(2), &[0.0, 0.0]);
-        // Equal-length input matches the strict constructor bitwise.
-        let rows = pseudo_series(4, 9, 5);
-        let a = SeriesMatrix::from_ragged_rows_normalized(&rows);
-        let b = SeriesMatrix::from_rows_normalized(&rows);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -13,9 +13,10 @@ use std::fs::{self, File};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use smda_types::formats::assemble_year;
 use smda_types::{
     csv, ConsumerId, ConsumerSeries, DataFormat, Dataset, Error, FormatReader, FormatWriter,
-    Result, TemperatureSeries, HOURS_PER_YEAR,
+    Reading, Result, TemperatureSeries, HOURS_PER_YEAR,
 };
 
 /// How the CSV data is laid out on disk.
@@ -150,69 +151,48 @@ impl FileStore {
         Ok(values)
     }
 
-    /// [`FileStore::read_consumer`] into a caller-provided buffer, reusing
-    /// its capacity — lets a worker decode every consumer of a run into
-    /// the same allocation.
+    /// [`FileStore::read_consumer`] into a caller-provided buffer. The
+    /// rows found for `id` — in any order — go through the one assembler
+    /// ([`assemble_year`]): an hour out of range, twice or not at all is
+    /// a schema error naming the household and the hour.
     pub fn read_consumer_into(&self, id: ConsumerId, values: &mut Vec<f64>) -> Result<()> {
-        values.clear();
-        values.resize(HOURS_PER_YEAR, 0.0);
-        match self.layout {
-            FileLayout::Partitioned => {
-                let path = self.dir.join(consumer_file_name(id));
-                let f = File::open(&path)
-                    .map_err(|e| Error::io(format!("opening {}", path.display()), e))?;
-                let mut seen = 0usize;
-                for (i, line) in BufReader::new(f).lines().enumerate() {
-                    let line = line.map_err(|e| Error::io("reading consumer file", e))?;
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let (h, v) = line.split_once(',').ok_or_else(|| {
-                        Error::parse(path.display().to_string(), Some(i + 1), "expected hour,kwh")
-                    })?;
-                    let h: usize = h.trim().parse().map_err(|_| {
-                        Error::parse(path.display().to_string(), Some(i + 1), "bad hour")
-                    })?;
-                    let v: f64 = v.trim().parse().map_err(|_| {
-                        Error::parse(path.display().to_string(), Some(i + 1), "bad kwh")
-                    })?;
-                    if h >= HOURS_PER_YEAR {
-                        return Err(Error::Schema(format!("hour {h} out of range")));
-                    }
-                    values[h] = v;
-                    seen += 1;
-                }
-                if seen != HOURS_PER_YEAR {
-                    return Err(Error::Schema(format!(
-                        "consumer {id}: {seen} readings, expected {HOURS_PER_YEAR}"
-                    )));
-                }
-                Ok(())
+        let partitioned = self.layout == FileLayout::Partitioned;
+        let path = self.dir.join(match partitioned {
+            true => consumer_file_name(id),
+            false => "readings.csv".into(),
+        });
+        let context = path.display().to_string();
+        let f = File::open(&path).map_err(|e| Error::io(format!("opening {context}"), e))?;
+        let mut rows = Vec::with_capacity(HOURS_PER_YEAR);
+        for (i, line) in BufReader::new(f).lines().enumerate() {
+            let line = line.map_err(|e| Error::io(format!("reading {context}"), e))?;
+            if line.is_empty() {
+                continue;
             }
-            FileLayout::Unpartitioned => {
-                let path = self.dir.join("readings.csv");
-                let f = File::open(&path)
-                    .map_err(|e| Error::io(format!("opening {}", path.display()), e))?;
-                let mut seen = 0usize;
-                for (i, line) in BufReader::new(f).lines().enumerate() {
-                    let line = line.map_err(|e| Error::io("reading readings.csv", e))?;
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let r = csv::parse_reading_line(&line, "readings.csv", i + 1)?;
-                    if r.consumer == id {
-                        values[r.hour as usize] = r.kwh;
-                        seen += 1;
-                    }
+            let row = if partitioned {
+                // `hour,kwh`: the file's name carries the household, the
+                // sidecar the temperature.
+                let bad = |what: &str| Error::parse(context.as_str(), Some(i + 1), what);
+                let (h, v) = line
+                    .split_once(',')
+                    .ok_or_else(|| bad("expected hour,kwh"))?;
+                Reading {
+                    consumer: id,
+                    hour: h.trim().parse().map_err(|_| bad("bad hour"))?,
+                    temperature: 0.0,
+                    kwh: v.trim().parse().map_err(|_| bad("bad kwh"))?,
                 }
-                if seen != HOURS_PER_YEAR {
-                    return Err(Error::Schema(format!(
-                        "consumer {id}: {seen} readings in big file, expected {HOURS_PER_YEAR}"
-                    )));
-                }
-                Ok(())
+            } else {
+                csv::parse_reading_line(&line, &context, Some(i + 1))?
+            };
+            // The big file holds everyone: scanning past the others is
+            // the pathology Figure 5 demonstrates.
+            if row.consumer == id {
+                rows.push(row);
             }
         }
+        *values = assemble_year(id, rows)?.kwh;
+        Ok(())
     }
 
     /// Read the whole store into a dataset.
@@ -316,6 +296,53 @@ mod tests {
         assert!(store2.read_consumer(ConsumerId(42)).is_err());
         fs::remove_dir_all(dir).unwrap();
         fs::remove_dir_all(dir2).unwrap();
+    }
+
+    #[test]
+    fn an_hour_out_of_range_or_twice_is_a_schema_error_in_both_layouts() {
+        let ds = tiny(2);
+        // Per layout: household 1's file, the line holding its hour 100,
+        // which field of that line is the hour, and one more row for it.
+        for (layout, file, at, hour_field, extra) in [
+            (
+                FileLayout::Unpartitioned,
+                "readings.csv",
+                HOURS_PER_YEAR + 100,
+                1,
+                "1,9000,0,0.5",
+            ),
+            (FileLayout::Partitioned, "H000001.csv", 100, 0, "9000,0.5"),
+        ] {
+            let dir = tmp(&format!("damaged-{}", layout.label()));
+            let _ = fs::remove_dir_all(&dir);
+            let store = FileStore::create(&dir, &ds, layout).unwrap();
+            let path = dir.join(file);
+            let clean = fs::read_to_string(&path).unwrap();
+            let with_hour = |hour: &str| {
+                let mut lines: Vec<String> = clean.lines().map(str::to_owned).collect();
+                let mut fields: Vec<&str> = lines[at].split(',').collect();
+                fields[hour_field] = hour;
+                lines[at] = fields.join(",");
+                lines.join("\n")
+            };
+            for (damaged, want) in [
+                // Used to index past the year: a panic, unpartitioned.
+                (with_hour("9000"), "hour 100 is missing"),
+                // One hour twice and one never is still 8760 rows, which a
+                // count alone accepted.
+                (with_hour("99"), "hour 99 is duplicated"),
+                (format!("{clean}{extra}\n"), "hour 9000 is out of range"),
+            ] {
+                fs::write(&path, damaged).unwrap();
+                match store.read_consumer(ConsumerId(1)) {
+                    Err(Error::Schema(msg)) => {
+                        assert!(msg.contains("H000001") && msg.contains(want), "{msg}")
+                    }
+                    other => panic!("{layout:?}/{want}: want a schema error, got {other:?}"),
+                }
+            }
+            fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

@@ -71,18 +71,23 @@ impl Dataset {
     /// Iterate all readings row-by-row, joined with temperature — the view
     /// row-oriented layouts and Format 1 are built from.
     pub fn readings(&self) -> impl Iterator<Item = Reading> + '_ {
-        self.consumers.iter().flat_map(move |c| {
-            let temp = self.temperature.values();
-            c.readings()
-                .iter()
-                .enumerate()
-                .map(move |(h, kwh)| Reading {
-                    consumer: c.id,
-                    hour: h as u32,
-                    temperature: temp[h],
-                    kwh: *kwh,
-                })
-        })
+        self.consumers.iter().flat_map(|c| self.readings_of(c))
+    }
+
+    /// One household's readings in hour order, joined with this dataset's
+    /// temperature — the rows a Format-3 file holds for it.
+    pub fn readings_of<'a>(&'a self, c: &'a ConsumerSeries) -> impl Iterator<Item = Reading> + 'a {
+        let temp = self.temperature.values();
+        c.readings()
+            .iter()
+            .zip(temp)
+            .enumerate()
+            .map(|(h, (&kwh, &temperature))| Reading {
+                consumer: c.id,
+                hour: h as u32,
+                temperature,
+                kwh,
+            })
     }
 
     /// Total number of readings (`n × 8760`).

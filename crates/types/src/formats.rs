@@ -102,7 +102,8 @@ impl FormatWriter {
     fn write_f1(&self, ds: &Dataset) -> Result<Vec<PathBuf>> {
         let mut w = self.create("readings.csv")?;
         for r in ds.readings() {
-            csv::write_reading_line(&mut w, &r)?;
+            writeln!(w, "{}", csv::reading_line(&r))
+                .map_err(|e| Error::io("writing readings.csv", e))?;
         }
         w.flush()
             .map_err(|e| Error::io("flushing readings.csv", e))?;
@@ -113,8 +114,8 @@ impl FormatWriter {
     fn write_f2(&self, ds: &Dataset) -> Result<Vec<PathBuf>> {
         let mut w = self.create("consumers.csv")?;
         for c in ds.consumers() {
-            write!(w, "{},", c.id.raw()).map_err(|e| Error::io("writing consumers.csv", e))?;
-            csv::write_f64_csv_line(&mut w, c.readings())?;
+            writeln!(w, "{}", csv::consumer_line(c.id, c.readings()))
+                .map_err(|e| Error::io("writing consumers.csv", e))?;
         }
         w.flush()
             .map_err(|e| Error::io("flushing consumers.csv", e))?;
@@ -129,20 +130,12 @@ impl FormatWriter {
         let n = ds.len();
         let per_file = n.div_ceil(files.max(1));
         let mut paths = Vec::new();
-        let temp = ds.temperature().values();
         for (fi, chunk) in ds.consumers().chunks(per_file.max(1)).enumerate() {
             let name = format!("part-{fi:05}.csv");
             let mut w = self.create(&name)?;
-            for c in chunk {
-                for (h, kwh) in c.readings().iter().enumerate() {
-                    let r = Reading {
-                        consumer: c.id,
-                        hour: h as u32,
-                        temperature: temp[h],
-                        kwh: *kwh,
-                    };
-                    csv::write_reading_line(&mut w, &r)?;
-                }
+            for r in chunk.iter().flat_map(|c| ds.readings_of(c)) {
+                writeln!(w, "{}", csv::reading_line(&r))
+                    .map_err(|e| Error::io(format!("writing {name}"), e))?;
             }
             w.flush()
                 .map_err(|e| Error::io(format!("flushing {name}"), e))?;
@@ -238,7 +231,11 @@ impl FormatReader {
                     if line.is_empty() {
                         continue;
                     }
-                    out.push(parse_consumer_line(&line, i + 1)?);
+                    out.push(csv::parse_consumer_line(
+                        &line,
+                        "consumers.csv",
+                        Some(i + 1),
+                    )?);
                 }
                 out
             }
@@ -247,51 +244,81 @@ impl FormatReader {
     }
 }
 
-/// Parse a Format-2 line (`consumer,kwh0,...`) into a series.
-pub fn parse_consumer_line(line: &str, line_no: usize) -> Result<ConsumerSeries> {
-    let (id_str, rest) = line.split_once(',').ok_or_else(|| {
-        Error::parse(
-            "consumers.csv",
-            Some(line_no),
-            "expected `consumer,` prefix",
-        )
-    })?;
-    let id: u32 = id_str.trim().parse().map_err(|_| {
-        Error::parse(
-            "consumers.csv",
-            Some(line_no),
-            format!("invalid consumer id `{id_str}`"),
-        )
-    })?;
-    let readings = csv::parse_f64_csv(rest, "consumers.csv", line_no)?;
-    ConsumerSeries::new(ConsumerId(id), readings)
+/// One household's year as text formats 1 and 3 carry it: the readings
+/// and, beside each, the temperature of its hour.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HouseholdYear {
+    /// The household.
+    pub consumer: ConsumerId,
+    /// Consumption by hour of year, kWh.
+    pub kwh: Vec<f64>,
+    /// Outdoor temperature by hour of year, °C.
+    pub temperature: Vec<f64>,
 }
 
-/// Group row-oriented readings back into per-consumer series (the "reduce"
-/// the paper says format 1 requires). Hours must cover `0..8760` exactly
-/// once per consumer.
-pub fn assemble_consumers(mut readings: Vec<Reading>) -> Result<Vec<ConsumerSeries>> {
-    readings.sort_by_key(|r| (r.consumer, r.hour));
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < readings.len() {
-        let id = readings[i].consumer;
-        let mut values = Vec::with_capacity(HOURS_PER_YEAR);
-        while i < readings.len() && readings[i].consumer == id {
-            let r = readings[i];
-            if r.hour as usize != values.len() {
-                return Err(Error::Schema(format!(
-                    "consumer {id}: expected hour {}, found {}",
-                    values.len(),
-                    r.hour
-                )));
+impl HouseholdYear {
+    /// One household's rows, ascending by hour, to its year — or the
+    /// lowest hour at which the rows stop being a year.
+    fn from_sorted(consumer: ConsumerId, rows: &[Reading]) -> Result<Self> {
+        let refuse = |hour: usize, what: &str| {
+            Err(Error::Schema(format!(
+                "consumer {consumer}: hour {hour} is {what} (a year is every hour of \
+                 0..{HOURS_PER_YEAR} once)"
+            )))
+        };
+        for (next, r) in rows.iter().enumerate() {
+            let hour = r.hour as usize;
+            if hour >= HOURS_PER_YEAR {
+                return refuse(hour, "out of range");
+            } else if hour < next {
+                return refuse(hour, "duplicated");
+            } else if hour > next {
+                return refuse(next, "missing");
             }
-            values.push(r.kwh);
-            i += 1;
         }
-        out.push(ConsumerSeries::new(id, values)?);
+        if rows.len() < HOURS_PER_YEAR {
+            return refuse(rows.len(), "missing");
+        }
+        Ok(HouseholdYear {
+            consumer,
+            kwh: rows.iter().map(|r| r.kwh).collect(),
+            temperature: rows.iter().map(|r| r.temperature).collect(),
+        })
     }
-    Ok(out)
+}
+
+/// The one assembler — the "reduce" the paper says format 1 requires.
+/// Rows of any number of households, in any order, to each household's
+/// year, ascending by id. A household whose rows are not every hour of
+/// the year exactly once is a [`Error::Schema`] naming it and the lowest
+/// hour that is out of range, duplicated or missing; the households
+/// before it still come out whole.
+pub fn assemble_households(mut rows: Vec<Reading>) -> impl Iterator<Item = Result<HouseholdYear>> {
+    rows.sort_by_key(|r| (r.consumer, r.hour));
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        let run = rows[done..]
+            .chunk_by(|a, b| a.consumer == b.consumer)
+            .next()?;
+        done += run.len();
+        Some(HouseholdYear::from_sorted(run[0].consumer, run))
+    })
+}
+
+/// [`assemble_households`] for rows that all belong to `consumer` — a
+/// reducer's key group, one file of a partitioned store. No rows at all
+/// is that household's hour 0 missing.
+pub fn assemble_year(consumer: ConsumerId, rows: Vec<Reading>) -> Result<HouseholdYear> {
+    assemble_households(rows)
+        .next()
+        .unwrap_or_else(|| HouseholdYear::from_sorted(consumer, &[]))
+}
+
+/// Group row-oriented readings back into per-consumer series.
+pub fn assemble_consumers(readings: Vec<Reading>) -> Result<Vec<ConsumerSeries>> {
+    assemble_households(readings)
+        .map(|year| year.and_then(|y| ConsumerSeries::new(y.consumer, y.kwh)))
+        .collect()
 }
 
 /// Look up a file's size in bytes (used by DFS ingestion and reports).
@@ -388,7 +415,72 @@ mod tests {
     fn assemble_rejects_gaps() {
         let mut rows: Vec<Reading> = tiny(1).readings().collect();
         rows.remove(100);
-        assert!(assemble_consumers(rows).is_err());
+        let err = assemble_consumers(rows).unwrap_err().to_string();
+        assert!(err.contains("H000000: hour 100 is missing"), "{err}");
+    }
+
+    #[test]
+    fn assemble_names_the_household_and_the_lowest_offending_hour() {
+        let clean: Vec<Reading> = tiny(2).readings().collect();
+        let second = HOURS_PER_YEAR; // the second household's hour 0
+        for (damage, want) in [
+            (
+                Box::new(|rows: &mut Vec<Reading>| rows[second + 7].hour = 9000)
+                    as Box<dyn Fn(&mut Vec<Reading>)>,
+                "H000001: hour 7 is missing",
+            ),
+            (
+                Box::new(|rows: &mut Vec<Reading>| {
+                    rows.push(Reading {
+                        hour: 9000,
+                        ..rows[0]
+                    })
+                }),
+                "H000000: hour 9000 is out of range",
+            ),
+            (
+                Box::new(|rows: &mut Vec<Reading>| rows[second + 7].hour = 6),
+                "H000001: hour 6 is duplicated",
+            ),
+            (
+                Box::new(|rows: &mut Vec<Reading>| rows.truncate(second + 8000)),
+                "H000001: hour 8000 is missing",
+            ),
+        ] {
+            let mut rows = clean.clone();
+            damage(&mut rows);
+            rows.reverse();
+            let mut years = assemble_households(rows);
+            let first = years.next().unwrap();
+            let err = match want.starts_with("H000000") {
+                true => first.unwrap_err(),
+                false => {
+                    assert_eq!(first.unwrap().consumer, ConsumerId(0), "{want}");
+                    years.next().unwrap().unwrap_err()
+                }
+            };
+            assert!(matches!(err, Error::Schema(_)), "{err:?}");
+            assert!(err.to_string().contains(want), "{want}: {err}");
+        }
+        let err = assemble_year(ConsumerId(5), Vec::new()).unwrap_err();
+        assert!(
+            err.to_string().contains("H000005: hour 0 is missing"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn assembled_years_carry_the_temperature_beside_the_reading() {
+        let ds = tiny(2);
+        let mut rows: Vec<Reading> = ds.readings().collect();
+        rows.reverse();
+        let years: Vec<HouseholdYear> = assemble_households(rows).collect::<Result<_>>().unwrap();
+        assert_eq!(years.len(), 2);
+        for (year, c) in years.iter().zip(ds.consumers()) {
+            assert_eq!(year.consumer, c.id);
+            assert_eq!(year.kwh, c.readings());
+            assert_eq!(year.temperature, ds.temperature().values());
+        }
     }
 
     #[test]

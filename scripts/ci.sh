@@ -35,7 +35,7 @@ done <<<"$cited"
 # comment lines dropped — may not exceed the count below. A PR that removes
 # some lowers the number; none raises it.
 echo "== unwrap budget =="
-unwrap_budget=129
+unwrap_budget=102
 unwraps=$(git ls-files 'crates/*/src/*.rs' | while read -r file; do
     awk '/#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -vE '^[[:space:]]*//'
 done | grep -cE '\.unwrap\(\)|\.expect\(' || true)
@@ -53,6 +53,16 @@ if git grep -n 'crossbeam::' -- 'crates/*/src/*.rs'; then
     echo "crates/ calls crossbeam again" >&2
     exit 1
 fi
+
+# ISSUE 24, kept done: a text line becomes a `Reading` (or a Format-2
+# series) only in crates/types/src/csv.rs, and rows become a household's
+# year only in the assembler beside it — the one place that sorts by
+# (consumer, hour).
+echo "== one text codec, one assembler =="
+parsers=$(git grep -nE 'fn parse_(reading|consumer)(_line)?\(|struct ReadingRow\b' -- 'crates/*/src/*.rs' ':!crates/types/src' || true)
+sorts=$(git grep -lF '(r.consumer, r.hour)' -- 'crates/*/src/*.rs' || true)
+echo "row parsers outside crates/types: ${parsers:-none}; the (consumer, hour) sort: ${sorts:-nowhere}"
+[ -z "$parsers" ] && [ "$sorts" = "crates/types/src/formats.rs" ]
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets

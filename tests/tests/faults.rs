@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use smda_cluster::{ClusterTopology, CostModel, FaultPlan, NodeCrash};
 use smda_core::Task;
-use smda_engines::{RunSpec, WorkerPool};
+use smda_engines::{ClusterTwin, RunSpec, WorkerPool};
 use smda_hive::HiveEngine;
 use smda_integration::fixture_dataset;
 use smda_obs::{counters, BenchExport, MetricsSink, RunManifest};

@@ -4,8 +4,10 @@
 use proptest::prelude::*;
 use smda_core::tasks::run_reference;
 use smda_core::{Task, TaskOutput};
-use smda_types::formats::assemble_consumers;
-use smda_types::{ConsumerId, ConsumerSeries, Dataset, TemperatureSeries, HOURS_PER_YEAR};
+use smda_types::formats::{assemble_consumers, assemble_households, HouseholdYear};
+use smda_types::{
+    ConsumerId, ConsumerSeries, Dataset, Error, Reading, Result, TemperatureSeries, HOURS_PER_YEAR,
+};
 
 /// Strategy: a small dataset with arbitrary (bounded) readings.
 fn dataset_strategy(max_consumers: usize) -> impl Strategy<Value = Dataset> {
@@ -33,8 +35,60 @@ fn dataset_strategy(max_consumers: usize) -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// A seeded Fisher–Yates shuffle: the order rows reach a reducer in.
+fn shuffled(mut rows: Vec<Reading>, seed: u64) -> Vec<Reading> {
+    let mut state = seed | 1;
+    for i in (1..rows.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        rows.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn any_order_of_complete_households_assembles_to_the_same_bits(
+        ds in dataset_strategy(3),
+        seed in any::<u64>(),
+    ) {
+        let rows = shuffled(ds.readings().collect(), seed);
+        let years: Vec<HouseholdYear> = assemble_households(rows).collect::<Result<_>>().unwrap();
+        prop_assert_eq!(years.len(), ds.len());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (year, c) in years.iter().zip(ds.consumers()) {
+            prop_assert_eq!(year.consumer, c.id);
+            prop_assert_eq!(bits(&year.kwh), bits(c.readings()));
+            prop_assert_eq!(bits(&year.temperature), bits(ds.temperature().values()));
+        }
+    }
+
+    #[test]
+    fn one_row_dropped_duplicated_or_out_of_range_names_its_household(
+        ds in dataset_strategy(3),
+        seed in any::<u64>(),
+        pick in any::<u32>(),
+        damage in 0..3usize,
+    ) {
+        let mut rows: Vec<Reading> = ds.readings().collect();
+        let at = pick as usize % rows.len();
+        let victim = rows[at].consumer;
+        match damage {
+            0 => drop(rows.remove(at)),
+            1 => rows.push(rows[at]),
+            _ => rows[at].hour += HOURS_PER_YEAR as u32,
+        }
+        let refused = assemble_households(shuffled(rows, seed)).find_map(|year| year.err());
+        match refused {
+            Some(Error::Schema(msg)) => {
+                prop_assert!(msg.contains(&victim.to_string()), "{}", msg)
+            }
+            other => prop_assert!(false, "want a schema error, got {:?}", other),
+        }
+    }
 
     #[test]
     fn readings_assemble_back_to_the_same_dataset(ds in dataset_strategy(3)) {
