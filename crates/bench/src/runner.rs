@@ -803,21 +803,50 @@ fn check_format(scale: Scale) -> std::result::Result<String, String> {
 /// in-memory kernel would materialize.
 const OOOC_PEAK_DIVISOR: usize = 4;
 
+/// Rows of the `--check oooc` slice held to the naive scan.
+const OOOC_NAIVE_ROWS: usize = 64;
+
+/// All-pairs top-k by the arithmetic no kernel shares: rows normalized
+/// by `norm2`, every pair scored by `dot_scalar`, hits cut by
+/// `select_top_k` — a block-kernel defect cannot reach it.
+fn naive_top_k(rows: &[Vec<f64>], k: usize) -> Vec<Vec<smda_stats::SimilarityMatch>> {
+    use smda_stats::{dot_scalar, normalize_all, select_top_k, SimilarityMatch};
+    let unit = normalize_all(rows);
+    (0..unit.len())
+        .map(|q| {
+            let mut hits: Vec<SimilarityMatch> = (0..unit.len())
+                .filter(|&j| j != q)
+                .map(|j| SimilarityMatch {
+                    index: j,
+                    score: dot_scalar(&unit[q], &unit[j]),
+                })
+                .collect();
+            select_top_k(&mut hits, k);
+            hits
+        })
+        .collect()
+}
+
 /// Out-of-core similarity gate (`smda-bench --check oooc`).
 ///
 /// Over one seeded dataset written to `SMC1` in both encodings: the
 /// banded out-of-core kernel must reproduce the in-memory tiled
 /// kernel's matches bit-identically (`f64::to_bits`), sequentially and
 /// through the worker pool at several widths, on both the zero-copy
-/// mapped tier and the bounded decode-cache tier. The cache is
-/// budgeted below a single band so the packed tier must evict on every
-/// band turn, and when the counting allocator is installed the
-/// sequential run's peak heap growth must stay under a quarter of the
-/// logical matrix bytes — the bounded-resident-memory contract.
+/// mapped tier and the bounded decode-cache tier. Both walks share the
+/// pair kernel, so a slice of the rows is also held to
+/// [`naive_top_k`], and the sequential run must load the fewest bands
+/// two buffers allow, `B(B−1)/2 + 1`. The cache is budgeted below a
+/// single band so the packed tier must evict on every band turn, and
+/// when the counting allocator is installed the sequential run's peak
+/// heap growth must stay under a quarter of the logical matrix bytes —
+/// the bounded-resident-memory contract.
 fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
     use smda_engines::{top_k_source_with, SmcSource};
-    use smda_stats::{top_k_tiled, SeriesMatrix, SimilarityMatch, TileConfig};
+    use smda_stats::{
+        band_count, top_k_tiled, SeriesMatrix, SimilarityMatch, SliceSource, TileConfig,
+    };
     use smda_storage::{format_metrics, BinaryEncoding, BinaryStore};
 
     // Enough rows that the logical matrix dwarfs one band, few enough
@@ -838,7 +867,6 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     let matrix = SeriesMatrix::from_rows_normalized(&series);
     let (want, _) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &TileConfig::current());
     drop(matrix);
-    drop(series);
     let bits = |hits: &[Vec<SimilarityMatch>]| -> Vec<(usize, u64)> {
         hits.iter()
             .flat_map(|h| h.iter().map(|m| (m.index, m.score.to_bits())))
@@ -851,6 +879,35 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     let band_rows = 8usize;
     let band_bytes = band_rows * hours * std::mem::size_of::<f64>();
     let sink = smda_obs::MetricsSink::disabled();
+
+    // The naive leg: the first rows through the banded walk, sequential
+    // and pooled, against a scan that shares no kernel with it.
+    let slice = &series[..OOOC_NAIVE_ROWS.min(n)];
+    let naive_bits = bits(&naive_top_k(slice, SIMILARITY_TOP_K));
+    let flat = slice.concat();
+    let slice_source = SliceSource::new(&flat, slice.len(), hours);
+    for threads in [1usize, 2] {
+        let (got, _) = top_k_source_with(
+            &slice_source,
+            None,
+            SIMILARITY_TOP_K,
+            band_rows,
+            threads,
+            &sink,
+        )
+        .map_err(|e| format!("naive slice: banded run failed: {e}"))?;
+        if bits(&got) != naive_bits {
+            return Err(format!(
+                "banded run over {} rows diverged bitwise from the naive norm2 + dot_scalar \
+                 scan at threads={threads}",
+                slice.len()
+            ));
+        }
+    }
+    drop(flat);
+    drop(series);
+    let bands = band_count(n, band_rows) as u64;
+    let fewest_loads = bands * bands.saturating_sub(1) / 2 + 1;
     let mut tier_note = "decode-cache tier only (owned fallback backing, no mmap)";
     let mut peak_note = String::new();
     for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
@@ -875,6 +932,13 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
         if stats.bands_loaded == 0 || stats.bytes_streamed == 0 {
             return Err(format!(
                 "{tag}: nothing streamed — the run cannot have gone out of core"
+            ));
+        }
+        if stats.bands_loaded != fewest_loads {
+            return Err(format!(
+                "{tag}: the sequential walk over {bands} bands loaded {} bands, not the \
+                 {fewest_loads} two buffers need",
+                stats.bands_loaded
             ));
         }
 
@@ -931,8 +995,9 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
 
     Ok(format!(
         "oooc equivalence OK: n={n}, raw+packed banded runs bit-identical to the in-memory \
-         kernel (sequential and pooled 2/4/8), {tier_note}, eviction under a sub-band cache \
-         budget exercised{peak_note}"
+         kernel (sequential and pooled 2/4/8), a {OOOC_NAIVE_ROWS}-row slice to the naive \
+         scan, {fewest_loads} band loads for {bands} bands, {tier_note}, eviction under a \
+         sub-band cache budget exercised{peak_note}"
     ))
 }
 

@@ -138,6 +138,7 @@ pub fn top_k_source_with(
     metrics.incr(counters::OOOC_BANDS_LOADED, stats.bands_loaded);
     metrics.incr(counters::OOOC_BAND_PAIRS, pairs as u64);
     metrics.incr(counters::OOOC_BYTES_STREAMED, stats.bytes_streamed);
+    metrics.incr(counters::OOOC_NORMS_COMPUTED, stats.norms_computed);
     Ok((matches, stats))
 }
 

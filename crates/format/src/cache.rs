@@ -21,6 +21,11 @@
 //!   counters ([`crate::metrics`]), making the cache tunable from
 //!   bench exports.
 //!
+//! LRU keeps from thrashing only because of the order it is read in:
+//! the band scheduler's boustrophedon walk (`smda_stats::oooc`) turns
+//! back on the groups it touched last, where restarting every row low
+//! would sweep each group out before its next use.
+//!
 //! Groups are handed out as `Arc<Vec<f64>>`, so an evicted group a
 //! reader still holds stays valid — eviction only drops the cache's
 //! reference. Decodes happen outside the table lock; two threads

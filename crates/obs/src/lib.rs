@@ -227,6 +227,9 @@ pub mod counters {
     pub const OOOC_BAND_PAIRS: &str = "oooc.band_pairs";
     /// `f64` bytes streamed through out-of-core band buffers.
     pub const OOOC_BYTES_STREAMED: &str = "oooc.bytes_streamed";
+    /// Row norms the out-of-core scheduler computed; reloads read
+    /// them from a per-worker memo, so one worker counts each row once.
+    pub const OOOC_NORMS_COMPUTED: &str = "oooc.norms_computed";
 }
 
 #[cfg(test)]

@@ -57,6 +57,6 @@ pub use simd::{
     KernelDispatch, SimdTier, FUSED_REL_TOL,
 };
 pub use similarity::{
-    cosine_similarity, dot, dot_scalar, norm2, normalize_all, select_top_k, sumsq, top_k_cosine,
-    top_k_normalized, SimilarityMatch,
+    cosine_similarity, dot, dot_scalar, norm2, norm2_rows, normalize_all, select_top_k, sumsq,
+    top_k_cosine, top_k_normalized, SimilarityMatch,
 };

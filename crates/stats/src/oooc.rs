@@ -15,19 +15,25 @@
 //! `bi ≤ bj`: a *diagonal* pair scores the triangle inside one band
 //! (the in-memory tile sweep, inside the band buffer), an
 //! *off-diagonal* pair the full `band × band` cross product. Workers
-//! claim band pairs off a shared counter (bi-major order, so a worker's
-//! outer band stays memoized across consecutive claims), hold at most
-//! **two** band buffers, and lend them to the same `PairScorer` the
-//! in-memory kernel lends its matrix to. Resident memory is
+//! claim band pairs off a shared counter, hold at most **two** band
+//! buffers, and lend them to the same `PairScorer` the in-memory kernel
+//! lends its matrix to. Claims run through the triangle row by row,
+//! boustrophedon: even rows walk `bj` up from the diagonal, odd rows
+//! walk it back down to the diagonal, so consecutive pairs share a band
+//! and one sequential worker loads `B(B−1)/2 + 1` bands — the fewest two
+//! buffers allow, since every off-diagonal pair after the first needs at
+//! least one load. Resident memory is
 //! `O(2 · band_rows · stride + k · n)` per worker instead of
-//! `O(n · stride)`.
+//! `O(n · stride)`; the `n` there also covers a per-worker memo of row
+//! norms, so a reloaded band costs its copy and one divide per value.
 //!
 //! **Bit-identity** with [`crate::top_k_tiled`] is the one exactness
 //! argument of [`crate::kernels`], given the same row bits: sources
 //! hand back the file's raw row bits, and the band loader normalizes
 //! with the exact arithmetic of
 //! [`crate::SeriesMatrixBuilder::set_row_normalized`] (`n = norm2`, zero
-//! rows verbatim, else `v / n` per element), so every band row equals
+//! rows verbatim, else `v / n` per element; the norms come from
+//! [`norm2_rows`], `to_bits`-equal to `norm2`), so every band row equals
 //! the in-memory matrix row bit for bit. The rest — same `dot`,
 //! order-free top-k buffers, exact merge — is shared code, so any
 //! band-pair schedule that scores each unordered pair exactly once
@@ -49,7 +55,7 @@ use smda_types::{Error, Result};
 use crate::kernels::{
     claim_all, inverse_norm, scan_rows, KernelStats, PairScorer, RowBlock, TileConfig, TopKBuffer,
 };
-use crate::similarity::{norm2, SimilarityMatch};
+use crate::similarity::{norm2_rows, SimilarityMatch};
 
 /// Band height the engines use by default: 256 rows × 8760 h × 8 B
 /// ≈ 18 MB per band buffer, two buffers per worker.
@@ -119,6 +125,9 @@ pub struct OoocStats {
     pub bands_loaded: u64,
     /// Total `f64` bytes streamed through band buffers.
     pub bytes_streamed: u64,
+    /// Row norms computed for unit-normalized bands; a reloaded row's
+    /// norm comes from the worker's memo and is not counted again.
+    pub norms_computed: u64,
 }
 
 impl OoocStats {
@@ -127,6 +136,7 @@ impl OoocStats {
         self.kernel.pairs_scored += other.kernel.pairs_scored;
         self.bands_loaded += other.bands_loaded;
         self.bytes_streamed += other.bytes_streamed;
+        self.norms_computed += other.norms_computed;
     }
 }
 
@@ -143,9 +153,14 @@ pub fn band_pair_count(bands: usize) -> usize {
     bands * (bands + 1) / 2
 }
 
-/// Pairs `(bi, bj)` with `bi ≤ bj` enumerated bi-major, so consecutive
-/// indices share their outer band and a claiming worker's memoized
-/// band stays hot.
+/// Pairs `(bi, bj)` with `bi ≤ bj`, row `bi` of the triangle after row
+/// `bi − 1`, boustrophedon within a row: an even row walks `bj` up from
+/// `bi` to the last band, an odd row back down to `bi`. Consecutive
+/// indices share a band — across a row turn too: an even row ends on
+/// the last band, where the odd row after it starts, and an odd row's
+/// last off-diagonal pair already holds band `bi + 1`, the next row's
+/// diagonal — so a worker claiming them in order loads `B(B−1)/2 + 1`
+/// bands in all: band 0, then one per off-diagonal pair.
 fn band_pair_at(bands: usize, t: usize) -> (usize, usize) {
     debug_assert!(t < band_pair_count(bands));
     // offset(bi) = pairs before row bi = bi*bands - bi*(bi-1)/2,
@@ -161,7 +176,12 @@ fn band_pair_at(bands: usize, t: usize) -> (usize, usize) {
             hi = mid;
         }
     }
-    (lo, lo + (t - offset(lo)))
+    let step = t - offset(lo);
+    if lo.is_multiple_of(2) {
+        (lo, lo + step)
+    } else {
+        (lo, bands - 1 - step)
+    }
 }
 
 /// One memoized band buffer: rows `start..start + rows`, unit-normalized
@@ -185,14 +205,20 @@ impl Band {
     }
 }
 
-/// Load band `bi` into `band` unless it is already resident,
-/// unit-normalizing the fresh rows when `normalize`.
+/// A norm memo entry not computed yet: `sqrt` returns no negative
+/// number but `-0.0`, so no row's norm is this.
+const UNKNOWN_NORM: f64 = -1.0;
+
+/// Load band `bi` into `band` unless it is already resident. With a
+/// norm memo (one entry per source row) the fresh rows are
+/// unit-normalized, their norms read from or recorded in it; without
+/// one they stay raw.
 fn ensure_band(
     band: &mut Band,
     src: &dyn SeriesSource,
     band_rows: usize,
     bi: usize,
-    normalize: bool,
+    norms: Option<&mut [f64]>,
     stats: &mut OoocStats,
 ) -> Result<()> {
     if band.idx == Some(bi) {
@@ -210,8 +236,16 @@ fn ensure_band(
             rows * stride
         )));
     }
-    if normalize {
-        normalize_band(&mut band.data, stride, rows);
+    if let Some(norms) = norms {
+        let norms = &mut norms[start..end];
+        // Bands of one height partition the rows, so in the pair walk a
+        // band's norms are known together or not at all; a band with
+        // any unknown is computed whole (same bits either way).
+        if norms.contains(&UNKNOWN_NORM) {
+            norm2_rows(&band.data, stride, norms);
+            stats.norms_computed += rows as u64;
+        }
+        normalize_band(&mut band.data, stride, norms);
     }
     band.idx = Some(bi);
     band.start = start;
@@ -221,15 +255,14 @@ fn ensure_band(
     Ok(())
 }
 
-/// Unit-normalize each of `rows` rows in place — bit-identical to
-/// [`crate::SeriesMatrixBuilder::set_row_normalized`]: zero rows stay
-/// verbatim, others divide every element by the row's [`norm2`].
-fn normalize_band(data: &mut [f64], stride: usize, rows: usize) {
-    for r in 0..rows {
-        let row = &mut data[r * stride..(r + 1) * stride];
-        let n = norm2(row);
+/// Unit-normalize each row of `data` in place by its norm in `norms` —
+/// bit-identical to [`crate::SeriesMatrixBuilder::set_row_normalized`]:
+/// zero rows stay verbatim, others divide every element by the row's
+/// `norm2`.
+fn normalize_band(data: &mut [f64], stride: usize, norms: &[f64]) {
+    for (r, &n) in norms.iter().enumerate() {
         if n != 0.0 {
-            for v in row.iter_mut() {
+            for v in &mut data[r * stride..(r + 1) * stride] {
                 *v /= n;
             }
         }
@@ -267,7 +300,9 @@ pub fn top_k_oooc_partial(
     let band_rows = band_rows.max(1);
     let bands = band_count(src.rows(), band_rows);
     let total = band_pair_count(bands);
-    let normalize = scaling.is_none();
+    // Raw bands for the scaled tier; otherwise each row's norm is
+    // computed on its first load and memoized for every reload.
+    let mut norms = scaling.is_none().then(|| vec![UNKNOWN_NORM; src.rows()]);
     let mut stats = OoocStats::default();
     let mut scorer = PairScorer::new(src.rows(), k, cfg, scaling);
     let mut a = Band::default();
@@ -275,16 +310,16 @@ pub fn top_k_oooc_partial(
     while let Some(t) = claim() {
         assert!(t < total, "band pair {t} out of range ({total})");
         let (bi, bj) = band_pair_at(bands, t);
-        // Keep the outer band hot: bi-major claims mostly repeat bi, and
-        // when roles flip the other buffer may already hold it.
+        // Consecutive pairs share a band, not always in the same role:
+        // a row's first band may sit in `b`, the previous pair's other.
         if a.idx != Some(bi) && b.idx == Some(bi) {
             std::mem::swap(&mut a, &mut b);
         }
-        ensure_band(&mut a, src, band_rows, bi, normalize, &mut stats)?;
+        ensure_band(&mut a, src, band_rows, bi, norms.as_deref_mut(), &mut stats)?;
         let other = if bi == bj {
             None
         } else {
-            ensure_band(&mut b, src, band_rows, bj, normalize, &mut stats)?;
+            ensure_band(&mut b, src, band_rows, bj, norms.as_deref_mut(), &mut stats)?;
             Some(b.block(stride))
         };
         scorer.score(a.block(stride), 0..a.rows, other);
@@ -298,7 +333,7 @@ pub fn top_k_oooc_partial(
 /// pair: for every row of the source, the `k` most cosine-similar other
 /// rows, best first — bit-identical to [`crate::top_k_tiled`] over the
 /// same matrix, with resident memory bounded by two band buffers plus
-/// the top-k state.
+/// the top-k state and one memoized norm per row.
 pub fn top_k_oooc(
     src: &dyn SeriesSource,
     k: usize,
@@ -318,7 +353,7 @@ pub fn oooc_inverse_norms(src: &dyn SeriesSource, band_rows: usize) -> Result<Ve
     let mut out = Vec::with_capacity(src.rows());
     let mut unused = OoocStats::default();
     for bi in 0..band_count(src.rows(), band_rows) {
-        ensure_band(&mut band, src, band_rows, bi, false, &mut unused)?;
+        ensure_band(&mut band, src, band_rows, bi, None, &mut unused)?;
         let block = band.block(src.stride());
         out.extend((0..block.rows).map(|r| inverse_norm(block.row(r))));
     }
@@ -341,20 +376,21 @@ pub fn top_k_oooc_queries(
     let stride = src.stride();
     let band_rows = band_rows.max(1);
     let mut stats = OoocStats::default();
+    let mut norms = vec![UNKNOWN_NORM; n];
     let mut band = Band::default();
     let mut qrows: Vec<f64> = Vec::with_capacity(queries.len() * stride);
     for &q in queries {
         if q >= n {
             return Err(Error::Invalid(format!("query row {q} out of range ({n})")));
         }
-        ensure_band(&mut band, src, 1, q, true, &mut stats)?;
+        ensure_band(&mut band, src, 1, q, Some(&mut norms), &mut stats)?;
         qrows.extend_from_slice(&band.data);
     }
     let mut bufs: Vec<TopKBuffer> = queries.iter().map(|_| TopKBuffer::new(k)).collect();
-    // A fresh buffer: the memo above is keyed by one-row bands.
+    // A fresh buffer: the one above is keyed by one-row bands.
     let mut band = Band::default();
     for bi in 0..band_count(n, band_rows) {
-        ensure_band(&mut band, src, band_rows, bi, true, &mut stats)?;
+        ensure_band(&mut band, src, band_rows, bi, Some(&mut norms), &mut stats)?;
         let block = band.block(stride);
         // Four candidate rows stay hot while every query passes over
         // them; a query skips its own row by scanning around it.
@@ -395,18 +431,37 @@ mod tests {
     #[test]
     fn band_pair_enumeration_is_a_bijection() {
         for bands in [0usize, 1, 2, 3, 7, 16] {
-            let total = band_pair_count(bands);
-            let mut seen = Vec::new();
-            for t in 0..total {
-                seen.push(band_pair_at(bands, t));
-            }
-            let mut expect = Vec::new();
-            for bi in 0..bands {
-                for bj in bi..bands {
-                    expect.push((bi, bj));
-                }
-            }
-            assert_eq!(seen, expect, "bands={bands}");
+            let seen: Vec<(usize, usize)> = (0..band_pair_count(bands))
+                .map(|t| band_pair_at(bands, t))
+                .collect();
+            // Each row's pairs are contiguous, rows in order.
+            assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0), "bands={bands}");
+            let mut sorted = seen.clone();
+            sorted.sort_unstable();
+            let expect: Vec<(usize, usize)> = (0..bands)
+                .flat_map(|bi| (bi..bands).map(move |bj| (bi, bj)))
+                .collect();
+            assert_eq!(sorted, expect, "bands={bands}");
+        }
+    }
+
+    #[test]
+    fn sequential_walk_loads_the_fewest_bands_and_each_norm_once() {
+        let cfg = TileConfig::default();
+        let band_rows = 3;
+        for bands in 1usize..=9 {
+            // A ragged last band.
+            let n = bands * band_rows - 1;
+            let rows = pseudo_series(n, 7, bands as u64);
+            let (data, stride) = flat(&rows);
+            let src = SliceSource::new(&data, n, stride);
+            let (_, stats) = top_k_oooc(&src, 2, band_rows, &cfg).unwrap();
+            assert_eq!(
+                stats.bands_loaded,
+                (bands * (bands - 1) / 2 + 1) as u64,
+                "bands={bands}"
+            );
+            assert_eq!(stats.norms_computed, n as u64, "bands={bands}");
         }
     }
 

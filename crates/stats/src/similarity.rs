@@ -5,8 +5,9 @@
 /// module's [`norm2`], the matrix builder's row normalization, the
 /// Hive/Spark sides — must flow through this single entry point so the
 /// question "what is ‖v‖²?" has exactly one bit pattern as its answer.
-/// (The SIMD layer's wide [`sumsq4`](crate::simd::sumsq4) reassociates
-/// this chain and is tolerance-tier only.)
+/// ([`norm2_rows`] runs this very chain for eight rows side by side;
+/// the SIMD layer's wide [`sumsq4`](crate::simd::sumsq4) reassociates
+/// it and is tolerance-tier only.)
 pub fn sumsq(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>()
 }
@@ -14,6 +15,49 @@ pub fn sumsq(v: &[f64]) -> f64 {
 /// Euclidean (L2) norm, `sumsq(v).sqrt()`.
 pub fn norm2(v: &[f64]) -> f64 {
     sumsq(v).sqrt()
+}
+
+/// Rows [`norm2_rows`] runs side by side.
+const NORM_BLOCK: usize = 8;
+
+/// [`norm2`] of each of the `norms.len()` rows laid out row-major at
+/// `stride` in `rows`, into `norms` — `to_bits`-equal to `norm2` row by
+/// row. Eight rows run at once as eight independent chains, each
+/// [`sumsq`]'s fold: `Sum`'s `-0.0` start, then the squares added in
+/// index order. One chain waits on every add; eight keep the adder
+/// busy. A ragged tail of fewer than eight rows runs through `norm2`.
+///
+/// # Panics
+/// Panics if `rows.len() != norms.len() * stride`.
+pub fn norm2_rows(rows: &[f64], stride: usize, norms: &mut [f64]) {
+    assert_eq!(
+        rows.len(),
+        norms.len() * stride,
+        "norm2_rows: shape disagrees"
+    );
+    if stride == 0 {
+        norms.fill(norm2(&[]));
+        return;
+    }
+    let mut blocks = norms.chunks_exact_mut(NORM_BLOCK);
+    let mut block_rows = rows.chunks_exact(NORM_BLOCK * stride);
+    for (out, block) in (&mut blocks).zip(&mut block_rows) {
+        let lanes: [&[f64]; NORM_BLOCK] =
+            std::array::from_fn(|l| &block[l * stride..(l + 1) * stride]);
+        let mut acc = [-0.0f64; NORM_BLOCK];
+        for h in 0..stride {
+            for (a, lane) in acc.iter_mut().zip(&lanes) {
+                *a += lane[h] * lane[h];
+            }
+        }
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = a.sqrt();
+        }
+    }
+    let tail = block_rows.remainder().chunks_exact(stride);
+    for (o, row) in blocks.into_remainder().iter_mut().zip(tail) {
+        *o = norm2(row);
+    }
 }
 
 /// Dot product of equal-length slices — the **canonical** dot product of

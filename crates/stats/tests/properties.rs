@@ -6,10 +6,10 @@ use proptest::prelude::*;
 use smda_stats::linalg::Matrix;
 use smda_stats::simd::{LANE_COLS, LANE_LAGS};
 use smda_stats::{
-    cosine_similarity, dot_block, dot_scalar, from_ordered_key, mean, ols_multiple, ols_simple,
-    ordered_key, quantile_sorted, quantiles_by_selection, sample_variance, top_k_cosine,
-    top_k_tiled, under_every_tier, EquiWidthHistogram, FitScratch, HourlyFit, KMeans, KMeansConfig,
-    OnlineStats, SeriesMatrix, TileConfig,
+    cosine_similarity, dot_block, dot_scalar, from_ordered_key, mean, norm2, norm2_rows,
+    ols_multiple, ols_simple, ordered_key, quantile_sorted, quantiles_by_selection,
+    sample_variance, top_k_cosine, top_k_tiled, under_every_tier, EquiWidthHistogram, FitScratch,
+    HourlyFit, KMeans, KMeansConfig, OnlineStats, SeriesMatrix, TileConfig,
 };
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -130,6 +130,31 @@ fn reading() -> impl Strategy<Value = f64> {
         _ => kwh,
     })
 }
+
+/// `values` made into a row whose norm is out of the ordinary, by
+/// `kind`: all zeros of either sign, all subnormal (every square
+/// underflows), one value at `at` whose square overflows to ∞, one NaN
+/// there — or left an ordinary row.
+fn norm_row(kind: u8, values: &[f64], at: usize) -> Vec<f64> {
+    let mut row = values.to_vec();
+    let stride = row.len();
+    match kind {
+        0 => row.iter_mut().for_each(|v| *v = 0.0f64.copysign(*v)),
+        1 => row
+            .iter_mut()
+            .for_each(|v| *v = f64::from_bits(v.to_bits() & !(0x7ff << 52) | 1)),
+        2 if stride > 0 => row[at % stride] = -1e200,
+        3 if stride > 0 => row[at % stride] = f64::NAN,
+        _ => {}
+    }
+    row
+}
+
+/// Most rows and widest stride [`norm2_rows_is_bit_identical_to_norm2`]
+/// draws: a ragged tail past two eight-row blocks, a ragged tail past
+/// three four-wide chunks.
+const NORM_ROWS: usize = 17;
+const NORM_STRIDE: usize = 13;
 
 /// Why `got` is not, bit for bit, what `ols_multiple` and `Iterator::sum`
 /// make of hour `hour`'s materialized design
@@ -572,6 +597,28 @@ proptest! {
     ) {
         let values: Vec<Vec<f64>> = pool.chunks(67).map(|row| row[..len].to_vec()).collect();
         check_block_shapes(&values, &skews);
+    }
+
+    /// Eight chains side by side are `norm2` row by row: every ragged
+    /// tail of an eight-row block (0..=17 rows), every stride up to 13
+    /// (the empty row's `-0.0` included), and the awkward rows.
+    #[test]
+    fn norm2_rows_is_bit_identical_to_norm2(
+        n in 0usize..=NORM_ROWS,
+        stride in 0usize..=NORM_STRIDE,
+        kinds in prop::collection::vec((0u8..5, any::<usize>()), NORM_ROWS),
+        pool in prop::collection::vec(awkward_f64(), NORM_ROWS * NORM_STRIDE)
+    ) {
+        let rows: Vec<Vec<f64>> = kinds[..n]
+            .iter()
+            .zip(pool.chunks(NORM_STRIDE))
+            .map(|(&(kind, at), values)| norm_row(kind, &values[..stride], at))
+            .collect();
+        let mut norms = vec![f64::NAN; n];
+        norm2_rows(&rows.concat(), stride, &mut norms);
+        for (row, got) in rows.iter().zip(&norms) {
+            prop_assert_eq!(got.to_bits(), norm2(row).to_bits(), "row {:?}", row);
+        }
     }
 
     #[test]

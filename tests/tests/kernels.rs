@@ -7,14 +7,14 @@
 use smda_cluster::{ClusterTopology, CostModel};
 use smda_core::{similarity_search, Task, TaskOutput, SIMILARITY_TOP_K};
 use smda_engines::{
-    observe_session, ColumnarEngine, NumericEngine, Platform, RelationalEngine, RelationalLayout,
-    RunSpec,
+    observe_session, run_similarity_oooc, ColumnarEngine, NumericEngine, Platform,
+    RelationalEngine, RelationalLayout, RunSpec,
 };
 use smda_hive::HiveEngine;
 use smda_integration::{fixture_dataset, TempDir};
-use smda_obs::{counters, MetricsSink};
+use smda_obs::{counters, MetricsSink, RunManifest};
 use smda_spark::SparkEngine;
-use smda_storage::FileLayout;
+use smda_storage::{BinaryEncoding, BinaryStore, FileLayout};
 use smda_types::DataFormat;
 
 /// Similarity output reduced to raw bits, so equality is exact.
@@ -145,4 +145,26 @@ fn similarity_runs_report_kernel_counters() {
         "no tile phase under run/score: {:?}",
         report.phases
     );
+}
+
+/// One out-of-core worker computes each row's norm once, however often
+/// the band walk reloads the row: 11 rows in bands of two are six bands,
+/// loaded `6·5/2 + 1` times between them, off either encoding.
+#[test]
+fn out_of_core_run_computes_each_norm_once() {
+    let n = 11;
+    let ds = fixture_dataset(n);
+    let dir = TempDir::new("kernels-oooc-norms");
+    for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
+        let path = dir.path(&format!("{encoding:?}.smc"));
+        let store = BinaryStore::create(path, &ds, encoding).expect("store writes");
+        let sink = MetricsSink::recording();
+        run_similarity_oooc(&store, SIMILARITY_TOP_K, 2, 1 << 20, 1, &sink)
+            .expect("out-of-core run succeeds");
+        let report = sink.finish(RunManifest::new("similarity", "oooc"));
+        let norms = report.counter(counters::OOOC_NORMS_COMPUTED);
+        assert_eq!(norms, Some(n.into()), "{encoding:?}");
+        let loads = report.counter(counters::OOOC_BANDS_LOADED);
+        assert_eq!(loads, Some(16), "{encoding:?}");
+    }
 }
