@@ -53,12 +53,11 @@ impl ConsumerSource for BinarySource {
     fn consumer_kwh(&mut self, id: ConsumerId) -> Result<&[f64]> {
         // Zero-copy when the block is raw and the mapping serves
         // aligned pages; decode into scratch otherwise.
-        if self.store.consumer_view(id).is_some() {
-            Ok(self.store.consumer_view(id).expect("checked above"))
-        } else {
-            self.store.read_consumer_into(id, &mut self.scratch)?;
-            Ok(&self.scratch)
+        if let Some(view) = self.store.consumer_view(id) {
+            return Ok(view);
         }
+        self.store.read_consumer_into(id, &mut self.scratch)?;
+        Ok(&self.scratch)
     }
 
     fn temperature_year(&mut self) -> Result<&[f64]> {

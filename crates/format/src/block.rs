@@ -26,7 +26,11 @@
 
 use smda_types::{Error, FormatDefect};
 
+use crate::digest::Digest;
 use crate::layout::{bad, le_u64};
+
+#[cfg(target_arch = "x86_64")]
+mod vbmi;
 
 /// Deltas per miniblock (one `width` byte amortized over up to 64).
 pub const MINIBLOCK: usize = 64;
@@ -133,82 +137,161 @@ fn window(packed: &[u8], bit: usize) -> u64 {
     (low >> sub) | ((u64::from(ninth) << (63 - sub)) << 1)
 }
 
-/// Decode a packed block of exactly `count` values into `out`.
+fn corrupt(what: &str) -> Error {
+    bad(
+        "decoding packed block",
+        FormatDefect::CorruptIndex(what.into()),
+    )
+}
+
+/// A packed stream walked one miniblock at a time. Every structural
+/// check of a packed block is made here, so each decoding tier reaches
+/// the same verdict with the same defect on any input.
+struct Stream<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Deltas not yet handed out.
+    remaining: usize,
+}
+
+/// One miniblock: `len` stored deltas of `width` bits, LSB-first from
+/// the start of `packed`, each to be shifted up by `shift`.
+struct Miniblock<'a> {
+    /// From this miniblock's first packed byte to the end of the
+    /// stream. Windows may run past the miniblock into the next one (or
+    /// the zero extension); the mask drops what is not ours.
+    packed: &'a [u8],
+    len: usize,
+    width: u32,
+    shift: u32,
+}
+
+impl<'a> Stream<'a> {
+    /// The stream of a block of `count` values and the bits of its
+    /// first value; `None` for the empty block.
+    fn open(bytes: &'a [u8], count: usize) -> Result<Option<(Stream<'a>, u64)>, Error> {
+        if count == 0 {
+            return if bytes.is_empty() {
+                Ok(None)
+            } else {
+                Err(corrupt("trailing bytes after packed stream"))
+            };
+        }
+        if bytes.len() < 8 {
+            return Err(bad(
+                "decoding packed block",
+                FormatDefect::Truncated {
+                    expected: 8,
+                    actual: bytes.len() as u64,
+                },
+            ));
+        }
+        let stream = Stream {
+            bytes,
+            pos: 8,
+            remaining: count - 1,
+        };
+        Ok(Some((stream, le_u64(bytes, 0))))
+    }
+
+    /// The next miniblock, its header checked and its bytes present;
+    /// `None` once every delta has been handed out.
+    #[inline(always)]
+    fn miniblock(&mut self) -> Result<Option<Miniblock<'a>>, Error> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        let len = self.remaining.min(MINIBLOCK);
+        let header = |at: usize, what: &str| {
+            self.bytes
+                .get(at)
+                .map(|&b| u32::from(b))
+                .ok_or_else(|| corrupt(what))
+        };
+        let width = header(self.pos, "missing width byte")?;
+        let shift = header(self.pos + 1, "missing shift byte")?;
+        self.pos += 2;
+        if width > 64 || shift > 63 || width + shift > 64 {
+            return Err(corrupt("miniblock width/shift exceed 64 bits"));
+        }
+        let nbytes = (len * width as usize).div_ceil(8);
+        if self.bytes.len() - self.pos < nbytes {
+            return Err(corrupt("packed miniblock shorter than its width declares"));
+        }
+        let packed = &self.bytes[self.pos..];
+        self.pos += nbytes;
+        self.remaining -= len;
+        Ok(Some(Miniblock {
+            packed,
+            len,
+            width,
+            shift,
+        }))
+    }
+
+    /// After the last miniblock: nothing may follow it.
+    fn finish(self) -> Result<(), Error> {
+        if self.pos != self.bytes.len() {
+            return Err(corrupt("trailing bytes after packed stream"));
+        }
+        Ok(())
+    }
+}
+
+impl Miniblock<'_> {
+    /// Delta `i`, shifted into place. `width` is not 0.
+    #[inline(always)]
+    fn delta(&self, i: usize) -> u64 {
+        let mask = u64::MAX >> (64 - self.width);
+        (window(self.packed, i * self.width as usize) & mask) << self.shift
+    }
+}
+
+/// Decode a packed block of exactly `count` values into `out`: the
+/// portable tier, and the oracle the vector tier is tested against.
 ///
 /// Structural damage (bad width byte, short stream, trailing bytes) is
 /// reported as a typed error, never a panic — the block checksum
 /// normally catches corruption first, but decode must hold on any
 /// input.
 pub fn decode_packed(bytes: &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), Error> {
-    let corrupt = |what: &str| {
-        bad(
-            "decoding packed block",
-            FormatDefect::CorruptIndex(what.into()),
-        )
+    let Some((mut stream, mut prev)) = Stream::open(bytes, count)? else {
+        return Ok(());
     };
-    if count == 0 {
-        return if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing bytes after packed stream"))
-        };
-    }
-    if bytes.len() < 8 {
-        return Err(bad(
-            "decoding packed block",
-            FormatDefect::Truncated {
-                expected: 8,
-                actual: bytes.len() as u64,
-            },
-        ));
-    }
-    let mut prev = le_u64(bytes, 0);
     out.reserve(count);
     out.push(f64::from_bits(prev));
-    let mut pos = 8usize;
-    let mut remaining = count - 1;
-    while remaining > 0 {
-        let in_block = remaining.min(MINIBLOCK);
-        let width = u32::from(
-            *bytes
-                .get(pos)
-                .ok_or_else(|| corrupt("missing width byte"))?,
-        );
-        let shift = u32::from(
-            *bytes
-                .get(pos + 1)
-                .ok_or_else(|| corrupt("missing shift byte"))?,
-        );
-        pos += 2;
-        if width > 64 || shift > 63 || width + shift > 64 {
-            return Err(corrupt("miniblock width/shift exceed 64 bits"));
-        }
-        if width == 0 {
+    while let Some(miniblock) = stream.miniblock()? {
+        if miniblock.width == 0 {
             // All deltas zero: the value repeats.
-            let v = f64::from_bits(prev);
-            out.resize(out.len() + in_block, v);
-            remaining -= in_block;
+            out.resize(out.len() + miniblock.len, f64::from_bits(prev));
             continue;
         }
-        let nbytes = (in_block * width as usize).div_ceil(8);
-        if bytes.len() - pos < nbytes {
-            return Err(corrupt("packed miniblock shorter than its width declares"));
-        }
-        // Windows may run past this miniblock into the next one (or
-        // the zero extension); the mask drops what is not ours.
-        let packed = &bytes[pos..];
-        pos += nbytes;
-        let mask = u64::MAX >> (64 - width);
-        out.extend((0..in_block).map(|i| {
-            prev ^= (window(packed, i * width as usize) & mask) << shift;
+        out.extend((0..miniblock.len).map(|i| {
+            prev ^= miniblock.delta(i);
             f64::from_bits(prev)
         }));
-        remaining -= in_block;
     }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes after packed stream"));
+    stream.finish()
+}
+
+/// Decode a packed block like [`decode_packed`] and return the
+/// [`Digest`] of its bytes. On a CPU with AVX-512 VBMI the vector tier
+/// folds the digest into its unpack loop (`block/vbmi.rs`); elsewhere
+/// the block is digested, then decoded. On `Err` the digest is not
+/// known: the decode stopped where the block broke.
+pub fn decode_packed_digested(
+    bytes: &[u8],
+    count: usize,
+    out: &mut Vec<f64>,
+) -> Result<u64, Error> {
+    #[cfg(target_arch = "x86_64")]
+    if vbmi::supported() {
+        // SAFETY: the CPU has every feature the kernel enables.
+        return unsafe { vbmi::decode_packed_digested(bytes, count, out) };
     }
-    Ok(())
+    let digest = Digest::of(bytes);
+    decode_packed(bytes, count, out)?;
+    Ok(digest)
 }
 
 #[cfg(test)]
@@ -400,6 +483,48 @@ mod tests {
         Some(out.iter().map(|v| v.to_bits()).collect())
     }
 
+    /// The vector tier's bits, or `None` where it must return an error.
+    /// It appends to what `out` holds, adds nothing on `Err`, and the
+    /// digest it returns with `Ok` is `Digest::of` the same bytes.
+    #[cfg(target_arch = "x86_64")]
+    fn decode_vbmi_bits(bytes: &[u8], count: usize) -> Option<Vec<u64>> {
+        let held = f64::from_bits(0x5eed);
+        let mut out = vec![held];
+        // SAFETY: `tiers` lists this decoder only where the CPU runs it.
+        let decoded = unsafe { vbmi::decode_packed_digested(bytes, count, &mut out) };
+        assert_eq!(
+            out[0].to_bits(),
+            held.to_bits(),
+            "the vector tier overwrote `out`"
+        );
+        match decoded {
+            Ok(digest) => {
+                assert_eq!(digest, Digest::of(bytes), "fused digest");
+                Some(out[1..].iter().map(|v| v.to_bits()).collect())
+            }
+            Err(_) => {
+                assert_eq!(out.len(), 1, "the vector tier published a broken block");
+                None
+            }
+        }
+    }
+
+    type Decoder = fn(&[u8], usize) -> Option<Vec<u64>>;
+
+    /// The decoders every tier test runs: the scalar one, and the
+    /// vector one where this CPU has it (else the skip is said once).
+    fn tiers() -> Vec<(&'static str, Decoder)> {
+        #[cfg(target_arch = "x86_64")]
+        if vbmi::supported() {
+            return vec![("scalar", decode_packed_bits), ("vbmi", decode_vbmi_bits)];
+        }
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        SKIPPED.call_once(|| {
+            eprintln!("no AVX-512 VBMI on this CPU: the vector tier's legs were skipped")
+        });
+        vec![("scalar", decode_packed_bits)]
+    }
+
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = *state;
@@ -446,9 +571,13 @@ mod tests {
                     let mut block = Vec::new();
                     encode_packed(&values, &mut block);
                     let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-                    let got = decode_packed_bits(&block, values.len());
-                    assert_eq!(got.as_ref(), Some(&want), "w={width} s={shift} fill={fill}");
-                    assert_eq!(got, decode_packed_bytewise(&block, values.len()));
+                    let oracle = decode_packed_bytewise(&block, values.len());
+                    for (tier, decode) in tiers() {
+                        let got = decode(&block, values.len());
+                        let at = format!("{tier} w={width} s={shift} fill={fill}");
+                        assert_eq!(got.as_ref(), Some(&want), "{at}");
+                        assert_eq!(got, oracle, "{at}");
+                    }
                 }
             }
         }
@@ -477,11 +606,12 @@ mod tests {
             encode_packed_bytewise(&values, &mut old);
             proptest::prop_assert_eq!(&new, &old);
             let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-            proptest::prop_assert_eq!(decode_packed_bits(&new, len), Some(want));
-            proptest::prop_assert_eq!(
-                decode_packed_bits(&new, len),
-                decode_packed_bytewise(&new, len)
-            );
+            let oracle = decode_packed_bytewise(&new, len);
+            for (tier, decode) in tiers() {
+                let got = decode(&new, len);
+                proptest::prop_assert_eq!(got.as_ref(), Some(&want), "{}", tier);
+                proptest::prop_assert_eq!(got, oracle.clone(), "{}", tier);
+            }
         }
 
         #[test]
@@ -497,22 +627,64 @@ mod tests {
             encode_packed(&values, &mut block);
             // Every truncation, then a damaged byte anywhere (headers
             // included): same verdict, and the same bits when accepted.
+            let tiers = tiers();
             for cut in 0..block.len() {
-                proptest::prop_assert_eq!(
-                    decode_packed_bits(&block[..cut], len),
-                    decode_packed_bytewise(&block[..cut], len)
-                );
+                let oracle = decode_packed_bytewise(&block[..cut], len);
+                for (tier, decode) in &tiers {
+                    let got = decode(&block[..cut], len);
+                    proptest::prop_assert_eq!(got, oracle.clone(), "{} cut {}", tier, cut);
+                }
             }
             for at in 0..block.len() {
                 let mut damaged = block.clone();
                 damaged[at] = splitmix(&mut rng) as u8;
-                proptest::prop_assert_eq!(
-                    decode_packed_bits(&damaged, len),
-                    decode_packed_bytewise(&damaged, len)
-                );
-                damaged.push(0);
-                proptest::prop_assert_eq!(decode_packed_bits(&damaged, len), None);
+                let oracle = decode_packed_bytewise(&damaged, len);
+                let mut extended = damaged.clone();
+                extended.push(0);
+                for (tier, decode) in &tiers {
+                    let got = decode(&damaged, len);
+                    proptest::prop_assert_eq!(got, oracle.clone(), "{} at {}", tier, at);
+                    proptest::prop_assert_eq!(decode(&extended, len), None, "{} at {}", tier, at);
+                }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(8))]
+
+        /// The vector tier's digest, folded in two stripes per group
+        /// while it unpacks, is `Digest::of` the block: for every width
+        /// 0..=64, over block lengths that end in every phase of the two
+        /// stripes a group folds in.
+        #[test]
+        fn fused_digest_equals_digest_of_the_same_bytes(seed in proptest::any::<u64>()) {
+            #[cfg(target_arch = "x86_64")]
+            if vbmi::supported() {
+                let mut rng = seed;
+                let mut phases = std::collections::BTreeSet::new();
+                for width in 0..=64u32 {
+                    for len in 1..=2 * MINIBLOCK + 2 {
+                        let mut deltas = Vec::with_capacity(len);
+                        while deltas.len() < len - 1 {
+                            let fill = (len - 1 - deltas.len()).min(MINIBLOCK);
+                            deltas.extend(deltas_of(width, 0, fill, &mut rng));
+                        }
+                        let mut block = Vec::new();
+                        encode_packed(&values_of(splitmix(&mut rng), &deltas), &mut block);
+                        phases.insert(block.len() % 64);
+                        let mut out = Vec::new();
+                        // SAFETY: the CPU runs the tier (checked above).
+                        let digest = unsafe { vbmi::decode_packed_digested(&block, len, &mut out) };
+                        let want = Some(Digest::of(&block));
+                        proptest::prop_assert_eq!(digest.ok(), want, "w={} len={}", width, len);
+                    }
+                }
+                proptest::prop_assert_eq!(phases.len(), 64);
+                return Ok(());
+            }
+            // Says that the vector tier was skipped.
+            let _ = (seed, tiers());
         }
     }
 }

@@ -22,6 +22,16 @@
 //! bit 63 of the state, so the same flip in a later word cancels it.
 //! Zero padding cannot hide appended zero bytes because the length is
 //! part of the digest.
+//!
+//! Why each lane stays a scalar `imul` chain: left alone, LLVM's SLP
+//! vectorizer packs the four lanes into two SSE2 `v2i64` multiplies,
+//! each emulated with three `pmuludq` plus shifts and adds (x86-64 has
+//! no 64-bit vector multiply below AVX-512DQ). That makes a lane step
+//! about 12 cycles where `xor → imul → shr → xor` takes about 6, and it
+//! halves the digest's speed. `opaque` stops it; ci.sh checks that
+//! the release `Digest::update` holds no `pmuludq`. The same scalar
+//! chain also leaves the vector ports free, so the packed decoder's
+//! AVX-512 tier folds stripes in under its unpack (`block/vbmi.rs`).
 
 use crate::layout::le_u64;
 
@@ -39,12 +49,28 @@ const SEEDS: [u64; 4] = [
     0x082e_fa98_ec4e_6c89,
 ];
 
+/// `x`, through a value the optimizer cannot see into: the four lanes'
+/// products are then four scalars, not two vectors to be rebuilt with
+/// `pmuludq` (see the module doc). Emits no instruction.
+#[inline(always)]
+fn opaque(mut x: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the template is a comment. It reads and writes only the
+    // register holding `x`, touches no memory, stack or flags, and
+    // leaves the value as it was.
+    unsafe {
+        std::arch::asm!("/* {0} */", inout(reg) x, options(pure, nomem, nostack, preserves_flags));
+    }
+    x
+}
+
 #[inline(always)]
 fn step(h: u64, w: u64) -> u64 {
-    let h = (h ^ w).wrapping_mul(MUL);
+    let h = opaque((h ^ w).wrapping_mul(MUL));
     h ^ (h >> 32)
 }
 
+#[inline(always)]
 fn absorb(lanes: &mut [u64; 4], stripe: &[u8]) {
     for (lane, at) in lanes.iter_mut().zip([0, 8, 16, 24]) {
         *lane = step(*lane, le_u64(stripe, at));
@@ -86,10 +112,10 @@ impl Digest {
     /// Fold more bytes into the digest.
     pub fn update(&mut self, mut bytes: &[u8]) {
         let held = (self.total % STRIPE as u64) as usize;
-        self.total += bytes.len() as u64;
         if held > 0 {
             let take = bytes.len().min(STRIPE - held);
             self.pending[held..held + take].copy_from_slice(&bytes[..take]);
+            self.total += take as u64;
             bytes = &bytes[take..];
             if held + take < STRIPE {
                 return;
@@ -97,12 +123,24 @@ impl Digest {
             absorb(&mut self.lanes, &self.pending);
             self.pending = [0; STRIPE];
         }
-        let mut stripes = bytes.chunks_exact(STRIPE);
-        for stripe in &mut stripes {
+        let (stripes, rest) = bytes.split_at(bytes.len() - bytes.len() % STRIPE);
+        self.update_stripes(stripes);
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.total += rest.len() as u64;
+    }
+
+    /// [`update`](Digest::update) with whole stripes that follow whole
+    /// stripes: how the packed decoder's vector tier folds a block in
+    /// as it unpacks it, without `update`'s bookkeeping per call.
+    #[inline(always)]
+    pub(crate) fn update_stripes(&mut self, stripes: &[u8]) {
+        debug_assert!(
+            self.total.is_multiple_of(STRIPE as u64) && stripes.len().is_multiple_of(STRIPE)
+        );
+        self.total += stripes.len() as u64;
+        for stripe in stripes.chunks_exact(STRIPE) {
             absorb(&mut self.lanes, stripe);
         }
-        let rest = stripes.remainder();
-        self.pending[..rest.len()].copy_from_slice(rest);
     }
 
     /// The digest of everything fed to [`update`](Digest::update) so

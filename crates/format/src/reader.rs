@@ -6,9 +6,10 @@
 //! checksums, and every structural invariant of the index (ascending
 //! ids, known encodings, in-bounds 8-aligned blocks). It does **not**
 //! touch the consumer blocks, so opening an n=1M file costs a handful
-//! of page faults. Block checksums are verified on first decode of
-//! each block; [`SmcFile::verify`] additionally recomputes the
-//! whole-file digest.
+//! of page faults. Every decode of a block verifies its checksum (a
+//! packed block's in the same pass that unpacks it), and no decoded
+//! value is handed out before it compares equal; [`SmcFile::verify`]
+//! additionally recomputes the whole-file digest.
 //!
 //! When the file was written raw ([`FLAG_RAW_CONTIGUOUS`]), the data
 //! region *is* an `n × hours` matrix of little-endian `f64` and
@@ -217,28 +218,42 @@ impl SmcFile {
         &self.map[entry.offset as usize..(entry.offset + entry.length) as usize]
     }
 
-    fn checked_block(&self, entry: &IndexEntry) -> Result<&[u8]> {
+    fn checksum_mismatch(&self, entry: &IndexEntry) -> Error {
+        bad(
+            format!("reading {}", self.path.display()),
+            FormatDefect::BlockChecksumMismatch { consumer: entry.id },
+        )
+    }
+
+    /// Decode `entry`'s block onto the end of `out`, verifying its
+    /// digest; on `Err`, `out` is as it was. A packed block is digested
+    /// as it decodes, so a structural defect stops the fused digest
+    /// short: the block is then digested whole, and a mismatch still
+    /// outranks the defect — a damaged block reports the checksum.
+    fn decode_checked(&self, entry: &IndexEntry, out: &mut Vec<f64>) -> Result<()> {
         let bytes = self.block_bytes(entry);
         crate::metrics::record_bytes_checksummed(bytes.len() as u64);
-        if Digest::of(bytes) != entry.checksum {
-            return Err(bad(
-                format!("reading {}", self.path.display()),
-                FormatDefect::BlockChecksumMismatch { consumer: entry.id },
-            ));
-        }
-        Ok(bytes)
+        let start = out.len();
+        let decoded = match entry.encoding {
+            ENC_RAW => block::decode_raw(bytes, self.hours(), out).map(|()| Digest::of(bytes)),
+            _ => block::decode_packed_digested(bytes, self.hours(), out),
+        };
+        let error = match decoded {
+            Ok(digest) if digest == entry.checksum => return Ok(()),
+            Err(defect) if Digest::of(bytes) == entry.checksum => defect,
+            _ => self.checksum_mismatch(entry),
+        };
+        out.truncate(start);
+        Err(error)
     }
 
     /// Decode the readings of the consumer at `idx` into `out`
-    /// (cleared first). Verifies the block checksum.
+    /// (cleared first). Verifies the block checksum; on `Err`, `out` is
+    /// left empty.
     pub fn read_consumer_into(&self, idx: usize, out: &mut Vec<f64>) -> Result<ConsumerId> {
-        let entry = *self.entry(idx)?;
-        let bytes = self.checked_block(&entry)?;
         out.clear();
-        match entry.encoding {
-            ENC_RAW => block::decode_raw(bytes, self.hours(), out)?,
-            _ => block::decode_packed(bytes, self.hours(), out)?,
-        }
+        let entry = *self.entry(idx)?;
+        self.decode_checked(&entry, out)?;
         crate::metrics::record_blocks_decoded(1, out.len() as u64 * 8);
         Ok(ConsumerId(entry.id))
     }
@@ -246,23 +261,22 @@ impl SmcFile {
     /// Decode the consecutive consumers `rows.start..rows.end` into
     /// `out` (cleared first), row-major: `rows.len() * hours` values.
     /// Every block's checksum is verified — this is the band-loading
-    /// primitive of the out-of-core tier, usable on either encoding.
+    /// primitive of the out-of-core tier, usable on either encoding. On
+    /// `Err`, `out` is left empty.
     pub fn read_rows_into(&self, rows: std::ops::Range<usize>, out: &mut Vec<f64>) -> Result<()> {
+        out.clear();
         if rows.end > self.n() || rows.start > rows.end {
             return Err(Error::Invalid(format!(
                 "row range {rows:?} out of bounds (file has {})",
                 self.n()
             )));
         }
-        out.clear();
         out.reserve(rows.len() * self.hours());
         let count = rows.len() as u64;
-        for idx in rows {
-            let entry = self.entries[idx];
-            let bytes = self.checked_block(&entry)?;
-            match entry.encoding {
-                ENC_RAW => block::decode_raw(bytes, self.hours(), out)?,
-                _ => block::decode_packed(bytes, self.hours(), out)?,
+        for entry in &self.entries[rows] {
+            if let Err(e) = self.decode_checked(entry, out) {
+                out.clear();
+                return Err(e);
             }
         }
         crate::metrics::record_blocks_decoded(count, out.len() as u64 * 8);
@@ -361,7 +375,11 @@ impl SmcFile {
         }
         let mut raw_blocks = 0;
         for entry in &self.entries {
-            self.checked_block(entry)?;
+            let bytes = self.block_bytes(entry);
+            crate::metrics::record_bytes_checksummed(bytes.len() as u64);
+            if Digest::of(bytes) != entry.checksum {
+                return Err(self.checksum_mismatch(entry));
+            }
             if entry.encoding == ENC_RAW {
                 raw_blocks += 1;
             }

@@ -270,6 +270,76 @@ fn block_flip_names_the_consumer() {
 }
 
 #[test]
+fn structural_damage_still_names_the_block_checksum() {
+    // Block 0's first miniblock width byte (after its 8 first-value
+    // bytes) set to 200 is a structural defect the decoder finds too;
+    // the checksum mismatch is what a damaged block reports.
+    let (path, mut bytes) = built("width", true);
+    let index = bytes.len() - 52 - 3 * 32;
+    assert_eq!(bytes[index + 4], 1, "block 0 is packed");
+    bytes[24 + 8] = 200;
+    std::fs::write(&path, &bytes).unwrap();
+    let file = SmcFile::open(&path).expect("open validates index+temp only");
+    let mut buf = Vec::new();
+    match file.read_consumer_into(0, &mut buf) {
+        Err(Error::BadFormat {
+            defect: FormatDefect::BlockChecksumMismatch { consumer },
+            ..
+        }) => assert_eq!(consumer, 1),
+        other => panic!("expected block checksum mismatch, got {other:?}"),
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_failed_read_leaves_nothing_in_the_buffer() {
+    for packed in [true, false] {
+        // The last consumer's block damaged (packed in the packed file,
+        // raw in the raw one); consumers 0 and 1 are whole.
+        let (path, mut bytes) = built("unpublished", packed);
+        let last = last_block_offset(&bytes);
+        bytes[last + 3] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let file = SmcFile::open(&path).unwrap();
+
+        let mut buf = Vec::new();
+        file.read_consumer_into(0, &mut buf).unwrap();
+        assert!(file.read_consumer_into(2, &mut buf).is_err());
+        assert!(
+            buf.is_empty(),
+            "packed={packed}: a damaged consumer left values behind"
+        );
+        file.read_consumer_into(0, &mut buf).unwrap();
+        assert!(file.read_consumer_into(7, &mut buf).is_err());
+        assert!(
+            buf.is_empty(),
+            "packed={packed}: an unknown index left values behind"
+        );
+
+        file.read_rows_into(0..1, &mut buf).unwrap();
+        assert!(file.read_rows_into(0..3, &mut buf).is_err());
+        assert!(
+            buf.is_empty(),
+            "packed={packed}: a damaged band left rows behind"
+        );
+        file.read_rows_into(0..1, &mut buf).unwrap();
+        assert!(file.read_rows_into(2..9, &mut buf).is_err());
+        assert!(
+            buf.is_empty(),
+            "packed={packed}: an out-of-range band left rows behind"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// File offset of the third and last consumer's block: its index entry,
+/// the last before the 52-byte footer, holds it at 8..16.
+fn last_block_offset(bytes: &[u8]) -> usize {
+    let entry = bytes.len() - 52 - 32;
+    u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize
+}
+
+#[test]
 fn temperature_flip_names_temperature_checksum() {
     let (path, bytes) = built("temp", false);
     // Raw layout: temperature block directly follows the 3 × 24 raw
