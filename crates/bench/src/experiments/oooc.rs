@@ -9,10 +9,10 @@
 //! peak RSS (`VmHWM`, the paper's `free -m` analog), and streaming
 //! throughput. Points small enough to score all pairs are verified
 //! bit-identical against the in-memory tiled kernel; larger points run
-//! a spread query sample through [`top_k_oooc_queries`] so one
-//! streaming pass over the file answers every query, and those whose
-//! matrix still fits in a gibibyte are verified per query against the
-//! in-memory [`top_k_query`].
+//! a spread query sample through the similarity walk's query form
+//! ([`Pairs::Queries`]) so one streaming pass over the file answers
+//! every query, and those whose matrix still fits in a gibibyte are
+//! verified per query against the in-memory [`top_k_query`].
 //!
 //! The 1M-consumer point uses a tenth of a year per row: a full raw
 //! year at that width is a 70 GB file, which outgrows the working
@@ -26,8 +26,8 @@ use smda_core::SIMILARITY_TOP_K;
 use smda_engines::{top_k_source_with, SmcSource, DEFAULT_CACHE_BYTES};
 use smda_obs::MetricsSink;
 use smda_stats::{
-    top_k_oooc_queries, top_k_query, top_k_tiled, OoocStats, SeriesMatrix, SimilarityMatch,
-    TileConfig, DEFAULT_BAND_ROWS,
+    similarity_walk, top_k_query, top_k_tiled, OoocStats, Pairs, SeriesMatrix, SimilarityMatch,
+    Streamed, TileConfig, DEFAULT_BAND_ROWS,
 };
 use smda_storage::{BinaryEncoding, BinaryStore, BinaryWriter};
 use smda_types::{ConsumerId, HOURS_PER_YEAR};
@@ -182,7 +182,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 if all_pairs {
                     top_k_source_with(&source, None, SIMILARITY_TOP_K, band_rows, THREADS, &sink)
                 } else {
-                    top_k_oooc_queries(&source, &queries, SIMILARITY_TOP_K, band_rows)
+                    let rows = Streamed {
+                        source: &source,
+                        band_rows,
+                    };
+                    let (k, cfg) = (SIMILARITY_TOP_K, TileConfig::current());
+                    similarity_walk(&rows, Pairs::Queries(&queries), k, &cfg, None)
                 }
             });
             let elapsed = start.elapsed();

@@ -85,12 +85,15 @@ pub const GATES: [(&str, Gate); 7] = [
 ];
 
 /// Kernel-equivalence smoke check (`smda-bench --check kernels`): run
-/// the naive per-query scan and the tiled symmetric kernel — serial and
-/// pooled at several widths — over one seeded dataset and require exact
-/// equality of every match list.
+/// the naive per-query scan and the similarity walk — tiled and pooled
+/// at several widths, and its query form on a spread of rows — over one
+/// seeded dataset and require `to_bits` equality of every match list,
+/// and that every all-pairs run scored each unordered pair once.
 fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
-    use smda_stats::{top_k_cosine, top_k_tiled, SeriesMatrix, TileConfig};
+    use smda_stats::{
+        top_k_cosine, top_k_query, top_k_tiled, SeriesMatrix, SimilarityMatch, TileConfig,
+    };
 
     // Never fewer than three query blocks of rows, `--smoke` included:
     // the AVX-512 tier's 8 × 4 register block needs eight query rows with
@@ -102,25 +105,55 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
         .map(|c| c.readings().to_vec())
         .collect();
     let n = series.len();
+    let pairs = (n * (n - 1) / 2) as u64;
+    let bits = |hits: &[SimilarityMatch]| -> Vec<(usize, u64)> {
+        hits.iter().map(|h| (h.index, h.score.to_bits())).collect()
+    };
+    let all_bits = |lists: &[Vec<SimilarityMatch>]| -> Vec<Vec<(usize, u64)>> {
+        lists.iter().map(|hits| bits(hits)).collect()
+    };
     let naive = top_k_cosine(&series, SIMILARITY_TOP_K);
+    let naive_bits = all_bits(&naive);
     let matrix = SeriesMatrix::from_rows_normalized(&series);
     let (tiled, stats) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &TileConfig::default());
-    if naive != tiled {
+    if all_bits(&tiled) != naive_bits {
         return Err(format!("tiled kernel diverged from naive at n={n}"));
+    }
+    if stats.pairs_scored != pairs {
+        return Err(format!(
+            "tiled kernel scored {} pairs at n={n}, not {pairs}",
+            stats.pairs_scored
+        ));
     }
     let sink = smda_obs::MetricsSink::disabled();
     for threads in [1usize, 2, 4, 8] {
-        let (pooled, _) =
+        let (pooled, stats) =
             smda_engines::parallel::top_k_matrix(&matrix, SIMILARITY_TOP_K, threads, &sink);
-        if pooled != naive {
+        if all_bits(&pooled) != naive_bits {
             return Err(format!(
                 "pooled kernel diverged from naive at n={n}, threads={threads}"
             ));
         }
+        if stats.pairs_scored != pairs {
+            return Err(format!(
+                "pooled kernel scored {} pairs at n={n}, threads={threads}, not {pairs}",
+                stats.pairs_scored
+            ));
+        }
+    }
+    // The query form: first, last and every seventh row between.
+    let queried: Vec<usize> = (0..n).step_by(7).chain([n - 1]).collect();
+    for &q in &queried {
+        if bits(&top_k_query(&matrix, q, SIMILARITY_TOP_K)) != naive_bits[q] {
+            return Err(format!(
+                "top_k_query diverged from naive for row {q} at n={n}"
+            ));
+        }
     }
     Ok(format!(
-        "kernel equivalence OK: n={n}, {} pairs scored, threads 1/2/4/8 identical",
-        stats.pairs_scored
+        "kernel equivalence OK: n={n}, {pairs} pairs scored, threads 1/2/4/8 identical, \
+         {} single-row queries identical",
+        queried.len()
     ))
 }
 
@@ -189,27 +222,13 @@ fn lane_kernel_divergence() -> Option<String> {
     None
 }
 
-/// SIMD equivalence gate (`smda-bench --check simd`).
-///
-/// Two tiers (DESIGN.md §14):
-///
-/// 1. **Lane-preserving, bit-exact.** Under every dispatch tier this
-///    machine runs (scalar, AVX2, AVX-512 — a tier the hardware lacks is
-///    skipped; the note lists the ones that ran), `dot`, `dot_block`
-///    (every shape the kernels instantiate) and `axpy` must be
-///    `to_bits`-identical to the scalar references
-///    ([`lane_kernel_divergence`]).
-/// 2. **Fused, tolerance-gated.** Given a `scaling` vector, the raw
-///    matrix + post-multiplied kernel over one seeded dataset must pick the
-///    same top-k indices as the exact pre-normalized kernel with every
-///    score within `FUSED_REL_TOL` (relative error ≤ 1e-12), on one
-///    worker and through the pool.
-fn check_simd(scale: Scale) -> std::result::Result<String, String> {
-    use smda_core::SIMILARITY_TOP_K;
-    use smda_engines::parallel::top_k_matrix_with;
-    use smda_stats::{top_k_tiled, SeriesMatrix, TileConfig, FUSED_REL_TOL};
-
-    // Tier 1: lane-preserving kernels are bit-exact.
+/// SIMD equivalence gate (`smda-bench --check simd`): under every
+/// dispatch tier this machine runs (scalar, AVX2, AVX-512 — a tier the
+/// hardware lacks is skipped; the note lists the ones that ran), `dot`,
+/// `dot_block` (every shape the kernels instantiate) and `axpy` must be
+/// `to_bits`-identical to the scalar references
+/// ([`lane_kernel_divergence`]), DESIGN.md §14.
+fn check_simd(_scale: Scale) -> std::result::Result<String, String> {
     let mut tiers = Vec::new();
     let mut diverged = None;
     smda_stats::under_every_tier(|tier| {
@@ -222,54 +241,9 @@ fn check_simd(scale: Scale) -> std::result::Result<String, String> {
     if let Some(what) = diverged {
         return Err(what);
     }
-    let lane_note = format!(
-        "lane kernels bit-identical to scalar under the {} tiers",
-        tiers.join(", ")
-    );
-
-    // Tier 2: the fused normalize+score path stays within tolerance.
-    let ds = crate::data::seed_dataset(scale.consumers_for_households(6_400));
-    let series: Vec<Vec<f64>> = ds
-        .consumers()
-        .iter()
-        .map(|c| c.readings().to_vec())
-        .collect();
-    let n = series.len();
-    let exact_m = SeriesMatrix::from_rows_normalized(&series);
-    let (exact, _) = top_k_tiled(&exact_m, SIMILARITY_TOP_K, &TileConfig::current());
-    let raw = SeriesMatrix::from_rows_raw(&series);
-    let inv = raw.inverse_norms();
-    let sink = smda_obs::MetricsSink::disabled();
-    let serial = top_k_matrix_with(&raw, Some(&inv), SIMILARITY_TOP_K, 1, &sink);
-    let pooled = top_k_matrix_with(&raw, Some(&inv), SIMILARITY_TOP_K, 4, &sink);
-    let mut max_rel = 0.0f64;
-    for (label, (fused, _)) in [("serial", serial), ("pooled", pooled)] {
-        for (q, (e_hits, f_hits)) in exact.iter().zip(&fused).enumerate() {
-            if e_hits.len() != f_hits.len()
-                || e_hits.iter().zip(f_hits).any(|(e, f)| e.index != f.index)
-            {
-                return Err(format!(
-                    "fused {label} kernel picked different top-k indices for query {q} (n={n})"
-                ));
-            }
-            for (e, f) in e_hits.iter().zip(f_hits) {
-                let rel = (e.score - f.score).abs() / e.score.abs().max(1.0);
-                max_rel = max_rel.max(rel);
-                if rel > FUSED_REL_TOL {
-                    return Err(format!(
-                        "fused {label} score for query {q} off by rel {rel:e} \
-                         (> {FUSED_REL_TOL:e}): {} vs {}",
-                        f.score, e.score
-                    ));
-                }
-            }
-        }
-    }
-
     Ok(format!(
-        "simd equivalence OK: {lane_note}; fused normalize+score within \
-         {FUSED_REL_TOL:e} of exact over n={n} (max rel err {max_rel:.2e}), \
-         serial and pooled, identical top-k indices"
+        "simd equivalence OK: lane kernels bit-identical to scalar under the {} tiers",
+        tiers.join(", ")
     ))
 }
 

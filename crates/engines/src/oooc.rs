@@ -16,20 +16,20 @@
 //!   [`RowGroupCache`] — checksum-verified
 //!   decode on miss, LRU eviction, sequential prefetch.
 //!
-//! Scheduling is the same pool driver as
-//! [`top_k_matrix_with`](crate::parallel::top_k_matrix_with): band pairs
-//! are claimed dynamically by pool workers and per-worker partials
-//! merged, which keeps the output `to_bits`-identical to the in-memory
-//! tiled kernel (and to the naive scan) at every thread count, band
-//! size, and encoding.
+//! Scheduling is the same walk and pool driver as
+//! [`top_k_matrix`](crate::parallel::top_k_matrix): band pairs are
+//! claimed dynamically by pool workers and per-worker partials merged,
+//! which keeps the output `to_bits`-identical to the in-memory tiled
+//! kernel (and to the naive scan) at every thread count, band size, and
+//! encoding.
 
 use std::ops::Range;
 
 use smda_core::{ConsumerMatches, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
-    band_count, band_pair_count, top_k_oooc_partial, OoocStats, SeriesSource, SimilarityMatch,
-    TileConfig, DEFAULT_BAND_ROWS,
+    band_count, band_pair_count, similarity_walk, OoocStats, Pairs, SeriesSource, SimilarityMatch,
+    Streamed, TileConfig, DEFAULT_BAND_ROWS,
 };
 use smda_storage::{format_metrics, BinaryStore, FormatCounters, RowGroupCache};
 use smda_types::{Error, Result};
@@ -112,12 +112,12 @@ impl SeriesSource for SmcSource<'_> {
     }
 }
 
-/// All-pairs top-k over any [`SeriesSource`], band pairs claimed
-/// dynamically by up to `threads` pool workers and per-worker partials
-/// merged — [`top_k_matrix_with`](crate::parallel::top_k_matrix_with)
-/// with band pairs for tile rows: the same driver, the same
-/// bit-identity guarantee and counters, plus the `oooc.*` streaming
-/// counters.
+/// All-pairs top-k over any [`SeriesSource`] streamed in bands of
+/// `band_rows` rows — [`top_k_matrix`](crate::parallel::top_k_matrix)
+/// with the bands loaded instead of lent: the same walk, the same
+/// driver, the same bit-identity guarantee and counters, plus the
+/// `oooc.*` streaming counters. `scaling` must be `None`: scaled scoring
+/// was removed, and `Some` is an [`Error::Invalid`].
 pub fn top_k_source_with(
     src: &dyn SeriesSource,
     scaling: Option<&[f64]>,
@@ -126,13 +126,20 @@ pub fn top_k_source_with(
     threads: usize,
     metrics: &MetricsSink,
 ) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
+    if scaling.is_some() {
+        return Err(Error::Invalid(
+            "scaled scoring was removed: every walk scores unit rows exactly; pass `None`".into(),
+        ));
+    }
     let cfg = TileConfig::current();
-    let band_rows = band_rows.max(1);
+    let rows = Streamed {
+        source: src,
+        band_rows,
+    };
     let shape = (src.rows(), src.stride());
     let pairs = band_pair_count(band_count(src.rows(), band_rows));
-    let fused = scaling.is_some();
-    let (matches, stats) = pooled_top_k(shape, pairs, k, threads, fused, metrics, |claim| {
-        top_k_oooc_partial(src, scaling, k, band_rows, &cfg, claim)
+    let (matches, stats) = pooled_top_k(shape, pairs, k, threads, metrics, |claim| {
+        similarity_walk(&rows, Pairs::All, k, &cfg, Some(claim))
     })?;
     metrics.incr(counters::OOOC_RUNS, 1);
     metrics.incr(counters::OOOC_BANDS_LOADED, stats.bands_loaded);
@@ -213,12 +220,12 @@ pub fn run_similarity_oooc_default(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{top_k_matrix, top_k_matrix_with};
+    use crate::parallel::top_k_matrix;
     use proptest::prelude::*;
     use smda_obs::MetricsSink;
     use smda_stats::{
-        merge_partials, oooc_inverse_norms, top_k_cosine, top_k_oooc, top_k_tiled,
-        top_k_tiled_partial, SeriesMatrix, SeriesMatrixBuilder, SliceSource, FUSED_REL_TOL,
+        merge_partials, top_k_cosine, top_k_oooc, top_k_tiled, top_k_tiled_partial, SeriesMatrix,
+        SeriesMatrixBuilder, SliceSource,
     };
     use smda_storage::BinaryEncoding;
     use smda_types::{ConsumerId, ConsumerSeries, Dataset, TemperatureSeries, HOURS_PER_YEAR};
@@ -263,7 +270,7 @@ mod tests {
         }
         let matrix = builder.finish();
         let sink = MetricsSink::disabled();
-        let (want, _) = top_k_matrix_with(&matrix, None, 5, 3, &sink);
+        let (want, _) = top_k_matrix(&matrix, 5, 3, &sink);
         for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
             let path = tmp(&format!("parity-{encoding:?}"));
             let store = BinaryStore::create(&path, &ds, encoding).unwrap();
@@ -288,27 +295,16 @@ mod tests {
     }
 
     #[test]
-    fn scaled_tier_matches_in_memory_fused() {
-        let ds = pseudo_dataset(17, HOURS_PER_YEAR);
-        let path = tmp("scaled");
-        let store = BinaryStore::create(&path, &ds, BinaryEncoding::Packed).unwrap();
-        let builder = SeriesMatrixBuilder::new(17, HOURS_PER_YEAR);
-        for (i, c) in ds.consumers().iter().enumerate() {
-            builder.set_row(i, c.readings());
-        }
-        let matrix = builder.finish();
-        let inv = matrix.inverse_norms();
+    fn a_scaling_vector_is_refused_not_scored() {
+        let rows = [1.0, 2.0, 3.0, 4.0];
+        let src = SliceSource::new(&rows, 2, 2);
         let sink = MetricsSink::disabled();
-        let (want, _) = top_k_matrix_with(&matrix, Some(&inv), 4, 2, &sink);
-        let source = SmcSource::over(&store, 5, 1 << 16);
-        let oinv = oooc_inverse_norms(&source, 5).unwrap();
-        assert!(inv
-            .iter()
-            .zip(&oinv)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        let (got, _) = top_k_source_with(&source, Some(&oinv), 4, 5, 3, &sink).unwrap();
-        assert_eq!(matches_bits(&got), matches_bits(&want));
-        std::fs::remove_file(&path).unwrap();
+        let err = top_k_source_with(&src, Some(&[1.0, 1.0]), 1, 1, 1, &sink).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert!(
+            err.to_string().contains("scaled scoring was removed"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -366,8 +362,7 @@ mod tests {
         /// sequential, three workers' partials merged, banded at the
         /// degenerate and a random band height, pooled at 1/2/4 threads
         /// — is `to_bits`-equal to the naive scan and scores each
-        /// unordered pair once. The scaled argument is bitwise the same
-        /// resident and banded, and within tolerance of exact.
+        /// unordered pair once.
         #[test]
         fn prop_every_entry_point_matches_the_naive_scan(
             rows in prop::collection::vec(prop::collection::vec(0.0f64..4.0, STRIDE), 0..28),
@@ -404,8 +399,10 @@ mod tests {
                 let (got, stats) = top_k_oooc(&src, k, band_rows, &cfg).unwrap();
                 check("banded", &got, stats.kernel.pairs_scored);
                 let claim = counter(band_pair_count(band_count(n, band_rows)));
+                let pair = || claim().map(|t| t..t + 1);
+                let bands = Streamed { source: &src, band_rows };
                 let (parts, scored): (Vec<_>, Vec<_>) = (0..3)
-                    .map(|_| top_k_oooc_partial(&src, None, k, band_rows, &cfg, &claim).unwrap())
+                    .map(|_| similarity_walk(&bands, Pairs::All, k, &cfg, Some(&pair)).unwrap())
                     .map(|(p, s)| (p, s.kernel.pairs_scored))
                     .unzip();
                 check("banded partials", &merge_partials(n, parts, k), scored.iter().sum());
@@ -416,16 +413,6 @@ mod tests {
                 check("pooled resident", &got, stats.pairs_scored);
                 let (got, stats) = top_k_source_with(&src, None, k, band, threads, &sink).unwrap();
                 check("pooled banded", &got, stats.kernel.pairs_scored);
-            }
-
-            let raw = SeriesMatrix::from_rows_raw(&rows);
-            let (scaled, _) = top_k_matrix_with(&raw, Some(&raw.inverse_norms()), k, 2, &sink);
-            let inv = oooc_inverse_norms(&src, band).unwrap();
-            let (banded, _) = top_k_source_with(&src, Some(&inv), k, band, 2, &sink).unwrap();
-            assert_eq!(matches_bits(&banded), matches_bits(&scaled), "scaled tiers");
-            for (exact, scaled) in want.iter().flatten().zip(scaled.iter().flatten()) {
-                let tol = FUSED_REL_TOL * exact.score.abs().max(1.0);
-                assert!((exact.score - scaled.score).abs() <= tol, "scaled drifted");
             }
         }
     }

@@ -12,7 +12,7 @@
 //!
 //! The Similarity task runs on the kernel layer (`smda_stats::kernels`):
 //! extraction streams each consumer's year straight into a contiguous
-//! [`SeriesMatrix`](smda_stats::SeriesMatrix) (normalized in place, no intermediate `Vec`s), and
+//! [`SeriesMatrix`] (normalized in place, no intermediate `Vec`s), and
 //! scoring is the cache-tiled, symmetry-halved all-pairs kernel whose
 //! output is bit-identical to the naive reference.
 
@@ -24,8 +24,8 @@ use std::time::Instant;
 use smda_core::{ConsumerMatches, ConsumerTask, Task, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
-    merge_partials, top_k_tiled_with, with_fit_scratch, KernelStats, OoocStats,
-    SeriesMatrixBuilder, SimilarityMatch, TileConfig,
+    band_pair_count, merge_partials, similarity_walk, with_fit_scratch, KernelStats, OoocStats,
+    Pairs, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
 use smda_types::{ConsumerId, Error, Result, HOURS_PER_YEAR};
 
@@ -222,42 +222,23 @@ pub fn execute_task(
     }
 }
 
-/// All-pairs top-k over a normalized [`SeriesMatrix`](smda_stats::SeriesMatrix):
-/// tile rows are claimed dynamically by up to `threads` pool workers and
-/// per-worker partials merged — bit-identical to the sequential tiled
-/// kernel (and to the naive scan) at every thread count. Records the
-/// `tile`/`merge` phases plus `pairs_scored` and effective MFLOP/s.
+/// All-pairs top-k over a normalized [`SeriesMatrix`]: the similarity
+/// walk over its bands, band pairs claimed dynamically by up to
+/// `threads` pool workers and per-worker partials merged — bit-identical
+/// to the sequential tiled kernel (and to the naive scan) at every
+/// thread count. Records the `tile`/`merge` phases plus `pairs_scored`
+/// and effective MFLOP/s.
 pub fn top_k_matrix(
-    matrix: &smda_stats::SeriesMatrix,
-    k: usize,
-    threads: usize,
-    metrics: &MetricsSink,
-) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    top_k_matrix_with(matrix, None, k, threads, metrics)
-}
-
-/// [`top_k_matrix`] with an optional tolerance-tier scaling vector:
-/// when `scaling` is `Some`, `matrix` rows are **raw** and each pair's
-/// cosine is `dot * scaling[i] * scaling[j]`; when `None`, rows are
-/// pre-normalized and scoring is the exact kernel.
-pub fn top_k_matrix_with(
-    matrix: &smda_stats::SeriesMatrix,
-    scaling: Option<&[f64]>,
+    matrix: &SeriesMatrix,
     k: usize,
     threads: usize,
     metrics: &MetricsSink,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
     let cfg = TileConfig::current();
     let shape = (matrix.rows(), matrix.stride());
-    let tiles = cfg.tile_rows(matrix.rows());
-    let fused = scaling.is_some();
-    let Ok((matches, stats)) = pooled_top_k(shape, tiles, k, threads, fused, metrics, |claim| {
-        let (partial, kernel) = top_k_tiled_with(matrix, scaling, k, &cfg, claim);
-        let stats = OoocStats {
-            kernel,
-            ..OoocStats::default()
-        };
-        Ok::<_, std::convert::Infallible>((partial, stats))
+    let pairs = band_pair_count(cfg.tile_rows(matrix.rows()));
+    let Ok((matches, stats)) = pooled_top_k(shape, pairs, k, threads, metrics, |claim| {
+        similarity_walk(matrix, Pairs::All, k, &cfg, Some(claim))
     });
     (matches, stats.kernel)
 }
@@ -266,30 +247,29 @@ pub fn top_k_matrix_with(
 type Partial = (Vec<Vec<SimilarityMatch>>, OoocStats);
 
 /// The similarity pool driver, shared by the resident and out-of-core
-/// tiers: up to `threads` pool workers each run `partial` against one
-/// shared counter handing out `units` work units (tile rows or band
-/// pairs), and the per-worker partials are merged exactly. A single
-/// worker runs on the calling thread and its partial is the answer.
-/// Records the `tile`/`merge` phases, `pairs_scored`, effective MFLOP/s
-/// over the `tile` phase, and which kernel implementation scored.
+/// walks: up to `threads` pool workers each run `partial` against one
+/// shared counter handing out the `units` band pairs one at a time, and
+/// the per-worker partials are merged exactly. A single worker runs on
+/// the calling thread and its partial is the answer. Records the
+/// `tile`/`merge` phases, `pairs_scored`, effective MFLOP/s over the
+/// `tile` phase, and which kernel implementation scored.
 pub(crate) fn pooled_top_k<E, F>(
     (rows, stride): (usize, usize),
     units: usize,
     k: usize,
     threads: usize,
-    fused: bool,
     metrics: &MetricsSink,
     partial: F,
 ) -> std::result::Result<Partial, E>
 where
     E: Send,
-    F: Fn(&dyn Fn() -> Option<usize>) -> std::result::Result<Partial, E> + Sync,
+    F: Fn(&dyn Fn() -> Option<Range<usize>>) -> std::result::Result<Partial, E> + Sync,
 {
     let parallelism = threads.min(units).max(1);
     let next = AtomicUsize::new(0);
     let claim = || {
         let t = next.fetch_add(1, Ordering::Relaxed);
-        (t < units).then_some(t)
+        (t < units).then_some(t..t + 1)
     };
     let tile_start = Instant::now();
     let (matches, stats, tile_elapsed) = if parallelism == 1 {
@@ -329,9 +309,6 @@ where
     }
     if smda_stats::simd::active_tier() == smda_stats::SimdTier::Avx512 {
         metrics.incr(counters::SIMD_AVX512_ACTIVE, 1);
-    }
-    if fused {
-        metrics.incr(counters::SIMD_FUSED_ACTIVE, 1);
     }
     Ok((matches, stats))
 }

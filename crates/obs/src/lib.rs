@@ -74,9 +74,6 @@ pub mod counters {
     /// register blocks (`simd.avx2_active` is 1 beside it: every other
     /// kernel of that tier is the AVX2 one), absent otherwise.
     pub const SIMD_AVX512_ACTIVE: &str = "simd.avx512_active";
-    /// 1 when the tolerance-tier fused normalize+score kernel scored
-    /// the run (a caller passed a `scaling` vector; see `--check simd`).
-    pub const SIMD_FUSED_ACTIVE: &str = "simd.fused_active";
     /// Logical tasks placed by a cluster scheduler.
     pub const TASKS_SCHEDULED: &str = "tasks_scheduled";
     /// Bytes moved across the simulated cluster network.

@@ -13,21 +13,18 @@
 //!   atomic write-once flag making double writes a panic instead of a
 //!   data race.
 //! * `PairScorer` — the one pair-scoring loop nest under every
-//!   similarity entry point. It is lent row blocks (the whole resident
-//!   matrix here; band buffers in [`crate::oooc`]), keeps a block of
-//!   query rows hot in cache while candidate rows stream through,
-//!   computes each `(i, j)` score **once** — in register blocks
-//!   ([`dot_block`]) of four query rows by two candidate rows on `ymm`,
-//!   eight by four on `zmm` under the AVX-512 tier, each pair the
-//!   canonical [`dot`](crate::dot) bit for bit, times the two inverse
-//!   norms on raw rows when a `scaling` vector is given — and credits it
-//!   to both rows' bounded top-k buffers.
-//! * [`top_k_tiled_with`] / [`merge_partials`] — the in-memory kernel,
-//!   as the one primitive there is: a worker claims tile rows off a
-//!   caller-supplied counter and returns per-query partial top-k lists;
-//!   merging the partials of workers that together claimed every tile
-//!   row gives the answer. [`top_k_tiled`] is one worker claiming them
-//!   all.
+//!   similarity entry point. The similarity walk ([`similarity_walk`])
+//!   lends it row blocks — zero-copy bands of the resident matrix, or
+//!   band buffers filled from a streamed source — and it keeps a block
+//!   of query rows hot in cache while candidate rows stream through,
+//!   computes each `(i, j)` score
+//!   **once** — in register blocks ([`dot_block`]) of four query rows by
+//!   two candidate rows on `ymm`, eight by four on `zmm` under the
+//!   AVX-512 tier, each pair the canonical [`dot`](crate::dot) bit for
+//!   bit — and credits it to both rows' bounded top-k buffers.
+//! * [`top_k_tiled`], [`top_k_tiled_partial`], [`top_k_query`] — the
+//!   in-memory names of that walk; [`merge_partials`] merges the partials
+//!   of workers that together claimed every unit of it.
 //!
 //! **Exactness**, for every tier and schedule (DESIGN.md §9): the same
 //! row bits go through `dot`'s own operations in `dot`'s order (a
@@ -39,12 +36,13 @@
 //! any subset that contains them, so merging partials over any
 //! partition of the pairs reproduces the sequential result.
 
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::simd::{active_tier, dot_block, SimdTier, WIDE_COLS, WIDE_ROWS};
 use crate::similarity::{norm2, select_top_k, SimilarityMatch};
+use crate::walk::{similarity_walk, triangle_row, Pairs};
 
 /// Every matrix starts on this byte boundary: a cache line, and a
 /// multiple of the 32-byte vector loads the kernels issue, so with a
@@ -115,29 +113,6 @@ impl SeriesMatrix {
         self.stride
     }
 
-    /// Build from row vectors **without** normalizing — the raw layout
-    /// the fused (tolerance-tier) scoring path uses together with
-    /// [`SeriesMatrix::inverse_norms`]. All rows must share one length.
-    ///
-    /// # Panics
-    /// Panics if row lengths differ.
-    pub fn from_rows_raw(rows: &[Vec<f64>]) -> SeriesMatrix {
-        let stride = rows.first().map_or(0, Vec::len);
-        let builder = SeriesMatrixBuilder::new(rows.len(), stride);
-        for (i, r) in rows.iter().enumerate() {
-            builder.set_row(i, r);
-        }
-        builder.finish()
-    }
-
-    /// Per-row `1/‖row‖`, with `0.0` for all-zero rows so a fused score
-    /// `dot(a, b) * inv[i] * inv[j]` is zero wherever the exact
-    /// pre-normalized path scores zero. Norms come from the wide
-    /// [`crate::simd::sumsq4`] — this accessor belongs to the fused tier.
-    pub fn inverse_norms(&self) -> Vec<f64> {
-        (0..self.rows).map(|i| inverse_norm(self.row(i))).collect()
-    }
-
     /// One series as a slice.
     ///
     /// # Panics
@@ -151,24 +126,9 @@ impl SeriesMatrix {
         &self.data[self.offset..self.offset + self.rows * self.stride]
     }
 
-    /// The whole matrix as the one resident block the kernels are lent.
-    fn block(&self) -> RowBlock<'_> {
-        RowBlock {
-            data: self.values(),
-            start: 0,
-            rows: self.rows,
-            stride: self.stride,
-        }
-    }
-}
-
-/// `1/‖row‖` by the wide [`crate::simd::sumsq4`], `0.0` for a zero row.
-pub(crate) fn inverse_norm(row: &[f64]) -> f64 {
-    let n = crate::simd::sumsq4(row).sqrt();
-    if n == 0.0 {
-        0.0
-    } else {
-        1.0 / n
+    /// Rows `rows`, row-major: one band of the matrix, lent as is.
+    pub(crate) fn band(&self, rows: Range<usize>) -> &[f64] {
+        &self.values()[rows.start * self.stride..rows.end * self.stride]
     }
 }
 
@@ -320,8 +280,9 @@ impl Default for TileConfig {
 }
 
 impl TileConfig {
-    /// Rows per query block as the kernel uses it: never zero.
-    fn block(&self) -> usize {
+    /// Rows per query block as the kernel uses it: never zero. It is
+    /// also the height of the bands a resident matrix is lent in.
+    pub(crate) fn block(&self) -> usize {
         self.query_block.max(1)
     }
 
@@ -356,18 +317,17 @@ impl KernelStats {
 /// Bounded per-query candidate buffer: holds at most the `k` best hits
 /// seen so far under the canonical order (score desc, index asc), using
 /// [`select_top_k`] itself for pruning so the kept set is exactly what a
-/// full sort would keep. Shared with the out-of-core band scheduler
-/// (`crate::oooc`), whose exactness rests on the same property: the kept
-/// set is a function of the pushed *set*, not the push order.
+/// full sort would keep — a function of the pushed *set*, not the push
+/// order.
 #[derive(Debug)]
-pub(crate) struct TopKBuffer {
+struct TopKBuffer {
     hits: Vec<SimilarityMatch>,
     k: usize,
     cap: usize,
 }
 
 impl TopKBuffer {
-    pub(crate) fn new(k: usize) -> TopKBuffer {
+    fn new(k: usize) -> TopKBuffer {
         TopKBuffer {
             hits: Vec::new(),
             k,
@@ -377,7 +337,7 @@ impl TopKBuffer {
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, m: SimilarityMatch) {
+    fn push(&mut self, m: SimilarityMatch) {
         if self.k == 0 {
             return;
         }
@@ -388,15 +348,15 @@ impl TopKBuffer {
     }
 
     /// The k best hits seen, best first.
-    pub(crate) fn finish(mut self) -> Vec<SimilarityMatch> {
+    fn finish(mut self) -> Vec<SimilarityMatch> {
         select_top_k(&mut self.hits, self.k);
         self.hits
     }
 }
 
-/// Rows `start..start + rows` of the full matrix, lent row-major: the
-/// whole resident [`SeriesMatrix`] for the in-memory kernel, one band
-/// buffer for the out-of-core one.
+/// Rows `start..start + rows` of the full matrix, lent row-major: a band
+/// of the resident [`SeriesMatrix`], or a band buffer filled from a
+/// streamed source.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RowBlock<'a> {
     pub(crate) data: &'a [f64],
@@ -425,7 +385,7 @@ const BLOCK_COLS: usize = 2;
 /// as `(j, dot)` — the one-row scan: four candidate rows per
 /// [`dot_block`] call, the last one to three in one smaller call.
 #[inline]
-pub(crate) fn scan_rows(
+fn scan_rows(
     query: &[f64],
     block: RowBlock<'_>,
     rows: Range<usize>,
@@ -458,50 +418,34 @@ pub(crate) fn scan_rows(
     }
 }
 
-/// One worker's pair-scoring state: a bounded top-k buffer per query
-/// row of the full matrix, fed by [`PairScorer::score`] over whichever
-/// row blocks the caller has resident. Every tier of the similarity
-/// task — tiled in memory, banded out of core, sequential or one of
-/// many workers — is this struct plus a schedule of `score` calls that
-/// visits each unordered row pair exactly once.
-pub(crate) struct PairScorer<'a> {
+/// One worker's pair-scoring state: a bounded top-k buffer per slot,
+/// fed over whichever row blocks the similarity walk has lent. A slot is
+/// a row of the full matrix where every pair is scored
+/// ([`PairScorer::score`]), a query where only the queries' pairs are
+/// ([`PairScorer::score_queries`]).
+pub(crate) struct PairScorer {
     bufs: Vec<TopKBuffer>,
-    scaling: Option<&'a [f64]>,
     query_block: usize,
     pairs_scored: u64,
 }
 
-impl<'a> PairScorer<'a> {
-    /// Empty buffers for an `n`-row matrix. With `scaling` the lent rows
-    /// are raw and a pair scores `dot(a, b) * (scaling[i] *
-    /// scaling[j])`; without, rows are unit vectors and it scores `dot`.
-    ///
-    /// # Panics
-    /// Panics if `scaling` does not hold one inverse norm per row.
-    pub(crate) fn new(
-        n: usize,
-        k: usize,
-        cfg: &TileConfig,
-        scaling: Option<&'a [f64]>,
-    ) -> PairScorer<'a> {
-        if let Some(inv) = scaling {
-            assert_eq!(inv.len(), n, "one inverse norm per row");
-        }
+impl PairScorer {
+    /// Empty buffers for `slots` slots.
+    pub(crate) fn new(slots: usize, k: usize, cfg: &TileConfig) -> PairScorer {
         PairScorer {
-            bufs: (0..n).map(|_| TopKBuffer::new(k)).collect(),
-            scaling,
+            bufs: (0..slots).map(|_| TopKBuffer::new(k)).collect(),
             query_block: cfg.block(),
             pairs_scored: 0,
         }
     }
 
-    /// Score query rows `q` of block `a`, one query block at a time so
-    /// those rows stay hot in cache while the candidates stream past,
+    /// Score the rows of block `a`, one query block at a time so those
+    /// rows stay hot in cache while the candidates stream past,
     /// crediting each pair to both endpoints' buffers. Against
     /// `Some(b)`, a block disjoint from `a`, the candidates are all of
     /// `b`. Against `None` they are `a`'s own later rows: the pairs
     /// inside each query block first, then every row of `a` past it, so
-    /// that `q = 0..a.rows` scores each unordered pair of `a` once.
+    /// that each unordered pair of `a` is scored once.
     ///
     /// Pairs are scored in register blocks ([`dot_block`]) whose shape
     /// follows the SIMD tier, read once per call: under AVX-512, eight
@@ -512,11 +456,11 @@ impl<'a> PairScorer<'a> {
     /// Each pair's score is `dot`'s bit for bit whichever shape computes
     /// it, and the order pairs reach the buffers in is free (module
     /// docs).
-    pub(crate) fn score(&mut self, a: RowBlock<'_>, q: Range<usize>, b: Option<RowBlock<'_>>) {
+    pub(crate) fn score(&mut self, a: RowBlock<'_>, b: Option<RowBlock<'_>>) {
         let wide = active_tier() == SimdTier::Avx512;
-        let mut q0 = q.start;
-        while q0 < q.end {
-            let q1 = (q0 + self.query_block).min(q.end);
+        let mut q0 = 0;
+        while q0 < a.rows {
+            let q1 = (q0 + self.query_block).min(a.rows);
             let (candidates, first) = match b {
                 Some(b) => (b, 0),
                 None => {
@@ -591,20 +535,44 @@ impl<'a> PairScorer<'a> {
         });
     }
 
-    /// Push the pair of rows `gi`, `gj` of the full matrix, whose rows
-    /// as lent have dot product `dot`, to both endpoints' buffers.
+    /// Push the pair of rows `gi`, `gj` of the full matrix, whose dot
+    /// product is `score`, to both endpoints' buffers.
     #[inline]
-    fn credit(&mut self, gi: usize, gj: usize, dot: f64) {
-        let score = match self.scaling {
-            None => dot,
-            Some(inv) => dot * (inv[gi] * inv[gj]),
-        };
+    fn credit(&mut self, gi: usize, gj: usize, score: f64) {
         self.pairs_scored += 1;
         self.bufs[gi].push(SimilarityMatch { index: gj, score });
         self.bufs[gj].push(SimilarityMatch { index: gi, score });
     }
 
-    /// Per-query lists of the k best pairs scored, best first.
+    /// Each query row (`rows[s]`, row `queries[s]` of the full matrix)
+    /// against every row of `band` but its own, credited to the query's
+    /// slot only. Four candidate rows stay hot while every query passes
+    /// over them ([`scan_rows`]); a query skips its own row by scanning
+    /// around it.
+    pub(crate) fn score_queries(&mut self, queries: &[usize], rows: &[&[f64]], band: RowBlock<'_>) {
+        for j in (0..band.rows).step_by(4) {
+            let group = j..(j + 4).min(band.rows);
+            for (slot, (&q, query)) in queries.iter().zip(rows).enumerate() {
+                let own = q.wrapping_sub(band.start);
+                let parts = if group.contains(&own) {
+                    [group.start..own, own + 1..group.end]
+                } else {
+                    [group.clone(), group.end..group.end]
+                };
+                for part in parts {
+                    scan_rows(query, band, part, |c, score| {
+                        self.pairs_scored += 1;
+                        self.bufs[slot].push(SimilarityMatch {
+                            index: band.start + c,
+                            score,
+                        });
+                    });
+                }
+            }
+        }
+    }
+
+    /// Per-slot lists of the k best pairs scored, best first.
     pub(crate) fn finish(self) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
         let stats = KernelStats {
             pairs_scored: self.pairs_scored,
@@ -614,60 +582,34 @@ impl<'a> PairScorer<'a> {
     }
 }
 
-/// A claim closure handing out every unit `0..total` in order: the
-/// sequential kernels are one worker claiming everything.
-pub(crate) fn claim_all(total: usize) -> impl Fn() -> Option<usize> {
-    let units = RefCell::new(0..total);
-    move || units.borrow_mut().next()
-}
-
-/// One worker's share of the tiled kernel, and the in-memory form every
-/// other entry point reduces to: repeatedly claim a tile row from
-/// `claim` (e.g. an atomic counter shared across workers) and score it
-/// with the whole matrix lent as the one resident block, returning
-/// per-query partial top-k lists (each the exact k best of the pairs
-/// this worker scored) plus scoring stats.
-///
-/// Without `scaling`, rows of `m` are unit vectors and the output is
-/// bit-identical to [`crate::top_k_cosine`]. With it, rows are **raw**
-/// (see [`SeriesMatrix::from_rows_raw`]) and `scaling` holds
-/// [`SeriesMatrix::inverse_norms`]: the tolerance tier, within
-/// [`crate::simd::FUSED_REL_TOL`] of the exact scores.
+/// One worker's share of the in-memory all-pairs kernel: the similarity
+/// walk over `m` (unit rows), lent as bands of `cfg.query_block` rows,
+/// where each tile row `t` claimed from `claim` (e.g. an atomic counter
+/// shared across workers) is triangle row `t` of the band pairs: band
+/// `t` with itself and every later band. Returns per-query partial
+/// top-k lists (each the exact k best of the pairs this worker scored)
+/// plus scoring stats.
 ///
 /// Feed the partials of all workers to [`merge_partials`] to obtain the
 /// final answer; the claimed tile rows must partition `0..cfg.tile_rows(n)`
 /// across workers or pairs will be double-counted.
 ///
 /// # Panics
-/// Panics on a claimed tile row out of range, or if `scaling` does not
-/// hold one inverse norm per row.
-pub fn top_k_tiled_with(
-    m: &SeriesMatrix,
-    scaling: Option<&[f64]>,
-    k: usize,
-    cfg: &TileConfig,
-    claim: &dyn Fn() -> Option<usize>,
-) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    let n = m.rows();
-    let all = m.block();
-    let tiles = cfg.tile_rows(n);
-    let mut scorer = PairScorer::new(n, k, cfg, scaling);
-    while let Some(t) = claim() {
-        assert!(t < tiles, "tile row {t} out of range ({tiles})");
-        let q0 = t * cfg.block();
-        scorer.score(all, q0..(q0 + cfg.block()).min(n), None);
-    }
-    scorer.finish()
-}
-
-/// [`top_k_tiled_with`] over unit rows: one worker's exact partial.
+/// Panics on a claimed tile row out of range.
 pub fn top_k_tiled_partial(
     m: &SeriesMatrix,
     k: usize,
     cfg: &TileConfig,
     claim: &dyn Fn() -> Option<usize>,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    top_k_tiled_with(m, None, k, cfg, claim)
+    let tiles = cfg.tile_rows(m.rows());
+    let row = || {
+        let t = claim()?;
+        assert!(t < tiles, "tile row {t} out of range ({tiles})");
+        Some(triangle_row(tiles, t))
+    };
+    let Ok((partial, stats)) = similarity_walk(m, Pairs::All, k, cfg, Some(&row));
+    (partial, stats.kernel)
 }
 
 /// Merge per-worker partial top-k lists (from [`top_k_tiled_partial`])
@@ -694,8 +636,8 @@ pub fn merge_partials(
     out
 }
 
-/// The sequential tiled symmetric kernel — one worker claiming every
-/// tile row: for every row of `m` (unit vectors), the `k` most
+/// The sequential tiled symmetric kernel — one worker walking every band
+/// pair: for every row of `m` (unit vectors), the `k` most
 /// cosine-similar other rows, best first. Bit-identical to
 /// [`crate::top_k_cosine`] over the same normalized input.
 pub fn top_k_tiled(
@@ -703,22 +645,21 @@ pub fn top_k_tiled(
     k: usize,
     cfg: &TileConfig,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    top_k_tiled_partial(m, k, cfg, &claim_all(cfg.tile_rows(m.rows())))
+    let Ok((matches, stats)) = similarity_walk(m, Pairs::All, k, cfg, None);
+    (matches, stats.kernel)
 }
 
-/// Score query row `q` against every other row of `m` — the one-query
-/// kernel map-side joins use (no symmetry to exploit across partitions).
-/// Bit-identical to [`crate::top_k_normalized`] on the same data.
+/// Score query row `q` against every other row of `m` — the walk's
+/// query form, the one-query kernel map-side joins and the server use
+/// (no symmetry to exploit across partitions). Bit-identical to
+/// [`crate::top_k_normalized`] on the same data.
+///
+/// # Panics
+/// Panics if `q` is not a row of `m`.
 pub fn top_k_query(m: &SeriesMatrix, q: usize, k: usize) -> Vec<SimilarityMatch> {
-    let mut hits: Vec<SimilarityMatch> = Vec::with_capacity(m.rows().saturating_sub(1));
-    let query = m.row(q);
-    for others in [0..q, q + 1..m.rows()] {
-        scan_rows(query, m.block(), others, |index, score| {
-            hits.push(SimilarityMatch { index, score })
-        });
-    }
-    select_top_k(&mut hits, k);
-    hits
+    let cfg = TileConfig::current();
+    let Ok((mut hits, _)) = similarity_walk(m, Pairs::Queries(&[q]), k, &cfg, None);
+    hits.pop().unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -746,7 +687,7 @@ mod tests {
         // Several sizes, so the allocator hands back differently placed
         // blocks; a stride of whole cache lines keeps every row aligned.
         for (n, stride) in [(1usize, 8usize), (5, 16), (7, 24), (3, 8760)] {
-            let m = SeriesMatrix::from_rows_raw(&pseudo_series(n, stride, 3));
+            let m = SeriesMatrix::from_rows_normalized(&pseudo_series(n, stride, 3));
             for copy in [&m, &m.clone()] {
                 for i in 0..n {
                     assert_eq!(copy.row(i).as_ptr() as usize % MATRIX_ALIGN, 0, "row {i}");
@@ -754,14 +695,14 @@ mod tests {
             }
         }
         // Any other stride still starts the matrix on the boundary.
-        let m = SeriesMatrix::from_rows_raw(&pseudo_series(4, 13, 3));
+        let m = SeriesMatrix::from_rows_normalized(&pseudo_series(4, 13, 3));
         assert_eq!(m.row(0).as_ptr() as usize % MATRIX_ALIGN, 0);
     }
 
     #[test]
     fn equality_compares_rows_not_placement() {
         let rows = pseudo_series(6, 11, 9);
-        let m = SeriesMatrix::from_rows_raw(&rows);
+        let m = SeriesMatrix::from_rows_normalized(&rows);
         // Stale values in the spare cells around the rows are not part
         // of the matrix.
         let mut shifted = m.clone();
@@ -771,8 +712,11 @@ mod tests {
         assert_eq!(m, shifted);
         let mut other = rows.clone();
         other[5][10] += 1.0;
-        assert_ne!(m, SeriesMatrix::from_rows_raw(&other));
-        assert_ne!(m, SeriesMatrix::from_rows_raw(&pseudo_series(11, 6, 9)));
+        assert_ne!(m, SeriesMatrix::from_rows_normalized(&other));
+        assert_ne!(
+            m,
+            SeriesMatrix::from_rows_normalized(&pseudo_series(11, 6, 9))
+        );
     }
 
     #[test]
@@ -933,39 +877,5 @@ mod tests {
     fn kernel_stats_flops() {
         let s = KernelStats { pairs_scored: 10 };
         assert_eq!(s.flops(100), 2000);
-    }
-
-    #[test]
-    fn scaled_kernel_tracks_exact_within_tolerance() {
-        let rows = pseudo_series(17, 29, 77);
-        let exact_m = SeriesMatrix::from_rows_normalized(&rows);
-        let cfg = TileConfig::default();
-        let (exact, exact_stats) = top_k_tiled(&exact_m, 5, &cfg);
-        let raw = SeriesMatrix::from_rows_raw(&rows);
-        let inv = raw.inverse_norms();
-        let tiles = claim_all(cfg.tile_rows(raw.rows()));
-        let (fused, fused_stats) = top_k_tiled_with(&raw, Some(&inv), 5, &cfg, &tiles);
-        assert_eq!(exact_stats.pairs_scored, fused_stats.pairs_scored);
-        assert_eq!(exact.len(), fused.len());
-        for (a, b) in exact.iter().zip(&fused) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.index, y.index);
-                let tol = crate::simd::FUSED_REL_TOL * x.score.abs().max(1.0);
-                assert!((x.score - y.score).abs() <= tol);
-            }
-        }
-    }
-
-    #[test]
-    fn scaled_kernel_zero_rows_score_zero() {
-        let rows = vec![vec![0.0; 8], vec![1.0; 8], vec![2.0; 8]];
-        let raw = SeriesMatrix::from_rows_raw(&rows);
-        let inv = raw.inverse_norms();
-        assert_eq!(inv[0], 0.0);
-        let cfg = TileConfig::default();
-        let (fused, _) = top_k_tiled_with(&raw, Some(&inv), 2, &cfg, &claim_all(1));
-        assert!(fused[1].iter().all(|h| h.index != 0 || h.score == 0.0));
-        assert!(fused[0].iter().all(|h| h.score == 0.0));
     }
 }

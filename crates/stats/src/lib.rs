@@ -28,20 +28,18 @@ pub mod simd;
 pub mod similarity;
 #[cfg(test)]
 mod testutil;
+mod walk;
 
 pub use descriptive::{covariance, mean, pearson, population_variance, sample_variance, stddev};
 pub use histogram::{count_buckets, EquiWidthHistogram, HistogramSpec};
 pub use kernels::{
-    merge_partials, top_k_query, top_k_tiled, top_k_tiled_partial, top_k_tiled_with, KernelStats,
-    SeriesMatrix, SeriesMatrixBuilder, TileConfig,
+    merge_partials, top_k_query, top_k_tiled, top_k_tiled_partial, KernelStats, SeriesMatrix,
+    SeriesMatrixBuilder, TileConfig,
 };
 pub use kmeans::{KMeans, KMeansConfig};
 pub use linalg::Matrix;
 pub use online::OnlineStats;
-pub use oooc::{
-    band_count, band_pair_count, oooc_inverse_norms, top_k_oooc, top_k_oooc_partial,
-    top_k_oooc_queries, OoocStats, SeriesSource, SliceSource, DEFAULT_BAND_ROWS,
-};
+pub use oooc::{top_k_oooc, OoocStats, SeriesSource, SliceSource, DEFAULT_BAND_ROWS};
 pub use quantile::{
     from_ordered_key, ordered_key, quantile, quantile_sorted, quantiles_by_selection,
     quantiles_sorted,
@@ -53,10 +51,11 @@ pub use scratch::{
     ScratchFit, SegmentSums, SCRATCH_MAX_COLS,
 };
 pub use simd::{
-    avx2_supported, axpy, dot_avx2, dot_block, force_tier, sumsq4, under_every_tier,
-    KernelDispatch, SimdTier, FUSED_REL_TOL,
+    avx2_supported, axpy, dot_avx2, dot_block, force_tier, under_every_tier, KernelDispatch,
+    SimdTier,
 };
 pub use similarity::{
     cosine_similarity, dot, dot_scalar, norm2, norm2_rows, normalize_all, select_top_k, sumsq,
     top_k_cosine, top_k_normalized, SimilarityMatch,
 };
+pub use walk::{band_count, band_pair_count, similarity_walk, Pairs, Streamed};

@@ -2,38 +2,26 @@
 //! under [`dot`](crate::dot), the tiled similarity sweep, and the
 //! normal-equation gram accumulation.
 //!
-//! # Two equivalence tiers
+//! # Bit-exact lanes
 //!
 //! Float addition is not associative, so "vectorize it" is not a free
 //! move: any kernel that changes the order in which partial sums are
 //! combined changes the answer's low bits, and the whole workspace's
-//! cross-platform story is built on `f64::to_bits` equality. The module
-//! therefore splits its kernels into two tiers (DESIGN.md §14):
-//!
-//! * **Lane-preserving (bit-exact).** [`dot_avx2`], [`dot_block`] and
-//!   [`axpy`] map the reference kernel's independent accumulators onto
-//!   vector lanes one-for-one: lane *j* sees exactly the additions
-//!   scalar accumulator *j* saw, in the same order, and the final
-//!   reduction reuses the scalar tree (`((a0+a1)+(a2+a3)) + tail`). No
-//!   FMA — a fused multiply-add rounds once where the reference rounds
-//!   twice. Width is free where fusion is not: the AVX-512 block keeps
-//!   *two pairs'* four lanes in one `zmm`, and each half still performs
-//!   its pair's operations and nothing else. [`lagged_moments`] and
-//!   [`lagged_residuals`] — the PAR fit's two passes — are the same idea
-//!   with nothing to reduce: a lane *is* one hour's scalar accumulator.
-//!   These kernels are **bit-identical** to their scalar references on
-//!   every input and are pinned by proptests and `smda-bench --check
-//!   kernels,simd,fits`.
-//! * **Fused (tolerance-gated).** [`sumsq4`] *as a replacement for* the
-//!   canonical single-chain [`sumsq`](crate::similarity::sumsq), and
-//!   scaled scoring (score raw rows and fold the two inverse norms into
-//!   one post-multiply, `dot · (inv‖a‖ · inv‖b‖)`, instead of the
-//!   2 × 8760 per-element divisions of pre-normalizing the matrix) change
-//!   summation order or rounding-step count. They run only where a
-//!   caller passes a `scaling` vector to the similarity kernels
-//!   ([`crate::top_k_tiled_with`], [`crate::top_k_oooc_partial`]) — no
-//!   engine does — and are gated by `smda-bench --check simd` against
-//!   the scalar reference at relative error ≤ [`FUSED_REL_TOL`].
+//! cross-platform story is built on `f64::to_bits` equality. Every
+//! kernel here is therefore **lane-preserving** (DESIGN.md §14):
+//! [`dot_avx2`], [`dot_block`] and [`axpy`] map the reference kernel's
+//! independent accumulators onto vector lanes one-for-one: lane *j* sees
+//! exactly the additions scalar accumulator *j* saw, in the same order,
+//! and the final reduction reuses the scalar tree
+//! (`((a0+a1)+(a2+a3)) + tail`). No FMA — a fused multiply-add rounds
+//! once where the reference rounds twice. Width is free where fusion is
+//! not: the AVX-512 block keeps *two pairs'* four lanes in one `zmm`, and
+//! each half still performs its pair's operations and nothing else.
+//! [`lagged_moments`] and [`lagged_residuals`] — the PAR fit's two
+//! passes — are the same idea with nothing to reduce: a lane *is* one
+//! hour's scalar accumulator. These kernels are **bit-identical** to
+//! their scalar references on every input and are pinned by proptests
+//! and `smda-bench --check kernels,simd,fits`.
 //!
 //! # Dispatch
 //!
@@ -43,9 +31,9 @@
 //! `zmm`); every other kernel asks only [`avx2_active`]. It is detected
 //! once (`is_x86_feature_detected!`, which for `avx512f` also checks
 //! that the OS saves `zmm` state) and every hot entry point —
-//! [`crate::dot`], [`dot_block`], [`axpy`], [`sumsq4`],
-//! [`lagged_moments`], [`lagged_residuals`] — consults the cached tier
-//! with a single relaxed atomic load before a year-long loop. All five
+//! [`crate::dot`], [`dot_block`], [`axpy`], [`lagged_moments`],
+//! [`lagged_residuals`] — consults the cached tier with a single relaxed
+//! atomic load before a year-long loop. All five
 //! platforms share these entry points (the naive scan, the tiled kernel,
 //! Hive's reduce-side join and Spark's broadcast join all call
 //! [`crate::dot`]; the fitting engines reach [`axpy`] and the lagged
@@ -61,13 +49,6 @@ use std::sync::{Mutex, MutexGuard};
 use smda_types::HOURS_PER_DAY;
 
 use crate::similarity::dot_scalar;
-
-/// Relative error allowed between a fused-tier kernel and its scalar
-/// reference (`|fused - scalar| <= FUSED_REL_TOL * max(|scalar|, 1)`).
-/// Reassociating ~8760-term sums of O(1) values moves the result by a
-/// few ULPs (~1e-16 relative); 1e-12 leaves four orders of magnitude of
-/// headroom while still catching any real kernel defect.
-pub const FUSED_REL_TOL: f64 = 1e-12;
 
 /// Which implementation family the dispatched kernels run. Ordered by
 /// width: a tier runs every kernel of the tiers below it that it does
@@ -869,19 +850,6 @@ unsafe fn lagged_residuals_lanes<V: Lanes>(
     (sse.store(), syy.store())
 }
 
-/// Four-accumulator sum of squares — the *wide* variant of the canonical
-/// single-chain [`sumsq`](crate::similarity::sumsq): `dot(v, v)`, lane
-/// for lane. Deterministic on every machine (every tier's `dot` is
-/// bit-identical), but **not** bit-equal to the canonical chain, so it
-/// only serves the tolerance tier; callers on the exact path must use
-/// [`sumsq`](crate::similarity::sumsq).
-///
-/// Used by the fused scoring path to fold row norms without a
-/// pre-normalization pass.
-pub fn sumsq4(v: &[f64]) -> f64 {
-    dot_dispatch(v, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1004,7 +972,7 @@ mod tests {
         under_every_tier(|tier| {
             assert_eq!(active_tier(), tier);
             assert_eq!(KernelDispatch::current().tier, tier);
-            // dot, axpy, sumsq4, lagged_moments, lagged_residuals, and
+            // dot, axpy, lagged_moments, lagged_residuals, and
             // every dot_block that is not wide.
             assert_eq!(avx2_active(), tier != SimdTier::Scalar, "{tier:?}");
         });
@@ -1124,25 +1092,6 @@ mod tests {
                 assert_eq!(scalar.1[lane].to_bits(), avx2.1[lane].to_bits(), "syy");
             }
         }
-    }
-
-    #[test]
-    fn sumsq4_bodies_agree_bitwise() {
-        under_every_tier(|tier| {
-            for len in [0usize, 1, 4, 7, 63, 8760] {
-                let v = series(len, 21);
-                let wide = sumsq4(&v);
-                assert_eq!(
-                    wide.to_bits(),
-                    dot_scalar(&v, &v).to_bits(),
-                    "{tier:?} sumsq4 left the scalar four-lane sum at len={len}"
-                );
-                // Wide vs canonical chain: equal in value terms, not bits.
-                let canon = crate::similarity::sumsq(&v);
-                let tol = FUSED_REL_TOL * canon.abs().max(1.0);
-                assert!((wide - canon).abs() <= tol, "len={len}");
-            }
-        });
     }
 
     #[test]

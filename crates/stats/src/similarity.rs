@@ -5,9 +5,7 @@
 /// module's [`norm2`], the matrix builder's row normalization, the
 /// Hive/Spark sides — must flow through this single entry point so the
 /// question "what is ‖v‖²?" has exactly one bit pattern as its answer.
-/// ([`norm2_rows`] runs this very chain for eight rows side by side;
-/// the SIMD layer's wide [`sumsq4`](crate::simd::sumsq4) reassociates
-/// it and is tolerance-tier only.)
+/// ([`norm2_rows`] runs this very chain for eight rows side by side.)
 pub fn sumsq(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>()
 }

@@ -64,6 +64,19 @@ sorts=$(git grep -lF '(r.consumer, r.hour)' -- 'crates/*/src/*.rs' || true)
 echo "row parsers outside crates/types: ${parsers:-none}; the (consumer, hour) sort: ${sorts:-nowhere}"
 [ -z "$parsers" ] && [ "$sorts" = "crates/types/src/formats.rs" ]
 
+# ROADMAP 3, done and kept done: every top-k is one band-pair walk
+# (crates/stats/src/walk.rs), the only code that builds the pair scorer,
+# and the parallel entry points and the tolerance tier it replaced stay
+# deleted.
+echo "== one similarity walk =="
+scorers=$(git grep -n 'PairScorer::new(' -- 'crates/*/src/*.rs' || true)
+echo "PairScorer::new( at: ${scorers:-nowhere}"
+[ "$(grep -c . <<<"$scorers")" -eq 1 ]
+if git grep -nwE 'top_k_tiled_with|top_k_matrix_with|top_k_oooc_partial|top_k_oooc_queries|oooc_inverse_norms|sumsq4|FUSED_REL_TOL' -- crates; then
+    echo "crates/ names a deleted similarity entry point or the tolerance tier again" >&2
+    exit 1
+fi
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets
 
