@@ -22,6 +22,8 @@ pub struct CountingAlloc;
 // SAFETY: delegates entirely to `System`; only the counters are added.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, the
+        // one `System.alloc` asks for.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             TOTAL.fetch_add(layout.size(), Ordering::Relaxed);
@@ -32,11 +34,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `alloc`; `ptr` came from `System` through `alloc`.
         unsafe { System.dealloc(ptr, layout) };
         CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as in `dealloc`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             // A grow costs new bytes; a shrink allocates nothing new.
@@ -121,6 +125,6 @@ mod tests {
         let _ = current_bytes();
         let _ = peak_bytes();
         reset_peak();
-        assert!(peak_bytes() >= 0usize.min(current_bytes()));
+        assert!(peak_bytes() >= current_bytes());
     }
 }

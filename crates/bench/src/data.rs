@@ -17,8 +17,10 @@ use smda_types::{
 /// Deterministic master seed for all experiment data.
 pub const BENCH_SEED: u64 = 20150323; // EDBT 2015, March 23
 
-fn cache() -> &'static Mutex<HashMap<(&'static str, usize), Arc<Dataset>>> {
-    static CACHE: OnceLock<Mutex<HashMap<(&'static str, usize), Arc<Dataset>>>> = OnceLock::new();
+type Cache = Mutex<HashMap<(&'static str, usize), Arc<Dataset>>>;
+
+fn cache() -> &'static Cache {
+    static CACHE: OnceLock<Cache> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 

@@ -39,8 +39,7 @@ mod tests {
             let t = tables.iter().find(|t| t.id == id).unwrap();
             t.rows
                 .iter()
-                .filter(|r| r[1] == "Hive")
-                .last()
+                .rfind(|r| r[1] == "Hive")
                 .map(|r| r[2].parse().unwrap())
                 .expect("row present")
         };

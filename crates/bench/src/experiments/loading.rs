@@ -45,7 +45,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
     // Matlab: the cost of splitting into per-consumer files.
     let start = Instant::now();
-    FileStore::create(&scratch.path("matlab"), &ds, FileLayout::Partitioned)
+    FileStore::create(scratch.path("matlab"), &ds, FileLayout::Partitioned)
         .expect("file store is writable");
     t.row(vec!["Matlab".into(), "part.".into(), secs(start.elapsed())]);
 

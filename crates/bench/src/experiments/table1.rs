@@ -19,7 +19,8 @@ pub fn run(_scale: Scale) -> Vec<Table> {
         Capabilities::spark(),
         Capabilities::hive(),
     ];
-    let rows: [(&str, fn(&Capabilities) -> smda_engines::Support); 4] = [
+    type Column = fn(&Capabilities) -> smda_engines::Support;
+    let rows: [(&str, Column); 4] = [
         ("Histogram", |c| c.histogram),
         ("Quantiles", |c| c.quantiles),
         ("Regression", |c| c.regression),

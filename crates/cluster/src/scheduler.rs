@@ -399,10 +399,8 @@ impl VirtualScheduler {
                 }
                 let choice = match choice {
                     Some(c) => c,
-                    None => match pending.iter().position(|p| p.not_before <= t0) {
-                        Some(c) => c,
-                        None => 0, // unreachable: min_nb <= t0 by construction
-                    },
+                    // `None` is unreachable: min_nb <= t0 by construction.
+                    None => pending.iter().position(|p| p.not_before <= t0).unwrap_or(0),
                 };
                 let entry = pending.swap_remove(choice);
                 let node = self.node_of_slot(slot);

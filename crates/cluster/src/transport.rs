@@ -366,11 +366,10 @@ impl Endpoint {
     /// no retry. Returns the raw response payload.
     pub fn probe(&self, request: &[u8]) -> Result<Vec<u8>> {
         let deadline = self.config.heartbeat_interval.max(Duration::from_millis(1)) * 4;
-        self.attempt(request, deadline).map_err(|e| {
-            if is_timeout(&e) {
+        self.attempt(request, deadline).inspect_err(|e| {
+            if is_timeout(e) {
                 self.metrics.incr(counters::TRANSPORT_TIMEOUTS, 1);
             }
-            e
         })
     }
 }

@@ -70,7 +70,7 @@ proptest! {
                 ..
             }) => {
                 prop_assert_eq!(len, u64::from(huge));
-                prop_assert_eq!(max, MAX_FRAME_BYTES as u64);
+                prop_assert_eq!(max, MAX_FRAME_BYTES);
             }
             other => panic!("want an Oversized defect, got {other:?}"),
         }

@@ -64,7 +64,10 @@ mod tests {
     use super::*;
     use smda_types::{ConsumerSeries, TemperatureSeries, HOURS_PER_YEAR};
 
-    fn dataset_with_patterns(patterns: &[(u32, fn(usize) -> f64)]) -> Dataset {
+    /// A consumer id and its reading at each hour.
+    type Pattern = (u32, fn(usize) -> f64);
+
+    fn dataset_with_patterns(patterns: &[Pattern]) -> Dataset {
         let temp = TemperatureSeries::new(vec![0.0; HOURS_PER_YEAR]).unwrap();
         let consumers = patterns
             .iter()

@@ -160,7 +160,11 @@ impl TaskOutput {
 /// The per-consumer result of one of the three parallelizable tasks —
 /// the unit cluster engines shuffle and emit. A series too degenerate for
 /// a 3-line fit has *no* result; there is no empty one.
+///
+/// `ThreeLine` stays unboxed though it is the largest variant: boxing it
+/// would add one allocation per consumer to the 3-line path.
 #[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)]
 pub enum ConsumerResult {
     /// A Section 3.1 histogram.
     Histogram(ConsumerHistogram),

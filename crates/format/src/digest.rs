@@ -147,7 +147,7 @@ impl Digest {
     /// far. Does not consume the state: more bytes may follow.
     pub fn finish(&self) -> u64 {
         let mut lanes = self.lanes;
-        if self.total % STRIPE as u64 > 0 {
+        if !self.total.is_multiple_of(STRIPE as u64) {
             absorb(&mut lanes, &self.pending);
         }
         let mut h = lanes.iter().fold(self.total, |h, &lane| step(h, lane));

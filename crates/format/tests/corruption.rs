@@ -33,7 +33,7 @@ fn reading(seed: u64, i: u64) -> f64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     // Keep values finite and non-negative; mix smooth and spiky.
-    if z % 3 == 0 {
+    if z.is_multiple_of(3) {
         (z % 1000) as f64 * 0.25
     } else {
         (z % 100_000) as f64 / 997.0

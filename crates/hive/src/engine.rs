@@ -71,6 +71,10 @@ const RESULT_BYTES: u64 = 64;
 /// Modeled bytes of one assembled series (id + 8760 doubles).
 const SERIES_BYTES: u64 = 8 + HOURS_PER_YEAR as u64 * 8;
 
+/// A household's index and its normalized series, as the similarity
+/// self-join ships it.
+type Indexed = (usize, Arc<Vec<f64>>);
+
 /// One per-household job: what to do with a household's year (a parsed
 /// row under format 2), and the modeled sizes of what it moves.
 struct HouseholdJob<'a, O> {
@@ -314,8 +318,7 @@ impl HiveEngine {
             inputs,
             // Map: replicate every series to every reduce partition (the
             // reduce-side join's data explosion).
-            &move |chunk: &Vec<(usize, Arc<Vec<f64>>)>,
-                   emit: &mut Vec<(u64, (usize, Arc<Vec<f64>>))>| {
+            &move |chunk: &Vec<Indexed>, emit: &mut Vec<(u64, Indexed)>| {
                 for (i, v) in chunk {
                     for r in 0..reduce_tasks as u64 {
                         emit.push((r, (*i, v.clone())));
@@ -602,8 +605,10 @@ mod tests {
     fn losing_every_replica_fails_the_load_with_a_typed_error() {
         let ds = tiny(3);
         let mut hive = engine(3);
-        let mut plan = FaultPlan::default();
-        plan.replica_losses = usize::MAX; // drain the DFS completely
+        let plan = FaultPlan {
+            replica_losses: usize::MAX, // drain the DFS completely
+            ..FaultPlan::default()
+        };
         let spec = RunSpec::builder(Task::Histogram).fault_plan(plan).build();
         match hive.load_observed(&ds, DataFormat::ReadingPerLine, &spec) {
             Err(Error::BlockUnavailable { .. }) => {}
@@ -616,9 +621,11 @@ mod tests {
         let ds = tiny(3);
         let mut hive = engine(3);
         let sink = MetricsSink::recording();
-        let mut plan = FaultPlan::default();
-        plan.replica_losses = 4;
-        plan.re_replicate = true;
+        let plan = FaultPlan {
+            replica_losses: 4,
+            re_replicate: true,
+            ..FaultPlan::default()
+        };
         let spec = RunSpec::builder(Task::Histogram)
             .metrics(sink.clone())
             .fault_plan(plan)

@@ -472,8 +472,10 @@ mod tests {
     fn losing_every_replica_fails_the_load_with_a_typed_error() {
         let ds = tiny(3);
         let mut spark = engine(3);
-        let mut plan = FaultPlan::default();
-        plan.replica_losses = usize::MAX;
+        let plan = FaultPlan {
+            replica_losses: usize::MAX,
+            ..FaultPlan::default()
+        };
         let spec = RunSpec::builder(Task::Histogram).fault_plan(plan).build();
         match spark.load_observed(&ds, DataFormat::ReadingPerLine, &spec) {
             Err(Error::BlockUnavailable { .. }) => {}

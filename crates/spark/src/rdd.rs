@@ -511,10 +511,10 @@ where
         let total_shuffle: u64 = bucket_bytes.iter().sum();
         self.ctx.inner.state.lock().stats.shuffle_bytes += total_shuffle;
 
-        let data: Vec<Arc<Vec<(K, Vec<V>)>>> = buckets
+        let data = buckets
             .into_iter()
             .map(|b| Arc::new(b.into_iter().collect::<Vec<_>>()))
-            .collect();
+            .collect::<Vec<_>>();
         let data = Arc::new(data);
         let data_for_compute = data.clone();
         Rdd {

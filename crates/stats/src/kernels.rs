@@ -867,9 +867,10 @@ mod tests {
         let rows = pseudo_series(12, 17, 11);
         let m = SeriesMatrix::from_rows_normalized(&rows);
         let (tiled, _) = top_k_tiled(&m, 5, &TileConfig::default());
-        for q in 0..m.rows() {
+        assert_eq!(tiled.len(), m.rows());
+        for (q, want) in tiled.iter().enumerate() {
             let one = top_k_query(&m, q, 5);
-            assert_bit_identical(std::slice::from_ref(&tiled[q]), std::slice::from_ref(&one));
+            assert_bit_identical(std::slice::from_ref(want), std::slice::from_ref(&one));
         }
     }
 

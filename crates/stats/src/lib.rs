@@ -50,10 +50,7 @@ pub use scratch::{
     with_fit_scratch, BinPlan, CurveBuffer, FitScratch, GatheredBins, HourlyFit, NormalEq,
     ScratchFit, SegmentSums, SCRATCH_MAX_COLS,
 };
-pub use simd::{
-    avx2_supported, axpy, dot_avx2, dot_block, force_tier, under_every_tier, KernelDispatch,
-    SimdTier,
-};
+pub use simd::{axpy, dot_block, force_tier, under_every_tier, SimdTier};
 pub use similarity::{
     cosine_similarity, dot, dot_scalar, norm2, norm2_rows, normalize_all, select_top_k, sumsq,
     top_k_cosine, top_k_normalized, SimilarityMatch,

@@ -563,7 +563,7 @@ impl NormalEq {
     ) -> Option<ScratchFit> {
         assert_eq!(y.len(), rows, "y length must equal design rows");
         assert!(
-            cols >= 1 && cols <= SCRATCH_MAX_COLS,
+            (1..=SCRATCH_MAX_COLS).contains(&cols),
             "cols must be in 1..={SCRATCH_MAX_COLS}"
         );
         if rows < cols {

@@ -9,42 +9,39 @@
 //! combined changes the answer's low bits, and the whole workspace's
 //! cross-platform story is built on `f64::to_bits` equality. Every
 //! kernel here is therefore **lane-preserving** (DESIGN.md §14):
-//! [`dot_avx2`], [`dot_block`] and [`axpy`] map the reference kernel's
-//! independent accumulators onto vector lanes one-for-one: lane *j* sees
-//! exactly the additions scalar accumulator *j* saw, in the same order,
-//! and the final reduction reuses the scalar tree
-//! (`((a0+a1)+(a2+a3)) + tail`). No FMA — a fused multiply-add rounds
-//! once where the reference rounds twice. Width is free where fusion is
-//! not: the AVX-512 block keeps *two pairs'* four lanes in one `zmm`, and
-//! each half still performs its pair's operations and nothing else.
-//! [`lagged_moments`] and [`lagged_residuals`] — the PAR fit's two
-//! passes — are the same idea with nothing to reduce: a lane *is* one
-//! hour's scalar accumulator. These kernels are **bit-identical** to
-//! their scalar references on every input and are pinned by proptests
-//! and `smda-bench --check kernels,simd,fits`.
+//! [`dot_block`] (of which [`crate::dot`] is the 1 × 1 instance) and
+//! [`axpy`] map the reference kernel's independent accumulators onto
+//! vector lanes one-for-one, and the final reduction reuses the scalar
+//! tree (`((a0+a1)+(a2+a3)) + tail`). No FMA — a fused multiply-add
+//! rounds once where the reference rounds twice. [`lagged_moments`] and
+//! [`lagged_residuals`] — the PAR fit's two passes — are the same idea
+//! with nothing to reduce: a lane *is* one hour's scalar accumulator.
+//! Every kernel is one generic loop nest over one lane vocabulary, and
+//! each tier is an instantiation of it; all are **bit-identical** to
+//! their scalar references, pinned by proptests and
+//! `smda-bench --check kernels,simd,fits`.
 //!
 //! # Dispatch
 //!
-//! One process-global tier ([`KernelDispatch`] snapshots it) decides
-//! what runs: scalar, AVX2, or AVX-512 — which is the AVX2 tier with the
-//! pair sweep's register block widened ([`WIDE_ROWS`] × [`WIDE_COLS`] on
-//! `zmm`); every other kernel asks only [`avx2_active`]. It is detected
-//! once (`is_x86_feature_detected!`, which for `avx512f` also checks
-//! that the OS saves `zmm` state) and every hot entry point —
-//! [`crate::dot`], [`dot_block`], [`axpy`], [`lagged_moments`],
-//! [`lagged_residuals`] — consults the cached tier with a single relaxed
-//! atomic load before a year-long loop. All five
-//! platforms share these entry points (the naive scan, the tiled kernel,
-//! Hive's reduce-side join and Spark's broadcast join all call
-//! [`crate::dot`]; the fitting engines reach [`axpy`] and the lagged
-//! kernels through [`NormalEq`](crate::NormalEq)), so there is exactly
-//! one place where scalar-vs-SIMD is decided. Tests pin the tier with
-//! [`force_tier`] or walk every tier with [`under_every_tier`]; forcing
-//! a tier the hardware lacks clamps to the widest one it has rather than
-//! faulting.
+//! One process-global tier ([`active_tier`]) decides what runs: scalar,
+//! AVX2, or AVX-512 — the AVX2 tier with the pair sweep's register block
+//! widened to [`WIDE_ROWS`] × [`WIDE_COLS`] on `zmm`. It is detected once
+//! (`is_x86_feature_detected!`, which for `avx512f` also checks that the
+//! OS saves `zmm` state), and every entry point reads it with one relaxed
+//! atomic load before a year-long loop, so there is exactly one place
+//! where scalar-vs-SIMD is decided. What the tier hands out is a
+//! zero-sized token per vector tier, the only proof the `#[target_feature]`
+//! frames and the lane methods accept: those methods are safe, and
+//! `unsafe` is left at the calls into the frames, the intrinsics inside
+//! the methods, and the block kernel's one pointer cast. Tests pin the
+//! tier with [`force_tier`] or walk every tier with [`under_every_tier`];
+//! forcing a tier the hardware lacks clamps to the widest one it has.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
+
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
 use smda_types::HOURS_PER_DAY;
 
@@ -52,8 +49,8 @@ use crate::similarity::dot_scalar;
 
 /// Which implementation family the dispatched kernels run. Ordered by
 /// width: a tier runs every kernel of the tiers below it that it does
-/// not widen, so dispatch sites ask "at least" ([`avx2_active`]), never
-/// "exactly".
+/// not widen, so it hands out their tokens too; a kernel asks for the
+/// token of its vocabulary, never for an exact tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// The fixed-order scalar reference kernels.
@@ -81,29 +78,8 @@ impl SimdTier {
     }
 }
 
-/// The process-wide kernel-dispatch configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelDispatch {
-    /// Active implementation tier for the lane-preserving kernels.
-    pub tier: SimdTier,
-}
-
-impl KernelDispatch {
-    /// Snapshot the active dispatch configuration.
-    pub fn current() -> KernelDispatch {
-        KernelDispatch {
-            tier: active_tier(),
-        }
-    }
-}
-
 /// 0 = undetected, 1 = scalar, 2 = AVX2, 3 = AVX-512.
 static TIER: AtomicU8 = AtomicU8::new(0);
-
-/// Whether this CPU supports the AVX2 kernels.
-pub fn avx2_supported() -> bool {
-    detect() >= SimdTier::Avx2
-}
 
 /// The widest tier this CPU (and, for `zmm` state, this OS) runs. The
 /// AVX-512 tier also runs the AVX2 kernels, so it asks for both.
@@ -131,13 +107,6 @@ pub fn active_tier() -> SimdTier {
             active_tier()
         }
     }
-}
-
-/// Whether the active tier runs the `ymm` kernels — the one question
-/// every kernel but the pair sweep's wide block asks of the tier.
-#[inline]
-pub fn avx2_active() -> bool {
-    active_tier() >= SimdTier::Avx2
 }
 
 /// Force the lane-preserving tier (tests, experiments, the forced
@@ -177,40 +146,260 @@ pub fn under_every_tier(mut body: impl FnMut(SimdTier)) {
     force_tier(previous);
 }
 
-/// Dispatched dot product: AVX2 lane-preserving kernel when active,
-/// scalar reference otherwise. Bit-identical either way — this is the
-/// body of the canonical [`crate::dot`].
-#[inline]
-pub(crate) fn dot_dispatch(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
-        // SAFETY: `active_tier` only reports AVX2 or wider when the CPU
-        // has it (detection, and `force_tier` clamps); the caller checked
-        // that both rows hold `a.len()` elements.
-        let [[dot]] = unsafe { dot_block_avx2([a], [b], a.len()) };
-        return dot;
+/// The tier tokens, in a module of their own so that only [`active_tokens`] makes them.
+#[cfg(target_arch = "x86_64")]
+mod tokens {
+    use super::{active_tier, SimdTier};
+
+    /// Proof that this CPU runs AVX2, and the lane vocabulary on `ymm`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx2(());
+
+    /// Proof that this CPU runs AVX-512F and AVX2 (the tier asks for
+    /// both), and the lane vocabulary on `zmm`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx512(());
+
+    /// The tokens the active tier hands out, from one read of it. Taken
+    /// from the tier, not from detection ([`active_tier`] reports a vector
+    /// tier only where detection found it: [`super::force_tier`] clamps),
+    /// so that a forced scalar tier takes them away.
+    #[inline]
+    pub(super) fn active_tokens() -> (Option<Avx2>, Option<Avx512>) {
+        let tier = active_tier();
+        let avx2 = (tier >= SimdTier::Avx2).then_some(Avx2(()));
+        (avx2, (tier == SimdTier::Avx512).then_some(Avx512(())))
     }
-    dot_scalar(a, b)
 }
 
-/// The lane-preserving AVX2 dot product, when this CPU supports it.
-/// Returns `None` without AVX2. Bit-identical to
-/// [`dot_scalar`] on every input: lane
-/// *j* accumulates exactly the products scalar accumulator *j* does, in
-/// the same order, and the reduction tree is the scalar one.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn dot_avx2(a: &[f64], b: &[f64]) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_supported() {
-        // SAFETY: AVX2 presence and the equal lengths just checked.
-        let [[dot]] = unsafe { dot_block_avx2([a], [b], a.len()) };
-        return Some(dot);
+#[cfg(target_arch = "x86_64")]
+use tokens::{active_tokens, Avx2, Avx512};
+
+/// The portable lane vocabulary: `N` lanes in an array, which any CPU runs.
+#[derive(Clone, Copy)]
+struct Portable<const N: usize>;
+
+/// Element-wise IEEE arithmetic on `WIDTH` `f64` lanes — the one
+/// vocabulary every kernel of this module is written in, so a tier is
+/// an instantiation of the *same* loop nest. It is implemented by what
+/// proves that its instructions may run: [`Portable`] needs no proof, and
+/// the tier tokens [`Avx2`] (four lanes in a `__m256d`) and [`Avx512`]
+/// (eight in a `__m512d`) exist only where the CPU runs them, so every
+/// method is safe. Every operation rounds separately (no FMA), so a lane
+/// holds the same bits whichever vocabulary computed it.
+trait Lanes: Copy {
+    /// Lanes per vector.
+    const WIDTH: usize;
+    /// One vector of `WIDTH` lanes.
+    type Vector: Copy;
+    /// `[f64; WIDTH]`: what a load reads and a store writes.
+    type Array;
+    fn splat(self, x: f64) -> Self::Vector;
+    fn load(self, src: &Self::Array) -> Self::Vector;
+    fn add(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
+    fn sub(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
+    fn mul(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
+    /// `v` in the lanes where `gate != 0.0` (a NaN gate counts as
+    /// non-zero, as `gate == 0.0` is false for it), `+0.0` in the rest.
+    fn zeroed_where_zero(self, v: Self::Vector, gate: Self::Vector) -> Self::Vector;
+    fn store(self, v: Self::Vector) -> Self::Array;
+
+    /// `+0.0` in every lane.
+    #[inline(always)]
+    fn zero(self) -> Self::Vector {
+        self.splat(0.0)
     }
-    None
+}
+
+impl<const N: usize> Lanes for Portable<N> {
+    const WIDTH: usize = N;
+    type Vector = [f64; N];
+    type Array = [f64; N];
+    #[inline(always)]
+    fn splat(self, x: f64) -> [f64; N] {
+        [x; N]
+    }
+    #[inline(always)]
+    fn load(self, src: &[f64; N]) -> [f64; N] {
+        *src
+    }
+    #[inline(always)]
+    fn add(self, a: [f64; N], b: [f64; N]) -> [f64; N] {
+        std::array::from_fn(|l| a[l] + b[l])
+    }
+    #[inline(always)]
+    fn sub(self, a: [f64; N], b: [f64; N]) -> [f64; N] {
+        std::array::from_fn(|l| a[l] - b[l])
+    }
+    #[inline(always)]
+    fn mul(self, a: [f64; N], b: [f64; N]) -> [f64; N] {
+        std::array::from_fn(|l| a[l] * b[l])
+    }
+    #[inline(always)]
+    fn zeroed_where_zero(self, v: [f64; N], gate: [f64; N]) -> [f64; N] {
+        std::array::from_fn(|l| if gate[l] == 0.0 { 0.0 } else { v[l] })
+    }
+    #[inline(always)]
+    fn store(self, v: [f64; N]) -> [f64; N] {
+        v
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx2 {
+    const WIDTH: usize = 4;
+    type Vector = __m256d;
+    type Array = [f64; 4];
+    #[inline(always)]
+    fn splat(self, x: f64) -> __m256d {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_set1_pd(x) }
+    }
+    #[inline(always)]
+    fn load(self, src: &[f64; 4]) -> __m256d {
+        // SAFETY: `self` is the `Avx2` token; the load reads exactly the
+        // four `f64` of `src`.
+        unsafe { _mm256_loadu_pd(src.as_ptr()) }
+    }
+    #[inline(always)]
+    fn add(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_add_pd(a, b) }
+    }
+    #[inline(always)]
+    fn sub(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_sub_pd(a, b) }
+    }
+    #[inline(always)]
+    fn mul(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_mul_pd(a, b) }
+    }
+    #[inline(always)]
+    fn zeroed_where_zero(self, v: __m256d, gate: __m256d) -> __m256d {
+        // NEQ_UQ is all-ones for `gate != 0.0` *or unordered*: the exact
+        // complement of the scalar `gate == 0.0`.
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_and_pd(v, _mm256_cmp_pd::<_CMP_NEQ_UQ>(gate, _mm256_setzero_pd())) }
+    }
+    #[inline(always)]
+    fn store(self, v: __m256d) -> [f64; 4] {
+        let mut out = [0.0f64; 4];
+        // SAFETY: `self` is the `Avx2` token; the store writes exactly the
+        // four `f64` of `out`.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
+        out
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx512 {
+    const WIDTH: usize = 8;
+    type Vector = __m512d;
+    type Array = [f64; 8];
+    #[inline(always)]
+    fn splat(self, x: f64) -> __m512d {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_set1_pd(x) }
+    }
+    #[inline(always)]
+    fn load(self, src: &[f64; 8]) -> __m512d {
+        // SAFETY: `self` is the `Avx512` token; the load reads exactly the
+        // eight `f64` of `src`.
+        unsafe { _mm512_loadu_pd(src.as_ptr()) }
+    }
+    #[inline(always)]
+    fn add(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_add_pd(a, b) }
+    }
+    #[inline(always)]
+    fn sub(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_sub_pd(a, b) }
+    }
+    #[inline(always)]
+    fn mul(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_mul_pd(a, b) }
+    }
+    #[inline(always)]
+    fn zeroed_where_zero(self, v: __m512d, gate: __m512d) -> __m512d {
+        // As on `ymm`, with the comparison in a mask register (a 512-bit
+        // `and_pd` would need AVX-512DQ).
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe {
+            let keep = _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(gate, _mm512_setzero_pd());
+            _mm512_maskz_mov_pd(keep, v)
+        }
+    }
+    #[inline(always)]
+    fn store(self, v: __m512d) -> [f64; 8] {
+        let mut out = [0.0f64; 8];
+        // SAFETY: `self` is the `Avx512` token; the store writes exactly
+        // the eight `f64` of `out`.
+        unsafe { _mm512_storeu_pd(out.as_mut_ptr(), v) };
+        out
+    }
+}
+
+/// What the block kernel adds to [`Lanes`]: one accumulator vector holds
+/// the four-lane partial sums of `WIDTH / 4` pairs that share a query
+/// row, side by side — one pair per `__m256d`, two per `__m512d`. A
+/// pair's four lanes see the same products in the same order whichever
+/// vector holds them. Every load is 32 bytes wide at either width.
+#[cfg(target_arch = "x86_64")]
+trait PairLanes: Lanes {
+    /// The query row's chunk, once per pair.
+    fn query(self, chunk: &[f64; 4]) -> Self::Vector;
+    /// Candidate row `p`'s chunk, `chunk_of(p)`, in pair `p`'s lanes.
+    fn candidates<'a>(self, chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> Self::Vector;
+    /// Pair `p`'s four lanes into `lanes[p]`.
+    fn store_pairs(self, v: Self::Vector, lanes: &mut [[f64; 4]]);
+}
+
+#[cfg(target_arch = "x86_64")]
+impl PairLanes for Avx2 {
+    #[inline(always)]
+    fn query(self, chunk: &[f64; 4]) -> __m256d {
+        self.load(chunk)
+    }
+    #[inline(always)]
+    fn candidates<'a>(self, chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> __m256d {
+        self.load(chunk_of(0))
+    }
+    #[inline(always)]
+    fn store_pairs(self, v: __m256d, lanes: &mut [[f64; 4]]) {
+        lanes[0] = self.store(v);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl PairLanes for Avx512 {
+    #[inline(always)]
+    fn query(self, chunk: &[f64; 4]) -> __m512d {
+        // Both pairs of a vector share the query row: a broadcast from
+        // memory, which the load ports do alone.
+        // SAFETY: `self` is the `Avx512` token (AVX-512F implies the AVX
+        // of the load); the load reads exactly the four `f64` of `chunk`.
+        unsafe { _mm512_broadcast_f64x4(_mm256_loadu_pd(chunk.as_ptr())) }
+    }
+    #[inline(always)]
+    fn candidates<'a>(self, chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> __m512d {
+        // SAFETY: as in `query`, for the two chunks read.
+        unsafe {
+            let low = _mm256_loadu_pd(chunk_of(0).as_ptr());
+            let high = _mm256_loadu_pd(chunk_of(1).as_ptr());
+            _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(low), high)
+        }
+    }
+    #[inline(always)]
+    fn store_pairs(self, v: __m512d, lanes: &mut [[f64; 4]]) {
+        let both = self.store(v);
+        lanes[0].copy_from_slice(&both[..4]);
+        lanes[1].copy_from_slice(&both[4..]);
+    }
 }
 
 /// Query rows of the one [`dot_block`] shape that runs on `zmm` under
@@ -224,10 +413,60 @@ pub const WIDE_ROWS: usize = 8;
 /// eight `ymm` (DESIGN.md §14 has the table).
 pub const WIDE_COLS: usize = 4;
 
-/// Whether [`dot_block`] runs a `rows × cols` block on `zmm` under `tier`.
-fn runs_wide(tier: SimdTier, rows: usize, cols: usize) -> bool {
-    tier == SimdTier::Avx512 && (rows, cols) == (WIDE_ROWS, WIDE_COLS)
+/// Whether [`dot_block`] runs a `rows × cols` block on `zmm` (given the AVX-512 token).
+fn runs_wide(rows: usize, cols: usize) -> bool {
+    (rows, cols) == (WIDE_ROWS, WIDE_COLS)
 }
+
+/// The rows of one [`dot_block`], in a module of their own so that only
+/// the length check in [`BlockRows::new`] can make them.
+mod block_rows {
+    /// `R` query and `C` candidate rows that all hold `len` elements.
+    pub(super) struct BlockRows<'a, const R: usize, const C: usize> {
+        queries: [&'a [f64]; R],
+        candidates: [&'a [f64]; C],
+        len: usize,
+    }
+
+    impl<'a, const R: usize, const C: usize> BlockRows<'a, R, C> {
+        /// Panics unless all `R + C` rows share one length.
+        #[inline]
+        pub(super) fn new(queries: [&'a [f64]; R], candidates: [&'a [f64]; C]) -> Self {
+            let len = queries
+                .first()
+                .or(candidates.first())
+                .map_or(0, |row| row.len());
+            assert!(
+                queries.iter().chain(&candidates).all(|r| r.len() == len),
+                "dot block requires equal lengths"
+            );
+            BlockRows {
+                queries,
+                candidates,
+                len,
+            }
+        }
+
+        /// The first `R2` queries and `C2` candidates (`R2 <= R`, `C2 <= C`).
+        #[cfg(target_arch = "x86_64")]
+        #[inline]
+        pub(super) fn take<const R2: usize, const C2: usize>(self) -> BlockRows<'a, R2, C2> {
+            BlockRows {
+                queries: std::array::from_fn(|r| self.queries[r]),
+                candidates: std::array::from_fn(|c| self.candidates[c]),
+                len: self.len,
+            }
+        }
+
+        /// The queries, the candidates, and the length every one holds.
+        #[inline(always)]
+        pub(super) fn parts(self) -> ([&'a [f64]; R], [&'a [f64]; C], usize) {
+            (self.queries, self.candidates, self.len)
+        }
+    }
+}
+
+use block_rows::BlockRows;
 
 /// `R × C` dot products at once — `out[r][c]` is bit-identical to
 /// `dot(queries[r], candidates[c])` — the register-blocked form the
@@ -237,7 +476,7 @@ fn runs_wide(tier: SimdTier, rows: usize, cols: usize) -> bool {
 /// keeps `R · C` independent chains in flight and loads each of its
 /// `R + C` row vectors once per step instead of twice per pair.
 ///
-/// Bit-identity is the lane argument of [`dot_avx2`] applied per pair:
+/// Bit-identity is the lane argument applied per pair:
 /// every pair owns four accumulator lanes, lane *j* of them is added the
 /// products of elements `4k + j` in increasing `k` with a separate
 /// multiply and add (no FMA), and each pair finishes with the scalar
@@ -255,209 +494,79 @@ pub fn dot_block<const R: usize, const C: usize>(
     queries: [&[f64]; R],
     candidates: [&[f64]; C],
 ) -> [[f64; C]; R] {
-    let len = queries
-        .first()
-        .or(candidates.first())
-        .map_or(0, |row| row.len());
-    assert!(
-        queries.iter().chain(&candidates).all(|r| r.len() == len),
-        "dot block requires equal lengths"
-    );
+    let rows = BlockRows::new(queries, candidates);
     #[cfg(target_arch = "x86_64")]
-    {
-        let tier = active_tier();
-        if runs_wide(tier, R, C) {
-            // SAFETY: the tier implies AVX-512F (see `dot_dispatch`), and
-            // every row was just checked to hold exactly `len` elements.
-            // The arrays are re-typed to the shape `R` and `C` equal.
-            let wide = unsafe {
-                dot_block_avx512(
-                    std::array::from_fn(|r| queries[r]),
-                    std::array::from_fn(|c| candidates[c]),
-                    len,
-                )
-            };
+    match active_tokens() {
+        (_, Some(avx512)) if runs_wide(R, C) => {
+            // SAFETY: the token proves AVX-512F; `take` re-types R × C.
+            let wide = unsafe { dot_block_avx512(avx512, rows.take()) };
             return std::array::from_fn(|r| std::array::from_fn(|c| wide[r][c]));
         }
-        if tier >= SimdTier::Avx2 {
-            // SAFETY: as above, for AVX2.
-            return unsafe { dot_block_avx2(queries, candidates, len) };
-        }
+        // SAFETY: the token proves AVX2.
+        (Some(avx2), _) => return unsafe { dot_block_avx2(avx2, rows) },
+        _ => {}
     }
+    let (queries, candidates, _) = rows.parts();
     queries.map(|q| candidates.map(|c| dot_scalar(q, c)))
 }
 
-/// # Safety
-/// The CPU must support AVX2 and every row must hold `len` elements.
+/// The block kernel on `ymm`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_block_avx2<const R: usize, const C: usize>(
-    queries: [&[f64]; R],
-    candidates: [&[f64]; C],
-    len: usize,
+fn dot_block_avx2<const R: usize, const C: usize>(
+    avx2: Avx2,
+    rows: BlockRows<R, C>,
 ) -> [[f64; C]; R] {
-    dot_block_lanes::<std::arch::x86_64::__m256d, R, C, C>(queries, candidates, len)
+    dot_block_lanes::<Avx2, R, C, C>(avx2, rows)
 }
 
-/// # Safety
-/// The CPU must support AVX-512F and every row must hold `len` elements.
+/// The block kernel on `zmm`, at its one shape.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn dot_block_avx512(
-    queries: [&[f64]; WIDE_ROWS],
-    candidates: [&[f64]; WIDE_COLS],
-    len: usize,
+fn dot_block_avx512(
+    avx512: Avx512,
+    rows: BlockRows<WIDE_ROWS, WIDE_COLS>,
 ) -> [[f64; WIDE_COLS]; WIDE_ROWS] {
     const VECTORS: usize = WIDE_COLS / 2;
-    dot_block_lanes::<std::arch::x86_64::__m512d, WIDE_ROWS, WIDE_COLS, VECTORS>(
-        queries, candidates, len,
-    )
-}
-
-/// One accumulator vector of the block kernel: the four-lane partial
-/// sums of [`PAIRS`](PairLanes::PAIRS) pairs that share a query row,
-/// side by side — one pair in a `__m256d`, two in a `__m512d`. A pair's
-/// four lanes see the same products in the same order, each rounded
-/// twice (multiply, then add — never an FMA), whichever type holds them.
-/// (Not [`Lanes`]: that vocabulary's vector is four hours, never split
-/// or reduced; what this one is for — a query chunk in every pair's
-/// lanes, a candidate chunk per pair, a per-pair store — has no meaning
-/// there.)
-///
-/// # Safety
-/// As [`Lanes`]: every method requires the instruction set its type
-/// needs (AVX2, AVX-512F), so it must only be reached from a
-/// `#[target_feature]` frame that a tier check guards. Memory safety
-/// needs nothing more: loads go through `[f64; 4]` references — every
-/// access is 32 bytes wide at either width — and stores through a slice.
-#[cfg(target_arch = "x86_64")]
-trait PairLanes: Copy {
-    /// Pairs per vector: candidate rows one vector takes a chunk of.
-    const PAIRS: usize;
-    unsafe fn zero() -> Self;
-    /// The query row's chunk, once per pair.
-    unsafe fn query(chunk: &[f64; 4]) -> Self;
-    /// Candidate row `p`'s chunk, `chunk_of(p)`, in pair `p`'s lanes.
-    unsafe fn candidates<'a>(chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> Self;
-    unsafe fn add(self, rhs: Self) -> Self;
-    unsafe fn mul(self, rhs: Self) -> Self;
-    /// Pair `p`'s four lanes into `lanes[p]`.
-    unsafe fn store(self, lanes: &mut [[f64; 4]]);
-}
-
-// SAFETY (every method): the trait's contract puts the caller inside an
-// AVX2 frame; the loads read exactly the four `f64` their references
-// cover, the store writes exactly the four of `lanes[0]`.
-#[cfg(target_arch = "x86_64")]
-impl PairLanes for std::arch::x86_64::__m256d {
-    const PAIRS: usize = 1;
-    #[inline(always)]
-    unsafe fn zero() -> Self {
-        std::arch::x86_64::_mm256_setzero_pd()
-    }
-    #[inline(always)]
-    unsafe fn query(chunk: &[f64; 4]) -> Self {
-        std::arch::x86_64::_mm256_loadu_pd(chunk.as_ptr())
-    }
-    #[inline(always)]
-    unsafe fn candidates<'a>(chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> Self {
-        std::arch::x86_64::_mm256_loadu_pd(chunk_of(0).as_ptr())
-    }
-    #[inline(always)]
-    unsafe fn add(self, rhs: Self) -> Self {
-        std::arch::x86_64::_mm256_add_pd(self, rhs)
-    }
-    #[inline(always)]
-    unsafe fn mul(self, rhs: Self) -> Self {
-        std::arch::x86_64::_mm256_mul_pd(self, rhs)
-    }
-    #[inline(always)]
-    unsafe fn store(self, lanes: &mut [[f64; 4]]) {
-        std::arch::x86_64::_mm256_storeu_pd(lanes[0].as_mut_ptr(), self)
-    }
-}
-
-// SAFETY (every method): the trait's contract puts the caller inside an
-// AVX-512F frame (which implies AVX for the 256-bit loads); each load
-// reads exactly the four `f64` its reference covers, the store writes
-// exactly the eight of a local array.
-#[cfg(target_arch = "x86_64")]
-impl PairLanes for std::arch::x86_64::__m512d {
-    const PAIRS: usize = 2;
-    #[inline(always)]
-    unsafe fn zero() -> Self {
-        std::arch::x86_64::_mm512_setzero_pd()
-    }
-    #[inline(always)]
-    unsafe fn query(chunk: &[f64; 4]) -> Self {
-        use std::arch::x86_64::*;
-        // Both pairs of a vector share the query row: a broadcast from
-        // memory, which the load ports do alone.
-        _mm512_broadcast_f64x4(_mm256_loadu_pd(chunk.as_ptr()))
-    }
-    #[inline(always)]
-    unsafe fn candidates<'a>(chunk_of: impl Fn(usize) -> &'a [f64; 4]) -> Self {
-        use std::arch::x86_64::*;
-        let low = _mm256_loadu_pd(chunk_of(0).as_ptr());
-        let high = _mm256_loadu_pd(chunk_of(1).as_ptr());
-        _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(low), high)
-    }
-    #[inline(always)]
-    unsafe fn add(self, rhs: Self) -> Self {
-        std::arch::x86_64::_mm512_add_pd(self, rhs)
-    }
-    #[inline(always)]
-    unsafe fn mul(self, rhs: Self) -> Self {
-        std::arch::x86_64::_mm512_mul_pd(self, rhs)
-    }
-    #[inline(always)]
-    unsafe fn store(self, lanes: &mut [[f64; 4]]) {
-        let mut both = [0.0f64; 8];
-        std::arch::x86_64::_mm512_storeu_pd(both.as_mut_ptr(), self);
-        lanes[0].copy_from_slice(&both[..4]);
-        lanes[1].copy_from_slice(&both[4..]);
-    }
+    dot_block_lanes::<Avx512, WIDE_ROWS, WIDE_COLS, VECTORS>(avx512, rows)
 }
 
 /// The block kernel's one loop nest: `R` query rows against `C`
-/// candidate rows held as `P = C / V::PAIRS` vectors per query row.
-/// (`P` is its own parameter because stable Rust cannot spell
-/// `C / V::PAIRS` in an array length.)
-///
-/// # Safety
-/// As [`PairLanes`], the instruction set `V` needs; and every row must
-/// hold `len` elements.
+/// candidate rows held as `P = C / (L::WIDTH / 4)` vectors per query
+/// row. (`P` is its own parameter because stable Rust cannot spell that
+/// in an array length.)
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn dot_block_lanes<V: PairLanes, const R: usize, const C: usize, const P: usize>(
-    queries: [&[f64]; R],
-    candidates: [&[f64]; C],
-    len: usize,
+fn dot_block_lanes<L: PairLanes, const R: usize, const C: usize, const P: usize>(
+    simd: L,
+    rows: BlockRows<R, C>,
 ) -> [[f64; C]; R] {
+    let pairs = L::WIDTH / 4;
     const {
         assert!(
-            P * V::PAIRS == C,
-            "P vectors of V::PAIRS pairs cover C candidates"
+            P * (L::WIDTH / 4) == C,
+            "P vectors of WIDTH / 4 pairs cover C candidates"
         )
     };
-    // SAFETY (callers pass `4 * k + 3 < len`, each row's length): the
-    // four elements are inside the row.
+    let (queries, candidates, len) = rows.parts();
+    // SAFETY: `BlockRows` proves that every row holds `len` elements, and
+    // the loop below asks only for elements `4 * k..4 * k + 4 <= len`.
     let chunk = |row: &[f64], k: usize| unsafe { &*row.as_ptr().add(4 * k).cast::<[f64; 4]>() };
     let chunks = len / 4;
-    let mut acc = [[V::zero(); P]; R];
+    let mut acc = [[simd.zero(); P]; R];
     for k in 0..chunks {
-        let mut vc = [V::zero(); P];
-        for (v, rows) in vc.iter_mut().zip(candidates.chunks_exact(V::PAIRS)) {
-            *v = V::candidates(|p| chunk(rows[p], k));
+        let mut vc = [simd.zero(); P];
+        for (v, rows) in vc.iter_mut().zip(candidates.chunks_exact(pairs)) {
+            *v = simd.candidates(|p| chunk(rows[p], k));
         }
         for (pairs, row) in acc.iter_mut().zip(&queries) {
-            let vq = V::query(chunk(row, k));
+            let vq = simd.query(chunk(row, k));
             for (pair, v) in pairs.iter_mut().zip(&vc) {
                 // mul then add, NOT fma: the scalar reference rounds the
                 // product before the sum, and bit-exactness requires the
                 // same here. One set of four lanes per pair: each pair
                 // replays `dot_scalar`'s operations exactly.
-                *pair = pair.add(vq.mul(*v));
+                *pair = simd.add(*pair, simd.mul(vq, *v));
             }
         }
     }
@@ -465,8 +574,8 @@ unsafe fn dot_block_lanes<V: PairLanes, const R: usize, const C: usize, const P:
     let mut out = [[0.0f64; C]; R];
     for ((scores, vectors), q) in out.iter_mut().zip(&acc).zip(&queries) {
         let mut lanes = [[0.0f64; 4]; C];
-        for (v, pairs) in vectors.iter().zip(lanes.chunks_exact_mut(V::PAIRS)) {
-            v.store(pairs);
+        for (v, pair_lanes) in vectors.iter().zip(lanes.chunks_exact_mut(pairs)) {
+            simd.store_pairs(*v, pair_lanes);
         }
         for ((score, l), c) in scores.iter_mut().zip(&lanes).zip(&candidates) {
             let mut tail = 0.0;
@@ -490,9 +599,9 @@ unsafe fn dot_block_lanes<V: PairLanes, const R: usize, const C: usize, const P:
 pub fn axpy(acc: &mut [f64], a: f64, x: &[f64]) {
     assert_eq!(acc.len(), x.len(), "axpy requires equal lengths");
     #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
-        // SAFETY: tier implies AVX2 (see `dot_dispatch`).
-        unsafe { axpy_avx2_impl(acc, a, x) };
+    if let (Some(avx2), _) = active_tokens() {
+        // SAFETY: the token proves AVX2.
+        unsafe { axpy_avx2_impl(avx2, acc, a, x) };
         return;
     }
     axpy_scalar(acc, a, x);
@@ -506,21 +615,16 @@ pub fn axpy_scalar(acc: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
+/// [`axpy`] on `ymm`, four accumulators a step.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2_impl(acc: &mut [f64], a: f64, x: &[f64]) {
-    use std::arch::x86_64::*;
-    let chunks = x.len() / 4;
-    let va = _mm256_set1_pd(a);
-    let pacc = acc.as_mut_ptr();
-    let px = x.as_ptr();
-    for c in 0..chunks {
-        // SAFETY: `4 * c + 3 < len` for every chunk.
-        let vx = _mm256_loadu_pd(px.add(4 * c));
-        let vd = _mm256_loadu_pd(pacc.add(4 * c));
-        _mm256_storeu_pd(pacc.add(4 * c), _mm256_add_pd(vd, _mm256_mul_pd(va, vx)));
+fn axpy_avx2_impl(avx2: Avx2, acc: &mut [f64], a: f64, x: &[f64]) {
+    let va = avx2.splat(a);
+    let (x_chunks, _) = x.as_chunks::<4>();
+    for (dst, src) in acc.as_chunks_mut::<4>().0.iter_mut().zip(x_chunks) {
+        *dst = avx2.store(avx2.add(avx2.load(dst), avx2.mul(va, avx2.load(src))));
     }
-    for j in chunks * 4..x.len() {
+    for j in x_chunks.len() * 4..x.len() {
         acc[j] += a * x[j];
     }
 }
@@ -537,104 +641,6 @@ const LANE_TRI: usize = LANE_COLS * (LANE_COLS + 1) / 2;
 
 /// Hours the lane kernels advance per step: one `f64x4`.
 pub const LANE_WIDTH: usize = 4;
-
-/// Four `f64` lanes with IEEE element-wise arithmetic — the one vector
-/// vocabulary [`lagged_moments`] and [`lagged_residuals`] are written
-/// in, so the scalar and the AVX2 tier are two instantiations of the
-/// *same* loop nest. `[f64; 4]` is the portable tier, `__m256d` the AVX2
-/// one; both round every operation separately (no FMA), so a lane holds
-/// the same bits whichever type carries it.
-///
-/// # Safety
-/// Every method requires the instruction set its lane type needs: none
-/// for `[f64; 4]`, AVX2 for `__m256d` — whose methods must therefore only
-/// be reached from a `#[target_feature(enable = "avx2")]` frame that a
-/// tier check guards. Memory safety needs nothing more: loads and stores
-/// go through `[f64; 4]` references.
-trait Lanes: Copy {
-    unsafe fn load(src: &[f64; LANE_WIDTH]) -> Self;
-    unsafe fn splat(x: f64) -> Self;
-    unsafe fn add(self, rhs: Self) -> Self;
-    unsafe fn sub(self, rhs: Self) -> Self;
-    unsafe fn mul(self, rhs: Self) -> Self;
-    /// `self` in the lanes where `gate != 0.0` (a NaN gate counts as
-    /// non-zero, as `gate == 0.0` is false for it), `+0.0` in the rest.
-    unsafe fn zeroed_where_zero(self, gate: Self) -> Self;
-    unsafe fn store(self) -> [f64; LANE_WIDTH];
-}
-
-impl Lanes for [f64; LANE_WIDTH] {
-    #[inline(always)]
-    unsafe fn load(src: &[f64; LANE_WIDTH]) -> Self {
-        *src
-    }
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> Self {
-        [x; LANE_WIDTH]
-    }
-    #[inline(always)]
-    unsafe fn add(self, rhs: Self) -> Self {
-        std::array::from_fn(|l| self[l] + rhs[l])
-    }
-    #[inline(always)]
-    unsafe fn sub(self, rhs: Self) -> Self {
-        std::array::from_fn(|l| self[l] - rhs[l])
-    }
-    #[inline(always)]
-    unsafe fn mul(self, rhs: Self) -> Self {
-        std::array::from_fn(|l| self[l] * rhs[l])
-    }
-    #[inline(always)]
-    unsafe fn zeroed_where_zero(self, gate: Self) -> Self {
-        std::array::from_fn(|l| if gate[l] == 0.0 { 0.0 } else { self[l] })
-    }
-    #[inline(always)]
-    unsafe fn store(self) -> [f64; LANE_WIDTH] {
-        self
-    }
-}
-
-// SAFETY (every method): the trait's contract puts the caller inside an
-// AVX2 frame, which is all these register-to-register intrinsics need;
-// the load reads exactly the four `f64` its reference covers, the store
-// writes exactly the four of its local array.
-#[cfg(target_arch = "x86_64")]
-impl Lanes for std::arch::x86_64::__m256d {
-    #[inline(always)]
-    unsafe fn load(src: &[f64; LANE_WIDTH]) -> Self {
-        std::arch::x86_64::_mm256_loadu_pd(src.as_ptr())
-    }
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> Self {
-        std::arch::x86_64::_mm256_set1_pd(x)
-    }
-    #[inline(always)]
-    unsafe fn add(self, rhs: Self) -> Self {
-        std::arch::x86_64::_mm256_add_pd(self, rhs)
-    }
-    #[inline(always)]
-    unsafe fn sub(self, rhs: Self) -> Self {
-        std::arch::x86_64::_mm256_sub_pd(self, rhs)
-    }
-    #[inline(always)]
-    unsafe fn mul(self, rhs: Self) -> Self {
-        std::arch::x86_64::_mm256_mul_pd(self, rhs)
-    }
-    #[inline(always)]
-    unsafe fn zeroed_where_zero(self, gate: Self) -> Self {
-        use std::arch::x86_64::*;
-        // NEQ_UQ is all-ones for `gate != 0.0` *or unordered*: the exact
-        // complement of the scalar `gate == 0.0`.
-        let keep = _mm256_cmp_pd::<_CMP_NEQ_UQ>(gate, _mm256_setzero_pd());
-        _mm256_and_pd(self, keep)
-    }
-    #[inline(always)]
-    unsafe fn store(self) -> [f64; LANE_WIDTH] {
-        let mut out = [0.0f64; LANE_WIDTH];
-        std::arch::x86_64::_mm256_storeu_pd(out.as_mut_ptr(), self);
-        out
-    }
-}
 
 /// The four hours `hour..hour + 4` of day `day` in a day-major series.
 #[inline(always)]
@@ -690,12 +696,11 @@ pub struct LaneMoments {
 pub fn lagged_moments(y: &[f64], x: &[f64], days: usize, hour: usize) -> LaneMoments {
     check_lane_args(y, x, days, hour);
     #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
-        // SAFETY: the tier implies AVX2 (see `dot_dispatch`).
-        return unsafe { lagged_moments_avx2(y, x, days, hour) };
+    if let (Some(avx2), _) = active_tokens() {
+        // SAFETY: the token proves AVX2.
+        return unsafe { lagged_moments_avx2(avx2, y, x, days, hour) };
     }
-    // SAFETY: the `[f64; 4]` lanes need no instruction-set extension.
-    unsafe { lagged_moments_lanes::<[f64; LANE_WIDTH]>(y, x, days, hour) }
+    lagged_moments_lanes(Portable::<LANE_WIDTH>, y, x, days, hour)
 }
 
 fn check_lane_args(y: &[f64], x: &[f64], days: usize, hour: usize) {
@@ -710,62 +715,59 @@ fn check_lane_args(y: &[f64], x: &[f64], days: usize, hour: usize) {
     );
 }
 
-/// # Safety
-/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lagged_moments_avx2(y: &[f64], x: &[f64], days: usize, hour: usize) -> LaneMoments {
-    lagged_moments_lanes::<std::arch::x86_64::__m256d>(y, x, days, hour)
+fn lagged_moments_avx2(avx2: Avx2, y: &[f64], x: &[f64], days: usize, hour: usize) -> LaneMoments {
+    lagged_moments_lanes(avx2, y, x, days, hour)
 }
 
-/// # Safety
-/// As [`Lanes`]: the instruction set `V` needs.
 #[inline(always)]
-unsafe fn lagged_moments_lanes<V: Lanes>(
+fn lagged_moments_lanes<L: Lanes<Array = [f64; LANE_WIDTH]>>(
+    simd: L,
     y: &[f64],
     x: &[f64],
     days: usize,
     hour: usize,
 ) -> LaneMoments {
     let sum_start: f64 = std::iter::empty::<f64>().sum();
-    let mut gram = [V::splat(0.0); LANE_TRI];
-    let mut xty = [V::splat(0.0); LANE_COLS];
-    let mut sum_y = V::splat(sum_start);
-    let mut sum_x = V::splat(sum_start);
+    let mut gram = [simd.zero(); LANE_TRI];
+    let mut xty = [simd.zero(); LANE_COLS];
+    let mut sum_y = simd.splat(sum_start);
+    let mut sum_x = simd.splat(sum_start);
     if days > LANE_LAGS {
         // Yesterday's response is today's first lag: each day loads two
         // new vectors and shifts the lag window.
-        let mut lags: [V; LANE_LAGS] =
-            std::array::from_fn(|lag| V::load(lane_block(y, LANE_LAGS - 1 - lag, hour)));
+        let mut lags: [L::Vector; LANE_LAGS] =
+            std::array::from_fn(|lag| simd.load(lane_block(y, LANE_LAGS - 1 - lag, hour)));
         for day in LANE_LAGS..days {
-            let response = V::load(lane_block(y, day, hour));
-            let exogenous = V::load(lane_block(x, day, hour));
-            let cols = [V::splat(1.0), lags[0], lags[1], lags[2], exogenous];
+            let response = simd.load(lane_block(y, day, hour));
+            let exogenous = simd.load(lane_block(x, day, hour));
+            let cols = [simd.splat(1.0), lags[0], lags[1], lags[2], exogenous];
             let mut entry = 0;
             for i in 0..LANE_COLS {
                 for j in i..LANE_COLS {
-                    let mut product = cols[i].mul(cols[j]);
+                    let mut product = simd.mul(cols[i], cols[j]);
                     // Column 0 is the constant 1: never zero, never masked.
                     if i > 0 {
-                        product = product.zeroed_where_zero(cols[i]);
+                        product = simd.zeroed_where_zero(product, cols[i]);
                     }
-                    gram[entry] = gram[entry].add(product);
+                    gram[entry] = simd.add(gram[entry], product);
                     entry += 1;
                 }
             }
             for (acc, col) in xty.iter_mut().zip(cols) {
-                *acc = acc.add(response.mul(col));
+                *acc = simd.add(*acc, simd.mul(response, col));
             }
-            sum_y = sum_y.add(response);
-            sum_x = sum_x.add(exogenous);
+            sum_y = simd.add(sum_y, response);
+            sum_x = simd.add(sum_x, exogenous);
             lags = [response, lags[0], lags[1]];
         }
     }
     LaneMoments {
-        gram: gram.map(|v| v.store()),
-        xty: xty.map(|v| v.store()),
-        sum_y: sum_y.store(),
-        sum_x: sum_x.store(),
+        gram: gram.map(move |v| simd.store(v)),
+        xty: xty.map(move |v| simd.store(v)),
+        sum_y: simd.store(sum_y),
+        sum_x: simd.store(sum_x),
     }
 }
 
@@ -790,19 +792,17 @@ pub fn lagged_residuals(
 ) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
     check_lane_args(y, x, days, hour);
     #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
-        // SAFETY: the tier implies AVX2 (see `dot_dispatch`).
-        return unsafe { lagged_residuals_avx2(y, x, days, hour, beta, mean_y) };
+    if let (Some(avx2), _) = active_tokens() {
+        // SAFETY: the token proves AVX2.
+        return unsafe { lagged_residuals_avx2(avx2, y, x, days, hour, beta, mean_y) };
     }
-    // SAFETY: the `[f64; 4]` lanes need no instruction-set extension.
-    unsafe { lagged_residuals_lanes::<[f64; LANE_WIDTH]>(y, x, days, hour, beta, mean_y) }
+    lagged_residuals_lanes(Portable::<LANE_WIDTH>, y, x, days, hour, beta, mean_y)
 }
 
-/// # Safety
-/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lagged_residuals_avx2(
+fn lagged_residuals_avx2(
+    avx2: Avx2,
     y: &[f64],
     x: &[f64],
     days: usize,
@@ -810,13 +810,12 @@ unsafe fn lagged_residuals_avx2(
     beta: &[[f64; LANE_WIDTH]; LANE_COLS],
     mean_y: [f64; LANE_WIDTH],
 ) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
-    lagged_residuals_lanes::<std::arch::x86_64::__m256d>(y, x, days, hour, beta, mean_y)
+    lagged_residuals_lanes(avx2, y, x, days, hour, beta, mean_y)
 }
 
-/// # Safety
-/// As [`Lanes`]: the instruction set `V` needs.
 #[inline(always)]
-unsafe fn lagged_residuals_lanes<V: Lanes>(
+fn lagged_residuals_lanes<L: Lanes<Array = [f64; LANE_WIDTH]>>(
+    simd: L,
     y: &[f64],
     x: &[f64],
     days: usize,
@@ -825,29 +824,29 @@ unsafe fn lagged_residuals_lanes<V: Lanes>(
     mean_y: [f64; LANE_WIDTH],
 ) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
     let sum_start: f64 = std::iter::empty::<f64>().sum();
-    let beta: [V; LANE_COLS] = std::array::from_fn(|i| V::load(&beta[i]));
-    let mean_y = V::load(&mean_y);
-    let mut sse = V::splat(0.0);
-    let mut syy = V::splat(0.0);
+    let beta: [L::Vector; LANE_COLS] = std::array::from_fn(|i| simd.load(&beta[i]));
+    let mean_y = simd.load(&mean_y);
+    let mut sse = simd.zero();
+    let mut syy = simd.zero();
     if days > LANE_LAGS {
-        let mut lags: [V; LANE_LAGS] =
-            std::array::from_fn(|lag| V::load(lane_block(y, LANE_LAGS - 1 - lag, hour)));
+        let mut lags: [L::Vector; LANE_LAGS] =
+            std::array::from_fn(|lag| simd.load(lane_block(y, LANE_LAGS - 1 - lag, hour)));
         for day in LANE_LAGS..days {
-            let response = V::load(lane_block(y, day, hour));
-            let exogenous = V::load(lane_block(x, day, hour));
-            let cols = [V::splat(1.0), lags[0], lags[1], lags[2], exogenous];
-            let mut predicted = V::splat(sum_start);
+            let response = simd.load(lane_block(y, day, hour));
+            let exogenous = simd.load(lane_block(x, day, hour));
+            let cols = [simd.splat(1.0), lags[0], lags[1], lags[2], exogenous];
+            let mut predicted = simd.splat(sum_start);
             for (col, b) in cols.into_iter().zip(beta) {
-                predicted = predicted.add(col.mul(b));
+                predicted = simd.add(predicted, simd.mul(col, b));
             }
-            let error = response.sub(predicted);
-            sse = sse.add(error.mul(error));
-            let centred = response.sub(mean_y);
-            syy = syy.add(centred.mul(centred));
+            let error = simd.sub(response, predicted);
+            sse = simd.add(sse, simd.mul(error, error));
+            let centred = simd.sub(response, mean_y);
+            syy = simd.add(syy, simd.mul(centred, centred));
             lags = [response, lags[0], lags[1]];
         }
     }
-    (sse.store(), syy.store())
+    (simd.store(sse), simd.store(syy))
 }
 
 #[cfg(test)]
@@ -868,20 +867,17 @@ mod tests {
 
     #[test]
     fn avx2_dot_is_bit_identical_to_scalar() {
-        let Some(_) = dot_avx2(&[], &[]) else {
-            eprintln!("no AVX2 on this machine; lane test skipped");
-            return;
-        };
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 8760] {
-            let a = series(len, 3 + len as u64);
-            let b = series(len, 11 + len as u64);
-            let simd = dot_avx2(&a, &b).expect("AVX2 present");
-            assert_eq!(
-                simd.to_bits(),
-                dot_scalar(&a, &b).to_bits(),
-                "lane-preserving dot diverged at len={len}"
-            );
-        }
+        under_every_tier(|tier| {
+            for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 8760] {
+                let a = series(len, 3 + len as u64);
+                let b = series(len, 11 + len as u64);
+                assert_eq!(
+                    crate::dot(&a, &b).to_bits(),
+                    dot_scalar(&a, &b).to_bits(),
+                    "{tier:?} dot diverged at len={len}"
+                );
+            }
+        });
     }
 
     #[test]
@@ -965,26 +961,77 @@ mod tests {
     #[test]
     fn each_kernel_family_runs_the_body_its_tier_names() {
         // The tier is an order. Every kernel but the pair sweep's wide
-        // block asks "at least AVX2" — an equality there would drop an
-        // AVX-512 host to the scalar instantiations — and only the wide
-        // shape, only under AVX-512, leaves `ymm`.
+        // block runs on the AVX2 token, which each tier from AVX2 up
+        // hands out (`a_forced_scalar_tier_hands_out_no_avx2_token`) —
+        // an equality there would drop an AVX-512 host to the scalar
+        // instantiations — and only the wide shape, only with the
+        // AVX-512 token, leaves `ymm`.
         assert!(SimdTier::ALL.windows(2).all(|w| w[0] < w[1]));
-        under_every_tier(|tier| {
-            assert_eq!(active_tier(), tier);
-            assert_eq!(KernelDispatch::current().tier, tier);
-            // dot, axpy, lagged_moments, lagged_residuals, and
-            // every dot_block that is not wide.
-            assert_eq!(avx2_active(), tier != SimdTier::Scalar, "{tier:?}");
-        });
-        for tier in SimdTier::ALL {
-            let wide = tier == SimdTier::Avx512;
-            assert_eq!(runs_wide(tier, WIDE_ROWS, WIDE_COLS), wide, "{tier:?}");
-            // The 4 × 2 block, the one-row scan and its remainders, the
-            // single dot: `ymm` (or scalar) on every tier.
-            for (rows, cols) in [(4, 2), (1, 4), (1, 3), (1, 2), (1, 1), (4, 8), (8, 2)] {
-                assert!(!runs_wide(tier, rows, cols), "{tier:?} {rows}x{cols}");
-            }
+        under_every_tier(|tier| assert_eq!(active_tier(), tier));
+        assert!(runs_wide(WIDE_ROWS, WIDE_COLS));
+        // The 4 × 2 block, the one-row scan and its remainders, the
+        // single dot: `ymm` (or scalar) on every tier.
+        for (rows, cols) in [(4, 2), (1, 4), (1, 3), (1, 2), (1, 1), (4, 8), (8, 2)] {
+            assert!(!runs_wide(rows, cols), "{rows}x{cols}");
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn a_forced_scalar_tier_hands_out_no_avx2_token() {
+        // The tokens follow the tier in force, not the hardware: forced to
+        // scalar on an AVX2 host, no kernel can reach a `ymm` frame, and
+        // only the AVX-512 tier reaches the `zmm` block.
+        under_every_tier(|tier| {
+            let (avx2, avx512) = active_tokens();
+            assert_eq!(avx2.is_some(), tier >= SimdTier::Avx2, "{tier:?}");
+            assert_eq!(avx512.is_some(), tier == SimdTier::Avx512, "{tier:?}");
+        });
+    }
+
+    /// Every `Lanes` method of `simd` against the portable lanes of its
+    /// width, bit for bit.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_lanes_are_portable<L: Lanes<Array = [f64; N]>, const N: usize>(simd: L) {
+        let portable = Portable::<N>;
+        let edge = [-0.0, 0.0, 5e-324, -1e308, 1e308, 1.5];
+        let a: [f64; N] = std::array::from_fn(|l| edge[l % edge.len()]);
+        let b: [f64; N] = series(N, 5).try_into().expect("N values");
+        let gate: [f64; N] = std::array::from_fn(|l| [0.0, -0.0, f64::NAN, 2.0][l % 4]);
+        let (va, vb, vg) = (simd.load(&a), simd.load(&b), simd.load(&gate));
+        let cases = [
+            ("zero", simd.store(simd.zero()), [0.0; N]),
+            ("splat", simd.store(simd.splat(-0.0)), [-0.0; N]),
+            ("add", simd.store(simd.add(va, vb)), portable.add(a, b)),
+            ("sub", simd.store(simd.sub(va, vb)), portable.sub(a, b)),
+            ("mul", simd.store(simd.mul(va, vb)), portable.mul(a, b)),
+            (
+                "mask",
+                simd.store(simd.zeroed_where_zero(vb, vg)),
+                portable.zeroed_where_zero(b, gate),
+            ),
+        ];
+        for (name, got, want) in cases {
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{name} on {N} lanes"
+            );
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn register_lanes_are_the_portable_lanes_bit_for_bit() {
+        under_every_tier(|_| {
+            let (avx2, avx512) = active_tokens();
+            if let Some(avx2) = avx2 {
+                assert_lanes_are_portable(avx2);
+            }
+            if let Some(avx512) = avx512 {
+                assert_lanes_are_portable(avx512);
+            }
+        });
     }
 
     /// Every lane of every block of `lagged_moments` against
@@ -1053,21 +1100,25 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn lane_kernels_agree_across_tiers_bitwise() {
-        if !avx2_supported() {
+        let _pinned = pin_lock();
+        let restore = force_tier(SimdTier::Avx2);
+        let (token, _) = active_tokens();
+        force_tier(restore);
+        let Some(token) = token else {
             eprintln!("no AVX2 on this machine; lane test skipped");
             return;
-        }
+        };
         let days = 40;
         let (y, x) = crate::testutil::awkward_year(days, 23);
         let beta: [[f64; LANE_WIDTH]; LANE_COLS] =
             std::array::from_fn(|i| std::array::from_fn(|l| 0.3 * i as f64 - 0.2 * l as f64));
         let mean_y = [0.5, -0.0, 2.0, 0.0];
         for hour in (0..HOURS_PER_DAY).step_by(LANE_WIDTH) {
-            // SAFETY: the portable lanes need nothing; AVX2 was just checked.
+            // SAFETY: the token proves AVX2.
             let (scalar, avx2) = unsafe {
                 (
-                    lagged_moments_lanes::<[f64; LANE_WIDTH]>(&y, &x, days, hour),
-                    lagged_moments_avx2(&y, &x, days, hour),
+                    lagged_moments_lanes(Portable::<LANE_WIDTH>, &y, &x, days, hour),
+                    lagged_moments_avx2(token, &y, &x, days, hour),
                 )
             };
             let bits = |m: &LaneMoments| -> Vec<u64> {
@@ -1083,8 +1134,16 @@ mod tests {
             // SAFETY: as above.
             let (scalar, avx2) = unsafe {
                 (
-                    lagged_residuals_lanes::<[f64; LANE_WIDTH]>(&y, &x, days, hour, &beta, mean_y),
-                    lagged_residuals_avx2(&y, &x, days, hour, &beta, mean_y),
+                    lagged_residuals_lanes(
+                        Portable::<LANE_WIDTH>,
+                        &y,
+                        &x,
+                        days,
+                        hour,
+                        &beta,
+                        mean_y,
+                    ),
+                    lagged_residuals_avx2(token, &y, &x, days, hour, &beta, mean_y),
                 )
             };
             for lane in 0..LANE_WIDTH {
@@ -1102,18 +1161,10 @@ mod tests {
         let _pinned = pin_lock();
         let restore = active_tier();
         let widest = detect();
-        assert_eq!(avx2_supported(), widest >= SimdTier::Avx2);
         for asked in SimdTier::ALL {
             let _ = force_tier(asked);
             assert_eq!(active_tier(), asked.min(widest), "asked for {asked:?}");
         }
         assert_eq!(force_tier(restore), SimdTier::Avx512.min(widest));
-    }
-
-    #[test]
-    fn dispatch_snapshot_reflects_globals() {
-        let d = KernelDispatch::current();
-        assert_eq!(d.tier, active_tier());
-        assert!(!d.tier.label().is_empty());
     }
 }

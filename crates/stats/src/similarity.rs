@@ -72,7 +72,8 @@ pub fn norm2_rows(rows: &[f64], stride: usize, norms: &mut [f64]) {
 /// Panics if lengths differ.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
-    crate::simd::dot_dispatch(a, b)
+    let [[dot]] = crate::simd::dot_block([a], [b]);
+    dot
 }
 
 /// The fixed-order scalar dot product — the bit-exact reference the SIMD

@@ -581,11 +581,12 @@ proptest! {
         let a: Vec<f64> = seed[..len].iter().map(|p| p.0).collect();
         let b: Vec<f64> = seed[..len].iter().map(|p| p.1).collect();
         let scalar = smda_stats::dot_scalar(&a, &b);
-        // The canonical entry must dispatch to something bit-identical.
-        prop_assert_eq!(smda_stats::dot(&a, &b).to_bits(), scalar.to_bits());
-        // And the AVX2 kernel itself, where the hardware has it.
-        if let Some(simd) = smda_stats::dot_avx2(&a, &b) {
-            prop_assert_eq!(simd.to_bits(), scalar.to_bits(), "len {}", len);
+        // The canonical entry must dispatch to something bit-identical,
+        // under every tier the hardware runs.
+        let mut dots = Vec::new();
+        under_every_tier(|tier| dots.push((tier, smda_stats::dot(&a, &b).to_bits())));
+        for (tier, dot) in dots {
+            prop_assert_eq!(dot, scalar.to_bits(), "{:?}, len {}", tier, len);
         }
     }
 

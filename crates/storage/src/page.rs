@@ -178,7 +178,7 @@ mod tests {
             count += 1;
         }
         // 8188 usable bytes / 104 per tuple ≈ 78.
-        assert!(count >= 75 && count <= 80, "inserted {count}");
+        assert!((75..=80).contains(&count), "inserted {count}");
         assert!(p.free_space() < 104 + SLOT_BYTES);
     }
 

@@ -258,7 +258,6 @@ pub fn replay_frames(path: &Path) -> Result<Vec<Vec<u8>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
 
     fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(

@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn source_is_preserved_for_io() {
         use std::error::Error as _;
-        let e = Error::io("x", std::io::Error::new(std::io::ErrorKind::Other, "y"));
+        let e = Error::io("x", std::io::Error::other("y"));
         assert!(e.source().is_some());
         assert!(Error::Schema("s".into()).source().is_none());
     }

@@ -49,6 +49,8 @@ impl ConsumerSeries {
         // vectorize, and a valid year is the case that pays. `r >= 0.0`
         // admits both zeros and refuses NaN; `r <= f64::MAX` refuses +∞.
         // The offending hour is looked for only once the fold has failed.
+        // (`contains` would spell it with a short-circuiting `&&`.)
+        #[allow(clippy::manual_range_contains)]
         let valid = |r: f64| (r >= 0.0) & (r <= f64::MAX);
         if !readings.iter().fold(true, |ok, &r| ok & valid(r)) {
             if let Some(pos) = readings.iter().position(|&r| !valid(r)) {

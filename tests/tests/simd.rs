@@ -19,7 +19,8 @@ use smda_engines::{
 use smda_hive::HiveEngine;
 use smda_integration::{fixture_dataset, TempDir};
 use smda_spark::SparkEngine;
-use smda_stats::{under_every_tier, FitScratch, KernelDispatch, SimdTier};
+use smda_stats::simd::active_tier;
+use smda_stats::{under_every_tier, FitScratch, SimdTier};
 use smda_storage::FileLayout;
 use smda_types::DataFormat;
 
@@ -37,7 +38,9 @@ fn par_fits(ds: &smda_types::Dataset) -> TaskOutput {
 }
 
 /// Similarity output reduced to raw bits, so equality is exact.
-fn bits(out: &TaskOutput) -> Vec<(u32, Vec<(u32, u64)>)> {
+type Bits = Vec<(u32, Vec<(u32, u64)>)>;
+
+fn bits(out: &TaskOutput) -> Bits {
     match out {
         TaskOutput::Similarity(ms) => ms
             .iter()
@@ -93,7 +96,7 @@ fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
     let spec = RunSpec::builder(Task::Similarity).threads(4).build();
     let run_all =
         |single: &mut Vec<Box<dyn Platform>>, hive: &mut HiveEngine, spark: &mut SparkEngine| {
-            let mut outs: Vec<(String, Vec<(u32, Vec<(u32, u64)>)>)> = Vec::new();
+            let mut outs: Vec<(String, Bits)> = Vec::new();
             for engine in single.iter_mut() {
                 let r = engine.run(&spec).expect("similarity run succeeds");
                 outs.push((engine.name().to_string(), bits(&r.output)));
@@ -111,7 +114,7 @@ fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
     let mut per_tier = Vec::new();
     under_every_tier(|tier| {
         assert_eq!(
-            KernelDispatch::current().tier,
+            active_tier(),
             tier,
             "forcing the {tier:?} tier did not take effect"
         );
