@@ -222,12 +222,152 @@ fn lane_kernel_divergence() -> Option<String> {
     None
 }
 
+/// A day-major `(readings, temperatures)` pair of `days` days for the fit
+/// kernels' gate: both zeros, subnormals of both signs and ordinary
+/// values, and a 0 · ∞ row — day 6's readings are zeros (day 7's first
+/// lag), day 7's temperatures `+∞` and its readings `−∞`.
+fn edge_year(days: usize) -> (Vec<f64>, Vec<f64>) {
+    use smda_types::HOURS_PER_DAY;
+    let mut state = 0x5eed_f175u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 4000) as f64 / 1000.0
+    };
+    let len = days * HOURS_PER_DAY;
+    let mut y: Vec<f64> = (0..len)
+        .map(|i| match i % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 5e-324,
+            3 => -5e-324,
+            _ => next(),
+        })
+        .collect();
+    let mut x: Vec<f64> = (0..len)
+        .map(|i| {
+            if i % 13 == 4 {
+                5e-324
+            } else {
+                10.0 * next() - 20.0
+            }
+        })
+        .collect();
+    for hour in 0..HOURS_PER_DAY {
+        y[6 * HOURS_PER_DAY + hour] = if hour % 2 == 0 { 0.0 } else { -0.0 };
+        x[7 * HOURS_PER_DAY + hour] = f64::INFINITY;
+        y[7 * HOURS_PER_DAY + hour] = f64::NEG_INFINITY;
+    }
+    (y, x)
+}
+
+/// The first of PAR's two lane passes or the Histogram's two that the
+/// active tier runs differently from its definition, on [`edge_year`]:
+/// every hour's `lagged_moments` lane against `Matrix::gram`,
+/// `Matrix::t_vec` and `Iterator::sum` on that hour's materialized design
+/// (so every lane block is checked), its `lagged_residuals` lane against
+/// the sums `ols_multiple`'s second pass forms, and
+/// `HistogramSpec::spanning` + `count_buckets` against one keep-first
+/// `<` / `>` chain and `bucket_of` per value.
+fn fit_kernel_divergence() -> Option<String> {
+    use smda_stats::simd::{lagged_moments, lagged_residuals, LANE_COLS, LANE_LAGS};
+    use smda_stats::{count_buckets, HistogramSpec, Matrix};
+    use smda_types::HOURS_PER_DAY;
+
+    let days = 30;
+    let (y, x) = edge_year(days);
+    let moments = lagged_moments(&y, &x, days);
+    let beta: [[f64; HOURS_PER_DAY]; LANE_COLS] =
+        std::array::from_fn(|i| std::array::from_fn(|h| 0.25 * i as f64 - 0.01 * h as f64));
+    let mean_y: [f64; HOURS_PER_DAY] = std::array::from_fn(|h| 0.1 * h as f64);
+    let (sse, syy) = lagged_residuals(&y, &x, days, &beta, &mean_y);
+    let differ = |a: f64, b: f64| a.to_bits() != b.to_bits();
+    for hour in 0..HOURS_PER_DAY {
+        let at = |day: usize| day * HOURS_PER_DAY + hour;
+        let rows: Vec<[f64; LANE_COLS]> = (LANE_LAGS..days)
+            .map(|d| [1.0, y[at(d - 1)], y[at(d - 2)], y[at(d - 3)], x[at(d)]])
+            .collect();
+        let response: Vec<f64> = (LANE_LAGS..days).map(|d| y[at(d)]).collect();
+        let design = Matrix::from_vec(rows.len(), LANE_COLS, rows.concat());
+        let (gram, xty) = (design.gram(), design.t_vec(&response));
+        let mut entry = 0;
+        for (i, (got_xty, &want_xty)) in moments.xty.iter().zip(&xty).enumerate() {
+            for j in i..LANE_COLS {
+                if differ(moments.gram[entry][hour], gram.get(i, j)) {
+                    return Some(format!("PAR moments: gram({i},{j}) of hour {hour}"));
+                }
+                entry += 1;
+            }
+            if differ(got_xty[hour], want_xty) {
+                return Some(format!("PAR moments: xty[{i}] of hour {hour}"));
+            }
+        }
+        let sum_y: f64 = response.iter().sum();
+        let sum_x: f64 = rows.iter().map(|row| row[LANE_COLS - 1]).sum();
+        if differ(moments.sum_y[hour], sum_y) || differ(moments.sum_x[hour], sum_x) {
+            return Some(format!("PAR moments: a plain sum of hour {hour}"));
+        }
+        let (mut want_sse, mut want_syy) = (0.0, 0.0);
+        for (row, &r) in rows.iter().zip(&response) {
+            let predicted: f64 = row.iter().zip(&beta).map(|(v, b)| v * b[hour]).sum();
+            let (e, d) = (r - predicted, r - mean_y[hour]);
+            want_sse += e * e;
+            want_syy += d * d;
+        }
+        if differ(sse[hour], want_sse) || differ(syy[hour], want_syy) {
+            return Some(format!("PAR residuals of hour {hour}"));
+        }
+    }
+    // The readings without the infinite day, the whole year, and both
+    // with a ragged tail; each spanned, and the finite one on a spec
+    // narrower than its values too.
+    let finite: Vec<f64> = y.iter().copied().filter(|v| v.is_finite()).collect();
+    for values in [&finite[..], &finite[1..], &y[..], &y[3..]] {
+        let keep_first = |wins: fn(f64, f64) -> bool, start: f64| {
+            values
+                .iter()
+                .fold(start, |kept, &v| if wins(v, kept) { v } else { kept })
+        };
+        let spec = HistogramSpec::spanning(values, 10);
+        let min = keep_first(|v, kept| v < kept, f64::INFINITY);
+        let max = keep_first(|v, kept| v > kept, f64::NEG_INFINITY);
+        if differ(spec.min, min) || differ(spec.max, max) {
+            return Some(format!(
+                "HistogramSpec::spanning over {} values",
+                values.len()
+            ));
+        }
+        let narrower = HistogramSpec {
+            min: spec.min + spec.width(),
+            max: spec.max - spec.width(),
+            ..spec
+        };
+        for spec in [spec, narrower] {
+            let mut counts = vec![0u64; spec.buckets];
+            count_buckets(values, &spec, &mut counts);
+            let mut want = vec![0u64; spec.buckets];
+            for bucket in values.iter().filter_map(|&v| spec.bucket_of(v)) {
+                want[bucket] += 1;
+            }
+            if counts != want {
+                return Some(format!(
+                    "count_buckets over {} values, {spec:?}",
+                    values.len()
+                ));
+            }
+        }
+    }
+    None
+}
+
 /// SIMD equivalence gate (`smda-bench --check simd`): under every
 /// dispatch tier this machine runs (scalar, AVX2, AVX-512 — a tier the
 /// hardware lacks is skipped; the note lists the ones that ran), `dot`,
 /// `dot_block` (every shape the kernels instantiate) and `axpy` must be
 /// `to_bits`-identical to the scalar references
-/// ([`lane_kernel_divergence`]), DESIGN.md §14.
+/// ([`lane_kernel_divergence`]), and PAR's and the Histogram's lane passes
+/// to their definitions ([`fit_kernel_divergence`]), DESIGN.md §14.
 fn check_simd(_scale: Scale) -> std::result::Result<String, String> {
     let mut tiers = Vec::new();
     let mut diverged = None;
@@ -235,14 +375,16 @@ fn check_simd(_scale: Scale) -> std::result::Result<String, String> {
         tiers.push(tier.label());
         if diverged.is_none() {
             diverged = lane_kernel_divergence()
-                .map(|what| format!("{} tier diverged from scalar: {what}", tier.label()));
+                .or_else(fit_kernel_divergence)
+                .map(|what| format!("{} tier diverged: {what}", tier.label()));
         }
     });
     if let Some(what) = diverged {
         return Err(what);
     }
     Ok(format!(
-        "simd equivalence OK: lane kernels bit-identical to scalar under the {} tiers",
+        "simd equivalence OK: lane kernels (dot, dot_block, axpy; PAR moments and residuals, \
+         Histogram range and buckets) bit-identical to their definitions under the {} tiers",
         tiers.join(", ")
     ))
 }

@@ -1,5 +1,9 @@
 //! Equi-width histograms (the Section 3.1 benchmark task's kernel).
 
+use crate::simd::{note_body, widest_lanes, Lanes, Portable, Widest};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{Avx2, Avx512};
+
 /// How to bucket values: `buckets` equal-width bins over `[min, max]`,
 /// right-open except the last bin which includes `max`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -14,15 +18,10 @@ pub struct HistogramSpec {
 
 /// Independent `min`/`max` chains in [`HistogramSpec::covering`]'s scan:
 /// one chain moves at a compare's latency per value, eight at its
-/// throughput (and two to a vector register).
+/// throughput — one `zmm`, two `ymm`.
 const RANGE_LANES: usize = 8;
 
-/// Values whose buckets [`count_buckets`] computes together — subtract,
-/// divide, clamp and truncate as straight-line vector arithmetic — before
-/// any count moves.
-const COUNT_BLOCK: usize = 64;
-
-/// Count tables a block's values are dealt across, so that a run of
+/// Count tables a vector's buckets are dealt across, so that a run of
 /// values in one bucket is not a chain of increments through one memory
 /// cell.
 const COUNT_TABLES: usize = 4;
@@ -30,6 +29,9 @@ const COUNT_TABLES: usize = 4;
 /// `2^52`: added to `0 ≤ c < 2^52` it leaves `c`, rounded to an integer,
 /// in the sum's low 52 mantissa bits.
 const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// The low 52 bits of an `f64`: its mantissa field.
+const MANTISSA: u64 = (1 << 52) - 1;
 
 /// `min`, `max` and finiteness of the values a lane has seen. `<` and `>`
 /// rather than `f64::min`/`max`, so that what a lane keeps is defined: the
@@ -42,6 +44,13 @@ struct LaneRange {
 }
 
 impl LaneRange {
+    /// The range of no values.
+    const EMPTY: LaneRange = LaneRange {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        finite: true,
+    };
+
     fn take(&mut self, v: f64) {
         self.finite &= v.is_finite();
         self.widen(v, v);
@@ -55,24 +64,26 @@ impl LaneRange {
     }
 
     /// The range of `values`: what one left-to-right `min`/`max` chain
-    /// finds, to the bit, found by [`RANGE_LANES`] chains side by side.
-    /// The smallest value is one real number whichever chain meets it —
-    /// except zero, where the single chain keeps the *first* zero of
-    /// either sign it meets and the lanes may merge to the other one, so a
-    /// zero extreme is looked up in scan order.
+    /// finds, to the bit, found by [`RANGE_LANES`] chains side by side —
+    /// value `i` of each whole block of eight goes to chain `i`, at the
+    /// active tier's width ([`widest_lanes`]), and the ragged tail to the
+    /// first chains one value each. The smallest value is one real number
+    /// whichever chain meets it — except zero, where the single chain
+    /// keeps the *first* zero of either sign it meets and the lanes may
+    /// merge to the other one, so a zero extreme is looked up in scan
+    /// order.
     fn of(values: &[f64]) -> LaneRange {
-        let mut lanes = [LaneRange {
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            finite: true,
-        }; RANGE_LANES];
-        let mut blocks = values.chunks_exact(RANGE_LANES);
-        for block in &mut blocks {
-            for (lane, &v) in lanes.iter_mut().zip(block) {
-                lane.take(v);
-            }
-        }
-        for (lane, &v) in lanes.iter_mut().zip(blocks.remainder()) {
+        let (blocks, tail) = values.as_chunks::<RANGE_LANES>();
+        let mut lanes = match widest_lanes() {
+            Widest::Portable(portable) => range_lanes::<_, 8, 1>(portable, blocks),
+            // SAFETY: the token proves AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Widest::Avx2(avx2) => unsafe { range_avx2(avx2, blocks) },
+            // SAFETY: the token proves AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Widest::Avx512(avx512) => unsafe { range_avx512(avx512, blocks) },
+        };
+        for (lane, &v) in lanes.iter_mut().zip(tail) {
             lane.take(v);
         }
         let mut range = lanes[0];
@@ -92,6 +103,63 @@ impl LaneRange {
         }
         range
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn range_avx2(avx2: Avx2, blocks: &[[f64; RANGE_LANES]]) -> [LaneRange; RANGE_LANES] {
+    range_lanes::<_, 4, 2>(avx2, blocks)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn range_avx512(avx512: Avx512, blocks: &[[f64; RANGE_LANES]]) -> [LaneRange; RANGE_LANES] {
+    range_lanes::<_, 8, 1>(avx512, blocks)
+}
+
+/// The [`RANGE_LANES`] chains over whole blocks, held in `V` vectors of
+/// `W` lanes. A chain is [`LaneRange::take`] in vector form: the two
+/// keep-first compares are [`Lanes::select_lt`], and finiteness is a
+/// running sum of `v − v` — `+0.0` for every finite `v`, NaN for `±∞` and
+/// NaN, and a NaN sum stays NaN — so a lane is finite exactly when its
+/// sum is still zero.
+#[inline(always)]
+fn range_lanes<L: Lanes<Array = [f64; W]>, const W: usize, const V: usize>(
+    simd: L,
+    blocks: &[[f64; RANGE_LANES]],
+) -> [LaneRange; RANGE_LANES] {
+    const { assert!(V * W == RANGE_LANES, "V vectors of W lanes hold the chains") };
+    note_body::<L>("range");
+    let mut low = [simd.splat(f64::INFINITY); V];
+    let mut high = [simd.splat(f64::NEG_INFINITY); V];
+    let mut probe = [simd.zero(); V];
+    for block in blocks {
+        let (chunks, _) = block.as_chunks::<W>();
+        for (chunk, ((low, high), probe)) in chunks
+            .iter()
+            .zip(low.iter_mut().zip(&mut high).zip(&mut probe))
+        {
+            let v = simd.load(chunk);
+            *low = simd.select_lt(v, *low, v, *low);
+            *high = simd.select_lt(*high, v, v, *high);
+            *probe = simd.add(*probe, simd.sub(v, v));
+        }
+    }
+    let mut lanes = [LaneRange::EMPTY; RANGE_LANES];
+    for (chunk, ((low, high), probe)) in lanes
+        .chunks_exact_mut(W)
+        .zip(low.iter().zip(&high).zip(&probe))
+    {
+        let (low, high, probe) = (simd.store(*low), simd.store(*high), simd.store(*probe));
+        for (l, lane) in chunk.iter_mut().enumerate() {
+            *lane = LaneRange {
+                min: low[l],
+                max: high[l],
+                finite: probe[l] == 0.0,
+            };
+        }
+    }
+    lanes
 }
 
 impl HistogramSpec {
@@ -166,16 +234,11 @@ impl HistogramSpec {
 /// spec's range are dropped. The one counting pass, shared by the batch
 /// build and by the streaming histogram's re-bucketing.
 ///
-/// Equal to asking `bucket_of` once per value, count for count. A block's
-/// quotients `(v − min) / width` are computed together; each is clamped
-/// into `[0, buckets − 1]` while still a float (NaN — `∞/∞` on a spec as
-/// wide as `f64` — to `0.0`, as the saturating cast would take it) and
-/// truncated by rounding to an integer at the `2^52` binade and stepping
-/// back where that rounded up, which for a non-negative value is the cast
-/// `bucket_of` applies; clamping before truncating or after gives the
-/// same bucket because `buckets − 1` is a whole number. Counts go to
-/// `COUNT_TABLES` tables in turn, summed at the end — integer adds in
-/// another order.
+/// Equal to asking `bucket_of` once per value, count for count. A
+/// vector of values — eight on the AVX-512 tier, four on AVX2 — is
+/// bucketed as straight-line lane arithmetic before any count moves;
+/// counts go to `COUNT_TABLES` tables by lane, summed at the end —
+/// integer adds in another order.
 ///
 /// # Panics
 /// Panics if `counts` is not `spec.buckets` long, or if that is `2^52` or
@@ -190,41 +253,124 @@ pub fn count_buckets(values: &[f64], spec: &HistogramSpec, counts: &mut [u64]) {
     if buckets == 0 {
         return;
     }
-    // `bucket_of`'s own test, NaN included (it is not outside).
-    let inside = |v: f64| !(v < spec.min || v > spec.max);
     if spec.min == spec.max {
+        // `bucket_of`'s own test, NaN included (it is not outside).
+        let inside = |v: f64| !(v < spec.min || v > spec.max);
         counts[0] += values.iter().filter(|&&v| inside(v)).count() as u64;
         return;
     }
-    let width = spec.width();
-    let last = (buckets - 1) as f64;
+    let bucketing = Bucketing {
+        min: spec.min,
+        max: spec.max,
+        width: spec.width(),
+        last: (buckets - 1) as f64,
+        outside: buckets as f64 + TWO_POW_52,
+        stride: buckets + 1,
+    };
     // One slot past the buckets in each table takes what is outside.
-    let stride = buckets + 1;
-    let mut tables = vec![0u64; COUNT_TABLES * stride];
-    let mut slots = [0usize; COUNT_BLOCK];
-    for block in values.chunks(COUNT_BLOCK) {
-        for (slot, &v) in slots.iter_mut().zip(block) {
-            let q = (v - spec.min) / width;
-            let clamped = if q >= last {
-                last
-            } else if q >= 0.0 {
-                q
-            } else {
-                0.0
-            };
-            let rounded = clamped + TWO_POW_52;
-            let nearest = (rounded.to_bits() & ((1 << 52) - 1)) as usize;
-            let floor = nearest - usize::from(rounded - TWO_POW_52 > clamped);
-            *slot = if inside(v) { floor } else { buckets };
-        }
-        for (i, &slot) in slots[..block.len()].iter().enumerate() {
-            tables[(i % COUNT_TABLES) * stride + slot] += 1;
-        }
+    let mut tables = vec![0u64; COUNT_TABLES * bucketing.stride];
+    match widest_lanes() {
+        Widest::Portable(portable) => count_lanes(portable, values, &bucketing, &mut tables),
+        // SAFETY: the token proves AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Widest::Avx2(avx2) => unsafe { count_avx2(avx2, values, &bucketing, &mut tables) },
+        // SAFETY: the token proves AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Widest::Avx512(avx512) => unsafe { count_avx512(avx512, values, &bucketing, &mut tables) },
     }
-    for table in tables.chunks_exact(stride) {
+    for table in tables.chunks_exact(bucketing.stride) {
         for (count, add) in counts.iter_mut().zip(table) {
             *count += add;
         }
+    }
+}
+
+/// What [`count_buckets`] needs of a spec whose `min` and `max` differ.
+struct Bucketing {
+    min: f64,
+    max: f64,
+    width: f64,
+    /// The last bucket's index.
+    last: f64,
+    /// The outside slot's index, `buckets`, plus `2^52`.
+    outside: f64,
+    /// One table: the buckets and the outside slot.
+    stride: usize,
+}
+
+impl Bucketing {
+    /// `2^52` plus the slot of each lane of `v`: the bucket `bucket_of`
+    /// names, or `buckets` where it names none. The quotient
+    /// `(v − min) / width` is clamped into `[0, buckets − 1]` while still a
+    /// float — NaN (`∞/∞` on a spec as wide as `f64`) to `0.0`, as the
+    /// saturating cast takes it; a `−0.0` to `+0.0`, the same bucket — and
+    /// truncated by rounding to an integer at the `2^52` binade and
+    /// stepping back where that rounded up, which for a non-negative value
+    /// is the cast `bucket_of` applies; clamping before truncating or after
+    /// gives the same bucket because `buckets − 1` is a whole number. A
+    /// value below `min` or above `max` takes the outside slot; a NaN is
+    /// neither, as in `bucket_of`.
+    #[inline(always)]
+    fn slots<L: Lanes>(&self, simd: L, v: L::Vector) -> L::Vector {
+        let (zero, two52) = (simd.zero(), simd.splat(TWO_POW_52));
+        let (min, max) = (simd.splat(self.min), simd.splat(self.max));
+        let q = simd.div(simd.sub(v, min), simd.splat(self.width));
+        let q = simd.select_lt(zero, q, q, zero);
+        let last = simd.splat(self.last);
+        let clamped = simd.select_lt(q, last, q, last);
+        let rounded = simd.add(clamped, two52);
+        let nearest = simd.sub(rounded, two52);
+        // One below the nearest integer where that rounded up.
+        let floor = simd.select_lt(
+            clamped,
+            nearest,
+            simd.sub(rounded, simd.splat(1.0)),
+            rounded,
+        );
+        let outside = simd.splat(self.outside);
+        let slot = simd.select_lt(v, min, outside, floor);
+        simd.select_lt(max, v, outside, slot)
+    }
+
+    /// Count each lane's slot in table `lane % COUNT_TABLES`.
+    #[inline(always)]
+    fn deal(&self, slots: &[f64], tables: &mut [u64]) {
+        for (lane, slot) in slots.iter().enumerate() {
+            let table = (lane % COUNT_TABLES) * self.stride;
+            tables[table + (slot.to_bits() & MANTISSA) as usize] += 1;
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn count_avx2(avx2: Avx2, values: &[f64], bucketing: &Bucketing, tables: &mut [u64]) {
+    count_lanes(avx2, values, bucketing, tables);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn count_avx512(avx512: Avx512, values: &[f64], bucketing: &Bucketing, tables: &mut [u64]) {
+    count_lanes(avx512, values, bucketing, tables);
+}
+
+/// [`count_buckets`]' pass: `W` values at a time, the ragged tail one at a
+/// time through the same arithmetic on one portable lane.
+#[inline(always)]
+fn count_lanes<L: Lanes<Array = [f64; W]>, const W: usize>(
+    simd: L,
+    values: &[f64],
+    bucketing: &Bucketing,
+    tables: &mut [u64],
+) {
+    note_body::<L>("count");
+    let (chunks, tail) = values.as_chunks::<W>();
+    for chunk in chunks {
+        let slots = simd.store(bucketing.slots(simd, simd.load(chunk)));
+        bucketing.deal(&slots, tables);
+    }
+    for &v in tail {
+        bucketing.deal(&bucketing.slots(Portable::<1>, [v]), tables);
     }
 }
 

@@ -48,10 +48,10 @@
 //! * [`NormalEq::fit_hourly_ar`] reproduces 24 such fits — one per hour
 //!   of day, design `[1, y[d−1], y[d−2], y[d−3], x[d]]` — without ever
 //!   forming a design row. The hours are accumulated *side by side*: in
-//!   the day-major year the four hours of a lane block are adjacent, so
-//!   hour *h*'s 15 gram sums, 5 `Xᵀy` sums, `Σy` and `Σx` are lane
-//!   `h % 4` of 22 accumulator vectors
-//!   ([`lagged_moments`], which carries the
+//!   the day-major year the hours of a lane block are adjacent, so hour
+//!   *h*'s 15 gram sums, 5 `Xᵀy` sums, `Σy` and `Σx` are one lane of 22
+//!   accumulator vectors, eight hours to a vector on the AVX-512 tier and
+//!   four on AVX2 ([`lagged_moments`], which carries the
 //!   per-lane argument: same addends, same day order, product rounded
 //!   before the add, the zero skip reproduced by masking the product to
 //!   `+0.0`). Each hour's moments then go through the same scalar
@@ -87,7 +87,7 @@ use smda_types::HOURS_PER_DAY;
 
 use crate::linalg::{qr_least_squares, Matrix};
 use crate::quantile::ordered_key;
-use crate::simd::{lagged_moments, lagged_residuals, LANE_COLS, LANE_LAGS, LANE_WIDTH};
+use crate::simd::{lagged_moments, lagged_residuals, LANE_COLS, LANE_LAGS};
 
 /// Widest design matrix the in-place solver accepts (columns). The 3-line
 /// hinge basis uses 4, PAR uses `PAR_ORDER + 2 = 5`; 6 leaves headroom.
@@ -621,8 +621,9 @@ impl NormalEq {
     /// [`ols_multiple`](crate::regression::ols_multiple) on that hour's
     /// materialized design, and to `Iterator::sum` for the two means.
     ///
-    /// The hours are accumulated four at a time in SIMD lanes (see the
-    /// module docs); only the 24 tiny solves run one after another.
+    /// The hours are accumulated side by side in SIMD lanes, eight or four
+    /// to a vector (see the module docs); only the 24 tiny solves run one
+    /// after another.
     ///
     /// # Panics
     /// Panics if either series holds fewer than `days` whole days.
@@ -638,49 +639,45 @@ impl NormalEq {
             mean_y: 0.0,
             mean_x: 0.0,
         }; HOURS_PER_DAY];
-        for (block, fits) in out.chunks_exact_mut(LANE_WIDTH).enumerate() {
-            let hour = block * LANE_WIDTH;
-            let moments = lagged_moments(y, x, days, hour);
-            let mean_y = moments.sum_y.map(|s| s / rows as f64);
-            let mut beta = [[0.0; LANE_WIDTH]; LANE_COLS];
-            let mut solved = [false; LANE_WIDTH];
-            for lane in 0..LANE_WIDTH {
-                fits[lane].mean_y = mean_y[lane];
-                fits[lane].mean_x = moments.sum_x[lane] / rows as f64;
-                if rows < LANE_COLS {
-                    continue;
+        let moments = lagged_moments(y, x, days);
+        let mean_y = moments.sum_y.map(|s| s / rows as f64);
+        let mut beta = [[0.0; HOURS_PER_DAY]; LANE_COLS];
+        let mut solved = [false; HOURS_PER_DAY];
+        for (h, fit) in out.iter_mut().enumerate() {
+            fit.mean_y = mean_y[h];
+            fit.mean_x = moments.sum_x[h] / rows as f64;
+            if rows < LANE_COLS {
+                continue;
+            }
+            let mut entry = 0;
+            for i in 0..LANE_COLS {
+                for j in i..LANE_COLS {
+                    self.gram[i * LANE_COLS + j] = moments.gram[entry][h];
+                    entry += 1;
                 }
-                let mut entry = 0;
+                self.xty[i] = moments.xty[i][h];
+            }
+            let found = self.beta_from_moments(rows, LANE_COLS, &mut |design, response| {
+                for day in LANE_LAGS..days {
+                    design.push(1.0);
+                    for lag in 1..=LANE_LAGS {
+                        design.push(y[(day - lag) * HOURS_PER_DAY + h]);
+                    }
+                    design.push(x[day * HOURS_PER_DAY + h]);
+                    response.push(y[day * HOURS_PER_DAY + h]);
+                }
+            });
+            if found.is_some() {
+                solved[h] = true;
                 for i in 0..LANE_COLS {
-                    for j in i..LANE_COLS {
-                        self.gram[i * LANE_COLS + j] = moments.gram[entry][lane];
-                        entry += 1;
-                    }
-                    self.xty[i] = moments.xty[i][lane];
-                }
-                let h = hour + lane;
-                let found = self.beta_from_moments(rows, LANE_COLS, &mut |design, response| {
-                    for day in LANE_LAGS..days {
-                        design.push(1.0);
-                        for lag in 1..=LANE_LAGS {
-                            design.push(y[(day - lag) * HOURS_PER_DAY + h]);
-                        }
-                        design.push(x[day * HOURS_PER_DAY + h]);
-                        response.push(y[day * HOURS_PER_DAY + h]);
-                    }
-                });
-                if found.is_some() {
-                    solved[lane] = true;
-                    for i in 0..LANE_COLS {
-                        beta[i][lane] = self.beta[i];
-                    }
+                    beta[i][h] = self.beta[i];
                 }
             }
-            let (sse, syy) = lagged_residuals(y, x, days, hour, &beta, mean_y);
-            for lane in (0..LANE_WIDTH).filter(|&l| solved[l]) {
-                let beta = beta.map(|coefficient| coefficient[lane]);
-                fits[lane].fit = Some(scratch_fit(&beta, rows, sse[lane], syy[lane]));
-            }
+        }
+        let (sse, syy) = lagged_residuals(y, x, days, &beta, &mean_y);
+        for (h, fit) in out.iter_mut().enumerate().filter(|&(h, _)| solved[h]) {
+            let beta = beta.map(|coefficient| coefficient[h]);
+            fit.fit = Some(scratch_fit(&beta, rows, sse[h], syy[h]));
         }
         out
     }

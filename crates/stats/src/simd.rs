@@ -15,7 +15,9 @@
 //! tree (`((a0+a1)+(a2+a3)) + tail`). No FMA — a fused multiply-add
 //! rounds once where the reference rounds twice. [`lagged_moments`] and
 //! [`lagged_residuals`] — the PAR fit's two passes — are the same idea
-//! with nothing to reduce: a lane *is* one hour's scalar accumulator.
+//! with nothing to reduce: a lane *is* one hour's scalar accumulator, so
+//! any width computes the same lanes (as it does for the Histogram's range
+//! and counting passes, which use this vocabulary too).
 //! Every kernel is one generic loop nest over one lane vocabulary, and
 //! each tier is an instantiation of it; all are **bit-identical** to
 //! their scalar references, pinned by proptests and
@@ -25,7 +27,9 @@
 //!
 //! One process-global tier ([`active_tier`]) decides what runs: scalar,
 //! AVX2, or AVX-512 — the AVX2 tier with the pair sweep's register block
-//! widened to [`WIDE_ROWS`] × [`WIDE_COLS`] on `zmm`. It is detected once
+//! widened to [`WIDE_ROWS`] × [`WIDE_COLS`] on `zmm`, and the kernels
+//! whose lanes are never reduced across at eight lanes to a `zmm`
+//! (`Widest`). It is detected once
 //! (`is_x86_feature_detected!`, which for `avx512f` also checks that the
 //! OS saves `zmm` state), and every entry point reads it with one relaxed
 //! atomic load before a year-long loop, so there is exactly one place
@@ -59,7 +63,9 @@ pub enum SimdTier {
     Avx2,
     /// The AVX2 kernels, except that the pair sweep's register block is
     /// [`WIDE_ROWS`] × [`WIDE_COLS`] with two pairs' four-lane
-    /// accumulators side by side in each `zmm` (bit-identical to scalar).
+    /// accumulators side by side in each `zmm`, and that PAR's and the
+    /// Histogram's passes run eight lanes to a `zmm` (bit-identical to
+    /// scalar).
     Avx512,
 }
 
@@ -153,12 +159,12 @@ mod tokens {
 
     /// Proof that this CPU runs AVX2, and the lane vocabulary on `ymm`.
     #[derive(Clone, Copy)]
-    pub(super) struct Avx2(());
+    pub(crate) struct Avx2(());
 
     /// Proof that this CPU runs AVX-512F and AVX2 (the tier asks for
     /// both), and the lane vocabulary on `zmm`.
     #[derive(Clone, Copy)]
-    pub(super) struct Avx512(());
+    pub(crate) struct Avx512(());
 
     /// The tokens the active tier hands out, from one read of it. Taken
     /// from the tier, not from detection ([`active_tier`] reports a vector
@@ -173,11 +179,58 @@ mod tokens {
 }
 
 #[cfg(target_arch = "x86_64")]
-use tokens::{active_tokens, Avx2, Avx512};
+use tokens::active_tokens;
+#[cfg(target_arch = "x86_64")]
+pub(crate) use tokens::{Avx2, Avx512};
 
 /// The portable lane vocabulary: `N` lanes in an array, which any CPU runs.
 #[derive(Clone, Copy)]
-struct Portable<const N: usize>;
+pub(crate) struct Portable<const N: usize>;
+
+/// The lane vocabulary of a kernel whose lanes are never reduced across —
+/// PAR's hours, the Histogram's range chains and bucket quotients — so
+/// that any width computes the same lanes, and the widest the active
+/// tier hands out is the one to run: eight lanes in a `zmm` on the
+/// AVX-512 tier, four in a `ymm` on AVX2, and the portable eight, the
+/// scalar tier, otherwise. Chosen once per call by [`widest_lanes`].
+#[derive(Clone, Copy)]
+pub(crate) enum Widest {
+    Portable(Portable<8>),
+    #[cfg(target_arch = "x86_64")]
+    Avx2(Avx2),
+    #[cfg(target_arch = "x86_64")]
+    Avx512(Avx512),
+}
+
+/// The [`Widest`] vocabulary of the active tier, from one read of it.
+#[inline]
+pub(crate) fn widest_lanes() -> Widest {
+    #[cfg(target_arch = "x86_64")]
+    match active_tokens() {
+        (_, Some(avx512)) => return Widest::Avx512(avx512),
+        (Some(avx2), _) => return Widest::Avx2(avx2),
+        _ => {}
+    }
+    Widest::Portable(Portable)
+}
+
+thread_local! {
+    /// The [`Widest`] bodies this thread has run, as `(kernel, vocabulary,
+    /// width)`: recorded only in this crate's unit tests, which pin the
+    /// body each forced tier runs.
+    static BODIES_RUN: std::cell::RefCell<Vec<(&'static str, &'static str, usize)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Record that `kernel` runs its body on `L` (a no-op outside this
+/// crate's unit tests: `cfg!`, so that every build type-checks the call).
+#[inline(always)]
+pub(crate) fn note_body<L: Lanes>(kernel: &'static str) {
+    if cfg!(test) {
+        let body = (kernel, std::any::type_name::<L>(), L::WIDTH);
+        BODIES_RUN.with_borrow_mut(|run| run.push(body));
+    }
+}
 
 /// Element-wise IEEE arithmetic on `WIDTH` `f64` lanes — the one
 /// vocabulary every kernel of this module is written in, so a tier is
@@ -187,7 +240,7 @@ struct Portable<const N: usize>;
 /// (eight in a `__m512d`) exist only where the CPU runs them, so every
 /// method is safe. Every operation rounds separately (no FMA), so a lane
 /// holds the same bits whichever vocabulary computed it.
-trait Lanes: Copy {
+pub(crate) trait Lanes: Copy {
     /// Lanes per vector.
     const WIDTH: usize;
     /// One vector of `WIDTH` lanes.
@@ -199,9 +252,20 @@ trait Lanes: Copy {
     fn add(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
     fn sub(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
     fn mul(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
+    fn div(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
     /// `v` in the lanes where `gate != 0.0` (a NaN gate counts as
     /// non-zero, as `gate == 0.0` is false for it), `+0.0` in the rest.
     fn zeroed_where_zero(self, v: Self::Vector, gate: Self::Vector) -> Self::Vector;
+    /// `if a < b { then } else { otherwise }` in each lane: an ordered
+    /// compare, so a NaN on either side takes `otherwise`, and so does
+    /// `-0.0 < 0.0`.
+    fn select_lt(
+        self,
+        a: Self::Vector,
+        b: Self::Vector,
+        then: Self::Vector,
+        otherwise: Self::Vector,
+    ) -> Self::Vector;
     fn store(self, v: Self::Vector) -> Self::Array;
 
     /// `+0.0` in every lane.
@@ -236,8 +300,16 @@ impl<const N: usize> Lanes for Portable<N> {
         std::array::from_fn(|l| a[l] * b[l])
     }
     #[inline(always)]
+    fn div(self, a: [f64; N], b: [f64; N]) -> [f64; N] {
+        std::array::from_fn(|l| a[l] / b[l])
+    }
+    #[inline(always)]
     fn zeroed_where_zero(self, v: [f64; N], gate: [f64; N]) -> [f64; N] {
         std::array::from_fn(|l| if gate[l] == 0.0 { 0.0 } else { v[l] })
+    }
+    #[inline(always)]
+    fn select_lt(self, a: [f64; N], b: [f64; N], then: [f64; N], otherwise: [f64; N]) -> [f64; N] {
+        std::array::from_fn(|l| if a[l] < b[l] { then[l] } else { otherwise[l] })
     }
     #[inline(always)]
     fn store(self, v: [f64; N]) -> [f64; N] {
@@ -277,11 +349,22 @@ impl Lanes for Avx2 {
         unsafe { _mm256_mul_pd(a, b) }
     }
     #[inline(always)]
+    fn div(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_div_pd(a, b) }
+    }
+    #[inline(always)]
     fn zeroed_where_zero(self, v: __m256d, gate: __m256d) -> __m256d {
         // NEQ_UQ is all-ones for `gate != 0.0` *or unordered*: the exact
         // complement of the scalar `gate == 0.0`.
         // SAFETY: `self` is the `Avx2` token.
         unsafe { _mm256_and_pd(v, _mm256_cmp_pd::<_CMP_NEQ_UQ>(gate, _mm256_setzero_pd())) }
+    }
+    #[inline(always)]
+    fn select_lt(self, a: __m256d, b: __m256d, then: __m256d, otherwise: __m256d) -> __m256d {
+        // LT_OQ: all-ones exactly where the scalar `a < b` is true.
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_blendv_pd(otherwise, then, _mm256_cmp_pd::<_CMP_LT_OQ>(a, b)) }
     }
     #[inline(always)]
     fn store(self, v: __m256d) -> [f64; 4] {
@@ -325,6 +408,11 @@ impl Lanes for Avx512 {
         unsafe { _mm512_mul_pd(a, b) }
     }
     #[inline(always)]
+    fn div(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_div_pd(a, b) }
+    }
+    #[inline(always)]
     fn zeroed_where_zero(self, v: __m512d, gate: __m512d) -> __m512d {
         // As on `ymm`, with the comparison in a mask register (a 512-bit
         // `and_pd` would need AVX-512DQ).
@@ -333,6 +421,12 @@ impl Lanes for Avx512 {
             let keep = _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(gate, _mm512_setzero_pd());
             _mm512_maskz_mov_pd(keep, v)
         }
+    }
+    #[inline(always)]
+    fn select_lt(self, a: __m512d, b: __m512d, then: __m512d, otherwise: __m512d) -> __m512d {
+        // As on `ymm`, with the comparison in a mask register.
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(a, b), otherwise, then) }
     }
     #[inline(always)]
     fn store(self, v: __m512d) -> [f64; 8] {
@@ -639,43 +733,34 @@ pub const LANE_COLS: usize = LANE_LAGS + 2;
 /// Entries in the upper triangle of its `LANE_COLS × LANE_COLS` gram.
 const LANE_TRI: usize = LANE_COLS * (LANE_COLS + 1) / 2;
 
-/// Hours the lane kernels advance per step: one `f64x4`.
-pub const LANE_WIDTH: usize = 4;
-
-/// The four hours `hour..hour + 4` of day `day` in a day-major series.
-#[inline(always)]
-fn lane_block(series: &[f64], day: usize, hour: usize) -> &[f64; LANE_WIDTH] {
-    let at = day * HOURS_PER_DAY + hour;
-    series[at..at + LANE_WIDTH]
-        .try_into()
-        .expect("a four-element slice is a four-element array")
-}
-
-/// Normal-equation sums of four adjacent hours' lagged regressions, one
-/// lane per hour (see [`lagged_moments`]).
+/// Normal-equation sums of the 24 hours' lagged regressions, one lane per
+/// hour of day (see [`lagged_moments`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneMoments {
     /// Upper triangle of `XᵀX`, row-major: `(0,0), (0,1), … (4,4)`.
-    pub gram: [[f64; LANE_WIDTH]; LANE_TRI],
+    pub gram: [[f64; HOURS_PER_DAY]; LANE_TRI],
     /// `Xᵀy`.
-    pub xty: [[f64; LANE_WIDTH]; LANE_COLS],
+    pub xty: [[f64; HOURS_PER_DAY]; LANE_COLS],
     /// `Σ y` over the fitted days, folded as `Iterator::sum` folds.
-    pub sum_y: [f64; LANE_WIDTH],
+    pub sum_y: [f64; HOURS_PER_DAY],
     /// `Σ x` over the fitted days, folded the same way.
-    pub sum_x: [f64; LANE_WIDTH],
+    pub sum_x: [f64; HOURS_PER_DAY],
 }
 
-/// Accumulate, for the four hours `hour..hour + 4` side by side, the
-/// moments of the per-hour regression of `y[d]` on
-/// `[1, y[d−1], y[d−2], y[d−3], x[d]]` over days `LANE_LAGS..days` of two
-/// day-major series (24 values per day).
+/// Accumulate, for every hour of day side by side, the moments of the
+/// per-hour regression of `y[d]` on `[1, y[d−1], y[d−2], y[d−3], x[d]]`
+/// over days `LANE_LAGS..days` of two day-major series (24 values per
+/// day).
 ///
-/// In that layout the four hours of a day are adjacent, so every design
-/// column and the response are one unaligned four-lane load, and the 22
-/// sums of an hour live in lane `hour % 4` of 22 accumulator vectors. Lane
-/// *l* is bit-identical to what [`Matrix::gram`](crate::Matrix::gram),
+/// In that layout the hours of a day are adjacent, so for a block of
+/// `WIDTH` hours every design column and the response are one unaligned
+/// load, and the 22 sums of an hour live in one lane of 22 accumulator
+/// vectors: eight hours to a `zmm` on the AVX-512 tier (three blocks
+/// cover the day, and the 22 accumulators stay in the 32 registers),
+/// four to a `ymm` on AVX2 (six blocks). Lane *h* is bit-identical to
+/// what [`Matrix::gram`](crate::Matrix::gram),
 /// [`Matrix::t_vec`](crate::Matrix::t_vec) and `Iterator::sum` produce
-/// for hour `hour + l` alone:
+/// for hour *h* alone, whatever the width:
 ///
 /// * each accumulator is fed one addend per day in ascending day order —
 ///   the reference's row order — with the product rounded before the add
@@ -692,57 +777,102 @@ pub struct LaneMoments {
 ///   taken from std itself rather than assumed.
 ///
 /// # Panics
-/// Panics unless `hour + 4 <= 24` and both series hold `days` whole days.
-pub fn lagged_moments(y: &[f64], x: &[f64], days: usize, hour: usize) -> LaneMoments {
-    check_lane_args(y, x, days, hour);
-    #[cfg(target_arch = "x86_64")]
-    if let (Some(avx2), _) = active_tokens() {
+/// Panics unless both series hold `days` whole days.
+pub fn lagged_moments(y: &[f64], x: &[f64], days: usize) -> LaneMoments {
+    let (y, x) = (whole_days(y, days), whole_days(x, days));
+    match widest_lanes() {
+        Widest::Portable(portable) => lagged_moments_lanes(portable, y, x),
         // SAFETY: the token proves AVX2.
-        return unsafe { lagged_moments_avx2(avx2, y, x, days, hour) };
+        #[cfg(target_arch = "x86_64")]
+        Widest::Avx2(avx2) => unsafe { lagged_moments_avx2(avx2, y, x) },
+        // SAFETY: the token proves AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Widest::Avx512(avx512) => unsafe { lagged_moments_avx512(avx512, y, x) },
     }
-    lagged_moments_lanes(Portable::<LANE_WIDTH>, y, x, days, hour)
 }
 
-fn check_lane_args(y: &[f64], x: &[f64], days: usize, hour: usize) {
-    assert!(
-        hour + LANE_WIDTH <= HOURS_PER_DAY,
-        "lane block {hour}..{} leaves the day",
-        hour + LANE_WIDTH
-    );
-    assert!(
-        y.len() >= days * HOURS_PER_DAY && x.len() >= days * HOURS_PER_DAY,
-        "series shorter than {days} days"
-    );
+/// The first `days` days of a day-major series.
+fn whole_days(series: &[f64], days: usize) -> &[[f64; HOURS_PER_DAY]] {
+    let (whole, _) = series.as_chunks::<HOURS_PER_DAY>();
+    assert!(whole.len() >= days, "series shorter than {days} days");
+    &whole[..days]
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn lagged_moments_avx2(avx2: Avx2, y: &[f64], x: &[f64], days: usize, hour: usize) -> LaneMoments {
-    lagged_moments_lanes(avx2, y, x, days, hour)
+fn lagged_moments_avx2(
+    avx2: Avx2,
+    y: &[[f64; HOURS_PER_DAY]],
+    x: &[[f64; HOURS_PER_DAY]],
+) -> LaneMoments {
+    lagged_moments_lanes(avx2, y, x)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lagged_moments_avx512(
+    avx512: Avx512,
+    y: &[[f64; HOURS_PER_DAY]],
+    x: &[[f64; HOURS_PER_DAY]],
+) -> LaneMoments {
+    lagged_moments_lanes(avx512, y, x)
+}
+
+/// Hours `block · W .. (block + 1) · W` of one day: a lane block.
+#[inline(always)]
+fn hours<const W: usize>(day: &[f64; HOURS_PER_DAY], block: usize) -> &[f64; W] {
+    &day.as_chunks::<W>().0[block]
+}
+
+/// Each day's lane block of the response and its design columns, in day
+/// order from day `LANE_LAGS`: `(y[d], [1, y[d−1], y[d−2], y[d−3], x[d]])`.
+/// Yesterday's response is today's first lag, so a day loads two vectors
+/// and shifts the lag window.
+#[inline(always)]
+fn for_each_row<L: Lanes<Array = [f64; W]>, const W: usize>(
+    simd: L,
+    y: &[[f64; HOURS_PER_DAY]],
+    x: &[[f64; HOURS_PER_DAY]],
+    block: usize,
+    mut row: impl FnMut(L::Vector, [L::Vector; LANE_COLS]),
+) {
+    if y.len() <= LANE_LAGS {
+        return;
+    }
+    let mut lags: [L::Vector; LANE_LAGS] =
+        std::array::from_fn(|lag| simd.load(hours(&y[LANE_LAGS - 1 - lag], block)));
+    for (y_day, x_day) in y[LANE_LAGS..].iter().zip(&x[LANE_LAGS..]) {
+        let response = simd.load(hours(y_day, block));
+        let exogenous = simd.load(hours(x_day, block));
+        row(
+            response,
+            [simd.splat(1.0), lags[0], lags[1], lags[2], exogenous],
+        );
+        lags = [response, lags[0], lags[1]];
+    }
 }
 
 #[inline(always)]
-fn lagged_moments_lanes<L: Lanes<Array = [f64; LANE_WIDTH]>>(
+fn lagged_moments_lanes<L: Lanes<Array = [f64; W]>, const W: usize>(
     simd: L,
-    y: &[f64],
-    x: &[f64],
-    days: usize,
-    hour: usize,
+    y: &[[f64; HOURS_PER_DAY]],
+    x: &[[f64; HOURS_PER_DAY]],
 ) -> LaneMoments {
+    const { assert!(HOURS_PER_DAY.is_multiple_of(W), "lane blocks tile the day") };
+    note_body::<L>("moments");
     let sum_start: f64 = std::iter::empty::<f64>().sum();
-    let mut gram = [simd.zero(); LANE_TRI];
-    let mut xty = [simd.zero(); LANE_COLS];
-    let mut sum_y = simd.splat(sum_start);
-    let mut sum_x = simd.splat(sum_start);
-    if days > LANE_LAGS {
-        // Yesterday's response is today's first lag: each day loads two
-        // new vectors and shifts the lag window.
-        let mut lags: [L::Vector; LANE_LAGS] =
-            std::array::from_fn(|lag| simd.load(lane_block(y, LANE_LAGS - 1 - lag, hour)));
-        for day in LANE_LAGS..days {
-            let response = simd.load(lane_block(y, day, hour));
-            let exogenous = simd.load(lane_block(x, day, hour));
-            let cols = [simd.splat(1.0), lags[0], lags[1], lags[2], exogenous];
+    let mut out = LaneMoments {
+        gram: [[0.0; HOURS_PER_DAY]; LANE_TRI],
+        xty: [[0.0; HOURS_PER_DAY]; LANE_COLS],
+        sum_y: [0.0; HOURS_PER_DAY],
+        sum_x: [0.0; HOURS_PER_DAY],
+    };
+    for block in 0..HOURS_PER_DAY / W {
+        let mut gram = [simd.zero(); LANE_TRI];
+        let mut xty = [simd.zero(); LANE_COLS];
+        let mut sum_y = simd.splat(sum_start);
+        let mut sum_x = simd.splat(sum_start);
+        for_each_row(simd, y, x, block, |response, cols| {
             let mut entry = 0;
             for i in 0..LANE_COLS {
                 for j in i..LANE_COLS {
@@ -759,26 +889,31 @@ fn lagged_moments_lanes<L: Lanes<Array = [f64; LANE_WIDTH]>>(
                 *acc = simd.add(*acc, simd.mul(response, col));
             }
             sum_y = simd.add(sum_y, response);
-            sum_x = simd.add(sum_x, exogenous);
-            lags = [response, lags[0], lags[1]];
+            sum_x = simd.add(sum_x, cols[LANE_COLS - 1]);
+        });
+        let store = |lanes: &mut [f64; HOURS_PER_DAY], v: L::Vector| {
+            lanes.as_chunks_mut::<W>().0[block] = simd.store(v);
+        };
+        for (lanes, v) in out.gram.iter_mut().zip(gram) {
+            store(lanes, v);
         }
+        for (lanes, v) in out.xty.iter_mut().zip(xty) {
+            store(lanes, v);
+        }
+        store(&mut out.sum_y, sum_y);
+        store(&mut out.sum_x, sum_x);
     }
-    LaneMoments {
-        gram: gram.map(move |v| simd.store(v)),
-        xty: xty.map(move |v| simd.store(v)),
-        sum_y: simd.store(sum_y),
-        sum_x: simd.store(sum_x),
-    }
+    out
 }
 
-/// Residual and total sums of squares of four adjacent hours' fitted
-/// lagged regressions — the second pass of
-/// [`ols_multiple`](crate::ols_multiple), one lane per hour: per day the
-/// prediction is `Iterator::sum` over `row[i] · beta[i]` left to right
+/// Residual and total sums of squares of the 24 hours' fitted lagged
+/// regressions — the second pass of [`ols_multiple`](crate::ols_multiple),
+/// one lane per hour of day, at the width [`lagged_moments`] runs: per day
+/// the prediction is `Iterator::sum` over `row[i] · beta[i]` left to right
 /// from std's own start value, then `sse += e·e` and `syy += d·d` from
 /// `0.0`, each product rounded before its add. `beta[i]` holds
-/// coefficient *i* of the four hours, `mean_y` their response means.
-/// Returns `(sse, syy)`.
+/// coefficient *i* of every hour, `mean_y` their response means. Returns
+/// `(sse, syy)`.
 ///
 /// # Panics
 /// As [`lagged_moments`].
@@ -786,55 +921,64 @@ pub fn lagged_residuals(
     y: &[f64],
     x: &[f64],
     days: usize,
-    hour: usize,
-    beta: &[[f64; LANE_WIDTH]; LANE_COLS],
-    mean_y: [f64; LANE_WIDTH],
-) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
-    check_lane_args(y, x, days, hour);
-    #[cfg(target_arch = "x86_64")]
-    if let (Some(avx2), _) = active_tokens() {
+    beta: &[[f64; HOURS_PER_DAY]; LANE_COLS],
+    mean_y: &[f64; HOURS_PER_DAY],
+) -> ([f64; HOURS_PER_DAY], [f64; HOURS_PER_DAY]) {
+    let (y, x) = (whole_days(y, days), whole_days(x, days));
+    match widest_lanes() {
+        Widest::Portable(portable) => lagged_residuals_lanes(portable, y, x, beta, mean_y),
         // SAFETY: the token proves AVX2.
-        return unsafe { lagged_residuals_avx2(avx2, y, x, days, hour, beta, mean_y) };
+        #[cfg(target_arch = "x86_64")]
+        Widest::Avx2(avx2) => unsafe { lagged_residuals_avx2(avx2, y, x, beta, mean_y) },
+        // SAFETY: the token proves AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Widest::Avx512(avx512) => unsafe { lagged_residuals_avx512(avx512, y, x, beta, mean_y) },
     }
-    lagged_residuals_lanes(Portable::<LANE_WIDTH>, y, x, days, hour, beta, mean_y)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn lagged_residuals_avx2(
     avx2: Avx2,
-    y: &[f64],
-    x: &[f64],
-    days: usize,
-    hour: usize,
-    beta: &[[f64; LANE_WIDTH]; LANE_COLS],
-    mean_y: [f64; LANE_WIDTH],
-) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
-    lagged_residuals_lanes(avx2, y, x, days, hour, beta, mean_y)
+    y: &[[f64; HOURS_PER_DAY]],
+    x: &[[f64; HOURS_PER_DAY]],
+    beta: &[[f64; HOURS_PER_DAY]; LANE_COLS],
+    mean_y: &[f64; HOURS_PER_DAY],
+) -> ([f64; HOURS_PER_DAY], [f64; HOURS_PER_DAY]) {
+    lagged_residuals_lanes(avx2, y, x, beta, mean_y)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lagged_residuals_avx512(
+    avx512: Avx512,
+    y: &[[f64; HOURS_PER_DAY]],
+    x: &[[f64; HOURS_PER_DAY]],
+    beta: &[[f64; HOURS_PER_DAY]; LANE_COLS],
+    mean_y: &[f64; HOURS_PER_DAY],
+) -> ([f64; HOURS_PER_DAY], [f64; HOURS_PER_DAY]) {
+    lagged_residuals_lanes(avx512, y, x, beta, mean_y)
 }
 
 #[inline(always)]
-fn lagged_residuals_lanes<L: Lanes<Array = [f64; LANE_WIDTH]>>(
+fn lagged_residuals_lanes<L: Lanes<Array = [f64; W]>, const W: usize>(
     simd: L,
-    y: &[f64],
-    x: &[f64],
-    days: usize,
-    hour: usize,
-    beta: &[[f64; LANE_WIDTH]; LANE_COLS],
-    mean_y: [f64; LANE_WIDTH],
-) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH]) {
+    y: &[[f64; HOURS_PER_DAY]],
+    x: &[[f64; HOURS_PER_DAY]],
+    beta: &[[f64; HOURS_PER_DAY]; LANE_COLS],
+    mean_y: &[f64; HOURS_PER_DAY],
+) -> ([f64; HOURS_PER_DAY], [f64; HOURS_PER_DAY]) {
+    const { assert!(HOURS_PER_DAY.is_multiple_of(W), "lane blocks tile the day") };
+    note_body::<L>("residuals");
     let sum_start: f64 = std::iter::empty::<f64>().sum();
-    let beta: [L::Vector; LANE_COLS] = std::array::from_fn(|i| simd.load(&beta[i]));
-    let mean_y = simd.load(&mean_y);
-    let mut sse = simd.zero();
-    let mut syy = simd.zero();
-    if days > LANE_LAGS {
-        let mut lags: [L::Vector; LANE_LAGS] =
-            std::array::from_fn(|lag| simd.load(lane_block(y, LANE_LAGS - 1 - lag, hour)));
-        for day in LANE_LAGS..days {
-            let response = simd.load(lane_block(y, day, hour));
-            let exogenous = simd.load(lane_block(x, day, hour));
-            let cols = [simd.splat(1.0), lags[0], lags[1], lags[2], exogenous];
+    let (mut sse_out, mut syy_out) = ([0.0; HOURS_PER_DAY], [0.0; HOURS_PER_DAY]);
+    for block in 0..HOURS_PER_DAY / W {
+        let beta: [L::Vector; LANE_COLS] =
+            std::array::from_fn(|i| simd.load(hours(&beta[i], block)));
+        let mean_y = simd.load(hours(mean_y, block));
+        let mut sse = simd.zero();
+        let mut syy = simd.zero();
+        for_each_row(simd, y, x, block, |response, cols| {
             let mut predicted = simd.splat(sum_start);
             for (col, b) in cols.into_iter().zip(beta) {
                 predicted = simd.add(predicted, simd.mul(col, b));
@@ -843,10 +987,11 @@ fn lagged_residuals_lanes<L: Lanes<Array = [f64; LANE_WIDTH]>>(
             sse = simd.add(sse, simd.mul(error, error));
             let centred = simd.sub(response, mean_y);
             syy = simd.add(syy, simd.mul(centred, centred));
-            lags = [response, lags[0], lags[1]];
-        }
+        });
+        sse_out.as_chunks_mut::<W>().0[block] = simd.store(sse);
+        syy_out.as_chunks_mut::<W>().0[block] = simd.store(syy);
     }
-    (simd.store(sse), simd.store(syy))
+    (sse_out, syy_out)
 }
 
 #[cfg(test)]
@@ -961,11 +1106,12 @@ mod tests {
     #[test]
     fn each_kernel_family_runs_the_body_its_tier_names() {
         // The tier is an order. Every kernel but the pair sweep's wide
-        // block runs on the AVX2 token, which each tier from AVX2 up
-        // hands out (`a_forced_scalar_tier_hands_out_no_avx2_token`) —
-        // an equality there would drop an AVX-512 host to the scalar
-        // instantiations — and only the wide shape, only with the
-        // AVX-512 token, leaves `ymm`.
+        // block and the `Widest` kernels runs on the AVX2 token, which each
+        // tier from AVX2 up hands out
+        // (`a_forced_scalar_tier_hands_out_no_avx2_token`) — an equality
+        // there would drop an AVX-512 host to the scalar instantiations —
+        // and only the wide shape, only with the AVX-512 token, leaves
+        // `ymm`.
         assert!(SimdTier::ALL.windows(2).all(|w| w[0] < w[1]));
         under_every_tier(|tier| assert_eq!(active_tier(), tier));
         assert!(runs_wide(WIDE_ROWS, WIDE_COLS));
@@ -974,6 +1120,37 @@ mod tests {
         for (rows, cols) in [(4, 2), (1, 4), (1, 3), (1, 2), (1, 1), (4, 8), (8, 2)] {
             assert!(!runs_wide(rows, cols), "{rows}x{cols}");
         }
+        // PAR's two passes and the Histogram's two run the body of the
+        // widest vocabulary the tier hands out, at its width: eight lanes
+        // on `zmm`, four on `ymm`, the portable eight on the scalar tier.
+        let days = 12;
+        let (y, x) = crate::testutil::awkward_year(days, 7);
+        let beta = [[0.5; HOURS_PER_DAY]; LANE_COLS];
+        under_every_tier(|tier| {
+            let want = match tier {
+                SimdTier::Scalar => (std::any::type_name::<Portable<8>>(), 8),
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Avx2 => (std::any::type_name::<Avx2>(), 4),
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Avx512 => (std::any::type_name::<Avx512>(), 8),
+                #[cfg(not(target_arch = "x86_64"))]
+                _ => unreachable!("no vector tier off x86-64"),
+            };
+            BODIES_RUN.with_borrow_mut(Vec::clear);
+            let _ = lagged_moments(&y, &x, days);
+            let _ = lagged_residuals(&y, &x, days, &beta, &[1.0; HOURS_PER_DAY]);
+            let _ = crate::EquiWidthHistogram::build(&y, 10);
+            let ran = BODIES_RUN.with_borrow_mut(std::mem::take);
+            let kernels: Vec<_> = ran.iter().map(|&(kernel, ..)| kernel).collect();
+            assert_eq!(
+                kernels,
+                ["moments", "residuals", "range", "count"],
+                "{tier:?}"
+            );
+            for (kernel, body, width) in ran {
+                assert_eq!((body, width), want, "{tier:?} ran {kernel} on another body");
+            }
+        });
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -990,33 +1167,64 @@ mod tests {
     }
 
     /// Every `Lanes` method of `simd` against the portable lanes of its
-    /// width, bit for bit.
+    /// width, bit for bit, with every pair of edge values meeting in a
+    /// lane: `±0`, a subnormal, `±1e308`, `±∞`, NaN and two plain values.
     #[cfg(target_arch = "x86_64")]
     fn assert_lanes_are_portable<L: Lanes<Array = [f64; N]>, const N: usize>(simd: L) {
+        use std::hint::black_box;
         let portable = Portable::<N>;
-        let edge = [-0.0, 0.0, 5e-324, -1e308, 1e308, 1.5];
-        let a: [f64; N] = std::array::from_fn(|l| edge[l % edge.len()]);
-        let b: [f64; N] = series(N, 5).try_into().expect("N values");
-        let gate: [f64; N] = std::array::from_fn(|l| [0.0, -0.0, f64::NAN, 2.0][l % 4]);
-        let (va, vb, vg) = (simd.load(&a), simd.load(&b), simd.load(&gate));
-        let cases = [
-            ("zero", simd.store(simd.zero()), [0.0; N]),
-            ("splat", simd.store(simd.splat(-0.0)), [-0.0; N]),
-            ("add", simd.store(simd.add(va, vb)), portable.add(a, b)),
-            ("sub", simd.store(simd.sub(va, vb)), portable.sub(a, b)),
-            ("mul", simd.store(simd.mul(va, vb)), portable.mul(a, b)),
-            (
-                "mask",
-                simd.store(simd.zeroed_where_zero(vb, vg)),
-                portable.zeroed_where_zero(b, gate),
-            ),
+        let edge = [
+            -0.0,
+            0.0,
+            5e-324,
+            -1e308,
+            1e308,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.5,
+            -2.25,
         ];
-        for (name, got, want) in cases {
-            assert_eq!(
-                got.map(f64::to_bits),
-                want.map(f64::to_bits),
-                "{name} on {N} lanes"
-            );
+        for shift_a in 0..edge.len() {
+            for shift_b in 0..edge.len() {
+                // Opaque, so that the portable side is computed by the CPU
+                // as the vector side is, not folded by the compiler.
+                let a: [f64; N] =
+                    black_box(std::array::from_fn(|l| edge[(l + shift_a) % edge.len()]));
+                let b: [f64; N] =
+                    black_box(std::array::from_fn(|l| edge[(l + shift_b) % edge.len()]));
+                let (va, vb) = (simd.load(&a), simd.load(&b));
+                let cases = [
+                    ("zero", simd.store(simd.zero()), [0.0; N]),
+                    ("splat", simd.store(simd.splat(a[0])), [a[0]; N]),
+                    ("add", simd.store(simd.add(va, vb)), portable.add(a, b)),
+                    ("sub", simd.store(simd.sub(va, vb)), portable.sub(a, b)),
+                    ("mul", simd.store(simd.mul(va, vb)), portable.mul(a, b)),
+                    ("div", simd.store(simd.div(va, vb)), portable.div(a, b)),
+                    (
+                        "mask",
+                        simd.store(simd.zeroed_where_zero(vb, va)),
+                        portable.zeroed_where_zero(b, a),
+                    ),
+                    (
+                        "select_lt",
+                        simd.store(simd.select_lt(va, vb, va, vb)),
+                        portable.select_lt(a, b, a, b),
+                    ),
+                    (
+                        "select_lt, swapped",
+                        simd.store(simd.select_lt(vb, va, va, vb)),
+                        portable.select_lt(b, a, a, b),
+                    ),
+                ];
+                for (name, got, want) in cases {
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{name} on {N} lanes: {a:?}, {b:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -1034,36 +1242,45 @@ mod tests {
         });
     }
 
-    /// Every lane of every block of `lagged_moments` against
-    /// `Matrix::gram`, `Matrix::t_vec` and `Iterator::sum` on that hour's
-    /// materialized design.
+    /// Every lane of every block of `lagged_moments`, under every tier,
+    /// against `Matrix::gram`, `Matrix::t_vec` and `Iterator::sum` on that
+    /// hour's materialized design.
     fn assert_moments_match_matrix(y: &[f64], x: &[f64], days: usize) {
-        for hour in 0..HOURS_PER_DAY {
-            let (block, lane) = (hour / LANE_WIDTH * LANE_WIDTH, hour % LANE_WIDTH);
-            let got = lagged_moments(y, x, days, block);
-            let (design, response) = crate::testutil::hour_design(y, x, days, hour);
-            let (gram, xty) = (design.gram(), design.t_vec(&response));
-            let mut entry = 0;
-            for (i, (got_xty, want_xty)) in got.xty.iter().zip(&xty).enumerate() {
-                for j in i..LANE_COLS {
+        under_every_tier(|tier| {
+            let got = lagged_moments(y, x, days);
+            for hour in 0..HOURS_PER_DAY {
+                let (design, response) = crate::testutil::hour_design(y, x, days, hour);
+                let (gram, xty) = (design.gram(), design.t_vec(&response));
+                let mut entry = 0;
+                for (i, (got_xty, want_xty)) in got.xty.iter().zip(&xty).enumerate() {
+                    for j in i..LANE_COLS {
+                        assert_eq!(
+                            got.gram[entry][hour].to_bits(),
+                            gram.get(i, j).to_bits(),
+                            "{tier:?}, hour {hour} gram({i},{j})"
+                        );
+                        entry += 1;
+                    }
                     assert_eq!(
-                        got.gram[entry][lane].to_bits(),
-                        gram.get(i, j).to_bits(),
-                        "hour {hour} gram({i},{j})"
+                        got_xty[hour].to_bits(),
+                        want_xty.to_bits(),
+                        "{tier:?}, hour {hour} xty[{i}]"
                     );
-                    entry += 1;
                 }
+                let sum_y: f64 = response.iter().sum();
+                let sum_x: f64 = (LANE_LAGS..days).map(|d| x[d * HOURS_PER_DAY + hour]).sum();
                 assert_eq!(
-                    got_xty[lane].to_bits(),
-                    want_xty.to_bits(),
-                    "hour {hour} xty[{i}]"
+                    got.sum_y[hour].to_bits(),
+                    sum_y.to_bits(),
+                    "{tier:?}, hour {hour} Σy"
+                );
+                assert_eq!(
+                    got.sum_x[hour].to_bits(),
+                    sum_x.to_bits(),
+                    "{tier:?}, hour {hour} Σx"
                 );
             }
-            let sum_y: f64 = response.iter().sum();
-            let sum_x: f64 = (LANE_LAGS..days).map(|d| x[d * HOURS_PER_DAY + hour]).sum();
-            assert_eq!(got.sum_y[lane].to_bits(), sum_y.to_bits(), "hour {hour} Σy");
-            assert_eq!(got.sum_x[lane].to_bits(), sum_x.to_bits(), "hour {hour} Σx");
-        }
+        });
     }
 
     #[test]
@@ -1091,65 +1308,51 @@ mod tests {
             y[7 * HOURS_PER_DAY + hour] = f64::NEG_INFINITY;
         }
         assert_moments_match_matrix(&y, &x, days);
-        let got = lagged_moments(&y, &x, days, 0);
+        let got = lagged_moments(&y, &x, days);
         // gram(1,4) = Σ y[d−1]·x[d] met 0 · ∞ on day 7 and must not be NaN
         // for it (entry 8 of the row-major upper triangle).
         assert!(!got.gram[8][0].is_nan(), "masked product leaked a NaN");
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn lane_kernels_agree_across_tiers_bitwise() {
-        let _pinned = pin_lock();
-        let restore = force_tier(SimdTier::Avx2);
-        let (token, _) = active_tokens();
-        force_tier(restore);
-        let Some(token) = token else {
-            eprintln!("no AVX2 on this machine; lane test skipped");
-            return;
-        };
+        // Every body — portable, `ymm`, `zmm`, as many as this machine
+        // runs — of PAR's two passes and the Histogram's two, on a year
+        // holding ±0, NaN-free edge magnitudes and a rank-deficient hour.
         let days = 40;
-        let (y, x) = crate::testutil::awkward_year(days, 23);
-        let beta: [[f64; LANE_WIDTH]; LANE_COLS] =
-            std::array::from_fn(|i| std::array::from_fn(|l| 0.3 * i as f64 - 0.2 * l as f64));
-        let mean_y = [0.5, -0.0, 2.0, 0.0];
-        for hour in (0..HOURS_PER_DAY).step_by(LANE_WIDTH) {
-            // SAFETY: the token proves AVX2.
-            let (scalar, avx2) = unsafe {
-                (
-                    lagged_moments_lanes(Portable::<LANE_WIDTH>, &y, &x, days, hour),
-                    lagged_moments_avx2(token, &y, &x, days, hour),
-                )
-            };
-            let bits = |m: &LaneMoments| -> Vec<u64> {
-                m.gram
-                    .iter()
-                    .chain(&m.xty)
-                    .chain([&m.sum_y, &m.sum_x])
-                    .flatten()
-                    .map(|v| v.to_bits())
-                    .collect()
-            };
-            assert_eq!(bits(&scalar), bits(&avx2), "moments, block at hour {hour}");
-            // SAFETY: as above.
-            let (scalar, avx2) = unsafe {
-                (
-                    lagged_residuals_lanes(
-                        Portable::<LANE_WIDTH>,
-                        &y,
-                        &x,
-                        days,
-                        hour,
-                        &beta,
-                        mean_y,
-                    ),
-                    lagged_residuals_avx2(token, &y, &x, days, hour, &beta, mean_y),
-                )
-            };
-            for lane in 0..LANE_WIDTH {
-                assert_eq!(scalar.0[lane].to_bits(), avx2.0[lane].to_bits(), "sse");
-                assert_eq!(scalar.1[lane].to_bits(), avx2.1[lane].to_bits(), "syy");
-            }
+        let (y, mut x) = crate::testutil::awkward_year(days, 23);
+        x[100] = 5e-324;
+        x[101] = -1e308;
+        let beta: [[f64; HOURS_PER_DAY]; LANE_COLS] =
+            std::array::from_fn(|i| std::array::from_fn(|h| 0.3 * i as f64 - 0.2 * h as f64));
+        let mean_y: [f64; HOURS_PER_DAY] = std::array::from_fn(|h| [0.5, -0.0, 2.0, 0.0][h % 4]);
+        let spec = crate::HistogramSpec {
+            min: 0.1,
+            max: 1.7,
+            buckets: 7,
+        };
+        let bits = |values: &[f64]| -> Vec<u64> { values.iter().map(|v| v.to_bits()).collect() };
+        let mut per_tier = Vec::new();
+        under_every_tier(|tier| {
+            let moments = lagged_moments(&y, &x, days);
+            let (sse, syy) = lagged_residuals(&y, &x, days, &beta, &mean_y);
+            let spanned = crate::EquiWidthHistogram::build(&x[..x.len() - 3], 10).expect("finite");
+            let fixed = crate::EquiWidthHistogram::build_with_spec(&y, spec);
+            let mut out = bits(moments.gram.as_flattened());
+            out.extend(bits(moments.xty.as_flattened()));
+            out.extend(bits(&moments.sum_y).into_iter().chain(bits(&moments.sum_x)));
+            out.extend(bits(&sse).into_iter().chain(bits(&syy)));
+            out.extend(bits(&[spanned.spec.min, spanned.spec.max]));
+            out.extend(spanned.counts.into_iter().chain(fixed.counts));
+            per_tier.push((tier, out));
+        });
+        assert_eq!(
+            per_tier.len(),
+            SimdTier::ALL.iter().filter(|&&t| t <= detect()).count()
+        );
+        let (_, scalar) = &per_tier[0];
+        for (tier, out) in &per_tier[1..] {
+            assert!(out == scalar, "the {tier:?} bodies left the portable ones");
         }
     }
 
