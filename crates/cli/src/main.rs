@@ -622,12 +622,11 @@ fn ingest(args: &[String]) -> Result<()> {
     if let Some(spec) = flag(args, "--faults") {
         cfg = cfg.with_faults(smda_cluster::FaultPlan::parse(&spec)?);
     }
-    let smc_target = flag(args, "--smc").map(PathBuf::from);
-    if let Some(path) = &smc_target {
-        // Seal straight to the binary format inside the pipeline's
-        // drain — the streaming on-disk lambda hand-off.
-        cfg = cfg.with_seal_smc(path, parse_encoding(args)?);
-    }
+    // Parsed up front, so a bad encoding fails before the replay.
+    let smc_target = match flag(args, "--smc") {
+        Some(path) => Some((PathBuf::from(path), parse_encoding(args)?)),
+        None => None,
+    };
     let handle = if args.iter().any(|a| a == "--serve") {
         let handle = Arc::new(SnapshotHandle::new());
         cfg = cfg.with_publish(handle.clone());
@@ -694,12 +693,9 @@ fn ingest(args: &[String]) -> Result<()> {
         );
     }
 
-    if let Some(path) = &smc_target {
-        println!(
-            "sealed year -> {} ({} bytes, streamed at drain time)",
-            path.display(),
-            r.smc_bytes
-        );
+    if let Some((path, encoding)) = &smc_target {
+        let bytes = out.snapshot.write_smc(path, *encoding)?;
+        println!("sealed year -> {} ({bytes} bytes)", path.display());
     }
 
     // The bridge: the sealed snapshot feeds the unchanged batch engines.

@@ -205,10 +205,9 @@ impl FaultPlan {
                     if !secs.is_finite() || secs < 0.0 {
                         return Err(bad("crash time must be non-negative"));
                     }
-                    plan.crashes.push(NodeCrash {
-                        node,
-                        at: Duration::from_secs_f64(secs),
-                    });
+                    let at = Duration::try_from_secs_f64(secs)
+                        .map_err(|_| bad("crash time does not fit a Duration"))?;
+                    plan.crashes.push(NodeCrash { node, at });
                 }
                 "slow" => {
                     let (node, factor) = value
@@ -343,6 +342,7 @@ mod tests {
             "task_fail=1.5",
             "crash=2",
             "crash=2@-1",
+            "crash=0@1e30",
             "slow=1x0.5",
             "retries=0",
             "speculate=0.9",

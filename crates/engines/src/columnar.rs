@@ -83,10 +83,11 @@ impl ConsumerSource for ColumnSource {
     }
 
     fn temperature_year(&mut self) -> Result<&[f64]> {
-        if self.temps.is_none() {
-            self.temps = Some(self.store.lock().temperature()?.to_vec());
-        }
-        Ok(self.temps.as_deref().expect("temperature just cached"))
+        let temps = match self.temps.take() {
+            Some(temps) => temps,
+            None => self.store.lock().temperature()?.to_vec(),
+        };
+        Ok(self.temps.insert(temps))
     }
 }
 

@@ -102,18 +102,21 @@ impl ConsumerSource for TableSource {
     }
 
     fn temperature_year(&mut self) -> Result<&[f64]> {
-        if self.temps.is_none() {
-            let id = self
-                .table
-                .consumer_ids()?
-                .first()
-                .copied()
-                .ok_or_else(|| Error::Invalid("table has no consumers".into()))?;
-            self.table
-                .consumer_year_into(id, &mut self.kwh, &mut self.temp_scratch)?;
-            self.temps = Some(std::mem::take(&mut self.temp_scratch));
-        }
-        Ok(self.temps.as_deref().expect("temperature just cached"))
+        let temps = match self.temps.take() {
+            Some(temps) => temps,
+            None => {
+                let id = self
+                    .table
+                    .consumer_ids()?
+                    .first()
+                    .copied()
+                    .ok_or_else(|| Error::Invalid("table has no consumers".into()))?;
+                self.table
+                    .consumer_year_into(id, &mut self.kwh, &mut self.temp_scratch)?;
+                std::mem::take(&mut self.temp_scratch)
+            }
+        };
+        Ok(self.temps.insert(temps))
     }
 }
 

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use smda_cluster::FaultPlan;
 use smda_core::AnomalyDetector;
 use smda_obs::MetricsSink;
-use smda_storage::BinaryEncoding;
 use smda_types::{ConsumerId, DirtyDataPolicy, Error, Result};
 
 use crate::handle::SnapshotHandle;
@@ -59,10 +58,6 @@ pub struct IngestConfig {
     /// Where to publish the sealed snapshot for online serving; the
     /// pipeline swaps it in as a new epoch at seal time.
     pub publish: Option<Arc<SnapshotHandle>>,
-    /// Seal the year straight to an `SMC1` file at this path as rows
-    /// drain — the streaming disk hand-off
-    /// ([`seal_to_smc`](crate::seal_to_smc)), no dataset intermediate.
-    pub seal_smc: Option<(PathBuf, BinaryEncoding)>,
 }
 
 impl Default for IngestConfig {
@@ -77,7 +72,6 @@ impl Default for IngestConfig {
             metrics: MetricsSink::disabled(),
             detectors: None,
             publish: None,
-            seal_smc: None,
         }
     }
 }
@@ -143,17 +137,6 @@ impl IngestConfig {
     /// Publish the sealed snapshot into `handle` for online serving.
     pub fn with_publish(mut self, handle: Arc<SnapshotHandle>) -> IngestConfig {
         self.publish = Some(handle);
-        self
-    }
-
-    /// Seal the year straight to an `SMC1` file at `path` at drain
-    /// time.
-    pub fn with_seal_smc(
-        mut self,
-        path: impl Into<PathBuf>,
-        encoding: BinaryEncoding,
-    ) -> IngestConfig {
-        self.seal_smc = Some((path.into(), encoding));
         self
     }
 

@@ -22,15 +22,13 @@
 //!    allowed lateness`); readings behind the watermark are counted and
 //!    routed to a dead-letter sink per
 //!    [`DirtyDataPolicy`](smda_types::DirtyDataPolicy);
-//! 3. **maintains incremental per-consumer task state** behind the
-//!    watermark: running equi-width histogram counts
-//!    ([`RunningHistogram`]), [`OnlineStats`](smda_stats::OnlineStats)
-//!    residual tracking driving
-//!    [`AnomalyDetector`](smda_core::AnomalyDetector) alerts, and an
-//!    in-order incremental L2 norm so a
-//!    [`SeriesMatrix`](smda_stats::SeriesMatrix) row is finalized the
-//!    moment a consumer's year closes;
-//! 4. **seals** each completed year into a [`Snapshot`] whose
+//! 3. **finalizes** each consumer's buffered hours in hour order behind
+//!    the watermark, feeding the optional
+//!    [`AnomalyDetector`](smda_core::AnomalyDetector) — the one consumer
+//!    of a reading that cannot wait for the year to close;
+//! 4. **seals** each completed year into a [`Snapshot`]: the validated
+//!    series go into a [`Dataset`](smda_types::Dataset), and the batch
+//!    code builds the similarity rows and histograms from it. Its
 //!    [`Snapshot::run_task`] bridge hands the data to the existing batch
 //!    engines ([`smda_engines::parallel::execute_task`]) — the four
 //!    paper tasks run unchanged and are bit-identical to the offline
@@ -46,13 +44,11 @@
 //!
 //! # Bit identity
 //!
-//! The canonical [`norm2`](smda_stats::norm2) is a *sequential,
-//! index-order* sum of squares. Sealed hours are finalized strictly in
-//! hour order, so the incremental sum of squares is the same chain of
-//! additions — the finalized row equals
-//! [`SeriesMatrixBuilder::set_row_normalized`](smda_stats::SeriesMatrixBuilder)
-//! bit for bit, at any shard count and any arrival order within the
-//! allowed lateness.
+//! Ingest derives nothing from the readings but the detector's alerts.
+//! A sealed year's series holds exactly the delivered readings, at any
+//! shard count and any arrival order within the allowed lateness, and
+//! every other artifact of it — similarity row, histogram, `.smc` file —
+//! comes from the code the batch path runs on the same series.
 
 pub mod config;
 pub mod handle;
@@ -66,8 +62,8 @@ pub use config::IngestConfig;
 pub use handle::{LiveSnapshot, SnapshotHandle};
 pub use pipeline::{run_pipeline, shard_of, IngestOutcome, IngestReport};
 pub use replay::{replay_events, throttle, ReplayConfig};
-pub use snapshot::{seal_to_smc, Snapshot};
-pub use state::{fit_detectors, ConsumerAccumulator, RunningHistogram, SealedConsumer};
+pub use snapshot::Snapshot;
+pub use state::{fit_detectors, ConsumerAccumulator};
 
 /// SplitMix64 finalizer — the workspace's standard stateless mixer, used
 /// here for shard routing and replay jitter.

@@ -89,9 +89,6 @@ pub struct IngestReport {
     pub crashes_recovered: u64,
     /// Failed task attempts injected by the fault plan.
     pub failures_injected: u64,
-    /// Bytes of the `SMC1` file written at seal time, when the config
-    /// carries a [`seal_smc`](crate::IngestConfig::seal_smc) target.
-    pub smc_bytes: u64,
 }
 
 /// Everything a finished pipeline run produced.
@@ -477,7 +474,7 @@ where
         report.failures_injected += state.failures_injected();
         shard_busy += state.busy_time();
     }
-    sealed.sort_by_key(|s| s.series.id);
+    sealed.sort_by_key(|s| s.id);
     alerts.sort_by_key(|a| (a.consumer, a.hour));
     report.consumers_sealed = sealed.len() as u64;
 
@@ -490,12 +487,6 @@ where
             }
             // SkipAndCount: hours nobody reported keep the 0.0 fill.
         }
-    }
-    if let Some((path, encoding)) = &cfg.seal_smc {
-        // Streaming disk hand-off: rows go straight from the sealed
-        // drain to the SMC1 writer, before (and independent of) the
-        // in-memory snapshot assembly.
-        report.smc_bytes = crate::snapshot::seal_to_smc(&sealed, &temps, path, *encoding)?;
     }
     let snapshot = Arc::new(Snapshot::from_sealed(
         sealed,

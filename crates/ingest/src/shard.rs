@@ -36,10 +36,12 @@ use std::time::Duration;
 use smda_cluster::FaultPlan;
 use smda_core::{Alert, AnomalyDetector};
 use smda_storage::wal::{replay, WriteAheadLog};
-use smda_types::{ConsumerId, DirtyDataPolicy, Error, Reading, Result, HOURS_PER_YEAR};
+use smda_types::{
+    ConsumerId, ConsumerSeries, DirtyDataPolicy, Error, Reading, Result, HOURS_PER_YEAR,
+};
 
 use crate::splitmix64;
-use crate::state::{Admit, ConsumerAccumulator, SealedConsumer};
+use crate::state::{Admit, ConsumerAccumulator};
 
 /// Virtual nanoseconds charged per processed reading (1 ms).
 const VIRT_NS_PER_READING: u64 = 1_000_000;
@@ -323,7 +325,7 @@ impl ShardState {
     /// Close every consumer's year, in consumer-id order. `missing`
     /// accumulates zero-filled hours under
     /// [`DirtyDataPolicy::SkipAndCount`].
-    pub fn seal(&mut self, missing: &mut u64) -> Result<Vec<SealedConsumer>> {
+    pub fn seal(&mut self, missing: &mut u64) -> Result<Vec<ConsumerSeries>> {
         if let Some(wal) = &mut self.wal {
             wal.flush()?;
         }
@@ -493,7 +495,7 @@ mod tests {
         assert_eq!(missing, (HOURS_PER_YEAR - 10) as u64);
         // The recovered state holds the exact delivered values.
         for h in 0..10 {
-            assert_eq!(sealed[0].series.readings()[h], h as f64);
+            assert_eq!(sealed[0].readings()[h], h as f64);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

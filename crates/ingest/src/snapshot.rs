@@ -1,80 +1,48 @@
 //! The sealed world: the bridge from streaming state to batch engines.
 //!
 //! When every consumer's year has closed, the pipeline folds the sealed
-//! rows into a [`Snapshot`]: a validated [`Dataset`], the pre-normalized
-//! [`SeriesMatrix`] for similarity search, the incrementally built
-//! histograms and the per-consumer [`OnlineStats`]. The snapshot then
-//! serves the existing batch engines through
-//! [`MemorySource`] — [`Snapshot::run_task`] is the lambda
-//! architecture's hand-off point, and the integration tests pin its
-//! output bit-identical to the offline load path.
+//! series into a [`Snapshot`]: a validated [`Dataset`], plus what the
+//! batch code derives from it — the pre-normalized [`SeriesMatrix`] for
+//! similarity search and the task-1 histograms. The snapshot then
+//! serves the existing batch engines through [`MemorySource`] —
+//! [`Snapshot::run_task`] is the lambda architecture's hand-off point,
+//! and the integration tests pin its output bit-identical to the
+//! offline load path.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use smda_core::{ConsumerHistogram, Task, TaskOutput};
+use smda_core::{consumer_histograms, ConsumerHistogram, Task, TaskOutput};
 use smda_engines::parallel::{execute_task, ConsumerSource, MemorySource};
 use smda_obs::MetricsSink;
-use smda_stats::{OnlineStats, SeriesMatrix, SeriesMatrixBuilder};
-use smda_storage::{BinaryEncoding, BinaryStore, BinaryWriter};
-use smda_types::{ConsumerId, Dataset, Result, TemperatureSeries, HOURS_PER_YEAR};
+use smda_stats::{SeriesMatrix, SeriesMatrixBuilder};
+use smda_storage::{BinaryEncoding, BinaryStore};
+use smda_types::{ConsumerSeries, Dataset, Result, TemperatureSeries, HOURS_PER_YEAR};
 
-use crate::state::SealedConsumer;
-
-/// Seal consumer-years straight to an `SMC1` file at `path` — the
-/// streaming sibling of [`Snapshot::write_smc`]: each row goes to the
-/// writer as-is and nothing is retained, so the disk hand-off needs
-/// `O(hours)` memory however many consumers sealed (no
-/// `Dataset`/`Snapshot` intermediate). The bytes written are identical
-/// to sealing the materialized snapshot. `sealed` must already be
-/// sorted by consumer id, as the pipeline leaves it. Returns the file
-/// size in bytes.
-pub fn seal_to_smc(
-    sealed: &[SealedConsumer],
-    temperature: &[f64],
-    path: impl AsRef<Path>,
-    encoding: BinaryEncoding,
-) -> Result<u64> {
-    let mut writer = BinaryWriter::create(path, sealed.len(), HOURS_PER_YEAR, encoding)?;
-    for s in sealed {
-        writer.append_consumer(s.series.id, s.series.readings())?;
-    }
-    writer.finish(temperature)
-}
-
-/// Everything the batch layer needs, finalized by the streaming layer.
+/// Everything the batch layer needs, derived from the sealed year.
 pub struct Snapshot {
     dataset: Arc<Dataset>,
     matrix: SeriesMatrix,
     histograms: Vec<ConsumerHistogram>,
-    stats: Vec<(ConsumerId, OnlineStats)>,
 }
 
 impl Snapshot {
-    /// Assemble a snapshot from sealed consumers (already sorted by id)
-    /// and the year's temperature series.
+    /// Assemble a snapshot from sealed series (already sorted by id) and
+    /// the year's temperature series. The similarity rows and histograms
+    /// come from the batch path's own builders.
     pub fn from_sealed(
-        sealed: Vec<SealedConsumer>,
+        sealed: Vec<ConsumerSeries>,
         temperature: TemperatureSeries,
     ) -> Result<Snapshot> {
-        let builder = SeriesMatrixBuilder::new(sealed.len(), HOURS_PER_YEAR);
-        for (i, s) in sealed.iter().enumerate() {
-            builder.set_row(i, &s.normalized);
-        }
-        let matrix = builder.finish();
-        let mut consumers = Vec::with_capacity(sealed.len());
-        let mut histograms = Vec::with_capacity(sealed.len());
-        let mut stats = Vec::with_capacity(sealed.len());
-        for s in sealed {
-            stats.push((s.series.id, s.stats));
-            histograms.push(s.histogram);
-            consumers.push(s.series);
+        let dataset = Dataset::new(sealed, temperature)?;
+        let builder = SeriesMatrixBuilder::new(dataset.consumers().len(), HOURS_PER_YEAR);
+        for (i, c) in dataset.consumers().iter().enumerate() {
+            builder.set_row_normalized(i, c.readings());
         }
         Ok(Snapshot {
-            dataset: Arc::new(Dataset::new(consumers, temperature)?),
-            matrix,
-            histograms,
-            stats,
+            matrix: builder.finish(),
+            histograms: consumer_histograms(&dataset),
+            dataset: Arc::new(dataset),
         })
     }
 
@@ -83,19 +51,14 @@ impl Snapshot {
         &self.dataset
     }
 
-    /// Unit-normalized similarity rows, finalized incrementally.
+    /// Unit-normalized similarity rows, in consumer-id order.
     pub fn matrix(&self) -> &SeriesMatrix {
         &self.matrix
     }
 
-    /// Incrementally built ten-bucket histograms, in consumer-id order.
+    /// Ten-bucket histograms, in consumer-id order.
     pub fn histograms(&self) -> &[ConsumerHistogram] {
         &self.histograms
-    }
-
-    /// Per-consumer count/mean/variance/min/max, in consumer-id order.
-    pub fn stats(&self) -> &[(ConsumerId, OnlineStats)] {
-        &self.stats
     }
 
     /// Seal the snapshot to one `SMC1` binary file at `path` — the
@@ -106,12 +69,6 @@ impl Snapshot {
     pub fn write_smc(&self, path: impl AsRef<Path>, encoding: BinaryEncoding) -> Result<u64> {
         let store = BinaryStore::create(path.as_ref(), &self.dataset, encoding)?;
         store.total_bytes()
-    }
-
-    /// Open a fresh storage handle over the sealed data — the
-    /// `Snapshot → ConsumerSource` bridge.
-    pub fn source(&self) -> MemorySource {
-        MemorySource::new(self.dataset.clone())
     }
 
     /// Run one benchmark task against the sealed data with the existing
@@ -138,9 +95,9 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smda_types::{DirtyDataPolicy, Reading};
+    use smda_types::{ConsumerId, DirtyDataPolicy, Reading};
 
-    fn sealed_consumer(id: u32, scale: f64) -> SealedConsumer {
+    fn sealed_consumer(id: u32, scale: f64) -> ConsumerSeries {
         let mut acc = crate::state::ConsumerAccumulator::new(ConsumerId(id), None);
         for h in 0..HOURS_PER_YEAR as u32 {
             acc.admit(&Reading {
@@ -187,36 +144,6 @@ mod tests {
         match out {
             TaskOutput::Histograms(hs) => assert_eq!(hs.len(), 2),
             other => panic!("unexpected output: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn direct_seal_is_byte_identical_to_snapshot_seal() {
-        let sealed = vec![sealed_consumer(2, 0.6), sealed_consumer(5, 1.4)];
-        let temps = TemperatureSeries::new(vec![7.0; HOURS_PER_YEAR]).unwrap();
-        for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
-            let direct = std::env::temp_dir().join(format!(
-                "smda-seal-direct-{encoding:?}-{}.smc",
-                std::process::id()
-            ));
-            let via_snapshot = std::env::temp_dir().join(format!(
-                "smda-seal-snap-{encoding:?}-{}.smc",
-                std::process::id()
-            ));
-            let bytes = seal_to_smc(&sealed, temps.values(), &direct, encoding).unwrap();
-            let snap = Snapshot::from_sealed(
-                vec![sealed_consumer(2, 0.6), sealed_consumer(5, 1.4)],
-                temps.clone(),
-            )
-            .unwrap();
-            assert_eq!(bytes, snap.write_smc(&via_snapshot, encoding).unwrap());
-            assert_eq!(
-                std::fs::read(&direct).unwrap(),
-                std::fs::read(&via_snapshot).unwrap(),
-                "{encoding:?} direct seal must reproduce the snapshot seal byte for byte"
-            );
-            std::fs::remove_file(&direct).unwrap();
-            std::fs::remove_file(&via_snapshot).unwrap();
         }
     }
 

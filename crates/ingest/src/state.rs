@@ -1,90 +1,21 @@
-//! Incremental per-consumer task state behind the watermark.
+//! One consumer's in-flight year behind the watermark.
 //!
 //! A [`ConsumerAccumulator`] buffers a consumer's out-of-order readings
 //! and *finalizes* them strictly in hour order as the shard watermark
-//! passes them. Finalization drives three pieces of live state:
+//! passes them. Finalization feeds the one consumer that needs hour
+//! order: the optional [`AnomalyDetector`], which observes each
+//! finalized hour (its own residual statistics raise the alerts).
 //!
-//! * a [`RunningHistogram`] — exact equi-width bucket counts over the
-//!   finalized prefix, re-bucketed when a new value extends the range,
-//!   so the sealed histogram equals
-//!   [`ConsumerHistogram::build`] on the full year;
-//! * [`OnlineStats`] over the finalized readings (count/mean/variance/
-//!   min/max), the state a live dashboard would poll;
-//! * an in-order incremental sum of squares, so the sealed normalized
-//!   [`SeriesMatrix`](smda_stats::SeriesMatrix) row is bit-identical to
-//!   the batch path's [`norm2`](smda_stats::norm2)-based normalization;
-//!
-//! plus, optionally, an [`AnomalyDetector`] observing each finalized
-//! hour (its own residual [`OnlineStats`] raise the alerts).
+//! Nothing else is derived here. [`ConsumerAccumulator::seal`] hands
+//! back the validated [`ConsumerSeries`], and the snapshot builds the
+//! similarity rows and histograms from it with the batch code itself.
 
 use std::collections::HashMap;
 
-use smda_core::{
-    fit_par_scratch, fit_three_line_scratch, Alert, AnomalyDetector, ConsumerHistogram,
-};
-use smda_stats::{count_buckets, EquiWidthHistogram, HistogramSpec, OnlineStats};
+use smda_core::{fit_par_scratch, fit_three_line_scratch, Alert, AnomalyDetector};
 use smda_types::{
     ConsumerId, ConsumerSeries, Dataset, DirtyDataPolicy, Error, Reading, Result, HOURS_PER_YEAR,
 };
-
-/// Exact equi-width histogram over a growing sample.
-///
-/// Follows [`EquiWidthHistogram::build`]: the spec spans the observed
-/// `[min, max]`; when a new value lands outside, the spec widens and the
-/// counts are rebuilt from the finalized prefix handed by the caller, by
-/// the batch build's own counting pass ([`count_buckets`]; a single value
-/// goes through [`HistogramSpec::bucket_in`], the per-value form of the
-/// same rule). Counts are integers, so the rebuild is exact — after the
-/// last value the histogram equals the batch one on the same data.
-#[derive(Debug, Clone)]
-pub struct RunningHistogram {
-    buckets: usize,
-    spec: Option<HistogramSpec>,
-    /// `spec`'s bucket width, divided once per re-bucketing instead of
-    /// once per value.
-    width: f64,
-    counts: Vec<u64>,
-}
-
-impl RunningHistogram {
-    /// An empty histogram with `buckets` bins.
-    pub fn new(buckets: usize) -> RunningHistogram {
-        RunningHistogram {
-            buckets,
-            spec: None,
-            width: 0.0,
-            counts: vec![0; buckets],
-        }
-    }
-
-    /// Fold in `v`; `prefix` is every previously folded value, in case
-    /// the range extension forces a re-bucketing pass.
-    pub fn push(&mut self, v: f64, prefix: &[f64]) {
-        if let Some(spec) = self.spec.filter(|s| v >= s.min && v <= s.max) {
-            self.counts[spec.bucket_in(self.width, v)] += 1;
-            return;
-        }
-        let spec = HistogramSpec {
-            min: self.spec.map_or(v, |s| s.min.min(v)),
-            max: self.spec.map_or(v, |s| s.max.max(v)),
-            buckets: self.buckets,
-        };
-        let width = spec.width();
-        self.counts.fill(0);
-        count_buckets(prefix, &spec, &mut self.counts);
-        self.counts[spec.bucket_in(width, v)] += 1;
-        self.spec = Some(spec);
-        self.width = width;
-    }
-
-    /// The histogram so far; `None` before the first value.
-    pub fn snapshot(&self) -> Option<EquiWidthHistogram> {
-        self.spec.map(|spec| EquiWidthHistogram {
-            spec,
-            counts: self.counts.clone(),
-        })
-    }
-}
 
 /// What admitting one reading did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,37 +27,19 @@ pub enum Admit {
     Duplicate,
 }
 
-/// One consumer's in-flight year: the out-of-order buffer plus the
-/// incremental state over the finalized (in-order) prefix.
+/// One consumer's in-flight year: the out-of-order buffer, the hour
+/// cursor over the finalized (in-order) prefix, and the detector fed
+/// behind it.
 pub struct ConsumerAccumulator {
     id: ConsumerId,
+    /// Buffered readings; an hour that never arrived holds `0.0`.
     kwh: Vec<f64>,
-    /// Per-hour temperatures, kept only while a detector needs them.
-    temp: Option<Vec<f64>>,
     present: Vec<bool>,
     received: u32,
     /// Hours `< cursor` are finalized; the cursor never passes a hole.
     cursor: u32,
-    /// Sum of squares over the finalized prefix, accumulated in hour
-    /// order — the same addition chain as [`smda_stats::norm2`].
-    sq_sum: f64,
-    stats: OnlineStats,
-    hist: RunningHistogram,
-    detector: Option<AnomalyDetector>,
-}
-
-/// A consumer's year, closed and finalized.
-pub struct SealedConsumer {
-    /// The validated series, identical to what an offline loader built.
-    pub series: ConsumerSeries,
-    /// The unit-normalized similarity row (zero rows verbatim) —
-    /// bit-identical to
-    /// [`set_row_normalized`](smda_stats::SeriesMatrixBuilder::set_row_normalized).
-    pub normalized: Vec<f64>,
-    /// The incremental histogram, equal to [`ConsumerHistogram::build`].
-    pub histogram: ConsumerHistogram,
-    /// Count/mean/variance/min/max over the year.
-    pub stats: OnlineStats,
+    /// The detector and the per-hour temperatures it reads.
+    detector: Option<(AnomalyDetector, Vec<f64>)>,
 }
 
 impl ConsumerAccumulator {
@@ -135,14 +48,10 @@ impl ConsumerAccumulator {
         ConsumerAccumulator {
             id,
             kwh: vec![0.0; HOURS_PER_YEAR],
-            temp: detector.as_ref().map(|_| vec![0.0; HOURS_PER_YEAR]),
             present: vec![false; HOURS_PER_YEAR],
             received: 0,
             cursor: 0,
-            sq_sum: 0.0,
-            stats: OnlineStats::new(),
-            hist: RunningHistogram::new(smda_core::HISTOGRAM_BUCKETS),
-            detector,
+            detector: detector.map(|d| (d, vec![0.0; HOURS_PER_YEAR])),
         }
     }
 
@@ -161,17 +70,6 @@ impl ConsumerAccumulator {
         self.cursor
     }
 
-    /// Live stats over the finalized prefix.
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
-
-    /// Live histogram over the finalized prefix; `None` before the
-    /// first finalized hour.
-    pub fn histogram(&self) -> Option<EquiWidthHistogram> {
-        self.hist.snapshot()
-    }
-
     /// Buffer one reading. The caller has already checked lateness.
     pub fn admit(&mut self, r: &Reading) -> Admit {
         let h = r.hour as usize;
@@ -180,7 +78,7 @@ impl ConsumerAccumulator {
         }
         self.present[h] = true;
         self.kwh[h] = r.kwh;
-        if let Some(temp) = &mut self.temp {
+        if let Some((_, temp)) = &mut self.detector {
             temp[h] = r.temperature;
         }
         self.received += 1;
@@ -193,71 +91,45 @@ impl ConsumerAccumulator {
     pub fn advance(&mut self, watermark: u32, alerts: &mut Vec<Alert>) {
         let bound = watermark.min(HOURS_PER_YEAR as u32);
         while self.cursor < bound && self.present[self.cursor as usize] {
-            self.finalize_hour(true, alerts);
+            self.observe(self.cursor as usize, alerts);
+            self.cursor += 1;
         }
     }
 
-    fn finalize_hour(&mut self, observed: bool, alerts: &mut Vec<Alert>) {
-        let h = self.cursor as usize;
-        let v = self.kwh[h];
-        self.sq_sum += v * v;
-        self.stats.push(v);
-        self.hist.push(v, &self.kwh[..h]);
-        if observed {
-            if let Some(det) = &mut self.detector {
-                let t = self.temp.as_ref().map_or(0.0, |temp| temp[h]);
-                if let Some(alert) = det.observe(h, t, v) {
-                    alerts.push(alert);
-                }
+    /// Show hour `h` to the detector, if there is one.
+    fn observe(&mut self, h: usize, alerts: &mut Vec<Alert>) {
+        if let Some((det, temp)) = &mut self.detector {
+            if let Some(alert) = det.observe(h, temp[h], self.kwh[h]) {
+                alerts.push(alert);
             }
         }
-        self.cursor += 1;
     }
 
-    /// Close the year: finalize everything left, zero-filling holes
-    /// under [`DirtyDataPolicy::SkipAndCount`] (counted into `missing`;
-    /// filled hours bypass the detector) or failing on the first hole
-    /// otherwise.
+    /// Close the year: finalize everything left and return the validated
+    /// series. Under [`DirtyDataPolicy::SkipAndCount`] holes stay
+    /// zero-filled (counted into `missing`; they bypass the detector);
+    /// otherwise the first hole is an error.
     pub fn seal(
         mut self,
         policy: DirtyDataPolicy,
         missing: &mut u64,
         alerts: &mut Vec<Alert>,
-    ) -> Result<SealedConsumer> {
+    ) -> Result<ConsumerSeries> {
         while (self.cursor as usize) < HOURS_PER_YEAR {
             let h = self.cursor as usize;
-            let observed = self.present[h];
-            if !observed {
-                if matches!(policy, DirtyDataPolicy::FailFast) {
-                    return Err(Error::Schema(format!(
-                        "consumer {}: hour {h} never arrived before the year closed",
-                        self.id
-                    )));
-                }
-                self.kwh[h] = 0.0;
+            if self.present[h] {
+                self.observe(h, alerts);
+            } else if policy.skips() {
                 *missing += 1;
+            } else {
+                return Err(Error::Schema(format!(
+                    "consumer {}: hour {h} never arrived before the year closed",
+                    self.id
+                )));
             }
-            self.finalize_hour(observed, alerts);
+            self.cursor += 1;
         }
-        let norm = self.sq_sum.sqrt();
-        let normalized = if norm == 0.0 {
-            self.kwh.clone()
-        } else {
-            self.kwh.iter().map(|v| v / norm).collect()
-        };
-        let histogram = ConsumerHistogram {
-            consumer: self.id,
-            histogram: self
-                .hist
-                .snapshot()
-                .expect("a sealed year has 8760 finalized hours"),
-        };
-        Ok(SealedConsumer {
-            series: ConsumerSeries::new(self.id, self.kwh)?,
-            normalized,
-            histogram,
-            stats: self.stats,
-        })
+        ConsumerSeries::new(self.id, self.kwh)
     }
 }
 
@@ -296,17 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn running_histogram_matches_batch_after_every_push() {
-        let values: Vec<f64> = (0..200).map(|i| ((i * 37) % 101) as f64 * 0.13).collect();
-        let mut rh = RunningHistogram::new(10);
-        for (i, &v) in values.iter().enumerate() {
-            rh.push(v, &values[..i]);
-            let batch = EquiWidthHistogram::build(&values[..=i], 10).unwrap();
-            assert_eq!(rh.snapshot().unwrap(), batch, "after {} values", i + 1);
-        }
-    }
-
-    #[test]
     fn accumulator_finalizes_in_order_and_seals_bit_exactly() {
         let values: Vec<f64> = (0..HOURS_PER_YEAR)
             .map(|h| 0.2 + ((h * 13) % 97) as f64 * 0.031)
@@ -326,17 +187,11 @@ mod tests {
             .seal(DirtyDataPolicy::FailFast, &mut missing, &mut alerts)
             .unwrap();
         assert_eq!(missing, 0);
-        // The normalized row equals the canonical builder path, bitwise.
-        let builder = smda_stats::SeriesMatrixBuilder::new(1, HOURS_PER_YEAR);
-        builder.set_row_normalized(0, &values);
-        let matrix = builder.finish();
-        for (a, b) in sealed.normalized.iter().zip(matrix.row(0)) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The histogram equals the batch build.
-        let batch = ConsumerHistogram::build(&sealed.series);
-        assert_eq!(sealed.histogram, batch);
-        assert_eq!(sealed.stats.count(), HOURS_PER_YEAR as u64);
+        assert!(sealed
+            .readings()
+            .iter()
+            .zip(&values)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]
@@ -365,7 +220,7 @@ mod tests {
             .seal(DirtyDataPolicy::SkipAndCount, &mut missing, &mut alerts)
             .unwrap();
         assert_eq!(missing, (HOURS_PER_YEAR - 1) as u64);
-        assert_eq!(sealed.series.readings()[1], 0.0);
+        assert_eq!(sealed.readings()[1], 0.0);
     }
 
     #[test]

@@ -30,11 +30,12 @@ pub fn execute(live: &LiveSnapshot, query: &Query) -> Result<QueryResult, ServeE
         Query::TopKSimilar { consumer, k } => {
             let row = row_of(snap, consumer)?;
             let hits = top_k_query(snap.matrix(), row, k);
+            let consumers = snap.dataset().consumers();
             Ok(QueryResult::TopKSimilar {
                 consumer,
                 matches: hits
                     .into_iter()
-                    .map(|h| (snap.stats()[h.index].0, h.score))
+                    .map(|h| (consumers[h.index].id, h.score))
                     .collect(),
             })
         }
@@ -51,11 +52,12 @@ pub fn execute(live: &LiveSnapshot, query: &Query) -> Result<QueryResult, ServeE
     }
 }
 
-/// Matrix/stats/histogram row of `consumer` — everything in a snapshot
+/// Dataset/matrix/histogram row of `consumer` — everything in a snapshot
 /// is in ascending consumer-id order, so one binary search serves all.
 fn row_of(snap: &Snapshot, consumer: ConsumerId) -> Result<usize, ServeError> {
-    snap.stats()
-        .binary_search_by_key(&consumer, |(id, _)| *id)
+    snap.dataset()
+        .consumers()
+        .binary_search_by_key(&consumer, |c| c.id)
         .map_err(|_| ServeError::UnknownConsumer(consumer))
 }
 

@@ -196,27 +196,17 @@ impl HistogramSpec {
     }
 
     /// Which bucket a value falls in; `None` when outside `[min, max]`.
-    /// This is the definition: [`bucket_in`](Self::bucket_in) is its second
-    /// half and [`count_buckets`] must count as if it had asked here once
-    /// per value.
+    /// This is the definition: [`count_buckets`] must count as if it had
+    /// asked here once per value.
     pub fn bucket_of(&self, v: f64) -> Option<usize> {
         if v < self.min || v > self.max {
             return None;
         }
-        Some(self.bucket_in(self.width(), v))
-    }
-
-    /// [`bucket_of`](Self::bucket_of) for a value known to be inside the
-    /// spec's range, with the bucket [`width`](Self::width) handed in
-    /// instead of re-divided per value: the same operations on the same
-    /// operands, so the same bucket. A value outside the range would land
-    /// in an end bucket.
-    pub fn bucket_in(&self, width: f64, v: f64) -> usize {
         if self.min == self.max {
-            return 0;
+            return Some(0);
         }
         // `max` belongs to the last bucket (right-closed final bin).
-        (((v - self.min) / width) as usize).min(self.buckets - 1)
+        Some((((v - self.min) / self.width()) as usize).min(self.buckets - 1))
     }
 
     /// The `[lo, hi)` edges of bucket `i`.
@@ -231,8 +221,8 @@ impl HistogramSpec {
 
 /// Add to `counts[b]` the number of `values` that
 /// [`HistogramSpec::bucket_of`] puts in bucket `b`; values outside the
-/// spec's range are dropped. The one counting pass, shared by the batch
-/// build and by the streaming histogram's re-bucketing.
+/// spec's range are dropped. The one counting pass behind the batch
+/// build.
 ///
 /// Equal to asking `bucket_of` once per value, count for count. A
 /// vector of values — eight on the AVX-512 tier, four on AVX2 — is
