@@ -212,16 +212,15 @@ impl DataGenerator {
         let cluster = &self.clusters[picker.index(self.clusters.len())];
         // 2. Random member of that cluster → heating/cooling response.
         let thermal = cluster.members[picker.index(cluster.members.len())];
-        // 3. Sum activity, temperature-dependent load and white noise.
-        let readings: Vec<f64> = temperature
-            .values()
-            .iter()
-            .enumerate()
-            .map(|(h, &t)| {
-                let activity = cluster.centroid[h % HOURS_PER_DAY];
-                (activity + thermal.load_at(t) + noise.sample()).max(0.0)
-            })
-            .collect();
+        // 3. Sum activity, temperature-dependent load and white noise:
+        //    the year's noise first, then each hour's load added to it.
+        let temps = temperature.values();
+        let mut readings = vec![0.0; temps.len()];
+        noise.fill(&mut readings);
+        for (h, (slot, &t)) in readings.iter_mut().zip(temps).enumerate() {
+            let activity = cluster.centroid[h % HOURS_PER_DAY];
+            *slot = (activity + thermal.load_at(t) + *slot).max(0.0);
+        }
         ConsumerSeries::new(id, readings)
     }
 }
@@ -278,6 +277,36 @@ mod tests {
             .unwrap();
         for (x, y) in a.consumers().iter().zip(b.consumers()) {
             assert_eq!(x.readings(), y.readings());
+        }
+    }
+
+    #[test]
+    fn generated_series_equal_one_sample_per_hour() {
+        let seed = seed_dataset(10);
+        let gen = DataGenerator::train(&seed, GeneratorConfig::default()).unwrap();
+        let temperature = seed.temperature();
+        let mut picker = Picker::new(5);
+        let mut noise = GaussianNoise::new(0.0, 0.1, 6);
+        // Odd and even years' worth of draws alike: the spare carries on.
+        noise.sample();
+        for id in 0..4 {
+            let (mut ref_picker, mut ref_noise) = (picker.clone(), noise.clone());
+            let got = gen
+                .generate_series(ConsumerId(id), temperature, &mut picker, &mut noise)
+                .unwrap();
+            // The series as first written: one `sample()` per hour.
+            let cluster = &gen.clusters()[ref_picker.index(gen.clusters().len())];
+            let thermal = cluster.members[ref_picker.index(cluster.members.len())];
+            let want = temperature.values().iter().enumerate().map(|(h, &t)| {
+                let activity = cluster.centroid[h % HOURS_PER_DAY];
+                (activity + thermal.load_at(t) + ref_noise.sample()).max(0.0)
+            });
+            assert!(got
+                .readings()
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(format!("{noise:?}"), format!("{ref_noise:?}"));
         }
     }
 

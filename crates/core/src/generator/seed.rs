@@ -12,8 +12,8 @@
 
 use smda_stats::{GaussianNoise, Picker};
 use smda_types::{
-    Calendar, ConsumerId, ConsumerSeries, Dataset, Result, TemperatureSeries, HOURS_PER_DAY,
-    HOURS_PER_YEAR,
+    Calendar, ConsumerId, ConsumerSeries, Dataset, Result, TemperatureSeries, DAYS_PER_YEAR,
+    HOURS_PER_DAY, HOURS_PER_YEAR,
 };
 
 /// Parameters of the synthetic weather model.
@@ -51,20 +51,19 @@ pub fn generate_temperature(config: &WeatherConfig, seed: u64) -> TemperatureSer
     use std::f64::consts::TAU;
     // Innovations scaled so the AR(1) process has stationary σ = noise_sigma.
     let innovation_sigma = config.noise_sigma * (1.0 - config.noise_phi * config.noise_phi).sqrt();
-    let mut noise = GaussianNoise::new(0.0, innovation_sigma, seed);
+    let mut values = vec![0.0; HOURS_PER_YEAR];
+    GaussianNoise::new(0.0, innovation_sigma, seed).fill(&mut values);
     let mut ar = 0.0;
-    let values: Vec<f64> = (0..HOURS_PER_YEAR)
-        .map(|h| {
-            let day = (h / HOURS_PER_DAY) as f64;
-            let hod = (h % HOURS_PER_DAY) as f64;
-            let seasonal = -config.seasonal_amplitude
-                * (TAU * (day - config.coldest_day as f64) / 365.0).cos();
-            // Daily maximum around 15:00.
-            let diurnal = -config.diurnal_amplitude * (TAU * (hod - 3.0) / 24.0).cos();
-            ar = config.noise_phi * ar + noise.sample();
-            config.annual_mean + seasonal + diurnal + ar
-        })
-        .collect();
+    for (h, slot) in values.iter_mut().enumerate() {
+        let day = (h / HOURS_PER_DAY) as f64;
+        let hod = (h % HOURS_PER_DAY) as f64;
+        let seasonal =
+            -config.seasonal_amplitude * (TAU * (day - config.coldest_day as f64) / 365.0).cos();
+        // Daily maximum around 15:00.
+        let diurnal = -config.diurnal_amplitude * (TAU * (hod - 3.0) / 24.0).cos();
+        ar = config.noise_phi * ar + *slot;
+        *slot = config.annual_mean + seasonal + diurnal + ar;
+    }
     TemperatureSeries::new(values).expect("weather model produces finite values")
 }
 
@@ -280,6 +279,8 @@ pub fn generate_seed_streaming(
     let temperature = generate_temperature(&config.weather, config.seed);
     let archetypes = archetypes();
     let calendar = Calendar::default();
+    let weekend: [bool; DAYS_PER_YEAR] =
+        std::array::from_fn(|day| calendar.weekday(day * HOURS_PER_DAY).is_weekend());
     let mut picker = Picker::new(config.seed.wrapping_add(1));
     let mut noise = GaussianNoise::new(0.0, config.noise_sigma, config.seed.wrapping_add(2));
     let temps = temperature.values();
@@ -291,17 +292,22 @@ pub fn generate_seed_streaming(
         let scale = picker.uniform(0.7, 1.4);
         let heat = arch.heating_per_degree * picker.uniform(0.75, 1.25);
         let cool = arch.cooling_per_degree * picker.uniform(0.75, 1.25);
-        for (h, slot) in readings.iter_mut().enumerate() {
-            let hod = h % HOURS_PER_DAY;
-            let activity = if calendar.weekday(h).is_weekend() {
-                arch.weekend[hod]
+        // The year's noise first, then each hour's load added to its draw.
+        noise.fill(&mut readings);
+        let days = readings
+            .chunks_exact_mut(HOURS_PER_DAY)
+            .zip(temps.chunks_exact(HOURS_PER_DAY));
+        for ((day, temps), &weekend) in days.zip(&weekend) {
+            let shape = if weekend {
+                &arch.weekend
             } else {
-                arch.weekday[hod]
+                &arch.weekday
             };
-            let t = temps[h];
-            let hvac = heat * (arch.heating_balance - t).max(0.0)
-                + cool * (t - arch.cooling_balance).max(0.0);
-            *slot = (scale * activity + arch.base_load + hvac + noise.sample()).max(0.0);
+            for ((slot, &activity), &t) in day.iter_mut().zip(shape).zip(temps) {
+                let hvac = heat * (arch.heating_balance - t).max(0.0)
+                    + cool * (t - arch.cooling_balance).max(0.0);
+                *slot = (scale * activity + arch.base_load + hvac + *slot).max(0.0);
+            }
         }
         sink(ConsumerId(i as u32), &readings)?;
     }
@@ -397,6 +403,79 @@ mod tests {
             .iter()
             .zip(ds.temperature().values())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// The seed generator as first written: one `sample()` and one
+    /// `Calendar::weekday` per hour, from samplers seeded as the
+    /// generator seeds its own.
+    fn seed_rows_one_sample_at_a_time(config: &SeedConfig) -> (Vec<f64>, Vec<Vec<f64>>) {
+        use std::f64::consts::TAU;
+        let w = &config.weather;
+        let innovation_sigma = w.noise_sigma * (1.0 - w.noise_phi * w.noise_phi).sqrt();
+        let mut weather = GaussianNoise::new(0.0, innovation_sigma, config.seed);
+        let mut ar = 0.0;
+        let temps: Vec<f64> = (0..HOURS_PER_YEAR)
+            .map(|h| {
+                let day = (h / HOURS_PER_DAY) as f64;
+                let hod = (h % HOURS_PER_DAY) as f64;
+                let seasonal =
+                    -w.seasonal_amplitude * (TAU * (day - w.coldest_day as f64) / 365.0).cos();
+                let diurnal = -w.diurnal_amplitude * (TAU * (hod - 3.0) / 24.0).cos();
+                ar = w.noise_phi * ar + weather.sample();
+                w.annual_mean + seasonal + diurnal + ar
+            })
+            .collect();
+        let archetypes = archetypes();
+        let calendar = Calendar::default();
+        let mut picker = Picker::new(config.seed.wrapping_add(1));
+        let mut noise = GaussianNoise::new(0.0, config.noise_sigma, config.seed.wrapping_add(2));
+        let rows = (0..config.consumers)
+            .map(|_| {
+                let arch = &archetypes[picker.index(archetypes.len())];
+                let scale = picker.uniform(0.7, 1.4);
+                let heat = arch.heating_per_degree * picker.uniform(0.75, 1.25);
+                let cool = arch.cooling_per_degree * picker.uniform(0.75, 1.25);
+                (0..HOURS_PER_YEAR)
+                    .map(|h| {
+                        let hod = h % HOURS_PER_DAY;
+                        let activity = if calendar.weekday(h).is_weekend() {
+                            arch.weekend[hod]
+                        } else {
+                            arch.weekday[hod]
+                        };
+                        let t = temps[h];
+                        let hvac = heat * (arch.heating_balance - t).max(0.0)
+                            + cool * (t - arch.cooling_balance).max(0.0);
+                        (scale * activity + arch.base_load + hvac + noise.sample()).max(0.0)
+                    })
+                    .collect()
+            })
+            .collect();
+        (temps, rows)
+    }
+
+    #[test]
+    fn streamed_rows_equal_one_sample_per_hour() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (consumers, seed, noise_sigma) in [(5, 3, 0.08), (3, 2014, 0.5), (2, 9, 0.0)] {
+            let cfg = SeedConfig {
+                consumers,
+                seed,
+                noise_sigma,
+                ..Default::default()
+            };
+            let (temps, rows) = seed_rows_one_sample_at_a_time(&cfg);
+            let mut streamed = Vec::new();
+            let temperature = generate_seed_streaming(&cfg, &mut |id, readings| {
+                assert_eq!(id, ConsumerId(streamed.len() as u32));
+                streamed.push(bits(readings));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(bits(temperature.values()), bits(&temps));
+            let want: Vec<Vec<u64>> = rows.iter().map(|r| bits(r)).collect();
+            assert!(streamed == want, "seed {seed}: rows differ");
+        }
     }
 
     #[test]

@@ -39,7 +39,36 @@ impl GaussianNoise {
         self.mean + self.stddev * self.standard()
     }
 
-    /// Draw a standard-normal variate.
+    /// Fill `out` with the next `out.len()` samples: the values, bit for
+    /// bit, that as many calls to [`sample`](Self::sample) would return,
+    /// leaving the sampler (its stream and its spare variate) where those
+    /// calls would.
+    ///
+    /// A held spare goes first, then the whole pairs, then for an odd
+    /// count one more pair whose second variate becomes the spare; the
+    /// standard variates are scaled in place at the end.
+    pub fn fill(&mut self, out: &mut [f64]) {
+        let mut held = 0;
+        if let (Some(z), Some(first)) = (self.spare, out.first_mut()) {
+            *first = z;
+            self.spare = None;
+            held = 1;
+        }
+        let (pairs, odd) = out[held..].as_chunks_mut::<2>();
+        polar_pairs(&mut self.rng, pairs);
+        if let Some(last) = odd.first_mut() {
+            let mut pair = [[0.0; 2]];
+            polar_pairs(&mut self.rng, &mut pair);
+            *last = pair[0][0];
+            self.spare = Some(pair[0][1]);
+        }
+        for x in out {
+            *x = self.mean + self.stddev * *x;
+        }
+    }
+
+    /// Draw a standard-normal variate, one polar attempt at a time: the
+    /// stream [`polar_pairs`] reproduces in chunks.
     fn standard(&mut self) -> f64 {
         if let Some(z) = self.spare.take() {
             return z;
@@ -54,6 +83,43 @@ impl GaussianNoise {
                 return u * factor;
             }
         }
+    }
+}
+
+/// Polar attempts drawn per chunk at most.
+const POLAR_CHUNK: usize = 128;
+
+/// Fill `out` with accepted Marsaglia polar pairs from `rng`, standard
+/// normal, in stream order: the pairs, and the stream position after
+/// them, of `out.len()` passes through the one-at-a-time rejection loop
+/// in [`GaussianNoise::standard`].
+///
+/// Each chunk draws at most as many attempts as pairs are still owed, so
+/// no accepted attempt is surplus: the last chunk accepts every attempt
+/// it draws, and the stream stops on the pair that completes the count.
+/// A candidate is written to the next unfilled pair and kept by advancing
+/// past it, without a branch; then a chunk's `ln` / `÷` / `sqrt` run back
+/// to back.
+fn polar_pairs(rng: &mut StdRng, out: &mut [[f64; 2]]) {
+    let mut radii = [0.0; POLAR_CHUNK];
+    let mut rest = out;
+    while !rest.is_empty() {
+        let mut kept = 0;
+        for _ in 0..rest.len().min(POLAR_CHUNK) {
+            let u: f64 = rng.gen_range(-1.0..1.0);
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            // `kept` trails the attempt count, so both slots are in range.
+            rest[kept] = [u, v];
+            radii[kept] = s;
+            kept += usize::from((s > 0.0) & (s < 1.0));
+        }
+        let (done, tail) = rest.split_at_mut(kept);
+        for ([u, v], s) in done.iter_mut().zip(&radii) {
+            let factor = (-2.0 * s.ln() / s).sqrt();
+            (*u, *v) = (*u * factor, *v * factor);
+        }
+        rest = tail;
     }
 }
 

@@ -9,7 +9,7 @@ use smda_stats::{
     cosine_similarity, dot_block, dot_scalar, from_ordered_key, mean, norm2, norm2_rows,
     ols_multiple, ols_simple, ordered_key, quantile_sorted, quantiles_by_selection,
     sample_variance, top_k_cosine, top_k_tiled, under_every_tier, EquiWidthHistogram, FitScratch,
-    HourlyFit, KMeans, KMeansConfig, OnlineStats, SeriesMatrix, TileConfig,
+    GaussianNoise, HourlyFit, KMeans, KMeansConfig, OnlineStats, SeriesMatrix, TileConfig,
 };
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -672,5 +672,44 @@ proptest! {
         prop_assert!(km.assignments.iter().all(|&a| a < km.k()));
         prop_assert_eq!(km.assignments.len(), pts.len());
         prop_assert!(km.inertia >= 0.0);
+    }
+
+    #[test]
+    fn fill_is_the_sample_stream(
+        seed in any::<u64>(),
+        stddev in 0.0f64..3.0,
+        zero_sigma in any::<bool>(),
+        steps in prop::collection::vec((0u8..6, 0usize..50), 1..10)
+    ) {
+        // `fill` against a clone drawing one `sample()` at a time, bit for
+        // bit, over a stream of mixed calls: empty, one, odd and
+        // whole-year fills, plain `sample()`s on both sides, and a spare
+        // carried from each call into the next.
+        let stddev = if zero_sigma { 0.0 } else { stddev };
+        let mut filled = GaussianNoise::new(0.25, stddev, seed);
+        let mut sampled = filled.clone();
+        let mut out = Vec::new();
+        for (kind, n) in steps {
+            let len = match kind {
+                0 => 0,
+                1 => 1,
+                2 => 2 * n + 1,
+                3 => 8760,
+                4 => n,
+                _ => {
+                    prop_assert_eq!(filled.sample().to_bits(), sampled.sample().to_bits());
+                    continue;
+                }
+            };
+            out.clear();
+            out.resize(len, f64::NAN);
+            filled.fill(&mut out);
+            for (i, v) in out.iter().enumerate() {
+                let want = sampled.sample();
+                prop_assert_eq!(v.to_bits(), want.to_bits(), "value {} of a fill of {}", i, len);
+            }
+            // The stream position and the spare: the whole state, shown.
+            prop_assert_eq!(format!("{filled:?}"), format!("{sampled:?}"));
+        }
     }
 }

@@ -96,11 +96,8 @@ impl Calendar {
     /// Weekday of the day containing `hour_of_year`.
     pub fn weekday(&self, hour_of_year: usize) -> Weekday {
         let day = self.day_of_year(hour_of_year);
-        let start = Weekday::ALL
-            .iter()
-            .position(|w| *w == self.start_weekday)
-            .expect("start weekday is a member of ALL");
-        Weekday::ALL[(start + day) % 7]
+        // A variant's discriminant is its index in `ALL` (Monday first).
+        Weekday::ALL[(self.start_weekday as usize + day) % 7]
     }
 
     /// Hour-of-year index for a (day, hour-of-day) pair.
@@ -148,6 +145,22 @@ mod tests {
         assert_eq!(cal.weekday(24), Weekday::Tuesday);
         assert_eq!(cal.weekday(6 * 24), Weekday::Sunday);
         assert_eq!(cal.weekday(7 * 24), Weekday::Monday);
+    }
+
+    #[test]
+    fn every_start_day_begins_the_year_and_cycles_weekly() {
+        for (i, &start) in Weekday::ALL.iter().enumerate() {
+            let cal = Calendar::starting_on(start);
+            for day in [0, 1, 6, 7, 100, DAYS_PER_YEAR - 1] {
+                let want = Weekday::ALL[(i + day) % 7];
+                assert_eq!(
+                    cal.weekday(day * HOURS_PER_DAY),
+                    want,
+                    "start {start:?}, day {day}"
+                );
+                assert_eq!(cal.weekday(day * HOURS_PER_DAY + 23), want);
+            }
+        }
     }
 
     #[test]
