@@ -17,6 +17,7 @@ use smda_core::{
     ThreeLineConfig,
 };
 use smda_stats::{quantiles_by_selection, FitScratch};
+use smda_types::BitEq;
 
 use crate::alloc;
 use crate::data::seed_dataset;
@@ -148,13 +149,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             bytes,
             peak,
         );
-        for (b, a) in base_tl.iter().zip(&arena_tl) {
-            match (b, a) {
-                (None, None) => {}
-                (Some(b), Some(a)) => assert!(b.bits_eq(a), "3-line diverged at n={n}"),
-                _ => panic!("3-line fit presence diverged at n={n}"),
-            }
-        }
+        assert!(base_tl.bits_eq(&arena_tl), "3-line diverged at n={n}");
 
         report_t1_split(&ds, &config, &mut scratch);
 
@@ -191,9 +186,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             bytes,
             peak,
         );
-        for (b, a) in base_par.iter().zip(&arena_par) {
-            assert!(b.bits_eq(a), "PAR diverged at n={n}");
-        }
+        assert!(base_par.bits_eq(&arena_par), "PAR diverged at n={n}");
     }
     vec![t]
 }

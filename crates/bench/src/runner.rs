@@ -1,5 +1,7 @@
 //! Experiment registry and equivalence gates.
 
+use smda_types::BitEq;
+
 use crate::experiments;
 use crate::report::Table;
 use crate::scale::Scale;
@@ -91,9 +93,7 @@ pub const GATES: [(&str, Gate); 7] = [
 /// and that every all-pairs run scored each unordered pair once.
 fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
-    use smda_stats::{
-        top_k_cosine, top_k_query, top_k_tiled, SeriesMatrix, SimilarityMatch, TileConfig,
-    };
+    use smda_stats::{top_k_cosine, top_k_query, top_k_tiled, SeriesMatrix, TileConfig};
 
     // Never fewer than three query blocks of rows, `--smoke` included:
     // the AVX-512 tier's 8 × 4 register block needs eight query rows with
@@ -106,17 +106,10 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
         .collect();
     let n = series.len();
     let pairs = (n * (n - 1) / 2) as u64;
-    let bits = |hits: &[SimilarityMatch]| -> Vec<(usize, u64)> {
-        hits.iter().map(|h| (h.index, h.score.to_bits())).collect()
-    };
-    let all_bits = |lists: &[Vec<SimilarityMatch>]| -> Vec<Vec<(usize, u64)>> {
-        lists.iter().map(|hits| bits(hits)).collect()
-    };
     let naive = top_k_cosine(&series, SIMILARITY_TOP_K);
-    let naive_bits = all_bits(&naive);
     let matrix = SeriesMatrix::from_rows_normalized(&series);
     let (tiled, stats) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &TileConfig::default());
-    if all_bits(&tiled) != naive_bits {
+    if !tiled.bits_eq(&naive) {
         return Err(format!("tiled kernel diverged from naive at n={n}"));
     }
     if stats.pairs_scored != pairs {
@@ -129,7 +122,7 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     for threads in [1usize, 2, 4, 8] {
         let (pooled, stats) =
             smda_engines::parallel::top_k_matrix(&matrix, SIMILARITY_TOP_K, threads, &sink);
-        if all_bits(&pooled) != naive_bits {
+        if !pooled.bits_eq(&naive) {
             return Err(format!(
                 "pooled kernel diverged from naive at n={n}, threads={threads}"
             ));
@@ -144,7 +137,7 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     // The query form: first, last and every seventh row between.
     let queried: Vec<usize> = (0..n).step_by(7).chain([n - 1]).collect();
     for &q in &queried {
-        if bits(&top_k_query(&matrix, q, SIMILARITY_TOP_K)) != naive_bits[q] {
+        if !top_k_query(&matrix, q, SIMILARITY_TOP_K).bits_eq(&naive[q]) {
             return Err(format!(
                 "top_k_query diverged from naive for row {q} at n={n}"
             ));
@@ -162,13 +155,8 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
 fn block_matches_scalar<const R: usize, const C: usize>(rows: &[Vec<f64>]) -> bool {
     let queries: [&[f64]; R] = std::array::from_fn(|r| &rows[r][..]);
     let candidates: [&[f64]; C] = std::array::from_fn(|c| &rows[R + c][..]);
-    let got = smda_stats::dot_block(queries, candidates);
-    got.iter().zip(queries).all(|(scores, q)| {
-        scores
-            .iter()
-            .zip(candidates)
-            .all(|(s, c)| s.to_bits() == smda_stats::dot_scalar(q, c).to_bits())
-    })
+    let want: [[f64; C]; R] = queries.map(|q| candidates.map(|c| smda_stats::dot_scalar(q, c)));
+    smda_stats::dot_block(queries, candidates).bits_eq(&want)
 }
 
 /// The first lane-preserving kernel the active tier runs differently
@@ -188,18 +176,14 @@ fn lane_kernel_divergence() -> Option<String> {
         let b: Vec<f64> = (0..len).map(|_| next()).collect();
         let scalar = smda_stats::dot_scalar(&a, &b);
         let simd = smda_stats::dot(&a, &b);
-        if simd.to_bits() != scalar.to_bits() {
+        if !simd.bits_eq(&scalar) {
             return Some(format!("dot at len={len}: {simd:e} vs {scalar:e}"));
         }
         let mut acc_scalar: Vec<f64> = (0..len).map(|_| next()).collect();
         let mut acc_simd = acc_scalar.clone();
         smda_stats::simd::axpy_scalar(&mut acc_scalar, 1.3125, &a);
         smda_stats::axpy(&mut acc_simd, 1.3125, &a);
-        if acc_scalar
-            .iter()
-            .zip(&acc_simd)
-            .any(|(x, y)| x.to_bits() != y.to_bits())
-        {
+        if !acc_simd.bits_eq(&acc_scalar) {
             return Some(format!("axpy at len={len}"));
         }
         // The AVX-512 tier's 8 × 4 pair block (twelve rows), the 4 × 2
@@ -282,7 +266,6 @@ fn fit_kernel_divergence() -> Option<String> {
         std::array::from_fn(|i| std::array::from_fn(|h| 0.25 * i as f64 - 0.01 * h as f64));
     let mean_y: [f64; HOURS_PER_DAY] = std::array::from_fn(|h| 0.1 * h as f64);
     let (sse, syy) = lagged_residuals(&y, &x, days, &beta, &mean_y);
-    let differ = |a: f64, b: f64| a.to_bits() != b.to_bits();
     for hour in 0..HOURS_PER_DAY {
         let at = |day: usize| day * HOURS_PER_DAY + hour;
         let rows: Vec<[f64; LANE_COLS]> = (LANE_LAGS..days)
@@ -294,18 +277,18 @@ fn fit_kernel_divergence() -> Option<String> {
         let mut entry = 0;
         for (i, (got_xty, &want_xty)) in moments.xty.iter().zip(&xty).enumerate() {
             for j in i..LANE_COLS {
-                if differ(moments.gram[entry][hour], gram.get(i, j)) {
+                if !moments.gram[entry][hour].bits_eq(&gram.get(i, j)) {
                     return Some(format!("PAR moments: gram({i},{j}) of hour {hour}"));
                 }
                 entry += 1;
             }
-            if differ(got_xty[hour], want_xty) {
+            if !got_xty[hour].bits_eq(&want_xty) {
                 return Some(format!("PAR moments: xty[{i}] of hour {hour}"));
             }
         }
         let sum_y: f64 = response.iter().sum();
         let sum_x: f64 = rows.iter().map(|row| row[LANE_COLS - 1]).sum();
-        if differ(moments.sum_y[hour], sum_y) || differ(moments.sum_x[hour], sum_x) {
+        if !(moments.sum_y[hour], moments.sum_x[hour]).bits_eq(&(sum_y, sum_x)) {
             return Some(format!("PAR moments: a plain sum of hour {hour}"));
         }
         let (mut want_sse, mut want_syy) = (0.0, 0.0);
@@ -315,7 +298,7 @@ fn fit_kernel_divergence() -> Option<String> {
             want_sse += e * e;
             want_syy += d * d;
         }
-        if differ(sse[hour], want_sse) || differ(syy[hour], want_syy) {
+        if !(sse[hour], syy[hour]).bits_eq(&(want_sse, want_syy)) {
             return Some(format!("PAR residuals of hour {hour}"));
         }
     }
@@ -332,7 +315,7 @@ fn fit_kernel_divergence() -> Option<String> {
         let spec = HistogramSpec::spanning(values, 10);
         let min = keep_first(|v, kept| v < kept, f64::INFINITY);
         let max = keep_first(|v, kept| v > kept, f64::NEG_INFINITY);
-        if differ(spec.min, min) || differ(spec.max, max) {
+        if !(spec.min, spec.max).bits_eq(&(min, max)) {
             return Some(format!(
                 "HistogramSpec::spanning over {} values",
                 values.len()
@@ -428,7 +411,6 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
     let edges = crate::data::edge_consumers(&ds);
     let (stranger, weather) = crate::data::edge_weather(&ds).map_err(|e| e.to_string())?;
 
-    let bits = |x: f64| x.to_bits();
     let fit_baseline = |c: &ConsumerSeries, temps: &TemperatureSeries| {
         (
             fit_three_line_baseline(c, temps, &config),
@@ -478,10 +460,8 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
     }
     for ((base_tl, base_par), (arena_tl, arena_par)) in baselines.iter().zip(&arena) {
         let id = base_par.consumer;
-        match (base_tl, arena_tl) {
-            (None, None) => {}
-            (Some(b), Some(a)) if b.bits_eq(a) => {}
-            _ => return Err(format!("3-line fit diverged from baseline for {id}")),
+        if !base_tl.bits_eq(arena_tl) {
+            return Err(format!("3-line fit diverged from baseline for {id}"));
         }
         if !base_par.bits_eq(arena_par) {
             return Err(format!("PAR fit diverged from baseline for {id}"));
@@ -495,25 +475,7 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
     };
     let first = DataGenerator::train(&ds, gen_config).map_err(|e| format!("train failed: {e}"))?;
     let second = DataGenerator::train(&ds, gen_config).map_err(|e| format!("train failed: {e}"))?;
-    let clusters_eq = first.clusters().len() == second.clusters().len()
-        && first
-            .clusters()
-            .iter()
-            .zip(second.clusters())
-            .all(|(a, b)| {
-                a.centroid
-                    .iter()
-                    .zip(&b.centroid)
-                    .all(|(x, y)| bits(*x) == bits(*y))
-                    && a.members.len() == b.members.len()
-                    && a.members.iter().zip(&b.members).all(|(x, y)| {
-                        bits(x.heating_gradient) == bits(y.heating_gradient)
-                            && bits(x.cooling_gradient) == bits(y.cooling_gradient)
-                            && bits(x.heating_knot) == bits(y.heating_knot)
-                            && bits(x.cooling_knot) == bits(y.cooling_knot)
-                    })
-            });
-    if !clusters_eq {
+    if !first.clusters().bits_eq(second.clusters()) {
         return Err("generator training is not deterministic per seed".into());
     }
 
@@ -779,9 +741,6 @@ fn check_format(scale: Scale) -> std::result::Result<String, String> {
     let n = scale.consumers_for_households(6_400).max(8);
     let ds = crate::data::seed_dataset(n);
     let scratch = crate::data::Scratch::new("check_format");
-    let bits_eq = |a: &[f64], b: &[f64]| {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    };
 
     let mut tasks_checked = 0usize;
     let mut zero_copy = "owned fallback backing (no mmap)";
@@ -798,13 +757,10 @@ fn check_format(scale: Scale) -> std::result::Result<String, String> {
         let back = store
             .read_all()
             .map_err(|e| format!("{tag}: read-back failed: {e}"))?;
-        if !bits_eq(back.temperature().values(), ds.temperature().values()) {
-            return Err(format!("{tag}: temperature diverged from the original"));
-        }
-        for (a, b) in back.consumers().iter().zip(ds.consumers()) {
-            if a.id != b.id || !bits_eq(a.readings(), b.readings()) {
-                return Err(format!("{tag}: consumer {} diverged bitwise", b.id));
-            }
+        if !back.bits_eq(&ds) {
+            return Err(format!(
+                "{tag}: read-back diverged bitwise from the original"
+            ));
         }
 
         // (2) The raw mapping serves the same bits with zero copies.
@@ -815,7 +771,7 @@ fn check_format(scale: Scale) -> std::result::Result<String, String> {
                     .iter()
                     .flat_map(|c| c.readings().iter().copied())
                     .collect();
-                if !bits_eq(matrix, &flat) {
+                if !matrix.bits_eq(&flat) {
                     return Err("raw: mapped matrix view diverged bitwise".into());
                 }
                 zero_copy = "zero-copy mmap matrix bit-identical";
@@ -960,9 +916,7 @@ fn naive_top_k(rows: &[Vec<f64>], k: usize) -> Vec<Vec<smda_stats::SimilarityMat
 fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
     use smda_engines::{top_k_source_with, SmcSource};
-    use smda_stats::{
-        band_count, top_k_tiled, SeriesMatrix, SimilarityMatch, SliceSource, TileConfig,
-    };
+    use smda_stats::{band_count, top_k_tiled, SeriesMatrix, SliceSource, TileConfig};
     use smda_storage::{format_metrics, BinaryEncoding, BinaryStore};
 
     // Enough rows that the logical matrix dwarfs one band, few enough
@@ -983,12 +937,6 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     let matrix = SeriesMatrix::from_rows_normalized(&series);
     let (want, _) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &TileConfig::current());
     drop(matrix);
-    let bits = |hits: &[Vec<SimilarityMatch>]| -> Vec<(usize, u64)> {
-        hits.iter()
-            .flat_map(|h| h.iter().map(|m| (m.index, m.score.to_bits())))
-            .collect()
-    };
-    let want_bits = bits(&want);
 
     // Small bands, and a cache budgeted below one band so the decode
     // tier can never hold a full working set resident.
@@ -999,7 +947,7 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     // The naive leg: the first rows through the banded walk, sequential
     // and pooled, against a scan that shares no kernel with it.
     let slice = &series[..OOOC_NAIVE_ROWS.min(n)];
-    let naive_bits = bits(&naive_top_k(slice, SIMILARITY_TOP_K));
+    let naive = naive_top_k(slice, SIMILARITY_TOP_K);
     let flat = slice.concat();
     let slice_source = SliceSource::new(&flat, slice.len(), hours);
     for threads in [1usize, 2] {
@@ -1012,7 +960,7 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
             &sink,
         )
         .map_err(|e| format!("naive slice: banded run failed: {e}"))?;
-        if bits(&got) != naive_bits {
+        if !got.bits_eq(&naive) {
             return Err(format!(
                 "banded run over {} rows diverged bitwise from the naive norm2 + dot_scalar \
                  scan at threads={threads}",
@@ -1040,7 +988,7 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
             top_k_source_with(&source, None, SIMILARITY_TOP_K, band_rows, 1, &sink)
         });
         let (got, stats) = got.map_err(|e| format!("{tag}: out-of-core run failed: {e}"))?;
-        if bits(&got) != want_bits {
+        if !got.bits_eq(&want) {
             return Err(format!(
                 "{tag}: out-of-core matches diverged bitwise from the in-memory kernel at n={n}"
             ));
@@ -1064,7 +1012,7 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
             let (pooled, _) =
                 top_k_source_with(&source, None, SIMILARITY_TOP_K, band_rows, threads, &sink)
                     .map_err(|e| format!("{tag}: pooled run failed at threads={threads}: {e}"))?;
-            if bits(&pooled) != want_bits {
+            if !pooled.bits_eq(&want) {
                 return Err(format!(
                     "{tag}: pooled out-of-core run diverged at threads={threads}"
                 ));

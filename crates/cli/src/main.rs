@@ -21,7 +21,7 @@ use smda_core::{DataGenerator, GeneratorConfig, SeedConfig, Task, TaskOutput};
 use smda_ingest::SnapshotHandle;
 use smda_serve::{ServeConfig, Server};
 use smda_types::{
-    ConsumerId, DataFormat, Dataset, FormatReader, FormatWriter, Query, QueryKind, Result,
+    BitEq, ConsumerId, DataFormat, Dataset, FormatReader, FormatWriter, Query, QueryKind, Result,
 };
 
 fn main() -> ExitCode {
@@ -287,24 +287,6 @@ fn parse_encoding(args: &[String]) -> Result<smda_storage::BinaryEncoding> {
     }
 }
 
-/// Bitwise dataset comparison — conversions must be lossless on f64
-/// bits in both directions (CSV uses shortest-round-trip formatting).
-fn datasets_bits_eq(a: &Dataset, b: &Dataset) -> bool {
-    a.len() == b.len()
-        && a.consumers().iter().zip(b.consumers()).all(|(x, y)| {
-            x.id == y.id
-                && x.readings()
-                    .iter()
-                    .zip(y.readings())
-                    .all(|(p, q)| p.to_bits() == q.to_bits())
-        })
-        && a.temperature()
-            .values()
-            .iter()
-            .zip(b.temperature().values())
-            .all(|(p, q)| p.to_bits() == q.to_bits())
-}
-
 fn read_any(path: &std::path::Path, format: DataFormat) -> Result<Dataset> {
     if is_smc(path) {
         smda_storage::BinaryStore::open(path)?.read_all()
@@ -350,7 +332,7 @@ fn convert(args: &[String]) -> Result<()> {
     }
     if args.iter().any(|a| a == "--verify") {
         let back = read_any(&dst, format)?;
-        if !datasets_bits_eq(&ds, &back) {
+        if !ds.bits_eq(&back) {
             return Err(smda_types::Error::Invalid(format!(
                 "verify failed: {} does not reproduce the input bit-for-bit",
                 dst.display()

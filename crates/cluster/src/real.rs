@@ -32,7 +32,7 @@ use smda_core::{ConsumerMatches, Task, TaskOutput, SIMILARITY_TOP_K};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{merge_partials, SeriesMatrixBuilder, TileConfig};
 use smda_storage::wal::{replay_frames, FrameLog};
-use smda_types::{Dataset, Error, Result, HOURS_PER_YEAR};
+use smda_types::{BitEq, Dataset, Error, Result, HOURS_PER_YEAR};
 
 use crate::faults::FaultPlan;
 use crate::scheduler::{ClusterTopology, SimTask, VirtualScheduler};
@@ -878,11 +878,10 @@ pub fn run_virtual_twin(
     }
 }
 
-/// Exact comparison of two task outputs, `f64`s by bit pattern:
-/// [`TaskOutput::bits_eq`], where the result types define their own
-/// bits. Kept at this path for the callers that learned it here.
+/// Exact comparison of two task outputs: [`BitEq::bits_eq`]. Kept at
+/// this path for the callers that learned it here.
 pub fn task_output_bits_eq(a: &TaskOutput, b: &TaskOutput) -> bool {
-    a.bits_eq(b)
+    BitEq::bits_eq(a, b)
 }
 
 #[cfg(test)]

@@ -53,15 +53,6 @@ pub struct ClusterTopology {
 }
 
 impl ClusterTopology {
-    /// The paper's cluster: 16 workers, 12 slots each.
-    pub fn paper_cluster() -> Self {
-        ClusterTopology {
-            workers: 16,
-            slots_per_worker: 12,
-            cost: CostModel::default(),
-        }
-    }
-
     /// Total slots.
     pub fn total_slots(&self) -> usize {
         self.workers * self.slots_per_worker

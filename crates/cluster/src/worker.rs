@@ -688,6 +688,7 @@ pub fn serve(bind: &str) -> Result<()> {
 mod tests {
     use super::*;
     use smda_core::tasks::collect_consumer_results;
+    use smda_types::BitEq;
 
     fn year(f: impl Fn(usize) -> f64) -> Vec<f64> {
         (0..HOURS_PER_YEAR).map(f).collect()

@@ -88,6 +88,11 @@ pub struct ProfileCluster {
     pub members: Vec<ThermalResponse>,
 }
 
+smda_types::bit_eq_fields!(
+    ThermalResponse { heating_gradient, cooling_gradient, heating_knot, cooling_knot }
+    ProfileCluster { centroid, members }
+);
+
 /// The trained generator (Figure 3 of the paper).
 #[derive(Debug, Clone)]
 pub struct DataGenerator {

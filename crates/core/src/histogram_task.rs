@@ -50,18 +50,12 @@ impl ConsumerHistogram {
         }
         self.histogram.counts[self.histogram.mode_bucket()] as f64 / total as f64
     }
-
-    /// Every field equal, the range's `f64`s by bit pattern (what
-    /// [`TaskOutput::bits_eq`](crate::TaskOutput::bits_eq) compares).
-    pub fn bits_eq(&self, other: &ConsumerHistogram) -> bool {
-        let (a, b) = (&self.histogram, &other.histogram);
-        self.consumer == other.consumer
-            && a.spec.min.to_bits() == b.spec.min.to_bits()
-            && a.spec.max.to_bits() == b.spec.max.to_bits()
-            && a.spec.buckets == b.spec.buckets
-            && a.counts == b.counts
-    }
 }
+
+smda_types::bit_eq_fields!(ConsumerHistogram {
+    consumer,
+    histogram
+});
 
 /// Run task 1 over a whole dataset (the single-threaded reference
 /// implementation the platforms are validated against).

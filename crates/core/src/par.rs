@@ -83,25 +83,12 @@ impl ParModel {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map_or(0, |(h, _)| h)
     }
-
-    /// Every field equal, `f64`s by bit pattern (what
-    /// [`TaskOutput::bits_eq`](crate::TaskOutput::bits_eq) compares).
-    pub fn bits_eq(&self, other: &ParModel) -> bool {
-        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
-        self.consumer == other.consumer
-            && self.hourly.iter().zip(&other.hourly).all(|(h, g)| {
-                same(h.intercept, g.intercept)
-                    && h.ar.iter().zip(&g.ar).all(|(&a, &b)| same(a, b))
-                    && same(h.temp_coef, g.temp_coef)
-                    && same(h.r2, g.r2)
-            })
-            && self
-                .profile
-                .iter()
-                .zip(&other.profile)
-                .all(|(&a, &b)| same(a, b))
-    }
 }
+
+smda_types::bit_eq_fields!(
+    HourModel { intercept, ar, temp_coef, r2 }
+    ParModel { consumer, hourly, profile }
+);
 
 // The lane kernel in `smda-stats` is written for this model's shape.
 const _: () = assert!(PAR_ORDER == smda_stats::simd::LANE_LAGS);
@@ -258,7 +245,7 @@ pub fn fit_par(series: &ConsumerSeries, temperature: &TemperatureSeries) -> ParM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smda_types::HOURS_PER_YEAR;
+    use smda_types::{BitEq, HOURS_PER_YEAR};
 
     /// A consumer with a crisp daily pattern (morning + evening peaks) and
     /// an additive temperature response, plus deterministic jitter.

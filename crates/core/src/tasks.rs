@@ -13,7 +13,7 @@ use crate::par::{fit_par_scratch, ParModel};
 use crate::similarity::{similarity_search, ConsumerMatches, SIMILARITY_TOP_K};
 use crate::three_line::{fit_three_line_scratch, ThreeLineConfig, ThreeLineModel};
 use smda_stats::{with_fit_scratch, FitScratch};
-use smda_types::{ConsumerId, ConsumerSeries, Dataset, Error, Result, TemperatureSeries};
+use smda_types::{BitEq, ConsumerId, ConsumerSeries, Dataset, Error, Result, TemperatureSeries};
 
 /// The four benchmark tasks of Section 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,11 +80,6 @@ pub enum TaskOutput {
     Similarity(Vec<ConsumerMatches>),
 }
 
-/// Pairwise `eq` over two equally long slices.
-fn all_eq<T>(a: &[T], b: &[T], eq: impl Fn(&T, &T) -> bool) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| eq(x, y))
-}
-
 impl TaskOutput {
     /// How many per-consumer results the task produced.
     pub fn len(&self) -> usize {
@@ -134,25 +129,19 @@ impl TaskOutput {
         }
         out
     }
+}
 
-    /// The same task, the same consumers in the same order, and every
-    /// result the same to the bit — the comparison this repo's
-    /// cross-platform identity is stated in. Unlike `==` it tells `0.0`
-    /// from `-0.0` and finds a NaN equal to itself. Each result type
-    /// defines its own bits (`bits_eq`); nothing else enumerates them.
-    pub fn bits_eq(&self, other: &TaskOutput) -> bool {
-        match (self, other) {
-            (TaskOutput::Histograms(a), TaskOutput::Histograms(b)) => {
-                all_eq(a, b, ConsumerHistogram::bits_eq)
-            }
-            (TaskOutput::ThreeLine(a), TaskOutput::ThreeLine(b)) => {
-                all_eq(a, b, ThreeLineModel::bits_eq)
-            }
-            (TaskOutput::Par(a), TaskOutput::Par(b)) => all_eq(a, b, ParModel::bits_eq),
-            (TaskOutput::Similarity(a), TaskOutput::Similarity(b)) => {
-                all_eq(a, b, ConsumerMatches::bits_eq)
-            }
-            _ => false,
+/// The same task, the same consumers in the same order, and every result
+/// the same to the bit — the comparison this repo's cross-platform
+/// identity is stated in.
+impl BitEq for TaskOutput {
+    fn bits_eq(&self, other: &Self) -> bool {
+        use TaskOutput::*;
+        match self {
+            Histograms(a) => matches!(other, Histograms(b) if a.bits_eq(b)),
+            ThreeLine(a) => matches!(other, ThreeLine(b) if a.bits_eq(b)),
+            Par(a) => matches!(other, Par(b) if a.bits_eq(b)),
+            Similarity(a) => matches!(other, Similarity(b) if a.bits_eq(b)),
         }
     }
 }
@@ -555,12 +544,14 @@ mod tests {
         }
     }
 
-    /// Every `f64` of a PAR model and of a 3-line model is part of its
-    /// bits: flip the low mantissa bit of one field at a time.
+    /// Every field of every result type is part of its bits: flip the low
+    /// mantissa bit of one `f64` at a time, or change one other field.
     #[test]
     fn every_float_field_of_a_model_is_part_of_its_bits() {
         let ds = tiny();
-        let flip = |v: &mut f64| *v = f64::from_bits(v.to_bits() ^ 1);
+        fn flip(v: &mut f64) {
+            *v = f64::from_bits(v.to_bits() ^ 1);
+        }
         let TaskOutput::Par(models) = run_reference(Task::Par, &ds) else {
             panic!("expected PAR output");
         };
@@ -620,5 +611,38 @@ mod tests {
         let mut other = base.clone();
         other.consumer = ConsumerId(99);
         assert!(!base.bits_eq(&other));
+
+        let TaskOutput::Histograms(histograms) = run_reference(Task::Histogram, &ds) else {
+            panic!("expected histograms");
+        };
+        let base = &histograms[0];
+        let edits: [fn(&mut ConsumerHistogram); 5] = [
+            |h| h.consumer = ConsumerId(99),
+            |h| flip(&mut h.histogram.spec.min),
+            |h| flip(&mut h.histogram.spec.max),
+            |h| h.histogram.spec.buckets += 1,
+            |h| h.histogram.counts[3] += 1,
+        ];
+        for (e, edit) in edits.iter().enumerate() {
+            let mut changed = base.clone();
+            edit(&mut changed);
+            assert!(!base.bits_eq(&changed), "histogram edit {e}");
+        }
+
+        let TaskOutput::Similarity(lists) = run_reference(Task::Similarity, &ds) else {
+            panic!("expected similarity output");
+        };
+        let base = &lists[0];
+        let edits: [fn(&mut ConsumerMatches); 4] = [
+            |m| m.consumer = ConsumerId(99),
+            |m| m.matches[1].0 = ConsumerId(99),
+            |m| flip(&mut m.matches[1].1),
+            |m| m.matches.truncate(1),
+        ];
+        for (e, edit) in edits.iter().enumerate() {
+            let mut changed = base.clone();
+            edit(&mut changed);
+            assert!(!base.bits_eq(&changed), "matches edit {e}");
+        }
     }
 }

@@ -109,21 +109,6 @@ impl PiecewiseFit {
             (self.segments[1].eval(self.knots[1]) - self.segments[2].eval(self.knots[1])).abs();
         d0.max(d1)
     }
-
-    /// Every field equal, `f64`s by bit pattern (what
-    /// [`TaskOutput::bits_eq`](crate::TaskOutput::bits_eq) compares).
-    pub fn bits_eq(&self, other: &PiecewiseFit) -> bool {
-        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
-        self.segments.iter().zip(&other.segments).all(|(s, t)| {
-            same(s.lo, t.lo)
-                && same(s.hi, t.hi)
-                && same(s.intercept, t.intercept)
-                && same(s.slope, t.slope)
-        }) && same(self.knots[0], other.knots[0])
-            && same(self.knots[1], other.knots[1])
-            && same(self.sse, other.sse)
-            && self.adjusted == other.adjusted
-    }
 }
 
 /// The fitted 3-line model for one consumer.
@@ -164,14 +149,13 @@ impl ThreeLineModel {
             .map(|&t| self.low.eval(t))
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// The household and both curves, by [`PiecewiseFit::bits_eq`].
-    pub fn bits_eq(&self, other: &ThreeLineModel) -> bool {
-        self.consumer == other.consumer
-            && self.high.bits_eq(&other.high)
-            && self.low.bits_eq(&other.low)
-    }
 }
+
+smda_types::bit_eq_fields!(
+    LineSegment { lo, hi, intercept, slope }
+    PiecewiseFit { segments, knots, sse, adjusted }
+    ThreeLineModel { consumer, high, low }
+);
 
 /// Percentile points for one curve: temperatures ascending.
 #[derive(Debug, Clone, Default)]
@@ -540,7 +524,7 @@ pub fn fit_three_line(
 mod tests {
     use super::*;
     use smda_stats::scratch::round_to_i32;
-    use smda_types::HOURS_PER_YEAR;
+    use smda_types::{BitEq, HOURS_PER_YEAR};
 
     /// A synthetic year whose consumption is an exact V: heating below
     /// 10 °C with slope −0.2, flat base 1.0 kWh between 10 and 20 °C,

@@ -9,7 +9,7 @@
 
 use std::path::Path;
 
-use smda_types::{ConsumerId, Error, Result};
+use smda_types::{BitEq, ConsumerId, Error, Result};
 
 use crate::layout::{ENC_RAW, FLAG_RAW_CONTIGUOUS};
 use crate::reader::SmcFile;
@@ -94,12 +94,7 @@ pub fn merge<P: AsRef<Path>>(srcs: &[P], dst: impl AsRef<Path>) -> Result<SmcSum
                 first.hours()
             )));
         }
-        let same_temp = f
-            .temperature()
-            .iter()
-            .zip(first.temperature())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same_temp {
+        if !f.temperature().bits_eq(first.temperature()) {
             return Err(Error::Schema(format!(
                 "merge: temperature series of {} differs from {}",
                 f.path().display(),

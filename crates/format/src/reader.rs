@@ -194,11 +194,6 @@ impl SmcFile {
         self.entries.binary_search_by_key(&id.raw(), |e| e.id).ok()
     }
 
-    /// Id of the consumer at `idx`.
-    pub fn id_at(&self, idx: usize) -> Option<ConsumerId> {
-        self.entries.get(idx).map(|e| ConsumerId(e.id))
-    }
-
     /// The shared temperature series (decoded once at open).
     pub fn temperature(&self) -> &[f64] {
         &self.temperature

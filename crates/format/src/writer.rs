@@ -78,12 +78,6 @@ impl SmcWriter {
         SmcWriter::create_with(path, n, hours, Encoding::Packed)
     }
 
-    /// Start a file with every block raw, yielding the zero-copy
-    /// mmap-friendly layout ([`FLAG_RAW_CONTIGUOUS`]).
-    pub fn create_raw(path: impl AsRef<Path>, n: usize, hours: usize) -> Result<SmcWriter> {
-        SmcWriter::create_with(path, n, hours, Encoding::Raw)
-    }
-
     /// Start a file with an explicit encoding policy.
     pub fn create_with(
         path: impl AsRef<Path>,

@@ -147,11 +147,6 @@ impl HiveSession {
         HiveSession { engine }
     }
 
-    /// Borrow the engine (e.g. to load a table).
-    pub fn engine_mut(&mut self) -> &mut HiveEngine {
-        &mut self.engine
-    }
-
     /// Parse and execute one query.
     pub fn sql(&mut self, sql: &str) -> Result<HiveRunResult> {
         let query = parse(sql)?;

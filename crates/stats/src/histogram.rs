@@ -373,6 +373,11 @@ pub struct EquiWidthHistogram {
     pub counts: Vec<u64>,
 }
 
+smda_types::bit_eq_fields!(
+    HistogramSpec { min, max, buckets }
+    EquiWidthHistogram { spec, counts }
+);
+
 impl EquiWidthHistogram {
     /// Histogram of `values` over their own range with `buckets` bins.
     /// Returns `None` on empty input.

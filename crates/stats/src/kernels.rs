@@ -666,7 +666,8 @@ pub fn top_k_query(m: &SeriesMatrix, q: usize, k: usize) -> Vec<SimilarityMatch>
 mod tests {
     use super::*;
     use crate::similarity::top_k_cosine;
-    use crate::testutil::{assert_bit_identical, pseudo_series};
+    use crate::testutil::pseudo_series;
+    use smda_types::BitEq;
 
     #[test]
     fn matrix_round_trips_rows() {
@@ -753,7 +754,7 @@ mod tests {
             let naive = top_k_cosine(&rows, 5);
             let m = SeriesMatrix::from_rows_normalized(&rows);
             let (tiled, stats) = top_k_tiled(&m, 5, &TileConfig::default());
-            assert_bit_identical(&naive, &tiled);
+            assert!(naive.bits_eq(&tiled));
             let expect_pairs = (n * n.saturating_sub(1) / 2) as u64;
             assert_eq!(stats.pairs_scored, expect_pairs, "n={n}");
         }
@@ -779,12 +780,12 @@ mod tests {
                 for query_block in (0usize..=9).chain([16, 17]) {
                     let cfg = TileConfig { query_block };
                     let (tiled, stats) = top_k_tiled(&m, n, &cfg);
-                    assert_bit_identical(&naive, &tiled);
+                    assert!(naive.bits_eq(&tiled));
                     let shape = format!("{tier:?} n={n} block={query_block}");
                     assert_eq!(stats.pairs_scored, pairs, "{shape}");
                     for band_rows in [1usize, 3, 5, 6, 9] {
                         let (banded, stats) = crate::top_k_oooc(&src, n, band_rows, &cfg).unwrap();
-                        assert_bit_identical(&naive, &banded);
+                        assert!(naive.bits_eq(&banded));
                         assert_eq!(stats.kernel.pairs_scored, pairs, "{shape} band={band_rows}");
                     }
                 }
@@ -798,7 +799,7 @@ mod tests {
         let naive = top_k_cosine(&rows, 4);
         let m = SeriesMatrix::from_rows_normalized(&rows);
         let (tiled, _) = top_k_tiled(&m, 4, &TileConfig { query_block: 3 });
-        assert_bit_identical(&naive, &tiled);
+        assert!(naive.bits_eq(&tiled));
     }
 
     #[test]
@@ -814,10 +815,10 @@ mod tests {
             let cfg = TileConfig { query_block };
             assert_eq!(cfg.tile_rows(11), 11);
             let (tiled, stats) = top_k_tiled(&m, 3, &cfg);
-            assert_bit_identical(&naive, &tiled);
+            assert!(naive.bits_eq(&tiled));
             assert_eq!(stats.pairs_scored, 55);
             let (banded, stats) = crate::top_k_oooc(&src, 3, 4, &cfg).unwrap();
-            assert_bit_identical(&naive, &banded);
+            assert!(naive.bits_eq(&banded));
             assert_eq!(stats.kernel.pairs_scored, 55);
         }
     }
@@ -844,7 +845,7 @@ mod tests {
             partials.push(p);
         }
         let merged = merge_partials(m.rows(), partials, 3);
-        assert_bit_identical(&seq, &merged);
+        assert!(seq.bits_eq(&merged));
         assert_eq!(pairs, seq_stats.pairs_scored);
     }
 
@@ -856,7 +857,7 @@ mod tests {
         let naive = top_k_cosine(&rows, 4);
         let m = SeriesMatrix::from_rows_normalized(&rows);
         let (tiled, _) = top_k_tiled(&m, 4, &TileConfig::default());
-        assert_bit_identical(&naive, &tiled);
+        assert!(naive.bits_eq(&tiled));
         // Query 5's best matches are 0,1,2,3 in ascending index order.
         let idx: Vec<usize> = tiled[5].iter().map(|h| h.index).collect();
         assert_eq!(idx, [0, 1, 2, 3]);
@@ -870,7 +871,7 @@ mod tests {
         assert_eq!(tiled.len(), m.rows());
         for (q, want) in tiled.iter().enumerate() {
             let one = top_k_query(&m, q, 5);
-            assert_bit_identical(std::slice::from_ref(want), std::slice::from_ref(&one));
+            assert!(want.bits_eq(&one), "query {q}");
         }
     }
 

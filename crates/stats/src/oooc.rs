@@ -130,10 +130,10 @@ mod tests {
     use super::*;
     use crate::kernels::{top_k_query, top_k_tiled, SeriesMatrix};
     use crate::merge_partials;
-    use crate::testutil::{assert_bit_identical, flat, pseudo_series};
+    use crate::testutil::{flat, pseudo_series};
     use crate::walk::{band_count, band_pair_at, band_pair_count};
     use proptest::prelude::*;
-    use smda_types::Error;
+    use smda_types::{BitEq, Error};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The walk's query form over `src` at `band_rows` rows per band.
@@ -200,7 +200,7 @@ mod tests {
             // band=1 and band >= n are the degenerate extremes.
             for band_rows in [1usize, 3, 8, n.max(1), n + 7] {
                 let (got, stats) = top_k_oooc(&src, 5, band_rows, &cfg).unwrap();
-                assert_bit_identical(&expect, &got);
+                assert!(expect.bits_eq(&got));
                 assert_eq!(
                     stats.kernel.pairs_scored, expect_stats.pairs_scored,
                     "n={n} band={band_rows}"
@@ -234,7 +234,7 @@ mod tests {
             partials.push(p);
         }
         let merged = merge_partials(27, partials, 3);
-        assert_bit_identical(&seq, &merged);
+        assert!(seq.bits_eq(&merged));
         assert_eq!(
             merged_stats.kernel.pairs_scored,
             seq_stats.kernel.pairs_scored
@@ -251,10 +251,7 @@ mod tests {
         let (got, stats) = top_k_queries(&src, &queries, 4, 5).unwrap();
         for (slot, &q) in queries.iter().enumerate() {
             let expect = top_k_query(&m, q, 4);
-            assert_bit_identical(
-                std::slice::from_ref(&expect),
-                std::slice::from_ref(&got[slot]),
-            );
+            assert!(expect.bits_eq(&got[slot]), "query {q}");
         }
         assert!(stats.bands_loaded > 0);
     }
@@ -278,10 +275,7 @@ mod tests {
         );
         for (slot, &q) in queries.iter().enumerate() {
             let expect = top_k_query(&m, q, 4);
-            assert_bit_identical(
-                std::slice::from_ref(&expect),
-                std::slice::from_ref(&got[slot]),
-            );
+            assert!(expect.bits_eq(&got[slot]), "query {q}");
         }
     }
 
@@ -304,7 +298,7 @@ mod tests {
         for k in [0usize, 1, 4] {
             let (expect, _) = top_k_tiled(&m, k, &cfg);
             let (got, _) = top_k_oooc(&src, k, 2, &cfg).unwrap();
-            assert_bit_identical(&expect, &got);
+            assert!(expect.bits_eq(&got));
         }
     }
 
@@ -351,7 +345,7 @@ mod tests {
             let (data, _) = flat(&rows);
             let src = SliceSource::new(&data, n, stride);
             let (got, _) = top_k_oooc(&src, k, band_rows, &cfg).unwrap();
-            assert_bit_identical(&expect, &got);
+            assert!(expect.bits_eq(&got));
         }
     }
 }

@@ -126,6 +126,8 @@ pub struct SimilarityMatch {
     pub score: f64,
 }
 
+smda_types::bit_eq_fields!(SimilarityMatch { index, score });
+
 /// Normalize each vector to unit length (zero vectors stay zero), so the
 /// all-pairs search reduces to plain dot products.
 pub fn normalize_all(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
@@ -192,6 +194,26 @@ pub fn select_top_k(hits: &mut Vec<SimilarityMatch>, k: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smda_types::BitEq;
+
+    /// Match lists compare per query: a hit that moves to the neighbouring
+    /// query's list is a different answer though the flattened sequence
+    /// of hits is unchanged.
+    #[test]
+    fn a_match_moved_to_the_next_query_differs() {
+        let hit = |index, score| SimilarityMatch { index, score };
+        let lists = vec![vec![hit(1, 0.5), hit(2, 0.25)], vec![hit(0, 0.5)]];
+        let moved = vec![vec![hit(1, 0.5)], vec![hit(2, 0.25), hit(0, 0.5)]];
+        let flat = |l: &[Vec<SimilarityMatch>]| l.concat();
+        assert!(flat(&lists).bits_eq(&flat(&moved)));
+        assert!(lists.bits_eq(&lists.clone()));
+        assert!(!lists.bits_eq(&moved));
+        let (mut renamed, mut rescored) = (lists.clone(), lists.clone());
+        renamed[1][0].index = 3;
+        rescored[0][1].score = f64::from_bits(0.25f64.to_bits() ^ 1);
+        assert!(!lists.bits_eq(&renamed));
+        assert!(!lists.bits_eq(&rescored));
+    }
 
     #[test]
     fn cosine_of_parallel_vectors_is_one() {

@@ -4,7 +4,6 @@ use smda_types::HOURS_PER_DAY;
 
 use crate::linalg::Matrix;
 use crate::simd::{LANE_COLS, LANE_LAGS};
-use crate::similarity::SimilarityMatch;
 
 /// `n` deterministic xorshift rows of `len` values in `[0, 4)`.
 pub(crate) fn pseudo_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -22,17 +21,6 @@ pub(crate) fn pseudo_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
 pub(crate) fn flat(rows: &[Vec<f64>]) -> (Vec<f64>, usize) {
     let stride = rows.first().map_or(0, Vec::len);
     (rows.iter().flatten().copied().collect(), stride)
-}
-
-pub(crate) fn assert_bit_identical(a: &[Vec<SimilarityMatch>], b: &[Vec<SimilarityMatch>]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.len(), y.len());
-        for (h, g) in x.iter().zip(y) {
-            assert_eq!(h.index, g.index);
-            assert_eq!(h.score.to_bits(), g.score.to_bits(), "score bits differ");
-        }
-    }
 }
 
 /// A day-major `(y, x)` pair of `days` days built to hit every branch of

@@ -101,11 +101,6 @@ impl HeapFile {
         })
     }
 
-    /// Number of full pages on disk (excludes the in-memory tail).
-    pub fn page_count(&self) -> u32 {
-        self.pages
-    }
-
     /// Total pages including a non-empty tail.
     pub fn logical_pages(&self) -> u32 {
         self.pages + if self.tail.slot_count() > 0 { 1 } else { 0 }

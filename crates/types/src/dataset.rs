@@ -138,9 +138,15 @@ pub struct DatasetStats {
     pub nominal_bytes: usize,
 }
 
+crate::bit_eq_fields!(Dataset {
+    consumers,
+    temperature
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitEq;
 
     fn tiny(n: u32) -> Dataset {
         let temp = TemperatureSeries::new(vec![5.0; HOURS_PER_YEAR]).unwrap();
@@ -151,6 +157,31 @@ mod tests {
             })
             .collect();
         Dataset::new(consumers, temp).unwrap()
+    }
+
+    #[test]
+    fn bits_eq_sees_an_id_one_reading_and_one_temperature_hour() {
+        let flip = |v: f64| f64::from_bits(v.to_bits() ^ 1);
+        let build = |second: u32, reading: f64, temp: f64| {
+            let mut kwh = vec![0.5; HOURS_PER_YEAR];
+            kwh[4321] = reading;
+            let mut temps = vec![5.0; HOURS_PER_YEAR];
+            temps[17] = temp;
+            let consumers = vec![
+                ConsumerSeries::new(ConsumerId(0), vec![0.25; HOURS_PER_YEAR]).unwrap(),
+                ConsumerSeries::new(ConsumerId(second), kwh).unwrap(),
+            ];
+            Dataset::new(consumers, TemperatureSeries::new(temps).unwrap()).unwrap()
+        };
+        let base = build(1, 0.5, 5.0);
+        assert!(base.bits_eq(&base.clone()));
+        assert!(!base.bits_eq(&build(2, 0.5, 5.0)), "an id");
+        assert!(!base.bits_eq(&build(1, flip(0.5), 5.0)), "one reading");
+        assert!(
+            !base.bits_eq(&build(1, 0.5, flip(5.0))),
+            "one temperature hour"
+        );
+        assert!(!base.bits_eq(&base.head(1)), "a consumer fewer");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::fs;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::calendar::HOURS_PER_YEAR;
 use crate::csv;
@@ -319,13 +319,6 @@ pub fn assemble_consumers(readings: Vec<Reading>) -> Result<Vec<ConsumerSeries>>
     assemble_households(readings)
         .map(|year| year.and_then(|y| ConsumerSeries::new(y.consumer, y.kwh)))
         .collect()
-}
-
-/// Look up a file's size in bytes (used by DFS ingestion and reports).
-pub fn file_size(path: &Path) -> Result<u64> {
-    fs::metadata(path)
-        .map(|m| m.len())
-        .map_err(|e| Error::io(format!("stat {}", path.display()), e))
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //! The benchmark assumes hourly readings for one year: `365 × 24 = 8760`
 //! data points per series (see Section 3 of the paper).
 
+pub mod bits;
 pub mod calendar;
 pub mod csv;
 pub mod dataset;
@@ -26,6 +27,7 @@ pub mod query;
 pub mod reading;
 pub mod series;
 
+pub use bits::BitEq;
 pub use calendar::{Calendar, Weekday, DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR};
 pub use dataset::{Dataset, DatasetStats};
 pub use error::{Error, FormatDefect, FrameDefect, Result};

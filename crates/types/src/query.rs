@@ -13,6 +13,7 @@
 //! diffed without dragging the fitting machinery along. Conversions
 //! from the batch task outputs live in `smda_core::queries`.
 
+use crate::bits::BitEq;
 use crate::series::ConsumerId;
 
 /// The five query types answered by the serving layer.
@@ -220,96 +221,10 @@ impl QueryResult {
         }
     }
 
-    /// Strict equality, down to the bits (`f64::to_bits`) of every
-    /// floating-point field — the comparison the serving layer's
-    /// bit-identity guarantee is stated over. Unlike `==`, this
-    /// distinguishes `0.0` from `-0.0` and treats equal NaN payloads as
-    /// equal.
+    /// [`BitEq::bits_eq`], by name for callers that do not import the
+    /// trait.
     pub fn bits_eq(&self, other: &QueryResult) -> bool {
-        use QueryResult::*;
-        let f = |a: f64, b: f64| a.to_bits() == b.to_bits();
-        match (self, other) {
-            (
-                TopKSimilar {
-                    consumer: ca,
-                    matches: ma,
-                },
-                TopKSimilar {
-                    consumer: cb,
-                    matches: mb,
-                },
-            ) => {
-                ca == cb
-                    && ma.len() == mb.len()
-                    && ma
-                        .iter()
-                        .zip(mb)
-                        .all(|((xi, xs), (yi, ys))| xi == yi && f(*xs, *ys))
-            }
-            (
-                Histogram {
-                    consumer: ca,
-                    min: mina,
-                    max: maxa,
-                    counts: na,
-                },
-                Histogram {
-                    consumer: cb,
-                    min: minb,
-                    max: maxb,
-                    counts: nb,
-                },
-            ) => ca == cb && f(*mina, *minb) && f(*maxa, *maxb) && na == nb,
-            (
-                ThreeLineFeatures {
-                    consumer: ca,
-                    heating_gradient: ha,
-                    cooling_gradient: cla,
-                    base_load: ba,
-                },
-                ThreeLineFeatures {
-                    consumer: cb,
-                    heating_gradient: hb,
-                    cooling_gradient: clb,
-                    base_load: bb,
-                },
-            ) => ca == cb && f(*ha, *hb) && f(*cla, *clb) && f(*ba, *bb),
-            (
-                ParCoefficients {
-                    consumer: ca,
-                    profile: pa,
-                    peak_hour: ka,
-                    daily_total: ta,
-                },
-                ParCoefficients {
-                    consumer: cb,
-                    profile: pb,
-                    peak_hour: kb,
-                    daily_total: tb,
-                },
-            ) => {
-                ca == cb
-                    && ka == kb
-                    && f(*ta, *tb)
-                    && pa.len() == pb.len()
-                    && pa.iter().zip(pb).all(|(x, y)| f(*x, *y))
-            }
-            (
-                AnomalyStatus {
-                    consumer: ca,
-                    alerts: aa,
-                    last_hour: la,
-                    max_sigmas: sa,
-                },
-                AnomalyStatus {
-                    consumer: cb,
-                    alerts: ab,
-                    last_hour: lb,
-                    max_sigmas: sb,
-                },
-            ) => ca == cb && aa == ab && la == lb && f(*sa, *sb),
-            _ => false,
-        }
+        BitEq::bits_eq(self, other)
     }
 
     /// The result's type tag.
@@ -411,6 +326,53 @@ impl QueryResult {
         }
         s.push('}');
         s
+    }
+}
+
+/// Each arm binds every field of `self`'s variant and compares each one,
+/// so a field bound but left out of the comparison is an unused variable.
+impl BitEq for QueryResult {
+    fn bits_eq(&self, other: &Self) -> bool {
+        use QueryResult::*;
+        match self {
+            TopKSimilar { consumer, matches } => matches!(other,
+                TopKSimilar { consumer: c, matches: m }
+                    if (consumer, matches).bits_eq(&(c, m))),
+            Histogram {
+                consumer,
+                min,
+                max,
+                counts,
+            } => matches!(other,
+                Histogram { consumer: c, min: lo, max: hi, counts: n }
+                    if (consumer, min, max, counts).bits_eq(&(c, lo, hi, n))),
+            ThreeLineFeatures {
+                consumer,
+                heating_gradient,
+                cooling_gradient,
+                base_load,
+            } => matches!(other,
+                ThreeLineFeatures {
+                    consumer: c, heating_gradient: h, cooling_gradient: k, base_load: b
+                } if (consumer, heating_gradient, cooling_gradient, base_load)
+                    .bits_eq(&(c, h, k, b))),
+            ParCoefficients {
+                consumer,
+                profile,
+                peak_hour,
+                daily_total,
+            } => matches!(other,
+                ParCoefficients { consumer: c, profile: p, peak_hour: h, daily_total: t }
+                    if (consumer, profile, peak_hour, daily_total).bits_eq(&(c, p, h, t))),
+            AnomalyStatus {
+                consumer,
+                alerts,
+                last_hour,
+                max_sigmas,
+            } => matches!(other,
+                AnomalyStatus { consumer: c, alerts: a, last_hour: h, max_sigmas: s }
+                    if (consumer, alerts, last_hour, max_sigmas).bits_eq(&(c, a, h, s))),
+        }
     }
 }
 
@@ -540,29 +502,109 @@ mod tests {
 
     #[test]
     fn bits_eq_is_stricter_than_partial_eq() {
-        let base = QueryResult::ThreeLineFeatures {
-            consumer: ConsumerId(1),
-            heating_gradient: -0.25,
-            cooling_gradient: 0.0,
-            base_load: 0.5,
+        fn flip(v: f64) -> f64 {
+            f64::from_bits(v.to_bits() ^ 1)
+        }
+        let top = |consumer, matches| QueryResult::TopKSimilar { consumer, matches };
+        let hist = |consumer, min, max, counts| QueryResult::Histogram {
+            consumer,
+            min,
+            max,
+            counts,
         };
-        assert!(base.bits_eq(&base.clone()));
-        let negzero = QueryResult::ThreeLineFeatures {
-            consumer: ConsumerId(1),
-            heating_gradient: -0.25,
-            cooling_gradient: -0.0,
-            base_load: 0.5,
+        let three = |consumer, heating_gradient, cooling_gradient, base_load| {
+            QueryResult::ThreeLineFeatures {
+                consumer,
+                heating_gradient,
+                cooling_gradient,
+                base_load,
+            }
         };
-        // `==` cannot tell 0.0 from -0.0; the bit comparison can.
-        assert_eq!(base, negzero);
-        assert!(!base.bits_eq(&negzero));
-        let other_kind = QueryResult::Histogram {
-            consumer: ConsumerId(1),
-            min: 0.0,
-            max: 1.0,
-            counts: vec![1],
+        let par = |consumer, profile, peak_hour, daily_total| QueryResult::ParCoefficients {
+            consumer,
+            profile,
+            peak_hour,
+            daily_total,
         };
-        assert!(!base.bits_eq(&other_kind));
+        let anomaly = |consumer, alerts, last_hour, max_sigmas| QueryResult::AnomalyStatus {
+            consumer,
+            alerts,
+            last_hour,
+            max_sigmas,
+        };
+        let (a, b, c) = (ConsumerId(1), ConsumerId(2), ConsumerId(3));
+        // One result per variant, and that result with one field changed
+        // at a time: every field of every variant is part of its bits.
+        let cases = [
+            (
+                top(a, vec![(b, 0.5), (c, 0.25)]),
+                vec![
+                    top(b, vec![(b, 0.5), (c, 0.25)]),
+                    top(a, vec![(c, 0.5), (c, 0.25)]),
+                    top(a, vec![(b, 0.5), (c, flip(0.25))]),
+                    top(a, vec![(b, 0.5)]),
+                ],
+            ),
+            (
+                hist(a, 0.0, 1.0, vec![3, 1]),
+                vec![
+                    hist(b, 0.0, 1.0, vec![3, 1]),
+                    hist(a, flip(0.0), 1.0, vec![3, 1]),
+                    hist(a, 0.0, flip(1.0), vec![3, 1]),
+                    hist(a, 0.0, 1.0, vec![3, 2]),
+                    hist(a, 0.0, 1.0, vec![3]),
+                ],
+            ),
+            (
+                three(a, -0.25, 0.0, 0.5),
+                vec![
+                    three(b, -0.25, 0.0, 0.5),
+                    three(a, flip(-0.25), 0.0, 0.5),
+                    three(a, -0.25, flip(0.0), 0.5),
+                    three(a, -0.25, 0.0, flip(0.5)),
+                ],
+            ),
+            (
+                par(a, vec![0.5, 0.75], 1, 1.25),
+                vec![
+                    par(b, vec![0.5, 0.75], 1, 1.25),
+                    par(a, vec![0.5, flip(0.75)], 1, 1.25),
+                    par(a, vec![0.5], 1, 1.25),
+                    par(a, vec![0.5, 0.75], 0, 1.25),
+                    par(a, vec![0.5, 0.75], 1, flip(1.25)),
+                ],
+            ),
+            (
+                anomaly(a, 2, Some(17), 4.5),
+                vec![
+                    anomaly(b, 2, Some(17), 4.5),
+                    anomaly(a, 3, Some(17), 4.5),
+                    anomaly(a, 2, Some(18), 4.5),
+                    anomaly(a, 2, None, 4.5),
+                    anomaly(a, 2, Some(17), flip(4.5)),
+                ],
+            ),
+        ];
+        for (base, changed) in &cases {
+            assert!(base.bits_eq(&base.clone()), "{base:?}");
+            for other in changed {
+                assert!(!base.bits_eq(other), "{base:?} vs {other:?}");
+            }
+        }
+        // A variant never equals another variant.
+        for (i, (x, _)) in cases.iter().enumerate() {
+            for (j, (y, _)) in cases.iter().enumerate() {
+                assert_eq!(x.bits_eq(y), i == j, "{x:?} vs {y:?}");
+            }
+        }
+        // `==` cannot tell 0.0 from -0.0, nor find a NaN equal to itself;
+        // the bit comparison can.
+        let (zero, negzero) = (three(a, -0.25, 0.0, 0.5), three(a, -0.25, -0.0, 0.5));
+        assert_eq!(zero, negzero);
+        assert!(!zero.bits_eq(&negzero));
+        let nan = three(a, f64::NAN, 0.0, 0.5);
+        assert_ne!(nan, nan.clone());
+        assert!(nan.bits_eq(&nan.clone()));
     }
 
     #[test]

@@ -164,6 +164,11 @@ impl TemperatureSeries {
     }
 }
 
+crate::bit_eq_fields!(
+    ConsumerSeries { id, readings }
+    TemperatureSeries { values }
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;

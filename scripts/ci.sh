@@ -117,6 +117,26 @@ echo "lane traits: ${traits:-none} in ${homes:-nowhere}; unsafe fn in $simd: $la
 [ "$lane_fns" -eq 0 ]
 [ "$unsafe_fns" -le "$unsafe_fn_budget" ]
 
+# One definition of the same bits: every equivalence check goes through
+# `smda_types::BitEq` (crates/types/src/bits.rs), the only place that
+# compares `to_bits()` with `==` or `!=` — in non-test crates/*/src (each
+# file up to its first `#[cfg(test)]`) and in tests/tests, comment lines
+# dropped.
+echo "== one definition of the same bits =="
+bit_compares=$({
+    git ls-files 'crates/*/src/*.rs' ':!crates/types/src/bits.rs' | while read -r file; do
+        non_test "$file" | sed "s#^#$file: #"
+    done
+    git ls-files 'tests/tests/*.rs' | while read -r file; do
+        grep -vE '^[[:space:]]*//' "$file" | sed "s#^#$file: #"
+    done
+} | { grep -E 'to_bits\(\).*[!=]=|[!=]=.*to_bits\(\)' || true; })
+echo "to_bits() compared outside crates/types/src/bits.rs: $(grep -c . <<<"$bit_compares")"
+if [ -n "$bit_compares" ]; then
+    echo "$bit_compares" >&2
+    exit 1
+fi
+
 # DESIGN §10: ingest buffers readings and feeds the anomaly detector, and
 # nothing else; a sealed year's similarity rows, histograms and `.smc` file
 # come from the code the batch path runs. So the non-test ingest sources

@@ -16,11 +16,11 @@ use smda_hive::HiveEngine;
 use smda_integration::{fixture_dataset, TempDir};
 use smda_spark::SparkEngine;
 use smda_storage::FileLayout;
-use smda_types::{DataFormat, Dataset};
+use smda_types::{BitEq, DataFormat, Dataset};
 
 /// The pre-arena reference: the retained allocating baselines, run
 /// single-threaded over the dataset. Compared with
-/// [`TaskOutput::bits_eq`], so equality is exact.
+/// [`BitEq::bits_eq`], so equality is exact.
 fn reference(ds: &Dataset) -> (TaskOutput, TaskOutput) {
     let config = ThreeLineConfig::default();
     let tl = ds

@@ -15,19 +15,7 @@ use smda_hive::HiveEngine;
 use smda_integration::{fixture_dataset, TempDir};
 use smda_spark::SparkEngine;
 use smda_storage::{BinaryEncoding, BinaryStore, FileLayout, FileStore};
-use smda_types::{DataFormat, Dataset};
-
-fn datasets_bits_eq(a: &Dataset, b: &Dataset) -> bool {
-    let series_eq = |x: &[f64], y: &[f64]| {
-        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-    };
-    a.len() == b.len()
-        && series_eq(a.temperature().values(), b.temperature().values())
-        && a.consumers()
-            .iter()
-            .zip(b.consumers())
-            .all(|(x, y)| x.id == y.id && series_eq(x.readings(), y.readings()))
-}
+use smda_types::{BitEq, DataFormat, Dataset};
 
 /// Both load paths materialized from the same source dataset: the CSV
 /// round trip and the binary round trip must agree bit for bit, so any
@@ -42,7 +30,7 @@ fn csv_and_smc_twins(dir: &TempDir, ds: &Dataset, encoding: BinaryEncoding) -> (
         .read_all()
         .expect("smc reads back");
     assert!(
-        datasets_bits_eq(&csv, &smc),
+        csv.bits_eq(&smc),
         "CSV and SMC1 round trips must carry the same bits"
     );
     (csv, smc)
@@ -128,7 +116,7 @@ fn packed_encoding_feeds_the_same_bits() {
     let ds = fixture_dataset(4);
     let dir = TempDir::new("format-packed");
     let (_, from_smc) = csv_and_smc_twins(&dir, &ds, BinaryEncoding::Packed);
-    assert!(datasets_bits_eq(&ds, &from_smc));
+    assert!(ds.bits_eq(&from_smc));
 }
 
 #[test]

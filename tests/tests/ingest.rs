@@ -19,7 +19,8 @@ use smda_integration::{fixture_dataset, TempDir};
 use smda_obs::{counters, BenchExport, MetricsSink, RunManifest};
 use smda_stats::SeriesMatrix;
 use smda_types::{
-    ConsumerSeries, Dataset, DirtyDataPolicy, Error, Reading, TemperatureSeries, HOURS_PER_YEAR,
+    BitEq, ConsumerSeries, Dataset, DirtyDataPolicy, Error, Reading, TemperatureSeries,
+    HOURS_PER_YEAR,
 };
 
 fn offline(ds: &Arc<Dataset>, task: Task) -> TaskOutput {

@@ -17,7 +17,7 @@ use smda_integration::fixture_dataset;
 use smda_obs::MetricsSink;
 use smda_serve::{ServeConfig, ServeError, Server};
 use smda_stats::FitScratch;
-use smda_types::{ConsumerId, Dataset, Query, TemperatureSeries, HOURS_PER_YEAR};
+use smda_types::{BitEq, ConsumerId, Dataset, Query, TemperatureSeries, HOURS_PER_YEAR};
 
 const PER_CONSUMER: [Task; 3] = [Task::Histogram, Task::ThreeLine, Task::Par];
 

@@ -31,7 +31,7 @@ use smda_hive::HiveEngine;
 use smda_integration::fixture_dataset;
 use smda_obs::{counters, MetricsSink, RunManifest};
 use smda_spark::SparkEngine;
-use smda_types::{ConsumerId, DataFormat, DirtyDataPolicy, Error};
+use smda_types::{BitEq, ConsumerId, DataFormat, DirtyDataPolicy, Error};
 
 const BLOCK: u64 = 256 * 1024;
 const HOUSEHOLDS: usize = 3;

@@ -35,107 +35,9 @@ fn seal(ds: &Dataset) -> (Arc<smda_ingest::Snapshot>, Arc<Vec<smda_core::Alert>>
 /// Strict equality, down to the bits of every floating-point value.
 fn assert_bits_eq(served: &QueryResult, batch: &QueryResult, context: &str) {
     assert!(
-        bits_eq(served, batch),
+        served.bits_eq(batch),
         "{context}: served answer diverges from batch\nserved: {served:?}\nbatch:  {batch:?}"
     );
-}
-
-/// `to_bits` equality across every float field; structural equality for
-/// the rest.
-fn bits_eq(a: &QueryResult, b: &QueryResult) -> bool {
-    use QueryResult::*;
-    match (a, b) {
-        (
-            TopKSimilar {
-                consumer: ca,
-                matches: ma,
-            },
-            TopKSimilar {
-                consumer: cb,
-                matches: mb,
-            },
-        ) => {
-            ca == cb
-                && ma.len() == mb.len()
-                && ma
-                    .iter()
-                    .zip(mb)
-                    .all(|((xi, xs), (yi, ys))| xi == yi && xs.to_bits() == ys.to_bits())
-        }
-        (
-            Histogram {
-                consumer: ca,
-                min: mina,
-                max: maxa,
-                counts: na,
-            },
-            Histogram {
-                consumer: cb,
-                min: minb,
-                max: maxb,
-                counts: nb,
-            },
-        ) => {
-            ca == cb
-                && mina.to_bits() == minb.to_bits()
-                && maxa.to_bits() == maxb.to_bits()
-                && na == nb
-        }
-        (
-            ThreeLineFeatures {
-                consumer: ca,
-                heating_gradient: ha,
-                cooling_gradient: coola,
-                base_load: ba,
-            },
-            ThreeLineFeatures {
-                consumer: cb,
-                heating_gradient: hb,
-                cooling_gradient: coolb,
-                base_load: bb,
-            },
-        ) => {
-            ca == cb
-                && ha.to_bits() == hb.to_bits()
-                && coola.to_bits() == coolb.to_bits()
-                && ba.to_bits() == bb.to_bits()
-        }
-        (
-            ParCoefficients {
-                consumer: ca,
-                profile: pa,
-                peak_hour: peaka,
-                daily_total: ta,
-            },
-            ParCoefficients {
-                consumer: cb,
-                profile: pb,
-                peak_hour: peakb,
-                daily_total: tb,
-            },
-        ) => {
-            ca == cb
-                && peaka == peakb
-                && ta.to_bits() == tb.to_bits()
-                && pa.len() == pb.len()
-                && pa.iter().zip(pb).all(|(x, y)| x.to_bits() == y.to_bits())
-        }
-        (
-            AnomalyStatus {
-                consumer: ca,
-                alerts: aa,
-                last_hour: la,
-                max_sigmas: sa,
-            },
-            AnomalyStatus {
-                consumer: cb,
-                alerts: ab,
-                last_hour: lb,
-                max_sigmas: sb,
-            },
-        ) => ca == cb && aa == ab && la == lb && sa.to_bits() == sb.to_bits(),
-        _ => false,
-    }
 }
 
 #[test]
@@ -240,7 +142,7 @@ fn concurrent_queries_during_swaps_never_observe_a_torn_world() {
                     // Every served answer must be exactly one world's
                     // batch answer — never a mixture.
                     let served = server.query(q).expect("query serves during swaps");
-                    let matched = bits_eq(&served, ans_a) || bits_eq(&served, ans_b);
+                    let matched = served.bits_eq(ans_a) || served.bits_eq(ans_b);
                     assert!(matched, "iteration {i}: torn or foreign answer: {served:?}");
                     // A pinned live snapshot must be internally
                     // consistent: epoch parity determines the world.
@@ -284,10 +186,7 @@ fn cache_entries_from_one_epoch_are_never_served_at_the_next() {
     };
     let batch_1 = lookup(&run_reference(Task::Histogram, &world_1), &q).expect("world 1 answer");
     let batch_2 = lookup(&run_reference(Task::Histogram, &world_2), &q).expect("world 2 answer");
-    assert!(
-        !bits_eq(&batch_1, &batch_2),
-        "worlds must be distinguishable"
-    );
+    assert!(!batch_1.bits_eq(&batch_2), "worlds must be distinguishable");
 
     let sink = MetricsSink::recording();
     let handle = Arc::new(SnapshotHandle::new());

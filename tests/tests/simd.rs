@@ -22,10 +22,10 @@ use smda_spark::SparkEngine;
 use smda_stats::simd::active_tier;
 use smda_stats::{under_every_tier, FitScratch, SimdTier};
 use smda_storage::FileLayout;
-use smda_types::DataFormat;
+use smda_types::{BitEq, DataFormat};
 
 /// Every fixture consumer's PAR fit under the tier now in force, through
-/// one (soon dirty) arena. Compared with [`TaskOutput::bits_eq`], so
+/// one (soon dirty) arena. Compared with [`BitEq::bits_eq`], so
 /// equality is exact.
 fn par_fits(ds: &smda_types::Dataset) -> TaskOutput {
     let mut scratch = FitScratch::new();
