@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use smda_core::tasks::collect_consumer_results;
-use smda_core::{ConsumerMatches, Task, TaskOutput, SIMILARITY_TOP_K};
+use smda_core::{consumer_matches, Task, TaskOutput, SIMILARITY_TOP_K};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{merge_partials, SeriesMatrixBuilder, TileConfig};
 use smda_storage::wal::{replay_frames, FrameLog};
@@ -727,7 +727,7 @@ impl RealCluster {
             self.metrics.incr(counters::REAL_PARTITIONS_REPLAYED, 1);
         }
         let merged = merge_partials(rows.len(), partials, SIMILARITY_TOP_K);
-        let output = TaskOutput::Similarity(matches_from(ids, merged));
+        let output = TaskOutput::Similarity(consumer_matches(&ids, merged));
         Ok((output, 0, parts as usize, spilled, replayed))
     }
 
@@ -769,20 +769,6 @@ fn normalized_rows(ds: &Dataset) -> (Vec<smda_types::ConsumerId>, Vec<Vec<f64>>)
     let matrix = builder.finish();
     let rows = (0..matrix.rows()).map(|i| matrix.row(i).to_vec()).collect();
     (ids, rows)
-}
-
-fn matches_from(
-    ids: Vec<smda_types::ConsumerId>,
-    merged: Vec<Vec<smda_stats::SimilarityMatch>>,
-) -> Vec<ConsumerMatches> {
-    merged
-        .into_iter()
-        .enumerate()
-        .map(|(q, hits)| ConsumerMatches {
-            consumer: ids[q],
-            matches: hits.into_iter().map(|h| (ids[h.index], h.score)).collect(),
-        })
-        .collect()
 }
 
 /// Spawn a cluster, run one task, shut down. The one-call entry point
@@ -839,7 +825,7 @@ pub fn run_virtual_twin(
                 partials.push(rows_part);
             }
             let merged = merge_partials(rows.len(), partials, SIMILARITY_TOP_K);
-            Ok(TaskOutput::Similarity(matches_from(ids, merged)))
+            Ok(TaskOutput::Similarity(consumer_matches(&ids, merged)))
         }
         _ => {
             let temps = ds.temperature().values();

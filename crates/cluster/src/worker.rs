@@ -26,12 +26,10 @@ use smda_stats::{
     top_k_tiled_partial, with_fit_scratch, EquiWidthHistogram, HistogramSpec, SeriesMatrixBuilder,
     SimilarityMatch, TileConfig,
 };
+use smda_types::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 use smda_types::{ConsumerId, Error, Result, HOURS_PER_DAY, HOURS_PER_YEAR};
 
-use crate::transport::{
-    put_bytes, put_f64, put_f64_slice, put_u32, put_u64, put_u8, read_frame, write_frame,
-    WireCursor, MAX_FRAME_BYTES,
-};
+use crate::transport::{put_bytes, put_f64, put_f64_slice, put_u32, put_u64, put_u8, WireCursor};
 
 /// Line a worker prints on stdout once its listener is bound.
 pub const LISTENING_PREFIX: &str = "SMDA-WORKER-LISTENING ";

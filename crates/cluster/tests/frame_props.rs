@@ -6,7 +6,7 @@
 //! [`Error::BadFrame`], never a panic and never silently-wrong bytes.
 
 use proptest::prelude::*;
-use smda_cluster::transport::{decode_frame, encode_frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
+use smda_types::frame::{decode_frame, encode_frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 use smda_types::{Error, FrameDefect};
 
 fn payloads() -> impl Strategy<Value = Vec<u8>> {

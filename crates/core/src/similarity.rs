@@ -5,7 +5,7 @@
 //! series. Quadratic in the number of consumers — the task the paper uses
 //! to stress cross-series computation.
 
-use smda_stats::{top_k_tiled, SeriesMatrixBuilder, TileConfig};
+use smda_stats::{top_k_tiled, SeriesMatrixBuilder, SimilarityMatch, TileConfig};
 use smda_types::{ConsumerId, Dataset, HOURS_PER_YEAR};
 
 /// The benchmark fixes `k = 10`.
@@ -37,8 +37,17 @@ pub fn similarity_search(ds: &Dataset, k: usize) -> Vec<ConsumerMatches> {
     }
     let matrix = builder.finish();
     let (matches, _stats) = top_k_tiled(&matrix, k, &TileConfig::default());
-    matches
-        .into_iter()
+    consumer_matches(&ids, matches)
+}
+
+/// Name an all-pairs top-k result by household: row `q` of `rows`
+/// holds the matches of `ids[q]`, and each hit's `index` is a row of
+/// the same matrix.
+pub fn consumer_matches(
+    ids: &[ConsumerId],
+    rows: Vec<Vec<SimilarityMatch>>,
+) -> Vec<ConsumerMatches> {
+    rows.into_iter()
         .enumerate()
         .map(|(q, hits)| ConsumerMatches {
             consumer: ids[q],

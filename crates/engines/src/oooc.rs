@@ -25,7 +25,7 @@
 
 use std::ops::Range;
 
-use smda_core::{ConsumerMatches, TaskOutput};
+use smda_core::{consumer_matches, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
     band_count, band_pair_count, similarity_walk, OoocStats, Pairs, SeriesSource, SimilarityMatch,
@@ -187,16 +187,7 @@ pub fn run_similarity_oooc(
         top_k_source_with(&source, None, k, band_rows, threads, metrics)?.0
     };
     record_format_counters(metrics, &format_metrics::snapshot().since(&before));
-    Ok(TaskOutput::Similarity(
-        matches
-            .into_iter()
-            .enumerate()
-            .map(|(q, hits)| ConsumerMatches {
-                consumer: ids[q],
-                matches: hits.into_iter().map(|h| (ids[h.index], h.score)).collect(),
-            })
-            .collect(),
-    ))
+    Ok(TaskOutput::Similarity(consumer_matches(&ids, matches)))
 }
 
 /// [`run_similarity_oooc`] with the engine defaults

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use smda_core::{ConsumerMatches, ConsumerTask, Task, TaskOutput};
+use smda_core::{consumer_matches, ConsumerTask, Task, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
     band_pair_count, merge_partials, similarity_walk, with_fit_scratch, KernelStats, OoocStats,
@@ -208,16 +208,7 @@ pub fn execute_task(
             // Phase 2: tiled symmetric all-pairs scoring.
             let _t = metrics.scope("score");
             let (matches, _stats) = top_k_matrix(&matrix, k, threads, metrics);
-            Ok(TaskOutput::Similarity(
-                matches
-                    .into_iter()
-                    .enumerate()
-                    .map(|(q, hits)| ConsumerMatches {
-                        consumer: ids[q],
-                        matches: hits.into_iter().map(|h| (ids[h.index], h.score)).collect(),
-                    })
-                    .collect(),
-            ))
+            Ok(TaskOutput::Similarity(consumer_matches(&ids, matches)))
         }
     }
 }

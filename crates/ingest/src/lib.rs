@@ -37,7 +37,9 @@
 //! Shard execution reuses [`smda_engines::WorkerPool`]; shard crashes
 //! and stragglers are injected from a
 //! [`FaultPlan`](smda_cluster::FaultPlan) and recovered by replaying the
-//! shard's append-only [`WriteAheadLog`](smda_storage::WriteAheadLog).
+//! shard's write-ahead log: a [`FrameLog`](smda_storage::FrameLog) of one
+//! checksummed frame per reading, so a damaged record fails recovery
+//! with a typed error instead of replaying as a different reading.
 //! Counters and per-phase timers flow through
 //! [`MetricsSink`](smda_obs::MetricsSink) into the `smda-bench/v1`
 //! export.

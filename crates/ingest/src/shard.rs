@@ -10,12 +10,15 @@
 //! # Crash recovery
 //!
 //! Every reading handed to the shard is appended to the write-ahead log
-//! *before* any lateness/duplicate decision. An injected crash wipes the
+//! — a [`FrameLog`], one checksummed frame per reading — *before* any
+//! lateness/duplicate decision. An injected crash wipes the
 //! shard's in-memory state — accumulators, watermark, data tallies,
 //! alerts, dead letters — and rebuilds all of it by replaying the log
 //! through the same `apply` path. Because decisions are pure functions
 //! of the apply order and the log preserves that order, recovery is
-//! exact: no reading is lost or double-counted.
+//! exact: no reading is lost or double-counted, and a logged byte that
+//! changed on disk fails its frame's checksum instead of replaying as a
+//! different reading.
 //!
 //! # Virtual time
 //!
@@ -29,13 +32,12 @@
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use smda_cluster::FaultPlan;
 use smda_core::{Alert, AnomalyDetector};
-use smda_storage::wal::{replay, WriteAheadLog};
+use smda_storage::wal::{replay_frames, FrameLog};
 use smda_types::{
     ConsumerId, ConsumerSeries, DirtyDataPolicy, Error, Reading, Result, HOURS_PER_YEAR,
 };
@@ -111,8 +113,7 @@ pub struct ShardState {
     faults: FaultPlan,
     detectors: Option<Arc<HashMap<ConsumerId, AnomalyDetector>>>,
 
-    wal: Option<WriteAheadLog>,
-    wal_path: Option<PathBuf>,
+    wal: Option<FrameLog>,
 
     consumers: HashMap<ConsumerId, ConsumerAccumulator, IdHashState>,
     max_hour: Option<u32>,
@@ -144,8 +145,9 @@ impl ShardState {
         detectors: Option<Arc<HashMap<ConsumerId, AnomalyDetector>>>,
         wal_dir: Option<&std::path::Path>,
     ) -> Result<ShardState> {
-        let wal_path = wal_dir.map(|d| d.join(format!("shard-{shard}.wal")));
-        let wal = wal_path.as_ref().map(WriteAheadLog::create).transpose()?;
+        let wal = wal_dir
+            .map(|d| FrameLog::create(d.join(format!("shard-{shard}.wal"))))
+            .transpose()?;
         let mut crashes: Vec<Duration> = faults
             .crashes
             .iter()
@@ -161,7 +163,6 @@ impl ShardState {
             faults,
             detectors,
             wal,
-            wal_path,
             consumers: HashMap::default(),
             max_hour: None,
             tallies: DataTallies::default(),
@@ -223,7 +224,7 @@ impl ShardState {
 
     fn ingest_one(&mut self, r: &Reading) -> Result<()> {
         if let Some(wal) = &mut self.wal {
-            wal.append(r)?;
+            wal.append(&r.to_le_bytes())?;
         }
         self.virtual_ns += self.virt_ns_per_reading;
         if self.next_crash < self.crashes.len()
@@ -300,23 +301,22 @@ impl ShardState {
     /// replaying the shard's WAL through [`ShardState::apply`].
     fn crash_and_recover(&mut self) -> Result<()> {
         self.fault_tallies.crashes_injected += 1;
-        let path = self
-            .wal_path
-            .clone()
-            .expect("IngestConfig::validate requires a WAL when crashes are planned");
-        if let Some(wal) = &mut self.wal {
-            wal.flush()?;
-        }
+        // IngestConfig::validate requires a WAL when crashes are planned.
+        let shard = self.shard;
+        let Some(wal) = &mut self.wal else {
+            return Err(Error::Invalid(format!("shard {shard} crashed with no WAL")));
+        };
+        wal.flush()?;
+        let logged = replay_frames(wal.path())?;
         self.consumers.clear();
         self.max_hour = None;
         self.tallies = DataTallies::default();
         self.alerts.clear();
         self.dead.clear();
-        let logged = replay(&path)?;
         self.fault_tallies.wal_records_replayed += logged.len() as u64;
         // Replay must not re-log or re-crash: go straight to `apply`.
-        for r in &logged {
-            self.apply(r)?;
+        for record in &logged {
+            self.apply(&Reading::from_le_bytes(record)?)?;
         }
         self.fault_tallies.crashes_recovered += 1;
         Ok(())
@@ -403,6 +403,8 @@ impl ShardState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smda_types::frame::FRAME_HEADER_BYTES;
+    use smda_types::FrameDefect;
 
     fn reading(consumer: u32, hour: u32, kwh: f64) -> Reading {
         Reading {
@@ -415,6 +417,27 @@ mod tests {
 
     fn plain_shard(lateness: u32, policy: DirtyDataPolicy) -> ShardState {
         ShardState::new(0, lateness, policy, FaultPlan::default(), None, None).unwrap()
+    }
+
+    /// A shard logging to `dir` whose one crash fires on its 3rd
+    /// reading (1 ms of virtual time per reading, crash at 3 ms).
+    fn shard_crashing_at_third_reading(dir: &std::path::Path) -> ShardState {
+        let faults = FaultPlan {
+            crashes: vec![smda_cluster::NodeCrash {
+                node: 0,
+                at: Duration::from_millis(3),
+            }],
+            ..FaultPlan::default()
+        };
+        ShardState::new(
+            0,
+            8760,
+            DirtyDataPolicy::SkipAndCount,
+            faults,
+            None,
+            Some(dir),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -462,24 +485,7 @@ mod tests {
     fn crash_recovery_replays_the_wal_exactly() {
         let dir =
             std::env::temp_dir().join(format!("smda-ingest-shard-test-{}", std::process::id()));
-        // 1 ms of virtual time per reading: crash at 3 ms fires on the
-        // 3rd reading.
-        let faults = FaultPlan {
-            crashes: vec![smda_cluster::NodeCrash {
-                node: 0,
-                at: Duration::from_millis(3),
-            }],
-            ..FaultPlan::default()
-        };
-        let mut s = ShardState::new(
-            0,
-            8760,
-            DirtyDataPolicy::SkipAndCount,
-            faults,
-            None,
-            Some(&dir),
-        )
-        .unwrap();
+        let mut s = shard_crashing_at_third_reading(&dir);
         let batch: Vec<Reading> = (0..10).map(|h| reading(7, h, h as f64)).collect();
         s.process_batch(&batch, 9).unwrap();
         assert_eq!(s.crashes_injected(), 1);
@@ -497,6 +503,38 @@ mod tests {
         for h in 0..10 {
             assert_eq!(sealed[0].readings()[h], h as f64);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_kwh_byte_in_the_wal_fails_recovery() {
+        let dir =
+            std::env::temp_dir().join(format!("smda-ingest-shard-flip-{}", std::process::id()));
+        let mut s = shard_crashing_at_third_reading(&dir);
+        s.process_batch(&[reading(7, 0, 1.0), reading(7, 1, 2.0)], 1)
+            .unwrap();
+        let log = s.wal.as_mut().unwrap();
+        log.flush().unwrap();
+        // The second frame's payload follows two headers and one reading;
+        // its kWh is the payload's last 8 bytes.
+        let kwh_byte = 2 * FRAME_HEADER_BYTES + Reading::BYTES + 16;
+        let mut bytes = std::fs::read(log.path()).unwrap();
+        bytes[kwh_byte] ^= 0x01;
+        std::fs::write(log.path(), &bytes).unwrap();
+        // The crash on the 3rd reading replays the log: the damaged
+        // reading is refused, not applied with a different kWh.
+        let err = s.process_batch(&[reading(7, 2, 3.0)], 2).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::BadFrame {
+                    defect: FrameDefect::ChecksumMismatch,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(s.crashes_recovered(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

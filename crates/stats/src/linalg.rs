@@ -58,15 +58,6 @@ impl Matrix {
         }
     }
 
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -112,31 +103,6 @@ impl Matrix {
             }
         }
         t
-    }
-
-    /// Matrix product `self × other`.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous
-        // rows of `other` (see the Rust Performance Book on memory access).
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
     }
 
     /// Matrix–vector product.
@@ -328,23 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
@@ -354,9 +303,9 @@ mod tests {
     #[test]
     fn gram_equals_explicit_product() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let g = a.gram();
-        let explicit = a.transpose().matmul(&a);
-        assert_eq!(g, explicit);
+        // Aᵀ A, written out.
+        let explicit = Matrix::from_rows(&[&[35.0, 44.0], &[44.0, 56.0]]);
+        assert_eq!(a.gram(), explicit);
     }
 
     #[test]
@@ -410,13 +359,5 @@ mod tests {
         // Second column is 2x the first.
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
         assert!(qr_least_squares(&x, &[1.0, 2.0, 3.0]).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions")]
-    fn matmul_shape_mismatch_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        a.matmul(&b);
     }
 }

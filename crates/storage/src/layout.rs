@@ -60,35 +60,6 @@ pub trait TableLayout: Send {
 
 // ---------------------------------------------------------------- layout 1
 
-const READING_TUPLE_BYTES: usize = 4 + 4 + 8 + 8;
-
-fn encode_reading(r: &Reading) -> [u8; READING_TUPLE_BYTES] {
-    let mut buf = [0u8; READING_TUPLE_BYTES];
-    {
-        let mut w = &mut buf[..];
-        w.put_u32_le(r.consumer.raw());
-        w.put_u32_le(r.hour);
-        w.put_f64_le(r.temperature);
-        w.put_f64_le(r.kwh);
-    }
-    buf
-}
-
-fn decode_reading(mut t: &[u8]) -> Result<Reading> {
-    if t.len() != READING_TUPLE_BYTES {
-        return Err(Error::Schema(format!(
-            "reading tuple has {} bytes",
-            t.len()
-        )));
-    }
-    Ok(Reading {
-        consumer: ConsumerId(t.get_u32_le()),
-        hour: t.get_u32_le(),
-        temperature: t.get_f64_le(),
-        kwh: t.get_f64_le(),
-    })
-}
-
 /// Layout 1: one reading per row in a heap file + B+tree on household id.
 pub struct ReadingTable {
     heap: HeapFile,
@@ -114,7 +85,7 @@ impl ReadingTable {
         let mut heap = HeapFile::create(path)?;
         let mut index = BTreeIndex::new();
         for r in ds.readings() {
-            let tid = heap.insert(&encode_reading(&r))?;
+            let tid = heap.insert(&r.to_le_bytes())?;
             index.insert(r.consumer.raw() as u64, tid.pack());
         }
         heap.flush()?;
@@ -132,7 +103,7 @@ impl ReadingTable {
         let mut heap = HeapFile::open(path)?;
         let mut index = BTreeIndex::new();
         let mut bad = None;
-        heap.scan(|tid, tuple| match decode_reading(tuple) {
+        heap.scan(|tid, tuple| match Reading::from_le_bytes(tuple) {
             Ok(r) => index.insert(r.consumer.raw() as u64, tid.pack()),
             Err(e) => bad = Some(e),
         })?;
@@ -176,7 +147,7 @@ impl ReadingTable {
             .get(tid.slot as usize)
             .ok_or_else(|| Error::Invalid(format!("no live tuple at {tid:?}")))?
             .to_vec();
-        if tuple.len() != READING_TUPLE_BYTES {
+        if tuple.len() != Reading::BYTES {
             return Err(Error::Schema(format!(
                 "tuple at {tid:?} has {} bytes",
                 tuple.len()
@@ -188,18 +159,6 @@ impl ReadingTable {
         }
         self.heap.write_page(tid.page, &page)?;
         self.pool.invalidate(tid.page);
-        Ok(())
-    }
-
-    /// Full table scan through the buffer pool.
-    pub fn scan_readings(&mut self, mut f: impl FnMut(Reading)) -> Result<()> {
-        for page_no in 0..self.heap.logical_pages() {
-            let page = self.pool.get(&mut self.heap, page_no)?;
-            // Decode within the borrow, then release the page.
-            for (_, tuple) in page.tuples() {
-                f(decode_reading(tuple)?);
-            }
-        }
         Ok(())
     }
 }
@@ -238,7 +197,7 @@ impl TableLayout for ReadingTable {
             let tuple = page
                 .get(tid.slot as usize)
                 .ok_or_else(|| Error::Schema(format!("dangling index entry {tid:?}")))?;
-            let r = decode_reading(tuple)?;
+            let r = Reading::from_le_bytes(tuple)?;
             let h = r.hour as usize;
             if h >= HOURS_PER_YEAR {
                 return Err(Error::Schema(format!("hour {h} out of range")));
@@ -791,16 +750,5 @@ mod tests {
         for p in [p1, p2, p3] {
             std::fs::remove_file(p).unwrap();
         }
-    }
-
-    #[test]
-    fn reading_table_scan_sees_all_rows() {
-        let ds = tiny(2);
-        let p = tmp("scan");
-        let mut t = ReadingTable::create(&p, &ds).unwrap();
-        let mut count = 0usize;
-        t.scan_readings(|_| count += 1).unwrap();
-        assert_eq!(count, 2 * HOURS_PER_YEAR);
-        std::fs::remove_file(p).unwrap();
     }
 }

@@ -17,8 +17,10 @@
 //! * [`binary`] — the same surface over one `SMC1` binary columnar file
 //!   (`smda-format`): checksummed blocks, mmap cold starts, zero-copy
 //!   matrix views for raw-encoded files.
-//! * [`wal`] — the append-only per-shard write-ahead log backing the
-//!   streaming ingest pipeline's crash recovery (`smda-ingest`).
+//! * [`wal`] — the append-only log of checksummed
+//!   [`smda_types::frame`]s: the real cluster's shuffle spill log
+//!   (`smda-cluster`) and each streaming ingest shard's write-ahead log,
+//!   one frame per reading (`smda-ingest`).
 
 pub mod binary;
 pub mod btree;
@@ -46,4 +48,4 @@ pub use update::{
     restate_array_table, restate_column_store, restate_day_table, restate_reading_table,
     DayRestatement,
 };
-pub use wal::{FrameLog, WriteAheadLog, FRAME_LOG_MAGIC, WAL_MAGIC, WAL_RECORD_BYTES};
+pub use wal::{replay_frames, FrameLog};

@@ -81,39 +81,11 @@ impl Calendar {
         hour_of_year / HOURS_PER_DAY
     }
 
-    /// Hour of day (`0..24`) for an hour-of-year index.
-    ///
-    /// # Panics
-    /// Panics if `hour_of_year >= 8760`.
-    pub fn hour_of_day(&self, hour_of_year: usize) -> usize {
-        assert!(
-            hour_of_year < HOURS_PER_YEAR,
-            "hour {hour_of_year} out of range"
-        );
-        hour_of_year % HOURS_PER_DAY
-    }
-
     /// Weekday of the day containing `hour_of_year`.
     pub fn weekday(&self, hour_of_year: usize) -> Weekday {
         let day = self.day_of_year(hour_of_year);
         // A variant's discriminant is its index in `ALL` (Monday first).
         Weekday::ALL[(self.start_weekday as usize + day) % 7]
-    }
-
-    /// Hour-of-year index for a (day, hour-of-day) pair.
-    ///
-    /// # Panics
-    /// Panics if `day >= 365` or `hour >= 24`.
-    pub fn hour_index(&self, day: usize, hour: usize) -> usize {
-        assert!(day < DAYS_PER_YEAR, "day {day} out of range");
-        assert!(hour < HOURS_PER_DAY, "hour {hour} out of range");
-        day * HOURS_PER_DAY + hour
-    }
-
-    /// Approximate month (`0..12`) for a day of year, using a 30.44-day
-    /// month; good enough for the seed generator's seasonal scheduling.
-    pub fn month_of_day(&self, day: usize) -> usize {
-        ((day as f64 / 30.44) as usize).min(11)
     }
 }
 
@@ -125,16 +97,6 @@ mod tests {
     fn constants_are_consistent() {
         assert_eq!(HOURS_PER_YEAR, 8760);
         assert_eq!(DAYS_PER_YEAR * HOURS_PER_DAY, HOURS_PER_YEAR);
-    }
-
-    #[test]
-    fn round_trip_day_hour() {
-        let cal = Calendar::default();
-        for &h in &[0usize, 1, 23, 24, 8759, 4380] {
-            let day = cal.day_of_year(h);
-            let hod = cal.hour_of_day(h);
-            assert_eq!(cal.hour_index(day, hod), h);
-        }
     }
 
     #[test]
@@ -181,18 +143,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn day_of_year_rejects_out_of_range() {
         Calendar::default().day_of_year(HOURS_PER_YEAR);
-    }
-
-    #[test]
-    fn months_cover_year() {
-        let cal = Calendar::default();
-        assert_eq!(cal.month_of_day(0), 0);
-        assert_eq!(cal.month_of_day(364), 11);
-        let mut prev = 0;
-        for d in 0..DAYS_PER_YEAR {
-            let m = cal.month_of_day(d);
-            assert!(m >= prev && m <= 11);
-            prev = m;
-        }
     }
 }

@@ -49,12 +49,6 @@ impl DataFormat {
             DataFormat::ManyFiles { .. } => "F3",
         }
     }
-
-    /// Whether a household's readings are guaranteed to be colocated in one
-    /// file (formats 2 and 3) so that map-only processing is possible.
-    pub fn household_colocated(&self) -> bool {
-        !matches!(self, DataFormat::ReadingPerLine)
-    }
 }
 
 const TEMPERATURE_FILE: &str = "temperature.csv";
@@ -488,8 +482,5 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(DataFormat::ReadingPerLine.label(), "F1");
-        assert!(!DataFormat::ReadingPerLine.household_colocated());
-        assert!(DataFormat::ConsumerPerLine.household_colocated());
-        assert!(DataFormat::ManyFiles { files: 2 }.household_colocated());
     }
 }

@@ -3,8 +3,10 @@
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace: consumer identifiers, hourly time series, the benchmark
 //! dataset (consumption series plus an outdoor temperature series), a
-//! row-oriented [`Reading`] record, error types, and codecs for the three
-//! text formats evaluated in Section 5.4.2 of the paper:
+//! row-oriented [`Reading`] record, error types, the checksummed
+//! [`frame`] every socket message and append-only log is made of, and
+//! codecs for the three text formats evaluated in Section 5.4.2 of the
+//! paper:
 //!
 //! * **Format 1** — one smart meter reading per line, arbitrarily
 //!   partitionable (`consumer,hour,temperature,kwh`).
@@ -22,6 +24,7 @@ pub mod csv;
 pub mod dataset;
 pub mod error;
 pub mod formats;
+pub mod frame;
 pub mod policy;
 pub mod query;
 pub mod reading;
