@@ -8,16 +8,36 @@
 //! sweep asserts it on every size — so the columns isolate pure
 //! execution cost: wall time, pairs scored (the symmetric kernel does
 //! half the naive count), and effective MFLOP/s.
+//!
+//! The `prune_sweep` table measures what a per-row segment sketch buys a
+//! single-row top-k (DESIGN.md §9): for each segment layout and sketch
+//! kind — segment norms alone (`Σ ‖aₛ‖‖bₛ‖` bounds a score), or each
+//! segment's scaled mean and residual norm (`Σ (√L μₐ)(√L μ_b) + ‖ãₛ‖‖b̃ₛ‖`)
+//! — the share of rows a query still scores when it scores rows in
+//! descending bound order and stops at the first bound below its k-th
+//! score, and the query's time against the full scan. A segment is a run
+//! of `segment_h` consecutive hours, or, for the `folded` kinds, the
+//! hours `t ≡ s (mod segment_h)`: the same hour of the day (24) or of
+//! the week (168) across the year. Every answer is checked against the
+//! full scan bit for bit. One more row per size is the shipped kernel,
+//! `top_k_query`, whose sketch is the mean and residual folded by hour
+//! of the week.
 
 use std::time::{Duration, Instant};
 
+use smda_core::generator::{generate_seed_streaming, SeedConfig};
 use smda_core::SIMILARITY_TOP_K;
 use smda_engines::parallel::top_k_matrix;
 use smda_engines::WorkerPool;
 use smda_obs::MetricsSink;
-use smda_stats::{top_k_cosine, top_k_tiled, SeriesMatrix, TileConfig};
+use smda_stats::kernels::SKETCH_PERIOD;
+use smda_stats::{
+    dot, dot_block, select_top_k, similarity_walk, top_k_cosine, top_k_query, top_k_tiled, Pairs,
+    SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
+};
+use smda_types::{BitEq, HOURS_PER_YEAR};
 
-use crate::data::seed_dataset;
+use crate::data::{seed_dataset, BENCH_SEED};
 use crate::report::Table;
 use crate::scale::Scale;
 
@@ -46,7 +66,26 @@ fn push(
     ]);
 }
 
-/// Sweep the three kernel variants over seed datasets of growing size.
+/// Rows of the prune sweep's matrices; `--smoke` runs the first alone.
+pub const PRUNE_ROWS: [usize; 3] = [96, 384, 4096];
+
+/// Segment lengths the prune sweep tries, hours.
+pub const PRUNE_SEGMENTS: [usize; 5] = [120, 48, 24, 12, 6];
+
+/// Periods the prune sweep folds rows over, hours: a day and a week.
+pub const PRUNE_FOLDS: [usize; 2] = [24, 168];
+
+/// Queries per size in the prune sweep, spread evenly over the rows
+/// (`--smoke` asks a quarter of them).
+const PRUNE_QUERIES: usize = 32;
+
+/// Widening of every bound in the prune sweep's own walk: its rows are
+/// unit vectors, whose rounding errors are ~1e-12 (DESIGN.md §9 derives
+/// the shipped kernel's margin).
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Sweep the three kernel variants over seed datasets of growing size,
+/// then the prune sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
     let mut t = Table::new(
         "kernels_sweep",
@@ -110,7 +149,206 @@ pub fn run(scale: Scale) -> Vec<Table> {
             stride,
         );
     }
-    vec![t]
+    vec![t, prune(scale)]
+}
+
+/// How the prune sweep cuts a row into segments.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// Runs of this many consecutive hours.
+    Runs(usize),
+    /// The hours `t ≡ s (mod period)`, one segment per `s`.
+    Fold(usize),
+}
+
+impl Layout {
+    fn segments(self, row: &[f64]) -> Vec<Vec<f64>> {
+        match self {
+            Layout::Runs(len) => row.chunks(len).map(<[f64]>::to_vec).collect(),
+            Layout::Fold(period) => (0..period.min(row.len()))
+                .map(|s| row[s..].iter().step_by(period).copied().collect())
+                .collect(),
+        }
+    }
+}
+
+/// One sketch per row: segment norms, or segment `(√L·mean, residual)`
+/// pairs, of each row of `m`, `width` values a row.
+struct Sketches {
+    values: Vec<f64>,
+    width: usize,
+}
+
+impl Sketches {
+    fn new(m: &SeriesMatrix, layout: Layout, with_mean: bool) -> Sketches {
+        let mut values = Vec::new();
+        for i in 0..m.rows() {
+            for seg in layout.segments(m.row(i)) {
+                let sumsq = |c: f64| seg.iter().map(|x| (x - c) * (x - c)).sum::<f64>().sqrt();
+                if with_mean {
+                    let sum: f64 = seg.iter().sum();
+                    let len = seg.len() as f64;
+                    values.extend([sum / len.sqrt(), sumsq(sum / len)]);
+                } else {
+                    values.push(sumsq(0.0));
+                }
+            }
+        }
+        Sketches {
+            width: values.len() / m.rows().max(1),
+            values,
+        }
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.values[i * self.width..(i + 1) * self.width]
+    }
+}
+
+/// Score row `q` against the rows of `ranked` (`(bound, row)`, highest
+/// bound first) in turn, four at a time, until the next bound falls
+/// strictly below the k-th score; returns the top k and the rows scored.
+fn walk_ranked(
+    m: &SeriesMatrix,
+    q: usize,
+    ranked: &[(f64, usize)],
+) -> (Vec<SimilarityMatch>, usize) {
+    let k = SIMILARITY_TOP_K;
+    let mut hits: Vec<SimilarityMatch> = Vec::new();
+    let mut scored = 0;
+    for group in ranked.chunks(4) {
+        let kth = (hits.len() >= k).then(|| {
+            select_top_k(&mut hits, k);
+            hits[k - 1].score
+        });
+        let live = group
+            .iter()
+            .take_while(|r| kth.is_none_or(|t| r.0 >= t))
+            .count();
+        if live == 0 {
+            break;
+        }
+        let rows = &group[..live];
+        let scores: Vec<f64> = if live == 4 {
+            let candidates: [&[f64]; 4] = std::array::from_fn(|c| m.row(rows[c].1));
+            let [dots] = dot_block([m.row(q)], candidates);
+            dots.to_vec()
+        } else {
+            rows.iter().map(|r| dot(m.row(q), m.row(r.1))).collect()
+        };
+        for (r, score) in rows.iter().zip(scores) {
+            hits.push(SimilarityMatch { index: r.1, score });
+        }
+        scored += live;
+    }
+    select_top_k(&mut hits, k);
+    (hits, scored)
+}
+
+/// Fastest of three runs of `f` over every query, and its last output.
+fn best_of<T>(queries: &[usize], mut f: impl FnMut(usize) -> T) -> (Duration, Vec<T>) {
+    let mut best = Duration::MAX;
+    let mut out = Vec::new();
+    for _ in 0..3 {
+        let start = Instant::now();
+        out = queries.iter().map(|&q| f(q)).collect();
+        best = best.min(start.elapsed());
+    }
+    (best, out)
+}
+
+/// The prune sweep (module docs): `results/prune_sweep.csv`.
+fn prune(scale: Scale) -> Table {
+    let mut t = Table::new(
+        "prune_sweep",
+        "Single-row top-k over a segment sketch: rows scored and time against the full scan",
+        &[
+            "rows",
+            "segment_h",
+            "sketch",
+            "sketch_values",
+            "share_scored",
+            "time_vs_full",
+        ],
+    );
+    let smoke = scale.divisor > Scale::default().divisor;
+    let (sizes, asked) = if smoke {
+        (&PRUNE_ROWS[..1], PRUNE_QUERIES / 4)
+    } else {
+        (&PRUNE_ROWS[..], PRUNE_QUERIES)
+    };
+    for &n in sizes {
+        let builder = SeriesMatrixBuilder::new(n, HOURS_PER_YEAR);
+        let mut row = 0;
+        let config = SeedConfig {
+            consumers: n,
+            seed: BENCH_SEED,
+            ..Default::default()
+        };
+        let generated = generate_seed_streaming(&config, &mut |_, kwh| {
+            builder.set_row_normalized(row, kwh);
+            row += 1;
+            Ok(())
+        });
+        assert!(generated.is_ok(), "the seed generator failed at n={n}");
+        let m = builder.finish();
+        let queries: Vec<usize> = (0..asked).map(|i| i * n / asked).collect();
+        let others = |q: usize| (0..n).filter(move |&j| j != q);
+        let (full_t, full) = best_of(&queries, |q| {
+            let ranked: Vec<(f64, usize)> = others(q).map(|j| (f64::INFINITY, j)).collect();
+            walk_ranked(&m, q, &ranked).0
+        });
+        let mut push =
+            |segment: usize, sketch: &str, values: usize, scored: usize, time: Duration| {
+                t.row(vec![
+                    n.to_string(),
+                    segment.to_string(),
+                    sketch.into(),
+                    values.to_string(),
+                    format!("{:.3}", scored as f64 / (queries.len() * (n - 1)) as f64),
+                    format!("{:.3}", time.as_secs_f64() / full_t.as_secs_f64()),
+                ]);
+            };
+        let runs = PRUNE_SEGMENTS.map(|h| (h, Layout::Runs(h), ""));
+        let folds = PRUNE_FOLDS.map(|h| (h, Layout::Fold(h), "folded "));
+        for (segment, layout, folded) in runs.into_iter().chain(folds) {
+            for (with_mean, kind) in [(false, "norms"), (true, "mean+residual")] {
+                let kind = format!("{folded}{kind}");
+                let sk = Sketches::new(&m, layout, with_mean);
+                let (time, answers) = best_of(&queries, |q| {
+                    let mut ranked: Vec<(f64, usize)> = others(q)
+                        .map(|j| (dot(sk.row(q), sk.row(j)) + PRUNE_MARGIN, j))
+                        .collect();
+                    ranked.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                    walk_ranked(&m, q, &ranked)
+                });
+                let (hits, scored): (Vec<_>, Vec<usize>) = answers.into_iter().unzip();
+                assert!(
+                    hits.bits_eq(&full),
+                    "{kind} sketch at {segment} h changed an answer at n={n}"
+                );
+                let scored = scored.iter().sum();
+                push(segment, &kind, sk.width, scored, time);
+            }
+        }
+        let cfg = TileConfig::default();
+        let (time, answers) = best_of(&queries, |q| top_k_query(&m, q, SIMILARITY_TOP_K));
+        assert!(
+            answers.bits_eq(&full),
+            "top_k_query diverged from the full scan at n={n}"
+        );
+        let scored = queries
+            .iter()
+            .map(|&q| {
+                let Ok((_, stats)) =
+                    similarity_walk(&m, Pairs::Queries(&[q]), SIMILARITY_TOP_K, &cfg, None);
+                stats.kernel.pairs_scored as usize
+            })
+            .sum();
+        let values = 1 + 2 * SKETCH_PERIOD;
+        push(SKETCH_PERIOD, "top_k_query", values, scored, time);
+    }
+    t
 }
 
 #[cfg(test)]
@@ -120,7 +358,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_size_and_variant() {
         let tables = run(Scale::smoke());
-        assert_eq!(tables.len(), 1);
+        assert_eq!(tables.len(), 2);
         let t = &tables[0];
         assert_eq!(t.rows.len(), HOUSEHOLDS.len() * VARIANTS);
         for row in &t.rows {
@@ -138,5 +376,20 @@ mod tests {
             assert_eq!(naive, 2 * tiled);
             assert_eq!(tiled, pooled);
         }
+        // The prune sweep at `--smoke`: the first size alone, both kinds
+        // per layout and the shipped kernel's row, each skipping rows.
+        let prune = &tables[1];
+        assert_eq!(
+            prune.rows.len(),
+            2 * (PRUNE_SEGMENTS.len() + PRUNE_FOLDS.len()) + 1
+        );
+        for row in &prune.rows {
+            assert_eq!(row[0], PRUNE_ROWS[0].to_string());
+            let share: f64 = row[4].parse().unwrap();
+            assert!(share > 0.0 && share < 1.0, "{row:?} skipped nothing");
+        }
+        let shipped = prune.rows.last().unwrap();
+        assert_eq!(shipped[2], "top_k_query");
+        assert_eq!(shipped[3], (1 + 2 * SKETCH_PERIOD).to_string());
     }
 }

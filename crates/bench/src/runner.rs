@@ -88,12 +88,15 @@ pub const GATES: [(&str, Gate); 7] = [
 
 /// Kernel-equivalence smoke check (`smda-bench --check kernels`): run
 /// the naive per-query scan and the similarity walk — tiled and pooled
-/// at several widths, and its query form on a spread of rows — over one
+/// at several widths, and its query form on every row — over one
 /// seeded dataset and require `to_bits` equality of every match list,
-/// and that every all-pairs run scored each unordered pair once.
+/// that every all-pairs run scored each unordered pair once, and that
+/// the query form skipped at least one row somewhere.
 fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
-    use smda_stats::{top_k_cosine, top_k_query, top_k_tiled, SeriesMatrix, TileConfig};
+    use smda_stats::{
+        similarity_walk, top_k_cosine, top_k_query, top_k_tiled, Pairs, SeriesMatrix, TileConfig,
+    };
 
     // Never fewer than three query blocks of rows, `--smoke` included:
     // the AVX-512 tier's 8 × 4 register block needs eight query rows with
@@ -134,19 +137,29 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
             ));
         }
     }
-    // The query form: first, last and every seventh row between.
-    let queried: Vec<usize> = (0..n).step_by(7).chain([n - 1]).collect();
-    for &q in &queried {
-        if !top_k_query(&matrix, q, SIMILARITY_TOP_K).bits_eq(&naive[q]) {
+    // The query form on every row, and the rows it scored: a count that
+    // repeats exactly. Every row scored on every query means the sketch
+    // bounds stopped skipping anything.
+    let (cfg, mut scored) = (TileConfig::default(), 0);
+    for (q, want) in naive.iter().enumerate() {
+        if !top_k_query(&matrix, q, SIMILARITY_TOP_K).bits_eq(want) {
             return Err(format!(
                 "top_k_query diverged from naive for row {q} at n={n}"
             ));
         }
+        let Ok((_, stats)) =
+            similarity_walk(&matrix, Pairs::Queries(&[q]), SIMILARITY_TOP_K, &cfg, None);
+        scored += stats.kernel.pairs_scored;
+    }
+    let every = (n * (n - 1)) as u64;
+    if scored == every {
+        return Err(format!(
+            "the query form scored all {every} rows of {n} queries at n={n}: nothing was skipped"
+        ));
     }
     Ok(format!(
         "kernel equivalence OK: n={n}, {pairs} pairs scored, threads 1/2/4/8 identical, \
-         {} single-row queries identical",
-        queried.len()
+         {n} single-row queries identical, {scored} of {every} rows scored"
     ))
 }
 

@@ -501,7 +501,19 @@ fn parse_query(spec: &str) -> Result<Query> {
             .parse()
             .map_err(|_| smda_types::Error::Invalid(format!("`{spec}` has a non-numeric k")))?,
     };
+    if parts.next().is_some() {
+        return Err(smda_types::Error::Invalid(format!(
+            "`{spec}` has a field past KIND:CONSUMER[:K]"
+        )));
+    }
     Ok(query_of(kind, consumer, k))
+}
+
+/// The epoch a pipeline configured to publish sealed its year at.
+fn published(out: &smda_ingest::IngestOutcome) -> Result<u64> {
+    out.published_epoch.ok_or_else(|| {
+        smda_types::Error::Invalid("the pipeline sealed a year but published no epoch".into())
+    })
 }
 
 /// Answer `queries` against a running server, one line per answer.
@@ -540,9 +552,7 @@ fn serve(args: &[String]) -> Result<()> {
     );
     let start = Instant::now();
     let out = smda_ingest::run_pipeline(events, &cfg)?;
-    let epoch = out
-        .published_epoch
-        .expect("publishing is configured, so the sealed year has an epoch");
+    let epoch = published(&out)?;
     println!(
         "sealed {} consumers and published epoch {epoch} in {:.3}s",
         ds.len(),
@@ -696,9 +706,7 @@ fn ingest(args: &[String]) -> Result<()> {
 
     // The online bridge: the same sealed snapshot, served live.
     if let Some(handle) = handle {
-        let epoch = out
-            .published_epoch
-            .expect("--serve configures publishing, so the sealed year has an epoch");
+        let epoch = published(&out)?;
         println!("published epoch {epoch}; serving live queries:");
         let server = Server::start(handle, ServeConfig::default());
         let first = ds.consumers()[0].id;
@@ -821,6 +829,86 @@ mod tests {
             let read = valued.split(' ').chain(switches.split(' '));
             let read: std::collections::BTreeSet<&str> = read.filter(|f| !f.is_empty()).collect();
             assert_eq!(named, read, "smda {name}");
+        }
+    }
+
+    #[test]
+    fn a_query_spec_takes_three_fields_and_any_k() {
+        let topk = |k| Query::TopKSimilar {
+            consumer: ConsumerId(3),
+            k,
+        };
+        assert_eq!(
+            parse_query("topk:3").unwrap(),
+            topk(smda_core::SIMILARITY_TOP_K)
+        );
+        assert_eq!(
+            parse_query("topk:3:18446744073709551615").unwrap(),
+            topk(usize::MAX)
+        );
+        // A fourth field used to be dropped without a word.
+        let err = parse_query("topk:3:5:9").unwrap_err();
+        assert!(matches!(err, smda_types::Error::Invalid(_)), "{err}");
+    }
+
+    mod query_spec_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What a spec leads with: kind names and near misses.
+        const KINDS: &[&str] = &[
+            "topk",
+            "similar",
+            "histogram",
+            "three_line",
+            "par",
+            "anomaly",
+            "",
+            "tpok",
+            "topk\u{301}",
+        ];
+
+        /// Fields after it: numbers at and past the edges of `u32` and
+        /// `usize`, and junk, multi-byte among it.
+        const FIELDS: &[&str] = &[
+            "0",
+            "7",
+            "12",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-1",
+            "1e3",
+            " ",
+            "∞",
+            "\u{0}",
+        ];
+
+        /// What joins two fields: the separator, or junk in its place.
+        const JOINS: &[&str] = &[":", ":", ":", ":", ":", ":", "::", "ː", "\u{ff1a}"];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Every spec parses or is refused as `Error::Invalid`, and
+            /// never panics; what parses has at most three fields.
+            #[test]
+            fn every_query_spec_parses_or_is_refused(
+                kind in 0usize..KINDS.len(),
+                rest in prop::collection::vec((0usize..JOINS.len(), 0usize..FIELDS.len()), 0..5),
+            ) {
+                let mut spec = KINDS[kind].to_owned();
+                for &(join, field) in &rest {
+                    spec.push_str(JOINS[join]);
+                    spec.push_str(FIELDS[field]);
+                }
+                match parse_query(&spec) {
+                    Ok(_) => prop_assert!(spec.split(':').count() <= 3, "{spec:?} parsed"),
+                    Err(smda_types::Error::Invalid(_)) => {}
+                    Err(other) => prop_assert!(false, "{spec:?}: untyped refusal {other:?}"),
+                }
+            }
         }
     }
 }

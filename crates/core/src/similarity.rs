@@ -140,6 +140,58 @@ mod tests {
     }
 
     #[test]
+    fn the_query_form_skips_rows_on_generator_data() {
+        use smda_stats::{
+            dot_scalar, select_top_k, similarity_walk, Pairs, SeriesMatrix, SimilarityMatch,
+        };
+        use smda_types::BitEq;
+        let ds = crate::generator::generate_seed(&crate::generator::SeedConfig {
+            consumers: 96,
+            seed: 7,
+            ..Default::default()
+        })
+        .unwrap();
+        let rows: Vec<Vec<f64>> = ds
+            .consumers()
+            .iter()
+            .map(|c| c.readings().to_vec())
+            .collect();
+        let m = SeriesMatrix::from_rows_normalized(&rows);
+        let n = m.rows();
+        let mut scored = 0;
+        for q in 0..n {
+            let (hits, stats) = similarity_walk(
+                &m,
+                Pairs::Queries(&[q]),
+                SIMILARITY_TOP_K,
+                &TileConfig::default(),
+                None,
+            )
+            .unwrap();
+            let mut naive: Vec<SimilarityMatch> = (0..n)
+                .filter(|&j| j != q)
+                .map(|j| SimilarityMatch {
+                    index: j,
+                    score: dot_scalar(m.row(q), m.row(j)),
+                })
+                .collect();
+            select_top_k(&mut naive, SIMILARITY_TOP_K);
+            assert!(hits[0].bits_eq(&naive), "query {q}");
+            assert!(
+                stats.kernel.pairs_scored < (n - 1) as u64,
+                "query {q} scored every row"
+            );
+            scored += stats.kernel.pairs_scored;
+        }
+        // Step 0 measured about two rows in three skipped at n = 96.
+        assert!(
+            scored * 2 < (n * (n - 1)) as u64,
+            "{scored} of {} rows scored",
+            n * (n - 1)
+        );
+    }
+
+    #[test]
     fn singleton_dataset_yields_empty_matches() {
         let ds = dataset_with_patterns(&[(0, day_person)]);
         let results = similarity_search(&ds, 10);

@@ -7,7 +7,11 @@
 //! * [`SeriesMatrix`] — one contiguous row-major `n × stride` `f64`
 //!   buffer, built once per run and shared (wrap it in an `Arc`). Rows
 //!   are unit-normalized at fill time so all-pairs cosine reduces to
-//!   plain dot products.
+//!   plain dot products. Each row carries a sketch in the same
+//!   allocation — per hour of the week ([`SKETCH_PERIOD`]) its scaled
+//!   mean and residual norm — whose dot product bounds the row's score
+//!   against any other, so the query form scores only rows that can
+//!   still enter the top k (DESIGN.md §9).
 //! * [`SeriesMatrixBuilder`] — fills the matrix **in parallel**: workers
 //!   write disjoint rows through a shared reference, with a per-row
 //!   atomic write-once flag making double writes a panic instead of a
@@ -20,7 +24,7 @@
 //!   computes each `(i, j)` score
 //!   **once** — in register blocks ([`dot_block`]) of four query rows by
 //!   two candidate rows on `ymm`, eight by four on `zmm` under the
-//!   AVX-512 tier, each pair the canonical [`dot`](crate::dot) bit for
+//!   AVX-512 tier, each pair the canonical [`dot`] bit for
 //!   bit — and credits it to both rows' bounded top-k buffers.
 //! * [`top_k_tiled`], [`top_k_tiled_partial`], [`top_k_query`] — the
 //!   in-memory names of that walk; [`merge_partials`] merges the partials
@@ -41,7 +45,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::simd::{active_tier, dot_block, SimdTier, WIDE_COLS, WIDE_ROWS};
-use crate::similarity::{norm2, select_top_k, SimilarityMatch};
+use crate::similarity::{dot, norm2, select_top_k, SimilarityMatch};
 use crate::walk::{similarity_walk, triangle_row, Pairs};
 
 /// Every matrix starts on this byte boundary: a cache line, and a
@@ -55,12 +59,56 @@ const MATRIX_ALIGN: usize = 64;
 /// [`MATRIX_ALIGN`] boundary from any 8-byte-aligned allocation.
 const MATRIX_PAD: usize = MATRIX_ALIGN / 8 - 1;
 
+/// Hours a row's sketch folds over: segment `s` holds the hours
+/// `t ≡ s (mod 168)`, the same hour of the week across the row, so the
+/// sketch's mean part carries the weekly load shape exactly and only
+/// the spread around it from week to week is bounded. Of the layouts
+/// the `prune` sweep measures (`results/prune_sweep.csv`) it scores the
+/// fewest rows under 4.2 % of the row (2 × 168 + 1 values for a year);
+/// runs of 48 consecutive hours score twice as many, and at small n
+/// leave most queries scoring nearly every row (DESIGN.md §9).
+pub const SKETCH_PERIOD: usize = 168;
+
+/// Segments of a `stride`-long row's sketch.
+fn sketch_segments(stride: usize) -> usize {
+    stride.min(SKETCH_PERIOD)
+}
+
+/// Values in one row's longest sketch segment.
+fn longest_segment(stride: usize) -> usize {
+    stride.div_ceil(SKETCH_PERIOD)
+}
+
+/// Values in one row's sketch: an upper bound on the row's norm, then
+/// a `(√L·mean, residual norm)` pair per segment of length `L`.
+fn sketch_width(stride: usize) -> usize {
+    1 + 2 * sketch_segments(stride)
+}
+
+/// Where row `i`'s sketch sits in the allocation of a `rows × stride`
+/// matrix: past the rows and the [`MATRIX_PAD`] spare values.
+fn sketch_cells(rows: usize, stride: usize, i: usize) -> Range<usize> {
+    let width = sketch_width(stride);
+    let start = rows * stride + MATRIX_PAD + i * width;
+    start..start + width
+}
+
+/// A row's norm bound is kept only inside `[2⁻²⁵⁶, 2²⁵⁶]`, where no
+/// product of two sketches overflows and every underflow is far below
+/// the rounding margin; outside it (a zero row, a row of subnormals,
+/// an infinity or a NaN) it is stored as NaN, and the row is never
+/// skipped.
+const SKETCH_NORM_MIN: f64 = f64::from_bits((1023 - 256) << 52);
+/// See [`SKETCH_NORM_MIN`].
+const SKETCH_NORM_MAX: f64 = f64::from_bits((1023 + 256) << 52);
+
 /// One contiguous row-major `rows × stride` matrix of `f64` series,
-/// its first row on a 64-byte boundary.
+/// its first row on a 64-byte boundary, and a sketch per row.
 #[derive(Debug)]
 pub struct SeriesMatrix {
-    /// `offset` unused values, the `rows × stride` matrix, then the
-    /// rest of the [`MATRIX_PAD`] spare values.
+    /// `offset` unused values, the `rows × stride` matrix, the rest of
+    /// the [`MATRIX_PAD`] spare values, then the rows' sketches,
+    /// [`sketch_width`] values each.
     data: Vec<f64>,
     offset: usize,
     rows: usize,
@@ -130,6 +178,59 @@ impl SeriesMatrix {
     pub(crate) fn band(&self, rows: Range<usize>) -> &[f64] {
         &self.values()[rows.start * self.stride..rows.end * self.stride]
     }
+
+    /// Row `i`'s sketch: its norm bound, then its segment pairs.
+    fn sketch(&self, i: usize) -> &[f64] {
+        &self.data[sketch_cells(self.rows, self.stride, i)]
+    }
+
+    /// The rows of `rows` but `q`, each with its widened bound against
+    /// row `q`, into `ranked`, highest bound first (ties by index). The
+    /// bound is the dot product of the two sketches; the widening is the
+    /// rounding margin of DESIGN.md §9, `ε · (stride + 5L + 3S + 32)`
+    /// (L the longest segment, S the segments) times the two norm
+    /// bounds, so no row's computed score exceeds its widened bound. A
+    /// NaN bound (a row without a usable sketch) ranks as +∞: it is
+    /// scored, never skipped.
+    pub(crate) fn rank_by_bound(&self, q: usize, rows: Range<usize>, ranked: &mut Vec<Ranked>) {
+        let (longest, segments) = (longest_segment(self.stride), sketch_segments(self.stride));
+        let margin = (self.stride + 5 * longest + 3 * segments + 32) as f64 * f64::EPSILON;
+        let sketch_q = self.sketch(q);
+        let (scale, pairs_q) = (margin * sketch_q[0], &sketch_q[1..]);
+        let widen = |j: usize, bound: f64| {
+            let widened = bound + scale * self.sketch(j)[0];
+            if widened.is_nan() {
+                f64::INFINITY
+            } else {
+                widened
+            }
+        };
+        ranked.clear();
+        ranked.extend(
+            rows.filter(|&j| j != q)
+                .map(|index| Ranked { bound: 0.0, index }),
+        );
+        let mut groups = ranked.chunks_exact_mut(4);
+        for group in &mut groups {
+            let candidates: [&[f64]; 4] =
+                std::array::from_fn(|c| &self.sketch(group[c].index)[1..]);
+            let [bounds] = dot_block([pairs_q], candidates);
+            for (r, bound) in group.iter_mut().zip(bounds) {
+                r.bound = widen(r.index, bound);
+            }
+        }
+        for r in groups.into_remainder() {
+            r.bound = widen(r.index, dot(pairs_q, &self.sketch(r.index)[1..]));
+        }
+        ranked.sort_unstable_by(|a, b| b.bound.total_cmp(&a.bound).then(a.index.cmp(&b.index)));
+    }
+}
+
+/// A candidate row of the query form and its widened bound.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ranked {
+    pub(crate) bound: f64,
+    pub(crate) index: usize,
 }
 
 /// `f64` cell writable through a shared reference; rows of a
@@ -161,7 +262,7 @@ impl SeriesMatrixBuilder {
     /// A builder for a `rows × stride` matrix; every row must be set
     /// exactly once before [`SeriesMatrixBuilder::finish`].
     pub fn new(rows: usize, stride: usize) -> SeriesMatrixBuilder {
-        let cells: Box<[SyncCell]> = (0..rows * stride + MATRIX_PAD)
+        let cells: Box<[SyncCell]> = (0..rows * stride + MATRIX_PAD + rows * sketch_width(stride))
             .map(|_| SyncCell(UnsafeCell::new(0.0)))
             .collect();
         // Bytes up to the next boundary; the allocation is 8-aligned,
@@ -186,47 +287,57 @@ impl SeriesMatrixBuilder {
         self.stride
     }
 
-    fn claim_row(&self, row: usize, len: usize) {
+    /// Claim row `row` for a write of `len` values: its cells and its
+    /// sketch's, each handed out once, by the write-once flag.
+    #[allow(clippy::mut_from_ref)]
+    fn claim_row(&self, row: usize, len: usize) -> (&mut [f64], &mut [f64]) {
         assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
         assert_eq!(len, self.stride, "row {row}: length {len} != stride");
         assert!(
             !self.written[row].swap(true, Ordering::AcqRel),
             "row {row} written twice"
         );
+        let cells = |range: Range<usize>| {
+            let len = range.len();
+            let cells = self.cells[range].as_ptr();
+            let base = UnsafeCell::raw_get(cells.cast::<UnsafeCell<f64>>());
+            // SAFETY: the flag just taken makes this the only access to
+            // the row's cells and to its sketch's, which no other row
+            // shares; `SyncCell` is repr(transparent) over
+            // `UnsafeCell<f64>`, so `len` cells are `len` contiguous `f64`s.
+            unsafe { std::slice::from_raw_parts_mut(base, len) }
+        };
+        let start = self.offset + row * self.stride;
+        (
+            cells(start..start + self.stride),
+            cells(sketch_cells(self.rows, self.stride, row)),
+        )
     }
 
-    /// Copy `values` into row `row` verbatim.
+    /// Copy `values` into row `row` verbatim, and write its sketch.
     ///
     /// # Panics
     /// Panics on an out-of-bounds row, a length mismatch, or a second
     /// write to the same row.
     pub fn set_row(&self, row: usize, values: &[f64]) {
-        self.claim_row(row, values.len());
-        let base = self.cells[self.offset + row * self.stride].0.get();
-        // SAFETY: `claim_row` guarantees exclusive, first-time access to
-        // this row; the row's `stride` cells are contiguous in `cells`.
-        unsafe { std::ptr::copy_nonoverlapping(values.as_ptr(), base, self.stride) }
+        let (out, sketch) = self.claim_row(row, values.len());
+        write_row(out, sketch, values, |v| v);
     }
 
     /// Copy `values` into row `row` scaled to unit L2 norm (bit-identical
     /// to [`crate::normalize_all`]: zero rows are copied verbatim, others
-    /// divide each element by the same [`norm2`]).
+    /// divide each element by the same [`norm2`]), and write its sketch
+    /// in the same pass.
     ///
     /// # Panics
     /// Same conditions as [`SeriesMatrixBuilder::set_row`].
     pub fn set_row_normalized(&self, row: usize, values: &[f64]) {
-        self.claim_row(row, values.len());
+        let (out, sketch) = self.claim_row(row, values.len());
         let n = norm2(values);
-        let base = self.cells[self.offset + row * self.stride].0.get();
-        // SAFETY: as in `set_row` — exclusive first-time row access.
-        unsafe {
-            if n == 0.0 {
-                std::ptr::copy_nonoverlapping(values.as_ptr(), base, self.stride);
-            } else {
-                for (j, v) in values.iter().enumerate() {
-                    *base.add(j) = v / n;
-                }
-            }
+        if n == 0.0 {
+            write_row(out, sketch, values, |v| v);
+        } else {
+            write_row(out, sketch, values, |v| v / n);
         }
     }
 
@@ -255,6 +366,92 @@ impl SeriesMatrixBuilder {
             stride: self.stride,
         }
     }
+}
+
+/// Slack added to each segment's residual, as a multiple of its sum of
+/// squares, for segments of at most `longest` values: more than the
+/// rounding of `Σx² − (Σx)²/L` can take away, so the stored residual is
+/// never below the exact one (DESIGN.md §9).
+fn residual_slack(longest: usize) -> f64 {
+    4.0 * (longest + 8) as f64 * f64::EPSILON
+}
+
+/// Write `f(v)` for each `v` of `values` into `out`, and the sketch of
+/// what was written into `sketch`. The pass that writes the row sums
+/// each hour of the week and its squares ([`add_hours`]); a short pass
+/// over those sums then makes each pair `(Σx/√L, √(Σx² − (Σx)²/L))`,
+/// the residual rounded up by [`residual_slack`], and the norm bound.
+/// The sketch is a function of the written values alone, so a row
+/// copied verbatim gets the sketch it had.
+fn write_row(out: &mut [f64], sketch: &mut [f64], values: &[f64], f: impl Fn(f64) -> f64) {
+    let mut sums = [0.0f64; SKETCH_PERIOD];
+    let mut squares = [0.0f64; SKETCH_PERIOD];
+    let groups = sums
+        .chunks_exact_mut(SKETCH_LANES)
+        .zip(squares.chunks_exact_mut(SKETCH_LANES));
+    for (first, (sums, squares)) in (0..values.len()).step_by(SKETCH_LANES).zip(groups) {
+        let (sum, square) = add_hours(out, values, first, &f);
+        sums.copy_from_slice(&sum);
+        squares.copy_from_slice(&square);
+    }
+    // The first `extra` hours of the week occur once more than the rest.
+    let (full, extra) = (values.len() / SKETCH_PERIOD, values.len() % SKETCH_PERIOD);
+    let slack = residual_slack(longest_segment(values.len()));
+    let (norm, pairs) = sketch.split_at_mut(1);
+    let mut sumsq = 0.0;
+    for (hour, pair) in pairs.chunks_exact_mut(2).enumerate() {
+        let len = (full + usize::from(hour < extra)) as f64;
+        let (sum, squares) = (sums[hour], squares[hour]);
+        let scaled = sum * len.sqrt().recip();
+        let centred = (squares - sum * sum * len.recip()).max(0.0);
+        let residual = (centred + slack * squares).sqrt();
+        pair.copy_from_slice(&[scaled, residual]);
+        sumsq += scaled * scaled + residual * residual;
+    }
+    let bound = sumsq.sqrt();
+    norm[0] = if (SKETCH_NORM_MIN..=SKETCH_NORM_MAX).contains(&bound) {
+        bound
+    } else {
+        f64::NAN
+    };
+}
+
+/// Hours of the week [`add_hours`] writes and sums side by side
+/// (`SKETCH_PERIOD` is 21 such groups).
+const SKETCH_LANES: usize = 8;
+
+/// `out[t] = f(values[t])` for the hours `t` of the week `first` to
+/// `first + 7`, week after week, returning the sums and the sums of
+/// squares of what was written, per hour. The sums stay in registers;
+/// each step reads and writes eight adjacent values, one week on from
+/// the last.
+#[inline(always)]
+fn add_hours(
+    out: &mut [f64],
+    values: &[f64],
+    first: usize,
+    f: &impl Fn(f64) -> f64,
+) -> ([f64; SKETCH_LANES], [f64; SKETCH_LANES]) {
+    let mut sum = [0.0f64; SKETCH_LANES];
+    let mut square = [0.0f64; SKETCH_LANES];
+    let mut t = first;
+    while t + SKETCH_LANES <= values.len() {
+        let v = &values[t..t + SKETCH_LANES];
+        let x: [f64; SKETCH_LANES] = std::array::from_fn(|l| f(v[l]));
+        out[t..t + SKETCH_LANES].copy_from_slice(&x);
+        for l in 0..SKETCH_LANES {
+            sum[l] += x[l];
+            square[l] += x[l] * x[l];
+        }
+        t += SKETCH_PERIOD;
+    }
+    let tail = out.iter_mut().zip(values).skip(t).take(SKETCH_LANES);
+    for (l, (o, &v)) in tail.enumerate() {
+        *o = f(v);
+        sum[l] += *o;
+        square[l] += *o * *o;
+    }
+    (sum, square)
 }
 
 /// Tile geometry for the all-pairs kernel.
@@ -303,6 +500,9 @@ impl TileConfig {
 pub struct KernelStats {
     /// Unordered pairs scored (each credited to both endpoints); the
     /// naive scan scores `n(n-1)` ordered pairs, this kernel `n(n-1)/2`.
+    /// The query form over a resident matrix counts the rows it actually
+    /// scored: at most `n − 1` per query, fewer where sketch bounds let
+    /// it skip rows.
     pub pairs_scored: u64,
 }
 
@@ -331,8 +531,9 @@ impl TopKBuffer {
         TopKBuffer {
             hits: Vec::new(),
             k,
-            // Prune every ~2k pushes: amortized O(1) per push.
-            cap: (2 * k).max(16),
+            // Prune every ~2k pushes: amortized O(1) per push. A k that
+            // no list can reach (`usize::MAX`) never prunes.
+            cap: k.saturating_mul(2).max(16),
         }
     }
 
@@ -345,6 +546,17 @@ impl TopKBuffer {
         if self.hits.len() >= self.cap {
             select_top_k(&mut self.hits, self.k);
         }
+    }
+
+    /// The k-th best score pushed so far, once k hits are held: a hit
+    /// scoring strictly below it can neither enter the k best nor tie
+    /// into them.
+    fn kth(&mut self) -> Option<f64> {
+        if self.k == 0 || self.hits.len() < self.k {
+            return None;
+        }
+        select_top_k(&mut self.hits, self.k);
+        self.hits.last().map(|h| h.score)
     }
 
     /// The k best hits seen, best first.
@@ -569,6 +781,51 @@ impl PairScorer {
                     });
                 }
             }
+        }
+    }
+
+    /// Query row `query` (slot `slot`) against the rows `ranked` lists,
+    /// highest widened bound first ([`SeriesMatrix::rank_by_bound`]),
+    /// four at a time through [`dot_block`]: every row until the slot
+    /// holds k hits, then only rows whose widened bound reaches the
+    /// slot's k-th score. The first row below it ends the walk, since
+    /// every row after it is bounded lower still.
+    pub(crate) fn score_ranked(
+        &mut self,
+        slot: usize,
+        query: &[f64],
+        m: &SeriesMatrix,
+        ranked: &[Ranked],
+    ) {
+        let mut rest = ranked;
+        loop {
+            let kth = self.bufs[slot].kth();
+            let live = rest
+                .iter()
+                .take(4)
+                .take_while(|r| kth.is_none_or(|t| r.bound >= t))
+                .count();
+            if live == 0 {
+                return;
+            }
+            let (group, tail) = rest.split_at(live);
+            let mut scores = [0.0; 4];
+            match <&[Ranked; 4]>::try_from(group) {
+                Ok(four) => [scores] = dot_block([query], four.map(|r| m.row(r.index))),
+                Err(_) => {
+                    for (score, r) in scores.iter_mut().zip(group) {
+                        *score = dot(query, m.row(r.index));
+                    }
+                }
+            }
+            for (r, &score) in group.iter().zip(&scores) {
+                self.pairs_scored += 1;
+                self.bufs[slot].push(SimilarityMatch {
+                    index: r.index,
+                    score,
+                });
+            }
+            rest = tail;
         }
     }
 

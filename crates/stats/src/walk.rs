@@ -26,7 +26,11 @@
 //!
 //! The query form ([`Pairs::Queries`]) holds the query rows resident as
 //! one more band and walks that band's one row of pairs: the queries
-//! against each band in turn, so a streamed source is read once.
+//! against each band in turn, so a streamed source is read once. Over a
+//! resident matrix it reads each claimed band's rows in the order of
+//! their sketch bounds against the query instead, and stops at the
+//! first row whose bound cannot reach the query's running k-th score
+//! (DESIGN.md §9).
 //!
 //! **Bit-identity** across every form, source, band height and schedule
 //! is the one exactness argument of [`crate::kernels`]: lent rows carry
@@ -147,6 +151,13 @@ pub trait BandRows {
         stats: &mut OoocStats,
     ) -> std::result::Result<[&'a [f64]; 2], Self::Error>;
 
+    /// The resident matrix, whose row sketches let the query form skip
+    /// rows that cannot enter a top k (DESIGN.md §9); a streamed source
+    /// carries no sketch and is scanned in full.
+    fn resident(&self) -> Option<&SeriesMatrix> {
+        None
+    }
+
     /// The unit rows of `queries`, in order, lent in place or copied
     /// into `held`.
     fn queries<'a>(
@@ -172,6 +183,10 @@ impl BandRows for SeriesMatrix {
     }
 
     fn buffers(&self) {}
+
+    fn resident(&self) -> Option<&SeriesMatrix> {
+        Some(self)
+    }
 
     fn pair<'a>(
         &'a self,
@@ -369,7 +384,9 @@ fn lent(data: &[f64], b: usize, band_rows: usize, (n, stride): (usize, usize)) -
 /// workers; `None` walks every unit) and score them — for
 /// [`Pairs::All`] a band pair each, the diagonal ones the triangle
 /// inside one band and the others the cross product of two, for
-/// [`Pairs::Queries`] a band each, against every query. Returns
+/// [`Pairs::Queries`] a band each, against every query (over a resident
+/// matrix, only the band's rows whose sketch bound can still reach the
+/// query's running k-th score; DESIGN.md §9). Returns
 /// per-slot partial top-k lists, each the exact k best of the pairs
 /// this worker scored, plus what the walk did.
 ///
@@ -406,11 +423,21 @@ pub fn similarity_walk<R: BandRows + ?Sized>(
         }
     };
     let mut scorer = PairScorer::new(queries.as_ref().map_or(n, |(ids, _)| ids.len()), k, cfg);
+    let pruned = queries.as_ref().and(rows.resident());
+    let mut ranked = Vec::new();
     let everything = Cell::new(Some(0..units));
     let walk_everything = || everything.take();
     let claim = claim.unwrap_or(&walk_everything);
     while let Some(claimed) = claim() {
         assert!(claimed.end <= units, "claimed {claimed:?} of {units} units");
+        if let (Some((ids, held)), Some(m)) = (&queries, pruned) {
+            let span = claimed.start * band_rows..(claimed.end * band_rows).min(n);
+            for (slot, (&q, query)) in ids.iter().zip(held).enumerate() {
+                m.rank_by_bound(q, span.clone(), &mut ranked);
+                scorer.score_ranked(slot, query, m, &ranked);
+            }
+            continue;
+        }
         for t in claimed {
             let (bi, bj) = match queries {
                 None => band_pair_at(bands, t),

@@ -8,9 +8,11 @@ use smda_stats::simd::{LANE_COLS, LANE_LAGS};
 use smda_stats::{
     cosine_similarity, dot_block, dot_scalar, from_ordered_key, mean, norm2, norm2_rows,
     ols_multiple, ols_simple, ordered_key, quantile_sorted, quantiles_by_selection,
-    sample_variance, top_k_cosine, top_k_tiled, under_every_tier, EquiWidthHistogram, FitScratch,
-    GaussianNoise, HourlyFit, KMeans, KMeansConfig, OnlineStats, SeriesMatrix, TileConfig,
+    sample_variance, select_top_k, top_k_cosine, top_k_query, top_k_tiled, under_every_tier,
+    EquiWidthHistogram, FitScratch, GaussianNoise, HourlyFit, KMeans, KMeansConfig, OnlineStats,
+    SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
+use smda_types::BitEq;
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..max_len)
@@ -44,10 +46,8 @@ fn skewed(values: &[f64], skew: usize, store: &mut Vec<f64>) -> Range<usize> {
 fn block_matches_scalar<const R: usize, const C: usize>(rows: &[&[f64]]) -> bool {
     let queries: [&[f64]; R] = std::array::from_fn(|r| rows[r]);
     let candidates: [&[f64]; C] = std::array::from_fn(|c| rows[R + c]);
-    let got = dot_block(queries, candidates);
-    (0..R).all(|r| {
-        (0..C).all(|c| got[r][c].to_bits() == dot_scalar(queries[r], candidates[c]).to_bits())
-    })
+    let want: [[f64; C]; R] = queries.map(|q| candidates.map(|c| dot_scalar(q, c)));
+    dot_block(queries, candidates).bits_eq(&want)
 }
 
 /// Rows [`every_block_shape_matches_scalar`] reads: the widest shape's
@@ -181,16 +181,82 @@ fn hour_mismatch(
         (None, None) => true,
         (Some(w), Some(g)) => {
             w.n == g.n
-                && w.sse.to_bits() == g.sse.to_bits()
-                && w.r2.to_bits() == g.r2.to_bits()
-                && (0..LANE_COLS).all(|c| w.beta[c].to_bits() == g.beta[c].to_bits())
+                && w.sse.bits_eq(&g.sse)
+                && w.r2.bits_eq(&g.r2)
+                && w.beta[..LANE_COLS].bits_eq(&g.beta[..LANE_COLS])
         }
         _ => false,
     };
     let mean_y = response.iter().sum::<f64>() / rows as f64;
     let mean_x = (LANE_LAGS..days).map(|day| x[at(day)]).sum::<f64>() / rows as f64;
-    (!same || mean_y.to_bits() != got.mean_y.to_bits() || mean_x.to_bits() != got.mean_x.to_bits())
+    (!same || !(mean_y, mean_x).bits_eq(&(got.mean_y, got.mean_x)))
         .then(|| format!("hour {hour}: reference {want:?} / {mean_y} / {mean_x}, lane fit {got:?}"))
+}
+
+/// Strides for [`query_form_matches_the_naive_scan`]: shorter than the
+/// sketch's 168-hour week (every segment one value), a whole week, one
+/// past it, and ragged tails over several weeks.
+const QUERY_STRIDES: [usize; 8] = [1, 5, 47, 150, 168, 169, 401, 737];
+
+/// Row `q`'s top k by the naive scan: `dot_scalar` against every other
+/// row of `m`, then the canonical selection.
+fn naive_top_k(m: &SeriesMatrix, q: usize, k: usize) -> Vec<SimilarityMatch> {
+    let mut hits: Vec<SimilarityMatch> = (0..m.rows())
+        .filter(|&j| j != q)
+        .map(|j| SimilarityMatch {
+            index: j,
+            score: dot_scalar(m.row(q), m.row(j)),
+        })
+        .collect();
+    select_top_k(&mut hits, k);
+    hits
+}
+
+/// `distinct` base rows of `stride` values, each a daily-shaped curve
+/// plus a 23-hour wave of its own strength (which no fold by day or
+/// week absorbs, so residuals carry weight in the bound) at its own
+/// scale plus noise (shifted below zero when `negative`), then `n` rows
+/// cycling through them, so rows repeat exactly; every `zero_every`-th
+/// row (from row 1) is all zeros.
+fn query_rows(
+    n: usize,
+    stride: usize,
+    distinct: usize,
+    seed: u64,
+    negative: bool,
+    zero_every: usize,
+) -> Vec<Vec<f64>> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 1024) as f64 / 1024.0
+    };
+    let base: Vec<Vec<f64>> = (0..distinct)
+        .map(|_| {
+            let (phase, scale) = (next() * 24.0, 0.01 * 1000f64.powf(next()));
+            let (wave, wave_phase) = (2.0 * next(), next() * 23.0);
+            let shift = if negative { 0.75 } else { 0.0 };
+            let tau = std::f64::consts::TAU;
+            (0..stride)
+                .map(|h| {
+                    let daily = 1.5 + ((h as f64 + phase) * tau / 24.0).sin();
+                    let drift = wave * ((h as f64 + wave_phase) * tau / 23.0).sin();
+                    scale * (daily + drift + 0.5 * next() - shift)
+                })
+                .collect()
+        })
+        .collect();
+    (0..n)
+        .map(|i| {
+            if i % zero_every.max(1) == 1 {
+                vec![0.0; stride]
+            } else {
+                base[i % distinct].clone()
+            }
+        })
+        .collect()
 }
 
 #[test]
@@ -367,16 +433,45 @@ proptest! {
         let m = SeriesMatrix::from_rows_normalized(&series);
         let cfg = TileConfig { query_block };
         let (tiled, stats) = top_k_tiled(&m, k, &cfg);
-        prop_assert_eq!(naive.len(), tiled.len());
-        for (q, (a, b)) in naive.iter().zip(&tiled).enumerate() {
-            prop_assert_eq!(a.len(), b.len(), "query {}", q);
-            for (x, y) in a.iter().zip(b) {
-                prop_assert_eq!(x.index, y.index, "query {}", q);
-                prop_assert_eq!(x.score.to_bits(), y.score.to_bits(), "query {}", q);
-            }
-        }
+        prop_assert!(naive.bits_eq(&tiled));
         let n = series.len() as u64;
         prop_assert_eq!(stats.pairs_scored, n * n.saturating_sub(1) / 2);
+    }
+
+    /// The query form skips rows by their sketch bounds; what it returns
+    /// is still the naive scan's, bit for bit, for every query row: rows
+    /// repeated exactly (ties on the threshold), zero rows, negative
+    /// values, rows of very different norms written verbatim with
+    /// `set_row`, a `clone()` of the matrix, strides shorter than one
+    /// week and past whole ones, and k from zero to `usize::MAX`.
+    #[test]
+    fn query_form_matches_the_naive_scan(
+        n in 2usize..26,
+        stride in 0usize..QUERY_STRIDES.len(),
+        distinct in 1usize..9,
+        seed in any::<u64>(),
+        negative in any::<bool>(),
+        zero_every in 0usize..7,
+        verbatim in any::<bool>(),
+        cloned in any::<bool>()
+    ) {
+        let rows = query_rows(n, QUERY_STRIDES[stride], distinct, seed, negative, zero_every);
+        let m = if verbatim {
+            let builder = SeriesMatrixBuilder::new(n, QUERY_STRIDES[stride]);
+            for (i, row) in rows.iter().enumerate() {
+                builder.set_row(i, row);
+            }
+            builder.finish()
+        } else {
+            SeriesMatrix::from_rows_normalized(&rows)
+        };
+        let m = if cloned { m.clone() } else { m };
+        for q in 0..n {
+            for k in [0, 1, n - 2, n - 1, n, usize::MAX] {
+                let got = top_k_query(&m, q, k);
+                prop_assert!(got.bits_eq(&naive_top_k(&m, q, k)), "query {} k {}", q, k);
+            }
+        }
     }
 
     #[test]
@@ -409,14 +504,7 @@ proptest! {
             bins.for_each(|key, keys| {
                 seen.push((key, keys.iter().map(|&k| from_ordered_key(k)).collect()))
             });
-            prop_assert_eq!(seen.len(), expected.len(), "pass {}", pass);
-            for ((ka, va), (kb, vb)) in seen.iter().zip(&expected) {
-                prop_assert_eq!(ka, kb, "pass {}", pass);
-                prop_assert_eq!(va.len(), vb.len(), "pass {}", pass);
-                for (x, y) in va.iter().zip(vb) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "pass {}", pass);
-                }
-            }
+            prop_assert!(seen.bits_eq(&expected), "pass {}", pass);
             let between: Vec<f64> = other.iter().map(|k| quarter(*k)).collect();
             scratch.plan.prepare(&between);
         }
@@ -471,13 +559,9 @@ proptest! {
                 (None, None) => {}
                 (Some(b), Some(f)) => {
                     prop_assert_eq!(f.n, n, "{}", label);
-                    for j in 0..cols {
-                        prop_assert_eq!(
-                            b.beta[j].to_bits(), f.beta[j].to_bits(), "beta[{}] {}", j, label
-                        );
-                    }
-                    prop_assert_eq!(b.sse.to_bits(), f.sse.to_bits(), "sse {}", label);
-                    prop_assert_eq!(b.r2.to_bits(), f.r2.to_bits(), "r2 {}", label);
+                    prop_assert!(b.beta[..cols].bits_eq(&f.beta[..cols]), "beta {}", label);
+                    prop_assert!(b.sse.bits_eq(&f.sse), "sse {}", label);
+                    prop_assert!(b.r2.bits_eq(&f.r2), "r2 {}", label);
                 }
                 _ => prop_assert!(false, "fit presence diverged ({})", label),
             }
@@ -530,14 +614,10 @@ proptest! {
         prop_assert!(!dead || per_tier[0][constant_hour].fit.is_none(), "dead hour fitted");
         // Tier ≡ tier and dirty ≡ fresh follow from each ≡ reference;
         // stated directly as well, on bits (an r² may be NaN).
-        let bits = |fits: &[HourlyFit; 24]| -> Vec<Option<Vec<u64>>> {
-            let of = |f: &HourlyFit| {
-                let s = f.fit?;
-                Some(s.beta.iter().chain([&s.sse, &s.r2]).map(|v| v.to_bits()).collect())
-            };
-            fits.iter().map(of).collect()
+        let fields = |fits: &[HourlyFit; 24]| -> Vec<Option<([f64; smda_stats::SCRATCH_MAX_COLS], f64, f64)>> {
+            fits.iter().map(|f| f.fit.map(|s| (s.beta, s.sse, s.r2))).collect()
         };
-        prop_assert!(per_tier.windows(2).all(|w| bits(&w[0]) == bits(&w[1])));
+        prop_assert!(per_tier.windows(2).all(|w| fields(&w[0]).bits_eq(&fields(&w[1]))));
     }
 
     #[test]
@@ -566,7 +646,7 @@ proptest! {
             let got = quantiles_by_selection(&mut keys, qs);
             for (g, q) in got.iter().zip(qs) {
                 let want = quantile_sorted(&sorted, q);
-                prop_assert_eq!(g.to_bits(), want.to_bits(), "n={} q={}", values.len(), q);
+                prop_assert!(g.bits_eq(&want), "n={} q={}", values.len(), q);
             }
         }
     }
@@ -584,9 +664,9 @@ proptest! {
         // The canonical entry must dispatch to something bit-identical,
         // under every tier the hardware runs.
         let mut dots = Vec::new();
-        under_every_tier(|tier| dots.push((tier, smda_stats::dot(&a, &b).to_bits())));
+        under_every_tier(|tier| dots.push((tier, smda_stats::dot(&a, &b))));
         for (tier, dot) in dots {
-            prop_assert_eq!(dot, scalar.to_bits(), "{:?}, len {}", tier, len);
+            prop_assert!(dot.bits_eq(&scalar), "{:?}, len {}", tier, len);
         }
     }
 
@@ -618,7 +698,7 @@ proptest! {
         let mut norms = vec![f64::NAN; n];
         norm2_rows(&rows.concat(), stride, &mut norms);
         for (row, got) in rows.iter().zip(&norms) {
-            prop_assert_eq!(got.to_bits(), norm2(row).to_bits(), "row {:?}", row);
+            prop_assert!(got.bits_eq(&norm2(row)), "row {:?}", row);
         }
     }
 
@@ -633,9 +713,7 @@ proptest! {
         let mut dispatched = scalar.clone();
         smda_stats::simd::axpy_scalar(&mut scalar, a, &x[..n]);
         smda_stats::axpy(&mut dispatched, a, &x[..n]);
-        for (s, d) in scalar.iter().zip(&dispatched) {
-            prop_assert_eq!(s.to_bits(), d.to_bits());
-        }
+        prop_assert!(scalar.bits_eq(&dispatched));
     }
 
     #[test]
@@ -655,12 +733,9 @@ proptest! {
         let mut fits = Vec::new();
         under_every_tier(|_| {
             let fit = smda_stats::NormalEq::default().solve(rows.len(), cols, &mut fill, &y);
-            fits.push(fit.map(|f| {
-                let bits = f.beta[..cols].iter().chain([&f.sse]);
-                bits.map(|v| v.to_bits()).collect::<Vec<u64>>()
-            }));
+            fits.push(fit.map(|f| (f.beta[..cols].to_vec(), f.sse)));
         });
-        prop_assert!(fits.windows(2).all(|w| w[0] == w[1]), "fit diverged across tiers: {:?}", fits);
+        prop_assert!(fits.windows(2).all(|w| w[0].bits_eq(&w[1])), "fit diverged across tiers: {:?}", fits);
     }
 
     #[test]
@@ -697,7 +772,7 @@ proptest! {
                 3 => 8760,
                 4 => n,
                 _ => {
-                    prop_assert_eq!(filled.sample().to_bits(), sampled.sample().to_bits());
+                    prop_assert!(filled.sample().bits_eq(&sampled.sample()));
                     continue;
                 }
             };
@@ -706,7 +781,7 @@ proptest! {
             filled.fill(&mut out);
             for (i, v) in out.iter().enumerate() {
                 let want = sampled.sample();
-                prop_assert_eq!(v.to_bits(), want.to_bits(), "value {} of a fill of {}", i, len);
+                prop_assert!(v.bits_eq(&want), "value {} of a fill of {}", i, len);
             }
             // The stream position and the spare: the whole state, shown.
             prop_assert_eq!(format!("{filled:?}"), format!("{sampled:?}"));

@@ -51,7 +51,7 @@ echo "$(grep -c . <<<"$named") flags named in the docs; unknown: ${unknown:-none
 # comment lines dropped — may not exceed the count below. A PR that removes
 # some lowers the number; none raises it.
 echo "== unwrap budget =="
-unwrap_budget=90
+unwrap_budget=88
 unwraps=$(git ls-files 'crates/*/src/*.rs' | while read -r file; do
     awk '/#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -vE '^[[:space:]]*//'
 done | grep -cE '\.unwrap\(\)|\.expect\(' || true)
