@@ -22,6 +22,17 @@
 //! full scan bit for bit. One more row per size is the shipped kernel,
 //! `top_k_query`, whose sketch is the mean and residual folded by hour
 //! of the week.
+//!
+//! The `allpairs_prune` table measures what the same sketch buys the
+//! all-pairs walk (`top_k_tiled`), which skips a register block when
+//! every pair's bound misses both rows' running k-th scores: per size,
+//! the share of the `n(n−1)/2` pairs it scores, the share of its
+//! register blocks it scores, and its time against the dense walk — the
+//! streamed walk over the raw rows as one band, which is the same tile
+//! sweep in row order with nothing skipped, less the time its one band
+//! load (copy, norms, normalize) takes alone, so that neither side pays
+//! for making unit rows. Both answers are checked against each other bit
+//! for bit.
 
 use std::time::{Duration, Instant};
 
@@ -32,8 +43,9 @@ use smda_engines::WorkerPool;
 use smda_obs::MetricsSink;
 use smda_stats::kernels::SKETCH_PERIOD;
 use smda_stats::{
-    dot, dot_block, select_top_k, similarity_walk, top_k_cosine, top_k_query, top_k_tiled, Pairs,
-    SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
+    dot, dot_block, norm2_rows, select_top_k, similarity_walk, top_k_cosine, top_k_oooc,
+    top_k_query, top_k_tiled, Pairs, Resident, SeriesMatrix, SeriesMatrixBuilder, SeriesSource,
+    SimilarityMatch, SliceSource, TileConfig,
 };
 use smda_types::{BitEq, HOURS_PER_YEAR};
 
@@ -149,7 +161,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             stride,
         );
     }
-    vec![t, prune(scale)]
+    vec![t, prune(scale), allpairs(scale)]
 }
 
 /// How the prune sweep cuts a row into segments.
@@ -257,6 +269,26 @@ fn best_of<T>(queries: &[usize], mut f: impl FnMut(usize) -> T) -> (Duration, Ve
     (best, out)
 }
 
+/// `n` seed-generator years as a matrix of their unit rows, each raw
+/// row also handed to `keep`.
+fn seed_matrix(n: usize, keep: &mut dyn FnMut(&[f64])) -> SeriesMatrix {
+    let builder = SeriesMatrixBuilder::new(n, HOURS_PER_YEAR);
+    let mut row = 0;
+    let config = SeedConfig {
+        consumers: n,
+        seed: BENCH_SEED,
+        ..Default::default()
+    };
+    let generated = generate_seed_streaming(&config, &mut |_, kwh| {
+        builder.set_row_normalized(row, kwh);
+        keep(kwh);
+        row += 1;
+        Ok(())
+    });
+    assert!(generated.is_ok(), "the seed generator failed at n={n}");
+    builder.finish()
+}
+
 /// The prune sweep (module docs): `results/prune_sweep.csv`.
 fn prune(scale: Scale) -> Table {
     let mut t = Table::new(
@@ -278,20 +310,7 @@ fn prune(scale: Scale) -> Table {
         (&PRUNE_ROWS[..], PRUNE_QUERIES)
     };
     for &n in sizes {
-        let builder = SeriesMatrixBuilder::new(n, HOURS_PER_YEAR);
-        let mut row = 0;
-        let config = SeedConfig {
-            consumers: n,
-            seed: BENCH_SEED,
-            ..Default::default()
-        };
-        let generated = generate_seed_streaming(&config, &mut |_, kwh| {
-            builder.set_row_normalized(row, kwh);
-            row += 1;
-            Ok(())
-        });
-        assert!(generated.is_ok(), "the seed generator failed at n={n}");
-        let m = builder.finish();
+        let m = seed_matrix(n, &mut |_| {});
         let queries: Vec<usize> = (0..asked).map(|i| i * n / asked).collect();
         let others = |q: usize| (0..n).filter(move |&j| j != q);
         let (full_t, full) = best_of(&queries, |q| {
@@ -331,7 +350,7 @@ fn prune(scale: Scale) -> Table {
                 push(segment, &kind, sk.width, scored, time);
             }
         }
-        let cfg = TileConfig::default();
+        let (cfg, rows) = (TileConfig::default(), Resident::new(&m));
         let (time, answers) = best_of(&queries, |q| top_k_query(&m, q, SIMILARITY_TOP_K));
         assert!(
             answers.bits_eq(&full),
@@ -341,12 +360,94 @@ fn prune(scale: Scale) -> Table {
             .iter()
             .map(|&q| {
                 let Ok((_, stats)) =
-                    similarity_walk(&m, Pairs::Queries(&[q]), SIMILARITY_TOP_K, &cfg, None);
+                    similarity_walk(&rows, Pairs::Queries(&[q]), SIMILARITY_TOP_K, &cfg, None);
                 stats.kernel.pairs_scored as usize
             })
             .sum();
         let values = 1 + 2 * SKETCH_PERIOD;
         push(SKETCH_PERIOD, "top_k_query", values, scored, time);
+    }
+    t
+}
+
+/// Rows of the all-pairs prune table's matrices, each a whole number
+/// of query blocks; `--smoke` runs the first alone.
+pub const ALLPAIRS_ROWS: [usize; 4] = [96, 192, 384, 1536];
+
+/// The all-pairs prune table (module docs): `results/allpairs_prune.csv`.
+///
+/// With `n` a multiple of the query block (which both register-block
+/// heights divide), a diagonal band pair is one block's triangle, scored
+/// pair by pair and never skipped, and every other pair lies in a whole
+/// register block of the tier's one shape, so the share of blocks scored
+/// is the share of those pairs scored.
+fn allpairs(scale: Scale) -> Table {
+    let mut t = Table::new(
+        "allpairs_prune",
+        "All-pairs top-k skipping register blocks by sketch bounds: pairs and blocks scored, time against the dense walk less its load",
+        &["rows", "share_pairs_scored", "share_blocks_live", "time_vs_dense"],
+    );
+    let smoke = scale.divisor > Scale::default().divisor;
+    let sizes = if smoke {
+        &ALLPAIRS_ROWS[..1]
+    } else {
+        &ALLPAIRS_ROWS[..]
+    };
+    let (k, cfg) = (SIMILARITY_TOP_K, TileConfig::default());
+    for &n in sizes {
+        assert_eq!(
+            n % cfg.query_block,
+            0,
+            "n={n} is not a whole number of query blocks"
+        );
+        let mut raw = Vec::with_capacity(n * HOURS_PER_YEAR);
+        let m = seed_matrix(n, &mut |kwh| raw.extend_from_slice(kwh));
+        let source = SliceSource::new(&raw, n, HOURS_PER_YEAR);
+        let (mut pruned_t, mut dense_t, mut load_t) = (Duration::MAX, Duration::MAX, Duration::MAX);
+        let (mut pruned, mut dense) = (Vec::new(), Vec::new());
+        let mut scored = 0;
+        for _ in 0..3 {
+            let start = Instant::now();
+            let (mut band, mut norms) = (Vec::new(), vec![0.0; n]);
+            assert!(source.load_band(0..n, &mut band).is_ok());
+            norm2_rows(&band, HOURS_PER_YEAR, &mut norms);
+            for (row, &norm) in band.chunks_exact_mut(HOURS_PER_YEAR).zip(&norms) {
+                if norm != 0.0 {
+                    row.iter_mut().for_each(|v| *v /= norm);
+                }
+            }
+            std::hint::black_box(band);
+            load_t = load_t.min(start.elapsed());
+            let start = Instant::now();
+            let (matches, stats) = top_k_tiled(&m, k, &cfg);
+            pruned_t = pruned_t.min(start.elapsed());
+            (pruned, scored) = (matches, stats.pairs_scored);
+            let start = Instant::now();
+            let walked = top_k_oooc(&source, k, n, &cfg);
+            dense_t = dense_t.min(start.elapsed());
+            assert!(walked.is_ok(), "the dense walk failed at n={n}");
+            dense = walked.map(|(matches, _)| matches).unwrap_or_default();
+        }
+        assert!(
+            pruned.bits_eq(&dense),
+            "the pruned walk diverged from the dense walk at n={n}"
+        );
+        let pairs = (n * (n - 1) / 2) as u64;
+        let diagonal = (n * (cfg.query_block - 1) / 2) as u64;
+        let live = (scored - diagonal) as f64 / (pairs - diagonal) as f64;
+        assert!(
+            live < 1.0,
+            "the all-pairs walk skipped no register block at n={n}"
+        );
+        t.row(vec![
+            n.to_string(),
+            format!("{:.3}", scored as f64 / pairs as f64),
+            format!("{live:.3}"),
+            format!(
+                "{:.3}",
+                pruned_t.as_secs_f64() / dense_t.saturating_sub(load_t).as_secs_f64()
+            ),
+        ]);
     }
     t
 }
@@ -358,7 +459,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_size_and_variant() {
         let tables = run(Scale::smoke());
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 3);
         let t = &tables[0];
         assert_eq!(t.rows.len(), HOUSEHOLDS.len() * VARIANTS);
         for row in &t.rows {
@@ -391,5 +492,15 @@ mod tests {
         let shipped = prune.rows.last().unwrap();
         assert_eq!(shipped[2], "top_k_query");
         assert_eq!(shipped[3], (1 + 2 * SKETCH_PERIOD).to_string());
+        // The all-pairs table at `--smoke`: the first size alone, its
+        // walk skipping register blocks and so pairs.
+        let allpairs = &tables[2];
+        assert_eq!(allpairs.rows.len(), 1);
+        let row = &allpairs.rows[0];
+        assert_eq!(row[0], ALLPAIRS_ROWS[0].to_string());
+        for share in &row[1..3] {
+            let share: f64 = share.parse().unwrap();
+            assert!(share > 0.0 && share < 1.0, "{row:?}");
+        }
     }
 }

@@ -142,7 +142,8 @@ mod tests {
     #[test]
     fn the_query_form_skips_rows_on_generator_data() {
         use smda_stats::{
-            dot_scalar, select_top_k, similarity_walk, Pairs, SeriesMatrix, SimilarityMatch,
+            dot_scalar, select_top_k, similarity_walk, Pairs, Resident, SeriesMatrix,
+            SimilarityMatch,
         };
         use smda_types::BitEq;
         let ds = crate::generator::generate_seed(&crate::generator::SeedConfig {
@@ -161,7 +162,7 @@ mod tests {
         let mut scored = 0;
         for q in 0..n {
             let (hits, stats) = similarity_walk(
-                &m,
+                &Resident::new(&m),
                 Pairs::Queries(&[q]),
                 SIMILARITY_TOP_K,
                 &TileConfig::default(),
@@ -188,6 +189,45 @@ mod tests {
             scored * 2 < (n * (n - 1)) as u64,
             "{scored} of {} rows scored",
             n * (n - 1)
+        );
+    }
+
+    #[test]
+    fn the_all_pairs_walk_skips_blocks_on_generator_data() {
+        use smda_stats::{dot_scalar, select_top_k, top_k_tiled, SeriesMatrix, SimilarityMatch};
+        use smda_types::BitEq;
+        let ds = crate::generator::generate_seed(&crate::generator::SeedConfig {
+            consumers: 96,
+            seed: 7,
+            ..Default::default()
+        })
+        .unwrap();
+        let rows: Vec<Vec<f64>> = ds
+            .consumers()
+            .iter()
+            .map(|c| c.readings().to_vec())
+            .collect();
+        let m = SeriesMatrix::from_rows_normalized(&rows);
+        let n = m.rows();
+        let (matches, stats) = top_k_tiled(&m, SIMILARITY_TOP_K, &TileConfig::default());
+        for (q, hits) in matches.iter().enumerate() {
+            let mut naive: Vec<SimilarityMatch> = (0..n)
+                .filter(|&j| j != q)
+                .map(|j| SimilarityMatch {
+                    index: j,
+                    score: dot_scalar(m.row(q), m.row(j)),
+                })
+                .collect();
+            select_top_k(&mut naive, SIMILARITY_TOP_K);
+            assert!(hits.bits_eq(&naive), "row {q}");
+        }
+        // The chain-ordered walk scored about three pairs in ten at
+        // n = 96 on the seed generator's data.
+        let pairs = (n * (n - 1) / 2) as u64;
+        assert!(
+            stats.pairs_scored * 2 < pairs,
+            "{} of {pairs} pairs scored",
+            stats.pairs_scored
         );
     }
 

@@ -25,7 +25,7 @@ use smda_core::{consumer_matches, ConsumerTask, Task, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
     band_pair_count, merge_partials, similarity_walk, with_fit_scratch, KernelStats, OoocStats,
-    Pairs, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
+    Pairs, Resident, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
 use smda_types::{ConsumerId, Error, Result, HOURS_PER_YEAR};
 
@@ -217,8 +217,12 @@ pub fn execute_task(
 /// walk over its bands, band pairs claimed dynamically by up to
 /// `threads` pool workers and per-worker partials merged — bit-identical
 /// to the sequential tiled kernel (and to the naive scan) at every
-/// thread count. Records the `tile`/`merge` phases plus `pairs_scored`
-/// and effective MFLOP/s.
+/// thread count. The workers share one [`Resident`]: its chain order,
+/// built once, and every row's best threshold any of them has held, by
+/// which each skips register blocks. Records the `tile`/`merge` phases
+/// plus `pairs_scored` (which blocks are skipped depends on how the
+/// units fell to workers and when their thresholds were published) and
+/// effective MFLOP/s over the pairs scored.
 pub fn top_k_matrix(
     matrix: &SeriesMatrix,
     k: usize,
@@ -228,8 +232,9 @@ pub fn top_k_matrix(
     let cfg = TileConfig::current();
     let shape = (matrix.rows(), matrix.stride());
     let pairs = band_pair_count(cfg.tile_rows(matrix.rows()));
+    let rows = Resident::new(matrix);
     let Ok((matches, stats)) = pooled_top_k(shape, pairs, k, threads, metrics, |claim| {
-        similarity_walk(matrix, Pairs::All, k, &cfg, Some(claim))
+        similarity_walk(&rows, Pairs::All, k, &cfg, Some(claim))
     });
     (matches, stats.kernel)
 }

@@ -61,10 +61,13 @@ pub mod counters {
     /// OS threads spawned to execute the run.
     pub const WORKERS_SPAWNED: &str = "workers_spawned";
     /// Unordered series pairs scored by the similarity kernel (the
-    /// symmetric kernel scores `n(n-1)/2`, the naive scan `n(n-1)`).
+    /// symmetric kernel at most `n(n-1)/2` — fewer over resident rows,
+    /// whose sketch bounds skip register blocks — the naive scan
+    /// `n(n-1)`).
     pub const PAIRS_SCORED: &str = "pairs_scored";
     /// Effective similarity-kernel throughput in MFLOP/s (2 flops per
-    /// element per pair over the tile phase's wall time).
+    /// element per pair scored over the tile phase's wall time): a rate
+    /// over the pairs actually scored.
     pub const SIMILARITY_MFLOPS: &str = "similarity.effective_mflops";
     /// 1 when the run's similarity scoring dispatched *at least* the
     /// lane-preserving AVX2 kernels (so also 1 on an AVX-512 host), 0

@@ -18,14 +18,17 @@
 //!   data race.
 //! * `PairScorer` — the one pair-scoring loop nest under every
 //!   similarity entry point. The similarity walk ([`similarity_walk`])
-//!   lends it row blocks — zero-copy bands of the resident matrix, or
-//!   band buffers filled from a streamed source — and it keeps a block
-//!   of query rows hot in cache while candidate rows stream through,
-//!   computes each `(i, j)` score
-//!   **once** — in register blocks ([`dot_block`]) of four query rows by
-//!   two candidate rows on `ymm`, eight by four on `zmm` under the
-//!   AVX-512 tier, each pair the canonical [`dot`] bit for
-//!   bit — and credits it to both rows' bounded top-k buffers.
+//!   lends it row blocks — rows of the resident matrix read in place in
+//!   chain order, or band buffers filled from a streamed source — and it
+//!   keeps a block of query rows hot in cache while candidate rows
+//!   stream through, computes each `(i, j)` score
+//!   **at most once** — in register blocks ([`dot_block`]) of four query
+//!   rows by two candidate rows on `ymm`, eight by four on `zmm` under
+//!   the AVX-512 tier, each pair the canonical [`dot`] bit for
+//!   bit — and credits it to both rows' bounded top-k buffers. Over
+//!   resident rows it skips a register block whose sketch bounds miss
+//!   both endpoints' thresholds: running k-th scores, its own or those
+//!   other workers walking the same rows published (DESIGN.md §9).
 //! * [`top_k_tiled`], [`top_k_tiled_partial`], [`top_k_query`] — the
 //!   in-memory names of that walk; [`merge_partials`] merges the partials
 //!   of workers that together claimed every unit of it.
@@ -38,15 +41,20 @@
 //! their order, under the total order (score desc, index asc) of
 //! [`select_top_k`]; and the k best of a query are among the k best of
 //! any subset that contains them, so merging partials over any
-//! partition of the pairs reproduces the sequential result.
+//! partition of the pairs reproduces the sequential result. A pair is
+//! skipped only when its widened sketch bound, which no computed score
+//! exceeds, lies below a score that some worker's list of each of its
+//! rows already holds k times over, so it could enter neither row's
+//! final list.
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
+use crate::quantile::{from_ordered_key, ordered_key};
 use crate::simd::{active_tier, dot_block, SimdTier, WIDE_COLS, WIDE_ROWS};
 use crate::similarity::{dot, norm2, select_top_k, SimilarityMatch};
-use crate::walk::{similarity_walk, triangle_row, Pairs};
+use crate::walk::{similarity_walk, triangle_row, Pairs, Resident, RowBlock};
 
 /// Every matrix starts on this byte boundary: a cache line, and a
 /// multiple of the 32-byte vector loads the kernels issue, so with a
@@ -174,55 +182,99 @@ impl SeriesMatrix {
         &self.data[self.offset..self.offset + self.rows * self.stride]
     }
 
-    /// Rows `rows`, row-major: one band of the matrix, lent as is.
-    pub(crate) fn band(&self, rows: Range<usize>) -> &[f64] {
-        &self.values()[rows.start * self.stride..rows.end * self.stride]
-    }
-
     /// Row `i`'s sketch: its norm bound, then its segment pairs.
     fn sketch(&self, i: usize) -> &[f64] {
         &self.data[sketch_cells(self.rows, self.stride, i)]
     }
 
-    /// The rows of `rows` but `q`, each with its widened bound against
-    /// row `q`, into `ranked`, highest bound first (ties by index). The
-    /// bound is the dot product of the two sketches; the widening is the
-    /// rounding margin of DESIGN.md §9, `ε · (stride + 5L + 3S + 32)`
-    /// (L the longest segment, S the segments) times the two norm
-    /// bounds, so no row's computed score exceeds its widened bound. A
-    /// NaN bound (a row without a usable sketch) ranks as +∞: it is
-    /// scored, never skipped.
-    pub(crate) fn rank_by_bound(&self, q: usize, rows: Range<usize>, ranked: &mut Vec<Ranked>) {
+    /// Row `i`'s segment pairs: the half of its sketch whose dot product
+    /// with another row's is their bound.
+    fn sketch_pairs(&self, i: usize) -> &[f64] {
+        &self.sketch(i)[1..]
+    }
+
+    /// Row `q`'s share of a bound's widening: the rounding margin of
+    /// DESIGN.md §9, `ε · (stride + 5L + 3S + 32)` (L the longest
+    /// segment, S the segments), times row `q`'s norm bound.
+    fn widening(&self, q: usize) -> f64 {
         let (longest, segments) = (longest_segment(self.stride), sketch_segments(self.stride));
         let margin = (self.stride + 5 * longest + 3 * segments + 32) as f64 * f64::EPSILON;
-        let sketch_q = self.sketch(q);
-        let (scale, pairs_q) = (margin * sketch_q[0], &sketch_q[1..]);
-        let widen = |j: usize, bound: f64| {
-            let widened = bound + scale * self.sketch(j)[0];
-            if widened.is_nan() {
-                f64::INFINITY
-            } else {
-                widened
+        margin * self.sketch(q)[0]
+    }
+
+    /// `bound`, the sketch bound of row `j` against a row whose
+    /// [`SeriesMatrix::widening`] is `scale`, widened by `scale` times
+    /// row `j`'s norm bound, so that no computed score of the pair
+    /// exceeds it. A NaN (a row without a usable sketch) reads as +∞: the
+    /// pair is scored, never skipped.
+    fn widened(&self, bound: f64, scale: f64, j: usize) -> f64 {
+        let widened = bound + scale * self.sketch(j)[0];
+        if widened.is_nan() {
+            f64::INFINITY
+        } else {
+            widened
+        }
+    }
+
+    /// The widened bound of row `q` against each row `ranked` lists,
+    /// four rows per [`dot_block`] over the sketches.
+    fn bound_against(&self, q: usize, ranked: &mut [Ranked]) {
+        let (scale, pairs_q) = (self.widening(q), self.sketch_pairs(q));
+        let mut groups = ranked.chunks_exact_mut(4);
+        for group in &mut groups {
+            let candidates: [&[f64]; 4] =
+                std::array::from_fn(|c| self.sketch_pairs(group[c].index));
+            let [bounds] = dot_block([pairs_q], candidates);
+            for (r, bound) in group.iter_mut().zip(bounds) {
+                r.bound = self.widened(bound, scale, r.index);
             }
-        };
+        }
+        for r in groups.into_remainder() {
+            r.bound = self.widened(dot(pairs_q, self.sketch_pairs(r.index)), scale, r.index);
+        }
+    }
+
+    /// The rows of `rows` but `q`, each with its widened bound against
+    /// row `q`, into `ranked`, highest bound first (ties by index).
+    pub(crate) fn rank_by_bound(&self, q: usize, rows: Range<usize>, ranked: &mut Vec<Ranked>) {
         ranked.clear();
         ranked.extend(
             rows.filter(|&j| j != q)
                 .map(|index| Ranked { bound: 0.0, index }),
         );
-        let mut groups = ranked.chunks_exact_mut(4);
-        for group in &mut groups {
-            let candidates: [&[f64]; 4] =
-                std::array::from_fn(|c| &self.sketch(group[c].index)[1..]);
-            let [bounds] = dot_block([pairs_q], candidates);
-            for (r, bound) in group.iter_mut().zip(bounds) {
-                r.bound = widen(r.index, bound);
-            }
-        }
-        for r in groups.into_remainder() {
-            r.bound = widen(r.index, dot(pairs_q, &self.sketch(r.index)[1..]));
-        }
+        self.bound_against(q, ranked);
         ranked.sort_unstable_by(|a, b| b.bound.total_cmp(&a.bound).then(a.index.cmp(&b.index)));
+    }
+
+    /// Every row once, similar rows side by side: row 0 first, then
+    /// always the row not yet placed whose widened bound against the
+    /// last placed row is highest (ties by index). The all-pairs walk
+    /// lends its bands in this order, so that a band pair near the
+    /// diagonal holds rows that score high against each other and set
+    /// every row's threshold early (DESIGN.md §9). A heuristic over the
+    /// sketches alone — `n(n−1)/2` sketch dot products, no row read — and
+    /// a function of the matrix, so every worker builds the same one.
+    pub(crate) fn chain(&self) -> Vec<usize> {
+        if self.rows == 0 {
+            return Vec::new();
+        }
+        let mut last = 0;
+        let mut order = Vec::with_capacity(self.rows);
+        order.push(last);
+        let mut rest: Vec<Ranked> = (1..self.rows)
+            .map(|index| Ranked { bound: 0.0, index })
+            .collect();
+        let higher =
+            |x: &Ranked, y: &Ranked| x.bound.total_cmp(&y.bound).then(y.index.cmp(&x.index));
+        while !rest.is_empty() {
+            self.bound_against(last, &mut rest);
+            let best = (0..rest.len())
+                .max_by(|&x, &y| higher(&rest[x], &rest[y]))
+                .unwrap_or(0);
+            last = rest.swap_remove(best).index;
+            order.push(last);
+        }
+        order
     }
 }
 
@@ -499,10 +551,12 @@ impl TileConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Unordered pairs scored (each credited to both endpoints); the
-    /// naive scan scores `n(n-1)` ordered pairs, this kernel `n(n-1)/2`.
-    /// The query form over a resident matrix counts the rows it actually
-    /// scored: at most `n − 1` per query, fewer where sketch bounds let
-    /// it skip rows.
+    /// naive scan scores `n(n-1)` ordered pairs, this kernel at most
+    /// `n(n-1)/2`: over a resident matrix, fewer where sketch bounds let
+    /// it skip register blocks, and all of them over a streamed source
+    /// or where `k ≥ n − 1`. The query form over a resident matrix counts
+    /// the rows it actually scored: at most `n − 1` per query, fewer
+    /// where sketch bounds let it skip rows.
     pub pairs_scored: u64,
 }
 
@@ -566,24 +620,6 @@ impl TopKBuffer {
     }
 }
 
-/// Rows `start..start + rows` of the full matrix, lent row-major: a band
-/// of the resident [`SeriesMatrix`], or a band buffer filled from a
-/// streamed source.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RowBlock<'a> {
-    pub(crate) data: &'a [f64],
-    pub(crate) start: usize,
-    pub(crate) rows: usize,
-    pub(crate) stride: usize,
-}
-
-impl<'a> RowBlock<'a> {
-    #[inline]
-    pub(crate) fn row(&self, r: usize) -> &'a [f64] {
-        &self.data[r * self.stride..(r + 1) * self.stride]
-    }
-}
-
 /// Query rows per register block of the pair sweep on `ymm` (and of
 /// what the 8 × 4 `zmm` blocks of the AVX-512 tier leave over).
 const BLOCK_ROWS: usize = 4;
@@ -635,19 +671,32 @@ fn scan_rows(
 /// a row of the full matrix where every pair is scored
 /// ([`PairScorer::score`]), a query where only the queries' pairs are
 /// ([`PairScorer::score_queries`]).
-pub(crate) struct PairScorer {
+pub(crate) struct PairScorer<'f> {
     bufs: Vec<TopKBuffer>,
     query_block: usize,
     pairs_scored: u64,
+    /// Every row's floor, shared with the other workers walking the
+    /// same rows (`BandRows::floors`).
+    floors: Option<&'f [AtomicI64]>,
 }
 
-impl PairScorer {
-    /// Empty buffers for `slots` slots.
-    pub(crate) fn new(slots: usize, k: usize, cfg: &TileConfig) -> PairScorer {
+/// A floor no worker has published: −∞'s [`ordered_key`].
+pub(crate) const NO_FLOOR: i64 = ordered_key(f64::NEG_INFINITY);
+
+impl<'f> PairScorer<'f> {
+    /// Empty buffers for `slots` slots; `floors`, one per slot, where
+    /// the slots are rows whose thresholds other workers share.
+    pub(crate) fn new(
+        slots: usize,
+        k: usize,
+        cfg: &TileConfig,
+        floors: Option<&'f [AtomicI64]>,
+    ) -> PairScorer<'f> {
         PairScorer {
             bufs: (0..slots).map(|_| TopKBuffer::new(k)).collect(),
             query_block: cfg.block(),
             pairs_scored: 0,
+            floors,
         }
     }
 
@@ -671,8 +720,8 @@ impl PairScorer {
     pub(crate) fn score(&mut self, a: RowBlock<'_>, b: Option<RowBlock<'_>>) {
         let wide = active_tier() == SimdTier::Avx512;
         let mut q0 = 0;
-        while q0 < a.rows {
-            let q1 = (q0 + self.query_block).min(a.rows);
+        while q0 < a.rows() {
+            let q1 = (q0 + self.query_block).min(a.rows());
             let (candidates, first) = match b {
                 Some(b) => (b, 0),
                 None => {
@@ -682,7 +731,7 @@ impl PairScorer {
                     (a, q1)
                 }
             };
-            let (rows, cols) = (q0..q1, first..candidates.rows);
+            let (rows, cols) = (q0..q1, first..candidates.rows());
             if wide {
                 let (eights, fours) =
                     self.blocks::<WIDE_ROWS, WIDE_COLS>(a, rows.clone(), candidates, cols.clone());
@@ -713,7 +762,9 @@ impl PairScorer {
 
     /// The part of `rows` × `cols` that whole `R × C` register blocks
     /// cover, candidates outermost; returns the row and the column where
-    /// that part ends.
+    /// that part ends. A block of resident rows none of whose pairs can
+    /// enter either endpoint's top k is skipped
+    /// ([`PairScorer::cannot_enter`]).
     fn blocks<const R: usize, const C: usize>(
         &mut self,
         a: RowBlock<'_>,
@@ -725,13 +776,16 @@ impl PairScorer {
         let col_end = cols.start + cols.len() / C * C;
         for j in (cols.start..col_end).step_by(C) {
             for i in (rows.start..row_end).step_by(R) {
+                if self.cannot_enter::<R, C>(a, i, b, j) {
+                    continue;
+                }
                 let scores = dot_block::<R, C>(
                     std::array::from_fn(|r| a.row(i + r)),
                     std::array::from_fn(|c| b.row(j + c)),
                 );
                 for (r, row) in scores.into_iter().enumerate() {
                     for (c, dot) in row.into_iter().enumerate() {
-                        self.credit(a.start + i + r, b.start + j + c, dot);
+                        self.credit(a.index(i + r), b.index(j + c), dot);
                     }
                 }
             }
@@ -739,11 +793,75 @@ impl PairScorer {
         (row_end, col_end)
     }
 
+    /// Whether the `R × C` block of rows `i..i + R` of `a` against rows
+    /// `j..j + C` of `b` holds no pair that can enter either endpoint's
+    /// top k: every pair's widened sketch bound
+    /// ([`SeriesMatrix::widened`]), computed by one [`dot_block`] of the
+    /// same shape over the sketches, lies strictly below both endpoints'
+    /// thresholds ([`PairScorer::threshold`]). A threshold never exceeds
+    /// the final k-th score, so a skipped pair could neither enter nor
+    /// tie into either list (DESIGN.md §9). Streamed bands carry no
+    /// sketch, and an endpoint without a threshold yet has none: their
+    /// blocks are always scored.
+    fn cannot_enter<const R: usize, const C: usize>(
+        &mut self,
+        a: RowBlock<'_>,
+        i: usize,
+        b: RowBlock<'_>,
+        j: usize,
+    ) -> bool {
+        let (RowBlock::Listed { matrix: m, ids }, RowBlock::Listed { ids: cands, .. }) = (a, b)
+        else {
+            return false;
+        };
+        let (ids, cands) = (&ids[i..i + R], &cands[j..j + C]);
+        let row_kth: [f64; R] = std::array::from_fn(|r| self.threshold(ids[r]));
+        let cand_kth: [f64; C] = std::array::from_fn(|c| self.threshold(cands[c]));
+        if row_kth
+            .iter()
+            .chain(&cand_kth)
+            .any(|&t| t == f64::NEG_INFINITY)
+        {
+            return false;
+        }
+        let bounds = dot_block::<R, C>(
+            std::array::from_fn(|r| m.sketch_pairs(ids[r])),
+            std::array::from_fn(|c| m.sketch_pairs(cands[c])),
+        );
+        for ((bounds, &g), row_floor) in bounds.iter().zip(ids).zip(row_kth) {
+            let scale = m.widening(g);
+            for ((&bound, &h), cand_floor) in bounds.iter().zip(cands).zip(cand_kth) {
+                if m.widened(bound, scale, h) >= row_floor.min(cand_floor) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Row `g`'s threshold: the higher of its running k-th score and its
+    /// floor, which the former raises where it is higher; −∞ while
+    /// neither is known. Either is the k-th best of k pairs some worker
+    /// scored, so neither exceeds the final k-th score.
+    fn threshold(&mut self, g: usize) -> f64 {
+        let own = ordered_key(self.bufs[g].kth().unwrap_or(f64::NEG_INFINITY));
+        let Some(floor) = self.floors.map(|floors| &floors[g]) else {
+            return from_ordered_key(own);
+        };
+        // Relaxed: a floor publishes no other data, and whichever store
+        // a load sees, its value is a k-th score some worker held.
+        let shared = floor.load(Ordering::Relaxed);
+        if own > shared {
+            floor.fetch_max(own, Ordering::Relaxed);
+        }
+        from_ordered_key(own.max(shared))
+    }
+
     /// Row `i` of `a` against rows `rows` of `b`.
     #[inline]
     fn scan(&mut self, a: RowBlock<'_>, i: usize, b: RowBlock<'_>, rows: Range<usize>) {
         scan_rows(a.row(i), b, rows, |j, dot| {
-            self.credit(a.start + i, b.start + j, dot)
+            self.credit(a.index(i), b.index(j), dot)
         });
     }
 
@@ -762,20 +880,18 @@ impl PairScorer {
     /// over them ([`scan_rows`]); a query skips its own row by scanning
     /// around it.
     pub(crate) fn score_queries(&mut self, queries: &[usize], rows: &[&[f64]], band: RowBlock<'_>) {
-        for j in (0..band.rows).step_by(4) {
-            let group = j..(j + 4).min(band.rows);
+        for j in (0..band.rows()).step_by(4) {
+            let group = j..(j + 4).min(band.rows());
             for (slot, (&q, query)) in queries.iter().zip(rows).enumerate() {
-                let own = q.wrapping_sub(band.start);
-                let parts = if group.contains(&own) {
-                    [group.start..own, own + 1..group.end]
-                } else {
-                    [group.clone(), group.end..group.end]
+                let parts = match group.clone().find(|&r| band.index(r) == q) {
+                    Some(own) => [group.start..own, own + 1..group.end],
+                    None => [group.clone(), group.end..group.end],
                 };
                 for part in parts {
                     scan_rows(query, band, part, |c, score| {
                         self.pairs_scored += 1;
                         self.bufs[slot].push(SimilarityMatch {
-                            index: band.start + c,
+                            index: band.index(c),
                             score,
                         });
                     });
@@ -840,12 +956,13 @@ impl PairScorer {
 }
 
 /// One worker's share of the in-memory all-pairs kernel: the similarity
-/// walk over `m` (unit rows), lent as bands of `cfg.query_block` rows,
-/// where each tile row `t` claimed from `claim` (e.g. an atomic counter
-/// shared across workers) is triangle row `t` of the band pairs: band
-/// `t` with itself and every later band. Returns per-query partial
-/// top-k lists (each the exact k best of the pairs this worker scored)
-/// plus scoring stats.
+/// walk over `m` (unit rows), lent as bands of `cfg.query_block` rows in
+/// chain order, where each tile row `t` claimed from `claim` (e.g. an
+/// atomic counter shared across workers) is diagonal `t` of the band
+/// pairs: every band with the band `t` places after it. Returns
+/// per-query partial top-k lists (each the exact k best of the pairs
+/// this worker was handed — each call builds its own chain and skips
+/// only pairs its own running thresholds rule out) plus scoring stats.
 ///
 /// Feed the partials of all workers to [`merge_partials`] to obtain the
 /// final answer; the claimed tile rows must partition `0..cfg.tile_rows(n)`
@@ -865,7 +982,7 @@ pub fn top_k_tiled_partial(
         assert!(t < tiles, "tile row {t} out of range ({tiles})");
         Some(triangle_row(tiles, t))
     };
-    let Ok((partial, stats)) = similarity_walk(m, Pairs::All, k, cfg, Some(&row));
+    let Ok((partial, stats)) = similarity_walk(&Resident::new(m), Pairs::All, k, cfg, Some(&row));
     (partial, stats.kernel)
 }
 
@@ -902,7 +1019,7 @@ pub fn top_k_tiled(
     k: usize,
     cfg: &TileConfig,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    let Ok((matches, stats)) = similarity_walk(m, Pairs::All, k, cfg, None);
+    let Ok((matches, stats)) = similarity_walk(&Resident::new(m), Pairs::All, k, cfg, None);
     (matches, stats.kernel)
 }
 
@@ -915,7 +1032,7 @@ pub fn top_k_tiled(
 /// Panics if `q` is not a row of `m`.
 pub fn top_k_query(m: &SeriesMatrix, q: usize, k: usize) -> Vec<SimilarityMatch> {
     let cfg = TileConfig::current();
-    let Ok((mut hits, _)) = similarity_walk(m, Pairs::Queries(&[q]), k, &cfg, None);
+    let Ok((mut hits, _)) = similarity_walk(&Resident::new(m), Pairs::Queries(&[q]), k, &cfg, None);
     hits.pop().unwrap_or_default()
 }
 
@@ -923,7 +1040,7 @@ pub fn top_k_query(m: &SeriesMatrix, q: usize, k: usize) -> Vec<SimilarityMatch>
 mod tests {
     use super::*;
     use crate::similarity::top_k_cosine;
-    use crate::testutil::pseudo_series;
+    use crate::testutil::{pseudo_series, resident_pairs_ok};
     use smda_types::BitEq;
 
     #[test]
@@ -1012,8 +1129,8 @@ mod tests {
             let m = SeriesMatrix::from_rows_normalized(&rows);
             let (tiled, stats) = top_k_tiled(&m, 5, &TileConfig::default());
             assert!(naive.bits_eq(&tiled));
-            let expect_pairs = (n * n.saturating_sub(1) / 2) as u64;
-            assert_eq!(stats.pairs_scored, expect_pairs, "n={n}");
+            let scored = stats.pairs_scored;
+            assert!(resident_pairs_ok(scored, n, 5), "n={n}: {scored} pairs");
         }
     }
 

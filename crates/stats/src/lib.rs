@@ -55,4 +55,4 @@ pub use similarity::{
     cosine_similarity, dot, dot_scalar, norm2, norm2_rows, normalize_all, select_top_k, sumsq,
     top_k_cosine, top_k_normalized, SimilarityMatch,
 };
-pub use walk::{band_count, band_pair_count, similarity_walk, Pairs, Streamed};
+pub use walk::{band_count, band_pair_count, similarity_walk, Pairs, Resident, Streamed};

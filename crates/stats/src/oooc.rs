@@ -130,7 +130,7 @@ mod tests {
     use super::*;
     use crate::kernels::{top_k_query, top_k_tiled, SeriesMatrix};
     use crate::merge_partials;
-    use crate::testutil::{flat, pseudo_series};
+    use crate::testutil::{flat, pseudo_series, resident_pairs_ok};
     use crate::walk::{band_count, band_pair_at, band_pair_count};
     use proptest::prelude::*;
     use smda_types::{BitEq, Error};
@@ -195,6 +195,8 @@ mod tests {
             let rows = pseudo_series(n, 31, 11 + n as u64);
             let m = SeriesMatrix::from_rows_normalized(&rows);
             let (expect, expect_stats) = top_k_tiled(&m, 5, &cfg);
+            let scored = expect_stats.pairs_scored;
+            assert!(resident_pairs_ok(scored, n, 5), "n={n}: {scored} pairs");
             let (data, stride) = flat(&rows);
             let src = SliceSource::new(&data, n, stride);
             // band=1 and band >= n are the degenerate extremes.
@@ -202,7 +204,8 @@ mod tests {
                 let (got, stats) = top_k_oooc(&src, 5, band_rows, &cfg).unwrap();
                 assert!(expect.bits_eq(&got));
                 assert_eq!(
-                    stats.kernel.pairs_scored, expect_stats.pairs_scored,
+                    stats.kernel.pairs_scored,
+                    (n * n.saturating_sub(1) / 2) as u64,
                     "n={n} band={band_rows}"
                 );
             }

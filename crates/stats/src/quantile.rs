@@ -37,7 +37,7 @@ fn type7_ranks(n: usize, q: f64) -> (usize, usize, f64) {
 /// larger magnitude becomes a smaller integer), applied once per value
 /// instead. `−0.0` maps to `−1` and `+0.0` to `0`; the infinities bracket
 /// the finite values. [`from_ordered_key`] inverts it exactly.
-pub fn ordered_key(v: f64) -> i64 {
+pub const fn ordered_key(v: f64) -> i64 {
     let bits = v.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }

@@ -1,15 +1,17 @@
 //! Property-based tests for the statistics substrate.
 
+use std::cell::Cell;
 use std::ops::Range;
 
 use proptest::prelude::*;
 use smda_stats::linalg::Matrix;
 use smda_stats::simd::{LANE_COLS, LANE_LAGS};
 use smda_stats::{
-    cosine_similarity, dot_block, dot_scalar, from_ordered_key, mean, norm2, norm2_rows,
-    ols_multiple, ols_simple, ordered_key, quantile_sorted, quantiles_by_selection,
-    sample_variance, select_top_k, top_k_cosine, top_k_query, top_k_tiled, under_every_tier,
-    EquiWidthHistogram, FitScratch, GaussianNoise, HourlyFit, KMeans, KMeansConfig, OnlineStats,
+    band_pair_count, cosine_similarity, dot, dot_block, dot_scalar, from_ordered_key, mean,
+    merge_partials, norm2, norm2_rows, ols_multiple, ols_simple, ordered_key, quantile_sorted,
+    quantiles_by_selection, sample_variance, select_top_k, similarity_walk, top_k_cosine,
+    top_k_query, top_k_tiled, top_k_tiled_partial, under_every_tier, EquiWidthHistogram,
+    FitScratch, GaussianNoise, HourlyFit, KMeans, KMeansConfig, OnlineStats, Pairs, Resident,
     SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
 use smda_types::BitEq;
@@ -65,6 +67,18 @@ fn every_block_shape_matches_scalar(rows: &[&[f64]]) -> bool {
         && block_matches_scalar::<1, 3>(rows)
         && block_matches_scalar::<1, 2>(rows)
         && block_matches_scalar::<1, 1>(rows)
+}
+
+/// Whether `dot_block::<R, C>` over the first `R` of `rows` against the
+/// next `C` is the transpose of `dot_block::<C, R>` over them the other
+/// way round, bit for bit.
+fn block_is_symmetric<const R: usize, const C: usize>(rows: &[&[f64]]) -> bool {
+    let queries: [&[f64]; R] = std::array::from_fn(|r| rows[r]);
+    let candidates: [&[f64]; C] = std::array::from_fn(|c| rows[R + c]);
+    let forward = dot_block(queries, candidates);
+    let back = dot_block(candidates, queries);
+    let transposed: [[f64; C]; R] = std::array::from_fn(|r| std::array::from_fn(|c| back[c][r]));
+    forward.bits_eq(&transposed)
 }
 
 /// Rows of `len` awkward values, row `r` skewed `skews[r]` elements off
@@ -434,16 +448,26 @@ proptest! {
         let cfg = TileConfig { query_block };
         let (tiled, stats) = top_k_tiled(&m, k, &cfg);
         prop_assert!(naive.bits_eq(&tiled));
-        let n = series.len() as u64;
-        prop_assert_eq!(stats.pairs_scored, n * n.saturating_sub(1) / 2);
+        // Each pair once where no row can hold a threshold (k ≥ n − 1),
+        // at most that many where sketch bounds may skip blocks.
+        let (n, scored) = (series.len(), stats.pairs_scored);
+        let dense = (n * n.saturating_sub(1) / 2) as u64;
+        prop_assert!(scored <= dense && (k < n.saturating_sub(1) || scored == dense));
     }
 
-    /// The query form skips rows by their sketch bounds; what it returns
-    /// is still the naive scan's, bit for bit, for every query row: rows
+    /// The query form skips rows by their sketch bounds, and the
+    /// all-pairs walk skips register blocks by them; what either returns
+    /// is still the naive scan's, bit for bit, for every row: rows
     /// repeated exactly (ties on the threshold), zero rows, negative
     /// values, rows of very different norms written verbatim with
-    /// `set_row`, a `clone()` of the matrix, strides shorter than one
-    /// week and past whole ones, and k from zero to `usize::MAX`.
+    /// `set_row` — with `extreme`, some of them scaled by 2³⁰⁰ or 2⁻³⁰⁰,
+    /// whose sketches are NaN and never skipped — a `clone()` of the
+    /// matrix, strides shorter than one week and past whole ones, and k
+    /// from zero to `usize::MAX`. The all-pairs walk runs sequentially at
+    /// every query block, as single band pairs handed round-robin to one,
+    /// two and four workers (a pool's partition of the units, each worker
+    /// with thresholds of its own), and as tile rows strided over as many
+    /// (the cluster's claims), partials merged.
     #[test]
     fn query_form_matches_the_naive_scan(
         n in 2usize..26,
@@ -453,10 +477,17 @@ proptest! {
         negative in any::<bool>(),
         zero_every in 0usize..7,
         verbatim in any::<bool>(),
+        extreme in any::<bool>(),
         cloned in any::<bool>()
     ) {
-        let rows = query_rows(n, QUERY_STRIDES[stride], distinct, seed, negative, zero_every);
+        let mut rows = query_rows(n, QUERY_STRIDES[stride], distinct, seed, negative, zero_every);
         let m = if verbatim {
+            if extreme {
+                for (i, row) in rows.iter_mut().enumerate() {
+                    let scale = [1.0, 1.0, 2f64.powi(300), 2f64.powi(-300)][i % 4];
+                    row.iter_mut().for_each(|v| *v *= scale);
+                }
+            }
             let builder = SeriesMatrixBuilder::new(n, QUERY_STRIDES[stride]);
             for (i, row) in rows.iter().enumerate() {
                 builder.set_row(i, row);
@@ -466,12 +497,75 @@ proptest! {
             SeriesMatrix::from_rows_normalized(&rows)
         };
         let m = if cloned { m.clone() } else { m };
-        for q in 0..n {
-            for k in [0, 1, n - 2, n - 1, n, usize::MAX] {
-                let got = top_k_query(&m, q, k);
-                prop_assert!(got.bits_eq(&naive_top_k(&m, q, k)), "query {} k {}", q, k);
+        // The pair count of an all-pairs walk, as in the test above.
+        let dense = (n * (n - 1) / 2) as u64;
+        for k in [0, 1, 3, n - 2, n - 1, n, usize::MAX] {
+            let naive: Vec<Vec<SimilarityMatch>> = (0..n).map(|q| naive_top_k(&m, q, k)).collect();
+            for (q, want) in naive.iter().enumerate() {
+                prop_assert!(top_k_query(&m, q, k).bits_eq(want), "query {} k {}", q, k);
+            }
+            for query_block in 0..=9 {
+                let cfg = TileConfig { query_block };
+                let (tiled, stats) = top_k_tiled(&m, k, &cfg);
+                prop_assert!(tiled.bits_eq(&naive), "tiled k {} block {}", k, query_block);
+                let scored = stats.pairs_scored;
+                prop_assert!(scored <= dense && (k < n - 1 || scored == dense));
+            }
+            let cfg = TileConfig::default();
+            let (units, tiles) = (band_pair_count(cfg.tile_rows(n)), cfg.tile_rows(n));
+            for workers in [1usize, 2, 4] {
+                let strided = |w: usize, end: usize| {
+                    let next = Cell::new(w);
+                    move || {
+                        let t = next.get();
+                        next.set(t + workers);
+                        (t < end).then_some(t)
+                    }
+                };
+                let (mut pooled, mut scored) = (Vec::new(), 0);
+                let rows = Resident::new(&m);
+                for w in 0..workers {
+                    let claim = strided(w, units);
+                    let unit = || claim().map(|t| t..t + 1);
+                    let Ok((partial, stats)) =
+                        similarity_walk(&rows, Pairs::All, k, &cfg, Some(&unit));
+                    pooled.push(partial);
+                    scored += stats.kernel.pairs_scored;
+                }
+                let pooled = merge_partials(n, pooled, k);
+                prop_assert!(pooled.bits_eq(&naive), "{} workers, k {}", workers, k);
+                prop_assert!(scored <= dense && (k < n - 1 || scored == dense));
+                let partials = (0..workers)
+                    .map(|w| top_k_tiled_partial(&m, k, &cfg, &strided(w, tiles)).0)
+                    .collect();
+                let merged = merge_partials(n, partials, k);
+                prop_assert!(merged.bits_eq(&naive), "{} strided tile rows, k {}", workers, k);
             }
         }
+    }
+
+    /// Skipping a block rests on a pair scoring the same bits whichever
+    /// row is the query: `dot` commutes bitwise, and every block shape the
+    /// kernels run equals its transpose run the other way round, under
+    /// every tier.
+    #[test]
+    fn pair_kernel_is_bitwise_symmetric(
+        len in 0usize..=67,
+        pool in prop::collection::vec(awkward_f64(), SHAPE_ROWS * 67)
+    ) {
+        let rows: Vec<&[f64]> = pool.chunks(67).map(|row| &row[..len]).collect();
+        under_every_tier(|tier| {
+            assert!(
+                block_is_symmetric::<8, 4>(&rows)
+                    && block_is_symmetric::<4, 2>(&rows)
+                    && block_is_symmetric::<1, 4>(&rows)
+                    && block_is_symmetric::<1, 1>(&rows),
+                "a block and its transpose differ: tier {tier:?}, len {len}"
+            );
+            for (a, b) in rows.iter().zip(rows.iter().skip(1)) {
+                assert!(dot(a, b).bits_eq(&dot(b, a)), "dot: tier {tier:?}, len {len}");
+            }
+        });
     }
 
     #[test]

@@ -168,3 +168,79 @@ fn out_of_core_run_computes_each_norm_once() {
         assert_eq!(loads, Some(16), "{encoding:?}");
     }
 }
+
+/// The pooled all-pairs walk at one, two and four threads — each worker
+/// skipping register blocks by its own running thresholds — over rows
+/// built to press on the skip: exact duplicates (ties on the threshold),
+/// zero rows, rows written verbatim with `set_row` at norms of 2³⁰⁰ and
+/// 2⁻³⁰⁰ (no usable sketch, so never skipped), and a `clone()` of each
+/// matrix. Every answer is the naive scan's over the stored rows, bit
+/// for bit.
+#[test]
+fn pooled_all_pairs_is_exact_on_adversarial_rows() {
+    use smda_engines::parallel::top_k_matrix;
+    use smda_stats::{
+        dot_scalar, select_top_k, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch,
+    };
+    use smda_types::BitEq;
+
+    let (n, stride) = (44, 200);
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 1024) as f64 / 1024.0
+    };
+    let shapes: Vec<Vec<f64>> = (0..5)
+        .map(|s| {
+            (0..stride)
+                .map(|h| 1.5 + ((h + 5 * s) as f64 * 0.26).sin() + 0.2 * next())
+                .collect()
+        })
+        .collect();
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| match i % 11 {
+            1 => vec![0.0; stride],
+            _ => shapes[i % 5].clone(),
+        })
+        .collect();
+    let verbatim = SeriesMatrixBuilder::new(n, stride);
+    for (i, row) in rows.iter().enumerate() {
+        let scale = [1.0, 2f64.powi(300), 1.0, 2f64.powi(-300)][i % 4];
+        verbatim.set_row(i, &row.iter().map(|v| v * scale).collect::<Vec<f64>>());
+    }
+    let normalized = SeriesMatrix::from_rows_normalized(&rows);
+    let verbatim = verbatim.finish();
+    let sink = MetricsSink::disabled();
+    let mut skipped = false;
+    for m in [
+        &normalized,
+        &normalized.clone(),
+        &verbatim,
+        &verbatim.clone(),
+    ] {
+        for k in [1, 3, SIMILARITY_TOP_K] {
+            let naive: Vec<Vec<SimilarityMatch>> = (0..n)
+                .map(|q| {
+                    let mut hits: Vec<SimilarityMatch> = (0..n)
+                        .filter(|&j| j != q)
+                        .map(|j| SimilarityMatch {
+                            index: j,
+                            score: dot_scalar(m.row(q), m.row(j)),
+                        })
+                        .collect();
+                    select_top_k(&mut hits, k);
+                    hits
+                })
+                .collect();
+            for threads in [1, 2, 4] {
+                let (got, stats) = top_k_matrix(m, k, threads, &sink);
+                assert!(got.bits_eq(&naive), "k {k}, {threads} threads");
+                assert!(stats.pairs_scored <= (n * (n - 1) / 2) as u64);
+                skipped |= stats.pairs_scored < (n * (n - 1) / 2) as u64;
+            }
+        }
+    }
+    assert!(skipped, "no walk skipped a register block");
+}
