@@ -62,7 +62,7 @@ pub fn current_bytes() -> usize {
     CURRENT.load(Ordering::Relaxed)
 }
 
-/// Peak heap bytes since the last [`reset_peak`].
+/// Peak heap bytes since the last measured region began.
 pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
@@ -74,7 +74,7 @@ pub fn total_bytes() -> usize {
 }
 
 /// Reset the peak to the current level (call before a measured region).
-pub fn reset_peak() {
+fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 

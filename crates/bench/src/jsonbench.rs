@@ -85,11 +85,6 @@ fn observe_run(engine: &mut dyn Platform, spec: &RunSpec) -> RunResult {
     result.expect("run succeeds on loaded data")
 }
 
-/// Run the instrumented matrix at `scale` and collect the export.
-pub fn run_json_bench(scale: Scale) -> BenchExport {
-    run_json_bench_with(scale, None)
-}
-
 /// Run the instrumented matrix with an optional fault plan applied to
 /// the cluster engines (the single-server platforms have no cluster to
 /// break, so they run clean either way). With a plan, each cluster
@@ -200,7 +195,7 @@ mod tests {
 
     #[test]
     fn export_covers_every_platform_and_task() {
-        let export = run_json_bench(Scale::smoke());
+        let export = run_json_bench_with(Scale::smoke(), None);
         // 3 single-server platforms × 4 tasks × {warm, cold} + the
         // binary-backed twin and its out-of-core twin × 4 cold tasks
         // each + 2 cluster engines × 4 tasks.

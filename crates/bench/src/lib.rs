@@ -20,7 +20,7 @@ pub mod runner;
 pub mod scale;
 
 pub use cli::BenchArgs;
-pub use jsonbench::{run_json_bench, run_json_bench_with};
+pub use jsonbench::run_json_bench_with;
 pub use report::Table;
-pub use runner::{run_experiment, Gate, EXPERIMENT_IDS, GATES};
+pub use runner::{Gate, EXPERIMENT_IDS, GATES};
 pub use scale::Scale;

@@ -64,7 +64,7 @@ impl Table {
     }
 
     /// Render as CSV.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{}", self.columns.join(","));
         for row in &self.rows {

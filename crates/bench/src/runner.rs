@@ -65,11 +65,6 @@ pub(crate) fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Table>> {
     })
 }
 
-/// Run one experiment by id.
-pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
-    experiment(id).map(|run| run(scale))
-}
-
 /// An equivalence gate: `Ok` carries the one-line summary, `Err` what
 /// diverged.
 pub type Gate = fn(Scale) -> std::result::Result<String, String>;
@@ -1105,13 +1100,15 @@ mod tests {
 
     #[test]
     fn unknown_id_returns_none() {
-        assert!(run_experiment("fig99", Scale::smoke()).is_none());
+        assert!(experiment("fig99").map(|run| run(Scale::smoke())).is_none());
     }
 
     #[test]
     fn composite_aliases_resolve() {
         // Cheap check on the static registry only (table1 is static).
-        assert!(run_experiment("table1", Scale::smoke()).is_some());
+        assert!(experiment("table1")
+            .map(|run| run(Scale::smoke()))
+            .is_some());
     }
 
     #[test]

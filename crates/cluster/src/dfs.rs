@@ -113,7 +113,7 @@ impl SimDfs {
     }
 
     /// Datanodes still alive, in ascending order.
-    pub fn healthy_nodes(&self) -> Vec<usize> {
+    fn healthy_nodes(&self) -> Vec<usize> {
         (0..self.config.nodes)
             .filter(|n| !self.dead.contains(n))
             .collect()
@@ -259,11 +259,6 @@ impl SimDfs {
             }
         }
         created
-    }
-
-    /// Number of files stored.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
     }
 
     /// The input splits for a set of files, in deterministic order. A
@@ -530,6 +525,6 @@ mod tests {
         dfs.ingest("tmp", 10, true).unwrap();
         assert!(dfs.delete("tmp"));
         assert!(!dfs.delete("tmp"));
-        assert_eq!(dfs.file_count(), 0);
+        assert!(dfs.files.is_empty());
     }
 }

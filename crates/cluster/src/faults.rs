@@ -99,15 +99,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan injects anything at all.
-    pub fn is_noop(&self) -> bool {
-        self.task_failure_rate <= 0.0
-            && self.crashes.is_empty()
-            && self.slow_nodes.is_empty()
-            && self.replica_losses == 0
-            && self.speculation_threshold <= 0.0
-    }
-
     /// Deterministic failure draw for one task attempt. A pure function
     /// of `(seed, phase, task, attempt)`: the same plan replayed against
     /// the same job fails exactly the same attempts.
@@ -247,7 +238,6 @@ mod tests {
     #[test]
     fn default_plan_is_noop() {
         let plan = FaultPlan::default();
-        assert!(plan.is_noop());
         assert!(!plan.attempt_fails(0, 0, 0));
         assert_eq!(plan.slow_factor(3), 1.0);
     }
@@ -381,6 +371,6 @@ mod tests {
 
     #[test]
     fn parse_empty_spec_is_noop() {
-        assert!(FaultPlan::parse("").unwrap().is_noop());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }
 }

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use smda_core::tasks::collect_consumer_results;
 use smda_core::{consumer_matches, Task, TaskOutput, SIMILARITY_TOP_K};
 use smda_obs::{counters, MetricsSink};
-use smda_stats::{merge_partials, SeriesMatrixBuilder, TileConfig};
+use smda_stats::{merge_partials, TileConfig};
 use smda_storage::wal::{replay_frames, FrameLog};
 use smda_types::{BitEq, Dataset, Error, Result, HOURS_PER_YEAR};
 
@@ -101,7 +101,7 @@ pub struct RealRunReport {
 /// `SMDA_WORKER_BIN` override, the current executable when it *is*
 /// `smda`, a sibling of the running (test) binary, or the workspace
 /// target directory as a last resort.
-pub fn worker_binary() -> Result<PathBuf> {
+fn worker_binary() -> Result<PathBuf> {
     if let Ok(path) = std::env::var("SMDA_WORKER_BIN") {
         return Ok(PathBuf::from(path));
     }
@@ -298,11 +298,6 @@ impl RealCluster {
     /// Workers currently believed alive.
     pub fn live_workers(&self) -> usize {
         self.live.load(Ordering::SeqCst)
-    }
-
-    /// The shuffle WAL directory for this cluster.
-    pub fn wal_dir(&self) -> &Path {
-        &self.wal_dir
     }
 
     fn mark_dead(&self, worker: &WorkerHandle, counter: Option<&'static str>) {
@@ -757,16 +752,13 @@ impl Drop for RealCluster {
     }
 }
 
-/// The consumer ids and normalized rows the coordinator ships — built
-/// exactly as [`smda_core::similarity_search`] builds its matrix, so
-/// worker-side verbatim reassembly is bit-exact.
+/// The consumer ids and normalized rows the coordinator ships — the
+/// rows of [`smda_core::unit_matrix`], the matrix
+/// [`smda_core::similarity_search`] scores, so worker-side verbatim
+/// reassembly is bit-exact.
 fn normalized_rows(ds: &Dataset) -> (Vec<smda_types::ConsumerId>, Vec<Vec<f64>>) {
     let ids: Vec<smda_types::ConsumerId> = ds.consumers().iter().map(|c| c.id).collect();
-    let builder = SeriesMatrixBuilder::new(ids.len(), HOURS_PER_YEAR);
-    for (row, c) in ds.consumers().iter().enumerate() {
-        builder.set_row_normalized(row, c.readings());
-    }
-    let matrix = builder.finish();
+    let matrix = smda_core::unit_matrix(ds);
     let rows = (0..matrix.rows()).map(|i| matrix.row(i).to_vec()).collect();
     (ids, rows)
 }

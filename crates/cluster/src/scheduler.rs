@@ -54,7 +54,7 @@ pub struct ClusterTopology {
 
 impl ClusterTopology {
     /// Total slots.
-    pub fn total_slots(&self) -> usize {
+    fn total_slots(&self) -> usize {
         self.workers * self.slots_per_worker
     }
 }
@@ -74,19 +74,6 @@ pub struct SimTask {
     /// Extra bytes pulled over the network regardless of placement
     /// (shuffle input, broadcast variables).
     pub shuffle_bytes: u64,
-}
-
-impl SimTask {
-    /// A pure-compute task.
-    pub fn compute_only(compute: Duration) -> Self {
-        SimTask {
-            input_bytes: 0,
-            locality: Vec::new(),
-            compute,
-            output_bytes: 0,
-            shuffle_bytes: 0,
-        }
-    }
 }
 
 /// Outcome of scheduling one phase.
@@ -697,6 +684,17 @@ mod tests {
     use super::*;
     use crate::faults::SlowNode;
 
+    /// A pure-compute task.
+    fn compute_only(compute: Duration) -> SimTask {
+        SimTask {
+            input_bytes: 0,
+            locality: Vec::new(),
+            compute,
+            output_bytes: 0,
+            shuffle_bytes: 0,
+        }
+    }
+
     fn topo(workers: usize, slots: usize) -> ClusterTopology {
         ClusterTopology {
             workers,
@@ -712,7 +710,7 @@ mod tests {
     fn parallel_tasks_overlap() {
         let mut sched = VirtualScheduler::new(topo(4, 1));
         let tasks: Vec<SimTask> = (0..4)
-            .map(|_| SimTask::compute_only(Duration::from_secs(1)))
+            .map(|_| compute_only(Duration::from_secs(1)))
             .collect();
         let result = sched.run_phase(&tasks, Duration::ZERO);
         // 4 tasks on 4 slots: makespan ≈ 1 task, not 4.
@@ -722,7 +720,7 @@ mod tests {
     #[test]
     fn more_workers_reduce_makespan() {
         let tasks: Vec<SimTask> = (0..32)
-            .map(|_| SimTask::compute_only(Duration::from_secs(1)))
+            .map(|_| compute_only(Duration::from_secs(1)))
             .collect();
         let t4 = VirtualScheduler::new(topo(4, 1))
             .run_phase(&tasks, Duration::ZERO)
@@ -781,7 +779,7 @@ mod tests {
     #[test]
     fn barrier_delays_phase() {
         let mut sched = VirtualScheduler::new(topo(2, 1));
-        let tasks = vec![SimTask::compute_only(Duration::from_secs(1))];
+        let tasks = vec![compute_only(Duration::from_secs(1))];
         let result = sched.run_phase(&tasks, Duration::from_secs(10));
         assert!(result.end >= Duration::from_secs(11));
     }
@@ -789,17 +787,11 @@ mod tests {
     #[test]
     fn phases_accumulate_across_run_calls() {
         let mut sched = VirtualScheduler::new(topo(1, 1));
-        let t1 = sched.run_phase(
-            &[SimTask::compute_only(Duration::from_secs(1))],
-            Duration::ZERO,
-        );
-        let t2 = sched.run_phase(&[SimTask::compute_only(Duration::from_secs(1))], t1.end);
+        let t1 = sched.run_phase(&[compute_only(Duration::from_secs(1))], Duration::ZERO);
+        let t2 = sched.run_phase(&[compute_only(Duration::from_secs(1))], t1.end);
         assert!(t2.end > t1.end + Duration::from_secs(1) - Duration::from_millis(100));
         sched.reset();
-        let t3 = sched.run_phase(
-            &[SimTask::compute_only(Duration::from_secs(1))],
-            Duration::ZERO,
-        );
+        let t3 = sched.run_phase(&[compute_only(Duration::from_secs(1))], Duration::ZERO);
         assert!(t3.end < t2.end);
     }
 
@@ -807,7 +799,7 @@ mod tests {
     fn node_busy_accounts_all_work() {
         let mut sched = VirtualScheduler::new(topo(3, 2));
         let tasks: Vec<SimTask> = (0..12)
-            .map(|_| SimTask::compute_only(Duration::from_millis(500)))
+            .map(|_| compute_only(Duration::from_millis(500)))
             .collect();
         let result = sched.run_phase(&tasks, Duration::ZERO);
         let busy: Duration = result.node_busy.iter().sum();
@@ -819,7 +811,7 @@ mod tests {
 
     fn long_phase() -> Vec<SimTask> {
         (0..16)
-            .map(|_| SimTask::compute_only(Duration::from_secs(1)))
+            .map(|_| compute_only(Duration::from_secs(1)))
             .collect()
     }
 

@@ -21,7 +21,7 @@ use smda_types::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 use smda_types::{Error, Result};
 
 /// Whether an error is a connect/read deadline expiry.
-pub fn is_timeout(err: &Error) -> bool {
+fn is_timeout(err: &Error) -> bool {
     match err {
         Error::Io { source, .. } => matches!(
             source.kind(),
@@ -214,11 +214,6 @@ impl Endpoint {
             config,
             metrics,
         }
-    }
-
-    /// The worker address this endpoint talks to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     fn attempt(&self, request: &[u8], read_timeout: Duration) -> Result<Vec<u8>> {

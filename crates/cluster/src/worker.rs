@@ -364,7 +364,7 @@ fn read_fit(c: &mut WireCursor<'_>) -> Result<PiecewiseFit> {
 /// shuffle and the WAL. Lossless: every `f64` goes by bit pattern, and
 /// nothing but the results goes at all, so
 /// `encode_results(decode_results(b)) == b`.
-pub fn encode_results(results: &[ConsumerResult]) -> Vec<u8> {
+fn encode_results(results: &[ConsumerResult]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u32(&mut buf, results.len() as u32);
     for r in results {
@@ -406,7 +406,7 @@ pub fn encode_results(results: &[ConsumerResult]) -> Vec<u8> {
     buf
 }
 
-/// Decode a [`ConsumerResult`] list produced by [`encode_results`].
+/// Decode a [`ConsumerResult`] list produced by `encode_results`.
 pub fn decode_results(buf: &[u8]) -> Result<Vec<ConsumerResult>> {
     let mut c = WireCursor::new(buf, "consumer results");
     let n = c.u32("result count")?;
@@ -481,7 +481,7 @@ pub fn decode_results(buf: &[u8]) -> Result<Vec<ConsumerResult>> {
 // ---------------------------------------------------------------------------
 
 /// Encode per-query top-k partials plus the pairs-scored count.
-pub fn encode_partial(rows: &[Vec<SimilarityMatch>], pairs_scored: u64) -> Vec<u8> {
+fn encode_partial(rows: &[Vec<SimilarityMatch>], pairs_scored: u64) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u32(&mut buf, rows.len() as u32);
     for hits in rows {
@@ -495,7 +495,7 @@ pub fn encode_partial(rows: &[Vec<SimilarityMatch>], pairs_scored: u64) -> Vec<u
     buf
 }
 
-/// Decode a similarity partial produced by [`encode_partial`].
+/// Decode a similarity partial produced by `encode_partial`.
 pub fn decode_partial(buf: &[u8]) -> Result<(Vec<Vec<SimilarityMatch>>, u64)> {
     let mut c = WireCursor::new(buf, "similarity partial");
     let n = c.u32("row count")?;

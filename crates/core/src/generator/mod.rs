@@ -206,7 +206,7 @@ impl DataGenerator {
     }
 
     /// Generate one synthetic consumer (Figure 3's per-series pipeline).
-    pub fn generate_series(
+    fn generate_series(
         &self,
         id: ConsumerId,
         temperature: &TemperatureSeries,

@@ -104,7 +104,7 @@ fn shape(values: [(usize, usize, f64); 5]) -> [f64; HOURS_PER_DAY] {
 
 /// The built-in archetypes. Six distinct daily habits give k-means in the
 /// parent module real structure to find.
-pub fn archetypes() -> Vec<Archetype> {
+fn archetypes() -> Vec<Archetype> {
     vec![
         Archetype {
             name: "early-bird family",

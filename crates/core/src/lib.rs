@@ -40,7 +40,9 @@ pub use generator::{DataGenerator, GeneratorConfig, SeedConfig, WeatherConfig};
 pub use histogram_task::{consumer_histograms, ConsumerHistogram, HISTOGRAM_BUCKETS};
 pub use par::{fit_par, fit_par_baseline, fit_par_scratch, HourModel, ParModel, PAR_ORDER};
 pub use queries::task_output_results;
-pub use similarity::{consumer_matches, similarity_search, ConsumerMatches, SIMILARITY_TOP_K};
+pub use similarity::{
+    consumer_matches, similarity_search, unit_matrix, ConsumerMatches, SIMILARITY_TOP_K,
+};
 /// The fitting arena the kernel runs through — named in this crate's
 /// signatures, so a caller need not depend on `smda-stats` to hold one.
 pub use smda_stats::scratch::{with_fit_scratch, FitScratch};

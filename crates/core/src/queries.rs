@@ -46,7 +46,7 @@ pub fn par_result(m: &ParModel) -> QueryResult {
 }
 
 /// A similarity match list as a typed result.
-pub fn similarity_result(m: &ConsumerMatches) -> QueryResult {
+fn similarity_result(m: &ConsumerMatches) -> QueryResult {
     QueryResult::TopKSimilar {
         consumer: m.consumer,
         matches: m.matches.clone(),

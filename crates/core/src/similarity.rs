@@ -5,7 +5,7 @@
 //! series. Quadratic in the number of consumers — the task the paper uses
 //! to stress cross-series computation.
 
-use smda_stats::{top_k_tiled, SeriesMatrixBuilder, SimilarityMatch, TileConfig};
+use smda_stats::{top_k_tiled, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig};
 use smda_types::{ConsumerId, Dataset, HOURS_PER_YEAR};
 
 /// The benchmark fixes `k = 10`.
@@ -31,13 +31,20 @@ smda_types::bit_eq_fields!(ConsumerMatches { consumer, matches });
 /// this reference with exact equality.
 pub fn similarity_search(ds: &Dataset, k: usize) -> Vec<ConsumerMatches> {
     let ids: Vec<ConsumerId> = ds.consumers().iter().map(|c| c.id).collect();
-    let builder = SeriesMatrixBuilder::new(ids.len(), HOURS_PER_YEAR);
+    let (matches, _stats) = top_k_tiled(&unit_matrix(ds), k, &TileConfig::default());
+    consumer_matches(&ids, matches)
+}
+
+/// Every household's year of `ds` as one unit-norm row, in dataset
+/// order: the matrix each all-pairs similarity over a resident dataset
+/// scores (the reference, the real cluster's shipped rows, a sealed
+/// ingest snapshot).
+pub fn unit_matrix(ds: &Dataset) -> SeriesMatrix {
+    let builder = SeriesMatrixBuilder::new(ds.len(), HOURS_PER_YEAR);
     for (row, c) in ds.consumers().iter().enumerate() {
         builder.set_row_normalized(row, c.readings());
     }
-    let matrix = builder.finish();
-    let (matches, _stats) = top_k_tiled(&matrix, k, &TileConfig::default());
-    consumer_matches(&ids, matches)
+    builder.finish()
 }
 
 /// Name an all-pairs top-k result by household: row `q` of `rows`

@@ -134,11 +134,6 @@ impl AnomalyDetector {
         stats.push(clipped);
         alert
     }
-
-    /// Readings processed so far.
-    pub fn hours_seen(&self) -> usize {
-        self.hours_seen
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +204,7 @@ mod tests {
             alerts < HOURS_PER_YEAR / 50,
             "{alerts} alerts on normal data"
         );
-        assert_eq!(det.hours_seen(), HOURS_PER_YEAR);
+        assert_eq!(det.hours_seen, HOURS_PER_YEAR);
     }
 
     #[test]

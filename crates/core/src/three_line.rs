@@ -71,7 +71,7 @@ pub struct LineSegment {
 
 impl LineSegment {
     /// Consumption predicted at temperature `t`.
-    pub fn eval(&self, t: f64) -> f64 {
+    fn eval(&self, t: f64) -> f64 {
         self.intercept + self.slope * t
     }
 }
@@ -91,7 +91,7 @@ pub struct PiecewiseFit {
 
 impl PiecewiseFit {
     /// Predicted consumption at temperature `t` (segments chosen by knot).
-    pub fn eval(&self, t: f64) -> f64 {
+    fn eval(&self, t: f64) -> f64 {
         if t < self.knots[0] {
             self.segments[0].eval(t)
         } else if t < self.knots[1] {
@@ -102,7 +102,7 @@ impl PiecewiseFit {
     }
 
     /// Largest gap between adjacent segments at their shared knot.
-    pub fn max_discontinuity(&self) -> f64 {
+    fn max_discontinuity(&self) -> f64 {
         let d0 =
             (self.segments[0].eval(self.knots[0]) - self.segments[1].eval(self.knots[0])).abs();
         let d1 =

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use smda_core::SIMILARITY_TOP_K;
-use smda_storage::{ColumnStore, ColumnStoreStats};
+use smda_storage::ColumnStore;
 use smda_types::{ConsumerId, Dataset, Error, Result};
 
 use smda_obs::counters;
@@ -98,11 +98,6 @@ impl ColumnarEngine {
             dir: dir.into(),
             store: None,
         }
-    }
-
-    /// Residency/fault counters of the shared store.
-    pub fn store_stats(&self) -> Option<ColumnStoreStats> {
-        self.store.as_ref().map(|s| s.lock().stats())
     }
 
     fn shared(&self) -> Result<Arc<Mutex<ColumnStore>>> {
@@ -241,9 +236,9 @@ mod tests {
         let mut engine = ColumnarEngine::new(tmp("warm"));
         engine.load(&ds).unwrap();
         engine.make_cold();
-        assert_eq!(engine.store_stats().unwrap().resident_bytes, 0);
+        assert_eq!(engine.shared().unwrap().lock().stats().resident_bytes, 0);
         engine.warm().unwrap();
-        let stats = engine.store_stats().unwrap();
+        let stats = engine.shared().unwrap().lock().stats();
         // 3 consumers + temperature, 8760 f64 each.
         assert!(stats.resident_bytes >= 3 * HOURS_PER_YEAR * 8);
         std::fs::remove_dir_all(&engine.dir).unwrap();

@@ -27,7 +27,7 @@ use smda_stats::{
     band_pair_count, merge_partials, similarity_walk, with_fit_scratch, KernelStats, OoocStats,
     Pairs, Resident, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
-use smda_types::{ConsumerId, Error, Result, HOURS_PER_YEAR};
+use smda_types::{ConsumerId, ConsumerSeries, Error, Result, HOURS_PER_YEAR};
 
 use crate::pool::{recover, WorkerPool};
 
@@ -50,7 +50,7 @@ pub trait ConsumerSource: Send {
 }
 
 /// Split `0..n` into at most `parts` contiguous, near-equal ranges.
-pub fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1).min(n.max(1));
     let base = n / parts;
     let extra = n % parts;
@@ -198,6 +198,7 @@ pub fn execute_task(
                 fan_out(&ids, threads, make_source, metrics, &|src, offset, ids| {
                     for (j, &id) in ids.iter().enumerate() {
                         let kwh = src.consumer_kwh(id)?;
+                        ConsumerSeries::validate(id, kwh)?;
                         metrics.incr(counters::ROWS_SCANNED, kwh.len() as u64);
                         builder.set_row_normalized(offset + j, kwh);
                     }
@@ -553,31 +554,34 @@ mod tests {
 
     #[test]
     fn a_lent_year_that_fails_validation_is_a_typed_error_from_every_task() {
-        struct Negative(MemorySource);
-        impl ConsumerSource for Negative {
+        struct Damaged(MemorySource, Vec<f64>);
+        impl ConsumerSource for Damaged {
             fn consumer_ids(&mut self) -> Result<Vec<ConsumerId>> {
                 self.0.consumer_ids()
             }
             fn consumer_kwh(&mut self, _id: ConsumerId) -> Result<&[f64]> {
-                static YEAR: [f64; HOURS_PER_YEAR] = {
-                    let mut year = [0.5; HOURS_PER_YEAR];
-                    year[77] = -0.25;
-                    year
-                };
-                Ok(&YEAR)
+                Ok(&self.1)
             }
             fn temperature_year(&mut self) -> Result<&[f64]> {
                 self.0.temperature_year()
             }
         }
-        let data = tiny(2);
-        let make = move || Ok(Box::new(Negative(MemorySource::new(data.clone()))) as Box<_>);
-        for task in [Task::Histogram, Task::ThreeLine, Task::Par] {
-            let err = execute_task(&make, task, 1, 3, &MetricsSink::disabled()).unwrap_err();
-            assert!(
-                err.to_string().contains("reading at hour 77 is -0.25"),
-                "{task}: {err}"
-            );
+        for bad in [-0.25, f64::NAN] {
+            let mut year = vec![0.5; HOURS_PER_YEAR];
+            year[77] = bad;
+            let data = tiny(4);
+            let make = move || {
+                let source = Damaged(MemorySource::new(data.clone()), year.clone());
+                Ok(Box::new(source) as Box<_>)
+            };
+            for task in Task::ALL {
+                let err = execute_task(&make, task, 1, 3, &MetricsSink::disabled()).unwrap_err();
+                assert!(
+                    err.to_string()
+                        .contains(&format!("reading at hour 77 is {bad}")),
+                    "{task}: {err}"
+                );
+            }
         }
     }
 

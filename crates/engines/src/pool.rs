@@ -91,10 +91,10 @@ impl WorkerPool {
     }
 
     /// A pool with exactly `size` worker threads, spawned lazily on the
-    /// first broadcast. Prefer [`WorkerPool::global`]; a non-global pool
-    /// must be leaked (`&'static`) before use and its threads live until
-    /// the process exits.
-    pub fn with_size(size: usize) -> WorkerPool {
+    /// first broadcast. A pool other than [`WorkerPool::global`] must be
+    /// leaked (`&'static`) before use; its threads live until the
+    /// process exits.
+    fn with_size(size: usize) -> WorkerPool {
         WorkerPool {
             state: Mutex::new(State {
                 epoch: 0,

@@ -254,7 +254,7 @@ impl Miniblock<'_> {
 /// reported as a typed error, never a panic — the block checksum
 /// normally catches corruption first, but decode must hold on any
 /// input.
-pub fn decode_packed(bytes: &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), Error> {
+fn decode_packed(bytes: &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), Error> {
     let Some((mut stream, mut prev)) = Stream::open(bytes, count)? else {
         return Ok(());
     };

@@ -81,28 +81,13 @@ impl<'a> RowGroupCache<'a> {
         }
     }
 
-    /// The file this cache decodes from.
-    pub fn file(&self) -> &'a SmcFile {
-        self.file
-    }
-
-    /// Rows per cached group.
-    pub fn group_rows(&self) -> usize {
-        self.group_rows
-    }
-
-    /// Groups the budget allows resident at once.
-    pub fn capacity_groups(&self) -> usize {
-        self.capacity_groups
-    }
-
     /// Number of groups the file splits into.
-    pub fn group_count(&self) -> usize {
+    fn group_count(&self) -> usize {
         self.file.n().div_ceil(self.group_rows)
     }
 
     /// Groups currently resident.
-    pub fn resident_groups(&self) -> usize {
+    fn resident_groups(&self) -> usize {
         self.inner.lock().expect("cache lock").groups.len()
     }
 
@@ -267,7 +252,7 @@ mod tests {
             // Budget below one group: capacity floors at a single
             // resident group, so every group cycles through eviction.
             let cache = file.group_cache(4, 1);
-            assert_eq!(cache.capacity_groups(), 1);
+            assert_eq!(cache.capacity_groups, 1);
             let mut band = Vec::new();
             // A band wider than the whole budget still assembles.
             cache.load_rows(1..8, &mut band).unwrap();
@@ -279,7 +264,7 @@ mod tests {
                     .zip(c.readings())
                     .all(|(a, b)| a.to_bits() == b.to_bits()));
             }
-            assert!(cache.resident_groups() <= cache.capacity_groups());
+            assert!(cache.resident_groups() <= cache.capacity_groups);
             std::fs::remove_file(&path).unwrap();
         }
     }
@@ -292,7 +277,7 @@ mod tests {
         let file = SmcFile::open(&path).unwrap();
         // Two groups of 2 rows fit.
         let cache = file.group_cache(2, 2 * 2 * HOURS_PER_YEAR * 8);
-        assert_eq!(cache.capacity_groups(), 2);
+        assert_eq!(cache.capacity_groups, 2);
         let g0 = cache.group(0).unwrap();
         cache.group(2).unwrap();
         // Touch 0 again, then bring in a third group: 2 must go.

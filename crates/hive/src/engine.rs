@@ -13,7 +13,7 @@ use smda_engines::pool::host_parallelism;
 use smda_engines::{Capabilities, ClusterTwin, Platform, RunResult, RunSpec};
 use smda_obs::counters;
 use smda_stats::{dot, normalize_all, select_top_k, with_fit_scratch, SimilarityMatch};
-use smda_types::{ConsumerId, DataFormat, Dataset, Error, Result, HOURS_PER_YEAR};
+use smda_types::{ConsumerId, ConsumerSeries, DataFormat, Dataset, Error, Result, HOURS_PER_YEAR};
 
 use crate::mapreduce::{
     run_map_only, run_map_reduce, run_map_reduce_partitioned, JobInput, JobStats,
@@ -274,7 +274,10 @@ impl HiveEngine {
         let (mut series, mut stats, operator) = self.run_per_household(
             spec,
             HouseholdJob {
-                on_year: &|y| Ok(Some((y.consumer, y.kwh))),
+                on_year: &|y| {
+                    ConsumerSeries::validate(y.consumer, &y.kwh)?;
+                    Ok(Some((y.consumer, y.kwh)))
+                },
                 on_series: &|s| Ok(Some((s.id, s.into_readings()))),
                 pair_bytes: KWH_PAIR_BYTES,
                 out_bytes: SERIES_BYTES,
@@ -432,7 +435,7 @@ impl Platform for HiveEngine {
 }
 
 /// Sum two job-chain accountings (virtual times are sequential).
-pub fn combine(a: JobStats, b: JobStats) -> JobStats {
+fn combine(a: JobStats, b: JobStats) -> JobStats {
     JobStats {
         virtual_elapsed: a.virtual_elapsed + b.virtual_elapsed,
         map_tasks: a.map_tasks + b.map_tasks,

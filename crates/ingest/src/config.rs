@@ -89,12 +89,6 @@ impl IngestConfig {
         self
     }
 
-    /// Set the per-shard queue capacity.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> IngestConfig {
-        self.queue_capacity = capacity;
-        self
-    }
-
     /// Set the allowed lateness in hours.
     pub fn with_allowed_lateness(mut self, hours: u32) -> IngestConfig {
         self.allowed_lateness = hours;
@@ -175,10 +169,11 @@ mod tests {
     #[test]
     fn zero_shards_or_capacity_rejected() {
         assert!(IngestConfig::new().with_shards(0).validate().is_err());
-        assert!(IngestConfig::new()
-            .with_queue_capacity(0)
-            .validate()
-            .is_err());
+        let zero_capacity = IngestConfig {
+            queue_capacity: 0,
+            ..IngestConfig::new()
+        };
+        assert!(zero_capacity.validate().is_err());
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! readers: swapping the `Arc` is all it does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, RwLock};
 
 use smda_core::Alert;
 
@@ -62,9 +61,8 @@ impl LiveSnapshot {
 pub struct SnapshotHandle {
     live: RwLock<Option<Arc<LiveSnapshot>>>,
     epoch: AtomicU64,
-    /// Publishers serialize here; waiters park on the condvar.
+    /// Publishers serialize here.
     gate: Mutex<()>,
-    advanced: Condvar,
 }
 
 impl SnapshotHandle {
@@ -91,7 +89,6 @@ impl SnapshotHandle {
             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(live);
         self.epoch.store(epoch, Ordering::Release);
         drop(gate);
-        self.advanced.notify_all();
         epoch
     }
 
@@ -107,26 +104,6 @@ impl SnapshotHandle {
     /// Epoch of the current live snapshot; 0 before the first publish.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Block until the live epoch reaches `min_epoch` (then pin it), or
-    /// give up after `timeout`.
-    pub fn wait_for_epoch(&self, min_epoch: u64, timeout: Duration) -> Option<Arc<LiveSnapshot>> {
-        let deadline = Instant::now() + timeout;
-        let mut gate = lock(&self.gate);
-        while self.epoch.load(Ordering::Acquire) < min_epoch {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, _) = self
-                .advanced
-                .wait_timeout(gate, left)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            gate = guard;
-        }
-        drop(gate);
-        self.pin()
     }
 }
 
@@ -162,7 +139,6 @@ mod tests {
         let h = SnapshotHandle::new();
         assert!(h.pin().is_none());
         assert_eq!(h.epoch(), 0);
-        assert!(h.wait_for_epoch(1, Duration::from_millis(10)).is_none());
     }
 
     #[test]
@@ -183,18 +159,5 @@ mod tests {
         let fresh = h.pin().unwrap();
         assert_eq!(fresh.epoch(), 2);
         assert_eq!(fresh.snapshot().dataset().consumers()[0].id, ConsumerId(2));
-    }
-
-    #[test]
-    fn wait_for_epoch_wakes_on_publish() {
-        let h = Arc::new(SnapshotHandle::new());
-        let waiter = {
-            let h = h.clone();
-            std::thread::spawn(move || h.wait_for_epoch(1, Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(5));
-        h.publish(tiny_snapshot(1), 10, Arc::new(Vec::new()));
-        let live = waiter.join().unwrap().expect("publish must wake waiter");
-        assert_eq!(live.epoch(), 1);
     }
 }

@@ -62,7 +62,7 @@ pub mod state;
 
 pub use config::IngestConfig;
 pub use handle::{LiveSnapshot, SnapshotHandle};
-pub use pipeline::{run_pipeline, shard_of, IngestOutcome, IngestReport};
+pub use pipeline::{run_pipeline, IngestOutcome, IngestReport};
 pub use replay::{replay_events, throttle, ReplayConfig};
 pub use snapshot::Snapshot;
 pub use state::{fit_detectors, ConsumerAccumulator};

@@ -50,7 +50,7 @@ const NAP: Duration = Duration::from_millis(1);
 /// Which shard a consumer's readings are routed to: a stateless hash of
 /// the consumer id, so routing needs no directory and any number of
 /// routers would agree.
-pub fn shard_of(consumer: smda_types::ConsumerId, shards: usize) -> usize {
+fn shard_of(consumer: smda_types::ConsumerId, shards: usize) -> usize {
     (splitmix64(consumer.raw() as u64) % shards as u64) as usize
 }
 
@@ -747,10 +747,12 @@ mod tests {
         let n = DRAIN_BATCH as u32 + 4;
         let events: Vec<Reading> = (0..n).map(|i| reading(i % 4 + 1, 0)).collect();
         for (capacity, chunks) in [(4096usize, 2u64), (7, 38), (1, n as u64)] {
-            let cfg = IngestConfig::new()
-                .with_shards(1)
-                .with_queue_capacity(capacity)
-                .with_policy(DirtyDataPolicy::SkipAndCount);
+            let cfg = IngestConfig {
+                queue_capacity: capacity,
+                ..IngestConfig::new()
+                    .with_shards(1)
+                    .with_policy(DirtyDataPolicy::SkipAndCount)
+            };
             let out = run_pipeline(events.clone(), &cfg).unwrap();
             assert_eq!(out.report.readings_in, n as u64, "capacity {capacity}");
             assert_eq!(out.report.readings_duplicate, n as u64 - 4);

@@ -12,12 +12,12 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use smda_core::{consumer_histograms, ConsumerHistogram, Task, TaskOutput};
+use smda_core::{consumer_histograms, unit_matrix, ConsumerHistogram, Task, TaskOutput};
 use smda_engines::parallel::{execute_task, ConsumerSource, MemorySource};
 use smda_obs::MetricsSink;
-use smda_stats::{SeriesMatrix, SeriesMatrixBuilder};
+use smda_stats::SeriesMatrix;
 use smda_storage::{BinaryEncoding, BinaryStore};
-use smda_types::{ConsumerSeries, Dataset, Result, TemperatureSeries, HOURS_PER_YEAR};
+use smda_types::{ConsumerSeries, Dataset, Result, TemperatureSeries};
 
 /// Everything the batch layer needs, derived from the sealed year.
 pub struct Snapshot {
@@ -35,12 +35,8 @@ impl Snapshot {
         temperature: TemperatureSeries,
     ) -> Result<Snapshot> {
         let dataset = Dataset::new(sealed, temperature)?;
-        let builder = SeriesMatrixBuilder::new(dataset.consumers().len(), HOURS_PER_YEAR);
-        for (i, c) in dataset.consumers().iter().enumerate() {
-            builder.set_row_normalized(i, c.readings());
-        }
         Ok(Snapshot {
-            matrix: builder.finish(),
+            matrix: unit_matrix(&dataset),
             histograms: consumer_histograms(&dataset),
             dataset: Arc::new(dataset),
         })
@@ -95,7 +91,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smda_types::{ConsumerId, DirtyDataPolicy, Reading};
+    use smda_types::{ConsumerId, DirtyDataPolicy, Reading, HOURS_PER_YEAR};
 
     fn sealed_consumer(id: u32, scale: f64) -> ConsumerSeries {
         let mut acc = crate::state::ConsumerAccumulator::new(ConsumerId(id), None);

@@ -60,16 +60,6 @@ impl ConsumerAccumulator {
         self.id
     }
 
-    /// Readings stored so far (deduplicated).
-    pub fn received(&self) -> u32 {
-        self.received
-    }
-
-    /// Hours finalized behind the watermark.
-    pub fn finalized_hours(&self) -> u32 {
-        self.cursor
-    }
-
     /// Buffer one reading. The caller has already checked lateness.
     pub fn admit(&mut self, r: &Reading) -> Admit {
         let h = r.hour as usize;
@@ -181,7 +171,7 @@ mod tests {
             assert_eq!(acc.admit(&reading(h, values[h as usize])), Admit::Accepted);
             acc.advance(HOURS_PER_YEAR as u32 / 2, &mut alerts);
         }
-        assert!(acc.finalized_hours() <= HOURS_PER_YEAR as u32 / 2);
+        assert!(acc.cursor <= HOURS_PER_YEAR as u32 / 2);
         let mut missing = 0;
         let sealed = acc
             .seal(DirtyDataPolicy::FailFast, &mut missing, &mut alerts)
@@ -199,7 +189,7 @@ mod tests {
         let mut acc = ConsumerAccumulator::new(ConsumerId(1), None);
         assert_eq!(acc.admit(&reading(5, 1.0)), Admit::Accepted);
         assert_eq!(acc.admit(&reading(5, 9.0)), Admit::Duplicate);
-        assert_eq!(acc.received(), 1);
+        assert_eq!(acc.received, 1);
         assert_eq!(acc.kwh[5], 1.0);
     }
 
@@ -230,9 +220,9 @@ mod tests {
         acc.admit(&reading(0, 1.0));
         acc.admit(&reading(2, 1.0));
         acc.advance(100, &mut alerts);
-        assert_eq!(acc.finalized_hours(), 1, "hole at hour 1 blocks the cursor");
+        assert_eq!(acc.cursor, 1, "hole at hour 1 blocks the cursor");
         acc.admit(&reading(1, 1.0));
         acc.advance(100, &mut alerts);
-        assert_eq!(acc.finalized_hours(), 3);
+        assert_eq!(acc.cursor, 3);
     }
 }

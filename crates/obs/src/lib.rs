@@ -47,7 +47,7 @@ mod sink;
 pub mod report;
 
 pub use report::{BenchEntry, BenchExport, MetricsReport, PhaseNode, RunManifest};
-pub use sink::{snapshot_phases, MetricsSink, PhaseTimer};
+pub use sink::{MetricsSink, PhaseTimer};
 
 /// Canonical counter names. Engines should prefer these constants over ad
 /// hoc strings so exports stay mergeable across platforms.

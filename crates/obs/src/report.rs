@@ -143,7 +143,7 @@ impl MetricsReport {
     /// Flatten this report into bench entries named
     /// `platform/task/mode/<phase-path>` (unit `ns`) and
     /// `platform/task/mode/<counter>` (unit `count`).
-    pub fn bench_entries(&self) -> Vec<BenchEntry> {
+    fn bench_entries(&self) -> Vec<BenchEntry> {
         let prefix = format!(
             "{}/{}/{}",
             self.manifest.platform,

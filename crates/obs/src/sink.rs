@@ -73,7 +73,7 @@ impl MetricsSink {
 
     /// Whether this sink actually records. Lets callers skip expensive
     /// metric derivation when nobody is listening.
-    pub fn is_recording(&self) -> bool {
+    pub(crate) fn is_recording(&self) -> bool {
         self.inner.is_some()
     }
 
@@ -159,13 +159,6 @@ impl MetricsSink {
             rec.stack.pop();
         });
     }
-}
-
-/// Snapshot the phase tree without consuming or resetting the sink.
-/// Useful for asserting on partial progress in tests.
-pub fn snapshot_phases(sink: &MetricsSink) -> Vec<PhaseNode> {
-    sink.with_recorder(|rec| rec.root.snapshot())
-        .unwrap_or_default()
 }
 
 /// RAII phase scope: measures from creation to drop and records the

@@ -194,7 +194,10 @@ impl SparkEngine {
                     table,
                     spec,
                     KWH_ONLY,
-                    |y| Ok(Some((y.consumer, y.kwh))),
+                    |y| {
+                        ConsumerSeries::validate(y.consumer, &y.kwh)?;
+                        Ok(Some((y.consumer, y.kwh)))
+                    },
                     |s| Ok(Some((s.id, s.into_readings()))),
                 )?;
                 // Driver-side normalize into one contiguous matrix,

@@ -5,7 +5,7 @@
 //! * **narrow transformations** (`map`, `filter`, `flat_map`,
 //!   `map_partitions`) fuse into one stage, exactly like Spark's
 //!   pipelined stages;
-//! * **wide transformations** (`group_by_key`, `reduce_by_key`) cut a
+//! * **wide transformations** (`group_by_key`, `sort_by`) cut a
 //!   stage boundary: the parent stage executes (really, measured), its
 //!   output is hash-partitioned in memory, and shuffle volume is charged
 //!   to the virtual clock;

@@ -419,49 +419,6 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     pub fn count(&self) -> usize {
         self.run_stage(|_| 0).iter().map(Vec::len).sum()
     }
-
-    /// Concatenate two RDDs (narrow: the union's partitions are both
-    /// parents' partitions side by side).
-    pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
-        let left = self.clone();
-        let right = other.clone();
-        let split = self.inner.partitions;
-        let n = split + other.inner.partitions;
-        let mut input_bytes = self.inner.input_bytes.clone();
-        input_bytes.extend(&other.inner.input_bytes);
-        let mut locality = self.inner.locality.clone();
-        locality.extend(other.inner.locality.iter().cloned());
-        let mut shuffle_read = self.inner.shuffle_read.clone();
-        shuffle_read.extend(&other.inner.shuffle_read);
-        Rdd {
-            ctx: self.ctx.clone(),
-            inner: Arc::new(RddInner {
-                compute: Box::new(move |i| {
-                    if i < split {
-                        left.compute_partition(i)
-                    } else {
-                        right.compute_partition(i - split)
-                    }
-                }),
-                partitions: n,
-                input_bytes,
-                locality,
-                shuffle_read,
-                cache_enabled: AtomicBool::new(false),
-                cache: (0..n).map(|_| Mutex::new(None)).collect(),
-            }),
-        }
-    }
-}
-
-impl<T> Rdd<T>
-where
-    T: Clone + Send + Sync + Ord + Hash + SizeOf + 'static,
-{
-    /// Deduplicate elements (wide: shuffles by value).
-    pub fn distinct(&self, parts: usize) -> Rdd<T> {
-        self.map(|t| (t, ())).group_by_key(parts).map(|(t, _)| t)
-    }
 }
 
 impl<T: Clone + Send + Sync + 'static> Rdd<T> {
@@ -530,19 +487,6 @@ where
             }),
         }
     }
-
-    /// Wide transformation: per-key reduction.
-    pub fn reduce_by_key(
-        &self,
-        parts: usize,
-        f: impl Fn(V, V) -> V + Send + Sync + 'static,
-    ) -> Rdd<(K, V)> {
-        self.group_by_key(parts).map(move |(k, vs)| {
-            let mut it = vs.into_iter();
-            let first = it.next().expect("groups are non-empty");
-            (k, it.fold(first, &f))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -591,18 +535,6 @@ mod tests {
         }
         assert!(sc.stats().shuffle_bytes > 0);
         assert_eq!(sc.stats().stages, 2);
-    }
-
-    #[test]
-    fn reduce_by_key_sums() {
-        let sc = ctx(2);
-        let pairs: Vec<(u64, u64)> = vec![(1, 10), (2, 20), (1, 5), (2, 2)];
-        let mut out = sc
-            .parallelize(pairs, 2)
-            .reduce_by_key(2, |a, b| a + b)
-            .collect();
-        out.sort();
-        assert_eq!(out, vec![(1, 15), (2, 22)]);
     }
 
     #[test]
@@ -658,28 +590,6 @@ mod tests {
             .flat_map(|x| vec![x; x as usize])
             .collect();
         assert_eq!(out, vec![1, 2, 2]);
-    }
-
-    #[test]
-    fn union_concatenates() {
-        let sc = ctx(2);
-        let a = sc.parallelize(vec![1u64, 2], 1);
-        let b = sc.parallelize(vec![3u64, 4, 5], 2);
-        let u = a.union(&b);
-        assert_eq!(u.partitions(), 3);
-        assert_eq!(u.collect(), vec![1, 2, 3, 4, 5]);
-        assert_eq!(u.count(), 5);
-    }
-
-    #[test]
-    fn distinct_deduplicates() {
-        let sc = ctx(2);
-        let mut out = sc
-            .parallelize(vec![3u64, 1, 3, 2, 1, 1], 3)
-            .distinct(2)
-            .collect();
-        out.sort();
-        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]

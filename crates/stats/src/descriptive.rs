@@ -6,7 +6,7 @@
 
 /// Compensated (Neumaier) summation — accurate for long, mixed-magnitude
 /// series where a naive sum would drift.
-pub fn compensated_sum(values: &[f64]) -> f64 {
+fn compensated_sum(values: &[f64]) -> f64 {
     let mut sum = 0.0;
     let mut c = 0.0;
     for &v in values {
@@ -39,43 +39,9 @@ pub fn sample_variance(values: &[f64]) -> f64 {
     ss / (values.len() - 1) as f64
 }
 
-/// Two-pass population variance (divides by `n`); `NaN` on empty input.
-pub fn population_variance(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let m = mean(values);
-    let ss: f64 = values.iter().map(|v| (v - m) * (v - m)).sum();
-    ss / values.len() as f64
-}
-
 /// Sample standard deviation.
 pub fn stddev(values: &[f64]) -> f64 {
     sample_variance(values).sqrt()
-}
-
-/// Sample covariance of two equal-length slices; `NaN` when `n < 2`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn covariance(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "covariance inputs must have equal length");
-    if x.len() < 2 {
-        return f64::NAN;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let s: f64 = x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum();
-    s / (x.len() - 1) as f64
-}
-
-/// Pearson correlation coefficient; `NaN` when either input is constant.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
-    let c = covariance(x, y);
-    c / (stddev(x) * stddev(y))
 }
 
 #[cfg(test)]
@@ -98,7 +64,6 @@ mod tests {
     #[test]
     fn variance_matches_hand_computation() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((population_variance(&v) - 4.0).abs() < 1e-12);
         assert!((sample_variance(&v) - 32.0 / 7.0).abs() < 1e-12);
         assert!((stddev(&v) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
@@ -106,37 +71,7 @@ mod tests {
     #[test]
     fn variance_degenerate_cases() {
         assert!(sample_variance(&[1.0]).is_nan());
-        assert!(population_variance(&[]).is_nan());
-        assert_eq!(population_variance(&[3.0]), 0.0);
-    }
-
-    #[test]
-    fn covariance_sign_and_symmetry() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [2.0, 4.0, 6.0, 8.0];
-        assert!(covariance(&x, &y) > 0.0);
-        assert_eq!(covariance(&x, &y), covariance(&y, &x));
-        let y_neg: Vec<f64> = y.iter().map(|v| -v).collect();
-        assert!(covariance(&x, &y_neg) < 0.0);
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v| 3.0 * v + 1.0).collect();
-        assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
-        let y2: Vec<f64> = x.iter().map(|v| -2.0 * v).collect();
-        assert!((pearson(&x, &y2) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_input_is_nan() {
-        assert!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]).is_nan());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn covariance_length_mismatch_panics() {
-        covariance(&[1.0], &[1.0, 2.0]);
+        assert!(sample_variance(&[]).is_nan());
+        assert_eq!(sample_variance(&[3.0, 3.0]), 0.0);
     }
 }

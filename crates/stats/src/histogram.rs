@@ -165,7 +165,7 @@ fn range_lanes<L: Lanes<Array = [f64; W]>, const W: usize, const V: usize>(
 impl HistogramSpec {
     /// A spec spanning the observed range of `values` with `buckets` bins.
     /// Returns `None` on empty input or non-finite extremes.
-    pub fn covering(values: &[f64], buckets: usize) -> Option<Self> {
+    fn covering(values: &[f64], buckets: usize) -> Option<Self> {
         if values.is_empty() || buckets == 0 {
             return None;
         }
@@ -177,9 +177,9 @@ impl HistogramSpec {
         })
     }
 
-    /// The spec [`covering`](Self::covering) returns, for values already
-    /// known to be finite and at least one (a validated year) — without
-    /// the verdict `covering` exists to give. On anything else the range
+    /// The spec spanning the observed range of `values`, for values
+    /// already known to be finite and at least one (a validated year) —
+    /// without the verdict [`EquiWidthHistogram::build`] gives. On anything else the range
     /// is whatever the comparisons leave; nothing here panics.
     pub fn spanning(values: &[f64], buckets: usize) -> Self {
         let range = LaneRange::of(values);

@@ -1025,8 +1025,8 @@ pub fn top_k_tiled(
 
 /// Score query row `q` against every other row of `m` — the walk's
 /// query form, the one-query kernel map-side joins and the server use
-/// (no symmetry to exploit across partitions). Bit-identical to
-/// [`crate::top_k_normalized`] on the same data.
+/// (no symmetry to exploit across partitions). Bit-identical to row `q`
+/// of [`crate::top_k_cosine`] on the same data.
 ///
 /// # Panics
 /// Panics if `q` is not a row of `m`.

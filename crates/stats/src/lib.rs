@@ -6,7 +6,7 @@
 //! are outside this workspace's dependency budget. This crate is that
 //! hand-built toolkit: descriptive statistics, sample quantiles,
 //! equi-width histograms, dense matrices with Cholesky and Householder-QR
-//! solvers, ordinary least squares (simple and multiple), k-means with
+//! solvers, ordinary least squares, k-means with
 //! k-means++ seeding, cosine similarity with top-*k* selection, and the
 //! random distributions the data generator needs.
 //!
@@ -30,7 +30,7 @@ pub mod similarity;
 mod testutil;
 mod walk;
 
-pub use descriptive::{covariance, mean, pearson, population_variance, sample_variance, stddev};
+pub use descriptive::{mean, sample_variance, stddev};
 pub use histogram::{count_buckets, EquiWidthHistogram, HistogramSpec};
 pub use kernels::{
     merge_partials, top_k_query, top_k_tiled, top_k_tiled_partial, KernelStats, SeriesMatrix,
@@ -40,19 +40,16 @@ pub use kmeans::{KMeans, KMeansConfig};
 pub use linalg::Matrix;
 pub use online::OnlineStats;
 pub use oooc::{top_k_oooc, OoocStats, SeriesSource, SliceSource, DEFAULT_BAND_ROWS};
-pub use quantile::{
-    from_ordered_key, ordered_key, quantile, quantile_sorted, quantiles_by_selection,
-    quantiles_sorted,
-};
-pub use regression::{ols_multiple, ols_simple, MultipleFit, SimpleFit};
+pub use quantile::{from_ordered_key, ordered_key, quantile_sorted, quantiles_by_selection};
+pub use regression::{ols_multiple, MultipleFit};
 pub use rng::{GaussianNoise, Picker};
 pub use scratch::{
     with_fit_scratch, BinPlan, CurveBuffer, FitScratch, GatheredBins, HourlyFit, NormalEq,
     ScratchFit, SegmentSums, SCRATCH_MAX_COLS,
 };
-pub use simd::{axpy, dot_block, force_tier, under_every_tier, SimdTier};
+pub use simd::{axpy, dot_block, under_every_tier, SimdTier};
 pub use similarity::{
     cosine_similarity, dot, dot_scalar, norm2, norm2_rows, normalize_all, select_top_k, sumsq,
-    top_k_cosine, top_k_normalized, SimilarityMatch,
+    top_k_cosine, SimilarityMatch,
 };
 pub use walk::{band_count, band_pair_count, similarity_walk, Pairs, Resident, Streamed};

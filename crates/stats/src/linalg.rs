@@ -22,7 +22,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -103,17 +103,6 @@ impl Matrix {
             }
         }
         t
-    }
-
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "vector length must equal cols");
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
     }
 
     /// `XᵀX` computed directly (symmetric, no transpose materialized).
@@ -286,6 +275,13 @@ pub fn qr_least_squares(x: &Matrix, y: &[f64]) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
 
+    /// `A · v`, one row dot product at a time.
+    fn matvec(a: &Matrix, v: &[f64]) -> Vec<f64> {
+        (0..a.rows())
+            .map(|r| a.row(r).iter().zip(v).map(|(x, y)| x * y).sum())
+            .collect()
+    }
+
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -312,7 +308,7 @@ mod tests {
     fn t_vec_equals_transpose_matvec() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let y = [1.0, 0.5, 2.0];
-        assert_close(&a.t_vec(&y), &a.transpose().matvec(&y), 1e-12);
+        assert_close(&a.t_vec(&y), &matvec(&a.transpose(), &y), 1e-12);
     }
 
     #[test]
@@ -320,7 +316,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let x = cholesky_solve(&a, &[10.0, 8.0]).unwrap();
         // Verify A x = b.
-        assert_close(&a.matvec(&x), &[10.0, 8.0], 1e-10);
+        assert_close(&matvec(&a, &x), &[10.0, 8.0], 1e-10);
     }
 
     #[test]

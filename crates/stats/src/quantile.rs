@@ -108,18 +108,6 @@ pub fn quantiles_by_selection<const N: usize>(keys: &mut [i64], qs: [f64; N]) ->
     })
 }
 
-/// Quantile of an unsorted slice; sorts a copy.
-pub fn quantile(values: &[f64], q: f64) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in quantile input"));
-    quantile_sorted(&v, q)
-}
-
-/// Several quantiles of a sorted slice at once (single pass over `qs`).
-pub fn quantiles_sorted(sorted: &[f64], qs: &[f64]) -> Vec<f64> {
-    qs.iter().map(|&q| quantile_sorted(sorted, q)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,8 +142,8 @@ mod tests {
 
     #[test]
     fn unsorted_wrapper_sorts() {
-        assert_eq!(quantile(&[9.0, 1.0, 5.0, 3.0], 0.0), 1.0);
-        assert_eq!(quantile(&[9.0, 1.0, 5.0, 3.0], 1.0), 9.0);
+        let mut keys = keys_of(&[9.0, 1.0, 5.0, 3.0]);
+        assert_eq!(quantiles_by_selection(&mut keys, [0.0, 1.0]), [1.0, 9.0]);
     }
 
     /// The path selection replaces: stable `partial_cmp` sort, then read.
@@ -244,9 +232,7 @@ mod tests {
 
     #[test]
     fn batch_quantiles() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let qs = quantiles_sorted(&v, &[0.1, 0.5, 0.9]);
-        assert_eq!(qs.len(), 3);
+        let qs = quantiles_by_selection(&mut keys_of(&[1.0, 2.0, 3.0, 4.0, 5.0]), [0.1, 0.5, 0.9]);
         assert!((qs[1] - 3.0).abs() < 1e-12);
         assert!(qs[0] < qs[1] && qs[1] < qs[2]);
     }

@@ -1,75 +1,9 @@
 //! Ordinary least squares regression.
 //!
-//! [`ols_simple`] fits `y = a + b·x` in closed form — the kernel of the
-//! 3-line algorithm's per-segment fits. [`ols_multiple`] fits
-//! `y = Xβ` for a design matrix with several regressors — the kernel of
-//! the PAR model (three autoregressive lags, temperature, intercept).
+//! [`ols_multiple`] fits `y = Xβ` for a design matrix with several
+//! regressors; a simple regression `y = a + b·x` is the design `[1, x]`.
 
 use crate::linalg::{cholesky_solve, qr_least_squares, Matrix};
-
-/// Result of a simple (one regressor) OLS fit `y ≈ intercept + slope·x`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimpleFit {
-    /// Intercept `a`.
-    pub intercept: f64,
-    /// Slope `b`.
-    pub slope: f64,
-    /// Residual sum of squares.
-    pub sse: f64,
-    /// Coefficient of determination (`NaN` when `y` is constant).
-    pub r2: f64,
-    /// Number of points fitted.
-    pub n: usize,
-}
-
-impl SimpleFit {
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-}
-
-/// Fit `y = a + b·x` by closed-form least squares.
-///
-/// Returns `None` when fewer than two points are given or when all `x`
-/// values are identical (vertical line).
-///
-/// # Panics
-/// Panics if `x` and `y` differ in length.
-pub fn ols_simple(x: &[f64], y: &[f64]) -> Option<SimpleFit> {
-    assert_eq!(x.len(), y.len(), "x and y must have equal length");
-    let n = x.len();
-    if n < 2 {
-        return None;
-    }
-    let nf = n as f64;
-    let mx = x.iter().sum::<f64>() / nf;
-    let my = y.iter().sum::<f64>() / nf;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    let mut syy = 0.0;
-    for (&xi, &yi) in x.iter().zip(y) {
-        let dx = xi - mx;
-        let dy = yi - my;
-        sxx += dx * dx;
-        sxy += dx * dy;
-        syy += dy * dy;
-    }
-    if sxx < 1e-12 {
-        return None;
-    }
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let sse = (syy - slope * sxy).max(0.0);
-    let r2 = if syy > 0.0 { 1.0 - sse / syy } else { f64::NAN };
-    Some(SimpleFit {
-        intercept,
-        slope,
-        sse,
-        r2,
-        n,
-    })
-}
 
 /// Result of a multiple OLS fit `y ≈ Xβ`.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,21 +16,6 @@ pub struct MultipleFit {
     pub r2: f64,
     /// Number of observations.
     pub n: usize,
-}
-
-impl MultipleFit {
-    /// Predicted value for one design-matrix row.
-    ///
-    /// # Panics
-    /// Panics if `row.len() != beta.len()`.
-    pub fn predict(&self, row: &[f64]) -> f64 {
-        assert_eq!(
-            row.len(),
-            self.beta.len(),
-            "row arity must match coefficients"
-        );
-        row.iter().zip(&self.beta).map(|(a, b)| a * b).sum()
-    }
 }
 
 /// Fit `y = Xβ` by least squares: Cholesky on the normal equations with a
@@ -132,16 +51,27 @@ pub fn ols_multiple(x: &Matrix, y: &[f64]) -> Option<MultipleFit> {
 mod tests {
     use super::*;
 
+    /// The fitted value for one design-matrix row.
+    fn predict(fit: &MultipleFit, row: &[f64]) -> f64 {
+        row.iter().zip(&fit.beta).map(|(a, b)| a * b).sum()
+    }
+
+    /// The simple regression `y = a + b·x`: design columns `[1, x]`.
+    fn line_fit(x: &[f64], y: &[f64]) -> Option<MultipleFit> {
+        let design = x.iter().flat_map(|&v| [1.0, v]).collect();
+        ols_multiple(&Matrix::from_vec(x.len(), 2, design), y)
+    }
+
     #[test]
     fn simple_exact_line() {
         let x = [0.0, 1.0, 2.0, 3.0];
         let y: Vec<f64> = x.iter().map(|v| 1.5 - 2.0 * v).collect();
-        let f = ols_simple(&x, &y).unwrap();
-        assert!((f.intercept - 1.5).abs() < 1e-12);
-        assert!((f.slope + 2.0).abs() < 1e-12);
+        let f = line_fit(&x, &y).unwrap();
+        assert!((f.beta[0] - 1.5).abs() < 1e-12);
+        assert!((f.beta[1] + 2.0).abs() < 1e-12);
         assert!(f.sse < 1e-20);
         assert!((f.r2 - 1.0).abs() < 1e-12);
-        assert!((f.predict(10.0) - (1.5 - 20.0)).abs() < 1e-12);
+        assert!((predict(&f, &[1.0, 10.0]) - (1.5 - 20.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -153,23 +83,23 @@ mod tests {
             .enumerate()
             .map(|(i, v)| 3.0 * v + if i % 2 == 0 { 0.5 } else { -0.5 })
             .collect();
-        let f = ols_simple(&x, &y).unwrap();
-        assert!((f.slope - 3.0).abs() < 0.01, "slope {}", f.slope);
+        let f = line_fit(&x, &y).unwrap();
+        assert!((f.beta[1] - 3.0).abs() < 0.01, "slope {}", f.beta[1]);
         assert!(f.r2 > 0.999);
     }
 
     #[test]
     fn simple_degenerate_inputs() {
-        assert!(ols_simple(&[1.0], &[2.0]).is_none());
-        assert!(ols_simple(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).is_none());
-        assert!(ols_simple(&[], &[]).is_none());
+        assert!(line_fit(&[1.0], &[2.0]).is_none());
+        assert!(line_fit(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).is_none());
+        assert!(line_fit(&[], &[]).is_none());
     }
 
     #[test]
     fn simple_constant_y_gives_zero_slope() {
-        let f = ols_simple(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).unwrap();
-        assert!(f.slope.abs() < 1e-12);
-        assert!((f.intercept - 5.0).abs() < 1e-12);
+        let f = line_fit(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).unwrap();
+        assert!(f.beta[1].abs() < 1e-12);
+        assert!((f.beta[0] - 5.0).abs() < 1e-12);
         assert!(f.r2.is_nan());
     }
 
@@ -193,20 +123,28 @@ mod tests {
         assert!((f.beta[1] - 0.5).abs() < 1e-9);
         assert!((f.beta[2] + 1.5).abs() < 1e-9);
         assert!((f.r2 - 1.0).abs() < 1e-9);
-        assert!((f.predict(&[1.0, 2.0, 1.0]) - (2.0 + 1.0 - 1.5)).abs() < 1e-9);
+        assert!((predict(&f, &[1.0, 2.0, 1.0]) - (2.0 + 1.0 - 1.5)).abs() < 1e-9);
     }
 
     #[test]
     fn multiple_agrees_with_simple() {
         let x = [0.0, 1.0, 2.0, 3.0, 4.0];
         let y = [0.1, 1.2, 1.9, 3.1, 3.9];
-        let simple = ols_simple(&x, &y).unwrap();
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![1.0, v]).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let multi = ols_multiple(&Matrix::from_rows(&refs), &y).unwrap();
-        assert!((multi.beta[0] - simple.intercept).abs() < 1e-9);
-        assert!((multi.beta[1] - simple.slope).abs() < 1e-9);
-        assert!((multi.sse - simple.sse).abs() < 1e-9);
+        // The closed form: b = Sxy / Sxx, a = ȳ − b·x̄.
+        let mx = x.iter().sum::<f64>() / 5.0;
+        let my = y.iter().sum::<f64>() / 5.0;
+        let sxy: f64 = x.iter().zip(&y).map(|(a, b)| (a - mx) * (b - my)).sum();
+        let sxx: f64 = x.iter().map(|a| (a - mx) * (a - mx)).sum();
+        let (slope, intercept) = (sxy / sxx, my - sxy / sxx * mx);
+        let sse: f64 = x
+            .iter()
+            .zip(&y)
+            .map(|(a, b)| (b - intercept - slope * a).powi(2))
+            .sum();
+        let multi = line_fit(&x, &y).unwrap();
+        assert!((multi.beta[0] - intercept).abs() < 1e-9);
+        assert!((multi.beta[1] - slope).abs() < 1e-9);
+        assert!((multi.sse - sse).abs() < 1e-9);
     }
 
     #[test]

@@ -37,9 +37,9 @@
 //! zero-sized token per vector tier, the only proof the `#[target_feature]`
 //! frames and the lane methods accept: those methods are safe, and
 //! `unsafe` is left at the calls into the frames, the intrinsics inside
-//! the methods, and the block kernel's one pointer cast. Tests pin the
-//! tier with [`force_tier`] or walk every tier with [`under_every_tier`];
-//! forcing a tier the hardware lacks clamps to the widest one it has.
+//! the methods, and the block kernel's one pointer cast. Tests walk every
+//! tier with [`under_every_tier`], which forces each in turn; forcing a
+//! tier the hardware lacks clamps to the widest one it has.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -115,12 +115,11 @@ pub fn active_tier() -> SimdTier {
     }
 }
 
-/// Force the lane-preserving tier (tests, experiments, the forced
-/// fallback path), returning the previous tier so callers can restore
-/// it. A tier this hardware lacks clamps to the widest one it has —
+/// Force the lane-preserving tier (each step of [`under_every_tier`]),
+/// returning the previous tier so callers can restore it. A tier this hardware lacks clamps to the widest one it has —
 /// [`SimdTier::Avx512`] to AVX2, AVX2 to scalar — so the setting can
 /// never make a dispatched kernel fault.
-pub fn force_tier(tier: SimdTier) -> SimdTier {
+fn force_tier(tier: SimdTier) -> SimdTier {
     let previous = active_tier();
     TIER.store(tier.min(detect()) as u8 + 1, Ordering::Relaxed);
     previous

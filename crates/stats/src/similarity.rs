@@ -147,7 +147,7 @@ pub fn normalize_all(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
 /// For the `query`-th series in `normalized` (unit vectors), find the
 /// `k` most cosine-similar other series, best first. Ties broken by the
 /// lower index for determinism.
-pub fn top_k_normalized(normalized: &[Vec<f64>], query: usize, k: usize) -> Vec<SimilarityMatch> {
+fn top_k_normalized(normalized: &[Vec<f64>], query: usize, k: usize) -> Vec<SimilarityMatch> {
     let q = &normalized[query];
     let mut hits: Vec<SimilarityMatch> = Vec::with_capacity(normalized.len().saturating_sub(1));
     for (i, v) in normalized.iter().enumerate() {

@@ -538,7 +538,7 @@ fn lent(data: &[f64], b: usize, band_rows: usize, (n, stride): (usize, usize)) -
 /// [`crate::top_k_cosine`] over the matrix `rows` describes, once the
 /// partials of workers whose claims together partition the units are
 /// merged ([`crate::merge_partials`]); over [`Pairs::Queries`] each list
-/// is bit-identical to [`crate::top_k_normalized`] for its query.
+/// is bit-identical to [`crate::top_k_cosine`]'s row for its query.
 /// [`Resident`] rows cannot fail; a [`Streamed`]
 /// source fails on a bad load or a query index past its last row
 /// ([`Error::Invalid`]).

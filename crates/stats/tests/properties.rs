@@ -8,7 +8,7 @@ use smda_stats::linalg::Matrix;
 use smda_stats::simd::{LANE_COLS, LANE_LAGS};
 use smda_stats::{
     band_pair_count, cosine_similarity, dot, dot_block, dot_scalar, from_ordered_key, mean,
-    merge_partials, norm2, norm2_rows, ols_multiple, ols_simple, ordered_key, quantile_sorted,
+    merge_partials, norm2, norm2_rows, ols_multiple, ordered_key, quantile_sorted,
     quantiles_by_selection, sample_variance, select_top_k, similarity_walk, top_k_cosine,
     top_k_query, top_k_tiled, top_k_tiled_partial, under_every_tier, EquiWidthHistogram,
     FitScratch, GaussianNoise, HourlyFit, KMeans, KMeansConfig, OnlineStats, Pairs, Resident,
@@ -401,9 +401,12 @@ proptest! {
     ) {
         let x: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let y: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        if let Some(fit) = ols_simple(&x, &y) {
+        let rows: Vec<[f64; 2]> = x.iter().map(|&xi| [1.0, xi]).collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        if let Some(fit) = ols_multiple(&Matrix::from_rows(&refs), &y) {
             // Normal equations: residuals orthogonal to [1, x].
-            let resid: Vec<f64> = x.iter().zip(&y).map(|(xi, yi)| yi - fit.predict(*xi)).collect();
+            let fitted = |row: &[f64; 2]| row[0] * fit.beta[0] + row[1] * fit.beta[1];
+            let resid: Vec<f64> = rows.iter().zip(&y).map(|(row, yi)| yi - fitted(row)).collect();
             let sum_r: f64 = resid.iter().sum();
             let dot_rx: f64 = resid.iter().zip(&x).map(|(r, xi)| r * xi).sum();
             let scale = 1.0 + y.iter().map(|v| v.abs()).fold(0.0, f64::max) * x.len() as f64;

@@ -1,10 +1,10 @@
 //! The binary file store: one `SMC1` file served through `smda-format`.
 //!
-//! This is the drop-in binary sibling of [`FileStore`](crate::FileStore)
-//! — same surface (create / open / consumer ids / temperature /
-//! per-consumer reads / whole-dataset read / byte accounting), but the
-//! backing is a single checksummed columnar file instead of a directory
-//! of CSVs. A store created [`raw`](BinaryEncoding::Raw) additionally
+//! This is the binary sibling of [`FileStore`](crate::FileStore)
+//! (create / open / consumer ids / per-consumer reads / whole-dataset
+//! read / byte accounting), backed by a single checksummed columnar file
+//! instead of a directory of CSVs. The temperature year and row bands are
+//! read from the validated file itself ([`BinaryStore::file`]). A store created [`raw`](BinaryEncoding::Raw) additionally
 //! serves whole-matrix and per-consumer **zero-copy** views straight
 //! out of the memory mapping, which is what makes the binary cold-start
 //! loading experiment page-fault-bound instead of parse-bound.
@@ -13,7 +13,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use smda_format::{write_dataset, Encoding, RowGroupCache, SmcFile, SmcSummary, SmcWriter};
-use smda_types::{ConsumerId, Dataset, Error, Result, TemperatureSeries};
+use smda_types::{ConsumerId, Dataset, Error, Result};
 
 /// Block encoding policy for a store being created (re-exported shape
 /// of [`smda_format::Encoding`] so engine crates need no direct
@@ -125,20 +125,8 @@ impl BinaryStore {
         Ok(self.file.consumer_ids())
     }
 
-    /// The shared temperature series.
-    pub fn read_temperature(&self) -> Result<TemperatureSeries> {
-        TemperatureSeries::new(self.file.temperature().to_vec())
-    }
-
-    /// Read one consumer's readings by id.
-    pub fn read_consumer(&self, id: ConsumerId) -> Result<Vec<f64>> {
-        let mut values = Vec::new();
-        self.read_consumer_into(id, &mut values)?;
-        Ok(values)
-    }
-
-    /// [`BinaryStore::read_consumer`] into a caller-provided buffer,
-    /// reusing its capacity. Verifies the block checksum.
+    /// Read one consumer's readings by id into a caller-provided
+    /// buffer, reusing its capacity. Verifies the block checksum.
     pub fn read_consumer_into(&self, id: ConsumerId, values: &mut Vec<f64>) -> Result<()> {
         let idx = self
             .file
@@ -158,13 +146,6 @@ impl BinaryStore {
     /// matrix (raw-contiguous files in a live mapping only).
     pub fn matrix_view(&self) -> Option<&[f64]> {
         self.file.rows()
-    }
-
-    /// Lend a band: decode the consecutive consumers
-    /// `rows.start..rows.end` into `out` (cleared first), row-major,
-    /// verifying every block checksum — works on either encoding.
-    pub fn read_rows_into(&self, rows: Range<usize>, out: &mut Vec<f64>) -> Result<()> {
-        self.file.read_rows_into(rows, out)
     }
 
     /// A bounded LRU decode cache over this store's rows (see
@@ -200,7 +181,7 @@ impl BinaryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smda_types::{ConsumerSeries, HOURS_PER_YEAR};
+    use smda_types::{ConsumerSeries, TemperatureSeries, HOURS_PER_YEAR};
 
     fn tiny(n: u32) -> Dataset {
         let temp =
@@ -234,14 +215,15 @@ mod tests {
                 store.consumer_ids().unwrap(),
                 vec![ConsumerId(0), ConsumerId(1), ConsumerId(2)]
             );
-            let got = store.read_consumer(ConsumerId(1)).unwrap();
+            let mut got = Vec::new();
+            store.read_consumer_into(ConsumerId(1), &mut got).unwrap();
             assert!(got
                 .iter()
                 .zip(ds.consumers()[1].readings())
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
-            let temp = store.read_temperature().unwrap();
-            assert!(temp
-                .values()
+            assert!(store
+                .file()
+                .temperature()
                 .iter()
                 .zip(ds.temperature().values())
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
@@ -249,7 +231,7 @@ mod tests {
             assert_eq!(all.len(), 3);
             store.verify().unwrap();
             assert!(store.total_bytes().unwrap() > 0);
-            assert!(store.read_consumer(ConsumerId(42)).is_err());
+            assert!(store.read_consumer_into(ConsumerId(42), &mut got).is_err());
             std::fs::remove_file(&path).unwrap();
         }
     }
@@ -261,7 +243,7 @@ mod tests {
             let path = tmp(&format!("bands-{encoding:?}"));
             let store = BinaryStore::create(&path, &ds, encoding).unwrap();
             let mut band = Vec::new();
-            store.read_rows_into(1..4, &mut band).unwrap();
+            store.file().read_rows_into(1..4, &mut band).unwrap();
             assert_eq!(band.len(), 3 * HOURS_PER_YEAR);
             for (r, c) in ds.consumers()[1..4].iter().enumerate() {
                 let row = &band[r * HOURS_PER_YEAR..(r + 1) * HOURS_PER_YEAR];

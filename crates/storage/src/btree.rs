@@ -68,21 +68,6 @@ impl BTreeIndex {
         self.len == 0
     }
 
-    /// Height of the tree (1 = just a leaf).
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { .. } => return h,
-                Node::Internal { children, .. } => {
-                    node = children[0];
-                    h += 1;
-                }
-            }
-        }
-    }
-
     /// Insert a value under `key` (appends to the key's posting list).
     pub fn insert(&mut self, key: u64, value: u64) {
         self.len += 1;
@@ -245,6 +230,21 @@ impl BTreeIndex {
 mod tests {
     use super::*;
 
+    /// Height of the tree (1 = just a leaf).
+    fn height(idx: &BTreeIndex) -> usize {
+        let mut h = 1;
+        let mut node = idx.root;
+        loop {
+            match &idx.nodes[node] {
+                Node::Leaf { .. } => return h,
+                Node::Internal { children, .. } => {
+                    node = children[0];
+                    h += 1;
+                }
+            }
+        }
+    }
+
     #[test]
     fn insert_and_lookup() {
         let mut idx = BTreeIndex::new();
@@ -267,7 +267,7 @@ mod tests {
             let key = (i * 7919) % n;
             idx.insert(key, key * 10);
         }
-        assert!(idx.height() >= 2, "height {}", idx.height());
+        assert!(height(&idx) >= 2, "height {}", height(&idx));
         for key in 0..n {
             assert_eq!(idx.get(key), &[key * 10], "key {key}");
         }
@@ -312,7 +312,7 @@ mod tests {
         assert!(idx.is_empty());
         assert!(idx.get(0).is_empty());
         assert!(idx.range(0, u64::MAX).is_empty());
-        assert_eq!(idx.height(), 1);
+        assert_eq!(height(&idx), 1);
     }
 
     #[test]

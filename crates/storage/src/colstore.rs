@@ -21,9 +21,7 @@ use std::collections::HashMap;
 
 use bytes::{Buf, BufMut};
 
-use smda_types::{
-    ConsumerId, ConsumerSeries, Dataset, Error, Result, TemperatureSeries, HOURS_PER_YEAR,
-};
+use smda_types::{ConsumerId, Dataset, Error, Result, HOURS_PER_YEAR};
 
 /// Values per chunk (64 Ki f64 = 512 KiB).
 pub const CHUNK_VALUES: usize = 64 * 1024;
@@ -278,23 +276,12 @@ impl ColumnStore {
         self.temperature = None;
         self.stats.resident_bytes = 0;
     }
-
-    /// Rebuild the dataset (validation helper).
-    pub fn to_dataset(&mut self) -> Result<Dataset> {
-        let temps = TemperatureSeries::new(self.temperature()?.to_vec())?;
-        let ids = self.consumers.clone();
-        let consumers = ids
-            .iter()
-            .enumerate()
-            .map(|(i, id)| ConsumerSeries::new(*id, self.readings(i)?))
-            .collect::<Result<Vec<_>>>()?;
-        Dataset::new(consumers, temps)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smda_types::{ConsumerSeries, TemperatureSeries};
 
     fn tiny(n: u32) -> Dataset {
         let temp =
@@ -323,11 +310,11 @@ mod tests {
         let ds = tiny(3);
         let dir = tmp("rt");
         let mut store = ColumnStore::create(&dir, &ds).unwrap();
-        let back = store.to_dataset().unwrap();
-        assert_eq!(back.len(), 3);
-        for (a, b) in back.consumers().iter().zip(ds.consumers()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.readings(), b.readings());
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.temperature().unwrap(), ds.temperature().values());
+        for (i, c) in ds.consumers().iter().enumerate() {
+            assert_eq!(store.consumer_ids()[i], c.id);
+            assert_eq!(store.readings(i).unwrap(), c.readings());
         }
         std::fs::remove_dir_all(dir).unwrap();
     }

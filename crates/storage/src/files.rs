@@ -141,20 +141,20 @@ impl FileStore {
     }
 
     /// Read one consumer's readings.
-    ///
-    /// Partitioned: opens exactly one small file. Unpartitioned: scans
-    /// the whole big file and extracts the consumer — the pathology
-    /// Figure 5 demonstrates.
-    pub fn read_consumer(&self, id: ConsumerId) -> Result<Vec<f64>> {
+    fn read_consumer(&self, id: ConsumerId) -> Result<Vec<f64>> {
         let mut values = Vec::new();
         self.read_consumer_into(id, &mut values)?;
         Ok(values)
     }
 
-    /// [`FileStore::read_consumer`] into a caller-provided buffer. The
-    /// rows found for `id` — in any order — go through the one assembler
-    /// ([`assemble_year`]): an hour out of range, twice or not at all is
-    /// a schema error naming the household and the hour.
+    /// Read one consumer's readings into a caller-provided buffer.
+    ///
+    /// Partitioned: opens exactly one small file. Unpartitioned: scans
+    /// the whole big file and extracts the consumer — the pathology
+    /// Figure 5 demonstrates. The rows found for `id` — in any order —
+    /// go through the one assembler ([`assemble_year`]): an hour out of
+    /// range, twice or not at all is a schema error naming the household
+    /// and the hour.
     pub fn read_consumer_into(&self, id: ConsumerId, values: &mut Vec<f64>) -> Result<()> {
         let partitioned = self.layout == FileLayout::Partitioned;
         let path = self.dir.join(match partitioned {

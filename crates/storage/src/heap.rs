@@ -102,7 +102,7 @@ impl HeapFile {
     }
 
     /// Total pages including a non-empty tail.
-    pub fn logical_pages(&self) -> u32 {
+    fn logical_pages(&self) -> u32 {
         self.pages + if self.tail.slot_count() > 0 { 1 } else { 0 }
     }
 

@@ -133,11 +133,6 @@ impl ReadingTable {
         self.index.clone()
     }
 
-    /// Buffer pool counters.
-    pub fn pool_stats(&self) -> crate::buffer::PoolStats {
-        self.pool.stats()
-    }
-
     /// Overwrite one reading's kWh value in place (late-data
     /// restatement). The page is updated on disk and invalidated in the
     /// buffer pool.
@@ -700,7 +695,7 @@ mod tests {
         let mut t1 = ReadingTable::create(&p1, &ds).unwrap();
         t1.make_cold();
         t1.consumer_year(ConsumerId(0)).unwrap();
-        let misses = t1.pool_stats().misses;
+        let misses = t1.pool.stats().misses;
         // 8760 readings * 24 B ≈ 26 pages minimum.
         assert!(misses >= 25, "layout 1 touched only {misses} pages");
         std::fs::remove_file(p1).unwrap();

@@ -82,7 +82,7 @@ impl Page {
 
     /// Contiguous free bytes available for one more tuple (accounting for
     /// its slot directory entry).
-    pub fn free_space(&self) -> usize {
+    fn free_space(&self) -> usize {
         let used_front = HEADER_BYTES + self.slot_count() * SLOT_BYTES;
         self.free_end()
             .saturating_sub(used_front)

@@ -64,16 +64,11 @@ impl Default for Calendar {
 }
 
 impl Calendar {
-    /// A calendar whose January 1st falls on `start_weekday`.
-    pub fn starting_on(start_weekday: Weekday) -> Self {
-        Calendar { start_weekday }
-    }
-
     /// Day of year (`0..365`) for an hour-of-year index.
     ///
     /// # Panics
     /// Panics if `hour_of_year >= 8760`.
-    pub fn day_of_year(&self, hour_of_year: usize) -> usize {
+    fn day_of_year(&self, hour_of_year: usize) -> usize {
         assert!(
             hour_of_year < HOURS_PER_YEAR,
             "hour {hour_of_year} out of range"
@@ -101,7 +96,9 @@ mod tests {
 
     #[test]
     fn weekday_progression() {
-        let cal = Calendar::starting_on(Weekday::Monday);
+        let cal = Calendar {
+            start_weekday: Weekday::Monday,
+        };
         assert_eq!(cal.weekday(0), Weekday::Monday);
         assert_eq!(cal.weekday(23), Weekday::Monday);
         assert_eq!(cal.weekday(24), Weekday::Tuesday);
@@ -112,7 +109,9 @@ mod tests {
     #[test]
     fn every_start_day_begins_the_year_and_cycles_weekly() {
         for (i, &start) in Weekday::ALL.iter().enumerate() {
-            let cal = Calendar::starting_on(start);
+            let cal = Calendar {
+                start_weekday: start,
+            };
             for day in [0, 1, 6, 7, 100, DAYS_PER_YEAR - 1] {
                 let want = Weekday::ALL[(i + day) % 7];
                 assert_eq!(

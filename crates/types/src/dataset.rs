@@ -97,7 +97,7 @@ impl Dataset {
 
     /// Nominal size in bytes under the paper's CSV encoding; used to label
     /// scale sweeps in GB as the paper does.
-    pub fn nominal_bytes(&self) -> usize {
+    fn nominal_bytes(&self) -> usize {
         self.reading_count() * Reading::NOMINAL_BYTES
     }
 

@@ -154,7 +154,7 @@ impl FormatReader {
 
     /// The data files for `format`, in deterministic (sorted) order —
     /// the unit of input splits for the cluster engines.
-    pub fn data_files(&self, format: DataFormat) -> Result<Vec<PathBuf>> {
+    fn data_files(&self, format: DataFormat) -> Result<Vec<PathBuf>> {
         match format {
             DataFormat::ReadingPerLine => Ok(vec![self.dir.join("readings.csv")]),
             DataFormat::ConsumerPerLine => Ok(vec![self.dir.join("consumers.csv")]),

@@ -46,17 +46,48 @@ unknown=$(comm -23 <(echo "$named") <(echo "$known") | tr '\n' ' ')
 echo "$(grep -c . <<<"$named") flags named in the docs; unknown: ${unknown:-none}"
 [ -z "$unknown" ]
 
+# A file's non-test text: up to its first `#[cfg(test)]`, comment lines
+# dropped.
+non_test() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1" | { grep -vE '^[[:space:]]*//' || true; }; }
+
 # ROADMAP 6(c)'s burn-down, ratcheted: `.unwrap()` / `.expect(` in non-test
-# source — each tracked crates/*/src file up to its first `#[cfg(test)]`,
-# comment lines dropped — may not exceed the count below. A PR that removes
-# some lowers the number; none raises it.
+# source (each tracked crates/*/src file's non-test text) may not exceed the
+# count below. A PR that removes some lowers the number; none raises it.
 echo "== unwrap budget =="
-unwrap_budget=88
+unwrap_budget=86
 unwraps=$(git ls-files 'crates/*/src/*.rs' | while read -r file; do
-    awk '/#\[cfg\(test\)\]/ { exit } { print }' "$file" | grep -vE '^[[:space:]]*//'
+    non_test "$file"
 done | grep -cE '\.unwrap\(\)|\.expect\(' || true)
 echo "$unwraps non-test unwrap/expect calls (budget $unwrap_budget)"
 [ "$unwraps" -le "$unwrap_budget" ]
+
+# ROADMAP 7(c), ratcheted: a `pub fn` / `pub const fn` in crates/*/src whose
+# name no other file's non-test text names — searching crates/*/src,
+# benchmark/src and examples/, `pub use` lines dropped — is surface only a
+# test calls. Those left (an oracle a test compares against, a hook a test
+# in another crate needs, a capability DESIGN.md documents) may not exceed
+# the count below; a PR that removes some lowers it, none raises it.
+echo "== public surface budget =="
+surface_budget=11
+surface=$(mktemp -d)
+git ls-files 'crates/*/src/*.rs' 'benchmark/src/*.rs' 'examples/*.rs' | while read -r file; do
+    mkdir -p "$surface/$(dirname "$file")"
+    non_test "$file" | { grep -vE '^[[:space:]]*pub use ' || true; } >"$surface/$file"
+done
+unnamed=$(git ls-files 'crates/*/src/*.rs' | while read -r file; do
+    { grep -oE '\bpub (const )?fn [A-Za-z0-9_]+' "$surface/$file" || true; } | awk '{ print $NF }' | sort -u |
+        while read -r name; do
+            (cd "$surface" && grep -rlw --include='*.rs' -- "$name" . | grep -qvxF "./$file") ||
+                echo "$file: $name"
+        done
+done)
+rm -r "$surface"
+surface_count=$(grep -c . <<<"$unnamed" || true)
+echo "$surface_count public fns named by no other file's non-test code (budget $surface_budget)"
+if [ "$surface_count" -gt "$surface_budget" ]; then
+    echo "$unnamed" >&2
+    exit 1
+fi
 
 # ROADMAP 6(b), done and kept done: every fan-out, the cluster twins'
 # phases included, runs on the one persistent pool in crates/engines, and
@@ -117,7 +148,6 @@ fi
 # below: the bench allocator's three `GlobalAlloc` methods.
 echo "== one lane vocabulary =="
 simd=crates/stats/src/simd.rs
-non_test() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1" | grep -vE '^[[:space:]]*//'; }
 lane_trait='^[[:space:]]*(pub(\([a-z]+\))? )?trait (Pair)?Lanes\b'
 traits=$(git grep -hoE "$lane_trait" -- '*.rs' | awk '{ print $NF }' | sort | tr '\n' ' ')
 homes=$(git grep -lE "$lane_trait" -- '*.rs')

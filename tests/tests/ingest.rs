@@ -369,11 +369,13 @@ fn chunk_boundaries_change_nothing_a_run_decides() {
     let mut by_shard_count = Vec::new();
     for shards in [1usize, 3] {
         let run = |capacity: usize| {
-            let cfg = IngestConfig::new()
-                .with_shards(shards)
-                .with_queue_capacity(capacity)
-                .with_policy(DirtyDataPolicy::SkipAndCount)
-                .with_detectors(detectors.clone());
+            let cfg = IngestConfig {
+                queue_capacity: capacity,
+                ..IngestConfig::new()
+                    .with_shards(shards)
+                    .with_policy(DirtyDataPolicy::SkipAndCount)
+                    .with_detectors(detectors.clone())
+            };
             run_pipeline(events.iter().copied(), &cfg).expect("skip-and-count completes")
         };
         let reference = run(4096);
@@ -421,10 +423,12 @@ fn chunks_routed_depends_on_the_stream_not_the_schedule() {
     for shards in [1usize, 2] {
         let sink = MetricsSink::recording();
         let run = |capacity: usize, metrics: MetricsSink| {
-            let cfg = IngestConfig::new()
-                .with_shards(shards)
-                .with_queue_capacity(capacity)
-                .with_metrics(metrics);
+            let cfg = IngestConfig {
+                queue_capacity: capacity,
+                ..IngestConfig::new()
+                    .with_shards(shards)
+                    .with_metrics(metrics)
+            };
             run_pipeline(events.iter().copied(), &cfg)
                 .expect("pipeline completes")
                 .report

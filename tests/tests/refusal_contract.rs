@@ -1,7 +1,8 @@
 //! The one refusal contract of the cluster twins, as one table:
 //! {Hive, Spark} × {F1, F2, F3} × {Histogram, 3-line, PAR, Similarity} ×
 //! {trailing field, out-of-range hour, duplicated hour, destroyed
-//! reading, appended garbage}, each under both dirty-data policies.
+//! reading, NaN reading, negative reading, appended garbage}, each under
+//! both dirty-data policies.
 //!
 //! The contract (DESIGN §8, "Dirty input rows"): a *line* the codec
 //! refuses is dirty — fail-fast fails the job with the parse error,
@@ -44,14 +45,18 @@ enum Damage {
     HourOutOfRange,
     DuplicatedHour,
     DestroyedReading,
+    NanReading,
+    NegativeReading,
     AppendedGarbage,
 }
 
-const DAMAGES: [Damage; 5] = [
+const DAMAGES: [Damage; 7] = [
     Damage::TrailingField,
     Damage::HourOutOfRange,
     Damage::DuplicatedHour,
     Damage::DestroyedReading,
+    Damage::NanReading,
+    Damage::NegativeReading,
     Damage::AppendedGarbage,
 ];
 
@@ -89,6 +94,10 @@ fn expected(format: DataFormat, damage: Damage) -> Option<(Outcome, Outcome, u64
         (DataFormat::ConsumerPerLine, Damage::HourOutOfRange | Damage::DuplicatedHour) => {
             return None
         }
+        // `NaN` parses as an `f64`: the line is clean, the year is not.
+        (DataFormat::ConsumerPerLine, Damage::NanReading) => {
+            (SchemaNamingVictim, SchemaNamingVictim, 0)
+        }
         // The line is the household: skipped, it is simply absent.
         (DataFormat::ConsumerPerLine, Damage::DestroyedReading) => (
             Parse,
@@ -98,10 +107,14 @@ fn expected(format: DataFormat, damage: Damage) -> Option<(Outcome, Outcome, u64
             },
             1,
         ),
+        // A negative reading parses and is finite: the line is clean, the
+        // year is not — for Similarity too.
+        (_, Damage::NegativeReading) => (SchemaNamingVictim, SchemaNamingVictim, 0),
         // Every line parses; the victim's rows are 8760 and not a year.
         (_, Damage::DuplicatedHour) => (SchemaNamingVictim, SchemaNamingVictim, 0),
         (_, Damage::AppendedGarbage) => (Parse, all(true), 1),
-        // One of the victim's readings does not survive the policy.
+        // One of the victim's readings does not survive the policy (a
+        // non-finite reading is a dirty line in formats 1 and 3).
         (_, _) => (Parse, SchemaNamingVictim, 1),
     })
 }
@@ -168,6 +181,15 @@ fn damaged(lines: &[String], at: usize, format: DataFormat, damage: Damage) -> V
     let mut lines = lines.to_vec();
     let fields: Vec<&str> = lines[at].split(',').collect();
     let with_hour = |hour: &str| [fields[0], hour, fields[2], fields[3]].join(",");
+    // The victim's hour 1234 reading (its line's field 1235 in format 2).
+    let with_reading = |kwh: &str| match format {
+        DataFormat::ConsumerPerLine => {
+            let mut fields = fields.clone();
+            fields[1235] = kwh;
+            fields.join(",")
+        }
+        _ => [fields[0], fields[1], fields[2], kwh].join(","),
+    };
     lines[at] = match (damage, format) {
         (Damage::AppendedGarbage, _) => {
             lines.push("not,a,valid,row".into());
@@ -177,12 +199,10 @@ fn damaged(lines: &[String], at: usize, format: DataFormat, damage: Damage) -> V
         (Damage::HourOutOfRange, _) => with_hour("9000"),
         // Hour 1233 twice and hour 1234 never: still 8760 rows.
         (Damage::DuplicatedHour, _) => with_hour("1233"),
-        (Damage::DestroyedReading, DataFormat::ConsumerPerLine) => {
-            let mut fields = fields.clone();
-            fields[1235] = "x";
-            fields.join(",")
-        }
+        (Damage::DestroyedReading, DataFormat::ConsumerPerLine) => with_reading("x"),
         (Damage::DestroyedReading, _) => "not,a,valid,row".into(),
+        (Damage::NanReading, _) => with_reading("NaN"),
+        (Damage::NegativeReading, _) => with_reading("-0.25"),
     };
     lines
 }

@@ -6,7 +6,9 @@ use smda_core::{Task, TaskOutput};
 use smda_integration::{fixture_dataset, TempDir};
 use smda_storage::layout::{dataset_from_layout, ArrayTable, DayTable, ReadingTable};
 use smda_storage::{ColumnStore, FileLayout, FileStore};
-use smda_types::{DataFormat, Dataset, FormatReader, FormatWriter};
+use smda_types::{
+    ConsumerSeries, DataFormat, Dataset, FormatReader, FormatWriter, TemperatureSeries,
+};
 
 fn histogram_counts(ds: &Dataset) -> Vec<Vec<u64>> {
     match run_reference(Task::Histogram, ds) {
@@ -41,7 +43,14 @@ fn every_storage_representation_preserves_analytics() {
 
     // Column store.
     let mut col = ColumnStore::create(dir.path("col"), &ds).unwrap();
-    let back = col.to_dataset().unwrap();
+    let temps = TemperatureSeries::new(col.temperature().unwrap().to_vec()).unwrap();
+    let consumers = (0..col.len())
+        .map(|i| {
+            let id = col.consumer_ids()[i];
+            ConsumerSeries::new(id, col.readings(i).unwrap()).unwrap()
+        })
+        .collect();
+    let back = Dataset::new(consumers, temps).unwrap();
     assert_eq!(histogram_counts(&back), reference, "column store");
 
     // File stores (CSV quantizes to 4 decimals: bucket counts can shift
