@@ -77,8 +77,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for task in Task::ALL {
         let sink = MetricsSink::recording();
         let real = run_real(task, &ds, &config, &sink).expect("fault-free real run succeeds");
-        let twin = run_virtual_twin(task, &ds, &config, &MetricsSink::disabled())
-            .expect("virtual twin succeeds");
+        let twin = run_virtual_twin(task, &ds, &config).expect("virtual twin succeeds");
         let report = sink.finish(
             RunManifest::new(task.name(), "real")
                 .threads(WORKERS)

@@ -93,14 +93,6 @@ pub fn mib(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// A rate (per second) with one decimal.
-pub fn rate(count: usize, d: Duration) -> String {
-    if d.is_zero() {
-        return "inf".into();
-    }
-    format!("{:.1}", count as f64 / d.as_secs_f64())
-}
-
 #[cfg(test)]
 impl Table {
     /// The number in the cell after `key`, in the first row whose leading
@@ -154,7 +146,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(secs(Duration::from_millis(1500)), "1.500");
         assert_eq!(mib(1024 * 1024), "1.0");
-        assert_eq!(rate(100, Duration::from_secs(2)), "50.0");
-        assert_eq!(rate(1, Duration::ZERO), "inf");
     }
 }

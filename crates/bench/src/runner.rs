@@ -656,7 +656,7 @@ fn check_real(scale: Scale) -> std::result::Result<String, String> {
         let name = task.name();
         let real = run_real(task, &ds, &config, &MetricsSink::disabled())
             .map_err(|e| format!("real {name} run failed: {e}"))?;
-        let twin = run_virtual_twin(task, &ds, &config, &MetricsSink::disabled())
+        let twin = run_virtual_twin(task, &ds, &config)
             .map_err(|e| format!("virtual twin for {name} failed: {e}"))?;
         if !task_output_bits_eq(&real.output, &twin) {
             return Err(format!(

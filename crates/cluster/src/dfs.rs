@@ -170,16 +170,6 @@ impl SimDfs {
         }
     }
 
-    /// Look up a file.
-    pub fn file(&self, name: &str) -> Option<&DfsFile> {
-        self.files.get(name)
-    }
-
-    /// Remove a file (e.g. intermediate shuffle output).
-    pub fn delete(&mut self, name: &str) -> bool {
-        self.files.remove(name).is_some()
-    }
-
     /// Fail a datanode: every replica it held disappears and it receives
     /// no future placements (failure injection). Returns the names of
     /// files that lost **all** replicas of some block — data loss the
@@ -360,7 +350,7 @@ mod tests {
     fn placement_spreads_over_nodes() {
         let mut dfs = SimDfs::new(small());
         dfs.ingest("big", 8 * 1024, true).unwrap();
-        let file = dfs.file("big").unwrap();
+        let file = dfs.files.get("big").unwrap();
         let primaries: std::collections::HashSet<usize> =
             file.blocks.iter().map(|b| b.replicas[0]).collect();
         assert_eq!(primaries.len(), 4, "all 4 nodes should hold a primary");
@@ -370,7 +360,7 @@ mod tests {
     fn replicas_are_distinct_nodes() {
         let mut dfs = SimDfs::new(small());
         dfs.ingest("r", 100, true).unwrap();
-        let b = &dfs.file("r").unwrap().blocks[0];
+        let b = &dfs.files.get("r").unwrap().blocks[0];
         let unique: std::collections::HashSet<usize> = b.replicas.iter().copied().collect();
         assert_eq!(unique.len(), b.replicas.len());
     }
@@ -410,7 +400,7 @@ mod tests {
         });
         dfs.ingest("fragile", 512, true).unwrap();
         // Single replica: failing its node loses the file.
-        let holder = dfs.file("fragile").unwrap().blocks[0].replicas[0];
+        let holder = dfs.files.get("fragile").unwrap().blocks[0].replicas[0];
         let lost = dfs.fail_node(holder);
         assert_eq!(lost, vec!["fragile".to_string()]);
     }
@@ -423,7 +413,7 @@ mod tests {
             nodes: 2,
         });
         dfs.ingest("fragile", 2048, true).unwrap();
-        let holder = dfs.file("fragile").unwrap().blocks[0].replicas[0];
+        let holder = dfs.files.get("fragile").unwrap().blocks[0].replicas[0];
         dfs.fail_node(holder);
         match dfs.splits(&["fragile".into()]) {
             Err(Error::BlockUnavailable { file, block }) => {
@@ -443,7 +433,10 @@ mod tests {
         }
         assert_eq!(a.drop_replicas(5), 5);
         assert_eq!(b.drop_replicas(5), 5);
-        assert_eq!(a.file("d").unwrap().blocks, b.file("d").unwrap().blocks);
+        assert_eq!(
+            a.files.get("d").unwrap().blocks,
+            b.files.get("d").unwrap().blocks
+        );
         // 4 blocks × 3 replicas = 12 total; can never drop more.
         let mut c = SimDfs::new(small());
         c.ingest("d", 4 * 1024, true).unwrap();
@@ -458,7 +451,7 @@ mod tests {
         assert_eq!(dropped, 4);
         let created = dfs.re_replicate();
         assert_eq!(created, 4);
-        for block in &dfs.file("data").unwrap().blocks {
+        for block in &dfs.files.get("data").unwrap().blocks {
             assert_eq!(block.replicas.len(), 3);
             let unique: std::collections::HashSet<usize> = block.replicas.iter().copied().collect();
             assert_eq!(
@@ -479,7 +472,7 @@ mod tests {
         dfs.ingest("d", 2048, true).unwrap();
         dfs.fail_node(0);
         dfs.re_replicate();
-        for block in &dfs.file("d").unwrap().blocks {
+        for block in &dfs.files.get("d").unwrap().blocks {
             assert!(!block.replicas.contains(&0));
             assert_eq!(block.replicas.len(), 2);
         }
@@ -499,7 +492,7 @@ mod tests {
         let mut dfs = SimDfs::new(small());
         dfs.fail_node(1);
         dfs.ingest("late", 8 * 1024, true).unwrap();
-        for block in &dfs.file("late").unwrap().blocks {
+        for block in &dfs.files.get("late").unwrap().blocks {
             assert!(!block.replicas.contains(&1), "{block:?}");
             assert_eq!(block.replicas.len(), 3);
         }
@@ -517,14 +510,5 @@ mod tests {
             dfs.ingest("f", 10, true),
             Err(Error::NoHealthyNodes)
         ));
-    }
-
-    #[test]
-    fn delete_removes_files() {
-        let mut dfs = SimDfs::new(small());
-        dfs.ingest("tmp", 10, true).unwrap();
-        assert!(dfs.delete("tmp"));
-        assert!(!dfs.delete("tmp"));
-        assert!(dfs.files.is_empty());
     }
 }

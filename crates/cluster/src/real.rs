@@ -12,7 +12,7 @@
 //! WAL: zero lost, zero duplicated, enforced by a typed ledger check
 //! at replay time.
 //!
-//! The virtual scheduler stays in-tree as the deterministic twin:
+//! The deterministic twin stays in-tree beside it:
 //! [`run_virtual_twin`] pushes the identical decomposition through the
 //! identical pure executors in-process, so the two sides agree bit for
 //! bit ([`task_output_bits_eq`]) on every task output.
@@ -32,16 +32,14 @@ use smda_core::{consumer_matches, Task, TaskOutput, SIMILARITY_TOP_K};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{merge_partials, TileConfig};
 use smda_storage::wal::{replay_frames, FrameLog};
-use smda_types::{BitEq, Dataset, Error, Result, HOURS_PER_YEAR};
+use smda_types::{BitEq, Dataset, Error, Result};
 
 use crate::faults::FaultPlan;
-use crate::scheduler::{ClusterTopology, SimTask, VirtualScheduler};
 use crate::transport::{put_bytes, put_u32, Endpoint, TransportConfig, WireCursor};
 use crate::worker::{
     decode_partial, decode_results, execute_map, execute_merge, execute_similarity_partial,
     Request, Response, LISTENING_PREFIX,
 };
-use crate::CostModel;
 
 /// Configuration for a real multi-process run.
 #[derive(Debug, Clone, PartialEq)]
@@ -763,8 +761,7 @@ fn normalized_rows(ds: &Dataset) -> (Vec<smda_types::ConsumerId>, Vec<Vec<f64>>)
     (ids, rows)
 }
 
-/// Spawn a cluster, run one task, shut down. The one-call entry point
-/// the engines' real-backend toggle uses.
+/// Spawn a cluster, run one task, shut down.
 pub fn run_real(
     task: Task,
     ds: &Dataset,
@@ -778,37 +775,19 @@ pub fn run_real(
 }
 
 /// The deterministic twin: the identical phase decomposition pushed
-/// through the identical pure executors, in-process, with the phase
-/// plan also driven through the [`VirtualScheduler`] so the virtual
-/// cost model sees the same task counts. Its output is bit-identical
-/// to [`RealCluster::run_task`]'s.
+/// through the identical pure executors, in-process — the reference the
+/// real cluster is compared against. Its output is bit-identical to
+/// [`RealCluster::run_task`]'s.
 pub fn run_virtual_twin(
     task: Task,
     ds: &Dataset,
     config: &RealClusterConfig,
-    metrics: &MetricsSink,
 ) -> Result<TaskOutput> {
-    let topology = ClusterTopology {
-        workers: config.workers.max(1),
-        slots_per_worker: 2,
-        cost: CostModel::default(),
-    };
-    let mut scheduler = VirtualScheduler::new(topology).with_metrics(metrics.clone());
-    let sim_task = |bytes: u64| SimTask {
-        input_bytes: bytes,
-        locality: Vec::new(),
-        compute: Duration::from_millis(1),
-        output_bytes: bytes,
-        shuffle_bytes: 0,
-    };
     match task {
         Task::Similarity => {
             let (ids, rows) = normalized_rows(ds);
             let tiles = TileConfig::default().tile_rows(rows.len()).max(1);
             let parts = config.reduce_tasks.min(tiles) as u32;
-            let row_bytes = (rows.len() * HOURS_PER_YEAR * 8) as u64;
-            let plan: Vec<SimTask> = (0..parts).map(|_| sim_task(row_bytes)).collect();
-            scheduler.try_run_phase(&plan, Duration::ZERO)?;
             let mut partials = Vec::with_capacity(parts as usize);
             for part in 0..parts {
                 let payload =
@@ -823,14 +802,11 @@ pub fn run_virtual_twin(
             let temps = ds.temperature().values();
             let reduce_parts = config.reduce_tasks as u32;
             let mut spill: BTreeMap<u32, Vec<(usize, Vec<u8>)>> = BTreeMap::new();
-            let mut plan = Vec::new();
             for (map_index, chunk) in ds.consumers().chunks(config.map_chunk).enumerate() {
                 let chunk: Vec<(u32, Vec<f64>)> = chunk
                     .iter()
                     .map(|c| (c.id.raw(), c.readings().to_vec()))
                     .collect();
-                let bytes = (chunk.len() * HOURS_PER_YEAR * 8) as u64;
-                plan.push(sim_task(bytes));
                 for (partition, payload) in execute_map(task, reduce_parts, temps, &chunk)? {
                     spill
                         .entry(partition)
@@ -838,12 +814,6 @@ pub fn run_virtual_twin(
                         .push((map_index, payload));
                 }
             }
-            scheduler.try_run_phase(&plan, Duration::ZERO)?;
-            let reduce_plan: Vec<SimTask> = spill
-                .values()
-                .map(|v| sim_task(v.iter().map(|(_, p)| p.len() as u64).sum()))
-                .collect();
-            scheduler.try_run_phase(&reduce_plan, Duration::ZERO)?;
             let mut all = Vec::new();
             for (_, mut records) in spill {
                 records.sort_by_key(|(map_index, _)| *map_index);
@@ -866,7 +836,7 @@ pub fn task_output_bits_eq(a: &TaskOutput, b: &TaskOutput) -> bool {
 mod tests {
     use super::*;
     use smda_core::tasks::run_reference;
-    use smda_types::{ConsumerSeries, TemperatureSeries};
+    use smda_types::{ConsumerSeries, TemperatureSeries, HOURS_PER_YEAR};
 
     fn dataset(n: u32) -> Dataset {
         let temp =
@@ -896,7 +866,7 @@ mod tests {
             ..RealClusterConfig::default()
         };
         for task in Task::ALL {
-            let twin = run_virtual_twin(task, &ds, &config, &MetricsSink::disabled()).unwrap();
+            let twin = run_virtual_twin(task, &ds, &config).unwrap();
             let reference = run_reference(task, &ds);
             assert!(
                 task_output_bits_eq(&twin, &reference),

@@ -171,11 +171,6 @@ impl VirtualScheduler {
         }
     }
 
-    /// The topology in force.
-    pub fn topology(&self) -> ClusterTopology {
-        self.topology
-    }
-
     /// Route scheduling counters (`tasks_scheduled`, `bytes_shuffled`,
     /// and the `faults.*` family) into `sink`. The scheduler is the
     /// single source of truth for all of them: every placed task counts

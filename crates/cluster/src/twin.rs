@@ -1,26 +1,19 @@
 //! What the Hive and Spark twins share below their planners: the
-//! simulated DFS, the text table rendered into it, and the hand-off to
-//! the real-transport backend.
+//! simulated DFS and the text table rendered into it.
 
-use smda_core::Task;
 use smda_obs::{counters, MetricsSink};
 use smda_types::{DataFormat, Dataset, Error, Result};
 
 use crate::dfs::{DfsConfig, SimDfs};
 use crate::faults::FaultPlan;
-use crate::real::{run_real, RealClusterConfig, RealRunReport};
 use crate::textdata::TextTable;
 
 /// One twin's loaded input. The engines keep their planners and result
-/// types; loading, fault application at load time and the real-transport
-/// hand-off live here, once.
+/// types; loading and fault application at load time live here, once.
 #[derive(Debug)]
 pub struct TwinShell {
     dfs: SimDfs,
     table: Option<TextTable>,
-    /// The dataset as loaded — real-transport runs ship series to live
-    /// worker processes rather than re-parsing the text rendition.
-    dataset: Option<Dataset>,
 }
 
 impl TwinShell {
@@ -34,7 +27,6 @@ impl TwinShell {
                 nodes,
             }),
             table: None,
-            dataset: None,
         }
     }
 
@@ -69,7 +61,6 @@ impl TwinShell {
             table.refresh_hosts(&self.dfs)?;
         }
         self.table = Some(table);
-        self.dataset = Some(ds.clone());
         Ok(())
     }
 
@@ -87,28 +78,6 @@ impl TwinShell {
     /// As [`TwinShell::table`].
     pub fn table_mut(&mut self) -> Result<&mut TextTable> {
         self.table.as_mut().ok_or_else(not_loaded)
-    }
-
-    /// Real-transport backend: the same map/shuffle/reduce decomposition
-    /// executed by forked worker processes over local TCP, with WAL-backed
-    /// shuffle recovery. `faults` becomes real SIGKILLs unless `config`
-    /// carries a plan of its own.
-    ///
-    /// # Errors
-    /// As [`TwinShell::table`], and whatever [`run_real`] reports.
-    pub fn run_real(
-        &self,
-        task: Task,
-        config: &RealClusterConfig,
-        faults: Option<&FaultPlan>,
-        metrics: &MetricsSink,
-    ) -> Result<RealRunReport> {
-        let ds = self.dataset.as_ref().ok_or_else(not_loaded)?;
-        let mut config = config.clone();
-        if config.fault_plan.is_none() {
-            config.fault_plan = faults.cloned();
-        }
-        run_real(task, ds, &config, metrics)
     }
 }
 

@@ -96,16 +96,6 @@ impl TaskOutput {
         self.len() == 0
     }
 
-    /// Which task produced this output.
-    pub fn task(&self) -> Task {
-        match self {
-            TaskOutput::Histograms(_) => Task::Histogram,
-            TaskOutput::ThreeLine(_) => Task::ThreeLine,
-            TaskOutput::Par(_) => Task::Par,
-            TaskOutput::Similarity(_) => Task::Similarity,
-        }
-    }
-
     /// Assemble the output of per-consumer `task` from its results, in the
     /// order given. Results of another task are dropped.
     ///
@@ -340,7 +330,6 @@ mod tests {
         let ds = tiny();
         for task in Task::ALL {
             let out = run_reference(task, &ds);
-            assert_eq!(out.task(), task);
             assert_eq!(out.len(), 3, "{task} produced wrong cardinality");
             assert!(!out.is_empty());
         }

@@ -38,11 +38,6 @@ impl BinarySource {
             scratch: Vec::new(),
         }
     }
-
-    /// The shared store this source reads from.
-    pub fn store(&self) -> &Arc<BinaryStore> {
-        &self.store
-    }
 }
 
 impl ConsumerSource for BinarySource {

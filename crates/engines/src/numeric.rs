@@ -82,14 +82,6 @@ impl NumericEngine {
         }
     }
 
-    /// The CSV file layout in use, if this engine is CSV-backed.
-    pub fn layout(&self) -> Option<FileLayout> {
-        match self.backing {
-            Backing::Csv(layout) => Some(layout),
-            Backing::Binary => None,
-        }
-    }
-
     fn csv_store(&self, layout: FileLayout) -> Result<FileStore> {
         if !self.loaded {
             return Err(Error::Invalid("numeric engine has no data loaded".into()));
@@ -357,7 +349,6 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("smda-numeric-bin-{}.smc", std::process::id()));
         let mut engine = NumericEngine::binary(&path);
-        assert_eq!(engine.layout(), None);
         engine.load(&ds).unwrap();
         for task in [
             Task::Par,

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use smda_cluster::{FaultPlan, RealClusterConfig};
+use smda_cluster::FaultPlan;
 use smda_core::{Task, TaskOutput};
 use smda_obs::{MetricsReport, MetricsSink, RunManifest};
 use smda_types::{DataFormat, Dataset, DirtyDataPolicy, Result};
@@ -49,12 +49,6 @@ pub struct RunSpec {
     pub fault_plan: Option<FaultPlan>,
     /// How parsers treat malformed rows (default: fail fast).
     pub dirty_policy: DirtyDataPolicy,
-    /// Execute on real worker processes over local TCP instead of the
-    /// virtual scheduler. `None` (the default) keeps the deterministic
-    /// simulator. When set, the spec's [`RunSpec::fault_plan`] crash
-    /// schedule is delivered as actual SIGKILLs to worker processes
-    /// (unless the config carries its own plan).
-    pub real_transport: Option<RealClusterConfig>,
 }
 
 impl RunSpec {
@@ -69,7 +63,6 @@ impl RunSpec {
                 metrics: MetricsSink::disabled(),
                 fault_plan: None,
                 dirty_policy: DirtyDataPolicy::default(),
-                real_transport: None,
             },
         }
     }
@@ -97,19 +90,6 @@ impl RunSpecBuilder {
     /// Inject faults into the run (and into observed loads).
     pub fn fault_plan(mut self, plan: FaultPlan) -> RunSpecBuilder {
         self.spec.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the dirty-row policy.
-    pub fn dirty_policy(mut self, policy: DirtyDataPolicy) -> RunSpecBuilder {
-        self.spec.dirty_policy = policy;
-        self
-    }
-
-    /// Run on real worker processes (socket shuffle, WAL-backed
-    /// recovery) instead of the virtual scheduler.
-    pub fn real_transport(mut self, config: RealClusterConfig) -> RunSpecBuilder {
-        self.spec.real_transport = Some(config);
         self
     }
 

@@ -131,11 +131,6 @@ impl RelationalEngine {
         }
     }
 
-    /// The table layout in use.
-    pub fn layout(&self) -> RelationalLayout {
-        self.layout
-    }
-
     fn table_file(&self) -> PathBuf {
         table_path(&self.dir, self.layout.label())
     }

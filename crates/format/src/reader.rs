@@ -178,12 +178,6 @@ impl SmcFile {
         self.map.len() as u64
     }
 
-    /// True when the bytes are served by a live kernel mapping rather
-    /// than an owned buffer.
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
-    }
-
     /// Consumer ids, ascending.
     pub fn consumer_ids(&self) -> Vec<ConsumerId> {
         self.entries.iter().map(|e| ConsumerId(e.id)).collect()

@@ -49,7 +49,7 @@ pub struct SmcSummary {
 
 /// Streaming writer for one `SMC1` file.
 ///
-/// Usage: [`SmcWriter::create`], then [`append_consumer`] once per
+/// Usage: [`SmcWriter::create_with`], then [`append_consumer`] once per
 /// consumer in ascending-id order, then [`temperature`], then
 /// [`finish`]. Each step validates its precondition with a typed
 /// error.
@@ -72,12 +72,6 @@ pub struct SmcWriter {
 }
 
 impl SmcWriter {
-    /// Start a file for `n` consumers of `hours` readings each, using
-    /// the default [`Encoding::Packed`] policy.
-    pub fn create(path: impl AsRef<Path>, n: usize, hours: usize) -> Result<SmcWriter> {
-        SmcWriter::create_with(path, n, hours, Encoding::Packed)
-    }
-
     /// Start a file with an explicit encoding policy.
     pub fn create_with(
         path: impl AsRef<Path>,
@@ -314,11 +308,6 @@ impl SmcWriter {
             raw_blocks,
             packed_blocks: entries.len() - raw_blocks,
         })
-    }
-
-    /// The declared readings-per-consumer of this file.
-    pub fn hours(&self) -> usize {
-        self.hours
     }
 }
 

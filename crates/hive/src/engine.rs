@@ -130,41 +130,15 @@ impl HiveEngine {
         self.reduce_tasks = n.max(1);
     }
 
-    /// The modeled topology.
-    pub fn topology(&self) -> ClusterTopology {
-        self.topology
-    }
-
     /// Create the external table: render `ds` in `format` and register
     /// it in the DFS, fault-free and unobserved.
     pub fn load(&mut self, ds: &Dataset, format: DataFormat) -> Result<()> {
         self.load_observed(ds, format, &RunSpec::builder(Task::Histogram).build())
     }
 
-    /// Run one benchmark task with default run-scoped configuration
-    /// (no metrics, no faults, fail-fast dirty handling).
-    pub fn run_task(&mut self, task: Task) -> Result<HiveRunResult> {
-        let spec = RunSpec::builder(task).build();
-        self.run_with(&spec)
-    }
-
     /// Run `spec.task`, returning output + virtual-time stats. Metrics,
     /// faults and the dirty-row policy all come from the spec.
     pub fn run_with(&mut self, spec: &RunSpec) -> Result<HiveRunResult> {
-        if let Some(config) = &spec.real_transport {
-            let (faults, metrics) = (spec.fault_plan.as_ref(), &spec.metrics);
-            let report = self.shell.run_real(spec.task, config, faults, metrics)?;
-            return Ok(HiveRunResult {
-                output: report.output,
-                stats: JobStats {
-                    virtual_elapsed: report.elapsed,
-                    map_tasks: report.map_tasks,
-                    reduce_tasks: report.reduce_tasks,
-                    ..JobStats::default()
-                },
-                operator: HiveOperator::Udaf,
-            });
-        }
         let task = spec.task;
         if task == Task::Similarity {
             return self.run_similarity(spec);
@@ -534,7 +508,7 @@ mod tests {
         let mut hive = engine(4);
         hive.load(&ds, DataFormat::ReadingPerLine).unwrap();
         for task in [Task::Histogram, Task::Par] {
-            let r = hive.run_task(task).unwrap();
+            let r = hive.run_with(&RunSpec::builder(task).build()).unwrap();
             assert_eq!(r.operator, HiveOperator::Udaf);
             assert!(r.stats.reduce_tasks > 0);
             assert!(r.stats.shuffle_bytes > 0);
@@ -547,7 +521,9 @@ mod tests {
         let ds = tiny(4);
         let mut hive = engine(4);
         hive.load(&ds, DataFormat::ConsumerPerLine).unwrap();
-        let r = hive.run_task(Task::Histogram).unwrap();
+        let r = hive
+            .run_with(&RunSpec::builder(Task::Histogram).build())
+            .unwrap();
         assert_eq!(r.operator, HiveOperator::GenericUdf);
         assert_eq!(r.stats.reduce_tasks, 0);
         assert_eq!(r.stats.shuffle_bytes, 0);
@@ -559,13 +535,17 @@ mod tests {
         let ds = tiny(6);
         let mut hive = engine(4);
         hive.load(&ds, DataFormat::ManyFiles { files: 3 }).unwrap();
-        let udtf = hive.run_task(Task::Histogram).unwrap();
+        let udtf = hive
+            .run_with(&RunSpec::builder(Task::Histogram).build())
+            .unwrap();
         assert_eq!(udtf.operator, HiveOperator::Udtf);
         assert_eq!(udtf.stats.shuffle_bytes, 0);
         assert_matches_reference(&ds, &udtf.output, Task::Histogram);
 
         hive.force_udaf = true;
-        let udaf = hive.run_task(Task::Histogram).unwrap();
+        let udaf = hive
+            .run_with(&RunSpec::builder(Task::Histogram).build())
+            .unwrap();
         assert_eq!(udaf.operator, HiveOperator::Udaf);
         assert!(udaf.stats.shuffle_bytes > 0);
         assert!(
@@ -583,7 +563,9 @@ mod tests {
         let mut hive = engine(2);
         hive.set_reduce_tasks(3);
         hive.load(&ds, DataFormat::ConsumerPerLine).unwrap();
-        let r = hive.run_task(Task::Similarity).unwrap();
+        let r = hive
+            .run_with(&RunSpec::builder(Task::Similarity).build())
+            .unwrap();
         assert_matches_reference(&ds, &r.output, Task::Similarity);
         // Self-join shuffle: every series to every reducer.
         assert!(r.stats.shuffle_bytes >= 5 * 3 * SERIES_BYTES);
@@ -594,14 +576,18 @@ mod tests {
         let ds = tiny(4);
         let mut hive = engine(2);
         hive.load(&ds, DataFormat::ReadingPerLine).unwrap();
-        let r = hive.run_task(Task::Similarity).unwrap();
+        let r = hive
+            .run_with(&RunSpec::builder(Task::Similarity).build())
+            .unwrap();
         assert_matches_reference(&ds, &r.output, Task::Similarity);
     }
 
     #[test]
     fn run_before_load_errors() {
         let mut hive = engine(2);
-        assert!(hive.run_task(Task::Histogram).is_err());
+        assert!(hive
+            .run_with(&RunSpec::builder(Task::Histogram).build())
+            .is_err());
     }
 
     #[test]
@@ -664,13 +650,16 @@ mod tests {
             split.lines = Arc::new(lines);
         }
         assert!(
-            hive.run_task(Task::Histogram).is_err(),
+            hive.run_with(&RunSpec::builder(Task::Histogram).build())
+                .is_err(),
             "fail-fast must surface the dirty row"
         );
-        let spec = RunSpec::builder(Task::Histogram)
-            .metrics(sink.clone())
-            .dirty_policy(DirtyDataPolicy::SkipAndCount)
-            .build();
+        let spec = RunSpec {
+            dirty_policy: DirtyDataPolicy::SkipAndCount,
+            ..RunSpec::builder(Task::Histogram)
+                .metrics(sink.clone())
+                .build()
+        };
         let r = hive.run_with(&spec).unwrap();
         assert_matches_reference(&ds, &r.output, Task::Histogram);
         let report = sink.finish(smda_obs::RunManifest::new("histogram", "hive"));
@@ -690,7 +679,7 @@ mod tests {
             (DataFormat::ManyFiles { files: 2 }, Task::ThreeLine),
             (DataFormat::ManyFiles { files: 2 }, Task::Similarity),
         ] {
-            let mut hive = HiveEngine::new(engine(2).topology(), 48 * 1024);
+            let mut hive = HiveEngine::new(engine(2).topology, 48 * 1024);
             hive.load(&tiny(2), format).unwrap();
             let splits = &mut hive.shell.table_mut().unwrap().splits;
             assert!(splits.len() >= 2, "{format:?}: {} split", splits.len());
@@ -703,7 +692,10 @@ mod tests {
             splits[last].lines = Arc::new(lines);
 
             for run in 0..20 {
-                let message = hive.run_task(task).unwrap_err().to_string();
+                let message = hive
+                    .run_with(&RunSpec::builder(task).build())
+                    .unwrap_err()
+                    .to_string();
                 assert!(
                     message.contains("lower,split"),
                     "{format:?}/{task} run {run}: {message}"
@@ -738,7 +730,9 @@ mod tests {
         let ds = tiny(3);
         let mut hive = engine(3);
         hive.load(&ds, DataFormat::ManyFiles { files: 2 }).unwrap();
-        let r = hive.run_task(Task::ThreeLine).unwrap();
+        let r = hive
+            .run_with(&RunSpec::builder(Task::ThreeLine).build())
+            .unwrap();
         assert_matches_reference(&ds, &r.output, Task::ThreeLine);
     }
 
@@ -761,17 +755,17 @@ mod tests {
                 lines[1234] = "not,a,valid,row".into();
                 split.lines = Arc::new(lines);
 
-                match hive.run_task(task) {
+                match hive.run_with(&RunSpec::builder(task).build()) {
                     Err(Error::Parse { .. }) => {}
                     other => {
                         panic!("{format:?}/{task}: fail-fast wants the parse error, got {other:?}")
                     }
                 }
                 let sink = MetricsSink::recording();
-                let spec = RunSpec::builder(task)
-                    .metrics(sink.clone())
-                    .dirty_policy(DirtyDataPolicy::SkipAndCount)
-                    .build();
+                let spec = RunSpec {
+                    dirty_policy: DirtyDataPolicy::SkipAndCount,
+                    ..RunSpec::builder(task).metrics(sink.clone()).build()
+                };
                 match hive.run_with(&spec) {
                     Err(Error::Schema(msg)) => {
                         assert!(msg.contains(&victim), "{format:?}/{task}: {msg}")

@@ -12,9 +12,10 @@
 //! ```
 //!
 //! The planner chooses UDF/UDAF/UDTF by the table's format, exactly as
-//! [`HiveEngine::run_task`] does; the join form plans the self-join.
+//! [`HiveEngine::run_with`] does; the join form plans the self-join.
 
 use smda_core::Task;
+use smda_engines::RunSpec;
 use smda_types::{Error, Result};
 
 use crate::engine::{HiveEngine, HiveRunResult};
@@ -153,7 +154,7 @@ impl HiveSession {
         if query.table != "meter_data" {
             return Err(Error::Invalid(format!("unknown table `{}`", query.table)));
         }
-        self.engine.run_task(query.task)
+        self.engine.run_with(&RunSpec::builder(query.task).build())
     }
 }
 

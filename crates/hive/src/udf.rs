@@ -19,16 +19,7 @@ pub enum HiveOperator {
     Udtf,
 }
 
-impl HiveOperator {
-    /// Label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            HiveOperator::GenericUdf => "UDF",
-            HiveOperator::Udaf => "UDAF",
-            HiveOperator::Udtf => "UDTF",
-        }
-    }
-}
+impl HiveOperator {}
 
 /// A map-side scalar function: one input row to zero or more outputs.
 pub trait GenericUdf<I, O>: Sync {
@@ -217,12 +208,5 @@ mod tests {
         assert!(YearUdtf(&histogram)
             .process(rows, &mut |r| out.push(r))
             .is_err());
-    }
-
-    #[test]
-    fn operator_labels() {
-        assert_eq!(HiveOperator::GenericUdf.label(), "UDF");
-        assert_eq!(HiveOperator::Udaf.label(), "UDAF");
-        assert_eq!(HiveOperator::Udtf.label(), "UDTF");
     }
 }

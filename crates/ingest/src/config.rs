@@ -113,12 +113,6 @@ impl IngestConfig {
         self
     }
 
-    /// Set the metrics sink.
-    pub fn with_metrics(mut self, metrics: MetricsSink) -> IngestConfig {
-        self.metrics = metrics;
-        self
-    }
-
     /// Attach per-consumer anomaly detectors.
     pub fn with_detectors(
         mut self,

@@ -3,12 +3,12 @@
 //! A [`SnapshotHandle`] holds at most one *live* snapshot. Publishing
 //! replaces the whole `Arc<LiveSnapshot>` under a short write lock and
 //! bumps the epoch; readers [`pin`](SnapshotHandle::pin) by cloning the
-//! `Arc` under a short read lock. Because the epoch, the watermark and
-//! the data travel together inside one immutable `LiveSnapshot`, a
-//! reader can never observe a *torn* state (epoch N paired with epoch
-//! N+1's data) — it either pins the old world or the new one, and holds
-//! whichever it pinned alive for the duration of its query regardless of
-//! how many publishes happen meanwhile. The sealer never waits for
+//! `Arc` under a short read lock. Because the epoch and the data travel
+//! together inside one immutable `LiveSnapshot`, a reader can never
+//! observe a *torn* state (epoch N paired with epoch N+1's data) — it
+//! either pins the old world or the new one, and holds whichever it
+//! pinned alive for the duration of its query regardless of how many
+//! publishes happen meanwhile. The sealer never waits for
 //! readers: swapping the `Arc` is all it does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,11 +18,10 @@ use smda_core::Alert;
 
 use crate::snapshot::Snapshot;
 
-/// One published world: a sealed snapshot plus the stream position it
-/// represents, immutable once constructed.
+/// One published world: a sealed snapshot with its epoch and alerts,
+/// immutable once constructed.
 pub struct LiveSnapshot {
     epoch: u64,
-    watermark: u32,
     snapshot: Arc<Snapshot>,
     alerts: Arc<Vec<Alert>>,
 }
@@ -31,12 +30,6 @@ impl LiveSnapshot {
     /// Publication number, starting at 1 and strictly increasing.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Newest event hour the pipeline had routed when this snapshot was
-    /// sealed.
-    pub fn watermark(&self) -> u32 {
-        self.watermark
     }
 
     /// The sealed world.
@@ -73,13 +66,19 @@ impl SnapshotHandle {
     }
 
     /// Publish a sealed snapshot as the new live world; returns its
-    /// epoch. Readers pinned to earlier epochs are unaffected.
-    pub fn publish(&self, snapshot: Arc<Snapshot>, watermark: u32, alerts: Arc<Vec<Alert>>) -> u64 {
+    /// epoch. Readers pinned to earlier epochs are unaffected. The
+    /// stream position the snapshot was sealed at is taken but not kept:
+    /// nothing reads it.
+    pub fn publish(
+        &self,
+        snapshot: Arc<Snapshot>,
+        _watermark: u32,
+        alerts: Arc<Vec<Alert>>,
+    ) -> u64 {
         let gate = lock(&self.gate);
         let epoch = self.epoch.load(Ordering::Acquire) + 1;
         let live = Arc::new(LiveSnapshot {
             epoch,
-            watermark,
             snapshot,
             alerts,
         });
@@ -99,11 +98,6 @@ impl SnapshotHandle {
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone()
-    }
-
-    /// Epoch of the current live snapshot; 0 before the first publish.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 }
 
@@ -138,7 +132,6 @@ mod tests {
     fn empty_handle_pins_nothing() {
         let h = SnapshotHandle::new();
         assert!(h.pin().is_none());
-        assert_eq!(h.epoch(), 0);
     }
 
     #[test]
@@ -148,7 +141,6 @@ mod tests {
         assert_eq!(e1, 1);
         let pinned = h.pin().unwrap();
         assert_eq!(pinned.epoch(), 1);
-        assert_eq!(pinned.watermark(), 100);
 
         let e2 = h.publish(tiny_snapshot(2), 200, Arc::new(Vec::new()));
         assert_eq!(e2, 2);

@@ -221,11 +221,6 @@ impl BenchExport {
     pub fn to_json_pretty(&self) -> String {
         json::to_string_pretty(self)
     }
-
-    /// Parse a document produced by [`BenchExport::to_json_pretty`].
-    pub fn parse(text: &str) -> Result<BenchExport, Box<dyn std::error::Error>> {
-        json::from_str(text)
-    }
 }
 
 impl Serialize for RunManifest {
@@ -411,7 +406,7 @@ mod tests {
         let export = BenchExport::from_runs(vec![sample_report()]);
         assert_eq!(export.schema, BenchExport::SCHEMA);
         let text = export.to_json_pretty();
-        let back = BenchExport::parse(&text).unwrap();
+        let back = json::from_str::<BenchExport>(&text).unwrap();
         assert_eq!(back, export);
         // Every flattened entry has the dkls23-style fields.
         let doc = serde::json::parse(&text).unwrap();
@@ -435,10 +430,10 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_shapes() {
-        assert!(BenchExport::parse("{}").is_err());
-        assert!(BenchExport::parse("not json").is_err());
+        assert!(json::from_str::<BenchExport>("{}").is_err());
+        assert!(json::from_str::<BenchExport>("not json").is_err());
         let missing_unit =
             r#"{"schema":"s","benches":[{"name":"x","value":1,"range":null}],"runs":[]}"#;
-        assert!(BenchExport::parse(missing_unit).is_err());
+        assert!(json::from_str::<BenchExport>(missing_unit).is_err());
     }
 }

@@ -170,12 +170,7 @@ pub struct PhaseTimer {
     start: Option<Instant>,
 }
 
-impl PhaseTimer {
-    /// Open a scope on `sink`; identical to [`MetricsSink::scope`].
-    pub fn scope(sink: &MetricsSink, name: &str) -> PhaseTimer {
-        sink.scope(name)
-    }
-}
+impl PhaseTimer {}
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {

@@ -87,21 +87,6 @@ impl EpochCache {
         }
         gen.map.insert(query, result);
     }
-
-    /// Epoch of the current generation (0 before the first lookup).
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch
-    }
-
-    /// Answers currently memoized.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +115,7 @@ mod tests {
         assert!(matches!(cache.lookup(1, &q(1)), CacheLookup::Miss));
         cache.insert(1, q(1), r(1));
         assert!(matches!(cache.lookup(1, &q(1)), CacheLookup::Hit(_)));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lock().map.len(), 1);
     }
 
     #[test]
@@ -142,8 +127,8 @@ mod tests {
             cache.lookup(2, &q(1)),
             CacheLookup::MissInvalidated
         ));
-        assert!(cache.is_empty());
-        assert_eq!(cache.epoch(), 2);
+        assert!(cache.lock().map.is_empty());
+        assert_eq!(cache.lock().epoch, 2);
         // The epoch-1 answer is gone for good.
         assert!(matches!(cache.lookup(2, &q(1)), CacheLookup::Miss));
     }
@@ -158,7 +143,7 @@ mod tests {
         // ...and its recomputed answer is dropped, not cached at 2.
         cache.insert(1, q(2), r(2));
         assert!(matches!(cache.lookup(2, &q(2)), CacheLookup::Miss));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lock().map.len(), 1);
     }
 
     #[test]
@@ -168,6 +153,6 @@ mod tests {
         for id in 0..5 {
             cache.insert(1, q(id), r(id));
         }
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lock().map.len(), 2);
     }
 }

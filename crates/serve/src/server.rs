@@ -227,11 +227,6 @@ impl Server {
         }
     }
 
-    /// The epoch currently live in the underlying handle.
-    pub fn epoch(&self) -> u64 {
-        self.handle.epoch()
-    }
-
     /// [`Server::submit_with_deadline`] with the configured default
     /// deadline.
     pub fn submit(&self, query: Query) -> Result<Ticket<'_>, ServeError> {

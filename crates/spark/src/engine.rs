@@ -95,22 +95,10 @@ impl SparkEngine {
         }
     }
 
-    /// The modeled topology.
-    pub fn topology(&self) -> ClusterTopology {
-        self.topology
-    }
-
     /// Render `ds` in `format` and register it in the DFS, fault-free
     /// and unobserved.
     pub fn load(&mut self, ds: &Dataset, format: DataFormat) -> Result<()> {
         self.load_observed(ds, format, &RunSpec::builder(Task::Histogram).build())
-    }
-
-    /// Run one benchmark task with default run-scoped configuration
-    /// (no metrics, no faults, fail-fast dirty handling).
-    pub fn run_task(&mut self, task: Task) -> Result<SparkRunResult> {
-        let spec = RunSpec::builder(task).build();
-        self.run_with(&spec)
     }
 
     /// Every household of `table` through `on_year` (formats 1 and 3: its
@@ -169,19 +157,6 @@ impl SparkEngine {
     /// cluster-wide outage, a malformed row under the fail-fast
     /// dirty-data policy, or a household whose rows are not a whole year.
     pub fn run_with(&mut self, spec: &RunSpec) -> Result<SparkRunResult> {
-        if let Some(config) = &spec.real_transport {
-            let (faults, metrics) = (spec.fault_plan.as_ref(), &spec.metrics);
-            let report = self.shell.run_real(spec.task, config, faults, metrics)?;
-            return Ok(SparkRunResult {
-                output: report.output,
-                virtual_elapsed: report.elapsed,
-                stats: SparkStats {
-                    stages: if report.map_tasks > 0 { 2 } else { 1 },
-                    tasks: (report.map_tasks + report.reduce_tasks) as u64,
-                    ..SparkStats::default()
-                },
-            });
-        }
         let task = spec.task;
         let sc =
             SparkContext::configured(self.topology, spec.metrics.clone(), spec.fault_plan.clone());
@@ -380,7 +355,7 @@ mod tests {
         let mut spark = engine(4);
         spark.load(&ds, DataFormat::ReadingPerLine).unwrap();
         for task in [Task::Histogram, Task::Par] {
-            let r = spark.run_task(task).unwrap();
+            let r = spark.run_with(&RunSpec::builder(task).build()).unwrap();
             check(&ds, &r.output, task);
             assert!(r.stats.shuffle_bytes > 0, "format 1 requires a shuffle");
             assert!(r.virtual_elapsed > Duration::ZERO);
@@ -392,7 +367,9 @@ mod tests {
         let ds = tiny(4);
         let mut spark = engine(4);
         spark.load(&ds, DataFormat::ConsumerPerLine).unwrap();
-        let r = spark.run_task(Task::Histogram).unwrap();
+        let r = spark
+            .run_with(&RunSpec::builder(Task::Histogram).build())
+            .unwrap();
         check(&ds, &r.output, Task::Histogram);
         assert_eq!(r.stats.shuffle_bytes, 0);
     }
@@ -402,7 +379,9 @@ mod tests {
         let ds = tiny(6);
         let mut spark = engine(4);
         spark.load(&ds, DataFormat::ManyFiles { files: 3 }).unwrap();
-        let r = spark.run_task(Task::ThreeLine).unwrap();
+        let r = spark
+            .run_with(&RunSpec::builder(Task::ThreeLine).build())
+            .unwrap();
         check(&ds, &r.output, Task::ThreeLine);
         assert_eq!(r.stats.shuffle_bytes, 0);
     }
@@ -412,7 +391,9 @@ mod tests {
         let ds = tiny(5);
         let mut spark = engine(4);
         spark.load(&ds, DataFormat::ConsumerPerLine).unwrap();
-        let r = spark.run_task(Task::Similarity).unwrap();
+        let r = spark
+            .run_with(&RunSpec::builder(Task::Similarity).build())
+            .unwrap();
         check(&ds, &r.output, Task::Similarity);
         assert!(
             r.stats.broadcast_bytes > 0,
@@ -428,14 +409,18 @@ mod tests {
         let ds = tiny(4);
         let mut spark = engine(2);
         spark.load(&ds, DataFormat::ReadingPerLine).unwrap();
-        let r = spark.run_task(Task::Similarity).unwrap();
+        let r = spark
+            .run_with(&RunSpec::builder(Task::Similarity).build())
+            .unwrap();
         check(&ds, &r.output, Task::Similarity);
     }
 
     #[test]
     fn run_before_load_errors() {
         let mut spark = engine(2);
-        assert!(spark.run_task(Task::Histogram).is_err());
+        assert!(spark
+            .run_with(&RunSpec::builder(Task::Histogram).build())
+            .is_err());
     }
 
     #[test]
@@ -497,10 +482,13 @@ mod tests {
             lines.push("not,a,valid,row".into());
             split.lines = Arc::new(lines);
         }
-        assert!(spark.run_task(Task::Histogram).is_err());
-        let spec = RunSpec::builder(Task::Histogram)
-            .dirty_policy(DirtyDataPolicy::SkipAndCount)
-            .build();
+        assert!(spark
+            .run_with(&RunSpec::builder(Task::Histogram).build())
+            .is_err());
+        let spec = RunSpec {
+            dirty_policy: DirtyDataPolicy::SkipAndCount,
+            ..RunSpec::builder(Task::Histogram).build()
+        };
         let r = spark.run_with(&spec).unwrap();
         check(&ds, &r.output, Task::Histogram);
     }
@@ -524,17 +512,17 @@ mod tests {
                 lines[1234] = "not,a,valid,row".into();
                 split.lines = Arc::new(lines);
 
-                match spark.run_task(task) {
+                match spark.run_with(&RunSpec::builder(task).build()) {
                     Err(Error::Parse { .. }) => {}
                     other => {
                         panic!("{format:?}/{task}: fail-fast wants the parse error, got {other:?}")
                     }
                 }
                 let sink = smda_obs::MetricsSink::recording();
-                let spec = RunSpec::builder(task)
-                    .metrics(sink.clone())
-                    .dirty_policy(DirtyDataPolicy::SkipAndCount)
-                    .build();
+                let spec = RunSpec {
+                    dirty_policy: DirtyDataPolicy::SkipAndCount,
+                    ..RunSpec::builder(task).metrics(sink.clone()).build()
+                };
                 match spark.run_with(&spec) {
                     Err(Error::Schema(msg)) => {
                         assert!(msg.contains(&victim), "{format:?}/{task}: {msg}")

@@ -2,15 +2,12 @@
 //!
 //! A miniature RDD runtime over the cluster simulator:
 //!
-//! * **narrow transformations** (`map`, `filter`, `flat_map`,
-//!   `map_partitions`) fuse into one stage, exactly like Spark's
-//!   pipelined stages;
-//! * **wide transformations** (`group_by_key`, `sort_by`) cut a
+//! * **narrow transformations** (`map`, `flat_map`, `map_partitions`)
+//!   fuse into one stage, exactly like Spark's pipelined stages;
+//! * the **wide transformation** `group_by_key` cuts a
 //!   stage boundary: the parent stage executes (really, measured), its
 //!   output is hash-partitioned in memory, and shuffle volume is charged
 //!   to the virtual clock;
-//! * **`cache`** keeps materialized partitions in memory (higher memory,
-//!   Figure 15, faster reuse);
 //! * **`broadcast`** ships a read-only value to every worker once — the
 //!   mechanism behind Spark's map-side similarity join (Figure 13d).
 //!

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,8 +33,6 @@ pub struct SparkStats {
     pub network_bytes: u64,
     /// Bytes shipped via broadcast variables.
     pub broadcast_bytes: u64,
-    /// Bytes pinned by `cache()`d partitions.
-    pub cached_bytes: u64,
     /// Task attempts re-run after a failure or crash.
     pub retries: u64,
     /// Speculative backup copies launched for stragglers.
@@ -87,11 +84,6 @@ impl<T> Broadcast<T> {
 }
 
 impl SparkContext {
-    /// A context on `topology` with disabled metrics and no faults.
-    pub fn new(topology: ClusterTopology) -> Self {
-        SparkContext::configured(topology, MetricsSink::disabled(), None)
-    }
-
     /// A fully configured context: cluster counters (tasks scheduled,
     /// bytes shuffled, the `faults.*` family) route into `sink`, and
     /// `fault_plan` (if any) injects crashes, stragglers and task
@@ -119,11 +111,6 @@ impl SparkContext {
                 }),
             }),
         }
-    }
-
-    /// The modeled topology.
-    pub fn topology(&self) -> ClusterTopology {
-        self.inner.topology
     }
 
     /// Virtual time consumed so far.
@@ -198,8 +185,6 @@ impl SparkContext {
                 input_bytes: vec![0; n],
                 locality: vec![Vec::new(); n],
                 shuffle_read: vec![0; n],
-                cache_enabled: AtomicBool::new(false),
-                cache: (0..n).map(|_| Mutex::new(None)).collect(),
             }),
         }
     }
@@ -232,8 +217,6 @@ impl SparkContext {
                 input_bytes,
                 locality,
                 shuffle_read: vec![0; n],
-                cache_enabled: AtomicBool::new(false),
-                cache: (0..n).map(|_| Mutex::new(None)).collect(),
             }),
         })
     }
@@ -262,8 +245,6 @@ struct RddInner<T> {
     /// Shuffle bytes this partition pulls when computed (post-shuffle
     /// RDDs).
     shuffle_read: Vec<u64>,
-    cache_enabled: AtomicBool,
-    cache: Vec<Mutex<Option<Arc<Vec<T>>>>>,
 }
 
 /// A resilient distributed dataset.
@@ -282,32 +263,8 @@ impl<T> Clone for Rdd<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> Rdd<T> {
-    /// Number of partitions.
-    pub fn partitions(&self) -> usize {
-        self.inner.partitions
-    }
-
-    /// Keep materialized partitions in memory after first computation.
-    pub fn cache(self) -> Self {
-        self.inner.cache_enabled.store(true, Ordering::Relaxed);
-        self
-    }
-
-    /// Compute (or fetch) one partition.
+    /// Compute one partition.
     fn compute_partition(&self, i: usize) -> Vec<T> {
-        if self.inner.cache_enabled.load(Ordering::Relaxed) {
-            let mut slot = self.inner.cache[i].lock();
-            if let Some(cached) = slot.as_ref() {
-                return cached.as_ref().clone();
-            }
-            let data = (self.inner.compute)(i);
-            let arc = Arc::new(data.clone());
-            // Rough residency accounting: 16 bytes per record minimum.
-            let bytes = (data.len() as u64) * 16;
-            *slot = Some(arc);
-            self.ctx.inner.state.lock().stats.cached_bytes += bytes;
-            return data;
-        }
         (self.inner.compute)(i)
     }
 
@@ -325,8 +282,6 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
                 input_bytes: self.inner.input_bytes.clone(),
                 locality: self.inner.locality.clone(),
                 shuffle_read: self.inner.shuffle_read.clone(),
-                cache_enabled: AtomicBool::new(false),
-                cache: (0..n).map(|_| Mutex::new(None)).collect(),
             }),
         }
     }
@@ -337,11 +292,6 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         f: impl Fn(T) -> U + Send + Sync + 'static,
     ) -> Rdd<U> {
         self.narrow(move |part| part.into_iter().map(&f).collect())
-    }
-
-    /// Keep elements satisfying the predicate (narrow).
-    pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
-        self.narrow(move |part| part.into_iter().filter(|t| f(t)).collect())
     }
 
     /// One-to-many transformation (narrow).
@@ -414,29 +364,6 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     pub fn collect(&self) -> Vec<T> {
         self.run_stage(|_| 0).into_iter().flatten().collect()
     }
-
-    /// Count elements (an action).
-    pub fn count(&self) -> usize {
-        self.run_stage(|_| 0).iter().map(Vec::len).sum()
-    }
-}
-
-impl<T: Clone + Send + Sync + 'static> Rdd<T> {
-    /// Globally sort by a key (wide: Spark's `sortBy` shuffles into range
-    /// partitions; here the key is hashed per group then merged sorted).
-    pub fn sort_by<K>(&self, parts: usize, key: impl Fn(&T) -> K + Send + Sync + 'static) -> Vec<T>
-    where
-        T: SizeOf,
-        K: Clone + Send + Sync + Ord + Hash + SizeOf + 'static,
-    {
-        // keyBy → shuffle → per-partition sorted groups → driver merge.
-        let mut keyed: Vec<(K, Vec<T>)> = self
-            .map(move |t| (key(&t), t))
-            .group_by_key(parts)
-            .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        keyed.into_iter().flat_map(|(_, vs)| vs).collect()
-    }
 }
 
 impl<K, V> Rdd<(K, V)>
@@ -482,8 +409,6 @@ where
                 input_bytes: vec![0; parts],
                 locality: vec![Vec::new(); parts],
                 shuffle_read: bucket_bytes,
-                cache_enabled: AtomicBool::new(false),
-                cache: (0..parts).map(|_| Mutex::new(None)).collect(),
             }),
         }
     }
@@ -495,7 +420,7 @@ mod tests {
     use smda_cluster::CostModel;
 
     fn ctx(workers: usize) -> SparkContext {
-        SparkContext::new(topo(workers))
+        SparkContext::configured(topo(workers), MetricsSink::disabled(), None)
     }
 
     fn topo(workers: usize) -> ClusterTopology {
@@ -514,7 +439,10 @@ mod tests {
     fn map_filter_collect_pipeline() {
         let sc = ctx(2);
         let rdd = sc.parallelize((0u64..100).collect(), 4);
-        let out = rdd.map(|x| x * 2).filter(|x| x % 3 == 0).collect();
+        let out = rdd
+            .map(|x| x * 2)
+            .flat_map(|x| if x % 3 == 0 { vec![x] } else { vec![] })
+            .collect();
         let expected: Vec<u64> = (0..100).map(|x| x * 2).filter(|x| x % 3 == 0).collect();
         assert_eq!(out, expected);
         assert_eq!(sc.stats().stages, 1, "narrow chain fuses into one stage");
@@ -535,22 +463,6 @@ mod tests {
         }
         assert!(sc.stats().shuffle_bytes > 0);
         assert_eq!(sc.stats().stages, 2);
-    }
-
-    #[test]
-    fn cache_pins_partitions_and_counts_bytes() {
-        let sc = ctx(2);
-        let rdd = sc
-            .parallelize((0u64..1000).collect(), 4)
-            .map(|x| x + 1)
-            .cache();
-        let a = rdd.collect();
-        let cached_after_first = sc.stats().cached_bytes;
-        assert!(cached_after_first > 0);
-        let b = rdd.collect();
-        assert_eq!(a, b);
-        // Second run reads the cache; no additional cached bytes.
-        assert_eq!(sc.stats().cached_bytes, cached_after_first);
     }
 
     #[test]
@@ -576,13 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn count_equals_collect_len() {
-        let sc = ctx(2);
-        let rdd = sc.parallelize((0u64..57).collect(), 5);
-        assert_eq!(rdd.count(), 57);
-    }
-
-    #[test]
     fn flat_map_expands() {
         let sc = ctx(2);
         let out = sc
@@ -590,14 +495,6 @@ mod tests {
             .flat_map(|x| vec![x; x as usize])
             .collect();
         assert_eq!(out, vec![1, 2, 2]);
-    }
-
-    #[test]
-    fn sort_by_orders_globally() {
-        let sc = ctx(2);
-        let data: Vec<u64> = (0..50).map(|i| (i * 37) % 50).collect();
-        let sorted = sc.parallelize(data, 4).sort_by(3, |x| *x);
-        assert_eq!(sorted, (0..50).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct HistogramSpec {
     pub buckets: usize,
 }
 
-/// Independent `min`/`max` chains in [`HistogramSpec::covering`]'s scan:
+/// Independent `min`/`max` chains in [`HistogramSpec::spanning`]'s scan:
 /// one chain moves at a compare's latency per value, eight at its
 /// throughput — one `zmm`, two `ymm`.
 const RANGE_LANES: usize = 8;
@@ -33,14 +33,13 @@ const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
 /// The low 52 bits of an `f64`: its mantissa field.
 const MANTISSA: u64 = (1 << 52) - 1;
 
-/// `min`, `max` and finiteness of the values a lane has seen. `<` and `>`
+/// `min` and `max` of the values a lane has seen. `<` and `>`
 /// rather than `f64::min`/`max`, so that what a lane keeps is defined: the
 /// first of its smallest (largest) values, and never a NaN.
 #[derive(Clone, Copy)]
 struct LaneRange {
     min: f64,
     max: f64,
-    finite: bool,
 }
 
 impl LaneRange {
@@ -48,13 +47,7 @@ impl LaneRange {
     const EMPTY: LaneRange = LaneRange {
         min: f64::INFINITY,
         max: f64::NEG_INFINITY,
-        finite: true,
     };
-
-    fn take(&mut self, v: f64) {
-        self.finite &= v.is_finite();
-        self.widen(v, v);
-    }
 
     /// Stretch the range to `low` and `high`, keeping what it holds on a
     /// tie (and whenever the newcomer is a NaN).
@@ -84,11 +77,10 @@ impl LaneRange {
             Widest::Avx512(avx512) => unsafe { range_avx512(avx512, blocks) },
         };
         for (lane, &v) in lanes.iter_mut().zip(tail) {
-            lane.take(v);
+            lane.widen(v, v);
         }
         let mut range = lanes[0];
         for lane in &lanes[1..] {
-            range.finite &= lane.finite;
             range.widen(lane.min, lane.max);
         }
         if range.min == 0.0 || range.max == 0.0 {
@@ -118,11 +110,8 @@ fn range_avx512(avx512: Avx512, blocks: &[[f64; RANGE_LANES]]) -> [LaneRange; RA
 }
 
 /// The [`RANGE_LANES`] chains over whole blocks, held in `V` vectors of
-/// `W` lanes. A chain is [`LaneRange::take`] in vector form: the two
-/// keep-first compares are [`Lanes::select_lt`], and finiteness is a
-/// running sum of `v − v` — `+0.0` for every finite `v`, NaN for `±∞` and
-/// NaN, and a NaN sum stays NaN — so a lane is finite exactly when its
-/// sum is still zero.
+/// `W` lanes. A chain is [`LaneRange::widen`] by one value in vector form:
+/// the two keep-first compares are [`Lanes::select_lt`].
 #[inline(always)]
 fn range_lanes<L: Lanes<Array = [f64; W]>, const W: usize, const V: usize>(
     simd: L,
@@ -132,30 +121,21 @@ fn range_lanes<L: Lanes<Array = [f64; W]>, const W: usize, const V: usize>(
     note_body::<L>("range");
     let mut low = [simd.splat(f64::INFINITY); V];
     let mut high = [simd.splat(f64::NEG_INFINITY); V];
-    let mut probe = [simd.zero(); V];
     for block in blocks {
         let (chunks, _) = block.as_chunks::<W>();
-        for (chunk, ((low, high), probe)) in chunks
-            .iter()
-            .zip(low.iter_mut().zip(&mut high).zip(&mut probe))
-        {
+        for (chunk, (low, high)) in chunks.iter().zip(low.iter_mut().zip(&mut high)) {
             let v = simd.load(chunk);
             *low = simd.select_lt(v, *low, v, *low);
             *high = simd.select_lt(*high, v, v, *high);
-            *probe = simd.add(*probe, simd.sub(v, v));
         }
     }
     let mut lanes = [LaneRange::EMPTY; RANGE_LANES];
-    for (chunk, ((low, high), probe)) in lanes
-        .chunks_exact_mut(W)
-        .zip(low.iter().zip(&high).zip(&probe))
-    {
-        let (low, high, probe) = (simd.store(*low), simd.store(*high), simd.store(*probe));
+    for (chunk, (low, high)) in lanes.chunks_exact_mut(W).zip(low.iter().zip(&high)) {
+        let (low, high) = (simd.store(*low), simd.store(*high));
         for (l, lane) in chunk.iter_mut().enumerate() {
             *lane = LaneRange {
                 min: low[l],
                 max: high[l],
-                finite: probe[l] == 0.0,
             };
         }
     }
@@ -163,24 +143,10 @@ fn range_lanes<L: Lanes<Array = [f64; W]>, const W: usize, const V: usize>(
 }
 
 impl HistogramSpec {
-    /// A spec spanning the observed range of `values` with `buckets` bins.
-    /// Returns `None` on empty input or non-finite extremes.
-    fn covering(values: &[f64], buckets: usize) -> Option<Self> {
-        if values.is_empty() || buckets == 0 {
-            return None;
-        }
-        let range = LaneRange::of(values);
-        range.finite.then_some(HistogramSpec {
-            min: range.min,
-            max: range.max,
-            buckets,
-        })
-    }
-
     /// The spec spanning the observed range of `values`, for values
-    /// already known to be finite and at least one (a validated year) —
-    /// without the verdict [`EquiWidthHistogram::build`] gives. On anything else the range
-    /// is whatever the comparisons leave; nothing here panics.
+    /// already known to be finite and at least one (a validated year). On
+    /// anything else the range is whatever the comparisons leave; nothing
+    /// here panics.
     pub fn spanning(values: &[f64], buckets: usize) -> Self {
         let range = LaneRange::of(values);
         HistogramSpec {
@@ -207,15 +173,6 @@ impl HistogramSpec {
         }
         // `max` belongs to the last bucket (right-closed final bin).
         Some((((v - self.min) / self.width()) as usize).min(self.buckets - 1))
-    }
-
-    /// The `[lo, hi)` edges of bucket `i`.
-    pub fn edges(&self, i: usize) -> (f64, f64) {
-        let width = self.width();
-        (
-            self.min + width * i as f64,
-            self.min + width * (i + 1) as f64,
-        )
     }
 }
 
@@ -379,13 +336,6 @@ smda_types::bit_eq_fields!(
 );
 
 impl EquiWidthHistogram {
-    /// Histogram of `values` over their own range with `buckets` bins.
-    /// Returns `None` on empty input.
-    pub fn build(values: &[f64], buckets: usize) -> Option<Self> {
-        let spec = HistogramSpec::covering(values, buckets)?;
-        Some(Self::build_with_spec(values, spec))
-    }
-
     /// Histogram with an externally fixed spec (values outside the range
     /// are dropped — used when comparing consumers on a common axis).
     pub fn build_with_spec(values: &[f64], spec: HistogramSpec) -> Self {
@@ -414,33 +364,32 @@ impl EquiWidthHistogram {
 mod tests {
     use super::*;
 
+    /// The histogram of `values` over their own range: the spec and the
+    /// counting pass the Histogram task runs.
+    fn spanned(values: &[f64], buckets: usize) -> EquiWidthHistogram {
+        EquiWidthHistogram::build_with_spec(values, HistogramSpec::spanning(values, buckets))
+    }
+
     #[test]
     fn counts_all_values_within_range() {
         let vals: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let h = EquiWidthHistogram::build(&vals, 10).unwrap();
+        let h = spanned(&vals, 10);
         assert_eq!(h.total(), 100);
         assert_eq!(h.counts, vec![10; 10]);
     }
 
     #[test]
     fn max_value_lands_in_last_bucket() {
-        let h = EquiWidthHistogram::build(&[0.0, 10.0], 10).unwrap();
+        let h = spanned(&[0.0, 10.0], 10);
         assert_eq!(h.counts[0], 1);
         assert_eq!(h.counts[9], 1);
     }
 
     #[test]
     fn constant_series_occupies_single_bucket() {
-        let h = EquiWidthHistogram::build(&[5.0; 42], 10).unwrap();
+        let h = spanned(&[5.0; 42], 10);
         assert_eq!(h.counts[0], 42);
         assert_eq!(h.total(), 42);
-    }
-
-    #[test]
-    fn empty_or_nan_input_yields_none() {
-        assert!(EquiWidthHistogram::build(&[], 10).is_none());
-        assert!(EquiWidthHistogram::build(&[1.0, f64::NAN], 10).is_none());
-        assert!(EquiWidthHistogram::build(&[1.0], 0).is_none());
     }
 
     #[test]
@@ -460,10 +409,7 @@ mod tests {
     /// `f64::min(0.0, -0.0)` returns is unspecified, and an optimized
     /// build of a fold over it answers differently from the early-exit
     /// loop this kernel used to be, which kept the first.)
-    fn serial_build(values: &[f64], buckets: usize) -> Option<EquiWidthHistogram> {
-        if values.is_empty() || buckets == 0 || values.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
+    fn serial_build(values: &[f64], buckets: usize) -> EquiWidthHistogram {
         let spec = HistogramSpec {
             min: values
                 .iter()
@@ -473,7 +419,7 @@ mod tests {
                 .fold(f64::NEG_INFINITY, |m, &v| if v > m { v } else { m }),
             buckets,
         };
-        Some(serial_build_with_spec(values, spec))
+        serial_build_with_spec(values, spec)
     }
 
     fn serial_build_with_spec(values: &[f64], spec: HistogramSpec) -> EquiWidthHistogram {
@@ -484,9 +430,9 @@ mod tests {
         EquiWidthHistogram { spec, counts }
     }
 
-    fn assert_same(got: Option<EquiWidthHistogram>, want: Option<EquiWidthHistogram>, what: &str) {
+    fn assert_same(got: EquiWidthHistogram, want: EquiWidthHistogram, what: &str) {
         let bits = |h: &EquiWidthHistogram| (h.spec.min.to_bits(), h.spec.max.to_bits());
-        assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits), "{what}");
+        assert_eq!(bits(&got), bits(&want), "{what}");
         assert_eq!(got, want, "{what}");
     }
 
@@ -512,7 +458,7 @@ mod tests {
                 for buckets in [1, 10, 64] {
                     let what = format!("len {len} salt {salt} buckets {buckets}");
                     assert_same(
-                        EquiWidthHistogram::build(&values, buckets),
+                        spanned(&values, buckets),
                         serial_build(&values, buckets),
                         &what,
                     );
@@ -524,7 +470,7 @@ mod tests {
                         let mut values = values.clone();
                         values[len - 1 - at] = extreme;
                         assert_same(
-                            EquiWidthHistogram::build(&values, 10),
+                            spanned(&values, 10),
                             serial_build(&values, 10),
                             &format!("len {len} salt {salt} extreme {extreme} at -{at}"),
                         );
@@ -546,13 +492,13 @@ mod tests {
                         for later in (at + 1..len).step_by(3) {
                             values[later] = if later % 2 == 0 { first } else { second };
                         }
-                        let got = EquiWidthHistogram::build(&values, 10);
+                        let got = spanned(&values, 10);
                         let zero = if fill > 0.0 {
-                            got.as_ref().map(|h| h.spec.min)
+                            got.spec.min
                         } else {
-                            got.as_ref().map(|h| h.spec.max)
+                            got.spec.max
                         };
-                        assert_eq!(zero.map(f64::to_bits), Some(first.to_bits()));
+                        assert_eq!(zero.to_bits(), first.to_bits());
                         assert_same(got, serial_build(&values, 10), "zero extreme");
                     }
                 }
@@ -560,18 +506,14 @@ mod tests {
         }
         // All zeros: both extremes are the first zero, one bucket.
         let values = [-0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0];
-        assert_same(
-            EquiWidthHistogram::build(&values, 10),
-            serial_build(&values, 10),
-            "all zeros",
-        );
+        assert_same(spanned(&values, 10), serial_build(&values, 10), "all zeros");
     }
 
     #[test]
     fn constant_and_non_finite_series_match_the_serial_definition() {
         for len in [1, 7, 8, 9, 8760] {
             assert_same(
-                EquiWidthHistogram::build(&vec![0.7; len], 10),
+                spanned(&vec![0.7; len], 10),
                 serial_build(&vec![0.7; len], 10),
                 "constant",
             );
@@ -579,7 +521,9 @@ mod tests {
                 for at in [0, len / 2, len - 1] {
                     let mut values = soup(len, 1);
                     values[at] = poison;
-                    assert!(EquiWidthHistogram::build(&values, 10).is_none());
+                    // Outside what the spec is defined for: any range,
+                    // but no panic.
+                    spanned(&values, 10);
                 }
             }
         }
@@ -630,20 +574,9 @@ mod tests {
     }
 
     #[test]
-    fn edges_partition_range() {
-        let spec = HistogramSpec {
-            min: 0.0,
-            max: 10.0,
-            buckets: 5,
-        };
-        assert_eq!(spec.edges(0), (0.0, 2.0));
-        assert_eq!(spec.edges(4), (8.0, 10.0));
-    }
-
-    #[test]
     fn mode_bucket_finds_peak() {
         let vals = [1.0, 1.1, 1.2, 5.0, 9.9];
-        let h = EquiWidthHistogram::build(&vals, 10).unwrap();
+        let h = spanned(&vals, 10);
         assert_eq!(h.mode_bucket(), 0);
     }
 }

@@ -329,16 +329,6 @@ impl SeriesMatrixBuilder {
         }
     }
 
-    /// Number of rows the finished matrix will have.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Row length of the finished matrix.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Claim row `row` for a write of `len` values: its cells and its
     /// sketch's, each handed out once, by the write-once flag.
     #[allow(clippy::mut_from_ref)]

@@ -1,17 +1,14 @@
 //! Welford's online mean/variance accumulator.
 //!
-//! The Hive-like engine's UDAFs see data one row at a time and must merge
-//! partial aggregates computed on different nodes; this accumulator
-//! supports both (numerically stable update and a Chan-et-al. merge).
+//! The streaming anomaly detector sees its residuals one reading at a
+//! time; this accumulator folds each in with a numerically stable update.
 
-/// Streaming count/mean/variance with mergeable partials.
+/// Streaming count/mean/variance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
@@ -21,8 +18,6 @@ impl OnlineStats {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -32,26 +27,6 @@ impl OnlineStats {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator (parallel aggregation).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Count of observations.
@@ -75,16 +50,6 @@ impl OnlineStats {
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Minimum observed value; `+∞` when empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observed value; `−∞` when empty.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -110,35 +75,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - descriptive::mean(&data)).abs() < 1e-12);
         assert!((s.sample_variance() - descriptive::sample_variance(&data)).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let all: Vec<f64> = (0..1000).map(|i| ((i * 31) % 97) as f64 * 0.37).collect();
-        let sequential: OnlineStats = all.iter().copied().collect();
-        let mut merged = OnlineStats::new();
-        for chunk in all.chunks(123) {
-            let partial: OnlineStats = chunk.iter().copied().collect();
-            merged.merge(&partial);
-        }
-        assert_eq!(merged.count(), sequential.count());
-        assert!((merged.mean() - sequential.mean()).abs() < 1e-9);
-        assert!((merged.sample_variance() - sequential.sample_variance()).abs() < 1e-9);
-        assert_eq!(merged.min(), sequential.min());
-        assert_eq!(merged.max(), sequential.max());
-    }
-
-    #[test]
-    fn merging_empty_is_identity() {
-        let mut s: OnlineStats = [1.0, 2.0].iter().copied().collect();
-        let before = s;
-        s.merge(&OnlineStats::new());
-        assert_eq!(s, before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

@@ -328,6 +328,29 @@ mod tests {
         assert!(matches!(err, Error::Invalid(_)));
     }
 
+    #[test]
+    fn a_row_no_year_may_hold_is_refused_naming_it() {
+        let (data, stride) = flat(&pseudo_series(6, 24, 5));
+        for bad in [-0.25, f64::NAN] {
+            let mut data = data.clone();
+            data[4 * stride + 7] = bad;
+            let src = SliceSource::new(&data, 6, stride);
+            for band_rows in [1, 2, 6] {
+                match top_k_oooc(&src, 2, band_rows, &TileConfig::default()) {
+                    Err(Error::Schema(msg)) => {
+                        assert!(msg.contains("row 4") && msg.contains("hour 7"), "{msg}")
+                    }
+                    other => panic!("{bad} at band height {band_rows}: {other:?}"),
+                }
+            }
+            // The query form loads through the same checked path.
+            assert!(matches!(
+                top_k_queries(&src, &[4], 2, 2),
+                Err(Error::Schema(_))
+            ));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -1138,7 +1138,10 @@ mod tests {
             BODIES_RUN.with_borrow_mut(Vec::clear);
             let _ = lagged_moments(&y, &x, days);
             let _ = lagged_residuals(&y, &x, days, &beta, &[1.0; HOURS_PER_DAY]);
-            let _ = crate::EquiWidthHistogram::build(&y, 10);
+            let _ = crate::EquiWidthHistogram::build_with_spec(
+                &y,
+                crate::HistogramSpec::spanning(&y, 10),
+            );
             let ran = BODIES_RUN.with_borrow_mut(std::mem::take);
             let kernels: Vec<_> = ran.iter().map(|&(kernel, ..)| kernel).collect();
             assert_eq!(
@@ -1335,7 +1338,11 @@ mod tests {
         under_every_tier(|tier| {
             let moments = lagged_moments(&y, &x, days);
             let (sse, syy) = lagged_residuals(&y, &x, days, &beta, &mean_y);
-            let spanned = crate::EquiWidthHistogram::build(&x[..x.len() - 3], 10).expect("finite");
+            let values = &x[..x.len() - 3];
+            let spanned = crate::EquiWidthHistogram::build_with_spec(
+                values,
+                crate::HistogramSpec::spanning(values, 10),
+            );
             let fixed = crate::EquiWidthHistogram::build_with_spec(&y, spec);
             let mut out = bits(moments.gram.as_flattened());
             out.extend(bits(moments.xty.as_flattened()));

@@ -54,7 +54,7 @@ use std::ops::Range;
 use std::sync::atomic::AtomicI64;
 use std::sync::OnceLock;
 
-use smda_types::{Error, Result};
+use smda_types::{ConsumerSeries, Error, Result};
 
 use crate::kernels::{PairScorer, SeriesMatrix, TileConfig, NO_FLOOR};
 use crate::oooc::{OoocStats, SeriesSource};
@@ -454,7 +454,9 @@ impl Streamed<'_> {
 
     /// Fill `out` with source rows `rows`, unit-normalized: each row's
     /// norm read from the memo (one entry per source row), or computed
-    /// and recorded there if it is not known yet.
+    /// and recorded there if it is not known yet. A row is checked on that
+    /// first load: one holding a NaN, ±∞ or negative reading is refused as
+    /// [`ConsumerSeries::validate`] refuses a year, naming the row.
     fn fill(
         &self,
         rows: Range<usize>,
@@ -473,15 +475,29 @@ impl Streamed<'_> {
                 rows.len() * stride
             )));
         }
+        let first = rows.start;
         let norms = &mut norms[rows];
         // In the pair walk a band's norms are known together or not at
         // all; in the query form a query row is known before the band
-        // that holds it. Runs of unknowns are computed, nothing else
-        // (`norm2_rows` is `norm2` row by row, so the split moves no bit).
+        // that holds it. Runs of unknowns are checked and computed,
+        // nothing else, eight rows at a time so that a row's norm is taken
+        // while the check has it in cache (`norm2_rows` is `norm2` row by
+        // row, so the split moves no bit).
         let mut r = 0;
         for run in norms.chunk_by_mut(|x, y| (*x == UNKNOWN_NORM) == (*y == UNKNOWN_NORM)) {
             if run[0] == UNKNOWN_NORM {
-                norm2_rows(&out[r * stride..(r + run.len()) * stride], stride, run);
+                for (b, block) in run.chunks_mut(8).enumerate() {
+                    let at = r + b * 8;
+                    let fresh = &out[at * stride..(at + block.len()) * stride];
+                    for (i, row) in fresh.chunks_exact(stride.max(1)).enumerate() {
+                        let row_index = first + at + i;
+                        ConsumerSeries::validate_readings(
+                            format_args!("series source row {row_index}"),
+                            row,
+                        )?;
+                    }
+                    norm2_rows(fresh, stride, block);
+                }
                 stats.norms_computed += run.len() as u64;
             }
             r += run.len();

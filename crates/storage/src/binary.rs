@@ -268,7 +268,7 @@ mod tests {
         let ds = tiny(2);
         let path = tmp("views");
         let store = BinaryStore::create(&path, &ds, BinaryEncoding::Raw).unwrap();
-        if store.file().is_mapped() {
+        if cfg!(target_os = "linux") {
             let matrix = store.matrix_view().expect("raw store must serve a matrix");
             assert_eq!(matrix.len(), 2 * HOURS_PER_YEAR);
             let row = store.consumer_view(ConsumerId(1)).expect("row view");

@@ -28,7 +28,6 @@ enum Node {
 pub struct BTreeIndex {
     nodes: Vec<Node>,
     root: usize,
-    len: usize,
 }
 
 impl Default for BTreeIndex {
@@ -54,23 +53,11 @@ impl BTreeIndex {
                 next: None,
             }],
             root: 0,
-            len: 0,
         }
-    }
-
-    /// Number of (key, value) pairs stored (duplicates counted).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Insert a value under `key` (appends to the key's posting list).
     pub fn insert(&mut self, key: u64, value: u64) {
-        self.len += 1;
         if let InsertResult::Split { sep, right } = self.insert_into(self.root, key, value) {
             let old_root = self.root;
             self.nodes.push(Node::Internal {
@@ -254,7 +241,6 @@ mod tests {
         assert_eq!(idx.get(5), &[50, 51]);
         assert_eq!(idx.get(3), &[30]);
         assert!(idx.get(99).is_empty());
-        assert_eq!(idx.len(), 3);
     }
 
     #[test]
@@ -309,7 +295,6 @@ mod tests {
     #[test]
     fn empty_index() {
         let idx = BTreeIndex::new();
-        assert!(idx.is_empty());
         assert!(idx.get(0).is_empty());
         assert!(idx.range(0, u64::MAX).is_empty());
         assert_eq!(height(&idx), 1);

@@ -130,11 +130,6 @@ impl BufferPool {
     pub fn stats(&self) -> PoolStats {
         self.stats
     }
-
-    /// Number of pages currently resident.
-    pub fn resident(&self) -> usize {
-        self.frames.len()
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +173,7 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.misses, 10);
         assert_eq!(s.evictions, 6);
-        assert_eq!(pool.resident(), 4);
+        assert_eq!(pool.frames.len(), 4);
         std::fs::remove_file(path).unwrap();
     }
 
@@ -211,7 +206,7 @@ mod tests {
         let mut pool = BufferPool::new(8);
         pool.get(&mut heap, 0).unwrap();
         pool.clear();
-        assert_eq!(pool.resident(), 0);
+        assert_eq!(pool.frames.len(), 0);
         pool.get(&mut heap, 0).unwrap();
         assert_eq!(pool.stats().misses, 2);
         std::fs::remove_file(path).unwrap();
@@ -222,7 +217,7 @@ mod tests {
         let (mut heap, path) = heap_with_pages("content", 3);
         let mut pool = BufferPool::new(2);
         let page = pool.get(&mut heap, 1).unwrap();
-        let (_, tuple) = page.tuples().next().unwrap();
+        let tuple = page.get(0).unwrap();
         assert_eq!(tuple.len(), 4000);
         assert_eq!(tuple[0], 2); // third tuple overall, first on page 1
         std::fs::remove_file(path).unwrap();

@@ -11,7 +11,7 @@
 
 use std::fs::{self, File};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use smda_types::formats::assemble_year;
 use smda_types::{
@@ -94,16 +94,6 @@ impl FileStore {
             dir: dir.into(),
             layout,
         }
-    }
-
-    /// The layout in use.
-    pub fn layout(&self) -> FileLayout {
-        self.layout
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Consumer ids present, ascending.

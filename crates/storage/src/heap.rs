@@ -2,7 +2,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use smda_types::{Error, Result};
 
@@ -101,16 +101,6 @@ impl HeapFile {
         })
     }
 
-    /// Total pages including a non-empty tail.
-    fn logical_pages(&self) -> u32 {
-        self.pages + if self.tail.slot_count() > 0 { 1 } else { 0 }
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Append a tuple, spilling the tail page to disk when full.
     pub fn insert(&mut self, tuple: &[u8]) -> Result<TupleId> {
         if let Some(slot) = self.tail.insert(tuple) {
@@ -200,29 +190,6 @@ impl HeapFile {
             .map_err(|e| Error::io(format!("writing heap page {page_no}"), e))?;
         Ok(())
     }
-
-    /// Fetch one tuple by id.
-    pub fn get(&mut self, tid: TupleId) -> Result<Option<Vec<u8>>> {
-        let page = self.read_page(tid.page)?;
-        Ok(page.get(tid.slot as usize).map(|t| t.to_vec()))
-    }
-
-    /// Sequential scan: apply `f` to every live tuple.
-    pub fn scan(&mut self, mut f: impl FnMut(TupleId, &[u8])) -> Result<()> {
-        for page_no in 0..self.logical_pages() {
-            let page = self.read_page(page_no)?;
-            for (slot, tuple) in page.tuples() {
-                f(
-                    TupleId {
-                        page: page_no,
-                        slot: slot as u16,
-                    },
-                    tuple,
-                );
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -252,23 +219,12 @@ mod tests {
             let tuple = vec![i as u8; 300];
             tids.push((heap.insert(&tuple).unwrap(), tuple));
         }
-        assert!(heap.logical_pages() > 1);
+        heap.flush().unwrap();
+        assert!(tids.last().unwrap().0.page > 0);
         for (tid, expected) in &tids {
-            assert_eq!(heap.get(*tid).unwrap().unwrap(), *expected);
+            let page = heap.read_page(tid.page).unwrap();
+            assert_eq!(page.get(tid.slot as usize).unwrap(), expected.as_slice());
         }
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn scan_visits_everything_in_order() {
-        let path = temp_path("scan");
-        let mut heap = HeapFile::create(&path).unwrap();
-        for i in 0..50u8 {
-            heap.insert(&[i; 200]).unwrap();
-        }
-        let mut seen = Vec::new();
-        heap.scan(|_, t| seen.push(t[0])).unwrap();
-        assert_eq!(seen, (0..50).collect::<Vec<u8>>());
         std::fs::remove_file(path).unwrap();
     }
 
@@ -281,9 +237,9 @@ mod tests {
             heap.flush().unwrap();
         }
         let mut heap = HeapFile::open(&path).unwrap();
-        let mut seen = Vec::new();
-        heap.scan(|_, t| seen.push(t.to_vec())).unwrap();
-        assert_eq!(seen, vec![b"durable".to_vec()]);
+        let page = heap.read_page(0).unwrap();
+        assert_eq!(page.get(0).unwrap(), b"durable");
+        assert_eq!(page.slot_count(), 1);
         std::fs::remove_file(path).unwrap();
     }
 

@@ -96,27 +96,6 @@ impl ReadingTable {
         })
     }
 
-    /// Open an existing heap file, rebuilding the household index with a
-    /// sequential scan (each "database connection" gets its own handle
-    /// and buffer pool, as in the paper's multi-connection experiments).
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
-        let mut heap = HeapFile::open(path)?;
-        let mut index = BTreeIndex::new();
-        let mut bad = None;
-        heap.scan(|tid, tuple| match Reading::from_le_bytes(tuple) {
-            Ok(r) => index.insert(r.consumer.raw() as u64, tid.pack()),
-            Err(e) => bad = Some(e),
-        })?;
-        if let Some(e) = bad {
-            return Err(e);
-        }
-        Ok(ReadingTable {
-            heap,
-            index: Arc::new(index),
-            pool: BufferPool::new(Self::DEFAULT_POOL_PAGES),
-        })
-    }
-
     /// Open another handle ("connection") on the same heap file, sharing
     /// an already-built index instead of rescanning.
     pub fn open_with_index(path: impl Into<PathBuf>, index: Arc<BTreeIndex>) -> Result<Self> {
@@ -296,45 +275,6 @@ impl ArrayTable {
     pub fn directory(&self) -> Arc<Vec<(ConsumerId, u64)>> {
         self.directory.clone()
     }
-
-    /// Open an existing overflow file, rebuilding the directory by
-    /// striding over the fixed-size records.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
-        let path = path.into();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| Error::io(format!("opening array table {}", path.display()), e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| Error::io("stat array table", e))?
-            .len();
-        if len % ARRAY_RECORD_BYTES as u64 != 0 {
-            return Err(Error::Schema(format!(
-                "array table {} length {len} not record aligned",
-                path.display()
-            )));
-        }
-        let rows = (len / ARRAY_RECORD_BYTES as u64) as usize;
-        let mut directory = Vec::with_capacity(rows);
-        let mut id_buf = [0u8; 4];
-        for row in 0..rows {
-            let offset = row as u64 * ARRAY_RECORD_BYTES as u64;
-            file.seek(SeekFrom::Start(offset))
-                .map_err(|e| Error::io("seeking record", e))?;
-            file.read_exact(&mut id_buf)
-                .map_err(|e| Error::io("reading record id", e))?;
-            directory.push((ConsumerId((&id_buf[..]).get_u32_le()), offset));
-        }
-        directory.sort_by_key(|(id, _)| *id);
-        Ok(ArrayTable {
-            file,
-            path,
-            directory: Arc::new(directory),
-            record_buf: Vec::new(),
-        })
-    }
 }
 
 impl ArrayTable {
@@ -454,22 +394,6 @@ impl DayTable {
             }
         }
         heap.flush()?;
-        Ok(DayTable {
-            heap,
-            index: Arc::new(index),
-            pool: BufferPool::new(ReadingTable::DEFAULT_POOL_PAGES),
-        })
-    }
-
-    /// Open an existing heap file, rebuilding the index with a scan.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
-        let mut heap = HeapFile::open(path)?;
-        let mut index = BTreeIndex::new();
-        heap.scan(|tid, tuple| {
-            let mut t = tuple;
-            let consumer = t.get_u32_le();
-            index.insert(consumer as u64, tid.pack());
-        })?;
         Ok(DayTable {
             heap,
             index: Arc::new(index),
@@ -736,12 +660,18 @@ mod tests {
         let p1 = tmp("ro1");
         let p2 = tmp("ro2");
         let p3 = tmp("ro3");
-        drop(ReadingTable::create(&p1, &ds).unwrap());
-        drop(ArrayTable::create(&p2, &ds).unwrap());
-        drop(DayTable::create(&p3, &ds).unwrap());
-        assert_round_trip(&mut ReadingTable::open(&p1).unwrap(), &ds);
-        assert_round_trip(&mut ArrayTable::open(&p2).unwrap(), &ds);
-        assert_round_trip(&mut DayTable::open(&p3).unwrap(), &ds);
+        let index1 = ReadingTable::create(&p1, &ds).unwrap().index();
+        let directory = ArrayTable::create(&p2, &ds).unwrap().directory();
+        let index3 = DayTable::create(&p3, &ds).unwrap().index();
+        assert_round_trip(
+            &mut ReadingTable::open_with_index(&p1, index1).unwrap(),
+            &ds,
+        );
+        assert_round_trip(
+            &mut ArrayTable::open_with_directory(&p2, directory).unwrap(),
+            &ds,
+        );
+        assert_round_trip(&mut DayTable::open_with_index(&p3, index3).unwrap(), &ds);
         for p in [p1, p2, p3] {
             std::fs::remove_file(p).unwrap();
         }

@@ -10,8 +10,8 @@
 //! ...    tuple data, growing downward from the page end
 //! ```
 //!
-//! A deleted slot keeps its directory entry with length 0 (tombstone), so
-//! slot numbers in [`crate::heap::TupleId`]s stay stable.
+//! Slots are only appended, so slot numbers in [`crate::heap::TupleId`]s
+//! stay stable.
 
 use bytes::{Buf, BufMut};
 
@@ -71,7 +71,7 @@ impl Page {
         &self.data[..]
     }
 
-    /// Number of slots (including tombstones).
+    /// Number of slots.
     pub fn slot_count(&self) -> usize {
         (&self.data[0..2]).get_u16_le() as usize
     }
@@ -106,7 +106,7 @@ impl Page {
         Some(slot)
     }
 
-    /// Read the tuple in `slot`; `None` for out-of-range or tombstoned
+    /// Read the tuple in `slot`; `None` for out-of-range or zero-length
     /// slots.
     pub fn get(&self, slot: usize) -> Option<&[u8]> {
         if slot >= self.slot_count() {
@@ -122,7 +122,7 @@ impl Page {
     }
 
     /// Overwrite a live tuple in place with a same-length payload
-    /// (late-data restatements). Returns `false` when the slot is dead,
+    /// (late-data restatements). Returns `false` when the slot is empty,
     /// out of range, or the length differs.
     pub fn overwrite(&mut self, slot: usize, tuple: &[u8]) -> bool {
         if slot >= self.slot_count() {
@@ -136,22 +136,6 @@ impl Page {
         }
         self.data[offset..offset + len].copy_from_slice(tuple);
         true
-    }
-
-    /// Tombstone a slot (directory entry kept, data unreachable).
-    /// Returns whether the slot held a live tuple.
-    pub fn delete(&mut self, slot: usize) -> bool {
-        if slot >= self.slot_count() || self.get(slot).is_none() {
-            return false;
-        }
-        let dir = HEADER_BYTES + slot * SLOT_BYTES;
-        (&mut self.data[dir + 2..dir + 4]).put_u16_le(0);
-        true
-    }
-
-    /// Iterate the live tuples with their slot numbers.
-    pub fn tuples(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|t| (s, t)))
     }
 }
 
@@ -193,18 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_tombstones_but_keeps_slots() {
-        let mut p = Page::new();
-        let s0 = p.insert(b"aa").unwrap();
-        let s1 = p.insert(b"bb").unwrap();
-        assert!(p.delete(s0));
-        assert!(p.get(s0).is_none());
-        assert_eq!(p.get(s1).unwrap(), b"bb");
-        assert_eq!(p.slot_count(), 2);
-        assert!(!p.delete(s0), "double delete reports false");
-    }
-
-    #[test]
     fn serialization_round_trip() {
         let mut p = Page::new();
         p.insert(b"persist me").unwrap();
@@ -213,19 +185,6 @@ mod tests {
         assert_eq!(restored.get(0).unwrap(), b"persist me");
         assert_eq!(restored.get(1).unwrap(), b"me too");
         assert_eq!(restored.slot_count(), 2);
-    }
-
-    #[test]
-    fn tuples_iterator_skips_tombstones() {
-        let mut p = Page::new();
-        p.insert(b"a").unwrap();
-        p.insert(b"b").unwrap();
-        p.insert(b"c").unwrap();
-        p.delete(1);
-        let live: Vec<(usize, &[u8])> = p.tuples().collect();
-        assert_eq!(live.len(), 2);
-        assert_eq!(live[0], (0, b"a".as_slice()));
-        assert_eq!(live[1], (2, b"c".as_slice()));
     }
 
     #[test]

@@ -20,7 +20,6 @@ use smda_types::{Error, FrameDefect, Result};
 pub struct FrameLog {
     path: PathBuf,
     file: BufWriter<File>,
-    records: u64,
 }
 
 impl FrameLog {
@@ -40,7 +39,6 @@ impl FrameLog {
         Ok(FrameLog {
             path,
             file: BufWriter::new(file),
-            records: 0,
         })
     }
 
@@ -49,9 +47,7 @@ impl FrameLog {
         self.file
             .write_all(&frame_header(payload))
             .and_then(|()| self.file.write_all(payload))
-            .map_err(|e| Error::io(format!("appending to frame log {}", self.path.display()), e))?;
-        self.records += 1;
-        Ok(())
+            .map_err(|e| Error::io(format!("appending to frame log {}", self.path.display()), e))
     }
 
     /// Flush buffered records to the operating system, making them
@@ -60,11 +56,6 @@ impl FrameLog {
         self.file
             .flush()
             .map_err(|e| Error::io(format!("flushing frame log {}", self.path.display()), e))
-    }
-
-    /// Records appended so far.
-    pub fn records(&self) -> u64 {
-        self.records
     }
 
     /// The log's file path.
@@ -139,7 +130,6 @@ mod tests {
         for r in records {
             log.append(r).unwrap();
         }
-        assert_eq!(log.records(), records.len() as u64);
         log.flush().unwrap();
     }
 

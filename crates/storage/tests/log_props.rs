@@ -43,7 +43,6 @@ fn write_log(path: &Path, payloads: &[Vec<u8>]) {
     for p in payloads {
         log.append(p).unwrap();
     }
-    assert_eq!(log.records(), payloads.len() as u64);
     log.flush().unwrap();
 }
 

@@ -53,12 +53,6 @@ impl Dataset {
         &self.temperature
     }
 
-    /// Look up one consumer's series by id (linear scan; the storage crates
-    /// provide indexed access).
-    pub fn consumer(&self, id: ConsumerId) -> Option<&ConsumerSeries> {
-        self.consumers.iter().find(|c| c.id == id)
-    }
-
     /// A sub-dataset holding the first `n` consumers (used by the harness
     /// for scale sweeps). `n` is clamped to the dataset size.
     pub fn head(&self, n: usize) -> Dataset {
@@ -219,12 +213,5 @@ mod tests {
         assert_eq!(st.readings, 3 * HOURS_PER_YEAR);
         assert!((st.peak_hourly_kwh - 0.7).abs() < 1e-12);
         assert_eq!(st.nominal_bytes, ds.nominal_bytes());
-    }
-
-    #[test]
-    fn consumer_lookup() {
-        let ds = tiny(4);
-        assert!(ds.consumer(ConsumerId(2)).is_some());
-        assert!(ds.consumer(ConsumerId(9)).is_none());
     }
 }

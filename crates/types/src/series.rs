@@ -45,6 +45,13 @@ impl ConsumerSeries {
                 readings.len()
             )));
         }
+        ConsumerSeries::validate_readings(format_args!("consumer {id}"), readings)
+    }
+
+    /// The reading rule of [`ConsumerSeries::validate`], for a row of any
+    /// length: every reading finite and non-negative. The error names the
+    /// row as `what`, then the offending position and value.
+    pub fn validate_readings(what: std::fmt::Arguments<'_>, readings: &[f64]) -> Result<()> {
         // The verdict is a branch-free fold — an early-exit search does not
         // vectorize, and a valid year is the case that pays. `r >= 0.0`
         // admits both zeros and refuses NaN; `r <= f64::MAX` refuses +∞.
@@ -55,7 +62,7 @@ impl ConsumerSeries {
         if !readings.iter().fold(true, |ok, &r| ok & valid(r)) {
             if let Some(pos) = readings.iter().position(|&r| !valid(r)) {
                 return Err(Error::Schema(format!(
-                    "consumer {id}: reading at hour {pos} is {} (must be finite and non-negative)",
+                    "{what}: reading at hour {pos} is {} (must be finite and non-negative)",
                     readings[pos]
                 )));
             }
@@ -91,11 +98,6 @@ impl ConsumerSeries {
             .iter()
             .copied()
             .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Mean hourly consumption in kWh.
-    pub fn mean(&self) -> f64 {
-        self.annual_total() / HOURS_PER_YEAR as f64
     }
 }
 
@@ -148,19 +150,6 @@ impl TemperatureSeries {
     /// Panics if `hour >= 8760`.
     pub fn at(&self, hour: usize) -> f64 {
         self.values[hour]
-    }
-
-    /// Minimum temperature over the year.
-    pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum temperature over the year.
-    pub fn max(&self) -> f64 {
-        self.values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 }
 
@@ -271,7 +260,6 @@ mod tests {
         let s = ConsumerSeries::new(ConsumerId(9), r).unwrap();
         assert_eq!(s.peak(), 5.0);
         assert!((s.annual_total() - (HOURS_PER_YEAR as f64 + 4.0)).abs() < 1e-9);
-        assert!((s.mean() - s.annual_total() / 8760.0).abs() < 1e-12);
     }
 
     #[test]
@@ -279,8 +267,6 @@ mod tests {
         let mut v = year_of(10.0);
         v[0] = -25.0;
         let t = TemperatureSeries::new(v).unwrap();
-        assert_eq!(t.min(), -25.0);
-        assert_eq!(t.max(), 10.0);
         assert_eq!(t.at(0), -25.0);
     }
 

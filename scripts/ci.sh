@@ -89,6 +89,86 @@ if [ "$surface_count" -gt "$surface_budget" ]; then
     exit 1
 fi
 
+# ROADMAP 7(c), held by the compiler: in a copy of the tree (what git
+# tracks, staged and unstaged edits included) every `pub fn` in
+# crates/*/src becomes `pub(crate) fn`, and `pub` goes back at each
+# definition a privacy error names until the workspace's libraries,
+# binaries and examples compile (tests/ left out); rustc's `dead_code`
+# lint then names every function no non-test target reaches. `pub` is
+# then put back for the locked benchmark/ package in the same way, and a
+# function only it calls is marked. Those left (a locked name, a
+# reference a test pins a product path to, a hook another crate's test
+# needs, the HiveQL subset, an `is_empty` clippy wants beside a live
+# `len`) may not exceed the count below; a PR that removes some lowers it,
+# none raises it.
+echo "== functions only tests reach =="
+dead_budget=17
+sweep=$(mktemp -d)
+snapshot=$(git stash create)
+git archive "${snapshot:-HEAD}" | tar -x -C "$sweep"
+git ls-files 'crates/*/src/*.rs' | (cd "$sweep" && xargs sed -i -E 's/^([[:space:]]*)pub fn /\1pub(crate) fn /')
+# Every span of every diagnostic `cargo check "$@"` prints, one line each:
+# level, code, file (from the copy's root), line, primary, the spanned
+# text, the line's text, message, each "-" when empty so that `read`
+# keeps the columns.
+diagnostics() {
+    local root=$1
+    shift
+    { (cd "$sweep" && CARGO_TARGET_DIR="$sweep/target" cargo check --offline -q --message-format=json "$@" 2>/dev/null) || true; } |
+        jq -r 'select(.reason == "compiler-message") | .message as $m
+            | ([$m.spans[]] + [$m.children[].spans[]])[] | (.text[0] // {text: "", highlight_start: 1, highlight_end: 1}) as $t
+            | [$m.level, ($m.code.code // ""), .file_name, .line_start, .is_primary,
+               $t.text[($t.highlight_start - 1):($t.highlight_end - 1)], $t.text, $m.message]
+            | map(tostring | if . == "" then "-" else . end) | join("\t")' |
+        while IFS=$'\t' read -r level code file rest; do
+            case $file in /*) ;; *) file=$sweep/$root/$file ;; esac
+            printf '%s\t%s\t%s\t%s\n' "$level" "$code" "$(realpath -m --relative-to="$sweep" "$file")" "$rest"
+        done
+}
+# Put `pub` back at each definition the privacy errors of `cargo check
+# "$@"` name until it passes, printing each as file:line. E0364 (a
+# `pub use` of a crate-private function) names only the `use`, so the
+# function it re-exports is found by name among the crate's free
+# functions.
+publish() {
+    local errors restored
+    while :; do
+        errors=$(diagnostics "$@" | awk -F'\t' '$1 == "error"')
+        [ -n "$errors" ] || return 0
+        restored=$(while IFS=$'\t' read -r _ code file line _ _ text message; do
+            if [ "$code" = E0364 ]; then
+                name=$(sed -E 's/^[^`]*`([A-Za-z0-9_]+)`.*/\1/' <<<"$message")
+                (cd "$sweep" && grep -rnE "^pub\(crate\) fn $name\b" "${file%%/src/*}/src" || true) | cut -d: -f1,2
+            elif [[ $text =~ ^[[:space:]]*pub\(crate\)\ fn\  ]]; then
+                echo "$file:$line"
+            fi
+        done <<<"$errors" | sort -u)
+        if [ -z "$restored" ]; then
+            echo "$errors" >&2
+            return 1
+        fi
+        while IFS=: read -r file line; do
+            sed -i -E "${line}s/pub\(crate\) fn /pub fn /" "$sweep/$file"
+        done <<<"$restored"
+        echo "$restored"
+    done
+}
+workspace_targets=(--workspace --exclude smda-integration --lib --bins --examples)
+publish . "${workspace_targets[@]}" >/dev/null
+dead=$(diagnostics . "${workspace_targets[@]}" |
+    awk -F'\t' '$1 == "warning" && $2 == "dead_code" && $5 == "true" && index($7, "fn " $6) { print $3 ":" $4 "\t" $6 }' | sort -t: -k1,1 -k2n -u)
+locked=$(publish benchmark --locked --manifest-path benchmark/Cargo.toml --lib --bins)
+rm -r "$sweep"
+dead=$(while IFS=$'\t' read -r at name; do
+    [ -n "$at" ] || continue
+    grep -qxF "$at" <<<"$locked" && name="$name (benchmark/ calls it)"
+    echo "${at%:*}: $name"
+done <<<"$dead")
+dead_count=$(grep -c . <<<"$dead" || true)
+echo "$dead_count functions only tests reach (budget $dead_budget)"
+echo "$dead"
+[ "$dead_count" -le "$dead_budget" ]
+
 # ROADMAP 6(b), done and kept done: every fan-out, the cluster twins'
 # phases included, runs on the one persistent pool in crates/engines, and
 # nothing under crates/ calls the vendored crossbeam shim.

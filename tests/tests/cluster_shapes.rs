@@ -3,8 +3,10 @@
 
 use smda_cluster::{ClusterTopology, CostModel};
 use smda_core::Task;
+use smda_engines::RunSpec;
 use smda_hive::HiveEngine;
 use smda_integration::fixture_dataset;
+use smda_obs::MetricsSink;
 use smda_spark::SparkEngine;
 use smda_types::DataFormat;
 
@@ -24,10 +26,18 @@ fn format2_beats_format1_on_hive() {
     let ds = fixture_dataset(8);
     let mut f1 = HiveEngine::new(topo(4, CostModel::mapreduce()), BLOCK);
     f1.load(&ds, DataFormat::ReadingPerLine).unwrap();
-    let t1 = f1.run_task(Task::Histogram).unwrap().stats.virtual_elapsed;
+    let t1 = f1
+        .run_with(&RunSpec::builder(Task::Histogram).build())
+        .unwrap()
+        .stats
+        .virtual_elapsed;
     let mut f2 = HiveEngine::new(topo(4, CostModel::mapreduce()), BLOCK);
     f2.load(&ds, DataFormat::ConsumerPerLine).unwrap();
-    let t2 = f2.run_task(Task::Histogram).unwrap().stats.virtual_elapsed;
+    let t2 = f2
+        .run_with(&RunSpec::builder(Task::Histogram).build())
+        .unwrap()
+        .stats
+        .virtual_elapsed;
     assert!(t2 < t1, "format2 {t2:?} should beat format1 {t1:?}");
 }
 
@@ -37,7 +47,10 @@ fn more_workers_reduce_virtual_time() {
     let time_with = |workers: usize| {
         let mut hive = HiveEngine::new(topo(workers, CostModel::mapreduce()), 64 * 1024);
         hive.load(&ds, DataFormat::ReadingPerLine).unwrap();
-        hive.run_task(Task::Par).unwrap().stats.virtual_elapsed
+        hive.run_with(&RunSpec::builder(Task::Par).build())
+            .unwrap()
+            .stats
+            .virtual_elapsed
     };
     let t4 = time_with(4);
     let t16 = time_with(16);
@@ -53,11 +66,15 @@ fn spark_broadcast_join_shuffles_less_than_hive_self_join() {
     let mut hive = HiveEngine::new(topo(4, CostModel::mapreduce()), BLOCK);
     hive.set_reduce_tasks(8);
     hive.load(&ds, DataFormat::ConsumerPerLine).unwrap();
-    let hive_result = hive.run_task(Task::Similarity).unwrap();
+    let hive_result = hive
+        .run_with(&RunSpec::builder(Task::Similarity).build())
+        .unwrap();
 
     let mut spark = SparkEngine::new(topo(4, CostModel::spark()), BLOCK);
     spark.load(&ds, DataFormat::ConsumerPerLine).unwrap();
-    let spark_result = spark.run_task(Task::Similarity).unwrap();
+    let spark_result = spark
+        .run_with(&RunSpec::builder(Task::Similarity).build())
+        .unwrap();
 
     let hive_moved = hive_result.stats.shuffle_bytes;
     let spark_moved = spark_result.stats.shuffle_bytes + spark_result.stats.broadcast_bytes;
@@ -79,9 +96,13 @@ fn udtf_beats_udaf_on_format3() {
     let ds = fixture_dataset(6);
     let mut hive = HiveEngine::new(topo(4, CostModel::mapreduce()), BLOCK);
     hive.load(&ds, DataFormat::ManyFiles { files: 3 }).unwrap();
-    let udtf = hive.run_task(Task::ThreeLine).unwrap();
+    let udtf = hive
+        .run_with(&RunSpec::builder(Task::ThreeLine).build())
+        .unwrap();
     hive.force_udaf = true;
-    let udaf = hive.run_task(Task::ThreeLine).unwrap();
+    let udaf = hive
+        .run_with(&RunSpec::builder(Task::ThreeLine).build())
+        .unwrap();
     assert!(udtf.stats.virtual_elapsed < udaf.stats.virtual_elapsed);
     assert_eq!(udtf.stats.shuffle_bytes, 0);
     assert!(udaf.stats.shuffle_bytes > 0);
@@ -109,7 +130,10 @@ fn spark_degrades_with_many_files_hive_does_not() {
             .map(|_| {
                 let mut spark = SparkEngine::new(small_topo(CostModel::spark()), BLOCK);
                 spark.load(&ds, DataFormat::ManyFiles { files }).unwrap();
-                spark.run_task(Task::Histogram).unwrap().virtual_elapsed
+                spark
+                    .run_with(&RunSpec::builder(Task::Histogram).build())
+                    .unwrap()
+                    .virtual_elapsed
             })
             .min()
             .expect("three runs")
@@ -117,7 +141,7 @@ fn spark_degrades_with_many_files_hive_does_not() {
     let run_hive = |files: usize| {
         let mut hive = HiveEngine::new(small_topo(CostModel::mapreduce()), BLOCK);
         hive.load(&ds, DataFormat::ManyFiles { files }).unwrap();
-        hive.run_task(Task::Histogram)
+        hive.run_with(&RunSpec::builder(Task::Histogram).build())
             .unwrap()
             .stats
             .virtual_elapsed
@@ -218,7 +242,7 @@ fn too_many_files_kills_spark_but_not_hive() {
     // directly through the RDD source.
     use smda_cluster::{DfsConfig, SimDfs, TextTable};
     use smda_spark::{SparkContext, MAX_OPEN_FILES};
-    let sc = SparkContext::new(topo(2, CostModel::spark()));
+    let sc = SparkContext::configured(topo(2, CostModel::spark()), MetricsSink::disabled(), None);
     // Build a fake many-file table descriptor cheaply.
     let ds = fixture_dataset(2);
     let mut dfs = SimDfs::new(DfsConfig {

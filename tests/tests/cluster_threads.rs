@@ -16,6 +16,7 @@ use std::thread::{self, ThreadId};
 use smda_cluster::{ClusterTopology, CostModel, VirtualScheduler};
 use smda_engines::WorkerPool;
 use smda_hive::{run_map_only, JobInput};
+use smda_obs::MetricsSink;
 use smda_spark::SparkContext;
 
 const STAGES: u64 = 64;
@@ -72,7 +73,7 @@ fn hive_and_spark_stages_run_on_the_persistent_pool() {
     let after_hive = seen.lock().expect("map").len();
     assert!(after_hive >= 2, "the barrier needs two threads");
 
-    let sc = SparkContext::new(topology);
+    let sc = SparkContext::configured(topology, MetricsSink::disabled(), None);
     for stage in 0..STAGES {
         let seen = seen.clone();
         let out = sc

@@ -138,9 +138,13 @@ fn cluster_platforms_agree_with_reference_under_all_formats() {
         let mut spark = SparkEngine::new(topo_sp, 128 * 1024);
         spark.load(&ds, format).expect("spark load succeeds");
         for task in Task::ALL {
-            let r = hive.run_task(task).expect("hive run succeeds");
+            let r = hive
+                .run_with(&RunSpec::builder(task).build())
+                .expect("hive run succeeds");
             assert_equivalent(&ds, &r.output, task, &format!("hive-{}", format.label()));
-            let r = spark.run_task(task).expect("spark run succeeds");
+            let r = spark
+                .run_with(&RunSpec::builder(task).build())
+                .expect("spark run succeeds");
             assert_equivalent(&ds, &r.output, task, &format!("spark-{}", format.label()));
         }
     }

@@ -33,7 +33,9 @@ fn node_crash_recovery_is_exact_and_lands_in_the_json_export() {
 
     let mut clean = HiveEngine::new(topo(4), BLOCK);
     clean.load(&ds, DataFormat::ReadingPerLine).unwrap();
-    let reference = clean.run_task(Task::Histogram).unwrap();
+    let reference = clean
+        .run_with(&RunSpec::builder(Task::Histogram).build())
+        .unwrap();
 
     let mut faulty = HiveEngine::new(topo(4), BLOCK);
     let sink = MetricsSink::recording();
@@ -71,7 +73,7 @@ fn node_crash_recovery_is_exact_and_lands_in_the_json_export() {
         json.contains(counters::FAULTS_RECOVERED_NODE_CRASH),
         "{json}"
     );
-    let parsed = BenchExport::parse(&json).unwrap();
+    let parsed = serde::json::from_str::<BenchExport>(&json).unwrap();
     assert_eq!(
         parsed.runs[0].counter(counters::FAULTS_RECOVERED_NODE_CRASH),
         Some(recovered)

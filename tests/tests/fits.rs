@@ -104,16 +104,23 @@ fn cluster_engines_match_prearena_baseline_bitwise_at_every_width() {
         for (name, out_tl, out_par) in [
             (
                 "hive",
-                hive.run_task(Task::ThreeLine).expect("hive 3-line").output,
-                hive.run_task(Task::Par).expect("hive PAR").output,
+                hive.run_with(&RunSpec::builder(Task::ThreeLine).build())
+                    .expect("hive 3-line")
+                    .output,
+                hive.run_with(&RunSpec::builder(Task::Par).build())
+                    .expect("hive PAR")
+                    .output,
             ),
             (
                 "spark",
                 spark
-                    .run_task(Task::ThreeLine)
+                    .run_with(&RunSpec::builder(Task::ThreeLine).build())
                     .expect("spark 3-line")
                     .output,
-                spark.run_task(Task::Par).expect("spark PAR").output,
+                spark
+                    .run_with(&RunSpec::builder(Task::Par).build())
+                    .expect("spark PAR")
+                    .output,
             ),
         ] {
             assert!(

@@ -85,8 +85,12 @@ fn all_five_platforms_bit_identical_from_smc_and_csv() {
             .expect("hive loads csv-fed data");
         b.load(&from_smc, DataFormat::ReadingPerLine)
             .expect("hive loads smc-fed data");
-        let a = a.run_task(task).expect("hive csv-fed run");
-        let b = b.run_task(task).expect("hive smc-fed run");
+        let a = a
+            .run_with(&RunSpec::builder(task).build())
+            .expect("hive csv-fed run");
+        let b = b
+            .run_with(&RunSpec::builder(task).build())
+            .expect("hive smc-fed run");
         assert!(
             task_output_bits_eq(&a.output, &b.output),
             "Hive/{}: smc-fed output diverged",
@@ -99,8 +103,12 @@ fn all_five_platforms_bit_identical_from_smc_and_csv() {
             .expect("spark loads csv-fed data");
         b.load(&from_smc, DataFormat::ReadingPerLine)
             .expect("spark loads smc-fed data");
-        let a = a.run_task(task).expect("spark csv-fed run");
-        let b = b.run_task(task).expect("spark smc-fed run");
+        let a = a
+            .run_with(&RunSpec::builder(task).build())
+            .expect("spark csv-fed run");
+        let b = b
+            .run_with(&RunSpec::builder(task).build())
+            .expect("spark smc-fed run");
         assert!(
             task_output_bits_eq(&a.output, &b.output),
             "Spark/{}: smc-fed output diverged",

@@ -114,8 +114,11 @@ fn injected_shard_crash_recovers_from_the_wal_with_nothing_lost() {
     let cfg = IngestConfig::new()
         .with_shards(4)
         .with_wal_dir(dir.path("wal"))
-        .with_faults(faults)
-        .with_metrics(sink.clone());
+        .with_faults(faults);
+    let cfg = IngestConfig {
+        metrics: sink.clone(),
+        ..cfg
+    };
     let out = run_pipeline(events, &cfg).expect("pipeline recovers and completes");
 
     // No lost or duplicated readings, verified through the ingest.*
@@ -126,7 +129,8 @@ fn injected_shard_crash_recovers_from_the_wal_with_nothing_lost() {
             .consumers(8),
     );
     let export = BenchExport::from_runs(vec![report]);
-    let parsed = BenchExport::parse(&export.to_json_pretty()).expect("export round-trips");
+    let parsed =
+        serde::json::from_str::<BenchExport>(&export.to_json_pretty()).expect("export round-trips");
     let entry = |name: &str| -> u64 {
         parsed
             .benches
@@ -425,9 +429,8 @@ fn chunks_routed_depends_on_the_stream_not_the_schedule() {
         let run = |capacity: usize, metrics: MetricsSink| {
             let cfg = IngestConfig {
                 queue_capacity: capacity,
-                ..IngestConfig::new()
-                    .with_shards(shards)
-                    .with_metrics(metrics)
+                metrics,
+                ..IngestConfig::new().with_shards(shards)
             };
             run_pipeline(events.iter().copied(), &cfg)
                 .expect("pipeline completes")

@@ -108,9 +108,11 @@ fn hive_and_spark_agree_bitwise_on_the_same_text_data() {
         hive.load(&ds, format).expect("hive load succeeds");
         let mut spark = SparkEngine::new(topo_sp, 128 * 1024);
         spark.load(&ds, format).expect("spark load succeeds");
-        let h = hive.run_task(Task::Similarity).expect("hive run succeeds");
+        let h = hive
+            .run_with(&RunSpec::builder(Task::Similarity).build())
+            .expect("hive run succeeds");
         let s = spark
-            .run_task(Task::Similarity)
+            .run_with(&RunSpec::builder(Task::Similarity).build())
             .expect("spark run succeeds");
         assert_eq!(
             bits(&h.output),

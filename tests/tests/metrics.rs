@@ -128,6 +128,7 @@ fn bench_export_flattens_runs_into_named_entries() {
     }
 
     // The whole document survives a disk round trip.
-    let back = BenchExport::parse(&export.to_json_pretty()).expect("export parses back");
+    let back =
+        serde::json::from_str::<BenchExport>(&export.to_json_pretty()).expect("export parses back");
     assert_eq!(back, export);
 }

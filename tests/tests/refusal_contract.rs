@@ -154,10 +154,10 @@ impl Twin {
     /// Run `task` under `policy`: the outcome and the dirty rows counted.
     fn run(&mut self, task: Task, policy: DirtyDataPolicy, clean: &TaskOutput) -> (Outcome, u64) {
         let sink = MetricsSink::recording();
-        let spec = RunSpec::builder(task)
-            .metrics(sink.clone())
-            .dirty_policy(policy)
-            .build();
+        let spec = RunSpec {
+            dirty_policy: policy,
+            ..RunSpec::builder(task).metrics(sink.clone()).build()
+        };
         let outcome = match self.engine().run(&spec) {
             Ok(r) => Outcome::Done {
                 households: r.output.len(),

@@ -160,7 +160,11 @@ fn concurrent_queries_during_swaps_never_observe_a_torn_world() {
         }
         publisher.join().expect("publisher thread");
     });
-    assert_eq!(server.epoch(), 61, "1 initial + 60 swap publishes");
+    assert_eq!(
+        handle.pin().expect("published").epoch(),
+        61,
+        "1 initial + 60 swap publishes"
+    );
 }
 
 #[test]

@@ -101,10 +101,12 @@ fn forced_scalar_fallback_matches_dispatched_output_on_all_five_platforms() {
                 let r = engine.run(&spec).expect("similarity run succeeds");
                 outs.push((engine.name().to_string(), bits(&r.output)));
             }
-            let h = hive.run_task(Task::Similarity).expect("hive run succeeds");
+            let h = hive
+                .run_with(&RunSpec::builder(Task::Similarity).build())
+                .expect("hive run succeeds");
             outs.push(("Hive".into(), bits(&h.output)));
             let s = spark
-                .run_task(Task::Similarity)
+                .run_with(&RunSpec::builder(Task::Similarity).build())
                 .expect("spark run succeeds");
             outs.push(("Spark".into(), bits(&s.output)));
             outs
