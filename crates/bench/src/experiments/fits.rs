@@ -16,7 +16,7 @@ use smda_core::{
     fit_par_baseline, fit_par_scratch, fit_three_line_baseline, fit_three_line_scratch,
     ThreeLineConfig,
 };
-use smda_stats::{quantiles_by_selection, FitScratch};
+use smda_stats::{FitScratch, SelectCounts};
 use smda_types::BitEq;
 
 use crate::alloc;
@@ -51,38 +51,79 @@ fn push(
     ]);
 }
 
-/// Print where 3-line T1 spends a consumer on a warm arena: the content
+/// Print where 3-line T1 spends a consumer on a warm arena — the content
 /// compare of the temperature year against the plan, the gather of the
-/// readings into bin order as integer keys, and the rank selection — the
-/// three calls `fit_three_line_scratch` makes, timed one by one.
+/// readings into bin order, the selection's sample and tail-splitting
+/// pass ([`RankSelect::split_tails`](smda_stats::RankSelect::split_tails))
+/// and the rest of it (the pair
+/// selects in the tail buffers, and every fallback) — then T2 as the
+/// fits themselves charge it, and the share of bins that fell back.
 fn report_t1_split(ds: &smda_types::Dataset, config: &ThreeLineConfig, scratch: &mut FitScratch) {
     let temps = ds.temperature().values();
     let quantiles = [config.low_percentile, config.high_percentile];
-    let [mut check, mut gather, mut select] = [Duration::ZERO; 3];
+    let wanted = |values: &[f64]| values.len() >= config.min_points_per_temp;
+    let [mut check, mut gather, mut split, mut select] = [Duration::ZERO; 4];
+    let _ = scratch.select.take_counts();
+    let mut selected = SelectCounts::default();
     for c in ds.consumers() {
         let t = Instant::now();
         scratch.plan.prepare(temps);
         check += t.elapsed();
+        let FitScratch {
+            plan,
+            select: ranks,
+            ..
+        } = &mut *scratch;
         let t = Instant::now();
-        let bins = scratch.plan.gather(c.readings());
+        let bins = plan.gather(c.readings());
         gather += t.elapsed();
+        let Some(bins) = bins else { continue };
         let t = Instant::now();
-        if let Some(bins) = bins {
-            bins.for_each(|_, keys| {
-                if keys.len() >= config.min_points_per_temp {
-                    black_box(quantiles_by_selection(keys, quantiles));
-                }
-            });
-        }
+        bins.for_each(|_, values| {
+            if wanted(values) {
+                black_box(ranks.split_tails(values, quantiles));
+            }
+        });
+        split += t.elapsed();
+        let _ = ranks.take_counts();
+        let Some(bins) = plan.gather(c.readings()) else {
+            continue;
+        };
+        let t = Instant::now();
+        bins.for_each(|_, values| {
+            if wanted(values) {
+                black_box(ranks.quantiles(values, quantiles));
+            }
+        });
         select += t.elapsed();
+        let counts = ranks.take_counts();
+        selected.sampled += counts.sampled;
+        selected.fell_back += counts.fell_back;
     }
+    let _ = scratch.take_phase_times();
+    for c in ds.consumers() {
+        black_box(fit_three_line_scratch(
+            c.id,
+            c.readings(),
+            temps,
+            config,
+            scratch,
+        ));
+    }
+    let [_, t2, _] = scratch.take_phase_times();
     let per_consumer = |d: Duration| d.as_secs_f64() * 1e6 / ds.len() as f64;
     eprintln!(
-        "3-line T1 per consumer at n={}: plan check {:.1} us, gather {:.1} us, select {:.1} us",
+        "3-line per consumer at n={}: plan check {:.1} us, gather {:.1} us, sample + pass {:.1} \
+         us, tail select {:.1} us, T2 {:.1} us; {} of {} bins fell back ({:.1} %)",
         ds.len(),
         per_consumer(check),
         per_consumer(gather),
-        per_consumer(select),
+        per_consumer(split),
+        per_consumer(select.saturating_sub(split)),
+        per_consumer(t2),
+        selected.fell_back,
+        selected.sampled,
+        100.0 * selected.fell_back as f64 / selected.sampled.max(1) as f64,
     );
 }
 

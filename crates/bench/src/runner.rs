@@ -422,7 +422,11 @@ const FITS_PEAK_CEILING_BYTES: usize = 8 * 1024 * 1024;
 /// the one-time build a handful of `--smoke` consumers cannot amortize —
 /// must allocate at least 5× fewer heap bytes than the baseline sweep and
 /// stay under `FITS_PEAK_CEILING_BYTES` of peak growth (over the
-/// dataset's consumers; the edge years are compared, not weighed).
+/// dataset's consumers; the edge years are compared, not weighed);
+/// (4) over the same sweep, at most a third of the T1 bins selected
+/// through sampled thresholds may have fallen back to the whole bin
+/// ([`RankSelect`](smda_stats::RankSelect)), and some must have been
+/// selected that way.
 ///
 /// [`FitScratch`]: smda_stats::FitScratch
 fn check_fits(scale: Scale) -> std::result::Result<String, String> {
@@ -466,12 +470,23 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
     });
     let mut scratch = FitScratch::new();
     fit_arena(&ds.consumers()[0], temps, &mut scratch);
+    let _ = scratch.select.take_counts();
     let (mut arena, arena_bytes, arena_peak) = crate::alloc::measure_alloc(|| {
         ds.consumers()
             .iter()
             .map(|c| fit_arena(c, temps, &mut scratch))
             .collect::<Vec<_>>()
     });
+    // (4) The sampled thresholds must hold for most bins: a fallback is
+    // exact but selects from the whole bin, and the seeded data makes the
+    // count repeat exactly.
+    let selected = scratch.select.take_counts();
+    if selected.sampled == 0 || selected.fell_back * 3 > selected.sampled {
+        return Err(format!(
+            "{} of {} T1 bins fell back to selecting from the whole bin (at most a third may)",
+            selected.fell_back, selected.sampled
+        ));
+    }
     let after_sweeps = edges
         .iter()
         .map(|c| (c, temps))
@@ -534,8 +549,10 @@ fn check_fits(scale: Scale) -> std::result::Result<String, String> {
         "fit equivalence OK: n={n} + {} edge years, 3-line + PAR bit-identical through a dirty \
          arena across {plan_builds} temperature plans, generator deterministic; bytes \
          baseline={baseline_bytes} warm arena={arena_bytes} ({ratio:.1}x), arena \
-         peak={arena_peak}",
-        edges.len() + 2
+         peak={arena_peak}; T1 bins fell back {} of {}",
+        edges.len() + 2,
+        selected.fell_back,
+        selected.sampled
     ))
 }
 

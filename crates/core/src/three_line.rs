@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use smda_stats::linalg::Matrix;
 use smda_stats::scratch::{FitScratch, NormalEq, SegmentSums};
-use smda_stats::{ols_multiple, quantile_sorted, quantiles_by_selection, with_fit_scratch};
+use smda_stats::{ols_multiple, quantile_sorted, with_fit_scratch};
 use smda_types::{ConsumerId, ConsumerSeries, TemperatureSeries};
 
 /// Tuning knobs; the defaults reproduce the paper's setup.
@@ -314,22 +314,7 @@ fn free_fit_scratch(
         };
     }
 
-    let mut best = (f64::INFINITY, m, 2 * m);
-    // The right segment's SSE depends on `j` alone: fit each once, not
-    // once per `i`.
-    sums.cache_tail_sse(2 * m, n - m);
-    for i in m..=(n - 2 * m) {
-        let (_, _, sse1) = sums.fit(0, i);
-        for j in (i + m)..=(n - m) {
-            let (_, _, sse2) = sums.fit(i, j);
-            let sse3 = sums.tail_sse(j);
-            let total = sse1 + sse2 + sse3;
-            if total < best.0 {
-                best = (total, i, j);
-            }
-        }
-    }
-    let (sse, i, j) = best;
+    let (sse, i, j) = sums.best_split(m);
     let (a1, b1, _) = sums.fit(0, i);
     let (a2, b2, _) = sums.fit(i, j);
     let (a3, b3, _) = sums.fit(j, n);
@@ -418,7 +403,12 @@ pub fn fit_three_line_scratch(
 
     let started = Instant::now();
     {
-        let FitScratch { plan, curves, .. } = scratch;
+        let FitScratch {
+            plan,
+            select,
+            curves,
+            ..
+        } = scratch;
         let [low, high] = curves;
         low.clear();
         high.clear();
@@ -429,14 +419,14 @@ pub fn fit_three_line_scratch(
         // year has no bins, a non-finite reading gathers to `None`.
         plan.prepare(&temps[..n]);
         if let Some(bins) = plan.gather(&readings[..n]) {
-            bins.for_each(|key, keys| {
-                if keys.len() < config.min_points_per_temp {
+            bins.for_each(|key, values| {
+                if values.len() < config.min_points_per_temp {
                     return;
                 }
                 // The (at most four) ranks the two percentiles read,
                 // selected instead of sorting the whole bin.
                 let [p_low, p_high] =
-                    quantiles_by_selection(keys, [config.low_percentile, config.high_percentile]);
+                    select.quantiles(values, [config.low_percentile, config.high_percentile]);
                 low.push(key as f64, p_low);
                 high.push(key as f64, p_high);
             });
@@ -523,7 +513,6 @@ pub fn fit_three_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smda_stats::scratch::round_to_i32;
     use smda_types::{BitEq, HOURS_PER_YEAR};
 
     /// A synthetic year whose consumption is an exact V: heating below
@@ -773,44 +762,6 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(clean, fit_three_line_baseline(&series, &temps, &config));
-    }
-
-    #[test]
-    fn integer_rounding_is_round_half_away_then_saturate() {
-        let edges = [
-            0.0,
-            -0.0,
-            0.49999999999999994,
-            0.5,
-            -0.5,
-            1.5,
-            -1.5,
-            2.5,
-            -2.5,
-            17.499999999999996,
-            -17.500000000000004,
-            2147483646.5,
-            2147483647.4,
-            2147483647.5,
-            -2147483648.5,
-            4294967296.25,
-            1e300,
-            -1e300,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            f64::MIN_POSITIVE,
-            4503599627370497.0,
-        ];
-        for t in edges {
-            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t:e}");
-        }
-        for i in -4000..4000 {
-            let t = i as f64 / 8.0 + 1e-9;
-            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t}");
-            let t = i as f64 / 8.0;
-            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t}");
-        }
     }
 
     #[test]

@@ -40,7 +40,10 @@ pub use kmeans::{KMeans, KMeansConfig};
 pub use linalg::Matrix;
 pub use online::OnlineStats;
 pub use oooc::{top_k_oooc, OoocStats, SeriesSource, SliceSource, DEFAULT_BAND_ROWS};
-pub use quantile::{from_ordered_key, ordered_key, quantile_sorted, quantiles_by_selection};
+pub use quantile::{
+    from_ordered_key, ordered_key, quantile_sorted, quantiles_by_selection, RankSelect,
+    SelectCounts,
+};
 pub use regression::{ols_multiple, MultipleFit};
 pub use rng::{GaussianNoise, Picker};
 pub use scratch::{

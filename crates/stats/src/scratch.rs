@@ -33,7 +33,13 @@
 //!   invisible for the same reason twice over.
 //! * [`SegmentSums`] rebuilds the 3-line fitter's prefix sums into
 //!   retained buffers, every slot overwritten, so a dirty instance and a
-//!   fresh one (what the baseline fit passes) hold the same values.
+//!   fresh one (what the baseline fit passes) hold the same values. Its
+//!   breakpoint search ([`SegmentSums::best_split`], 3-line T2) scores a
+//!   vector of second breakpoints at a time: lane `l` runs
+//!   [`SegmentSums::fit`]'s operations in their order for its own `j`,
+//!   both branches computed and the one `|den| < 1e-9` picks selected, and
+//!   the lanes' first strict minima meet in `(i, j)` order, which is the
+//!   scalar loop's `total < best`.
 //! * [`NormalEq::solve`] reproduces [`ols_multiple`](crate::regression::ols_multiple): the gram and
 //!   `Xᵀy` accumulations copy [`Matrix::gram`] / [`Matrix::t_vec`]
 //!   element-for-element (including the `a == 0.0` skip), the Cholesky
@@ -60,17 +66,21 @@
 //!   again ([`lagged_residuals`]). The
 //!   response mean is summed once and serves both the fit's `r²` and the
 //!   caller's fallback — it was the same `Iterator::sum` twice.
-//! * [`quantiles_by_selection`](crate::quantile::quantiles_by_selection)
-//!   replaces "sort the bin, read two quantiles" in 3-line T1 with
-//!   selection of the at most four ranks the interpolation reads, over
-//!   the readings mapped once to [`ordered_key`] integers: `i64` order on
-//!   the keys *is* [`f64::total_cmp`] on the values (it is the map
-//!   `total_cmp` applies before its own integer compare), and on finite
-//!   values `total_cmp` differs from the baseline's `partial_cmp` only in
-//!   ordering `−0.0` before `+0.0`. Its docs show why that one difference
-//!   — which of several tied `±0.0` lands on a rank — cannot reach the
-//!   interpolated value. The readings' finiteness verdict is taken in the
-//!   gather that maps them, the key series' when its plan is built.
+//! * [`RankSelect`] replaces "sort the bin, read two quantiles" in 3-line
+//!   T1 with selection of the at most four ranks the interpolation reads,
+//!   in one pass per bin: 16 strided values sorted by a compare-exchange
+//!   network give a threshold past the low percentile's pair of ranks and
+//!   one short of the high one's, one compress pass splits both tails off
+//!   into retained buffers, and three-way partitions inside each buffer
+//!   finish the pair (inside the whole bin, where a threshold missed). It
+//!   compares the `f64` readings themselves, which, as under the
+//!   baseline's `partial_cmp`, orders `−0.0` and `+0.0` as equal, but may
+//!   leave the other sign on a rank than the stable sort did; the docs of
+//!   [`quantiles_by_selection`](crate::quantile::quantiles_by_selection)
+//!   show why which of several tied `±0.0` lands on a rank cannot reach
+//!   the interpolated value. The readings' finiteness verdict is taken in
+//!   the gather that brings them into bin order, the key series' when its
+//!   plan is built.
 //!
 //! The contract is enforced by proptests in this crate (dirty scratch ≡
 //! fresh scratch ≡ allocating reference, scalar tier ≡ AVX2 tier) and by
@@ -86,8 +96,12 @@ use std::time::Duration;
 use smda_types::HOURS_PER_DAY;
 
 use crate::linalg::{qr_least_squares, Matrix};
-use crate::quantile::ordered_key;
-use crate::simd::{lagged_moments, lagged_residuals, LANE_COLS, LANE_LAGS};
+use crate::quantile::RankSelect;
+use crate::simd::{
+    lagged_moments, lagged_residuals, note_body, widest_lanes, Lanes, Widest, LANE_COLS, LANE_LAGS,
+};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{Avx2, Avx512};
 
 /// Widest design matrix the in-place solver accepts (columns). The 3-line
 /// hinge basis uses 4, PAR uses `PAR_ORDER + 2 = 5`; 6 leaves headroom.
@@ -102,6 +116,8 @@ pub const SCRATCH_MAX_COLS: usize = 6;
 pub struct FitScratch {
     /// Bins of the shared key series (3-line T1 percentile extraction).
     pub plan: BinPlan,
+    /// The buffers T1 selects each bin's percentile ranks through.
+    pub select: RankSelect,
     /// Two (x, y) point buffers: `curves[0]` low, `curves[1]` high.
     pub curves: [CurveBuffer; 2],
     /// Prefix sums for O(1) segment fits (3-line T2).
@@ -184,7 +200,7 @@ pub fn with_fit_scratch<R>(f: impl FnOnce(&mut FitScratch) -> R) -> R {
 /// part, exact in `f64` whenever the cast did not saturate; and when it
 /// did, the saturating step leaves the saturated value `round` would cast
 /// to as well.
-pub fn round_to_i32(t: f64) -> i32 {
+fn round_to_i32(t: f64) -> i32 {
     let whole = t as i32;
     let fraction = t - whole as f64;
     if fraction >= 0.5 {
@@ -204,7 +220,7 @@ struct Bin {
     end: usize,
 }
 
-/// Groups one series' values by the [`round_to_i32`] key of another —
+/// Groups one series' values by the `round_to_i32` key of another —
 /// a drop-in for building a `BTreeMap<i32, Vec<f64>>` per consumer and
 /// iterating it — with everything that depends on the key series alone
 /// (which hours share a bin, the bins' ascending order) planned once and
@@ -225,8 +241,8 @@ pub struct BinPlan {
     order: Vec<usize>,
     /// The non-empty bins, ascending by key.
     bins: Vec<Bin>,
-    /// One consumer's values as [`ordered_key`]s, in `order`.
-    gathered: Vec<i64>,
+    /// One consumer's values, in `order`.
+    gathered: Vec<f64>,
     /// Build-time tables: each hour's key, and the counting sort's
     /// per-key cursors (never longer than the series, see `build`).
     hour_keys: Vec<i32>,
@@ -316,8 +332,8 @@ impl BinPlan {
     }
 
     /// Bring `values` — one value per hour of the prepared key series —
-    /// into bin order as [`ordered_key`]s. `None` if any of them is not
-    /// finite: a NaN has no rank.
+    /// into bin order. `None` if any of them is not finite: a NaN has no
+    /// rank.
     ///
     /// # Panics
     /// Panics if `values` is shorter than the prepared key series.
@@ -327,11 +343,11 @@ impl BinPlan {
         self.gathered.extend(self.order.iter().map(|&hour| {
             let v = values[hour];
             finite &= v.is_finite();
-            ordered_key(v)
+            v
         }));
         finite.then_some(GatheredBins {
             bins: &self.bins,
-            gathered: &mut self.gathered,
+            gathered: &self.gathered,
         })
     }
 }
@@ -340,16 +356,15 @@ impl BinPlan {
 #[derive(Debug)]
 pub struct GatheredBins<'a> {
     bins: &'a [Bin],
-    gathered: &'a mut [i64],
+    gathered: &'a [f64],
 }
 
 impl GatheredBins<'_> {
     /// Visit each non-empty bin in ascending key order as
-    /// `(key, &mut keys)` — the bin's values as [`ordered_key`]s, which
-    /// `visit` may reorder in place (e.g. select within).
-    pub fn for_each(self, mut visit: impl FnMut(i32, &mut [i64])) {
+    /// `(key, values)`, the bin's values in ascending hour order.
+    pub fn for_each(self, mut visit: impl FnMut(i32, &[f64])) {
         for bin in self.bins {
-            visit(bin.key, &mut self.gathered[bin.start..bin.end]);
+            visit(bin.key, &self.gathered[bin.start..bin.end]);
         }
     }
 }
@@ -387,10 +402,16 @@ impl CurveBuffer {
     }
 }
 
+/// Slots kept past the last prefix sum and the last cached tail SSE, so
+/// that a vector of breakpoints starting at any of them loads whole: the
+/// widest tier's lanes.
+const LANE_PAD: usize = 8;
+
 /// Prefix sums enabling O(1) least-squares line fits over any point
 /// range, with retained buffers.
 #[derive(Debug, Default)]
 pub struct SegmentSums {
+    points: usize,
     sx: Vec<f64>,
     sy: Vec<f64>,
     sxx: Vec<f64>,
@@ -407,6 +428,7 @@ impl SegmentSums {
     pub fn build(&mut self, x: &[f64], y: &[f64]) {
         assert_eq!(x.len(), y.len(), "x and y must have equal length");
         let n = x.len();
+        self.points = n;
         for buf in [
             &mut self.sx,
             &mut self.sy,
@@ -415,7 +437,7 @@ impl SegmentSums {
             &mut self.syy,
         ] {
             buf.clear();
-            buf.resize(n + 1, 0.0);
+            buf.resize(n + 1 + LANE_PAD, 0.0);
         }
         for i in 0..n {
             self.sx[i + 1] = self.sx[i] + x[i];
@@ -427,22 +449,63 @@ impl SegmentSums {
     }
 
     /// Cache the SSE of the line through points `j..n` for every `j` in
-    /// `from..=to`, for [`tail_sse`](Self::tail_sse): a breakpoint search
-    /// asks for each of them once per *first* breakpoint, and the answer
-    /// never depends on that one.
-    pub fn cache_tail_sse(&mut self, from: usize, to: usize) {
-        let n = self.sx.len() - 1;
+    /// `from..=to`: a breakpoint search asks for each of them once per
+    /// *first* breakpoint, and the answer never depends on that one.
+    fn cache_tail_sse(&mut self, from: usize, to: usize) {
+        let n = self.points;
         self.tail_sse.clear();
-        self.tail_sse.resize(to + 1, 0.0);
+        self.tail_sse.resize(to + 1 + LANE_PAD, 0.0);
         for j in from..=to {
             self.tail_sse[j] = self.fit(j, n).2;
         }
     }
 
-    /// `self.fit(j, n).2` as cached by the last
-    /// [`cache_tail_sse`](Self::cache_tail_sse) over a range holding `j`.
-    pub fn tail_sse(&self, j: usize) -> f64 {
-        self.tail_sse[j]
+    /// The 3-line search's two breakpoints over the `n` points last
+    /// built: the first strict minimum, in `(i, j)` order, of
+    /// `fit(0, i).2 + fit(i, j).2 + fit(j, n).2` over `m ≤ i ≤ n − 2m` and
+    /// `i + m ≤ j ≤ n − m`, as `(total, i, j)` — `(∞, m, 2m)` when no
+    /// total is below `+∞`, and a NaN total never wins.
+    ///
+    /// Each `i` scores its `j` a vector at a time, at the active tier's
+    /// width: lane `l` computes `fit(i, j + l).2` with the scalar
+    /// [`fit`](Self::fit)'s operations in its order, both of its
+    /// branches, and keeps the one `|den| < 1e-9` picks (a select, not a
+    /// branch). Each lane keeps the first strict minimum of the
+    /// totals it scored — the `total < best` of a scalar loop over its
+    /// own `(i, j)` — and the lanes' winners meet at the end, the least
+    /// total first and the earliest `(i, j)` among equal ones, which is
+    /// the first strict minimum of the whole order.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ m` and `3m ≤ n`.
+    pub fn best_split(&mut self, m: usize) -> (f64, usize, usize) {
+        let n = self.points;
+        assert!(
+            m >= 1 && 3 * m <= n,
+            "no split of {n} points into segments of {m}"
+        );
+        self.cache_tail_sse(2 * m, n - m);
+        let lanes = |winners: &[(f64, usize, usize)]| {
+            winners
+                .iter()
+                .fold((f64::INFINITY, m, 2 * m), |best, &lane| {
+                    let earlier = (lane.1, lane.2) < (best.1, best.2);
+                    if lane.0 < best.0 || (lane.0 == best.0 && earlier) {
+                        lane
+                    } else {
+                        best
+                    }
+                })
+        };
+        match widest_lanes() {
+            Widest::Portable(portable) => lanes(&best_split_lanes::<_, 8>(portable, self, m)),
+            // SAFETY: the token proves AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Widest::Avx2(avx2) => lanes(&unsafe { best_split_avx2(avx2, self, m) }),
+            // SAFETY: the token proves AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Widest::Avx512(avx512) => lanes(&unsafe { best_split_avx512(avx512, self, m) }),
+        }
     }
 
     /// OLS over points `lo..hi`; returns `(intercept, slope, sse)`.
@@ -470,6 +533,98 @@ impl SegmentSums {
             + 2.0 * intercept * slope * sx;
         (intercept, slope, sse.max(0.0))
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn best_split_avx2(avx2: Avx2, sums: &SegmentSums, m: usize) -> [(f64, usize, usize); 4] {
+    best_split_lanes(avx2, sums, m)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn best_split_avx512(avx512: Avx512, sums: &SegmentSums, m: usize) -> [(f64, usize, usize); 8] {
+    best_split_lanes(avx512, sums, m)
+}
+
+/// [`SegmentSums::best_split`]'s search on `W` lanes: each lane's first
+/// strict minimum as `(total, i, j)`.
+#[inline(always)]
+fn best_split_lanes<L: Lanes<Array = [f64; W]>, const W: usize>(
+    simd: L,
+    sums: &SegmentSums,
+    m: usize,
+) -> [(f64, usize, usize); W] {
+    note_body::<L>("split");
+    let n = sums.points;
+    let at = |s: &[f64], j: usize| simd.load(&s[j..].as_chunks::<W>().0[0]);
+    let ramp = simd.load(&std::array::from_fn(|l| l as f64));
+    // Lanes past the last second breakpoint score NaN, which never wins.
+    let (past_last, nan) = (simd.splat((n - m + 1) as f64), simd.splat(f64::NAN));
+    let mut best = simd.splat(f64::INFINITY);
+    let mut best_i = simd.splat(m as f64);
+    let mut best_j = simd.splat((2 * m) as f64);
+    for i in m..=(n - 2 * m) {
+        let head = simd.splat(sums.fit(0, i).2);
+        let prefixes = [&sums.sx, &sums.sy, &sums.sxx, &sums.sxy, &sums.syy];
+        // Loops, not `map`: a closure the compiler leaves out of line
+        // would lose this frame's target features, and the lane methods
+        // inside it with them.
+        let mut from = [simd.zero(); 5];
+        for (from, prefix) in from.iter_mut().zip(prefixes) {
+            *from = simd.splat(prefix[i]);
+        }
+        let first = simd.splat(i as f64);
+        for j in (i + m..=n - m).step_by(W) {
+            let mut moments = [simd.zero(); 5];
+            for ((moment, prefix), from) in moments.iter_mut().zip(prefixes).zip(from) {
+                *moment = simd.sub(at(prefix, j), from);
+            }
+            let count = simd.add(simd.splat((j - i) as f64), ramp);
+            let middle = segment_sse(simd, count, moments);
+            let second = simd.add(simd.splat(j as f64), ramp);
+            let total = simd.add(simd.add(head, middle), at(&sums.tail_sse, j));
+            let total = simd.select_lt(second, past_last, total, nan);
+            best_i = simd.select_lt(total, best, first, best_i);
+            best_j = simd.select_lt(total, best, second, best_j);
+            best = simd.select_lt(total, best, total, best);
+        }
+    }
+    let (best, best_i, best_j) = (simd.store(best), simd.store(best_i), simd.store(best_j));
+    std::array::from_fn(|l| (best[l], best_i[l] as usize, best_j[l] as usize))
+}
+
+/// [`SegmentSums::fit`]'s SSE in each lane from a range's point count
+/// and its five moment differences `[sx, sy, sxx, sxy, syy]`: the same
+/// operations in the same order, both branches computed and the flat
+/// line's kept where `|den| < 1e-9` (false for a NaN `den`, as in the
+/// scalar test), then `max(sse, 0)`, which like `f64::max` takes `0.0`
+/// for a NaN.
+#[inline(always)]
+fn segment_sse<L: Lanes>(simd: L, count: L::Vector, moments: [L::Vector; 5]) -> L::Vector {
+    let [sx, sy, sxx, sxy, syy] = moments;
+    let two = simd.splat(2.0);
+    let den = simd.sub(simd.mul(count, sxx), simd.mul(sx, sx));
+    let mean = simd.div(sy, count);
+    let flat = simd.add(
+        simd.sub(syy, simd.mul(simd.mul(two, mean), sy)),
+        simd.mul(simd.mul(count, mean), mean),
+    );
+    let slope = simd.div(simd.sub(simd.mul(count, sxy), simd.mul(sx, sy)), den);
+    let intercept = simd.div(simd.sub(sy, simd.mul(slope, sx)), count);
+    let mut line = simd.add(syy, simd.mul(simd.mul(count, intercept), intercept));
+    line = simd.add(line, simd.mul(simd.mul(slope, slope), sxx));
+    line = simd.sub(line, simd.mul(simd.mul(two, intercept), sy));
+    line = simd.sub(line, simd.mul(simd.mul(two, slope), sxy));
+    line = simd.add(
+        line,
+        simd.mul(simd.mul(simd.mul(two, intercept), slope), sx),
+    );
+    // `|den| < 1e-9` as `-1e-9 < den && den < 1e-9`: negation is exact.
+    let tiny = simd.splat(1e-9);
+    let inside = simd.select_lt(simd.splat(-1e-9), den, flat, line);
+    let sse = simd.select_lt(den, tiny, inside, line);
+    simd.max(sse, simd.zero())
 }
 
 /// Result of an in-place normal-equation solve — the fixed-array twin of
@@ -760,7 +915,6 @@ impl NormalEq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantile::from_ordered_key;
     use crate::regression::ols_multiple;
     use std::collections::BTreeMap;
 
@@ -779,11 +933,48 @@ mod tests {
         plan.prepare(key_series);
         plan.gather(values)
             .expect("finite fixture")
-            .for_each(|key, keys| {
-                let bits = keys.iter().map(|&k| from_ordered_key(k).to_bits());
-                got.push((key, bits.collect()));
+            .for_each(|key, values| {
+                got.push((key, values.iter().map(|v| v.to_bits()).collect()));
             });
         got
+    }
+
+    #[test]
+    fn integer_rounding_is_round_half_away_then_saturate() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            17.499999999999996,
+            -17.500000000000004,
+            2147483646.5,
+            2147483647.4,
+            2147483647.5,
+            -2147483648.5,
+            4294967296.25,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            4503599627370497.0,
+        ];
+        for t in edges {
+            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t:e}");
+        }
+        for i in -4000..4000 {
+            let t = i as f64 / 8.0 + 1e-9;
+            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t}");
+            let t = i as f64 / 8.0;
+            assert_eq!(round_to_i32(t), t.round() as i32, "t = {t}");
+        }
     }
 
     #[test]
@@ -1069,7 +1260,7 @@ mod tests {
         sums.cache_tail_sse(6, 27);
         for j in 6..=27 {
             assert_eq!(
-                sums.tail_sse(j).to_bits(),
+                sums.tail_sse[j].to_bits(),
                 sums.fit(j, 30).2.to_bits(),
                 "j={j}"
             );

@@ -266,6 +266,31 @@ pub(crate) trait Lanes: Copy {
         otherwise: Self::Vector,
     ) -> Self::Vector;
     fn store(self, v: Self::Vector) -> Self::Array;
+    /// `if a < b { a } else { b }` in each lane: `b` where either is NaN,
+    /// and where they tie (`-0.0` against `0.0` included).
+    fn min(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
+    /// `if a > b { a } else { b }` in each lane, NaN and ties as [`min`](Self::min).
+    fn max(self, a: Self::Vector, b: Self::Vector) -> Self::Vector;
+    /// Lane `l` of the result is lane `l ^ distance` of `v`: the partner
+    /// exchange of one compare-exchange stage. `distance` is a power of
+    /// two below `WIDTH`.
+    fn swap_lanes(self, v: Self::Vector, distance: usize) -> Self::Vector;
+    /// Which lanes a compare holds true, in the form the vocabulary keeps
+    /// them: an array of flags, a sign-bit mask, a mask register.
+    type Mask: Copy;
+    /// `a <= b` in each lane: an ordered compare, false where either is NaN.
+    fn le(self, a: Self::Vector, b: Self::Vector) -> Self::Mask;
+    /// `a < b` in each lane: ordered, as [`le`](Self::le).
+    fn lt(self, a: Self::Vector, b: Self::Vector) -> Self::Mask;
+    /// How many lanes `mask` holds true.
+    fn count(self, mask: Self::Mask) -> usize;
+    /// The lanes of `v` that `keep` holds true, in lane order, written to
+    /// the front of `dst`, whose first `WIDTH` slots the call may all
+    /// overwrite. Returns how many lanes were kept.
+    ///
+    /// # Panics
+    /// Panics if `dst` is shorter than `WIDTH`.
+    fn compress(self, v: Self::Vector, keep: Self::Mask, dst: &mut [f64]) -> usize;
 
     /// `+0.0` in every lane.
     #[inline(always)]
@@ -273,6 +298,41 @@ pub(crate) trait Lanes: Copy {
         self.splat(0.0)
     }
 }
+
+/// The bits set in each byte: a mask's lane count in one load, where the
+/// tiers' frames do not enable `popcnt`.
+#[cfg(target_arch = "x86_64")]
+const LANES_SET: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        table[mask] = (mask as u8).count_ones() as u8;
+        mask += 1;
+    }
+    table
+};
+
+/// `v` at each position that [`Lanes::compress`] on `ymm` gathers, for
+/// every four-lane mask: the `f64` lanes kept, in order, as the pairs of
+/// 32-bit indices `_mm256_permutevar8x32_ps` reads.
+#[cfg(target_arch = "x86_64")]
+const COMPRESS_YMM: [[i32; 8]; 16] = {
+    let mut table = [[0i32; 8]; 16];
+    let mut mask = 0;
+    while mask < 16 {
+        let (mut lane, mut kept) = (0usize, 0);
+        while lane < 4 {
+            if mask & (1 << lane) != 0 {
+                table[mask][2 * kept] = (2 * lane) as i32;
+                table[mask][2 * kept + 1] = (2 * lane + 1) as i32;
+                kept += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+};
 
 impl<const N: usize> Lanes for Portable<N> {
     const WIDTH: usize = N;
@@ -313,6 +373,41 @@ impl<const N: usize> Lanes for Portable<N> {
     #[inline(always)]
     fn store(self, v: [f64; N]) -> [f64; N] {
         v
+    }
+    #[inline(always)]
+    fn min(self, a: [f64; N], b: [f64; N]) -> [f64; N] {
+        std::array::from_fn(|l| if a[l] < b[l] { a[l] } else { b[l] })
+    }
+    #[inline(always)]
+    fn max(self, a: [f64; N], b: [f64; N]) -> [f64; N] {
+        std::array::from_fn(|l| if a[l] > b[l] { a[l] } else { b[l] })
+    }
+    #[inline(always)]
+    fn swap_lanes(self, v: [f64; N], distance: usize) -> [f64; N] {
+        std::array::from_fn(|l| v[l ^ distance])
+    }
+    type Mask = [bool; N];
+    #[inline(always)]
+    fn le(self, a: [f64; N], b: [f64; N]) -> [bool; N] {
+        std::array::from_fn(|l| a[l] <= b[l])
+    }
+    #[inline(always)]
+    fn lt(self, a: [f64; N], b: [f64; N]) -> [bool; N] {
+        std::array::from_fn(|l| a[l] < b[l])
+    }
+    #[inline(always)]
+    fn count(self, mask: [bool; N]) -> usize {
+        mask.iter().filter(|&&kept| kept).count()
+    }
+    #[inline(always)]
+    fn compress(self, v: [f64; N], keep: [bool; N], dst: &mut [f64]) -> usize {
+        let dst = &mut dst[..N];
+        let mut kept = 0;
+        for (&x, &keep) in v.iter().zip(&keep) {
+            dst[kept] = x;
+            kept += usize::from(keep);
+        }
+        kept
     }
 }
 
@@ -372,6 +467,58 @@ impl Lanes for Avx2 {
         // four `f64` of `out`.
         unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
         out
+    }
+    #[inline(always)]
+    fn min(self, a: __m256d, b: __m256d) -> __m256d {
+        // `vminpd` is `a < b ? a : b` per lane, NaN and ties to `b`.
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_min_pd(a, b) }
+    }
+    #[inline(always)]
+    fn max(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_max_pd(a, b) }
+    }
+    #[inline(always)]
+    fn swap_lanes(self, v: __m256d, distance: usize) -> __m256d {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe {
+            match distance {
+                1 => _mm256_permute_pd::<0b0101>(v),
+                2 => _mm256_permute2f128_pd::<0x01>(v, v),
+                _ => panic!("lane distance {distance} on four lanes"),
+            }
+        }
+    }
+    /// The lanes' sign bits, lane `l` in bit `l`.
+    type Mask = usize;
+    #[inline(always)]
+    fn le(self, a: __m256d, b: __m256d) -> usize {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a, b)) as usize }
+    }
+    #[inline(always)]
+    fn lt(self, a: __m256d, b: __m256d) -> usize {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a, b)) as usize }
+    }
+    #[inline(always)]
+    fn count(self, mask: usize) -> usize {
+        usize::from(LANES_SET[mask & 15])
+    }
+    #[inline(always)]
+    fn compress(self, v: __m256d, keep: usize, dst: &mut [f64]) -> usize {
+        let dst = &mut dst[..4];
+        let gather = &COMPRESS_YMM[keep & 15];
+        // SAFETY: `self` is the `Avx2` token; the index load reads exactly
+        // the eight `i32` of `gather`, the store writes exactly the four
+        // `f64` of `dst`.
+        unsafe {
+            let order = _mm256_loadu_si256(gather.as_ptr().cast());
+            let packed = _mm256_permutevar8x32_ps(_mm256_castpd_ps(v), order);
+            _mm256_storeu_pd(dst.as_mut_ptr(), _mm256_castps_pd(packed));
+        }
+        self.count(keep)
     }
 }
 
@@ -434,6 +581,54 @@ impl Lanes for Avx512 {
         // the eight `f64` of `out`.
         unsafe { _mm512_storeu_pd(out.as_mut_ptr(), v) };
         out
+    }
+    #[inline(always)]
+    fn min(self, a: __m512d, b: __m512d) -> __m512d {
+        // As on `ymm`.
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_min_pd(a, b) }
+    }
+    #[inline(always)]
+    fn max(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_max_pd(a, b) }
+    }
+    #[inline(always)]
+    fn swap_lanes(self, v: __m512d, distance: usize) -> __m512d {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe {
+            match distance {
+                1 => _mm512_permute_pd::<0b0101_0101>(v),
+                2 => _mm512_permutex_pd::<0b0100_1110>(v),
+                4 => _mm512_shuffle_f64x2::<0b0100_1110>(v, v),
+                _ => panic!("lane distance {distance} on eight lanes"),
+            }
+        }
+    }
+    type Mask = __mmask8;
+    #[inline(always)]
+    fn le(self, a: __m512d, b: __m512d) -> __mmask8 {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_cmp_pd_mask::<_CMP_LE_OQ>(a, b) }
+    }
+    #[inline(always)]
+    fn lt(self, a: __m512d, b: __m512d) -> __mmask8 {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a, b) }
+    }
+    #[inline(always)]
+    fn count(self, mask: __mmask8) -> usize {
+        usize::from(LANES_SET[usize::from(mask)])
+    }
+    #[inline(always)]
+    fn compress(self, v: __m512d, keep: __mmask8, dst: &mut [f64]) -> usize {
+        let dst = &mut dst[..8];
+        // Compressed in a register and stored whole: a masked compressing
+        // store to memory is microcoded on most AVX-512 cores.
+        // SAFETY: `self` is the `Avx512` token; the store writes exactly
+        // the eight `f64` of `dst`.
+        unsafe { _mm512_storeu_pd(dst.as_mut_ptr(), _mm512_maskz_compress_pd(keep, v)) };
+        self.count(keep)
     }
 }
 
@@ -1119,9 +1314,10 @@ mod tests {
         for (rows, cols) in [(4, 2), (1, 4), (1, 3), (1, 2), (1, 1), (4, 8), (8, 2)] {
             assert!(!runs_wide(rows, cols), "{rows}x{cols}");
         }
-        // PAR's two passes and the Histogram's two run the body of the
-        // widest vocabulary the tier hands out, at its width: eight lanes
-        // on `zmm`, four on `ymm`, the portable eight on the scalar tier.
+        // PAR's two passes, the Histogram's two and 3-line's selection and
+        // breakpoint search run the body of the widest vocabulary the tier
+        // hands out, at its width: eight lanes on `zmm`, four on `ymm`, the
+        // portable eight on the scalar tier.
         let days = 12;
         let (y, x) = crate::testutil::awkward_year(days, 7);
         let beta = [[0.5; HOURS_PER_DAY]; LANE_COLS];
@@ -1142,11 +1338,15 @@ mod tests {
                 &y,
                 crate::HistogramSpec::spanning(&y, 10),
             );
+            let _ = crate::RankSelect::default().quantiles(&y[..100], [0.1, 0.9]);
+            let mut sums = crate::SegmentSums::default();
+            sums.build(&x[..40], &y[..40]);
+            let _ = sums.best_split(5);
             let ran = BODIES_RUN.with_borrow_mut(std::mem::take);
             let kernels: Vec<_> = ran.iter().map(|&(kernel, ..)| kernel).collect();
             assert_eq!(
                 kernels,
-                ["moments", "residuals", "range", "count"],
+                ["moments", "residuals", "range", "count", "select", "split"],
                 "{tier:?}"
             );
             for (kernel, body, width) in ran {
@@ -1224,6 +1424,43 @@ mod tests {
                         got.map(f64::to_bits),
                         want.map(f64::to_bits),
                         "{name} on {N} lanes: {a:?}, {b:?}"
+                    );
+                }
+                let more = [
+                    ("min", simd.store(simd.min(va, vb)), portable.min(a, b)),
+                    ("max", simd.store(simd.max(va, vb)), portable.max(a, b)),
+                ];
+                let swaps = (0..)
+                    .map(|k| 1 << k)
+                    .take_while(|&d| d < N)
+                    .map(|distance| {
+                        let got = simd.store(simd.swap_lanes(va, distance));
+                        ("swap_lanes", got, portable.swap_lanes(a, distance))
+                    });
+                for (name, got, want) in more.into_iter().chain(swaps) {
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{name} on {N} lanes: {a:?}, {b:?}"
+                    );
+                }
+                let masks = [
+                    ("le", simd.le(va, vb), portable.le(a, b)),
+                    ("lt", simd.lt(va, vb), portable.lt(a, b)),
+                ];
+                for (name, mask, want_mask) in masks {
+                    let (mut got, mut want) = ([f64::NAN; N], [f64::NAN; N]);
+                    let kept = simd.compress(va, mask, &mut got);
+                    let want_kept = portable.compress(a, want_mask, &mut want);
+                    assert_eq!(
+                        (kept, simd.count(mask)),
+                        (want_kept, portable.count(want_mask)),
+                        "{name} on {N} lanes: {a:?}, {b:?}"
+                    );
+                    assert_eq!(
+                        got[..kept].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want[..kept].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "compress by {name} on {N} lanes: {a:?}, {b:?}"
                     );
                 }
             }

@@ -176,11 +176,18 @@ pub fn top_k_cosine(series: &[Vec<f64>], k: usize) -> Vec<Vec<SimilarityMatch>> 
 /// Truncate `hits` to the `k` best, sorted best-first (score desc, index
 /// asc). Uses `select_nth_unstable` so the common `k ≪ n` case avoids a
 /// full sort.
+///
+/// Scores compare by `partial_cmp`, so finite ones — `±0.0` ties broken
+/// by index — keep their order. A NaN score (a row of zeros or of
+/// overflowing values scored against another) is placed by
+/// `f64::total_cmp` instead, after every score for a positive NaN and
+/// before them for a negative one, which keeps the order total, so
+/// neither the selection nor the sort can panic on it.
 pub fn select_top_k(hits: &mut Vec<SimilarityMatch>, k: usize) {
     let by_score_desc = |a: &SimilarityMatch, b: &SimilarityMatch| {
         b.score
             .partial_cmp(&a.score)
-            .expect("scores are finite")
+            .unwrap_or_else(|| b.score.total_cmp(&a.score))
             .then(a.index.cmp(&b.index))
     };
     if hits.len() > k {
@@ -195,6 +202,26 @@ pub fn select_top_k(hits: &mut Vec<SimilarityMatch>, k: usize) {
 mod tests {
     use super::*;
     use smda_types::BitEq;
+
+    #[test]
+    fn a_nan_score_is_ranked_without_a_panic() {
+        let hit = |index, score| SimilarityMatch { index, score };
+        let mut hits = vec![
+            hit(0, 0.5),
+            hit(1, f64::NAN),
+            hit(2, -0.0),
+            hit(3, 0.0),
+            hit(4, -f64::NAN),
+            hit(5, 0.25),
+        ];
+        select_top_k(&mut hits, 4);
+        let order: Vec<usize> = hits.iter().map(|h| h.index).collect();
+        // A positive NaN above every score; the tied zeros by index.
+        assert_eq!(order, [1, 0, 5, 2]);
+        let mut all = vec![hit(0, f64::NAN), hit(1, 0.5), hit(2, -f64::NAN)];
+        select_top_k(&mut all, 10);
+        assert_eq!(all.iter().map(|h| h.index).collect::<Vec<_>>(), [0, 1, 2]);
+    }
 
     /// Match lists compare per query: a hit that moves to the neighbouring
     /// query's list is a different answer though the flattened sequence

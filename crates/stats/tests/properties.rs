@@ -7,12 +7,12 @@ use proptest::prelude::*;
 use smda_stats::linalg::Matrix;
 use smda_stats::simd::{LANE_COLS, LANE_LAGS};
 use smda_stats::{
-    band_pair_count, cosine_similarity, dot, dot_block, dot_scalar, from_ordered_key, mean,
-    merge_partials, norm2, norm2_rows, ols_multiple, ordered_key, quantile_sorted,
-    quantiles_by_selection, sample_variance, select_top_k, similarity_walk, top_k_cosine,
-    top_k_query, top_k_tiled, top_k_tiled_partial, under_every_tier, EquiWidthHistogram,
-    FitScratch, GaussianNoise, HourlyFit, KMeans, KMeansConfig, OnlineStats, Pairs, Resident,
-    SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
+    band_pair_count, cosine_similarity, dot, dot_block, dot_scalar, mean, merge_partials, norm2,
+    norm2_rows, ols_multiple, ordered_key, quantile_sorted, quantiles_by_selection,
+    sample_variance, select_top_k, similarity_walk, top_k_cosine, top_k_query, top_k_tiled,
+    top_k_tiled_partial, under_every_tier, EquiWidthHistogram, FitScratch, GaussianNoise,
+    HourlyFit, KMeans, KMeansConfig, OnlineStats, Pairs, RankSelect, Resident, SegmentSums,
+    SelectCounts, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
 use smda_types::BitEq;
 
@@ -143,6 +143,43 @@ fn reading() -> impl Strategy<Value = f64> {
         1 => -0.0,
         _ => kwh,
     })
+}
+
+/// `values` sorted by `f64::total_cmp`.
+fn by_total_order(mut values: Vec<f64>) -> Vec<f64> {
+    values.sort_by(f64::total_cmp);
+    values
+}
+
+/// `values` stably sorted by `partial_cmp`: the order `quantile_sorted`
+/// reads in the 3-line baseline.
+fn by_partial_order(values: &[f64]) -> Vec<f64> {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in these fixtures"));
+    sorted
+}
+
+/// Ascending `values` laid out so that the 16 positions a
+/// [`RankSelect`] samples hold the 16 smallest, each followed by a run of
+/// the rest: a sample that brackets nothing above its 16th value.
+fn defeating_the_sample(ascending: &[f64]) -> Vec<f64> {
+    let n = ascending.len();
+    if n <= 16 {
+        return ascending.to_vec();
+    }
+    let sampled: Vec<usize> = (0..16).map(|i| (2 * i + 1) * n / 32).collect();
+    let mut out = vec![0.0; n];
+    let mut rest = ascending[16..].iter();
+    let mut smallest = ascending[..16].iter();
+    for (at, slot) in out.iter_mut().enumerate() {
+        let from = if sampled.contains(&at) {
+            &mut smallest
+        } else {
+            &mut rest
+        };
+        *slot = *from.next().expect("16 sampled positions, n - 16 others");
+    }
+    out
 }
 
 /// `values` made into a row whose norm is out of the ordinary, by
@@ -558,9 +595,7 @@ proptest! {
             let mut seen: Vec<(i32, Vec<f64>)> = Vec::new();
             scratch.plan.prepare(&key_series);
             let bins = scratch.plan.gather(&values).expect("finite values");
-            bins.for_each(|key, keys| {
-                seen.push((key, keys.iter().map(|&k| from_ordered_key(k)).collect()))
-            });
+            bins.for_each(|key, values| seen.push((key, values.to_vec())));
             prop_assert!(seen.bits_eq(&expected), "pass {}", pass);
             let between: Vec<f64> = other.iter().map(|k| quarter(*k)).collect();
             scratch.plan.prepare(&between);
@@ -675,6 +710,133 @@ proptest! {
             fits.iter().map(|f| f.fit.map(|s| (s.beta, s.sse, s.r2))).collect()
         };
         prop_assert!(per_tier.windows(2).all(|w| fields(&w[0]).bits_eq(&fields(&w[1]))));
+    }
+
+    #[test]
+    fn rank_select_matches_a_stable_sort_bitwise_on_every_tier(
+        len in 1usize..=320,
+        raw in prop::collection::vec((0u8..8, -1.0f64..3.0), 320),
+        distinct in prop::collection::vec(-2.0f64..2.0, 3),
+        layout in 0u8..6,
+        free_q in 0.0f64..1.0
+    ) {
+        // Zeros of both signs and a few repeated values among free ones.
+        let drawn = raw[..len].iter().map(|&(kind, free)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2..=4 => free,
+            k => distinct[k as usize - 5],
+        });
+        let values: Vec<f64> = match layout {
+            0 => drawn.collect(),
+            // One value throughout.
+            1 => vec![raw[0].1; len],
+            // Nothing but zeros, signs mixed.
+            2 => raw[..len].iter().map(|&(kind, _)| if kind % 2 == 0 { 0.0 } else { -0.0 }).collect(),
+            3 => by_total_order(drawn.collect()),
+            4 => by_total_order(drawn.collect()).into_iter().rev().collect(),
+            // Ascending runs that start at the sampled positions.
+            _ => defeating_the_sample(&by_total_order(drawn.collect())),
+        };
+        let sorted = by_partial_order(&values);
+        let mut failure = None;
+        under_every_tier(|tier| {
+            let mut select = RankSelect::default();
+            let mut check = |select: &mut RankSelect, values: &[f64], qs: &[f64]| {
+                let got: Vec<f64> = match *qs {
+                    [q] => select.quantiles(values, [q]).to_vec(),
+                    [lo, hi] => select.quantiles(values, [lo, hi]).to_vec(),
+                    _ => unreachable!("one or two quantiles"),
+                };
+                let sorted = by_partial_order(values);
+                let want: Vec<f64> = qs.iter().map(|&q| quantile_sorted(&sorted, q)).collect();
+                if !got.bits_eq(&want) {
+                    failure.get_or_insert(format!("{tier:?}: {values:?} at {qs:?}: {got:?}, want {want:?}"));
+                }
+            };
+            let qsets: [&[f64]; 7] = [
+                &[0.1, 0.9],
+                &[0.9, 0.1],
+                &[0.0, 1.0],
+                &[0.5, 0.5],
+                &[free_q, 1.0 - free_q],
+                &[free_q],
+                &[0.5],
+            ];
+            for qs in qsets {
+                check(&mut select, &values, qs);
+            }
+            // Both paths, on a slice long enough for the 10th percentile to
+            // sit past the sample's margin: in sorted order the sample
+            // brackets every rank, and with the sample's positions holding
+            // the smallest values the low threshold misses.
+            if len >= 48 {
+                let ramp: Vec<f64> = (0..len).map(|i| i as f64 * 0.5 - 7.0).collect();
+                let _ = select.take_counts();
+                check(&mut select, &sorted, &[0.1, 0.9]);
+                check(&mut select, &ramp, &[0.1, 0.9]);
+                let threshold_path = select.take_counts();
+                check(&mut select, &defeating_the_sample(&ramp), &[0.1, 0.9]);
+                let fallback = select.take_counts();
+                let want = (
+                    SelectCounts { sampled: 2, fell_back: 0 },
+                    SelectCounts { sampled: 1, fell_back: 1 },
+                );
+                if (threshold_path, fallback) != want {
+                    failure.get_or_insert(format!("{tier:?} n={len}: {threshold_path:?}, {fallback:?}"));
+                }
+            }
+        });
+        prop_assert!(failure.is_none(), "{}", failure.unwrap_or_default());
+    }
+
+    #[test]
+    fn best_split_is_the_scalar_breakpoint_search_on_every_tier(
+        len in 3usize..=48,
+        points in prop::collection::vec((0u8..8, 0u8..3, 0.0f64..4.0), 48),
+        m in 1usize..=6
+    ) {
+        prop_assume!(3 * m <= len);
+        // Ascending x with runs of one temperature (a degenerate segment
+        // where a run covers it), y with ties, one overflowing and one NaN
+        // kind (non-finite moments inside a fit).
+        let mut x = Vec::with_capacity(len);
+        let mut y: Vec<f64> = Vec::with_capacity(len);
+        for (i, &(kind, step, free)) in points[..len].iter().enumerate() {
+            let previous = (i > 0).then(|| (x[i - 1], y[i - 1]));
+            x.push(previous.map_or(-5.0, |(t, _)| t + step as f64));
+            y.push(match kind {
+                0 | 1 => previous.map_or(free, |(_, v)| v),
+                2 if len.is_multiple_of(7) => 1e200,
+                3 if len.is_multiple_of(5) => f64::NAN,
+                _ => free,
+            });
+        }
+        let mut sums = SegmentSums::default();
+        sums.build(&x, &y);
+        let n = len;
+        let mut want = (f64::INFINITY, m, 2 * m);
+        for i in m..=(n - 2 * m) {
+            let head = sums.fit(0, i).2;
+            for j in (i + m)..=(n - m) {
+                let total = head + sums.fit(i, j).2 + sums.fit(j, n).2;
+                if total < want.0 {
+                    want = (total, i, j);
+                }
+            }
+        }
+        let mut got = Vec::new();
+        under_every_tier(|tier| {
+            // Through a dirty instance: a longer curve's sums first.
+            let mut dirty = SegmentSums::default();
+            dirty.build(&[1.0; 60], &[2.0; 60]);
+            let _ = dirty.best_split(3);
+            dirty.build(&x, &y);
+            got.push((tier, dirty.best_split(m)));
+        });
+        for (tier, got) in got {
+            prop_assert!(got.bits_eq(&want), "{:?}: {:?}, want {:?}", tier, got, want);
+        }
     }
 
     #[test]
