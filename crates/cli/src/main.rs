@@ -665,7 +665,7 @@ fn ingest(args: &[String]) -> Result<()> {
     );
     println!(
         "  watermark lag {} h | chunks routed {} | backpressure stalls {} (hand-offs that \
-         blocked) | alerts {}",
+         waited for a half-drained queue) | alerts {}",
         r.watermark_lag_hours,
         r.chunks_routed,
         r.backpressure_stalls,

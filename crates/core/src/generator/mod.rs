@@ -154,7 +154,9 @@ impl DataGenerator {
                 ..Default::default()
             },
         )
-        .expect("profiles verified non-empty and uniform 24-dimensional");
+        .ok_or_else(|| {
+            Error::Invalid("seed consumers' daily profiles could not be clustered".into())
+        })?;
         let mut clusters: Vec<ProfileCluster> = km
             .centroids
             .iter()

@@ -35,7 +35,11 @@ pub struct IngestConfig {
     pub shards: usize,
     /// Bounded queue capacity per shard, in readings; a full queue
     /// blocks the router. Readings are handed over in chunks of up to
-    /// 256, never longer than this capacity.
+    /// 256, never longer than this capacity. A blocked router goes on
+    /// once the queue has drained to half this capacity (to empty, for a
+    /// chunk longer than the other half), so it stalls at most once per
+    /// `capacity − capacity/2 − 256 + 1` readings on a capacity of 512
+    /// or more.
     pub queue_capacity: usize,
     /// Allowed lateness in event-time hours: the per-shard watermark
     /// trails the newest hour seen by this much.

@@ -16,7 +16,8 @@
 //!    bounded queue, a chunk at a time (a chunk is handed over when it
 //!    holds 256 readings, when the routed event hour advances, and at
 //!    end of stream — `ingest.chunks_routed`) — a full queue blocks the
-//!    router (backpressure; hand-offs that blocked are counted as
+//!    router until it has drained to half its capacity (backpressure;
+//!    hand-offs that blocked are counted as
 //!    `ingest.backpressure_stalls`);
 //! 2. **advances** a per-shard event-time watermark (`max event hour −
 //!    allowed lateness`); readings behind the watermark are counted and

@@ -11,7 +11,10 @@
 //! pop one chunk at a time, drive their [`ShardState`] with it and hand
 //! the emptied buffer back. The queue bounds *readings*: a hand-off that
 //! would overshoot blocks the router — backpressure, counted per
-//! stalled hand-off — and a closed, empty queue retires its shard.
+//! stalled hand-off — and a closed, empty queue retires its shard. A
+//! stalled router sleeps until its queue has drained to half its
+//! capacity and is woken once, so router and worker trade the CPU once
+//! per half queue, not once per chunk.
 //!
 //! # Why results don't depend on scheduling
 //!
@@ -75,7 +78,11 @@ pub struct IngestReport {
     /// scheduling. Per-reading hand-off would make it `readings_in`.
     pub chunks_routed: u64,
     /// Hand-offs that blocked on a full shard queue (at most one per
-    /// hand-off, however long it waited).
+    /// hand-off, however long it waited). A stalled hand-off resumes
+    /// only once its queue holds at most half its capacity, so on a
+    /// capacity `C` of 512 or more the router hands a shard at least
+    /// `C − C/2 − 256 + 1` readings between two of its stalls: at most
+    /// one stall per 1793 readings on the default 4096.
     pub backpressure_stalls: u64,
     /// Worst observed router-to-watermark lag, in event hours.
     pub watermark_lag_hours: u64,
@@ -116,11 +123,32 @@ struct Queue {
     readings: usize,
     /// Emptied chunk buffers on their way back to the router.
     spare: Vec<Vec<Reading>>,
+    /// Set by a stalled router: the level at or below which its chunk
+    /// goes in. The worker whose pop drains the queue to it clears it
+    /// and wakes the router — one wake per stall.
+    resume_at: Option<usize>,
     closed: bool,
+}
+
+impl Queue {
+    /// Pop the oldest chunk. The flag beside it is `true` when this pop
+    /// drained the queue to the level a stalled router waits for; the
+    /// caller then notifies `space`, after dropping the lock.
+    fn pop(&mut self) -> Option<(Vec<Reading>, bool)> {
+        let chunk = self.chunks.pop_front()?;
+        self.readings -= chunk.len();
+        let wake = self.resume_at.is_some_and(|at| self.readings <= at);
+        if wake {
+            self.resume_at = None;
+        }
+        Some((chunk, wake))
+    }
 }
 
 struct ShardCell {
     queue: Mutex<Queue>,
+    /// Readings the queue may hold (`IngestConfig::queue_capacity`).
+    capacity: usize,
     /// Router waits here for queue space.
     space: Condvar,
     state: Mutex<ShardState>,
@@ -134,8 +162,10 @@ impl ShardCell {
                 chunks: VecDeque::new(),
                 readings: 0,
                 spare: Vec::new(),
+                resume_at: None,
                 closed: false,
             }),
+            capacity: cfg.queue_capacity,
             space: Condvar::new(),
             state: Mutex::new(ShardState::new(
                 shard,
@@ -180,35 +210,38 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Hand one chunk to a shard queue — one lock, at most one wake —
-/// blocking while it would take the queue past `capacity` readings. An
-/// empty queue admits any chunk, so a chunk longer than the space a
-/// drained queue can ever offer cannot wait forever. Returns the buffer
-/// to fill next (one a worker has emptied, when there is one), or `None`
-/// when the pipeline aborted mid-wait. Counts at most one backpressure
-/// stall per hand-off.
+/// Hand one chunk to a shard queue — one lock, at most one wake — when
+/// it fits the queue's capacity. An empty queue admits any chunk, so a
+/// chunk longer than the space a drained queue can ever offer cannot
+/// wait forever. A chunk that does not fit stalls the router, counted
+/// once, until the worker has drained the queue to half its capacity
+/// (to empty, for a chunk longer than the other half) and woken it:
+/// hysteresis, so the two trade the CPU once per half queue. Returns the
+/// buffer to fill next (one a worker has emptied, when there is one), or
+/// `None` when the pipeline aborted mid-wait.
 fn hand_off(
     cell: &ShardCell,
     control: &Control,
     chunk: Vec<Reading>,
-    capacity: usize,
     stalls: &mut u64,
 ) -> Option<Vec<Reading>> {
     let mut q = lock(&cell.queue);
-    let mut stalled = false;
-    while q.readings > 0 && q.readings + chunk.len() > capacity {
-        if control.aborted.load(Ordering::Acquire) {
-            return None;
+    if q.readings > 0 && q.readings + chunk.len() > cell.capacity {
+        *stalls += 1;
+        let resume_at = (cell.capacity / 2).min(cell.capacity.saturating_sub(chunk.len()));
+        q.resume_at = Some(resume_at);
+        // The wake comes from the worker's pop; the nap only backs up a
+        // lost one and keeps the wait abort-aware.
+        while q.readings > resume_at {
+            if control.aborted.load(Ordering::Acquire) {
+                return None;
+            }
+            let (guard, _) = cell
+                .space
+                .wait_timeout(q, NAP)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            q = guard;
         }
-        if !stalled {
-            stalled = true;
-            *stalls += 1;
-        }
-        let (guard, _) = cell
-            .space
-            .wait_timeout(q, NAP)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        q = guard;
     }
     let was_empty = q.chunks.is_empty();
     q.readings += chunk.len();
@@ -229,7 +262,6 @@ fn hand_off(
 struct Router<'a> {
     cells: &'a [ShardCell],
     control: &'a Control,
-    capacity: usize,
     /// Readings per full chunk: [`DRAIN_BATCH`], or the whole queue when
     /// that is smaller, so the capacity bound holds exactly.
     chunk_len: usize,
@@ -245,7 +277,6 @@ impl<'a> Router<'a> {
         Router {
             cells,
             control,
-            capacity,
             chunk_len: DRAIN_BATCH.min(capacity),
             pending: cells.iter().map(|_| Vec::new()).collect(),
             newest_hour: 0,
@@ -286,8 +317,7 @@ impl<'a> Router<'a> {
         let chunk = std::mem::take(&mut self.pending[shard]);
         self.chunks += 1;
         let cell = &self.cells[shard];
-        let Some(next) = hand_off(cell, self.control, chunk, self.capacity, &mut self.stalls)
-        else {
+        let Some(next) = hand_off(cell, self.control, chunk, &mut self.stalls) else {
             return false;
         };
         self.pending[shard] = next;
@@ -319,19 +349,20 @@ fn consume_loop(cells: &[ShardCell], control: &Control) {
             // router under the same lock that pops the next one.
             let mut emptied: Option<Vec<Reading>> = None;
             loop {
-                let mut chunk = {
+                let (mut chunk, wake) = {
                     let mut q = lock(&cell.queue);
                     q.spare.extend(emptied.take());
-                    let Some(chunk) = q.chunks.pop_front() else {
+                    let Some(popped) = q.pop() else {
                         if q.closed {
                             cell.done.store(true, Ordering::Release);
                         }
                         break;
                     };
-                    q.readings -= chunk.len();
-                    chunk
+                    popped
                 };
-                cell.space.notify_all();
+                if wake {
+                    cell.space.notify_all();
+                }
                 let routed = control.routed_hour.load(Ordering::Acquire);
                 if let Err(e) = state.process_batch(&chunk, routed) {
                     lock(&control.errors).push((shard, e));
@@ -642,6 +673,13 @@ mod tests {
         }
     }
 
+    fn with_capacity(queue_capacity: usize) -> IngestConfig {
+        IngestConfig {
+            queue_capacity,
+            ..IngestConfig::new()
+        }
+    }
+
     fn queued(cell: &ShardCell) -> Vec<Reading> {
         let q = lock(&cell.queue);
         let flat: Vec<Reading> = q.chunks.iter().flatten().copied().collect();
@@ -660,7 +698,7 @@ mod tests {
         // overshoot. Either way the hand-off must stall exactly once,
         // then be admitted by the drained — empty — queue.
         for (capacity, held, chunk) in [(1usize, 1u32, 1u32), (7, 5, 3)] {
-            let cell = ShardCell::new(0, &IngestConfig::new()).unwrap();
+            let cell = ShardCell::new(0, &with_capacity(capacity)).unwrap();
             let control = Control::new();
             {
                 let mut q = lock(&cell.queue);
@@ -682,7 +720,6 @@ mod tests {
                     &cell,
                     &control,
                     (0..chunk).map(|h| reading(2, h)).collect(),
-                    capacity,
                     &mut stalls,
                 );
                 assert!(next.is_some(), "capacity {capacity}: delivered");
@@ -695,13 +732,80 @@ mod tests {
     }
 
     #[test]
+    fn a_stalled_router_resumes_at_half_capacity_after_one_wake() {
+        // A full queue of short chunks; the router's chunk is as long as
+        // the router ever cuts one. A helper plays the worker one pop at
+        // a time, through the worker's own `Queue::pop`, and notes the
+        // level each pop leaves; the router's chunk showing up in the
+        // queue tells it the hand-off went through at the level its
+        // previous pop left.
+        for capacity in [1usize, 7, 512, 4096] {
+            let cell = ShardCell::new(0, &with_capacity(capacity)).unwrap();
+            let control = Control::new();
+            let step = (capacity / 8).max(1);
+            {
+                let mut q = lock(&cell.queue);
+                for start in (0..capacity).step_by(step) {
+                    let len = step.min(capacity - start);
+                    q.chunks
+                        .push_back((0..len as u32).map(|h| reading(1, h)).collect());
+                    q.readings += len;
+                }
+            }
+            let chunk_len = DRAIN_BATCH.min(capacity);
+            let (released_at, wakes) = std::thread::scope(|scope| {
+                let worker = scope.spawn(|| {
+                    let (mut level, mut wakes) = (capacity, 0);
+                    loop {
+                        let wake = {
+                            let mut q = lock(&cell.queue);
+                            if q.chunks
+                                .back()
+                                .is_some_and(|c| c[0].consumer == ConsumerId(2))
+                            {
+                                return (level, wakes);
+                            }
+                            // Pop once the router has stalled, a chunk a
+                            // millisecond, so it can go on between pops.
+                            let stalled = q.resume_at.is_some() || wakes > 0;
+                            match stalled.then(|| q.pop()).flatten() {
+                                Some((_, wake)) => {
+                                    level = q.readings;
+                                    wake
+                                }
+                                None => false,
+                            }
+                        };
+                        if wake {
+                            wakes += 1;
+                            cell.space.notify_all();
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                });
+                let mut stalls = 0;
+                let chunk = (0..chunk_len as u32).map(|h| reading(2, h)).collect();
+                assert!(hand_off(&cell, &control, chunk, &mut stalls).is_some());
+                assert_eq!(stalls, 1, "capacity {capacity}");
+                worker.join().unwrap()
+            });
+            assert!(
+                released_at <= capacity / 2 && released_at + chunk_len <= capacity,
+                "capacity {capacity}: the router went on at {released_at} readings"
+            );
+            assert_eq!(wakes, 1, "capacity {capacity}: one wake per stall");
+            assert_eq!(lock(&cell.queue).resume_at, None);
+        }
+    }
+
+    #[test]
     fn an_empty_queue_admits_a_chunk_longer_than_its_capacity() {
         // Not a state the router produces (its chunks are capped at the
         // capacity), but the rule that makes capacity 1 deadlock-free.
-        let cell = ShardCell::new(0, &IngestConfig::new()).unwrap();
+        let cell = ShardCell::new(0, &with_capacity(1)).unwrap();
         let mut stalls = 0;
         let chunk = (0..5).map(|h| reading(1, h)).collect();
-        assert!(hand_off(&cell, &Control::new(), chunk, 1, &mut stalls).is_some());
+        assert!(hand_off(&cell, &Control::new(), chunk, &mut stalls).is_some());
         assert_eq!(stalls, 0);
         assert_eq!(queued(&cell).len(), 5);
     }

@@ -48,13 +48,18 @@ impl KMeans {
     /// Fit k-means to `points` (each a `d`-dimensional row).
     ///
     /// `k` is clamped to the number of points. Returns `None` when
-    /// `points` is empty, `k == 0`, or dimensions are inconsistent.
+    /// `points` is empty, `k == 0`, dimensions are inconsistent, or a
+    /// coordinate is NaN or infinite.
     pub fn fit(points: &[Vec<f64>], config: KMeansConfig) -> Option<Self> {
         if points.is_empty() || config.k == 0 {
             return None;
         }
         let d = points[0].len();
-        if d == 0 || points.iter().any(|p| p.len() != d) {
+        if d == 0
+            || points
+                .iter()
+                .any(|p| p.len() != d || p.iter().any(|v| !v.is_finite()))
+        {
             return None;
         }
         let k = config.k.min(points.len());
@@ -82,17 +87,15 @@ impl KMeans {
             for c in 0..k {
                 if counts[c] == 0 {
                     // Re-seed an empty cluster at the point farthest from
-                    // its centroid, a standard repair.
-                    let far = points
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| {
-                            let da = nearest(a.1, &centroids).1;
-                            let db = nearest(b.1, &centroids).1;
-                            da.partial_cmp(&db).expect("finite distances")
-                        })
-                        .map(|(i, _)| i)
-                        .expect("points is non-empty");
+                    // its centroid (the last of equals), a standard repair.
+                    let mut far = 0;
+                    let mut far_d = f64::NEG_INFINITY;
+                    for (i, p) in points.iter().enumerate() {
+                        let d = nearest(p, &centroids).1;
+                        if d.total_cmp(&far_d).is_ge() {
+                            (far, far_d) = (i, d);
+                        }
+                    }
                     movement += sq_dist(&centroids[c], &points[far]);
                     centroids[c] = points[far].clone();
                     continue;
@@ -178,10 +181,11 @@ fn plus_plus_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f6
             }
             idx
         };
-        centroids.push(points[next].clone());
+        let chosen = points[next].clone();
         for (d, p) in dists.iter_mut().zip(points) {
-            *d = d.min(sq_dist(p, centroids.last().expect("just pushed")));
+            *d = d.min(sq_dist(p, &chosen));
         }
+        centroids.push(chosen);
     }
     centroids
 }
@@ -266,6 +270,30 @@ mod tests {
         )
         .is_none());
         assert!(KMeans::fit(&[vec![1.0], vec![1.0, 2.0]], KMeansConfig::default()).is_none());
+    }
+
+    #[test]
+    fn rejects_a_non_finite_coordinate_anywhere() {
+        let clean = blob(&[0.0, 1.0, 2.0], 12, 3.0, 0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 5, 11] {
+                for coord in 0..3 {
+                    let mut pts = clean.clone();
+                    pts[at][coord] = bad;
+                    for (k, seed) in [(1, 1), (3, 7), (12, 42)] {
+                        let cfg = KMeansConfig {
+                            k,
+                            seed,
+                            ..Default::default()
+                        };
+                        assert!(
+                            KMeans::fit(&pts, cfg).is_none(),
+                            "{bad} at point {at}, coordinate {coord}, k {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ non_test() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1" | { grep -vE '^[[:
 # source (each tracked crates/*/src file's non-test text) may not exceed the
 # count below. A PR that removes some lowers the number; none raises it.
 echo "== unwrap budget =="
-unwrap_budget=85
+unwrap_budget=81
 unwraps=$(git ls-files 'crates/*/src/*.rs' | while read -r file; do
     non_test "$file"
 done | grep -cE '\.unwrap\(\)|\.expect\(' || true)

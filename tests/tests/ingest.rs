@@ -466,3 +466,110 @@ fn chunks_routed_depends_on_the_stream_not_the_schedule() {
         assert_eq!(b.chunks_routed, first.chunks_routed);
     }
 }
+
+#[test]
+fn backpressure_stalls_are_bounded_by_the_readings_handed_over() {
+    // A stalled hand-off resumes only once its queue holds at most
+    // L = C/2 readings, and the next stall on that queue needs it past
+    // C − chunk_len again: at least C − L − chunk_len + 1 readings
+    // handed over in between, however the threads are scheduled. A
+    // wake after every popped chunk lets the router stall again after
+    // one chunk and fails this several times over. No clock involved.
+    let ds = fixture_dataset(40);
+    let events = replay_events(
+        &ds,
+        &ReplayConfig {
+            jitter_hours: 12,
+            seed: 77,
+        },
+    );
+    for capacity in [1024usize, 4096] {
+        let per_stall = (capacity - capacity / 2 - capacity.min(256) + 1) as u64;
+        for shards in [1usize, 2] {
+            let run = || {
+                let cfg = IngestConfig {
+                    queue_capacity: capacity,
+                    ..IngestConfig::new().with_shards(shards)
+                };
+                run_pipeline(events.iter().copied(), &cfg)
+                    .expect("pipeline completes")
+                    .report
+            };
+            let alone = run();
+            let (a, b) = std::thread::scope(|scope| {
+                let a = scope.spawn(run);
+                let b = scope.spawn(run);
+                (a.join().expect("joins"), b.join().expect("joins"))
+            });
+            for (how, report) in [("alone", alone), ("paired", a), ("paired", b)] {
+                assert_eq!(report.readings_in, 40 * HOURS_PER_YEAR as u64);
+                let bound = 1 + report.readings_in / per_stall;
+                assert!(
+                    report.backpressure_stalls <= bound,
+                    "capacity {capacity}, {shards} shards, {how}: {} stalls, bound {bound}",
+                    report.backpressure_stalls
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn queue_capacities_around_the_chunk_length_seal_the_replayed_year() {
+    // Capacities at 1, 2, 3 and either side of one chunk and of two,
+    // where the low-water mark falls below, on or above a chunk's
+    // length; three pipelines at once on the process-wide pool, each
+    // with its own replay seed.
+    let ds = fixture_dataset(3);
+    let replays: Vec<Vec<Reading>> = (0..3)
+        .map(|seed| {
+            replay_events(
+                &ds,
+                &ReplayConfig {
+                    jitter_hours: 6 + seed as u32 * 6,
+                    seed,
+                },
+            )
+        })
+        .collect();
+    for capacity in [1usize, 2, 3, 255, 256, 257, 511, 512, 513] {
+        for shards in [1usize, 3] {
+            let cfg = IngestConfig {
+                queue_capacity: capacity,
+                ..IngestConfig::new().with_shards(shards)
+            };
+            let outcomes: Vec<IngestOutcome> = std::thread::scope(|scope| {
+                let runs: Vec<_> = replays
+                    .iter()
+                    .map(|events| scope.spawn(|| run_pipeline(events.iter().copied(), &cfg)))
+                    .collect();
+                runs.into_iter()
+                    .map(|run| run.join().expect("joins").expect("pipeline completes"))
+                    .collect()
+            });
+            for (seed, out) in outcomes.iter().enumerate() {
+                let context = format!("capacity {capacity}, {shards} shards, seed {seed}");
+                let r = &out.report;
+                assert_eq!(r.readings_in, 3 * HOURS_PER_YEAR as u64, "{context}");
+                assert_eq!(
+                    r.readings_late + r.readings_duplicate + r.readings_missing,
+                    0,
+                    "{context}"
+                );
+                let sealed = out.snapshot.dataset();
+                assert_eq!(sealed.len(), ds.len(), "{context}");
+                for (got, want) in sealed.consumers().iter().zip(ds.consumers()) {
+                    assert_eq!(got.id, want.id, "{context}");
+                    assert!(got.readings().bits_eq(want.readings()), "{context}");
+                }
+                assert!(
+                    sealed
+                        .temperature()
+                        .values()
+                        .bits_eq(ds.temperature().values()),
+                    "{context}"
+                );
+            }
+        }
+    }
+}
