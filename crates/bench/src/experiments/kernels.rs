@@ -28,11 +28,13 @@
 //! every pair's bound misses both rows' running k-th scores: per size,
 //! the share of the `n(n−1)/2` pairs it scores, the share of its
 //! register blocks it scores, and its time against the dense walk — the
-//! streamed walk over the raw rows as one band, which is the same tile
-//! sweep in row order with nothing skipped, less the time its one band
-//! load (copy, norms, normalize) takes alone, so that neither side pays
-//! for making unit rows. Both answers are checked against each other bit
-//! for bit.
+//! same walk at k = n − 1, where no row holds a threshold while a pair
+//! of it is unscored, so every pair is scored, its lists cut to the k
+//! best after. Then the streamed walk (`top_k_oooc`) over the raw rows
+//! in bands of [`STREAM_BAND_ROWS`]: the share of pairs it scores, and
+//! the bands it loads, its sketch pass included, against the
+//! `B(B−1)/2 + 1` of a walk that skips no band pair. Every answer is checked against the dense
+//! one bit for bit.
 
 use std::time::{Duration, Instant};
 
@@ -43,9 +45,9 @@ use smda_engines::WorkerPool;
 use smda_obs::MetricsSink;
 use smda_stats::kernels::SKETCH_PERIOD;
 use smda_stats::{
-    dot, dot_block, norm2_rows, select_top_k, similarity_walk, top_k_cosine, top_k_oooc,
-    top_k_query, top_k_tiled, Pairs, Resident, SeriesMatrix, SeriesMatrixBuilder, SeriesSource,
-    SimilarityMatch, SliceSource, TileConfig,
+    band_count, dot, dot_block, select_top_k, similarity_walk, top_k_cosine, top_k_oooc,
+    top_k_query, top_k_tiled, Pairs, Resident, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch,
+    SliceSource, TileConfig,
 };
 use smda_types::{BitEq, HOURS_PER_YEAR};
 
@@ -374,6 +376,10 @@ fn prune(scale: Scale) -> Table {
 /// of query blocks; `--smoke` runs the first alone.
 pub const ALLPAIRS_ROWS: [usize; 4] = [96, 192, 384, 1536];
 
+/// Rows per band of the streamed walk in the all-pairs prune table: the
+/// benchmark's `spilling` band.
+pub const STREAM_BAND_ROWS: usize = 24;
+
 /// The all-pairs prune table (module docs): `results/allpairs_prune.csv`.
 ///
 /// With `n` a multiple of the query block (which both register-block
@@ -384,8 +390,16 @@ pub const ALLPAIRS_ROWS: [usize; 4] = [96, 192, 384, 1536];
 fn allpairs(scale: Scale) -> Table {
     let mut t = Table::new(
         "allpairs_prune",
-        "All-pairs top-k skipping register blocks by sketch bounds: pairs and blocks scored, time against the dense walk less its load",
-        &["rows", "share_pairs_scored", "share_blocks_live", "time_vs_dense"],
+        "All-pairs top-k skipping register blocks by sketch bounds: pairs and blocks scored, time against the dense walk; the streamed walk's pairs scored and band loads",
+        &[
+            "rows",
+            "share_pairs_scored",
+            "share_blocks_live",
+            "time_vs_dense",
+            "streamed_share_pairs_scored",
+            "streamed_bands_loaded",
+            "unpruned_bands_loaded",
+        ],
     );
     let smoke = scale.divisor > Scale::default().divisor;
     let sizes = if smoke {
@@ -402,51 +416,48 @@ fn allpairs(scale: Scale) -> Table {
         );
         let mut raw = Vec::with_capacity(n * HOURS_PER_YEAR);
         let m = seed_matrix(n, &mut |kwh| raw.extend_from_slice(kwh));
-        let source = SliceSource::new(&raw, n, HOURS_PER_YEAR);
-        let (mut pruned_t, mut dense_t, mut load_t) = (Duration::MAX, Duration::MAX, Duration::MAX);
+        let pairs = (n * (n - 1) / 2) as u64;
+        let (mut pruned_t, mut dense_t) = (Duration::MAX, Duration::MAX);
         let (mut pruned, mut dense) = (Vec::new(), Vec::new());
         let mut scored = 0;
         for _ in 0..3 {
-            let start = Instant::now();
-            let (mut band, mut norms) = (Vec::new(), vec![0.0; n]);
-            assert!(source.load_band(0..n, &mut band).is_ok());
-            norm2_rows(&band, HOURS_PER_YEAR, &mut norms);
-            for (row, &norm) in band.chunks_exact_mut(HOURS_PER_YEAR).zip(&norms) {
-                if norm != 0.0 {
-                    row.iter_mut().for_each(|v| *v /= norm);
-                }
-            }
-            std::hint::black_box(band);
-            load_t = load_t.min(start.elapsed());
             let start = Instant::now();
             let (matches, stats) = top_k_tiled(&m, k, &cfg);
             pruned_t = pruned_t.min(start.elapsed());
             (pruned, scored) = (matches, stats.pairs_scored);
             let start = Instant::now();
-            let walked = top_k_oooc(&source, k, n, &cfg);
+            let (mut matches, stats) = top_k_tiled(&m, n - 1, &cfg);
+            matches.iter_mut().for_each(|hits| hits.truncate(k));
             dense_t = dense_t.min(start.elapsed());
-            assert!(walked.is_ok(), "the dense walk failed at n={n}");
-            dense = walked.map(|(matches, _)| matches).unwrap_or_default();
+            assert_eq!(stats.pairs_scored, pairs, "the dense walk skipped at n={n}");
+            dense = matches;
         }
         assert!(
             pruned.bits_eq(&dense),
             "the pruned walk diverged from the dense walk at n={n}"
         );
-        let pairs = (n * (n - 1) / 2) as u64;
         let diagonal = (n * (cfg.query_block - 1) / 2) as u64;
         let live = (scored - diagonal) as f64 / (pairs - diagonal) as f64;
         assert!(
             live < 1.0,
             "the all-pairs walk skipped no register block at n={n}"
         );
+        let source = SliceSource::new(&raw, n, HOURS_PER_YEAR);
+        let streamed = top_k_oooc(&source, k, STREAM_BAND_ROWS, &cfg);
+        let (walked, stats) = streamed.unwrap_or_else(|e| panic!("the streamed walk failed: {e}"));
+        assert!(
+            walked.bits_eq(&dense),
+            "the streamed walk diverged from the dense walk at n={n}"
+        );
+        let bands = band_count(n, STREAM_BAND_ROWS) as u64;
         t.row(vec![
             n.to_string(),
             format!("{:.3}", scored as f64 / pairs as f64),
             format!("{live:.3}"),
-            format!(
-                "{:.3}",
-                pruned_t.as_secs_f64() / dense_t.saturating_sub(load_t).as_secs_f64()
-            ),
+            format!("{:.3}", pruned_t.as_secs_f64() / dense_t.as_secs_f64()),
+            format!("{:.3}", stats.kernel.pairs_scored as f64 / pairs as f64),
+            stats.bands_loaded.to_string(),
+            (bands * (bands - 1) / 2 + 1).to_string(),
         ]);
     }
     t
@@ -498,9 +509,15 @@ mod tests {
         assert_eq!(allpairs.rows.len(), 1);
         let row = &allpairs.rows[0];
         assert_eq!(row[0], ALLPAIRS_ROWS[0].to_string());
-        for share in &row[1..3] {
+        for share in [&row[1], &row[2], &row[4]] {
             let share: f64 = share.parse().unwrap();
             assert!(share > 0.0 && share < 1.0, "{row:?}");
         }
+        // The streamed walk skips band pairs: fewer loads than its sketch
+        // pass and a walk that prunes nothing.
+        let bands = ALLPAIRS_ROWS[0].div_ceil(STREAM_BAND_ROWS);
+        let (loaded, unpruned): (usize, usize) = (row[5].parse().unwrap(), row[6].parse().unwrap());
+        assert_eq!(unpruned, bands * (bands - 1) / 2 + 1);
+        assert!(loaded < bands + unpruned, "{row:?}");
     }
 }

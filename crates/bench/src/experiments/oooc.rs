@@ -182,10 +182,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 if all_pairs {
                     top_k_source_with(&source, None, SIMILARITY_TOP_K, band_rows, THREADS, &sink)
                 } else {
-                    let rows = Streamed {
-                        source: &source,
-                        band_rows,
-                    };
+                    let rows = Streamed::new(&source, band_rows);
                     let (k, cfg) = (SIMILARITY_TOP_K, TileConfig::current());
                     similarity_walk(&rows, Pairs::Queries(&queries), k, &cfg, None)
                 }

@@ -1016,8 +1016,16 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     }
     drop(flat);
     drop(series);
+    // Where every pair is live (k = n − 1) the sequential walk loads the
+    // B(B−1)/2 + 1 bands two buffers need, and no sketch pass, since it
+    // could skip nothing (`smda_stats::similarity_walk`); at k = 10 it
+    // must skip band pairs, and so load fewer than its sketch pass (B
+    // loads) and a walk that prunes nothing.
     let bands = band_count(n, band_rows) as u64;
-    let fewest_loads = bands * bands.saturating_sub(1) / 2 + 1;
+    let all_live_loads = bands * bands.saturating_sub(1) / 2 + 1;
+    let unpruned_loads = bands + all_live_loads;
+    let pairs = (n * (n - 1) / 2) as u64;
+    let mut pruned_note = String::new();
     let mut tier_note = "decode-cache tier only (owned fallback backing, no mmap)";
     let mut peak_note = String::new();
     for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
@@ -1044,11 +1052,26 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
                 "{tag}: nothing streamed — the run cannot have gone out of core"
             ));
         }
-        if stats.bands_loaded != fewest_loads {
+        if stats.kernel.pairs_scored >= pairs || stats.bands_loaded >= unpruned_loads {
             return Err(format!(
-                "{tag}: the sequential walk over {bands} bands loaded {} bands, not the \
-                 {fewest_loads} two buffers need",
-                stats.bands_loaded
+                "{tag}: the sequential walk at k={SIMILARITY_TOP_K} scored {} of {pairs} pairs \
+                 and loaded {} bands (a walk that prunes nothing loads {unpruned_loads})",
+                stats.kernel.pairs_scored, stats.bands_loaded
+            ));
+        }
+        pruned_note = format!(
+            "{} of {pairs} pairs scored and {} band loads at k={SIMILARITY_TOP_K} (under \
+             {unpruned_loads})",
+            stats.kernel.pairs_scored, stats.bands_loaded
+        );
+        let (_, live) = top_k_source_with(&source, None, n - 1, band_rows, 1, &sink)
+            .map_err(|e| format!("{tag}: out-of-core run at k = n − 1 failed: {e}"))?;
+        if live.kernel.pairs_scored != pairs || live.bands_loaded != all_live_loads {
+            return Err(format!(
+                "{tag}: the sequential walk at k = n − 1 over {bands} bands scored {} of \
+                 {pairs} pairs and loaded {} bands, not every pair and the {all_live_loads} \
+                 its order needs",
+                live.kernel.pairs_scored, live.bands_loaded
             ));
         }
 
@@ -1069,10 +1092,10 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
         if source.is_mapped() {
             if delta.zero_copy_hits == 0 {
                 return Err(format!(
-                    "{tag}: mapped tier streamed bands without zero-copy reads"
+                    "{tag}: raw tier chosen without the file's zero-copy matrix view"
                 ));
             }
-            tier_note = "zero-copy mapped + bounded decode-cache tiers";
+            tier_note = "raw-read + bounded decode-cache tiers";
         } else {
             if delta.blocks_decoded == 0 {
                 return Err(format!("{tag}: cached tier decoded no blocks"));
@@ -1106,8 +1129,9 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     Ok(format!(
         "oooc equivalence OK: n={n}, raw+packed banded runs bit-identical to the in-memory \
          kernel (sequential and pooled 2/4/8), a {OOOC_NAIVE_ROWS}-row slice to the naive \
-         scan, {fewest_loads} band loads for {bands} bands, {tier_note}, eviction under a \
-         sub-band cache budget exercised{peak_note}"
+         scan, {pruned_note}, all {pairs} pairs and {all_live_loads} band loads at k = n − 1 \
+         for {bands} bands, {tier_note}, eviction under a sub-band cache budget \
+         exercised{peak_note}"
     ))
 }
 

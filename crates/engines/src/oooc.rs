@@ -1,17 +1,18 @@
-//! Out-of-core similarity over a mapped `SMC1` store.
+//! Out-of-core similarity over an `SMC1` store.
 //!
 //! The in-memory similarity path materializes the whole normalized
 //! `n × hours` matrix before scoring — `O(n · hours)` resident doubles,
 //! which at a million consumers is a 70 GB workspace. This module runs
-//! the same tiled kernels directly against the file through
+//! the same pruned walk directly against the file through
 //! [`smda_stats::SeriesSource`] bands instead, so resident memory is
-//! `O(band_rows · hours + k · n)` regardless of `n`:
+//! `O(band_rows · hours + n · (k + 340))` — two band buffers, and per
+//! row its top k, norm, floor and 337-value sketch — not `O(n · hours)`:
 //!
-//! * a **raw-contiguous** file is served by [`SmcSource`]'s mapped
-//!   tier — each band is a straight copy out of the mapping, and the
-//!   streamed pages are advised away (`madvise(MADV_DONTNEED)`) after
-//!   use so the resident set stays around one band even though the
-//!   whole file has been touched;
+//! * a **raw-contiguous** file is served by [`SmcSource`]'s raw tier —
+//!   each band is one positioned read from the file straight into the
+//!   band buffer, so no page of the file enters the resident set
+//!   however much of it is streamed, and a file truncated under the
+//!   run is a typed error;
 //! * a **packed** file goes through the bounded
 //!   [`RowGroupCache`] — checksum-verified
 //!   decode on miss, LRU eviction, sequential prefetch.
@@ -46,8 +47,8 @@ pub const OOOC_ROW_THRESHOLD: usize = 32_768;
 pub const DEFAULT_CACHE_BYTES: usize = 128 << 20;
 
 /// An open [`BinaryStore`] as a [`SeriesSource`]: the tier is picked
-/// from the file itself — zero-copy mapped bands for raw-contiguous
-/// files, the bounded decode cache for packed ones.
+/// from the file itself — rows read straight from raw-contiguous files,
+/// the bounded decode cache for packed ones.
 pub struct SmcSource<'a> {
     rows: usize,
     stride: usize,
@@ -55,36 +56,33 @@ pub struct SmcSource<'a> {
 }
 
 enum Tier<'a> {
-    /// Bands are copied straight out of the live mapping; the pages
-    /// behind a streamed band are then dropped from the resident set
-    /// (they re-fault losslessly from the page cache on reload).
-    Mapped {
-        store: &'a BinaryStore,
-        matrix: &'a [f64],
-    },
+    /// Bands are read straight from the file
+    /// ([`smda_format::SmcFile::read_raw_rows`]).
+    Raw(&'a BinaryStore),
     /// Bands are assembled from checksum-verified decoded row groups
     /// held in a bounded LRU cache.
     Cached(RowGroupCache<'a>),
 }
 
 impl<'a> SmcSource<'a> {
-    /// Wrap `store`, choosing the mapped tier when the file serves a
-    /// zero-copy matrix view and the decode cache (grouped at
-    /// `band_rows` rows, bounded by `cache_bytes`) otherwise.
+    /// Wrap `store`, choosing the raw tier when the file is one
+    /// row-major matrix (it serves a zero-copy matrix view) and the
+    /// decode cache (grouped at `band_rows` rows, bounded by
+    /// `cache_bytes`) otherwise.
     pub fn over(store: &'a BinaryStore, band_rows: usize, cache_bytes: usize) -> SmcSource<'a> {
         let rows = store.len();
         let stride = store.file().hours();
         let tier = match store.matrix_view() {
-            Some(matrix) => Tier::Mapped { store, matrix },
+            Some(_) => Tier::Raw(store),
             None => Tier::Cached(store.group_cache(band_rows, cache_bytes)),
         };
         SmcSource { rows, stride, tier }
     }
 
-    /// True when bands come from the mapping rather than the decode
-    /// cache.
+    /// True on the raw tier, whose bands are the file's own bytes,
+    /// rather than the decode cache.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.tier, Tier::Mapped { .. })
+        matches!(self.tier, Tier::Raw(_))
     }
 }
 
@@ -99,14 +97,7 @@ impl SeriesSource for SmcSource<'_> {
 
     fn load_band(&self, rows: Range<usize>, out: &mut Vec<f64>) -> Result<()> {
         match &self.tier {
-            Tier::Mapped { store, matrix } => {
-                out.clear();
-                out.extend_from_slice(&matrix[rows.start * self.stride..rows.end * self.stride]);
-                // The copy is what the kernel reads; the file pages are
-                // done — drop them so RSS tracks the band, not the file.
-                store.advise_rows_dontneed(rows);
-                Ok(())
-            }
+            Tier::Raw(store) => store.file().read_raw_rows(rows, out),
             Tier::Cached(cache) => cache.load_rows(rows, out),
         }
     }
@@ -132,10 +123,7 @@ pub fn top_k_source_with(
         ));
     }
     let cfg = TileConfig::current();
-    let rows = Streamed {
-        source: src,
-        band_rows,
-    };
+    let rows = Streamed::new(src, band_rows);
     let shape = (src.rows(), src.stride());
     let pairs = band_pair_count(band_count(src.rows(), band_rows));
     let (matches, stats) = pooled_top_k(shape, pairs, k, threads, metrics, |claim| {
@@ -333,6 +321,71 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    #[test]
+    fn a_mapped_file_truncated_between_band_loads_is_an_error_not_a_fault() {
+        let ds = pseudo_dataset(8, HOURS_PER_YEAR);
+        let path = tmp("truncated");
+        let store = BinaryStore::create(&path, &ds, BinaryEncoding::Raw).unwrap();
+        let source = SmcSource::over(&store, 4, 1 << 20);
+        assert!(source.is_mapped());
+        let mut band = Vec::new();
+        source.load_band(0..4, &mut band).unwrap();
+        // Cut the file inside its first row: every row's bytes are gone.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(4096).unwrap();
+        for rows in [4..8, 0..4] {
+            let err = source.load_band(rows.clone(), &mut band).unwrap_err();
+            assert!(
+                matches!(&err, Error::BadFormat { .. }) && err.to_string().contains("truncated"),
+                "{rows:?}: {err}"
+            );
+        }
+        let sink = MetricsSink::disabled();
+        let walked = top_k_source_with(&source, None, 3, 4, 1, &sink);
+        assert!(matches!(walked, Err(Error::BadFormat { .. })));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_nan_reading_in_a_binary_is_an_error_on_both_similarity_paths() {
+        use crate::parallel::execute_task;
+        use crate::BinarySource;
+        use smda_core::Task;
+        use smda_storage::BinaryWriter;
+        use std::sync::Arc;
+        let ds = pseudo_dataset(6, HOURS_PER_YEAR);
+        for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
+            // One reading of consumer 3 is a NaN, written past the
+            // `Dataset`, which would refuse it.
+            let path = tmp(&format!("nan-{encoding:?}"));
+            let mut writer = BinaryWriter::create(&path, 6, HOURS_PER_YEAR, encoding).unwrap();
+            for c in ds.consumers() {
+                let mut kwh = c.readings().to_vec();
+                if c.id == ConsumerId(3) {
+                    kwh[100] = f64::NAN;
+                }
+                writer.append_consumer(c.id, &kwh).unwrap();
+            }
+            writer.finish(ds.temperature().values()).unwrap();
+            let store = Arc::new(BinaryStore::open(&path).unwrap());
+            let sink = MetricsSink::disabled();
+            let streamed = run_similarity_oooc(&store, 3, 4, 1 << 20, 2, &sink);
+            assert!(
+                matches!(&streamed, Err(Error::Schema(msg)) if msg.contains("row 3")),
+                "{encoding:?} out of core: {streamed:?}"
+            );
+            let make = || -> Result<Box<dyn crate::parallel::ConsumerSource>> {
+                Ok(Box::new(BinarySource::new(store.clone())))
+            };
+            let resident = execute_task(&make, Task::Similarity, 2, 3, &sink);
+            assert!(
+                matches!(&resident, Err(Error::Schema(msg)) if msg.contains("consumer")),
+                "{encoding:?} resident: {resident:?}"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
     /// A claim closure several sequentially-run "workers" can share.
     fn counter(total: usize) -> impl Fn() -> Option<usize> {
         let next = std::sync::atomic::AtomicUsize::new(0);
@@ -352,10 +405,10 @@ mod tests {
         /// Every similarity entry point over one generated matrix —
         /// sequential, three workers' partials merged, banded at the
         /// degenerate and a random band height, pooled at 1/2/4 threads
-        /// — is `to_bits`-equal to the naive scan. The banded walks score
-        /// each unordered pair once; the resident ones do too where
-        /// `k ≥ n − 1`, and at most that many pairs elsewhere, where
-        /// sketch bounds may skip register blocks.
+        /// — is `to_bits`-equal to the naive scan. Every walk, resident or
+        /// banded, scores each unordered pair once where `k ≥ n − 1`, and
+        /// at most that many pairs elsewhere, where sketch bounds may skip
+        /// register blocks and, over a streamed source, band pairs.
         #[test]
         fn prop_every_entry_point_matches_the_naive_scan(
             rows in prop::collection::vec(prop::collection::vec(0.0f64..4.0, STRIDE), 0..28),
@@ -366,10 +419,6 @@ mod tests {
             let n = rows.len();
             let want = top_k_cosine(&rows, k);
             let pairs = (n * n.saturating_sub(1) / 2) as u64;
-            let check = |label: &str, got: &[Vec<SimilarityMatch>], scored: u64| {
-                assert_eq!(matches_bits(got), matches_bits(&want), "{label}");
-                assert_eq!(scored, pairs, "{label}");
-            };
             let check_resident = |label: &str, got: &[Vec<SimilarityMatch>], scored: u64| {
                 assert_eq!(matches_bits(got), matches_bits(&want), "{label}");
                 if k + 1 >= n {
@@ -398,22 +447,22 @@ mod tests {
 
             for band_rows in [1, band, n + band] {
                 let (got, stats) = top_k_oooc(&src, k, band_rows, &cfg).unwrap();
-                check("banded", &got, stats.kernel.pairs_scored);
+                check_resident("banded", &got, stats.kernel.pairs_scored);
                 let claim = counter(band_pair_count(band_count(n, band_rows)));
                 let pair = || claim().map(|t| t..t + 1);
-                let bands = Streamed { source: &src, band_rows };
+                let bands = Streamed::new(&src, band_rows);
                 let (parts, scored): (Vec<_>, Vec<_>) = (0..3)
                     .map(|_| similarity_walk(&bands, Pairs::All, k, &cfg, Some(&pair)).unwrap())
                     .map(|(p, s)| (p, s.kernel.pairs_scored))
                     .unzip();
-                check("banded partials", &merge_partials(n, parts, k), scored.iter().sum());
+                check_resident("banded partials", &merge_partials(n, parts, k), scored.iter().sum());
             }
 
             for threads in [1usize, 2, 4] {
                 let (got, stats) = top_k_matrix(&matrix, k, threads, &sink);
                 check_resident("pooled resident", &got, stats.pairs_scored);
                 let (got, stats) = top_k_source_with(&src, None, k, band, threads, &sink).unwrap();
-                check("pooled banded", &got, stats.kernel.pairs_scored);
+                check_resident("pooled banded", &got, stats.kernel.pairs_scored);
             }
         }
     }

@@ -17,14 +17,26 @@
 //! * a miss that extends a sequential scan (miss on `g` right after a
 //!   miss on `g−1`) **prefetches** group `g+1`, so the band streaming
 //!   pattern pays one decode ahead instead of stalling per band;
+//! * a span that covers only part of a group it misses decodes just its
+//!   own rows, checksummed, straight into the caller's buffer, and the
+//!   group is **not admitted**: it evicts nothing;
 //! * every lookup updates the process-global `format.cache_*`
 //!   counters ([`crate::metrics`]), making the cache tunable from
 //!   bench exports.
 //!
-//! LRU keeps from thrashing only because of the order it is read in:
-//! the band scheduler's boustrophedon walk (`smda_stats::oooc`) turns
-//! back on the groups it touched last, where restarting every row low
-//! would sweep each group out before its next use.
+//! The partial-span rule is what keeps the cache from thrashing under
+//! the out-of-core all-pairs walk (`smda_stats::similarity_walk`). Its
+//! sketch pass reads every group once, whole and in order, so the last
+//! groups that fit stay resident. Its bands are then cut from a chain
+//! of similar rows, not from file order: one band's rows fall in most
+//! groups of the file, a few rows each. Were each miss to decode and
+//! admit its whole group, one band would cycle every group through a
+//! cache that holds fewer than all of them, decoding a group for a few
+//! of its rows and evicting a group the next span needs. Instead the
+//! resident groups serve their rows as hits, and a missed row costs the
+//! decode of that row alone. Whole-group spans — the sketch pass, the
+//! query form's bands, [`RowGroupCache::group`] — decode, admit and
+//! prefetch as before.
 //!
 //! Groups are handed out as `Arc<Vec<f64>>`, so an evicted group a
 //! reader still holds stays valid — eviction only drops the cache's
@@ -125,6 +137,17 @@ impl<'a> RowGroupCache<'a> {
         }
     }
 
+    /// Group `g`'s rows if it is resident, marked used; a hit.
+    fn cached(&self, g: usize) -> Option<Arc<Vec<f64>>> {
+        let mut inner = self.inner.lock().expect("cache lock");
+        inner.tick += 1;
+        let tick = inner.tick;
+        let c = inner.groups.get_mut(&g)?;
+        c.last_used = tick;
+        metrics::record_cache_hit();
+        Some(c.data.clone())
+    }
+
     /// The decoded rows of group `g` (row-major,
     /// `group_bounds(g).len() × hours`), from cache or a verified
     /// decode.
@@ -135,15 +158,8 @@ impl<'a> RowGroupCache<'a> {
                 self.group_count()
             )));
         }
-        {
-            let mut inner = self.inner.lock().expect("cache lock");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(c) = inner.groups.get_mut(&g) {
-                c.last_used = tick;
-                metrics::record_cache_hit();
-                return Ok(c.data.clone());
-            }
+        if let Some(data) = self.cached(g) {
+            return Ok(data);
         }
         metrics::record_cache_miss();
         let data = Arc::new(self.decode_group(g)?);
@@ -181,9 +197,11 @@ impl<'a> RowGroupCache<'a> {
     }
 
     /// Fill `out` (cleared first) with rows `rows.start..rows.end`,
-    /// row-major, assembling from however many cached groups the span
-    /// covers. This is the band-lending surface the out-of-core
-    /// kernels consume.
+    /// row-major, assembling from however many groups the span touches:
+    /// each whole group through [`RowGroupCache::group`], each part of a
+    /// group from the group if it is resident, else decoded alone and
+    /// not admitted (module docs). This is the band-lending surface the
+    /// out-of-core kernels consume.
     pub fn load_rows(&self, rows: Range<usize>, out: &mut Vec<f64>) -> Result<()> {
         let hours = self.file.hours();
         if rows.end > self.file.n() || rows.start > rows.end {
@@ -198,11 +216,18 @@ impl<'a> RowGroupCache<'a> {
         while r < rows.end {
             let g = r / self.group_rows;
             let bounds = self.group_bounds(g);
-            let data = self.group(g)?;
-            let lo = r - bounds.start;
-            let hi = rows.end.min(bounds.end) - bounds.start;
-            out.extend_from_slice(&data[lo * hours..hi * hours]);
-            r = bounds.start + hi;
+            let span = r..rows.end.min(bounds.end);
+            let part = span.start - bounds.start..span.end - bounds.start;
+            if span == bounds {
+                out.extend_from_slice(&self.group(g)?);
+            } else if let Some(data) = self.cached(g) {
+                out.extend_from_slice(&data[part.start * hours..part.end * hours]);
+            } else {
+                metrics::record_cache_miss();
+                self.file.append_rows(span.clone(), out)?;
+                self.file.advise_rows_dontneed(span.clone());
+            }
+            r = span.end;
         }
         Ok(())
     }
@@ -310,6 +335,38 @@ mod tests {
         let d = crate::metrics::snapshot().since(&before);
         assert!(d.cache_hits >= 1, "prefetched group must hit: {d:?}");
         assert_eq!(cache.resident_groups(), 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_span_that_misses_part_of_a_group_decodes_its_rows_and_admits_nothing() {
+        let ds = dataset(8);
+        let path = tmp("partial");
+        write_dataset(&path, &ds, Encoding::Packed).unwrap();
+        let file = SmcFile::open(&path).unwrap();
+        // Groups of 4 rows, one resident at a time.
+        let cache = file.group_cache(4, 4 * HOURS_PER_YEAR * 8);
+        let (mut via_cache, mut direct) = (Vec::new(), Vec::new());
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        // Cold: two partial spans of group 1 and one straddling both
+        // groups decode their own rows; nothing is admitted.
+        for range in [5..6usize, 6..8, 2..7] {
+            cache.load_rows(range.clone(), &mut via_cache).unwrap();
+            file.read_rows_into(range.clone(), &mut direct).unwrap();
+            assert!(same(&via_cache, &direct), "{range:?}");
+            assert_eq!(cache.resident_groups(), 0, "{range:?}");
+        }
+        // A whole group is admitted, and serves a part of itself after.
+        cache.load_rows(4..8, &mut via_cache).unwrap();
+        assert_eq!(cache.resident_groups(), 1);
+        let group = cache.group(1).unwrap();
+        cache.load_rows(5..7, &mut via_cache).unwrap();
+        assert!(same(&via_cache, &group[HOURS_PER_YEAR..3 * HOURS_PER_YEAR]));
+        // A partial miss of group 0 evicts nothing.
+        cache.load_rows(1..3, &mut via_cache).unwrap();
+        assert!(Arc::ptr_eq(&group, &cache.group(1).unwrap()));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -36,6 +36,8 @@ use crate::writer::SmcSummary;
 /// An open, validated `SMC1` file.
 #[derive(Debug)]
 pub struct SmcFile {
+    /// Kept open for [`SmcFile::read_raw_rows`].
+    file: File,
     map: Mmap,
     path: PathBuf,
     header: Header,
@@ -148,6 +150,7 @@ impl SmcFile {
         block::decode_raw(temp_bytes, header.hours as usize, &mut temperature)?;
 
         Ok(SmcFile {
+            file,
             map,
             path,
             header,
@@ -254,21 +257,32 @@ impl SmcFile {
     /// `Err`, `out` is left empty.
     pub fn read_rows_into(&self, rows: std::ops::Range<usize>, out: &mut Vec<f64>) -> Result<()> {
         out.clear();
+        self.append_rows(rows, out)
+    }
+
+    /// [`SmcFile::read_rows_into`] onto the end of `out`, which is not
+    /// cleared; on `Err`, `out` is as it was.
+    pub(crate) fn append_rows(
+        &self,
+        rows: std::ops::Range<usize>,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         if rows.end > self.n() || rows.start > rows.end {
             return Err(Error::Invalid(format!(
                 "row range {rows:?} out of bounds (file has {})",
                 self.n()
             )));
         }
+        let start = out.len();
         out.reserve(rows.len() * self.hours());
         let count = rows.len() as u64;
         for entry in &self.entries[rows] {
             if let Err(e) = self.decode_checked(entry, out) {
-                out.clear();
+                out.truncate(start);
                 return Err(e);
             }
         }
-        crate::metrics::record_blocks_decoded(count, out.len() as u64 * 8);
+        crate::metrics::record_blocks_decoded(count, (out.len() - start) as u64 * 8);
         Ok(())
     }
 
@@ -278,6 +292,60 @@ impl SmcFile {
     /// next group is prefetched on a sequential miss.
     pub fn group_cache(&self, group_rows: usize, max_resident_bytes: usize) -> RowGroupCache<'_> {
         RowGroupCache::new(self, group_rows, max_resident_bytes)
+    }
+
+    /// Read rows `rows.start..rows.end` of a raw-contiguous file
+    /// ([`SmcFile::rows`] serves a view) into `out`, row-major, with one
+    /// positioned read from the file: `rows.len() * hours` values, the
+    /// bits that view holds, unverified as it is. No page of the file
+    /// enters this process's resident set, and a file truncated since
+    /// open makes a short read, an [`Error::BadFormat`], where a copy out
+    /// of the mapping would fault (`SIGBUS`). [`Error::Invalid`] on a
+    /// file that is not raw-contiguous or a span out of range. On `Err`,
+    /// `out` is left empty.
+    pub fn read_raw_rows(&self, rows: std::ops::Range<usize>, out: &mut Vec<f64>) -> Result<()> {
+        use std::os::unix::fs::FileExt;
+        if !self.contiguous_raw || rows.end > self.n() || rows.start > rows.end {
+            out.clear();
+            return Err(Error::Invalid(format!(
+                "raw rows {rows:?} of {} (raw-contiguous: {}, {} rows)",
+                self.path.display(),
+                self.contiguous_raw,
+                self.n()
+            )));
+        }
+        let count = rows.len() * self.hours();
+        // Every value is overwritten: only a buffer that grows is zeroed.
+        out.truncate(count);
+        out.resize(count, 0.0);
+        let start = (HEADER_BYTES + rows.start * self.hours() * 8) as u64;
+        // SAFETY: `out` holds `count` initialized `f64`s, 8 bytes each
+        // with no padding, so the view covers exactly its initialized
+        // bytes; every bit pattern is a valid `f64`, so any bytes the
+        // read leaves there are valid values.
+        let bytes =
+            unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), count * 8) };
+        if let Err(e) = self.file.read_exact_at(bytes, start) {
+            out.clear();
+            let context = format!("reading {}", self.path.display());
+            return Err(match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => bad(
+                    context,
+                    FormatDefect::Truncated {
+                        expected: start + count as u64 * 8,
+                        actual: self.file.metadata().map_or(0, |m| m.len()),
+                    },
+                ),
+                _ => Error::io(context, e),
+            });
+        }
+        // Raw blocks are little-endian.
+        if cfg!(target_endian = "big") {
+            for v in out.iter_mut() {
+                *v = f64::from_bits(u64::from_le(v.to_bits()));
+            }
+        }
+        Ok(())
     }
 
     /// Advise the kernel that the mapped bytes behind rows

@@ -228,7 +228,8 @@ pub mod counters {
     /// `f64` bytes streamed through out-of-core band buffers.
     pub const OOOC_BYTES_STREAMED: &str = "oooc.bytes_streamed";
     /// Row norms the out-of-core scheduler computed; reloads read
-    /// them from a per-worker memo, so one worker counts each row once.
+    /// them from a store every worker of the walk shares, so a walk
+    /// counts each row once.
     pub const OOOC_NORMS_COMPUTED: &str = "oooc.norms_computed";
 }
 

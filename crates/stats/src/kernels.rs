@@ -25,10 +25,11 @@
 //!   **at most once** — in register blocks ([`dot_block`]) of four query
 //!   rows by two candidate rows on `ymm`, eight by four on `zmm` under
 //!   the AVX-512 tier, each pair the canonical [`dot`] bit for
-//!   bit — and credits it to both rows' bounded top-k buffers. Over
-//!   resident rows it skips a register block whose sketch bounds miss
-//!   both endpoints' thresholds: running k-th scores, its own or those
-//!   other workers walking the same rows published (DESIGN.md §9).
+//!   bit — and credits it to both rows' bounded top-k buffers. It skips
+//!   a register block whose sketch bounds ([`Sketches`]: the resident
+//!   matrix's, or those a streamed walk's sketch pass computed) miss both
+//!   endpoints' thresholds: running k-th scores, its own or those other
+//!   workers walking the same rows published (DESIGN.md §9).
 //! * [`top_k_tiled`], [`top_k_tiled_partial`], [`top_k_query`] — the
 //!   in-memory names of that walk; [`merge_partials`] merges the partials
 //!   of workers that together claimed every unit of it.
@@ -89,7 +90,7 @@ fn longest_segment(stride: usize) -> usize {
 
 /// Values in one row's sketch: an upper bound on the row's norm, then
 /// a `(√L·mean, residual norm)` pair per segment of length `L`.
-fn sketch_width(stride: usize) -> usize {
+pub(crate) fn sketch_width(stride: usize) -> usize {
     1 + 2 * sketch_segments(stride)
 }
 
@@ -182,14 +183,46 @@ impl SeriesMatrix {
         &self.data[self.offset..self.offset + self.rows * self.stride]
     }
 
+    /// Every row's sketch.
+    pub(crate) fn sketches(&self) -> Sketches<'_> {
+        let start = sketch_cells(self.rows, self.stride, 0).start;
+        let width = sketch_width(self.stride);
+        Sketches::new(&self.data[start..start + self.rows * width], self.stride)
+    }
+}
+
+/// The sketches of rows `stride` values long, `sketch_width` values
+/// each, row after row: what bounds a pair's score without reading
+/// either row (DESIGN.md §9). A [`SeriesMatrix`] holds its rows' in its
+/// own allocation; a streamed walk computes them in one pass over its
+/// source (`walk::Streamed`), with the same arithmetic, so both hold the
+/// same bits. Public only so that `walk::Pruning` can carry it.
+#[derive(Debug, Clone, Copy)]
+pub struct Sketches<'a> {
+    cells: &'a [f64],
+    stride: usize,
+}
+
+impl<'a> Sketches<'a> {
+    /// The sketches `cells` holds, of rows `stride` values long.
+    pub(crate) fn new(cells: &'a [f64], stride: usize) -> Sketches<'a> {
+        Sketches { cells, stride }
+    }
+
+    /// Rows sketched.
+    fn rows(&self) -> usize {
+        self.cells.len() / sketch_width(self.stride)
+    }
+
     /// Row `i`'s sketch: its norm bound, then its segment pairs.
-    fn sketch(&self, i: usize) -> &[f64] {
-        &self.data[sketch_cells(self.rows, self.stride, i)]
+    fn sketch(&self, i: usize) -> &'a [f64] {
+        let width = sketch_width(self.stride);
+        &self.cells[i * width..(i + 1) * width]
     }
 
     /// Row `i`'s segment pairs: the half of its sketch whose dot product
     /// with another row's is their bound.
-    fn sketch_pairs(&self, i: usize) -> &[f64] {
+    fn pairs(&self, i: usize) -> &'a [f64] {
         &self.sketch(i)[1..]
     }
 
@@ -203,7 +236,7 @@ impl SeriesMatrix {
     }
 
     /// `bound`, the sketch bound of row `j` against a row whose
-    /// [`SeriesMatrix::widening`] is `scale`, widened by `scale` times
+    /// [`Sketches::widening`] is `scale`, widened by `scale` times
     /// row `j`'s norm bound, so that no computed score of the pair
     /// exceeds it. A NaN (a row without a usable sketch) reads as +∞: the
     /// pair is scored, never skipped.
@@ -219,18 +252,17 @@ impl SeriesMatrix {
     /// The widened bound of row `q` against each row `ranked` lists,
     /// four rows per [`dot_block`] over the sketches.
     fn bound_against(&self, q: usize, ranked: &mut [Ranked]) {
-        let (scale, pairs_q) = (self.widening(q), self.sketch_pairs(q));
+        let (scale, pairs_q) = (self.widening(q), self.pairs(q));
         let mut groups = ranked.chunks_exact_mut(4);
         for group in &mut groups {
-            let candidates: [&[f64]; 4] =
-                std::array::from_fn(|c| self.sketch_pairs(group[c].index));
+            let candidates: [&[f64]; 4] = std::array::from_fn(|c| self.pairs(group[c].index));
             let [bounds] = dot_block([pairs_q], candidates);
             for (r, bound) in group.iter_mut().zip(bounds) {
                 r.bound = self.widened(bound, scale, r.index);
             }
         }
         for r in groups.into_remainder() {
-            r.bound = self.widened(dot(pairs_q, self.sketch_pairs(r.index)), scale, r.index);
+            r.bound = self.widened(dot(pairs_q, self.pairs(r.index)), scale, r.index);
         }
     }
 
@@ -253,15 +285,16 @@ impl SeriesMatrix {
     /// diagonal holds rows that score high against each other and set
     /// every row's threshold early (DESIGN.md §9). A heuristic over the
     /// sketches alone — `n(n−1)/2` sketch dot products, no row read — and
-    /// a function of the matrix, so every worker builds the same one.
+    /// a function of the sketches, so every worker builds the same one.
     pub(crate) fn chain(&self) -> Vec<usize> {
-        if self.rows == 0 {
+        let rows = self.rows();
+        if rows == 0 {
             return Vec::new();
         }
         let mut last = 0;
-        let mut order = Vec::with_capacity(self.rows);
+        let mut order = Vec::with_capacity(rows);
         order.push(last);
-        let mut rest: Vec<Ranked> = (1..self.rows)
+        let mut rest: Vec<Ranked> = (1..rows)
             .map(|index| Ranked { bound: 0.0, index })
             .collect();
         let higher =
@@ -275,6 +308,21 @@ impl SeriesMatrix {
             order.push(last);
         }
         order
+    }
+}
+
+/// `values` scaled to unit L2 norm by `norm`, their [`norm2`], into
+/// `out` (zero rows copied verbatim, others divided element by element),
+/// and the sketch of what was written into `sketch` ([`sketch_width`]
+/// values): [`SeriesMatrixBuilder::set_row_normalized`]'s one pass, which
+/// a streamed walk's sketch pass runs too, so that both hold the same
+/// bits.
+#[inline(always)]
+pub(crate) fn write_normalized(out: &mut [f64], sketch: &mut [f64], values: &[f64], norm: f64) {
+    if norm == 0.0 {
+        write_row(out, sketch, values, |v| v);
+    } else {
+        write_row(out, sketch, values, |v| v / norm);
     }
 }
 
@@ -375,12 +423,7 @@ impl SeriesMatrixBuilder {
     /// Same conditions as [`SeriesMatrixBuilder::set_row`].
     pub fn set_row_normalized(&self, row: usize, values: &[f64]) {
         let (out, sketch) = self.claim_row(row, values.len());
-        let n = norm2(values);
-        if n == 0.0 {
-            write_row(out, sketch, values, |v| v);
-        } else {
-            write_row(out, sketch, values, |v| v / n);
-        }
+        write_normalized(out, sketch, values, norm2(values));
     }
 
     /// Finish into an immutable [`SeriesMatrix`].
@@ -542,11 +585,12 @@ impl TileConfig {
 pub struct KernelStats {
     /// Unordered pairs scored (each credited to both endpoints); the
     /// naive scan scores `n(n-1)` ordered pairs, this kernel at most
-    /// `n(n-1)/2`: over a resident matrix, fewer where sketch bounds let
-    /// it skip register blocks, and all of them over a streamed source
-    /// or where `k ≥ n − 1`. The query form over a resident matrix counts
-    /// the rows it actually scored: at most `n − 1` per query, fewer
-    /// where sketch bounds let it skip rows.
+    /// `n(n-1)/2`: fewer where sketch bounds let it skip register blocks
+    /// (and, over a streamed source, whole band pairs before they are
+    /// loaded), all of them where `k = 0` or `k ≥ n − 1`. The query form
+    /// over a resident matrix counts the rows it actually scored: at most
+    /// `n − 1` per query, fewer where sketch bounds let it skip rows; over
+    /// a streamed source it scores every row.
     pub pairs_scored: u64,
 }
 
@@ -665,8 +709,10 @@ pub(crate) struct PairScorer<'f> {
     bufs: Vec<TopKBuffer>,
     query_block: usize,
     pairs_scored: u64,
+    /// Every row's sketch, where blocks are skipped by their bounds.
+    sketches: Option<Sketches<'f>>,
     /// Every row's floor, shared with the other workers walking the
-    /// same rows (`BandRows::floors`).
+    /// same rows (`walk::Pruning`).
     floors: Option<&'f [AtomicI64]>,
 }
 
@@ -674,19 +720,22 @@ pub(crate) struct PairScorer<'f> {
 pub(crate) const NO_FLOOR: i64 = ordered_key(f64::NEG_INFINITY);
 
 impl<'f> PairScorer<'f> {
-    /// Empty buffers for `slots` slots; `floors`, one per slot, where
-    /// the slots are rows whose thresholds other workers share.
+    /// Empty buffers for `slots` slots; where the slots are the rows of
+    /// an all-pairs walk, `prune` holds their sketches, by which blocks
+    /// are skipped, and their floors, one per row, where other workers
+    /// share their thresholds.
     pub(crate) fn new(
         slots: usize,
         k: usize,
         cfg: &TileConfig,
-        floors: Option<&'f [AtomicI64]>,
+        prune: Option<(Sketches<'f>, Option<&'f [AtomicI64]>)>,
     ) -> PairScorer<'f> {
         PairScorer {
             bufs: (0..slots).map(|_| TopKBuffer::new(k)).collect(),
             query_block: cfg.block(),
             pairs_scored: 0,
-            floors,
+            sketches: prune.map(|(sketches, _)| sketches),
+            floors: prune.and_then(|(_, floors)| floors),
         }
     }
 
@@ -786,13 +835,12 @@ impl<'f> PairScorer<'f> {
     /// Whether the `R × C` block of rows `i..i + R` of `a` against rows
     /// `j..j + C` of `b` holds no pair that can enter either endpoint's
     /// top k: every pair's widened sketch bound
-    /// ([`SeriesMatrix::widened`]), computed by one [`dot_block`] of the
+    /// ([`Sketches::widened`]), computed by one [`dot_block`] of the
     /// same shape over the sketches, lies strictly below both endpoints'
     /// thresholds ([`PairScorer::threshold`]). A threshold never exceeds
     /// the final k-th score, so a skipped pair could neither enter nor
-    /// tie into either list (DESIGN.md §9). Streamed bands carry no
-    /// sketch, and an endpoint without a threshold yet has none: their
-    /// blocks are always scored.
+    /// tie into either list (DESIGN.md §9). Without sketches, and while an
+    /// endpoint has no threshold yet, a block is always scored.
     fn cannot_enter<const R: usize, const C: usize>(
         &mut self,
         a: RowBlock<'_>,
@@ -800,11 +848,11 @@ impl<'f> PairScorer<'f> {
         b: RowBlock<'_>,
         j: usize,
     ) -> bool {
-        let (RowBlock::Listed { matrix: m, ids }, RowBlock::Listed { ids: cands, .. }) = (a, b)
-        else {
+        let Some(s) = self.sketches else {
             return false;
         };
-        let (ids, cands) = (&ids[i..i + R], &cands[j..j + C]);
+        let ids: [usize; R] = std::array::from_fn(|r| a.index(i + r));
+        let cands: [usize; C] = std::array::from_fn(|c| b.index(j + c));
         let row_kth: [f64; R] = std::array::from_fn(|r| self.threshold(ids[r]));
         let cand_kth: [f64; C] = std::array::from_fn(|c| self.threshold(cands[c]));
         if row_kth
@@ -814,19 +862,83 @@ impl<'f> PairScorer<'f> {
         {
             return false;
         }
-        let bounds = dot_block::<R, C>(
-            std::array::from_fn(|r| m.sketch_pairs(ids[r])),
-            std::array::from_fn(|c| m.sketch_pairs(cands[c])),
-        );
-        for ((bounds, &g), row_floor) in bounds.iter().zip(ids).zip(row_kth) {
-            let scale = m.widening(g);
-            for ((&bound, &h), cand_floor) in bounds.iter().zip(cands).zip(cand_kth) {
-                if m.widened(bound, scale, h) >= row_floor.min(cand_floor) {
+        let bounds = dot_block::<R, C>(ids.map(|g| s.pairs(g)), cands.map(|h| s.pairs(h)));
+        for ((bounds, &g), row_floor) in bounds.iter().zip(&ids).zip(row_kth) {
+            let scale = s.widening(g);
+            for ((&bound, &h), cand_floor) in bounds.iter().zip(&cands).zip(cand_kth) {
+                if s.widened(bound, scale, h) >= row_floor.min(cand_floor) {
                     return false;
                 }
             }
         }
         true
+    }
+
+    /// Whether [`PairScorer::score`] of the band whose rows are `rows`
+    /// against the disjoint band whose rows are `cands` would score
+    /// nothing, so that neither need be loaded: whole register blocks
+    /// cover every pair ([`PairScorer::whole_blocks`]), and every pair
+    /// fails [`PairScorer::cannot_enter`]'s test under the thresholds
+    /// held now. That test is a conjunction over a block's pairs, and
+    /// each pair's bound is `dot`'s bit for bit whatever the shape that
+    /// computes it, so it holds for every block exactly when it holds for
+    /// every pair; skipping scores nothing, and thresholds only rise.
+    pub(crate) fn cannot_enter_band(&mut self, rows: &[usize], cands: &[usize]) -> bool {
+        let Some(s) = self.sketches else {
+            return false;
+        };
+        if !self.whole_blocks(rows.len(), cands.len()) {
+            return false;
+        }
+        let mut cand_kth = Vec::with_capacity(cands.len());
+        for &h in cands {
+            cand_kth.push(self.threshold(h));
+        }
+        if cand_kth.contains(&f64::NEG_INFINITY) {
+            return false;
+        }
+        for &g in rows {
+            let row_kth = self.threshold(g);
+            if row_kth == f64::NEG_INFINITY {
+                return false;
+            }
+            let scale = s.widening(g);
+            let pairs_g = s.pairs(g);
+            let live = |bound: f64, c: usize| {
+                s.widened(bound, scale, cands[c]) >= row_kth.min(cand_kth[c])
+            };
+            let mut c = 0;
+            while c + 4 <= cands.len() {
+                let four: [&[f64]; 4] = std::array::from_fn(|d| s.pairs(cands[c + d]));
+                let [bounds] = dot_block([pairs_g], four);
+                if (0..4).any(|d| live(bounds[d], c + d)) {
+                    return false;
+                }
+                c += 4;
+            }
+            if (c..cands.len()).any(|c| live(dot(pairs_g, s.pairs(cands[c])), c)) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Whether [`PairScorer::score`] of `rows` rows against `cols`
+    /// candidates of another band scores every pair in whole register
+    /// blocks, none through the one-row scan: the shapes the tier runs
+    /// (module docs) tile each query block exactly.
+    fn whole_blocks(&self, rows: usize, cols: usize) -> bool {
+        let sweep = |r: usize, c: usize| {
+            c == 0 || (r.is_multiple_of(BLOCK_ROWS) && (r == 0 || c.is_multiple_of(BLOCK_COLS)))
+        };
+        let tiled = |r: usize| {
+            if active_tier() == SimdTier::Avx512 {
+                sweep(r / WIDE_ROWS * WIDE_ROWS, cols % WIDE_COLS) && sweep(r % WIDE_ROWS, cols)
+            } else {
+                sweep(r, cols)
+            }
+        };
+        (rows < self.query_block || tiled(self.query_block)) && tiled(rows % self.query_block)
     }
 
     /// Row `g`'s threshold: the higher of its running k-th score and its

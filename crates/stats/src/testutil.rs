@@ -17,11 +17,11 @@ pub(crate) fn pseudo_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..n).map(|_| (0..len).map(|_| next()).collect()).collect()
 }
 
-/// Whether an all-pairs walk over resident rows scored the pairs it
-/// may have: each of the `n(n−1)/2` once where `k ≥ n − 1`, since no row
-/// can then hold a threshold before all its pairs are scored, and at
-/// most that many elsewhere, where sketch bounds may skip register
-/// blocks.
+/// Whether an all-pairs walk, over resident rows or a streamed source,
+/// scored the pairs it may have: each of the `n(n−1)/2` once where
+/// `k ≥ n − 1`, since no row can then hold a threshold before all its
+/// pairs are scored, and at most that many elsewhere, where sketch
+/// bounds may skip register blocks and band pairs.
 pub(crate) fn resident_pairs_ok(scored: u64, n: usize, k: usize) -> bool {
     let dense = (n * n.saturating_sub(1) / 2) as u64;
     if k >= n.saturating_sub(1) {

@@ -10,38 +10,46 @@
 //! [`crate::kernels`]). Where the bands come from is all that differs:
 //!
 //! * a [`Resident`] [`SeriesMatrix`] (unit rows) lends its rows in
-//!   place, `cfg.query_block` to a band, in chain order
-//!   ([`SeriesMatrix::chain`]: each row followed by the one its sketch
-//!   bounds highest against), not row order: band `b` is rows
-//!   `chain[b·h..(b+1)·h]`, addressed through that index slice, so no
-//!   row is copied. A register block whose every pair's sketch bound
-//!   misses both endpoints' thresholds is skipped (DESIGN.md §9), and
-//!   the chain puts the pairs that set those thresholds next to the
-//!   diagonal. A row's threshold is the highest k-th score held for it
-//!   by any worker walking the same [`Resident`], which also builds the
-//!   chain once for all of them;
+//!   place, `cfg.query_block` to a band, addressed through an index
+//!   slice, so no row is copied;
 //! * a [`Streamed`] [`SeriesSource`] is read into two band buffers per
-//!   worker and unit-normalized there, each row's norm computed once per
-//!   worker and memoized for every reload (DESIGN.md §16).
+//!   worker and unit-normalized there, each row's norm computed on its
+//!   first load and shared by every worker walking the same
+//!   [`Streamed`] (DESIGN.md §16).
 //!
-//! The order units map to band pairs is the provider's. Over a streamed
-//! source claims run through the triangle row by row, boustrophedon:
-//! even rows walk `bj` up from the diagonal, odd rows walk it back down,
-//! so consecutive pairs share a band and one sequential worker loads
-//! `B(B−1)/2 + 1` bands — the fewest two buffers allow, since every
-//! off-diagonal pair after the first needs at least one load. Over the
+//! An all-pairs walk over either cuts its bands from one chain order
+//! (`Sketches::chain`: each row followed by the one its sketch bounds
+//! highest against), not row order: band `b` is rows
+//! `chain[b·h..(b+1)·h]`. A register block whose every pair's sketch
+//! bound misses both endpoints' thresholds is skipped (DESIGN.md §9),
+//! and the chain puts the pairs that set those thresholds next to the
+//! diagonal. A row's threshold is the highest k-th score held for it by
+//! any worker walking the same rows. The resident matrix carries its
+//! rows' sketches; over a streamed source the first worker loads every
+//! band once in file order and sketches its rows (the *sketch pass*),
+//! then builds the chain over those sketches, while the others wait.
+//!
+//! The order units map to band pairs is the provider's. Over the
 //! resident matrix, where a band costs nothing to lend, claims run
-//! diagonal by diagonal instead (`bj − bi` = 0, 1, 2, …), so chain
-//! neighbours set every row's threshold before the far pairs are
-//! reached; the `B − t` units of triangle row `t` are diagonal `t`.
+//! diagonal by diagonal (`bj − bi` = 0, 1, 2, …), so chain neighbours set
+//! every row's threshold before the far pairs are reached; the `B − t`
+//! units of triangle row `t` are diagonal `t`. Over a streamed source,
+//! where every band a pair needs and the buffers do not hold costs a
+//! load, claims run through the *lead* first — each band's own triangle,
+//! then its pair with the band before it — and then through the pairs two
+//! or more bands apart, triangle row by triangle row from the last one
+//! back, each pair sharing a band with the one before ([`lead_pair_at`]);
+//! and a band pair none of whose
+//! pairs can enter a top k under the thresholds held is skipped before
+//! either band is loaded.
 //!
 //! The query form ([`Pairs::Queries`]) holds the query rows resident as
 //! one more band and walks that band's one row of pairs: the queries
-//! against each band in turn, so a streamed source is read once. Over a
-//! resident matrix it reads each claimed band's rows in the order of
-//! their sketch bounds against the query instead, and stops at the
-//! first row whose bound cannot reach the query's running k-th score
-//! (DESIGN.md §9).
+//! against each band in turn, so a streamed source is read once, in file
+//! order, and sketched not at all. Over a resident matrix it reads each
+//! claimed band's rows in the order of their sketch bounds against the
+//! query instead, and stops at the first row whose bound cannot reach the
+//! query's running k-th score (DESIGN.md §9).
 //!
 //! **Bit-identity** across every form, source, band height and schedule
 //! is the one exactness argument of [`crate::kernels`]: lent rows carry
@@ -51,12 +59,14 @@
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::ops::Range;
-use std::sync::atomic::AtomicI64;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use smda_types::{ConsumerSeries, Error, Result};
 
-use crate::kernels::{PairScorer, SeriesMatrix, TileConfig, NO_FLOOR};
+use crate::kernels::{
+    sketch_width, write_normalized, PairScorer, SeriesMatrix, Sketches, TileConfig, NO_FLOOR,
+};
 use crate::oooc::{OoocStats, SeriesSource};
 use crate::similarity::{norm2_rows, SimilarityMatch};
 
@@ -73,28 +83,59 @@ pub enum Pairs<'q> {
 }
 
 /// A [`SeriesSource`] read `band_rows` raw rows at a time (zero is read
-/// as one): the rows of an out-of-core walk.
-#[derive(Clone, Copy)]
+/// as one): the rows of an out-of-core walk. Every worker walking this
+/// one value shares what is learnt of the rows: each row's norm,
+/// computed on the row's first load by whichever worker loads it; for an
+/// all-pairs walk, every row's sketch and the chain, built by the sketch
+/// pass of the first worker while the others wait; and each row's floor,
+/// as [`Resident`] shares it (DESIGN.md §16).
 pub struct Streamed<'a> {
-    /// Where the raw rows come from.
-    pub source: &'a dyn SeriesSource,
-    /// Rows per band buffer.
-    pub band_rows: usize,
+    source: &'a dyn SeriesSource,
+    band_rows: usize,
+    /// Each row's norm, as bits: [`UNKNOWN_NORM`] until its first load.
+    norms: Box<[AtomicU64]>,
+    sketched: OnceLock<Sketched>,
+    /// Held while the sketch pass runs. The pass can fail: a worker that
+    /// finds no sketches once the one before it has failed runs it again,
+    /// and fails the same way.
+    sketching: Mutex<()>,
+    floors: Floors,
+}
+
+/// What the sketch pass builds: every row's sketch, row after row, and
+/// the chain over them.
+struct Sketched {
+    cells: Vec<f64>,
+    chain: Vec<usize>,
+}
+
+impl<'a> Streamed<'a> {
+    /// The rows of `source`, `band_rows` to a band; nothing known of
+    /// them yet.
+    pub fn new(source: &'a dyn SeriesSource, band_rows: usize) -> Streamed<'a> {
+        let unknown = || AtomicU64::new(UNKNOWN_NORM.to_bits());
+        Streamed {
+            source,
+            band_rows,
+            norms: (0..source.rows()).map(|_| unknown()).collect(),
+            sketched: OnceLock::new(),
+            sketching: Mutex::new(()),
+            floors: Floors::default(),
+        }
+    }
 }
 
 /// A resident [`SeriesMatrix`] of unit rows, lent in place: the rows of
 /// an in-memory walk. Every worker walking this one value shares two
 /// things the all-pairs walk builds on first use (the query form builds
-/// neither): the chain order the rows are lent in
-/// (`SeriesMatrix::chain`), built by the first worker while the others
-/// wait, so a pool builds it once; and each row's floor, the highest
-/// k-th score any of them has held for it, so that every worker skips
-/// register blocks by the best threshold the pool knows (DESIGN.md §9).
+/// neither): the chain order the rows are lent in (`Sketches::chain`),
+/// built by the first worker while the others wait, so a pool builds it
+/// once; and each row's floor, so that every worker skips register
+/// blocks by the best threshold the pool knows (DESIGN.md §9).
 pub struct Resident<'a> {
     matrix: &'a SeriesMatrix,
     chain: OnceLock<Vec<usize>>,
-    /// The `k` of the first all-pairs walk, and the floors it keeps.
-    floors: OnceLock<(usize, Vec<AtomicI64>)>,
+    floors: Floors,
 }
 
 impl<'a> Resident<'a> {
@@ -103,9 +144,41 @@ impl<'a> Resident<'a> {
         Resident {
             matrix,
             chain: OnceLock::new(),
-            floors: OnceLock::new(),
+            floors: Floors::default(),
         }
     }
+}
+
+/// Per row, the highest running k-th score at one `k` any worker walking
+/// the same rows has published (`NO_FLOOR` before one has), as an
+/// [`crate::ordered_key`]: a lower bound of the row's final k-th score.
+#[derive(Default)]
+struct Floors(OnceLock<(usize, Vec<AtomicI64>)>);
+
+impl Floors {
+    /// The floors of `rows` rows at `k`: those of the first all-pairs
+    /// walk, if it was at `k`, since a k-th score is no lower bound of a
+    /// larger k's.
+    fn at(&self, k: usize, rows: usize) -> Option<&[AtomicI64]> {
+        let (held, floors) = self.0.get_or_init(|| {
+            let none = (0..rows).map(|_| AtomicI64::new(NO_FLOOR));
+            (k, none.collect())
+        });
+        (*held == k).then_some(floors)
+    }
+}
+
+/// What an all-pairs walk skips by (DESIGN.md §9). Public only so that
+/// [`BandRows::prune`] can return it.
+pub struct Pruning<'a> {
+    /// Every row's sketch.
+    sketches: Sketches<'a>,
+    /// Every row's floor at the walk's `k`, where the rows hold them at
+    /// it.
+    floors: Option<&'a [AtomicI64]>,
+    /// The chain the bands are cut from, where lending a band costs a
+    /// load: a band pair is then checked before either band is loaded.
+    loaded: Option<&'a [usize]>,
 }
 
 /// How many bands an `n`-row source splits into at `band_rows` rows
@@ -125,9 +198,8 @@ fn row_offset(bands: usize, bi: usize) -> usize {
     bi * bands - bi * bi.saturating_sub(1) / 2
 }
 
-/// The units of triangle row `bi`: band `bi` with itself and every
-/// later band in the boustrophedon order ([`band_pair_at`]), diagonal
-/// `bi` in the diagonal one ([`diagonal_pair_at`]).
+/// The units of triangle row `bi`: diagonal `bi` in the diagonal order
+/// ([`diagonal_pair_at`]).
 pub(crate) fn triangle_row(bands: usize, bi: usize) -> Range<usize> {
     row_offset(bands, bi)..row_offset(bands, bi + 1)
 }
@@ -150,23 +222,6 @@ fn triangle_position(bands: usize, t: usize) -> (usize, usize) {
     (lo, t - row_offset(bands, lo))
 }
 
-/// Pairs `(bi, bj)` with `bi ≤ bj`, row `bi` of the triangle after row
-/// `bi − 1`, boustrophedon within a row: an even row walks `bj` up from
-/// `bi` to the last band, an odd row back down to `bi`. Consecutive
-/// indices share a band — across a row turn too: an even row ends on
-/// the last band, where the odd row after it starts, and an odd row's
-/// last off-diagonal pair already holds band `bi + 1`, the next row's
-/// diagonal — so a worker claiming them in order loads `B(B−1)/2 + 1`
-/// bands in all: band 0, then one per off-diagonal pair.
-pub(crate) fn band_pair_at(bands: usize, t: usize) -> (usize, usize) {
-    let (row, step) = triangle_position(bands, t);
-    if row.is_multiple_of(2) {
-        (row, row + step)
-    } else {
-        (row, bands - 1 - step)
-    }
-}
-
 /// Pairs `(bi, bj)` with `bi ≤ bj` by diagonal: the `B − d` pairs with
 /// `bj − bi = d` after those of diagonal `d − 1`, `bi` ascending within
 /// one. Diagonal `d` is as long as triangle row `d`, so it takes that
@@ -176,22 +231,56 @@ pub(crate) fn diagonal_pair_at(bands: usize, t: usize) -> (usize, usize) {
     (step, step + diagonal)
 }
 
+/// Pairs `(bi, bj)` with `bi ≤ bj` in the order a streamed walk claims
+/// them. First the *lead*, `2B − 1` pairs: `(0, 0)`, then for each later
+/// band `b` its own triangle `(b, b)` and its pair with the band before
+/// it, `(b − 1, b)` — so each band's rows hold thresholds from inside
+/// their own band before they meet their chain neighbours', and both
+/// before any pair further apart. Then the pairs with `bj ≥ bi + 2`,
+/// triangle row by triangle row from the last (`bi = B − 3`, one pair)
+/// back to the first, each row ending on its nearest band, `bi + 2`, and
+/// starting on the band the row before ended on, `bi + 3`: `bj` runs up
+/// from there to the last band, then to `bi + 2`. So consecutive pairs
+/// share a band — the lead ends on `(B − 2, B − 1)` and the rest starts
+/// on `(B − 3, B − 1)` — and with two buffers ([`Streamed`] keeps the one
+/// it used last) a walk that skips nothing loads `B(B−1)/2 + 1` bands,
+/// the fewest two buffers allow: one for each of the lead's `B`
+/// diagonals and one for each later pair.
+pub(crate) fn lead_pair_at(bands: usize, t: usize) -> (usize, usize) {
+    let lead = (2 * bands).saturating_sub(1);
+    if t < lead {
+        let b = t.div_ceil(2);
+        return if t % 2 == 1 || t == 0 {
+            (b, b)
+        } else {
+            (b - 1, b)
+        };
+    }
+    // Row `m` of the rest starts `m(m+1)/2` pairs in and holds `m + 1`.
+    let s = t - lead;
+    let m = ((8 * s + 1).isqrt() - 1) / 2;
+    let step = s - m * (m + 1) / 2;
+    let bi = bands - 3 - m;
+    if step < m {
+        (bi, bi + 3 + step)
+    } else {
+        (bi, bi + 2)
+    }
+}
+
 /// Rows of the full matrix lent to the pair scorer: a band buffer filled
 /// from a streamed source, or rows of the resident [`SeriesMatrix`] read
-/// in place through an index slice. Row `r` of the block is row
-/// [`RowBlock::index`]`(r)` of the full matrix. Public only so that
-/// [`BandRows::pair`] can return it.
+/// in place. Row `r` of the block is row [`RowBlock::index`]`(r)` of the
+/// full matrix. Public only so that [`BandRows::pair`] can return it.
 #[derive(Debug, Clone, Copy)]
 pub enum RowBlock<'a> {
-    /// Rows `start..start + rows`, row-major in `data`.
-    Run {
+    /// Rows `ids[0]`, `ids[1]`, …, row-major in `data`.
+    Loaded {
         data: &'a [f64],
-        start: usize,
-        rows: usize,
+        ids: &'a [usize],
         stride: usize,
     },
-    /// Rows `ids[0]`, `ids[1]`, … of `matrix`, whose sketches bound
-    /// their scores.
+    /// Rows `ids[0]`, `ids[1]`, … of `matrix`.
     Listed {
         matrix: &'a SeriesMatrix,
         ids: &'a [usize],
@@ -203,8 +292,7 @@ impl<'a> RowBlock<'a> {
     #[inline]
     pub(crate) fn rows(&self) -> usize {
         match *self {
-            RowBlock::Run { rows, .. } => rows,
-            RowBlock::Listed { ids, .. } => ids.len(),
+            RowBlock::Loaded { ids, .. } | RowBlock::Listed { ids, .. } => ids.len(),
         }
     }
 
@@ -212,7 +300,7 @@ impl<'a> RowBlock<'a> {
     #[inline]
     pub(crate) fn row(&self, r: usize) -> &'a [f64] {
         match *self {
-            RowBlock::Run { data, stride, .. } => &data[r * stride..(r + 1) * stride],
+            RowBlock::Loaded { data, stride, .. } => &data[r * stride..(r + 1) * stride],
             RowBlock::Listed { matrix, ids } => matrix.row(ids[r]),
         }
     }
@@ -221,8 +309,7 @@ impl<'a> RowBlock<'a> {
     #[inline]
     pub(crate) fn index(&self, r: usize) -> usize {
         match *self {
-            RowBlock::Run { start, .. } => start + r,
-            RowBlock::Listed { ids, .. } => ids[r],
+            RowBlock::Loaded { ids, .. } | RowBlock::Listed { ids, .. } => ids[r],
         }
     }
 }
@@ -246,11 +333,17 @@ pub trait BandRows {
     /// Fresh buffers for one worker.
     fn buffers(&self) -> Self::Buffers;
 
-    /// The band pair of all-pairs unit `t` of `bands` bands:
-    /// boustrophedon ([`band_pair_at`]), which loads the fewest bands.
-    fn band_pair(&self, bands: usize, t: usize) -> (usize, usize) {
-        band_pair_at(bands, t)
-    }
+    /// The band pair of all-pairs unit `t` of `bands` bands.
+    fn band_pair(&self, bands: usize, t: usize) -> (usize, usize);
+
+    /// What an all-pairs walk at `k` skips by, built on first use; `None`
+    /// where it skips by nothing.
+    fn prune<'a>(
+        &'a self,
+        bufs: &mut Self::Buffers,
+        k: usize,
+        stats: &mut OoocStats,
+    ) -> std::result::Result<Option<Pruning<'a>>, Self::Error>;
 
     /// Bands `bi` and `bj` as blocks of unit rows; a diagonal pair lends
     /// the one band twice.
@@ -263,17 +356,9 @@ pub trait BandRows {
     ) -> std::result::Result<[RowBlock<'a>; 2], Self::Error>;
 
     /// The resident matrix, whose row sketches let the query form skip
-    /// rows that cannot enter a top k (DESIGN.md §9); a streamed source
-    /// carries no sketch and is scanned in full.
+    /// rows that cannot enter a top k (DESIGN.md §9); a streamed source's
+    /// query form builds no sketch and is scanned in full.
     fn resident(&self) -> Option<&SeriesMatrix> {
-        None
-    }
-
-    /// Per row, the highest running k-th score at this `k` any worker
-    /// walking these rows has published (`NO_FLOOR` before one has), as
-    /// an [`crate::ordered_key`]: a lower bound of the row's final k-th
-    /// score. `None` where nothing is skipped by bounds.
-    fn floors(&self, _k: usize) -> Option<&[AtomicI64]> {
         None
     }
 
@@ -303,23 +388,29 @@ impl BandRows for Resident<'_> {
 
     fn buffers(&self) {}
 
-    /// Diagonal by diagonal ([`diagonal_pair_at`]).
+    /// Diagonal by diagonal ([`diagonal_pair_at`]): lending a band costs
+    /// nothing, and this order scores the fewest pairs.
     fn band_pair(&self, bands: usize, t: usize) -> (usize, usize) {
         diagonal_pair_at(bands, t)
     }
 
-    fn resident(&self) -> Option<&SeriesMatrix> {
-        Some(self.matrix)
+    /// The matrix's sketches and floors; a band pair costs no load, so
+    /// its blocks are checked as they come up.
+    fn prune<'a>(
+        &'a self,
+        _: &mut (),
+        k: usize,
+        _: &mut OoocStats,
+    ) -> std::result::Result<Option<Pruning<'a>>, Infallible> {
+        Ok(Some(Pruning {
+            sketches: self.matrix.sketches(),
+            floors: self.floors.at(k, self.matrix.rows()),
+            loaded: None,
+        }))
     }
 
-    /// Floors at one `k` only, the first walk's: a k-th score is no
-    /// lower bound of a larger k's.
-    fn floors(&self, k: usize) -> Option<&[AtomicI64]> {
-        let (held, floors) = self.floors.get_or_init(|| {
-            let none = (0..self.matrix.rows()).map(|_| AtomicI64::new(NO_FLOOR));
-            (k, none.collect())
-        });
-        (*held == k).then_some(floors)
+    fn resident(&self) -> Option<&SeriesMatrix> {
+        Some(self.matrix)
     }
 
     fn pair<'a>(
@@ -329,7 +420,7 @@ impl BandRows for Resident<'_> {
         (bi, bj): (usize, usize),
         _: &mut OoocStats,
     ) -> std::result::Result<[RowBlock<'a>; 2], Infallible> {
-        let chain = self.chain.get_or_init(|| self.matrix.chain());
+        let chain = self.chain.get_or_init(|| self.matrix.sketches().chain());
         Ok([bi, bj].map(|b| RowBlock::Listed {
             matrix: self.matrix,
             ids: &chain[b * band_rows..((b + 1) * band_rows).min(chain.len())],
@@ -347,22 +438,28 @@ impl BandRows for Resident<'_> {
     }
 }
 
-/// A norm memo entry not computed yet: `sqrt` returns no negative
-/// number but `-0.0`, so no row's norm is this.
+/// A norm not known yet: `sqrt` returns no negative number but `-0.0`,
+/// so no row's norm is this.
 const UNKNOWN_NORM: f64 = -1.0;
 
-/// One worker's buffers over a streamed source: two bands, and the norm
-/// of every row computed so far.
+/// One worker's buffers over a streamed source: two bands, and what
+/// filling one needs.
 pub struct StreamBuffers {
-    a: Band,
-    b: Band,
+    bands: [Band; 2],
+    /// The band used last.
+    recent: usize,
+    /// The rows of a band past its first run of consecutive rows.
+    scratch: Vec<f64>,
+    /// The norms of the rows of the band loaded last.
     norms: Vec<f64>,
 }
 
-/// A band buffer: the unit rows of band `idx`, once loaded.
+/// A band buffer: the unit rows of band `idx`, once loaded, which are
+/// rows `ids` of the source.
 #[derive(Default)]
 struct Band {
     idx: Option<usize>,
+    ids: Vec<usize>,
     data: Vec<f64>,
 }
 
@@ -381,12 +478,46 @@ impl BandRows for Streamed<'_> {
 
     fn buffers(&self) -> StreamBuffers {
         StreamBuffers {
-            a: Band::default(),
-            b: Band::default(),
-            norms: vec![UNKNOWN_NORM; self.source.rows()],
+            bands: Default::default(),
+            recent: 0,
+            scratch: Vec::new(),
+            norms: Vec::new(),
         }
     }
 
+    /// The lead, then the rest ([`lead_pair_at`]).
+    fn band_pair(&self, bands: usize, t: usize) -> (usize, usize) {
+        lead_pair_at(bands, t)
+    }
+
+    /// The sketches and the chain of the sketch pass (module docs), and
+    /// the floors; a band pair costs loads, so it is checked first. At
+    /// `k = 0` and `k ≥ n − 1` no list holds k hits while a pair of its
+    /// row is unscored, so nothing can be skipped: the pass would be
+    /// loads for nothing, and the bands stay in file order (unless an
+    /// earlier walk of these rows built the chain).
+    fn prune<'a>(
+        &'a self,
+        bufs: &mut StreamBuffers,
+        k: usize,
+        stats: &mut OoocStats,
+    ) -> Result<Option<Pruning<'a>>> {
+        let n = self.source.rows();
+        if k == 0 || k.saturating_add(1) >= n {
+            return Ok(None);
+        }
+        let sketched = self.sketched(bufs, stats)?;
+        Ok(Some(Pruning {
+            sketches: Sketches::new(&sketched.cells, self.source.stride()),
+            floors: self.floors.at(k, n),
+            loaded: Some(&sketched.chain),
+        }))
+    }
+
+    /// Band `b` is the chain's rows `b·h..(b+1)·h` once the sketch pass
+    /// has built it, the source's otherwise. A band not in either buffer
+    /// is loaded into the one that holds neither band of the pair and
+    /// was used longest ago.
     fn pair<'a>(
         &'a self,
         bufs: &'a mut StreamBuffers,
@@ -394,20 +525,47 @@ impl BandRows for Streamed<'_> {
         (bi, bj): (usize, usize),
         stats: &mut OoocStats,
     ) -> Result<[RowBlock<'a>; 2]> {
-        let StreamBuffers { a, b, norms } = bufs;
-        // Consecutive pairs share a band, not always in the same role:
-        // a row's first band may sit in `b`, the previous pair's other.
-        if a.idx != Some(bi) && b.idx == Some(bi) {
-            std::mem::swap(a, b);
+        let chain = self.sketched.get().map(|s| s.chain.as_slice());
+        let mut lent = [0usize; 2];
+        for (side, b) in [bi, bj].into_iter().enumerate() {
+            let held = bufs.bands.iter().position(|band| band.idx == Some(b));
+            let slot = match held {
+                Some(slot) => slot,
+                None => {
+                    let needed = |band: &Band| band.idx.is_some_and(|x| x == bi || x == bj);
+                    let older = 1 - bufs.recent;
+                    let slot = if needed(&bufs.bands[older]) {
+                        bufs.recent
+                    } else {
+                        older
+                    };
+                    let band = &mut bufs.bands[slot];
+                    let rows = b * band_rows..((b + 1) * band_rows).min(self.source.rows());
+                    band.idx = None;
+                    band.ids.clear();
+                    match chain {
+                        Some(chain) => band.ids.extend_from_slice(&chain[rows]),
+                        None => band.ids.extend(rows),
+                    }
+                    let (scratch, norms) = (&mut bufs.scratch, &mut bufs.norms);
+                    self.load(band, scratch, norms, stats, normalize_band)?;
+                    band.idx = Some(b);
+                    slot
+                }
+            };
+            bufs.recent = slot;
+            lent[side] = slot;
         }
-        self.ensure(a, band_rows, bi, norms, stats)?;
-        let shape = self.shape();
-        let a = lent(&a.data, bi, band_rows, shape);
-        if bi == bj {
-            return Ok([a, a]);
-        }
-        self.ensure(b, band_rows, bj, norms, stats)?;
-        Ok([a, lent(&b.data, bj, band_rows, shape)])
+        let bufs: &'a StreamBuffers = bufs;
+        let stride = self.source.stride();
+        Ok(lent.map(|slot| {
+            let band = &bufs.bands[slot];
+            RowBlock::Loaded {
+                data: &band.data,
+                ids: &band.ids,
+                stride,
+            }
+        }))
     }
 
     fn queries<'a>(
@@ -418,13 +576,16 @@ impl BandRows for Streamed<'_> {
         stats: &mut OoocStats,
     ) -> Result<Vec<&'a [f64]>> {
         let (n, stride) = self.shape();
-        let mut row = Vec::with_capacity(stride);
+        let mut row = Band::default();
         for &q in queries {
             if q >= n {
                 return Err(Error::Invalid(format!("query row {q} out of range ({n})")));
             }
-            self.fill(q..q + 1, &mut row, &mut bufs.norms, stats)?;
-            held.extend_from_slice(&row);
+            row.ids.clear();
+            row.ids.push(q);
+            let (scratch, norms) = (&mut bufs.scratch, &mut bufs.norms);
+            self.load(&mut row, scratch, norms, stats, normalize_band)?;
+            held.extend_from_slice(&row.data);
         }
         let held: &'a [f64] = held;
         Ok((0..queries.len())
@@ -434,61 +595,131 @@ impl BandRows for Streamed<'_> {
 }
 
 impl Streamed<'_> {
-    /// Load band `bi` into `band` unless it is already there.
-    fn ensure(
+    /// Every row's sketch and the chain over them, built once for every
+    /// worker walking these rows.
+    fn sketched(&self, bufs: &mut StreamBuffers, stats: &mut OoocStats) -> Result<&Sketched> {
+        if let Some(done) = self.sketched.get() {
+            return Ok(done);
+        }
+        let _sketching = self
+            .sketching
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(done) = self.sketched.get() {
+            return Ok(done);
+        }
+        let built = self.sketch_pass(bufs, stats)?;
+        Ok(self.sketched.get_or_init(|| built))
+    }
+
+    /// The sketch pass: every band loaded once, in file order, and each
+    /// of its rows normalized and sketched in one pass
+    /// ([`write_normalized`]), as
+    /// [`crate::SeriesMatrixBuilder::set_row_normalized`] writes the same
+    /// row — only the sketch is kept — then the chain built over the
+    /// sketches.
+    fn sketch_pass(&self, bufs: &mut StreamBuffers, stats: &mut OoocStats) -> Result<Sketched> {
+        let (n, stride) = self.shape();
+        let (width, band_rows) = (sketch_width(stride), self.band_rows.max(1));
+        let mut cells = vec![0.0; n * width];
+        let mut unit = vec![0.0; stride];
+        let band = &mut bufs.bands[0];
+        band.idx = None;
+        for start in (0..n).step_by(band_rows) {
+            band.ids.clear();
+            band.ids.extend(start..(start + band_rows).min(n));
+            let (scratch, norms) = (&mut bufs.scratch, &mut bufs.norms);
+            self.load(band, scratch, norms, stats, |_, _, _| {})?;
+            for ((r, &i), &norm) in band.ids.iter().enumerate().zip(&bufs.norms) {
+                let row = &band.data[r * stride..(r + 1) * stride];
+                let sketch = &mut cells[i * width..(i + 1) * width];
+                write_normalized(&mut unit, sketch, row, norm);
+            }
+        }
+        let chain = Sketches::new(&cells, stride).chain();
+        Ok(Sketched { cells, chain })
+    }
+
+    /// Fill `band.data` with the source rows `band.ids` lists, in that
+    /// order, and `norms` with their norms ([`Streamed::norms_of`]): one
+    /// [`SeriesSource::load_band`] per run of consecutive rows, the first
+    /// straight into the band, each later one into `scratch` and appended
+    /// from there. Each run's raw rows are handed to `each` with the
+    /// stride and their norms while they are still in cache, to be
+    /// normalized in place ([`normalize_band`]) or left as they are.
+    fn load(
         &self,
         band: &mut Band,
-        band_rows: usize,
-        bi: usize,
-        norms: &mut [f64],
+        scratch: &mut Vec<f64>,
+        norms: &mut Vec<f64>,
         stats: &mut OoocStats,
+        each: impl Fn(&mut [f64], usize, &[f64]),
     ) -> Result<()> {
-        if band.idx != Some(bi) {
-            let start = bi * band_rows;
-            let rows = start..(start + band_rows).min(self.source.rows());
-            self.fill(rows, &mut band.data, norms, stats)?;
-            band.idx = Some(bi);
+        let stride = self.source.stride();
+        band.data.clear();
+        norms.clear();
+        for (r, run) in band.ids.chunk_by(|x, y| x + 1 == *y).enumerate() {
+            let rows = run[0]..run[0] + run.len();
+            let into = if r == 0 {
+                &mut band.data
+            } else {
+                &mut *scratch
+            };
+            self.source.load_band(rows.clone(), into)?;
+            if into.len() != rows.len() * stride {
+                return Err(Error::Invalid(format!(
+                    "series source filled {} values for band {}..{} (want {})",
+                    into.len(),
+                    rows.start,
+                    rows.end,
+                    rows.len() * stride
+                )));
+            }
+            self.norms_of(rows, into, norms, stats)?;
+            each(into, stride, &norms[norms.len() - run.len()..]);
+            if r > 0 {
+                band.data.extend_from_slice(scratch);
+            }
         }
+        stats.bands_loaded += 1;
+        stats.bytes_streamed += (band.data.len() * 8) as u64;
         Ok(())
     }
 
-    /// Fill `out` with source rows `rows`, unit-normalized: each row's
-    /// norm read from the memo (one entry per source row), or computed
-    /// and recorded there if it is not known yet. A row is checked on that
-    /// first load: one holding a NaN, ±∞ or negative reading is refused as
+    /// The norms of source rows `rows`, whose raw values `data` holds,
+    /// appended to `norms`: each read from the shared store, or, on the
+    /// row's first load, computed and recorded there. A row is checked then: one
+    /// holding a NaN, ±∞ or negative reading is refused as
     /// [`ConsumerSeries::validate`] refuses a year, naming the row.
-    fn fill(
+    fn norms_of(
         &self,
         rows: Range<usize>,
-        out: &mut Vec<f64>,
-        norms: &mut [f64],
+        data: &[f64],
+        norms: &mut Vec<f64>,
         stats: &mut OoocStats,
     ) -> Result<()> {
         let stride = self.source.stride();
-        self.source.load_band(rows.clone(), out)?;
-        if out.len() != rows.len() * stride {
-            return Err(Error::Invalid(format!(
-                "series source filled {} values for band {}..{} (want {})",
-                out.len(),
-                rows.start,
-                rows.end,
-                rows.len() * stride
-            )));
-        }
         let first = rows.start;
-        let norms = &mut norms[rows];
-        // In the pair walk a band's norms are known together or not at
-        // all; in the query form a query row is known before the band
-        // that holds it. Runs of unknowns are checked and computed,
-        // nothing else, eight rows at a time so that a row's norm is taken
-        // while the check has it in cache (`norm2_rows` is `norm2` row by
-        // row, so the split moves no bit).
+        let store = &self.norms[rows];
+        let known = norms.len();
+        norms.extend(
+            store
+                .iter()
+                .map(|n| f64::from_bits(n.load(Ordering::Relaxed))),
+        );
+        // In the pair walk every norm is known after the sketch pass; in
+        // the query form a query row is known before the band that holds
+        // it. Runs of unknowns are checked and computed, nothing else,
+        // eight rows at a time so that a row's norm is taken while the
+        // check has it in cache (`norm2_rows` is `norm2` row by row, so
+        // the split moves no bit).
         let mut r = 0;
-        for run in norms.chunk_by_mut(|x, y| (*x == UNKNOWN_NORM) == (*y == UNKNOWN_NORM)) {
+        let unknown = |x: &f64, y: &f64| (*x == UNKNOWN_NORM) == (*y == UNKNOWN_NORM);
+        for run in norms[known..].chunk_by_mut(unknown) {
             if run[0] == UNKNOWN_NORM {
                 for (b, block) in run.chunks_mut(8).enumerate() {
                     let at = r + b * 8;
-                    let fresh = &out[at * stride..(at + block.len()) * stride];
+                    let fresh = &data[at * stride..(at + block.len()) * stride];
                     for (i, row) in fresh.chunks_exact(stride.max(1)).enumerate() {
                         let row_index = first + at + i;
                         ConsumerSeries::validate_readings(
@@ -498,13 +729,13 @@ impl Streamed<'_> {
                     }
                     norm2_rows(fresh, stride, block);
                 }
+                for (known, &norm) in store[r..].iter().zip(run.iter()) {
+                    known.store(norm.to_bits(), Ordering::Relaxed);
+                }
                 stats.norms_computed += run.len() as u64;
             }
             r += run.len();
         }
-        normalize_band(out, stride, norms);
-        stats.bands_loaded += 1;
-        stats.bytes_streamed += (out.len() * 8) as u64;
         Ok(())
     }
 }
@@ -523,25 +754,14 @@ fn normalize_band(data: &mut [f64], stride: usize, norms: &[f64]) {
     }
 }
 
-/// Band `b` of an `n × stride` matrix cut `band_rows` rows to a band,
-/// lent as `data`.
-fn lent(data: &[f64], b: usize, band_rows: usize, (n, stride): (usize, usize)) -> RowBlock<'_> {
-    let start = b * band_rows;
-    RowBlock::Run {
-        data,
-        start,
-        rows: band_rows.min(n - start),
-        stride,
-    }
-}
-
 /// One worker's share of the similarity walk: repeatedly claim a range
 /// of units from `claim` (e.g. an atomic counter shared across
 /// workers; `None` walks every unit) and score them — for
-/// [`Pairs::All`] a band pair each, the diagonal ones the triangle
-/// inside one band and the others the cross product of two (over a
-/// resident matrix, chain-ordered bands, skipping the register blocks
-/// whose sketch bounds miss both endpoints' thresholds), for
+/// [`Pairs::All`] a band pair each of chain-ordered bands, the diagonal
+/// ones the triangle inside one band and the others the cross product of
+/// two, skipping the register blocks whose sketch bounds miss both
+/// endpoints' thresholds (and, over a streamed source, a band pair all of
+/// whose blocks would be skipped, before it is loaded); for
 /// [`Pairs::Queries`] a band each, against every query (over a resident
 /// matrix, only the band's rows whose sketch bound can still reach the
 /// query's running k-th score; DESIGN.md §9). Returns per-slot partial
@@ -557,7 +777,8 @@ fn lent(data: &[f64], b: usize, band_rows: usize, (n, stride): (usize, usize)) -
 /// is bit-identical to [`crate::top_k_cosine`]'s row for its query.
 /// [`Resident`] rows cannot fail; a [`Streamed`]
 /// source fails on a bad load or a query index past its last row
-/// ([`Error::Invalid`]).
+/// ([`Error::Invalid`]), or on a row no year may hold
+/// ([`Error::Schema`]).
 ///
 /// # Panics
 /// Panics on a claimed unit out of range, or on a query index past the
@@ -575,19 +796,20 @@ pub fn similarity_walk<R: BandRows + ?Sized>(
     let mut bufs = rows.buffers();
     let mut stats = OoocStats::default();
     let mut copies = Vec::new();
-    let (units, queries) = match pairs {
-        Pairs::All => (band_pair_count(bands), None),
+    let (units, queries, pruning) = match pairs {
+        Pairs::All => {
+            let pruning = rows.prune(&mut bufs, k, &mut stats)?;
+            (band_pair_count(bands), None, pruning)
+        }
         Pairs::Queries(ids) => {
             let held = rows.queries(&mut bufs, ids, &mut copies, &mut stats)?;
-            (bands, Some((ids, held)))
+            (bands, Some((ids, held)), None)
         }
     };
     // The query form's slots are queries, which hold no row's floor.
-    let (slots, floors) = match &queries {
-        None => (n, rows.floors(k)),
-        Some((ids, _)) => (ids.len(), None),
-    };
-    let mut scorer = PairScorer::new(slots, k, cfg, floors);
+    let slots = queries.as_ref().map_or(n, |(ids, _)| ids.len());
+    let loaded = pruning.as_ref().and_then(|p| p.loaded);
+    let mut scorer = PairScorer::new(slots, k, cfg, pruning.map(|p| (p.sketches, p.floors)));
     let pruned = queries.as_ref().and(rows.resident());
     let mut ranked = Vec::new();
     let everything = Cell::new(Some(0..units));
@@ -598,7 +820,7 @@ pub fn similarity_walk<R: BandRows + ?Sized>(
         if let (Some((ids, held)), Some(m)) = (&queries, pruned) {
             let span = claimed.start * band_rows..(claimed.end * band_rows).min(n);
             for (slot, (&q, query)) in ids.iter().zip(held).enumerate() {
-                m.rank_by_bound(q, span.clone(), &mut ranked);
+                m.sketches().rank_by_bound(q, span.clone(), &mut ranked);
                 scorer.score_ranked(slot, query, m, &ranked);
             }
             continue;
@@ -608,6 +830,12 @@ pub fn similarity_walk<R: BandRows + ?Sized>(
                 None => rows.band_pair(bands, t),
                 Some(_) => (t, t),
             };
+            if let Some(chain) = loaded {
+                let band = |b: usize| &chain[b * band_rows..((b + 1) * band_rows).min(n)];
+                if bi != bj && scorer.cannot_enter_band(band(bi), band(bj)) {
+                    continue;
+                }
+            }
             let [a, b] = rows.pair(&mut bufs, band_rows, (bi, bj), &mut stats)?;
             match &queries {
                 None => scorer.score(a, (bi != bj).then_some(b)),
@@ -675,12 +903,48 @@ mod tests {
         // order before it crosses to the other shape.
         let shapes = pseudo_series(2, 31, 5);
         let rows: Vec<Vec<f64>> = (0..9).map(|i| shapes[i % 2].clone()).collect();
-        let order = SeriesMatrix::from_rows_normalized(&rows).chain();
+        let order = SeriesMatrix::from_rows_normalized(&rows).sketches().chain();
         assert_eq!(order, [0, 2, 4, 6, 8, 1, 3, 5, 7]);
         // Zero rows have no usable sketch: every bound reads as +∞ and
         // the chain is the row order.
         let zeros = SeriesMatrix::from_rows_normalized(&vec![vec![0.0; 31]; 5]);
-        assert_eq!(zeros.chain(), [0, 1, 2, 3, 4]);
-        assert!(SeriesMatrix::from_rows_normalized(&[]).chain().is_empty());
+        assert_eq!(zeros.sketches().chain(), [0, 1, 2, 3, 4]);
+        let none = SeriesMatrix::from_rows_normalized(&[]);
+        assert!(none.sketches().chain().is_empty());
+    }
+
+    #[test]
+    fn the_streamed_order_leads_with_neighbours_and_shares_a_band_at_each_step() {
+        for bands in 0usize..=16 {
+            let order: Vec<(usize, usize)> = (0..band_pair_count(bands))
+                .map(|t| lead_pair_at(bands, t))
+                .collect();
+            // A bijection onto the band pairs: `crate::oooc`'s tests.
+            // The lead: every pair less than two bands apart, each
+            // band's own triangle before its pair with the band before.
+            let lead = (2 * bands).saturating_sub(1);
+            let neighbours = (0..bands).flat_map(|b| {
+                let before = b.checked_sub(1).map(|a| (a, b));
+                std::iter::once((b, b)).chain(before)
+            });
+            assert!(
+                order[..lead].iter().copied().eq(neighbours),
+                "bands={bands}"
+            );
+            // Then the rest, triangle rows from the last back, each
+            // row's pairs contiguous, starting on the band the row before
+            // ended on and ending on its own nearest band; every pair
+            // shares a band with the one before.
+            let rest = &order[lead..];
+            assert!(rest.iter().all(|&(bi, bj)| bj >= bi + 2), "bands={bands}");
+            assert!(rest.windows(2).all(|w| w[1].0 <= w[0].0), "bands={bands}");
+            for w in order[lead.saturating_sub(1)..].windows(2) {
+                let [(a, b), (c, d)] = [w[0], w[1]];
+                assert!([c, d].iter().any(|x| [a, b].contains(x)), "bands={bands}");
+                if c < a && a + 3 < bands {
+                    assert_eq!((b, d), (a + 2, c + 3), "bands={bands}");
+                }
+            }
+        }
     }
 }

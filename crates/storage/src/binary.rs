@@ -9,7 +9,6 @@
 //! out of the memory mapping, which is what makes the binary cold-start
 //! loading experiment page-fault-bound instead of parse-bound.
 
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use smda_format::{write_dataset, Encoding, RowGroupCache, SmcFile, SmcSummary, SmcWriter};
@@ -153,13 +152,6 @@ impl BinaryStore {
     /// similarity kernels stream packed files through.
     pub fn group_cache(&self, group_rows: usize, max_resident_bytes: usize) -> RowGroupCache<'_> {
         self.file.group_cache(group_rows, max_resident_bytes)
-    }
-
-    /// Drop the mapped pages behind rows `rows.start..rows.end` from
-    /// this process's resident set (best effort; see
-    /// [`SmcFile::advise_rows_dontneed`]).
-    pub fn advise_rows_dontneed(&self, rows: Range<usize>) -> bool {
-        self.file.advise_rows_dontneed(rows)
     }
 
     /// Read the whole store into a validated dataset.
