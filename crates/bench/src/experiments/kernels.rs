@@ -45,9 +45,8 @@ use smda_engines::WorkerPool;
 use smda_obs::MetricsSink;
 use smda_stats::kernels::SKETCH_PERIOD;
 use smda_stats::{
-    band_count, dot, dot_block, select_top_k, similarity_walk, top_k_cosine, top_k_oooc,
-    top_k_query, top_k_tiled, Pairs, Resident, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch,
-    SliceSource, TileConfig,
+    band_count, dot, dot_block, select_top_k, top_k_cosine, top_k_oooc, top_k_query_counted,
+    top_k_tiled, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, SliceSource, TileConfig,
 };
 use smda_types::{BitEq, HOURS_PER_YEAR};
 
@@ -352,20 +351,16 @@ fn prune(scale: Scale) -> Table {
                 push(segment, &kind, sk.width, scored, time);
             }
         }
-        let (cfg, rows) = (TileConfig::default(), Resident::new(&m));
-        let (time, answers) = best_of(&queries, |q| top_k_query(&m, q, SIMILARITY_TOP_K));
+        let (time, answers) = best_of(&queries, |q| {
+            let (hits, stats) = top_k_query_counted(&m, q, SIMILARITY_TOP_K);
+            (hits, stats.pairs_scored as usize)
+        });
+        let (hits, scored): (Vec<_>, Vec<usize>) = answers.into_iter().unzip();
         assert!(
-            answers.bits_eq(&full),
+            hits.bits_eq(&full),
             "top_k_query diverged from the full scan at n={n}"
         );
-        let scored = queries
-            .iter()
-            .map(|&q| {
-                let Ok((_, stats)) =
-                    similarity_walk(&rows, Pairs::Queries(&[q]), SIMILARITY_TOP_K, &cfg, None);
-                stats.kernel.pairs_scored as usize
-            })
-            .sum();
+        let scored = scored.iter().sum();
         let values = 1 + 2 * SKETCH_PERIOD;
         push(SKETCH_PERIOD, "top_k_query", values, scored, time);
     }

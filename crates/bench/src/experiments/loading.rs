@@ -93,10 +93,19 @@ mod tests {
     #[test]
     fn madlib_load_is_slowest_platform() {
         // The paper's headline: PostgreSQL loading is the slowest of the
-        // three (tuple construction + index build).
-        let tables = run(Scale::smoke());
-        let t = &tables[0];
-        let time = |platform: &str, layout: &str| t.value(&[platform, layout]);
-        assert!(time("MADLib", "un-part.") > time("System C", "un-part."));
+        // three (tuple construction + index build). Each bar is the
+        // fastest of three runs, so one run slowed by a busy host does not
+        // decide the order.
+        let runs: Vec<Table> = (0..3).map(|_| run(Scale::smoke()).remove(0)).collect();
+        let time = |platform: &str| {
+            runs.iter()
+                .map(|t| t.value(&[platform, "un-part."]))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (madlib, system_c) = (time("MADLib"), time("System C"));
+        assert!(
+            madlib > system_c,
+            "MADLib {madlib} s, System C {system_c} s"
+        );
     }
 }

@@ -93,10 +93,7 @@ pub const GATES: [(&str, Gate); 7] = [
 /// once; and that the query form skipped at least one row somewhere.
 fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
-    use smda_stats::{
-        similarity_walk, top_k_cosine, top_k_query, top_k_tiled, Pairs, Resident, SeriesMatrix,
-        TileConfig,
-    };
+    use smda_stats::{top_k_cosine, top_k_query_counted, top_k_tiled, SeriesMatrix, TileConfig};
 
     // Never fewer than three query blocks of rows, `--smoke` included:
     // the AVX-512 tier's 8 × 4 register block needs eight query rows with
@@ -154,16 +151,15 @@ fn check_kernels(scale: Scale) -> std::result::Result<String, String> {
     // The query form on every row, and the rows it scored: a count that
     // repeats exactly. Every row scored on every query means the sketch
     // bounds stopped skipping anything.
-    let (cfg, rows, mut scored) = (TileConfig::default(), Resident::new(&matrix), 0);
+    let mut scored = 0;
     for (q, want) in naive.iter().enumerate() {
-        if !top_k_query(&matrix, q, SIMILARITY_TOP_K).bits_eq(want) {
+        let (hits, stats) = top_k_query_counted(&matrix, q, SIMILARITY_TOP_K);
+        if !hits.bits_eq(want) {
             return Err(format!(
                 "top_k_query diverged from naive for row {q} at n={n}"
             ));
         }
-        let Ok((_, stats)) =
-            similarity_walk(&rows, Pairs::Queries(&[q]), SIMILARITY_TOP_K, &cfg, None);
-        scored += stats.kernel.pairs_scored;
+        scored += stats.pairs_scored;
     }
     let every = (n * (n - 1)) as u64;
     if scored == every {

@@ -149,8 +149,7 @@ mod tests {
     #[test]
     fn the_query_form_skips_rows_on_generator_data() {
         use smda_stats::{
-            dot_scalar, select_top_k, similarity_walk, Pairs, Resident, SeriesMatrix,
-            SimilarityMatch,
+            dot_scalar, select_top_k, top_k_query_counted, SeriesMatrix, SimilarityMatch,
         };
         use smda_types::BitEq;
         let ds = crate::generator::generate_seed(&crate::generator::SeedConfig {
@@ -168,14 +167,7 @@ mod tests {
         let n = m.rows();
         let mut scored = 0;
         for q in 0..n {
-            let (hits, stats) = similarity_walk(
-                &Resident::new(&m),
-                Pairs::Queries(&[q]),
-                SIMILARITY_TOP_K,
-                &TileConfig::default(),
-                None,
-            )
-            .unwrap();
+            let (hits, stats) = top_k_query_counted(&m, q, SIMILARITY_TOP_K);
             let mut naive: Vec<SimilarityMatch> = (0..n)
                 .filter(|&j| j != q)
                 .map(|j| SimilarityMatch {
@@ -184,12 +176,12 @@ mod tests {
                 })
                 .collect();
             select_top_k(&mut naive, SIMILARITY_TOP_K);
-            assert!(hits[0].bits_eq(&naive), "query {q}");
+            assert!(hits.bits_eq(&naive), "query {q}");
             assert!(
-                stats.kernel.pairs_scored < (n - 1) as u64,
+                stats.pairs_scored < (n - 1) as u64,
                 "query {q} scored every row"
             );
-            scored += stats.kernel.pairs_scored;
+            scored += stats.pairs_scored;
         }
         // Step 0 measured about two rows in three skipped at n = 96.
         assert!(

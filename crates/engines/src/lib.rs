@@ -34,8 +34,8 @@ pub use capabilities::{Capabilities, Support};
 pub use columnar::ColumnarEngine;
 pub use numeric::NumericEngine;
 pub use oooc::{
-    record_format_counters, run_similarity_oooc, run_similarity_oooc_default, top_k_source_with,
-    SmcSource, DEFAULT_CACHE_BYTES, OOOC_ROW_THRESHOLD,
+    record_format_counters, run_similarity_oooc, top_k_source_with, SmcSource, DEFAULT_CACHE_BYTES,
+    OOOC_ROW_THRESHOLD,
 };
 pub use platform::{observe_session, ClusterTwin, Platform, RunResult, RunSpec, RunSpecBuilder};
 pub use pool::WorkerPool;

@@ -13,12 +13,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smda_core::{Task, SIMILARITY_TOP_K};
+use smda_stats::DEFAULT_BAND_ROWS;
 use smda_storage::{format_metrics, BinaryEncoding, BinaryStore, FileLayout, FileStore};
 use smda_types::{ConsumerId, Dataset, Error, Result};
 
 use crate::binary::BinarySource;
 use crate::capabilities::Capabilities;
-use crate::oooc::{record_format_counters, run_similarity_oooc_default, OOOC_ROW_THRESHOLD};
+use crate::oooc::{
+    record_format_counters, run_similarity_oooc, DEFAULT_CACHE_BYTES, OOOC_ROW_THRESHOLD,
+};
 use crate::parallel::{execute_task, ConsumerSource, MemorySource};
 use crate::platform::{Platform, RunResult, RunSpec};
 
@@ -227,7 +230,14 @@ impl Platform for NumericEngine {
                         // straight off the file instead. Same bits.
                         // (`run_similarity_oooc` records its own
                         // format-counter delta.)
-                        run_similarity_oooc_default(&store, SIMILARITY_TOP_K, *threads, metrics)?
+                        run_similarity_oooc(
+                            &store,
+                            SIMILARITY_TOP_K,
+                            DEFAULT_BAND_ROWS,
+                            DEFAULT_CACHE_BYTES,
+                            *threads,
+                            metrics,
+                        )?
                     } else {
                         let make = {
                             let store = store.clone();

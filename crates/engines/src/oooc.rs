@@ -29,8 +29,8 @@ use std::ops::Range;
 use smda_core::{consumer_matches, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
-    band_count, band_pair_count, similarity_walk, OoocStats, Pairs, SeriesSource, SimilarityMatch,
-    Streamed, TileConfig, DEFAULT_BAND_ROWS,
+    band_count, band_pair_count, similarity_walk, OoocStats, SeriesSource, SimilarityMatch,
+    Streamed, TileConfig,
 };
 use smda_storage::{format_metrics, BinaryStore, FormatCounters, RowGroupCache};
 use smda_types::{Error, Result};
@@ -127,7 +127,7 @@ pub fn top_k_source_with(
     let shape = (src.rows(), src.stride());
     let pairs = band_pair_count(band_count(src.rows(), band_rows));
     let (matches, stats) = pooled_top_k(shape, pairs, k, threads, metrics, |claim| {
-        similarity_walk(&rows, Pairs::All, k, &cfg, Some(claim))
+        similarity_walk(&rows, k, &cfg, Some(claim))
     })?;
     metrics.incr(counters::OOOC_RUNS, 1);
     metrics.incr(counters::OOOC_BANDS_LOADED, stats.bands_loaded);
@@ -176,24 +176,6 @@ pub fn run_similarity_oooc(
     };
     record_format_counters(metrics, &format_metrics::snapshot().since(&before));
     Ok(TaskOutput::Similarity(consumer_matches(&ids, matches)))
-}
-
-/// [`run_similarity_oooc`] with the engine defaults
-/// ([`DEFAULT_BAND_ROWS`], [`DEFAULT_CACHE_BYTES`]).
-pub fn run_similarity_oooc_default(
-    store: &BinaryStore,
-    k: usize,
-    threads: usize,
-    metrics: &MetricsSink,
-) -> Result<TaskOutput> {
-    run_similarity_oooc(
-        store,
-        k,
-        DEFAULT_BAND_ROWS,
-        DEFAULT_CACHE_BYTES,
-        threads,
-        metrics,
-    )
 }
 
 #[cfg(test)]
@@ -268,6 +250,50 @@ mod tests {
                     assert!(stats.bands_loaded > 0);
                     assert!(stats.bytes_streamed > 0);
                 }
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_streamed_query_form_matches_top_k_query_on_both_encodings() {
+        use smda_stats::{band_count, top_k_query, Streamed};
+        let (n, band_rows, k) = (23, 4, 5);
+        let ds = pseudo_dataset(n as u32, HOURS_PER_YEAR);
+        let builder = SeriesMatrixBuilder::new(n, HOURS_PER_YEAR);
+        for (i, c) in ds.consumers().iter().enumerate() {
+            builder.set_row_normalized(i, c.readings());
+        }
+        let matrix = builder.finish();
+        // Two of the six row groups: reading every band in file order
+        // through the packed tier's cache evicts.
+        let cache_bytes = 2 * band_rows * HOURS_PER_YEAR * 8;
+        // Queries in four of the six bands, two sharing one.
+        let queries = [21usize, 2, 9, 6, 13];
+        for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
+            let path = tmp(&format!("queries-{encoding:?}"));
+            let store = BinaryStore::create(&path, &ds, encoding).unwrap();
+            assert!((cache_bytes as u64) < store.total_bytes().unwrap());
+            let source = SmcSource::over(&store, band_rows, cache_bytes);
+            let before = format_metrics::snapshot();
+            let (got, stats) = Streamed::new(&source, band_rows)
+                .top_k_queries(&queries, k)
+                .unwrap();
+            for (slot, &q) in queries.iter().enumerate() {
+                let want = top_k_query(&matrix, q, k);
+                assert_eq!(
+                    matches_bits(&got[slot..=slot]),
+                    matches_bits(&[want]),
+                    "{encoding:?} query {q}"
+                );
+            }
+            assert_eq!(stats.norms_computed, n as u64, "{encoding:?}");
+            let loads = queries.len() + band_count(n, band_rows);
+            assert_eq!(stats.bands_loaded, loads as u64, "{encoding:?}");
+            if encoding == BinaryEncoding::Packed {
+                // The counters are process-wide: other tests only add.
+                let counted = format_metrics::snapshot().since(&before);
+                assert!(counted.cache_evictions > 0, "{counted:?}");
             }
             std::fs::remove_file(&path).unwrap();
         }
@@ -452,7 +478,7 @@ mod tests {
                 let pair = || claim().map(|t| t..t + 1);
                 let bands = Streamed::new(&src, band_rows);
                 let (parts, scored): (Vec<_>, Vec<_>) = (0..3)
-                    .map(|_| similarity_walk(&bands, Pairs::All, k, &cfg, Some(&pair)).unwrap())
+                    .map(|_| similarity_walk(&bands, k, &cfg, Some(&pair)).unwrap())
                     .map(|(p, s)| (p, s.kernel.pairs_scored))
                     .unzip();
                 check_resident("banded partials", &merge_partials(n, parts, k), scored.iter().sum());

@@ -25,7 +25,7 @@ use smda_core::{consumer_matches, ConsumerTask, Task, TaskOutput};
 use smda_obs::{counters, MetricsSink};
 use smda_stats::{
     band_pair_count, merge_partials, similarity_walk, with_fit_scratch, KernelStats, OoocStats,
-    Pairs, Resident, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
+    Resident, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
 use smda_types::{ConsumerId, ConsumerSeries, Error, Result, HOURS_PER_YEAR};
 
@@ -235,7 +235,7 @@ pub fn top_k_matrix(
     let pairs = band_pair_count(cfg.tile_rows(matrix.rows()));
     let rows = Resident::new(matrix);
     let Ok((matches, stats)) = pooled_top_k(shape, pairs, k, threads, metrics, |claim| {
-        similarity_walk(&rows, Pairs::All, k, &cfg, Some(claim))
+        similarity_walk(&rows, k, &cfg, Some(claim))
     });
     (matches, stats.kernel)
 }

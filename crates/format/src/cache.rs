@@ -35,8 +35,9 @@
 //! of its rows and evicting a group the next span needs. Instead the
 //! resident groups serve their rows as hits, and a missed row costs the
 //! decode of that row alone. Whole-group spans — the sketch pass, the
-//! query form's bands, [`RowGroupCache::group`] — decode, admit and
-//! prefetch as before.
+//! bands of the streamed query form (`smda_stats::Streamed::top_k_queries`,
+//! every band once in file order), [`RowGroupCache::group`] — decode,
+//! admit and prefetch as before.
 //!
 //! Groups are handed out as `Arc<Vec<f64>>`, so an evicted group a
 //! reader still holds stays valid — eviction only drops the cache's

@@ -10,14 +10,14 @@
 //!   plain dot products. Each row carries a sketch in the same
 //!   allocation — per hour of the week ([`SKETCH_PERIOD`]) its scaled
 //!   mean and residual norm — whose dot product bounds the row's score
-//!   against any other, so the query form scores only rows that can
+//!   against any other, so [`top_k_query`] scores only rows that can
 //!   still enter the top k (DESIGN.md §9).
 //! * [`SeriesMatrixBuilder`] — fills the matrix **in parallel**: workers
 //!   write disjoint rows through a shared reference, with a per-row
 //!   atomic write-once flag making double writes a panic instead of a
 //!   data race.
 //! * `PairScorer` — the one pair-scoring loop nest under every
-//!   similarity entry point. The similarity walk ([`similarity_walk`])
+//!   all-pairs entry point. The similarity walk ([`similarity_walk`])
 //!   lends it row blocks — rows of the resident matrix read in place in
 //!   chain order, or band buffers filled from a streamed source — and it
 //!   keeps a block of query rows hot in cache while candidate rows
@@ -30,9 +30,13 @@
 //!   matrix's, or those a streamed walk's sketch pass computed) miss both
 //!   endpoints' thresholds: running k-th scores, its own or those other
 //!   workers walking the same rows published (DESIGN.md §9).
-//! * [`top_k_tiled`], [`top_k_tiled_partial`], [`top_k_query`] — the
-//!   in-memory names of that walk; [`merge_partials`] merges the partials
-//!   of workers that together claimed every unit of it.
+//! * [`top_k_tiled`], [`top_k_tiled_partial`] — the in-memory names of
+//!   that walk; [`merge_partials`] merges the partials of workers that
+//!   together claimed every unit of it.
+//! * [`top_k_query`] — one row against the rest, no walk: every other
+//!   row ranked by its sketch bound against the query, then scored in
+//!   that order until the first bound below the query's running k-th
+//!   score.
 //!
 //! **Exactness**, for every tier and schedule (DESIGN.md §9): the same
 //! row bits go through `dot`'s own operations in `dot`'s order (a
@@ -55,7 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use crate::quantile::{from_ordered_key, ordered_key};
 use crate::simd::{active_tier, dot_block, SimdTier, WIDE_COLS, WIDE_ROWS};
 use crate::similarity::{dot, norm2, select_top_k, SimilarityMatch};
-use crate::walk::{similarity_walk, triangle_row, Pairs, Resident, RowBlock};
+use crate::walk::{similarity_walk, triangle_row, Resident, RowBlock};
 
 /// Every matrix starts on this byte boundary: a cache line, and a
 /// multiple of the 32-byte vector loads the kernels issue, so with a
@@ -266,16 +270,16 @@ impl<'a> Sketches<'a> {
         }
     }
 
-    /// The rows of `rows` but `q`, each with its widened bound against
-    /// row `q`, into `ranked`, highest bound first (ties by index).
-    pub(crate) fn rank_by_bound(&self, q: usize, rows: Range<usize>, ranked: &mut Vec<Ranked>) {
-        ranked.clear();
-        ranked.extend(
-            rows.filter(|&j| j != q)
-                .map(|index| Ranked { bound: 0.0, index }),
-        );
-        self.bound_against(q, ranked);
+    /// Every row but `q`, each with its widened bound against row `q`,
+    /// highest bound first (ties by index).
+    fn rank_by_bound(&self, q: usize) -> Vec<Ranked> {
+        let mut ranked: Vec<Ranked> = (0..self.rows())
+            .filter(|&j| j != q)
+            .map(|index| Ranked { bound: 0.0, index })
+            .collect();
+        self.bound_against(q, &mut ranked);
         ranked.sort_unstable_by(|a, b| b.bound.total_cmp(&a.bound).then(a.index.cmp(&b.index)));
+        ranked
     }
 
     /// Every row once, similar rows side by side: row 0 first, then
@@ -326,11 +330,11 @@ pub(crate) fn write_normalized(out: &mut [f64], sketch: &mut [f64], values: &[f6
     }
 }
 
-/// A candidate row of the query form and its widened bound.
+/// A candidate row and its widened bound.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Ranked {
-    pub(crate) bound: f64,
-    pub(crate) index: usize,
+struct Ranked {
+    bound: f64,
+    index: usize,
 }
 
 /// `f64` cell writable through a shared reference; rows of a
@@ -587,10 +591,10 @@ pub struct KernelStats {
     /// naive scan scores `n(n-1)` ordered pairs, this kernel at most
     /// `n(n-1)/2`: fewer where sketch bounds let it skip register blocks
     /// (and, over a streamed source, whole band pairs before they are
-    /// loaded), all of them where `k = 0` or `k ≥ n − 1`. The query form
-    /// over a resident matrix counts the rows it actually scored: at most
-    /// `n − 1` per query, fewer where sketch bounds let it skip rows; over
-    /// a streamed source it scores every row.
+    /// loaded), all of them where `k = 0` or `k ≥ n − 1`. A query form
+    /// counts the rows it scored: [`top_k_query`] at most `n − 1`, fewer
+    /// where sketch bounds let it stop early; a streamed source's query
+    /// form (`Streamed::top_k_queries`) every row but the query.
     pub pairs_scored: u64,
 }
 
@@ -608,14 +612,14 @@ impl KernelStats {
 /// full sort would keep — a function of the pushed *set*, not the push
 /// order.
 #[derive(Debug)]
-struct TopKBuffer {
+pub(crate) struct TopKBuffer {
     hits: Vec<SimilarityMatch>,
     k: usize,
     cap: usize,
 }
 
 impl TopKBuffer {
-    fn new(k: usize) -> TopKBuffer {
+    pub(crate) fn new(k: usize) -> TopKBuffer {
         TopKBuffer {
             hits: Vec::new(),
             k,
@@ -648,7 +652,7 @@ impl TopKBuffer {
     }
 
     /// The k best hits seen, best first.
-    fn finish(mut self) -> Vec<SimilarityMatch> {
+    pub(crate) fn finish(mut self) -> Vec<SimilarityMatch> {
         select_top_k(&mut self.hits, self.k);
         self.hits
     }
@@ -700,11 +704,9 @@ fn scan_rows(
     }
 }
 
-/// One worker's pair-scoring state: a bounded top-k buffer per slot,
-/// fed over whichever row blocks the similarity walk has lent. A slot is
-/// a row of the full matrix where every pair is scored
-/// ([`PairScorer::score`]), a query where only the queries' pairs are
-/// ([`PairScorer::score_queries`]).
+/// One worker's pair-scoring state: a bounded top-k buffer per row of the
+/// full matrix, fed over whichever row blocks the similarity walk has
+/// lent ([`PairScorer::score`]).
 pub(crate) struct PairScorer<'f> {
     bufs: Vec<TopKBuffer>,
     query_block: usize,
@@ -720,18 +722,17 @@ pub(crate) struct PairScorer<'f> {
 pub(crate) const NO_FLOOR: i64 = ordered_key(f64::NEG_INFINITY);
 
 impl<'f> PairScorer<'f> {
-    /// Empty buffers for `slots` slots; where the slots are the rows of
-    /// an all-pairs walk, `prune` holds their sketches, by which blocks
-    /// are skipped, and their floors, one per row, where other workers
-    /// share their thresholds.
+    /// Empty buffers for `rows` rows; `prune` holds their sketches, by
+    /// which blocks are skipped, and their floors, one per row, where
+    /// other workers share their thresholds.
     pub(crate) fn new(
-        slots: usize,
+        rows: usize,
         k: usize,
         cfg: &TileConfig,
         prune: Option<(Sketches<'f>, Option<&'f [AtomicI64]>)>,
     ) -> PairScorer<'f> {
         PairScorer {
-            bufs: (0..slots).map(|_| TopKBuffer::new(k)).collect(),
+            bufs: (0..rows).map(|_| TopKBuffer::new(k)).collect(),
             query_block: cfg.block(),
             pairs_scored: 0,
             sketches: prune.map(|(sketches, _)| sketches),
@@ -976,84 +977,86 @@ impl<'f> PairScorer<'f> {
         self.bufs[gj].push(SimilarityMatch { index: gi, score });
     }
 
-    /// Each query row (`rows[s]`, row `queries[s]` of the full matrix)
-    /// against every row of `band` but its own, credited to the query's
-    /// slot only. Four candidate rows stay hot while every query passes
-    /// over them ([`scan_rows`]); a query skips its own row by scanning
-    /// around it.
-    pub(crate) fn score_queries(&mut self, queries: &[usize], rows: &[&[f64]], band: RowBlock<'_>) {
-        for j in (0..band.rows()).step_by(4) {
-            let group = j..(j + 4).min(band.rows());
-            for (slot, (&q, query)) in queries.iter().zip(rows).enumerate() {
-                let parts = match group.clone().find(|&r| band.index(r) == q) {
-                    Some(own) => [group.start..own, own + 1..group.end],
-                    None => [group.clone(), group.end..group.end],
-                };
-                for part in parts {
-                    scan_rows(query, band, part, |c, score| {
-                        self.pairs_scored += 1;
-                        self.bufs[slot].push(SimilarityMatch {
-                            index: band.index(c),
-                            score,
-                        });
-                    });
-                }
-            }
-        }
-    }
-
-    /// Query row `query` (slot `slot`) against the rows `ranked` lists,
-    /// highest widened bound first ([`SeriesMatrix::rank_by_bound`]),
-    /// four at a time through [`dot_block`]: every row until the slot
-    /// holds k hits, then only rows whose widened bound reaches the
-    /// slot's k-th score. The first row below it ends the walk, since
-    /// every row after it is bounded lower still.
-    pub(crate) fn score_ranked(
-        &mut self,
-        slot: usize,
-        query: &[f64],
-        m: &SeriesMatrix,
-        ranked: &[Ranked],
-    ) {
-        let mut rest = ranked;
-        loop {
-            let kth = self.bufs[slot].kth();
-            let live = rest
-                .iter()
-                .take(4)
-                .take_while(|r| kth.is_none_or(|t| r.bound >= t))
-                .count();
-            if live == 0 {
-                return;
-            }
-            let (group, tail) = rest.split_at(live);
-            let mut scores = [0.0; 4];
-            match <&[Ranked; 4]>::try_from(group) {
-                Ok(four) => [scores] = dot_block([query], four.map(|r| m.row(r.index))),
-                Err(_) => {
-                    for (score, r) in scores.iter_mut().zip(group) {
-                        *score = dot(query, m.row(r.index));
-                    }
-                }
-            }
-            for (r, &score) in group.iter().zip(&scores) {
-                self.pairs_scored += 1;
-                self.bufs[slot].push(SimilarityMatch {
-                    index: r.index,
-                    score,
-                });
-            }
-            rest = tail;
-        }
-    }
-
-    /// Per-slot lists of the k best pairs scored, best first.
+    /// Per-row lists of the k best pairs scored, best first.
     pub(crate) fn finish(self) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
         let stats = KernelStats {
             pairs_scored: self.pairs_scored,
         };
         let matches = self.bufs.into_iter().map(TopKBuffer::finish).collect();
         (matches, stats)
+    }
+}
+
+/// Each query row (`rows[s]`, row `queries[s]` of the full matrix)
+/// against every row of `band` but its own, pushed to the query's list
+/// (`lists[s]`) only; returns the pairs scored. Four candidate rows stay
+/// hot while every query passes over them ([`scan_rows`]); a query skips
+/// its own row by scanning around it.
+pub(crate) fn score_queries(
+    lists: &mut [TopKBuffer],
+    queries: &[usize],
+    rows: &[&[f64]],
+    band: RowBlock<'_>,
+) -> u64 {
+    let mut scored = 0;
+    for j in (0..band.rows()).step_by(4) {
+        let group = j..(j + 4).min(band.rows());
+        for ((list, &q), query) in lists.iter_mut().zip(queries).zip(rows) {
+            let parts = match group.clone().find(|&r| band.index(r) == q) {
+                Some(own) => [group.start..own, own + 1..group.end],
+                None => [group.clone(), group.end..group.end],
+            };
+            for part in parts {
+                scan_rows(query, band, part, |c, score| {
+                    scored += 1;
+                    list.push(SimilarityMatch {
+                        index: band.index(c),
+                        score,
+                    });
+                });
+            }
+        }
+    }
+    scored
+}
+
+/// Query row `query` against the rows of `m` that `ranked` lists,
+/// highest widened bound first ([`Sketches::rank_by_bound`]), four at a
+/// time through [`dot_block`], pushed to `hits`: every row until it holds
+/// k hits, then only rows whose widened bound reaches its k-th score. The
+/// first row below it ends the scan, since every row after it is bounded
+/// lower still. Returns the rows scored.
+fn score_ranked(hits: &mut TopKBuffer, query: &[f64], m: &SeriesMatrix, ranked: &[Ranked]) -> u64 {
+    let mut scored = 0;
+    let mut rest = ranked;
+    loop {
+        let kth = hits.kth();
+        let live = rest
+            .iter()
+            .take(4)
+            .take_while(|r| kth.is_none_or(|t| r.bound >= t))
+            .count();
+        if live == 0 {
+            return scored;
+        }
+        let (group, tail) = rest.split_at(live);
+        let mut scores = [0.0; 4];
+        match <&[Ranked; 4]>::try_from(group) {
+            Ok(four) => [scores] = dot_block([query], four.map(|r| m.row(r.index))),
+            Err(_) => {
+                for (score, r) in scores.iter_mut().zip(group) {
+                    *score = dot(query, m.row(r.index));
+                }
+            }
+        }
+        for (r, &score) in group.iter().zip(&scores) {
+            scored += 1;
+            hits.push(SimilarityMatch {
+                index: r.index,
+                score,
+            });
+        }
+        rest = tail;
     }
 }
 
@@ -1084,7 +1087,7 @@ pub fn top_k_tiled_partial(
         assert!(t < tiles, "tile row {t} out of range ({tiles})");
         Some(triangle_row(tiles, t))
     };
-    let Ok((partial, stats)) = similarity_walk(&Resident::new(m), Pairs::All, k, cfg, Some(&row));
+    let Ok((partial, stats)) = similarity_walk(&Resident::new(m), k, cfg, Some(&row));
     (partial, stats.kernel)
 }
 
@@ -1121,21 +1124,37 @@ pub fn top_k_tiled(
     k: usize,
     cfg: &TileConfig,
 ) -> (Vec<Vec<SimilarityMatch>>, KernelStats) {
-    let Ok((matches, stats)) = similarity_walk(&Resident::new(m), Pairs::All, k, cfg, None);
+    let Ok((matches, stats)) = similarity_walk(&Resident::new(m), k, cfg, None);
     (matches, stats.kernel)
 }
 
-/// Score query row `q` against every other row of `m` — the walk's
-/// query form, the one-query kernel map-side joins and the server use
-/// (no symmetry to exploit across partitions). Bit-identical to row `q`
-/// of [`crate::top_k_cosine`] on the same data.
+/// The `k` rows of `m` (unit rows) most cosine-similar to row `q`, best
+/// first — the one-query kernel map-side joins and the server use (no
+/// symmetry to exploit across partitions). Every other row is ranked by
+/// its sketch bound against row `q` and scored in that order until the
+/// first whose bound is below the running k-th score (DESIGN.md §9).
+/// Bit-identical to row `q` of [`crate::top_k_cosine`] on the same data.
 ///
 /// # Panics
 /// Panics if `q` is not a row of `m`.
 pub fn top_k_query(m: &SeriesMatrix, q: usize, k: usize) -> Vec<SimilarityMatch> {
-    let cfg = TileConfig::current();
-    let Ok((mut hits, _)) = similarity_walk(&Resident::new(m), Pairs::Queries(&[q]), k, &cfg, None);
-    hits.pop().unwrap_or_default()
+    top_k_query_counted(m, q, k).0
+}
+
+/// [`top_k_query`] and the rows it scored: at most `n − 1`, fewer where
+/// sketch bounds let it stop early.
+///
+/// # Panics
+/// Panics if `q` is not a row of `m`.
+pub fn top_k_query_counted(
+    m: &SeriesMatrix,
+    q: usize,
+    k: usize,
+) -> (Vec<SimilarityMatch>, KernelStats) {
+    let ranked = m.sketches().rank_by_bound(q);
+    let mut hits = TopKBuffer::new(k);
+    let pairs_scored = score_ranked(&mut hits, m.row(q), m, &ranked);
+    (hits.finish(), KernelStats { pairs_scored })
 }
 
 #[cfg(test)]

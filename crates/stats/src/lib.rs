@@ -33,8 +33,8 @@ mod walk;
 pub use descriptive::{mean, sample_variance, stddev};
 pub use histogram::{count_buckets, EquiWidthHistogram, HistogramSpec};
 pub use kernels::{
-    merge_partials, top_k_query, top_k_tiled, top_k_tiled_partial, KernelStats, SeriesMatrix,
-    SeriesMatrixBuilder, TileConfig,
+    merge_partials, top_k_query, top_k_query_counted, top_k_tiled, top_k_tiled_partial,
+    KernelStats, SeriesMatrix, SeriesMatrixBuilder, TileConfig,
 };
 pub use kmeans::{KMeans, KMeansConfig};
 pub use linalg::Matrix;
@@ -55,4 +55,4 @@ pub use similarity::{
     cosine_similarity, dot, dot_scalar, norm2, norm2_rows, normalize_all, select_top_k, sumsq,
     top_k_cosine, SimilarityMatch,
 };
-pub use walk::{band_count, band_pair_count, similarity_walk, Pairs, Resident, Streamed};
+pub use walk::{band_count, band_pair_count, similarity_walk, Resident, Streamed};

@@ -13,7 +13,9 @@
 //! `O(n · (k + 2 + sketch))` shared: the top-k lists, one norm and one
 //! floor per row, and for an all-pairs walk that can skip, each row's
 //! 337-value sketch and the chain over them — instead of
-//! `O(n · stride)`.
+//! `O(n · stride)`. The query form over a source,
+//! [`Streamed::top_k_queries`], is no walk: it holds the query rows and
+//! one band buffer, and reads every band once, in file order.
 //!
 //! Memory model, scheduler diagram, and cache policy: DESIGN.md §16.
 
@@ -23,7 +25,7 @@ use smda_types::Result;
 
 use crate::kernels::{KernelStats, TileConfig};
 use crate::similarity::SimilarityMatch;
-use crate::walk::{similarity_walk, Pairs, Streamed};
+use crate::walk::{similarity_walk, Streamed};
 
 /// Band height the engines use by default: 256 rows × 8760 h × 8 B
 /// ≈ 18 MB per band buffer, two buffers per worker.
@@ -122,7 +124,7 @@ pub fn top_k_oooc(
     band_rows: usize,
     cfg: &TileConfig,
 ) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
-    similarity_walk(&Streamed::new(src, band_rows), Pairs::All, k, cfg, None)
+    similarity_walk(&Streamed::new(src, band_rows), k, cfg, None)
 }
 
 #[cfg(test)]
@@ -136,16 +138,14 @@ mod tests {
     use smda_types::{BitEq, Error};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// The walk's query form over `src` at `band_rows` rows per band.
+    /// The query form over `src` at `band_rows` rows per band.
     fn top_k_queries(
         src: &dyn SeriesSource,
         queries: &[usize],
         k: usize,
         band_rows: usize,
     ) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
-        let rows = Streamed::new(src, band_rows);
-        let cfg = TileConfig::default();
-        similarity_walk(&rows, Pairs::Queries(queries), k, &cfg, None)
+        Streamed::new(src, band_rows).top_k_queries(queries, k)
     }
 
     #[test]
@@ -248,7 +248,7 @@ mod tests {
         let mut partials = Vec::new();
         let mut merged_stats = OoocStats::default();
         for _ in 0..3 {
-            let (p, s) = similarity_walk(&rows, Pairs::All, 3, &cfg, Some(&claim)).unwrap();
+            let (p, s) = similarity_walk(&rows, 3, &cfg, Some(&claim)).unwrap();
             merged_stats.merge(&s);
             partials.push(p);
         }

@@ -1,5 +1,5 @@
-//! The similarity walk: every top-k in the workspace is one loop over
-//! band pairs.
+//! The similarity walk: every all-pairs top-k in the workspace is one
+//! loop over band pairs.
 //!
 //! Split the `n` rows into `B = ⌈n / band_rows⌉` bands. The unordered
 //! row pairs `{i, j}` are partitioned exactly by the `B(B+1)/2` band
@@ -17,7 +17,7 @@
 //!   first load and shared by every worker walking the same
 //!   [`Streamed`] (DESIGN.md §16).
 //!
-//! An all-pairs walk over either cuts its bands from one chain order
+//! The walk over either cuts its bands from one chain order
 //! (`Sketches::chain`: each row followed by the one its sketch bounds
 //! highest against), not row order: band `b` is rows
 //! `chain[b·h..(b+1)·h]`. A register block whose every pair's sketch
@@ -43,13 +43,12 @@
 //! pairs can enter a top k under the thresholds held is skipped before
 //! either band is loaded.
 //!
-//! The query form ([`Pairs::Queries`]) holds the query rows resident as
-//! one more band and walks that band's one row of pairs: the queries
-//! against each band in turn, so a streamed source is read once, in file
-//! order, and sketched not at all. Over a resident matrix it reads each
-//! claimed band's rows in the order of their sketch bounds against the
-//! query instead, and stops at the first row whose bound cannot reach the
-//! query's running k-th score (DESIGN.md §9).
+//! Neither query form (one row against every other) walks band pairs.
+//! Over a resident matrix it is [`crate::top_k_query`], a ranked scan by
+//! sketch bound (DESIGN.md §9); over a streamed source,
+//! [`Streamed::top_k_queries`]: the query rows are loaded first, then
+//! every band once, in file order, against all of them, and nothing is
+//! sketched.
 //!
 //! **Bit-identity** across every form, source, band height and schedule
 //! is the one exactness argument of [`crate::kernels`]: lent rows carry
@@ -65,30 +64,19 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use smda_types::{ConsumerSeries, Error, Result};
 
 use crate::kernels::{
-    sketch_width, write_normalized, PairScorer, SeriesMatrix, Sketches, TileConfig, NO_FLOOR,
+    score_queries, sketch_width, write_normalized, PairScorer, SeriesMatrix, Sketches, TileConfig,
+    TopKBuffer, NO_FLOOR,
 };
 use crate::oooc::{OoocStats, SeriesSource};
 use crate::similarity::{norm2_rows, SimilarityMatch};
 
-/// Which pairs a walk scores.
-#[derive(Debug, Clone, Copy)]
-pub enum Pairs<'q> {
-    /// Every unordered pair of rows, one top-k list per row. A claimed
-    /// unit is a band pair, `0..band_pair_count(bands)`.
-    All,
-    /// Each listed row against every other row, one top-k list per
-    /// query in the order given. A claimed unit is a band,
-    /// `0..band_count(rows, band_rows)`.
-    Queries(&'q [usize]),
-}
-
 /// A [`SeriesSource`] read `band_rows` raw rows at a time (zero is read
-/// as one): the rows of an out-of-core walk. Every worker walking this
-/// one value shares what is learnt of the rows: each row's norm,
-/// computed on the row's first load by whichever worker loads it; for an
-/// all-pairs walk, every row's sketch and the chain, built by the sketch
-/// pass of the first worker while the others wait; and each row's floor,
-/// as [`Resident`] shares it (DESIGN.md §16).
+/// as one): the rows of an out-of-core walk or query set. Every worker
+/// walking this one value shares what is learnt of the rows: each row's
+/// norm, computed on the row's first load by whichever worker loads it;
+/// for a walk that can skip, every row's sketch and the chain, built by
+/// the sketch pass of the first worker while the others wait; and each
+/// row's floor, as [`Resident`] shares it (DESIGN.md §16).
 pub struct Streamed<'a> {
     source: &'a dyn SeriesSource,
     band_rows: usize,
@@ -127,8 +115,8 @@ impl<'a> Streamed<'a> {
 
 /// A resident [`SeriesMatrix`] of unit rows, lent in place: the rows of
 /// an in-memory walk. Every worker walking this one value shares two
-/// things the all-pairs walk builds on first use (the query form builds
-/// neither): the chain order the rows are lent in (`Sketches::chain`),
+/// things the walk builds on first use: the chain order the rows are lent
+/// in (`Sketches::chain`),
 /// built by the first worker while the others wait, so a pool builds it
 /// once; and each row's floor, so that every worker skips register
 /// blocks by the best threshold the pool knows (DESIGN.md §9).
@@ -354,23 +342,6 @@ pub trait BandRows {
         bands: (usize, usize),
         stats: &mut OoocStats,
     ) -> std::result::Result<[RowBlock<'a>; 2], Self::Error>;
-
-    /// The resident matrix, whose row sketches let the query form skip
-    /// rows that cannot enter a top k (DESIGN.md §9); a streamed source's
-    /// query form builds no sketch and is scanned in full.
-    fn resident(&self) -> Option<&SeriesMatrix> {
-        None
-    }
-
-    /// The unit rows of `queries`, in order, lent in place or copied
-    /// into `held`.
-    fn queries<'a>(
-        &'a self,
-        bufs: &mut Self::Buffers,
-        queries: &[usize],
-        held: &'a mut Vec<f64>,
-        stats: &mut OoocStats,
-    ) -> std::result::Result<Vec<&'a [f64]>, Self::Error>;
 }
 
 /// Resident unit rows, lent in place in chain order.
@@ -409,10 +380,6 @@ impl BandRows for Resident<'_> {
         }))
     }
 
-    fn resident(&self) -> Option<&SeriesMatrix> {
-        Some(self.matrix)
-    }
-
     fn pair<'a>(
         &'a self,
         _: &'a mut (),
@@ -425,16 +392,6 @@ impl BandRows for Resident<'_> {
             matrix: self.matrix,
             ids: &chain[b * band_rows..((b + 1) * band_rows).min(chain.len())],
         }))
-    }
-
-    fn queries<'a>(
-        &'a self,
-        _: &mut (),
-        queries: &[usize],
-        _: &'a mut Vec<f64>,
-        _: &mut OoocStats,
-    ) -> std::result::Result<Vec<&'a [f64]>, Infallible> {
-        Ok(queries.iter().map(|&q| self.matrix.row(q)).collect())
     }
 }
 
@@ -567,34 +524,53 @@ impl BandRows for Streamed<'_> {
             }
         }))
     }
+}
 
-    fn queries<'a>(
-        &'a self,
-        bufs: &mut StreamBuffers,
+impl Streamed<'_> {
+    /// The query form over a streamed source: for each row `queries`
+    /// lists, in the order given, the `k` most cosine-similar other rows,
+    /// best first, each list bit-identical to [`crate::top_k_query`]'s
+    /// over the in-memory matrix. The query rows are loaded first, one at
+    /// a time, then every band once, in file order, and scored against
+    /// all of them (`score_queries`): `queries.len() + B` loads, each
+    /// row's norm computed once, nothing sketched. Fails on a bad load or
+    /// a query index past the last row ([`Error::Invalid`]), or on a row
+    /// no year may hold ([`Error::Schema`]).
+    pub fn top_k_queries(
+        &self,
         queries: &[usize],
-        held: &'a mut Vec<f64>,
-        stats: &mut OoocStats,
-    ) -> Result<Vec<&'a [f64]>> {
+        k: usize,
+    ) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
         let (n, stride) = self.shape();
-        let mut row = Band::default();
+        let mut bufs = self.buffers();
+        let (band, scratch, norms) = (&mut bufs.bands[0], &mut bufs.scratch, &mut bufs.norms);
+        let mut stats = OoocStats::default();
+        let mut held = Vec::with_capacity(queries.len() * stride);
         for &q in queries {
             if q >= n {
                 return Err(Error::Invalid(format!("query row {q} out of range ({n})")));
             }
-            row.ids.clear();
-            row.ids.push(q);
-            let (scratch, norms) = (&mut bufs.scratch, &mut bufs.norms);
-            self.load(&mut row, scratch, norms, stats, normalize_band)?;
-            held.extend_from_slice(&row.data);
+            band.ids.clear();
+            band.ids.push(q);
+            self.load(band, scratch, norms, &mut stats, normalize_band)?;
+            held.extend_from_slice(&band.data);
         }
-        let held: &'a [f64] = held;
-        Ok((0..queries.len())
+        let rows: Vec<&[f64]> = (0..queries.len())
             .map(|s| &held[s * stride..(s + 1) * stride])
-            .collect())
+            .collect();
+        let mut lists: Vec<TopKBuffer> = queries.iter().map(|_| TopKBuffer::new(k)).collect();
+        let band_rows = self.band_rows.max(1);
+        for start in (0..n).step_by(band_rows) {
+            band.ids.clear();
+            band.ids.extend(start..(start + band_rows).min(n));
+            self.load(band, scratch, norms, &mut stats, normalize_band)?;
+            let (data, ids) = (&band.data, &band.ids);
+            let block = RowBlock::Loaded { data, ids, stride };
+            stats.kernel.pairs_scored += score_queries(&mut lists, queries, &rows, block);
+        }
+        Ok((lists.into_iter().map(TopKBuffer::finish).collect(), stats))
     }
-}
 
-impl Streamed<'_> {
     /// Every row's sketch and the chain over them, built once for every
     /// worker walking these rows.
     fn sketched(&self, bufs: &mut StreamBuffers, stats: &mut OoocStats) -> Result<&Sketched> {
@@ -756,36 +732,28 @@ fn normalize_band(data: &mut [f64], stride: usize, norms: &[f64]) {
 
 /// One worker's share of the similarity walk: repeatedly claim a range
 /// of units from `claim` (e.g. an atomic counter shared across
-/// workers; `None` walks every unit) and score them — for
-/// [`Pairs::All`] a band pair each of chain-ordered bands, the diagonal
-/// ones the triangle inside one band and the others the cross product of
-/// two, skipping the register blocks whose sketch bounds miss both
-/// endpoints' thresholds (and, over a streamed source, a band pair all of
-/// whose blocks would be skipped, before it is loaded); for
-/// [`Pairs::Queries`] a band each, against every query (over a resident
-/// matrix, only the band's rows whose sketch bound can still reach the
-/// query's running k-th score; DESIGN.md §9). Returns per-slot partial
-/// top-k lists, each the k best of the pairs this worker scored, plus
-/// what the walk did. A claimed pair it skipped lies below a k-th score
-/// some worker walking the same rows held for each of its rows, so it
-/// could not have entered either row's final list.
+/// workers; `None` walks every unit) and score them — a band pair each
+/// of chain-ordered bands, the diagonal ones the triangle inside one band
+/// and the others the cross product of two, skipping the register blocks
+/// whose sketch bounds miss both endpoints' thresholds (and, over a
+/// streamed source, a band pair all of whose blocks would be skipped,
+/// before it is loaded; DESIGN.md §9). Returns per-row partial top-k
+/// lists, each the k best of the pairs this worker scored, plus what the
+/// walk did. A claimed pair it skipped lies below a k-th score some
+/// worker walking the same rows held for each of its rows, so it could
+/// not have entered either row's final list.
 ///
-/// Over [`Pairs::All`] the output is bit-identical to
-/// [`crate::top_k_cosine`] over the matrix `rows` describes, once the
-/// partials of workers whose claims together partition the units are
-/// merged ([`crate::merge_partials`]); over [`Pairs::Queries`] each list
-/// is bit-identical to [`crate::top_k_cosine`]'s row for its query.
-/// [`Resident`] rows cannot fail; a [`Streamed`]
-/// source fails on a bad load or a query index past its last row
-/// ([`Error::Invalid`]), or on a row no year may hold
-/// ([`Error::Schema`]).
+/// The output is bit-identical to [`crate::top_k_cosine`] over the
+/// matrix `rows` describes, once the partials of workers whose claims
+/// together partition the units `0..band_pair_count(bands)` are merged
+/// ([`crate::merge_partials`]). [`Resident`] rows cannot fail; a
+/// [`Streamed`] source fails on a bad load ([`Error::Invalid`]), or on a
+/// row no year may hold ([`Error::Schema`]).
 ///
 /// # Panics
-/// Panics on a claimed unit out of range, or on a query index past the
-/// last row of a resident matrix.
+/// Panics on a claimed unit out of range.
 pub fn similarity_walk<R: BandRows + ?Sized>(
     rows: &R,
-    pairs: Pairs<'_>,
     k: usize,
     cfg: &TileConfig,
     claim: Option<&dyn Fn() -> Option<Range<usize>>>,
@@ -793,43 +761,19 @@ pub fn similarity_walk<R: BandRows + ?Sized>(
     let (n, _) = rows.shape();
     let band_rows = rows.band_rows(cfg);
     let bands = band_count(n, band_rows);
+    let units = band_pair_count(bands);
     let mut bufs = rows.buffers();
     let mut stats = OoocStats::default();
-    let mut copies = Vec::new();
-    let (units, queries, pruning) = match pairs {
-        Pairs::All => {
-            let pruning = rows.prune(&mut bufs, k, &mut stats)?;
-            (band_pair_count(bands), None, pruning)
-        }
-        Pairs::Queries(ids) => {
-            let held = rows.queries(&mut bufs, ids, &mut copies, &mut stats)?;
-            (bands, Some((ids, held)), None)
-        }
-    };
-    // The query form's slots are queries, which hold no row's floor.
-    let slots = queries.as_ref().map_or(n, |(ids, _)| ids.len());
+    let pruning = rows.prune(&mut bufs, k, &mut stats)?;
     let loaded = pruning.as_ref().and_then(|p| p.loaded);
-    let mut scorer = PairScorer::new(slots, k, cfg, pruning.map(|p| (p.sketches, p.floors)));
-    let pruned = queries.as_ref().and(rows.resident());
-    let mut ranked = Vec::new();
+    let mut scorer = PairScorer::new(n, k, cfg, pruning.map(|p| (p.sketches, p.floors)));
     let everything = Cell::new(Some(0..units));
     let walk_everything = || everything.take();
     let claim = claim.unwrap_or(&walk_everything);
     while let Some(claimed) = claim() {
         assert!(claimed.end <= units, "claimed {claimed:?} of {units} units");
-        if let (Some((ids, held)), Some(m)) = (&queries, pruned) {
-            let span = claimed.start * band_rows..(claimed.end * band_rows).min(n);
-            for (slot, (&q, query)) in ids.iter().zip(held).enumerate() {
-                m.sketches().rank_by_bound(q, span.clone(), &mut ranked);
-                scorer.score_ranked(slot, query, m, &ranked);
-            }
-            continue;
-        }
         for t in claimed {
-            let (bi, bj) = match queries {
-                None => rows.band_pair(bands, t),
-                Some(_) => (t, t),
-            };
+            let (bi, bj) = rows.band_pair(bands, t);
             if let Some(chain) = loaded {
                 let band = |b: usize| &chain[b * band_rows..((b + 1) * band_rows).min(n)];
                 if bi != bj && scorer.cannot_enter_band(band(bi), band(bj)) {
@@ -837,10 +781,7 @@ pub fn similarity_walk<R: BandRows + ?Sized>(
                 }
             }
             let [a, b] = rows.pair(&mut bufs, band_rows, (bi, bj), &mut stats)?;
-            match &queries {
-                None => scorer.score(a, (bi != bj).then_some(b)),
-                Some((ids, held)) => scorer.score_queries(ids, held, a),
-            }
+            scorer.score(a, (bi != bj).then_some(b));
         }
     }
     let (matches, kernel) = scorer.finish();
@@ -887,7 +828,7 @@ mod tests {
         let resident = Resident::new(&m);
         let cfg = TileConfig::default();
         for k in [1, 4, 1] {
-            let Ok((got, stats)) = similarity_walk(&resident, Pairs::All, k, &cfg, None);
+            let Ok((got, stats)) = similarity_walk(&resident, k, &cfg, None);
             assert!(got.bits_eq(&top_k_cosine(&rows, k)), "k={k}");
             assert!(
                 stats.kernel.pairs_scored < 40 * 39 / 2,

@@ -11,8 +11,8 @@ use smda_stats::{
     norm2_rows, ols_multiple, ordered_key, quantile_sorted, quantiles_by_selection,
     sample_variance, select_top_k, similarity_walk, top_k_cosine, top_k_query, top_k_tiled,
     top_k_tiled_partial, under_every_tier, EquiWidthHistogram, FitScratch, GaussianNoise,
-    HourlyFit, KMeans, KMeansConfig, OnlineStats, Pairs, RankSelect, Resident, SegmentSums,
-    SelectCounts, SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
+    HourlyFit, KMeans, KMeansConfig, OnlineStats, RankSelect, Resident, SegmentSums, SelectCounts,
+    SeriesMatrix, SeriesMatrixBuilder, SimilarityMatch, TileConfig,
 };
 use smda_types::BitEq;
 
@@ -528,7 +528,7 @@ proptest! {
                     let claim = strided(w, units);
                     let unit = || claim().map(|t| t..t + 1);
                     let Ok((partial, stats)) =
-                        similarity_walk(&rows, Pairs::All, k, &cfg, Some(&unit));
+                        similarity_walk(&rows, k, &cfg, Some(&unit));
                     pooled.push(partial);
                     scored += stats.kernel.pairs_scored;
                 }
