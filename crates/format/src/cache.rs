@@ -47,7 +47,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use smda_types::{Error, Result};
 
@@ -94,6 +94,13 @@ impl<'a> RowGroupCache<'a> {
         }
     }
 
+    /// The cache's state. A panic while it was held leaves at worst a
+    /// group missing or a stale tick, never a wrong row, so a poisoned
+    /// lock is recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of groups the file splits into.
     fn group_count(&self) -> usize {
         self.file.n().div_ceil(self.group_rows)
@@ -101,7 +108,7 @@ impl<'a> RowGroupCache<'a> {
 
     /// Groups currently resident.
     fn resident_groups(&self) -> usize {
-        self.inner.lock().expect("cache lock").groups.len()
+        self.lock().groups.len()
     }
 
     fn group_bounds(&self, g: usize) -> Range<usize> {
@@ -124,12 +131,14 @@ impl<'a> RowGroupCache<'a> {
     fn evict_over_capacity(&self, inner: &mut Inner) {
         let mut evicted = 0u64;
         while inner.groups.len() > self.capacity_groups {
-            let lru = inner
+            let Some(lru) = inner
                 .groups
                 .iter()
                 .min_by_key(|(_, c)| c.last_used)
                 .map(|(g, _)| *g)
-                .expect("non-empty over-capacity cache");
+            else {
+                break;
+            };
             inner.groups.remove(&lru);
             evicted += 1;
         }
@@ -140,7 +149,7 @@ impl<'a> RowGroupCache<'a> {
 
     /// Group `g`'s rows if it is resident, marked used; a hit.
     fn cached(&self, g: usize) -> Option<Arc<Vec<f64>>> {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let c = inner.groups.get_mut(&g)?;
@@ -165,7 +174,7 @@ impl<'a> RowGroupCache<'a> {
         metrics::record_cache_miss();
         let data = Arc::new(self.decode_group(g)?);
         let prefetch = {
-            let mut inner = self.inner.lock().expect("cache lock");
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
             let sequential = inner.last_miss.is_some_and(|m| m + 1 == g);
@@ -184,7 +193,7 @@ impl<'a> RowGroupCache<'a> {
             // Best effort: a bad next block will surface on its own
             // explicit read.
             if let Ok(next) = self.decode_group(g + 1) {
-                let mut inner = self.inner.lock().expect("cache lock");
+                let mut inner = self.lock();
                 inner.tick += 1;
                 let tick = inner.tick;
                 inner.groups.entry(g + 1).or_insert(CachedGroup {

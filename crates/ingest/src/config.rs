@@ -11,7 +11,8 @@ use smda_types::{ConsumerId, DirtyDataPolicy, Error, Result};
 
 use crate::handle::SnapshotHandle;
 
-/// Default shard (worker) count.
+/// Default shard count: how many shards readings are hash-routed across
+/// (the threads that drain them are min(shards, host parallelism)).
 pub const DEFAULT_SHARDS: usize = 4;
 
 /// Default bounded-queue capacity per shard, in readings.
@@ -31,7 +32,9 @@ pub const DEFAULT_ALLOWED_LATENESS: u32 = 24;
 /// and zero-fills missing hours.
 #[derive(Clone)]
 pub struct IngestConfig {
-    /// Number of shard workers readings are hash-routed across.
+    /// Number of shards readings are hash-routed across, each with its
+    /// own queue, watermark and WAL. Not a thread count: the run drains
+    /// them on min(shards, host parallelism) owner threads.
     pub shards: usize,
     /// Bounded queue capacity per shard, in readings; a full queue
     /// blocks the router. Readings are handed over in chunks of up to

@@ -35,8 +35,10 @@
 //!    paper tasks run unchanged and are bit-identical to the offline
 //!    load path.
 //!
-//! Shard execution reuses [`smda_engines::WorkerPool`]; shard crashes
-//! and stragglers are injected from a
+//! Each shard is drained by one owner thread of the run (min(shards,
+//! host parallelism) of them, each owning every W-th shard), which parks
+//! while its queues are empty; shard crashes and stragglers are injected
+//! from a
 //! [`FaultPlan`](smda_cluster::FaultPlan) and recovered by replaying the
 //! shard's write-ahead log: a [`FrameLog`](smda_storage::FrameLog) of one
 //! checksummed frame per reading, so a damaged record fails recovery

@@ -1,4 +1,4 @@
-//! The sharded pipeline: router, bounded queues, shard workers, seal.
+//! The sharded pipeline: router, bounded queues, shard owners, seal.
 //!
 //! One router (the calling thread) validates and hash-routes readings
 //! into one pending chunk per shard and hands each chunk to that shard's
@@ -7,34 +7,38 @@
 //! when it holds `DRAIN_BATCH` (256) readings, when a reading with a
 //! newer event hour than any before it arrives (every pending chunk
 //! first, so a paced stream is never held back by more than one event
-//! hour), and at end of stream. Shard workers drawn from the process [`WorkerPool`]
-//! pop one chunk at a time, drive their [`ShardState`] with it and hand
-//! the emptied buffer back. The queue bounds *readings*: a hand-off that
-//! would overshoot blocks the router — backpressure, counted per
-//! stalled hand-off — and a closed, empty queue retires its shard. A
-//! stalled router sleeps until its queue has drained to half its
-//! capacity and is woken once, so router and worker trade the CPU once
-//! per half queue, not once per chunk.
+//! hour), and at end of stream.
+//!
+//! Each shard has one owner thread, W = min(shards, host parallelism) of
+//! them per run, thread `w` owning shards `w`, `w + W`, … and their
+//! [`ShardState`]s outright. An owner pops and applies one chunk at a
+//! time and hands the emptied buffer back; with its queues empty it
+//! parks until a push into one of them, the end of the stream or an
+//! abort. A hand-off that would overshoot the queue's capacity (in
+//! readings) stalls the router — backpressure, counted per stall — until
+//! the owner has drained the queue to half and woken it once. Nothing
+//! polls or times out.
 //!
 //! # Why results don't depend on scheduling
 //!
 //! Where the chunks are cut is a function of the stream, the shard count
 //! and the chunk length alone. Each queue is a FIFO of chunks, a chunk
-//! keeps router order, and a shard's state is only mutated under its
-//! state lock by whichever worker holds the *lease* (a `try_lock` on the
-//! state mutex), so every shard applies its readings in exactly the
-//! order the router sent them — which is itself a pure function of the
-//! input stream. Shard state is never shared across shards, and sealed
+//! keeps router order, and a shard's state is only ever touched by its
+//! one owner, so every shard applies its readings in exactly the order
+//! the router sent them — which is itself a pure function of the input
+//! stream. Shard state is never shared across shards, and sealed
 //! consumers are merged in consumer-id order. The scheduler decides only
 //! *when* work happens, never *what* the result is.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use smda_core::Alert;
-use smda_engines::WorkerPool;
+use smda_engines::pool::host_parallelism;
 use smda_obs::counters;
 use smda_types::{Error, Reading, Result, TemperatureSeries, HOURS_PER_YEAR};
 
@@ -43,12 +47,9 @@ use crate::shard::ShardState;
 use crate::snapshot::Snapshot;
 use crate::splitmix64;
 
-/// Readings in a full chunk — what the router hands over, and a worker
+/// Readings in a full chunk — what the router hands over, and an owner
 /// applies, per queue-lock acquisition.
 const DRAIN_BATCH: usize = 256;
-
-/// How long blocked threads nap between re-checks of shared flags.
-const NAP: Duration = Duration::from_millis(1);
 
 /// Which shard a consumer's readings are routed to: a stateless hash of
 /// the consumer id, so routing needs no directory and any number of
@@ -61,7 +62,7 @@ fn shard_of(consumer: smda_types::ConsumerId, shards: usize) -> usize {
 /// pushed through the metrics sink as `ingest.*` counters).
 #[derive(Debug, Clone, Default)]
 pub struct IngestReport {
-    /// Shard workers the pipeline ran with.
+    /// Shards the readings were hash-routed across (not threads).
     pub shards: u64,
     /// Readings that reached a shard (including late/duplicate ones).
     pub readings_in: u64,
@@ -78,11 +79,9 @@ pub struct IngestReport {
     /// scheduling. Per-reading hand-off would make it `readings_in`.
     pub chunks_routed: u64,
     /// Hand-offs that blocked on a full shard queue (at most one per
-    /// hand-off, however long it waited). A stalled hand-off resumes
-    /// only once its queue holds at most half its capacity, so on a
-    /// capacity `C` of 512 or more the router hands a shard at least
-    /// `C − C/2 − 256 + 1` readings between two of its stalls: at most
-    /// one stall per 1793 readings on the default 4096.
+    /// hand-off, however long it waited): at most one per
+    /// `C − C/2 − 256 + 1` readings a shard is handed for a queue
+    /// capacity `C` of 512 or more, see [`IngestConfig::queue_capacity`].
     pub backpressure_stalls: u64,
     /// Worst observed router-to-watermark lag, in event hours.
     pub watermark_lag_hours: u64,
@@ -116,15 +115,16 @@ pub struct IngestOutcome {
     pub dead_letters: Vec<Reading>,
 }
 
+#[derive(Default)]
 struct Queue {
-    /// Chunks in router order; a worker pops one whole chunk at a time.
+    /// Chunks in router order; the owner pops one whole chunk at a time.
     chunks: VecDeque<Vec<Reading>>,
     /// Readings across `chunks` — what `queue_capacity` bounds.
     readings: usize,
     /// Emptied chunk buffers on their way back to the router.
     spare: Vec<Vec<Reading>>,
     /// Set by a stalled router: the level at or below which its chunk
-    /// goes in. The worker whose pop drains the queue to it clears it
+    /// goes in. The owner's pop that drains the queue to it clears it
     /// and wakes the router — one wake per stall.
     resume_at: Option<usize>,
     closed: bool,
@@ -145,67 +145,56 @@ impl Queue {
     }
 }
 
+#[derive(Default)]
 struct ShardCell {
     queue: Mutex<Queue>,
     /// Readings the queue may hold (`IngestConfig::queue_capacity`).
     capacity: usize,
     /// Router waits here for queue space.
     space: Condvar,
-    state: Mutex<ShardState>,
-    done: AtomicBool,
+    /// The thread that owns this shard, unparked by a push into its
+    /// empty queue. Set by the owner before its first look at the queue.
+    owner: OnceLock<Thread>,
 }
 
 impl ShardCell {
-    fn new(shard: usize, cfg: &IngestConfig) -> Result<ShardCell> {
-        Ok(ShardCell {
-            queue: Mutex::new(Queue {
-                chunks: VecDeque::new(),
-                readings: 0,
-                spare: Vec::new(),
-                resume_at: None,
-                closed: false,
-            }),
-            capacity: cfg.queue_capacity,
-            space: Condvar::new(),
-            state: Mutex::new(ShardState::new(
-                shard,
-                cfg.allowed_lateness,
-                cfg.policy,
-                cfg.faults.clone(),
-                cfg.detectors.clone(),
-                cfg.wal_dir.as_deref(),
-            )?),
-            done: AtomicBool::new(false),
-        })
+    fn new(capacity: usize) -> ShardCell {
+        ShardCell {
+            capacity,
+            ..ShardCell::default()
+        }
+    }
+
+    fn wake_owner(&self) {
+        if let Some(owner) = self.owner.get() {
+            owner.unpark();
+        }
     }
 }
 
+#[derive(Default)]
 struct Control {
     aborted: AtomicBool,
     /// Newest event hour the router has handed to a shard
     /// (watermark-lag gauge).
     routed_hour: AtomicU32,
-    /// Workers nap here when every queue they can lease is empty.
-    idle: Mutex<()>,
-    wake: Condvar,
-    errors: Mutex<Vec<(usize, Error)>>,
 }
 
-impl Control {
-    fn new() -> Control {
-        Control {
-            aborted: AtomicBool::new(false),
-            routed_hour: AtomicU32::new(0),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            errors: Mutex::new(Vec::new()),
-        }
+/// Stop the run: every waiter is woken and sees the flag. A stalled
+/// router checks it under its queue's lock, so taking each lock before
+/// notifying means it is either seen or the notify finds the router
+/// waiting; an owner's unpark token outlives a park that has not begun.
+fn abort(cells: &[ShardCell], control: &Control) {
+    control.aborted.store(true, Ordering::Release);
+    for cell in cells {
+        drop(lock(&cell.queue));
+        cell.space.notify_all();
+        cell.wake_owner();
     }
 }
 
-/// Shrug off mutex poisoning: a panicking worker is surfaced through the
-/// pool's own panic propagation, and all pipeline state stays consistent
-/// at every await point.
+/// Shrug off mutex poisoning: an owner's panic aborts the run and
+/// resurfaces from its `join`, and the queues stay consistent.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -214,11 +203,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// it fits the queue's capacity. An empty queue admits any chunk, so a
 /// chunk longer than the space a drained queue can ever offer cannot
 /// wait forever. A chunk that does not fit stalls the router, counted
-/// once, until the worker has drained the queue to half its capacity
+/// once, until the owner has drained the queue to half its capacity
 /// (to empty, for a chunk longer than the other half) and woken it:
-/// hysteresis, so the two trade the CPU once per half queue. Returns the
-/// buffer to fill next (one a worker has emptied, when there is one), or
-/// `None` when the pipeline aborted mid-wait.
+/// hysteresis, so the two trade the CPU once per half queue. A chunk
+/// pushed into an empty queue unparks the owner. Returns the buffer to
+/// fill next (one the owner has emptied, when there is one), or `None`
+/// when the pipeline aborted mid-wait.
 fn hand_off(
     cell: &ShardCell,
     control: &Control,
@@ -230,17 +220,16 @@ fn hand_off(
         *stalls += 1;
         let resume_at = (cell.capacity / 2).min(cell.capacity.saturating_sub(chunk.len()));
         q.resume_at = Some(resume_at);
-        // The wake comes from the worker's pop; the nap only backs up a
-        // lost one and keeps the wait abort-aware.
+        // Woken by the owner's pop that reaches `resume_at`, or by
+        // `abort`.
         while q.readings > resume_at {
             if control.aborted.load(Ordering::Acquire) {
                 return None;
             }
-            let (guard, _) = cell
+            q = cell
                 .space
-                .wait_timeout(q, NAP)
+                .wait(q)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            q = guard;
         }
     }
     let was_empty = q.chunks.is_empty();
@@ -249,7 +238,7 @@ fn hand_off(
     let next = q.spare.pop().unwrap_or_default();
     drop(q);
     if was_empty {
-        control.wake.notify_all();
+        cell.wake_owner();
     }
     Some(next)
 }
@@ -308,7 +297,7 @@ impl<'a> Router<'a> {
         if self.pending[shard].is_empty() {
             return true;
         }
-        // Ahead of the hand-off: the worker that pops this chunk must
+        // Ahead of the hand-off: the owner that pops this chunk must
         // not read a routed hour older than the chunk's own readings,
         // or the lag gauge would under-report.
         self.control
@@ -325,26 +314,21 @@ impl<'a> Router<'a> {
     }
 }
 
-/// One worker slot: sweep all shards, leasing any state lock that is
-/// free, draining that shard's queue chunk by chunk. Returns when every
-/// shard is done or the pipeline aborted.
-fn consume_loop(cells: &[ShardCell], control: &Control) {
-    loop {
-        if control.aborted.load(Ordering::Acquire) {
-            return;
-        }
-        let mut progress = false;
-        let mut all_done = true;
-        for (shard, cell) in cells.iter().enumerate() {
-            if cell.done.load(Ordering::Acquire) {
-                continue;
-            }
-            all_done = false;
-            // The lease: only the state-lock holder pops this queue, so
-            // chunks apply in router order.
-            let Ok(mut state) = cell.state.try_lock() else {
-                continue;
-            };
+/// A shard's state, handed to its owner and back for the seal.
+type Owned = Vec<(usize, ShardState)>;
+
+/// One owner thread: drain each owned shard's queue chunk by chunk, then
+/// park. Returns the states once every owned queue is closed and drained
+/// or the run aborted, or a shard's error after aborting the run.
+fn own(cells: &[ShardCell], control: &Control, mut owned: Owned) -> Result<Owned> {
+    for (shard, _) in &owned {
+        // Owner indices partition the shards, so each is set once.
+        let _ = cells[*shard].owner.set(thread::current());
+    }
+    while !control.aborted.load(Ordering::Acquire) {
+        let (mut idle, mut open) = (true, false);
+        for (shard, state) in &mut owned {
+            let cell = &cells[*shard];
             // The buffer of the chunk just applied, returned to the
             // router under the same lock that pops the next one.
             let mut emptied: Option<Vec<Reading>> = None;
@@ -353,9 +337,7 @@ fn consume_loop(cells: &[ShardCell], control: &Control) {
                     let mut q = lock(&cell.queue);
                     q.spare.extend(emptied.take());
                     let Some(popped) = q.pop() else {
-                        if q.closed {
-                            cell.done.store(true, Ordering::Release);
-                        }
+                        open |= !q.closed;
                         break;
                     };
                     popped
@@ -363,40 +345,32 @@ fn consume_loop(cells: &[ShardCell], control: &Control) {
                 if wake {
                     cell.space.notify_all();
                 }
+                idle = false;
                 let routed = control.routed_hour.load(Ordering::Acquire);
                 if let Err(e) = state.process_batch(&chunk, routed) {
-                    lock(&control.errors).push((shard, e));
-                    control.aborted.store(true, Ordering::Release);
-                    control.wake.notify_all();
-                    return;
-                }
-                progress = true;
-                if control.aborted.load(Ordering::Acquire) {
-                    return;
+                    abort(cells, control);
+                    return Err(e);
                 }
                 chunk.clear();
                 emptied = Some(chunk);
             }
         }
-        if all_done {
-            return;
+        if !open {
+            break;
         }
-        if !progress {
-            let guard = lock(&control.idle);
-            drop(
-                control
-                    .wake
-                    .wait_timeout(guard, NAP)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
+        // A sweep that applied nothing saw each queue empty under its
+        // lock; a push since then left the token that ends this park.
+        if idle {
+            thread::park();
         }
     }
+    Ok(owned)
 }
 
 /// Run the full pipeline over `events` and seal the result.
 ///
-/// The calling thread is the router; shard workers come from
-/// [`WorkerPool::global`]. Under
+/// The calling thread is the router; the shards' owners are threads of
+/// the run, min(shards, host parallelism) of them. Under
 /// [`DirtyDataPolicy::FailFast`](smda_types::DirtyDataPolicy) the first
 /// late, duplicate, dirty or missing reading is an error; under
 /// `SkipAndCount` such readings are counted and dead-lettered and
@@ -407,10 +381,23 @@ where
 {
     cfg.validate()?;
     let run_started = Instant::now();
+    let owners = cfg.shards.min(host_parallelism());
+    let mut owned: Vec<Owned> = (0..owners).map(|_| Vec::new()).collect();
+    for shard in 0..cfg.shards {
+        let state = ShardState::new(
+            shard,
+            cfg.allowed_lateness,
+            cfg.policy,
+            cfg.faults.clone(),
+            cfg.detectors.clone(),
+            cfg.wal_dir.as_deref(),
+        )?;
+        owned[shard % owners].push((shard, state));
+    }
     let cells: Vec<ShardCell> = (0..cfg.shards)
-        .map(|shard| ShardCell::new(shard, cfg))
-        .collect::<Result<_>>()?;
-    let control = Control::new();
+        .map(|_| ShardCell::new(cfg.queue_capacity))
+        .collect();
+    let control = Control::default();
     let mut router = Router::new(&cells, &control, cfg.queue_capacity);
 
     let mut temps = vec![0.0f64; HOURS_PER_YEAR];
@@ -420,10 +407,34 @@ where
     let mut router_error: Option<Error> = None;
     let mut route_time = Duration::ZERO;
 
-    std::thread::scope(|scope| {
-        let workers = scope.spawn(|| {
-            WorkerPool::global().broadcast(cfg.shards, &|_slot| consume_loop(&cells, &control));
-        });
+    let joined = thread::scope(|scope| {
+        let (cells, control) = (&cells, &control);
+        let handles = owned
+            .into_iter()
+            .enumerate()
+            .map(|(w, shards)| {
+                // An owner that unwinds aborts the run first, so no
+                // router or other owner waits on it; `join` re-raises.
+                let run = move || {
+                    catch_unwind(AssertUnwindSafe(|| own(cells, control, shards))).unwrap_or_else(
+                        |panic| {
+                            abort(cells, control);
+                            resume_unwind(panic)
+                        },
+                    )
+                };
+                thread::Builder::new()
+                    .name(format!("smda-ingest-{w}"))
+                    .spawn_scoped(scope, run)
+            })
+            .collect::<std::io::Result<Vec<_>>>()
+            .map_err(|source| {
+                abort(cells, control);
+                Error::Io {
+                    context: "spawning an ingest shard owner".into(),
+                    source,
+                }
+            })?;
 
         let route_started = Instant::now();
         for r in events {
@@ -457,25 +468,26 @@ where
         // queues close. (After an abort this returns without waiting.)
         router.flush_all();
         route_time = route_started.elapsed();
-        for cell in &cells {
+        for cell in cells {
             lock(&cell.queue).closed = true;
+            cell.wake_owner();
         }
-        control.wake.notify_all();
-        // Join explicitly so a worker panic surfaces as this scope's
+        // Join explicitly so an owner's panic surfaces as this scope's
         // panic rather than an opaque scope abort.
-        if let Err(panic) = workers.join() {
-            std::panic::resume_unwind(panic);
-        }
-    });
+        Ok(handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect::<Vec<_>>())
+    })?;
 
-    let mut shard_errors = std::mem::take(&mut *lock(&control.errors));
-    shard_errors.sort_by_key(|(shard, _)| *shard);
     if let Some(e) = router_error {
         return Err(e);
     }
-    if let Some((_, e)) = shard_errors.into_iter().next() {
-        return Err(e);
+    let mut states = Vec::with_capacity(cfg.shards);
+    for owned in joined {
+        states.extend(owned?);
     }
+    states.sort_by_key(|(shard, _)| *shard);
 
     // Seal: drain every shard in index order, then merge by consumer id.
     let seal_started = Instant::now();
@@ -490,8 +502,7 @@ where
     let mut alerts: Vec<Alert> = Vec::new();
     let mut dead_letters = router_dead;
     let mut shard_busy = Duration::ZERO;
-    for cell in &cells {
-        let mut state = lock(&cell.state);
+    for (_, mut state) in states {
         sealed.extend(state.seal(&mut report.readings_missing)?);
         alerts.extend(state.take_alerts());
         dead_letters.extend(state.take_dead_letters());
@@ -534,42 +545,28 @@ where
     });
     let seal_time = seal_started.elapsed();
 
-    let m = &cfg.metrics;
-    m.incr(counters::INGEST_READINGS_IN, report.readings_in);
-    m.incr(counters::INGEST_READINGS_LATE, report.readings_late);
-    m.incr(
-        counters::INGEST_READINGS_DUPLICATE,
-        report.readings_duplicate,
-    );
-    m.incr(counters::INGEST_READINGS_MISSING, report.readings_missing);
-    m.incr(counters::INGEST_READINGS_DIRTY, report.readings_dirty);
-    m.incr(counters::INGEST_CHUNKS_ROUTED, report.chunks_routed);
-    m.incr(
-        counters::INGEST_BACKPRESSURE_STALLS,
-        report.backpressure_stalls,
-    );
-    m.incr(
-        counters::INGEST_WATERMARK_LAG_HOURS,
-        report.watermark_lag_hours,
-    );
-    m.incr(counters::INGEST_CONSUMERS_SEALED, report.consumers_sealed);
-    m.incr(counters::INGEST_ALERTS, alerts.len() as u64);
-    m.incr(
-        counters::INGEST_WAL_RECORDS_REPLAYED,
-        report.wal_records_replayed,
-    );
-    m.incr(
-        counters::FAULTS_INJECTED_NODE_CRASH,
-        report.crashes_injected,
-    );
-    m.incr(
-        counters::FAULTS_RECOVERED_NODE_CRASH,
-        report.crashes_recovered,
-    );
-    m.incr(
-        counters::FAULTS_INJECTED_TASK_FAILURE,
-        report.failures_injected,
-    );
+    let (m, r) = (&cfg.metrics, &report);
+    for (counter, value) in [
+        (counters::INGEST_READINGS_IN, r.readings_in),
+        (counters::INGEST_READINGS_LATE, r.readings_late),
+        (counters::INGEST_READINGS_DUPLICATE, r.readings_duplicate),
+        (counters::INGEST_READINGS_MISSING, r.readings_missing),
+        (counters::INGEST_READINGS_DIRTY, r.readings_dirty),
+        (counters::INGEST_CHUNKS_ROUTED, r.chunks_routed),
+        (counters::INGEST_BACKPRESSURE_STALLS, r.backpressure_stalls),
+        (counters::INGEST_WATERMARK_LAG_HOURS, r.watermark_lag_hours),
+        (counters::INGEST_CONSUMERS_SEALED, r.consumers_sealed),
+        (counters::INGEST_ALERTS, alerts.len() as u64),
+        (
+            counters::INGEST_WAL_RECORDS_REPLAYED,
+            r.wal_records_replayed,
+        ),
+        (counters::FAULTS_INJECTED_NODE_CRASH, r.crashes_injected),
+        (counters::FAULTS_RECOVERED_NODE_CRASH, r.crashes_recovered),
+        (counters::FAULTS_INJECTED_TASK_FAILURE, r.failures_injected),
+    ] {
+        m.incr(counter, value);
+    }
     m.add_phase(&["ingest"], run_started.elapsed());
     m.add_phase(&["ingest", "route"], route_time);
     m.add_phase(&["ingest", "shard"], shard_busy);
@@ -673,13 +670,6 @@ mod tests {
         }
     }
 
-    fn with_capacity(queue_capacity: usize) -> IngestConfig {
-        IngestConfig {
-            queue_capacity,
-            ..IngestConfig::new()
-        }
-    }
-
     fn queued(cell: &ShardCell) -> Vec<Reading> {
         let q = lock(&cell.queue);
         let flat: Vec<Reading> = q.chunks.iter().flatten().copied().collect();
@@ -698,8 +688,8 @@ mod tests {
         // overshoot. Either way the hand-off must stall exactly once,
         // then be admitted by the drained — empty — queue.
         for (capacity, held, chunk) in [(1usize, 1u32, 1u32), (7, 5, 3)] {
-            let cell = ShardCell::new(0, &with_capacity(capacity)).unwrap();
-            let control = Control::new();
+            let cell = ShardCell::new(capacity);
+            let control = Control::default();
             {
                 let mut q = lock(&cell.queue);
                 q.chunks
@@ -740,8 +730,8 @@ mod tests {
         // queue tells it the hand-off went through at the level its
         // previous pop left.
         for capacity in [1usize, 7, 512, 4096] {
-            let cell = ShardCell::new(0, &with_capacity(capacity)).unwrap();
-            let control = Control::new();
+            let cell = ShardCell::new(capacity);
+            let control = Control::default();
             let step = (capacity / 8).max(1);
             {
                 let mut q = lock(&cell.queue);
@@ -802,10 +792,10 @@ mod tests {
     fn an_empty_queue_admits_a_chunk_longer_than_its_capacity() {
         // Not a state the router produces (its chunks are capped at the
         // capacity), but the rule that makes capacity 1 deadlock-free.
-        let cell = ShardCell::new(0, &with_capacity(1)).unwrap();
+        let cell = ShardCell::new(1);
         let mut stalls = 0;
         let chunk = (0..5).map(|h| reading(1, h)).collect();
-        assert!(hand_off(&cell, &Control::new(), chunk, &mut stalls).is_some());
+        assert!(hand_off(&cell, &Control::default(), chunk, &mut stalls).is_some());
         assert_eq!(stalls, 0);
         assert_eq!(queued(&cell).len(), 5);
     }
@@ -813,8 +803,8 @@ mod tests {
     #[test]
     fn a_newer_hour_hands_over_every_earlier_reading() {
         let cfg = IngestConfig::new().with_shards(3);
-        let cells: Vec<ShardCell> = (0..3).map(|s| ShardCell::new(s, &cfg).unwrap()).collect();
-        let control = Control::new();
+        let cells: Vec<ShardCell> = (0..3).map(|_| ShardCell::new(cfg.queue_capacity)).collect();
+        let control = Control::default();
         let mut router = Router::new(&cells, &control, cfg.queue_capacity);
         let hour4: Vec<Reading> = (1..=10).map(|c| reading(c, 4)).collect();
         for r in &hour4 {

@@ -1,11 +1,10 @@
 //! Per-shard ingest state: watermark, accumulators, WAL, fault injection.
 //!
 //! A [`ShardState`] owns every consumer hash-routed to one shard. It is
-//! driven in batches by the worker threads in
+//! driven in batches by the shard's one owner thread in
 //! [`pipeline`](crate::pipeline); all ordering guarantees derive from the
-//! queue being FIFO and batches being applied under the shard's state
-//! lock, so the apply order equals the router's send order regardless of
-//! which worker holds the lease.
+//! queue being FIFO and that thread being the only one to touch the
+//! state, so the apply order equals the router's send order.
 //!
 //! # Crash recovery
 //!

@@ -8,7 +8,8 @@
 //! router cuts its per-shard chunks must change nothing a run decides
 //! from its data.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use smda_core::{AlertKind, Task, TaskOutput};
 use smda_engines::parallel::{execute_task, ConsumerSource, MemorySource};
@@ -62,11 +63,14 @@ fn replayed_year_is_bit_identical_to_offline_path_at_every_shard_count() {
         .collect();
     let batch_matrix = SeriesMatrix::from_rows_normalized(&rows);
 
-    for shards in [1usize, 2, 4, 8] {
+    // 13 shards: on a host with up to 12 CPUs some owner thread holds
+    // several shards.
+    for shards in [1usize, 2, 4, 8, 13] {
         let cfg = IngestConfig::new()
             .with_shards(shards)
             .with_allowed_lateness(24);
         let out = run_pipeline(events.iter().copied(), &cfg).expect("pipeline completes");
+        assert_eq!(out.report.shards, shards as u64);
         assert_eq!(
             out.report.readings_in,
             12 * HOURS_PER_YEAR as u64,
@@ -219,6 +223,61 @@ fn late_readings_follow_the_dirty_data_policy() {
     // Each dropped reading leaves exactly its own hour unfilled.
     assert_eq!(out.report.readings_missing, out.report.readings_late);
     assert_eq!(out.report.consumers_sealed, 4);
+}
+
+#[test]
+fn a_failing_shard_aborts_a_stalled_router() {
+    // One late reading halfway through a hour-ordered year: under
+    // FailFast its shard fails while the router, on queues of 1 or 7
+    // readings, is stalled on some shard most of the time. The abort must
+    // wake it; nothing polls, so a lost wake fails this test at the
+    // timeout instead of hanging the suite.
+    let ds = fixture_dataset(6);
+    let mut events = replay_events(
+        &ds,
+        &ReplayConfig {
+            jitter_hours: 0,
+            seed: 1,
+        },
+    );
+    let victim = ds.consumers()[2].id;
+    let late = Reading {
+        consumer: victim,
+        hour: 0,
+        temperature: ds.temperature().values()[0],
+        kwh: 1.0,
+    };
+    events.insert(events.len() / 2, late);
+    for shards in [2usize, 3] {
+        for queue_capacity in [1usize, 7] {
+            let cfg = IngestConfig {
+                queue_capacity,
+                ..IngestConfig::new().with_shards(shards)
+            };
+            let (tx, rx) = mpsc::channel();
+            let stream = events.clone();
+            let helper = std::thread::spawn(move || {
+                let outcome = run_pipeline(stream, &cfg).map(|out| out.report);
+                tx.send(outcome).expect("the test waits for the outcome");
+            });
+            let context = format!("{shards} shards, queue capacity {queue_capacity}");
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{context}: the pipeline did not return in 60 s"));
+            helper
+                .join()
+                .expect("the helper thread returns once it has sent");
+            match outcome {
+                Err(Error::Schema(message)) => assert!(
+                    message.starts_with(&format!(
+                        "consumer {victim}: hour 0 arrived behind the shard-"
+                    )),
+                    "{context}: {message}"
+                ),
+                other => panic!("{context}: want the late reading's error, got {other:?}"),
+            }
+        }
+    }
 }
 
 fn with_spike(ds: &Dataset, victim: usize, hour: usize, extra_kwh: f64) -> Dataset {
