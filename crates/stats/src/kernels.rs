@@ -285,11 +285,11 @@ impl<'a> Sketches<'a> {
     /// Every row once, similar rows side by side: row 0 first, then
     /// always the row not yet placed whose widened bound against the
     /// last placed row is highest (ties by index). The all-pairs walk
-    /// lends its bands in this order, so that a band pair near the
-    /// diagonal holds rows that score high against each other and set
-    /// every row's threshold early (DESIGN.md §9). A heuristic over the
-    /// sketches alone — `n(n−1)/2` sketch dot products, no row read — and
-    /// a function of the sketches, so every worker builds the same one.
+    /// lends its bands in this order and claims each band with itself and
+    /// the band before it first: rows that score high against each other
+    /// and set every row's threshold early (DESIGN.md §9). A heuristic
+    /// over the sketches alone — `n(n−1)/2` sketch dot products, no row
+    /// read — and a function of them, so every worker builds the same one.
     pub(crate) fn chain(&self) -> Vec<usize> {
         let rows = self.rows();
         if rows == 0 {
@@ -1063,8 +1063,8 @@ fn score_ranked(hits: &mut TopKBuffer, query: &[f64], m: &SeriesMatrix, ranked: 
 /// One worker's share of the in-memory all-pairs kernel: the similarity
 /// walk over `m` (unit rows), lent as bands of `cfg.query_block` rows in
 /// chain order, where each tile row `t` claimed from `claim` (e.g. an
-/// atomic counter shared across workers) is diagonal `t` of the band
-/// pairs: every band with the band `t` places after it. Returns
+/// atomic counter shared across workers) is the `B − t` units of
+/// triangle row `t` in [`similarity_walk`]'s band-pair order. Returns
 /// per-query partial top-k lists (each the exact k best of the pairs
 /// this worker was handed — each call builds its own chain and skips
 /// only pairs its own running thresholds rule out) plus scoring stats.

@@ -133,7 +133,7 @@ mod tests {
     use crate::kernels::{top_k_query, top_k_tiled, SeriesMatrix};
     use crate::merge_partials;
     use crate::testutil::{flat, pseudo_series, resident_pairs_ok};
-    use crate::walk::{band_count, band_pair_count, lead_pair_at};
+    use crate::walk::{band_count, band_pair_count};
     use proptest::prelude::*;
     use smda_types::{BitEq, Error};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -146,20 +146,6 @@ mod tests {
         band_rows: usize,
     ) -> Result<(Vec<Vec<SimilarityMatch>>, OoocStats)> {
         Streamed::new(src, band_rows).top_k_queries(queries, k)
-    }
-
-    #[test]
-    fn band_pair_enumeration_is_a_bijection() {
-        for bands in [0usize, 1, 2, 3, 7, 16] {
-            let mut seen: Vec<(usize, usize)> = (0..band_pair_count(bands))
-                .map(|t| lead_pair_at(bands, t))
-                .collect();
-            seen.sort_unstable();
-            let expect: Vec<(usize, usize)> = (0..bands)
-                .flat_map(|bi| (bi..bands).map(move |bj| (bi, bj)))
-                .collect();
-            assert_eq!(seen, expect, "bands={bands}");
-        }
     }
 
     #[test]

@@ -29,17 +29,14 @@
 //! band once in file order and sketches its rows (the *sketch pass*),
 //! then builds the chain over those sketches, while the others wait.
 //!
-//! The order units map to band pairs is the provider's. Over the
-//! resident matrix, where a band costs nothing to lend, claims run
-//! diagonal by diagonal (`bj − bi` = 0, 1, 2, …), so chain neighbours set
-//! every row's threshold before the far pairs are reached; the `B − t`
-//! units of triangle row `t` are diagonal `t`. Over a streamed source,
-//! where every band a pair needs and the buffers do not hold costs a
-//! load, claims run through the *lead* first — each band's own triangle,
-//! then its pair with the band before it — and then through the pairs two
+//! Units map to band pairs in one order for both sources
+//! ([`lead_pair_at`]): first the *lead* — each band's own triangle, then
+//! its pair with the band before it, so chain neighbours set every row's
+//! threshold before the far pairs are reached — and then the pairs two
 //! or more bands apart, triangle row by triangle row from the last one
-//! back, each pair sharing a band with the one before ([`lead_pair_at`]);
-//! and a band pair none of whose
+//! back. Consecutive claims share a band: over a streamed source that
+//! band is still in a buffer and costs no load, over a resident one its
+//! rows are still in L2. Over a streamed source a band pair none of whose
 //! pairs can enter a top k under the thresholds held is skipped before
 //! either band is loaded.
 //!
@@ -186,42 +183,15 @@ fn row_offset(bands: usize, bi: usize) -> usize {
     bi * bands - bi * bi.saturating_sub(1) / 2
 }
 
-/// The units of triangle row `bi`: diagonal `bi` in the diagonal order
-/// ([`diagonal_pair_at`]).
+/// The units of triangle row `bi`: `B − bi` consecutive units of the
+/// walk's order ([`lead_pair_at`]).
 pub(crate) fn triangle_row(bands: usize, bi: usize) -> Range<usize> {
     row_offset(bands, bi)..row_offset(bands, bi + 1)
 }
 
-/// Unit `t` as `(row, step)`: the `step`-th unit of triangle row `row`.
-fn triangle_position(bands: usize, t: usize) -> (usize, usize) {
-    debug_assert!(t < band_pair_count(bands));
-    // `row_offset` is monotonic in bi: binary-search the row, O(log B)
-    // per claim.
-    let mut lo = 0usize; // invariant: row_offset(lo) <= t
-    let mut hi = bands; // invariant: row_offset(hi) > t (t < total)
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
-        if row_offset(bands, mid) <= t {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo, t - row_offset(bands, lo))
-}
-
-/// Pairs `(bi, bj)` with `bi ≤ bj` by diagonal: the `B − d` pairs with
-/// `bj − bi = d` after those of diagonal `d − 1`, `bi` ascending within
-/// one. Diagonal `d` is as long as triangle row `d`, so it takes that
-/// row's units.
-pub(crate) fn diagonal_pair_at(bands: usize, t: usize) -> (usize, usize) {
-    let (diagonal, step) = triangle_position(bands, t);
-    (step, step + diagonal)
-}
-
-/// Pairs `(bi, bj)` with `bi ≤ bj` in the order a streamed walk claims
-/// them. First the *lead*, `2B − 1` pairs: `(0, 0)`, then for each later
-/// band `b` its own triangle `(b, b)` and its pair with the band before
+/// Pairs `(bi, bj)` with `bi ≤ bj` in the order every all-pairs walk
+/// claims them. First the *lead*, `2B − 1` pairs: `(0, 0)`, then for each
+/// later band `b` its own triangle `(b, b)` and its pair with the band before
 /// it, `(b − 1, b)` — so each band's rows hold thresholds from inside
 /// their own band before they meet their chain neighbours', and both
 /// before any pair further apart. Then the pairs with `bj ≥ bi + 2`,
@@ -230,9 +200,10 @@ pub(crate) fn diagonal_pair_at(bands: usize, t: usize) -> (usize, usize) {
 /// starting on the band the row before ended on, `bi + 3`: `bj` runs up
 /// from there to the last band, then to `bi + 2`. So consecutive pairs
 /// share a band — the lead ends on `(B − 2, B − 1)` and the rest starts
-/// on `(B − 3, B − 1)` — and with two buffers ([`Streamed`] keeps the one
-/// it used last) a walk that skips nothing loads `B(B−1)/2 + 1` bands,
-/// the fewest two buffers allow: one for each of the lead's `B`
+/// on `(B − 3, B − 1)`. A resident walk then finds one band of each
+/// pair still in L2, and with two buffers ([`Streamed`] keeps the one it
+/// used last) a streamed walk that skips nothing loads `B(B−1)/2 + 1`
+/// bands, the fewest two buffers allow: one for each of the lead's `B`
 /// diagonals and one for each later pair.
 pub(crate) fn lead_pair_at(bands: usize, t: usize) -> (usize, usize) {
     let lead = (2 * bands).saturating_sub(1);
@@ -321,9 +292,6 @@ pub trait BandRows {
     /// Fresh buffers for one worker.
     fn buffers(&self) -> Self::Buffers;
 
-    /// The band pair of all-pairs unit `t` of `bands` bands.
-    fn band_pair(&self, bands: usize, t: usize) -> (usize, usize);
-
     /// What an all-pairs walk at `k` skips by, built on first use; `None`
     /// where it skips by nothing.
     fn prune<'a>(
@@ -358,12 +326,6 @@ impl BandRows for Resident<'_> {
     }
 
     fn buffers(&self) {}
-
-    /// Diagonal by diagonal ([`diagonal_pair_at`]): lending a band costs
-    /// nothing, and this order scores the fewest pairs.
-    fn band_pair(&self, bands: usize, t: usize) -> (usize, usize) {
-        diagonal_pair_at(bands, t)
-    }
 
     /// The matrix's sketches and floors; a band pair costs no load, so
     /// its blocks are checked as they come up.
@@ -440,11 +402,6 @@ impl BandRows for Streamed<'_> {
             scratch: Vec::new(),
             norms: Vec::new(),
         }
-    }
-
-    /// The lead, then the rest ([`lead_pair_at`]).
-    fn band_pair(&self, bands: usize, t: usize) -> (usize, usize) {
-        lead_pair_at(bands, t)
     }
 
     /// The sketches and the chain of the sketch pass (module docs), and
@@ -773,7 +730,7 @@ pub fn similarity_walk<R: BandRows + ?Sized>(
     while let Some(claimed) = claim() {
         assert!(claimed.end <= units, "claimed {claimed:?} of {units} units");
         for t in claimed {
-            let (bi, bj) = rows.band_pair(bands, t);
+            let (bi, bj) = lead_pair_at(bands, t);
             if let Some(chain) = loaded {
                 let band = |b: usize| &chain[b * band_rows..((b + 1) * band_rows).min(n)];
                 if bi != bj && scorer.cannot_enter_band(band(bi), band(bj)) {
@@ -793,20 +750,6 @@ pub fn similarity_walk<R: BandRows + ?Sized>(
 mod tests {
     use super::*;
     use crate::testutil::pseudo_series;
-
-    #[test]
-    fn triangle_row_d_is_diagonal_d_in_the_resident_order() {
-        for bands in [0usize, 1, 2, 3, 7, 16] {
-            // The rows partition the units, so this is also a bijection.
-            for d in 0..bands {
-                let diagonal: Vec<(usize, usize)> = triangle_row(bands, d)
-                    .map(|t| diagonal_pair_at(bands, t))
-                    .collect();
-                let expect: Vec<(usize, usize)> = (0..bands - d).map(|bi| (bi, bi + d)).collect();
-                assert_eq!(diagonal, expect, "bands={bands} d={d}");
-            }
-        }
-    }
 
     #[test]
     fn floors_serve_the_k_they_were_held_at() {
@@ -855,12 +798,26 @@ mod tests {
     }
 
     #[test]
-    fn the_streamed_order_leads_with_neighbours_and_shares_a_band_at_each_step() {
+    fn band_pair_enumeration_is_a_bijection() {
+        for bands in [0usize, 1, 2, 3, 7, 16] {
+            let mut seen: Vec<(usize, usize)> = (0..band_pair_count(bands))
+                .map(|t| lead_pair_at(bands, t))
+                .collect();
+            seen.sort_unstable();
+            let expect: Vec<(usize, usize)> = (0..bands)
+                .flat_map(|bi| (bi..bands).map(move |bj| (bi, bj)))
+                .collect();
+            assert_eq!(seen, expect, "bands={bands}");
+        }
+    }
+
+    #[test]
+    fn the_order_leads_with_neighbours_and_shares_a_band_at_each_step() {
         for bands in 0usize..=16 {
             let order: Vec<(usize, usize)> = (0..band_pair_count(bands))
                 .map(|t| lead_pair_at(bands, t))
                 .collect();
-            // A bijection onto the band pairs: `crate::oooc`'s tests.
+            // A bijection onto the band pairs: the test before.
             // The lead: every pair less than two bands apart, each
             // band's own triangle before its pair with the band before.
             let lead = (2 * bands).saturating_sub(1);

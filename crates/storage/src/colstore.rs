@@ -17,7 +17,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use std::collections::HashMap;
+use std::collections::{hash_map::Entry, HashMap};
 
 use bytes::{Buf, BufMut};
 
@@ -166,32 +166,30 @@ impl ColumnStore {
 
     /// Fault in chunk `chunk_no` of the kwh column.
     fn chunk(&mut self, chunk_no: usize) -> Result<&[f64]> {
-        if self.chunks.contains_key(&chunk_no) {
-            self.stats.chunk_hits += 1;
-        } else {
-            self.stats.chunk_faults += 1;
-            let start = chunk_no * CHUNK_VALUES;
-            let count = CHUNK_VALUES.min(self.kwh_values.saturating_sub(start));
-            let mut raw = vec![0u8; count * 8];
-            self.kwh_file
-                .seek(SeekFrom::Start(start as u64 * 8))
-                .map_err(|e| Error::io("seeking kwh.col", e))?;
-            self.kwh_file
-                .read_exact(&mut raw)
-                .map_err(|e| Error::io(format!("reading kwh.col chunk {chunk_no}"), e))?;
-            let mut values = Vec::with_capacity(count);
-            let mut r = &raw[..];
-            while r.has_remaining() {
-                values.push(r.get_f64_le());
+        let slot = match self.chunks.entry(chunk_no) {
+            Entry::Occupied(held) => {
+                self.stats.chunk_hits += 1;
+                return Ok(held.into_mut());
             }
-            self.stats.resident_bytes += values.len() * 8;
-            self.chunks.insert(chunk_no, values);
+            Entry::Vacant(slot) => slot,
+        };
+        self.stats.chunk_faults += 1;
+        let start = chunk_no * CHUNK_VALUES;
+        let count = CHUNK_VALUES.min(self.kwh_values.saturating_sub(start));
+        let mut raw = vec![0u8; count * 8];
+        self.kwh_file
+            .seek(SeekFrom::Start(start as u64 * 8))
+            .map_err(|e| Error::io("seeking kwh.col", e))?;
+        self.kwh_file
+            .read_exact(&mut raw)
+            .map_err(|e| Error::io(format!("reading kwh.col chunk {chunk_no}"), e))?;
+        let mut values = Vec::with_capacity(count);
+        let mut r = &raw[..];
+        while r.has_remaining() {
+            values.push(r.get_f64_le());
         }
-        Ok(self
-            .chunks
-            .get(&chunk_no)
-            .expect("just inserted")
-            .as_slice())
+        self.stats.resident_bytes += values.len() * 8;
+        Ok(slot.insert(values))
     }
 
     /// One consumer's year of readings, assembled from resident chunks.
@@ -226,24 +224,27 @@ impl ColumnStore {
 
     /// The shared temperature column (loaded once, kept resident).
     pub fn temperature(&mut self) -> Result<&[f64]> {
-        if self.temperature.is_none() {
-            let raw = std::fs::read(self.dir.join("temperature.col"))
-                .map_err(|e| Error::io("reading temperature.col", e))?;
-            let mut values = Vec::with_capacity(raw.len() / 8);
-            let mut r = &raw[..];
-            while r.has_remaining() {
-                values.push(r.get_f64_le());
+        let values = match self.temperature.take() {
+            Some(held) => held,
+            None => {
+                let raw = std::fs::read(self.dir.join("temperature.col"))
+                    .map_err(|e| Error::io("reading temperature.col", e))?;
+                let mut values = Vec::with_capacity(raw.len() / 8);
+                let mut r = &raw[..];
+                while r.has_remaining() {
+                    values.push(r.get_f64_le());
+                }
+                if values.len() != HOURS_PER_YEAR {
+                    return Err(Error::Schema(format!(
+                        "temperature.col holds {} values",
+                        values.len()
+                    )));
+                }
+                self.stats.resident_bytes += values.len() * 8;
+                values
             }
-            if values.len() != HOURS_PER_YEAR {
-                return Err(Error::Schema(format!(
-                    "temperature.col holds {} values",
-                    values.len()
-                )));
-            }
-            self.stats.resident_bytes += values.len() * 8;
-            self.temperature = Some(values);
-        }
-        Ok(self.temperature.as_deref().expect("just loaded"))
+        };
+        Ok(self.temperature.insert(values))
     }
 
     /// Overwrite `values.len()` consecutive column values starting at

@@ -50,7 +50,7 @@ echo "$(grep -c . <<<"$named") flags named in the docs; unknown: ${unknown:-none
 # to CHANGES.md and generated files. It may not grow past the line count
 # below; a PR that shortens it lowers the number, none raises it.
 echo "== DESIGN.md line budget =="
-design_budget=2162
+design_budget=2159
 design_lines=$(wc -l <DESIGN.md)
 echo "DESIGN.md: $design_lines lines (budget $design_budget)"
 [ "$design_lines" -le "$design_budget" ]
@@ -63,7 +63,7 @@ non_test() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1" | { grep -vE '^[[:
 # source (each tracked crates/*/src file's non-test text) may not exceed the
 # count below. A PR that removes some lowers the number; none raises it.
 echo "== unwrap budget =="
-unwrap_budget=76
+unwrap_budget=74
 unwraps=$(git ls-files 'crates/*/src/*.rs' | while read -r file; do
     non_test "$file"
 done | grep -cE '\.unwrap\(\)|\.expect\(' || true)
