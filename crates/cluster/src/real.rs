@@ -22,7 +22,7 @@ use std::io::BufRead as _;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -131,16 +131,17 @@ fn worker_binary() -> Result<PathBuf> {
     ))
 }
 
+/// Everything the coordinator knows about one worker process. The
+/// record owns the process: dropping it kills and reaps the worker.
 struct WorkerHandle {
     index: usize,
     endpoint: Endpoint,
     child: Mutex<Child>,
     alive: AtomicBool,
-    /// Tasks this worker has completed (the crash trigger watches it).
+    /// Tasks this worker has completed.
     completed: AtomicU64,
-    /// Set by the crash trigger once its conditions hold; the dispatcher
-    /// that next hands this worker a task delivers the SIGKILL.
-    kill_armed: AtomicBool,
+    /// When the fault plan crashes this worker, from job start.
+    crash_at: Option<Duration>,
 }
 
 impl WorkerHandle {
@@ -148,9 +149,17 @@ impl WorkerHandle {
         self.alive.load(Ordering::SeqCst)
     }
 
+    /// Whether the scheduled crash strikes at a hand-off at job clock
+    /// `clock`: past the crash time, and the worker has completed a task
+    /// — so the kill lands with the handed-off task in flight, however
+    /// short tasks are.
+    fn crash_due(&self, clock: Duration) -> bool {
+        self.crash_at.is_some_and(|at| clock >= at) && self.completed.load(Ordering::SeqCst) > 0
+    }
+
     /// Mark the worker dead and make sure the process really is.
     /// Returns `true` only for the caller that performed the
-    /// transition, so liveness accounting happens exactly once.
+    /// transition, so a death is counted exactly once.
     fn declare_dead(&self) -> bool {
         let first = self.alive.swap(false, Ordering::SeqCst);
         let mut child = self.child.lock();
@@ -158,6 +167,27 @@ impl WorkerHandle {
         let _ = child.wait();
         first
     }
+}
+
+impl Drop for WorkerHandle {
+    fn drop(&mut self) {
+        let child = self.child.get_mut();
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
+/// Each worker's crash time: the earliest `at` of the plan's crashes
+/// naming it. A crash naming a node the cluster does not have is
+/// ignored.
+fn crash_times(plan: Option<&FaultPlan>, workers: usize) -> Vec<Option<Duration>> {
+    let mut times = vec![None; workers];
+    for crash in plan.into_iter().flat_map(|p| &p.crashes) {
+        if let Some(slot) = times.get_mut(crash.node) {
+            *slot = Some(slot.map_or(crash.at, |t: Duration| t.min(crash.at)));
+        }
+    }
+    times
 }
 
 fn await_listening(child: &mut Child, deadline: Duration) -> Result<SocketAddr> {
@@ -188,6 +218,8 @@ fn await_listening(child: &mut Child, deadline: Duration) -> Result<SocketAddr> 
             sink.clear();
         }
     });
+    // Timed wait: the announcement deadline, so a worker that hangs
+    // before it binds fails the spawn instead of stalling it.
     match rx.recv_timeout(deadline) {
         Ok(Ok(addr)) => Ok(addr),
         Ok(Err(msg)) => Err(Error::Invalid(msg)),
@@ -197,24 +229,22 @@ fn await_listening(child: &mut Child, deadline: Duration) -> Result<SocketAddr> 
     }
 }
 
-/// A live multi-process cluster: N forked `smda` workers, heartbeat
-/// monitors, and (when a fault plan schedules crashes) killer threads
-/// delivering real SIGKILLs.
+/// A live multi-process cluster: N forked `smda` workers, one record
+/// each, and a heartbeat monitor per worker.
 pub struct RealCluster {
     config: RealClusterConfig,
     metrics: MetricsSink,
     workers: Vec<Arc<WorkerHandle>>,
-    live: Arc<AtomicUsize>,
     started: Instant,
     wal_dir: PathBuf,
     own_wal_dir: bool,
     stop: Arc<AtomicBool>,
-    monitors: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    heartbeats: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl RealCluster {
     /// Fork `config.workers` worker processes and start the heartbeat
-    /// monitors and crash killers.
+    /// monitors. On an error, the workers already forked are killed.
     pub fn spawn(config: RealClusterConfig, metrics: MetricsSink) -> Result<RealCluster> {
         if config.workers == 0 {
             return Err(Error::Invalid(
@@ -227,24 +257,9 @@ impl RealCluster {
             ));
         }
         let binary = worker_binary()?;
-        let (wal_dir, own_wal_dir) = match &config.wal_dir {
-            Some(dir) => (dir.clone(), false),
-            None => {
-                let nanos = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_nanos())
-                    .unwrap_or(0);
-                (
-                    std::env::temp_dir()
-                        .join(format!("smda-real-{}-{nanos:x}", std::process::id())),
-                    true,
-                )
-            }
-        };
-        std::fs::create_dir_all(&wal_dir)
-            .map_err(|e| Error::io(format!("creating WAL directory {}", wal_dir.display()), e))?;
+        let crash_at = crash_times(config.fault_plan.as_ref(), config.workers);
         let mut workers = Vec::with_capacity(config.workers);
-        for index in 0..config.workers {
+        for (index, crash_at) in crash_at.into_iter().enumerate() {
             let mut child = Command::new(&binary)
                 .arg("worker")
                 .arg("--bind")
@@ -274,11 +289,26 @@ impl RealCluster {
                 child: Mutex::new(child),
                 alive: AtomicBool::new(true),
                 completed: AtomicU64::new(0),
-                kill_armed: AtomicBool::new(false),
+                crash_at,
             }));
         }
+        let (wal_dir, own_wal_dir) = match &config.wal_dir {
+            Some(dir) => (dir.clone(), false),
+            None => {
+                let nanos = std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map(|d| d.as_nanos())
+                    .unwrap_or(0);
+                (
+                    std::env::temp_dir()
+                        .join(format!("smda-real-{}-{nanos:x}", std::process::id())),
+                    true,
+                )
+            }
+        };
+        std::fs::create_dir_all(&wal_dir)
+            .map_err(|e| Error::io(format!("creating WAL directory {}", wal_dir.display()), e))?;
         let cluster = RealCluster {
-            live: Arc::new(AtomicUsize::new(workers.len())),
             config,
             metrics,
             workers,
@@ -286,25 +316,15 @@ impl RealCluster {
             wal_dir,
             own_wal_dir,
             stop: Arc::new(AtomicBool::new(false)),
-            monitors: Mutex::new(Vec::new()),
+            heartbeats: Mutex::new(Vec::new()),
         };
         cluster.start_heartbeats();
-        cluster.start_killers();
         Ok(cluster)
     }
 
     /// Workers currently believed alive.
     pub fn live_workers(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
-    }
-
-    fn mark_dead(&self, worker: &WorkerHandle, counter: Option<&'static str>) {
-        if worker.declare_dead() {
-            self.live.fetch_sub(1, Ordering::SeqCst);
-            if let Some(name) = counter {
-                self.metrics.incr(name, 1);
-            }
-        }
+        self.workers.iter().filter(|w| w.alive()).count()
     }
 
     fn start_heartbeats(&self) {
@@ -312,7 +332,6 @@ impl RealCluster {
         for worker in &self.workers {
             let worker = Arc::clone(worker);
             let stop = Arc::clone(&self.stop);
-            let live = Arc::clone(&self.live);
             let metrics = self.metrics.clone();
             let interval = self.config.transport.heartbeat_interval;
             let budget = self.config.transport.heartbeat_misses.max(1);
@@ -320,6 +339,7 @@ impl RealCluster {
             let handle = std::thread::spawn(move || {
                 let mut misses = 0u32;
                 while !stop.load(Ordering::SeqCst) && worker.alive() {
+                    // Timed wait: the heartbeat cadence.
                     std::thread::sleep(interval);
                     if stop.load(Ordering::SeqCst) || !worker.alive() {
                         break;
@@ -329,111 +349,83 @@ impl RealCluster {
                         Err(_) => {
                             misses += 1;
                             if misses >= budget && worker.declare_dead() {
-                                live.fetch_sub(1, Ordering::SeqCst);
                                 metrics.incr(counters::TRANSPORT_HEARTBEAT_LOSSES, 1);
                             }
                         }
                     }
                 }
             });
-            self.monitors.lock().push(handle);
-        }
-    }
-
-    fn start_killers(&self) {
-        let Some(plan) = &self.config.fault_plan else {
-            return;
-        };
-        for crash in &plan.crashes {
-            let Some(worker) = self.workers.get(crash.node).map(Arc::clone) else {
-                continue; // the plan names a node this cluster doesn't have
-            };
-            let stop = Arc::clone(&self.stop);
-            let started = self.started;
-            let at = crash.at;
-            let handle = std::thread::spawn(move || {
-                // Arm the SIGKILL once the job clock passes `at` AND the
-                // victim has completed at least one task; `run_queue`
-                // delivers it with the victim's next task in hand. A kill
-                // fired from here, on wall time, can land between two
-                // tasks — the shorter the tasks, the likelier — and then
-                // nothing is in flight to recover.
-                loop {
-                    if stop.load(Ordering::SeqCst) || !worker.alive() {
-                        return;
-                    }
-                    if started.elapsed() >= at && worker.completed.load(Ordering::SeqCst) > 0 {
-                        worker.kill_armed.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            });
-            self.monitors.lock().push(handle);
+            self.heartbeats.lock().push(handle);
         }
     }
 
     /// Run one phase of `items` over the live workers: a shared work
     /// queue, one dispatcher per worker, re-queue on worker death, and
-    /// exactly-once completion (`on_complete` runs under the state
-    /// lock, once per item, before the item counts as done).
+    /// exactly-once completion (`on_complete` runs under the phase
+    /// lock, once per item, before the item counts as done). A worker
+    /// whose crash is due when it is handed a task is SIGKILLed then,
+    /// with that task in flight.
     fn run_queue<T: Sync>(
         &self,
         items: &[T],
         make_request: impl Fn(&T) -> Request + Sync,
-        mut on_complete: impl FnMut(usize, &Response) -> Result<()> + Send,
+        on_complete: impl FnMut(usize, &Response) -> Result<()> + Send,
     ) -> Result<BTreeMap<usize, Response>> {
-        struct Inner {
+        /// A phase's state, behind one lock. An item is queued (with
+        /// whether it is being recovered from a crash), in flight, or
+        /// in `results`.
+        struct Phase<C> {
             queue: VecDeque<(usize, bool)>,
-            done: usize,
-            finished: bool,
+            results: BTreeMap<usize, Response>,
+            on_complete: C,
             error: Option<Error>,
         }
-        let state = Mutex::new(Inner {
-            queue: (0..items.len()).map(|i| (i, false)).collect(),
-            done: 0,
-            finished: items.is_empty(),
+        let total = items.len();
+        let phase = Mutex::new(Phase {
+            queue: (0..total).map(|i| (i, false)).collect(),
+            results: BTreeMap::new(),
+            on_complete,
             error: None,
         });
-        let results = Mutex::new(BTreeMap::new());
-        let on_complete = Mutex::new(&mut on_complete);
         // The stub `parking_lot::Mutex` hands out std guards, so std's
-        // condvar pairs with it directly.
+        // condvar pairs with it directly. A dispatcher waits only while
+        // the queue is empty and items are in flight, and every way an
+        // in-flight item ends that can release it — a requeue, the last
+        // completion, an error — calls `notify_all` under the lock, so
+        // the wait needs no timeout. A waiter whose worker the heartbeat
+        // declares dead leaves at the next of those.
         let cv = std::sync::Condvar::new();
-        let total = items.len();
         std::thread::scope(|scope| {
             for worker in &self.workers {
-                let state = &state;
-                let results = &results;
-                let on_complete = &on_complete;
-                let cv = &cv;
-                let make_request = &make_request;
+                let (phase, cv, make_request) = (&phase, &cv, &make_request);
                 scope.spawn(move || loop {
                     let entry = {
-                        let mut inner = state.lock();
+                        let mut state = phase.lock();
                         loop {
-                            if inner.finished || inner.error.is_some() || !worker.alive() {
+                            if state.results.len() == total
+                                || state.error.is_some()
+                                || !worker.alive()
+                            {
                                 break None;
                             }
-                            if let Some(e) = inner.queue.pop_front() {
+                            if let Some(e) = state.queue.pop_front() {
                                 break Some(e);
                             }
-                            inner = cv
-                                .wait_timeout(inner, Duration::from_millis(5))
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .0;
+                            state = cv
+                                .wait(state)
+                                .unwrap_or_else(std::sync::PoisonError::into_inner);
                         }
                     };
                     let Some((index, was_crashed)) = entry else {
                         return;
                     };
                     self.metrics.incr(counters::TASKS_SCHEDULED, 1);
-                    if worker.kill_armed.swap(false, Ordering::SeqCst) {
+                    if worker.crash_due(self.started.elapsed()) && worker.declare_dead() {
                         // The scheduled crash strikes now, this task in
                         // the victim's hands: the call below finds the
                         // process gone and the task is recovered on a
                         // survivor.
-                        self.mark_dead(worker, Some(counters::FAULTS_INJECTED_NODE_CRASH));
+                        self.metrics.incr(counters::FAULTS_INJECTED_NODE_CRASH, 1);
                     }
                     let request = make_request(&items[index]).encode();
                     match worker
@@ -442,8 +434,8 @@ impl RealCluster {
                         .and_then(|bytes| Response::decode(&bytes))
                     {
                         Ok(Response::Err(msg)) => {
-                            let mut inner = state.lock();
-                            inner.error.get_or_insert(Error::Invalid(format!(
+                            let mut state = phase.lock();
+                            state.error.get_or_insert(Error::Invalid(format!(
                                 "worker {}: {msg}",
                                 worker.index
                             )));
@@ -451,37 +443,34 @@ impl RealCluster {
                             return;
                         }
                         Ok(response) => {
-                            let mut inner = state.lock();
-                            let mut results = results.lock();
-                            if let std::collections::btree_map::Entry::Vacant(slot) =
-                                results.entry(index)
-                            {
-                                if let Err(e) = on_complete.lock()(index, &response) {
-                                    inner.error.get_or_insert(e);
-                                    cv.notify_all();
-                                    return;
-                                }
-                                slot.insert(response);
-                                inner.done += 1;
-                                worker.completed.fetch_add(1, Ordering::SeqCst);
-                                if was_crashed {
-                                    self.metrics.incr(counters::FAULTS_RECOVERED_NODE_CRASH, 1);
-                                }
-                                if inner.done == total {
-                                    inner.finished = true;
-                                    cv.notify_all();
-                                }
+                            let mut state = phase.lock();
+                            let state = &mut *state;
+                            if state.results.contains_key(&index) {
+                                continue;
+                            }
+                            if let Err(e) = (state.on_complete)(index, &response) {
+                                state.error.get_or_insert(e);
+                                cv.notify_all();
+                                return;
+                            }
+                            state.results.insert(index, response);
+                            worker.completed.fetch_add(1, Ordering::SeqCst);
+                            if was_crashed {
+                                self.metrics.incr(counters::FAULTS_RECOVERED_NODE_CRASH, 1);
+                            }
+                            if state.results.len() == total {
+                                cv.notify_all();
                             }
                         }
                         Err(_transport) => {
                             // The worker is unreachable after retries:
                             // treat it as dead and give its task to a
                             // survivor, flagged as crash recovery.
-                            self.mark_dead(worker, None);
-                            let mut inner = state.lock();
-                            inner.queue.push_back((index, true));
-                            if self.live.load(Ordering::SeqCst) == 0 {
-                                inner.error.get_or_insert(Error::NoHealthyNodes);
+                            worker.declare_dead();
+                            let mut state = phase.lock();
+                            state.queue.push_back((index, true));
+                            if self.live_workers() == 0 {
+                                state.error.get_or_insert(Error::NoHealthyNodes);
                             }
                             cv.notify_all();
                             return;
@@ -490,16 +479,16 @@ impl RealCluster {
                 });
             }
         });
-        let mut inner = state.into_inner();
-        if let Some(e) = inner.error.take() {
+        let phase = phase.into_inner();
+        if let Some(e) = phase.error {
             return Err(e);
         }
-        if !inner.finished {
+        if phase.results.len() < total {
             // Every dispatcher exited with work pending: no healthy
             // node is left to run it. Graceful degradation has a floor.
             return Err(Error::NoHealthyNodes);
         }
-        Ok(results.into_inner())
+        Ok(phase.results)
     }
 
     fn partition_log_path(&self, task: Task, partition: u32) -> PathBuf {
@@ -665,7 +654,7 @@ impl RealCluster {
 
     #[allow(clippy::type_complexity)]
     fn run_similarity(&self, ds: &Dataset) -> Result<(TaskOutput, usize, usize, u64, u64)> {
-        let (ids, rows) = normalized_rows(ds);
+        let (ids, rows) = similarity_rows(ds);
         let tiles = TileConfig::default().tile_rows(rows.len()).max(1);
         let parts = self.config.reduce_tasks.min(tiles) as u32;
         let items: Vec<u32> = (0..parts).collect();
@@ -733,9 +722,9 @@ impl RealCluster {
             if worker.alive() {
                 let _ = worker.endpoint.probe(&bye);
             }
-            self.mark_dead(worker, None);
+            worker.declare_dead();
         }
-        for handle in self.monitors.lock().drain(..) {
+        for handle in self.heartbeats.lock().drain(..) {
             let _ = handle.join();
         }
     }
@@ -750,15 +739,15 @@ impl Drop for RealCluster {
     }
 }
 
-/// The consumer ids and normalized rows the coordinator ships — the
-/// rows of [`smda_core::unit_matrix`], the matrix
-/// [`smda_core::similarity_search`] scores, so worker-side verbatim
-/// reassembly is bit-exact.
-fn normalized_rows(ds: &Dataset) -> (Vec<smda_types::ConsumerId>, Vec<Vec<f64>>) {
-    let ids: Vec<smda_types::ConsumerId> = ds.consumers().iter().map(|c| c.id).collect();
-    let matrix = smda_core::unit_matrix(ds);
-    let rows = (0..matrix.rows()).map(|i| matrix.row(i).to_vec()).collect();
-    (ids, rows)
+/// The consumer ids and raw yearly rows the coordinator ships for
+/// similarity; each worker normalizes them as [`smda_core::unit_matrix`]
+/// does, so its matrix is the one [`smda_core::similarity_search`]
+/// scores.
+fn similarity_rows(ds: &Dataset) -> (Vec<smda_types::ConsumerId>, Vec<Vec<f64>>) {
+    ds.consumers()
+        .iter()
+        .map(|c| (c.id, c.readings().to_vec()))
+        .unzip()
 }
 
 /// Spawn a cluster, run one task, shut down.
@@ -785,7 +774,7 @@ pub fn run_virtual_twin(
 ) -> Result<TaskOutput> {
     match task {
         Task::Similarity => {
-            let (ids, rows) = normalized_rows(ds);
+            let (ids, rows) = similarity_rows(ds);
             let tiles = TileConfig::default().tile_rows(rows.len()).max(1);
             let parts = config.reduce_tasks.min(tiles) as u32;
             let mut partials = Vec::with_capacity(parts as usize);
@@ -884,6 +873,25 @@ mod tests {
         assert!(!task_output_bits_eq(&a, &b));
         let x = run_reference(Task::ThreeLine, &ds);
         assert!(!task_output_bits_eq(&a, &x), "different variants differ");
+    }
+
+    #[test]
+    fn a_workers_crash_time_is_the_earliest_naming_it() {
+        use crate::faults::NodeCrash;
+        let crash = |node, ms| NodeCrash {
+            node,
+            at: Duration::from_millis(ms),
+        };
+        let plan = FaultPlan {
+            crashes: vec![crash(1, 30), crash(3, 5), crash(1, 10), crash(1, 20)],
+            ..FaultPlan::seeded(7)
+        };
+        assert_eq!(
+            crash_times(Some(&plan), 3),
+            [None, Some(Duration::from_millis(10)), None],
+            "the earliest `at` per node wins; node 3 is not in a 3-worker cluster"
+        );
+        assert_eq!(crash_times(None, 2), [None, None]);
     }
 
     #[test]

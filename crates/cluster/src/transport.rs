@@ -244,6 +244,8 @@ impl Endpoint {
         for attempt in 0..=self.config.max_retries {
             if attempt > 0 {
                 self.metrics.incr(counters::TRANSPORT_RETRIES, 1);
+                // Timed wait: the retry backoff, time for a busy or
+                // restarting worker to come back.
                 std::thread::sleep(self.config.backoff_base * (1 << (attempt - 1)));
             }
             match self.attempt(request, self.config.read_timeout) {
@@ -274,7 +276,7 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smda_types::frame::{decode_frame, encode_frame, fnv1a64, FRAME_HEADER_BYTES};
+    use smda_types::frame::{decode_frame, encode_frame, frame_header, FRAME_HEADER_BYTES};
     use smda_types::FrameDefect;
 
     #[test]
@@ -373,11 +375,13 @@ mod tests {
 
     #[test]
     fn fnv_detects_single_byte_changes() {
-        let base = fnv1a64(b"0123456789");
+        // Header bytes 8..16 are the payload's FNV-1a.
+        let fnv = |payload: &[u8]| frame_header(payload)[8..].to_vec();
+        let base = fnv(b"0123456789");
         let mut data = *b"0123456789";
         for i in 0..data.len() {
             data[i] ^= 0x20;
-            assert_ne!(fnv1a64(&data), base, "flip at {i} undetected");
+            assert_ne!(fnv(&data), base, "flip at {i} undetected");
             data[i] ^= 0x20;
         }
     }

@@ -103,7 +103,8 @@ pub enum Request {
         payloads: Vec<Vec<u8>>,
     },
     /// Score the tile rows `tr` with `tr % parts == part` of the
-    /// normalized series matrix and return per-query top-k partials.
+    /// consumers' unit-normalized series matrix and return per-query
+    /// top-k partials.
     SimilarityPartial {
         /// Top-k per query.
         k: u32,
@@ -111,8 +112,8 @@ pub enum Request {
         parts: u32,
         /// This partition's index.
         part: u32,
-        /// The full normalized matrix, one row per consumer, verbatim
-        /// bit patterns (workers must not re-normalize).
+        /// Every consumer's raw year, one row each, by bit pattern; the
+        /// worker normalizes each row as `smda_core::unit_matrix` does.
         rows: Vec<Vec<f64>>,
     },
     /// Ask the worker process to exit.
@@ -564,10 +565,11 @@ pub fn execute_merge(payloads: &[Vec<u8>]) -> Result<Vec<u8>> {
     Ok(encode_results(&all))
 }
 
-/// Score partition `part` of `parts` over the normalized matrix rows:
-/// tile rows `tr` with `tr % parts == part`, via the exact tiled
-/// kernel. Rows are used verbatim — normalization already happened on
-/// the coordinator, so rebuilding the matrix here is bit-exact.
+/// Score partition `part` of `parts` over the consumers' raw years:
+/// tile rows `tr` with `tr % parts == part` of their unit-normalized
+/// matrix, via the exact tiled kernel. Each row is normalized by
+/// [`SeriesMatrixBuilder::set_row_normalized`], the pass
+/// `smda_core::unit_matrix` runs, so the matrix is bit-exact.
 pub fn execute_similarity_partial(
     k: u32,
     parts: u32,
@@ -589,7 +591,7 @@ pub fn execute_similarity_partial(
     }
     let builder = SeriesMatrixBuilder::new(rows.len(), HOURS_PER_YEAR);
     for (i, row) in rows.iter().enumerate() {
-        builder.set_row(i, row);
+        builder.set_row_normalized(i, row);
     }
     let matrix = builder.finish();
     let config = TileConfig::default();
@@ -841,11 +843,10 @@ mod tests {
 
     #[test]
     fn similarity_partials_reassemble_the_sequential_result() {
-        use smda_stats::{merge_partials, normalize_all, top_k_tiled, SeriesMatrixBuilder};
-        let raw: Vec<Vec<f64>> = (0..10)
+        use smda_stats::{merge_partials, top_k_tiled, SeriesMatrixBuilder};
+        let rows: Vec<Vec<f64>> = (0..10)
             .map(|i| year(|h| 0.2 + ((h * (i + 2)) % 31) as f64 * 0.05))
             .collect();
-        let rows = normalize_all(&raw);
         let parts = 3u32;
         let mut partials = Vec::new();
         for part in 0..parts {
@@ -856,7 +857,7 @@ mod tests {
         let merged = merge_partials(rows.len(), partials, 5);
         let builder = SeriesMatrixBuilder::new(rows.len(), HOURS_PER_YEAR);
         for (i, row) in rows.iter().enumerate() {
-            builder.set_row(i, row);
+            builder.set_row_normalized(i, row);
         }
         let (expected, _) = top_k_tiled(&builder.finish(), 5, &TileConfig::default());
         assert_eq!(merged.len(), expected.len());

@@ -15,7 +15,7 @@
 //!   run is a typed error;
 //! * a **packed** file goes through the bounded
 //!   [`RowGroupCache`] — checksum-verified
-//!   decode on miss, LRU eviction, sequential prefetch.
+//!   decode on miss, LRU eviction, nothing decoded ahead.
 //!
 //! Scheduling is the same walk and pool driver as
 //! [`top_k_matrix`](crate::parallel::top_k_matrix): band pairs are

@@ -14,9 +14,6 @@
 //! * residency is bounded by a byte budget translated to a group
 //!   count at construction; going over evicts the **least recently
 //!   used** group;
-//! * a miss that extends a sequential scan (miss on `g` right after a
-//!   miss on `g−1`) **prefetches** group `g+1`, so the band streaming
-//!   pattern pays one decode ahead instead of stalling per band;
 //! * a span that covers only part of a group it misses decodes just its
 //!   own rows, checksummed, straight into the caller's buffer, and the
 //!   group is **not admitted**: it evicts nothing;
@@ -36,8 +33,11 @@
 //! resident groups serve their rows as hits, and a missed row costs the
 //! decode of that row alone. Whole-group spans — the sketch pass, the
 //! bands of the streamed query form (`smda_stats::Streamed::top_k_queries`,
-//! every band once in file order), [`RowGroupCache::group`] — decode,
-//! admit and prefetch as before.
+//! every band once in file order), [`RowGroupCache::group`] — decode
+//! and admit their group on a miss. Nothing is decoded ahead of its
+//! read: a decode ahead would run on the reading thread and overlap
+//! nothing, and each whole-group reader reads every group once, in
+//! file order, so it would decode the same groups in the same order.
 //!
 //! Groups are handed out as `Arc<Vec<f64>>`, so an evicted group a
 //! reader still holds stays valid — eviction only drops the cache's
@@ -62,7 +62,6 @@ struct CachedGroup {
 struct Inner {
     groups: HashMap<usize, CachedGroup>,
     tick: u64,
-    last_miss: Option<usize>,
 }
 
 /// A bounded, LRU, checksum-verifying row-group cache over one open
@@ -89,7 +88,6 @@ impl<'a> RowGroupCache<'a> {
             inner: Mutex::new(Inner {
                 groups: HashMap::new(),
                 tick: 0,
-                last_miss: None,
             }),
         }
     }
@@ -173,36 +171,17 @@ impl<'a> RowGroupCache<'a> {
         }
         metrics::record_cache_miss();
         let data = Arc::new(self.decode_group(g)?);
-        let prefetch = {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let sequential = inner.last_miss.is_some_and(|m| m + 1 == g);
-            inner.last_miss = Some(g);
-            inner.groups.insert(
-                g,
-                CachedGroup {
-                    data: data.clone(),
-                    last_used: tick,
-                },
-            );
-            self.evict_over_capacity(&mut inner);
-            sequential && g + 1 < self.group_count() && !inner.groups.contains_key(&(g + 1))
-        };
-        if prefetch {
-            // Best effort: a bad next block will surface on its own
-            // explicit read.
-            if let Ok(next) = self.decode_group(g + 1) {
-                let mut inner = self.lock();
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.groups.entry(g + 1).or_insert(CachedGroup {
-                    data: Arc::new(next),
-                    last_used: tick,
-                });
-                self.evict_over_capacity(&mut inner);
-            }
-        }
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        inner.groups.insert(
+            g,
+            CachedGroup {
+                data: data.clone(),
+                last_used: tick,
+            },
+        );
+        self.evict_over_capacity(&mut inner);
         Ok(data)
     }
 
@@ -328,23 +307,6 @@ mod tests {
             Arc::ptr_eq(&g0, &g0_third),
             "LRU must not evict the hot group"
         );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn sequential_misses_prefetch_the_next_group() {
-        let ds = dataset(10);
-        let path = tmp("prefetch");
-        write_dataset(&path, &ds, Encoding::Packed).unwrap();
-        let file = SmcFile::open(&path).unwrap();
-        let cache = file.group_cache(2, 64 * 2 * HOURS_PER_YEAR * 8);
-        let before = crate::metrics::snapshot();
-        cache.group(0).unwrap(); // cold miss, no pattern yet
-        cache.group(1).unwrap(); // sequential miss: prefetches 2
-        cache.group(2).unwrap(); // served by the prefetch
-        let d = crate::metrics::snapshot().since(&before);
-        assert!(d.cache_hits >= 1, "prefetched group must hit: {d:?}");
-        assert_eq!(cache.resident_groups(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 

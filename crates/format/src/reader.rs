@@ -288,8 +288,8 @@ impl SmcFile {
 
     /// A bounded decode cache over this file's rows: groups of
     /// `group_rows` consecutive consumers are decoded (checksummed) on
-    /// demand, kept LRU-resident within `max_resident_bytes`, and the
-    /// next group is prefetched on a sequential miss.
+    /// demand, when a read reaches them, and kept LRU-resident within
+    /// `max_resident_bytes`.
     pub fn group_cache(&self, group_rows: usize, max_resident_bytes: usize) -> RowGroupCache<'_> {
         RowGroupCache::new(self, group_rows, max_resident_bytes)
     }

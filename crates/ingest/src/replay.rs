@@ -144,6 +144,7 @@ pub fn throttle(events: Vec<Reading>, speedup: f64) -> impl Iterator<Item = Read
             let due = std::time::Duration::from_secs_f64(r.hour as f64 * seconds_per_hour);
             let elapsed = started.elapsed();
             if due > elapsed {
+                // Timed wait: replay pacing, the stream's own clock.
                 std::thread::sleep(due - elapsed);
             }
         }

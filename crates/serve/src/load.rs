@@ -118,6 +118,7 @@ pub fn run_load_sweep(server: &Server, queries: &[Query], cfg: &LoadConfig) -> S
                         Err(_) => f += 1,
                     }
                     if !cfg.pacing.is_zero() {
+                        // Timed wait: the load generator's pacing.
                         std::thread::sleep(cfg.pacing);
                     }
                 }

@@ -143,6 +143,8 @@ impl Gate {
             }
             blocked_since.get_or_insert(now);
             state.waiting += 1;
+            // Timed wait: the request's deadline bounds how long it
+            // waits for a permit; a release wakes it sooner.
             state = self
                 .freed
                 .wait_timeout(state, deadline - now)

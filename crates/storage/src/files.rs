@@ -53,11 +53,10 @@ impl FileStore {
     /// Materialize `ds` under `dir` in the given layout.
     pub fn create(dir: impl Into<PathBuf>, ds: &Dataset, layout: FileLayout) -> Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)
-            .map_err(|e| Error::io(format!("creating {}", dir.display()), e))?;
+        let writer = FormatWriter::new(&dir)?;
         match layout {
             FileLayout::Unpartitioned => {
-                FormatWriter::new(&dir)?.write(ds, DataFormat::ReadingPerLine)?;
+                writer.write(ds, DataFormat::ReadingPerLine)?;
             }
             FileLayout::Partitioned => {
                 for c in ds.consumers() {
@@ -72,17 +71,7 @@ impl FileStore {
                     w.flush()
                         .map_err(|e| Error::io("flushing consumer file", e))?;
                 }
-                // Shared temperature sidecar (reuse the format writer's
-                // convention by writing it directly).
-                let path = dir.join("temperature.csv");
-                let f = File::create(&path)
-                    .map_err(|e| Error::io(format!("creating {}", path.display()), e))?;
-                let mut w = BufWriter::new(f);
-                for t in ds.temperature().values() {
-                    writeln!(w, "{t}").map_err(|e| Error::io("writing temperature", e))?;
-                }
-                w.flush()
-                    .map_err(|e| Error::io("flushing temperature", e))?;
+                writer.write_temperature(ds)?;
             }
         }
         Ok(FileStore { dir, layout })

@@ -85,7 +85,10 @@ impl FormatWriter {
         Ok(BufWriter::new(f))
     }
 
-    fn write_temperature(&self, ds: &Dataset) -> Result<()> {
+    /// Write the shared temperature sidecar, `temperature.csv`: one
+    /// value per line. Every format writes it; a store with a layout of
+    /// its own calls it for the same bytes.
+    pub fn write_temperature(&self, ds: &Dataset) -> Result<()> {
         let mut w = self.create(TEMPERATURE_FILE)?;
         for v in ds.temperature().values() {
             writeln!(w, "{v}").map_err(|e| Error::io("writing temperature", e))?;

@@ -31,7 +31,7 @@ pub const MAX_FRAME_BYTES: u64 = 256 * 1024 * 1024;
 /// the digest: each step `state ← (state ⊕ byte) × prime` is a
 /// bijection of the state, so differing intermediate states can never
 /// re-converge.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
