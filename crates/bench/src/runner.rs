@@ -947,14 +947,16 @@ fn naive_top_k(rows: &[Vec<f64>], k: usize) -> Vec<Vec<smda_stats::SimilarityMat
 /// banded out-of-core kernel must reproduce the in-memory tiled
 /// kernel's matches bit-identically (`f64::to_bits`), sequentially and
 /// through the worker pool at several widths, on both the zero-copy
-/// mapped tier and the bounded decode-cache tier. Both walks share the
-/// pair kernel, so a slice of the rows is also held to
-/// [`naive_top_k`], and the sequential run must load the fewest bands
-/// two buffers allow, `B(B−1)/2 + 1`. The cache is budgeted below a
-/// single band so the packed tier must evict on every band turn, and
-/// when the counting allocator is installed the sequential run's peak
-/// heap growth must stay under a quarter of the logical matrix bytes —
-/// the bounded-resident-memory contract.
+/// raw tier and the packed tier. Both walks share the pair kernel, so a
+/// slice of the rows is also held to [`naive_top_k`], and the
+/// sequential run must load the fewest bands two buffers allow,
+/// `B(B−1)/2 + 1`. The walk's budget of kept unit rows is half a band:
+/// it must keep exactly `⌊budget / row bytes⌋` rows, score the same
+/// pairs in the same band loads as a walk that keeps nothing, and read
+/// from the file every row it does not lend. When the counting
+/// allocator is installed the sequential run's peak heap growth must
+/// stay under a quarter of the logical matrix bytes — the
+/// bounded-resident-memory contract.
 fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     use smda_core::SIMILARITY_TOP_K;
     use smda_engines::{top_k_source_with, SmcSource};
@@ -980,10 +982,11 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     let (want, _) = top_k_tiled(&matrix, SIMILARITY_TOP_K, &TileConfig::current());
     drop(matrix);
 
-    // Small bands, and a cache budgeted below one band so the decode
-    // tier can never hold a full working set resident.
+    // Small bands, and a budget of kept unit rows of half a band.
     let band_rows = 8usize;
-    let band_bytes = band_rows * hours * std::mem::size_of::<f64>();
+    let row_bytes = hours * std::mem::size_of::<f64>();
+    let band_bytes = band_rows * row_bytes;
+    let kept_rows = (band_bytes / 2 / row_bytes) as u64;
     let sink = smda_obs::MetricsSink::disabled();
 
     // The naive leg: the first rows through the banded walk, sequential
@@ -1022,7 +1025,7 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
     let unpruned_loads = bands + all_live_loads;
     let pairs = (n * (n - 1) / 2) as u64;
     let mut pruned_note = String::new();
-    let mut tier_note = "decode-cache tier only (owned fallback backing, no mmap)";
+    let mut tier_note = "packed tier only (owned fallback backing, no mmap)";
     let mut peak_note = String::new();
     for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
         let tag = format!("{encoding:?}").to_lowercase();
@@ -1032,8 +1035,8 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
         let before = format_metrics::snapshot();
         let source = SmcSource::over(&store, band_rows, band_bytes / 2);
 
-        // Sequential measured run: two band buffers plus the bounded
-        // cache are the whole resident set.
+        // Sequential measured run: two band buffers plus the kept rows
+        // are the whole resident set.
         let (got, bytes_allocated, peak) = crate::alloc::measure_alloc(|| {
             top_k_source_with(&source, None, SIMILARITY_TOP_K, band_rows, 1, &sink)
         });
@@ -1053,6 +1056,36 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
                 "{tag}: the sequential walk at k={SIMILARITY_TOP_K} scored {} of {pairs} pairs \
                  and loaded {} bands (a walk that prunes nothing loads {unpruned_loads})",
                 stats.kernel.pairs_scored, stats.bands_loaded
+            ));
+        }
+        // The kept rows change no decision: a walk that keeps nothing
+        // scores the same pairs in the same loads, and reads each row
+        // the budgeted walk lent.
+        let keeps_nothing = SmcSource::over(&store, band_rows, 0);
+        let (unkept, bare) =
+            top_k_source_with(&keeps_nothing, None, SIMILARITY_TOP_K, band_rows, 1, &sink)
+                .map_err(|e| format!("{tag}: out-of-core run keeping nothing failed: {e}"))?;
+        let lent_bytes = stats.rows_lent_kept * row_bytes as u64;
+        if stats.rows_kept != kept_rows
+            || stats.rows_lent_kept == 0
+            || bare.rows_kept != 0
+            || !unkept.bits_eq(&want)
+            || (bare.kernel.pairs_scored, bare.bands_loaded)
+                != (stats.kernel.pairs_scored, stats.bands_loaded)
+            || bare.bytes_streamed != stats.bytes_streamed + lent_bytes
+        {
+            return Err(format!(
+                "{tag}: a budget of half a band must keep exactly {kept_rows} rows and read the \
+                 rest from the file: it kept {} and lent {} ({} bytes read, {} pairs, {} loads), \
+                 a walk keeping nothing read {} bytes ({} pairs, {} loads)",
+                stats.rows_kept,
+                stats.rows_lent_kept,
+                stats.bytes_streamed,
+                stats.kernel.pairs_scored,
+                stats.bands_loaded,
+                bare.bytes_streamed,
+                bare.kernel.pairs_scored,
+                bare.bands_loaded
             ));
         }
         pruned_note = format!(
@@ -1091,16 +1124,9 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
                     "{tag}: raw tier chosen without the file's zero-copy matrix view"
                 ));
             }
-            tier_note = "raw-read + bounded decode-cache tiers";
-        } else {
-            if delta.blocks_decoded == 0 {
-                return Err(format!("{tag}: cached tier decoded no blocks"));
-            }
-            if delta.cache_evictions == 0 {
-                return Err(format!(
-                    "{tag}: a cache budgeted below one band must evict, but never did"
-                ));
-            }
+            tier_note = "raw and packed tiers";
+        } else if delta.blocks_decoded == 0 {
+            return Err(format!("{tag}: packed tier decoded no blocks"));
         }
 
         // The memory half of the contract. The deltas are zero under
@@ -1126,8 +1152,8 @@ fn check_oooc(scale: Scale) -> std::result::Result<String, String> {
         "oooc equivalence OK: n={n}, raw+packed banded runs bit-identical to the in-memory \
          kernel (sequential and pooled 2/4/8), a {OOOC_NAIVE_ROWS}-row slice to the naive \
          scan, {pruned_note}, all {pairs} pairs and {all_live_loads} band loads at k = n − 1 \
-         for {bands} bands, {tier_note}, eviction under a sub-band cache budget \
-         exercised{peak_note}"
+         for {bands} bands, {tier_note}, {kept_rows} rows kept under a half-band budget and \
+         the rest read from the file{peak_note}"
     ))
 }
 

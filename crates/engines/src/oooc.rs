@@ -5,17 +5,24 @@
 //! which at a million consumers is a 70 GB workspace. This module runs
 //! the same pruned walk directly against the file through
 //! [`smda_stats::SeriesSource`] bands instead, so resident memory is
-//! `O(band_rows · hours + n · (k + 340))` — two band buffers, and per
-//! row its top k, norm, floor and 337-value sketch — not `O(n · hours)`:
+//! `O(band_rows · hours + n · (k + 340) + cache_bytes)` — two band
+//! buffers, per row its top k, norm, floor and 337-value sketch, and the
+//! unit rows the budget keeps — not `O(n · hours)`:
 //!
 //! * a **raw-contiguous** file is served by [`SmcSource`]'s raw tier —
-//!   each band is one positioned read from the file straight into the
-//!   band buffer, so no page of the file enters the resident set
-//!   however much of it is streamed, and a file truncated under the
-//!   run is a typed error;
-//! * a **packed** file goes through the bounded
-//!   [`RowGroupCache`] — checksum-verified
-//!   decode on miss, LRU eviction, nothing decoded ahead.
+//!   each run of consecutive rows is one positioned read from the file
+//!   straight into the band buffer;
+//! * a **packed** file by its packed tier — each run's blocks are one
+//!   positioned read into a bounded byte buffer the reading thread
+//!   reuses, checksum-verified and decoded straight into the band
+//!   (`SmcFile::read_rows_into`).
+//!
+//! Either way no page of the file enters the resident set however much
+//! of it is streamed, and a file truncated under the run is a typed
+//! error, not a `SIGBUS`. What the tiers share is one budget,
+//! `cache_bytes` ([`SeriesSource::cache_bytes`]): the walk's sketch pass
+//! keeps that many bytes of *unit* rows, and a chain band lends them in
+//! place instead of reading and dividing them again.
 //!
 //! Scheduling is the same walk and pool driver as
 //! [`top_k_matrix`](crate::parallel::top_k_matrix): band pairs are
@@ -32,7 +39,7 @@ use smda_stats::{
     band_count, band_pair_count, similarity_walk, OoocStats, SeriesSource, SimilarityMatch,
     Streamed, TileConfig,
 };
-use smda_storage::{format_metrics, BinaryStore, FormatCounters, RowGroupCache};
+use smda_storage::{format_metrics, BinaryStore, FormatCounters};
 use smda_types::{Error, Result};
 
 use crate::parallel::pooled_top_k;
@@ -42,64 +49,61 @@ use crate::parallel::pooled_top_k;
 /// point where materializing the workspace starts to dominate).
 pub const OOOC_ROW_THRESHOLD: usize = 32_768;
 
-/// Default decode-cache budget for packed stores (shared across all
-/// workers of a run).
+/// Default budget of unit rows a walk over a store keeps (shared by all
+/// workers of a run): 128 MiB, 1 915 rows of 8 760 hours.
 pub const DEFAULT_CACHE_BYTES: usize = 128 << 20;
 
 /// An open [`BinaryStore`] as a [`SeriesSource`]: the tier is picked
-/// from the file itself — rows read straight from raw-contiguous files,
-/// the bounded decode cache for packed ones.
+/// from the file itself — raw rows read as they are stored from a
+/// raw-contiguous file, blocks decoded from any other — and a walk over
+/// it may keep `cache_bytes` of unit rows.
 pub struct SmcSource<'a> {
-    rows: usize,
-    stride: usize,
-    tier: Tier<'a>,
-}
-
-enum Tier<'a> {
-    /// Bands are read straight from the file
-    /// ([`smda_format::SmcFile::read_raw_rows`]).
-    Raw(&'a BinaryStore),
-    /// Bands are assembled from checksum-verified decoded row groups
-    /// held in a bounded LRU cache.
-    Cached(RowGroupCache<'a>),
+    store: &'a BinaryStore,
+    raw: bool,
+    cache_bytes: usize,
 }
 
 impl<'a> SmcSource<'a> {
     /// Wrap `store`, choosing the raw tier when the file is one
     /// row-major matrix (it serves a zero-copy matrix view) and the
-    /// decode cache (grouped at `band_rows` rows, bounded by
-    /// `cache_bytes`) otherwise.
-    pub fn over(store: &'a BinaryStore, band_rows: usize, cache_bytes: usize) -> SmcSource<'a> {
-        let rows = store.len();
-        let stride = store.file().hours();
-        let tier = match store.matrix_view() {
-            Some(_) => Tier::Raw(store),
-            None => Tier::Cached(store.group_cache(band_rows, cache_bytes)),
-        };
-        SmcSource { rows, stride, tier }
+    /// packed tier otherwise; a walk over it keeps up to `cache_bytes`
+    /// of unit rows. `_band_rows` is read by nothing: the walk sets the
+    /// band height.
+    pub fn over(store: &'a BinaryStore, _band_rows: usize, cache_bytes: usize) -> SmcSource<'a> {
+        SmcSource {
+            store,
+            raw: store.matrix_view().is_some(),
+            cache_bytes,
+        }
     }
 
     /// True on the raw tier, whose bands are the file's own bytes,
-    /// rather than the decode cache.
+    /// rather than decoded blocks.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.tier, Tier::Raw(_))
+        self.raw
     }
 }
 
 impl SeriesSource for SmcSource<'_> {
     fn rows(&self) -> usize {
-        self.rows
+        self.store.len()
     }
 
     fn stride(&self) -> usize {
-        self.stride
+        self.store.file().hours()
     }
 
     fn load_band(&self, rows: Range<usize>, out: &mut Vec<f64>) -> Result<()> {
-        match &self.tier {
-            Tier::Raw(store) => store.file().read_raw_rows(rows, out),
-            Tier::Cached(cache) => cache.load_rows(rows, out),
+        let file = self.store.file();
+        if self.raw {
+            file.read_raw_rows(rows, out)
+        } else {
+            file.read_rows_into(rows, out)
         }
+    }
+
+    fn cache_bytes(&self) -> usize {
+        self.cache_bytes
     }
 }
 
@@ -107,7 +111,8 @@ impl SeriesSource for SmcSource<'_> {
 /// `band_rows` rows — [`top_k_matrix`](crate::parallel::top_k_matrix)
 /// with the bands loaded instead of lent: the same walk, the same
 /// driver, the same bit-identity guarantee and counters, plus the
-/// `oooc.*` streaming counters. `scaling` must be `None`: scaled scoring
+/// `oooc.*` streaming counters; the walk keeps the unit rows
+/// `src.cache_bytes()` holds. `scaling` must be `None`: scaled scoring
 /// was removed, and `Some` is an [`Error::Invalid`].
 pub fn top_k_source_with(
     src: &dyn SeriesSource,
@@ -134,6 +139,8 @@ pub fn top_k_source_with(
     metrics.incr(counters::OOOC_BAND_PAIRS, pairs as u64);
     metrics.incr(counters::OOOC_BYTES_STREAMED, stats.bytes_streamed);
     metrics.incr(counters::OOOC_NORMS_COMPUTED, stats.norms_computed);
+    metrics.incr(counters::OOOC_ROWS_KEPT, stats.rows_kept);
+    metrics.incr(counters::OOOC_ROWS_LENT_KEPT, stats.rows_lent_kept);
     Ok((matches, stats))
 }
 
@@ -145,14 +152,12 @@ pub fn record_format_counters(metrics: &MetricsSink, delta: &FormatCounters) {
     metrics.incr(counters::FORMAT_BLOCKS_DECODED, delta.blocks_decoded);
     metrics.incr(counters::FORMAT_BYTES_CHECKSUMMED, delta.bytes_checksummed);
     metrics.incr(counters::FORMAT_BYTES_DECODED, delta.bytes_decoded);
-    metrics.incr(counters::FORMAT_CACHE_HITS, delta.cache_hits);
-    metrics.incr(counters::FORMAT_CACHE_MISSES, delta.cache_misses);
-    metrics.incr(counters::FORMAT_CACHE_EVICTIONS, delta.cache_evictions);
 }
 
 /// The full out-of-core similarity task over an open store: stream the
-/// file band-by-band (never materializing the matrix), score all pairs,
-/// and shape the result exactly like the in-memory path.
+/// file band-by-band (never materializing the matrix, keeping at most
+/// `cache_bytes` of unit rows), score all pairs, and shape the result
+/// exactly like the in-memory path.
 pub fn run_similarity_oooc(
     store: &BinaryStore,
     k: usize,
@@ -265,17 +270,14 @@ mod tests {
             builder.set_row_normalized(i, c.readings());
         }
         let matrix = builder.finish();
-        // Two of the six row groups: reading every band in file order
-        // through the packed tier's cache evicts.
+        // Two bands of unit rows: the query form keeps none of them.
         let cache_bytes = 2 * band_rows * HOURS_PER_YEAR * 8;
         // Queries in four of the six bands, two sharing one.
         let queries = [21usize, 2, 9, 6, 13];
         for encoding in [BinaryEncoding::Raw, BinaryEncoding::Packed] {
             let path = tmp(&format!("queries-{encoding:?}"));
             let store = BinaryStore::create(&path, &ds, encoding).unwrap();
-            assert!((cache_bytes as u64) < store.total_bytes().unwrap());
             let source = SmcSource::over(&store, band_rows, cache_bytes);
-            let before = format_metrics::snapshot();
             let (got, stats) = Streamed::new(&source, band_rows)
                 .top_k_queries(&queries, k)
                 .unwrap();
@@ -290,11 +292,6 @@ mod tests {
             assert_eq!(stats.norms_computed, n as u64, "{encoding:?}");
             let loads = queries.len() + band_count(n, band_rows);
             assert_eq!(stats.bands_loaded, loads as u64, "{encoding:?}");
-            if encoding == BinaryEncoding::Packed {
-                // The counters are process-wide: other tests only add.
-                let counted = format_metrics::snapshot().since(&before);
-                assert!(counted.cache_evictions > 0, "{counted:?}");
-            }
             std::fs::remove_file(&path).unwrap();
         }
     }
@@ -373,6 +370,32 @@ mod tests {
     }
 
     #[test]
+    fn a_packed_file_truncated_between_band_loads_is_an_error_not_a_fault() {
+        let ds = pseudo_dataset(8, HOURS_PER_YEAR);
+        let path = tmp("truncated-packed");
+        let store = BinaryStore::create(&path, &ds, BinaryEncoding::Packed).unwrap();
+        let source = SmcSource::over(&store, 4, 1 << 20);
+        assert!(!source.is_mapped());
+        let mut band = Vec::new();
+        source.load_band(0..4, &mut band).unwrap();
+        // Cut the file inside its first block: every block is gone.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(4096).unwrap();
+        for rows in [4..8, 0..4, 2..3] {
+            let err = source.load_band(rows.clone(), &mut band).unwrap_err();
+            assert!(
+                matches!(&err, Error::BadFormat { .. }) && err.to_string().contains("truncated"),
+                "{rows:?}: {err}"
+            );
+            assert!(band.is_empty(), "{rows:?}: a failed load left values");
+        }
+        let sink = MetricsSink::disabled();
+        let walked = top_k_source_with(&source, None, 3, 4, 1, &sink);
+        assert!(matches!(walked, Err(Error::BadFormat { .. })), "{walked:?}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn a_nan_reading_in_a_binary_is_an_error_on_both_similarity_paths() {
         use crate::parallel::execute_task;
         use crate::BinarySource;
@@ -409,6 +432,30 @@ mod tests {
                 "{encoding:?} resident: {resident:?}"
             );
             std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// A [`SliceSource`] whose walks keep `bytes` of unit rows.
+    struct Budgeted<'a> {
+        rows: SliceSource<'a>,
+        bytes: usize,
+    }
+
+    impl SeriesSource for Budgeted<'_> {
+        fn rows(&self) -> usize {
+            self.rows.rows()
+        }
+
+        fn stride(&self) -> usize {
+            self.rows.stride()
+        }
+
+        fn load_band(&self, rows: Range<usize>, out: &mut Vec<f64>) -> Result<()> {
+            self.rows.load_band(rows, out)
+        }
+
+        fn cache_bytes(&self) -> usize {
+            self.bytes
         }
     }
 
@@ -489,6 +536,53 @@ mod tests {
                 check_resident("pooled resident", &got, stats.pairs_scored);
                 let (got, stats) = top_k_source_with(&src, None, k, band, threads, &sink).unwrap();
                 check_resident("pooled banded", &got, stats.kernel.pairs_scored);
+            }
+        }
+
+        /// A walk that keeps none, one, part or all of the unit rows
+        /// gives the naive scan's bits at 1, 2 and 4 threads, and the
+        /// kept rows change no decision: at one thread every budget
+        /// scores the same pairs in the same band loads as a walk that
+        /// keeps nothing, and reads every row it does not lend.
+        #[test]
+        fn prop_the_kept_rows_change_no_bit_and_no_decision(
+            rows in prop::collection::vec(prop::collection::vec(0.0f64..4.0, STRIDE), 0..28),
+            k in 0usize..6,
+            band in 1usize..40,
+        ) {
+            let n = rows.len();
+            let want = top_k_cosine(&rows, k);
+            let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+            let sink = MetricsSink::disabled();
+            let row_bytes = STRIDE * 8;
+            // The sketch pass runs, and keeps rows, where a walk can skip.
+            let sketched = k > 0 && k + 1 < n;
+            let mut bare = None;
+            for kept in [0, 1, n / 2, n] {
+                let src = Budgeted {
+                    rows: SliceSource::new(&flat, n, STRIDE),
+                    bytes: kept * row_bytes + row_bytes / 2,
+                };
+                for threads in [1usize, 2, 4] {
+                    let (got, stats) =
+                        top_k_source_with(&src, None, k, band, threads, &sink).unwrap();
+                    let label = format!("{kept} rows kept, {threads} threads");
+                    prop_assert_eq!(matches_bits(&got), matches_bits(&want), "{}", label);
+                    let expect_kept = if sketched { kept.min(n) } else { 0 };
+                    prop_assert_eq!(stats.rows_kept, expect_kept as u64, "{}", label);
+                    if threads > 1 {
+                        continue;
+                    }
+                    let bare = *bare.get_or_insert(stats);
+                    prop_assert_eq!(stats.kernel.pairs_scored, bare.kernel.pairs_scored, "{}", label);
+                    prop_assert_eq!(stats.bands_loaded, bare.bands_loaded, "{}", label);
+                    prop_assert_eq!(
+                        stats.bytes_streamed + stats.rows_lent_kept * row_bytes as u64,
+                        bare.bytes_streamed,
+                        "{}",
+                        label
+                    );
+                }
             }
         }
     }

@@ -7,8 +7,8 @@
 //! out-of-core tuning questions: how often reads were served zero-copy
 //! straight from the mapping, how many blocks had to be decoded (and
 //! how many bytes were checksummed and produced doing so — divide by
-//! the run's time for checksum and decode throughput), and how the
-//! row-group cache behaved (hits / misses / evictions).
+//! the run's time for checksum and decode throughput). No read path
+//! keeps a decode cache any more, so the three `cache_*` fields read 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,9 +16,6 @@ static ZERO_COPY_HITS: AtomicU64 = AtomicU64::new(0);
 static BLOCKS_DECODED: AtomicU64 = AtomicU64::new(0);
 static BYTES_CHECKSUMMED: AtomicU64 = AtomicU64::new(0);
 static BYTES_DECODED: AtomicU64 = AtomicU64::new(0);
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// One consistent reading of every format counter (monotonic totals
 /// since process start).
@@ -33,11 +30,13 @@ pub struct FormatCounters {
     pub bytes_checksummed: u64,
     /// `f64` bytes produced by block decodes.
     pub bytes_decoded: u64,
-    /// Row-group cache lookups answered from a resident group.
+    /// Decode-cache lookups answered from a resident group: 0, since no
+    /// read path keeps a decode cache (kept for the benchmark, which
+    /// reads it).
     pub cache_hits: u64,
-    /// Row-group cache lookups that had to decode a group.
+    /// Decode-cache lookups that decoded: 0, as `cache_hits`.
     pub cache_misses: u64,
-    /// Row groups evicted to stay inside the cache budget.
+    /// Decode-cache evictions: 0, as `cache_hits`.
     pub cache_evictions: u64,
 }
 
@@ -66,9 +65,7 @@ pub fn snapshot() -> FormatCounters {
         blocks_decoded: BLOCKS_DECODED.load(Ordering::Relaxed),
         bytes_checksummed: BYTES_CHECKSUMMED.load(Ordering::Relaxed),
         bytes_decoded: BYTES_DECODED.load(Ordering::Relaxed),
-        cache_hits: CACHE_HITS.load(Ordering::Relaxed),
-        cache_misses: CACHE_MISSES.load(Ordering::Relaxed),
-        cache_evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
+        ..FormatCounters::default()
     }
 }
 
@@ -85,18 +82,6 @@ pub(crate) fn record_bytes_checksummed(n: u64) {
     BYTES_CHECKSUMMED.fetch_add(n, Ordering::Relaxed);
 }
 
-pub(crate) fn record_cache_hit() {
-    CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_cache_miss() {
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_cache_evictions(n: u64) {
-    CACHE_EVICTIONS.fetch_add(n, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,9 +92,6 @@ mod tests {
         record_zero_copy_hit();
         record_blocks_decoded(3, 24);
         record_bytes_checksummed(17);
-        record_cache_hit();
-        record_cache_miss();
-        record_cache_evictions(2);
         let after = snapshot();
         let d = after.since(&before);
         // Other tests may bump the globals concurrently: deltas are
@@ -118,9 +100,6 @@ mod tests {
         assert!(d.blocks_decoded >= 3);
         assert!(d.bytes_decoded >= 24);
         assert!(d.bytes_checksummed >= 17);
-        assert!(d.cache_hits >= 1);
-        assert!(d.cache_misses >= 1);
-        assert!(d.cache_evictions >= 2);
         assert_eq!(before.since(&after), FormatCounters::default());
     }
 }

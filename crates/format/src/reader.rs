@@ -15,7 +15,13 @@
 //! region *is* an `n × hours` matrix of little-endian `f64` and
 //! [`SmcFile::rows`] reinterprets it in place: a cold-start load is
 //! page faults only, zero parse, zero copy.
+//!
+//! The out-of-core tier's band reads ([`SmcFile::read_raw_rows`],
+//! [`SmcFile::read_rows_into`]) go through the file descriptor instead:
+//! no page of the mapping is faulted, and a file truncated under a run
+//! is a typed error, not a `SIGBUS`.
 
+use std::cell::RefCell;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
@@ -25,7 +31,6 @@ use smda_types::{
 };
 
 use crate::block;
-use crate::cache::RowGroupCache;
 use crate::digest::Digest;
 use crate::layout::{
     bad, Footer, Header, IndexEntry, ENC_PACKED, ENC_RAW, FLAG_RAW_CONTIGUOUS, FOOTER_BYTES,
@@ -33,10 +38,24 @@ use crate::layout::{
 };
 use crate::writer::SmcSummary;
 
+/// Most stored bytes [`SmcFile::read_rows_into`] reads at once: a run of
+/// blocks past it is read in pieces, at block boundaries, and a block
+/// past it alone. A few packed years (about 66 KB each on generator
+/// data), so a band costs a few reads, and little held per thread: at
+/// 1 MiB the buffer alone read +2 % on the benchmark's peak RSS.
+const READ_SPAN_BYTES: usize = 256 << 10;
+
+thread_local! {
+    /// The stored blocks [`SmcFile::read_rows_into`] decodes from, reused
+    /// by each reading thread: at most `READ_SPAN_BYTES`, or one block.
+    static SPAN: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// An open, validated `SMC1` file.
 #[derive(Debug)]
 pub struct SmcFile {
-    /// Kept open for [`SmcFile::read_raw_rows`].
+    /// Kept open for [`SmcFile::read_raw_rows`] and
+    /// [`SmcFile::read_rows_into`].
     file: File,
     map: Mmap,
     path: PathBuf,
@@ -217,13 +236,13 @@ impl SmcFile {
         )
     }
 
-    /// Decode `entry`'s block onto the end of `out`, verifying its
-    /// digest; on `Err`, `out` is as it was. A packed block is digested
-    /// as it decodes, so a structural defect stops the fused digest
-    /// short: the block is then digested whole, and a mismatch still
-    /// outranks the defect — a damaged block reports the checksum.
-    fn decode_checked(&self, entry: &IndexEntry, out: &mut Vec<f64>) -> Result<()> {
-        let bytes = self.block_bytes(entry);
+    /// Decode `entry`'s block, whose stored bytes are `bytes`, onto the
+    /// end of `out`, verifying its digest; on `Err`, `out` is as it was.
+    /// A packed block is digested as it decodes, so a structural defect
+    /// stops the fused digest short: the block is then digested whole,
+    /// and a mismatch still outranks the defect — a damaged block
+    /// reports the checksum.
+    fn decode_checked(&self, entry: &IndexEntry, bytes: &[u8], out: &mut Vec<f64>) -> Result<()> {
         crate::metrics::record_bytes_checksummed(bytes.len() as u64);
         let start = out.len();
         let decoded = match entry.encoding {
@@ -245,7 +264,7 @@ impl SmcFile {
     pub fn read_consumer_into(&self, idx: usize, out: &mut Vec<f64>) -> Result<ConsumerId> {
         out.clear();
         let entry = *self.entry(idx)?;
-        self.decode_checked(&entry, out)?;
+        self.decode_checked(&entry, self.block_bytes(&entry), out)?;
         crate::metrics::record_blocks_decoded(1, out.len() as u64 * 8);
         Ok(ConsumerId(entry.id))
     }
@@ -253,45 +272,75 @@ impl SmcFile {
     /// Decode the consecutive consumers `rows.start..rows.end` into
     /// `out` (cleared first), row-major: `rows.len() * hours` values.
     /// Every block's checksum is verified — this is the band-loading
-    /// primitive of the out-of-core tier, usable on either encoding. On
+    /// primitive of the out-of-core tier, usable on either encoding.
+    /// The blocks are read from the file, not the mapping: one
+    /// positioned read per run of adjacent blocks up to 256 KiB into a
+    /// buffer each thread reuses, decoded
+    /// from there. So no page of the file enters this process's resident
+    /// set, and a file truncated since open is an [`Error::BadFormat`]
+    /// where a decode out of the mapping would fault (`SIGBUS`). On
     /// `Err`, `out` is left empty.
     pub fn read_rows_into(&self, rows: std::ops::Range<usize>, out: &mut Vec<f64>) -> Result<()> {
         out.clear();
-        self.append_rows(rows, out)
-    }
-
-    /// [`SmcFile::read_rows_into`] onto the end of `out`, which is not
-    /// cleared; on `Err`, `out` is as it was.
-    pub(crate) fn append_rows(
-        &self,
-        rows: std::ops::Range<usize>,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
         if rows.end > self.n() || rows.start > rows.end {
             return Err(Error::Invalid(format!(
                 "row range {rows:?} out of bounds (file has {})",
                 self.n()
             )));
         }
-        let start = out.len();
         out.reserve(rows.len() * self.hours());
         let count = rows.len() as u64;
-        for entry in &self.entries[rows] {
-            if let Err(e) = self.decode_checked(entry, out) {
-                out.truncate(start);
-                return Err(e);
+        let mut rest = &self.entries[rows];
+        let decoded = SPAN.with_borrow_mut(|span| {
+            while let Some(first) = rest.first() {
+                // The blocks after `first` that follow it in the file,
+                // while the span stays inside the bound.
+                let (start, mut end, mut take) = (first.offset, first.offset + first.length, 1);
+                for next in &rest[1..] {
+                    let next_end = next.offset + next.length;
+                    if next.offset < end || next_end - start > READ_SPAN_BYTES as u64 {
+                        break;
+                    }
+                    (end, take) = (next_end, take + 1);
+                }
+                let len = (end - start) as usize;
+                if span.len() < len {
+                    span.resize(len, 0);
+                }
+                self.read_exact_at(&mut span[..len], start)?;
+                for entry in &rest[..take] {
+                    let at = (entry.offset - start) as usize;
+                    self.decode_checked(entry, &span[at..at + entry.length as usize], out)?;
+                }
+                rest = &rest[take..];
             }
+            Ok(())
+        });
+        if let Err(e) = decoded {
+            out.clear();
+            return Err(e);
         }
-        crate::metrics::record_blocks_decoded(count, (out.len() - start) as u64 * 8);
+        crate::metrics::record_blocks_decoded(count, out.len() as u64 * 8);
         Ok(())
     }
 
-    /// A bounded decode cache over this file's rows: groups of
-    /// `group_rows` consecutive consumers are decoded (checksummed) on
-    /// demand, when a read reaches them, and kept LRU-resident within
-    /// `max_resident_bytes`.
-    pub fn group_cache(&self, group_rows: usize, max_resident_bytes: usize) -> RowGroupCache<'_> {
-        RowGroupCache::new(self, group_rows, max_resident_bytes)
+    /// Fill `bytes` from the file at offset `start`. A file that ends
+    /// first — truncated since open — is an [`Error::BadFormat`].
+    fn read_exact_at(&self, bytes: &mut [u8], start: u64) -> Result<()> {
+        use std::os::unix::fs::FileExt;
+        self.file.read_exact_at(bytes, start).map_err(|e| {
+            let context = format!("reading {}", self.path.display());
+            match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => bad(
+                    context,
+                    FormatDefect::Truncated {
+                        expected: start + bytes.len() as u64,
+                        actual: self.file.metadata().map_or(0, |m| m.len()),
+                    },
+                ),
+                _ => Error::io(context, e),
+            }
+        })
     }
 
     /// Read rows `rows.start..rows.end` of a raw-contiguous file
@@ -304,7 +353,6 @@ impl SmcFile {
     /// file that is not raw-contiguous or a span out of range. On `Err`,
     /// `out` is left empty.
     pub fn read_raw_rows(&self, rows: std::ops::Range<usize>, out: &mut Vec<f64>) -> Result<()> {
-        use std::os::unix::fs::FileExt;
         if !self.contiguous_raw || rows.end > self.n() || rows.start > rows.end {
             out.clear();
             return Err(Error::Invalid(format!(
@@ -325,19 +373,9 @@ impl SmcFile {
         // read leaves there are valid values.
         let bytes =
             unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), count * 8) };
-        if let Err(e) = self.file.read_exact_at(bytes, start) {
+        if let Err(e) = self.read_exact_at(bytes, start) {
             out.clear();
-            let context = format!("reading {}", self.path.display());
-            return Err(match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => bad(
-                    context,
-                    FormatDefect::Truncated {
-                        expected: start + count as u64 * 8,
-                        actual: self.file.metadata().map_or(0, |m| m.len()),
-                    },
-                ),
-                _ => Error::io(context, e),
-            });
+            return Err(e);
         }
         // Raw blocks are little-endian.
         if cfg!(target_endian = "big") {
@@ -346,23 +384,6 @@ impl SmcFile {
             }
         }
         Ok(())
-    }
-
-    /// Advise the kernel that the mapped bytes behind rows
-    /// `rows.start..rows.end` are no longer needed, dropping them from
-    /// this process's resident set (they re-fault from the page cache
-    /// on next access). Best-effort: returns false on owned backings,
-    /// empty or out-of-range spans, or a refusing kernel. This is what
-    /// keeps the out-of-core streaming pass's RSS bounded by a band
-    /// instead of the whole file.
-    pub fn advise_rows_dontneed(&self, rows: std::ops::Range<usize>) -> bool {
-        if rows.start >= rows.end || rows.end > self.n() {
-            return false;
-        }
-        let start = self.entries[rows.start].offset as usize;
-        let last = &self.entries[rows.end - 1];
-        let end = (last.offset + last.length) as usize;
-        self.map.advise_dontneed(start, end - start)
     }
 
     /// Zero-copy view of one consumer's readings, available when the

@@ -211,12 +211,6 @@ pub mod counters {
     pub const FORMAT_BYTES_CHECKSUMMED: &str = "format.bytes_checksummed";
     /// `f64` bytes produced by `SMC1` block decodes.
     pub const FORMAT_BYTES_DECODED: &str = "format.bytes_decoded";
-    /// Row-group cache lookups answered from a resident group.
-    pub const FORMAT_CACHE_HITS: &str = "format.cache_hits";
-    /// Row-group cache lookups that had to decode a group.
-    pub const FORMAT_CACHE_MISSES: &str = "format.cache_misses";
-    /// Row groups evicted to stay inside the cache's byte budget.
-    pub const FORMAT_CACHE_EVICTIONS: &str = "format.cache_evictions";
     /// Out-of-core similarity runs taken by an engine (0/1 per run).
     pub const OOOC_RUNS: &str = "oooc.runs";
     /// Band buffers filled from the series source by the out-of-core
@@ -225,12 +219,20 @@ pub mod counters {
     /// Band pairs scheduled across workers by the out-of-core
     /// scheduler.
     pub const OOOC_BAND_PAIRS: &str = "oooc.band_pairs";
-    /// `f64` bytes streamed through out-of-core band buffers.
+    /// `f64` bytes the out-of-core scheduler read from its source: rows
+    /// a band lends from the kept unit rows are not read, and not
+    /// counted.
     pub const OOOC_BYTES_STREAMED: &str = "oooc.bytes_streamed";
     /// Row norms the out-of-core scheduler computed; reloads read
     /// them from a store every worker of the walk shares, so a walk
     /// counts each row once.
     pub const OOOC_NORMS_COMPUTED: &str = "oooc.norms_computed";
+    /// Unit rows the out-of-core sketch pass kept within the source's
+    /// cache budget (0 where the walk ran no sketch pass).
+    pub const OOOC_ROWS_KEPT: &str = "oooc.rows_kept";
+    /// Band rows the out-of-core scheduler lent from the kept unit rows
+    /// instead of reading them.
+    pub const OOOC_ROWS_LENT_KEPT: &str = "oooc.rows_lent_kept";
 }
 
 #[cfg(test)]

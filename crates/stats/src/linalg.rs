@@ -94,17 +94,6 @@ impl Matrix {
         self.data
     }
 
-    /// The transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
-
     /// `XᵀX` computed directly (symmetric, no transpose materialized).
     pub fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
@@ -275,6 +264,18 @@ pub fn qr_least_squares(x: &Matrix, y: &[f64]) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
 
+    /// `Aᵀ`, one element at a time: the tests' reference for `gram` and
+    /// `t_vec`.
+    fn transpose(a: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(a.cols, a.rows);
+        for r in 0..a.rows {
+            for c in 0..a.cols {
+                t.set(c, r, a.get(r, c));
+            }
+        }
+        t
+    }
+
     /// `A · v`, one row dot product at a time.
     fn matvec(a: &Matrix, v: &[f64]) -> Vec<f64> {
         (0..a.rows())
@@ -292,8 +293,8 @@ mod tests {
     #[test]
     fn transpose_involution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
+        assert_eq!(transpose(&transpose(&a)), a);
+        assert_eq!(transpose(&a).get(2, 1), 6.0);
     }
 
     #[test]
@@ -308,7 +309,7 @@ mod tests {
     fn t_vec_equals_transpose_matvec() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let y = [1.0, 0.5, 2.0];
-        assert_close(&a.t_vec(&y), &matvec(&a.transpose(), &y), 1e-12);
+        assert_close(&a.t_vec(&y), &matvec(&transpose(&a), &y), 1e-12);
     }
 
     #[test]

@@ -3,21 +3,22 @@
 //! A million-consumer year is ~70 GB of `f64`, so the walk
 //! ([`crate::similarity_walk`]) also reads its bands from a
 //! [`SeriesSource`]: anything that can materialize a contiguous *band*
-//! of raw rows on demand (an in-memory slice, a raw-contiguous `.smc`
-//! file read in place, or a decode-on-demand packed file behind a
-//! bounded cache), seen through a [`Streamed`] view with its band
-//! height. A worker then holds two band buffers, normalized on load with
-//! the arithmetic of [`crate::SeriesMatrixBuilder::set_row_normalized`],
-//! so every band row equals the in-memory matrix row bit for bit;
-//! resident memory is `O(2 · band_rows · stride)` per worker plus
-//! `O(n · (k + 2 + sketch))` shared: the top-k lists, one norm and one
-//! floor per row, and for an all-pairs walk that can skip, each row's
-//! 337-value sketch and the chain over them — instead of
+//! of raw rows on demand (an in-memory slice, or a `.smc` file read
+//! band by band, raw rows as they are stored, packed ones decoded),
+//! seen through a [`Streamed`] view with its band height. A worker then
+//! holds two band buffers, normalized on load with the arithmetic of
+//! [`crate::SeriesMatrixBuilder::set_row_normalized`], so every band
+//! row equals the in-memory matrix row bit for bit; resident memory is
+//! `O(2 · band_rows · stride)` per worker plus `O(n · (k + 2 + sketch))`
+//! shared: the top-k lists, one norm and one floor per row, and for an
+//! all-pairs walk that can skip, each row's 337-value sketch and the
+//! chain over them, and the unit rows the source's
+//! [`SeriesSource::cache_bytes`] budget holds — instead of
 //! `O(n · stride)`. The query form over a source,
 //! [`Streamed::top_k_queries`], is no walk: it holds the query rows and
 //! one band buffer, and reads every band once, in file order.
 //!
-//! Memory model, scheduler diagram, and cache policy: DESIGN.md §16.
+//! Memory model, scheduler diagram, and the kept rows: DESIGN.md §16.
 
 use std::ops::Range;
 
@@ -46,6 +47,15 @@ pub trait SeriesSource: Sync {
     /// Fill `out` (cleared first) with rows `rows.start..rows.end`,
     /// row-major: exactly `rows.len() * stride()` values.
     fn load_band(&self, rows: Range<usize>, out: &mut Vec<f64>) -> Result<()>;
+
+    /// Bytes of unit rows a walk over this source may keep beside its
+    /// band buffers: the sketch pass keeps rows `0..m`, `m` this budget
+    /// divided by the row bytes, and a chain band lends them in place
+    /// instead of reading them again ([`Streamed`]). Zero, the default,
+    /// keeps nothing.
+    fn cache_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// A borrowed in-memory row-major matrix as a [`SeriesSource`] — the
@@ -94,12 +104,17 @@ pub struct OoocStats {
     pub kernel: KernelStats,
     /// Band buffers filled from the source (reloads included).
     pub bands_loaded: u64,
-    /// Total `f64` bytes streamed through band buffers.
+    /// `f64` bytes read from the source: rows a band lends from the
+    /// kept rows are not read, and not counted.
     pub bytes_streamed: u64,
     /// Row norms computed for unit-normalized bands; a reloaded row's
     /// norm comes from the store every worker walking the same
     /// [`Streamed`] shares, and is not counted again.
     pub norms_computed: u64,
+    /// Unit rows the sketch pass kept ([`SeriesSource::cache_bytes`]).
+    pub rows_kept: u64,
+    /// Band rows lent from the kept rows instead of read.
+    pub rows_lent_kept: u64,
 }
 
 impl OoocStats {
@@ -109,6 +124,8 @@ impl OoocStats {
         self.bands_loaded += other.bands_loaded;
         self.bytes_streamed += other.bytes_streamed;
         self.norms_computed += other.norms_computed;
+        self.rows_kept += other.rows_kept;
+        self.rows_lent_kept += other.rows_lent_kept;
     }
 }
 

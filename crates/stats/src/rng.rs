@@ -34,9 +34,20 @@ impl GaussianNoise {
         }
     }
 
-    /// Draw one sample.
+    /// Draw one sample: a standard-normal variate, one polar attempt at
+    /// a time — the stream `polar_pairs` reproduces in chunks — scaled.
     pub fn sample(&mut self) -> f64 {
-        self.mean + self.stddev * self.standard()
+        let z = self.spare.take().unwrap_or_else(|| loop {
+            let u: f64 = self.rng.gen_range(-1.0..1.0);
+            let v: f64 = self.rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                let factor = (-2.0 * s.ln() / s).sqrt();
+                self.spare = Some(v * factor);
+                break u * factor;
+            }
+        });
+        self.mean + self.stddev * z
     }
 
     /// Fill `out` with the next `out.len()` samples: the values, bit for
@@ -66,24 +77,6 @@ impl GaussianNoise {
             *x = self.mean + self.stddev * *x;
         }
     }
-
-    /// Draw a standard-normal variate, one polar attempt at a time: the
-    /// stream [`polar_pairs`] reproduces in chunks.
-    fn standard(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        loop {
-            let u: f64 = self.rng.gen_range(-1.0..1.0);
-            let v: f64 = self.rng.gen_range(-1.0..1.0);
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let factor = (-2.0 * s.ln() / s).sqrt();
-                self.spare = Some(v * factor);
-                return u * factor;
-            }
-        }
-    }
 }
 
 /// Polar attempts drawn per chunk at most.
@@ -92,7 +85,7 @@ const POLAR_CHUNK: usize = 128;
 /// Fill `out` with accepted Marsaglia polar pairs from `rng`, standard
 /// normal, in stream order: the pairs, and the stream position after
 /// them, of `out.len()` passes through the one-at-a-time rejection loop
-/// in [`GaussianNoise::standard`].
+/// in [`GaussianNoise::sample`].
 ///
 /// Each chunk draws at most as many attempts as pairs are still owed, so
 /// no accepted attempt is surplus: the last chunk accepts every attempt

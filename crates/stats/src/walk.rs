@@ -15,7 +15,8 @@
 //! * a [`Streamed`] [`SeriesSource`] is read into two band buffers per
 //!   worker and unit-normalized there, each row's norm computed on its
 //!   first load and shared by every worker walking the same
-//!   [`Streamed`] (DESIGN.md §16).
+//!   [`Streamed`]; the unit rows the sketch pass kept (below) are lent
+//!   in place and not read again (DESIGN.md §16).
 //!
 //! The walk over either cuts its bands from one chain order
 //! (`Sketches::chain`: each row followed by the one its sketch bounds
@@ -27,7 +28,9 @@
 //! any worker walking the same rows. The resident matrix carries its
 //! rows' sketches; over a streamed source the first worker loads every
 //! band once in file order and sketches its rows (the *sketch pass*),
-//! then builds the chain over those sketches, while the others wait.
+//! keeping the first rows' unit values as the source's
+//! [`SeriesSource::cache_bytes`] budget allows, then builds the chain
+//! over those sketches, while the others wait.
 //!
 //! Units map to band pairs in one order for both sources
 //! ([`lead_pair_at`]): first the *lead* — each band's own triangle, then
@@ -71,9 +74,10 @@ use crate::similarity::{norm2_rows, SimilarityMatch};
 /// as one): the rows of an out-of-core walk or query set. Every worker
 /// walking this one value shares what is learnt of the rows: each row's
 /// norm, computed on the row's first load by whichever worker loads it;
-/// for a walk that can skip, every row's sketch and the chain, built by
-/// the sketch pass of the first worker while the others wait; and each
-/// row's floor, as [`Resident`] shares it (DESIGN.md §16).
+/// for a walk that can skip, every row's sketch, the chain and the kept
+/// unit rows, built by the sketch pass of the first worker while the
+/// others wait; and each row's floor, as [`Resident`] shares it
+/// (DESIGN.md §16).
 pub struct Streamed<'a> {
     source: &'a dyn SeriesSource,
     band_rows: usize,
@@ -87,11 +91,41 @@ pub struct Streamed<'a> {
     floors: Floors,
 }
 
-/// What the sketch pass builds: every row's sketch, row after row, and
-/// the chain over them.
+/// What the sketch pass builds: every row's sketch, row after row, the
+/// chain over them, and the unit rows the source's budget holds.
 struct Sketched {
     cells: Vec<f64>,
     chain: Vec<usize>,
+    kept: Kept,
+}
+
+/// Unit rows `0..rows` of a streamed source, kept by its sketch pass
+/// as it normalizes them, `rows` the source's
+/// [`SeriesSource::cache_bytes`] over the row bytes, capped at `n`. They
+/// are held in band-sized pieces, not one slab: row `i` is row
+/// `i % band_rows` of piece `i / band_rows`, the piece of the band the
+/// pass read it in. Each piece is written once, before the walk lends a
+/// row of it, and read by every worker without a lock. Public only so
+/// that [`RowBlock::Loaded`] can name it.
+pub struct Kept {
+    pieces: Vec<Vec<f64>>,
+    band_rows: usize,
+    rows: usize,
+}
+
+/// What a walk keeps where the sketch pass has not run.
+static NOTHING_KEPT: Kept = Kept {
+    pieces: Vec::new(),
+    band_rows: 1,
+    rows: 0,
+};
+
+impl Kept {
+    /// Kept row `i` of `stride` values.
+    fn row(&self, i: usize, stride: usize) -> &[f64] {
+        let at = i % self.band_rows * stride;
+        &self.pieces[i / self.band_rows][at..at + stride]
+    }
 }
 
 impl<'a> Streamed<'a> {
@@ -231,12 +265,16 @@ pub(crate) fn lead_pair_at(bands: usize, t: usize) -> (usize, usize) {
 /// from a streamed source, or rows of the resident [`SeriesMatrix`] read
 /// in place. Row `r` of the block is row [`RowBlock::index`]`(r)` of the
 /// full matrix. Public only so that [`BandRows::pair`] can return it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub enum RowBlock<'a> {
-    /// Rows `ids[0]`, `ids[1]`, …, row-major in `data`.
+    /// Rows `ids[0]`, `ids[1]`, … of `stride` values: row `r` is row
+    /// `at[r]` of `data`, row-major, or, where `at[r]` is [`LENT`], kept
+    /// row `ids[r]`.
     Loaded {
         data: &'a [f64],
         ids: &'a [usize],
+        at: &'a [usize],
+        kept: &'a Kept,
         stride: usize,
     },
     /// Rows `ids[0]`, `ids[1]`, … of `matrix`.
@@ -259,7 +297,16 @@ impl<'a> RowBlock<'a> {
     #[inline]
     pub(crate) fn row(&self, r: usize) -> &'a [f64] {
         match *self {
-            RowBlock::Loaded { data, stride, .. } => &data[r * stride..(r + 1) * stride],
+            RowBlock::Loaded {
+                data,
+                ids,
+                at,
+                kept,
+                stride,
+            } => match at[r] {
+                LENT => kept.row(ids[r], stride),
+                a => &data[a * stride..(a + 1) * stride],
+            },
             RowBlock::Listed { matrix, ids } => matrix.row(ids[r]),
         }
     }
@@ -361,25 +408,44 @@ impl BandRows for Resident<'_> {
 /// so no row's norm is this.
 const UNKNOWN_NORM: f64 = -1.0;
 
+/// Where a band lends row `r` from the kept rows, in its `at`.
+const LENT: usize = usize::MAX;
+
 /// One worker's buffers over a streamed source: two bands, and what
 /// filling one needs.
 pub struct StreamBuffers {
     bands: [Band; 2],
     /// The band used last.
     recent: usize,
-    /// The rows of a band past its first run of consecutive rows.
+    /// The raw rows of a band's run of consecutive rows past the first
+    /// it reads.
     scratch: Vec<f64>,
-    /// The norms of the rows of the band loaded last.
+    /// The norms of the rows read by the load last.
     norms: Vec<f64>,
 }
 
-/// A band buffer: the unit rows of band `idx`, once loaded, which are
-/// rows `ids` of the source.
+/// A band buffer: band `idx`, once loaded, which is rows `ids` of the
+/// source. Row `r` is the unit row `at[r]` of `data`, where it was read,
+/// or kept row `ids[r]` where `at[r]` is [`LENT`].
 #[derive(Default)]
 struct Band {
     idx: Option<usize>,
     ids: Vec<usize>,
+    at: Vec<usize>,
     data: Vec<f64>,
+}
+
+impl Band {
+    /// The band's rows of `stride` values, kept ones read from `kept`.
+    fn block<'a>(&'a self, kept: &'a Kept, stride: usize) -> RowBlock<'a> {
+        RowBlock::Loaded {
+            data: &self.data,
+            ids: &self.ids,
+            at: &self.at,
+            kept,
+            stride,
+        }
+    }
 }
 
 /// Streamed raw rows, normalized into band buffers on load.
@@ -431,7 +497,8 @@ impl BandRows for Streamed<'_> {
     /// Band `b` is the chain's rows `b·h..(b+1)·h` once the sketch pass
     /// has built it, the source's otherwise. A band not in either buffer
     /// is loaded into the one that holds neither band of the pair and
-    /// was used longest ago.
+    /// was used longest ago; its rows the sketch pass kept are lent from
+    /// there.
     fn pair<'a>(
         &'a self,
         bufs: &'a mut StreamBuffers,
@@ -439,7 +506,9 @@ impl BandRows for Streamed<'_> {
         (bi, bj): (usize, usize),
         stats: &mut OoocStats,
     ) -> Result<[RowBlock<'a>; 2]> {
-        let chain = self.sketched.get().map(|s| s.chain.as_slice());
+        let sketched = self.sketched.get();
+        let chain = sketched.map(|s| s.chain.as_slice());
+        let kept = sketched.map_or(&NOTHING_KEPT, |s| &s.kept);
         let mut lent = [0usize; 2];
         for (side, b) in [bi, bj].into_iter().enumerate() {
             let held = bufs.bands.iter().position(|band| band.idx == Some(b));
@@ -462,7 +531,7 @@ impl BandRows for Streamed<'_> {
                         None => band.ids.extend(rows),
                     }
                     let (scratch, norms) = (&mut bufs.scratch, &mut bufs.norms);
-                    self.load(band, scratch, norms, stats, normalize_band)?;
+                    self.load(band, kept, scratch, norms, stats)?;
                     band.idx = Some(b);
                     slot
                 }
@@ -472,14 +541,7 @@ impl BandRows for Streamed<'_> {
         }
         let bufs: &'a StreamBuffers = bufs;
         let stride = self.source.stride();
-        Ok(lent.map(|slot| {
-            let band = &bufs.bands[slot];
-            RowBlock::Loaded {
-                data: &band.data,
-                ids: &band.ids,
-                stride,
-            }
-        }))
+        Ok(lent.map(|slot| bufs.bands[slot].block(kept, stride)))
     }
 }
 
@@ -509,7 +571,7 @@ impl Streamed<'_> {
             }
             band.ids.clear();
             band.ids.push(q);
-            self.load(band, scratch, norms, &mut stats, normalize_band)?;
+            self.load(band, &NOTHING_KEPT, scratch, norms, &mut stats)?;
             held.extend_from_slice(&band.data);
         }
         let rows: Vec<&[f64]> = (0..queries.len())
@@ -520,9 +582,8 @@ impl Streamed<'_> {
         for start in (0..n).step_by(band_rows) {
             band.ids.clear();
             band.ids.extend(start..(start + band_rows).min(n));
-            self.load(band, scratch, norms, &mut stats, normalize_band)?;
-            let (data, ids) = (&band.data, &band.ids);
-            let block = RowBlock::Loaded { data, ids, stride };
+            self.load(band, &NOTHING_KEPT, scratch, norms, &mut stats)?;
+            let block = band.block(&NOTHING_KEPT, stride);
             stats.kernel.pairs_scored += score_queries(&mut lists, queries, &rows, block);
         }
         Ok((lists.into_iter().map(TopKBuffer::finish).collect(), stats))
@@ -549,74 +610,116 @@ impl Streamed<'_> {
     /// of its rows normalized and sketched in one pass
     /// ([`write_normalized`]), as
     /// [`crate::SeriesMatrixBuilder::set_row_normalized`] writes the same
-    /// row — only the sketch is kept — then the chain built over the
-    /// sketches.
+    /// row — the unit values kept for the rows [`Kept`] holds, only the
+    /// sketch for the others — then the chain built over the sketches.
     fn sketch_pass(&self, bufs: &mut StreamBuffers, stats: &mut OoocStats) -> Result<Sketched> {
         let (n, stride) = self.shape();
         let (width, band_rows) = (sketch_width(stride), self.band_rows.max(1));
+        let kept_rows = (self.source.cache_bytes() / (stride * 8).max(1)).min(n);
         let mut cells = vec![0.0; n * width];
         let mut unit = vec![0.0; stride];
-        let band = &mut bufs.bands[0];
+        let mut pieces = Vec::with_capacity(kept_rows.div_ceil(band_rows));
+        let (band, norms) = (&mut bufs.bands[0], &mut bufs.norms);
         band.idx = None;
         for start in (0..n).step_by(band_rows) {
-            band.ids.clear();
-            band.ids.extend(start..(start + band_rows).min(n));
-            let (scratch, norms) = (&mut bufs.scratch, &mut bufs.norms);
-            self.load(band, scratch, norms, stats, |_, _, _| {})?;
-            for ((r, &i), &norm) in band.ids.iter().enumerate().zip(&bufs.norms) {
+            let rows = start..(start + band_rows).min(n);
+            norms.clear();
+            self.read(rows.clone(), &mut band.data, norms, stats)?;
+            stats.bands_loaded += 1;
+            let mut piece = vec![0.0; (kept_rows.clamp(start, rows.end) - start) * stride];
+            for (r, &norm) in norms.iter().enumerate() {
+                let i = start + r;
                 let row = &band.data[r * stride..(r + 1) * stride];
                 let sketch = &mut cells[i * width..(i + 1) * width];
-                write_normalized(&mut unit, sketch, row, norm);
+                let out = if i < kept_rows {
+                    &mut piece[r * stride..(r + 1) * stride]
+                } else {
+                    &mut unit[..]
+                };
+                write_normalized(out, sketch, row, norm);
+            }
+            if start < kept_rows {
+                pieces.push(piece);
             }
         }
+        stats.rows_kept += kept_rows as u64;
         let chain = Sketches::new(&cells, stride).chain();
-        Ok(Sketched { cells, chain })
+        let kept = Kept {
+            pieces,
+            band_rows,
+            rows: kept_rows,
+        };
+        Ok(Sketched { cells, chain, kept })
     }
 
-    /// Fill `band.data` with the source rows `band.ids` lists, in that
-    /// order, and `norms` with their norms ([`Streamed::norms_of`]): one
-    /// [`SeriesSource::load_band`] per run of consecutive rows, the first
-    /// straight into the band, each later one into `scratch` and appended
-    /// from there. Each run's raw rows are handed to `each` with the
-    /// stride and their norms while they are still in cache, to be
-    /// normalized in place ([`normalize_band`]) or left as they are.
+    /// Fill `band` with the source rows `band.ids` lists, in that order,
+    /// as unit rows: each row `kept` holds is lent from there, and the
+    /// others are read ([`Streamed::read`]) — one
+    /// [`SeriesSource::load_band`] per run of consecutive rows, the
+    /// first straight into `band.data` and divided by its norms in
+    /// place, each later one into `scratch` and appended divided, so
+    /// that every value is written once. `norms` gets the norms of the
+    /// rows read.
     fn load(
         &self,
         band: &mut Band,
+        kept: &Kept,
         scratch: &mut Vec<f64>,
         norms: &mut Vec<f64>,
         stats: &mut OoocStats,
-        each: impl Fn(&mut [f64], usize, &[f64]),
     ) -> Result<()> {
         let stride = self.source.stride();
         band.data.clear();
+        band.at.clear();
         norms.clear();
-        for (r, run) in band.ids.chunk_by(|x, y| x + 1 == *y).enumerate() {
-            let rows = run[0]..run[0] + run.len();
-            let into = if r == 0 {
-                &mut band.data
-            } else {
-                &mut *scratch
-            };
-            self.source.load_band(rows.clone(), into)?;
-            if into.len() != rows.len() * stride {
-                return Err(Error::Invalid(format!(
-                    "series source filled {} values for band {}..{} (want {})",
-                    into.len(),
-                    rows.start,
-                    rows.end,
-                    rows.len() * stride
-                )));
+        for run in band.ids.chunk_by(|x, y| x + 1 == *y) {
+            // The kept rows are the first of the source, so a run's kept
+            // rows are its first.
+            let end = run[0] + run.len();
+            let rows = kept.rows.clamp(run[0], end)..end;
+            let lent = run.len() - rows.len();
+            band.at.extend(std::iter::repeat_n(LENT, lent));
+            stats.rows_lent_kept += lent as u64;
+            if rows.is_empty() {
+                continue;
             }
-            self.norms_of(rows, into, norms, stats)?;
-            each(into, stride, &norms[norms.len() - run.len()..]);
-            if r > 0 {
-                band.data.extend_from_slice(scratch);
+            // One norm per row read so far: the rows before these.
+            let known = norms.len();
+            band.at.extend(known..known + rows.len());
+            if known == 0 {
+                self.read(rows, &mut band.data, norms, stats)?;
+                normalize_band(&mut band.data, stride, norms);
+            } else {
+                self.read(rows, scratch, norms, stats)?;
+                append_normalized(&mut band.data, scratch, stride, &norms[known..]);
             }
         }
         stats.bands_loaded += 1;
-        stats.bytes_streamed += (band.data.len() * 8) as u64;
         Ok(())
+    }
+
+    /// Fill `into` with source rows `rows` ([`SeriesSource::load_band`]),
+    /// raw, and append their norms to `norms` ([`Streamed::norms_of`]).
+    fn read(
+        &self,
+        rows: Range<usize>,
+        into: &mut Vec<f64>,
+        norms: &mut Vec<f64>,
+        stats: &mut OoocStats,
+    ) -> Result<()> {
+        let stride = self.source.stride();
+        self.source.load_band(rows.clone(), into)?;
+        if into.len() != rows.len() * stride {
+            return Err(Error::Invalid(format!(
+                "series source filled {} values for band {}..{} (want {})",
+                into.len(),
+                rows.start,
+                rows.end,
+                rows.len() * stride
+            )));
+        }
+        stats.bytes_streamed += (into.len() * 8) as u64;
+        self.norms_of(rows, into, norms, stats)
     }
 
     /// The norms of source rows `rows`, whose raw values `data` holds,
@@ -683,6 +786,19 @@ fn normalize_band(data: &mut [f64], stride: usize, norms: &[f64]) {
             for v in &mut data[r * stride..(r + 1) * stride] {
                 *v /= n;
             }
+        }
+    }
+}
+
+/// Append each raw row of `raw` to `out` unit-normalized by its norm in
+/// `norms`, as [`normalize_band`] would leave it in place.
+fn append_normalized(out: &mut Vec<f64>, raw: &[f64], stride: usize, norms: &[f64]) {
+    for (r, &n) in norms.iter().enumerate() {
+        let row = &raw[r * stride..(r + 1) * stride];
+        if n != 0.0 {
+            out.extend(row.iter().map(|v| v / n));
+        } else {
+            out.extend_from_slice(row);
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use std::path::{Path, PathBuf};
 
-use smda_format::{write_dataset, Encoding, RowGroupCache, SmcFile, SmcSummary, SmcWriter};
+use smda_format::{write_dataset, Encoding, SmcFile, SmcSummary, SmcWriter};
 use smda_types::{ConsumerId, Dataset, Error, Result};
 
 /// Block encoding policy for a store being created (re-exported shape
@@ -147,13 +147,6 @@ impl BinaryStore {
         self.file.rows()
     }
 
-    /// A bounded LRU decode cache over this store's rows (see
-    /// [`RowGroupCache`]) — the band-lending tier the out-of-core
-    /// similarity kernels stream packed files through.
-    pub fn group_cache(&self, group_rows: usize, max_resident_bytes: usize) -> RowGroupCache<'_> {
-        self.file.group_cache(group_rows, max_resident_bytes)
-    }
-
     /// Read the whole store into a validated dataset.
     pub fn read_all(&self) -> Result<Dataset> {
         self.file.read_dataset()
@@ -244,13 +237,6 @@ mod tests {
                     .zip(c.readings())
                     .all(|(a, b)| a.to_bits() == b.to_bits()));
             }
-            let cache = store.group_cache(2, 1 << 20);
-            let mut cached = Vec::new();
-            cache.load_rows(1..4, &mut cached).unwrap();
-            assert!(cached
-                .iter()
-                .zip(&band)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
             std::fs::remove_file(&path).unwrap();
         }
     }

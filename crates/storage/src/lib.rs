@@ -34,8 +34,6 @@ pub mod update;
 pub mod wal;
 
 pub use binary::{BinaryEncoding, BinaryStore, BinaryWriter};
-// Re-exported so engine crates can reach the format tier's cache and
-// counters without a direct `smda-format` dependency.
 pub use btree::BTreeIndex;
 pub use buffer::{BufferPool, PoolStats};
 pub use colstore::{ColumnStore, ColumnStoreStats};
@@ -43,7 +41,9 @@ pub use files::{FileLayout, FileStore};
 pub use heap::{HeapFile, TupleId};
 pub use layout::{ArrayTable, DayTable, ReadingTable, TableLayout};
 pub use page::{Page, PAGE_SIZE};
-pub use smda_format::{metrics as format_metrics, FormatCounters, RowGroupCache};
+// Re-exported so engine crates can reach the format tier's counters
+// without a direct `smda-format` dependency.
+pub use smda_format::{metrics as format_metrics, FormatCounters};
 pub use update::{
     restate_array_table, restate_column_store, restate_day_table, restate_reading_table,
     DayRestatement,
