@@ -203,7 +203,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 None => "-",
             };
             let secs_f = elapsed.as_secs_f64().max(1e-9);
-            let rows_streamed = stats.bytes_streamed / (hours.max(1) * 8) as u64;
             let mflops = stats.kernel.flops(hours) as f64 / secs_f / 1e6;
             t.row(vec![
                 n.to_string(),
@@ -220,7 +219,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 mib(peak_heap as u64),
                 mib(peak_rss),
                 secs(elapsed),
-                format!("{:.0}", rows_streamed as f64 / secs_f),
+                format!("{:.0}", n as f64 / secs_f),
                 format!("{mflops:.0}"),
                 verified.to_string(),
             ]);

@@ -364,9 +364,54 @@ fn fit_kernel_divergence() -> Option<String> {
                     values.len()
                 ));
             }
+            // The same values with those where the spec's buckets meet.
+            let mut beside = values.to_vec();
+            for edge in bucket_edges(&spec) {
+                let (down, up) = (edge.next_down(), edge.next_up());
+                beside.extend([down.next_down(), down, edge, up, up.next_up()]);
+            }
+            let mut counts = vec![0u64; spec.buckets];
+            count_buckets(&beside, &spec, &mut counts);
+            let mut want = vec![0u64; spec.buckets];
+            for bucket in beside.iter().filter_map(|&v| spec.bucket_of(v)) {
+                want[bucket] += 1;
+            }
+            if counts != want {
+                return Some(format!("count_buckets beside the bucket edges of {spec:?}"));
+            }
         }
     }
     None
+}
+
+/// Where the buckets of `spec` meet, found by bisecting `bucket_of` over
+/// the values' ordered keys: `min`, then for each `b` in `1..=buckets` the
+/// least value that is past `max` or that `bucket_of` puts in bucket `b`
+/// or above. Empty unless `min < max` and the span is finite, where
+/// `bucket_of` never decreases on `[min, max]`.
+fn bucket_edges(spec: &smda_stats::HistogramSpec) -> Vec<f64> {
+    use smda_stats::{from_ordered_key, ordered_key};
+
+    if !(spec.min < spec.max && (spec.max - spec.min).is_finite()) {
+        return Vec::new();
+    }
+    let least_in = |b: usize| {
+        let reaches = |v: f64| v > spec.max || spec.bucket_of(v).is_some_and(|at| at >= b);
+        let key = |v: f64| i128::from(ordered_key(v));
+        let (mut below, mut at) = (key(spec.min), key(spec.max.next_up()));
+        while at - below > 1 {
+            let mid = (below + at) >> 1;
+            if reaches(from_ordered_key(mid as i64)) {
+                at = mid;
+            } else {
+                below = mid;
+            }
+        }
+        from_ordered_key(at as i64)
+    };
+    std::iter::once(spec.min)
+        .chain((1..=spec.buckets).map(least_in))
+        .collect()
 }
 
 /// SIMD equivalence gate (`smda-bench --check simd`): under every

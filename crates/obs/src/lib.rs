@@ -284,9 +284,15 @@ mod tests {
         let sink = MetricsSink::recording();
         sink.add_phase(&["run", "t1"], std::time::Duration::from_nanos(50));
         sink.add_phase(&["run", "t1"], std::time::Duration::from_nanos(25));
+        // Names that sort before the ones seen first still come after them.
+        sink.add_phase(&["load"], std::time::Duration::from_nanos(4));
+        sink.add_phase(&["run", "a"], std::time::Duration::from_nanos(6));
         sink.incr("widgets", 2);
         sink.incr("widgets", 3);
         let report = sink.finish(RunManifest::new("t", "p"));
+        let names = |nodes: &[PhaseNode]| nodes.iter().map(|n| n.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&report.phases), ["run", "load"]);
+        assert_eq!(names(&report.phases[0].children), ["t1", "a"]);
         assert_eq!(report.phase_ns(&["run", "t1"]), Some(75));
         assert_eq!(report.counter("widgets"), Some(5));
         assert_eq!(report.counter("missing"), None);

@@ -17,11 +17,11 @@ struct PhaseRec {
 
 impl PhaseRec {
     fn child(&mut self, name: &str) -> &mut PhaseRec {
-        if !self.children.contains_key(name) {
-            self.order.push(name.to_owned());
-            self.children.insert(name.to_owned(), PhaseRec::default());
-        }
-        self.children.get_mut(name).expect("just inserted")
+        let order = &mut self.order;
+        self.children.entry(name.to_owned()).or_insert_with(|| {
+            order.push(name.to_owned());
+            PhaseRec::default()
+        })
     }
 
     fn at_path(&mut self, path: &[&str]) -> &mut PhaseRec {

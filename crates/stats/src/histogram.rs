@@ -1,5 +1,6 @@
 //! Equi-width histograms (the Section 3.1 benchmark task's kernel).
 
+use crate::quantile::{from_ordered_key, ordered_key};
 use crate::simd::{note_body, widest_lanes, Lanes, Portable, Widest};
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{Avx2, Avx512};
@@ -20,18 +21,6 @@ pub struct HistogramSpec {
 /// one chain moves at a compare's latency per value, eight at its
 /// throughput — one `zmm`, two `ymm`.
 const RANGE_LANES: usize = 8;
-
-/// Count tables a vector's buckets are dealt across, so that a run of
-/// values in one bucket is not a chain of increments through one memory
-/// cell.
-const COUNT_TABLES: usize = 4;
-
-/// `2^52`: added to `0 ≤ c < 2^52` it leaves `c`, rounded to an integer,
-/// in the sum's low 52 mantissa bits.
-const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
-
-/// The low 52 bits of an `f64`: its mantissa field.
-const MANTISSA: u64 = (1 << 52) - 1;
 
 /// `min` and `max` of the values a lane has seen. `<` and `>`
 /// rather than `f64::min`/`max`, so that what a lane keeps is defined: the
@@ -181,143 +170,188 @@ impl HistogramSpec {
 /// spec's range are dropped. The one counting pass behind the batch
 /// build.
 ///
-/// Equal to asking `bucket_of` once per value, count for count. A
-/// vector of values — eight on the AVX-512 tier, four on AVX2 — is
-/// bucketed as straight-line lane arithmetic before any count moves;
-/// counts go to `COUNT_TABLES` tables by lane, summed at the end —
-/// integer adds in another order.
+/// Equal to asking `bucket_of` once per value, count for count, without
+/// a divide or a scattered increment per value. The pass first finds the
+/// spec's bucket edges, asking `bucket_of` itself where each bucket
+/// starts, then counts how many values lie at or above each edge, a
+/// vector of values at a time (eight on the AVX-512 tier, four on AVX2)
+/// into one counter per lane and edge. A bucket's count is the difference
+/// of two of those. This is exact because `bucket_of` never decreases as
+/// `v` grows on a spec whose span `max − min` is finite. A spec with an
+/// infinite span, a flat or inverted one, and one of more than
+/// `EDGE_BUCKETS` buckets are counted by asking `bucket_of` once per
+/// value.
 ///
 /// # Panics
-/// Panics if `counts` is not `spec.buckets` long, or if that is `2^52` or
-/// more.
+/// Panics if `counts` is not `spec.buckets` long.
 pub fn count_buckets(values: &[f64], spec: &HistogramSpec, counts: &mut [u64]) {
     let buckets = spec.buckets;
     assert_eq!(counts.len(), buckets, "one count per bucket");
-    assert!(
-        (buckets as u64) < 1 << 52,
-        "bucket indices must be exact in f64"
-    );
     if buckets == 0 {
         return;
     }
-    if spec.min == spec.max {
-        // `bucket_of`'s own test, NaN included (it is not outside).
-        let inside = |v: f64| !(v < spec.min || v > spec.max);
-        counts[0] += values.iter().filter(|&&v| inside(v)).count() as u64;
+    let span = spec.max - spec.min;
+    if !(spec.min < spec.max && span.is_finite() && buckets <= EDGE_BUCKETS) {
+        for bucket in values.iter().filter_map(|&v| spec.bucket_of(v)) {
+            counts[bucket] += 1;
+        }
         return;
     }
-    let bucketing = Bucketing {
-        min: spec.min,
-        max: spec.max,
-        width: spec.width(),
-        last: (buckets - 1) as f64,
-        outside: buckets as f64 + TWO_POW_52,
-        stride: buckets + 1,
-    };
-    // One slot past the buckets in each table takes what is outside.
-    let mut tables = vec![0u64; COUNT_TABLES * bucketing.stride];
+    // What the pass counts the values at or above: −∞ (every value but a
+    // NaN), `min`, then edges 1 to `buckets`, padded to whole groups.
+    let mut thresholds = [f64::INFINITY; SWEEPS * GROUP];
+    thresholds[0] = f64::NEG_INFINITY;
+    thresholds[1] = spec.min;
+    for (b, threshold) in (1..=buckets).zip(&mut thresholds[2..]) {
+        *threshold = spec.edge(b);
+    }
+    let mut at_or_above = [0; SWEEPS * GROUP];
+    let len = (buckets + 2).next_multiple_of(GROUP);
+    let (thresholds, tallies) = (&thresholds[..len], &mut at_or_above[..len]);
     match widest_lanes() {
-        Widest::Portable(portable) => count_lanes(portable, values, &bucketing, &mut tables),
+        Widest::Portable(portable) => count_lanes(portable, values, thresholds, tallies),
         // SAFETY: the token proves AVX2.
         #[cfg(target_arch = "x86_64")]
-        Widest::Avx2(avx2) => unsafe { count_avx2(avx2, values, &bucketing, &mut tables) },
+        Widest::Avx2(avx2) => unsafe { count_avx2(avx2, values, thresholds, tallies) },
         // SAFETY: the token proves AVX-512F.
         #[cfg(target_arch = "x86_64")]
-        Widest::Avx512(avx512) => unsafe { count_avx512(avx512, values, &bucketing, &mut tables) },
+        Widest::Avx512(avx512) => unsafe { count_avx512(avx512, values, thresholds, tallies) },
     }
-    for table in tables.chunks_exact(bucketing.stride) {
-        for (count, add) in counts.iter_mut().zip(table) {
-            *count += add;
+    // Bucket `b` holds the values at or above edge `b` but not edge
+    // `b + 1`. Bucket 0 starts at `min` and also takes the NaNs, which are
+    // at or above nothing, as `bucket_of`'s saturating cast puts them there.
+    at_or_above[1] += values.len() as u64 - at_or_above[0];
+    for (count, pair) in counts.iter_mut().zip(at_or_above[1..].windows(2)) {
+        *count += pair[0] - pair[1];
+    }
+}
+
+/// Thresholds one sweep of [`tally`] counts against, each in a counter
+/// that stays in a register: the Histogram task's 10 buckets take 12.
+const GROUP: usize = 12;
+
+/// Sweeps of the values the edge pass makes at most.
+const SWEEPS: usize = 3;
+
+/// Buckets the edge pass counts at most: past three sweeps a divide per
+/// value is cheaper (17–20 µs per 8760 values either way at 34 buckets,
+/// on a 2-vCPU AVX-512 Xeon).
+const EDGE_BUCKETS: usize = SWEEPS * GROUP - 2;
+
+/// Ulps [`HistogramSpec::edge`] steps from its first guess before it
+/// bisects.
+const EDGE_STEPS: usize = 8;
+
+impl HistogramSpec {
+    /// Edge `b` of a spec with `min < max` and a finite span, for
+    /// `1 ≤ b ≤ buckets`: the least `f64` that is past `max` or that
+    /// `bucket_of` puts in bucket `b` or above — the least value of
+    /// bucket `b`, or the least past `max` where no value of `[min, max]`
+    /// reaches it (edge `buckets` always is). Found by stepping ulps from
+    /// `min + b · width` and asking `bucket_of`, then bisecting: the
+    /// answer is exact because `bucket_of` is monotone on `[min, max]`.
+    /// Each of its steps keeps order — the rounded `v − min`, the divide
+    /// by one positive width, the truncating cast and the clamp — and a
+    /// `0/0` (a width that underflows to zero) can happen only at
+    /// `v = min`, which the cast puts in bucket 0 like every other
+    /// `v − min = 0`.
+    fn edge(&self, b: usize) -> f64 {
+        let reaches = |v: f64| v > self.max || self.bucket_of(v).is_some_and(|at| at >= b);
+        let mut at = (self.min + b as f64 * self.width()).clamp(self.min, self.max);
+        if reaches(at) {
+            for _ in 0..EDGE_STEPS {
+                let down = at.next_down();
+                if !reaches(down) {
+                    return at;
+                }
+                at = down;
+            }
+            least_reaching(self.min, at, reaches)
+        } else {
+            for _ in 0..EDGE_STEPS {
+                at = at.next_up();
+                if reaches(at) {
+                    return at;
+                }
+            }
+            least_reaching(at, self.max.next_up(), reaches)
         }
     }
 }
 
-/// What [`count_buckets`] needs of a spec whose `min` and `max` differ.
-struct Bucketing {
-    min: f64,
-    max: f64,
-    width: f64,
-    /// The last bucket's index.
-    last: f64,
-    /// The outside slot's index, `buckets`, plus `2^52`.
-    outside: f64,
-    /// One table: the buckets and the outside slot.
-    stride: usize,
-}
-
-impl Bucketing {
-    /// `2^52` plus the slot of each lane of `v`: the bucket `bucket_of`
-    /// names, or `buckets` where it names none. The quotient
-    /// `(v − min) / width` is clamped into `[0, buckets − 1]` while still a
-    /// float — NaN (`∞/∞` on a spec as wide as `f64`) to `0.0`, as the
-    /// saturating cast takes it; a `−0.0` to `+0.0`, the same bucket — and
-    /// truncated by rounding to an integer at the `2^52` binade and
-    /// stepping back where that rounded up, which for a non-negative value
-    /// is the cast `bucket_of` applies; clamping before truncating or after
-    /// gives the same bucket because `buckets − 1` is a whole number. A
-    /// value below `min` or above `max` takes the outside slot; a NaN is
-    /// neither, as in `bucket_of`.
-    #[inline(always)]
-    fn slots<L: Lanes>(&self, simd: L, v: L::Vector) -> L::Vector {
-        let (zero, two52) = (simd.zero(), simd.splat(TWO_POW_52));
-        let (min, max) = (simd.splat(self.min), simd.splat(self.max));
-        let q = simd.div(simd.sub(v, min), simd.splat(self.width));
-        let q = simd.select_lt(zero, q, q, zero);
-        let last = simd.splat(self.last);
-        let clamped = simd.select_lt(q, last, q, last);
-        let rounded = simd.add(clamped, two52);
-        let nearest = simd.sub(rounded, two52);
-        // One below the nearest integer where that rounded up.
-        let floor = simd.select_lt(
-            clamped,
-            nearest,
-            simd.sub(rounded, simd.splat(1.0)),
-            rounded,
-        );
-        let outside = simd.splat(self.outside);
-        let slot = simd.select_lt(v, min, outside, floor);
-        simd.select_lt(max, v, outside, slot)
-    }
-
-    /// Count each lane's slot in table `lane % COUNT_TABLES`.
-    #[inline(always)]
-    fn deal(&self, slots: &[f64], tables: &mut [u64]) {
-        for (lane, slot) in slots.iter().enumerate() {
-            let table = (lane % COUNT_TABLES) * self.stride;
-            tables[table + (slot.to_bits() & MANTISSA) as usize] += 1;
+/// The least value in `(below, at]` that `reaches` holds for, given that
+/// it fails at `below`, holds at `at` and, in between, holds from some
+/// value on: a bisection over the values' [`ordered_key`]s, at most 64
+/// steps.
+fn least_reaching(below: f64, at: f64, reaches: impl Fn(f64) -> bool) -> f64 {
+    let (mut below, mut at) = (i128::from(ordered_key(below)), i128::from(ordered_key(at)));
+    while at - below > 1 {
+        let mid = (below + at) >> 1;
+        // `mid` lies between two keys of finite or infinite values, so it
+        // is a key of one too, never of a NaN.
+        if reaches(from_ordered_key(mid as i64)) {
+            at = mid;
+        } else {
+            below = mid;
         }
     }
+    from_ordered_key(at as i64)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn count_avx2(avx2: Avx2, values: &[f64], bucketing: &Bucketing, tables: &mut [u64]) {
-    count_lanes(avx2, values, bucketing, tables);
+fn count_avx2(avx2: Avx2, values: &[f64], thresholds: &[f64], at_or_above: &mut [u64]) {
+    count_lanes(avx2, values, thresholds, at_or_above);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn count_avx512(avx512: Avx512, values: &[f64], bucketing: &Bucketing, tables: &mut [u64]) {
-    count_lanes(avx512, values, bucketing, tables);
+fn count_avx512(avx512: Avx512, values: &[f64], thresholds: &[f64], at_or_above: &mut [u64]) {
+    count_lanes(avx512, values, thresholds, at_or_above);
 }
 
-/// [`count_buckets`]' pass: `W` values at a time, the ragged tail one at a
-/// time through the same arithmetic on one portable lane.
+/// [`count_buckets`]' pass: add to `at_or_above[t]` the `values` at or
+/// above `thresholds[t]`, `W` values at a time and the ragged tail one at
+/// a time through the same compares on one portable lane.
 #[inline(always)]
 fn count_lanes<L: Lanes<Array = [f64; W]>, const W: usize>(
     simd: L,
     values: &[f64],
-    bucketing: &Bucketing,
-    tables: &mut [u64],
+    thresholds: &[f64],
+    at_or_above: &mut [u64],
 ) {
     note_body::<L>("count");
     let (chunks, tail) = values.as_chunks::<W>();
-    for chunk in chunks {
-        let slots = simd.store(bucketing.slots(simd, simd.load(chunk)));
-        bucketing.deal(&slots, tables);
-    }
-    for &v in tail {
-        bucketing.deal(&bucketing.slots(Portable::<1>, [v]), tables);
+    tally(simd, chunks, thresholds, at_or_above);
+    let (tail, _) = tail.as_chunks::<1>();
+    tally(Portable::<1>, tail, thresholds, at_or_above);
+}
+
+/// [`count_lanes`] over whole vectors: one sweep of the values per
+/// [`GROUP`] of thresholds, one counter per lane for each. The compare is
+/// [`Lanes::tally_le`]'s ordered `<=`, so a NaN is at or above nothing.
+#[inline(always)]
+fn tally<L: Lanes<Array = [f64; W]>, const W: usize>(
+    simd: L,
+    chunks: &[[f64; W]],
+    thresholds: &[f64],
+    at_or_above: &mut [u64],
+) {
+    let groups = thresholds
+        .chunks_exact(GROUP)
+        .zip(at_or_above.chunks_exact_mut(GROUP));
+    for (thresholds, counts) in groups {
+        let thresholds: [L::Vector; GROUP] = std::array::from_fn(|t| simd.splat(thresholds[t]));
+        let mut tallies = [simd.tally_zero(); GROUP];
+        for chunk in chunks {
+            let v = simd.load(chunk);
+            for (tally, &threshold) in tallies.iter_mut().zip(&thresholds) {
+                *tally = simd.tally_le(*tally, threshold, v);
+            }
+        }
+        for (count, tally) in counts.iter_mut().zip(tallies) {
+            *count += simd.tally_sum(tally);
+        }
     }
 }
 
@@ -362,7 +396,10 @@ impl EquiWidthHistogram {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::under_every_tier;
 
     /// The histogram of `values` over their own range: the spec and the
     /// counting pass the Histogram task runs.
@@ -571,6 +608,77 @@ mod tests {
         let mut counts = [5, 7];
         count_buckets(&[0.1, 0.9, 0.95, 3.0], &spec, &mut counts);
         assert_eq!(counts, [6, 9]);
+    }
+
+    /// Finite specs whose edges are hard to find: an ordinary one, which
+    /// may start below zero; one of subnormal bounds, whose width is
+    /// subnormal or underflows to zero; a span one ulp short of overflow;
+    /// a span of a few ulps far from zero, either side; and one across
+    /// zero, where `v − min` rounds away the values nearest zero.
+    fn hard_spec() -> impl Strategy<Value = (f64, f64)> {
+        (0u8..5, -1e6f64..1e6, 1u64..2000, 0.5f64..1.0).prop_map(|(kind, x, units, share)| {
+            let subnormal = |units: u64| f64::from_bits(units);
+            match kind {
+                0 => (x, x + units as f64 * 0.37),
+                1 => {
+                    let min = subnormal(units * 7).copysign(x);
+                    (min, min + subnormal(units % 97 + 1))
+                }
+                2 => {
+                    let max = f64::MAX * share;
+                    let finite = |min: f64| (max - min).is_finite();
+                    (
+                        least_reaching(f64::NEG_INFINITY, max - f64::MAX, finite),
+                        max,
+                    )
+                }
+                3 => {
+                    let min = x * 1e10;
+                    let max = (0..units % 40 + 1).fold(min, |v, _| v.next_up());
+                    (min, max)
+                }
+                _ => (-x.abs() * share, x.abs() + 1.0),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The counting pass against `bucket_of` on the values where
+        /// buckets meet: each edge, one and two ulps either side, `min`
+        /// and `max` and their neighbours, under every tier. Each edge is
+        /// the least value `bucket_of` puts in its bucket or above, as a
+        /// bisection alone finds it.
+        #[test]
+        fn counts_match_bucket_of_beside_every_edge((min, max) in hard_spec()) {
+            prop_assert!(min < max && (max - min).is_finite(), "{min:e}, {max:e}");
+            for buckets in [1, 2, 3, 10, 34, 64] {
+                let spec = HistogramSpec { min, max, buckets };
+                let mut values = vec![f64::NAN, f64::NEG_INFINITY, f64::INFINITY];
+                for at in [min, max] {
+                    values.extend([at.next_down(), at, at.next_up()]);
+                }
+                for b in 1..=buckets {
+                    let edge = spec.edge(b);
+                    let reaches = |v: f64| v > max || spec.bucket_of(v).is_some_and(|at| at >= b);
+                    let bisected = least_reaching(min, max.next_up(), reaches);
+                    // Equal values: a compare cannot tell the zeros apart.
+                    prop_assert_eq!(edge, bisected, "edge {} of {:?}", b, spec);
+                    let (down, up) = (edge.next_down(), edge.next_up());
+                    values.extend([down.next_down(), down, edge, up, up.next_up()]);
+                }
+                let want = serial_build_with_spec(&values, spec);
+                let mut failed = None;
+                under_every_tier(|tier| {
+                    let got = EquiWidthHistogram::build_with_spec(&values, spec);
+                    if got != want && failed.is_none() {
+                        failed = Some((tier, got.counts));
+                    }
+                });
+                prop_assert!(failed.is_none(), "{:?}: {:?}, want {:?}", spec, failed, want.counts);
+            }
+        }
     }
 
     #[test]

@@ -291,6 +291,15 @@ pub(crate) trait Lanes: Copy {
     /// # Panics
     /// Panics if `dst` is shorter than `WIDTH`.
     fn compress(self, v: Self::Vector, keep: Self::Mask, dst: &mut [f64]) -> usize;
+    /// `WIDTH` counters, one `u64` per lane.
+    type Tally: Copy;
+    /// Every counter at zero.
+    fn tally_zero(self) -> Self::Tally;
+    /// `tally` plus one in each lane where `a <= b`: ordered, as
+    /// [`le`](Self::le), so a NaN on either side adds nothing.
+    fn tally_le(self, tally: Self::Tally, a: Self::Vector, b: Self::Vector) -> Self::Tally;
+    /// The sum of the counters (wrapping, as no count of values can).
+    fn tally_sum(self, tally: Self::Tally) -> u64;
 
     /// `+0.0` in every lane.
     #[inline(always)]
@@ -409,6 +418,19 @@ impl<const N: usize> Lanes for Portable<N> {
         }
         kept
     }
+    type Tally = [u64; N];
+    #[inline(always)]
+    fn tally_zero(self) -> [u64; N] {
+        [0; N]
+    }
+    #[inline(always)]
+    fn tally_le(self, tally: [u64; N], a: [f64; N], b: [f64; N]) -> [u64; N] {
+        std::array::from_fn(|l| tally[l] + u64::from(a[l] <= b[l]))
+    }
+    #[inline(always)]
+    fn tally_sum(self, tally: [u64; N]) -> u64 {
+        tally.iter().fold(0, |sum, &count| sum.wrapping_add(count))
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -520,6 +542,31 @@ impl Lanes for Avx2 {
         }
         self.count(keep)
     }
+    type Tally = __m256i;
+    #[inline(always)]
+    fn tally_zero(self) -> __m256i {
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe { _mm256_setzero_si256() }
+    }
+    #[inline(always)]
+    fn tally_le(self, tally: __m256i, a: __m256d, b: __m256d) -> __m256i {
+        // A lane the compare holds is all ones, −1 as an integer.
+        // SAFETY: `self` is the `Avx2` token.
+        unsafe {
+            _mm256_sub_epi64(
+                tally,
+                _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(a, b)),
+            )
+        }
+    }
+    #[inline(always)]
+    fn tally_sum(self, tally: __m256i) -> u64 {
+        let mut lanes = [0u64; 4];
+        // SAFETY: `self` is the `Avx2` token; the store writes exactly the
+        // four `u64` of `lanes`.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), tally) };
+        lanes.iter().fold(0, |sum, &count| sum.wrapping_add(count))
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -629,6 +676,26 @@ impl Lanes for Avx512 {
         // the eight `f64` of `dst`.
         unsafe { _mm512_storeu_pd(dst.as_mut_ptr(), _mm512_maskz_compress_pd(keep, v)) };
         self.count(keep)
+    }
+    type Tally = __m512i;
+    #[inline(always)]
+    fn tally_zero(self) -> __m512i {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_setzero_si512() }
+    }
+    #[inline(always)]
+    fn tally_le(self, tally: __m512i, a: __m512d, b: __m512d) -> __m512i {
+        // An add under the compare's mask register.
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe {
+            let le = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(a, b);
+            _mm512_mask_add_epi64(tally, le, tally, _mm512_set1_epi64(1))
+        }
+    }
+    #[inline(always)]
+    fn tally_sum(self, tally: __m512i) -> u64 {
+        // SAFETY: `self` is the `Avx512` token.
+        unsafe { _mm512_reduce_add_epi64(tally) as u64 }
     }
 }
 
@@ -1448,6 +1515,14 @@ mod tests {
                     ("le", simd.le(va, vb), portable.le(a, b)),
                     ("lt", simd.lt(va, vb), portable.lt(a, b)),
                 ];
+                let tally = simd.tally_le(simd.tally_le(simd.tally_zero(), va, vb), vb, va);
+                let want_tally =
+                    portable.tally_le(portable.tally_le(portable.tally_zero(), a, b), b, a);
+                assert_eq!(
+                    simd.tally_sum(simd.tally_le(tally, va, vb)),
+                    portable.tally_sum(portable.tally_le(want_tally, a, b)),
+                    "tally_le on {N} lanes: {a:?}, {b:?}"
+                );
                 for (name, mask, want_mask) in masks {
                     let (mut got, mut want) = ([f64::NAN; N], [f64::NAN; N]);
                     let kept = simd.compress(va, mask, &mut got);
