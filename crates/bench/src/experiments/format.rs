@@ -7,7 +7,10 @@
 //! mmap path (open + one pass over the mapped matrix, page faults
 //! only). The table also records the file sizes, the packed compression
 //! ratio, and the headline `mmap_speedup` column the acceptance
-//! criterion reads (mmap ≥ 5× faster than CSV parse at n = 1000).
+//! criterion reads (mmap ≥ 5× faster than CSV parse at n = 1000). The
+//! two `SMC1` writes are timed too (`write_packed_s`, `write_raw_s`,
+//! best of three): they go through the same writer, so their ratio is
+//! the packed encoder's share of a seal.
 //!
 //! The sweep axis carries *actual* household counts: nominal
 //! {100, 1000, 5000} at the default divisor, scaled like every other
@@ -16,7 +19,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use smda_storage::{BinaryEncoding, BinaryStore, FileLayout, FileStore};
+use smda_format::{write_dataset, Encoding};
+use smda_storage::{BinaryStore, FileLayout, FileStore};
 
 use crate::data::{seed_dataset, Scratch};
 use crate::report::{mib, secs, Table};
@@ -38,6 +42,19 @@ fn timed(f: impl FnOnce()) -> Duration {
     start.elapsed()
 }
 
+/// The fastest of three writes of `ds` to `path` (each one replaces the
+/// file the last wrote).
+fn best_write(path: &std::path::Path, ds: &smda_types::Dataset, encoding: Encoding) -> Duration {
+    (0..3)
+        .map(|_| {
+            timed(|| {
+                write_dataset(path, ds, encoding).expect("SMC1 file is writable");
+            })
+        })
+        .min()
+        .expect("three samples")
+}
+
 /// Regenerate `results/format_sweep.csv`.
 pub fn run(scale: Scale) -> Vec<Table> {
     let scratch = Scratch::new("format");
@@ -53,6 +70,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "cold_binary_s",
             "cold_mmap_s",
             "mmap_speedup",
+            "write_packed_s",
+            "write_raw_s",
         ],
     );
 
@@ -71,10 +90,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
         // Packed SMC1: open + checksum-verified decode of every block.
         let packed_path = scratch.path(&format!("packed-{n}.smc"));
-        let packed = BinaryStore::create(&packed_path, &ds, BinaryEncoding::Packed)
-            .expect("packed store is writable");
-        let smc_bytes = packed.total_bytes().expect("file size is readable");
-        drop(packed);
+        let write_packed = best_write(&packed_path, &ds, Encoding::Packed);
+        let smc_bytes = std::fs::metadata(&packed_path)
+            .expect("file size is readable")
+            .len();
         let cold_binary = timed(|| {
             let store = BinaryStore::open(&packed_path).expect("packed store opens");
             black_box(store.read_all().expect("packed store decodes"));
@@ -84,7 +103,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         // mapped matrix. No parse, no decode, no copy — page faults and
         // the open-time index/temperature validation are the entire cost.
         let raw_path = scratch.path(&format!("raw-{n}.smc"));
-        drop(BinaryStore::create(&raw_path, &ds, BinaryEncoding::Raw).expect("raw store writes"));
+        let write_raw = best_write(&raw_path, &ds, Encoding::Raw);
         let cold_mmap = (0..3)
             .map(|_| {
                 timed(|| {
@@ -112,6 +131,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             secs(cold_binary),
             secs(cold_mmap),
             format!("{speedup:.1}"),
+            secs(write_packed),
+            secs(write_raw),
         ]);
     }
     vec![t]
@@ -144,6 +165,9 @@ mod tests {
             assert!(ratio > 1.0, "packed must beat the CSV size: {row:?}");
             assert!(cold_mmap < cold_csv, "mmap must beat the parse: {row:?}");
             assert!(speedup > 1.0);
+            let write_packed: f64 = row[8].parse().unwrap();
+            let write_raw: f64 = row[9].parse().unwrap();
+            assert!(write_packed >= 0.0 && write_raw >= 0.0, "{row:?}");
         }
     }
 }

@@ -808,7 +808,11 @@ fn check_real(scale: Scale) -> std::result::Result<String, String> {
 /// view to carry the same bits straight out of the mapping; (3) all
 /// four tasks executed through [`BinarySource`] to be bit-identical to
 /// `run_reference` on the original; and (4) a 4-way `cut` + `merge`
-/// round trip to reproduce the source file byte for byte.
+/// round trip to reproduce the source file byte for byte. After both
+/// encodings, (7): every year of the dataset, packed by each encoder
+/// tier this CPU runs ([`smda_format::encoder_tiers`]), is
+/// byte-identical to the portable tier's bytes and comes with their
+/// `Digest::of`.
 ///
 /// [`BinarySource`]: smda_engines::BinarySource
 fn check_format(scale: Scale) -> std::result::Result<String, String> {
@@ -949,11 +953,40 @@ fn check_format(scale: Scale) -> std::result::Result<String, String> {
         }
     }
 
+    // (7) Every packed encoder tier writes the portable tier's bytes and
+    // returns their digest. A dispatch that never reached the vector
+    // tier would pass this too: ci.sh's frames step checks it ships.
+    let encoders = smda_format::encoder_tiers();
+    let (_, portable) = encoders[0];
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    for c in ds.consumers() {
+        want.clear();
+        portable(c.readings(), &mut want);
+        for &(tier, encode) in &encoders {
+            got.clear();
+            let digest = encode(c.readings(), &mut got);
+            if got != want || digest != Digest::of(&want) {
+                return Err(format!(
+                    "packed encoder tier {tier} diverged from the portable one on consumer {}",
+                    c.id
+                ));
+            }
+        }
+    }
+    let tiers = match encoders.len() {
+        1 => "portable only: no VBMI".to_string(),
+        _ => encoders
+            .iter()
+            .map(|(tier, _)| *tier)
+            .collect::<Vec<_>>()
+            .join(", "),
+    };
+
     Ok(format!(
         "format equivalence OK: n={n}, raw+packed read-back bit-identical, {zero_copy}, \
          {tasks_checked} task runs off the file bitwise equal to the reference, \
          4-way cut+merge byte-identical for both encodings, streamed digest == one-shot == \
-         footer, version-1 copy refused"
+         footer, version-1 copy refused, packed encoder tiers byte-identical ({tiers})"
     ))
 }
 

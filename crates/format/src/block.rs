@@ -23,6 +23,12 @@
 //! every load path in this workspace is held to. The writer compares
 //! the packed size against the raw size per block and keeps whichever
 //! is smaller, so an incompressible block costs at most its raw bytes.
+//!
+//! Packing and unpacking each have two tiers: the portable one here,
+//! which is also the oracle, and an AVX-512 VBMI one (`block/vbmi.rs`)
+//! that folds the block's digest into its loop. The dispatching entry
+//! points, [`encode_packed_digested`] and [`decode_packed_digested`],
+//! choose once per process; every tier writes and reads the same bytes.
 
 use smda_types::{Error, FormatDefect};
 
@@ -63,14 +69,18 @@ pub fn decode_raw(bytes: &[u8], count: usize, out: &mut Vec<f64>) -> Result<(), 
     Ok(())
 }
 
-/// Append `values` xor-delta bit-packed. `values` must be non-empty.
-pub fn encode_packed(values: &[f64], out: &mut Vec<u8>) {
-    let first = values[0].to_bits();
-    out.extend_from_slice(&first.to_le_bytes());
-    let mut prev = first;
+/// Append `values` xor-delta bit-packed: the portable tier, and the
+/// oracle the vector tier is tested against. An empty slice appends
+/// nothing, as [`Stream::open`] reads nothing for a block of 0 values.
+fn encode_packed(values: &[f64], out: &mut Vec<u8>) {
+    let Some((first, rest)) = values.split_first() else {
+        return;
+    };
+    let mut prev = first.to_bits();
+    out.extend_from_slice(&prev.to_le_bytes());
     let mut deltas = [0u64; MINIBLOCK];
     let mut filled = 0usize;
-    for v in &values[1..] {
+    for v in rest {
         let bits = v.to_bits();
         deltas[filled] = bits ^ prev;
         prev = bits;
@@ -86,17 +96,31 @@ pub fn encode_packed(values: &[f64], out: &mut Vec<u8>) {
 }
 
 fn pack_miniblock(deltas: &[u64], out: &mut Vec<u8>) {
-    let or_all = deltas.iter().fold(0u64, |a, &d| a | d);
+    let (width, shift) = push_header(deltas.iter().fold(0u64, |a, &d| a | d), out);
+    pack_bits(deltas, width, shift, out);
+}
+
+/// Append the `[width, shift]` header of a miniblock whose deltas OR to
+/// `or_all`, and return its width and shift: `(0, 0)` when every delta
+/// is 0.
+fn push_header(or_all: u64, out: &mut Vec<u8>) -> (u32, u32) {
     if or_all == 0 {
         out.extend_from_slice(&[0, 0]);
-        return;
+        return (0, 0);
     }
     let shift = or_all.trailing_zeros();
     let width = 64 - (or_all >> shift).leading_zeros();
-    out.push(width as u8);
-    out.push(shift as u8);
-    // LSB-first bitstream, one whole word out at a time: `acc` holds
-    // the `nbits < 64` bits not yet written.
+    out.extend_from_slice(&[width as u8, shift as u8]);
+    (width, shift)
+}
+
+/// Append `deltas`, each shifted down by `shift`, as `width`-bit fields
+/// LSB-first from a byte boundary: a whole miniblock, or the tail the
+/// vector tier leaves after its groups of eight (each of which ends on
+/// a byte boundary). Width 0 appends nothing.
+fn pack_bits(deltas: &[u64], width: u32, shift: u32, out: &mut Vec<u8>) {
+    // One whole word out at a time: `acc` holds the `nbits < 64` bits
+    // not yet written.
     let mut acc = 0u64;
     let mut nbits = 0u32;
     for &d in deltas {
@@ -116,6 +140,43 @@ fn pack_miniblock(deltas: &[u64], out: &mut Vec<u8>) {
         }
     }
     out.extend_from_slice(&acc.to_le_bytes()[..nbits.div_ceil(8) as usize]);
+}
+
+/// A packed encoder tier: appends `values` packed to `out` and returns
+/// the [`Digest`] of the bytes it appended.
+pub type PackedEncoder = fn(&[f64], &mut Vec<u8>) -> u64;
+
+/// Append `values` xor-delta bit-packed and return the [`Digest`] of the
+/// bytes appended. On a CPU with AVX-512 VBMI the vector tier packs
+/// eight deltas per group and folds the digest into its loop
+/// (`block/vbmi.rs`); elsewhere the block is packed, then digested. The
+/// bytes are the same on every tier.
+pub fn encode_packed_digested(values: &[f64], out: &mut Vec<u8>) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if vbmi::supported() {
+        // SAFETY: the CPU has every feature the kernel enables.
+        return unsafe { vbmi::encode_packed_digested(values, out) };
+    }
+    encode_packed_portable(values, out)
+}
+
+fn encode_packed_portable(values: &[f64], out: &mut Vec<u8>) -> u64 {
+    let start = out.len();
+    encode_packed(values, out);
+    Digest::of(&out[start..])
+}
+
+/// Every packed encoder tier this CPU runs, the portable one first: on
+/// a CPU with AVX-512 VBMI, `("vbmi", encode_packed_digested)` follows
+/// it. What the block tests and `smda-bench --check format` hold
+/// byte-identical.
+pub fn encoder_tiers() -> Vec<(&'static str, PackedEncoder)> {
+    let mut tiers: Vec<(&'static str, PackedEncoder)> = vec![("portable", encode_packed_portable)];
+    #[cfg(target_arch = "x86_64")]
+    if vbmi::supported() {
+        tiers.push(("vbmi", encode_packed_digested));
+    }
+    tiers
 }
 
 /// The 64 stream bits starting at bit `bit` of `packed`, LSB-first,
@@ -321,6 +382,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_block_round_trips_on_every_tier() {
+        for (tier, encode) in encoders() {
+            assert!(encoded(tier, encode, &[]).is_empty(), "{tier}");
+        }
+        for (tier, decode) in tiers() {
+            assert_eq!(decode(&[], 0), Some(Vec::new()), "{tier}");
+        }
+    }
+
+    #[test]
     fn constant_series_packs_to_zero_width() {
         let values = vec![1.25; 500];
         let mut packed = Vec::new();
@@ -511,6 +582,13 @@ mod tests {
 
     type Decoder = fn(&[u8], usize) -> Option<Vec<u64>>;
 
+    fn say_skipped() {
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        SKIPPED.call_once(|| {
+            eprintln!("no AVX-512 VBMI on this CPU: the vector tier's legs were skipped")
+        });
+    }
+
     /// The decoders every tier test runs: the scalar one, and the
     /// vector one where this CPU has it (else the skip is said once).
     fn tiers() -> Vec<(&'static str, Decoder)> {
@@ -518,11 +596,31 @@ mod tests {
         if vbmi::supported() {
             return vec![("scalar", decode_packed_bits), ("vbmi", decode_vbmi_bits)];
         }
-        static SKIPPED: std::sync::Once = std::sync::Once::new();
-        SKIPPED.call_once(|| {
-            eprintln!("no AVX-512 VBMI on this CPU: the vector tier's legs were skipped")
-        });
+        say_skipped();
         vec![("scalar", decode_packed_bits)]
+    }
+
+    /// The encoders every tier test runs: [`encoder_tiers`], the skip
+    /// said as for [`tiers`].
+    fn encoders() -> Vec<(&'static str, PackedEncoder)> {
+        let encoders = encoder_tiers();
+        if encoders.len() == 1 {
+            say_skipped();
+        }
+        encoders
+    }
+
+    /// What `encode` appends for `values`. It must leave what `out`
+    /// already holds untouched (an odd-length prefix, so the digest's
+    /// stripes must count from the block's start) and return
+    /// `Digest::of` the bytes it appended.
+    fn encoded(tier: &str, encode: PackedEncoder, values: &[f64]) -> Vec<u8> {
+        let held = [0xa5, 0x5a, 0xc3];
+        let mut out = held.to_vec();
+        let digest = encode(values, &mut out);
+        assert_eq!(out[..3], held, "{tier} overwrote `out`");
+        assert_eq!(digest, Digest::of(&out[3..]), "{tier}: folded digest");
+        out.split_off(3)
     }
 
     fn splitmix(state: &mut u64) -> u64 {
@@ -569,7 +667,11 @@ mod tests {
 
                     let values = values_of(splitmix(&mut rng), &deltas);
                     let mut block = Vec::new();
-                    encode_packed(&values, &mut block);
+                    encode_packed_bytewise(&values, &mut block);
+                    for (tier, encode) in encoders() {
+                        let got = encoded(tier, encode, &values);
+                        assert_eq!(got, block, "{tier} pack w={width} s={shift} fill={fill}");
+                    }
                     let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
                     let oracle = decode_packed_bytewise(&block, values.len());
                     for (tier, decode) in tiers() {
@@ -605,6 +707,9 @@ mod tests {
             encode_packed(&values, &mut new);
             encode_packed_bytewise(&values, &mut old);
             proptest::prop_assert_eq!(&new, &old);
+            for (tier, encode) in encoders() {
+                proptest::prop_assert_eq!(&encoded(tier, encode, &values), &old, "{}", tier);
+            }
             let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
             let oracle = decode_packed_bytewise(&new, len);
             for (tier, decode) in tiers() {
@@ -653,10 +758,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(8))]
 
-        /// The vector tier's digest, folded in two stripes per group
-        /// while it unpacks, is `Digest::of` the block: for every width
-        /// 0..=64, over block lengths that end in every phase of the two
-        /// stripes a group folds in.
+        /// The vector tiers' digests, folded while they unpack and while
+        /// they pack, are `Digest::of` the block: for every width 0..=64,
+        /// over block lengths that end in every phase of the two stripes
+        /// a group folds in.
         #[test]
         fn fused_digest_equals_digest_of_the_same_bytes(seed in proptest::any::<u64>()) {
             #[cfg(target_arch = "x86_64")]
@@ -670,9 +775,13 @@ mod tests {
                             let fill = (len - 1 - deltas.len()).min(MINIBLOCK);
                             deltas.extend(deltas_of(width, 0, fill, &mut rng));
                         }
+                        let values = values_of(splitmix(&mut rng), &deltas);
                         let mut block = Vec::new();
-                        encode_packed(&values_of(splitmix(&mut rng), &deltas), &mut block);
+                        encode_packed(&values, &mut block);
                         phases.insert(block.len() % 64);
+                        // `encoded` checks the folded digest.
+                        let packed = encoded("vbmi", encode_packed_digested, &values);
+                        proptest::prop_assert_eq!(&packed, &block, "w={} len={}", width, len);
                         let mut out = Vec::new();
                         // SAFETY: the CPU runs the tier (checked above).
                         let digest = unsafe { vbmi::decode_packed_digested(&block, len, &mut out) };

@@ -38,6 +38,7 @@ pub mod ops;
 mod reader;
 mod writer;
 
+pub use block::{encoder_tiers, PackedEncoder};
 pub use cache::RowGroupCache;
 pub use layout::{SMC_FOOTER_MAGIC, SMC_MAGIC, SMC_VERSION};
 pub use metrics::FormatCounters;

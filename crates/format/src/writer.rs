@@ -167,20 +167,16 @@ impl SmcWriter {
         self.pad_to_8()?;
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
-        let encoding = match self.encoding {
-            Encoding::Raw => {
+        let packed = match self.encoding {
+            Encoding::Raw => None,
+            Encoding::Packed => Some(block::encode_packed_digested(kwh, &mut buf)),
+        };
+        let (encoding, checksum) = match packed {
+            Some(digest) if buf.len() < kwh.len() * 8 => (ENC_PACKED, digest),
+            _ => {
+                buf.clear();
                 block::encode_raw(kwh, &mut buf);
-                ENC_RAW
-            }
-            Encoding::Packed => {
-                block::encode_packed(kwh, &mut buf);
-                if buf.len() >= kwh.len() * 8 {
-                    buf.clear();
-                    block::encode_raw(kwh, &mut buf);
-                    ENC_RAW
-                } else {
-                    ENC_PACKED
-                }
+                (ENC_RAW, Digest::of(&buf))
             }
         };
         let entry = IndexEntry {
@@ -188,7 +184,7 @@ impl SmcWriter {
             encoding,
             offset: self.pos,
             length: buf.len() as u64,
-            checksum: Digest::of(&buf),
+            checksum,
         };
         let res = self.write(&buf);
         self.scratch = buf;

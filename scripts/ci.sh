@@ -418,6 +418,18 @@ if [ "$fast" -eq 0 ]; then
             echo "$frame: $(grep -c . <<<"$body") instructions, $zmm on zmm"
             [ "$zmm" -gt 0 ] || { echo "$frame is missing from target/release/smda or holds no zmm instruction" >&2; exit 1; }
         done
+        # The packed codec's VBMI frames: a dispatch that reached neither
+        # would leave every byte as the portable tiers write it and fail
+        # no test. The unpacker places bytes with `vpermb`, the packer
+        # with two-table `vpermt2b` (or `vpermi2b`).
+        echo "== VBMI codec frames ship =="
+        for want in decode_packed_digested:vpermb encode_packed_digested:'vperm[ti]2b'; do
+            frame=smda_format::block::vbmi::${want%%:*}
+            body=$(awk -v head="<$frame>:" '$2 == head { on = 1; next } /^$/ { on = 0 } on' <<<"$listing")
+            permutes=$(grep -cwE "${want#*:}" <<<"$body" || true)
+            echo "$frame: $(grep -c . <<<"$body") instructions, $permutes ${want#*:}"
+            [ "$permutes" -gt 0 ] || { echo "$frame is missing from target/release/smda or holds no ${want#*:}" >&2; exit 1; }
+        done
     else
         echo "no objdump on this machine: the disassembly check is skipped"
     fi
